@@ -680,7 +680,7 @@ fn query(scale: f64, explain: bool) {
     drop(sbc);
 
     // Absent-key point lookups with ids beyond every SSTable's min/max key
-    // fences: the v2 read path must answer them without consulting a bloom
+    // fences: the read path must answer them without consulting a bloom
     // filter or reading a single data block. (In-range absent keys are
     // probabilistic — a bloom false positive may read one block — so the
     // deterministic smoke uses fence-rejected keys only.)
@@ -1135,7 +1135,7 @@ fn netbench(clients: usize, rows: usize, out: Option<&str>) {
     };
     let ingest_start = Instant::now();
     {
-        let mut db = open_disk().open().expect("open disk engine");
+        let db = open_disk().open().expect("open disk engine");
         db.execute_cql("CREATE KEYSPACE bench").expect("keyspace");
         db.execute_cql(
             "CREATE TABLE bench.readings (id int, station text, bikes int, PRIMARY KEY (id))",
@@ -1152,7 +1152,7 @@ fn netbench(clients: usize, rows: usize, out: Option<&str>) {
     }
     let recovery_ingest_elapsed = ingest_start.elapsed();
     let replay_start = Instant::now();
-    let mut recovered = open_disk().recover(true).open().expect("recovering reopen");
+    let recovered = open_disk().recover(true).open().expect("recovering reopen");
     let replay_elapsed = replay_start.elapsed();
     let survivors = recovered
         .execute_cql("SELECT id FROM bench.readings")

@@ -1,4 +1,4 @@
-//! Bloom filters over byte keys, used by SSTable v2 to answer point misses
+//! Bloom filters over byte keys, used by SSTables to answer point misses
 //! without touching data blocks.
 //!
 //! The filter uses double hashing over a single FNV-1a base hash
@@ -6,7 +6,7 @@
 //! default 10 bits per key and 7 probes the false-positive rate is ~0.8%,
 //! comfortably under the 2% budget the read path is tested against.
 //!
-//! Encoding is part of the SSTable v2 meta region: the probe count followed
+//! Encoding is part of the SSTable meta region: the probe count followed
 //! by the length-prefixed bit array. Decoding validates the probe count and
 //! rejects an empty bit array, so a corrupt filter surfaces as a
 //! [`DecodeError`] instead of dividing by zero at query time.

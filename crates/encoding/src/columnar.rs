@@ -1,6 +1,6 @@
-//! Column-run primitives for SSTable v3 data blocks.
+//! Column-run primitives for SSTable data blocks.
 //!
-//! A v3 block stores its records column-major: one contiguous run per
+//! A block stores its records column-major: one contiguous run per
 //! column, each run independently encoded. This module owns the three
 //! generic building blocks those runs are made of — packed bitmaps (null
 //! and liveness masks, boolean columns), zig-zag delta varint runs

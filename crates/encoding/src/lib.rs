@@ -10,12 +10,10 @@
 //! * [`varint`] — LEB128-style unsigned varints and zig-zag signed varints,
 //! * [`codec`] — a small [`codec::Encoder`]/[`codec::Decoder`]
 //!   pair with length-prefixed strings and byte slices,
-//! * [`block`] — the fixed-target data-block codec SSTable v2 packs
-//!   records into,
 //! * [`columnar`] — the column-run primitives (packed bitmaps, zig-zag
-//!   delta runs, byte-string dictionaries) SSTable v3 builds its
+//!   delta runs, byte-string dictionaries) SSTables build their
 //!   column-major blocks from,
-//! * [`bloom`] — Bloom filters answering SSTable v2 point misses without
+//! * [`bloom`] — Bloom filters answering SSTable point misses without
 //!   touching data blocks,
 //! * [`checksum`] — a from-scratch CRC-32 (IEEE) used by commit logs and
 //!   SSTable footers,
@@ -28,7 +26,6 @@
 //! * [`rng`] — the workspace's deterministic xorshift64* PRNG (no `rand`
 //!   dependency; datasets and randomized tests are bit-identical per seed).
 
-pub mod block;
 pub mod bloom;
 pub mod bytesize;
 pub mod checksum;
@@ -39,7 +36,6 @@ pub mod overhead;
 pub mod rng;
 pub mod varint;
 
-pub use block::{BlockBuilder, BlockIter, FinishedBlock, BLOCK_TARGET_BYTES};
 pub use bloom::Bloom;
 pub use bytesize::ByteSize;
 pub use checksum::Crc32;
@@ -47,3 +43,7 @@ pub use codec::{DecodeError, Decoder, Encoder};
 pub use columnar::{decode_dict, decode_i64_deltas, encode_i64_deltas, Bitmap, DictBuilder};
 pub use hash::{fnv1a_64, FnvBuildHasher, FnvHashMap, FnvHashSet};
 pub use rng::Rng;
+
+/// Row-major bytes an SSTable data block holds before it closes: the
+/// classic 4 KiB data-block size.
+pub const BLOCK_TARGET_BYTES: usize = 4096;

@@ -1,4 +1,4 @@
-//! Shared, bounded block cache for SSTable v2 data blocks.
+//! Shared, bounded block cache for SSTable data blocks.
 //!
 //! One [`BlockCache`] is created per engine and threaded through every
 //! table's SSTables, so hot blocks are shared across column families and a

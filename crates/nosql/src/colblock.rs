@@ -1,12 +1,10 @@
-//! Column-major data blocks for SSTable v3 (see DESIGN.md §5i).
+//! Column-major SSTable data blocks (see DESIGN.md §5f).
 //!
-//! A v3 block stores its records column-major so scans touching a few
-//! columns decode a few contiguous runs instead of every cell of every
-//! row:
+//! A block stores its records column-major so scans touching a few columns
+//! decode a few contiguous runs instead of every cell of every row:
 //!
 //! ```text
-//! block  : count(varint) layout(u8)
-//! layout 0 (columnar):
+//! block  : count(varint) layout(u8 = 0)
 //!          keys        count × len-prefixed bytes
 //!          seqs        zig-zag delta varints
 //!          live bitmap ceil(count/8) bytes (bit set = live, clear = tombstone)
@@ -15,17 +13,10 @@
 //!              enc(u8: 0 raw / 1 int-delta / 2 text-dict / 3 bool-bitmap)
 //!              null bitmap over live rows (bit set = non-null)
 //!              payload (per enc)
-//! layout 1 (row fallback):
-//!          count × [len-prefixed key, len-prefixed v2 record payload]
 //! ```
 //!
-//! The writer only chooses the columnar layout when every live body in the
-//! block is a canonical [`Row`] encoding — verified by an exact
-//! decode/re-encode round trip — and all rows agree on column count.
-//! Anything else (foreign payloads, schema drift) lands in the row
-//! fallback, which stores the original bytes verbatim. Either way a full
-//! decode reproduces the input [`SstEntry`]s byte-exactly, so compaction
-//! and crash recovery cannot tell the layouts apart.
+//! Every live row of a block has the same column count; the writer rejects
+//! anything else.
 //!
 //! Column chunks are length-prefixed so a projected read skips a pruned
 //! column in O(1) without parsing it; [`BlockRows`] reports how many
@@ -41,67 +32,34 @@ use sc_encoding::columnar::{
 use sc_encoding::{Decoder, Encoder};
 
 const LAYOUT_COLUMNAR: u8 = 0;
-const LAYOUT_ROWS: u8 = 1;
 
 const ENC_RAW: u8 = 0;
 const ENC_INT_DELTA: u8 = 1;
 const ENC_TEXT_DICT: u8 = 2;
 const ENC_BOOL_BITMAP: u8 = 3;
 
-/// A decoded block in row form, plus the column-pruning accounting.
-#[derive(Debug)]
+/// Decoded records plus the column-pruning accounting, accumulated over
+/// the blocks of one read.
+#[derive(Debug, Default)]
 pub(crate) struct BlockRows {
-    /// `(key, row-or-tombstone, sequence)` per record, in key order.
-    pub rows: Vec<(Vec<u8>, Option<Row>, u64)>,
+    /// The records, in key order.
+    pub entries: Vec<SstEntry>,
     /// Column chunks decoded.
     pub cols_read: u64,
     /// Column chunks skipped thanks to projection pruning.
     pub cols_skipped: u64,
 }
 
-/// Serializes one sorted run of entries as a v3 block, preferring the
-/// columnar layout and falling back to verbatim rows when the bodies are
-/// not canonical [`Row`] encodings.
-pub(crate) fn encode_block(entries: &[SstEntry]) -> Vec<u8> {
-    match try_encode_columnar(entries) {
-        Some(bytes) => bytes,
-        None => encode_row_fallback(entries),
-    }
-}
-
-/// The columnar layout, or `None` when any live body fails the exact
-/// round-trip check (or the rows disagree on column count).
-fn try_encode_columnar(entries: &[SstEntry]) -> Option<Vec<u8>> {
-    let mut rows: Vec<Option<Row>> = Vec::with_capacity(entries.len());
-    let mut ncols: Option<usize> = None;
-    let mut check = Encoder::new();
-    for e in entries {
-        let Some(body) = &e.body else {
-            rows.push(None);
-            continue;
-        };
-        let mut dec = Decoder::new(body);
-        let Ok((row, _ts)) = Row::decode(&mut dec) else {
-            return None;
-        };
-        if !dec.is_exhausted() {
-            return None;
-        }
-        // Byte-exact or bust: the reader reconstructs the body as
-        // `Row::encode(row, seq)`, so anything that does not round-trip
-        // (foreign cell timestamps, non-canonical varints) must take the
-        // fallback layout.
-        check.clear();
-        row.encode(&mut check, e.timestamp);
-        if check.bytes() != body.as_slice() {
-            return None;
-        }
-        match ncols {
-            None => ncols = Some(row.values.len()),
-            Some(n) if n == row.values.len() => {}
-            Some(_) => return None,
-        }
-        rows.push(Some(row));
+/// Serializes one sorted run of entries as a block. Live rows that
+/// disagree on column count are [`NosqlError::Corrupt`].
+pub(crate) fn encode_block(file: &str, entries: &[SstEntry]) -> Result<Vec<u8>> {
+    let live_rows: Vec<&Row> = entries.iter().filter_map(|e| e.row.as_ref()).collect();
+    let ncols = live_rows.first().map_or(0, |row| row.values.len());
+    if let Some(odd) = live_rows.iter().find(|row| row.values.len() != ncols) {
+        return Err(NosqlError::Corrupt(format!(
+            "refusing to write {file}: a row of {} columns in a block of {ncols}-column rows",
+            odd.values.len()
+        )));
     }
 
     let mut enc = Encoder::new();
@@ -113,31 +71,18 @@ fn try_encode_columnar(entries: &[SstEntry]) -> Option<Vec<u8>> {
     let seqs: Vec<i64> = entries.iter().map(|e| e.timestamp as i64).collect();
     encode_i64_deltas(&mut enc, &seqs);
     let mut live = Bitmap::new(entries.len());
-    for (i, row) in rows.iter().enumerate() {
-        if row.is_some() {
+    for (i, e) in entries.iter().enumerate() {
+        if e.row.is_some() {
             live.set(i);
         }
     }
     live.encode(&mut enc);
-    let live_rows: Vec<&Row> = rows.iter().flatten().collect();
-    let ncols = ncols.unwrap_or(0);
     enc.put_u64(ncols as u64);
     for c in 0..ncols {
         let chunk = encode_column(&live_rows, c);
         enc.put_bytes(&chunk);
     }
-    Some(enc.into_bytes())
-}
-
-fn encode_row_fallback(entries: &[SstEntry]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u64(entries.len() as u64);
-    enc.put_u8(LAYOUT_ROWS);
-    for e in entries {
-        enc.put_bytes(&e.key);
-        enc.put_bytes(&crate::sstable::encode_payload(e));
-    }
-    enc.into_bytes()
+    Ok(enc.into_bytes())
 }
 
 /// One column's contiguous run: encoding tag, null bitmap over the live
@@ -225,60 +170,15 @@ fn choose_encoding(present: &[&CqlValue]) -> u8 {
     ENC_RAW
 }
 
-/// Decodes a block back into byte-exact [`SstEntry`]s (the compaction /
-/// probe / prefix-scan path — no projection). Row-fallback blocks are
-/// returned verbatim without interpreting the bodies, so foreign payloads
-/// survive untouched.
-pub(crate) fn decode_block(file: &str, bytes: &[u8]) -> Result<Vec<SstEntry>> {
-    let corrupt = |what: &str| NosqlError::Corrupt(format!("{file}: {what}"));
-    let mut d = Decoder::new(bytes);
-    let count = d.get_u64().map_err(NosqlError::from)? as usize;
-    if count > bytes.len() {
-        return Err(corrupt("implausible block record count"));
-    }
-    let layout = d.get_u8().map_err(NosqlError::from)?;
-    if layout == LAYOUT_ROWS {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let key = d.get_bytes().map_err(NosqlError::from)?.to_vec();
-            let payload = d.get_bytes().map_err(NosqlError::from)?;
-            out.push(crate::sstable::decode_payload(file, &key, payload)?);
-        }
-        if !d.is_exhausted() {
-            return Err(corrupt("trailing bytes after row-fallback block"));
-        }
-        return Ok(out);
-    }
-    let decoded = decode_block_rows(file, bytes, None)?;
-    let mut out = Vec::with_capacity(decoded.rows.len());
-    let mut enc = Encoder::new();
-    for (key, row, seq) in decoded.rows {
-        let body = match row {
-            Some(row) => {
-                enc.clear();
-                row.encode(&mut enc, seq);
-                Some(enc.bytes().to_vec())
-            }
-            None => None,
-        };
-        out.push(SstEntry {
-            key,
-            body,
-            timestamp: seq,
-        });
-    }
-    Ok(out)
-}
-
-/// Decodes a block into rows, parsing only the column chunks `proj` asks
-/// for (`None` = all). Pruned columns come back as [`CqlValue::Null`];
-/// row-fallback blocks have no per-column runs, so they always decode
-/// fully.
+/// Decodes a block, appending its records to `out` and parsing only the
+/// column chunks `proj` asks for (`None` = all). Pruned columns come back
+/// as [`CqlValue::Null`].
 pub(crate) fn decode_block_rows(
     file: &str,
     bytes: &[u8],
     proj: Option<&[usize]>,
-) -> Result<BlockRows> {
+    out: &mut BlockRows,
+) -> Result<()> {
     let corrupt = |what: &str| NosqlError::Corrupt(format!("{file}: {what}"));
     let mut d = Decoder::new(bytes);
     let count = d.get_u64().map_err(NosqlError::from)? as usize;
@@ -287,96 +187,58 @@ pub(crate) fn decode_block_rows(
     if count > bytes.len() {
         return Err(corrupt("implausible block record count"));
     }
-    let layout = d.get_u8().map_err(NosqlError::from)?;
-    match layout {
-        LAYOUT_ROWS => {
-            let mut rows = Vec::with_capacity(count);
-            let mut cols_read = 0u64;
-            for _ in 0..count {
-                let key = d.get_bytes().map_err(NosqlError::from)?.to_vec();
-                let payload = d.get_bytes().map_err(NosqlError::from)?;
-                let entry = crate::sstable::decode_payload(file, &key, payload)?;
-                let row = match entry.body {
-                    Some(body) => {
-                        let mut rd = Decoder::new(&body);
-                        let (row, _ts) = Row::decode(&mut rd).map_err(|_| {
-                            NosqlError::Corrupt(format!("{file}: undecodable row body"))
-                        })?;
-                        cols_read += row.values.len() as u64;
-                        Some(row)
-                    }
-                    None => None,
-                };
-                rows.push((entry.key, row, entry.timestamp));
-            }
-            if !d.is_exhausted() {
-                return Err(corrupt("trailing bytes after row-fallback block"));
-            }
-            Ok(BlockRows {
-                rows,
-                cols_read,
-                cols_skipped: 0,
-            })
-        }
-        LAYOUT_COLUMNAR => {
-            let mut keys = Vec::with_capacity(count);
-            for _ in 0..count {
-                keys.push(d.get_bytes().map_err(NosqlError::from)?.to_vec());
-            }
-            let seqs = decode_i64_deltas(&mut d, count).map_err(NosqlError::from)?;
-            let live = Bitmap::decode(&mut d, count).map_err(NosqlError::from)?;
-            let live_count = live.count_ones();
-            let ncols = d.get_u64().map_err(NosqlError::from)? as usize;
-            if ncols > bytes.len() {
-                return Err(corrupt("implausible block column count"));
-            }
-            let mut cols: Vec<Option<Vec<CqlValue>>> = Vec::with_capacity(ncols);
-            let mut cols_read = 0u64;
-            let mut cols_skipped = 0u64;
-            for c in 0..ncols {
-                let chunk = d.get_bytes().map_err(NosqlError::from)?;
-                if proj.is_none_or(|p| p.contains(&c)) {
-                    cols.push(Some(decode_column(file, chunk, live_count)?));
-                    cols_read += 1;
-                } else {
-                    cols.push(None);
-                    cols_skipped += 1;
-                }
-            }
-            if !d.is_exhausted() {
-                return Err(corrupt("trailing bytes after columnar block"));
-            }
-            let mut rows = Vec::with_capacity(count);
-            let mut li = 0usize;
-            for i in 0..count {
-                if live.get(i) {
-                    if li >= live_count {
-                        return Err(corrupt("live bitmap disagrees with itself"));
-                    }
-                    let mut values = vec![CqlValue::Null; ncols];
-                    for (c, run) in cols.iter_mut().enumerate() {
-                        if let Some(run) = run {
-                            values[c] = std::mem::replace(&mut run[li], CqlValue::Null);
-                        }
-                    }
-                    rows.push((
-                        std::mem::take(&mut keys[i]),
-                        Some(Row::new(values)),
-                        seqs[i] as u64,
-                    ));
-                    li += 1;
-                } else {
-                    rows.push((std::mem::take(&mut keys[i]), None, seqs[i] as u64));
-                }
-            }
-            Ok(BlockRows {
-                rows,
-                cols_read,
-                cols_skipped,
-            })
-        }
-        _ => Err(corrupt("bad block layout tag")),
+    if d.get_u8().map_err(NosqlError::from)? != LAYOUT_COLUMNAR {
+        return Err(corrupt("bad block layout tag"));
     }
+    let mut keys = Vec::with_capacity(count);
+    for _ in 0..count {
+        keys.push(d.get_bytes().map_err(NosqlError::from)?.to_vec());
+    }
+    let seqs = decode_i64_deltas(&mut d, count).map_err(NosqlError::from)?;
+    let live = Bitmap::decode(&mut d, count).map_err(NosqlError::from)?;
+    let live_count = live.count_ones();
+    let ncols = d.get_u64().map_err(NosqlError::from)? as usize;
+    if ncols > bytes.len() {
+        return Err(corrupt("implausible block column count"));
+    }
+    let mut cols: Vec<Option<Vec<CqlValue>>> = Vec::with_capacity(ncols);
+    for c in 0..ncols {
+        let chunk = d.get_bytes().map_err(NosqlError::from)?;
+        if proj.is_none_or(|p| p.contains(&c)) {
+            cols.push(Some(decode_column(file, chunk, live_count)?));
+            out.cols_read += 1;
+        } else {
+            cols.push(None);
+            out.cols_skipped += 1;
+        }
+    }
+    if !d.is_exhausted() {
+        return Err(corrupt("trailing bytes after columnar block"));
+    }
+    let mut li = 0usize;
+    for i in 0..count {
+        let row = if live.get(i) {
+            if li >= live_count {
+                return Err(corrupt("live bitmap disagrees with itself"));
+            }
+            let mut values = vec![CqlValue::Null; ncols];
+            for (c, run) in cols.iter_mut().enumerate() {
+                if let Some(run) = run {
+                    values[c] = std::mem::replace(&mut run[li], CqlValue::Null);
+                }
+            }
+            li += 1;
+            Some(Row::new(values))
+        } else {
+            None
+        };
+        out.entries.push(SstEntry {
+            key: std::mem::take(&mut keys[i]),
+            row,
+            timestamp: seqs[i] as u64,
+        });
+    }
+    Ok(())
 }
 
 /// Decodes one column chunk into `live_count` cells (nulls included).
@@ -439,30 +301,12 @@ fn decode_column(file: &str, chunk: &[u8], live_count: usize) -> Result<Vec<CqlV
 mod tests {
     use super::*;
 
-    fn row_entry(key: u8, values: Vec<CqlValue>, seq: u64) -> SstEntry {
-        let row = Row::new(values);
-        let mut enc = Encoder::new();
-        row.encode(&mut enc, seq);
-        SstEntry {
-            key: vec![b'k', key],
-            body: Some(enc.into_bytes()),
-            timestamp: seq,
-        }
-    }
-
     fn typed_entries() -> Vec<SstEntry> {
-        let mut out = Vec::new();
-        for i in 0..40u8 {
-            if i % 9 == 0 {
-                out.push(SstEntry {
-                    key: vec![b'k', i],
-                    body: None,
-                    timestamp: 100 + i as u64,
-                });
-            } else {
-                out.push(row_entry(
-                    i,
-                    vec![
+        (0..40u8)
+            .map(|i| SstEntry {
+                key: vec![b'k', i],
+                row: (i % 9 != 0).then(|| {
+                    Row::new(vec![
                         CqlValue::Int(1_000_000 + i as i64),
                         if i % 5 == 0 {
                             CqlValue::Null
@@ -471,65 +315,44 @@ mod tests {
                         },
                         CqlValue::Boolean(i % 2 == 0),
                         CqlValue::int_set([i as i64, i as i64 + 1]),
-                    ],
-                    100 + i as u64,
-                ));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn columnar_round_trip_is_byte_exact() {
-        let es = typed_entries();
-        let bytes = encode_block(&es);
-        // Count (< 128 entries) is a one-byte varint, so the layout tag is
-        // byte 1: these rows must have taken the columnar layout.
-        assert_eq!(bytes[1], LAYOUT_COLUMNAR);
-        let back = decode_block("t", &bytes).unwrap();
-        assert_eq!(back, es);
-    }
-
-    #[test]
-    fn foreign_payloads_take_the_row_fallback() {
-        let es: Vec<SstEntry> = (0..5u8)
-            .map(|i| SstEntry {
-                key: vec![i],
-                body: Some(format!("payload-{i}").into_bytes()),
-                timestamp: i as u64,
+                    ])
+                }),
+                timestamp: 100 + i as u64,
             })
-            .collect();
-        let bytes = encode_block(&es);
-        let back = decode_block("t", &bytes).unwrap();
-        assert_eq!(back, es, "fallback must preserve foreign bytes verbatim");
-        let rows = decode_block_rows("t", &bytes, Some(&[0]));
-        assert!(rows.is_err(), "foreign bytes are not rows");
+            .collect()
+    }
+
+    fn decode(bytes: &[u8], proj: Option<&[usize]>) -> Result<BlockRows> {
+        let mut out = BlockRows::default();
+        decode_block_rows("t", bytes, proj, &mut out)?;
+        Ok(out)
+    }
+
+    #[test]
+    fn round_trip_is_exact() {
+        let es = typed_entries();
+        let bytes = encode_block("t", &es).unwrap();
+        assert_eq!(decode(&bytes, None).unwrap().entries, es);
     }
 
     #[test]
     fn projection_skips_chunks_and_nulls_pruned_columns() {
         let es = typed_entries();
-        let bytes = encode_block(&es);
-        let all = decode_block_rows("t", &bytes, None).unwrap();
+        let bytes = encode_block("t", &es).unwrap();
+        let all = decode(&bytes, None).unwrap();
         assert_eq!(all.cols_read, 4);
         assert_eq!(all.cols_skipped, 0);
 
-        let pruned = decode_block_rows("t", &bytes, Some(&[0, 2])).unwrap();
+        let pruned = decode(&bytes, Some(&[0, 2])).unwrap();
         assert_eq!(pruned.cols_read, 2);
         assert_eq!(pruned.cols_skipped, 2);
-        assert_eq!(pruned.rows.len(), es.len());
-        for ((key, row, seq), e) in pruned.rows.iter().zip(&es) {
-            assert_eq!(key, &e.key);
-            assert_eq!(*seq, e.timestamp);
-            match (&e.body, row) {
+        assert_eq!(pruned.entries.len(), es.len());
+        for (p, e) in pruned.entries.iter().zip(&es) {
+            assert_eq!(p.key, e.key);
+            assert_eq!(p.timestamp, e.timestamp);
+            match (&e.row, &p.row) {
                 (None, None) => {}
-                (Some(_), Some(row)) => {
-                    let (full, _) = {
-                        let (k, r, _) =
-                            &all.rows[pruned.rows.iter().position(|(pk, _, _)| pk == key).unwrap()];
-                        assert_eq!(k, key);
-                        (r.clone().unwrap(), ())
-                    };
+                (Some(full), Some(row)) => {
                     assert_eq!(row.values[0], full.values[0]);
                     assert_eq!(row.values[2], full.values[2]);
                     assert_eq!(row.values[1], CqlValue::Null, "pruned column is Null");
@@ -543,7 +366,7 @@ mod tests {
     #[test]
     fn mutations_never_panic_and_are_detected_or_exact() {
         let es = typed_entries();
-        let original = encode_block(&es);
+        let original = encode_block("t", &es).unwrap();
         for pos in 0..original.len() {
             for mutant in [
                 {
@@ -562,8 +385,8 @@ mod tests {
                 // decode of the *full* block that changed the data would be
                 // caught by the table-level tests (here we only require no
                 // panic and bounded work).
-                let _ = decode_block("t", &mutant);
-                let _ = decode_block_rows("t", &mutant, Some(&[1]));
+                let _ = decode(&mutant, None);
+                let _ = decode(&mutant, Some(&[1]));
             }
         }
     }
@@ -573,13 +396,11 @@ mod tests {
         let tombs: Vec<SstEntry> = (0..3u8)
             .map(|i| SstEntry {
                 key: vec![i],
-                body: None,
+                row: None,
                 timestamp: i as u64,
             })
             .collect();
-        let bytes = encode_block(&tombs);
-        assert_eq!(decode_block("t", &bytes).unwrap(), tombs);
-        let rows = decode_block_rows("t", &bytes, Some(&[0])).unwrap();
-        assert!(rows.rows.iter().all(|(_, r, _)| r.is_none()));
+        let bytes = encode_block("t", &tombs).unwrap();
+        assert_eq!(decode(&bytes, Some(&[0])).unwrap().entries, tombs);
     }
 }

@@ -18,7 +18,8 @@
 //!
 //! Shutdown is drain-first: `Drop` lets the workers finish every queued
 //! job before joining them, so `Db::close` never leaks a half-scheduled
-//! merge. Merge errors are swallowed deliberately — a failed merge leaves
+//! merge. A merge error has no caller to return to: it is counted on
+//! `nosql.compaction.errors` and otherwise dropped — a failed merge leaves
 //! the input SSTables untouched (the manifest swap is atomic) and the
 //! next flush re-schedules, so correctness never depends on a background
 //! job succeeding.
@@ -150,10 +151,12 @@ fn worker_loop(inner: &PoolInner) {
         // the table for the SSTables this run won't see.
         job.core.clear_compaction_queued();
         crate::mvcc::perturb(35);
-        // Errors are dropped: the manifest swap is atomic, so a failed
-        // merge leaves the table exactly as it was and the next flush
-        // re-schedules it.
-        let _ = job.core.compact_tiered(&job.registry);
+        // The manifest swap is atomic, so a failed merge leaves the table
+        // exactly as it was and the next flush re-schedules it; the error
+        // itself goes on a counter.
+        if job.core.compact_tiered(&job.registry).is_err() {
+            crate::obs::nosql().compaction_errors.inc();
+        }
         let queue = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
         inner.active.fetch_sub(1, Ordering::AcqRel);
         inner.idle.notify_all();

@@ -104,7 +104,7 @@ fn is_injected(e: &NosqlError) -> bool {
 
 /// Runs the workload until completion or the first injected failure,
 /// tracking the acked-write oracle. Any non-injected error is a real bug.
-fn drive(db: &mut Db, seed: u64) -> Result<RunResult> {
+fn drive(db: &Db, seed: u64) -> Result<RunResult> {
     let mut acked: BTreeMap<i64, Option<String>> = BTreeMap::new();
     for ddl in [
         "CREATE KEYSPACE m",
@@ -161,7 +161,7 @@ fn drive(db: &mut Db, seed: u64) -> Result<RunResult> {
 
 /// Full table read; `None` when the table itself never became durable.
 /// Errors on duplicate ids — recovery must never resurrect two versions.
-fn read_state(db: &mut Db) -> Result<Option<BTreeMap<i64, String>>> {
+fn read_state(db: &Db) -> Result<Option<BTreeMap<i64, String>>> {
     let r = match db.execute_cql("SELECT id, v FROM m.t") {
         Ok(r) => r,
         Err(NosqlError::UnknownKeyspace(_)) | Err(NosqlError::UnknownTable(_)) => return Ok(None),
@@ -241,7 +241,7 @@ pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
     // valid crash point.
     handle.crash_at(crash_at);
     let run = match Db::open(tiny_open(vfs.clone())) {
-        Ok(mut db) => drive(&mut db, seed)?,
+        Ok(db) => drive(&db, seed)?,
         Err(e) if is_injected(&e) => RunResult {
             acked: BTreeMap::new(),
             in_flight: Some(InFlight::Ddl),
@@ -252,12 +252,12 @@ pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
     handle.disarm();
 
     // Restart 1: recover over the surviving bytes.
-    let mut db = Db::open(tiny_open(vfs.clone()).recover(true))?;
-    let recovered = read_state(&mut db)?;
+    let db = Db::open(tiny_open(vfs.clone()).recover(true))?;
+    let recovered = read_state(&db)?;
     let in_flight_survived = check_state(&recovered, &run, "after recovery")?;
 
     // Absent-key point reads over the recovered tables must come back
-    // empty — this drives the v2 fence/bloom miss path (and any torn
+    // empty — this drives the fence/bloom miss path (and any torn
     // SSTable the recovery sweep should have removed would surface here
     // as a phantom row or a Corrupt error).
     if recovered.is_some() {
@@ -276,7 +276,7 @@ pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
     if recovered.is_some() {
         db.flush_all()?;
         db.compact_all()?;
-        let after = read_state(&mut db)?;
+        let after = read_state(&db)?;
         if after != recovered {
             return Err(NosqlError::Corrupt(
                 "flush+compact changed the recovered state".into(),
@@ -286,8 +286,8 @@ pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
     drop(db);
 
     // Restart 2: recovery is idempotent.
-    let mut db = Db::open(tiny_open(vfs).recover(true))?;
-    if read_state(&mut db)? != recovered {
+    let db = Db::open(tiny_open(vfs).recover(true))?;
+    if read_state(&db)? != recovered {
         return Err(NosqlError::Corrupt("second recovery diverged".into()));
     }
     Ok(PointOutcome {
@@ -299,8 +299,8 @@ pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
 /// Mutating storage ops the full (uninjected) workload performs.
 pub fn total_ops(seed: u64) -> Result<u64> {
     let (vfs, handle) = Vfs::with_faults(Vfs::memory(), seed);
-    let mut db = Db::open(tiny_open(vfs))?;
-    drive(&mut db, seed)?;
+    let db = Db::open(tiny_open(vfs))?;
+    drive(&db, seed)?;
     Ok(handle.ops())
 }
 
@@ -518,13 +518,13 @@ pub fn run_concurrent_point(seed: u64, crash_at: u64) -> Result<ConcurrentOutcom
     let fired = handle.crashed_at().is_some();
     handle.disarm();
 
-    let mut db = Db::open(tiny_open(vfs.clone()).recover(true))?;
-    let recovered = read_state(&mut db)?;
+    let db = Db::open(tiny_open(vfs.clone()).recover(true))?;
+    let recovered = read_state(&db)?;
     let in_flight_survived = check_concurrent(&recovered, &run, "after recovery")?;
     if recovered.is_some() {
         db.flush_all()?;
         db.compact_all()?;
-        if read_state(&mut db)? != recovered {
+        if read_state(&db)? != recovered {
             return Err(NosqlError::Corrupt(
                 "flush+compact changed the recovered state".into(),
             ));
@@ -532,8 +532,8 @@ pub fn run_concurrent_point(seed: u64, crash_at: u64) -> Result<ConcurrentOutcom
     }
     drop(db);
 
-    let mut db = Db::open(tiny_open(vfs).recover(true))?;
-    if read_state(&mut db)? != recovered {
+    let db = Db::open(tiny_open(vfs).recover(true))?;
+    if read_state(&db)? != recovered {
         return Err(NosqlError::Corrupt("second recovery diverged".into()));
     }
     Ok(ConcurrentOutcome {

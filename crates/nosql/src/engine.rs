@@ -47,15 +47,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-/// Engine construction options (legacy shape, kept for the deprecated
-/// constructors; new code uses [`OpenOptions`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DbOptions {
-    /// Per-table flush/compaction tuning.
-    pub table: TableOptions,
-}
-
-/// Builder for [`Db::open`] / [`SharedDb::open`].
+/// Builder for [`Db::open`].
 ///
 /// ```
 /// use sc_nosql::{Db, OpenOptions};
@@ -165,12 +157,6 @@ impl OpenOptions {
     pub fn open(self) -> Result<Db> {
         Db::open(self)
     }
-
-    /// Builds the engine behind a [`SharedDb`] handle.
-    #[deprecated(note = "use `SharedDb::open(options)`")]
-    pub fn open_shared(self) -> Result<SharedDb> {
-        SharedDb::open(self)
-    }
 }
 
 const SCHEMA_LOG: &str = "schema.log";
@@ -205,8 +191,8 @@ struct PendingWrite {
     row: Option<Row>,
 }
 
-/// The engine core shared by every [`Db`], [`SharedDb`], [`Session`] and
-/// [`Snapshot`] handle. All methods take `&self`.
+/// The engine core shared by every [`Db`], [`Session`] and [`Snapshot`]
+/// handle. All methods take `&self`.
 #[derive(Debug)]
 pub(crate) struct DbCore {
     vfs: Vfs,
@@ -217,7 +203,7 @@ pub(crate) struct DbCore {
     /// `Arc` so background compaction jobs can hold the registry across
     /// the engine's locks; every in-process use goes through deref.
     pub(crate) registry: Arc<SnapshotRegistry>,
-    options: DbOptions,
+    table_options: TableOptions,
     /// Shared across every table's SSTables; see [`BlockCache`].
     cache: BlockCache,
     /// Background compaction workers; `None` when
@@ -245,9 +231,7 @@ impl DbCore {
             wal: GroupCommitLog::new(log, options.group_commit_delay),
             tracker: SeqTracker::new(),
             registry: Arc::new(SnapshotRegistry::new()),
-            options: DbOptions {
-                table: options.table,
-            },
+            table_options: options.table,
             cache: BlockCache::new(
                 options
                     .block_cache_bytes
@@ -529,7 +513,7 @@ impl DbCore {
             def,
             self.vfs.clone(),
             self.manifest.clone(),
-            self.options.table,
+            self.table_options,
             self.cache.clone(),
         ))
     }
@@ -1210,15 +1194,36 @@ impl DbCore {
     }
 }
 
-/// An embedded Cassandra-like database handle.
+/// An embedded Cassandra-like database handle: cloneable and
+/// thread-shared.
 ///
-/// `Db` keeps the historical single-owner, `&mut self` API; it is a thin
-/// wrapper over the shared engine core, so converting to the concurrent
-/// [`SharedDb`] handle is free.
-#[derive(Debug)]
+/// The engine core is internally synchronized, so clones execute
+/// statements **concurrently** — snapshot-isolated reads never block
+/// behind writers, and concurrent writers share WAL fsyncs through the
+/// group commit. Per-connection state (the `USE` keyspace, slow-query
+/// attribution) lives on [`Session`]; point-in-time reads on [`Snapshot`].
+///
+/// ```
+/// use sc_nosql::{Db, OpenOptions};
+///
+/// let db = Db::open(OpenOptions::default()).unwrap();
+/// let mut session = db.session();
+/// session.execute_cql("CREATE KEYSPACE ks").unwrap();
+/// session.execute_cql("CREATE TABLE ks.t (id int, PRIMARY KEY (id))").unwrap();
+/// session.execute_cql("USE ks").unwrap();
+/// session.execute_cql("INSERT INTO t (id) VALUES (1)").unwrap();
+/// let snap = db.snapshot();
+/// session.execute_cql("INSERT INTO t (id) VALUES (2)").unwrap();
+/// // The snapshot still sees exactly one row.
+/// assert_eq!(snap.execute_cql("SELECT * FROM ks.t").unwrap().len(), 1);
+/// ```
+#[derive(Debug, Clone)]
 pub struct Db {
     core: Arc<DbCore>,
 }
+
+/// The name concurrent callers spell; the same handle as [`Db`].
+pub type SharedDb = Db;
 
 impl Db {
     /// Opens an engine per `options`. Without `.recover(true)` the VFS is
@@ -1229,28 +1234,14 @@ impl Db {
         })
     }
 
-    /// Creates an engine over an in-memory VFS (tests, benchmarks).
-    #[deprecated(note = "use `Db::open(OpenOptions::default())`")]
-    pub fn in_memory() -> Db {
-        Db::open(OpenOptions::default()).expect("opening a fresh in-memory engine cannot fail")
+    /// Opens a new session: the unit of per-connection statement state.
+    pub fn session(&self) -> Session {
+        Session::new(Arc::clone(&self.core))
     }
 
-    /// Creates an engine over an explicit VFS.
-    #[deprecated(note = "use `Db::open(OpenOptions::default().vfs(vfs))`")]
-    pub fn with_options(vfs: Vfs, options: DbOptions) -> Db {
-        Db::open(OpenOptions::default().vfs(vfs).table_options(options.table))
-            .expect("opening without recovery cannot fail")
-    }
-
-    /// Reopens an engine from an existing VFS.
-    #[deprecated(note = "use `Db::open(OpenOptions::default().vfs(vfs).recover(true))`")]
-    pub fn recover(vfs: Vfs, options: DbOptions) -> Result<Db> {
-        Db::open(
-            OpenOptions::default()
-                .vfs(vfs)
-                .table_options(options.table)
-                .recover(true),
-        )
+    /// Pins a point-in-time, read-only view of the database.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot::new(Arc::clone(&self.core))
     }
 
     /// A point-in-time copy of the schema catalog.
@@ -1258,26 +1249,28 @@ impl Db {
         self.core.catalog_snapshot()
     }
 
-    /// Parses and executes one CQL statement.
-    pub fn execute_cql(&mut self, cql: &str) -> Result<QueryResult> {
+    /// Parses and executes one statement without session state (no `USE`
+    /// resolution).
+    pub fn execute_cql(&self, cql: &str) -> Result<QueryResult> {
         let stmt = parse_statement(cql)?;
         self.execute(&stmt)
     }
 
     /// Executes a pre-parsed statement (the "prepared" fast path the bulk
     /// loader uses).
-    pub fn execute(&mut self, stmt: &Statement) -> Result<QueryResult> {
+    pub fn execute(&self, stmt: &Statement) -> Result<QueryResult> {
         self.core.execute(stmt)
     }
 
-    /// Flushes every memtable and truncates the commit log. Call before
-    /// measuring sizes.
-    pub fn flush_all(&mut self) -> Result<()> {
+    /// Flushes every memtable and truncates the commit log. Waits for all
+    /// in-flight statements (state write lock). Call before measuring
+    /// sizes.
+    pub fn flush_all(&self) -> Result<()> {
         self.core.flush_all()
     }
 
     /// Compacts every table fully.
-    pub fn compact_all(&mut self) -> Result<()> {
+    pub fn compact_all(&self) -> Result<()> {
         self.core.compact_all()
     }
 
@@ -1309,103 +1302,6 @@ impl Db {
     pub fn block_cache_stats(&self) -> CacheStats {
         self.core.block_cache_stats()
     }
-
-    /// Converts this handle into the concurrent [`SharedDb`] handle.
-    #[deprecated(note = "open the engine with `SharedDb::open(options)` instead")]
-    pub fn into_shared(self) -> SharedDb {
-        SharedDb { core: self.core }
-    }
-}
-
-/// A cloneable, thread-shared engine handle.
-///
-/// `SharedDb` replaced the old `Arc<Mutex<Db>>` alias: the engine core is
-/// internally synchronized, so clones execute statements **concurrently**
-/// — snapshot-isolated reads never block behind writers, and concurrent
-/// writers share WAL fsyncs through the group commit. Per-connection
-/// state (the `USE` keyspace, slow-query attribution) lives on
-/// [`Session`]; point-in-time reads on [`Snapshot`].
-///
-/// ```
-/// use sc_nosql::{OpenOptions, SharedDb};
-///
-/// let db = SharedDb::open(OpenOptions::default()).unwrap();
-/// let mut session = db.session();
-/// session.execute_cql("CREATE KEYSPACE ks").unwrap();
-/// session.execute_cql("CREATE TABLE ks.t (id int, PRIMARY KEY (id))").unwrap();
-/// session.execute_cql("USE ks").unwrap();
-/// session.execute_cql("INSERT INTO t (id) VALUES (1)").unwrap();
-/// let snap = db.snapshot();
-/// session.execute_cql("INSERT INTO t (id) VALUES (2)").unwrap();
-/// // The snapshot still sees exactly one row.
-/// assert_eq!(snap.execute_cql("SELECT * FROM ks.t").unwrap().len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SharedDb {
-    core: Arc<DbCore>,
-}
-
-impl SharedDb {
-    /// Opens an engine per `options` behind a shared handle.
-    pub fn open(options: OpenOptions) -> Result<SharedDb> {
-        Ok(SharedDb {
-            core: Arc::new(DbCore::open(options)?),
-        })
-    }
-
-    /// Opens a new session: the unit of per-connection statement state.
-    pub fn session(&self) -> Session {
-        Session::new(Arc::clone(&self.core))
-    }
-
-    /// Pins a point-in-time, read-only view of the database.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::new(Arc::clone(&self.core))
-    }
-
-    /// Parses and executes one statement without session state (no `USE`
-    /// resolution). Convenience for administrative one-shots.
-    pub fn execute_cql(&self, cql: &str) -> Result<QueryResult> {
-        let stmt = parse_statement(cql)?;
-        self.core.execute(&stmt)
-    }
-
-    /// Flushes every memtable and truncates the commit log. Waits for all
-    /// in-flight statements (state write lock).
-    pub fn flush_all(&self) -> Result<()> {
-        self.core.flush_all()
-    }
-
-    /// Compacts every table fully.
-    pub fn compact_all(&self) -> Result<()> {
-        self.core.compact_all()
-    }
-
-    /// Blocks until every queued background compaction has finished (a
-    /// no-op with [`OpenOptions::compaction_threads`] 0).
-    pub fn drain_compactions(&self) {
-        self.core.drain_compactions()
-    }
-
-    /// On-disk size of one table's SSTables.
-    pub fn table_size(&self, keyspace: &str, table: &str) -> Result<ByteSize> {
-        self.core.table_size(keyspace, table)
-    }
-
-    /// Total on-disk size of a keyspace including hidden index tables.
-    pub fn keyspace_size(&self, keyspace: &str) -> Result<ByteSize> {
-        self.core.keyspace_size(keyspace)
-    }
-
-    /// Commit-log bytes currently on disk.
-    pub fn commitlog_size(&self) -> ByteSize {
-        self.core.commitlog_size()
-    }
-
-    /// Point-in-time counters of the engine's shared block cache.
-    pub fn block_cache_stats(&self) -> CacheStats {
-        self.core.block_cache_stats()
-    }
 }
 
 #[cfg(test)]
@@ -1413,7 +1309,7 @@ mod tests {
     use super::*;
 
     fn setup() -> Db {
-        let mut db = Db::open(OpenOptions::default()).unwrap();
+        let db = Db::open(OpenOptions::default()).unwrap();
         db.execute_cql("CREATE KEYSPACE ks").unwrap();
         db.execute_cql(
             "CREATE TABLE ks.cells (id int, key text, parent int, leaf boolean, \
@@ -1425,7 +1321,7 @@ mod tests {
 
     #[test]
     fn insert_select_by_pk() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql(
             "INSERT INTO ks.cells (id, key, parent, leaf, kids) \
              VALUES (3, 'Fenian St', 1, true, {4, 5})",
@@ -1446,7 +1342,7 @@ mod tests {
 
     #[test]
     fn insert_is_upsert() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (1, 'old')")
             .unwrap();
         db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (1, 'new')")
@@ -1459,7 +1355,7 @@ mod tests {
 
     #[test]
     fn unbound_columns_are_null() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("INSERT INTO ks.cells (id) VALUES (9)")
             .unwrap();
         let r = db
@@ -1472,7 +1368,7 @@ mod tests {
     fn unknown_select_column_is_typed_everywhere() {
         // Every position a column can appear in a SELECT reports the same
         // typed error, regardless of access path.
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (1, 'a')")
             .unwrap();
         for cql in [
@@ -1501,7 +1397,7 @@ mod tests {
 
     #[test]
     fn type_checking() {
-        let mut db = setup();
+        let db = setup();
         assert!(matches!(
             db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (1, 2)"),
             Err(NosqlError::TypeMismatch { .. })
@@ -1518,7 +1414,7 @@ mod tests {
 
     #[test]
     fn in_list_on_primary_key_is_multi_point() {
-        let mut db = setup();
+        let db = setup();
         for i in 0..10 {
             db.execute_cql(&format!(
                 "INSERT INTO ks.cells (id, key) VALUES ({i}, 'k{i}')"
@@ -1542,7 +1438,7 @@ mod tests {
 
     #[test]
     fn in_list_on_indexed_and_plain_columns() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
         for i in 0..9 {
             db.execute_cql(&format!(
@@ -1568,7 +1464,7 @@ mod tests {
 
     #[test]
     fn update_and_delete_reject_in_lists() {
-        let mut db = setup();
+        let db = setup();
         assert!(matches!(
             db.execute_cql("UPDATE ks.cells SET key = 'x' WHERE id IN (1, 2)"),
             Err(NosqlError::Unsupported(_))
@@ -1581,7 +1477,7 @@ mod tests {
 
     #[test]
     fn secondary_index_lookup() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
         for i in 0..10 {
             db.execute_cql(&format!(
@@ -1600,7 +1496,7 @@ mod tests {
 
     #[test]
     fn index_backfills_existing_rows() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("INSERT INTO ks.cells (id, parent) VALUES (1, 42)")
             .unwrap();
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
@@ -1612,7 +1508,7 @@ mod tests {
 
     #[test]
     fn index_tracks_overwrites_and_deletes() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
         db.execute_cql("INSERT INTO ks.cells (id, parent) VALUES (1, 10)")
             .unwrap();
@@ -1637,7 +1533,7 @@ mod tests {
 
     #[test]
     fn nulls_are_not_indexed() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
         db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (1, 'x')")
             .unwrap();
@@ -1653,7 +1549,7 @@ mod tests {
 
     #[test]
     fn unindexed_filter_falls_back_to_scan() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (1, 'hit')")
             .unwrap();
         db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (2, 'miss')")
@@ -1666,7 +1562,7 @@ mod tests {
 
     #[test]
     fn select_all_and_limit() {
-        let mut db = setup();
+        let db = setup();
         for i in 0..5 {
             db.execute_cql(&format!("INSERT INTO ks.cells (id) VALUES ({i})"))
                 .unwrap();
@@ -1680,7 +1576,7 @@ mod tests {
 
     #[test]
     fn truncate_clears_table_and_indexes() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
         db.execute_cql("INSERT INTO ks.cells (id, parent) VALUES (1, 2)")
             .unwrap();
@@ -1694,7 +1590,7 @@ mod tests {
 
     #[test]
     fn sizes_after_flush() {
-        let mut db = setup();
+        let db = setup();
         for i in 0..100 {
             db.execute_cql(&format!(
                 "INSERT INTO ks.cells (id, key) VALUES ({i}, 'station name {i}')"
@@ -1711,12 +1607,12 @@ mod tests {
 
     #[test]
     fn index_inflates_keyspace_size() {
-        let mut plain = setup();
-        let mut indexed = setup();
+        let plain = setup();
+        let indexed = setup();
         indexed
             .execute_cql("CREATE INDEX ON ks.cells (parent)")
             .unwrap();
-        for db in [&mut plain, &mut indexed] {
+        for db in [&plain, &indexed] {
             for i in 0..200 {
                 db.execute_cql(&format!(
                     "INSERT INTO ks.cells (id, parent) VALUES ({i}, {})",
@@ -1735,7 +1631,7 @@ mod tests {
     fn recovery_from_schema_journal_and_commitlog() {
         let vfs = Vfs::memory();
         {
-            let mut db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
             db.execute_cql("CREATE KEYSPACE ks").unwrap();
             db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))")
                 .unwrap();
@@ -1743,7 +1639,7 @@ mod tests {
                 .unwrap();
             // No flush: the row lives only in the commit log.
         }
-        let mut db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
         let r = db.execute_cql("SELECT v FROM ks.t WHERE id = 1").unwrap();
         assert_eq!(r.rows(), vec![vec![CqlValue::Text("logged".into())]]);
     }
@@ -1752,7 +1648,7 @@ mod tests {
     fn recovery_reattaches_sstables() {
         let vfs = Vfs::memory();
         {
-            let mut db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
             db.execute_cql("CREATE KEYSPACE ks").unwrap();
             db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))")
                 .unwrap();
@@ -1760,7 +1656,7 @@ mod tests {
                 .unwrap();
             db.flush_all().unwrap();
         }
-        let mut db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
         let r = db.execute_cql("SELECT v FROM ks.t WHERE id = 1").unwrap();
         assert_eq!(r.rows(), vec![vec![CqlValue::Text("flushed".into())]]);
     }
@@ -1772,7 +1668,7 @@ mod tests {
         // the flushed sequences would be invisibly shadowed by old data.
         let vfs = Vfs::memory();
         {
-            let mut db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
             db.execute_cql("CREATE KEYSPACE ks").unwrap();
             db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))")
                 .unwrap();
@@ -1780,7 +1676,7 @@ mod tests {
                 .unwrap();
             db.flush_all().unwrap();
         }
-        let mut db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
         db.execute_cql("INSERT INTO ks.t (id, v) VALUES (1, 'new')")
             .unwrap();
         let r = db.execute_cql("SELECT v FROM ks.t WHERE id = 1").unwrap();
@@ -1826,7 +1722,7 @@ mod tests {
         // recovery still replays what it should.
         let vfs = Vfs::memory();
         {
-            let mut db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
             db.execute_cql("CREATE KEYSPACE ks").unwrap();
             db.execute_cql("CREATE TABLE ks.a (id int, v text, PRIMARY KEY (id))")
                 .unwrap();
@@ -1843,7 +1739,7 @@ mod tests {
                 .unwrap();
             // Crash: drop without flushing.
         }
-        let mut db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
         let r = db.execute_cql("SELECT id FROM ks.a").unwrap();
         let ids: Vec<i64> = r.iter().map(|row| row.get_int("id").unwrap()).collect();
         assert_eq!(ids, vec![3], "pre-truncate rows resurrected by replay");
@@ -1859,7 +1755,7 @@ mod tests {
         // history.
         let vfs = Vfs::memory();
         {
-            let mut db = Db::open(
+            let db = Db::open(
                 OpenOptions::default()
                     .vfs(vfs.clone())
                     .memtable_flush_bytes(512)
@@ -1882,7 +1778,7 @@ mod tests {
             );
             // Crash without flush_all.
         }
-        let mut db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
         let r = db.execute_cql("SELECT * FROM ks.t").unwrap();
         assert_eq!(r.len(), 400, "checkpointing lost acknowledged writes");
     }
@@ -1949,7 +1845,7 @@ mod tests {
         let mut other = shared.session();
         assert!(other.execute_cql("SELECT * FROM t").is_err());
         // The bare engine core rejects USE outright.
-        let mut db = Db::open(OpenOptions::default()).unwrap();
+        let db = Db::open(OpenOptions::default()).unwrap();
         assert!(matches!(
             db.execute_cql("USE ks"),
             Err(NosqlError::Unsupported(_))
@@ -2021,20 +1917,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_shims_still_work() {
-        // Compatibility shims for the pre-MVCC API shape.
-        let shared = OpenOptions::default().open_shared().unwrap();
-        let mut s = shared.session();
-        s.execute_cql("CREATE KEYSPACE ks").unwrap();
-        let db = Db::open(OpenOptions::default()).unwrap();
-        let shared2 = db.into_shared();
-        let mut s2 = shared2.session();
-        s2.execute_cql("CREATE KEYSPACE ks2").unwrap();
-        assert!(shared2.clone().session().execute_cql("USE ks2").is_ok());
-    }
-
-    #[test]
     fn group_commit_delay_coalesces_writers() {
         let shared =
             SharedDb::open(OpenOptions::default().group_commit_delay(Duration::from_micros(200)))
@@ -2065,7 +1947,7 @@ mod tests {
 
     #[test]
     fn batch_executes_all() {
-        let mut db = setup();
+        let db = setup();
         db.execute_cql(
             "BEGIN BATCH \
              INSERT INTO ks.cells (id) VALUES (1); \

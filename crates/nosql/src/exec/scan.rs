@@ -174,7 +174,7 @@ pub struct FullScan {
     core: Arc<TableCore>,
     residual: Vec<Predicate>,
     remaining: Option<usize>,
-    /// Base-layout columns to materialize (`None` = all): v3 SSTables
+    /// Base-layout columns to materialize (`None` = all): SSTables
     /// decode only these column runs, leaving the rest `Null`. The planner
     /// guarantees every column read above the scan is in the set.
     projection: Option<Vec<usize>>,

@@ -23,7 +23,7 @@
 //! ```
 //! use sc_nosql::{Db, OpenOptions};
 //!
-//! let mut db = Db::open(OpenOptions::default()).unwrap();
+//! let db = Db::open(OpenOptions::default()).unwrap();
 //! db.execute_cql("CREATE KEYSPACE smartcity").unwrap();
 //! db.execute_cql(
 //!     "CREATE TABLE smartcity.cells (id int, key text, measure int, PRIMARY KEY (id))",
@@ -68,7 +68,7 @@ pub mod types;
 pub use cache::{BlockCache, CacheStats, DEFAULT_BLOCK_CACHE_BYTES};
 pub use cql::ast::{AggFunc, CmpOp, OrderBy, SelectColumns, SelectItem, Statement, WhereClause};
 pub use cql::parse_statement;
-pub use engine::{Db, DbOptions, OpenOptions, SharedDb};
+pub use engine::{Db, OpenOptions, SharedDb};
 pub use error::NosqlError;
 pub use manifest::{Manifest, ManifestEdit};
 pub use result::{QueryResult, QueryRow};

@@ -17,6 +17,7 @@
 //! | `nosql.compaction.*`           | span      | one merge run (bytes = bytes written)    |
 //! | `nosql.compaction.bytes_in`    | counter   | bytes read by merges (input amplification) |
 //! | `nosql.compaction.bytes_out`   | counter   | bytes written by merges                  |
+//! | `nosql.compaction.errors`      | counter   | background merges that failed            |
 //! | `nosql.read.point_queries`     | counter   | `get` calls                              |
 //! | `nosql.read.sstables_per_get`  | histogram | SSTables probed per `get`                |
 //! | `nosql.read.blocks_per_get`    | histogram | data blocks read per `get`               |
@@ -51,6 +52,7 @@ pub(crate) struct NosqlObs {
     pub compaction: SpanHandle,
     pub compaction_bytes_in: Counter,
     pub compaction_bytes_out: Counter,
+    pub compaction_errors: Counter,
     pub point_queries: Counter,
     pub sstables_per_get: Histogram,
     pub blocks_per_get: Histogram,
@@ -87,6 +89,7 @@ pub(crate) fn nosql() -> &'static NosqlObs {
             compaction: r.span("nosql.compaction"),
             compaction_bytes_in: r.counter("nosql.compaction.bytes_in"),
             compaction_bytes_out: r.counter("nosql.compaction.bytes_out"),
+            compaction_errors: r.counter("nosql.compaction.errors"),
             point_queries: r.counter("nosql.read.point_queries"),
             sstables_per_get: r.histogram("nosql.read.sstables_per_get"),
             blocks_per_get: r.histogram("nosql.read.blocks_per_get"),

@@ -114,7 +114,7 @@ pub struct ScanNode {
 }
 
 /// The columns a full scan materializes: the select list plus every
-/// predicate and sort-key column. v3 SSTables skip decoding the column
+/// predicate and sort-key column. SSTables skip decoding the column
 /// runs outside `indices`; pruned cells surface as `Null` and are never
 /// read above the scan.
 #[derive(Debug, Clone, PartialEq)]

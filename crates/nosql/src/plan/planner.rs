@@ -279,7 +279,7 @@ fn choose_access(
 /// Columns a full scan must materialize for this query: the select list
 /// (or grouping columns and aggregate inputs), every predicate column, and
 /// a base-layout `ORDER BY` key. `None` when the query touches every
-/// column (`SELECT *`, or the union covers the schema) — v3 SSTables skip
+/// column (`SELECT *`, or the union covers the schema) — SSTables skip
 /// decoding everything outside the returned set.
 fn scan_projection(
     def: &TableDef,

@@ -1,56 +1,36 @@
 //! SSTables: immutable sorted string tables flushed from memtables.
 //!
-//! Three on-disk formats share one reader, sniffed by the footer magic:
-//!
-//! **v3 (written by [`write_sstable`], magic `STB3`)** — block-based like
-//! v2, but each ~4 KiB data block stores its records **column-major** (see
-//! [`crate::colblock`] and DESIGN.md §5i): per-column contiguous runs with
-//! varint-delta integers, dictionary text, boolean/null bitmaps, plus a
-//! verbatim row fallback for non-canonical bodies. The meta region —
-//! entry count, min/max key fences, bloom filter, per-block first key /
-//! offset / len / CRC / count — and the footer are byte-identical to v2,
-//! so fences, bloom filters and per-block CRCs work unchanged. Projected
-//! scans ([`SsTable::scan_rows`]) decode only the column chunks the query
-//! needs.
-//!
-//! **v2 (written by [`write_sstable_v2`], magic `STB2`)** — block-based
-//! with row-major (key, payload) records:
+//! One on-disk format (magic `STB3`, DESIGN.md §5f) and one record type,
+//! [`SstEntry`]: key, typed row or tombstone, sequence.
 //!
 //! ```text
 //! [ data blocks... ][ meta ][ footer ]
-//! block : ~4 KiB of (key, payload) records; payload = flag(u8: 1 live /
-//!         0 tombstone) ts(u64 LE) body(raw)
+//! block : ~4 KiB of records stored column-major (see [`crate::colblock`])
 //! meta  : entry count, min/max key fences, bloom filter, then per block:
 //!         first key, offset, len, crc32, record count
 //! footer: meta_offset(u64) meta_len(u64) meta_crc(u32) magic(u32)
 //! ```
 //!
 //! Only the meta region is resident after open — a sparse index entry per
-//! *block* plus ~10 filter bits per key, instead of v1's full per-key
-//! index. Point misses are answered by the key fences and the bloom filter
-//! without touching a data block; hits read exactly one CRC-verified block,
-//! optionally through the engine's shared [`BlockCache`].
-//!
-//! **v1 (written by [`write_sstable_v1`], magic `STB1`)** — the legacy
-//! dense-index layout: `[ entries ][ index ][ footer ]` with one resident
-//! `(key, offset)` pair per entry. Still fully readable; new tables are
-//! always written as v3.
+//! *block* plus ~10 filter bits per key. Point misses are answered by the
+//! key fences and the bloom filter without touching a data block; hits
+//! read exactly one CRC-verified block, optionally through the engine's
+//! shared [`BlockCache`]. Projected scans ([`SsTable::scan_rows`]) decode
+//! only the column chunks the query needs.
 //!
 //! Every decoded geometry field is validated at open (checked arithmetic,
 //! monotone offsets, bounded allocations), so a corrupt or truncated file
-//! of any version surfaces as [`NosqlError::Corrupt`], never a panic.
+//! surfaces as [`NosqlError::Corrupt`], never a panic.
 
 use crate::cache::BlockCache;
-use crate::colblock;
+use crate::colblock::{self, BlockRows};
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
-use sc_encoding::{BlockBuilder, BlockIter, Bloom, Crc32, Decoder, Encoder, BLOCK_TARGET_BYTES};
+use sc_encoding::{Bloom, Crc32, Decoder, Encoder, BLOCK_TARGET_BYTES};
 use sc_storage::Vfs;
 use std::sync::Arc;
 
-const MAGIC_V1: u32 = 0x5354_4231; // "STB1"
-const MAGIC_V2: u32 = 0x5354_4232; // "STB2"
-const MAGIC_V3: u32 = 0x5354_4233; // "STB3"
+const MAGIC: u32 = 0x5354_4233; // "STB3"
 const FOOTER_LEN: u64 = 24;
 
 /// One record offered to the writer / returned by readers.
@@ -58,9 +38,9 @@ const FOOTER_LEN: u64 = 24;
 pub struct SstEntry {
     /// Encoded partition key.
     pub key: Vec<u8>,
-    /// Encoded row body; `None` = tombstone.
-    pub body: Option<Vec<u8>>,
-    /// Write timestamp.
+    /// The row; `None` = tombstone.
+    pub row: Option<Row>,
+    /// Write sequence.
     pub timestamp: u64,
 }
 
@@ -71,11 +51,11 @@ pub struct SstEntry {
 pub struct Probe {
     /// The entry, if the key is present (tombstones included).
     pub entry: Option<SstEntry>,
-    /// Data blocks (v2) or entry records (v1) read to answer.
+    /// Data blocks read to answer.
     pub blocks_read: u64,
-    /// The min/max key fences ruled the key out (v2 only).
+    /// The min/max key fences ruled the key out.
     pub fence_rejected: bool,
-    /// The bloom filter ruled the key out (v2 only).
+    /// The bloom filter ruled the key out.
     pub filter_rejected: bool,
 }
 
@@ -110,60 +90,12 @@ fn ensure_sorted(file: &str, entries: &[SstEntry]) -> Result<()> {
     Ok(())
 }
 
-pub(crate) fn encode_payload(e: &SstEntry) -> Vec<u8> {
-    let mut payload = Encoder::with_capacity(9 + e.body.as_ref().map_or(0, Vec::len));
-    match &e.body {
-        Some(body) => {
-            payload.put_u8(1);
-            payload.put_u64_fixed(e.timestamp);
-            payload.put_raw(body);
-        }
-        None => {
-            payload.put_u8(0);
-            payload.put_u64_fixed(e.timestamp);
-        }
-    }
-    payload.into_bytes()
-}
-
-pub(crate) fn decode_payload(file: &str, key: &[u8], payload: &[u8]) -> Result<SstEntry> {
-    if payload.len() < 9 {
-        return Err(NosqlError::Corrupt(format!(
-            "{file}: record payload shorter than its fixed header"
-        )));
-    }
-    let flag = payload[0];
-    let timestamp = u64::from_le_bytes(payload[1..9].try_into().expect("9-byte prefix checked"));
-    let body = &payload[9..];
-    let body = match flag {
-        1 => Some(body.to_vec()),
-        0 if body.is_empty() => None,
-        0 => {
-            return Err(NosqlError::Corrupt(format!(
-                "{file}: tombstone record carries a body"
-            )))
-        }
-        _ => {
-            return Err(NosqlError::Corrupt(format!(
-                "{file}: bad record flag {flag}"
-            )))
-        }
-    };
-    Ok(SstEntry {
-        key: key.to_vec(),
-        body,
-        timestamp,
-    })
-}
-
-/// Appends the shared block-format meta region and footer (v2 and v3
-/// differ only in block payload encoding and magic).
+/// Appends the meta region and footer to the data blocks in `out`.
 fn write_meta_and_footer(
     mut out: Encoder,
     entries: &[SstEntry],
     filter: &Bloom,
     blocks: &[BlockMeta],
-    magic: u32,
 ) -> Vec<u8> {
     let mut meta = Encoder::new();
     meta.put_u64(entries.len() as u64);
@@ -187,19 +119,20 @@ fn write_meta_and_footer(
     out.put_u64_fixed(meta_offset);
     out.put_u64_fixed(meta_bytes.len() as u64);
     out.put_u32_fixed(meta_crc);
-    out.put_u32_fixed(magic);
+    out.put_u32_fixed(MAGIC);
     out.into_bytes()
 }
 
-/// Writes a sorted run of entries as one column-major (v3) SSTable file —
-/// the format the engine flushes and compacts to.
+/// Writes a sorted run of entries as one SSTable file — what the engine
+/// flushes and compacts to. Unsorted input, or rows of differing column
+/// count inside one block, is [`NosqlError::Corrupt`] and writes nothing.
 pub fn write_sstable(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> {
     ensure_sorted(file, entries)?;
     let mut data = Encoder::new();
     let mut blocks: Vec<BlockMeta> = Vec::new();
     let mut filter = Bloom::with_capacity(entries.len(), sc_encoding::bloom::DEFAULT_BITS_PER_KEY);
-    let mut close_block = |data: &mut Encoder, run: &[SstEntry]| {
-        let bytes = colblock::encode_block(run);
+    let mut close_block = |data: &mut Encoder, run: &[SstEntry]| -> Result<()> {
+        let bytes = colblock::encode_block(file, run)?;
         blocks.push(BlockMeta {
             first_key: run[0].key.clone(),
             offset: data.len() as u64,
@@ -208,107 +141,37 @@ pub fn write_sstable(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> 
             count: run.len() as u64,
         });
         data.put_raw(&bytes);
+        Ok(())
     };
     let mut start = 0usize;
     let mut pending = 0usize;
+    let mut scratch = Encoder::new();
     for (i, e) in entries.iter().enumerate() {
         filter.insert(&e.key);
-        // Same never-split-a-record sizing rule as the v2 BlockBuilder:
-        // close once the approximate row-major footprint reaches the
-        // target (the columnar form is usually smaller).
-        pending += e.key.len() + 9 + e.body.as_ref().map_or(0, Vec::len) + 4;
+        // Never split a record: close once the row-major footprint (key,
+        // flag + sequence, `Row::encode` body, two length prefixes) reaches
+        // the target (the columnar form is usually smaller).
+        scratch.clear();
+        let body = e
+            .row
+            .as_ref()
+            .map_or(0, |row| row.encoded_size(&mut scratch));
+        pending += e.key.len() + 9 + body + 4;
         if pending >= BLOCK_TARGET_BYTES {
-            close_block(&mut data, &entries[start..=i]);
+            close_block(&mut data, &entries[start..=i])?;
             start = i + 1;
             pending = 0;
         }
     }
     if start < entries.len() {
-        close_block(&mut data, &entries[start..]);
+        close_block(&mut data, &entries[start..])?;
     }
-    let out = write_meta_and_footer(data, entries, &filter, &blocks, MAGIC_V3);
+    let out = write_meta_and_footer(data, entries, &filter, &blocks);
     vfs.append(file, &out)?;
     Ok(())
 }
 
-/// Writes a sorted run of entries as one row-major block-based (v2)
-/// SSTable file.
-///
-/// Kept so compatibility and corruption tests can produce v2 files; the
-/// engine itself now writes v3. [`SsTable::open`] reads all versions.
-pub fn write_sstable_v2(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> {
-    ensure_sorted(file, entries)?;
-    let mut data = Encoder::new();
-    let mut blocks: Vec<BlockMeta> = Vec::new();
-    let mut filter = Bloom::with_capacity(entries.len(), sc_encoding::bloom::DEFAULT_BITS_PER_KEY);
-    let mut builder = BlockBuilder::new(BLOCK_TARGET_BYTES);
-    let mut close_block = |data: &mut Encoder, builder: BlockBuilder| {
-        let fin = builder.finish();
-        blocks.push(BlockMeta {
-            first_key: fin.first_key,
-            offset: data.len() as u64,
-            len: fin.bytes.len() as u64,
-            crc: Crc32::of(&fin.bytes),
-            count: fin.count,
-        });
-        data.put_raw(&fin.bytes);
-    };
-    for e in entries {
-        filter.insert(&e.key);
-        builder.push(&e.key, &encode_payload(e));
-        if builder.is_full() {
-            let full = std::mem::replace(&mut builder, BlockBuilder::new(BLOCK_TARGET_BYTES));
-            close_block(&mut data, full);
-        }
-    }
-    if !builder.is_empty() {
-        close_block(&mut data, builder);
-    }
-    let out = write_meta_and_footer(data, entries, &filter, &blocks, MAGIC_V2);
-    vfs.append(file, &out)?;
-    Ok(())
-}
-
-/// Writes a sorted run of entries in the legacy dense-index (v1) layout.
-///
-/// Kept so compatibility tests can produce v1 files; the engine itself
-/// always writes v2. [`SsTable::open`] reads both.
-pub fn write_sstable_v1(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> {
-    ensure_sorted(file, entries)?;
-    let mut data = Encoder::new();
-    let mut index = Encoder::new();
-    index.put_u64(entries.len() as u64);
-    for e in entries {
-        index.put_bytes(&e.key);
-        index.put_u64(data.len() as u64);
-        data.put_bytes(&e.key);
-        match &e.body {
-            Some(body) => {
-                data.put_u8(1);
-                data.put_u64_fixed(e.timestamp);
-                data.put_bytes(body);
-            }
-            None => {
-                data.put_u8(0);
-                data.put_u64_fixed(e.timestamp);
-                data.put_bytes(&[]);
-            }
-        }
-    }
-    let index_bytes = index.into_bytes();
-    let index_offset = data.len() as u64;
-    let index_crc = Crc32::of(&index_bytes);
-    let mut out = data;
-    out.put_raw(&index_bytes);
-    out.put_u64_fixed(index_offset);
-    out.put_u64_fixed(index_bytes.len() as u64);
-    out.put_u32_fixed(index_crc);
-    out.put_u32_fixed(MAGIC_V1);
-    vfs.append(file, out.bytes())?;
-    Ok(())
-}
-
-/// Sparse-index entry for one data block (v2).
+/// Sparse-index entry for one data block.
 #[derive(Debug)]
 struct BlockMeta {
     first_key: Vec<u8>,
@@ -318,7 +181,7 @@ struct BlockMeta {
     count: u64,
 }
 
-/// The resident block-format table metadata (shared by v2 and v3).
+/// The resident table metadata.
 #[derive(Debug)]
 struct BlockMetaTable {
     entry_count: u64,
@@ -328,39 +191,23 @@ struct BlockMetaTable {
     blocks: Vec<BlockMeta>,
 }
 
-#[derive(Debug)]
-enum Rep {
-    V1 {
-        /// `(key, offset)` pairs in key order; offsets validated strictly
-        /// increasing and bounded by `data_end` at open.
-        index: Vec<(Vec<u8>, u64)>,
-        /// End of the data region (== index offset).
-        data_end: u64,
-    },
-    /// Row-major blocks.
-    V2(BlockMetaTable),
-    /// Column-major blocks.
-    V3(BlockMetaTable),
-}
-
-/// An open SSTable with its (sparse, for v2) index resident.
+/// An open SSTable with its sparse index resident.
 #[derive(Debug)]
 pub struct SsTable {
     vfs: Vfs,
     file: String,
     size: u64,
     cache: Option<BlockCache>,
-    rep: Rep,
+    meta: BlockMetaTable,
 }
 
 impl SsTable {
-    /// Opens and validates an SSTable file of either format, uncached.
+    /// Opens and validates an SSTable file, uncached.
     pub fn open(vfs: Vfs, file: impl Into<String>) -> Result<SsTable> {
         Self::open_impl(vfs, file.into(), None)
     }
 
-    /// Opens with data-block reads going through `cache` (v2 only; v1 has
-    /// no blocks to cache).
+    /// Opens with data-block reads going through `cache`.
     pub fn open_with_cache(
         vfs: Vfs,
         file: impl Into<String>,
@@ -380,7 +227,7 @@ impl SsTable {
         let meta_len = f.get_u64_fixed().map_err(NosqlError::from)?;
         let meta_crc = f.get_u32_fixed().map_err(NosqlError::from)?;
         let magic = f.get_u32_fixed().map_err(NosqlError::from)?;
-        if magic != MAGIC_V1 && magic != MAGIC_V2 && magic != MAGIC_V3 {
+        if magic != MAGIC {
             return Err(NosqlError::Corrupt(format!("{file}: bad magic")));
         }
         // Checked geometry: garbage footer values must not overflow into a
@@ -395,63 +242,14 @@ impl SsTable {
         if Crc32::of(&meta_bytes) != meta_crc {
             return Err(NosqlError::Corrupt(format!("{file}: meta checksum")));
         }
-        let rep = match magic {
-            MAGIC_V1 => Self::parse_v1(&file, &meta_bytes, meta_offset)?,
-            MAGIC_V2 => Rep::V2(Self::parse_block_meta(&file, &meta_bytes, meta_offset)?),
-            _ => Rep::V3(Self::parse_block_meta(&file, &meta_bytes, meta_offset)?),
-        };
+        let meta = Self::parse_block_meta(&file, &meta_bytes, meta_offset)?;
         Ok(SsTable {
             vfs,
             file,
             size,
             cache,
-            rep,
+            meta,
         })
-    }
-
-    fn parse_v1(file: &str, index_bytes: &[u8], data_end: u64) -> Result<Rep> {
-        let mut d = Decoder::new(index_bytes);
-        let n = d.get_u64().map_err(NosqlError::from)? as usize;
-        // Each index entry occupies at least 2 bytes (key length prefix +
-        // offset varint); a corrupt count must not drive an unbounded
-        // allocation.
-        if n > index_bytes.len() / 2 {
-            return Err(NosqlError::Corrupt(format!(
-                "{file}: implausible index entry count {n}"
-            )));
-        }
-        let mut index = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = d.get_bytes().map_err(NosqlError::from)?.to_vec();
-            let offset = d.get_u64().map_err(NosqlError::from)?;
-            // Offsets must be strictly increasing and stay inside the data
-            // region, or the entry-extent arithmetic in `read_entry`
-            // underflows on a corrupt index.
-            if offset >= data_end {
-                return Err(NosqlError::Corrupt(format!(
-                    "{file}: index offset {offset} beyond data region ({data_end})"
-                )));
-            }
-            if let Some((prev_key, prev_off)) = index.last() {
-                if *prev_off >= offset || *prev_key >= key {
-                    return Err(NosqlError::Corrupt(format!(
-                        "{file}: index not strictly increasing at offset {offset}"
-                    )));
-                }
-            }
-            index.push((key, offset));
-        }
-        if !d.is_exhausted() {
-            return Err(NosqlError::Corrupt(format!(
-                "{file}: trailing bytes after index"
-            )));
-        }
-        if n == 0 && data_end != 0 {
-            return Err(NosqlError::Corrupt(format!(
-                "{file}: data region without index entries"
-            )));
-        }
-        Ok(Rep::V1 { index, data_end })
     }
 
     fn parse_block_meta(file: &str, meta_bytes: &[u8], data_end: u64) -> Result<BlockMetaTable> {
@@ -552,21 +350,9 @@ impl SsTable {
         self.size
     }
 
-    /// On-disk format version (1, 2 or 3).
-    pub fn format_version(&self) -> u32 {
-        match self.rep {
-            Rep::V1 { .. } => 1,
-            Rep::V2(_) => 2,
-            Rep::V3(_) => 3,
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
-        match &self.rep {
-            Rep::V1 { index, .. } => index.len(),
-            Rep::V2(meta) | Rep::V3(meta) => meta.entry_count as usize,
-        }
+        self.meta.entry_count as usize
     }
 
     /// Whether the table holds no entries.
@@ -574,32 +360,7 @@ impl SsTable {
         self.len() == 0
     }
 
-    /// Reads the v1 entry at index position `i`; its extent ends at the
-    /// next entry's offset (offsets were validated monotone at open).
-    fn read_entry_v1(&self, index: &[(Vec<u8>, u64)], data_end: u64, i: usize) -> Result<SstEntry> {
-        let offset = index[i].1;
-        let end = index.get(i + 1).map(|(_, o)| *o).unwrap_or(data_end);
-        let len = (end - offset) as usize;
-        let buf = self.vfs.read_at(&self.file, offset, len)?;
-        let mut d = Decoder::new(&buf);
-        let key = d.get_bytes()?.to_vec();
-        let flag = d.get_u8()?;
-        let timestamp = d.get_u64_fixed()?;
-        let body = d.get_bytes()?.to_vec();
-        if flag > 1 {
-            return Err(NosqlError::Corrupt(format!(
-                "{}: bad record flag {flag}",
-                self.file
-            )));
-        }
-        Ok(SstEntry {
-            key,
-            body: (flag == 1).then_some(body),
-            timestamp,
-        })
-    }
-
-    /// Fetches one v2 data block: shared cache first, then a CRC-verified
+    /// Fetches one data block: shared cache first, then a CRC-verified
     /// VFS read.
     fn read_block(&self, block: &BlockMeta) -> Result<Arc<Vec<u8>>> {
         if let Some(cache) = &self.cache {
@@ -623,88 +384,62 @@ impl SsTable {
         Ok(raw)
     }
 
+    /// Reads and decodes `blocks` in order — the one block loop behind
+    /// point probes, scans and prefix scans. Only the column chunks in
+    /// `proj` are parsed (`None` = all).
+    fn decode_blocks(&self, blocks: &[BlockMeta], proj: Option<&[usize]>) -> Result<BlockRows> {
+        let mut out = BlockRows::default();
+        out.entries
+            .reserve(blocks.iter().map(|b| b.count as usize).sum());
+        for block in blocks {
+            let bytes = self.read_block(block)?;
+            colblock::decode_block_rows(&self.file, &bytes, proj, &mut out)?;
+        }
+        Ok(out)
+    }
+
     /// Point lookup with read-path telemetry; [`SsTable::get`] is the
     /// entry-only shorthand.
     pub fn probe(&self, key: &[u8]) -> Result<Probe> {
-        match &self.rep {
-            Rep::V1 { index, data_end } => {
-                match index.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => Ok(Probe {
-                        entry: Some(self.read_entry_v1(index, *data_end, i)?),
-                        blocks_read: 1,
-                        fence_rejected: false,
-                        filter_rejected: false,
-                    }),
-                    Err(_) => Ok(Probe::absent(false, false)),
-                }
+        let meta = &self.meta;
+        let stats = sc_obs::enabled();
+        if meta.blocks.is_empty() || key < meta.min_key.as_slice() || key > meta.max_key.as_slice()
+        {
+            return Ok(Probe::absent(true, false));
+        }
+        sc_obs::trace::add(sc_obs::trace::Attr::BloomProbes, 1);
+        if !meta.filter.may_contain(key) {
+            if stats {
+                crate::obs::nosql().bloom_miss.inc();
             }
-            Rep::V2(meta) | Rep::V3(meta) => {
-                let stats = sc_obs::enabled();
-                if meta.blocks.is_empty()
-                    || key < meta.min_key.as_slice()
-                    || key > meta.max_key.as_slice()
-                {
-                    return Ok(Probe::absent(true, false));
-                }
-                sc_obs::trace::add(sc_obs::trace::Attr::BloomProbes, 1);
-                if !meta.filter.may_contain(key) {
-                    if stats {
-                        crate::obs::nosql().bloom_miss.inc();
-                    }
-                    return Ok(Probe::absent(false, true));
-                }
-                // Last block whose first key is <= key; the fence check
-                // guarantees at least one candidate.
-                let pos = meta
-                    .blocks
-                    .partition_point(|b| b.first_key.as_slice() <= key);
-                let Some(block) = pos.checked_sub(1).map(|i| &meta.blocks[i]) else {
-                    return Ok(Probe::absent(true, false));
-                };
-                let bytes = self.read_block(block)?;
-                let entry = self.find_in_block(&bytes, key)?;
-                if stats {
-                    if entry.is_some() {
-                        crate::obs::nosql().bloom_hit.inc();
-                    } else {
-                        crate::obs::nosql().bloom_false_positive.inc();
-                    }
-                }
-                Ok(Probe {
-                    entry,
-                    blocks_read: 1,
-                    fence_rejected: false,
-                    filter_rejected: false,
-                })
+            return Ok(Probe::absent(false, true));
+        }
+        // Last block whose first key is <= key; the fence check
+        // guarantees at least one candidate.
+        let pos = meta
+            .blocks
+            .partition_point(|b| b.first_key.as_slice() <= key);
+        let Some(i) = pos.checked_sub(1) else {
+            return Ok(Probe::absent(true, false));
+        };
+        let mut entries = self.decode_blocks(&meta.blocks[i..=i], None)?.entries;
+        let entry = entries
+            .binary_search_by(|e| e.key.as_slice().cmp(key))
+            .ok()
+            .map(|i| entries.swap_remove(i));
+        if stats {
+            if entry.is_some() {
+                crate::obs::nosql().bloom_hit.inc();
+            } else {
+                crate::obs::nosql().bloom_false_positive.inc();
             }
         }
-    }
-
-    /// Searches one CRC-verified data block for `key` (v2: streaming
-    /// record walk; v3: decode + binary search over the sorted run).
-    fn find_in_block(&self, bytes: &[u8], key: &[u8]) -> Result<Option<SstEntry>> {
-        match &self.rep {
-            Rep::V2(_) => {
-                for record in BlockIter::new(bytes) {
-                    let (k, payload) = record.map_err(NosqlError::from)?;
-                    if k == key {
-                        return Ok(Some(decode_payload(&self.file, k, payload)?));
-                    }
-                    if k > key {
-                        break;
-                    }
-                }
-                Ok(None)
-            }
-            Rep::V3(_) => {
-                let mut entries = colblock::decode_block(&self.file, bytes)?;
-                match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                    Ok(i) => Ok(Some(entries.swap_remove(i))),
-                    Err(_) => Ok(None),
-                }
-            }
-            Rep::V1 { .. } => unreachable!("v1 has no data blocks"),
-        }
+        Ok(Probe {
+            entry,
+            blocks_read: 1,
+            fence_rejected: false,
+            filter_rejected: false,
+        })
     }
 
     /// Point lookup.
@@ -714,167 +449,61 @@ impl SsTable {
 
     /// Full scan in key order (tombstones included).
     pub fn scan(&self) -> Result<Vec<SstEntry>> {
-        match &self.rep {
-            Rep::V1 { index, data_end } => {
-                let mut out = Vec::with_capacity(index.len());
-                for i in 0..index.len() {
-                    out.push(self.read_entry_v1(index, *data_end, i)?);
-                }
-                Ok(out)
-            }
-            Rep::V2(meta) => {
-                let mut out = Vec::with_capacity(meta.entry_count as usize);
-                for block in &meta.blocks {
-                    let bytes = self.read_block(block)?;
-                    for record in BlockIter::new(&bytes) {
-                        let (k, payload) = record.map_err(NosqlError::from)?;
-                        out.push(decode_payload(&self.file, k, payload)?);
-                    }
-                }
-                Ok(out)
-            }
-            Rep::V3(meta) => {
-                let mut out = Vec::with_capacity(meta.entry_count as usize);
-                for block in &meta.blocks {
-                    let bytes = self.read_block(block)?;
-                    out.extend(colblock::decode_block(&self.file, &bytes)?);
-                }
-                Ok(out)
-            }
-        }
+        Ok(self.decode_blocks(&self.meta.blocks, None)?.entries)
     }
 
-    /// Full scan decoded straight into rows, reading only the column runs
-    /// in `proj` (`None` = all). On v3 tables pruned columns are never
-    /// parsed and come back as [`crate::types::CqlValue::Null`]; v1/v2
-    /// store rows whole, so the projection only feeds the accounting.
-    /// Column-read/skip totals land on the `nosql.read.cols_{read,skipped}`
-    /// counters.
-    pub(crate) fn scan_rows(
-        &self,
-        proj: Option<&[usize]>,
-    ) -> Result<Vec<(Vec<u8>, Option<Row>, u64)>> {
-        let (rows, cols_read, cols_skipped) = match &self.rep {
-            Rep::V3(meta) => {
-                let mut rows = Vec::with_capacity(meta.entry_count as usize);
-                let (mut cols_read, mut cols_skipped) = (0u64, 0u64);
-                for block in &meta.blocks {
-                    let bytes = self.read_block(block)?;
-                    let decoded = colblock::decode_block_rows(&self.file, &bytes, proj)?;
-                    rows.extend(decoded.rows);
-                    cols_read += decoded.cols_read;
-                    cols_skipped += decoded.cols_skipped;
-                }
-                (rows, cols_read, cols_skipped)
-            }
-            _ => {
-                let mut rows = Vec::new();
-                let mut cols_read = 0u64;
-                for e in self.scan()? {
-                    let row = match e.body {
-                        Some(body) => {
-                            let mut d = Decoder::new(&body);
-                            let (row, _ts) = Row::decode(&mut d).map_err(|_| {
-                                NosqlError::Corrupt(format!("{}: undecodable row body", self.file))
-                            })?;
-                            cols_read += row.values.len() as u64;
-                            Some(row)
-                        }
-                        None => None,
-                    };
-                    rows.push((e.key, row, e.timestamp));
-                }
-                (rows, cols_read, 0)
-            }
-        };
+    /// Full scan reading only the column runs in `proj` (`None` = all):
+    /// pruned columns are never parsed and come back as
+    /// [`crate::types::CqlValue::Null`]. Column-read/skip totals land on
+    /// the `nosql.read.cols_{read,skipped}` counters.
+    pub(crate) fn scan_rows(&self, proj: Option<&[usize]>) -> Result<Vec<SstEntry>> {
+        let decoded = self.decode_blocks(&self.meta.blocks, proj)?;
         if sc_obs::enabled() {
             let obs = crate::obs::nosql();
-            obs.cols_read.add(cols_read);
-            obs.cols_skipped.add(cols_skipped);
+            obs.cols_read.add(decoded.cols_read);
+            obs.cols_skipped.add(decoded.cols_skipped);
         }
-        Ok(rows)
+        Ok(decoded.entries)
     }
 
     /// Entries whose keys start with `prefix`, in key order.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<SstEntry>> {
-        match &self.rep {
-            Rep::V1 { index, data_end } => {
-                let start = index.partition_point(|(k, _)| k.as_slice() < prefix);
-                let mut out = Vec::new();
-                for (i, (key, _)) in index.iter().enumerate().skip(start) {
-                    if !key.starts_with(prefix) {
-                        break;
-                    }
-                    out.push(self.read_entry_v1(index, *data_end, i)?);
-                }
-                Ok(out)
-            }
-            Rep::V2(meta) => {
-                // Matching entries can start inside the block before the
-                // first block whose first key is >= prefix.
-                let start = meta
-                    .blocks
-                    .partition_point(|b| b.first_key.as_slice() < prefix)
-                    .saturating_sub(1);
-                let mut out = Vec::new();
-                'blocks: for block in &meta.blocks[start.min(meta.blocks.len())..] {
-                    let bytes = self.read_block(block)?;
-                    for record in BlockIter::new(&bytes) {
-                        let (k, payload) = record.map_err(NosqlError::from)?;
-                        if k < prefix {
-                            continue;
-                        }
-                        if !k.starts_with(prefix) {
-                            break 'blocks;
-                        }
-                        out.push(decode_payload(&self.file, k, payload)?);
-                    }
-                }
-                Ok(out)
-            }
-            Rep::V3(meta) => {
-                let start = meta
-                    .blocks
-                    .partition_point(|b| b.first_key.as_slice() < prefix)
-                    .saturating_sub(1);
-                let mut out = Vec::new();
-                'blocks: for block in &meta.blocks[start.min(meta.blocks.len())..] {
-                    let bytes = self.read_block(block)?;
-                    for entry in colblock::decode_block(&self.file, &bytes)? {
-                        if entry.key.as_slice() < prefix {
-                            continue;
-                        }
-                        if !entry.key.starts_with(prefix) {
-                            break 'blocks;
-                        }
-                        out.push(entry);
-                    }
-                }
-                Ok(out)
-            }
-        }
+        let blocks = &self.meta.blocks;
+        // Matching entries can start inside the block before the first
+        // block whose first key is >= prefix, and end inside the last block
+        // whose first key is below or under the prefix.
+        let start = blocks
+            .partition_point(|b| b.first_key.as_slice() < prefix)
+            .saturating_sub(1);
+        let end = blocks.partition_point(|b| {
+            b.first_key.as_slice() < prefix || b.first_key.starts_with(prefix)
+        });
+        let mut entries = self.decode_blocks(&blocks[start..end], None)?.entries;
+        entries.retain(|e| e.key.starts_with(prefix));
+        Ok(entries)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::CqlValue;
 
     fn entries() -> Vec<SstEntry> {
         vec![
             SstEntry {
                 key: vec![1],
-                body: Some(vec![10, 11]),
+                row: Some(Row::new(vec![CqlValue::Int(10), CqlValue::Int(11)])),
                 timestamp: 1,
             },
             SstEntry {
                 key: vec![2],
-                body: None, // tombstone
+                row: None, // tombstone
                 timestamp: 2,
             },
             SstEntry {
                 key: vec![3, 0],
-                body: Some(vec![]),
+                row: Some(Row::new(vec![CqlValue::Null, CqlValue::Null])),
                 timestamp: 3,
             },
         ]
@@ -885,11 +514,12 @@ mod tests {
         (0..n)
             .map(|i| SstEntry {
                 key: format!("key-{i:08}").into_bytes(),
-                body: if i % 7 == 0 {
-                    None
-                } else {
-                    Some(format!("value-{i}-{}", "x".repeat(80)).into_bytes())
-                },
+                row: (i % 7 != 0).then(|| {
+                    Row::new(vec![CqlValue::Text(format!(
+                        "value-{i}-{}",
+                        "x".repeat(80)
+                    ))])
+                }),
                 timestamp: i,
             })
             .collect()
@@ -900,108 +530,48 @@ mod tests {
         let vfs = Vfs::memory();
         write_sstable(&vfs, "t/sst-1", &entries()).unwrap();
         let sst = SsTable::open(vfs, "t/sst-1").unwrap();
-        assert_eq!(sst.format_version(), 3);
         assert_eq!(sst.len(), 3);
-        assert_eq!(sst.get(&[1]).unwrap().unwrap().body, Some(vec![10, 11]));
-        assert_eq!(sst.get(&[2]).unwrap().unwrap().body, None);
-        assert_eq!(sst.get(&[3, 0]).unwrap().unwrap().body, Some(vec![]));
+        for e in entries() {
+            assert_eq!(sst.get(&e.key).unwrap(), Some(e));
+        }
         assert!(sst.get(&[9]).unwrap().is_none());
         assert_eq!(sst.scan().unwrap(), entries());
         assert_eq!(sst.size(), sst.vfs.len("t/sst-1").unwrap());
     }
 
-    #[test]
-    fn v1_files_remain_readable() {
-        let vfs = Vfs::memory();
-        write_sstable_v1(&vfs, "t/legacy", &entries()).unwrap();
-        let sst = SsTable::open(vfs, "t/legacy").unwrap();
-        assert_eq!(sst.format_version(), 1);
-        assert_eq!(sst.len(), 3);
-        assert_eq!(sst.get(&[1]).unwrap().unwrap().body, Some(vec![10, 11]));
-        assert_eq!(sst.get(&[2]).unwrap().unwrap().body, None);
-        assert!(sst.get(&[9]).unwrap().is_none());
-        assert_eq!(sst.scan().unwrap(), entries());
-        assert_eq!(sst.scan_prefix(&[3]).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn v2_files_remain_readable() {
-        let vfs = Vfs::memory();
-        write_sstable_v2(&vfs, "t/v2", &entries()).unwrap();
-        let sst = SsTable::open(vfs, "t/v2").unwrap();
-        assert_eq!(sst.format_version(), 2);
-        assert_eq!(sst.len(), 3);
-        assert_eq!(sst.get(&[1]).unwrap().unwrap().body, Some(vec![10, 11]));
-        assert_eq!(sst.get(&[2]).unwrap().unwrap().body, None);
-        assert!(sst.get(&[9]).unwrap().is_none());
-        assert_eq!(sst.scan().unwrap(), entries());
-        assert_eq!(sst.scan_prefix(&[3]).unwrap().len(), 1);
-    }
-
-    /// Entries whose bodies are canonical row encodings, so v3 blocks take
-    /// the columnar layout.
     fn typed_entries(n: u8) -> Vec<SstEntry> {
-        use crate::row::Row;
-        use crate::types::CqlValue;
         (0..n)
-            .map(|i| {
-                let row = Row::new(vec![
+            .map(|i| SstEntry {
+                key: vec![b'k', i],
+                row: Some(Row::new(vec![
                     CqlValue::Int(i as i64),
                     CqlValue::Text(format!("station-{}", i % 4)),
                     CqlValue::Int(1000 + i as i64),
-                ]);
-                let mut enc = Encoder::new();
-                row.encode(&mut enc, i as u64);
-                SstEntry {
-                    key: vec![b'k', i],
-                    body: Some(enc.into_bytes()),
-                    timestamp: i as u64,
-                }
+                ])),
+                timestamp: i as u64,
             })
             .collect()
     }
 
     #[test]
     fn projected_scan_rows_reads_only_requested_columns() {
-        use crate::types::CqlValue;
         let vfs = Vfs::memory();
         let es = typed_entries(50);
         write_sstable(&vfs, "t/typed", &es).unwrap();
         let sst = SsTable::open(vfs, "t/typed").unwrap();
-        assert_eq!(sst.format_version(), 3);
         let rows = sst.scan_rows(Some(&[2])).unwrap();
         assert_eq!(rows.len(), es.len());
-        for (i, (key, row, seq)) in rows.iter().enumerate() {
-            assert_eq!(key, &es[i].key);
-            assert_eq!(*seq, i as u64);
-            let row = row.as_ref().unwrap();
+        for (i, e) in rows.iter().enumerate() {
+            assert_eq!(e.key, es[i].key);
+            assert_eq!(e.timestamp, i as u64);
+            let row = e.row.as_ref().unwrap();
             assert_eq!(row.values[2], CqlValue::Int(1000 + i as i64));
             assert_eq!(row.values[0], CqlValue::Null, "pruned column is Null");
             assert_eq!(row.values[1], CqlValue::Null, "pruned column is Null");
         }
         // Unprojected decode returns every column.
         let full = sst.scan_rows(None).unwrap();
-        assert_eq!(
-            full[7].1.as_ref().unwrap().values[1],
-            CqlValue::Text("station-3".into())
-        );
-        // A byte-level scan reproduces the input exactly even though the
-        // block was stored column-major.
-        assert_eq!(sst.scan().unwrap(), es);
-    }
-
-    #[test]
-    fn scan_rows_on_v2_tables_decodes_whole_rows() {
-        use crate::types::CqlValue;
-        let vfs = Vfs::memory();
-        let es = typed_entries(20);
-        write_sstable_v2(&vfs, "t/v2rows", &es).unwrap();
-        let sst = SsTable::open(vfs, "t/v2rows").unwrap();
-        // v2 stores rows whole: the projection cannot prune reads, but the
-        // result must still carry every column.
-        let rows = sst.scan_rows(Some(&[2])).unwrap();
-        assert_eq!(rows.len(), es.len());
-        assert_eq!(rows[3].1.as_ref().unwrap().values[0], CqlValue::Int(3));
+        assert_eq!(full, es);
     }
 
     #[test]
@@ -1010,13 +580,10 @@ mod tests {
         let es = many_entries(400);
         write_sstable(&vfs, "t/big", &es).unwrap();
         let sst = SsTable::open(vfs, "t/big").unwrap();
-        let Rep::V3(meta) = &sst.rep else {
-            panic!("expected v3")
-        };
         assert!(
-            meta.blocks.len() >= 4,
+            sst.meta.blocks.len() >= 4,
             "400 ~100-byte entries must span several 4 KiB blocks, got {}",
-            meta.blocks.len()
+            sst.meta.blocks.len()
         );
         for e in &es {
             assert_eq!(sst.get(&e.key).unwrap().as_ref(), Some(e));
@@ -1117,13 +684,11 @@ mod tests {
         let vfs = Vfs::memory();
         let mut es = entries();
         es[1].key = es[0].key.clone();
-        for writer in [write_sstable, write_sstable_v2, write_sstable_v1] {
-            let err = writer(&vfs, "t/dup", &es).unwrap_err();
-            assert!(
-                matches!(&err, NosqlError::Corrupt(m) if m.contains("duplicate")),
-                "{err:?}"
-            );
-        }
+        let err = write_sstable(&vfs, "t/dup", &es).unwrap_err();
+        assert!(
+            matches!(&err, NosqlError::Corrupt(m) if m.contains("duplicate")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::mvcc::{SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
 use crate::sstable::{write_sstable, SsTable, SstEntry};
-use sc_encoding::{Decoder, Encoder};
 use sc_storage::Vfs;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,7 +51,8 @@ impl Default for TableOptions {
 /// being written.
 #[derive(Debug)]
 struct FrozenRun {
-    entries: BTreeMap<Vec<u8>, (Option<Row>, u64)>,
+    /// Sorted by key: exactly what the flush hands to [`write_sstable`].
+    entries: Vec<SstEntry>,
 }
 
 /// Runtime state of one column family. All methods take `&self`; the type
@@ -90,11 +90,6 @@ pub(crate) struct TableCore {
     options: TableOptions,
     /// The engine-wide shared block cache every SSTable reads through.
     cache: BlockCache,
-}
-
-fn decode_body(body: &[u8]) -> Result<Row> {
-    let mut dec = Decoder::new(body);
-    Ok(Row::decode(&mut dec)?.0)
 }
 
 impl TableCore {
@@ -191,9 +186,13 @@ impl TableCore {
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
         {
-            if let Some((row, seq)) = frozen.entries.get(key) {
-                if *seq <= bound && best.as_ref().is_none_or(|(_, b)| seq > b) {
-                    best = Some((row.clone(), *seq));
+            if let Ok(i) = frozen
+                .entries
+                .binary_search_by(|e| e.key.as_slice().cmp(key))
+            {
+                let e = &frozen.entries[i];
+                if e.timestamp <= bound && best.as_ref().is_none_or(|(_, b)| e.timestamp > *b) {
+                    best = Some((e.row.clone(), e.timestamp));
                 }
             }
         }
@@ -221,11 +220,7 @@ impl TableCore {
                     continue;
                 }
                 if best.as_ref().is_none_or(|(_, b)| e.timestamp > *b) {
-                    let row = match &e.body {
-                        Some(body) => Some(decode_body(body)?),
-                        None => None,
-                    };
-                    best = Some((row, e.timestamp));
+                    best = Some((e.row, e.timestamp));
                 }
                 // First visible on-disk hit is the newest on disk.
                 break;
@@ -248,7 +243,7 @@ impl TableCore {
         self.scan_merge(bound, None, None)
     }
 
-    /// Full scan decoding only the columns in `proj` from v3 SSTables
+    /// Full scan decoding only the columns in `proj` from SSTables
     /// (`None` = all). Pruned columns come back as `Null`; rows served from
     /// the memtable or frozen run are always complete, so callers must only
     /// look at projected positions.
@@ -281,28 +276,14 @@ impl TableCore {
         {
             let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
             for sst in ssts.iter() {
-                match prefix {
-                    Some(p) => {
-                        for e in sst.scan_prefix(p)? {
-                            if e.timestamp > bound {
-                                continue;
-                            }
-                            let row = match &e.body {
-                                Some(body) => Some(decode_body(body)?),
-                                None => None,
-                            };
-                            seen.insert(e.key, (row, e.timestamp));
-                        }
-                    }
-                    None => {
-                        // Row-form scan: v3 tables decode only the
-                        // projected column runs.
-                        for (key, row, seq) in sst.scan_rows(proj)? {
-                            if seq > bound {
-                                continue;
-                            }
-                            seen.insert(key, (row, seq));
-                        }
+                let entries = match prefix {
+                    Some(p) => sst.scan_prefix(p)?,
+                    // Decodes only the projected column runs.
+                    None => sst.scan_rows(proj)?,
+                };
+                for e in entries {
+                    if e.timestamp <= bound {
+                        seen.insert(e.key, (e.row, e.timestamp));
                     }
                 }
             }
@@ -313,11 +294,11 @@ impl TableCore {
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
         {
-            for (key, (row, seq)) in &frozen.entries {
-                if *seq > bound || prefix.is_some_and(|p| !key.starts_with(p)) {
+            for e in &frozen.entries {
+                if e.timestamp > bound || prefix.is_some_and(|p| !e.key.starts_with(p)) {
                     continue;
                 }
-                seen.insert(key.clone(), (row.clone(), *seq));
+                seen.insert(e.key.clone(), (e.row.clone(), e.timestamp));
             }
         }
         let mem_entries = match prefix {
@@ -420,7 +401,16 @@ impl TableCore {
         // in at least one layer at every instant. See
         // [`ShardedMemtable::peek_up_to`] for the read-skew window the
         // old drain-then-publish order left open.
-        let frozen = Arc::new(FrozenRun { entries: staged });
+        let frozen = Arc::new(FrozenRun {
+            entries: staged
+                .into_iter()
+                .map(|(key, (row, timestamp))| SstEntry {
+                    key,
+                    row,
+                    timestamp,
+                })
+                .collect(),
+        });
         *self.flushing.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&frozen));
         crate::mvcc::perturb(36);
         let drained = self.mem.drain_up_to(boundary, gc_floor);
@@ -431,25 +421,12 @@ impl TableCore {
             *this.flushing.write().unwrap_or_else(|e| e.into_inner()) = None;
         };
 
-        let mut entries = Vec::with_capacity(frozen.entries.len());
-        for (key, (row, seq)) in &frozen.entries {
-            let body = row.as_ref().map(|row| {
-                let mut enc = Encoder::new();
-                row.encode(&mut enc, *seq);
-                enc.into_bytes()
-            });
-            entries.push(SstEntry {
-                key: key.clone(),
-                body,
-                timestamp: *seq,
-            });
-        }
         let file = format!(
             "{}{:06}",
             self.sst_prefix(),
             self.next_sst_id.fetch_add(1, Ordering::Relaxed)
         );
-        if let Err(e) = write_sstable(&self.vfs, &file, &entries) {
+        if let Err(e) = write_sstable(&self.vfs, &file, &frozen.entries) {
             undo(self);
             return Err(e);
         }
@@ -611,7 +588,7 @@ impl TableCore {
         }
         let entries: Vec<SstEntry> = merged
             .into_values()
-            .filter(|e| !drop_tombstones || e.body.is_some())
+            .filter(|e| !drop_tombstones || e.row.is_some())
             .collect();
         let file = format!(
             "{}{:06}",
@@ -1022,7 +999,7 @@ mod tests {
         let young =
             crate::sstable::SsTable::open(vfs.clone(), files.last().unwrap().clone()).unwrap();
         let tombstone = young.get(&k1).unwrap().expect("tombstone entry present");
-        assert_eq!(tombstone.body, None);
+        assert_eq!(tombstone.row, None);
         // Full compaction covers the whole history, so the tombstone (and
         // the key) disappear from disk while the delete stays effective.
         h.table.compact(&h.registry).unwrap();
@@ -1032,7 +1009,7 @@ mod tests {
         assert_eq!(files.len(), 1);
         let merged = crate::sstable::SsTable::open(vfs, files[0].clone()).unwrap();
         assert!(merged.get(&k1).unwrap().is_none(), "tombstone not dropped");
-        assert!(merged.scan().unwrap().iter().all(|e| e.body.is_some()));
+        assert!(merged.scan().unwrap().iter().all(|e| e.row.is_some()));
     }
 
     #[test]

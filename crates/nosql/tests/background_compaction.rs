@@ -219,3 +219,69 @@ fn close_drains_queued_compactions() {
     let expected: BTreeMap<i64, i64> = (0..4).map(|id| (id, 50 + id)).collect();
     assert_eq!(read_all(&db), expected);
 }
+
+/// A background merge has no caller to fail: its error must land on
+/// `nosql.compaction.errors`, and the merge's inputs must stay readable.
+#[test]
+fn failed_background_merge_is_counted_and_leaves_inputs_readable() {
+    let (vfs, handle) = Vfs::with_faults(Vfs::memory(), 0xE440);
+    let files_of = |vfs: &Vfs| {
+        let mut files = vfs.list("p/t/sst-").unwrap();
+        files.sort();
+        files
+    };
+    {
+        // Three SSTables and no merge: this engine's threshold is never met.
+        let db = SharedDb::open(
+            OpenOptions::default()
+                .vfs(vfs.clone())
+                .compaction_threads(0),
+        )
+        .unwrap();
+        setup(&db);
+        for round in 0..3i64 {
+            for id in 0..8i64 {
+                db.execute_cql(&format!(
+                    "INSERT INTO p.t (id, v) VALUES ({id}, {})",
+                    round * 100 + id
+                ))
+                .unwrap();
+            }
+            db.flush_all().unwrap();
+        }
+    }
+    let inputs = files_of(&vfs);
+    assert_eq!(inputs.len(), 3);
+
+    let db = SharedDb::open(
+        OpenOptions::default()
+            .vfs(vfs.clone())
+            .recover(true)
+            .compaction_threshold(3)
+            .compaction_threads(1),
+    )
+    .unwrap();
+    let errors = || {
+        sc_obs::Registry::global()
+            .snapshot()
+            .counter("nosql.compaction.errors")
+            .unwrap_or(0)
+    };
+    let before = errors();
+    // The storage dies at its next write. With nothing buffered the flush
+    // writes nothing and only schedules the merge, whose output append is
+    // that write — or comes after it, if the log truncation got there first.
+    handle.crash_at(handle.ops());
+    let _ = db.flush_all();
+    db.drain_compactions();
+    handle.disarm();
+
+    assert_eq!(errors() - before, 1, "the failed merge went uncounted");
+    let on_disk = files_of(&vfs);
+    assert!(
+        inputs.iter().all(|f| on_disk.contains(f)),
+        "a failed merge deleted an input: {on_disk:?}"
+    );
+    let expected: BTreeMap<i64, i64> = (0..8).map(|id| (id, 200 + id)).collect();
+    assert_eq!(read_all(&db), expected);
+}

@@ -1,9 +1,6 @@
 //! Engine-level filter effectiveness: absent-key point queries are answered
 //! by the key fences and bloom filters without reading data blocks, and
 //! the seeded workload's observed false-positive rate stays under 2%.
-//! The engine flushes v3 (columnar) SSTables now, so these zero-block
-//! probes hold against v3 fences/filters; the sweep in `corrupt_sweep.rs`
-//! covers v1/v2 compatibility.
 //!
 //! Runs as its own integration-test binary (single test) so the
 //! process-global registry deltas are not polluted by parallel tests.
@@ -13,7 +10,7 @@ use sc_obs::Registry;
 
 #[test]
 fn absent_key_queries_skip_data_blocks_with_low_fp_rate() {
-    let mut db = Db::open(
+    let db = Db::open(
         OpenOptions::default()
             // Small flushes, high compaction threshold: the keys spread
             // over several live SSTables so every get probes a stack.

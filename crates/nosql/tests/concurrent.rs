@@ -249,7 +249,7 @@ fn crash_under_contention_recovers_per_key_history() {
         );
         handle.disarm();
 
-        let mut db = Db::open(
+        let db = Db::open(
             OpenOptions::default()
                 .vfs(vfs)
                 .memtable_flush_bytes(512)

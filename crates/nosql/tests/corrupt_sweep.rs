@@ -1,4 +1,4 @@
-//! Exhaustive byte-corruption sweep over small SSTables of every format.
+//! Exhaustive byte-corruption sweep over a small SSTable.
 //!
 //! For every byte position of a freshly written table, three mutations are
 //! tried — flip one bit, overwrite with 0xFF, truncate the file at that
@@ -6,48 +6,24 @@
 //! present and absent keys, `scan`, `scan_prefix`) is driven. The invariant
 //! under test is the hardening goal: a corrupt or truncated file must
 //! surface as `Err(NosqlError::Corrupt)` or behave correctly — it may
-//! never panic, never allocate unboundedly, and (for v2/v3, whose data
-//! blocks are CRC-framed) never silently return wrong rows.
+//! never panic, never allocate unboundedly, and (every region being CRC-
+//! or geometry-checked) never silently return wrong rows.
 //!
-//! v3 is swept twice: once with foreign bodies (the writer falls back to
-//! verbatim row storage) and once with canonical [`Row`] encodings (the
-//! writer picks the columnar layout, so the varint/dictionary/bitmap
-//! decoders face the mutants too).
+//! The fixture meets the varint-delta, dictionary and null-bitmap codecs
+//! and a tombstone, so those decoders face the mutants too.
 
-use sc_encoding::Encoder;
 use sc_nosql::error::NosqlError;
 use sc_nosql::row::Row;
-use sc_nosql::sstable::{write_sstable, write_sstable_v1, write_sstable_v2, SsTable, SstEntry};
+use sc_nosql::sstable::{write_sstable, SsTable, SstEntry};
 use sc_nosql::CqlValue;
 use sc_storage::Vfs;
 
-/// Entries whose bodies are *not* row encodings — a v3 writer stores these
-/// blocks in the row-fallback layout.
 fn entries() -> Vec<SstEntry> {
     (0..12u8)
         .map(|i| SstEntry {
             key: vec![b'k', i],
-            body: if i % 5 == 0 {
-                None
-            } else {
-                Some(format!("payload-{i}").into_bytes())
-            },
-            timestamp: i as u64,
-        })
-        .collect()
-}
-
-/// Entries whose bodies are canonical [`Row`] encodings — a v3 writer
-/// stores these blocks columnar (asserted below), exercising the
-/// varint-delta, dictionary and null-bitmap codecs under corruption.
-fn columnar_entries() -> Vec<SstEntry> {
-    (0..12u8)
-        .map(|i| {
-            let ts = i as u64;
-            let body = if i % 5 == 0 {
-                None
-            } else {
-                let row = Row::new(vec![
+            row: (i % 5 != 0).then(|| {
+                Row::new(vec![
                     CqlValue::Int(i as i64),
                     CqlValue::Text(format!("city-{}", i % 3)),
                     if i % 4 == 0 {
@@ -55,16 +31,9 @@ fn columnar_entries() -> Vec<SstEntry> {
                     } else {
                         CqlValue::Int(1000 + i as i64)
                     },
-                ]);
-                let mut enc = Encoder::new();
-                row.encode(&mut enc, ts);
-                Some(enc.into_bytes())
-            };
-            SstEntry {
-                key: vec![b'k', i],
-                body,
-                timestamp: ts,
-            }
+                ])
+            }),
+            timestamp: i as u64,
         })
         .collect()
 }
@@ -90,38 +59,30 @@ fn mutants(original: &[u8], pos: usize) -> Vec<Vec<u8>> {
     vec![flipped, smashed, original[..pos].to_vec()]
 }
 
-fn sweep(
-    writer: fn(&Vfs, &str, &[SstEntry]) -> Result<(), NosqlError>,
-    es: Vec<SstEntry>,
-    crc_covers_data: bool,
-) {
+#[test]
+fn sweep_never_panics_and_never_lies() {
+    let es = entries();
     let vfs = Vfs::memory();
-    writer(&vfs, "sweep/base", &es).unwrap();
+    write_sstable(&vfs, "sweep/base", &es).unwrap();
     let original = vfs.read_all("sweep/base").unwrap();
     let baseline = exercise(&vfs, "sweep/base", &es).unwrap();
     assert_eq!(baseline, es, "uncorrupted table must read back exactly");
 
     let mut rejected = 0usize;
-    let mut survived = 0usize;
     for pos in 0..original.len() {
         for (kind, mutant) in mutants(&original, pos).into_iter().enumerate() {
             let file = format!("sweep/mut-{pos}-{kind}");
             vfs.append(&file, &mutant).unwrap();
             match exercise(&vfs, &file, &es) {
                 Err(_) => rejected += 1,
-                Ok(result) => {
-                    survived += 1;
-                    if crc_covers_data {
-                        // Every v2/v3 region is CRC- or geometry-checked, so
-                        // a mutation that goes unnoticed must be byte-neutral
-                        // in effect: the reads still return the exact data.
-                        assert_eq!(
-                            result, es,
-                            "undetected mutation at byte {pos} (kind {kind}) \
-                             changed the read result"
-                        );
-                    }
-                }
+                // Every region is CRC- or geometry-checked, so a mutation
+                // that goes unnoticed must be byte-neutral in effect: the
+                // reads still return the exact data.
+                Ok(result) => assert_eq!(
+                    result, es,
+                    "undetected mutation at byte {pos} (kind {kind}) \
+                     changed the read result"
+                ),
             }
         }
     }
@@ -131,44 +92,4 @@ fn sweep(
         "only {rejected} of {} mutants rejected",
         3 * original.len()
     );
-    if !crc_covers_data {
-        // v1's data region carries no CRC, so flips there go unnoticed
-        // (they alter what reads return without erroring) — the sweep must
-        // have seen some of those to prove it covered that region.
-        assert!(survived > 0, "sweep produced no undetected v1 mutants");
-    }
-}
-
-/// The default writer is v3 now; foreign bodies land in row-fallback blocks.
-#[test]
-fn v3_fallback_sweep_never_panics_and_never_lies() {
-    sweep(write_sstable, entries(), true);
-}
-
-/// Canonical row bodies land in columnar blocks — verified against the
-/// block header before sweeping, so this covers the columnar decoders.
-#[test]
-fn v3_columnar_sweep_never_panics_and_never_lies() {
-    let vfs = Vfs::memory();
-    let es = columnar_entries();
-    write_sstable(&vfs, "probe", &es).unwrap();
-    let bytes = vfs.read_all("probe").unwrap();
-    // The first data block starts at offset 0: varint entry count (12 fits
-    // one byte) then the layout tag — 0 is columnar, 1 the row fallback.
-    assert_eq!(bytes[0], 12, "sweep fixture no longer fits one block");
-    assert_eq!(bytes[1], 0, "canonical rows must take the columnar layout");
-
-    sweep(write_sstable, es, true);
-}
-
-#[test]
-fn v2_sweep_never_panics_and_never_lies() {
-    sweep(write_sstable_v2, entries(), true);
-}
-
-#[test]
-fn v1_sweep_never_panics() {
-    // v1 has no CRC over its data region, so a data-byte flip can alter
-    // what reads return; the guarantee is only no-panic + checked errors.
-    sweep(write_sstable_v1, entries(), false);
 }

@@ -136,7 +136,7 @@ fn repeated_random_crashes_never_lose_acked_writes() {
 fn torn_final_commit_log_record_is_truncated_not_fatal() {
     let vfs = Vfs::memory();
     {
-        let mut db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
         db.execute_cql("CREATE KEYSPACE p").unwrap();
         db.execute_cql("CREATE TABLE p.t (id int, v int, PRIMARY KEY (id))")
             .unwrap();
@@ -177,7 +177,7 @@ fn torn_final_commit_log_record_is_truncated_not_fatal() {
 fn recovered_sst_ids_never_reuse_orphan_ids() {
     let vfs = Vfs::memory();
     {
-        let mut db = Db::open(tiny(vfs.clone())).unwrap();
+        let db = Db::open(tiny(vfs.clone())).unwrap();
         db.execute_cql("CREATE KEYSPACE p").unwrap();
         db.execute_cql("CREATE TABLE p.t (id int, v int, PRIMARY KEY (id))")
             .unwrap();
@@ -220,7 +220,7 @@ fn recovered_sst_ids_never_reuse_orphan_ids() {
 fn recovery_preserves_tiered_age_order() {
     let vfs = Vfs::memory();
     {
-        let mut db = Db::open(tiny(vfs.clone())).unwrap();
+        let db = Db::open(tiny(vfs.clone())).unwrap();
         db.execute_cql("CREATE KEYSPACE p").unwrap();
         db.execute_cql("CREATE TABLE p.t (id int, v int, PRIMARY KEY (id))")
             .unwrap();

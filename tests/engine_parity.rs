@@ -7,7 +7,7 @@ use smartcube::relational;
 
 #[test]
 fn same_rows_through_both_query_languages() {
-    let mut ndb = nosql::Db::open(nosql::OpenOptions::default()).unwrap();
+    let ndb = nosql::Db::open(nosql::OpenOptions::default()).unwrap();
     ndb.execute_cql("CREATE KEYSPACE k").unwrap();
     ndb.execute_cql("CREATE TABLE k.t (id int, name text, ok boolean, PRIMARY KEY (id))")
         .unwrap();
@@ -53,7 +53,7 @@ fn same_rows_through_both_query_languages() {
 
 #[test]
 fn size_accounting_is_monotone_and_flush_stable() {
-    let mut ndb = nosql::Db::open(nosql::OpenOptions::default()).unwrap();
+    let ndb = nosql::Db::open(nosql::OpenOptions::default()).unwrap();
     ndb.execute_cql("CREATE KEYSPACE k").unwrap();
     ndb.execute_cql("CREATE TABLE k.t (id int, v text, PRIMARY KEY (id))")
         .unwrap();
@@ -97,14 +97,14 @@ fn nosql_durability_roundtrip() {
     // Insert without flushing, recover from the commit log, data survives.
     let vfs = smartcube::storage::Vfs::memory();
     {
-        let mut db = nosql::Db::open(nosql::OpenOptions::default().vfs(vfs.clone())).unwrap();
+        let db = nosql::Db::open(nosql::OpenOptions::default().vfs(vfs.clone())).unwrap();
         db.execute_cql("CREATE KEYSPACE k").unwrap();
         db.execute_cql("CREATE TABLE k.t (id int, v text, PRIMARY KEY (id))")
             .unwrap();
         db.execute_cql("INSERT INTO k.t (id, v) VALUES (1, 'survives')")
             .unwrap();
     }
-    let mut db = nosql::Db::open(nosql::OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+    let db = nosql::Db::open(nosql::OpenOptions::default().vfs(vfs).recover(true)).unwrap();
     let r = db.execute_cql("SELECT v FROM k.t WHERE id = 1").unwrap();
     assert_eq!(r.first().unwrap().get_text("v").unwrap(), "survives");
 }
