@@ -1,10 +1,10 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [table2|table4|table5|fig2|fig3|fig4|stream|crashtest|obs|query|serve|netbench|trace|all]
+//! repro [table2|table4|table5|fig2|fig3|fig4|stream|crashtest|obs|query|serve|trace|all]
 //!       [--scale F] [--full] [--threads N] [--points N] [--seed S] [--stats]
 //!       [--port N] [--metrics-port N] [--token TENANT=TOKEN] [--slow-ms N] [--smoke]
-//!       [--clients N] [--rows N] [--out PATH]
+//!       [--rows N] [--out PATH]
 //! ```
 //!
 //! * `--scale F` runs each dataset at fraction `F` of the paper's tuple
@@ -31,12 +31,6 @@
 //!   (repeatable; default `demo=demo-token`), `--slow-ms N` slow-query
 //!   threshold. `--smoke` runs a self-contained round trip (connect,
 //!   INSERT/SELECT, scrape `/metrics`, drained shutdown) and exits.
-//! * `netbench` drives a loopback server with `--clients N` concurrent
-//!   connections across two tenants, ingesting `--rows N` total rows and
-//!   then timing point SELECTs cold (after a flush) and warm, reporting
-//!   ingest rows/sec and p50/p99 query latency, plus a recovery phase
-//!   (ingest to disk, drop without flushing, time the WAL-replay reopen);
-//!   `--out PATH` writes the numbers as JSON (the committed `BENCH_8.json`).
 //! * `trace` runs a traced loopback workload (`--rows N` inserts, point
 //!   SELECTs off SSTables, one full scan) and dumps the worst retained
 //!   trace: a span tree with engine attribution on stdout, and the Chrome
@@ -68,7 +62,6 @@ fn main() {
     let mut tokens: Vec<(String, String)> = Vec::new();
     let mut slow_ms = 100u64;
     let mut smoke = false;
-    let mut clients = 8usize;
     let mut rows = 4000usize;
     let mut out: Option<String> = None;
     let mut explain = false;
@@ -105,14 +98,6 @@ fn main() {
                     .unwrap_or_else(|| usage("--slow-ms needs a non-negative integer"));
             }
             "--smoke" => smoke = true,
-            "--clients" => {
-                i += 1;
-                clients = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--clients needs a positive integer"));
-            }
             "--rows" => {
                 i += 1;
                 rows = args
@@ -162,7 +147,7 @@ fn main() {
                     .unwrap_or_else(|| usage("--threads needs a positive integer"));
             }
             c @ ("table2" | "table4" | "table5" | "fig2" | "fig3" | "fig4" | "stream"
-            | "crashtest" | "obs" | "query" | "serve" | "netbench" | "trace" | "all") => {
+            | "crashtest" | "obs" | "query" | "serve" | "trace" | "all") => {
                 command = c.to_string();
             }
             other => usage(&format!("unknown argument {other:?}")),
@@ -184,7 +169,6 @@ fn main() {
         "obs" => obs(threads, seed),
         "query" => query(scale, explain),
         "serve" => serve(port, metrics_port, tokens, slow_ms, smoke),
-        "netbench" => netbench(clients, rows, out.as_deref()),
         "trace" => trace_cmd(rows, out.as_deref()),
         "all" => {
             fig2();
@@ -206,10 +190,10 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [table2|table4|table5|fig2|fig3|fig4|stream|crashtest|obs|query|serve|netbench|trace|all] \
+        "usage: repro [table2|table4|table5|fig2|fig3|fig4|stream|crashtest|obs|query|serve|trace|all] \
          [--scale F] [--full] [--threads N] [--points N] [--seed S] [--stats] [--explain] \
          [--port N] [--metrics-port N] [--token TENANT=TOKEN] [--slow-ms N] [--smoke] \
-         [--clients N] [--rows N] [--out PATH]"
+         [--rows N] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -841,351 +825,6 @@ fn serve(port: u16, metrics_port: u16, tokens: Vec<(String, String)>, slow_ms: u
     // Smoke: drained shutdown joins every thread.
     server.shutdown();
     println!("server smoke: shutdown ok (drained)");
-}
-
-fn percentile_us(sorted: &[u64], q: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-/// Loopback network benchmark: concurrent clients over two tenants,
-/// ingest throughput plus cold/warm point-query latency.
-fn netbench(clients: usize, rows: usize, out: Option<&str>) {
-    use sc_server::client::Client;
-    use sc_server::{Server, ServerConfig};
-    use std::time::Instant;
-
-    header(&format!(
-        "repro netbench: {clients} loopback clients, {rows} rows across 2 tenants"
-    ));
-    let tenants = ["t1", "t2"];
-    let db = sc_nosql::SharedDb::open(sc_nosql::OpenOptions::default()).expect("open engine");
-    let server = Server::start(
-        ServerConfig::default()
-            .tenant("t1", "tok-t1")
-            .tenant("t2", "tok-t2"),
-        db,
-    )
-    .expect("start server");
-    let addr = server.addr();
-    let token_for = |client_idx: usize| format!("tok-{}", tenants[client_idx % tenants.len()]);
-
-    for t in tenants {
-        let mut c = Client::connect(addr).expect("connect");
-        c.hello(&format!("tok-{t}")).expect("hello");
-        c.query("CREATE KEYSPACE bench").expect("keyspace");
-        c.query("CREATE TABLE bench.readings (id int, station text, bikes int, PRIMARY KEY (id))")
-            .expect("table");
-    }
-
-    // Ingest: `clients` concurrent connections, `rows` INSERTs total.
-    let per_client = rows.div_ceil(clients);
-    let total_rows = per_client * clients;
-    let ingest_start = Instant::now();
-    std::thread::scope(|scope| {
-        for client_idx in 0..clients {
-            let token = token_for(client_idx);
-            scope.spawn(move || {
-                let mut c = Client::connect(addr).expect("connect");
-                c.hello(&token).expect("hello");
-                for i in 0..per_client {
-                    let id = client_idx * per_client + i;
-                    c.query(&format!(
-                        "INSERT INTO bench.readings (id, station, bikes) VALUES ({id}, 'station {id}', {})",
-                        id % 40
-                    ))
-                    .expect("insert");
-                }
-            });
-        }
-    });
-    let ingest_elapsed = ingest_start.elapsed();
-    let rows_per_sec = total_rows as f64 / ingest_elapsed.as_secs_f64();
-    println!(
-        "ingest: {total_rows} rows in {} ms over loopback = {rows_per_sec:.0} rows/sec",
-        ingest_elapsed.as_millis()
-    );
-
-    // Query latency: each client re-reads its own rows point-by-point.
-    // Cold = right after a full flush (reads served from SSTables);
-    // warm = the same queries again with caches populated.
-    let queries_per_client = per_client.min(200);
-    let run_pass = |label: &str| -> Vec<u64> {
-        let all: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for client_idx in 0..clients {
-                let token = token_for(client_idx);
-                let all = &all;
-                scope.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
-                    c.hello(&token).expect("hello");
-                    let mut lat = Vec::with_capacity(queries_per_client);
-                    for i in 0..queries_per_client {
-                        let id = client_idx * per_client + i;
-                        let t = Instant::now();
-                        let r = c
-                            .query(&format!(
-                                "SELECT station, bikes FROM bench.readings WHERE id = {id}"
-                            ))
-                            .expect("point select");
-                        lat.push(t.elapsed().as_micros() as u64);
-                        assert_eq!(r.len(), 1, "{label}: point read missed id {id}");
-                    }
-                    all.lock().unwrap().extend(lat);
-                });
-            }
-        });
-        let mut v = all.into_inner().unwrap();
-        v.sort_unstable();
-        v
-    };
-
-    server.db().flush_all().expect("flush before cold pass");
-    let cold = run_pass("cold");
-    let warm = run_pass("warm");
-    let (cold_p50, cold_p99) = (percentile_us(&cold, 0.50), percentile_us(&cold, 0.99));
-    let (warm_p50, warm_p99) = (percentile_us(&warm, 0.50), percentile_us(&warm, 0.99));
-    println!(
-        "query latency over loopback ({} point SELECTs per pass):",
-        cold.len()
-    );
-    println!("  cold (post-flush)  p50 {cold_p50:>6} us   p99 {cold_p99:>6} us");
-    println!("  warm (cached)      p50 {warm_p50:>6} us   p99 {warm_p99:>6} us");
-
-    // Scan/aggregate phase: the operator pipeline end to end — a full-scan
-    // COUNT(*) and a grouped aggregate over one tenant's table, first run
-    // (cold: first sequential read of the flushed SSTables) then repeated
-    // (warm: block cache populated).
-    let t1_clients = clients.div_ceil(tenants.len());
-    let t1_rows = per_client * t1_clients;
-    let scan_us = |c: &mut Client, cql: &str, expect_rows: usize| -> u64 {
-        let t = Instant::now();
-        let r = c.query(cql).expect("scan query");
-        let us = t.elapsed().as_micros() as u64;
-        assert_eq!(r.len(), expect_rows, "scan: {cql}");
-        us
-    };
-    let mut c = Client::connect(addr).expect("connect");
-    c.hello("tok-t1").expect("hello");
-    let count_cql = "SELECT COUNT(*) FROM bench.readings";
-    let group_cql = "SELECT bikes, COUNT(*) FROM bench.readings GROUP BY bikes";
-    let groups = t1_rows.min(40);
-    let count_cold_us = scan_us(&mut c, count_cql, 1);
-    let group_cold_us = scan_us(&mut c, group_cql, groups);
-    let count_warm_us = scan_us(&mut c, count_cql, 1);
-    let group_warm_us = scan_us(&mut c, group_cql, groups);
-    let counted = c.query(count_cql).expect("count");
-    let counted = counted
-        .first()
-        .expect("count row")
-        .get_int("count")
-        .expect("count value");
-    assert_eq!(
-        counted, t1_rows as i64,
-        "full-scan COUNT(*) disagrees with ingested rows"
-    );
-    println!("scan/aggregate over {t1_rows} rows (tenant t1, post-flush):");
-    println!(
-        "  COUNT(*) full scan         cold {count_cold_us:>7} us   warm {count_warm_us:>7} us"
-    );
-    println!("  GROUP BY bikes ({groups} groups)  cold {group_cold_us:>7} us   warm {group_warm_us:>7} us");
-
-    // Contended phase: `clients` writers and `clients` readers at once.
-    // Writers append fresh ids; readers point-SELECT the existing rows.
-    // Under the old coarse engine mutex every reader queued behind every
-    // writer's fsync; with snapshot-isolated reads and group commit the
-    // two populations mostly don't collide.
-    let contended_writes = per_client;
-    let contended_start = Instant::now();
-    let read_lat: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for client_idx in 0..clients {
-            let token = token_for(client_idx);
-            scope.spawn(move || {
-                let mut c = Client::connect(addr).expect("connect");
-                c.hello(&token).expect("hello");
-                for i in 0..contended_writes {
-                    let id = 1_000_000 + client_idx * contended_writes + i;
-                    c.query(&format!(
-                        "INSERT INTO bench.readings (id, station, bikes) VALUES ({id}, 'contended {id}', {})",
-                        id % 40
-                    ))
-                    .expect("contended insert");
-                }
-            });
-        }
-        for client_idx in 0..clients {
-            let token = token_for(client_idx);
-            let read_lat = &read_lat;
-            scope.spawn(move || {
-                let mut c = Client::connect(addr).expect("connect");
-                c.hello(&token).expect("hello");
-                let mut lat = Vec::with_capacity(queries_per_client);
-                for i in 0..queries_per_client {
-                    let id = client_idx * per_client + i;
-                    let t = Instant::now();
-                    let r = c
-                        .query(&format!(
-                            "SELECT station, bikes FROM bench.readings WHERE id = {id}"
-                        ))
-                        .expect("contended point select");
-                    lat.push(t.elapsed().as_micros() as u64);
-                    assert_eq!(r.len(), 1, "contended: point read missed id {id}");
-                }
-                read_lat.lock().unwrap().extend(lat);
-            });
-        }
-    });
-    let contended_elapsed = contended_start.elapsed();
-    let contended_rows = contended_writes * clients;
-    let contended_rows_per_sec = contended_rows as f64 / contended_elapsed.as_secs_f64();
-    let mut contended_reads = read_lat.into_inner().unwrap();
-    contended_reads.sort_unstable();
-    let (cont_p50, cont_p99) = (
-        percentile_us(&contended_reads, 0.50),
-        percentile_us(&contended_reads, 0.99),
-    );
-    println!(
-        "contended ({clients} writers + {clients} readers): \
-         {contended_rows} rows ingested at {contended_rows_per_sec:.0} rows/sec, \
-         reads p50 {cont_p50} us p99 {cont_p99} us"
-    );
-    println!(
-        "slow queries recorded: {} (threshold {:?})",
-        server.slow_queries_recorded(),
-        std::time::Duration::from_millis(100)
-    );
-    server.shutdown();
-    println!("netbench: server drained and joined");
-
-    // Compaction-stall phase: the same put workload twice, against an
-    // engine tuned so flushes (and the merges they trip) fire constantly.
-    // With `compaction_threads(0)` the merge runs inline on the commit
-    // path — the puts that trip it eat the whole merge in their latency.
-    // With the background pool the flush only *schedules* the merge, so
-    // the put tail must not carry merge-sized spikes.
-    let stall_rows = total_rows;
-    let stall_pass = |threads: usize| -> (Vec<u64>, u64) {
-        let before = sc_obs::Registry::global().snapshot();
-        let db = sc_nosql::SharedDb::open(
-            sc_nosql::OpenOptions::default()
-                .memtable_flush_bytes(8192)
-                .compaction_threshold(4)
-                .compaction_threads(threads),
-        )
-        .expect("open stall engine");
-        db.execute_cql("CREATE KEYSPACE bench").expect("keyspace");
-        db.execute_cql(
-            "CREATE TABLE bench.readings (id int, station text, bikes int, PRIMARY KEY (id))",
-        )
-        .expect("table");
-        let mut lat = Vec::with_capacity(stall_rows);
-        for id in 0..stall_rows {
-            let t = Instant::now();
-            db.execute_cql(&format!(
-                "INSERT INTO bench.readings (id, station, bikes) VALUES \
-                 ({id}, 'stall-phase padded station name {id}', {})",
-                id % 40
-            ))
-            .expect("stall insert");
-            lat.push(t.elapsed().as_micros() as u64);
-        }
-        db.drain_compactions();
-        let after = sc_obs::Registry::global().snapshot();
-        let merges = |snap: &sc_obs::RegistrySnapshot| {
-            snap.histogram("nosql.compaction.duration_ns")
-                .map(|h| h.count)
-                .unwrap_or(0)
-        };
-        let merged = merges(&after) - merges(&before);
-        lat.sort_unstable();
-        (lat, merged)
-    };
-    let (inline_lat, inline_merges) = stall_pass(0);
-    let (bg_lat, bg_merges) = stall_pass(2);
-    let (stall_inline_p50, stall_inline_p99) = (
-        percentile_us(&inline_lat, 0.50),
-        percentile_us(&inline_lat, 0.99),
-    );
-    let (stall_bg_p50, stall_bg_p99) = (percentile_us(&bg_lat, 0.50), percentile_us(&bg_lat, 0.99));
-    let stall_inline_max = inline_lat.last().copied().unwrap_or(0);
-    let stall_bg_max = bg_lat.last().copied().unwrap_or(0);
-    println!("compaction-stall ({stall_rows} puts, flush-heavy engine):");
-    println!(
-        "  inline merges ({inline_merges} merges)      \
-         p50 {stall_inline_p50:>5} us   p99 {stall_inline_p99:>5} us   max {stall_inline_max:>6} us"
-    );
-    println!(
-        "  background pool ({bg_merges} merges)   \
-         p50 {stall_bg_p50:>5} us   p99 {stall_bg_p99:>5} us   max {stall_bg_max:>6} us"
-    );
-
-    // Recovery phase: ingest to a real on-disk engine, "kill" it by
-    // dropping without a flush (everything lives in the WAL), and time the
-    // replaying reopen — the startup cost an operator actually pays after
-    // a crash.
-    let recovery_rows = total_rows;
-    let recovery_dir =
-        std::env::temp_dir().join(format!("sc-netbench-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&recovery_dir);
-    std::fs::create_dir_all(&recovery_dir).expect("create recovery dir");
-    let open_disk = || {
-        sc_nosql::OpenOptions::default()
-            .vfs(sc_storage::Vfs::disk(&recovery_dir).expect("disk vfs"))
-    };
-    let ingest_start = Instant::now();
-    {
-        let db = open_disk().open().expect("open disk engine");
-        db.execute_cql("CREATE KEYSPACE bench").expect("keyspace");
-        db.execute_cql(
-            "CREATE TABLE bench.readings (id int, station text, bikes int, PRIMARY KEY (id))",
-        )
-        .expect("table");
-        for id in 0..recovery_rows {
-            db.execute_cql(&format!(
-                "INSERT INTO bench.readings (id, station, bikes) VALUES ({id}, 'station {id}', {})",
-                id % 40
-            ))
-            .expect("recovery insert");
-        }
-        // Dropped here without flush_all: the reopen must replay the WAL.
-    }
-    let recovery_ingest_elapsed = ingest_start.elapsed();
-    let replay_start = Instant::now();
-    let recovered = open_disk().recover(true).open().expect("recovering reopen");
-    let replay_elapsed = replay_start.elapsed();
-    let survivors = recovered
-        .execute_cql("SELECT id FROM bench.readings")
-        .expect("post-recovery scan");
-    assert_eq!(
-        survivors.len(),
-        recovery_rows,
-        "recovery lost rows: {} of {recovery_rows} survived",
-        survivors.len()
-    );
-    drop(recovered);
-    let _ = std::fs::remove_dir_all(&recovery_dir);
-    let replay_rows_per_sec = recovery_rows as f64 / replay_elapsed.as_secs_f64().max(1e-9);
-    println!(
-        "recovery: {recovery_rows} unflushed rows ingested to disk in {} ms, \
-         WAL replay on reopen took {} ms ({replay_rows_per_sec:.0} rows/sec), \
-         all rows verified present",
-        recovery_ingest_elapsed.as_millis(),
-        replay_elapsed.as_millis()
-    );
-
-    if let Some(path) = out {
-        let json = format!(
-            "{{\n  \"bench\": \"netbench\",\n  \"pr\": 10,\n  \"config\": {{ \"clients\": {clients}, \"tenants\": {}, \"rows\": {total_rows}, \"queries_per_pass\": {} }},\n  \"ingest\": {{ \"rows\": {total_rows}, \"elapsed_ms\": {}, \"rows_per_sec\": {rows_per_sec:.0} }},\n  \"query_latency_us\": {{\n    \"cold\": {{ \"p50\": {cold_p50}, \"p99\": {cold_p99} }},\n    \"warm\": {{ \"p50\": {warm_p50}, \"p99\": {warm_p99} }}\n  }},\n  \"scan_aggregate\": {{ \"rows\": {t1_rows}, \"groups\": {groups}, \"count_us\": {{ \"cold\": {count_cold_us}, \"warm\": {count_warm_us} }}, \"group_by_us\": {{ \"cold\": {group_cold_us}, \"warm\": {group_warm_us} }} }},\n  \"contended\": {{ \"writers\": {clients}, \"readers\": {clients}, \"rows\": {contended_rows}, \"rows_per_sec\": {contended_rows_per_sec:.0}, \"read_p50\": {cont_p50}, \"read_p99\": {cont_p99} }},\n  \"compaction_stall_put_us\": {{ \"rows\": {stall_rows}, \"inline\": {{ \"merges\": {inline_merges}, \"p50\": {stall_inline_p50}, \"p99\": {stall_inline_p99}, \"max\": {stall_inline_max} }}, \"background\": {{ \"threads\": 2, \"merges\": {bg_merges}, \"p50\": {stall_bg_p50}, \"p99\": {stall_bg_p99}, \"max\": {stall_bg_max} }} }},\n  \"recovery\": {{ \"rows\": {recovery_rows}, \"ingest_ms\": {}, \"replay_ms\": {}, \"replay_rows_per_sec\": {replay_rows_per_sec:.0} }}\n}}\n",
-            tenants.len(),
-            cold.len(),
-            ingest_elapsed.as_millis(),
-            recovery_ingest_elapsed.as_millis(),
-            replay_elapsed.as_millis(),
-        );
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}");
-    }
 }
 
 /// Request tracing demo: drive a traced loopback workload, then dump the

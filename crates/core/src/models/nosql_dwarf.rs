@@ -18,6 +18,8 @@ use sc_storage::Vfs;
 use std::time::Instant;
 
 const KEYSPACE: &str = "smartcity";
+/// Position of `size_as_mb` among the `dwarf_schema` columns `store` binds.
+const SIZE_AS_MB: usize = 3;
 
 fn table(name: &str) -> TableRef {
     TableRef {
@@ -84,147 +86,24 @@ impl NosqlDwarfModel {
         Ok((entry, meta))
     }
 
-    /// The statements `store` executes, exposed for the prepared-vs-text
-    /// ablation and Figure 3 demonstrations.
-    pub fn insert_statements(
-        mapped: &MappedDwarf,
-        cube: &Dwarf,
-        schema_id: i64,
-        is_cube: bool,
-    ) -> Vec<Statement> {
-        let mut out = Vec::with_capacity(1 + mapped.nodes.len() + mapped.cells.len());
-        out.push(Statement::Insert {
-            table: table("dwarf_schema"),
-            columns: vec![
-                "id".into(),
-                "node_count".into(),
-                "cell_count".into(),
-                "size_as_mb".into(),
-                "entry_node_id".into(),
-                "is_cube".into(),
-                "schema_meta".into(),
-            ],
-            values: vec![
-                CqlValue::Int(schema_id),
-                CqlValue::Int(mapped.node_count() as i64),
-                CqlValue::Int(mapped.cell_count() as i64),
-                CqlValue::Int(0),
-                CqlValue::Int(offset_id(schema_id, mapped.entry_node_id)),
-                CqlValue::Boolean(is_cube),
-                CqlValue::Text(encode_schema_meta(cube.schema())),
-            ],
-        });
-        for node in &mapped.nodes {
-            out.push(Statement::Insert {
-                table: table("dwarf_node"),
-                columns: vec![
-                    "id".into(),
-                    "parentIds".into(),
-                    "childrenIds".into(),
-                    "root".into(),
-                    "schema_id".into(),
-                ],
-                values: vec![
-                    CqlValue::Int(offset_id(schema_id, node.id)),
-                    CqlValue::int_set(
-                        node.parent_cell_ids
-                            .iter()
-                            .map(|&id| offset_id(schema_id, id)),
-                    ),
-                    CqlValue::int_set(
-                        node.child_cell_ids
-                            .iter()
-                            .map(|&id| offset_id(schema_id, id)),
-                    ),
-                    CqlValue::Boolean(node.root),
-                    CqlValue::Int(schema_id),
-                ],
-            });
-        }
-        for cell in &mapped.cells {
-            out.push(Statement::Insert {
-                table: table("dwarf_cell"),
-                columns: vec![
-                    "id".into(),
-                    "key".into(),
-                    "measure".into(),
-                    "parentNode".into(),
-                    "pointerNode".into(),
-                    "leaf".into(),
-                    "schema_id".into(),
-                    "dimension_table_name".into(),
-                ],
-                values: vec![
-                    CqlValue::Int(offset_id(schema_id, cell.id)),
-                    CqlValue::Text(cell.key.clone()),
-                    CqlValue::Int(cell.measure),
-                    CqlValue::Int(offset_id(schema_id, cell.parent_node)),
-                    match cell.pointer_node {
-                        Some(p) => CqlValue::Int(offset_id(schema_id, p)),
-                        None => CqlValue::Null,
-                    },
-                    CqlValue::Boolean(cell.leaf),
-                    CqlValue::Int(schema_id),
-                    CqlValue::Text(cell.dimension.clone()),
-                ],
-            });
-        }
-        out
-    }
-
-    /// Ablation path: render every statement to CQL text and re-parse it,
-    /// measuring what the text round-trip costs versus prepared statements.
-    pub fn store_via_text(
-        &mut self,
-        mapped: &MappedDwarf,
-        cube: &Dwarf,
-        is_cube: bool,
-    ) -> Result<StoreReport> {
-        let schema_id = self.next_schema_id()?;
-        let statements = Self::insert_statements(mapped, cube, schema_id, is_cube);
-        let start = Instant::now();
-        for stmt in &statements {
-            self.db.execute_cql(&stmt.to_cql())?;
-        }
-        let elapsed = start.elapsed();
-        self.finish_store(mapped, schema_id, statements.len(), elapsed)
-    }
-
+    /// The paper's final step: query the store's size and update
+    /// `size_as_mb` on the schema row. An upsert re-binding only the changed
+    /// column would lose the others in our row-replace model, so
+    /// `schema_stmt` — the row `store` inserted — is re-executed whole.
     fn finish_store(
         &mut self,
         mapped: &MappedDwarf,
         schema_id: i64,
+        mut schema_stmt: Statement,
         statements: usize,
         elapsed: std::time::Duration,
     ) -> Result<StoreReport> {
         self.db.flush_all()?;
         let size = self.db.keyspace_size(KEYSPACE)?;
-        // The paper's final step: query the store's size and update
-        // `size_as_mb` on the schema row (an upsert re-binding only the
-        // changed column would lose the others in our row-replace model, so
-        // rewrite the full row).
-        let (entry, meta) = self.schema_row(schema_id)?;
-        self.db.execute(&Statement::Insert {
-            table: table("dwarf_schema"),
-            columns: vec![
-                "id".into(),
-                "node_count".into(),
-                "cell_count".into(),
-                "size_as_mb".into(),
-                "entry_node_id".into(),
-                "is_cube".into(),
-                "schema_meta".into(),
-            ],
-            values: vec![
-                CqlValue::Int(schema_id),
-                CqlValue::Int(mapped.node_count() as i64),
-                CqlValue::Int(mapped.cell_count() as i64),
-                CqlValue::Int(size.as_mb_rounded() as i64),
-                CqlValue::Int(entry),
-                CqlValue::Boolean(false),
-                CqlValue::Text(meta),
-            ],
-        })?;
+        if let Statement::Insert { values, .. } = &mut schema_stmt {
+            values[SIZE_AS_MB] = CqlValue::Int(size.as_mb_rounded() as i64);
+        }
+        self.db.execute(&schema_stmt)?;
         Ok(StoreReport {
             schema_id,
             node_rows: mapped.node_count(),
@@ -268,7 +147,7 @@ impl SchemaModel for NosqlDwarfModel {
         // million-cell cube never materializes a million ASTs.
         let mut statements = 0usize;
         let start = Instant::now();
-        self.db.execute(&Statement::Insert {
+        let schema_stmt = Statement::Insert {
             table: table("dwarf_schema"),
             columns: vec![
                 "id".into(),
@@ -288,7 +167,8 @@ impl SchemaModel for NosqlDwarfModel {
                 CqlValue::Boolean(is_cube),
                 CqlValue::Text(encode_schema_meta(cube.schema())),
             ],
-        })?;
+        };
+        self.db.execute(&schema_stmt)?;
         statements += 1;
         let mut node_stmt = Statement::Insert {
             table: table("dwarf_node"),
@@ -352,7 +232,7 @@ impl SchemaModel for NosqlDwarfModel {
             statements += 1;
         }
         let elapsed = start.elapsed();
-        self.finish_store(mapped, schema_id, statements, elapsed)
+        self.finish_store(mapped, schema_id, schema_stmt, statements, elapsed)
     }
 
     fn rebuild(&mut self, schema_id: i64) -> Result<Dwarf> {
@@ -455,24 +335,6 @@ mod tests {
         );
         assert_eq!(row.get_int("node_count").unwrap(), report.node_rows as i64);
         assert_eq!(row.get_int("cell_count").unwrap(), report.cell_rows as i64);
-    }
-
-    #[test]
-    fn text_path_equals_prepared_path() {
-        let c = cube();
-        let mut prepared = NosqlDwarfModel::in_memory();
-        prepared.create_schema().unwrap();
-        let rp = prepared.store(&MappedDwarf::new(&c), &c, false).unwrap();
-        let mut text = NosqlDwarfModel::in_memory();
-        text.create_schema().unwrap();
-        let rt = text
-            .store_via_text(&MappedDwarf::new(&c), &c, false)
-            .unwrap();
-        assert_eq!(rp.statements, rt.statements);
-        assert_eq!(
-            prepared.rebuild(rp.schema_id).unwrap().extract_tuples(),
-            text.rebuild(rt.schema_id).unwrap().extract_tuples()
-        );
     }
 
     #[test]

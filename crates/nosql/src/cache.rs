@@ -11,8 +11,9 @@
 //! evicts least-recently-used blocks until the new block fits. A capacity
 //! of zero disables caching entirely (every lookup misses, nothing is
 //! retained). SSTable file names are never reused within an engine
-//! instance, so deleted files simply age out; compaction still calls
-//! [`BlockCache::evict_file`] eagerly to hand the space back at once.
+//! instance, so deleted files simply age out; a merged-away SSTable still
+//! calls [`BlockCache::evict_file`] as it deletes its file, to hand the
+//! space back at once.
 //!
 //! Obs metrics (gated on [`sc_obs::enabled`]): `nosql.block_cache.hit`,
 //! `nosql.block_cache.miss`, `nosql.block_cache.evict`.
@@ -80,7 +81,9 @@ impl BlockCache {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("block cache lock poisoned")
+        // Every update leaves the maps and byte totals consistent, so a
+        // panic elsewhere under the lock poisons nothing worth refusing.
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up the block at `(file, offset)`, refreshing its recency.
@@ -158,7 +161,7 @@ impl BlockCache {
         }
     }
 
-    /// Drops every cached block of `file` (compaction deleted it).
+    /// Drops every cached block of `file` (the file is being deleted).
     pub fn evict_file(&self, file: &str) {
         let mut inner = self.lock();
         if let Some(blocks) = inner.files.remove(file) {

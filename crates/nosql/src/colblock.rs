@@ -19,7 +19,7 @@
 //! anything else.
 //!
 //! Column chunks are length-prefixed so a projected read skips a pruned
-//! column in O(1) without parsing it; [`BlockRows`] reports how many
+//! column in O(1) without parsing it; [`DecodedBlock`] reports how many
 //! chunks were decoded vs skipped for the `nosql.read.cols_*` counters.
 
 use crate::error::{NosqlError, Result};
@@ -38,10 +38,9 @@ const ENC_INT_DELTA: u8 = 1;
 const ENC_TEXT_DICT: u8 = 2;
 const ENC_BOOL_BITMAP: u8 = 3;
 
-/// Decoded records plus the column-pruning accounting, accumulated over
-/// the blocks of one read.
-#[derive(Debug, Default)]
-pub(crate) struct BlockRows {
+/// One block's records plus its column-pruning accounting.
+#[derive(Debug)]
+pub(crate) struct DecodedBlock {
     /// The records, in key order.
     pub entries: Vec<SstEntry>,
     /// Column chunks decoded.
@@ -170,15 +169,13 @@ fn choose_encoding(present: &[&CqlValue]) -> u8 {
     ENC_RAW
 }
 
-/// Decodes a block, appending its records to `out` and parsing only the
-/// column chunks `proj` asks for (`None` = all). Pruned columns come back
-/// as [`CqlValue::Null`].
+/// Decodes a block, parsing only the column chunks `proj` asks for
+/// (`None` = all). Pruned columns come back as [`CqlValue::Null`].
 pub(crate) fn decode_block_rows(
     file: &str,
     bytes: &[u8],
     proj: Option<&[usize]>,
-    out: &mut BlockRows,
-) -> Result<()> {
+) -> Result<DecodedBlock> {
     let corrupt = |what: &str| NosqlError::Corrupt(format!("{file}: {what}"));
     let mut d = Decoder::new(bytes);
     let count = d.get_u64().map_err(NosqlError::from)? as usize;
@@ -201,6 +198,11 @@ pub(crate) fn decode_block_rows(
     if ncols > bytes.len() {
         return Err(corrupt("implausible block column count"));
     }
+    let mut out = DecodedBlock {
+        entries: Vec::with_capacity(count),
+        cols_read: 0,
+        cols_skipped: 0,
+    };
     let mut cols: Vec<Option<Vec<CqlValue>>> = Vec::with_capacity(ncols);
     for c in 0..ncols {
         let chunk = d.get_bytes().map_err(NosqlError::from)?;
@@ -238,7 +240,7 @@ pub(crate) fn decode_block_rows(
             timestamp: seqs[i] as u64,
         });
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Decodes one column chunk into `live_count` cells (nulls included).
@@ -322,10 +324,8 @@ mod tests {
             .collect()
     }
 
-    fn decode(bytes: &[u8], proj: Option<&[usize]>) -> Result<BlockRows> {
-        let mut out = BlockRows::default();
-        decode_block_rows("t", bytes, proj, &mut out)?;
-        Ok(out)
+    fn decode(bytes: &[u8], proj: Option<&[usize]>) -> Result<DecodedBlock> {
+        decode_block_rows("t", bytes, proj)
     }
 
     #[test]

@@ -237,8 +237,8 @@ pub struct PointOutcome {
 pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
     let fault_seed = seed ^ crash_at.wrapping_mul(0x6a09_e667_f3bc_c909);
     let (vfs, handle) = Vfs::with_faults(Vfs::memory(), fault_seed);
-    // Arm before opening: even `Db::open`'s own manifest marker (op 0) is a
-    // valid crash point.
+    // Arm before opening, so the very first mutating op is a valid crash
+    // point too.
     handle.crash_at(crash_at);
     let run = match Db::open(tiny_open(vfs.clone())) {
         Ok(db) => drive(&db, seed)?,

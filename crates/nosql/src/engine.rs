@@ -8,9 +8,9 @@
 //! - **Reads** never block writers. A `SELECT` pins the MVCC watermark
 //!   ([`crate::mvcc::ReadPin`]) and resolves each key to the newest
 //!   version at or below that bound, across memtable shards, the frozen
-//!   flush run, and immutable SSTables (probed under a read guard so
-//!   compaction can never delete a file mid-lookup). Concurrent writers
-//!   can never tear a read: versions above the pin are invisible.
+//!   flush run, and immutable SSTables (a merged-away SSTable's file lives
+//!   until its last reader lets go). Concurrent writers can never tear a
+//!   read: versions above the pin are invisible.
 //! - **Writes** append to the group-commit WAL
 //!   ([`crate::commitlog::GroupCommitLog`]) — concurrent sessions share
 //!   one fsync via a leader/follower protocol — then insert into the
@@ -245,10 +245,6 @@ impl DbCore {
         if options.recover {
             core.recover_state()?;
         }
-        // Mark the disk as manifest-managed from the very first open, so a
-        // crash during the first flush can never be mistaken for a
-        // pre-manifest layout.
-        core.manifest.ensure_exists()?;
         Ok(core)
     }
 
@@ -269,12 +265,8 @@ impl DbCore {
         let _span = crate::obs::nosql().recovery.start();
         let mut state = self.write_state();
         self.replay_schema_journal(&mut state)?;
-        // Disks written before the manifest existed have SSTables but no
-        // MANIFEST: adopt them in name order and publish that as the first
-        // manifest record.
-        if !self.manifest.exists() {
-            self.adopt_legacy_sstables(&state)?;
-        }
+        // A missing manifest is an empty one: every `sst-*` file it does
+        // not list is an orphan.
         let live = self.manifest.repair()?;
         for (qualified, files) in &live {
             if let Some(table) = state.tables.get(qualified) {
@@ -353,20 +345,6 @@ impl DbCore {
             let stmt = parse_statement(line)?;
             self.apply_ddl(state, &stmt, false)?;
         }
-        Ok(())
-    }
-
-    /// Adopts pre-manifest SSTables (best available order: file name).
-    fn adopt_legacy_sstables(&self, state: &EngineState) -> Result<()> {
-        let mut edit = ManifestEdit::default();
-        for (qualified, table) in &state.tables {
-            let def = table.def();
-            let prefix = format!("{}/{}/sst-", def.keyspace, def.name);
-            for file in self.vfs.list(&prefix)? {
-                edit.adds.push((qualified.clone(), file));
-            }
-        }
-        self.manifest.commit(&edit)?;
         Ok(())
     }
 
@@ -608,9 +586,12 @@ impl DbCore {
         // Backfill for rows already present. The state write lock excludes
         // every concurrent statement, so reading at the top bound is exact.
         let base_def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
-        let existing = state.core(&base_def.qualified_name()).scan(u64::MAX)?;
+        let existing = state
+            .core(&base_def.qualified_name())
+            .cursor(u64::MAX, None, None);
         let mut writes = Vec::new();
-        for (_, row) in existing {
+        for row in existing.map(crate::table::live_row) {
+            let row = row?;
             let value = row.values[col_idx].clone();
             if value.is_null() {
                 continue;

@@ -100,10 +100,10 @@ pub fn build(plan: &PlanNode, cores: &Cores, bound: u64) -> Box<dyn Operator> {
                 bound,
             )),
             ScanKind::Full => Box::new(scan::FullScan::new(
-                Arc::clone(&cores.base),
+                &cores.base,
                 node.residual.clone(),
                 node.pushed_limit,
-                node.projection.as_ref().map(|p| p.indices.clone()),
+                node.projection.as_ref().map(|p| p.indices.as_slice()),
                 bound,
             )),
         },

@@ -3,8 +3,7 @@
 use super::{Operator, RowBatch, BATCH_ROWS};
 use crate::error::Result;
 use crate::plan::Predicate;
-use crate::row::Row;
-use crate::table::TableCore;
+use crate::table::{live_row, Cursor, TableCore};
 use crate::types::CqlValue;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -131,8 +130,9 @@ impl IndexScan {
             // The write path's posting-key layout: len-prefixed value key
             // ++ id; the value prefix covers every posting of the value.
             let prefix = crate::engine::DbCore::posting_prefix(value);
-            for (_, posting) in self.idx_core.scan_prefix(&prefix, self.bound)? {
-                if let Some(id) = posting.values[1].as_int() {
+            let postings = self.idx_core.cursor(self.bound, Some(&prefix), None);
+            for posting in postings.map(live_row) {
+                if let Some(id) = posting?.values[1].as_int() {
                     if seen.insert(id) {
                         ids.push(id);
                     }
@@ -170,33 +170,29 @@ impl Operator for IndexScan {
 
 /// Key-ordered scan of the whole table, with pushed-down residual
 /// predicates and an optional pushed `LIMIT` (counted after filtering).
+/// Batches are pulled straight off the table's merging cursor, so the scan
+/// holds one decoded block per SSTable and a met `LIMIT` stops reading.
 pub struct FullScan {
-    core: Arc<TableCore>,
+    /// Opened over the plan's projection: SSTables decode only those
+    /// column runs, leaving the rest `Null`. The planner guarantees every
+    /// column read above the scan is in the set.
+    cursor: Cursor,
     residual: Vec<Predicate>,
     remaining: Option<usize>,
-    /// Base-layout columns to materialize (`None` = all): SSTables
-    /// decode only these column runs, leaving the rest `Null`. The planner
-    /// guarantees every column read above the scan is in the set.
-    projection: Option<Vec<usize>>,
-    rows: Option<std::vec::IntoIter<(Vec<u8>, Row)>>,
-    bound: u64,
 }
 
 impl FullScan {
     pub(crate) fn new(
-        core: Arc<TableCore>,
+        core: &TableCore,
         residual: Vec<Predicate>,
         pushed_limit: Option<usize>,
-        projection: Option<Vec<usize>>,
+        projection: Option<&[usize]>,
         bound: u64,
     ) -> FullScan {
         FullScan {
-            core,
+            cursor: core.cursor(bound, None, projection),
             residual,
             remaining: pushed_limit,
-            projection,
-            rows: None,
-            bound,
         }
     }
 }
@@ -207,19 +203,12 @@ impl Operator for FullScan {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.rows.is_none() {
-            self.rows = Some(
-                self.core
-                    .scan_projected(self.bound, self.projection.as_deref())?
-                    .into_iter(),
-            );
-        }
         if self.remaining == Some(0) {
             return Ok(None);
         }
-        let iter = self.rows.as_mut().expect("scan materialized above");
         let mut batch = RowBatch::with_capacity(BATCH_ROWS);
-        for (_, row) in iter {
+        for row in self.cursor.by_ref().map(live_row) {
+            let row = row?;
             if !self.residual.iter().all(|p| p.matches(&row.values)) {
                 continue;
             }

@@ -63,31 +63,11 @@ impl Manifest {
         Manifest { vfs }
     }
 
-    /// Whether any manifest bytes exist yet.
-    pub fn exists(&self) -> bool {
-        self.vfs.exists(MANIFEST_FILE)
-    }
-
-    /// Creates an empty manifest (one empty record) if none exists. Fresh
-    /// engines call this at open so that recovery can tell "this disk never
-    /// had a manifest" (pre-manifest layout, adopt unlisted SSTables) apart
-    /// from "the first flush crashed before publishing" (orphan, delete).
-    pub fn ensure_exists(&self) -> Result<()> {
-        if self.exists() {
-            return Ok(());
-        }
-        self.commit_raw(&ManifestEdit::default())
-    }
-
     /// Appends one edit as a single CRC-framed record (the atomic publish).
     pub fn commit(&self, edit: &ManifestEdit) -> Result<()> {
         if edit.is_empty() {
             return Ok(());
         }
-        self.commit_raw(edit)
-    }
-
-    fn commit_raw(&self, edit: &ManifestEdit) -> Result<()> {
         let mut payload = Encoder::new();
         payload.put_u64(edit.adds.len() as u64);
         for (table, file) in &edit.adds {
@@ -280,7 +260,6 @@ mod tests {
     #[test]
     fn missing_manifest_is_empty() {
         let m = Manifest::open(Vfs::memory());
-        assert!(!m.exists());
         assert!(live(&m).is_empty());
         assert!(m.repair().unwrap().is_empty());
     }

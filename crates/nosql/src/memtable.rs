@@ -27,6 +27,7 @@
 //! that a pinned snapshot might still need stay behind in the shard.
 
 use crate::row::Row;
+use crate::sstable::SstEntry;
 use sc_encoding::Encoder;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -153,35 +154,34 @@ impl ShardedMemtable {
         None
     }
 
-    /// Newest version at or below `bound` for every key (tombstones
-    /// included), for scan merging.
-    pub fn visible_entries(&self, bound: u64) -> Vec<(Vec<u8>, Option<Row>, u64)> {
-        self.collect(bound, |_| true)
-    }
-
-    /// Like [`ShardedMemtable::visible_entries`] but restricted to keys
-    /// starting with `prefix`.
-    pub fn visible_prefix(&self, prefix: &[u8], bound: u64) -> Vec<(Vec<u8>, Option<Row>, u64)> {
-        self.collect(bound, |k| k.starts_with(prefix))
-    }
-
-    fn collect(
-        &self,
-        bound: u64,
-        keep: impl Fn(&[u8]) -> bool,
-    ) -> Vec<(Vec<u8>, Option<Row>, u64)> {
+    /// The memtable's layer of a merging cursor: per key starting with
+    /// `prefix` (`None` = all), the newest version at or below `bound`,
+    /// tombstones included, sorted by key.
+    ///
+    /// A version whose shadow is itself at or below `bound` is left out:
+    /// its successor was flushed and wins anyway — unless that successor
+    /// is a tombstone a compaction drops between this call and the
+    /// cursor's look at the SSTable list, in which case emitting the stale
+    /// version would resurrect the row.
+    pub fn snapshot(&self, bound: u64, prefix: Option<&[u8]>) -> Vec<SstEntry> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
             for (key, versions) in &shard.entries {
-                if !keep(key) {
+                if prefix.is_some_and(|p| !key.starts_with(p)) {
                     continue;
                 }
-                if let Some(v) = versions.iter().find(|v| v.seq <= bound) {
-                    out.push((key.clone(), v.row.clone(), v.seq));
+                let newest = versions.iter().find(|v| v.seq <= bound);
+                if let Some(v) = newest.filter(|v| v.shadow == u64::MAX || v.shadow > bound) {
+                    out.push(SstEntry {
+                        key: key.clone(),
+                        row: v.row.clone(),
+                        timestamp: v.seq,
+                    });
                 }
             }
         }
+        out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         out
     }
 
@@ -496,17 +496,25 @@ mod tests {
     }
 
     #[test]
-    fn visible_entries_pick_newest_at_or_below_bound() {
+    fn snapshot_picks_newest_at_or_below_bound_in_key_order() {
         let m = ShardedMemtable::new();
         put(&m, b"a", 1, 2, 0);
         put(&m, b"a", 2, 6, 0);
         put(&m, b"b", 3, 4, 0);
         m.put(b"c".to_vec(), None, 5, 8, 0); // tombstone
-        let mut vis = m.visible_entries(5);
-        vis.sort_by(|x, y| x.0.cmp(&y.0));
+        let vis = m.snapshot(5, None);
         assert_eq!(vis.len(), 3);
-        assert_eq!(vis[0].2, 2, "a@6 is above the bound");
-        assert_eq!(vis[1].2, 4);
-        assert!(vis[2].1.is_none(), "tombstones are reported to the merger");
+        assert_eq!(vis[0].timestamp, 2, "a@6 is above the bound");
+        assert_eq!(vis[1].timestamp, 4);
+        assert!(
+            vis[2].row.is_none(),
+            "tombstones are reported to the merger"
+        );
+        assert_eq!(m.snapshot(u64::MAX, Some(b"b")).len(), 1);
+        // a@6 flushes away; a@2 stays for a reader below 6 but is no
+        // longer anyone else's newest.
+        m.drain_up_to(6, 0);
+        assert_eq!(m.snapshot(5, Some(b"a")).len(), 1);
+        assert!(m.snapshot(6, Some(b"a")).is_empty());
     }
 }

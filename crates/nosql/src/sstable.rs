@@ -15,19 +15,22 @@
 //! *block* plus ~10 filter bits per key. Point misses are answered by the
 //! key fences and the bloom filter without touching a data block; hits
 //! read exactly one CRC-verified block, optionally through the engine's
-//! shared [`BlockCache`]. Projected scans ([`SsTable::scan_rows`]) decode
-//! only the column chunks the query needs.
+//! shared [`BlockCache`]. Everything else reads through [`SsTable::iter`],
+//! which holds one decoded block at a time, seeks through the block index
+//! for a key prefix and decodes only the column chunks its caller needs.
 //!
 //! Every decoded geometry field is validated at open (checked arithmetic,
 //! monotone offsets, bounded allocations), so a corrupt or truncated file
 //! surfaces as [`NosqlError::Corrupt`], never a panic.
 
 use crate::cache::BlockCache;
-use crate::colblock::{self, BlockRows};
+use crate::colblock::{self, DecodedBlock};
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
 use sc_encoding::{Bloom, Crc32, Decoder, Encoder, BLOCK_TARGET_BYTES};
 use sc_storage::Vfs;
+use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x5354_4233; // "STB3"
@@ -199,6 +202,27 @@ pub struct SsTable {
     size: u64,
     cache: Option<BlockCache>,
     meta: BlockMetaTable,
+    /// Set once a compaction has published this table's replacement; see
+    /// [`SsTable::mark_obsolete`].
+    obsolete: AtomicBool,
+}
+
+/// The file's lifetime is its last handle's: readers that took an `Arc`
+/// clone before a compaction swapped the table out keep reading it, and
+/// whoever drops last deletes it. A failed delete only counts — the
+/// manifest no longer lists the file, so the next recovery sweeps it.
+impl Drop for SsTable {
+    fn drop(&mut self) {
+        if !*self.obsolete.get_mut() {
+            return;
+        }
+        if let Some(cache) = &self.cache {
+            cache.evict_file(&self.file);
+        }
+        if self.vfs.delete(&self.file).is_err() {
+            crate::obs::nosql().compaction_errors.inc();
+        }
+    }
 }
 
 impl SsTable {
@@ -249,6 +273,7 @@ impl SsTable {
             size,
             cache,
             meta,
+            obsolete: AtomicBool::new(false),
         })
     }
 
@@ -384,18 +409,17 @@ impl SsTable {
         Ok(raw)
     }
 
-    /// Reads and decodes `blocks` in order — the one block loop behind
-    /// point probes, scans and prefix scans. Only the column chunks in
-    /// `proj` are parsed (`None` = all).
-    fn decode_blocks(&self, blocks: &[BlockMeta], proj: Option<&[usize]>) -> Result<BlockRows> {
-        let mut out = BlockRows::default();
-        out.entries
-            .reserve(blocks.iter().map(|b| b.count as usize).sum());
-        for block in blocks {
-            let bytes = self.read_block(block)?;
-            colblock::decode_block_rows(&self.file, &bytes, proj, &mut out)?;
-        }
-        Ok(out)
+    /// Reads and decodes one block, parsing only the column chunks in
+    /// `proj` (`None` = all).
+    fn decode_block(&self, block: &BlockMeta, proj: Option<&[usize]>) -> Result<DecodedBlock> {
+        let bytes = self.read_block(block)?;
+        colblock::decode_block_rows(&self.file, &bytes, proj)
+    }
+
+    /// Declares the table merged away: its file is deleted and its cached
+    /// blocks evicted when the last handle drops.
+    pub(crate) fn mark_obsolete(&self) {
+        self.obsolete.store(true, Ordering::Release);
     }
 
     /// Point lookup with read-path telemetry; [`SsTable::get`] is the
@@ -422,7 +446,7 @@ impl SsTable {
         let Some(i) = pos.checked_sub(1) else {
             return Ok(Probe::absent(true, false));
         };
-        let mut entries = self.decode_blocks(&meta.blocks[i..=i], None)?.entries;
+        let mut entries = self.decode_block(&meta.blocks[i], None)?.entries;
         let entry = entries
             .binary_search_by(|e| e.key.as_slice().cmp(key))
             .ok()
@@ -447,40 +471,91 @@ impl SsTable {
         Ok(self.probe(key)?.entry)
     }
 
-    /// Full scan in key order (tombstones included).
+    /// Streams the entries whose keys start with `prefix` (`None` = all) in
+    /// key order, tombstones included, one decoded block at a time. Only
+    /// the column runs in `proj` are parsed (`None` = all); pruned columns
+    /// come back as [`crate::types::CqlValue::Null`].
+    pub fn iter(&self, prefix: Option<&[u8]>, proj: Option<&[usize]>) -> SstIter<&SsTable> {
+        SstIter::new(self, prefix, proj)
+    }
+
+    /// Every entry in key order (tombstones included).
     pub fn scan(&self) -> Result<Vec<SstEntry>> {
-        Ok(self.decode_blocks(&self.meta.blocks, None)?.entries)
+        self.iter(None, None).collect()
     }
+}
 
-    /// Full scan reading only the column runs in `proj` (`None` = all):
-    /// pruned columns are never parsed and come back as
-    /// [`crate::types::CqlValue::Null`]. Column-read/skip totals land on
-    /// the `nosql.read.cols_{read,skipped}` counters.
-    pub(crate) fn scan_rows(&self, proj: Option<&[usize]>) -> Result<Vec<SstEntry>> {
-        let decoded = self.decode_blocks(&self.meta.blocks, proj)?;
-        if sc_obs::enabled() {
-            let obs = crate::obs::nosql();
-            obs.cols_read.add(decoded.cols_read);
-            obs.cols_skipped.add(decoded.cols_skipped);
+/// The one block loop behind scans, prefix scans and merges; see
+/// [`SsTable::iter`]. `T` is how the table is held: a borrow, or an `Arc`
+/// for a cursor that must outlive the table list's guard.
+#[derive(Debug)]
+pub struct SstIter<T> {
+    sst: T,
+    /// Blocks still to read, chosen through the block index.
+    blocks: Range<usize>,
+    prefix: Option<Vec<u8>>,
+    proj: Option<Vec<usize>>,
+    /// What is left of the one decoded block.
+    block: std::vec::IntoIter<SstEntry>,
+}
+
+impl<T: Deref<Target = SsTable>> SstIter<T> {
+    pub(crate) fn new(sst: T, prefix: Option<&[u8]>, proj: Option<&[usize]>) -> SstIter<T> {
+        let index = &sst.meta.blocks;
+        let blocks = match prefix {
+            // Matching entries can start inside the block before the first
+            // block whose first key is >= prefix, and end inside the last
+            // block whose first key is below or under the prefix.
+            Some(p) => {
+                let start = index
+                    .partition_point(|b| b.first_key.as_slice() < p)
+                    .saturating_sub(1);
+                let end = index
+                    .partition_point(|b| b.first_key.as_slice() < p || b.first_key.starts_with(p));
+                start..end
+            }
+            None => 0..index.len(),
+        };
+        SstIter {
+            sst,
+            blocks,
+            prefix: prefix.map(<[u8]>::to_vec),
+            proj: proj.map(<[usize]>::to_vec),
+            block: Vec::new().into_iter(),
         }
-        Ok(decoded.entries)
     }
+}
 
-    /// Entries whose keys start with `prefix`, in key order.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<SstEntry>> {
-        let blocks = &self.meta.blocks;
-        // Matching entries can start inside the block before the first
-        // block whose first key is >= prefix, and end inside the last block
-        // whose first key is below or under the prefix.
-        let start = blocks
-            .partition_point(|b| b.first_key.as_slice() < prefix)
-            .saturating_sub(1);
-        let end = blocks.partition_point(|b| {
-            b.first_key.as_slice() < prefix || b.first_key.starts_with(prefix)
-        });
-        let mut entries = self.decode_blocks(&blocks[start..end], None)?.entries;
-        entries.retain(|e| e.key.starts_with(prefix));
-        Ok(entries)
+impl<T: Deref<Target = SsTable>> Iterator for SstIter<T> {
+    type Item = Result<SstEntry>;
+
+    fn next(&mut self) -> Option<Result<SstEntry>> {
+        loop {
+            let prefix = self.prefix.as_deref();
+            if let Some(e) = self
+                .block
+                .find(|e| prefix.is_none_or(|p| e.key.starts_with(p)))
+            {
+                return Some(Ok(e));
+            }
+            let sst: &SsTable = &self.sst;
+            let block = &sst.meta.blocks[self.blocks.next()?];
+            match sst.decode_block(block, self.proj.as_deref()) {
+                Ok(decoded) => {
+                    // `nosql.read.cols_*` describe projected reads only.
+                    if self.proj.is_some() && sc_obs::enabled() {
+                        let obs = crate::obs::nosql();
+                        obs.cols_read.add(decoded.cols_read);
+                        obs.cols_skipped.add(decoded.cols_skipped);
+                    }
+                    self.block = decoded.entries.into_iter();
+                }
+                Err(e) => {
+                    self.blocks = 0..0;
+                    return Some(Err(e));
+                }
+            }
+        }
     }
 }
 
@@ -554,12 +629,12 @@ mod tests {
     }
 
     #[test]
-    fn projected_scan_rows_reads_only_requested_columns() {
+    fn projected_iter_reads_only_requested_columns() {
         let vfs = Vfs::memory();
         let es = typed_entries(50);
         write_sstable(&vfs, "t/typed", &es).unwrap();
         let sst = SsTable::open(vfs, "t/typed").unwrap();
-        let rows = sst.scan_rows(Some(&[2])).unwrap();
+        let rows: Vec<SstEntry> = sst.iter(None, Some(&[2])).collect::<Result<_>>().unwrap();
         assert_eq!(rows.len(), es.len());
         for (i, e) in rows.iter().enumerate() {
             assert_eq!(e.key, es[i].key);
@@ -570,8 +645,7 @@ mod tests {
             assert_eq!(row.values[1], CqlValue::Null, "pruned column is Null");
         }
         // Unprojected decode returns every column.
-        let full = sst.scan_rows(None).unwrap();
-        assert_eq!(full, es);
+        assert_eq!(sst.scan().unwrap(), es);
     }
 
     #[test]
@@ -590,10 +664,10 @@ mod tests {
         }
         assert_eq!(sst.scan().unwrap(), es);
         // Prefix scans cross block boundaries.
-        let with_prefix = sst.scan_prefix(b"key-0000003").unwrap();
-        assert_eq!(with_prefix.len(), 10);
-        assert_eq!(sst.scan_prefix(b"key-").unwrap().len(), es.len());
-        assert!(sst.scan_prefix(b"zzz").unwrap().is_empty());
+        let with_prefix = |p: &[u8]| sst.iter(Some(p), None).collect::<Result<Vec<_>>>().unwrap();
+        assert_eq!(with_prefix(b"key-0000003"), es[30..40]);
+        assert_eq!(with_prefix(b"key-"), es);
+        assert!(with_prefix(b"zzz").is_empty());
     }
 
     #[test]

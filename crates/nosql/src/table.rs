@@ -4,10 +4,15 @@
 //! `TableCore` is the concurrent successor of the old `TableRuntime`.
 //! Writers insert into the FNV-sharded memtable (per-shard mutexes);
 //! readers run lock-free against the memtable shards and take only a
-//! read guard on the SSTable list, which they hold across every probe so
-//! a concurrent compaction can never delete a file out from under them.
+//! read guard on the SSTable list. Point reads hold it across their
+//! probes; a [`Cursor`] clones the `Arc`s out of it and reads on, and a
+//! merged-away SSTable deletes its file when the last clone drops.
 //! Flush and compaction serialize on a per-table maintenance mutex and
 //! never block reads except for the instant they swap the SSTable list.
+//!
+//! Every read takes its layers in the direction data moves — memtable,
+//! frozen run, SSTable list — so a version a concurrent flush carries
+//! from one layer to the next is met at least once.
 //!
 //! A flush is two-phase: drained entries are published as a **frozen
 //! run** (readable, immutable) while the SSTable is written, then the
@@ -23,9 +28,8 @@ use crate::memtable::ShardedMemtable;
 use crate::mvcc::{SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
-use crate::sstable::{write_sstable, SsTable, SstEntry};
+use crate::sstable::{write_sstable, SsTable, SstEntry, SstIter};
 use sc_storage::Vfs;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -53,6 +57,82 @@ impl Default for TableOptions {
 struct FrozenRun {
     /// Sorted by key: exactly what the flush hands to [`write_sstable`].
     entries: Vec<SstEntry>,
+}
+
+/// One sorted input of a [`Cursor`].
+type Layer = Box<dyn Iterator<Item = Result<SstEntry>>>;
+
+/// The one merge loop: a k-way merge over sorted layers under a single
+/// rule — per key, the highest sequence at or below `bound` wins. Yields
+/// the winners in key order; every read that is not a point probe and
+/// every compaction consumes it.
+pub(crate) struct Cursor {
+    layers: Vec<Layer>,
+    /// `heads[i]` is layer `i`'s next entry at or below `bound`; `None`
+    /// until pulled, so nothing is read ahead of the caller's demand.
+    heads: Vec<Option<SstEntry>>,
+    bound: u64,
+    keep_tombstones: bool,
+}
+
+impl Cursor {
+    fn new(layers: Vec<Layer>, bound: u64, keep_tombstones: bool) -> Cursor {
+        Cursor {
+            heads: layers.iter().map(|_| None).collect(),
+            layers,
+            bound,
+            keep_tombstones,
+        }
+    }
+
+    fn advance(&mut self) -> Result<Option<SstEntry>> {
+        loop {
+            for i in (0..self.layers.len()).rev() {
+                if self.heads[i].is_some() {
+                    continue;
+                }
+                let bound = self.bound;
+                match self.layers[i].find(|e| !matches!(e, Ok(e) if e.timestamp > bound)) {
+                    Some(e) => self.heads[i] = Some(e?),
+                    None => {
+                        drop(self.layers.swap_remove(i));
+                        self.heads.swap_remove(i);
+                    }
+                }
+            }
+            // Smallest key first; among a key's versions, the newest.
+            fn rank(head: &Option<SstEntry>) -> (&[u8], std::cmp::Reverse<u64>) {
+                let e = head.as_ref().expect("every head was just filled");
+                (&e.key, std::cmp::Reverse(e.timestamp))
+            }
+            let Some(winner) = self.heads.iter_mut().min_by(|a, b| rank(a).cmp(&rank(b))) else {
+                return Ok(None);
+            };
+            let winner = winner.take().expect("every head was just filled");
+            // The other layers' versions of this key are shadowed.
+            for head in &mut self.heads {
+                if head.as_ref().is_some_and(|e| e.key == winner.key) {
+                    *head = None;
+                }
+            }
+            if winner.row.is_some() || self.keep_tombstones {
+                return Ok(Some(winner));
+            }
+        }
+    }
+}
+
+impl Iterator for Cursor {
+    type Item = Result<SstEntry>;
+
+    fn next(&mut self) -> Option<Result<SstEntry>> {
+        self.advance().transpose()
+    }
+}
+
+/// The row of an entry a query's cursor ([`TableCore::cursor`]) yielded.
+pub(crate) fn live_row(entry: Result<SstEntry>) -> Result<Row> {
+    Ok(entry?.row.expect("a query's cursor elides tombstones"))
 }
 
 /// Runtime state of one column family. All methods take `&self`; the type
@@ -237,86 +317,42 @@ impl TableCore {
         Ok(best.and_then(|(row, _)| row))
     }
 
-    /// Full scan at `bound`: newest visible version per key, tombstones
-    /// elided, key order.
-    pub fn scan(&self, bound: u64) -> Result<Vec<(Vec<u8>, Row)>> {
-        self.scan_merge(bound, None, None)
-    }
-
-    /// Full scan decoding only the columns in `proj` from SSTables
-    /// (`None` = all). Pruned columns come back as `Null`; rows served from
-    /// the memtable or frozen run are always complete, so callers must only
-    /// look at projected positions.
-    pub fn scan_projected(
-        &self,
-        bound: u64,
-        proj: Option<&[usize]>,
-    ) -> Result<Vec<(Vec<u8>, Row)>> {
-        self.scan_merge(bound, None, proj)
-    }
-
-    /// Bounded scan at `bound`: like [`TableCore::scan`] but restricted to
-    /// keys starting with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8], bound: u64) -> Result<Vec<(Vec<u8>, Row)>> {
-        self.scan_merge(bound, Some(prefix), None)
-    }
-
-    fn scan_merge(
-        &self,
-        bound: u64,
-        prefix: Option<&[u8]>,
-        proj: Option<&[usize]>,
-    ) -> Result<Vec<(Vec<u8>, Row)>> {
-        // Layers ordered oldest → newest: SSTables (age order), frozen
-        // run, memtable. Within the on-disk layers, later always means a
-        // newer per-key sequence, so plain overwrite is correct; the
-        // memtable layer can hold *older* snapshot-retained versions, so
-        // it must compare sequences.
-        let mut seen: BTreeMap<Vec<u8>, (Option<Row>, u64)> = BTreeMap::new();
-        {
-            let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
-            for sst in ssts.iter() {
-                let entries = match prefix {
-                    Some(p) => sst.scan_prefix(p)?,
-                    // Decodes only the projected column runs.
-                    None => sst.scan_rows(proj)?,
-                };
-                for e in entries {
-                    if e.timestamp <= bound {
-                        seen.insert(e.key, (e.row, e.timestamp));
-                    }
-                }
-            }
-        }
+    /// Opens the table's merging cursor at `bound`: the newest visible
+    /// version of every key starting with `prefix` (`None` = all), in key
+    /// order, tombstones elided. SSTables decode only the columns in
+    /// `proj` (`None` = all) and leave the rest `Null`; rows served from
+    /// the memtable or frozen run are always complete, so callers must
+    /// only look at projected positions.
+    ///
+    /// The layers are taken in [`TableCore::get`]'s order — see the module
+    /// docs — and the cursor owns what it took, so it stays valid while
+    /// flushes and compactions move on.
+    pub fn cursor(&self, bound: u64, prefix: Option<&[u8]>, proj: Option<&[usize]>) -> Cursor {
+        let mut layers: Vec<Layer> = Vec::new();
+        layers.push(Box::new(
+            self.mem.snapshot(bound, prefix).into_iter().map(Ok),
+        ));
+        crate::mvcc::perturb(37);
         if let Some(frozen) = self
             .flushing
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
         {
-            for e in &frozen.entries {
-                if e.timestamp > bound || prefix.is_some_and(|p| !e.key.starts_with(p)) {
-                    continue;
-                }
-                seen.insert(e.key.clone(), (e.row.clone(), e.timestamp));
-            }
+            let run: Vec<SstEntry> = frozen
+                .entries
+                .iter()
+                .filter(|e| prefix.is_none_or(|p| e.key.starts_with(p)))
+                .cloned()
+                .collect();
+            layers.push(Box::new(run.into_iter().map(Ok)));
         }
-        let mem_entries = match prefix {
-            Some(p) => self.mem.visible_prefix(p, bound),
-            None => self.mem.visible_entries(bound),
-        };
-        for (key, row, seq) in mem_entries {
-            match seen.get(&key) {
-                Some((_, existing)) if *existing >= seq => {}
-                _ => {
-                    seen.insert(key, (row, seq));
-                }
-            }
+        crate::mvcc::perturb(38);
+        let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
+        for sst in ssts.iter() {
+            layers.push(Box::new(SstIter::new(Arc::clone(sst), prefix, proj)));
         }
-        Ok(seen
-            .into_iter()
-            .filter_map(|(k, (row, _))| row.map(|r| (k, r)))
-            .collect())
+        Cursor::new(layers, bound, false)
     }
 
     /// Flushes committed memtable versions to a new SSTable. Blocks on the
@@ -561,20 +597,27 @@ impl TableCore {
             let bytes_in: u64 = run.iter().map(|s| s.size()).sum();
             crate::obs::nosql().compaction_bytes_in.add(bytes_in);
         }
-        let mut merged: BTreeMap<Vec<u8>, SstEntry> = BTreeMap::new();
+        // Tombstones can only be dropped when no older SSTable might hold a
+        // shadowed live version.
+        let drop_tombstones = start == 0;
+        let layers = run
+            .iter()
+            .map(|sst| Box::new(SstIter::new(Arc::clone(sst), None, None)) as Layer)
+            .collect();
+        let mut entries: Vec<SstEntry> = Vec::new();
         let mut max_ts = 0u64;
-        for sst in &run {
-            for e in sst.scan()? {
-                max_ts = max_ts.max(e.timestamp);
-                merged.insert(e.key.clone(), e);
+        for e in Cursor::new(layers, u64::MAX, true) {
+            let e = e?;
+            // Each key's winner carries its highest sequence, so this is
+            // the run's newest sequence too.
+            max_ts = max_ts.max(e.timestamp);
+            if e.row.is_some() || !drop_tombstones {
+                entries.push(e);
             }
         }
         if registry.min_pinned() < max_ts {
             return Ok(false);
         }
-        // Tombstones can only be dropped when no older SSTable might hold a
-        // shadowed live version.
-        let drop_tombstones = start == 0;
         if drop_tombstones {
             // A snapshot-retained version a past flush left behind in the
             // memtable (shadowed by a now-flushed newer sequence) is pruned
@@ -586,10 +629,6 @@ impl TableCore {
             // visible watermark covers every flushed sequence.
             self.mem.gc(max_ts);
         }
-        let entries: Vec<SstEntry> = merged
-            .into_values()
-            .filter(|e| !drop_tombstones || e.row.is_some())
-            .collect();
         let file = format!(
             "{}{:06}",
             self.sst_prefix(),
@@ -607,7 +646,7 @@ impl TableCore {
         }
         // One append swaps the whole run atomically; the edit's splice
         // position records where the merged table sits in age order. Only
-        // after the swap is durable are the old files deleted — a crash in
+        // after the swap is durable may the old files go — a crash in
         // between leaves them as orphans for recovery to sweep.
         let qualified = self.def().qualified_name();
         self.manifest.commit(&ManifestEdit {
@@ -617,16 +656,15 @@ impl TableCore {
                 .map(|sst| (qualified.clone(), sst.file().to_string()))
                 .collect(),
         })?;
-        let removed: Vec<Arc<SsTable>> = {
-            let mut ssts = self.ssts.write().unwrap_or_else(|e| e.into_inner());
-            ssts.splice(start..=end, std::iter::once(new)).collect()
-        };
-        // No reader can be probing these now: point reads and scans hold
-        // the list's read guard across all their probes, and the write
-        // guard above waited those out.
-        for old in removed {
-            self.cache.evict_file(old.file());
-            self.vfs.delete(old.file())?;
+        self.ssts
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .splice(start..=end, std::iter::once(new));
+        // A cursor opened before the swap may still be reading these: each
+        // file goes when its last handle drops — here, in run order, unless
+        // such a cursor outlives this call.
+        for old in &run {
+            old.mark_obsolete();
         }
         Ok(true)
     }
@@ -681,8 +719,9 @@ impl TableCore {
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
         let mut max = 0u64;
         for sst in ssts.iter() {
-            for e in sst.scan()? {
-                max = max.max(e.timestamp);
+            // Keys and sequences only: no value column is decoded.
+            for e in sst.iter(None, Some(&[])) {
+                max = max.max(e?.timestamp);
             }
         }
         Ok(max)
@@ -744,6 +783,8 @@ mod tests {
     use super::*;
     use crate::schema::ColumnDef;
     use crate::types::{CqlType, CqlValue};
+    use sc_encoding::Rng;
+    use std::collections::BTreeMap;
 
     fn def() -> TableDef {
         TableDef::new(
@@ -824,6 +865,14 @@ mod tests {
             self.maybe_compact();
         }
 
+        fn scan(&self) -> Vec<(Vec<u8>, Row)> {
+            self.table
+                .cursor(u64::MAX, None, None)
+                .map(|e| e.map(|e| (e.key, e.row.expect("tombstones are elided"))))
+                .collect::<Result<_>>()
+                .unwrap()
+        }
+
         /// The engine's post-flush hook with `compaction_threads = 0`.
         fn maybe_compact(&self) {
             if self.table.needs_compaction() {
@@ -871,7 +920,7 @@ mod tests {
         h.flush();
         h.put(k.clone(), None);
         assert_eq!(h.get(&k), None);
-        assert!(h.table.scan(u64::MAX).unwrap().is_empty());
+        assert!(h.scan().is_empty());
     }
 
     #[test]
@@ -889,7 +938,7 @@ mod tests {
         h.flush();
         h.table.compact(&h.registry).unwrap();
         assert_eq!(h.table.sstable_count(), 1);
-        let rows = h.table.scan(u64::MAX).unwrap();
+        let rows = h.scan();
         assert_eq!(rows.len(), 9, "id 0 deleted, 1..9 live");
         for (_, r) in rows {
             assert_eq!(r.values[1], CqlValue::Text("round2".into()));
@@ -1020,7 +1069,7 @@ mod tests {
         h.flush();
         let (k1, r1) = row(1, "a");
         h.put(k1, Some(r1));
-        let rows = h.table.scan(u64::MAX).unwrap();
+        let rows = h.scan();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].1.values[0], CqlValue::Int(1));
         assert_eq!(rows[1].1.values[0], CqlValue::Int(2));
@@ -1105,9 +1154,200 @@ mod tests {
         h.registry.unpin(pin);
         h.table.compact(&h.registry).unwrap();
         assert_eq!(h.get(&k1), None, "deleted row resurrected by compaction");
-        let rows = h.table.scan(u64::MAX).unwrap();
+        let rows = h.scan();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, k2);
         assert_eq!(rows[0].1, r2);
+    }
+
+    #[test]
+    fn an_open_cursor_outlives_the_compaction_of_its_sstables() {
+        let vfs = Vfs::memory();
+        let options = TableOptions {
+            memtable_flush_bytes: 1 << 20, // manual flushes only
+            compaction_threshold: 8,
+        };
+        let h = Harness::new(vfs.clone(), options);
+        // Three overlapping multi-block SSTables.
+        for round in 0..3 {
+            for i in 0..100 {
+                let (k, r) = row(
+                    i + round * 50,
+                    &format!("round {round} {}", "x".repeat(100)),
+                );
+                h.put(k, Some(r));
+            }
+            h.flush();
+        }
+        let expected = h.scan();
+        assert_eq!(expected.len(), 200);
+
+        let mut cursor = h.table.cursor(u64::MAX, None, None);
+        let mut got = vec![cursor.next().unwrap().unwrap()];
+        h.table.compact(&h.registry).unwrap();
+        assert_eq!(h.table.sstable_count(), 1);
+        assert_eq!(
+            vfs.list("ks/t/sst-").unwrap().len(),
+            4,
+            "the merged-away files live as long as the cursor reading them"
+        );
+        for e in cursor {
+            got.push(e.unwrap());
+        }
+        let got: Vec<(Vec<u8>, Row)> = got.into_iter().map(|e| (e.key, e.row.unwrap())).collect();
+        assert_eq!(got, expected);
+        assert_eq!(
+            vfs.list("ks/t/sst-").unwrap(),
+            h.table.sstable_files(),
+            "the last handle's drop deleted the inputs"
+        );
+    }
+
+    /// One generated layer, sorted by key: about half of 120 keys in three
+    /// prefix groups, a quarter of them tombstones, sequences drawn from
+    /// the shared counter so later layers are newer. Some versions are
+    /// also copied into `mem` (the flush overlap) and some land there
+    /// *instead* (a snapshot-retained version whose successor flushed).
+    fn layer(rng: &mut Rng, seq: &mut u64, mem: &mut Vec<SstEntry>) -> Vec<SstEntry> {
+        let mut out = Vec::new();
+        for id in 0..120u8 {
+            if rng.gen_range(2) == 0 {
+                continue;
+            }
+            *seq += 1;
+            let e = SstEntry {
+                key: vec![b'a' + id % 3, id],
+                row: (rng.gen_range(4) != 0).then(|| {
+                    Row::new(vec![
+                        CqlValue::Int(id as i64),
+                        CqlValue::Text(format!("{seq}-{}", "x".repeat(100))),
+                    ])
+                }),
+                timestamp: *seq,
+            };
+            match rng.gen_range(8) {
+                0 => mem.push(e),
+                1 | 2 => {
+                    mem.push(e.clone());
+                    out.push(e);
+                }
+                _ => out.push(e),
+            }
+        }
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out
+    }
+
+    /// The materialising scan the cursor replaced, kept as its reference:
+    /// disk layers oldest to newest with plain overwrite, then the
+    /// memtable's newest visible version per key by sequence comparison.
+    fn scan_reference(
+        disk: &[&Vec<SstEntry>],
+        mem: &[SstEntry],
+        bound: u64,
+        prefix: Option<&[u8]>,
+    ) -> Vec<SstEntry> {
+        let visible =
+            |e: &&SstEntry| e.timestamp <= bound && prefix.is_none_or(|p| e.key.starts_with(p));
+        let mut seen: BTreeMap<Vec<u8>, SstEntry> = BTreeMap::new();
+        for e in disk.iter().flat_map(|layer| layer.iter()).filter(visible) {
+            seen.insert(e.key.clone(), e.clone());
+        }
+        let mut newest: BTreeMap<Vec<u8>, SstEntry> = BTreeMap::new();
+        for e in mem.iter().filter(visible) {
+            if newest.get(&e.key).is_none_or(|n| n.timestamp < e.timestamp) {
+                newest.insert(e.key.clone(), e.clone());
+            }
+        }
+        for (key, e) in newest {
+            if seen.get(&key).is_none_or(|s| s.timestamp < e.timestamp) {
+                seen.insert(key, e);
+            }
+        }
+        seen.into_values().filter(|e| e.row.is_some()).collect()
+    }
+
+    /// The merge loop `merge_run` had before it read through the cursor.
+    fn merge_reference(run: &[Vec<SstEntry>], drop_tombstones: bool) -> Vec<SstEntry> {
+        let mut merged: BTreeMap<Vec<u8>, SstEntry> = BTreeMap::new();
+        for e in run.iter().flatten() {
+            merged.insert(e.key.clone(), e.clone());
+        }
+        merged
+            .into_values()
+            .filter(|e| !drop_tombstones || e.row.is_some())
+            .collect()
+    }
+
+    #[test]
+    fn cursor_and_merge_agree_with_the_materialising_references() {
+        for seed in 1..=40u64 {
+            let mut rng = Rng::new(seed);
+            let vfs = Vfs::memory();
+            let options = TableOptions {
+                memtable_flush_bytes: 1 << 30,
+                compaction_threshold: 64,
+            };
+            let h = Harness::new(vfs.clone(), options);
+            let mut seq = 0u64;
+            let mut mem = Vec::new();
+            let ssts: Vec<Vec<SstEntry>> = (0..1 + rng.gen_range(6))
+                .map(|i| {
+                    let run = layer(&mut rng, &mut seq, &mut mem);
+                    let file = format!("ks/t/sst-{i:06}");
+                    write_sstable(&vfs, &file, &run).unwrap();
+                    h.table.attach_sstable(&file).unwrap();
+                    run
+                })
+                .collect();
+            let frozen = (rng.gen_range(2) == 0).then(|| layer(&mut rng, &mut seq, &mut mem));
+            if let Some(run) = &frozen {
+                *h.table.flushing.write().unwrap() = Some(Arc::new(FrozenRun {
+                    entries: run.clone(),
+                }));
+            }
+            let newest = layer(&mut rng, &mut seq, &mut mem);
+            mem.extend(newest);
+            for e in &mem {
+                // Floor 0 keeps every version, like a snapshot pinned at 0.
+                h.table
+                    .apply(e.key.clone(), e.row.clone(), e.timestamp, 64, 0);
+            }
+
+            let disk: Vec<&Vec<SstEntry>> = ssts.iter().chain(&frozen).collect();
+            for bound in [0, seq / 3, seq / 2, seq - 1, u64::MAX] {
+                for prefix in [
+                    None,
+                    Some(&b"a"[..]),
+                    Some(b"b"),
+                    Some(b"c\x08"),
+                    Some(b"z"),
+                ] {
+                    let got: Vec<SstEntry> = h
+                        .table
+                        .cursor(bound, prefix, None)
+                        .collect::<Result<_>>()
+                        .unwrap();
+                    assert_eq!(
+                        got,
+                        scan_reference(&disk, &mem, bound, prefix),
+                        "seed {seed} bound {bound} prefix {prefix:?}"
+                    );
+                }
+            }
+
+            let start = rng.gen_range(ssts.len() as u64) as usize;
+            assert!(h
+                .table
+                .merge_run(start, ssts.len() - 1, &h.registry)
+                .unwrap());
+            let merged = Arc::clone(&h.table.ssts.read().unwrap()[start]);
+            assert_eq!(h.table.sstable_count(), start + 1);
+            assert_eq!(
+                merged.scan().unwrap(),
+                merge_reference(&ssts[start..], start == 0),
+                "seed {seed} merge from {start}"
+            );
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Concurrency tier: writer and reader sessions racing over one engine.
 //!
-//! Three properties are checked, each with a per-key history oracle:
+//! Four properties are checked, the first three with a per-key history
+//! oracle:
 //!
 //! * **Monotone reads** — every row version carries a writer-side version
 //!   number; a reader may never observe a key's value going backwards, and
@@ -11,6 +12,9 @@
 //!   crash mid-run, recovery must surface, for every key, either its last
 //!   acknowledged version or the one in-flight version whose ack the crash
 //!   swallowed.
+//! * **No scan skew across a flush** — a full scan or a posting scan that
+//!   races threshold flushes and background merges still counts every row
+//!   acknowledged before the statement began.
 //!
 //! `scripts/ci.sh` runs this tier in release mode with the `SC_NOSQL_YIELD`
 //! schedule perturber armed, which widens the set of interleavings far
@@ -19,7 +23,7 @@
 use sc_nosql::{crashtest, Db, NosqlError, OpenOptions, SharedDb};
 use sc_storage::{StorageError, Vfs};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::time::Duration;
 
 const WRITERS: usize = 4;
@@ -171,6 +175,52 @@ fn snapshots_stay_stable_while_writers_churn() {
     drop(snap);
     // The live view did move on.
     assert_eq!(read_point(&db, 0), Some(41));
+}
+
+/// An insert-only writer with a tiny memtable keeps a flush (and, behind
+/// it, a background merge) permanently in flight while readers count rows.
+/// A flush carries rows memtable → frozen run → SSTable; a scan that took
+/// those layers in any other order could visit each just after the rows
+/// left it and miss rows whose inserts had long returned.
+#[test]
+fn scans_count_every_acked_row_across_flushes() {
+    const ROWS: i64 = 1500;
+    let db = SharedDb::open(OpenOptions::default().memtable_flush_bytes(512)).unwrap();
+    setup(&db);
+    db.execute_cql("CREATE TABLE c.u (id int, v int, PRIMARY KEY (id))")
+        .unwrap();
+    db.execute_cql("CREATE INDEX ON c.u (v)").unwrap();
+    let acked = AtomicI64::new(0);
+
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            for id in 0..ROWS {
+                for table in ["c.t", "c.u"] {
+                    db.execute_cql(&format!("INSERT INTO {table} (id, v) VALUES ({id}, 1)"))
+                        .unwrap();
+                }
+                acked.store(id + 1, Ordering::Release);
+            }
+        });
+        for _ in 0..READERS {
+            s.spawn(|| {
+                while acked.load(Ordering::Acquire) < ROWS {
+                    for cql in [
+                        "SELECT COUNT(*) FROM c.t",
+                        "SELECT COUNT(*) FROM c.u WHERE v = 1",
+                    ] {
+                        let floor = acked.load(Ordering::Acquire);
+                        let count = db.execute_cql(cql).unwrap().rows()[0][0].as_int();
+                        assert!(
+                            count >= Some(floor),
+                            "{cql}: counted {count:?} with {floor} rows acknowledged"
+                        );
+                    }
+                }
+            });
+        }
+        writer.join().unwrap();
+    });
 }
 
 fn is_injected(e: &NosqlError) -> bool {

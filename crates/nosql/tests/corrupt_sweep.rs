@@ -3,11 +3,11 @@
 //! For every byte position of a freshly written table, three mutations are
 //! tried — flip one bit, overwrite with 0xFF, truncate the file at that
 //! position — and for each mutant the full read surface (`open`, `get` on
-//! present and absent keys, `scan`, `scan_prefix`) is driven. The invariant
-//! under test is the hardening goal: a corrupt or truncated file must
-//! surface as `Err(NosqlError::Corrupt)` or behave correctly — it may
-//! never panic, never allocate unboundedly, and (every region being CRC-
-//! or geometry-checked) never silently return wrong rows.
+//! present and absent keys, `scan`, a prefix `iter` and a projected `iter`)
+//! is driven. The invariant under test is the hardening goal: a corrupt or
+//! truncated file must surface as `Err(NosqlError::Corrupt)` or behave
+//! correctly — it may never panic, never allocate unboundedly, and (every
+//! region being CRC- or geometry-checked) never silently return wrong rows.
 //!
 //! The fixture meets the varint-delta, dictionary and null-bitmap codecs
 //! and a tombstone, so those decoders face the mutants too.
@@ -47,7 +47,8 @@ fn exercise(vfs: &Vfs, file: &str, es: &[SstEntry]) -> Result<Vec<SstEntry>, Nos
         sst.get(&e.key)?;
     }
     sst.get(b"absent-key")?;
-    sst.scan_prefix(b"k")?;
+    sst.iter(Some(b"k"), None).collect::<Result<Vec<_>, _>>()?;
+    sst.iter(None, Some(&[1])).collect::<Result<Vec<_>, _>>()?;
     sst.scan()
 }
 

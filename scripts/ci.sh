@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, offline release build, full test suite.
 # Runs with zero network access — the workspace has no external
-# dependencies (criterion benches live in the excluded
-# crates/criterion-benches package).
+# dependencies. Performance is measured elsewhere: `bash benchmark/run.sh`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,12 +14,19 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark package still compiles against the crates' public API"
+# benchmark/ is a standalone package the benchmark driver builds from its
+# own checkout; checking it here turns an API break into a tier-1 failure.
+CARGO_TARGET_DIR=.bench_build \
+    cargo check --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "==> concurrency tier (release, seeded yield injector)"
 # Release mode frees the real interleavings; SC_NOSQL_YIELD arms the
 # deterministic schedule perturber at engine synchronization points so the
-# writer/reader races, the concurrent crash matrix, and the background
-# compaction pool (concurrent flushes + merges + pinned snapshot reads)
-# explore far more schedules than free-running threads would.
+# writer/reader races, scans racing flushes, the concurrent crash matrix,
+# and the background compaction pool (concurrent flushes + merges + pinned
+# snapshot reads) explore far more schedules than free-running threads
+# would.
 for yield_seed in 7 1311; do
     SC_NOSQL_YIELD="$yield_seed" \
         cargo test -q --release -p sc-nosql \
