@@ -1,12 +1,9 @@
 //! # sc-bench
 //!
-//! The benchmark harness. Two entry points:
-//!
-//! * **`repro`** (binary) — regenerates the paper's tables and figures in
-//!   their published format
-//!   (`cargo run -p sc-bench --bin repro --release -- all --scale 0.1`).
-//! * **Criterion benches** — statistical micro/meso benchmarks per
-//!   experiment (`cargo bench -p sc-bench`).
+//! The reproduction harness: the **`repro`** binary regenerates the paper's
+//! tables and figures in their published format
+//! (`cargo run -p sc-bench --bin repro --release -- all --scale 0.1`).
+//! Performance is measured elsewhere, by `bash benchmark/run.sh`.
 //!
 //! The shared plumbing here builds cubes per dataset window and runs the
 //! four schema models over them.

@@ -604,7 +604,9 @@ impl TableCore {
             .iter()
             .map(|sst| Box::new(SstIter::new(Arc::clone(sst), None, None)) as Layer)
             .collect();
-        let mut entries: Vec<SstEntry> = Vec::new();
+        // Sized once for the most the run can yield, so the output never
+        // regrows (and recopies) while blocks are decoded around it.
+        let mut entries: Vec<SstEntry> = Vec::with_capacity(run.iter().map(|s| s.len()).sum());
         let mut max_ts = 0u64;
         for e in Cursor::new(layers, u64::MAX, true) {
             let e = e?;
