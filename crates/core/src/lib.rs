@@ -11,17 +11,23 @@
 //! | [`models::MysqlDwarfModel`] | `sc-relational` | Figure 4: `NODE`/`CELL` + `NODE_CHILDREN`/`CELL_CHILDREN` edge tables |
 //! | [`models::MysqlMinModel`]   | `sc-relational` | MySQL port of the Min layout |
 //!
-//! The forward direction ([`mapping::MappedDwarf`] + each model's `store`)
-//! walks the DWARF breadth-first with a visited-lookup table — nodes are
-//! multi-parented, so each is transformed exactly once (§4) — generating
-//! insert statements executed in bulk. The reverse direction (`rebuild`)
-//! reads the records back and reconstructs a [`sc_dwarf::Dwarf`] that is
-//! *identical* to the original (property-tested). [`store_query`] answers
-//! point, range, slice and group-by queries directly from stored rows —
-//! no full rebuild — through the shared [`sc_dwarf::source::NodeSource`]
-//! traversal core, with [`node_source::StoreNodeSource`] batching each
-//! node's cell fetch into one `WHERE id IN (...)` round-trip behind a
-//! bounded LRU node cache.
+//! The four models share **one store/rebuild protocol**: a model file says
+//! only what the paper says differs (DDL, tables, row shapes, how its rows
+//! become stored cells), and the drivers in `models` do the rest over two
+//! thin engine adapters. The forward direction ([`mapping::MappedDwarf`] +
+//! `store`) walks the DWARF breadth-first with a visited-lookup table —
+//! nodes are multi-parented, so each is transformed exactly once (§4) — and
+//! streams one prepared INSERT per record. The reverse direction (`rebuild`)
+//! reads the records back, checks their count against the meta row, and
+//! reconstructs a [`sc_dwarf::Dwarf`] that is *identical* to the original
+//! (property-tested). [`store_query`] answers point, range, slice and
+//! group-by queries directly from stored rows — no full rebuild — through
+//! the shared [`sc_dwarf::source::NodeSource`] traversal core:
+//! [`StoreBackedCube`] is the [`node_source::StoreNodeSource`] cursor over
+//! either NoSQL layout, which for Table 1 batches each node's cell fetch
+//! into one `WHERE id IN (...)` round-trip behind a bounded LRU node cache.
+//! Every store-side source folds a node's cell rows through one rule, so an
+//! empty cube and a lost row mean the same thing on every path.
 //!
 //! ```
 //! use sc_core::models::{NosqlDwarfModel, SchemaModel};
@@ -60,5 +66,5 @@ pub use node_source::{
     MinStoreNodeSource, ReadStats, StoreNodeSource, StoredCellSource, DEFAULT_NODE_CACHE_CAPACITY,
 };
 pub use pipeline::CubeWarehouse;
-pub use store_query::{CubeSelect, MinStoreBackedCube, StoreBackedCube};
+pub use store_query::{CubeSelect, StoreBackedCube};
 pub use stream_warehouse::StreamWarehouse;

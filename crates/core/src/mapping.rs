@@ -227,9 +227,7 @@ pub fn rows_from_cells(
     entry_node_id: i64,
     num_dims: usize,
 ) -> Result<Vec<(Vec<String>, i64)>> {
-    // The aggregate never matters for a slice; leaf measures are copied.
-    let mut src =
-        crate::node_source::StoredCellSource::new(cells, entry_node_id, num_dims, AggFn::Sum);
+    let mut src = crate::node_source::StoredCellSource::new(cells, entry_node_id, num_dims)?;
     let sel = vec![sc_dwarf::RangeSel::All; num_dims];
     sc_dwarf::slice_over(&mut src, &sel).map_err(CoreError::from)
 }
@@ -415,9 +413,19 @@ mod tests {
 
     #[test]
     fn inconsistent_stores_are_detected() {
-        // Entry node with no cells.
+        // No cells at all is the empty cube (`rebuild` checks the meta
+        // row's `cell_count` before it gets here)...
+        assert_eq!(rows_from_cells(&[], 1, 2).unwrap(), vec![]);
+        // ...but value cells without their node's ALL cell are a lost row.
+        let no_all = vec![StoredCell {
+            key: "x".into(),
+            measure: 1,
+            parent_node: 1,
+            pointer_node: None,
+            leaf: true,
+        }];
         assert!(matches!(
-            rows_from_cells(&[], 1, 2),
+            rows_from_cells(&no_all, 1, 1),
             Err(CoreError::Inconsistent(_))
         ));
         // Non-leaf cell without pointer.

@@ -7,292 +7,64 @@
 //! the largest dataset) at the cost of node reconstruction work at query
 //! time.
 
-use super::{offset_id, ModelKind, SchemaModel, StoreReport};
-use crate::error::{CoreError, Result};
-use crate::mapping::{
-    decode_schema_meta, encode_schema_meta, rebuild_cube, MappedDwarf, StoredCell,
-};
-use sc_dwarf::Dwarf;
-use sc_encoding::ByteSize;
-use sc_relational::sql::ast::{
-    ColumnRef, Predicate, Projection, SqlStatement, TableFactor, TableName,
-};
-use sc_relational::{Db, SqlValue};
-use std::time::Instant;
+use super::engine::Table;
+use super::nosql_min::{insert_min_cells, stored_min_cells};
+use super::protocol::Layout;
+use super::ModelKind;
+use crate::error::Result;
+use crate::mapping::{MappedDwarf, StoredCell};
+use sc_relational::Db;
 
 const DATABASE: &str = "dwarf_min";
+const CELLS: Table = Table::new(DATABASE, "dwarf_cell");
 
-fn table(name: &str) -> TableName {
-    TableName {
-        database: DATABASE.into(),
-        table: name.into(),
-    }
-}
+schema_model!(
+    /// The MySQL-Min schema model.
+    MysqlMinModel,
+    Db,
+    Db::in_memory()
+);
 
-fn factor(name: &str) -> TableFactor {
-    TableFactor {
-        name: table(name),
-        alias: None,
-    }
-}
+impl Layout for MysqlMinModel {
+    type Db = Db;
+    const KIND: ModelKind = ModelKind::MysqlMin;
+    const META: Table = Table::new(DATABASE, "dwarf_cube");
+    const HAS_IS_CUBE: bool = false;
 
-fn col(name: &str) -> ColumnRef {
-    ColumnRef {
-        qualifier: None,
-        column: name.into(),
-    }
-}
-
-/// The MySQL-Min schema model.
-#[derive(Debug)]
-pub struct MysqlMinModel {
-    db: Db,
-    /// Rows per INSERT statement (1 = the paper's per-record commands).
-    pub insert_batch: usize,
-}
-
-impl MysqlMinModel {
-    /// Creates a model over a fresh in-memory engine.
-    pub fn in_memory() -> MysqlMinModel {
-        MysqlMinModel {
-            db: Db::in_memory(),
-            insert_batch: super::mysql_dwarf::DEFAULT_INSERT_BATCH,
-        }
-    }
-
-    /// Sets the rows-per-statement batch size (multi-row INSERT ablation).
-    pub fn with_insert_batch(mut self, batch: usize) -> MysqlMinModel {
-        assert!(batch > 0, "batch must be positive");
-        self.insert_batch = batch;
-        self
-    }
-
-    /// Access to the underlying engine.
-    pub fn db_mut(&mut self) -> &mut Db {
+    fn db(&mut self) -> &mut Db {
         &mut self.db
     }
 
-    fn next_cube_id(&mut self) -> Result<i64> {
-        let r = self.db.execute(&SqlStatement::Select {
-            projection: Projection::Columns(vec![col("id")]),
-            from: factor("dwarf_cube"),
-            join: None,
-            predicates: vec![],
-            limit: None,
-        })?;
-        Ok(r.rows
-            .iter()
-            .filter_map(|row| row[0].as_int())
-            .max()
-            .unwrap_or(0)
-            + 1)
+    fn ddl() -> Vec<String> {
+        vec![
+            format!("CREATE DATABASE {DATABASE}"),
+            format!(
+                "CREATE TABLE {DATABASE}.dwarf_cube (id INT NOT NULL, node_count INT, \
+                 cell_count INT, size_as_mb INT, entry_node_id INT, schema_meta TEXT, \
+                 PRIMARY KEY (id))"
+            ),
+            format!(
+                "CREATE TABLE {DATABASE}.dwarf_cell (id INT NOT NULL, item_name TEXT, \
+                 measure INT, leaf BOOL, root BOOL, cubeid INT, parentNodeId INT, \
+                 childNodeId INT, PRIMARY KEY (id))"
+            ),
+        ]
     }
 
-    fn cube_row(&mut self, cube_id: i64) -> Result<(i64, String)> {
-        let r = self.db.execute(&SqlStatement::Select {
-            projection: Projection::Columns(vec![col("entry_node_id"), col("schema_meta")]),
-            from: factor("dwarf_cube"),
-            join: None,
-            predicates: vec![Predicate {
-                column: col("id"),
-                value: SqlValue::Int(cube_id),
-            }],
-            limit: None,
-        })?;
-        let row = r.rows.first().ok_or(CoreError::UnknownSchema(cube_id))?;
-        Ok((
-            row[0]
-                .as_int()
-                .ok_or_else(|| CoreError::Inconsistent("entry_node_id not int".into()))?,
-            row[1]
-                .as_text()
-                .ok_or_else(|| CoreError::Inconsistent("schema_meta not text".into()))?
-                .to_string(),
-        ))
-    }
-}
-
-impl SchemaModel for MysqlMinModel {
-    fn kind(&self) -> ModelKind {
-        ModelKind::MysqlMin
+    fn insert_cells(db: &mut Db, id: i64, mapped: &MappedDwarf) -> Result<usize> {
+        insert_min_cells(db, CELLS, id, mapped)
     }
 
-    fn create_schema(&mut self) -> Result<()> {
-        self.db
-            .execute_sql(&format!("CREATE DATABASE {DATABASE}"))?;
-        self.db.execute_sql(&format!(
-            "CREATE TABLE {DATABASE}.dwarf_cube (id INT NOT NULL, node_count INT, \
-             cell_count INT, size_as_mb INT, entry_node_id INT, schema_meta TEXT, \
-             PRIMARY KEY (id))"
-        ))?;
-        self.db.execute_sql(&format!(
-            "CREATE TABLE {DATABASE}.dwarf_cell (id INT NOT NULL, item_name TEXT, \
-             measure INT, leaf BOOL, root BOOL, cubeid INT, parentNodeId INT, \
-             childNodeId INT, PRIMARY KEY (id))"
-        ))?;
-        Ok(())
-    }
-
-    fn store(&mut self, mapped: &MappedDwarf, cube: &Dwarf, _is_cube: bool) -> Result<StoreReport> {
-        let cube_id = self.next_cube_id()?;
-        let entry = mapped.entry_node_id;
-        let cell_rows: Vec<Vec<SqlValue>> = mapped
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    SqlValue::Int(offset_id(cube_id, c.id)),
-                    SqlValue::Text(c.key.clone()),
-                    SqlValue::Int(c.measure),
-                    SqlValue::Bool(c.leaf),
-                    SqlValue::Bool(c.parent_node == entry),
-                    SqlValue::Int(cube_id),
-                    SqlValue::Int(offset_id(cube_id, c.parent_node)),
-                    match c.pointer_node {
-                        Some(p) => SqlValue::Int(offset_id(cube_id, p)),
-                        None => SqlValue::Null,
-                    },
-                ]
-            })
-            .collect();
-        let mut statements = 0usize;
-        let start = Instant::now();
-        self.db.execute(&SqlStatement::Insert {
-            table: table("dwarf_cube"),
-            columns: vec![
-                "id".into(),
-                "node_count".into(),
-                "cell_count".into(),
-                "size_as_mb".into(),
-                "entry_node_id".into(),
-                "schema_meta".into(),
-            ],
-            rows: vec![vec![
-                SqlValue::Int(cube_id),
-                SqlValue::Int(mapped.node_count() as i64),
-                SqlValue::Int(mapped.cell_count() as i64),
-                SqlValue::Int(0),
-                SqlValue::Int(offset_id(cube_id, entry)),
-                SqlValue::Text(encode_schema_meta(cube.schema())),
-            ]],
-        })?;
-        statements += 1;
-        // One reusable statement; rows rebound per batch (default batch=1,
-        // matching the paper's per-record generated commands).
-        let batch = self.insert_batch;
-        let mut stmt = SqlStatement::Insert {
-            table: table("dwarf_cell"),
-            columns: vec![
-                "id".into(),
-                "item_name".into(),
-                "measure".into(),
-                "leaf".into(),
-                "root".into(),
-                "cubeid".into(),
-                "parentNodeId".into(),
-                "childNodeId".into(),
-            ],
-            rows: Vec::with_capacity(batch),
-        };
-        for chunk in cell_rows.chunks(batch) {
-            if let SqlStatement::Insert { rows, .. } = &mut stmt {
-                rows.clear();
-                rows.extend(chunk.iter().cloned());
-            }
-            self.db.execute(&stmt)?;
-            statements += 1;
-        }
-        let elapsed = start.elapsed();
-        self.db.checkpoint_all()?;
-        let size = self.db.database_size(DATABASE)?;
-        let (entry_stored, meta) = self.cube_row(cube_id)?;
-        self.db.execute(&SqlStatement::Delete {
-            table: table("dwarf_cube"),
-            predicate: Predicate {
-                column: col("id"),
-                value: SqlValue::Int(cube_id),
-            },
-        })?;
-        self.db.execute(&SqlStatement::Insert {
-            table: table("dwarf_cube"),
-            columns: vec![
-                "id".into(),
-                "node_count".into(),
-                "cell_count".into(),
-                "size_as_mb".into(),
-                "entry_node_id".into(),
-                "schema_meta".into(),
-            ],
-            rows: vec![vec![
-                SqlValue::Int(cube_id),
-                SqlValue::Int(mapped.node_count() as i64),
-                SqlValue::Int(mapped.cell_count() as i64),
-                SqlValue::Int(size.as_mb_rounded() as i64),
-                SqlValue::Int(entry_stored),
-                SqlValue::Text(meta),
-            ]],
-        })?;
-        Ok(StoreReport {
-            schema_id: cube_id,
-            node_rows: 0,
-            cell_rows: mapped.cell_count(),
-            statements,
-            elapsed,
-            size,
-        })
-    }
-
-    fn rebuild(&mut self, cube_id: i64) -> Result<Dwarf> {
-        let (entry, meta) = self.cube_row(cube_id)?;
-        let schema = decode_schema_meta(&meta)?;
-        let r = self.db.execute(&SqlStatement::Select {
-            projection: Projection::Columns(vec![
-                col("item_name"),
-                col("measure"),
-                col("parentNodeId"),
-                col("childNodeId"),
-                col("leaf"),
-            ]),
-            from: factor("dwarf_cell"),
-            join: None,
-            predicates: vec![Predicate {
-                column: col("cubeid"),
-                value: SqlValue::Int(cube_id),
-            }],
-            limit: None,
-        })?;
-        let mut cells = Vec::with_capacity(r.rows.len());
-        for row in &r.rows {
-            cells.push(StoredCell {
-                key: row[0]
-                    .as_text()
-                    .ok_or_else(|| CoreError::Inconsistent("item_name not text".into()))?
-                    .to_string(),
-                measure: row[1]
-                    .as_int()
-                    .ok_or_else(|| CoreError::Inconsistent("measure not int".into()))?,
-                parent_node: row[2]
-                    .as_int()
-                    .ok_or_else(|| CoreError::Inconsistent("parentNodeId not int".into()))?,
-                pointer_node: row[3].as_int(),
-                leaf: row[4]
-                    .as_bool()
-                    .ok_or_else(|| CoreError::Inconsistent("leaf not bool".into()))?,
-            });
-        }
-        rebuild_cube(schema, entry, &cells)
-    }
-
-    fn size(&mut self) -> Result<ByteSize> {
-        self.db.checkpoint_all()?;
-        Ok(self.db.database_size(DATABASE)?)
+    fn stored_cells(db: &mut Db, id: i64) -> Result<Vec<StoredCell>> {
+        stored_min_cells(db, CELLS, id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_dwarf::{CubeSchema, TupleSet};
+    use crate::models::SchemaModel;
+    use sc_dwarf::{CubeSchema, Dwarf, TupleSet};
 
     fn cube() -> Dwarf {
         let schema = CubeSchema::new(["day", "station"], "hires");
@@ -301,30 +73,6 @@ mod tests {
         ts.push(["mon", "b"], 2);
         ts.push(["tue", "a"], 4);
         Dwarf::build(schema, ts)
-    }
-
-    #[test]
-    fn store_and_rebuild_roundtrip() {
-        let c = cube();
-        let mut model = MysqlMinModel::in_memory();
-        model.create_schema().unwrap();
-        let report = model.store(&MappedDwarf::new(&c), &c, false).unwrap();
-        assert_eq!(report.node_rows, 0);
-        // Default batch of 1: one statement per cell plus the cube row.
-        assert_eq!(report.statements, report.cell_rows + 1);
-        let back = model.rebuild(report.schema_id).unwrap();
-        assert_eq!(back.extract_tuples(), c.extract_tuples());
-    }
-
-    #[test]
-    fn multi_row_batching_reduces_statements() {
-        let c = cube();
-        let mut model = MysqlMinModel::in_memory().with_insert_batch(4);
-        model.create_schema().unwrap();
-        let report = model.store(&MappedDwarf::new(&c), &c, false).unwrap();
-        assert!(report.statements < report.cell_rows);
-        let back = model.rebuild(report.schema_id).unwrap();
-        assert_eq!(back.extract_tuples(), c.extract_tuples());
     }
 
     #[test]

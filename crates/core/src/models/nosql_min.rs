@@ -11,229 +11,149 @@
 //! Table 3 omits a measure column, but leaf cells are meaningless without
 //! one; we add `measure int` and record the deviation in DESIGN.md.
 
-use super::{offset_id, ModelKind, SchemaModel, StoreReport};
-use crate::error::{CoreError, Result};
-use crate::mapping::{
-    decode_schema_meta, encode_schema_meta, rebuild_cube, MappedDwarf, StoredCell,
-};
-use sc_dwarf::Dwarf;
-use sc_encoding::ByteSize;
-use sc_nosql::cql::ast::{SelectColumns, Statement, TableRef, WhereClause};
-use sc_nosql::{CqlValue, Db, OpenOptions};
-use std::time::Instant;
+use super::engine::{Engine, Table, Value};
+use super::protocol::{flat_cells, read_meta, Layout, NodeRows, StoredMeta};
+use super::{offset_id, ModelKind};
+use crate::error::Result;
+use crate::mapping::{MappedDwarf, StoredCell};
+use crate::node_source::ReadStats;
+use sc_dwarf::source::OwnedCell;
+use sc_nosql::{Db, OpenOptions};
 
 const KEYSPACE: &str = "smartcity_min";
+const CELLS: Table = Table::new(KEYSPACE, "dwarf_cell");
 
-fn table(name: &str) -> TableRef {
-    TableRef {
-        keyspace: KEYSPACE.into(),
-        table: name.into(),
-    }
+/// Writes Table 3's cell rows, on either engine: each cell carries its
+/// parent and pointer node ids, and `root` marks the entry node's cells.
+pub(crate) fn insert_min_cells<E: Engine>(
+    db: &mut E,
+    table: Table,
+    cube_id: i64,
+    mapped: &MappedDwarf,
+) -> Result<usize> {
+    let entry = mapped.entry_node_id;
+    db.insert(
+        table,
+        &[
+            "id",
+            "item_name",
+            "measure",
+            "leaf",
+            "root",
+            "cubeid",
+            "parentNodeId",
+            "childNodeId",
+        ],
+        mapped.cells.iter().map(|cell| {
+            [
+                E::Value::int(offset_id(cube_id, cell.id)),
+                E::Value::text(&cell.key),
+                E::Value::int(cell.measure),
+                E::Value::bool(cell.leaf),
+                E::Value::bool(cell.parent_node == entry),
+                E::Value::int(cube_id),
+                E::Value::int(offset_id(cube_id, cell.parent_node)),
+                E::Value::opt_int(cell.pointer_node.map(|p| offset_id(cube_id, p))),
+            ]
+        }),
+    )
 }
 
-/// The NoSQL-Min schema model.
-#[derive(Debug)]
-pub struct NosqlMinModel {
-    db: Db,
+/// Reads Table 3's cell rows of `cube_id` back, on either engine.
+pub(crate) fn stored_min_cells<E: Engine>(
+    db: &mut E,
+    table: Table,
+    cube_id: i64,
+) -> Result<Vec<StoredCell>> {
+    let columns = &[
+        "item_name",
+        "measure",
+        "parentNodeId",
+        "childNodeId",
+        "leaf",
+    ];
+    flat_cells(db, table, columns, "cubeid", cube_id)
 }
 
-impl NosqlMinModel {
-    /// Creates a model over a fresh in-memory engine.
-    pub fn in_memory() -> NosqlMinModel {
-        NosqlMinModel {
-            db: Db::open(OpenOptions::default()).expect("in-memory open cannot fail"),
-        }
-    }
+schema_model!(
+    /// The NoSQL-Min schema model.
+    NosqlMinModel,
+    Db,
+    Db::open(OpenOptions::default()).expect("in-memory open cannot fail")
+);
 
-    /// Access to the underlying engine.
-    pub fn db_mut(&mut self) -> &mut Db {
+impl Layout for NosqlMinModel {
+    type Db = Db;
+    const KIND: ModelKind = ModelKind::NosqlMin;
+    const META: Table = Table::new(KEYSPACE, "dwarf_cube");
+    const HAS_IS_CUBE: bool = false;
+
+    fn db(&mut self) -> &mut Db {
         &mut self.db
     }
 
-    fn next_cube_id(&mut self) -> Result<i64> {
-        let r = self.db.execute(&Statement::select(
-            table("dwarf_cube"),
-            SelectColumns::named(["id"]),
-            None,
-            None,
-        ))?;
-        Ok(r.iter()
-            .filter_map(|row| row.get_int("id").ok())
-            .max()
-            .unwrap_or(0)
-            + 1)
+    fn ddl() -> Vec<String> {
+        vec![
+            format!("CREATE KEYSPACE {KEYSPACE}"),
+            format!(
+                "CREATE TABLE {KEYSPACE}.dwarf_cube (id int, node_count int, \
+                 cell_count int, size_as_mb int, entry_node_id int, schema_meta text, \
+                 PRIMARY KEY (id))"
+            ),
+            format!(
+                "CREATE TABLE {KEYSPACE}.dwarf_cell (id int, item_name text, \
+                 measure int, leaf boolean, root boolean, cubeid int, \
+                 parentNodeId int, childNodeId int, PRIMARY KEY (id))"
+            ),
+            // The two secondary indexes §5's Storage Time discussion blames.
+            format!("CREATE INDEX ON {KEYSPACE}.dwarf_cell (parentNodeId)"),
+            format!("CREATE INDEX ON {KEYSPACE}.dwarf_cell (childNodeId)"),
+        ]
     }
 
-    fn cube_row(&mut self, cube_id: i64) -> Result<(i64, String)> {
-        let r = self.db.execute(&Statement::select(
-            table("dwarf_cube"),
-            SelectColumns::named(["entry_node_id", "schema_meta"]),
-            Some(WhereClause::eq("id", CqlValue::Int(cube_id))),
-            None,
-        ))?;
-        let row = r.first().ok_or(CoreError::UnknownSchema(cube_id))?;
-        let entry = row.get_int("entry_node_id")?;
-        let meta = row.get_text("schema_meta")?.to_string();
-        Ok((entry, meta))
+    fn insert_cells(db: &mut Db, id: i64, mapped: &MappedDwarf) -> Result<usize> {
+        insert_min_cells(db, CELLS, id, mapped)
+    }
+
+    fn stored_cells(db: &mut Db, id: i64) -> Result<Vec<StoredCell>> {
+        stored_min_cells(db, CELLS, id)
     }
 }
 
-impl SchemaModel for NosqlMinModel {
-    fn kind(&self) -> ModelKind {
-        ModelKind::NosqlMin
+impl NodeRows for NosqlMinModel {
+    /// Deliberately uncached: the schema stores no node rows, and the
+    /// reconstruction every lookup then pays is the cost §5.1 anticipates
+    /// ("the absence of a DWARF Node construct will have a significant
+    /// impact on query times"), which a cache would hide.
+    const NODE_CACHE: usize = 0;
+
+    fn stored_meta(&mut self, id: i64) -> Result<StoredMeta> {
+        read_meta(&mut self.db, Self::META, id)
     }
 
-    fn create_schema(&mut self) -> Result<()> {
-        self.db
-            .execute_cql(&format!("CREATE KEYSPACE {KEYSPACE}"))?;
-        self.db.execute_cql(&format!(
-            "CREATE TABLE {KEYSPACE}.dwarf_cube (id int, node_count int, \
-             cell_count int, size_as_mb int, entry_node_id int, schema_meta text, \
-             PRIMARY KEY (id))"
-        ))?;
-        self.db.execute_cql(&format!(
-            "CREATE TABLE {KEYSPACE}.dwarf_cell (id int, item_name text, \
-             measure int, leaf boolean, root boolean, cubeid int, \
-             parentNodeId int, childNodeId int, PRIMARY KEY (id))"
-        ))?;
-        // The two secondary indexes §5's Storage Time discussion blames.
-        self.db.execute_cql(&format!(
-            "CREATE INDEX ON {KEYSPACE}.dwarf_cell (parentNodeId)"
-        ))?;
-        self.db.execute_cql(&format!(
-            "CREATE INDEX ON {KEYSPACE}.dwarf_cell (childNodeId)"
-        ))?;
-        Ok(())
-    }
-
-    fn store(&mut self, mapped: &MappedDwarf, cube: &Dwarf, _is_cube: bool) -> Result<StoreReport> {
-        let cube_id = self.next_cube_id()?;
-        let mut statements = 0usize;
-        let start = Instant::now();
-        self.db.execute(&Statement::Insert {
-            table: table("dwarf_cube"),
-            columns: vec![
-                "id".into(),
-                "node_count".into(),
-                "cell_count".into(),
-                "size_as_mb".into(),
-                "entry_node_id".into(),
-                "schema_meta".into(),
-            ],
-            values: vec![
-                CqlValue::Int(cube_id),
-                CqlValue::Int(mapped.node_count() as i64),
-                CqlValue::Int(mapped.cell_count() as i64),
-                CqlValue::Int(0),
-                CqlValue::Int(offset_id(cube_id, mapped.entry_node_id)),
-                CqlValue::Text(encode_schema_meta(cube.schema())),
-            ],
-        })?;
-        statements += 1;
-        let entry = mapped.entry_node_id;
-        // Reusable prepared statement, rebound per cell.
-        let mut cell_stmt = Statement::Insert {
-            table: table("dwarf_cell"),
-            columns: vec![
-                "id".into(),
-                "item_name".into(),
-                "measure".into(),
-                "leaf".into(),
-                "root".into(),
-                "cubeid".into(),
-                "parentNodeId".into(),
-                "childNodeId".into(),
-            ],
-            values: vec![CqlValue::Null; 8],
-        };
-        for cell in &mapped.cells {
-            if let Statement::Insert { values, .. } = &mut cell_stmt {
-                values[0] = CqlValue::Int(offset_id(cube_id, cell.id));
-                values[1] = CqlValue::Text(cell.key.clone());
-                values[2] = CqlValue::Int(cell.measure);
-                values[3] = CqlValue::Boolean(cell.leaf);
-                values[4] = CqlValue::Boolean(cell.parent_node == entry);
-                values[5] = CqlValue::Int(cube_id);
-                values[6] = CqlValue::Int(offset_id(cube_id, cell.parent_node));
-                values[7] = match cell.pointer_node {
-                    Some(p) => CqlValue::Int(offset_id(cube_id, p)),
-                    None => CqlValue::Null,
-                };
-            }
-            self.db.execute(&cell_stmt)?;
-            statements += 1;
-        }
-        let elapsed = start.elapsed();
-        self.db.flush_all()?;
-        let size = self.db.keyspace_size(KEYSPACE)?;
-        let (entry_stored, meta) = self.cube_row(cube_id)?;
-        self.db.execute(&Statement::Insert {
-            table: table("dwarf_cube"),
-            columns: vec![
-                "id".into(),
-                "node_count".into(),
-                "cell_count".into(),
-                "size_as_mb".into(),
-                "entry_node_id".into(),
-                "schema_meta".into(),
-            ],
-            values: vec![
-                CqlValue::Int(cube_id),
-                CqlValue::Int(mapped.node_count() as i64),
-                CqlValue::Int(mapped.cell_count() as i64),
-                CqlValue::Int(size.as_mb_rounded() as i64),
-                CqlValue::Int(entry_stored),
-                CqlValue::Text(meta),
-            ],
-        })?;
-        Ok(StoreReport {
-            schema_id: cube_id,
-            node_rows: 0,
-            cell_rows: mapped.cell_count(),
-            statements,
-            elapsed,
-            size,
-        })
-    }
-
-    fn rebuild(&mut self, cube_id: i64) -> Result<Dwarf> {
-        let (entry, meta) = self.cube_row(cube_id)?;
-        let schema = decode_schema_meta(&meta)?;
-        let r = self.db.execute(&Statement::select(
-            table("dwarf_cell"),
-            SelectColumns::named([
-                "item_name",
-                "measure",
-                "parentNodeId",
-                "childNodeId",
-                "leaf",
-            ]),
-            Some(WhereClause::eq("cubeid", CqlValue::Int(cube_id))),
-            None,
-        ))?;
-        let mut cells = Vec::with_capacity(r.len());
-        for row in r.rows() {
-            cells.push(StoredCell {
-                key: row.get_text("item_name")?.to_string(),
-                measure: row.get_int("measure")?,
-                parent_node: row.get_int("parentNodeId")?,
-                pointer_node: row.get_opt_int("childNodeId")?,
-                leaf: row.get_bool("leaf")?,
-            });
-        }
-        rebuild_cube(schema, entry, &cells)
-    }
-
-    fn size(&mut self) -> Result<ByteSize> {
-        self.db.flush_all()?;
-        Ok(self.db.keyspace_size(KEYSPACE)?)
+    /// Reconstructs the node through the `parentNodeId` secondary index.
+    fn node_cells(&mut self, id: i64, stats: &mut ReadStats) -> Result<Vec<OwnedCell>> {
+        stats.store_selects += 1;
+        let columns = &["item_name", "measure", "childNodeId"];
+        let cells = self
+            .db
+            .select(CELLS, columns, Some(("parentNodeId", id)), |row| {
+                Ok(OwnedCell {
+                    key: row.text(0)?.to_string(),
+                    measure: row.int(1)?,
+                    child: row.opt_int(2)?,
+                })
+            })?;
+        stats.rows_fetched += cells.len() as u64;
+        Ok(cells)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_dwarf::{CubeSchema, TupleSet};
+    use crate::models::SchemaModel;
+    use sc_dwarf::{CubeSchema, Dwarf, TupleSet};
 
     fn cube() -> Dwarf {
         let schema = CubeSchema::new(["day", "station"], "hires");
@@ -242,17 +162,6 @@ mod tests {
         ts.push(["mon", "b"], 2);
         ts.push(["tue", "a"], 4);
         Dwarf::build(schema, ts)
-    }
-
-    #[test]
-    fn store_and_rebuild_roundtrip() {
-        let c = cube();
-        let mut model = NosqlMinModel::in_memory();
-        model.create_schema().unwrap();
-        let report = model.store(&MappedDwarf::new(&c), &c, false).unwrap();
-        assert_eq!(report.node_rows, 0, "Min layouts store no node rows");
-        let back = model.rebuild(report.schema_id).unwrap();
-        assert_eq!(back.extract_tuples(), c.extract_tuples());
     }
 
     #[test]

@@ -5,19 +5,21 @@
 //! with one node-row read plus **one batched cell fetch**
 //! (`WHERE id IN (...)`) per cold node, and keeps a bounded LRU cache of
 //! materialized nodes so warm traversals never touch the store.
-//! [`MinStoreNodeSource`] reconstructs nodes from the Min layout's
-//! `parentNodeId` secondary index (deliberately uncached — the absence of
-//! a node construct is the cost §5.1 measures). [`StoredCellSource`] wraps
-//! an already-fetched row set, which is how the models' `rebuild()` routes
-//! through the same traversal core.
+//! [`MinStoreNodeSource`] is the same cursor over the Min layout, whose
+//! nodes are reconstructed from the `parentNodeId` secondary index
+//! (deliberately uncached — the absence of a node construct is the cost
+//! §5.1 measures). [`StoredCellSource`] wraps an already-fetched row set,
+//! which is how the models' `rebuild()` routes through the same traversal
+//! core. All three turn a node's cell rows into an [`OwnedNode`] through
+//! one fold, `fold_node`, and the live cursor opens through the one
+//! meta-row read the models' `rebuild` uses.
 
 use crate::error::{CoreError, Result};
-use crate::mapping::{decode_schema_meta, StoredCell, ALL_KEY};
+use crate::mapping::{StoredCell, ALL_KEY};
+use crate::models::protocol::NodeRows;
 use crate::models::{NosqlDwarfModel, NosqlMinModel};
 use sc_dwarf::source::{CowNode, NodeSource, OwnedCell, OwnedNode, SourceNodeId};
 use sc_dwarf::{AggFn, CubeSchema};
-use sc_nosql::cql::ast::{SelectColumns, Statement, TableRef, WhereClause};
-use sc_nosql::CqlValue;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -112,55 +114,71 @@ impl NodeCache {
     }
 }
 
-const KEYSPACE: &str = "smartcity";
-const MIN_KEYSPACE: &str = "smartcity_min";
-
-fn table(keyspace: &str, name: &str) -> TableRef {
-    TableRef {
-        keyspace: keyspace.into(),
-        table: name.into(),
+/// Folds the cell rows stored under node `id` into a node, splitting off
+/// the ALL cell. A cell-less *entry* node is the empty cube; any other
+/// cell-less node, or value cells with no ALL cell beside them, mean rows
+/// were lost.
+fn fold_node(id: SourceNodeId, is_entry: bool, mut cells: Vec<OwnedCell>) -> Result<OwnedNode> {
+    let all = cells.iter().position(|cell| cell.key == ALL_KEY);
+    match all.map(|at| cells.swap_remove(at)) {
+        Some(all) => Ok(OwnedNode::from_cells(cells, all.child, all.measure)),
+        None if cells.is_empty() && is_entry => Ok(OwnedNode::from_cells(cells, None, 0)),
+        None if cells.is_empty() => Err(CoreError::Inconsistent(format!(
+            "node {id} has no stored cells"
+        ))),
+        None => Err(CoreError::Inconsistent(format!(
+            "node {id} has no ALL cell"
+        ))),
     }
 }
 
-/// A cached, batched cursor over the Table-1 NoSQL layout
-/// (`dwarf_node` / `dwarf_cell` in the `smartcity` keyspace).
+/// A cube addressed by its stored rows, in NoSQL layout `M`: a cursor whose
+/// node lookups read each node's cell rows the way that layout keeps them,
+/// behind a bounded LRU cache of materialized nodes. [`crate::store_query`]
+/// gives it the query methods of an in-memory cube.
+///
+/// Over [`NosqlDwarfModel`] (Table 1: `dwarf_node` / `dwarf_cell`) a cold
+/// node costs its node row plus one batched cell fetch, and warm
+/// traversals never touch the store. Over [`NosqlMinModel`] — see
+/// [`MinStoreNodeSource`] — there is no node row to read and no cache.
 #[derive(Debug)]
-pub struct StoreNodeSource<'a> {
-    model: &'a mut NosqlDwarfModel,
-    schema_id: i64,
+pub struct StoreNodeSource<'a, M = NosqlDwarfModel> {
+    model: &'a mut M,
     schema: CubeSchema,
     entry_node_id: i64,
     cache: NodeCache,
     stats: ReadStats,
 }
 
-impl<'a> StoreNodeSource<'a> {
-    /// Opens a stored schema with the default node-cache capacity.
-    pub fn open(model: &'a mut NosqlDwarfModel, schema_id: i64) -> Result<StoreNodeSource<'a>> {
-        Self::open_with_cache(model, schema_id, DEFAULT_NODE_CACHE_CAPACITY)
+/// A cursor over the **NoSQL-Min** layout (`smartcity_min.dwarf_cell`).
+///
+/// The Min schema stores no node rows, so every lookup must *reconstruct*
+/// the node by querying the cell table's `parentNodeId` secondary index —
+/// the cost §5.1 anticipates: "the absence of a DWARF Node construct will
+/// have a significant impact on query times as DWARF Node reconstruction
+/// is required". [`StoreNodeSource::open`] deliberately gives it no cache,
+/// so that contrast stays measurable.
+pub type MinStoreNodeSource<'a> = StoreNodeSource<'a, NosqlMinModel>;
+
+impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
+    /// Opens a stored schema with the layout's node-cache capacity
+    /// ([`DEFAULT_NODE_CACHE_CAPACITY`]; none for the Min layout).
+    pub fn open(model: &'a mut M, schema_id: i64) -> Result<StoreNodeSource<'a, M>> {
+        Self::open_with_cache(model, schema_id, M::NODE_CACHE)
     }
 
-    /// Opens a stored schema with an explicit node-cache capacity
-    /// (`0` disables caching).
+    /// Opens a stored schema with an explicit node-cache capacity in nodes
+    /// (`0` disables caching; every traversal step then hits the store).
     pub fn open_with_cache(
-        model: &'a mut NosqlDwarfModel,
+        model: &'a mut M,
         schema_id: i64,
         cache_capacity: usize,
-    ) -> Result<StoreNodeSource<'a>> {
-        let r = model.db_mut().execute(&Statement::select(
-            table(KEYSPACE, "dwarf_schema"),
-            SelectColumns::named(["entry_node_id", "schema_meta"]),
-            Some(WhereClause::eq("id", CqlValue::Int(schema_id))),
-            None,
-        ))?;
-        let row = r.first().ok_or(CoreError::UnknownSchema(schema_id))?;
-        let entry_node_id = row.get_int("entry_node_id")?;
-        let schema = decode_schema_meta(row.get_text("schema_meta")?)?;
+    ) -> Result<StoreNodeSource<'a, M>> {
+        let meta = model.stored_meta(schema_id)?;
         Ok(StoreNodeSource {
             model,
-            schema_id,
-            schema,
-            entry_node_id,
+            schema: meta.schema,
+            entry_node_id: meta.entry_node_id,
             cache: NodeCache::new(cache_capacity),
             stats: ReadStats::default(),
         })
@@ -171,89 +189,20 @@ impl<'a> StoreNodeSource<'a> {
         &self.schema
     }
 
-    /// The stored schema id.
-    pub fn schema_id(&self) -> i64 {
-        self.schema_id
-    }
-
-    /// Snapshot of this source's read counters.
+    /// Read counters accumulated so far (cache hits/misses, SELECTs
+    /// issued, rows fetched).
     pub fn stats(&self) -> ReadStats {
         self.stats
     }
 
-    /// Zeroes this source's read counters (the cache keeps its contents).
+    /// Zeroes the read counters; the node cache keeps its contents, so
+    /// deltas after a reset measure warm-cache behaviour.
     pub fn reset_stats(&mut self) {
         self.stats = ReadStats::default();
     }
-
-    /// Materializes one node from the store: the node row's `childrenIds`
-    /// set, then every cell of the node in **one** batched
-    /// `SELECT ... WHERE id IN (...)` round-trip.
-    fn fetch_node(&mut self, id: SourceNodeId) -> Result<OwnedNode> {
-        self.stats.store_selects += 1;
-        let r = self.model.db_mut().execute(&Statement::select(
-            table(KEYSPACE, "dwarf_node"),
-            SelectColumns::named(["childrenIds"]),
-            Some(WhereClause::eq("id", CqlValue::Int(id))),
-            None,
-        ))?;
-        let row = r
-            .first()
-            .ok_or_else(|| CoreError::Inconsistent(format!("node {id} missing from store")))?;
-        self.stats.rows_fetched += 1;
-        let children: Vec<i64> = row.get_int_set("childrenIds")?.iter().copied().collect();
-        if children.is_empty() {
-            // Only the empty cube's entry node stores no cells.
-            return Ok(OwnedNode::from_cells(Vec::new(), None, 0));
-        }
-        self.stats.store_selects += 1;
-        self.stats.batched_selects += 1;
-        let values: Vec<CqlValue> = children.iter().map(|&c| CqlValue::Int(c)).collect();
-        let r = self.model.db_mut().execute(&Statement::select(
-            table(KEYSPACE, "dwarf_cell"),
-            SelectColumns::named(["key", "measure", "pointerNode"]),
-            Some(WhereClause::any_of("id", values)),
-            None,
-        ))?;
-        if r.len() != children.len() {
-            return Err(CoreError::Inconsistent(format!(
-                "node {id}: fetched {} of {} cells",
-                r.len(),
-                children.len()
-            )));
-        }
-        self.stats.rows_fetched += r.len() as u64;
-        if sc_obs::enabled() {
-            let obs = crate::obs::store_query();
-            obs.rows_fetched.add(r.len() as u64 + 1);
-            obs.batch_size.record(r.len() as u64);
-        }
-        let mut cells = Vec::with_capacity(r.len().saturating_sub(1));
-        let mut all: Option<(Option<i64>, i64)> = None;
-        for row in r.rows() {
-            let key = row.get_text("key")?;
-            let measure = row.get_int("measure")?;
-            let pointer = row.get_opt_int("pointerNode")?;
-            if key == ALL_KEY {
-                all = Some((pointer, measure));
-            } else {
-                cells.push(OwnedCell {
-                    key: key.to_string(),
-                    measure,
-                    child: pointer,
-                });
-            }
-        }
-        let Some((all_child, total)) = all else {
-            return Err(CoreError::Inconsistent(format!(
-                "node {id} has no ALL cell"
-            )));
-        };
-        Ok(OwnedNode::from_cells(cells, all_child, total))
-    }
 }
 
-impl NodeSource<'static> for StoreNodeSource<'_> {
+impl<M: NodeRows> NodeSource<'static> for StoreNodeSource<'_, M> {
     type Err = CoreError;
 
     fn num_dims(&self) -> usize {
@@ -282,7 +231,8 @@ impl NodeSource<'static> for StoreNodeSource<'_> {
             crate::obs::store_query().node_cache_misses.add(1);
         }
         let started = enabled.then(std::time::Instant::now);
-        let node = Rc::new(self.fetch_node(id)?);
+        let cells = self.model.node_cells(id, &mut self.stats)?;
+        let node = Rc::new(fold_node(id, id == self.entry_node_id, cells)?);
         if let Some(started) = started {
             crate::obs::store_query()
                 .fetch_ns
@@ -290,114 +240,6 @@ impl NodeSource<'static> for StoreNodeSource<'_> {
         }
         self.cache.put(id, node.clone());
         Ok(CowNode::Owned(node))
-    }
-}
-
-/// A cursor over the **NoSQL-Min** layout (`smartcity_min.dwarf_cell`).
-///
-/// The Min schema stores no node rows, so every lookup must *reconstruct*
-/// the node by querying the cell table's `parentNodeId` secondary index —
-/// the cost §5.1 anticipates: "the absence of a DWARF Node construct will
-/// have a significant impact on query times as DWARF Node reconstruction
-/// is required". It is deliberately left uncached so that contrast stays
-/// measurable; compare [`StoreNodeSource`].
-#[derive(Debug)]
-pub struct MinStoreNodeSource<'a> {
-    model: &'a mut NosqlMinModel,
-    schema: CubeSchema,
-    entry_node_id: i64,
-    stats: ReadStats,
-}
-
-impl<'a> MinStoreNodeSource<'a> {
-    /// Opens a stored cube for querying.
-    pub fn open(model: &'a mut NosqlMinModel, cube_id: i64) -> Result<MinStoreNodeSource<'a>> {
-        let r = model.db_mut().execute(&Statement::select(
-            table(MIN_KEYSPACE, "dwarf_cube"),
-            SelectColumns::named(["entry_node_id", "schema_meta"]),
-            Some(WhereClause::eq("id", CqlValue::Int(cube_id))),
-            None,
-        ))?;
-        let row = r.first().ok_or(CoreError::UnknownSchema(cube_id))?;
-        let entry_node_id = row.get_int("entry_node_id")?;
-        let schema = decode_schema_meta(row.get_text("schema_meta")?)?;
-        Ok(MinStoreNodeSource {
-            model,
-            schema,
-            entry_node_id,
-            stats: ReadStats::default(),
-        })
-    }
-
-    /// The stored cube's schema.
-    pub fn schema(&self) -> &CubeSchema {
-        &self.schema
-    }
-
-    /// Snapshot of this source's read counters.
-    pub fn stats(&self) -> ReadStats {
-        self.stats
-    }
-}
-
-impl NodeSource<'static> for MinStoreNodeSource<'_> {
-    type Err = CoreError;
-
-    fn num_dims(&self) -> usize {
-        self.schema.num_dims()
-    }
-
-    fn agg(&self) -> AggFn {
-        self.schema.agg()
-    }
-
-    fn root(&self) -> Option<SourceNodeId> {
-        Some(self.entry_node_id)
-    }
-
-    fn node(&mut self, id: SourceNodeId) -> std::result::Result<CowNode<'static>, CoreError> {
-        self.stats.node_cache_misses += 1;
-        self.stats.store_selects += 1;
-        let r = self.model.db_mut().execute(&Statement::select(
-            table(MIN_KEYSPACE, "dwarf_cell"),
-            SelectColumns::named(["item_name", "measure", "childNodeId"]),
-            Some(WhereClause::eq("parentNodeId", CqlValue::Int(id))),
-            None,
-        ))?;
-        self.stats.rows_fetched += r.len() as u64;
-        if r.len() == 0 {
-            // No stored cells: the empty cube's entry node (or an unknown
-            // id, which the Min layout cannot distinguish).
-            return Ok(CowNode::Owned(Rc::new(OwnedNode::from_cells(
-                Vec::new(),
-                None,
-                0,
-            ))));
-        }
-        let mut cells = Vec::with_capacity(r.len() - 1);
-        let mut all: Option<(Option<i64>, i64)> = None;
-        for row in r.rows() {
-            let key = row.get_text("item_name")?;
-            let measure = row.get_int("measure")?;
-            let pointer = row.get_opt_int("childNodeId")?;
-            if key == ALL_KEY {
-                all = Some((pointer, measure));
-            } else {
-                cells.push(OwnedCell {
-                    key: key.to_string(),
-                    measure,
-                    child: pointer,
-                });
-            }
-        }
-        let Some((all_child, total)) = all else {
-            return Err(CoreError::Inconsistent(format!(
-                "node {id} has no ALL cell"
-            )));
-        };
-        Ok(CowNode::Owned(Rc::new(OwnedNode::from_cells(
-            cells, all_child, total,
-        ))))
     }
 }
 
@@ -412,53 +254,34 @@ pub struct StoredCellSource {
     nodes: HashMap<SourceNodeId, Rc<OwnedNode>>,
     entry_node_id: i64,
     num_dims: usize,
-    agg: AggFn,
 }
 
 impl StoredCellSource {
-    /// Groups fetched cells by their containing node.
+    /// Groups fetched cells by their containing node and folds each group
+    /// into a node. No cells at all is the empty cube.
     pub fn new(
         cells: &[StoredCell],
         entry_node_id: i64,
         num_dims: usize,
-        agg: AggFn,
-    ) -> StoredCellSource {
-        struct PendingNode {
-            cells: Vec<OwnedCell>,
-            all: Option<(Option<i64>, i64)>,
-        }
-        let mut grouped: HashMap<SourceNodeId, PendingNode> = HashMap::new();
+    ) -> Result<StoredCellSource> {
+        let mut grouped: HashMap<SourceNodeId, Vec<OwnedCell>> = HashMap::new();
+        grouped.entry(entry_node_id).or_default();
         for c in cells {
-            let entry = grouped.entry(c.parent_node).or_insert_with(|| PendingNode {
-                cells: Vec::new(),
-                all: None,
+            grouped.entry(c.parent_node).or_default().push(OwnedCell {
+                key: c.key.clone(),
+                measure: c.measure,
+                child: c.pointer_node,
             });
-            if c.is_all() {
-                entry.all = Some((c.pointer_node, c.measure));
-            } else {
-                entry.cells.push(OwnedCell {
-                    key: c.key.clone(),
-                    measure: c.measure,
-                    child: c.pointer_node,
-                });
-            }
         }
         let nodes = grouped
             .into_iter()
-            .map(|(id, pending)| {
-                let (all_child, total) = pending.all.unwrap_or((None, 0));
-                (
-                    id,
-                    Rc::new(OwnedNode::from_cells(pending.cells, all_child, total)),
-                )
-            })
-            .collect();
-        StoredCellSource {
+            .map(|(id, cells)| Ok((id, Rc::new(fold_node(id, id == entry_node_id, cells)?))))
+            .collect::<Result<_>>()?;
+        Ok(StoredCellSource {
             nodes,
             entry_node_id,
             num_dims,
-            agg,
-        }
+        })
     }
 }
 
@@ -469,8 +292,10 @@ impl NodeSource<'static> for StoredCellSource {
         self.num_dims
     }
 
+    /// Only slices run over fetched rows, and a slice copies leaf measures
+    /// without combining them.
     fn agg(&self) -> AggFn {
-        self.agg
+        AggFn::Sum
     }
 
     fn root(&self) -> Option<SourceNodeId> {
@@ -478,11 +303,11 @@ impl NodeSource<'static> for StoredCellSource {
     }
 
     fn node(&mut self, id: SourceNodeId) -> std::result::Result<CowNode<'static>, CoreError> {
-        self.nodes
-            .get(&id)
-            .cloned()
-            .map(CowNode::Owned)
-            .ok_or_else(|| CoreError::Inconsistent(format!("node {id} has no stored cells")))
+        let node = match self.nodes.get(&id) {
+            Some(node) => node.clone(),
+            None => Rc::new(fold_node(id, false, Vec::new())?),
+        };
+        Ok(CowNode::Owned(node))
     }
 }
 

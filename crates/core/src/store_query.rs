@@ -2,70 +2,25 @@
 //!
 //! The paper stores cubes "for future retrieval and querying"; this module
 //! implements the designed access path without rebuilding the whole DWARF
-//! in memory. [`StoreBackedCube`] wraps a
-//! [`StoreNodeSource`](crate::node_source::StoreNodeSource) — a cached,
-//! batched cursor over the Table-1 layout — and runs the *same* generic
-//! traversal algorithms (`point_over`, `range_over`, `slice_over`,
+//! in memory. A [`StoreBackedCube`] is the store cursor itself
+//! ([`StoreNodeSource`], over either NoSQL layout), given here the *same*
+//! generic traversal algorithms (`point_over`, `range_over`, `slice_over`,
 //! `group_by_over`) the in-memory [`sc_dwarf::Dwarf`] uses, so the store
 //! path answers point, range, slice and group-by queries with identical
-//! semantics. [`MinStoreBackedCube`] does the same over the Min layout's
-//! reconstruct-per-node cursor.
+//! semantics.
 
 use crate::error::{CoreError, Result};
-use crate::models::{NosqlDwarfModel, NosqlMinModel};
-use crate::node_source::{MinStoreNodeSource, ReadStats, StoreNodeSource};
+use crate::models::protocol::NodeRows;
+use crate::models::NosqlDwarfModel;
+use crate::node_source::StoreNodeSource;
 use sc_dwarf::source::{group_by_over, point_over, range_over, slice_over};
-use sc_dwarf::{CubeSchema, RangeSel, Selection};
+use sc_dwarf::{RangeSel, Selection};
 
-/// A cube addressed by its stored rows.
-#[derive(Debug)]
-pub struct StoreBackedCube<'a> {
-    source: StoreNodeSource<'a>,
-}
+/// A stored cube opened for querying: [`StoreBackedCube::open`] over a
+/// [`NosqlDwarfModel`] or a [`NosqlMinModel`](crate::NosqlMinModel).
+pub type StoreBackedCube<'a, M = NosqlDwarfModel> = StoreNodeSource<'a, M>;
 
-impl<'a> StoreBackedCube<'a> {
-    /// Opens a stored schema for querying with the default node-cache
-    /// capacity ([`crate::node_source::DEFAULT_NODE_CACHE_CAPACITY`]).
-    pub fn open(model: &'a mut NosqlDwarfModel, schema_id: i64) -> Result<StoreBackedCube<'a>> {
-        Ok(StoreBackedCube {
-            source: StoreNodeSource::open(model, schema_id)?,
-        })
-    }
-
-    /// Opens a stored schema with an explicit node-cache capacity in nodes
-    /// (`0` disables caching; every traversal step then hits the store).
-    pub fn open_with_cache(
-        model: &'a mut NosqlDwarfModel,
-        schema_id: i64,
-        cache_capacity: usize,
-    ) -> Result<StoreBackedCube<'a>> {
-        Ok(StoreBackedCube {
-            source: StoreNodeSource::open_with_cache(model, schema_id, cache_capacity)?,
-        })
-    }
-
-    /// The stored schema's cube schema.
-    pub fn schema(&self) -> &CubeSchema {
-        self.source.schema()
-    }
-
-    /// The stored schema id.
-    pub fn schema_id(&self) -> i64 {
-        self.source.schema_id()
-    }
-
-    /// Read counters accumulated so far (cache hits/misses, SELECTs
-    /// issued, rows fetched).
-    pub fn stats(&self) -> ReadStats {
-        self.source.stats()
-    }
-
-    /// Zeroes the read counters; the node cache keeps its contents, so
-    /// deltas after a reset measure warm-cache behaviour.
-    pub fn reset_stats(&mut self) {
-        self.source.reset_stats()
-    }
-
+impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
     /// Starts a fluent selection over the stored cube. Dimensions left
     /// unmentioned default to ALL, so a point query only names what it
     /// constrains:
@@ -74,7 +29,7 @@ impl<'a> StoreBackedCube<'a> {
     /// let total = cube.select().dim("station", "Fenian St").run()?;
     /// let by_city = cube.select().dim("city", "Dublin").all("station").run()?;
     /// ```
-    pub fn select(&mut self) -> CubeSelect<'_, 'a> {
+    pub fn select(&mut self) -> CubeSelect<'_, 'a, M> {
         let sel = vec![Selection::All; self.schema().num_dims()];
         CubeSelect {
             cube: self,
@@ -86,35 +41,34 @@ impl<'a> StoreBackedCube<'a> {
     /// Point / group-by query straight off the store (same semantics as
     /// [`sc_dwarf::Dwarf::point`]).
     pub fn point(&mut self, sel: &[Selection]) -> Result<Option<i64>> {
-        point_over(&mut self.source, sel).map_err(CoreError::from)
+        point_over(self, sel).map_err(CoreError::from)
     }
 
     /// Range aggregate straight off the store (same semantics as
     /// [`sc_dwarf::Dwarf::range`]).
     pub fn range(&mut self, sel: &[RangeSel]) -> Result<Option<i64>> {
-        range_over(&mut self.source, sel).map_err(CoreError::from)
+        range_over(self, sel).map_err(CoreError::from)
     }
 
     /// Slice straight off the store (same semantics as
     /// [`sc_dwarf::Dwarf::slice`]): the matching base fact rows in sorted
     /// key order.
     pub fn slice(&mut self, sel: &[RangeSel]) -> Result<Vec<(Vec<String>, i64)>> {
-        slice_over(&mut self.source, sel).map_err(CoreError::from)
+        slice_over(self, sel).map_err(CoreError::from)
     }
 
     /// GROUP BY straight off the store (same semantics as
     /// [`sc_dwarf::Dwarf::group_by`], except an unknown dimension name is
     /// reported as [`CoreError::UnknownDimension`]).
     pub fn group_by<S: AsRef<str>>(&mut self, dims: &[S]) -> Result<Vec<(Vec<String>, i64)>> {
-        let schema = self.schema();
-        let mut mask = vec![false; schema.num_dims()];
+        let mut mask = vec![false; self.schema().num_dims()];
         for d in dims {
-            let Some(i) = schema.dimension_index(d.as_ref()) else {
+            let Some(i) = self.schema().dimension_index(d.as_ref()) else {
                 return Err(CoreError::UnknownDimension(d.as_ref().to_string()));
             };
             mask[i] = true;
         }
-        group_by_over(&mut self.source, &mask).map_err(CoreError::from)
+        group_by_over(self, &mask).map_err(CoreError::from)
     }
 }
 
@@ -125,13 +79,13 @@ impl<'a> StoreBackedCube<'a> {
 /// the schema doesn't have is remembered and reported by
 /// [`CubeSelect::run`], so call chains stay unconditional.
 #[derive(Debug)]
-pub struct CubeSelect<'c, 'a> {
-    cube: &'c mut StoreBackedCube<'a>,
+pub struct CubeSelect<'c, 'a, M = NosqlDwarfModel> {
+    cube: &'c mut StoreNodeSource<'a, M>,
     sel: Vec<Selection>,
     err: Option<CoreError>,
 }
 
-impl CubeSelect<'_, '_> {
+impl<M: NodeRows> CubeSelect<'_, '_, M> {
     fn slot(&mut self, name: &str) -> Option<usize> {
         match self.cube.schema().dimension_index(name) {
             Some(i) => Some(i),
@@ -170,56 +124,12 @@ impl CubeSelect<'_, '_> {
     }
 }
 
-/// Store-backed querying over the **NoSQL-Min** layout.
-///
-/// The Min schema stores no node rows, so every traversal step must
-/// *reconstruct* the current node by querying the cell table's
-/// `parentNodeId` secondary index — the cost §5.1 anticipates: "the absence
-/// of a DWARF Node construct will have a significant impact on query times
-/// as DWARF Node reconstruction is required". Compare with
-/// [`StoreBackedCube`], which reads the node row's `childrenIds` set,
-/// fetches all its cells in one batched round-trip, and caches the result.
-#[derive(Debug)]
-pub struct MinStoreBackedCube<'a> {
-    source: MinStoreNodeSource<'a>,
-}
-
-impl<'a> MinStoreBackedCube<'a> {
-    /// Opens a stored cube for querying.
-    pub fn open(model: &'a mut NosqlMinModel, cube_id: i64) -> Result<MinStoreBackedCube<'a>> {
-        Ok(MinStoreBackedCube {
-            source: MinStoreNodeSource::open(model, cube_id)?,
-        })
-    }
-
-    /// The stored cube's schema.
-    pub fn schema(&self) -> &CubeSchema {
-        self.source.schema()
-    }
-
-    /// Read counters accumulated so far (every node lookup is a miss —
-    /// the Min layout reconstructs nodes on every visit).
-    pub fn stats(&self) -> ReadStats {
-        self.source.stats()
-    }
-
-    /// Point / group-by query with node reconstruction at every level.
-    pub fn point(&mut self, sel: &[Selection]) -> Result<Option<i64>> {
-        point_over(&mut self.source, sel).map_err(CoreError::from)
-    }
-
-    /// Range aggregate with node reconstruction at every visited node.
-    pub fn range(&mut self, sel: &[RangeSel]) -> Result<Option<i64>> {
-        range_over(&mut self.source, sel).map_err(CoreError::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::MappedDwarf;
-    use crate::models::SchemaModel;
-    use sc_dwarf::{Dwarf, TupleSet};
+    use crate::models::{NosqlMinModel, SchemaModel};
+    use sc_dwarf::{CubeSchema, Dwarf, TupleSet};
 
     fn cube() -> Dwarf {
         let schema = CubeSchema::new(["country", "city", "station"], "bikes");
@@ -348,7 +258,7 @@ mod tests {
         let mut model = NosqlMinModel::in_memory();
         model.create_schema().unwrap();
         let report = model.store(&MappedDwarf::new(&c), &c, false).unwrap();
-        let mut sbc = MinStoreBackedCube::open(&mut model, report.schema_id).unwrap();
+        let mut sbc = StoreBackedCube::open(&mut model, report.schema_id).unwrap();
         let all = Selection::All;
         let v = Selection::value;
         let cases: Vec<Vec<Selection>> = vec![

@@ -2,10 +2,11 @@
 //! generates.
 
 use crate::mapping::CellRecord;
+use crate::models::nosql_dwarf::{cell_row, CELLS, CELL_COLUMNS};
 use sc_nosql::cql::ast::{Statement, TableRef};
-use sc_nosql::CqlValue;
 
-/// Builds the Figure 3 INSERT statement for one mapped cell.
+/// Builds the Figure 3 INSERT statement for one mapped cell: the row
+/// NoSQL-DWARF's `store` writes, with the figure's bare ids.
 ///
 /// The paper's example: a cell with key `"Fenian St"`, measure 3, parent
 /// node 3, no pointer node, leaf, schema 1, dimension table `Station`
@@ -20,31 +21,10 @@ pub fn cell_to_insert(cell: &CellRecord, keyspace: &str, schema_id: i64) -> Stat
     Statement::Insert {
         table: TableRef {
             keyspace: keyspace.to_string(),
-            table: "dwarf_cell".to_string(),
+            table: CELLS.name.to_string(),
         },
-        columns: vec![
-            "id".into(),
-            "key".into(),
-            "measure".into(),
-            "parentNode".into(),
-            "pointerNode".into(),
-            "leaf".into(),
-            "schema_id".into(),
-            "dimension_table_name".into(),
-        ],
-        values: vec![
-            CqlValue::Int(cell.id),
-            CqlValue::Text(cell.key.clone()),
-            CqlValue::Int(cell.measure),
-            CqlValue::Int(cell.parent_node),
-            match cell.pointer_node {
-                Some(p) => CqlValue::Int(p),
-                None => CqlValue::Null,
-            },
-            CqlValue::Boolean(cell.leaf),
-            CqlValue::Int(schema_id),
-            CqlValue::Text(cell.dimension.clone()),
-        ],
+        columns: CELL_COLUMNS.map(String::from).to_vec(),
+        values: cell_row(cell, schema_id, 0).to_vec(),
     }
 }
 
