@@ -428,6 +428,18 @@ mod tests {
             rows_from_cells(&no_all, 1, 1),
             Err(CoreError::Inconsistent(_))
         ));
+        // Cells that leave the entry node without any are not the empty
+        // cube: the entry id (or the root cells' parent) is wrong.
+        let all = StoredCell {
+            key: ALL_KEY.into(),
+            ..no_all[0].clone()
+        };
+        let rooted_elsewhere = vec![no_all[0].clone(), all];
+        assert_eq!(rows_from_cells(&rooted_elsewhere, 1, 1).unwrap().len(), 1);
+        assert!(matches!(
+            rows_from_cells(&rooted_elsewhere, 2, 1),
+            Err(CoreError::Inconsistent(_))
+        ));
         // Non-leaf cell without pointer.
         let bad = vec![StoredCell {
             key: "x".into(),

@@ -137,10 +137,11 @@ impl<L: Layout> SchemaModel for L {
                     "entry_node_id",
                     Value::int(offset_id(id, mapped.entry_node_id)),
                 ),
-                ("is_cube", Value::bool(is_cube)),
-                ("schema_meta", Value::text(&schema_meta)),
             ];
-            row.retain(|(column, _)| L::HAS_IS_CUBE || *column != "is_cube");
+            if L::HAS_IS_CUBE {
+                row.push(("is_cube", Value::bool(is_cube)));
+            }
+            row.push(("schema_meta", Value::text(&schema_meta)));
             row.into_iter().unzip()
         };
         // Insertion order: meta, nodes, cells, then edges (the relational

@@ -115,14 +115,15 @@ impl NodeCache {
 }
 
 /// Folds the cell rows stored under node `id` into a node, splitting off
-/// the ALL cell. A cell-less *entry* node is the empty cube; any other
-/// cell-less node, or value cells with no ALL cell beside them, mean rows
-/// were lost.
-fn fold_node(id: SourceNodeId, is_entry: bool, mut cells: Vec<OwnedCell>) -> Result<OwnedNode> {
+/// the ALL cell. A cell-less entry node is the empty cube, which is what
+/// `empty_entry` says `id` is: the entry node of a cube that stores no cell
+/// at all. Any other cell-less node, or value cells with no ALL cell beside
+/// them, mean rows were lost.
+fn fold_node(id: SourceNodeId, empty_entry: bool, mut cells: Vec<OwnedCell>) -> Result<OwnedNode> {
     let all = cells.iter().position(|cell| cell.key == ALL_KEY);
     match all.map(|at| cells.swap_remove(at)) {
         Some(all) => Ok(OwnedNode::from_cells(cells, all.child, all.measure)),
-        None if cells.is_empty() && is_entry => Ok(OwnedNode::from_cells(cells, None, 0)),
+        None if cells.is_empty() && empty_entry => Ok(OwnedNode::from_cells(cells, None, 0)),
         None if cells.is_empty() => Err(CoreError::Inconsistent(format!(
             "node {id} has no stored cells"
         ))),
@@ -146,6 +147,9 @@ pub struct StoreNodeSource<'a, M = NosqlDwarfModel> {
     model: &'a mut M,
     schema: CubeSchema,
     entry_node_id: i64,
+    /// The meta row's `cell_count`: only a cube that stores no cell at all
+    /// may have a cell-less entry node.
+    cell_count: i64,
     cache: NodeCache,
     stats: ReadStats,
 }
@@ -164,21 +168,16 @@ impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
     /// Opens a stored schema with the layout's node-cache capacity
     /// ([`DEFAULT_NODE_CACHE_CAPACITY`]; none for the Min layout).
     pub fn open(model: &'a mut M, schema_id: i64) -> Result<StoreNodeSource<'a, M>> {
-        Self::open_with_cache(model, schema_id, M::NODE_CACHE)
+        Self::open_sized(model, schema_id, M::NODE_CACHE)
     }
 
-    /// Opens a stored schema with an explicit node-cache capacity in nodes
-    /// (`0` disables caching; every traversal step then hits the store).
-    pub fn open_with_cache(
-        model: &'a mut M,
-        schema_id: i64,
-        cache_capacity: usize,
-    ) -> Result<StoreNodeSource<'a, M>> {
+    fn open_sized(model: &'a mut M, schema_id: i64, cache_capacity: usize) -> Result<Self> {
         let meta = model.stored_meta(schema_id)?;
         Ok(StoreNodeSource {
             model,
             schema: meta.schema,
             entry_node_id: meta.entry_node_id,
+            cell_count: meta.cell_count,
             cache: NodeCache::new(cache_capacity),
             stats: ReadStats::default(),
         })
@@ -199,6 +198,19 @@ impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
     /// deltas after a reset measure warm-cache behaviour.
     pub fn reset_stats(&mut self) {
         self.stats = ReadStats::default();
+    }
+}
+
+impl<'a> StoreNodeSource<'a, NosqlDwarfModel> {
+    /// Opens a stored schema with an explicit node-cache capacity in nodes
+    /// (`0` disables caching; every traversal step then hits the store).
+    /// Table 1's layout only: the Min cursor stays uncached.
+    pub fn open_with_cache(
+        model: &'a mut NosqlDwarfModel,
+        schema_id: i64,
+        cache_capacity: usize,
+    ) -> Result<StoreNodeSource<'a>> {
+        Self::open_sized(model, schema_id, cache_capacity)
     }
 }
 
@@ -232,7 +244,8 @@ impl<M: NodeRows> NodeSource<'static> for StoreNodeSource<'_, M> {
         }
         let started = enabled.then(std::time::Instant::now);
         let cells = self.model.node_cells(id, &mut self.stats)?;
-        let node = Rc::new(fold_node(id, id == self.entry_node_id, cells)?);
+        let empty_entry = id == self.entry_node_id && self.cell_count == 0;
+        let node = Rc::new(fold_node(id, empty_entry, cells)?);
         if let Some(started) = started {
             crate::obs::store_query()
                 .fetch_ns
@@ -258,14 +271,17 @@ pub struct StoredCellSource {
 
 impl StoredCellSource {
     /// Groups fetched cells by their containing node and folds each group
-    /// into a node. No cells at all is the empty cube.
+    /// into a node. No cells at all is the empty cube; cells that leave the
+    /// entry node without any are an error when the entry node is looked up.
     pub fn new(
         cells: &[StoredCell],
         entry_node_id: i64,
         num_dims: usize,
     ) -> Result<StoredCellSource> {
         let mut grouped: HashMap<SourceNodeId, Vec<OwnedCell>> = HashMap::new();
-        grouped.entry(entry_node_id).or_default();
+        if cells.is_empty() {
+            grouped.entry(entry_node_id).or_default();
+        }
         for c in cells {
             grouped.entry(c.parent_node).or_default().push(OwnedCell {
                 key: c.key.clone(),
@@ -275,7 +291,7 @@ impl StoredCellSource {
         }
         let nodes = grouped
             .into_iter()
-            .map(|(id, cells)| Ok((id, Rc::new(fold_node(id, id == entry_node_id, cells)?))))
+            .map(|(id, group)| Ok((id, Rc::new(fold_node(id, cells.is_empty(), group)?))))
             .collect::<Result<_>>()?;
         Ok(StoredCellSource {
             nodes,

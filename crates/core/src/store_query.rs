@@ -287,6 +287,32 @@ mod tests {
     }
 
     #[test]
+    fn min_cursor_does_not_read_lost_entry_cells_as_the_empty_cube() {
+        let c = cube();
+        let mut model = NosqlMinModel::in_memory();
+        model.create_schema().unwrap();
+        let report = model.store(&MappedDwarf::new(&c), &c, false).unwrap();
+        let entry = crate::models::offset_id(report.schema_id, 1);
+        let lost = model
+            .db_mut()
+            .execute_cql(&format!(
+                "SELECT id FROM smartcity_min.dwarf_cell WHERE parentNodeId = {entry}"
+            ))
+            .unwrap();
+        assert!(!lost.is_empty());
+        for row in lost.rows() {
+            let id = row.get_int("id").unwrap();
+            let cql = format!("DELETE FROM smartcity_min.dwarf_cell WHERE id = {id}");
+            model.db_mut().execute_cql(&cql).unwrap();
+        }
+        let mut sbc = StoreBackedCube::open(&mut model, report.schema_id).unwrap();
+        assert!(matches!(
+            sbc.select().run(),
+            Err(CoreError::Inconsistent(_))
+        ));
+    }
+
+    #[test]
     fn fluent_select_matches_point_queries() {
         let mut model = NosqlDwarfModel::in_memory();
         let schema_id = stored(&mut model);
