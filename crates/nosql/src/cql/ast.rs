@@ -491,66 +491,4 @@ impl Statement {
             Statement::Explain { statement } => format!("EXPLAIN {}", statement.to_cql()),
         }
     }
-
-    /// Every table reference in the statement (recursing into batches).
-    pub fn table_refs(&self) -> Vec<&TableRef> {
-        let mut refs = Vec::new();
-        self.collect_refs(&mut refs);
-        refs
-    }
-
-    fn collect_refs<'a>(&'a self, out: &mut Vec<&'a TableRef>) {
-        match self {
-            Statement::CreateKeyspace { .. } | Statement::Use { .. } => {}
-            Statement::CreateTable { table, .. }
-            | Statement::CreateIndex { table, .. }
-            | Statement::Insert { table, .. }
-            | Statement::Select { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. }
-            | Statement::Truncate { table } => out.push(table),
-            Statement::Batch { statements } => {
-                for st in statements {
-                    st.collect_refs(out);
-                }
-            }
-            Statement::Explain { statement } => statement.collect_refs(out),
-        }
-    }
-
-    /// Returns a copy with every unqualified table reference resolved
-    /// against `keyspace`. Qualified references are left untouched.
-    pub fn with_default_keyspace(&self, keyspace: &str) -> Statement {
-        let fix = |t: &TableRef| -> TableRef {
-            if t.is_qualified() {
-                t.clone()
-            } else {
-                TableRef {
-                    keyspace: keyspace.to_string(),
-                    table: t.table.clone(),
-                }
-            }
-        };
-        let mut stmt = self.clone();
-        match &mut stmt {
-            Statement::CreateKeyspace { .. } | Statement::Use { .. } => {}
-            Statement::CreateTable { table, .. }
-            | Statement::CreateIndex { table, .. }
-            | Statement::Insert { table, .. }
-            | Statement::Select { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. }
-            | Statement::Truncate { table } => *table = fix(table),
-            Statement::Batch { statements } => {
-                *statements = statements
-                    .iter()
-                    .map(|st| st.with_default_keyspace(keyspace))
-                    .collect();
-            }
-            Statement::Explain { statement } => {
-                *statement = Box::new(statement.with_default_keyspace(keyspace));
-            }
-        }
-        stmt
-    }
 }

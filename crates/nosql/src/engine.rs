@@ -31,16 +31,17 @@ use crate::cql::ast::{Statement, TableRef, WhereClause};
 use crate::cql::parse_statement;
 use crate::error::{NosqlError, Result};
 use crate::exec;
+use crate::index::{self, Index};
 use crate::manifest::{Manifest, ManifestEdit};
 use crate::mvcc::{ReadPin, SeqGuard, SeqTracker, SnapshotRegistry};
 use crate::plan;
 use crate::result::QueryResult;
 use crate::row::Row;
-use crate::schema::{Catalog, ColumnDef, TableDef};
+use crate::schema::{ColumnDef, TableDef};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
 use crate::table::{TableCore, TableOptions};
-use crate::types::{CqlType, CqlValue};
+use crate::types::CqlValue;
 use sc_encoding::ByteSize;
 use sc_storage::Vfs;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -165,30 +166,104 @@ const COMMIT_LOG: &str = "commitlog";
 /// Estimated memtable overhead per version beyond key and body bytes.
 const VERSION_COST: usize = 48;
 
-/// Catalog + table runtimes, swapped atomically under one lock. DML and
-/// SELECT hold the read side; DDL, TRUNCATE and `flush_all` the write
-/// side.
+/// One table of the registry: its definition, its runtime and its
+/// secondary indexes. `def.indexed_columns` and `indexes` grow together, in
+/// [`TableHandle::attach`] only.
 #[derive(Debug)]
+pub(crate) struct TableHandle {
+    def: TableDef,
+    core: Arc<TableCore>,
+    indexes: Vec<Index>,
+}
+
+impl TableHandle {
+    /// The table's runtime.
+    pub fn core(&self) -> &Arc<TableCore> {
+        &self.core
+    }
+
+    /// The secondary index on the column at `column`, if there is one.
+    pub fn index_on(&self, column: usize) -> Option<&Index> {
+        self.indexes.iter().find(|i| i.column() == column)
+    }
+
+    fn attach(&mut self, index: Index) {
+        let column = self.def.columns[index.column()].name.clone();
+        self.def.indexed_columns.push(column);
+        self.indexes.push(index);
+    }
+}
+
+type Keyspace = BTreeMap<String, TableHandle>;
+
+/// The table registry, keyspace → table → handle, under one lock: DML and
+/// SELECT hold the read side; DDL, TRUNCATE and `flush_all` the write
+/// side. A hidden posting table is registered like any other table; the
+/// base table's handle holds its runtime a second time, as an [`Index`].
+#[derive(Debug, Default)]
 struct EngineState {
-    catalog: Catalog,
-    tables: HashMap<String, Arc<TableCore>>,
+    keyspaces: BTreeMap<String, Keyspace>,
+}
+
+fn unknown_table(keyspace: &str, name: &str) -> NosqlError {
+    NosqlError::UnknownTable(format!("{keyspace}.{name}"))
+}
+
+/// The keyspace a table reference means: its own, or the session's `USE`
+/// keyspace when it names none.
+fn resolve_keyspace<'a>(table: &'a TableRef, session_keyspace: Option<&'a str>) -> Result<&'a str> {
+    if table.is_qualified() {
+        return Ok(&table.keyspace);
+    }
+    session_keyspace.ok_or_else(|| {
+        NosqlError::Parse(format!(
+            "unqualified table {:?} requires a session keyspace (USE)",
+            table.table
+        ))
+    })
 }
 
 impl EngineState {
-    fn core(&self, qualified: &str) -> &Arc<TableCore> {
-        self.tables
-            .get(qualified)
-            .expect("runtime exists for cataloged table")
+    fn keyspace(&self, name: &str) -> Result<&Keyspace> {
+        self.keyspaces
+            .get(name)
+            .ok_or_else(|| NosqlError::UnknownKeyspace(name.to_string()))
+    }
+
+    fn keyspace_mut(&mut self, name: &str) -> Result<&mut Keyspace> {
+        self.keyspaces
+            .get_mut(name)
+            .ok_or_else(|| NosqlError::UnknownKeyspace(name.to_string()))
+    }
+
+    /// The table lookup every statement goes through: `table` as the
+    /// statement names it, an unqualified name resolved against the
+    /// session's `USE` keyspace.
+    fn table(&self, table: &TableRef, session_keyspace: Option<&str>) -> Result<&TableHandle> {
+        self.get(resolve_keyspace(table, session_keyspace)?, &table.table)
+    }
+
+    fn get(&self, keyspace: &str, name: &str) -> Result<&TableHandle> {
+        self.keyspace(keyspace)?
+            .get(name)
+            .ok_or_else(|| unknown_table(keyspace, name))
+    }
+
+    /// Every table runtime, hidden posting tables included.
+    fn cores(&self) -> impl Iterator<Item = &Arc<TableCore>> {
+        self.keyspaces
+            .values()
+            .flat_map(|tables| tables.values())
+            .map(|handle| &handle.core)
     }
 }
 
 /// One pending row mutation, bound for the WAL and a memtable.
-struct PendingWrite {
-    table: Arc<TableCore>,
-    qualified: String,
-    key: Vec<u8>,
+pub(crate) struct PendingWrite {
+    pub table: Arc<TableCore>,
+    pub key: Vec<u8>,
     /// `None` writes a tombstone.
-    row: Option<Row>,
+    pub row: Option<Row>,
 }
 
 /// The engine core shared by every [`Db`], [`Session`] and [`Snapshot`]
@@ -224,10 +299,7 @@ impl DbCore {
         let core = DbCore {
             vfs,
             manifest,
-            state: RwLock::new(EngineState {
-                catalog: Catalog::new(),
-                tables: HashMap::new(),
-            }),
+            state: RwLock::new(EngineState::default()),
             wal: GroupCommitLog::new(log, options.group_commit_delay),
             tracker: SeqTracker::new(),
             registry: Arc::new(SnapshotRegistry::new()),
@@ -256,7 +328,7 @@ impl DbCore {
         self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Crash recovery: rebuild catalog and runtimes from the journals,
+    /// Crash recovery: rebuild registry and runtimes from the journals,
     /// repairing every torn tail and sweeping unpublished files, so that the
     /// reopened engine contains exactly the acknowledged writes (plus,
     /// possibly, the one in-flight write the crash interrupted after its
@@ -265,11 +337,14 @@ impl DbCore {
         let _span = crate::obs::nosql().recovery.start();
         let mut state = self.write_state();
         self.replay_schema_journal(&mut state)?;
+        // The manifest and the WAL name tables by their qualified name.
+        let tables: HashMap<&str, &Arc<TableCore>> =
+            state.cores().map(|t| (t.qualified(), t)).collect();
         // A missing manifest is an empty one: every `sst-*` file it does
         // not list is an orphan.
         let live = self.manifest.repair()?;
         for (qualified, files) in &live {
-            if let Some(table) = state.tables.get(qualified) {
+            if let Some(table) = tables.get(qualified.as_str()) {
                 // Manifest order is age order — not name order, because a
                 // tiered merge's output sits mid-sequence in age.
                 for file in files {
@@ -289,7 +364,7 @@ impl DbCore {
         let mut max_seq = 0;
         for record in records {
             max_seq = max_seq.max(record.timestamp);
-            if let Some(table) = state.tables.get(&record.table) {
+            if let Some(table) = tables.get(record.table.as_str()) {
                 // Segment checkpointing deletes a segment only when *all*
                 // of it is flushed, so a surviving segment may hold records
                 // older than a flushed version of the same key (group
@@ -318,7 +393,7 @@ impl DbCore {
         // SSTables (the WAL may have been truncated after a flush). Reads
         // compare sequences, so a fresh write allocated below an on-disk
         // sequence would be invisibly shadowed.
-        for table in state.tables.values() {
+        for table in state.cores() {
             max_seq = max_seq.max(table.max_disk_seq()?);
         }
         self.tracker.set_floor(max_seq);
@@ -328,7 +403,7 @@ impl DbCore {
     /// Replays DDL from the schema journal. The journal is line-framed; a
     /// crash mid-append leaves a trailing segment without a terminating
     /// newline, which is truncated away. A *complete* line that fails to
-    /// parse is genuine corruption and still errors.
+    /// parse, or is not DDL, is genuine corruption and still errors.
     fn replay_schema_journal(&self, state: &mut EngineState) -> Result<()> {
         let data = match self.vfs.read_all(SCHEMA_LOG) {
             Ok(d) => d,
@@ -343,7 +418,7 @@ impl DbCore {
             .map_err(|_| NosqlError::Corrupt("schema journal is not UTF-8".into()))?;
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             let stmt = parse_statement(line)?;
-            self.apply_ddl(state, &stmt, false)?;
+            self.apply_ddl(state, &stmt, None, false)?;
         }
         Ok(())
     }
@@ -366,7 +441,7 @@ impl DbCore {
         let live_files: HashSet<&str> = live.values().flatten().map(String::as_str).collect();
         for file in self.vfs.list("")? {
             if file.contains("/sst-") && !live_files.contains(file.as_str()) {
-                for table in state.tables.values() {
+                for table in state.cores() {
                     table.reserve_sst_id(&file);
                 }
                 self.vfs.delete(&file)?;
@@ -376,39 +451,28 @@ impl DbCore {
     }
 
     pub(crate) fn has_keyspace(&self, name: &str) -> bool {
-        self.read_state().catalog.has_keyspace(name)
+        self.read_state().keyspaces.contains_key(name)
     }
 
-    fn catalog_snapshot(&self) -> Catalog {
-        self.read_state().catalog.clone()
-    }
-
-    /// Rejects statements whose table references never got a keyspace —
-    /// only a [`Session`] with a `USE` keyspace can resolve those.
-    fn check_qualified(stmt: &Statement) -> Result<()> {
-        for r in stmt.table_refs() {
-            if !r.is_qualified() {
-                return Err(NosqlError::Parse(format!(
-                    "unqualified table {:?} requires a session keyspace (USE)",
-                    r.table
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn execute(&self, stmt: &Statement) -> Result<QueryResult> {
-        Self::check_qualified(stmt)?;
+    /// Executes one statement. `session_keyspace` is the calling session's
+    /// `USE` keyspace, against which unqualified table names resolve;
+    /// without one they are a typed error.
+    pub(crate) fn execute(
+        &self,
+        stmt: &Statement,
+        session_keyspace: Option<&str>,
+    ) -> Result<QueryResult> {
         match stmt {
-            Statement::Use { .. } => Err(NosqlError::Unsupported(
-                "USE needs session state; execute it on a `Session`".into(),
-            )),
+            Statement::Use { .. } => {
+                return Err(NosqlError::Unsupported(
+                    "USE needs session state; execute it on a `Session`".into(),
+                ))
+            }
             Statement::CreateKeyspace { .. }
             | Statement::CreateTable { .. }
             | Statement::CreateIndex { .. } => {
                 let mut state = self.write_state();
-                self.apply_ddl(&mut state, stmt, true)?;
-                Ok(QueryResult::empty())
+                self.apply_ddl(&mut state, stmt, session_keyspace, true)?;
             }
             Statement::Insert {
                 table,
@@ -416,17 +480,20 @@ impl DbCore {
                 values,
             } => {
                 let state = self.read_state();
-                self.insert(&state, table, columns, values)?;
-                Ok(QueryResult::empty())
+                self.insert(
+                    &state,
+                    state.table(table, session_keyspace)?,
+                    columns,
+                    values,
+                )?;
             }
             Statement::Select { .. } => {
                 let state = self.read_state();
                 let pin = ReadPin::new(&self.registry, &self.tracker);
-                self.run_select(&state, stmt, pin.seq())
+                return self.select(&state, stmt, session_keyspace, Some(pin.seq()));
             }
             Statement::Explain { statement } => {
-                let state = self.read_state();
-                self.explain(&state, statement)
+                return self.select(&self.read_state(), statement, session_keyspace, None);
             }
             Statement::Update {
                 table,
@@ -434,44 +501,37 @@ impl DbCore {
                 where_clause,
             } => {
                 let state = self.read_state();
-                self.update(&state, table, assignments, where_clause)?;
-                Ok(QueryResult::empty())
+                let handle = state.table(table, session_keyspace)?;
+                self.update(&state, handle, assignments, where_clause)?;
             }
             Statement::Delete {
                 table,
                 where_clause,
             } => {
                 let state = self.read_state();
-                self.delete(&state, table, where_clause)?;
-                Ok(QueryResult::empty())
+                self.delete(&state, state.table(table, session_keyspace)?, where_clause)?;
             }
             Statement::Truncate { table } => {
                 let mut state = self.write_state();
-                self.truncate(&mut state, table)?;
-                Ok(QueryResult::empty())
+                self.truncate(&mut state, table, session_keyspace)?;
             }
             Statement::Batch { statements } => {
                 // Statements commit individually; under concurrency their
                 // WAL frames still coalesce through the group commit.
                 for s in statements {
-                    self.execute(s)?;
+                    self.execute(s, session_keyspace)?;
                 }
-                Ok(QueryResult::empty())
             }
         }
+        Ok(QueryResult::empty())
     }
 
     /// SELECT at a fixed MVCC bound (a [`Snapshot`]'s view).
     pub(crate) fn execute_read(&self, stmt: &Statement, bound: u64) -> Result<QueryResult> {
-        Self::check_qualified(stmt)?;
         match stmt {
-            Statement::Select { .. } => {
-                let state = self.read_state();
-                self.run_select(&state, stmt, bound)
-            }
+            Statement::Select { .. } => self.select(&self.read_state(), stmt, None, Some(bound)),
             Statement::Explain { statement } => {
-                let state = self.read_state();
-                self.explain(&state, statement)
+                self.select(&self.read_state(), statement, None, None)
             }
             _ => Err(NosqlError::Unsupported(
                 "snapshots are read-only: only SELECT is allowed".into(),
@@ -479,27 +539,29 @@ impl DbCore {
         }
     }
 
-    fn journal_ddl(&self, stmt: &Statement) -> Result<()> {
-        let mut line = stmt.to_cql();
-        line.push('\n');
-        self.vfs.append(SCHEMA_LOG, line.as_bytes())?;
-        Ok(())
-    }
-
-    fn new_table_core(&self, def: TableDef) -> Arc<TableCore> {
-        Arc::new(TableCore::new(
-            def,
-            self.vfs.clone(),
-            self.manifest.clone(),
-            self.table_options,
-            self.cache.clone(),
-        ))
-    }
-
-    fn apply_ddl(&self, state: &mut EngineState, stmt: &Statement, journal: bool) -> Result<()> {
-        match stmt {
+    /// Applies one DDL statement to the registry and, when `journal` is
+    /// set, appends it to the schema journal — fully qualified, since
+    /// replay has no session: an unqualified target is resolved into a copy
+    /// of the statement first.
+    fn apply_ddl(
+        &self,
+        state: &mut EngineState,
+        stmt: &Statement,
+        session_keyspace: Option<&str>,
+        journal: bool,
+    ) -> Result<()> {
+        let mut resolved = stmt.clone();
+        if let Statement::CreateTable { table, .. } | Statement::CreateIndex { table, .. } =
+            &mut resolved
+        {
+            table.keyspace = resolve_keyspace(table, session_keyspace)?.to_string();
+        }
+        match &resolved {
             Statement::CreateKeyspace { name } => {
-                state.catalog.create_keyspace(name)?;
+                if state.keyspaces.contains_key(name) {
+                    return Err(NosqlError::AlreadyExists(format!("keyspace {name:?}")));
+                }
+                state.keyspaces.insert(name.clone(), Keyspace::new());
             }
             Statement::CreateTable {
                 table,
@@ -514,90 +576,81 @@ impl DbCore {
                     })
                     .collect();
                 let def = TableDef::new(&table.keyspace, &table.table, defs, primary_key)?;
-                state.catalog.create_table(def.clone())?;
-                state
-                    .tables
-                    .insert(def.qualified_name(), self.new_table_core(def));
+                self.add_table(state, def)?;
             }
             Statement::CreateIndex { table, column } => {
                 self.create_index(state, table, column)?;
             }
-            _ => unreachable!("apply_ddl called on non-DDL"),
+            other => {
+                return Err(NosqlError::Corrupt(format!(
+                    "not a DDL statement: {}",
+                    other.to_cql()
+                )))
+            }
         }
         if journal {
-            self.journal_ddl(stmt)?;
+            let mut line = resolved.to_cql();
+            line.push('\n');
+            self.vfs.append(SCHEMA_LOG, line.as_bytes())?;
         }
         Ok(())
     }
 
+    /// Registers `def` with a fresh runtime, which it returns.
+    fn add_table(&self, state: &mut EngineState, def: TableDef) -> Result<Arc<TableCore>> {
+        let tables = state.keyspace_mut(&def.keyspace)?;
+        if tables.contains_key(&def.name) {
+            return Err(NosqlError::AlreadyExists(format!(
+                "table {}",
+                def.qualified_name()
+            )));
+        }
+        let core = Arc::new(TableCore::new(
+            &def,
+            self.vfs.clone(),
+            self.manifest.clone(),
+            self.table_options,
+            self.cache.clone(),
+        ));
+        let handle = TableHandle {
+            core: Arc::clone(&core),
+            indexes: Vec::new(),
+            def,
+        };
+        tables.insert(handle.def.name.clone(), handle);
+        Ok(core)
+    }
+
+    /// Registers the hidden posting table of an index on `column` of
+    /// `keyspace.table` and attaches the index to the base table.
+    fn add_index(
+        &self,
+        state: &mut EngineState,
+        keyspace: &str,
+        table: &str,
+        column: &str,
+    ) -> Result<Index> {
+        let base = &state.get(keyspace, table)?.def;
+        let (position, hidden) = index::hidden_def(base, column)?;
+        let pk = base.primary_key;
+        let index = Index::new(position, pk, self.add_table(state, hidden)?);
+        state
+            .keyspace_mut(keyspace)?
+            .get_mut(table)
+            .ok_or_else(|| unknown_table(keyspace, table))?
+            .attach(index.clone());
+        Ok(index)
+    }
+
     fn create_index(&self, state: &mut EngineState, table: &TableRef, column: &str) -> Result<()> {
-        let def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
-        let col_idx = def
-            .column_index(column)
-            .ok_or_else(|| NosqlError::UnknownColumn {
-                table: def.name.clone(),
-                column: column.to_string(),
-            })?;
-        if def.is_indexed(column) {
-            return Err(NosqlError::AlreadyExists(format!("index on {column:?}")));
-        }
-        if def.columns[col_idx].ty == CqlType::IntSet {
-            return Err(NosqlError::Unsupported(
-                "secondary indexes on set<int> columns".into(),
-            ));
-        }
-        if def.pk_column().ty != CqlType::Int {
-            return Err(NosqlError::Unsupported(
-                "secondary indexes require an int primary key (posting sets hold ints)".into(),
-            ));
-        }
-        // The hidden index column family: one row per posting, keyed by
-        // `hex(indexed value) ':' row id` — Cassandra's one-cell-per-posting
-        // physical layout expressed as rows.
-        let idx_name = def.index_table_name(column);
-        let idx_def = TableDef::new(
-            &def.keyspace,
-            &idx_name,
-            vec![
-                ColumnDef {
-                    name: "k".into(),
-                    ty: CqlType::Text,
-                },
-                ColumnDef {
-                    name: "id".into(),
-                    ty: CqlType::Int,
-                },
-            ],
-            "k",
-        )?;
-        state.tables.insert(
-            idx_def.qualified_name(),
-            self.new_table_core(idx_def.clone()),
-        );
-        state.catalog.create_table(idx_def)?;
-        state
-            .catalog
-            .table_mut(&table.keyspace, &table.table)?
-            .indexed_columns
-            .push(column.to_string());
-        state
-            .core(&format!("{}.{}", table.keyspace, table.table))
-            .add_index(column);
-        // Backfill for rows already present. The state write lock excludes
-        // every concurrent statement, so reading at the top bound is exact.
-        let base_def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
-        let existing = state
-            .core(&base_def.qualified_name())
-            .cursor(u64::MAX, None, None);
+        let index = self.add_index(state, &table.keyspace, &table.table, column)?;
+        // Backfill: the posting diff from "no row" for every row already
+        // present. The state write lock excludes every concurrent
+        // statement, so reading at the top bound is exact.
         let mut writes = Vec::new();
-        for row in existing.map(crate::table::live_row) {
-            let row = row?;
-            let value = row.values[col_idx].clone();
-            if value.is_null() {
-                continue;
-            }
-            let pk = row.pk(&base_def).clone();
-            writes.push(self.posting_write(state, &base_def, column, &value, &pk, true));
+        for entry in state.table(table, None)?.core.cursor(u64::MAX, None, None) {
+            let entry = entry?;
+            index.diff(&entry.key, None, entry.row.as_ref(), &mut writes);
         }
         self.commit_writes(state, writes)
     }
@@ -625,7 +678,7 @@ impl DbCore {
                 None => Vec::new(),
             };
             records.push(LogRecord {
-                table: w.qualified.clone(),
+                table: w.table.qualified().to_string(),
                 key: w.key.clone(),
                 body,
                 timestamp: g.seq(),
@@ -666,8 +719,7 @@ impl DbCore {
             // log (and recovery replay) under sustained writes — without it
             // only an explicit `flush_all` ever reclaims WAL space.
             let floor = state
-                .tables
-                .values()
+                .cores()
                 .map(|t| t.wal_floor(&self.tracker))
                 .min()
                 .unwrap_or(0);
@@ -676,14 +728,51 @@ impl DbCore {
         Ok(())
     }
 
+    /// The one write routine. Every INSERT, UPDATE and DELETE is: key →
+    /// old row → new row or tombstone (`new_row`, `None` deletes) → posting
+    /// diff → one [`DbCore::commit_writes`].
+    ///
+    /// The old row is read only when something depends on it — the table is
+    /// indexed (the read-before-write that keeps postings consistent, a
+    /// real cost of Cassandra-style secondary indexes) or the statement is
+    /// an UPDATE (`reads_old`) — and then under the table's RMW lock, held
+    /// through the commit, so the read observes every previous RMW's write.
+    /// Everything else is a blind, lock-free write.
+    fn write(
+        &self,
+        state: &EngineState,
+        handle: &TableHandle,
+        key: Vec<u8>,
+        reads_old: bool,
+        new_row: impl FnOnce(Option<&Row>) -> Option<Row>,
+    ) -> Result<()> {
+        let table = &handle.core;
+        let rmw = (reads_old || !handle.indexes.is_empty()).then(|| table.rmw_lock());
+        let old = match &rmw {
+            Some(_) => table.get(&key, u64::MAX)?,
+            None => None,
+        };
+        let row = new_row(old.as_ref());
+        let mut writes = Vec::with_capacity(1);
+        for index in &handle.indexes {
+            index.diff(&key, old.as_ref(), row.as_ref(), &mut writes);
+        }
+        // The WAL has always carried a row after its postings and a
+        // tombstone before them.
+        let at = if row.is_some() { writes.len() } else { 0 };
+        let table = Arc::clone(table);
+        writes.insert(at, PendingWrite { table, key, row });
+        self.commit_writes(state, writes)
+    }
+
     fn insert(
         &self,
         state: &EngineState,
-        table: &TableRef,
+        handle: &TableHandle,
         columns: &[String],
         values: &[CqlValue],
     ) -> Result<()> {
-        let def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
+        let def = &handle.def;
         if columns.len() != values.len() {
             return Err(NosqlError::Parse(format!(
                 "INSERT binds {} columns but {} values",
@@ -692,269 +781,95 @@ impl DbCore {
             )));
         }
         // Assemble the full row (unbound columns become null).
-        let mut row_values = vec![CqlValue::Null; def.columns.len()];
+        let mut row = vec![CqlValue::Null; def.columns.len()];
         for (name, value) in columns.iter().zip(values) {
-            let idx = def
-                .column_index(name)
-                .ok_or_else(|| NosqlError::UnknownColumn {
-                    table: def.name.clone(),
-                    column: name.clone(),
-                })?;
-            if !value.matches(def.columns[idx].ty) {
-                return Err(NosqlError::TypeMismatch {
-                    column: name.clone(),
-                    expected: def.columns[idx].ty.name().to_string(),
-                    found: value.type_name().to_string(),
-                });
-            }
-            row_values[idx] = value.clone();
+            let column = def.column(name)?;
+            def.check(column, value)?;
+            row[column] = value.clone();
         }
-        if row_values[def.primary_key].is_null() {
-            return Err(NosqlError::MissingPrimaryKey(def.pk_column().name.clone()));
-        }
-        self.put_row(state, &def, Row::new(row_values))
+        let key = def.write_key(&row[def.primary_key])?;
+        self.write(state, handle, key, false, |_| Some(Row::new(row)))
     }
 
-    /// Full write path for one row. Index-free tables take the blind,
-    /// lock-free path; indexed tables serialize on the table's RMW mutex
-    /// for the read-before-write that keeps postings consistent (a real
-    /// cost of Cassandra-style secondary indexes).
-    fn put_row(&self, state: &EngineState, def: &TableDef, row: Row) -> Result<()> {
-        let qualified = def.qualified_name();
-        let table = Arc::clone(state.core(&qualified));
-        if def.indexed_columns.is_empty() {
-            let key = row.pk_bytes(def);
-            return self.commit_writes(
-                state,
-                vec![PendingWrite {
-                    table,
-                    qualified,
-                    key,
-                    row: Some(row),
-                }],
-            );
-        }
-        let _rmw = table.rmw_lock();
-        self.put_row_rmw_locked(state, def, &table, row)
-    }
-
-    /// The indexed-table write path; the caller holds the table's RMW lock.
-    fn put_row_rmw_locked(
-        &self,
-        state: &EngineState,
+    /// UPDATE and DELETE address one row, `WHERE <primary key> = <literal>`:
+    /// the literal and the key it encodes to.
+    fn key_filter<'a>(
         def: &TableDef,
-        table: &Arc<TableCore>,
-        row: Row,
-    ) -> Result<()> {
-        let qualified = def.qualified_name();
-        let key = row.pk_bytes(def);
-        let mut writes = Vec::new();
-        if !def.indexed_columns.is_empty() {
-            // Read-before-write at the top bound: the RMW lock guarantees
-            // every previous write to this table is already applied.
-            let old_row = table.get(&key, u64::MAX)?;
-            let pk = row.pk(def).clone();
-            for column in &def.indexed_columns {
-                let idx = def.column_index(column).expect("index on known column");
-                let new_value = row.values[idx].clone();
-                let old_value = old_row.as_ref().map(|r| r.values[idx].clone());
-                if old_value.as_ref() == Some(&new_value) {
-                    continue;
-                }
-                if let Some(old) = old_value {
-                    if !old.is_null() {
-                        writes.push(self.posting_write(state, def, column, &old, &pk, false));
-                    }
-                }
-                if !new_value.is_null() {
-                    writes.push(self.posting_write(state, def, column, &new_value, &pk, true));
-                }
-            }
-        }
-        writes.push(PendingWrite {
-            table: Arc::clone(table),
-            qualified,
-            key,
-            row: Some(row),
-        });
-        self.commit_writes(state, writes)
-    }
-
-    /// Posting-row key: `len-prefixed(value key) ++ order-preserving id`.
-    /// The value-key prefix groups a per-value partition; the id suffix
-    /// makes each posting its own row. Like Cassandra's index entries, the
-    /// indexed value is stored once (in the key), not repeated in the body.
-    fn posting_key(value: &CqlValue, id: i64) -> Vec<u8> {
-        let mut enc = sc_encoding::Encoder::new();
-        enc.put_bytes(&value.encode_key());
-        enc.put_raw(&((id as u64) ^ (1u64 << 63)).to_be_bytes());
-        enc.into_bytes()
-    }
-
-    /// Prefix covering every posting of `value` (the read side lives in
-    /// [`crate::exec::scan::IndexScan`]).
-    pub(crate) fn posting_prefix(value: &CqlValue) -> Vec<u8> {
-        let mut enc = sc_encoding::Encoder::new();
-        enc.put_bytes(&value.encode_key());
-        enc.into_bytes()
-    }
-
-    fn posting_write(
-        &self,
-        state: &EngineState,
-        def: &TableDef,
-        column: &str,
-        value: &CqlValue,
-        pk: &CqlValue,
-        add: bool,
-    ) -> PendingWrite {
-        let idx_qualified = format!("{}.{}", def.keyspace, def.index_table_name(column));
-        let id = pk
-            .as_int()
-            .expect("index creation enforced int primary keys");
-        let key = Self::posting_key(value, id);
-        // Minimal body: the indexed value lives in the key only.
-        let row = add.then(|| Row::new(vec![CqlValue::Null, CqlValue::Int(id)]));
-        PendingWrite {
-            table: Arc::clone(state.core(&idx_qualified)),
-            qualified: idx_qualified,
-            key,
-            row,
-        }
-    }
-
-    /// Cassandra UPDATE semantics: an upsert — unassigned columns keep
-    /// their existing values (or null for a fresh row). Serializes on the
-    /// table's RMW mutex: concurrent UPDATEs to the same table never lose
-    /// each other's column writes.
-    fn update(
-        &self,
-        state: &EngineState,
-        table: &TableRef,
-        assignments: &[(String, CqlValue)],
-        where_clause: &WhereClause,
-    ) -> Result<()> {
-        let def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
-        let WhereClause::Eq {
-            column: w_column,
-            value: w_value,
-        } = where_clause
-        else {
-            return Err(NosqlError::Unsupported(
-                "UPDATE requires an equality WHERE on the primary key".into(),
-            ));
-        };
-        if w_column != &def.pk_column().name {
+        where_clause: &'a WhereClause,
+        verb: &str,
+    ) -> Result<(&'a CqlValue, Vec<u8>)> {
+        let WhereClause::Eq { column, value } = where_clause else {
             return Err(NosqlError::Unsupported(format!(
-                "UPDATE is by primary key ({})",
+                "{verb} requires an equality WHERE on the primary key"
+            )));
+        };
+        if column != &def.pk_column().name {
+            return Err(NosqlError::Unsupported(format!(
+                "{verb} is by primary key ({})",
                 def.pk_column().name
             )));
         }
-        if !w_value.matches(def.pk_column().ty) {
-            return Err(NosqlError::TypeMismatch {
-                column: w_column.clone(),
-                expected: def.pk_column().ty.name().to_string(),
-                found: w_value.type_name().to_string(),
-            });
-        }
-        let key = w_value.encode_key();
-        let core = Arc::clone(state.core(&def.qualified_name()));
-        let _rmw = core.rmw_lock();
-        let existing = core.get(&key, u64::MAX)?;
-        let mut values = existing
-            .map(|r| r.values)
-            .unwrap_or_else(|| vec![CqlValue::Null; def.columns.len()]);
-        values[def.primary_key] = w_value.clone();
-        for (column, value) in assignments {
-            let idx = def
-                .column_index(column)
-                .ok_or_else(|| NosqlError::UnknownColumn {
-                    table: def.name.clone(),
-                    column: column.clone(),
-                })?;
-            if idx == def.primary_key {
+        Ok((value, def.write_key(value)?))
+    }
+
+    /// Cassandra UPDATE semantics: an upsert — unassigned columns keep
+    /// their existing values (or null for a fresh row). Reading them
+    /// serializes on the table's RMW lock: concurrent UPDATEs to the same
+    /// table never lose each other's column writes.
+    fn update(
+        &self,
+        state: &EngineState,
+        handle: &TableHandle,
+        assignments: &[(String, CqlValue)],
+        where_clause: &WhereClause,
+    ) -> Result<()> {
+        let def = &handle.def;
+        let (pk, key) = Self::key_filter(def, where_clause, "UPDATE")?;
+        let mut sets = Vec::with_capacity(assignments.len());
+        for (name, value) in assignments {
+            let column = def.column(name)?;
+            if column == def.primary_key {
                 return Err(NosqlError::Unsupported(
                     "the primary key cannot be SET".into(),
                 ));
             }
-            if !value.matches(def.columns[idx].ty) {
-                return Err(NosqlError::TypeMismatch {
-                    column: column.clone(),
-                    expected: def.columns[idx].ty.name().to_string(),
-                    found: value.type_name().to_string(),
-                });
-            }
-            values[idx] = value.clone();
+            def.check(column, value)?;
+            sets.push((column, value));
         }
-        self.put_row_rmw_locked(state, &def, &core, Row::new(values))
+        self.write(state, handle, key, true, |old| {
+            let mut values = match old {
+                Some(row) => row.values.clone(),
+                None => vec![CqlValue::Null; def.columns.len()],
+            };
+            values[def.primary_key] = pk.clone();
+            for (column, value) in sets {
+                values[column] = value.clone();
+            }
+            Some(Row::new(values))
+        })
     }
 
     fn delete(
         &self,
         state: &EngineState,
-        table: &TableRef,
+        handle: &TableHandle,
         where_clause: &WhereClause,
     ) -> Result<()> {
-        let def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
-        let WhereClause::Eq {
-            column: w_column,
-            value: w_value,
-        } = where_clause
-        else {
-            return Err(NosqlError::Unsupported(
-                "DELETE requires an equality WHERE on the primary key".into(),
-            ));
-        };
-        if w_column != &def.pk_column().name {
-            return Err(NosqlError::Unsupported(format!(
-                "DELETE is by primary key ({})",
-                def.pk_column().name
-            )));
-        }
-        let key = w_value.encode_key();
-        let qualified = def.qualified_name();
-        let core = Arc::clone(state.core(&qualified));
-        if def.indexed_columns.is_empty() {
-            // Blind tombstone: no read, no RMW lock.
-            return self.commit_writes(
-                state,
-                vec![PendingWrite {
-                    table: core,
-                    qualified,
-                    key,
-                    row: None,
-                }],
-            );
-        }
-        let _rmw = core.rmw_lock();
-        let old_row = core.get(&key, u64::MAX)?;
-        let mut writes = vec![PendingWrite {
-            table: Arc::clone(&core),
-            qualified,
-            key,
-            row: None,
-        }];
-        if let Some(old) = old_row {
-            for column in &def.indexed_columns {
-                let idx = def.column_index(column).expect("index on known column");
-                let value = old.values[idx].clone();
-                if !value.is_null() {
-                    writes.push(self.posting_write(
-                        state,
-                        &def,
-                        column,
-                        &value,
-                        old.pk(&def),
-                        false,
-                    ));
-                }
-            }
-        }
-        self.commit_writes(state, writes)
+        let (_, key) = Self::key_filter(&handle.def, where_clause, "DELETE")?;
+        self.write(state, handle, key, false, |_| None)
     }
 
-    fn truncate(&self, state: &mut EngineState, table: &TableRef) -> Result<()> {
-        let def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
+    fn truncate(
+        &self,
+        state: &mut EngineState,
+        table: &TableRef,
+        session_keyspace: Option<&str>,
+    ) -> Result<()> {
+        let mut def = state.table(table, session_keyspace)?.def.clone();
+        let indexed = std::mem::take(&mut def.indexed_columns);
+        let names: Vec<String> = std::iter::once(def.name.clone())
+            .chain(indexed.iter().map(|c| index::hidden_name(&def.name, c)))
+            .collect();
         // Checkpoint before touching the manifest: the WAL still holds this
         // table's pre-truncate mutations, and recovery would replay them
         // into the rebuilt (empty) runtime, resurrecting truncated data.
@@ -964,74 +879,55 @@ impl DbCore {
         // truncate is safe — the TRUNCATE was not yet acknowledged, so both
         // "applied" and "not applied" are legal recovery outcomes.
         self.checkpoint_all_locked(state)?;
-        let rebuild = |state: &mut EngineState, name: &str| -> Result<()> {
-            let qualified = format!("{}.{}", def.keyspace, name);
-            let fresh_def = (**state.catalog.table(&def.keyspace, name)?).clone();
+        let tables = state.keyspace_mut(&def.keyspace)?;
+        for name in &names {
+            let Some(old) = tables.remove(name) else {
+                continue;
+            };
             // A background compaction job may still hold the old runtime:
             // retire it first, which waits out any in-flight merge and
             // turns later jobs into no-ops, so nothing re-publishes the
             // files this TRUNCATE is about to delete.
-            if let Some(old) = state.tables.get(&qualified) {
-                old.retire();
-            }
+            old.core.retire();
             // Retire the files from the manifest first (one atomic record):
             // a crash mid-delete then leaves orphans for recovery to sweep,
             // never a manifest pointing at half-deleted tables.
-            let files = state
-                .tables
-                .get(&qualified)
-                .map(|t| t.sstable_files())
-                .unwrap_or_default();
+            let files = old.core.sstable_files();
             self.manifest.commit(&ManifestEdit {
                 adds: Vec::new(),
                 removes: files
                     .iter()
-                    .map(|f| (qualified.clone(), f.clone()))
+                    .map(|f| (old.core.qualified().to_string(), f.clone()))
                     .collect(),
             })?;
             for f in &files {
                 self.cache.evict_file(f);
                 self.vfs.delete(f)?;
             }
-            state
-                .tables
-                .insert(qualified, self.new_table_core(fresh_def));
-            Ok(())
-        };
-        rebuild(state, &def.name)?;
-        for column in &def.indexed_columns {
-            rebuild(state, &def.index_table_name(column))?;
+        }
+        // Rebuild through the constructors DDL uses: same definitions,
+        // fresh runtimes.
+        let (keyspace, table) = (def.keyspace.clone(), def.name.clone());
+        self.add_table(state, def)?;
+        for column in &indexed {
+            self.add_index(state, &keyspace, &table, column)?;
         }
         Ok(())
     }
 
-    /// Statistics for the planner's cost model, gathered from structures
-    /// the engine already maintains (no extra bookkeeping on any hot
-    /// path).
-    fn table_stats(&self, core: &TableCore) -> plan::TableStats {
-        let cache = self.cache.stats();
-        let lookups = cache.hits + cache.misses;
-        let cache_hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            cache.hits as f64 / lookups as f64
-        };
-        plan::TableStats {
-            rows: core.estimate_rows(),
-            sstables: core.sstable_count(),
-            cache_hit_rate,
-        }
-    }
-
-    /// Plans a `SELECT` and resolves the table runtimes its pipeline
-    /// reads. The only SELECT entry point — `execute`, snapshots, and
-    /// `EXPLAIN` all come through here, so semantics and plans can never
-    /// diverge.
-    fn plan_parts(
+    /// The only SELECT entry point — `execute`, snapshots and `EXPLAIN` all
+    /// come through here, so semantics and plans can never diverge. Plans
+    /// `stmt` against the table it names, then runs the operator pipeline
+    /// at MVCC bound `bound` (build, drain); with no bound it is `EXPLAIN`,
+    /// and the plan tree comes back as one `plan` text column, cost
+    /// estimates included.
+    fn select(
         &self,
         state: &EngineState,
         stmt: &Statement,
-    ) -> Result<(plan::SelectPlan, exec::Cores)> {
+        session_keyspace: Option<&str>,
+        bound: Option<u64>,
+    ) -> Result<QueryResult> {
         let Statement::Select {
             table,
             columns,
@@ -1045,11 +941,18 @@ impl DbCore {
                 "EXPLAIN covers SELECT statements only".into(),
             ));
         };
-        let def = Arc::clone(state.catalog.table(&table.keyspace, &table.table)?);
-        let base = Arc::clone(state.core(&def.qualified_name()));
-        let stats = self.table_stats(&base);
+        let handle = state.table(table, session_keyspace)?;
+        // The cost model's statistics come from structures the engine
+        // already maintains: no extra bookkeeping on any hot path.
+        let cache = self.cache.stats();
+        let lookups = (cache.hits + cache.misses).max(1);
+        let stats = plan::TableStats {
+            rows: handle.core.estimate_rows(),
+            sstables: handle.core.sstable_count(),
+            cache_hit_rate: cache.hits as f64 / lookups as f64,
+        };
         let plan = plan::plan_select(
-            &def,
+            &handle.def,
             columns,
             where_clause,
             group_by,
@@ -1057,47 +960,19 @@ impl DbCore {
             *limit,
             &stats,
         )?;
-        let index = plan
-            .root
-            .scan()
-            .index_table
-            .as_ref()
-            .map(|qualified| Arc::clone(state.core(qualified)));
-        Ok((plan, exec::Cores { base, index }))
-    }
-
-    /// Executes a `SELECT` at MVCC bound `bound` through the operator
-    /// pipeline: plan, build operators, drain.
-    fn run_select(&self, state: &EngineState, stmt: &Statement, bound: u64) -> Result<QueryResult> {
-        let (plan, cores) = self.plan_parts(state, stmt)?;
-        let mut op = exec::build(&plan.root, &cores, bound);
+        let Some(bound) = bound else {
+            let lines = plan::explain::result_rows(&plan);
+            return Ok(QueryResult::new(vec!["plan".to_string()], lines));
+        };
+        let mut op = exec::build(&plan.root, handle, bound)?;
         let rows = exec::drain(op.as_mut())?;
         Ok(QueryResult::new(plan.columns, rows))
-    }
-
-    /// `EXPLAIN <select>`: plans the inner statement and returns the plan
-    /// tree as one `plan` text column, cost estimates included.
-    fn explain(&self, state: &EngineState, stmt: &Statement) -> Result<QueryResult> {
-        let (plan, _cores) = self.plan_parts(state, stmt)?;
-        Ok(QueryResult::new(
-            vec!["plan".to_string()],
-            plan::explain::result_rows(&plan),
-        ))
-    }
-
-    /// Flushes every memtable to disk and truncates the commit log (its
-    /// contents are now redundant). Takes the state write lock, so no
-    /// statement is in flight: the watermark covers every write and the
-    /// truncated WAL loses nothing.
-    pub(crate) fn flush_all(&self) -> Result<()> {
-        let state = self.write_state();
-        self.checkpoint_all_locked(&state)
     }
 
     /// Flush every table, then truncate the (now fully redundant) commit
     /// log. The caller holds the state write lock.
     fn checkpoint_all_locked(&self, state: &EngineState) -> Result<()> {
-        for table in state.tables.values() {
+        for table in state.cores() {
             table.flush(&self.tracker, &self.registry)?;
             if table.needs_compaction() {
                 self.schedule_compaction(table)?;
@@ -1118,60 +993,6 @@ impl DbCore {
             }
             None => table.compact_tiered(&self.registry),
         }
-    }
-
-    /// Blocks until every queued background compaction has finished (a
-    /// no-op with `compaction_threads = 0`).
-    pub(crate) fn drain_compactions(&self) {
-        if let Some(pool) = &self.pool {
-            pool.drain();
-        }
-    }
-
-    /// Compacts every table fully.
-    pub(crate) fn compact_all(&self) -> Result<()> {
-        let state = self.read_state();
-        for table in state.tables.values() {
-            table.compact(&self.registry)?;
-        }
-        Ok(())
-    }
-
-    /// On-disk size of one table's SSTables (hidden index tables *not*
-    /// included; see [`DbCore::keyspace_size`]).
-    pub(crate) fn table_size(&self, keyspace: &str, table: &str) -> Result<ByteSize> {
-        let state = self.read_state();
-        state.catalog.table(keyspace, table)?;
-        Ok(ByteSize::bytes(
-            state.core(&format!("{keyspace}.{table}")).disk_size(),
-        ))
-    }
-
-    /// Total on-disk size of a keyspace: all tables including hidden index
-    /// column families. This is the paper's `size_as_mb` measurement.
-    ///
-    /// Waits out any queued background merges first: a size probed while a
-    /// merge is mid-flight would count inputs and output both (or neither
-    /// merged), making the number racy.
-    pub(crate) fn keyspace_size(&self, keyspace: &str) -> Result<ByteSize> {
-        self.drain_compactions();
-        let state = self.read_state();
-        state.catalog.tables_in(keyspace)?; // validates the keyspace
-        let mut total = 0;
-        for (qualified, table) in &state.tables {
-            if qualified.starts_with(&format!("{keyspace}.")) {
-                total += table.disk_size();
-            }
-        }
-        Ok(ByteSize::bytes(total))
-    }
-
-    pub(crate) fn commitlog_size(&self) -> ByteSize {
-        ByteSize::bytes(self.wal.plain().size())
-    }
-
-    pub(crate) fn block_cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 }
 
@@ -1225,11 +1046,6 @@ impl Db {
         Snapshot::new(Arc::clone(&self.core))
     }
 
-    /// A point-in-time copy of the schema catalog.
-    pub fn catalog(&self) -> Catalog {
-        self.core.catalog_snapshot()
-    }
-
     /// Parses and executes one statement without session state (no `USE`
     /// resolution).
     pub fn execute_cql(&self, cql: &str) -> Result<QueryResult> {
@@ -1240,48 +1056,68 @@ impl Db {
     /// Executes a pre-parsed statement (the "prepared" fast path the bulk
     /// loader uses).
     pub fn execute(&self, stmt: &Statement) -> Result<QueryResult> {
-        self.core.execute(stmt)
+        self.core.execute(stmt, None)
     }
 
-    /// Flushes every memtable and truncates the commit log. Waits for all
-    /// in-flight statements (state write lock). Call before measuring
-    /// sizes.
+    /// Flushes every memtable to disk and truncates the commit log (its
+    /// contents are now redundant). Takes the state write lock, so no
+    /// statement is in flight: the watermark covers every write and the
+    /// truncated WAL loses nothing. Call before measuring sizes.
     pub fn flush_all(&self) -> Result<()> {
-        self.core.flush_all()
+        let state = self.core.write_state();
+        self.core.checkpoint_all_locked(&state)
     }
 
     /// Compacts every table fully.
     pub fn compact_all(&self) -> Result<()> {
-        self.core.compact_all()
+        let state = self.core.read_state();
+        for table in state.cores() {
+            table.compact(&self.core.registry)?;
+        }
+        Ok(())
     }
 
     /// Blocks until every queued background compaction has finished (a
     /// no-op with [`OpenOptions::compaction_threads`] 0). Call before
     /// asserting on SSTable counts or measuring steady-state disk size.
     pub fn drain_compactions(&self) {
-        self.core.drain_compactions()
+        if let Some(pool) = &self.core.pool {
+            pool.drain();
+        }
     }
 
     /// On-disk size of one table's SSTables (hidden index tables *not*
     /// included; see [`Db::keyspace_size`]).
     pub fn table_size(&self, keyspace: &str, table: &str) -> Result<ByteSize> {
-        self.core.table_size(keyspace, table)
+        let state = self.core.read_state();
+        Ok(ByteSize::bytes(
+            state.get(keyspace, table)?.core.disk_size(),
+        ))
     }
 
     /// Total on-disk size of a keyspace: all tables including hidden index
     /// column families. This is the paper's `size_as_mb` measurement.
+    ///
+    /// Waits out any queued background merges first: a size probed while a
+    /// merge is mid-flight would count inputs and output both (or neither
+    /// merged), making the number racy.
     pub fn keyspace_size(&self, keyspace: &str) -> Result<ByteSize> {
-        self.core.keyspace_size(keyspace)
+        self.drain_compactions();
+        let state = self.core.read_state();
+        let tables = state.keyspace(keyspace)?;
+        Ok(ByteSize::bytes(
+            tables.values().map(|h| h.core.disk_size()).sum(),
+        ))
     }
 
     /// Commit-log bytes currently on disk.
     pub fn commitlog_size(&self) -> ByteSize {
-        self.core.commitlog_size()
+        ByteSize::bytes(self.core.wal.plain().size())
     }
 
     /// Point-in-time counters of the engine's shared block cache.
     pub fn block_cache_stats(&self) -> CacheStats {
-        self.core.block_cache_stats()
+        self.core.cache.stats()
     }
 }
 
@@ -1510,6 +1346,29 @@ mod tests {
             .execute_cql("SELECT id FROM ks.cells WHERE parent = 20")
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn an_index_whose_hidden_name_is_taken_leaves_that_table_alone() {
+        let db = setup();
+        db.execute_cql("CREATE TABLE ks.cells__idx_parent (k text, PRIMARY KEY (k))")
+            .unwrap();
+        db.execute_cql("INSERT INTO ks.cells__idx_parent (k) VALUES ('mine')")
+            .unwrap();
+        assert!(matches!(
+            db.execute_cql("CREATE INDEX ON ks.cells (parent)"),
+            Err(NosqlError::AlreadyExists(_))
+        ));
+        let r = db
+            .execute_cql("SELECT * FROM ks.cells__idx_parent")
+            .unwrap();
+        assert_eq!(r.len(), 1, "the refused index replaced the table's runtime");
+        // No index was registered: the column still scans.
+        let plan = db
+            .execute_cql("EXPLAIN SELECT * FROM ks.cells WHERE parent = 1")
+            .unwrap();
+        let line = plan.first().unwrap().get_text("plan").unwrap().to_string();
+        assert!(line.starts_with("FullScan"), "{line}");
     }
 
     #[test]
@@ -1822,15 +1681,172 @@ mod tests {
         assert_eq!(s.execute_cql("SELECT * FROM t").unwrap().len(), 1);
         // Qualified statements ignore the session keyspace.
         assert_eq!(s.execute_cql("SELECT * FROM ks.t").unwrap().len(), 1);
-        // A second session has its own (empty) state.
+        s.execute_cql("CREATE KEYSPACE ks2").unwrap();
+        s.execute_cql("CREATE TABLE ks2.t (id int, PRIMARY KEY (id))")
+            .unwrap();
+        // EXPLAIN resolves the inner statement's reference...
+        let plan = s
+            .execute_cql("EXPLAIN SELECT * FROM t WHERE id = 1")
+            .unwrap();
+        let line = plan.first().unwrap().get_text("plan").unwrap().to_string();
+        assert!(line.starts_with("PointScan ks.t key=1"), "{line}");
+        // ...and a batch resolves each statement's own.
+        s.execute_cql(
+            "BEGIN BATCH INSERT INTO t (id) VALUES (2); \
+             INSERT INTO ks2.t (id) VALUES (3); APPLY BATCH",
+        )
+        .unwrap();
+        assert_eq!(s.execute_cql("SELECT * FROM t").unwrap().len(), 2);
+        assert_eq!(s.execute_cql("SELECT * FROM ks2.t").unwrap().len(), 1);
+        // Every other statement kind resolves the same way.
+        assert!(matches!(
+            s.execute_cql("UPDATE t SET nope = 5 WHERE id = 1"),
+            Err(NosqlError::UnknownColumn { .. })
+        ));
+        s.execute_cql("DELETE FROM t WHERE id = 2").unwrap();
+        s.execute_cql("TRUNCATE t").unwrap();
+        assert!(s.execute_cql("SELECT * FROM ks.t").unwrap().is_empty());
+        assert_eq!(s.execute_cql("SELECT * FROM ks2.t").unwrap().len(), 1);
+        // A second session has its own (empty) state, typed the same in
+        // every statement kind, EXPLAIN and BATCH included.
         let mut other = shared.session();
-        assert!(other.execute_cql("SELECT * FROM t").is_err());
+        for cql in [
+            "SELECT * FROM t",
+            "EXPLAIN SELECT * FROM t",
+            "BEGIN BATCH INSERT INTO t (id) VALUES (9); APPLY BATCH",
+            "CREATE TABLE u (id int, PRIMARY KEY (id))",
+            "CREATE INDEX ON t (id)",
+            "TRUNCATE t",
+        ] {
+            match other.execute_cql(cql) {
+                Err(NosqlError::Parse(m)) => {
+                    assert!(
+                        m.contains("requires a session keyspace (USE)"),
+                        "{cql}: {m}"
+                    )
+                }
+                other => panic!("{cql}: expected a parse error, got {other:?}"),
+            }
+        }
         // The bare engine core rejects USE outright.
         let db = Db::open(OpenOptions::default()).unwrap();
         assert!(matches!(
             db.execute_cql("USE ks"),
             Err(NosqlError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn unqualified_ddl_is_journaled_fully_qualified() {
+        let vfs = Vfs::memory();
+        {
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            let mut s = db.session();
+            s.execute_cql("CREATE KEYSPACE ks").unwrap();
+            s.execute_cql("USE ks").unwrap();
+            s.execute_cql("CREATE TABLE t (id int, v int, PRIMARY KEY (id))")
+                .unwrap();
+            s.execute_cql("CREATE INDEX ON t (v)").unwrap();
+            s.execute_cql("INSERT INTO t (id, v) VALUES (1, 7)")
+                .unwrap();
+        }
+        let journal = String::from_utf8(vfs.read_all(SCHEMA_LOG).unwrap()).unwrap();
+        assert_eq!(
+            journal,
+            "CREATE KEYSPACE ks\n\
+             CREATE TABLE ks.t (id int, v int, PRIMARY KEY (id))\n\
+             CREATE INDEX ON ks.t (v)\n"
+        );
+        // Replay has no session: the journal alone rebuilds table and index.
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let r = db.execute_cql("SELECT id FROM ks.t WHERE v = 7").unwrap();
+        assert_eq!(r.rows(), vec![vec![CqlValue::Int(1)]]);
+    }
+
+    #[test]
+    fn indexed_table_recovers_across_a_mid_stream_flush() {
+        // INSERT / UPDATE / DELETE on an indexed table, a flush in the
+        // middle (so recovery merges SSTables with WAL replay for base and
+        // posting tables alike), then a crash: exactly the acknowledged
+        // rows come back through the primary key and through the index.
+        let vfs = Vfs::memory();
+        {
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            db.execute_cql("CREATE KEYSPACE ks").unwrap();
+            db.execute_cql("CREATE TABLE ks.t (id int, v int, w text, PRIMARY KEY (id))")
+                .unwrap();
+            db.execute_cql("CREATE INDEX ON ks.t (v)").unwrap();
+            for i in 0..6 {
+                db.execute_cql(&format!(
+                    "INSERT INTO ks.t (id, v, w) VALUES ({i}, {}, 'r{i}')",
+                    i % 2
+                ))
+                .unwrap();
+            }
+            db.execute_cql("UPDATE ks.t SET v = 9 WHERE id = 0")
+                .unwrap();
+            db.execute_cql("DELETE FROM ks.t WHERE id = 1").unwrap();
+            db.flush_all().unwrap();
+            db.execute_cql("UPDATE ks.t SET v = 1 WHERE id = 2")
+                .unwrap();
+            db.execute_cql("DELETE FROM ks.t WHERE id = 3").unwrap();
+            db.execute_cql("INSERT INTO ks.t (id, v, w) VALUES (1, 9, 'back')")
+                .unwrap();
+            db.execute_cql("UPDATE ks.t SET w = 'same v' WHERE id = 4")
+                .unwrap();
+            // Crash: drop without flushing.
+        }
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let expected: [(i64, i64, &str); 5] = [
+            (0, 9, "r0"),
+            (1, 9, "back"),
+            (2, 1, "r2"),
+            (4, 0, "same v"),
+            (5, 1, "r5"),
+        ];
+        let row = |(id, v, w): (i64, i64, &str)| {
+            vec![
+                CqlValue::Int(id),
+                CqlValue::Int(v),
+                CqlValue::Text(w.into()),
+            ]
+        };
+        let all = db.execute_cql("SELECT * FROM ks.t").unwrap();
+        assert_eq!(all.rows(), expected.map(row).to_vec());
+        for id in 0..6 {
+            let by_pk = db
+                .execute_cql(&format!("SELECT * FROM ks.t WHERE id = {id}"))
+                .unwrap();
+            let want: Vec<_> = expected
+                .iter()
+                .filter(|r| r.0 == id)
+                .map(|r| row(*r))
+                .collect();
+            assert_eq!(by_pk.rows(), want, "id {id}");
+        }
+        for v in [0, 1, 2, 9] {
+            let by_index = db
+                .execute_cql(&format!("SELECT * FROM ks.t WHERE v = {v}"))
+                .unwrap();
+            let plan = db
+                .execute_cql(&format!("EXPLAIN SELECT * FROM ks.t WHERE v = {v}"))
+                .unwrap();
+            assert!(plan
+                .first()
+                .unwrap()
+                .get_text("plan")
+                .unwrap()
+                .starts_with("IndexScan"));
+            let mut got: Vec<Vec<CqlValue>> =
+                by_index.iter().map(|r| r.values().to_vec()).collect();
+            got.sort_by_key(|r| r[0].as_int());
+            let want: Vec<_> = expected
+                .iter()
+                .filter(|r| r.1 == v)
+                .map(|r| row(*r))
+                .collect();
+            assert_eq!(got, want, "v {v}");
+        }
     }
 
     #[test]

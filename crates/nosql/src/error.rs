@@ -29,7 +29,8 @@ pub enum NosqlError {
         /// What was supplied.
         found: String,
     },
-    /// An INSERT did not bind the primary key column.
+    /// A write (INSERT, UPDATE, DELETE) left the primary key column unbound
+    /// or bound it to `null`.
     MissingPrimaryKey(String),
     /// Creating something that already exists.
     AlreadyExists(String),
@@ -66,7 +67,7 @@ impl fmt::Display for NosqlError {
                 "type mismatch on column {column:?}: expected {expected}, found {found}"
             ),
             NosqlError::MissingPrimaryKey(c) => {
-                write!(f, "INSERT must bind primary key column {c:?}")
+                write!(f, "a write must bind primary key column {c:?} to a value")
             }
             NosqlError::AlreadyExists(what) => write!(f, "{what} already exists"),
             NosqlError::AggregateOverflow { func } => {

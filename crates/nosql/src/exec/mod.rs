@@ -10,8 +10,8 @@
 //! layout: scans emit the base table's full layout; `Project` and
 //! `Aggregate` change it.
 //!
-//! Operators own `Arc` clones of the table runtimes they read, resolved
-//! by the engine at build time, and read at one fixed MVCC bound — a
+//! Operators own `Arc` clones of the table runtimes they read, taken from
+//! the engine's table handle at build time, and read at one fixed MVCC bound — a
 //! pipeline sees a single consistent version of the table no matter how
 //! long it runs or what commits meanwhile.
 //!
@@ -24,9 +24,9 @@ pub mod scan;
 pub mod traced;
 pub mod transform;
 
-use crate::error::Result;
+use crate::engine::TableHandle;
+use crate::error::{NosqlError, Result};
 use crate::plan::{PlanNode, ScanKind};
-use crate::table::TableCore;
 use crate::types::CqlValue;
 use std::sync::Arc;
 
@@ -60,72 +60,52 @@ pub trait Operator {
     fn next_batch(&mut self) -> Result<Option<RowBatch>>;
 }
 
-/// The table runtimes a pipeline reads: the base table and, for index
-/// scans, the hidden posting table.
-#[derive(Debug, Clone)]
-pub struct Cores {
-    /// The scanned table.
-    pub base: Arc<TableCore>,
-    /// The posting table, when the plan's scan is an index scan.
-    pub index: Option<Arc<TableCore>>,
-}
-
-/// Builds the operator pipeline for a plan subtree. `bound` is the MVCC
-/// read bound every storage access uses.
-pub fn build(plan: &PlanNode, cores: &Cores, bound: u64) -> Box<dyn Operator> {
+/// Builds the operator pipeline for a plan subtree over the table the plan
+/// was made for. `bound` is the MVCC read bound every storage access uses.
+pub fn build(plan: &PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn Operator>> {
+    let child = |node: &PlanNode| build(node, table, bound);
     let op: Box<dyn Operator> = match plan {
-        PlanNode::Scan(node) => match &node.kind {
-            ScanKind::Point { key } => Box::new(scan::PointScan::new(
-                Arc::clone(&cores.base),
-                key.encode_key(),
-                bound,
-            )),
-            ScanKind::MultiPoint { keys } => Box::new(scan::MultiPointScan::new(
-                Arc::clone(&cores.base),
-                keys,
-                bound,
-            )),
-            ScanKind::Index {
-                col_index, values, ..
-            } => Box::new(scan::IndexScan::new(
-                Arc::clone(&cores.base),
-                Arc::clone(
-                    cores
-                        .index
-                        .as_ref()
-                        .expect("index scan plans carry a posting core"),
-                ),
-                *col_index,
-                values.clone(),
-                bound,
-            )),
-            ScanKind::Full => Box::new(scan::FullScan::new(
-                &cores.base,
-                node.residual.clone(),
-                node.pushed_limit,
-                node.projection.as_ref().map(|p| p.indices.as_slice()),
-                bound,
-            )),
-        },
+        PlanNode::Scan(node) => {
+            let core = Arc::clone(table.core());
+            match &node.kind {
+                ScanKind::Key(_) => Box::new(scan::MultiPointScan::new(
+                    core,
+                    node.kind.operator(),
+                    node.keys.clone(),
+                    bound,
+                )),
+                ScanKind::Index(pred) => {
+                    let index = table.index_on(pred.index).ok_or_else(|| {
+                        NosqlError::Unsupported(format!("no index on column {:?}", pred.column))
+                    })?;
+                    Box::new(scan::IndexScan::new(
+                        core,
+                        index.clone(),
+                        pred.clone(),
+                        node.keys.clone(),
+                        bound,
+                    ))
+                }
+                ScanKind::Full => Box::new(scan::FullScan::new(
+                    &core,
+                    node.residual.clone(),
+                    node.pushed_limit,
+                    node.projection.as_ref().map(|p| p.indices.as_slice()),
+                    bound,
+                )),
+            }
+        }
         PlanNode::Filter {
             input, predicates, ..
-        } => Box::new(transform::Filter::new(
-            build(input, cores, bound),
-            predicates.clone(),
-        )),
-        PlanNode::Project { input, indices, .. } => Box::new(transform::Project::new(
-            build(input, cores, bound),
-            indices.clone(),
-        )),
+        } => Box::new(transform::Filter::new(child(input)?, predicates.clone())),
+        PlanNode::Project { input, indices, .. } => {
+            Box::new(transform::Project::new(child(input)?, indices.clone()))
+        }
         PlanNode::Sort {
             input, key, desc, ..
-        } => Box::new(transform::Sort::new(
-            build(input, cores, bound),
-            *key,
-            *desc,
-        )),
+        } => Box::new(transform::Sort::new(child(input)?, *key, *desc)),
         PlanNode::Limit { input, limit, .. } => {
-            Box::new(transform::Limit::new(build(input, cores, bound), *limit))
+            Box::new(transform::Limit::new(child(input)?, *limit))
         }
         PlanNode::Aggregate {
             input,
@@ -134,13 +114,13 @@ pub fn build(plan: &PlanNode, cores: &Cores, bound: u64) -> Box<dyn Operator> {
             output,
             ..
         } => Box::new(aggregate::Aggregate::new(
-            build(input, cores, bound),
+            child(input)?,
             group_by.clone(),
             aggs.clone(),
             output.clone(),
         )),
     };
-    Box::new(traced::Traced::new(op))
+    Ok(Box::new(traced::Traced::new(op)))
 }
 
 /// Drains an operator into a row vector.

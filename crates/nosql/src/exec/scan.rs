@@ -1,70 +1,41 @@
-//! Leaf operators: the four access paths.
+//! Leaf operators: key probes, index scans and full scans.
 
 use super::{Operator, RowBatch, BATCH_ROWS};
 use crate::error::Result;
+use crate::index::Index;
 use crate::plan::Predicate;
 use crate::table::{live_row, Cursor, TableCore};
 use crate::types::CqlValue;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// One bloom/fence-checked probe of the primary key.
-pub struct PointScan {
-    core: Arc<TableCore>,
-    key: Vec<u8>,
-    bound: u64,
-    done: bool,
-}
-
-impl PointScan {
-    pub(crate) fn new(core: Arc<TableCore>, key: Vec<u8>, bound: u64) -> PointScan {
-        PointScan {
-            core,
-            key,
-            bound,
-            done: false,
-        }
-    }
-}
-
-impl Operator for PointScan {
-    fn name(&self) -> &'static str {
-        "PointScan"
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        Ok(self.core.get(&self.key, self.bound)?.map(|row| RowBatch {
-            rows: vec![row.values],
-        }))
-    }
-}
-
-/// One probe per distinct `IN` key; statement order preserved, duplicates
-/// collapsed, missing keys skipped (the pinned multi-point semantics).
+/// Probes of the primary key: one for `=` (EXPLAIN and traces call that a
+/// `PointScan`), one per distinct `IN` key in statement order, missing
+/// keys skipped (the pinned multi-point semantics). The keys arrive
+/// encoded by the planner's bind step.
 pub struct MultiPointScan {
     core: Arc<TableCore>,
+    name: &'static str,
     keys: Vec<Vec<u8>>,
     pos: usize,
     bound: u64,
 }
 
 impl MultiPointScan {
-    pub(crate) fn new(core: Arc<TableCore>, keys: &[CqlValue], bound: u64) -> MultiPointScan {
-        let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(keys.len());
-        let mut encoded = Vec::with_capacity(keys.len());
-        for key in keys {
-            let k = key.encode_key();
-            if seen.insert(k.clone()) {
-                encoded.push(k);
-            }
+    pub(crate) fn new(
+        core: Arc<TableCore>,
+        name: &'static str,
+        mut keys: Vec<Vec<u8>>,
+        bound: u64,
+    ) -> MultiPointScan {
+        if keys.len() > 1 {
+            let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(keys.len());
+            keys.retain(|k| seen.insert(k.clone()));
         }
         MultiPointScan {
             core,
-            keys: encoded,
+            name,
+            keys,
             pos: 0,
             bound,
         }
@@ -73,33 +44,44 @@ impl MultiPointScan {
 
 impl Operator for MultiPointScan {
     fn name(&self) -> &'static str {
-        "MultiPointScan"
+        self.name
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        let mut batch = RowBatch::with_capacity(BATCH_ROWS.min(self.keys.len() - self.pos));
-        while self.pos < self.keys.len() && batch.rows.len() < BATCH_ROWS {
-            let key = &self.keys[self.pos];
-            self.pos += 1;
-            if let Some(row) = self.core.get(key, self.bound)? {
-                batch.rows.push(row.values);
-            }
-        }
-        Ok((!batch.rows.is_empty()).then_some(batch))
+        probe(&self.core, &self.keys, &mut self.pos, self.bound, |_| true)
     }
 }
 
-/// Posting scan of a hidden index table, then one base-table probe per
-/// posting id with a staleness re-check (postings may trail overwrites
+/// The next batch of rows stored under `keys[*pos..]` that `keep` accepts;
+/// missing keys are skipped.
+fn probe(
+    core: &TableCore,
+    keys: &[Vec<u8>],
+    pos: &mut usize,
+    bound: u64,
+    keep: impl Fn(&[CqlValue]) -> bool,
+) -> Result<Option<RowBatch>> {
+    let mut batch = RowBatch::with_capacity(BATCH_ROWS.min(keys.len() - *pos));
+    while *pos < keys.len() && batch.rows.len() < BATCH_ROWS {
+        let row = core.get(&keys[*pos], bound)?;
+        *pos += 1;
+        batch.rows.extend(row.map(|r| r.values).filter(|v| keep(v)));
+    }
+    Ok((!batch.rows.is_empty()).then_some(batch))
+}
+
+/// Posting scan of a secondary index, then one base-table probe per
+/// posted key with a staleness re-check (postings may trail overwrites
 /// racing the index update).
 pub struct IndexScan {
     core: Arc<TableCore>,
-    idx_core: Arc<TableCore>,
-    col_index: usize,
-    values: Vec<CqlValue>,
-    /// Posting ids, gathered on the first pull; statement order of
-    /// values, key order within a value, duplicates collapsed.
-    ids: Option<Vec<i64>>,
+    index: Index,
+    /// The `=` or `IN` test on the indexed column.
+    pred: Predicate,
+    /// The predicate's literals as the planner's bind step encoded them.
+    value_keys: Vec<Vec<u8>>,
+    /// Base-table keys, gathered on the first pull.
+    keys: Option<Vec<Vec<u8>>>,
     pos: usize,
     bound: u64,
 }
@@ -107,40 +89,20 @@ pub struct IndexScan {
 impl IndexScan {
     pub(crate) fn new(
         core: Arc<TableCore>,
-        idx_core: Arc<TableCore>,
-        col_index: usize,
-        values: Vec<CqlValue>,
+        index: Index,
+        pred: Predicate,
+        value_keys: Vec<Vec<u8>>,
         bound: u64,
     ) -> IndexScan {
         IndexScan {
             core,
-            idx_core,
-            col_index,
-            values,
-            ids: None,
+            index,
+            pred,
+            value_keys,
+            keys: None,
             pos: 0,
             bound,
         }
-    }
-
-    fn gather_ids(&mut self) -> Result<()> {
-        let mut ids = Vec::new();
-        let mut seen: HashSet<i64> = HashSet::new();
-        for value in &self.values {
-            // The write path's posting-key layout: len-prefixed value key
-            // ++ id; the value prefix covers every posting of the value.
-            let prefix = crate::engine::DbCore::posting_prefix(value);
-            let postings = self.idx_core.cursor(self.bound, Some(&prefix), None);
-            for posting in postings.map(live_row) {
-                if let Some(id) = posting?.values[1].as_int() {
-                    if seen.insert(id) {
-                        ids.push(id);
-                    }
-                }
-            }
-        }
-        self.ids = Some(ids);
-        Ok(())
     }
 }
 
@@ -150,21 +112,16 @@ impl Operator for IndexScan {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.ids.is_none() {
-            self.gather_ids()?;
-        }
-        let ids = self.ids.as_ref().expect("ids gathered above");
-        let mut batch = RowBatch::with_capacity(BATCH_ROWS.min(ids.len().saturating_sub(self.pos)));
-        while self.pos < ids.len() && batch.rows.len() < BATCH_ROWS {
-            let id = ids[self.pos];
-            self.pos += 1;
-            if let Some(row) = self.core.get(&CqlValue::Int(id).encode_key(), self.bound)? {
-                if self.values.contains(&row.values[self.col_index]) {
-                    batch.rows.push(row.values);
-                }
-            }
-        }
-        Ok((!batch.rows.is_empty()).then_some(batch))
+        let keys = match &mut self.keys {
+            Some(keys) => keys,
+            None => self
+                .keys
+                .insert(self.index.base_keys(&self.value_keys, self.bound)?),
+        };
+        let pred = &self.pred;
+        probe(&self.core, keys, &mut self.pos, self.bound, |row| {
+            pred.matches(row)
+        })
     }
 }
 

@@ -51,6 +51,7 @@ pub mod crashtest;
 pub mod engine;
 pub mod error;
 pub(crate) mod exec;
+pub(crate) mod index;
 pub mod manifest;
 pub mod memtable;
 pub(crate) mod mvcc;

@@ -5,7 +5,7 @@
 //! sqllogictest `plan` directive) strip the suffix at `"  (cost:"` —
 //! estimates move with table statistics, the tree shape does not.
 
-use super::logical::{PlanNode, Predicate, ScanKind, SelectPlan};
+use super::logical::{PlanNode, PredTest, Predicate, ScanKind, SelectPlan};
 use crate::types::CqlValue;
 
 fn preds(list: &[Predicate]) -> String {
@@ -16,23 +16,22 @@ fn preds(list: &[Predicate]) -> String {
 fn describe(node: &PlanNode) -> String {
     match node {
         PlanNode::Scan(scan) => {
+            let (table, operator) = (&scan.table, scan.kind.operator());
             let mut s = match &scan.kind {
-                ScanKind::Point { key } => format!(
-                    "PointScan {} key={} (bloom+fence checked)",
-                    scan.table,
-                    key.to_cql_literal()
+                ScanKind::Key(pred) => match &pred.test {
+                    PredTest::Eq(key) => format!(
+                        "{operator} {table} key={} (bloom+fence checked)",
+                        key.to_cql_literal()
+                    ),
+                    _ => format!("{operator} {table} keys={}", pred.values().len()),
+                },
+                ScanKind::Index(pred) => format!(
+                    "{operator} {table} via {} on {} values={}",
+                    crate::index::hidden_name(table, &pred.column),
+                    pred.column,
+                    pred.values().len()
                 ),
-                ScanKind::MultiPoint { keys } => {
-                    format!("MultiPointScan {} keys={}", scan.table, keys.len())
-                }
-                ScanKind::Index { column, values, .. } => format!(
-                    "IndexScan {} via {} on {} values={}",
-                    scan.table,
-                    scan.index_table.as_deref().unwrap_or("?"),
-                    column,
-                    values.len()
-                ),
-                ScanKind::Full => format!("FullScan {}", scan.table),
+                ScanKind::Full => format!("{operator} {table}"),
             };
             if !scan.residual.is_empty() {
                 s.push_str(&format!(" where {}", preds(&scan.residual)));

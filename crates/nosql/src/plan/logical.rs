@@ -37,6 +37,14 @@ pub struct Predicate {
 }
 
 impl Predicate {
+    /// The literals the column is tested against, in statement order.
+    pub fn values(&self) -> &[CqlValue] {
+        match &self.test {
+            PredTest::Eq(value) | PredTest::Cmp(_, value) => std::slice::from_ref(value),
+            PredTest::In(values) => values,
+        }
+    }
+
     /// Whether `row` (base-table layout) satisfies the predicate.
     /// Comparisons follow SQL's null semantics: a null cell never
     /// matches a range test (equality against an explicit null does).
@@ -66,31 +74,35 @@ impl Predicate {
     }
 }
 
-/// How the scan reaches rows.
+/// How the scan reaches rows. The probing paths carry the `=` or `IN`
+/// predicate they serve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScanKind {
-    /// One bloom/fence-checked probe of the primary key.
-    Point {
-        /// The key value.
-        key: CqlValue,
-    },
-    /// One probe per distinct `IN` key, in statement order.
-    MultiPoint {
-        /// Key values, already deduplicated, statement order preserved.
-        keys: Vec<CqlValue>,
-    },
-    /// Posting scan of a hidden index table, then a probe per posting id
-    /// with a staleness re-check against the base row.
-    Index {
-        /// The indexed column's name.
-        column: String,
-        /// Its index in the base row layout (for the re-check).
-        col_index: usize,
-        /// Accepted values (one for `=`, several for `IN`).
-        values: Vec<CqlValue>,
-    },
+    /// Bloom/fence-checked probes of the primary key: one for `=` (a point
+    /// scan), one per distinct `IN` value in statement order.
+    Key(Predicate),
+    /// Posting scan of a secondary index for the predicate's values, then a
+    /// probe per posted key, each base row re-checked against the
+    /// predicate (postings may be stale).
+    Index(Predicate),
     /// Key-ordered scan of the whole table.
     Full,
+}
+
+impl ScanKind {
+    /// The operator that runs this access path, as `EXPLAIN` and traces
+    /// name it.
+    pub fn operator(&self) -> &'static str {
+        match self {
+            ScanKind::Key(Predicate {
+                test: PredTest::Eq(_),
+                ..
+            }) => "PointScan",
+            ScanKind::Key(_) => "MultiPointScan",
+            ScanKind::Index(_) => "IndexScan",
+            ScanKind::Full => "FullScan",
+        }
+    }
 }
 
 /// The leaf of every plan: a scan of one table.
@@ -98,10 +110,12 @@ pub enum ScanKind {
 pub struct ScanNode {
     /// Qualified base-table name (`ks.table`).
     pub table: String,
-    /// Qualified posting-table name, for [`ScanKind::Index`].
-    pub index_table: Option<String>,
     /// Access path.
     pub kind: ScanKind,
+    /// The access path's non-null literals as encoded keys, statement
+    /// order: checked and encoded by the planner
+    /// ([`crate::TableDef::encode_key`]), trusted by the operators.
+    pub keys: Vec<Vec<u8>>,
     /// Predicates evaluated inside the scan (full scans only; pushdown).
     pub residual: Vec<Predicate>,
     /// Row cap applied inside the scan, counted after `residual`.

@@ -87,41 +87,31 @@ impl TableStats {
     }
 }
 
-fn unknown_column(def: &TableDef, column: &str) -> NosqlError {
-    NosqlError::UnknownColumn {
-        table: def.name.clone(),
-        column: column.to_string(),
-    }
-}
-
-fn resolve_column(def: &TableDef, column: &str) -> Result<usize> {
-    def.column_index(column)
-        .ok_or_else(|| unknown_column(def, column))
-}
-
-/// Phase 1 of lowering: resolve and type-check the `WHERE` conjunction.
+/// Phase 1 of lowering: resolve the `WHERE` conjunction's columns and
+/// check every literal against its column's declared type.
 fn resolve_predicates(def: &TableDef, where_clause: &[WhereClause]) -> Result<Vec<Predicate>> {
     let mut preds = Vec::with_capacity(where_clause.len());
     for clause in where_clause {
         let column = clause.column().to_string();
-        let index = resolve_column(def, &column)?;
+        let index = def.column(&column)?;
         let test = match clause {
-            WhereClause::Eq { value, .. } => PredTest::Eq(value.clone()),
-            WhereClause::In { values, .. } => PredTest::In(values.clone()),
+            WhereClause::Eq { value, .. } => {
+                def.check(index, value)?;
+                PredTest::Eq(value.clone())
+            }
+            WhereClause::In { values, .. } => {
+                for value in values {
+                    def.check(index, value)?;
+                }
+                PredTest::In(values.clone())
+            }
             WhereClause::Cmp { op, value, .. } => {
-                let ty = def.columns[index].ty;
-                if ty == CqlType::IntSet {
+                if def.columns[index].ty == CqlType::IntSet {
                     return Err(NosqlError::Unsupported(format!(
                         "range comparisons on set<int> column {column:?}"
                     )));
                 }
-                if !value.is_null() && !value.matches(ty) {
-                    return Err(NosqlError::TypeMismatch {
-                        column: column.clone(),
-                        expected: ty.name().to_string(),
-                        found: value.type_name().to_string(),
-                    });
-                }
+                def.check(index, value)?;
                 PredTest::Cmp(*op, value.clone())
             }
         };
@@ -149,7 +139,7 @@ fn combined_selectivity(preds: &[Predicate]) -> f64 {
 /// How attractive a predicate is as the access path. Primary-key probes
 /// beat posting scans beat nothing; equality beats `IN` (fewer probes).
 fn access_score(def: &TableDef, pred: &Predicate) -> u8 {
-    let on_pk = pred.column == def.pk_column().name;
+    let on_pk = pred.index == def.primary_key;
     match (&pred.test, on_pk, def.is_indexed(&pred.column)) {
         (PredTest::Eq(_), true, _) => 4,
         (PredTest::In(_), true, _) => 3,
@@ -166,8 +156,16 @@ fn choose_access(
     def: &TableDef,
     mut preds: Vec<Predicate>,
     stats: &TableStats,
-) -> (ScanNode, Vec<Predicate>) {
-    let table = def.qualified_name();
+) -> Result<(ScanNode, Vec<Predicate>)> {
+    let scan = |kind, keys, residual, est| ScanNode {
+        table: def.qualified_name().to_string(),
+        kind,
+        keys,
+        residual,
+        pushed_limit: None,
+        projection: None,
+        est,
+    };
     let best = preds
         .iter()
         .enumerate()
@@ -185,95 +183,34 @@ fn choose_access(
             } else {
                 n * FILTER_ROW
             };
-        return (
-            ScanNode {
-                table,
-                index_table: None,
-                kind: ScanKind::Full,
-                residual: preds,
-                pushed_limit: None,
-                projection: None,
-                est: Estimate {
-                    rows: filtered,
-                    cost,
-                },
-            },
-            Vec::new(),
-        );
+        let est = Estimate {
+            rows: filtered,
+            cost,
+        };
+        return Ok((scan(ScanKind::Full, Vec::new(), preds, est), Vec::new()));
     };
+    // Only `=` and `IN` score as access paths; a point is a one-value `IN`.
     let chosen = preds.remove(best);
-    let (kind, index_table, est) = match chosen.test {
-        PredTest::Eq(key) if chosen.column == def.pk_column().name => (
-            ScanKind::Point { key },
-            None,
-            Estimate {
-                rows: 1.0,
-                cost: stats.probe_cost(),
-            },
-        ),
-        PredTest::In(keys) if chosen.column == def.pk_column().name => {
-            let k = keys.len() as f64;
-            (
-                ScanKind::MultiPoint { keys },
-                None,
-                Estimate {
-                    rows: k,
-                    cost: k * stats.probe_cost(),
-                },
-            )
-        }
-        PredTest::Eq(value) => {
-            let matches = (stats.rows as f64 * EQ_SELECTIVITY).max(1.0);
-            (
-                ScanKind::Index {
-                    column: chosen.column.clone(),
-                    col_index: chosen.index,
-                    values: vec![value],
-                },
-                Some(format!(
-                    "{}.{}",
-                    def.keyspace,
-                    def.index_table_name(&chosen.column)
-                )),
-                Estimate {
-                    rows: matches,
-                    cost: matches * (SEQ_ROW + stats.probe_cost()),
-                },
-            )
-        }
-        PredTest::In(values) => {
-            let matches = (stats.rows as f64 * EQ_SELECTIVITY).max(1.0) * values.len() as f64;
-            (
-                ScanKind::Index {
-                    column: chosen.column.clone(),
-                    col_index: chosen.index,
-                    values,
-                },
-                Some(format!(
-                    "{}.{}",
-                    def.keyspace,
-                    def.index_table_name(&chosen.column)
-                )),
-                Estimate {
-                    rows: matches,
-                    cost: matches * (SEQ_ROW + stats.probe_cost()),
-                },
-            )
-        }
-        PredTest::Cmp(..) => unreachable!("range tests never score as access paths"),
+    let mut keys = Vec::with_capacity(chosen.values().len());
+    for value in chosen.values() {
+        keys.extend(def.encode_key(chosen.index, value)?);
+    }
+    let k = chosen.values().len() as f64;
+    let (kind, est) = if chosen.index == def.primary_key {
+        let est = Estimate {
+            rows: k,
+            cost: k * stats.probe_cost(),
+        };
+        (ScanKind::Key(chosen), est)
+    } else {
+        let matches = (stats.rows as f64 * EQ_SELECTIVITY).max(1.0) * k;
+        let est = Estimate {
+            rows: matches,
+            cost: matches * (SEQ_ROW + stats.probe_cost()),
+        };
+        (ScanKind::Index(chosen), est)
     };
-    (
-        ScanNode {
-            table,
-            index_table,
-            kind,
-            residual: Vec::new(),
-            pushed_limit: None,
-            projection: None,
-            est,
-        },
-        preds,
-    )
+    Ok((scan(kind, keys, Vec::new(), est), preds))
 }
 
 /// Columns a full scan must materialize for this query: the select list
@@ -304,7 +241,7 @@ fn scan_projection(
     // covered); otherwise the sort key reads the base layout.
     if let Some(o) = order_by {
         if !matches!(projection, Projection::Aggregate { .. }) {
-            needed.insert(resolve_column(def, &o.column)?);
+            needed.insert(def.column(&o.column)?);
         }
     }
     if needed.len() >= def.columns.len() {
@@ -344,7 +281,7 @@ fn resolve_aggregate(def: &TableDef, func: AggFunc, column: Option<&String>) -> 
     let input = match column {
         None => None,
         Some(col) => {
-            let idx = resolve_column(def, col)?;
+            let idx = def.column(col)?;
             let ty = def.columns[idx].ty;
             if matches!(func, AggFunc::Sum | AggFunc::Avg) && ty != CqlType::Int {
                 return Err(NosqlError::TypeMismatch {
@@ -372,9 +309,10 @@ fn resolve_projection(
 ) -> Result<Projection> {
     let group_idx: Vec<usize> = group_by
         .iter()
-        .map(|c| resolve_column(def, c))
+        .map(|c| def.column(c))
         .collect::<Result<_>>()?;
-    if !group_by.is_empty() {
+    // A global aggregate is a grouped one with no grouping columns.
+    if !group_by.is_empty() || columns.has_aggregates() {
         let SelectColumns::Items(items) = columns else {
             return Err(NosqlError::Unsupported(
                 "SELECT * with GROUP BY; name the grouping columns and aggregates".into(),
@@ -392,7 +330,7 @@ fn resolve_projection(
                             "column {name:?} must appear in GROUP BY or an aggregate"
                         )));
                     }
-                    output.push(AggOutput::Group(resolve_column(def, name)?));
+                    output.push(AggOutput::Group(def.column(name)?));
                 }
                 SelectItem::Aggregate { func, column } => {
                     aggs.push(resolve_aggregate(def, *func, column.as_ref())?);
@@ -409,28 +347,6 @@ fn resolve_projection(
     }
     match columns {
         SelectColumns::All => Ok(Projection::All),
-        SelectColumns::Items(items) if columns.has_aggregates() => {
-            let mut aggs = Vec::new();
-            let mut output = Vec::with_capacity(items.len());
-            let mut names = Vec::with_capacity(items.len());
-            for item in items {
-                let SelectItem::Aggregate { func, column } = item else {
-                    return Err(NosqlError::Unsupported(format!(
-                        "column {:?} must appear in GROUP BY or an aggregate",
-                        item.output_name()
-                    )));
-                };
-                names.push(item.output_name());
-                aggs.push(resolve_aggregate(def, *func, column.as_ref())?);
-                output.push(AggOutput::Agg(aggs.len() - 1));
-            }
-            Ok(Projection::Aggregate {
-                group_by: Vec::new(),
-                aggs,
-                output,
-                names,
-            })
-        }
         SelectColumns::Items(items) => {
             let mut indices = Vec::with_capacity(items.len());
             let mut names = Vec::with_capacity(items.len());
@@ -438,7 +354,7 @@ fn resolve_projection(
                 let SelectItem::Column(name) = item else {
                     unreachable!("has_aggregates was false");
                 };
-                indices.push(resolve_column(def, name)?);
+                indices.push(def.column(name)?);
                 names.push(name.clone());
             }
             Ok(Projection::Columns { indices, names })
@@ -504,7 +420,7 @@ pub fn plan_select(
 ) -> Result<SelectPlan> {
     let preds = resolve_predicates(def, where_clause)?;
     let projection = resolve_projection(def, columns, group_by)?;
-    let (mut scan, remaining) = choose_access(def, preds, stats);
+    let (mut scan, remaining) = choose_access(def, preds, stats)?;
     if scan.kind == ScanKind::Full {
         scan.projection = scan_projection(def, &projection, &scan.residual, &remaining, order_by)?;
     }
@@ -524,7 +440,7 @@ pub fn plan_select(
     match projection {
         Projection::All => {
             if let Some(o) = order_by {
-                let key = resolve_column(def, &o.column)?;
+                let key = def.column(&o.column)?;
                 node = sort_node(node, key, o.column.clone(), o.desc);
             }
             node = apply_limit(node, limit);
@@ -537,7 +453,7 @@ pub fn plan_select(
             if let Some(o) = order_by {
                 // The sort runs below the projection, so the key need not
                 // be projected.
-                let key = resolve_column(def, &o.column)?;
+                let key = def.column(&o.column)?;
                 node = sort_node(node, key, o.column.clone(), o.desc);
             }
             node = apply_limit(node, limit);
@@ -591,10 +507,12 @@ pub fn plan_select(
             if let Some(o) = order_by {
                 // ORDER BY resolves against the aggregate's output names
                 // (grouping columns, or `count` for `COUNT(*)`).
-                let key = names
-                    .iter()
-                    .position(|n| *n == o.column)
-                    .ok_or_else(|| unknown_column(def, &o.column))?;
+                let key = names.iter().position(|n| *n == o.column).ok_or_else(|| {
+                    NosqlError::UnknownColumn {
+                        table: def.name.clone(),
+                        column: o.column.clone(),
+                    }
+                })?;
                 node = sort_node(node, key, o.column.clone(), o.desc);
             }
             if grouped {

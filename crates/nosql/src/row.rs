@@ -1,14 +1,13 @@
 //! Row representation and its on-disk encoding.
 
 use crate::error::Result;
-use crate::schema::TableDef;
 use crate::types::CqlValue;
 use sc_encoding::{Decoder, Encoder};
 
 /// A row: one value per table column, in column order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
-    /// Values aligned with [`TableDef::columns`].
+    /// Values aligned with [`crate::TableDef::columns`].
     pub values: Vec<CqlValue>,
 }
 
@@ -16,16 +15,6 @@ impl Row {
     /// Creates a row.
     pub fn new(values: Vec<CqlValue>) -> Row {
         Row { values }
-    }
-
-    /// The partition-key value.
-    pub fn pk<'a>(&'a self, def: &TableDef) -> &'a CqlValue {
-        &self.values[def.primary_key]
-    }
-
-    /// Order-preserving encoded partition key.
-    pub fn pk_bytes(&self, def: &TableDef) -> Vec<u8> {
-        self.pk(def).encode_key()
     }
 
     /// Encodes the row body with Cassandra-style per-row metadata: a row
@@ -69,43 +58,6 @@ impl Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnDef, TableDef};
-    use crate::types::CqlType;
-
-    fn def() -> TableDef {
-        TableDef::new(
-            "ks",
-            "t",
-            vec![
-                ColumnDef {
-                    name: "id".into(),
-                    ty: CqlType::Int,
-                },
-                ColumnDef {
-                    name: "name".into(),
-                    ty: CqlType::Text,
-                },
-                ColumnDef {
-                    name: "kids".into(),
-                    ty: CqlType::IntSet,
-                },
-            ],
-            "id",
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn pk_extraction() {
-        let def = def();
-        let row = Row::new(vec![
-            CqlValue::Int(7),
-            CqlValue::Text("x".into()),
-            CqlValue::int_set([1, 2]),
-        ]);
-        assert_eq!(row.pk(&def), &CqlValue::Int(7));
-        assert_eq!(row.pk_bytes(&def), CqlValue::Int(7).encode_key());
-    }
 
     #[test]
     fn encode_decode_roundtrip() {

@@ -1,9 +1,12 @@
-//! Keyspace / column-family schema catalog.
+//! Table definitions and the bind step: which column a name means, whether
+//! a literal is legal there, and what key it encodes to.
+//!
+//! Every statement takes these decisions here, once, before it touches
+//! storage; the write path, the planner and the operators below trust the
+//! result (DESIGN.md §5g, §5h).
 
 use crate::error::{NosqlError, Result};
-use crate::types::CqlType;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::types::{CqlType, CqlValue};
 
 /// One column of a column family.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +30,8 @@ pub struct TableDef {
     pub primary_key: usize,
     /// Names of columns with secondary indexes.
     pub indexed_columns: Vec<String>,
+    /// `keyspace.name`: the table's key in the manifest and the WAL.
+    qualified: String,
 }
 
 impl TableDef {
@@ -68,17 +73,25 @@ impl TableDef {
             columns,
             primary_key: pk,
             indexed_columns: Vec::new(),
+            qualified: format!("{keyspace}.{name}"),
         })
     }
 
     /// Fully qualified `keyspace.table` name.
-    pub fn qualified_name(&self) -> String {
-        format!("{}.{}", self.keyspace, self.name)
+    pub fn qualified_name(&self) -> &str {
+        &self.qualified
     }
 
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
+    /// Index of a column by name, or the typed error every statement
+    /// answers for a name the table does not have.
+    pub fn column(&self, name: &str) -> Result<usize> {
+        self.columns
+            .iter()
+            .position(|c| c.name == name)
+            .ok_or_else(|| NosqlError::UnknownColumn {
+                table: self.name.clone(),
+                column: name.to_string(),
+            })
     }
 
     /// The primary key column.
@@ -91,89 +104,42 @@ impl TableDef {
         self.indexed_columns.iter().any(|c| c == column)
     }
 
-    /// Name of the hidden index table for `column`.
-    pub fn index_table_name(&self, column: &str) -> String {
-        format!("{}__idx_{}", self.name, column)
-    }
-}
-
-/// The schema catalog: keyspaces and their tables.
-///
-/// Definitions are stored behind `Arc` so the executor's hot path can hold
-/// a table definition without deep-cloning eight column names per INSERT.
-#[derive(Debug, Default, Clone)]
-pub struct Catalog {
-    keyspaces: BTreeMap<String, BTreeMap<String, Arc<TableDef>>>,
-}
-
-impl Catalog {
-    /// Creates an empty catalog.
-    pub fn new() -> Catalog {
-        Catalog::default()
-    }
-
-    /// Creates a keyspace.
-    pub fn create_keyspace(&mut self, name: &str) -> Result<()> {
-        if self.keyspaces.contains_key(name) {
-            return Err(NosqlError::AlreadyExists(format!("keyspace {name:?}")));
+    /// Checks a literal against the declared type of column `column`
+    /// (`null` is legal everywhere).
+    pub fn check(&self, column: usize, value: &CqlValue) -> Result<()> {
+        let def = &self.columns[column];
+        if value.matches(def.ty) {
+            return Ok(());
         }
-        self.keyspaces.insert(name.to_string(), BTreeMap::new());
-        Ok(())
+        Err(NosqlError::TypeMismatch {
+            column: def.name.clone(),
+            expected: def.ty.name().to_string(),
+            found: value.type_name().to_string(),
+        })
     }
 
-    /// Whether a keyspace exists.
-    pub fn has_keyspace(&self, name: &str) -> bool {
-        self.keyspaces.contains_key(name)
-    }
-
-    /// Adds a table to its keyspace.
-    pub fn create_table(&mut self, def: TableDef) -> Result<()> {
-        let ks = self
-            .keyspaces
-            .get_mut(&def.keyspace)
-            .ok_or_else(|| NosqlError::UnknownKeyspace(def.keyspace.clone()))?;
-        if ks.contains_key(&def.name) {
-            return Err(NosqlError::AlreadyExists(format!(
-                "table {}",
-                def.qualified_name()
-            )));
+    /// The order-preserving key a literal encodes to in key column
+    /// `column` (the primary key or an indexed column), checked against
+    /// the column's type first. `None` for `null`, which equals no stored
+    /// key. Everything below a statement's bind step handles key bytes
+    /// from here, never an unchecked [`CqlValue::encode_key`].
+    pub fn encode_key(&self, column: usize, value: &CqlValue) -> Result<Option<Vec<u8>>> {
+        self.check(column, value)?;
+        match value {
+            CqlValue::Null => Ok(None),
+            CqlValue::IntSet(_) => Err(NosqlError::Unsupported(format!(
+                "set<int> column {:?} cannot be a key",
+                self.columns[column].name
+            ))),
+            scalar => Ok(Some(scalar.encode_key())),
         }
-        ks.insert(def.name.clone(), Arc::new(def));
-        Ok(())
     }
 
-    /// Looks up a table (cheap `Arc` to clone for hot paths).
-    pub fn table(&self, keyspace: &str, name: &str) -> Result<&Arc<TableDef>> {
-        self.keyspaces
-            .get(keyspace)
-            .ok_or_else(|| NosqlError::UnknownKeyspace(keyspace.to_string()))?
-            .get(name)
-            .ok_or_else(|| NosqlError::UnknownTable(format!("{keyspace}.{name}")))
-    }
-
-    /// Mutable table lookup (index registration).
-    pub fn table_mut(&mut self, keyspace: &str, name: &str) -> Result<&mut TableDef> {
-        self.keyspaces
-            .get_mut(keyspace)
-            .ok_or_else(|| NosqlError::UnknownKeyspace(keyspace.to_string()))?
-            .get_mut(name)
-            .map(Arc::make_mut)
-            .ok_or_else(|| NosqlError::UnknownTable(format!("{keyspace}.{name}")))
-    }
-
-    /// Tables of a keyspace, sorted by name.
-    pub fn tables_in(&self, keyspace: &str) -> Result<Vec<&Arc<TableDef>>> {
-        Ok(self
-            .keyspaces
-            .get(keyspace)
-            .ok_or_else(|| NosqlError::UnknownKeyspace(keyspace.to_string()))?
-            .values()
-            .collect())
-    }
-
-    /// All keyspace names, sorted.
-    pub fn keyspace_names(&self) -> Vec<&str> {
-        self.keyspaces.keys().map(String::as_str).collect()
+    /// The encoded primary key a write addresses: a `null` key is a typed
+    /// error, since no row may be stored under it.
+    pub fn write_key(&self, value: &CqlValue) -> Result<Vec<u8>> {
+        self.encode_key(self.primary_key, value)?
+            .ok_or_else(|| NosqlError::MissingPrimaryKey(self.pk_column().name.clone()))
     }
 }
 
@@ -204,10 +170,7 @@ mod tests {
         assert_eq!(def.qualified_name(), "ks.cells");
         assert_eq!(def.primary_key, 0);
         assert_eq!(def.pk_column().name, "id");
-        assert_eq!(def.column_index("key"), Some(1));
-        assert_eq!(def.column_index("zzz"), None);
         assert!(!def.is_indexed("key"));
-        assert_eq!(def.index_table_name("key"), "cells__idx_key");
     }
 
     #[test]
@@ -236,35 +199,43 @@ mod tests {
     }
 
     #[test]
-    fn catalog_flow() {
-        let mut cat = Catalog::new();
-        cat.create_keyspace("smartcity").unwrap();
-        assert!(cat.has_keyspace("smartcity"));
+    fn literals_are_bound_against_the_declared_type() {
+        let def = TableDef::new("ks", "cells", cols(), "id").unwrap();
+        assert_eq!(def.column("key").unwrap(), 1);
         assert!(matches!(
-            cat.create_keyspace("smartcity"),
-            Err(NosqlError::AlreadyExists(_))
+            def.column("zzz"),
+            Err(NosqlError::UnknownColumn { .. })
         ));
-        let def = TableDef::new("smartcity", "cells", cols(), "id").unwrap();
-        cat.create_table(def.clone()).unwrap();
+        assert!(def.check(1, &CqlValue::Text("a".into())).is_ok());
+        assert!(def.check(1, &CqlValue::Null).is_ok());
         assert!(matches!(
-            cat.create_table(def),
-            Err(NosqlError::AlreadyExists(_))
+            def.check(1, &CqlValue::Int(1)),
+            Err(NosqlError::TypeMismatch { .. })
         ));
-        assert!(cat.table("smartcity", "cells").is_ok());
+        // A key literal is checked, then encoded; null encodes to no key.
+        assert_eq!(
+            def.encode_key(0, &CqlValue::Int(7)).unwrap(),
+            Some(CqlValue::Int(7).encode_key())
+        );
+        assert_eq!(def.encode_key(0, &CqlValue::Null).unwrap(), None);
+        for bad in [CqlValue::Text("7".into()), CqlValue::int_set([7])] {
+            assert!(matches!(
+                def.encode_key(0, &bad),
+                Err(NosqlError::TypeMismatch { .. })
+            ));
+            assert!(matches!(
+                def.write_key(&bad),
+                Err(NosqlError::TypeMismatch { .. })
+            ));
+        }
+        // A set is never a key, even where the column's type admits it.
         assert!(matches!(
-            cat.table("smartcity", "nodes"),
-            Err(NosqlError::UnknownTable(_))
+            def.encode_key(2, &CqlValue::int_set([7])),
+            Err(NosqlError::Unsupported(_))
         ));
         assert!(matches!(
-            cat.table("nope", "cells"),
-            Err(NosqlError::UnknownKeyspace(_))
-        ));
-        assert_eq!(cat.tables_in("smartcity").unwrap().len(), 1);
-        assert_eq!(cat.keyspace_names(), vec!["smartcity"]);
-        let bad = TableDef::new("ghost", "t", cols(), "id").unwrap();
-        assert!(matches!(
-            cat.create_table(bad),
-            Err(NosqlError::UnknownKeyspace(_))
+            def.write_key(&CqlValue::Null),
+            Err(NosqlError::MissingPrimaryKey(_))
         ));
     }
 }

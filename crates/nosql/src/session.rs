@@ -64,9 +64,8 @@ impl Session {
     }
 
     /// Executes a pre-parsed statement. `USE` is handled here (it mutates
-    /// session state); everything else resolves unqualified table
-    /// references against the session keyspace and runs on the shared
-    /// core.
+    /// session state); everything else runs on the shared core, which
+    /// resolves unqualified table references against the session keyspace.
     pub fn execute(&mut self, stmt: &Statement) -> Result<QueryResult> {
         mvcc::reset_queue_wait();
         let result = match stmt {
@@ -77,15 +76,7 @@ impl Session {
                 self.keyspace = Some(keyspace.clone());
                 Ok(QueryResult::empty())
             }
-            // Rewriting clones the whole statement; skip it when every ref
-            // is already qualified (the common case for server traffic,
-            // where tenant confinement qualifies refs up front).
-            _ => match &self.keyspace {
-                Some(ks) if stmt.table_refs().iter().any(|t| !t.is_qualified()) => {
-                    self.core.execute(&stmt.with_default_keyspace(ks))
-                }
-                _ => self.core.execute(stmt),
-            },
+            _ => self.core.execute(stmt, self.keyspace.as_deref()),
         };
         self.last_commit_wait = mvcc::queue_wait();
         result

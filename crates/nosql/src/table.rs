@@ -139,7 +139,10 @@ pub(crate) fn live_row(entry: Result<SstEntry>) -> Result<Row> {
 /// is `Send + Sync` and shared via `Arc` between sessions.
 #[derive(Debug)]
 pub(crate) struct TableCore {
-    def: RwLock<Arc<TableDef>>,
+    /// `keyspace.table`: this table's key in the manifest and the WAL.
+    qualified: String,
+    /// `keyspace/table/sst-`: what every SSTable file name starts with.
+    sst_prefix: String,
     vfs: Vfs,
     manifest: Manifest,
     mem: ShardedMemtable,
@@ -177,14 +180,15 @@ impl TableCore {
     /// engine-wide SSTable manifest through which every flush and
     /// compaction publishes; `cache` is the engine-wide shared block cache.
     pub fn new(
-        def: TableDef,
+        def: &TableDef,
         vfs: Vfs,
         manifest: Manifest,
         options: TableOptions,
         cache: BlockCache,
     ) -> TableCore {
         TableCore {
-            def: RwLock::new(Arc::new(def)),
+            qualified: def.qualified_name().to_string(),
+            sst_prefix: format!("{}/{}/sst-", def.keyspace, def.name),
             vfs,
             manifest,
             mem: ShardedMemtable::new(),
@@ -201,9 +205,9 @@ impl TableCore {
         }
     }
 
-    /// The table definition (cheap `Arc` clone).
-    pub fn def(&self) -> Arc<TableDef> {
-        Arc::clone(&self.def.read().unwrap_or_else(|e| e.into_inner()))
+    /// `keyspace.table`, as the manifest and the WAL spell this table.
+    pub fn qualified(&self) -> &str {
+        &self.qualified
     }
 
     /// Takes this table's read-modify-write lock. Statements that read the
@@ -211,19 +215,6 @@ impl TableCore {
     /// the read *and* the commit so concurrent RMWs serialize.
     pub fn rmw_lock(&self) -> std::sync::MutexGuard<'_, ()> {
         self.rmw.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Registers a new secondary index name on the definition.
-    pub fn add_index(&self, column: &str) {
-        let mut def = self.def.write().unwrap_or_else(|e| e.into_inner());
-        let mut updated = (**def).clone();
-        updated.indexed_columns.push(column.to_string());
-        *def = Arc::new(updated);
-    }
-
-    fn sst_prefix(&self) -> String {
-        let def = self.def();
-        format!("{}/{}/sst-", def.keyspace, def.name)
     }
 
     /// Applies a write to the memtable. The caller has already made the
@@ -459,7 +450,7 @@ impl TableCore {
 
         let file = format!(
             "{}{:06}",
-            self.sst_prefix(),
+            self.sst_prefix.clone(),
             self.next_sst_id.fetch_add(1, Ordering::Relaxed)
         );
         if let Err(e) = write_sstable(&self.vfs, &file, &frozen.entries) {
@@ -469,8 +460,10 @@ impl TableCore {
         // Publish order matters for crash safety: data first, manifest
         // second. A crash in between leaves an orphan file that recovery
         // deletes, never a published name without its bytes.
-        let qualified = self.def().qualified_name();
-        if let Err(e) = self.manifest.commit(&ManifestEdit::add(&qualified, &file)) {
+        if let Err(e) = self
+            .manifest
+            .commit(&ManifestEdit::add(&self.qualified, &file))
+        {
             undo(self);
             let _ = self.vfs.delete(&file);
             return Err(e);
@@ -633,7 +626,7 @@ impl TableCore {
         }
         let file = format!(
             "{}{:06}",
-            self.sst_prefix(),
+            self.sst_prefix.clone(),
             self.next_sst_id.fetch_add(1, Ordering::Relaxed)
         );
         write_sstable(&self.vfs, &file, &entries)?;
@@ -650,12 +643,11 @@ impl TableCore {
         // position records where the merged table sits in age order. Only
         // after the swap is durable may the old files go — a crash in
         // between leaves them as orphans for recovery to sweep.
-        let qualified = self.def().qualified_name();
         self.manifest.commit(&ManifestEdit {
-            adds: vec![(qualified.clone(), file.clone())],
+            adds: vec![(self.qualified.clone(), file.clone())],
             removes: run
                 .iter()
-                .map(|sst| (qualified.clone(), sst.file().to_string()))
+                .map(|sst| (self.qualified.clone(), sst.file().to_string()))
                 .collect(),
         })?;
         self.ssts
@@ -707,7 +699,7 @@ impl TableCore {
     /// table. Recovery calls this for manifest-listed *and* orphan files,
     /// so a crashed flush's or merge's id is never handed out again.
     pub fn reserve_sst_id(&self, file: &str) {
-        if !file.starts_with(&self.sst_prefix()) {
+        if !file.starts_with(&self.sst_prefix) {
             return;
         }
         if let Some(num) = file.rsplit('-').next().and_then(|s| s.parse::<u64>().ok()) {
@@ -829,7 +821,7 @@ mod tests {
         fn new(vfs: Vfs, options: TableOptions) -> Harness {
             Harness {
                 table: TableCore::new(
-                    def(),
+                    &def(),
                     vfs.clone(),
                     Manifest::open(vfs),
                     options,

@@ -162,6 +162,40 @@ fn query_before_hello_is_auth_error_but_connection_survives() {
 }
 
 #[test]
+fn set_literal_key_is_a_typed_error_and_the_connection_survives() {
+    // Hostile CQL, not hostile bytes: a set literal where a key belongs
+    // once panicked the session thread inside the engine's key encoding.
+    let server = start_server();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.hello("tok-1").unwrap();
+    c.query("CREATE KEYSPACE app").unwrap();
+    c.query("CREATE TABLE app.t (id int, v int, PRIMARY KEY (id))")
+        .unwrap();
+    c.query("CREATE INDEX ON app.t (v)").unwrap();
+    c.query("INSERT INTO app.t (id, v) VALUES (1, 2)").unwrap();
+    for cql in [
+        "DELETE FROM app.t WHERE id = {1, 2}",
+        "SELECT * FROM app.t WHERE id = {1, 2}",
+        "SELECT * FROM app.t WHERE id IN ({1}, {2})",
+        "SELECT * FROM app.t WHERE v = {1}",
+    ] {
+        match c.query(cql).unwrap_err() {
+            ClientError::Server { code, message } => {
+                assert_eq!(code, ErrorCode::Invalid, "{cql}");
+                assert!(message.contains("type mismatch"), "{cql}: {message}");
+            }
+            other => panic!("{cql}: expected an error frame, got {other}"),
+        }
+        // The same connection answers the next request.
+        assert_eq!(
+            c.query("SELECT * FROM app.t WHERE id = 1").unwrap().len(),
+            1
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_drains_idle_sessions_and_joins_all_threads() {
     let server = start_server();
     let addr = server.addr();
