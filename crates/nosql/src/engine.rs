@@ -48,6 +48,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
+mod ddl;
+mod dml;
+mod recovery;
+
 /// Builder for [`Db::open`].
 ///
 /// ```
@@ -289,165 +293,12 @@ pub(crate) struct DbCore {
 }
 
 impl DbCore {
-    fn open(options: OpenOptions) -> Result<DbCore> {
-        let vfs = options.vfs.unwrap_or_else(Vfs::memory);
-        let manifest = Manifest::open(vfs.clone());
-        let mut log = CommitLog::open(vfs.clone(), COMMIT_LOG);
-        if let Some(bytes) = options.wal_segment_bytes {
-            log = log.with_segment_bytes(bytes);
-        }
-        let core = DbCore {
-            vfs,
-            manifest,
-            state: RwLock::new(EngineState::default()),
-            wal: GroupCommitLog::new(log, options.group_commit_delay),
-            tracker: SeqTracker::new(),
-            registry: Arc::new(SnapshotRegistry::new()),
-            table_options: options.table,
-            cache: BlockCache::new(
-                options
-                    .block_cache_bytes
-                    .unwrap_or(DEFAULT_BLOCK_CACHE_BYTES),
-            ),
-            pool: {
-                let threads = options.compaction_threads.unwrap_or(2);
-                (threads > 0).then(|| CompactionPool::new(threads))
-            },
-        };
-        if options.recover {
-            core.recover_state()?;
-        }
-        Ok(core)
-    }
-
     fn read_state(&self) -> RwLockReadGuard<'_, EngineState> {
         self.state.read().unwrap_or_else(|e| e.into_inner())
     }
 
     fn write_state(&self) -> RwLockWriteGuard<'_, EngineState> {
         self.state.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Crash recovery: rebuild registry and runtimes from the journals,
-    /// repairing every torn tail and sweeping unpublished files, so that the
-    /// reopened engine contains exactly the acknowledged writes (plus,
-    /// possibly, the one in-flight write the crash interrupted after its
-    /// WAL frame became durable).
-    fn recover_state(&self) -> Result<()> {
-        let _span = crate::obs::nosql().recovery.start();
-        let mut state = self.write_state();
-        self.replay_schema_journal(&mut state)?;
-        // The manifest and the WAL name tables by their qualified name.
-        let tables: HashMap<&str, &Arc<TableCore>> =
-            state.cores().map(|t| (t.qualified(), t)).collect();
-        // A missing manifest is an empty one: every `sst-*` file it does
-        // not list is an orphan.
-        let live = self.manifest.repair()?;
-        for (qualified, files) in &live {
-            if let Some(table) = tables.get(qualified.as_str()) {
-                // Manifest order is age order — not name order, because a
-                // tiered merge's output sits mid-sequence in age.
-                for file in files {
-                    table.attach_sstable(file)?;
-                }
-            }
-        }
-        self.sweep_orphans(&state, &live)?;
-        // Replay surviving commit-log records; `repair` truncates a torn
-        // final record so later appends stay reachable.
-        let records = self.wal.plain().repair()?;
-        if sc_obs::enabled() {
-            crate::obs::nosql()
-                .replayed_records
-                .add(records.len() as u64);
-        }
-        let mut max_seq = 0;
-        for record in records {
-            max_seq = max_seq.max(record.timestamp);
-            if let Some(table) = tables.get(record.table.as_str()) {
-                // Segment checkpointing deletes a segment only when *all*
-                // of it is flushed, so a surviving segment may hold records
-                // older than a flushed version of the same key (group
-                // commit interleaves sequence allocation with append
-                // order). Re-applying such a record would sit at the head
-                // of its memtable chain and shadow the newer on-disk
-                // version for definitive reads — skip anything a flushed
-                // sequence already covers.
-                if table
-                    .newest_disk_seq(&record.key)?
-                    .is_some_and(|d| d >= record.timestamp)
-                {
-                    continue;
-                }
-                let row = if record.body.is_empty() {
-                    None
-                } else {
-                    let mut dec = sc_encoding::Decoder::new(&record.body);
-                    Some(Row::decode(&mut dec)?.0)
-                };
-                let cost = record.key.len() + record.body.len() + VERSION_COST;
-                table.apply(record.key, row, record.timestamp, cost, 0);
-            }
-        }
-        // The sequence floor must clear everything durable — WAL *and*
-        // SSTables (the WAL may have been truncated after a flush). Reads
-        // compare sequences, so a fresh write allocated below an on-disk
-        // sequence would be invisibly shadowed.
-        for table in state.cores() {
-            max_seq = max_seq.max(table.max_disk_seq()?);
-        }
-        self.tracker.set_floor(max_seq);
-        Ok(())
-    }
-
-    /// Replays DDL from the schema journal. The journal is line-framed; a
-    /// crash mid-append leaves a trailing segment without a terminating
-    /// newline, which is truncated away. A *complete* line that fails to
-    /// parse, or is not DDL, is genuine corruption and still errors.
-    fn replay_schema_journal(&self, state: &mut EngineState) -> Result<()> {
-        let data = match self.vfs.read_all(SCHEMA_LOG) {
-            Ok(d) => d,
-            Err(sc_storage::StorageError::NotFound(_)) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        let good_len = data.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-        if good_len < data.len() {
-            self.vfs.truncate(SCHEMA_LOG, good_len as u64)?;
-        }
-        let text = std::str::from_utf8(&data[..good_len])
-            .map_err(|_| NosqlError::Corrupt("schema journal is not UTF-8".into()))?;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let stmt = parse_statement(line)?;
-            self.apply_ddl(state, &stmt, None, false)?;
-        }
-        Ok(())
-    }
-
-    /// Deletes SSTable files the manifest does not consider live: leftovers
-    /// of flushes/compactions that crashed between writing data and
-    /// publishing it, or after publishing a swap but before deleting inputs.
-    ///
-    /// Every orphan's id is reserved on its owning table *before* the file
-    /// goes away. A crashed flush or merge can leave `sst-N` on disk with
-    /// `N` above everything the manifest lists; seeding `next_sst_id` from
-    /// manifest files alone would hand the very next flush that same name —
-    /// and if the sweep's delete is itself interrupted, the reused name
-    /// would collide with the stale bytes on the following recovery.
-    fn sweep_orphans(
-        &self,
-        state: &EngineState,
-        live: &BTreeMap<String, Vec<String>>,
-    ) -> Result<()> {
-        let live_files: HashSet<&str> = live.values().flatten().map(String::as_str).collect();
-        for file in self.vfs.list("")? {
-            if file.contains("/sst-") && !live_files.contains(file.as_str()) {
-                for table in state.cores() {
-                    table.reserve_sst_id(&file);
-                }
-                self.vfs.delete(&file)?;
-            }
-        }
-        Ok(())
     }
 
     pub(crate) fn has_keyspace(&self, name: &str) -> bool {
@@ -537,436 +388,6 @@ impl DbCore {
                 "snapshots are read-only: only SELECT is allowed".into(),
             )),
         }
-    }
-
-    /// Applies one DDL statement to the registry and, when `journal` is
-    /// set, appends it to the schema journal — fully qualified, since
-    /// replay has no session: an unqualified target is resolved into a copy
-    /// of the statement first.
-    fn apply_ddl(
-        &self,
-        state: &mut EngineState,
-        stmt: &Statement,
-        session_keyspace: Option<&str>,
-        journal: bool,
-    ) -> Result<()> {
-        let mut resolved = stmt.clone();
-        if let Statement::CreateTable { table, .. } | Statement::CreateIndex { table, .. } =
-            &mut resolved
-        {
-            table.keyspace = resolve_keyspace(table, session_keyspace)?.to_string();
-        }
-        match &resolved {
-            Statement::CreateKeyspace { name } => {
-                if state.keyspaces.contains_key(name) {
-                    return Err(NosqlError::AlreadyExists(format!("keyspace {name:?}")));
-                }
-                state.keyspaces.insert(name.clone(), Keyspace::new());
-            }
-            Statement::CreateTable {
-                table,
-                columns,
-                primary_key,
-            } => {
-                let defs: Vec<ColumnDef> = columns
-                    .iter()
-                    .map(|(name, ty)| ColumnDef {
-                        name: name.clone(),
-                        ty: *ty,
-                    })
-                    .collect();
-                let def = TableDef::new(&table.keyspace, &table.table, defs, primary_key)?;
-                self.add_table(state, def)?;
-            }
-            Statement::CreateIndex { table, column } => {
-                self.create_index(state, table, column)?;
-            }
-            other => {
-                return Err(NosqlError::Corrupt(format!(
-                    "not a DDL statement: {}",
-                    other.to_cql()
-                )))
-            }
-        }
-        if journal {
-            let mut line = resolved.to_cql();
-            line.push('\n');
-            self.vfs.append(SCHEMA_LOG, line.as_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Registers `def` with a fresh runtime, which it returns.
-    fn add_table(&self, state: &mut EngineState, def: TableDef) -> Result<Arc<TableCore>> {
-        let tables = state.keyspace_mut(&def.keyspace)?;
-        if tables.contains_key(&def.name) {
-            return Err(NosqlError::AlreadyExists(format!(
-                "table {}",
-                def.qualified_name()
-            )));
-        }
-        let core = Arc::new(TableCore::new(
-            &def,
-            self.vfs.clone(),
-            self.manifest.clone(),
-            self.table_options,
-            self.cache.clone(),
-        ));
-        let handle = TableHandle {
-            core: Arc::clone(&core),
-            indexes: Vec::new(),
-            def,
-        };
-        tables.insert(handle.def.name.clone(), handle);
-        Ok(core)
-    }
-
-    /// Registers the hidden posting table of an index on `column` of
-    /// `keyspace.table` and attaches the index to the base table.
-    fn add_index(
-        &self,
-        state: &mut EngineState,
-        keyspace: &str,
-        table: &str,
-        column: &str,
-    ) -> Result<Index> {
-        let base = &state.get(keyspace, table)?.def;
-        let (position, hidden) = index::hidden_def(base, column)?;
-        let pk = base.primary_key;
-        let index = Index::new(position, pk, self.add_table(state, hidden)?);
-        state
-            .keyspace_mut(keyspace)?
-            .get_mut(table)
-            .ok_or_else(|| unknown_table(keyspace, table))?
-            .attach(index.clone());
-        Ok(index)
-    }
-
-    fn create_index(&self, state: &mut EngineState, table: &TableRef, column: &str) -> Result<()> {
-        let index = self.add_index(state, &table.keyspace, &table.table, column)?;
-        // Backfill: the posting diff from "no row" for every row already
-        // present. The state write lock excludes every concurrent
-        // statement, so reading at the top bound is exact.
-        let mut writes = Vec::new();
-        for entry in state.table(table, None)?.core.cursor(u64::MAX, None, None) {
-            let entry = entry?;
-            index.diff(&entry.key, None, entry.row.as_ref(), &mut writes);
-        }
-        self.commit_writes(state, writes)
-    }
-
-    /// Commits a set of row mutations: one sequence per record, one WAL
-    /// group append (durable before anything becomes visible), then the
-    /// memtable inserts. On a WAL error nothing was applied and every
-    /// allocated sequence completes unused, so the watermark never stalls.
-    fn commit_writes(&self, state: &EngineState, writes: Vec<PendingWrite>) -> Result<()> {
-        if writes.is_empty() {
-            return Ok(());
-        }
-        let guards: Vec<SeqGuard> = writes
-            .iter()
-            .map(|_| SeqGuard::new(&self.tracker))
-            .collect();
-        let mut records = Vec::with_capacity(writes.len());
-        for (w, g) in writes.iter().zip(&guards) {
-            let body = match &w.row {
-                Some(row) => {
-                    let mut enc = sc_encoding::Encoder::new();
-                    row.encode(&mut enc, g.seq());
-                    enc.into_bytes()
-                }
-                None => Vec::new(),
-            };
-            records.push(LogRecord {
-                table: w.table.qualified().to_string(),
-                key: w.key.clone(),
-                body,
-                timestamp: g.seq(),
-            });
-        }
-        let body_lens: Vec<usize> = records.iter().map(|r| r.body.len()).collect();
-        self.wal
-            .append_group(records)
-            .map_err(WalError::into_nosql)?;
-        let gc_floor = self.registry.gc_floor(&self.tracker);
-        let mut touched: Vec<Arc<TableCore>> = Vec::new();
-        for ((w, g), body_len) in writes.into_iter().zip(&guards).zip(body_lens) {
-            let cost = w.key.len() + body_len + VERSION_COST;
-            w.table.apply(w.key, w.row, g.seq(), cost, gc_floor);
-            if !touched.iter().any(|t| Arc::ptr_eq(t, &w.table)) {
-                touched.push(w.table);
-            }
-        }
-        // Completing the sequences publishes the writes to the watermark.
-        drop(guards);
-        let mut flushed = false;
-        for table in &touched {
-            if table.maybe_flush(&self.tracker, &self.registry)? {
-                flushed = true;
-                // The flush may have crossed the compaction threshold.
-                // Hand the merge to the background pool (or run it here
-                // when the pool is disabled) — never inside the flush
-                // itself, which would stall this commit and, through the
-                // WAL group, every commit behind it.
-                if table.needs_compaction() {
-                    self.schedule_compaction(table)?;
-                }
-            }
-        }
-        if flushed {
-            // A flush just made a WAL prefix redundant; drop any commit-log
-            // segment every table has flushed past. This is what bounds the
-            // log (and recovery replay) under sustained writes — without it
-            // only an explicit `flush_all` ever reclaims WAL space.
-            let floor = state
-                .cores()
-                .map(|t| t.wal_floor(&self.tracker))
-                .min()
-                .unwrap_or(0);
-            self.wal.checkpoint(floor)?;
-        }
-        Ok(())
-    }
-
-    /// The one write routine. Every INSERT, UPDATE and DELETE is: key →
-    /// old row → new row or tombstone (`new_row`, `None` deletes) → posting
-    /// diff → one [`DbCore::commit_writes`].
-    ///
-    /// The old row is read only when something depends on it — the table is
-    /// indexed (the read-before-write that keeps postings consistent, a
-    /// real cost of Cassandra-style secondary indexes) or the statement is
-    /// an UPDATE (`reads_old`) — and then under the table's RMW lock, held
-    /// through the commit, so the read observes every previous RMW's write.
-    /// Everything else is a blind, lock-free write.
-    fn write(
-        &self,
-        state: &EngineState,
-        handle: &TableHandle,
-        key: Vec<u8>,
-        reads_old: bool,
-        new_row: impl FnOnce(Option<&Row>) -> Option<Row>,
-    ) -> Result<()> {
-        let table = &handle.core;
-        let rmw = (reads_old || !handle.indexes.is_empty()).then(|| table.rmw_lock());
-        let old = match &rmw {
-            Some(_) => table.get(&key, u64::MAX)?,
-            None => None,
-        };
-        let row = new_row(old.as_ref());
-        let mut writes = Vec::with_capacity(1);
-        for index in &handle.indexes {
-            index.diff(&key, old.as_ref(), row.as_ref(), &mut writes);
-        }
-        // The WAL has always carried a row after its postings and a
-        // tombstone before them.
-        let at = if row.is_some() { writes.len() } else { 0 };
-        let table = Arc::clone(table);
-        writes.insert(at, PendingWrite { table, key, row });
-        self.commit_writes(state, writes)
-    }
-
-    fn insert(
-        &self,
-        state: &EngineState,
-        handle: &TableHandle,
-        columns: &[String],
-        values: &[CqlValue],
-    ) -> Result<()> {
-        let def = &handle.def;
-        if columns.len() != values.len() {
-            return Err(NosqlError::Parse(format!(
-                "INSERT binds {} columns but {} values",
-                columns.len(),
-                values.len()
-            )));
-        }
-        // Assemble the full row (unbound columns become null).
-        let mut row = vec![CqlValue::Null; def.columns.len()];
-        for (name, value) in columns.iter().zip(values) {
-            let column = def.column(name)?;
-            def.check(column, value)?;
-            row[column] = value.clone();
-        }
-        let key = def.write_key(&row[def.primary_key])?;
-        self.write(state, handle, key, false, |_| Some(Row::new(row)))
-    }
-
-    /// UPDATE and DELETE address one row, `WHERE <primary key> = <literal>`:
-    /// the literal and the key it encodes to.
-    fn key_filter<'a>(
-        def: &TableDef,
-        where_clause: &'a WhereClause,
-        verb: &str,
-    ) -> Result<(&'a CqlValue, Vec<u8>)> {
-        let WhereClause::Eq { column, value } = where_clause else {
-            return Err(NosqlError::Unsupported(format!(
-                "{verb} requires an equality WHERE on the primary key"
-            )));
-        };
-        if column != &def.pk_column().name {
-            return Err(NosqlError::Unsupported(format!(
-                "{verb} is by primary key ({})",
-                def.pk_column().name
-            )));
-        }
-        Ok((value, def.write_key(value)?))
-    }
-
-    /// Cassandra UPDATE semantics: an upsert — unassigned columns keep
-    /// their existing values (or null for a fresh row). Reading them
-    /// serializes on the table's RMW lock: concurrent UPDATEs to the same
-    /// table never lose each other's column writes.
-    fn update(
-        &self,
-        state: &EngineState,
-        handle: &TableHandle,
-        assignments: &[(String, CqlValue)],
-        where_clause: &WhereClause,
-    ) -> Result<()> {
-        let def = &handle.def;
-        let (pk, key) = Self::key_filter(def, where_clause, "UPDATE")?;
-        let mut sets = Vec::with_capacity(assignments.len());
-        for (name, value) in assignments {
-            let column = def.column(name)?;
-            if column == def.primary_key {
-                return Err(NosqlError::Unsupported(
-                    "the primary key cannot be SET".into(),
-                ));
-            }
-            def.check(column, value)?;
-            sets.push((column, value));
-        }
-        self.write(state, handle, key, true, |old| {
-            let mut values = match old {
-                Some(row) => row.values.clone(),
-                None => vec![CqlValue::Null; def.columns.len()],
-            };
-            values[def.primary_key] = pk.clone();
-            for (column, value) in sets {
-                values[column] = value.clone();
-            }
-            Some(Row::new(values))
-        })
-    }
-
-    fn delete(
-        &self,
-        state: &EngineState,
-        handle: &TableHandle,
-        where_clause: &WhereClause,
-    ) -> Result<()> {
-        let (_, key) = Self::key_filter(&handle.def, where_clause, "DELETE")?;
-        self.write(state, handle, key, false, |_| None)
-    }
-
-    fn truncate(
-        &self,
-        state: &mut EngineState,
-        table: &TableRef,
-        session_keyspace: Option<&str>,
-    ) -> Result<()> {
-        let mut def = state.table(table, session_keyspace)?.def.clone();
-        let indexed = std::mem::take(&mut def.indexed_columns);
-        let names: Vec<String> = std::iter::once(def.name.clone())
-            .chain(indexed.iter().map(|c| index::hidden_name(&def.name, c)))
-            .collect();
-        // Checkpoint before touching the manifest: the WAL still holds this
-        // table's pre-truncate mutations, and recovery would replay them
-        // into the rebuilt (empty) runtime, resurrecting truncated data.
-        // Flushing everything and truncating the log removes them; the
-        // caller holds the state write lock, so no statement is in flight
-        // and the truncated WAL loses nothing. A crash anywhere inside the
-        // truncate is safe — the TRUNCATE was not yet acknowledged, so both
-        // "applied" and "not applied" are legal recovery outcomes.
-        self.checkpoint_all_locked(state)?;
-        let tables = state.keyspace_mut(&def.keyspace)?;
-        for name in &names {
-            let Some(old) = tables.remove(name) else {
-                continue;
-            };
-            // A background compaction job may still hold the old runtime:
-            // retire it first, which waits out any in-flight merge and
-            // turns later jobs into no-ops, so nothing re-publishes the
-            // files this TRUNCATE is about to delete.
-            old.core.retire();
-            // Retire the files from the manifest first (one atomic record):
-            // a crash mid-delete then leaves orphans for recovery to sweep,
-            // never a manifest pointing at half-deleted tables.
-            let files = old.core.sstable_files();
-            self.manifest.commit(&ManifestEdit {
-                adds: Vec::new(),
-                removes: files
-                    .iter()
-                    .map(|f| (old.core.qualified().to_string(), f.clone()))
-                    .collect(),
-            })?;
-            for f in &files {
-                self.cache.evict_file(f);
-                self.vfs.delete(f)?;
-            }
-        }
-        // Rebuild through the constructors DDL uses: same definitions,
-        // fresh runtimes.
-        let (keyspace, table) = (def.keyspace.clone(), def.name.clone());
-        self.add_table(state, def)?;
-        for column in &indexed {
-            self.add_index(state, &keyspace, &table, column)?;
-        }
-        Ok(())
-    }
-
-    /// The only SELECT entry point — `execute`, snapshots and `EXPLAIN` all
-    /// come through here, so semantics and plans can never diverge. Plans
-    /// `stmt` against the table it names, then runs the operator pipeline
-    /// at MVCC bound `bound` (build, drain); with no bound it is `EXPLAIN`,
-    /// and the plan tree comes back as one `plan` text column, cost
-    /// estimates included.
-    fn select(
-        &self,
-        state: &EngineState,
-        stmt: &Statement,
-        session_keyspace: Option<&str>,
-        bound: Option<u64>,
-    ) -> Result<QueryResult> {
-        let Statement::Select {
-            table,
-            columns,
-            where_clause,
-            group_by,
-            order_by,
-            limit,
-        } = stmt
-        else {
-            return Err(NosqlError::Unsupported(
-                "EXPLAIN covers SELECT statements only".into(),
-            ));
-        };
-        let handle = state.table(table, session_keyspace)?;
-        // The cost model's statistics come from structures the engine
-        // already maintains: no extra bookkeeping on any hot path.
-        let cache = self.cache.stats();
-        let lookups = (cache.hits + cache.misses).max(1);
-        let stats = plan::TableStats {
-            rows: handle.core.estimate_rows(),
-            sstables: handle.core.sstable_count(),
-            cache_hit_rate: cache.hits as f64 / lookups as f64,
-        };
-        let plan = plan::plan_select(
-            &handle.def,
-            columns,
-            where_clause,
-            group_by,
-            order_by.as_ref(),
-            *limit,
-            &stats,
-        )?;
-        let Some(bound) = bound else {
-            let lines = plan::explain::result_rows(&plan);
-            return Ok(QueryResult::new(vec!["plan".to_string()], lines));
-        };
-        let mut op = exec::build(&plan.root, handle, bound)?;
-        let rows = exec::drain(op.as_mut())?;
-        Ok(QueryResult::new(plan.columns, rows))
     }
 
     /// Flush every table, then truncate the (now fully redundant) commit
