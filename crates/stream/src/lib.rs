@@ -7,8 +7,8 @@
 //! bit-identical:
 //!
 //! 1. raw XML/JSON payloads are hash-sharded by partition key across a
-//!    fixed pool of worker threads (a from-scratch bounded MPSC channel —
-//!    [`channel`] — provides blocking backpressure per shard),
+//!    fixed pool of worker threads (one bounded `std::sync::mpsc` queue per
+//!    shard provides blocking backpressure),
 //! 2. each worker parses and extracts into a private tuple set, sealing it
 //!    into a DWARF **micro-cube** whenever a tuple- or byte-watermark is
 //!    crossed,
@@ -17,8 +17,8 @@
 //! 4. the caller flushes the merged cube into a storage backend (see
 //!    `sc_core::stream_warehouse` for the NoSQL column-family path).
 //!
-//! Everything is `std`-only: threads are `std::thread`, the channel is
-//! `Mutex` + `Condvar`, counters are `AtomicU64` ([`metrics`]).
+//! Everything is `std`-only: threads are `std::thread`, queues are
+//! `std::sync::mpsc::sync_channel`, counters are `AtomicU64` ([`metrics`]).
 //!
 //! ```
 //! use sc_stream::{StreamConfig, StreamIngestor};
@@ -40,12 +40,10 @@
 //! assert_eq!(result.metrics.events_parsed, 1);
 //! ```
 
-pub mod channel;
 pub mod config;
 pub mod metrics;
 pub mod runtime;
 
-pub use channel::{bounded, Receiver, SendError, SendStatus, Sender};
 pub use config::StreamConfig;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use runtime::{StreamIngestor, StreamResult};

@@ -28,15 +28,26 @@
 //! (sc-stream's equivalence test asserts exactly that), no matter how
 //! payloads were sharded or interleaved.
 
-use crate::channel::{bounded, Receiver, Sender};
 use crate::config::StreamConfig;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use sc_dwarf::{Dwarf, MergeAccumulator, TupleSet};
 use sc_encoding::fnv1a_64;
 use sc_ingest::extract::extract_text;
 use sc_ingest::{CubeDef, MissingPolicy};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Delivers `value` on a bounded queue, blocking while it is full, and says
+/// whether it had to: `Ok(true)` is the backpressure event the stall metric
+/// counts. A vanished receiver hands the value back, as `send` itself does.
+fn send_counting_stall<T>(tx: &SyncSender<T>, value: T) -> Result<bool, T> {
+    match tx.try_send(value) {
+        Ok(()) => Ok(false),
+        Err(TrySendError::Full(value)) => tx.send(value).map(|()| true).map_err(|e| e.0),
+        Err(TrySendError::Disconnected(value)) => Err(value),
+    }
+}
 
 /// Everything the runtime hands back after a graceful drain.
 #[derive(Debug)]
@@ -54,7 +65,7 @@ pub struct StreamResult {
 /// control placement), then call [`finish`](Self::finish) to drain every
 /// queue, seal the remainders and obtain the merged cube.
 pub struct StreamIngestor {
-    shards: Vec<Sender<String>>,
+    shards: Vec<SyncSender<String>>,
     workers: Vec<JoinHandle<()>>,
     merger: JoinHandle<Dwarf>,
     metrics: Arc<Metrics>,
@@ -68,7 +79,7 @@ impl StreamIngestor {
         // The merge queue is sized to the shard count: at any moment each
         // worker contributes at most one in-flight sealed cube plus one
         // being built, so this never becomes the bottleneck.
-        let (merge_tx, merge_rx) = bounded::<Dwarf>(config.shards.max(2));
+        let (merge_tx, merge_rx) = sync_channel::<Dwarf>(config.shards.max(2));
         let merger = {
             let metrics = Arc::clone(&metrics);
             let schema = def.schema();
@@ -80,7 +91,7 @@ impl StreamIngestor {
         let mut shards = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
-            let (tx, rx) = bounded::<String>(config.channel_capacity);
+            let (tx, rx) = sync_channel::<String>(config.channel_capacity);
             let def = def.clone();
             let config = config.clone();
             let metrics = Arc::clone(&metrics);
@@ -119,12 +130,9 @@ impl StreamIngestor {
 
     fn dispatch(&self, shard: usize, payload: String) {
         Metrics::add(&self.metrics.events_in, 1);
-        match self.shards[shard].send(payload) {
-            Ok(status) => {
-                if status.stalled {
-                    Metrics::add(&self.metrics.backpressure_stalls, 1);
-                }
-            }
+        match send_counting_stall(&self.shards[shard], payload) {
+            Ok(false) => {}
+            Ok(true) => Metrics::add(&self.metrics.backpressure_stalls, 1),
             // A dead worker means a panic in parse/extract code; surface it
             // at the ingest site rather than deadlocking the producer.
             Err(_) => panic!("stream worker for shard {shard} terminated"),
@@ -169,12 +177,13 @@ fn run_worker(
     def: &CubeDef,
     config: &StreamConfig,
     rx: Receiver<String>,
-    merge_tx: Sender<Dwarf>,
+    merge_tx: SyncSender<Dwarf>,
     metrics: &Metrics,
 ) {
     let schema = def.schema();
     let mut tuples = TupleSet::new(&schema);
-    while let Some(payload) = rx.recv() {
+    // `recv` errs once every sender is gone and the queue is drained.
+    while let Ok(payload) = rx.recv() {
         match extract_text(def, &payload, &mut tuples, MissingPolicy::Skip) {
             Ok(stats) => {
                 Metrics::add(&metrics.events_parsed, 1);
@@ -197,7 +206,7 @@ fn run_worker(
     }
 }
 
-fn seal(def: &CubeDef, tuples: TupleSet, merge_tx: &Sender<Dwarf>, metrics: &Metrics) {
+fn seal(def: &CubeDef, tuples: TupleSet, merge_tx: &SyncSender<Dwarf>, metrics: &Metrics) {
     let micro = Dwarf::build(def.schema(), tuples);
     Metrics::add(&metrics.seals, 1);
     if merge_tx.send(micro).is_err() {
@@ -209,7 +218,7 @@ fn seal(def: &CubeDef, tuples: TupleSet, merge_tx: &Sender<Dwarf>, metrics: &Met
 /// Merger loop: fold sealed micro-cubes, build the global cube once.
 fn run_merger(schema: sc_dwarf::CubeSchema, rx: Receiver<Dwarf>, metrics: &Metrics) -> Dwarf {
     let mut acc = MergeAccumulator::new(schema);
-    while let Some(micro) = rx.recv() {
+    while let Ok(micro) = rx.recv() {
         acc.absorb(&micro);
         Metrics::add(&metrics.merges, 1);
     }
@@ -237,6 +246,54 @@ mod tests {
               <station><name>{station}</name><bikes>{bikes}</bikes></station>
             </stations>"#
         )
+    }
+
+    #[test]
+    fn full_queue_stalls_and_reports_it() {
+        // A send into a full queue must block until the receiver makes
+        // room, and must say so. std exposes no "the sender is blocked"
+        // signal to wait on, so the receiver gives the sender ever more time
+        // to find the queue full; a send that got there late is not a stall.
+        for patience_ms in [1, 10, 100, 1000] {
+            let (tx, rx) = sync_channel(1);
+            assert_eq!(send_counting_stall(&tx, 1), Ok(false));
+            let sender = std::thread::spawn(move || send_counting_stall(&tx, 2));
+            std::thread::sleep(std::time::Duration::from_millis(patience_ms));
+            assert_eq!(rx.recv(), Ok(1));
+            let stalled = sender.join().unwrap();
+            assert_eq!(rx.recv(), Ok(2));
+            if stalled == Ok(true) {
+                return;
+            }
+        }
+        panic!("no send into a full queue ever reported its stall");
+    }
+
+    #[test]
+    fn sender_drop_ends_the_stream_after_a_drain() {
+        let (tx, rx) = sync_channel::<u8>(2);
+        let tx2 = tx.clone();
+        assert_eq!(send_counting_stall(&tx, 7), Ok(false));
+        drop(tx);
+        // A clone still holds the channel open.
+        let blocked = std::thread::spawn(move || (rx.recv(), rx.recv()));
+        drop(tx2);
+        let (first, second) = blocked.join().unwrap();
+        assert_eq!(first, Ok(7));
+        assert!(second.is_err(), "drained and senderless: end of stream");
+    }
+
+    #[test]
+    fn receiver_drop_hands_the_value_back() {
+        let (tx, rx) = sync_channel(1);
+        assert_eq!(send_counting_stall(&tx, 1), Ok(false));
+        // Blocked on the full queue when the receiver goes...
+        let tx2 = tx.clone();
+        let blocked = std::thread::spawn(move || send_counting_stall(&tx2, 2));
+        drop(rx);
+        assert_eq!(blocked.join().unwrap(), Err(2));
+        // ...and after.
+        assert_eq!(send_counting_stall(&tx, 9), Err(9));
     }
 
     #[test]
