@@ -1,4 +1,11 @@
-//! The database engine: catalog + table runtimes + write/read paths.
+//! The database engine: the table registry, the statement dispatch and the
+//! [`Db`] handle. The rest of `DbCore` sits beside this file, along its
+//! seams: `recovery.rs` (open + crash recovery), `ddl.rs` (what changes the
+//! registry), `dml.rs` (the commit, the one write routine, the one SELECT).
+//!
+//! A statement is bound once — `EngineState::table` finds its table,
+//! [`crate::TableDef`] checks its names and literals and encodes its keys —
+//! and everything below trusts the result (DESIGN.md §5g).
 //!
 //! # Concurrency model (see DESIGN.md §5g)
 //!

@@ -46,12 +46,7 @@ impl DbCore {
             Statement::CreateIndex { table, column } => {
                 self.create_index(state, table, column)?;
             }
-            other => {
-                return Err(NosqlError::Corrupt(format!(
-                    "not a DDL statement: {}",
-                    other.to_cql()
-                )))
-            }
+            _ => return Err(NosqlError::Corrupt("not a DDL statement".into())),
         }
         if journal {
             let mut line = resolved.to_cql();

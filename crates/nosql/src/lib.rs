@@ -37,6 +37,15 @@
 //! assert_eq!(row.get_int("measure").unwrap(), 3);
 //! ```
 //!
+//! Where things live: [`schema`] holds the table definition and the bind
+//! step (column by name, literal against column type, key literal → encoded
+//! key) every statement goes through once; [`engine`] the table registry,
+//! the statement dispatch and the [`Db`] handle, with recovery, DDL and
+//! DML/SELECT in `engine/{recovery,ddl,dml}.rs`; `index` everything that
+//! knows how a secondary-index posting is stored; [`plan`] and `exec` the
+//! SELECT planner and operators; [`table`], [`memtable`], [`sstable`],
+//! [`commitlog`], [`manifest`] and [`cache`] the storage side.
+//!
 //! Durability is crash-tested: `sc_storage::Vfs::with_faults` simulates
 //! power loss at every mutating storage operation, and the
 //! [`crashtest`] sweep asserts that recovery reproduces exactly the

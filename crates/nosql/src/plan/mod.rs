@@ -2,20 +2,19 @@
 //! choosing an access path from collected statistics, and rendering
 //! `EXPLAIN` output (see DESIGN.md §5h).
 //!
-//! The layering is strict:
+//! [`plan_select`] does it in three steps:
 //!
-//! 1. [`planner::lower`] turns the AST into a canonical [`PlanNode`] tree
-//!    rooted at a full scan, validating every column reference and literal
-//!    type up front — the *only* place name resolution happens, so an
-//!    unknown column fails identically whether it appears in the
-//!    projection, `WHERE`, `GROUP BY`, or `ORDER BY`.
-//! 2. [`planner::optimize`] rewrites the access path using table
-//!    statistics: an equality on the primary key becomes a bloom-checked
-//!    point scan, `IN` on the key a multi-point scan, an indexed column a
-//!    posting scan; remaining predicates and the `LIMIT` are pushed into
-//!    full scans.
-//! 3. [`planner::cost`] annotates every node with row/cost estimates
-//!    bottom-up; [`explain`] renders the tree.
+//! 1. Resolve: every column reference and every literal is bound against
+//!    the [`crate::TableDef`] up front — the *only* place name resolution
+//!    and literal checking happen, so an unknown column or a mistyped
+//!    literal fails identically whether it appears in the projection,
+//!    `WHERE`, `GROUP BY`, or `ORDER BY`, and on every access path.
+//! 2. Choose the access path from table statistics: `=` or `IN` on the
+//!    primary key becomes bloom-checked key probes, on an indexed column a
+//!    posting scan, with the literals encoded to keys here; remaining
+//!    predicates and the `LIMIT` are pushed into full scans.
+//! 3. Annotate every node with row/cost estimates bottom-up; [`explain`]
+//!    renders the tree.
 //!
 //! Execution is elsewhere ([`crate::exec`]): the plan is pure data and
 //! holds no table runtimes, so it can be built, costed, and printed

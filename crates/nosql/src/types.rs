@@ -198,8 +198,9 @@ impl CqlValue {
             CqlValue::Boolean(b) => vec![*b as u8],
             CqlValue::Null => vec![],
             CqlValue::IntSet(_) => {
-                // Sets cannot be partition keys; the schema layer rejects
-                // this before we ever get here.
+                // Sets cannot be keys: a statement's bind step
+                // (`TableDef::encode_key`) answers a typed error before a
+                // literal ever gets here.
                 unreachable!("set<int> cannot be a partition key")
             }
         }

@@ -2,8 +2,9 @@
 # Tier-1 verification: formatting, offline release build, full test suite.
 # Runs with zero network access — the workspace has no external
 # dependencies. Performance is measured elsewhere: `bash benchmark/run.sh`.
-# `scripts/loc.sh [path...]` reports non-test Rust lines per crate or path
-# for net-negative PRs; it is a report, not a gate, and does not run here.
+# `scripts/loc.sh [--since <rev>] [path...]` reports non-test Rust lines per
+# crate or path (with `--since`: parent, change and delta) for net-negative
+# PRs; it is a report, not a gate, and does not run here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
