@@ -135,11 +135,8 @@ impl DbCore {
         // truncate is safe — the TRUNCATE was not yet acknowledged, so both
         // "applied" and "not applied" are legal recovery outcomes.
         self.checkpoint_all_locked(state)?;
-        let tables = state.keyspace_mut(&def.keyspace)?;
         for name in &names {
-            let Some(old) = tables.remove(name) else {
-                continue;
-            };
+            let old = state.get(&def.keyspace, name)?;
             // A background compaction job may still hold the old runtime:
             // retire it first, which waits out any in-flight merge and
             // turns later jobs into no-ops, so nothing re-publishes the
@@ -163,6 +160,10 @@ impl DbCore {
         }
         // Rebuild through the constructors DDL uses: same definitions,
         // fresh runtimes.
+        let tables = state.keyspace_mut(&def.keyspace)?;
+        for name in &names {
+            tables.remove(name);
+        }
         let (keyspace, table) = (def.keyspace.clone(), def.name.clone());
         self.add_table(state, def)?;
         for column in &indexed {

@@ -62,18 +62,16 @@ pub trait Operator {
 
 /// Builds the operator pipeline for a plan subtree over the table the plan
 /// was made for. `bound` is the MVCC read bound every storage access uses.
-pub fn build(plan: &PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn Operator>> {
-    let child = |node: &PlanNode| build(node, table, bound);
+pub fn build(plan: PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn Operator>> {
+    let child = |node: Box<PlanNode>| build(*node, table, bound);
     let op: Box<dyn Operator> = match plan {
         PlanNode::Scan(node) => {
             let core = Arc::clone(table.core());
-            match &node.kind {
-                ScanKind::Key(_) => Box::new(scan::MultiPointScan::new(
-                    core,
-                    node.kind.operator(),
-                    node.keys.clone(),
-                    bound,
-                )),
+            let name = node.kind.operator();
+            match node.kind {
+                ScanKind::Key(_) => {
+                    Box::new(scan::MultiPointScan::new(core, name, node.keys, bound))
+                }
                 ScanKind::Index(pred) => {
                     let index = table.index_on(pred.index).ok_or_else(|| {
                         NosqlError::Unsupported(format!("no index on column {:?}", pred.column))
@@ -81,14 +79,14 @@ pub fn build(plan: &PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn
                     Box::new(scan::IndexScan::new(
                         core,
                         index.clone(),
-                        pred.clone(),
-                        node.keys.clone(),
+                        pred,
+                        node.keys,
                         bound,
                     ))
                 }
                 ScanKind::Full => Box::new(scan::FullScan::new(
                     &core,
-                    node.residual.clone(),
+                    node.residual,
                     node.pushed_limit,
                     node.projection.as_ref().map(|p| p.indices.as_slice()),
                     bound,
@@ -97,15 +95,15 @@ pub fn build(plan: &PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn
         }
         PlanNode::Filter {
             input, predicates, ..
-        } => Box::new(transform::Filter::new(child(input)?, predicates.clone())),
+        } => Box::new(transform::Filter::new(child(input)?, predicates)),
         PlanNode::Project { input, indices, .. } => {
-            Box::new(transform::Project::new(child(input)?, indices.clone()))
+            Box::new(transform::Project::new(child(input)?, indices))
         }
         PlanNode::Sort {
             input, key, desc, ..
-        } => Box::new(transform::Sort::new(child(input)?, *key, *desc)),
+        } => Box::new(transform::Sort::new(child(input)?, key, desc)),
         PlanNode::Limit { input, limit, .. } => {
-            Box::new(transform::Limit::new(child(input)?, *limit))
+            Box::new(transform::Limit::new(child(input)?, limit))
         }
         PlanNode::Aggregate {
             input,
@@ -115,9 +113,9 @@ pub fn build(plan: &PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn
             ..
         } => Box::new(aggregate::Aggregate::new(
             child(input)?,
-            group_by.clone(),
-            aggs.clone(),
-            output.clone(),
+            group_by,
+            aggs,
+            output,
         )),
     };
     Ok(Box::new(traced::Traced::new(op)))
