@@ -47,7 +47,7 @@ use crate::row::Row;
 use crate::schema::{ColumnDef, TableDef};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
-use crate::table::{TableCore, TableOptions};
+use crate::table::{PendingWrite, TableCore, TableOptions};
 use crate::types::CqlValue;
 use sc_encoding::ByteSize;
 use sc_storage::Vfs;
@@ -181,23 +181,13 @@ const VERSION_COST: usize = 48;
 /// secondary indexes. `def.indexed_columns` and `indexes` grow together, in
 /// [`TableHandle::attach`] only.
 #[derive(Debug)]
-pub(crate) struct TableHandle {
+struct TableHandle {
     def: TableDef,
     core: Arc<TableCore>,
     indexes: Vec<Index>,
 }
 
 impl TableHandle {
-    /// The table's runtime.
-    pub fn core(&self) -> &Arc<TableCore> {
-        &self.core
-    }
-
-    /// The secondary index on the column at `column`, if there is one.
-    pub fn index_on(&self, column: usize) -> Option<&Index> {
-        self.indexes.iter().find(|i| i.column() == column)
-    }
-
     fn attach(&mut self, index: Index) {
         let column = self.def.columns[index.column()].name.clone();
         self.def.indexed_columns.push(column);
@@ -267,14 +257,6 @@ impl EngineState {
             .flat_map(|tables| tables.values())
             .map(|handle| &handle.core)
     }
-}
-
-/// One pending row mutation, bound for the WAL and a memtable.
-pub(crate) struct PendingWrite {
-    pub table: Arc<TableCore>,
-    pub key: Vec<u8>,
-    /// `None` writes a tombstone.
-    pub row: Option<Row>,
 }
 
 /// The engine core shared by every [`Db`], [`Session`] and [`Snapshot`]
@@ -800,6 +782,43 @@ mod tests {
     }
 
     #[test]
+    fn an_index_plan_over_a_table_without_the_index_runs_as_a_filtered_scan() {
+        let db = setup();
+        for i in 0..6 {
+            db.execute_cql(&format!(
+                "INSERT INTO ks.cells (id, parent) VALUES ({i}, {})",
+                i % 2
+            ))
+            .unwrap();
+        }
+        let state = db.core.read_state();
+        let handle = state.get("ks", "cells").unwrap();
+        // `plan_select` is public: it plans for whatever definition it is
+        // handed, here one claiming an index the table does not have.
+        let mut def = handle.def.clone();
+        def.indexed_columns.push("parent".into());
+        let Statement::Select {
+            columns,
+            where_clause,
+            ..
+        } = parse_statement("SELECT id FROM ks.cells WHERE parent = 1").unwrap()
+        else {
+            panic!("a SELECT")
+        };
+        let stats = plan::TableStats {
+            rows: 6,
+            sstables: 0,
+            cache_hit_rate: 0.0,
+        };
+        let plan =
+            plan::plan_select(&def, &columns, &where_clause, &[], None, None, &stats).unwrap();
+        assert_eq!(plan.root.scan().kind.operator(), "IndexScan");
+        let mut op = exec::build(plan.root, &handle.core, &handle.indexes, u64::MAX);
+        let ids = exec::drain(op.as_mut()).unwrap();
+        assert_eq!(ids, [1, 3, 5].map(|id| vec![CqlValue::Int(id)]));
+    }
+
+    #[test]
     fn nulls_are_not_indexed() {
         let db = setup();
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
@@ -854,6 +873,35 @@ mod tests {
             .execute_cql("SELECT id FROM ks.cells WHERE parent = 2")
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn truncate_refuses_a_hidden_posting_table() {
+        // The base table's index writes into the posting table's runtime:
+        // replacing that runtime alone would strand every later posting in
+        // one no flush, checkpoint or recovery reaches.
+        let vfs = Vfs::memory();
+        {
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            db.execute_cql("CREATE KEYSPACE ks").unwrap();
+            db.execute_cql("CREATE TABLE ks.t (id int, v int, PRIMARY KEY (id))")
+                .unwrap();
+            db.execute_cql("CREATE INDEX ON ks.t (v)").unwrap();
+            assert!(matches!(
+                db.execute_cql("TRUNCATE ks.t__idx_v"),
+                Err(NosqlError::Unsupported(_))
+            ));
+            db.execute_cql("INSERT INTO ks.t (id, v) VALUES (1, 7)")
+                .unwrap();
+            db.flush_all().unwrap();
+        }
+        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let r = db.execute_cql("SELECT id FROM ks.t WHERE v = 7").unwrap();
+        assert_eq!(r.rows(), vec![vec![CqlValue::Int(1)]]);
+        // A table that merely has such a name is an ordinary table.
+        db.execute_cql("CREATE TABLE ks.u__idx_v (k text, PRIMARY KEY (k))")
+            .unwrap();
+        db.execute_cql("TRUNCATE ks.u__idx_v").unwrap();
     }
 
     #[test]

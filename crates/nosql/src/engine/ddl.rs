@@ -122,6 +122,19 @@ impl DbCore {
         session_keyspace: Option<&str>,
     ) -> Result<()> {
         let mut def = state.table(table, session_keyspace)?.def.clone();
+        // A posting table's runtime is also held by its base table's
+        // `Index`: replacing it here alone would strand every later posting
+        // in a runtime no flush, checkpoint or recovery reaches.
+        let posts_here = |base: &TableHandle| {
+            let mut indexed = base.def.indexed_columns.iter();
+            indexed.any(|c| index::hidden_name(&base.def.name, c) == def.name)
+        };
+        if state.keyspace(&def.keyspace)?.values().any(posts_here) {
+            return Err(NosqlError::Unsupported(format!(
+                "TRUNCATE of {}, an index's posting table; truncate the indexed table",
+                def.qualified_name()
+            )));
+        }
         let indexed = std::mem::take(&mut def.indexed_columns);
         let names: Vec<String> = std::iter::once(def.name.clone())
             .chain(indexed.iter().map(|c| index::hidden_name(&def.name, c)))

@@ -261,7 +261,7 @@ impl DbCore {
             let lines = plan::explain::result_rows(&plan);
             return Ok(QueryResult::new(vec!["plan".to_string()], lines));
         };
-        let mut op = exec::build(plan.root, handle, bound)?;
+        let mut op = exec::build(plan.root, &handle.core, &handle.indexes, bound);
         let rows = exec::drain(op.as_mut())?;
         Ok(QueryResult::new(plan.columns, rows))
     }

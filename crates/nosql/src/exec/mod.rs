@@ -24,9 +24,10 @@ pub mod scan;
 pub mod traced;
 pub mod transform;
 
-use crate::engine::TableHandle;
-use crate::error::{NosqlError, Result};
+use crate::error::Result;
+use crate::index::Index;
 use crate::plan::{PlanNode, ScanKind};
+use crate::table::TableCore;
 use crate::types::CqlValue;
 use std::sync::Arc;
 
@@ -61,31 +62,40 @@ pub trait Operator {
 }
 
 /// Builds the operator pipeline for a plan subtree over the table the plan
-/// was made for. `bound` is the MVCC read bound every storage access uses.
-pub fn build(plan: PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn Operator>> {
-    let child = |node: Box<PlanNode>| build(*node, table, bound);
+/// was made for: `core` is its runtime, `indexes` its secondary indexes.
+/// `bound` is the MVCC read bound every storage access uses.
+pub(crate) fn build(
+    plan: PlanNode,
+    core: &Arc<TableCore>,
+    indexes: &[Index],
+    bound: u64,
+) -> Box<dyn Operator> {
+    let child = |node: Box<PlanNode>| build(*node, core, indexes, bound);
     let op: Box<dyn Operator> = match plan {
         PlanNode::Scan(node) => {
-            let core = Arc::clone(table.core());
             let name = node.kind.operator();
             match node.kind {
-                ScanKind::Key(_) => {
-                    Box::new(scan::MultiPointScan::new(core, name, node.keys, bound))
-                }
-                ScanKind::Index(pred) => {
-                    let index = table.index_on(pred.index).ok_or_else(|| {
-                        NosqlError::Unsupported(format!("no index on column {:?}", pred.column))
-                    })?;
-                    Box::new(scan::IndexScan::new(
-                        core,
+                ScanKind::Key(_) => Box::new(scan::MultiPointScan::new(
+                    Arc::clone(core),
+                    name,
+                    node.keys,
+                    bound,
+                )),
+                // `indexes` is all the execution side knows of the table's
+                // indexes: a posting scan where one covers the predicate's
+                // column, the same rows by a filtered scan where none does.
+                ScanKind::Index(pred) => match indexes.iter().find(|i| i.column() == pred.index) {
+                    Some(index) => Box::new(scan::IndexScan::new(
+                        Arc::clone(core),
                         index.clone(),
                         pred,
                         node.keys,
                         bound,
-                    ))
-                }
+                    )),
+                    None => Box::new(scan::FullScan::new(core, vec![pred], None, None, bound)),
+                },
                 ScanKind::Full => Box::new(scan::FullScan::new(
-                    &core,
+                    core,
                     node.residual,
                     node.pushed_limit,
                     node.projection.as_ref().map(|p| p.indices.as_slice()),
@@ -95,15 +105,15 @@ pub fn build(plan: PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn 
         }
         PlanNode::Filter {
             input, predicates, ..
-        } => Box::new(transform::Filter::new(child(input)?, predicates)),
+        } => Box::new(transform::Filter::new(child(input), predicates)),
         PlanNode::Project { input, indices, .. } => {
-            Box::new(transform::Project::new(child(input)?, indices))
+            Box::new(transform::Project::new(child(input), indices))
         }
         PlanNode::Sort {
             input, key, desc, ..
-        } => Box::new(transform::Sort::new(child(input)?, key, desc)),
+        } => Box::new(transform::Sort::new(child(input), key, desc)),
         PlanNode::Limit { input, limit, .. } => {
-            Box::new(transform::Limit::new(child(input)?, limit))
+            Box::new(transform::Limit::new(child(input), limit))
         }
         PlanNode::Aggregate {
             input,
@@ -112,13 +122,13 @@ pub fn build(plan: PlanNode, table: &TableHandle, bound: u64) -> Result<Box<dyn 
             output,
             ..
         } => Box::new(aggregate::Aggregate::new(
-            child(input)?,
+            child(input),
             group_by,
             aggs,
             output,
         )),
     };
-    Ok(Box::new(traced::Traced::new(op)))
+    Box::new(traced::Traced::new(op))
 }
 
 /// Drains an operator into a row vector.

@@ -14,11 +14,10 @@
 //! the base-table keys posted under a set of values. Nothing outside this
 //! module spells a posting key or the hidden table's name and shape.
 
-use crate::engine::PendingWrite;
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
 use crate::schema::{ColumnDef, TableDef};
-use crate::table::{live_row, TableCore};
+use crate::table::{live_row, PendingWrite, TableCore};
 use crate::types::{CqlType, CqlValue};
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -95,31 +95,26 @@ fn resolve_predicates(def: &TableDef, where_clause: &[WhereClause]) -> Result<Ve
         let column = clause.column().to_string();
         let index = def.column(&column)?;
         let test = match clause {
-            WhereClause::Eq { value, .. } => {
-                def.check(index, value)?;
-                PredTest::Eq(value.clone())
-            }
-            WhereClause::In { values, .. } => {
-                for value in values {
-                    def.check(index, value)?;
-                }
-                PredTest::In(values.clone())
-            }
+            WhereClause::Eq { value, .. } => PredTest::Eq(value.clone()),
+            WhereClause::In { values, .. } => PredTest::In(values.clone()),
             WhereClause::Cmp { op, value, .. } => {
                 if def.columns[index].ty == CqlType::IntSet {
                     return Err(NosqlError::Unsupported(format!(
                         "range comparisons on set<int> column {column:?}"
                     )));
                 }
-                def.check(index, value)?;
                 PredTest::Cmp(*op, value.clone())
             }
         };
-        preds.push(Predicate {
+        let pred = Predicate {
             column,
             index,
             test,
-        });
+        };
+        for value in pred.values() {
+            def.check(index, value)?;
+        }
+        preds.push(pred);
     }
     Ok(preds)
 }
@@ -311,8 +306,7 @@ fn resolve_projection(
         .iter()
         .map(|c| def.column(c))
         .collect::<Result<_>>()?;
-    // A global aggregate is a grouped one with no grouping columns.
-    if !group_by.is_empty() || columns.has_aggregates() {
+    if !group_by.is_empty() {
         let SelectColumns::Items(items) = columns else {
             return Err(NosqlError::Unsupported(
                 "SELECT * with GROUP BY; name the grouping columns and aggregates".into(),
@@ -347,6 +341,28 @@ fn resolve_projection(
     }
     match columns {
         SelectColumns::All => Ok(Projection::All),
+        SelectColumns::Items(items) if columns.has_aggregates() => {
+            let mut aggs = Vec::new();
+            let mut output = Vec::with_capacity(items.len());
+            let mut names = Vec::with_capacity(items.len());
+            for item in items {
+                let SelectItem::Aggregate { func, column } = item else {
+                    return Err(NosqlError::Unsupported(format!(
+                        "column {:?} must appear in GROUP BY or an aggregate",
+                        item.output_name()
+                    )));
+                };
+                names.push(item.output_name());
+                aggs.push(resolve_aggregate(def, *func, column.as_ref())?);
+                output.push(AggOutput::Agg(aggs.len() - 1));
+            }
+            Ok(Projection::Aggregate {
+                group_by: Vec::new(),
+                aggs,
+                output,
+                names,
+            })
+        }
         SelectColumns::Items(items) => {
             let mut indices = Vec::with_capacity(items.len());
             let mut names = Vec::with_capacity(items.len());

@@ -55,26 +55,21 @@ impl TableDef {
                 )));
             }
         }
-        let pk = columns
-            .iter()
-            .position(|c| c.name == primary_key)
-            .ok_or_else(|| NosqlError::UnknownColumn {
-                table: name.to_string(),
-                column: primary_key.to_string(),
-            })?;
-        if columns[pk].ty == CqlType::IntSet {
+        let mut def = TableDef {
+            keyspace: keyspace.to_string(),
+            name: name.to_string(),
+            columns,
+            primary_key: 0,
+            indexed_columns: Vec::new(),
+            qualified: format!("{keyspace}.{name}"),
+        };
+        def.primary_key = def.column(primary_key)?;
+        if def.pk_column().ty == CqlType::IntSet {
             return Err(NosqlError::Parse(format!(
                 "set<int> column {primary_key:?} cannot be the primary key"
             )));
         }
-        Ok(TableDef {
-            keyspace: keyspace.to_string(),
-            name: name.to_string(),
-            columns,
-            primary_key: pk,
-            indexed_columns: Vec::new(),
-            qualified: format!("{keyspace}.{name}"),
-        })
+        Ok(def)
     }
 
     /// Fully qualified `keyspace.table` name.

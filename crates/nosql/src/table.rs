@@ -135,6 +135,14 @@ pub(crate) fn live_row(entry: Result<SstEntry>) -> Result<Row> {
     Ok(entry?.row.expect("a query's cursor elides tombstones"))
 }
 
+/// One pending row mutation, bound for the WAL and its table's memtable.
+pub(crate) struct PendingWrite {
+    pub table: Arc<TableCore>,
+    pub key: Vec<u8>,
+    /// `None` writes a tombstone.
+    pub row: Option<Row>,
+}
+
 /// Runtime state of one column family. All methods take `&self`; the type
 /// is `Send + Sync` and shared via `Arc` between sessions.
 #[derive(Debug)]
