@@ -3,8 +3,13 @@
 //! Records written by [`Encoder`] are read back by [`Decoder`]; each engine
 //! layers its own row/cell format on top. All multi-byte fixed-width values
 //! are little-endian; variable-width values use [`crate::varint`].
+//!
+//! Journals (both engines' write-ahead logs, the SSTable manifest) append
+//! their records as CRC frames — `[len: u32][crc: u32][payload]`, the CRC
+//! over the payload — written by [`Encoder::put_frame`] and read back by
+//! [`Frames`], which stops at the first torn or corrupt frame.
 
-use crate::varint;
+use crate::{varint, Crc32};
 use std::fmt;
 
 /// Error produced when decoding a corrupt or truncated record.
@@ -153,6 +158,55 @@ impl Encoder {
         self.buf.extend_from_slice(v);
         self
     }
+
+    /// Writes one CRC frame whose payload is whatever `payload` writes.
+    pub fn put_frame(&mut self, payload: impl FnOnce(&mut Encoder)) -> &mut Self {
+        let header = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        payload(self);
+        let body = header + 8;
+        let len = (self.buf.len() - body) as u32;
+        let crc = Crc32::of(&self.buf[body..]);
+        self.buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[header + 4..body].copy_from_slice(&crc.to_le_bytes());
+        self
+    }
+}
+
+/// The payloads of the intact CRC frames ([`Encoder::put_frame`]) at the
+/// start of a byte slice. Iteration ends at the first frame that is torn
+/// (shorter than its header says) or corrupt (CRC mismatch) — the tail a
+/// crash mid-append leaves — and [`Frames::good_len`] then says where.
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    data: &'a [u8],
+    good_len: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// Starts at the first byte of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
+        Self { data, good_len: 0 }
+    }
+
+    /// Bytes covered by the frames yielded so far: once iteration has
+    /// ended, the length of the valid prefix.
+    pub fn good_len(&self) -> usize {
+        self.good_len
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let mut dec = Decoder::new(&self.data[self.good_len..]);
+        let len = dec.get_u32_fixed().ok()? as usize;
+        let crc = dec.get_u32_fixed().ok()?;
+        let payload = dec.get_raw(len).ok().filter(|p| Crc32::of(p) == crc)?;
+        self.good_len += dec.position();
+        Some(payload)
+    }
 }
 
 /// Cursor-style decoder over a byte slice.
@@ -294,6 +348,41 @@ mod tests {
         assert_eq!(dec.get_str().unwrap(), "Fenian St");
         assert_eq!(dec.get_bytes().unwrap(), &[1, 2, 3]);
         assert!(dec.is_exhausted());
+    }
+
+    #[test]
+    fn frames_roundtrip_and_stop_at_a_torn_or_corrupt_tail() {
+        let mut enc = Encoder::new();
+        enc.put_frame(|p| {
+            p.put_str("one");
+        })
+        .put_frame(|_| {})
+        .put_frame(|p| {
+            p.put_raw(&[9; 5]);
+        });
+        let bytes = enc.into_bytes();
+        // The layout the journals have always written.
+        assert_eq!(&bytes[..4], &4u32.to_le_bytes());
+        assert_eq!(&bytes[4..8], &Crc32::of(b"\x03one").to_le_bytes());
+        assert_eq!(&bytes[8..12], b"\x03one");
+
+        let mut frames = Frames::new(&bytes);
+        let payloads: Vec<&[u8]> = frames.by_ref().collect();
+        assert_eq!(payloads, [&b"\x03one"[..], &[], &[9; 5]]);
+        assert_eq!(frames.good_len(), bytes.len());
+
+        // Torn anywhere inside the last frame: the first two survive.
+        for cut in 21..bytes.len() {
+            let mut frames = Frames::new(&bytes[..cut]);
+            assert_eq!(frames.by_ref().count(), 2, "cut at {cut}");
+            assert_eq!(frames.good_len(), 20);
+        }
+        // One flipped payload bit: that frame and everything after it go.
+        let mut flipped = bytes.clone();
+        flipped[9] ^= 1;
+        let mut frames = Frames::new(&flipped);
+        assert_eq!(frames.by_ref().count(), 0);
+        assert_eq!(frames.good_len(), 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * [`varint`] — LEB128-style unsigned varints and zig-zag signed varints,
 //! * [`codec`] — a small [`codec::Encoder`]/[`codec::Decoder`]
-//!   pair with length-prefixed strings and byte slices,
+//!   pair with length-prefixed strings and byte slices, and the CRC frame
+//!   ([`codec::Frames`]) the journals append their records in,
 //! * [`columnar`] — the column-run primitives (packed bitmaps, zig-zag
 //!   delta runs, byte-string dictionaries) SSTables build their
 //!   column-major blocks from,
@@ -39,7 +40,7 @@ pub mod varint;
 pub use bloom::Bloom;
 pub use bytesize::ByteSize;
 pub use checksum::Crc32;
-pub use codec::{DecodeError, Decoder, Encoder};
+pub use codec::{DecodeError, Decoder, Encoder, Frames};
 pub use columnar::{decode_dict, decode_i64_deltas, encode_i64_deltas, Bitmap, DictBuilder};
 pub use hash::{fnv1a_64, FnvBuildHasher, FnvHashMap, FnvHashSet};
 pub use rng::Rng;

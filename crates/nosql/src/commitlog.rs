@@ -6,7 +6,8 @@
 //! append, like Cassandra's `BEGIN BATCH`).
 //!
 //! Frame format: `[len: u32][crc: u32][payload]` where `crc` covers the
-//! payload. Replay stops cleanly at a torn tail.
+//! payload (`sc_encoding`'s `put_frame` / `Frames`). Replay stops cleanly
+//! at a torn tail.
 //!
 //! The log is **segmented**: appends go to an active segment file which is
 //! rotated out once it reaches [`DEFAULT_SEGMENT_BYTES`]
@@ -17,7 +18,7 @@
 //! `flush_all`, growing without bound under sustained writes.
 
 use crate::error::{NosqlError, Result};
-use sc_encoding::{Crc32, Decoder, Encoder};
+use sc_encoding::{Decoder, Encoder, Frames};
 use sc_storage::{StorageError, Vfs};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
@@ -139,16 +140,12 @@ impl CommitLog {
     }
 
     fn frame(record: &LogRecord, out: &mut Encoder) {
-        let mut payload = Encoder::new();
-        payload
-            .put_str(&record.table)
-            .put_bytes(&record.key)
-            .put_bytes(&record.body)
-            .put_u64_fixed(record.timestamp);
-        let payload = payload.into_bytes();
-        out.put_u32_fixed(payload.len() as u32);
-        out.put_u32_fixed(Crc32::of(&payload));
-        out.put_raw(&payload);
+        out.put_frame(|p| {
+            p.put_str(&record.table)
+                .put_bytes(&record.key)
+                .put_bytes(&record.body)
+                .put_u64_fixed(record.timestamp);
+        });
     }
 
     /// Appends one mutation.
@@ -275,19 +272,9 @@ impl CommitLog {
             Err(e) => return Err(e.into()),
         };
         let mut out = Vec::new();
-        let mut dec = Decoder::new(&data);
-        let mut good_len = 0u64;
+        let mut frames = Frames::new(&data);
         let mut max_seq = 0u64;
-        while dec.remaining() >= 8 {
-            let len = dec.get_u32_fixed()? as usize;
-            let crc = dec.get_u32_fixed()?;
-            if dec.remaining() < len {
-                break; // torn tail
-            }
-            let payload = dec.get_raw(len)?;
-            if Crc32::of(payload) != crc {
-                break; // corrupt tail
-            }
+        for payload in frames.by_ref() {
             let mut p = Decoder::new(payload);
             let table = p.get_str().map_err(NosqlError::from)?.to_string();
             let key = p.get_bytes()?.to_vec();
@@ -300,9 +287,8 @@ impl CommitLog {
                 body,
                 timestamp,
             });
-            good_len = (data.len() - dec.remaining()) as u64;
         }
-        Ok((out, good_len, max_seq))
+        Ok((out, frames.good_len() as u64, max_seq))
     }
 
     /// Segment names in age order (closed oldest-first, then active).

@@ -14,10 +14,10 @@
 //!
 //! - **Reads** never block writers. A `SELECT` pins the MVCC watermark
 //!   ([`crate::mvcc::ReadPin`]) and resolves each key to the newest
-//!   version at or below that bound, across memtable shards, the frozen
-//!   flush run, and immutable SSTables (a merged-away SSTable's file lives
-//!   until its last reader lets go). Concurrent writers can never tear a
-//!   read: versions above the pin are invisible.
+//!   version at or below that bound, across memtable shards and immutable
+//!   SSTables (a merged-away SSTable's file lives until its last reader
+//!   lets go). Concurrent writers can never tear a read: versions above
+//!   the pin are invisible.
 //! - **Writes** append to the group-commit WAL
 //!   ([`crate::commitlog::GroupCommitLog`]) — concurrent sessions share
 //!   one fsync via a leader/follower protocol — then insert into the

@@ -8,9 +8,9 @@
 //! single append before deleting anything, so the transition is atomic:
 //! recovery sees either the old run or the merged table, never both.
 //!
-//! Records use the commit log's framing — `[len: u32][crc: u32][payload]` —
-//! and the same torn-tail rule: replay stops at the first bad frame, and
-//! [`Manifest::repair`] physically truncates it away.
+//! Records use the commit log's framing — `[len: u32][crc: u32][payload]`,
+//! `sc_encoding::Frames` — and the same torn-tail rule: replay stops at the
+//! first bad frame, and [`Manifest::repair`] physically truncates it away.
 //!
 //! The per-table file lists preserve **age order**, which is not id order:
 //! a tiered merge splices its output into the middle of the age sequence
@@ -18,8 +18,8 @@
 //! therefore inserts its adds at the position of the first file it removes,
 //! reproducing the in-memory splice exactly across restarts.
 
-use crate::error::{NosqlError, Result};
-use sc_encoding::{Crc32, Decoder, Encoder};
+use crate::error::Result;
+use sc_encoding::{Decoder, Encoder, Frames};
 use sc_storage::Vfs;
 use std::collections::BTreeMap;
 
@@ -68,20 +68,15 @@ impl Manifest {
         if edit.is_empty() {
             return Ok(());
         }
-        let mut payload = Encoder::new();
-        payload.put_u64(edit.adds.len() as u64);
-        for (table, file) in &edit.adds {
-            payload.put_str(table).put_str(file);
-        }
-        payload.put_u64(edit.removes.len() as u64);
-        for (table, file) in &edit.removes {
-            payload.put_str(table).put_str(file);
-        }
-        let payload = payload.into_bytes();
         let mut frame = Encoder::new();
-        frame.put_u32_fixed(payload.len() as u32);
-        frame.put_u32_fixed(Crc32::of(&payload));
-        frame.put_raw(&payload);
+        frame.put_frame(|p| {
+            for list in [&edit.adds, &edit.removes] {
+                p.put_u64(list.len() as u64);
+                for (table, file) in list {
+                    p.put_str(table).put_str(file);
+                }
+            }
+        });
         self.vfs.append(MANIFEST_FILE, frame.bytes())?;
         Ok(())
     }
@@ -96,23 +91,11 @@ impl Manifest {
             Err(e) => return Err(e.into()),
         };
         let mut tables: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        let mut dec = Decoder::new(&data);
-        let mut good_len = 0u64;
-        while dec.remaining() >= 8 {
-            let len = dec.get_u32_fixed()? as usize;
-            let crc = dec.get_u32_fixed()?;
-            if dec.remaining() < len {
-                break; // torn tail
-            }
-            let payload = dec.get_raw(len)?;
-            if Crc32::of(payload) != crc {
-                break; // corrupt tail
-            }
-            let edit = Self::decode_edit(payload)?;
-            Self::apply(&mut tables, &edit);
-            good_len = (data.len() - dec.remaining()) as u64;
+        let mut frames = Frames::new(&data);
+        for payload in frames.by_ref() {
+            Self::apply(&mut tables, &Self::decode_edit(payload)?);
         }
-        Ok((tables, good_len))
+        Ok((tables, frames.good_len() as u64))
     }
 
     /// [`Manifest::load`], then truncates the torn tail (if any) off the
@@ -128,17 +111,10 @@ impl Manifest {
     fn decode_edit(payload: &[u8]) -> Result<ManifestEdit> {
         let mut p = Decoder::new(payload);
         let mut edit = ManifestEdit::default();
-        let n_adds = p.get_u64().map_err(NosqlError::from)?;
-        for _ in 0..n_adds {
-            let table = p.get_str()?.to_string();
-            let file = p.get_str()?.to_string();
-            edit.adds.push((table, file));
-        }
-        let n_removes = p.get_u64()?;
-        for _ in 0..n_removes {
-            let table = p.get_str()?.to_string();
-            let file = p.get_str()?.to_string();
-            edit.removes.push((table, file));
+        for list in [&mut edit.adds, &mut edit.removes] {
+            for _ in 0..p.get_u64()? {
+                list.push((p.get_str()?.to_string(), p.get_str()?.to_string()));
+            }
         }
         Ok(edit)
     }

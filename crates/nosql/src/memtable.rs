@@ -14,21 +14,24 @@
 //!   shadow is at or below the engine's GC floor — the minimum of the
 //!   visible watermark and the oldest pinned read bound — because every
 //!   current and future reader will then see the newer version instead.
-//! - **Read short-circuiting.** A point read that lands on a version whose
-//!   chain is intact above it (every newer link present in the shard, the
-//!   newest unshadowed) knows no frozen run or SSTable can hold anything
-//!   newer, and skips the disk entirely. This keeps the warm-read
-//!   "0 SSTables consulted" property of the single-threaded engine.
+//! - **Which version a bound sees.** One rule, [`visible_at`], serves point
+//!   reads, cursor snapshots and both halves of a flush: the newest version
+//!   at or below the bound, unless its shadow is at or below the bound too —
+//!   then a newer visible version exists outside the shard (it was flushed)
+//!   and the memtable has no answer for that key. A point read that lands on
+//!   a version whose chain is intact above it (every newer link present in
+//!   the shard, the newest unshadowed) additionally knows no SSTable can
+//!   hold anything newer, and skips the disk entirely.
 //!
-//! Flushing is two-phase: [`ShardedMemtable::drain_up_to`] removes, per
-//! key, the newest version at or below the flush boundary (always a fully
-//! committed sequence) and returns the drained entries for the caller to
-//! publish as a frozen run while the SSTable is written. Older versions
-//! that a pinned snapshot might still need stay behind in the shard.
+//! A flush copies before it removes: [`ShardedMemtable::peek_up_to`] clones,
+//! per key, the globally newest version at or below the flush boundary
+//! (always a fully committed sequence) for the caller to write out, and
+//! [`ShardedMemtable::drain_up_to`] removes the same versions once their
+//! SSTable is attached. Older versions that a pinned snapshot might still
+//! need stay behind in the shard.
 
 use crate::row::Row;
 use crate::sstable::SstEntry;
-use sc_encoding::Encoder;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -58,8 +61,7 @@ pub(crate) struct MemHit {
     pub row: Option<Row>,
     pub seq: u64,
     /// True when the chain above the hit is complete in the shard: no
-    /// frozen run or SSTable can hold a newer version, so the caller may
-    /// skip them.
+    /// SSTable can hold a newer version, so the caller may skip them.
     pub definitive: bool,
 }
 
@@ -128,51 +130,62 @@ impl ShardedMemtable {
         }
     }
 
-    /// Newest version of `key` at or below `bound`, if the shard holds one.
+    /// The version of `key` a reader at `bound` sees ([`visible_at`]), if
+    /// the shard holds it.
     pub fn get(&self, key: &[u8], bound: u64) -> Option<MemHit> {
         let shard = self
             .shard_for(key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let versions = shard.entries.get(key)?;
-        let mut chained = true;
-        let mut expected_shadow = u64::MAX;
-        for v in versions {
-            if v.shadow != expected_shadow {
-                // A newer version of this key was flushed out of the shard.
-                chained = false;
-            }
-            if v.seq <= bound {
-                return Some(MemHit {
-                    row: v.row.clone(),
-                    seq: v.seq,
-                    definitive: chained,
-                });
-            }
-            expected_shadow = v.seq;
-        }
-        None
+        let pos = visible_at(versions, bound)?;
+        // Intact above the hit: the head is the key's newest anywhere and
+        // every link down to the hit points at the version before it.
+        let definitive = versions[0].shadow == u64::MAX
+            && versions[..=pos].windows(2).all(|w| w[1].shadow == w[0].seq);
+        let v = &versions[pos];
+        Some(MemHit {
+            row: v.row.clone(),
+            seq: v.seq,
+            definitive,
+        })
     }
 
     /// The memtable's layer of a merging cursor: per key starting with
-    /// `prefix` (`None` = all), the newest version at or below `bound`,
-    /// tombstones included, sorted by key.
-    ///
-    /// A version whose shadow is itself at or below `bound` is left out:
-    /// its successor was flushed and wins anyway — unless that successor
-    /// is a tombstone a compaction drops between this call and the
-    /// cursor's look at the SSTable list, in which case emitting the stale
-    /// version would resurrect the row.
+    /// `prefix` (`None` = all), the version a reader at `bound` sees
+    /// ([`visible_at`]), tombstones included, sorted by key.
     pub fn snapshot(&self, bound: u64, prefix: Option<&[u8]>) -> Vec<SstEntry> {
+        self.collect(|key, versions| {
+            if prefix.is_some_and(|p| !key.starts_with(p)) {
+                return None;
+            }
+            visible_at(versions, bound)
+        })
+    }
+
+    /// Flush, first half: the entries [`ShardedMemtable::drain_up_to`] will
+    /// remove at `boundary`, cloned without removing anything and sorted by
+    /// key — what the flush hands to the SSTable writer. Every acked version
+    /// stays readable in its shard until its SSTable is attached.
+    ///
+    /// A version committed between the peek and the drain has a sequence
+    /// above `boundary` (the visible watermark at flush start), so it can
+    /// shadow a peeked version but never changes the peeked set itself;
+    /// the drain then leaves the newly-shadowed version in its shard,
+    /// which is merely a duplicate of what the SSTable already serves.
+    pub fn peek_up_to(&self, boundary: u64) -> Vec<SstEntry> {
+        self.collect(|_, versions| flushable_at(versions, boundary))
+    }
+
+    /// Per key, the version `pick` chooses from the key's chain (by index),
+    /// cloned out of the shards and sorted by key.
+    fn collect(&self, pick: impl Fn(&[u8], &[Version]) -> Option<usize>) -> Vec<SstEntry> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
             for (key, versions) in &shard.entries {
-                if prefix.is_some_and(|p| !key.starts_with(p)) {
-                    continue;
-                }
-                let newest = versions.iter().find(|v| v.seq <= bound);
-                if let Some(v) = newest.filter(|v| v.shadow == u64::MAX || v.shadow > bound) {
+                if let Some(pos) = pick(key, versions) {
+                    let v = &versions[pos];
                     out.push(SstEntry {
                         key: key.clone(),
                         row: v.row.clone(),
@@ -199,41 +212,10 @@ impl ShardedMemtable {
             .sum()
     }
 
-    /// Flush phase zero: the entries [`ShardedMemtable::drain_up_to`]
-    /// would remove at `boundary`, cloned without removing anything. The
-    /// flush publishes these as the frozen run *first* and only then
-    /// drains, so every acked version is findable in at least one layer at
-    /// every instant. Draining before publishing had a window — after a
-    /// shard gave up its versions, before the frozen run appeared — where
-    /// a concurrent point read fell through every layer and served an
-    /// *older* version of an acknowledged write.
-    ///
-    /// A version committed between the peek and the drain has a sequence
-    /// above `boundary` (the visible watermark at flush start), so it can
-    /// shadow a peeked version but never changes the peeked set itself;
-    /// the drain then leaves the newly-shadowed version in its shard,
-    /// which is merely a duplicate of what the frozen run (and then the
-    /// SSTable) already serves.
-    pub fn peek_up_to(&self, boundary: u64) -> BTreeMap<Vec<u8>, (Option<Row>, u64)> {
-        let mut staged = BTreeMap::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, versions) in &shard.entries {
-                if let Some(v) = versions.iter().find(|v| v.seq <= boundary) {
-                    if v.shadow == u64::MAX {
-                        staged.insert(key.clone(), (v.row.clone(), v.seq));
-                    }
-                }
-            }
-        }
-        staged
-    }
-
-    /// Flush phase one: removes, per key, the newest version at or below
+    /// Flush, second half: removes, per key, the version visible at
     /// `boundary` (the visible watermark at flush start, so every drained
     /// sequence is fully committed) — but only when that version is the
-    /// key's **globally newest** (`shadow == u64::MAX`). Returns the
-    /// drained entries sorted by key.
+    /// key's **globally newest** (`shadow == u64::MAX`).
     ///
     /// The globally-newest restriction is what keeps per-key sequence
     /// order monotone across SSTable age order: a shadowed version never
@@ -243,22 +225,13 @@ impl ShardedMemtable {
     /// the GC floor passes their shadow; the WAL, not the SSTable, is
     /// their durability story. Older retained versions are GC'd against
     /// `gc_floor` on the way through; empty chains are dropped.
-    pub fn drain_up_to(
-        &self,
-        boundary: u64,
-        gc_floor: u64,
-    ) -> BTreeMap<Vec<u8>, (Option<Row>, u64)> {
-        let mut drained = BTreeMap::new();
+    pub fn drain_up_to(&self, boundary: u64, gc_floor: u64) {
         let mut freed = 0usize;
         for shard in self.shards.iter() {
             let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            shard.entries.retain(|key, versions| {
-                if let Some(pos) = versions.iter().position(|v| v.seq <= boundary) {
-                    if versions[pos].shadow == u64::MAX {
-                        let v = versions.remove(pos);
-                        freed += v.cost;
-                        drained.insert(key.clone(), (v.row, v.seq));
-                    }
+            shard.entries.retain(|_, versions| {
+                if let Some(pos) = flushable_at(versions, boundary) {
+                    freed += versions.remove(pos).cost;
                 }
                 freed += gc_chain(versions, gc_floor);
                 !versions.is_empty()
@@ -267,7 +240,6 @@ impl ShardedMemtable {
         if freed > 0 {
             self.bytes.fetch_sub(freed, Ordering::Relaxed);
         }
-        drained
     }
 
     /// Garbage-collects every shard against `floor`: versions shadowed at
@@ -292,18 +264,25 @@ impl ShardedMemtable {
             self.bytes.fetch_sub(freed, Ordering::Relaxed);
         }
     }
+}
 
-    /// Flush undo: re-inserts entries drained by
-    /// [`ShardedMemtable::drain_up_to`] after a failed SSTable write, so
-    /// the data stays readable and a later flush can retry. Shadow links
-    /// are recomputed from the chain neighbors.
-    pub fn reinsert(&self, entries: BTreeMap<Vec<u8>, (Option<Row>, u64)>) {
-        let mut scratch = Encoder::new();
-        for (key, (row, seq)) in entries {
-            let cost = key.len() + row.as_ref().map_or(1, |r| r.encoded_size(&mut scratch));
-            self.put(key, row, seq, cost, 0);
-        }
-    }
+/// The one version rule. Index, in a newest-first chain, of the version a
+/// reader at `bound` sees: the newest at or below `bound` — unless that
+/// version was itself superseded at or below `bound`. Its successor is then
+/// not in the chain (it was flushed), so the chain has no answer and the
+/// SSTables do; answering with the stale version would resurrect a deleted
+/// row once a merge drops the successor's tombstone.
+fn visible_at(versions: &[Version], bound: u64) -> Option<usize> {
+    let pos = versions.iter().position(|v| v.seq <= bound)?;
+    let shadow = versions[pos].shadow;
+    (shadow == u64::MAX || shadow > bound).then_some(pos)
+}
+
+/// What a flush at `boundary` takes from a chain: the version visible there,
+/// when it is the key's globally newest. Both halves of the flush ask this,
+/// so the drain removes what the peek copied.
+fn flushable_at(versions: &[Version], boundary: u64) -> Option<usize> {
+    visible_at(versions, boundary).filter(|&pos| versions[pos].shadow == u64::MAX)
 }
 
 /// Inserts `v` into a newest-first chain, fixing up the shadow links of
@@ -422,9 +401,18 @@ mod tests {
         // Boundary 5: b@4 flushes. a@3 is at or below the boundary too,
         // but it is shadowed by the in-memory a@8 — flushing it would put
         // an older sequence in a younger SSTable, so it must stay.
-        let drained = m.drain_up_to(5, 0);
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[&b"b".to_vec()].1, 4);
+        let peeked = m.peek_up_to(5);
+        assert_eq!(peeked.len(), 1);
+        assert_eq!(
+            (peeked[0].key.as_slice(), peeked[0].timestamp),
+            (&b"b"[..], 4)
+        );
+        assert_eq!(
+            m.get(b"b", u64::MAX).unwrap().seq,
+            4,
+            "a peek removes nothing"
+        );
+        m.drain_up_to(5, 0);
         assert!(m.get(b"b", u64::MAX).is_none());
         let hit = m.get(b"a", u64::MAX).unwrap();
         assert_eq!(hit.seq, 8);
@@ -432,27 +420,38 @@ mod tests {
         let hit = m.get(b"a", 3).unwrap();
         assert_eq!(hit.seq, 3, "the shadowed version still serves its bound");
         // A later flush with an advanced boundary takes a@8 and GC's a@3.
-        let drained = m.drain_up_to(8, 8);
-        assert_eq!(drained[&b"a".to_vec()].1, 8);
+        assert_eq!(m.peek_up_to(8)[0].timestamp, 8);
+        m.drain_up_to(8, 8);
         assert!(m.get(b"a", u64::MAX).is_none());
         assert_eq!(m.key_count(), 0);
     }
 
     #[test]
-    fn hole_above_a_version_defeats_short_circuiting() {
+    fn a_version_superseded_at_the_bound_is_a_miss() {
         let m = ShardedMemtable::new();
         put(&m, b"k", 1, 3, 0);
-        put(&m, b"k", 2, 8, 0);
-        // Flush the newest committed version (8); the snapshot-retained
-        // version 3 stays with shadow 8 — a hole above it.
-        let drained = m.drain_up_to(8, 0);
-        assert_eq!(drained[&b"k".to_vec()].1, 8);
-        let hit = m.get(b"k", u64::MAX).unwrap();
-        assert_eq!(hit.seq, 3);
+        m.put(b"k".to_vec(), None, 8, 8, 0);
+        // The delete (8) flushes; version 3 stays for a reader pinned below
+        // 8, with shadow 8 and a hole above it.
+        m.drain_up_to(8, 0);
+        for bound in [8, 9, u64::MAX] {
+            assert!(
+                m.get(b"k", bound).is_none(),
+                "bound {bound}: the flushed successor wins, the disk answers"
+            );
+        }
+        let hit = m.get(b"k", 7).unwrap();
+        assert_eq!(hit.seq, 3, "below its shadow the version still serves");
         assert!(
             !hit.definitive,
-            "a flushed newer version exists; SSTables must be consulted"
+            "a hole above the hit: SSTables must be consulted"
         );
+        // A newer write makes the head unshadowed and the chain to it intact.
+        put(&m, b"k", 2, 11, 0);
+        let hit = m.get(b"k", u64::MAX).unwrap();
+        assert_eq!(hit.seq, 11);
+        assert!(hit.definitive);
+        assert!(m.get(b"k", 10).is_none(), "8 is still the answer at 10");
     }
 
     #[test]
@@ -461,26 +460,13 @@ mod tests {
         put(&m, b"k", 1, 5, 0);
         put(&m, b"k", 2, 9, 0);
         // Drain the newest at a floor that keeps the pinned-era version.
-        let drained = m.drain_up_to(9, 5);
-        assert_eq!(drained[&b"k".to_vec()].1, 9);
+        m.drain_up_to(9, 5);
         assert_eq!(m.get(b"k", 5).unwrap().seq, 5, "retained for the pin");
         // Pin released: an explicit pass reclaims it (shadow 9 <= floor 9).
         m.gc(9);
         assert!(m.get(b"k", 5).is_none());
         assert_eq!(m.key_count(), 0);
         assert_eq!(m.approx_bytes(), 0);
-    }
-
-    #[test]
-    fn reinsert_restores_drained_entries() {
-        let m = ShardedMemtable::new();
-        put(&m, b"k", 1, 3, 0);
-        let drained = m.drain_up_to(5, 0);
-        assert!(m.get(b"k", u64::MAX).is_none());
-        m.reinsert(drained);
-        let hit = m.get(b"k", u64::MAX).unwrap();
-        assert_eq!(hit.seq, 3);
-        assert!(hit.definitive);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! Costs are abstract units anchored to "stream one row out of a
 //! memtable/SSTable merge = 1". The inputs are the statistics the engine
 //! already collects: the table's estimated row count (memtable key count
-//! + frozen run + SSTable `entry_count` metadata), its SSTable count, and
-//! the shared block cache's hit rate. The constants are deliberately
+//! + SSTable `entry_count` metadata), its SSTable count, and the shared
+//! block cache's hit rate. The constants are deliberately
 //! crude — they only need to rank point probes below posting scans below
 //! full scans, which they do by construction:
 //!
@@ -57,8 +57,8 @@ const CMP_SELECTIVITY: f64 = 1.0 / 3.0;
 /// structures it already maintains.
 #[derive(Debug, Clone, Copy)]
 pub struct TableStats {
-    /// Estimated live rows (memtable keys + frozen run + SSTable metas;
-    /// overcounts overwritten keys, which is fine for ranking).
+    /// Estimated live rows (memtable keys + SSTable metas; overcounts
+    /// overwritten keys, which is fine for ranking).
     pub rows: u64,
     /// Live SSTables backing the table.
     pub sstables: usize,

@@ -10,16 +10,17 @@
 //! Flush and compaction serialize on a per-table maintenance mutex and
 //! never block reads except for the instant they swap the SSTable list.
 //!
-//! Every read takes its layers in the direction data moves — memtable,
-//! frozen run, SSTable list — so a version a concurrent flush carries
-//! from one layer to the next is met at least once.
+//! There are two kinds of read layer, the memtable and the SSTable list,
+//! and every read takes them in that order — the direction data moves — so
+//! a version a concurrent flush carries from one to the other is met at
+//! least once.
 //!
-//! A flush is two-phase: drained entries are published as a **frozen
-//! run** (readable, immutable) while the SSTable is written, then the
-//! SSTable is attached and the frozen run retired. Readers therefore see
-//! every committed write at all times; a brief overlap where a write is
-//! visible both frozen and on disk is harmless because point reads
-//! resolve by max sequence.
+//! A flush copies before it removes: it peeks the committed versions out of
+//! the memtable, writes and publishes their SSTable, attaches it, and only
+//! then drains the same versions from their shards. Readers therefore see
+//! every committed write at all times, and a flush that fails has removed
+//! nothing; the overlap where a version is both buffered and on disk is
+//! harmless because reads resolve by max sequence.
 
 use crate::cache::BlockCache;
 use crate::error::Result;
@@ -51,12 +52,14 @@ impl Default for TableOptions {
     }
 }
 
-/// Entries drained from the memtable, readable while their SSTable is
-/// being written.
-#[derive(Debug)]
-struct FrozenRun {
-    /// Sorted by key: exactly what the flush hands to [`write_sstable`].
-    entries: Vec<SstEntry>,
+/// What [`TableCore::probe_newest`] found, and what finding it cost.
+#[derive(Default)]
+struct DiskProbe {
+    entry: Option<SstEntry>,
+    /// SSTables probed.
+    sstables: u64,
+    /// Data blocks read across those probes.
+    blocks: u64,
 }
 
 /// One sorted input of a [`Cursor`].
@@ -154,9 +157,6 @@ pub(crate) struct TableCore {
     vfs: Vfs,
     manifest: Manifest,
     mem: ShardedMemtable,
-    /// At most one frozen run exists at a time (flushes serialize on
-    /// `maint`); `None` outside a flush's write window.
-    flushing: RwLock<Option<Arc<FrozenRun>>>,
     /// Open SSTables, oldest first.
     ssts: RwLock<Vec<Arc<SsTable>>>,
     next_sst_id: AtomicU64,
@@ -200,7 +200,6 @@ impl TableCore {
             vfs,
             manifest,
             mem: ShardedMemtable::new(),
-            flushing: RwLock::new(None),
             ssts: RwLock::new(Vec::new()),
             next_sst_id: AtomicU64::new(0),
             maint: Mutex::new(()),
@@ -249,7 +248,7 @@ impl TableCore {
         if let Some(hit) = self.mem.get(key, bound) {
             if hit.definitive {
                 // Chain complete above the hit: nothing newer can exist in
-                // a frozen run or SSTable. Warm reads stay disk-free.
+                // an SSTable. Warm reads stay disk-free.
                 if stats {
                     crate::obs::nosql().sstables_per_get.record(0);
                     crate::obs::nosql().blocks_per_get.record(0);
@@ -259,27 +258,33 @@ impl TableCore {
             }
             best = Some((hit.row, hit.seq));
         }
-        if let Some(frozen) = self
-            .flushing
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-        {
-            if let Ok(i) = frozen
-                .entries
-                .binary_search_by(|e| e.key.as_slice().cmp(key))
-            {
-                let e = &frozen.entries[i];
-                if e.timestamp <= bound && best.as_ref().is_none_or(|(_, b)| e.timestamp > *b) {
-                    best = Some((e.row.clone(), e.timestamp));
-                }
+        let disk = self.probe_newest(key, bound)?;
+        if let Some(e) = disk.entry {
+            if best.as_ref().is_none_or(|(_, b)| e.timestamp > *b) {
+                best = Some((e.row, e.timestamp));
             }
         }
+        if stats {
+            crate::obs::nosql().sstables_per_get.record(disk.sstables);
+            crate::obs::nosql().blocks_per_get.record(disk.blocks);
+        }
+        if disk.sstables > 0 {
+            sc_obs::trace::add(sc_obs::trace::Attr::SstableProbes, disk.sstables);
+            sc_obs::trace::add(sc_obs::trace::Attr::BlocksRead, disk.blocks);
+        }
+        Ok(best.and_then(|(row, _)| row))
+    }
+
+    /// The one newest-first SSTable probe: `key`'s newest on-disk version at
+    /// or below `bound`. Per-key sequences are monotone across the age
+    /// order, so the first visible hit is the newest on disk; a hit above
+    /// `bound` is not yet visible and an older SSTable may still hold the
+    /// visible version.
+    fn probe_newest(&self, key: &[u8], bound: u64) -> Result<DiskProbe> {
         // Hold the read guard across every probe so compaction cannot
         // delete a file mid-lookup.
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
-        let mut probed = 0u64;
-        let mut blocks = 0u64;
+        let mut found = DiskProbe::default();
         // One stage for the whole disk-probe loop: its duration is the
         // statement's block-read time in the request trace.
         let _read_stage = if ssts.is_empty() {
@@ -288,40 +293,23 @@ impl TableCore {
             Some(sc_obs::trace::stage("nosql.block_read"))
         };
         for sst in ssts.iter().rev() {
-            probed += 1;
+            found.sstables += 1;
             let probe = sst.probe(key)?;
-            blocks += probe.blocks_read;
-            if let Some(e) = probe.entry {
-                if e.timestamp > bound {
-                    // Not yet visible at this bound; per-key sequences are
-                    // monotone across age order, so an older SSTable may
-                    // still hold the visible version.
-                    continue;
-                }
-                if best.as_ref().is_none_or(|(_, b)| e.timestamp > *b) {
-                    best = Some((e.row, e.timestamp));
-                }
-                // First visible on-disk hit is the newest on disk.
+            found.blocks += probe.blocks_read;
+            if let Some(e) = probe.entry.filter(|e| e.timestamp <= bound) {
+                found.entry = Some(e);
                 break;
             }
         }
-        if stats {
-            crate::obs::nosql().sstables_per_get.record(probed);
-            crate::obs::nosql().blocks_per_get.record(blocks);
-        }
-        if probed > 0 {
-            sc_obs::trace::add(sc_obs::trace::Attr::SstableProbes, probed);
-            sc_obs::trace::add(sc_obs::trace::Attr::BlocksRead, blocks);
-        }
-        Ok(best.and_then(|(row, _)| row))
+        Ok(found)
     }
 
     /// Opens the table's merging cursor at `bound`: the newest visible
     /// version of every key starting with `prefix` (`None` = all), in key
     /// order, tombstones elided. SSTables decode only the columns in
     /// `proj` (`None` = all) and leave the rest `Null`; rows served from
-    /// the memtable or frozen run are always complete, so callers must
-    /// only look at projected positions.
+    /// the memtable are always complete, so callers must only look at
+    /// projected positions.
     ///
     /// The layers are taken in [`TableCore::get`]'s order — see the module
     /// docs — and the cursor owns what it took, so it stays valid while
@@ -332,21 +320,6 @@ impl TableCore {
             self.mem.snapshot(bound, prefix).into_iter().map(Ok),
         ));
         crate::mvcc::perturb(37);
-        if let Some(frozen) = self
-            .flushing
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-        {
-            let run: Vec<SstEntry> = frozen
-                .entries
-                .iter()
-                .filter(|e| prefix.is_none_or(|p| e.key.starts_with(p)))
-                .cloned()
-                .collect();
-            layers.push(Box::new(run.into_iter().map(Ok)));
-        }
-        crate::mvcc::perturb(38);
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
         for sst in ssts.iter() {
             layers.push(Box::new(SstIter::new(Arc::clone(sst), prefix, proj)));
@@ -381,29 +354,22 @@ impl TableCore {
 
     /// The sequence at or below which every commit-log record of this
     /// table is redundant. With buffered writes that is the last flush
-    /// boundary; an idle table (no memtable versions, no flush in flight)
-    /// reports the visible watermark instead so it never pins the
-    /// engine-wide checkpoint floor at its last — possibly ancient —
-    /// flush.
+    /// boundary; an idle table (no memtable versions) reports the visible
+    /// watermark instead so it never pins the engine-wide checkpoint floor
+    /// at its last — possibly ancient — flush.
     ///
     /// Ordering matters for the idle fast path: the watermark is read
-    /// *before* the emptiness checks. Any record with a sequence at or
+    /// *before* the emptiness check. Any record with a sequence at or
     /// below that watermark completed earlier, and the commit path applies
     /// to the memtable before completing — so at check time the version is
     /// either still buffered (non-empty, take the flushed floor) or was
-    /// drained by a flush whose boundary the floor already covers.
-    /// Sequences still outstanding at the read are above the watermark and
-    /// stay retained either way.
+    /// drained, and a flush drains only what its attached, manifest-listed
+    /// SSTable already holds. Sequences still outstanding at the read are
+    /// above the watermark and stay retained either way.
     pub fn wal_floor(&self, tracker: &SeqTracker) -> u64 {
         let flushed = self.wal_floor.load(Ordering::Acquire);
         let visible = tracker.visible();
-        let idle = self.mem.approx_bytes() == 0
-            && self
-                .flushing
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_none();
-        if idle {
+        if self.mem.approx_bytes() == 0 {
             flushed.max(visible)
         } else {
             flushed
@@ -419,8 +385,8 @@ impl TableCore {
         let boundary = tracker.visible();
         let gc_floor = registry.gc_floor(tracker);
         crate::mvcc::perturb(33);
-        let staged = self.mem.peek_up_to(boundary);
-        if staged.is_empty() {
+        let entries = self.mem.peek_up_to(boundary);
+        if entries.is_empty() {
             // Nothing at or below the boundary needs disk: every such
             // record is already flushed or shadowed, so the WAL prefix is
             // redundant and the floor may advance. Still sweep shadowed
@@ -431,40 +397,14 @@ impl TableCore {
             return Ok(());
         }
         let mut span = crate::obs::nosql().flush.start();
-        // Publish the frozen run BEFORE draining the shards (and before
-        // the slow SSTable write): a reader must find every acked version
-        // in at least one layer at every instant. See
-        // [`ShardedMemtable::peek_up_to`] for the read-skew window the
-        // old drain-then-publish order left open.
-        let frozen = Arc::new(FrozenRun {
-            entries: staged
-                .into_iter()
-                .map(|(key, (row, timestamp))| SstEntry {
-                    key,
-                    row,
-                    timestamp,
-                })
-                .collect(),
-        });
-        *self.flushing.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&frozen));
-        crate::mvcc::perturb(36);
-        let drained = self.mem.drain_up_to(boundary, gc_floor);
-        let undo = |this: &TableCore| {
-            // Restore exactly what the drain removed — the frozen run may
-            // hold entries the drain intentionally left in their shards.
-            this.mem.reinsert(drained.clone());
-            *this.flushing.write().unwrap_or_else(|e| e.into_inner()) = None;
-        };
-
+        // Until the drain below, every peeked version is still in its
+        // shard: a failure on the way returns with nothing to restore.
         let file = format!(
             "{}{:06}",
             self.sst_prefix.clone(),
             self.next_sst_id.fetch_add(1, Ordering::Relaxed)
         );
-        if let Err(e) = write_sstable(&self.vfs, &file, &frozen.entries) {
-            undo(self);
-            return Err(e);
-        }
+        write_sstable(&self.vfs, &file, &entries)?;
         // Publish order matters for crash safety: data first, manifest
         // second. A crash in between leaves an orphan file that recovery
         // deletes, never a published name without its bytes.
@@ -472,28 +412,25 @@ impl TableCore {
             .manifest
             .commit(&ManifestEdit::add(&self.qualified, &file))
         {
-            undo(self);
             let _ = self.vfs.delete(&file);
             return Err(e);
         }
-        let sst = match SsTable::open_with_cache(self.vfs.clone(), &file, self.cache.clone()) {
-            Ok(sst) => Arc::new(sst),
-            Err(e) => {
-                // Published but unreadable — surface the error; recovery
-                // would face the same file.
-                undo(self);
-                return Err(e);
-            }
-        };
+        // Published but unreadable surfaces as the error; recovery would
+        // face the same file.
+        let sst = Arc::new(SsTable::open_with_cache(
+            self.vfs.clone(),
+            &file,
+            self.cache.clone(),
+        )?);
         span.add_bytes(sst.size());
-        {
-            // Attach before retiring the frozen run: readers must always
-            // find the data in at least one layer.
-            let mut ssts = self.ssts.write().unwrap_or_else(|e| e.into_inner());
-            ssts.push(sst);
-        }
+        self.ssts
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(sst);
         crate::mvcc::perturb(34);
-        *self.flushing.write().unwrap_or_else(|e| e.into_inner()) = None;
+        // Attached before drained: readers take the memtable first and the
+        // SSTable list second, so they meet every version at least once.
+        self.mem.drain_up_to(boundary, gc_floor);
         // Only now — SSTable durable and attached — are the WAL records at
         // or below the boundary redundant.
         self.wal_floor.fetch_max(boundary, Ordering::AcqRel);
@@ -729,18 +666,11 @@ impl TableCore {
         Ok(max)
     }
 
-    /// Newest on-disk sequence for `key`, if any SSTable holds it. Per-key
-    /// sequences are monotone across the age order, so the newest-first
-    /// probe can stop at the first hit. Recovery uses this to skip WAL
-    /// records that a flushed version already covers.
+    /// Newest on-disk sequence for `key`, if any SSTable holds it. Recovery
+    /// uses this to skip WAL records that a flushed version already covers.
     pub fn newest_disk_seq(&self, key: &[u8]) -> Result<Option<u64>> {
-        let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
-        for sst in ssts.iter().rev() {
-            if let Some(e) = sst.probe(key)?.entry {
-                return Ok(Some(e.timestamp));
-            }
-        }
-        Ok(None)
+        let found = self.probe_newest(key, u64::MAX)?;
+        Ok(found.entry.map(|e| e.timestamp))
     }
 
     /// On-disk bytes of this table's SSTables (flush first for an accurate
@@ -760,17 +690,9 @@ impl TableCore {
     /// once per layer they appear in, so this is an upper bound — exactly
     /// what the query planner wants for costing scans.
     pub fn estimate_rows(&self) -> u64 {
-        let mut rows = self.mem.key_count() as u64;
-        if let Some(frozen) = self
-            .flushing
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-        {
-            rows += frozen.entries.len() as u64;
-        }
+        let buffered = self.mem.key_count() as u64;
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
-        rows + ssts.iter().map(|s| s.len() as u64).sum::<u64>()
+        buffered + ssts.iter().map(|s| s.len() as u64).sum::<u64>()
     }
 
     /// The backing SSTable file names, oldest first.
@@ -1163,6 +1085,86 @@ mod tests {
     }
 
     #[test]
+    fn a_point_read_never_serves_a_version_superseded_at_its_bound() {
+        // The point-read twin of the test above, for the read that races
+        // the merge: `get` looks at the memtable before the merge's purge
+        // and at the SSTable list after its swap. The purged chain is put
+        // back by hand to stand for what that read saw.
+        let h = Harness::new(
+            Vfs::memory(),
+            TableOptions {
+                memtable_flush_bytes: 64 * 1024,
+                compaction_threshold: 8,
+            },
+        );
+        let (k1, r1) = row(1, "live");
+        h.put(k1.clone(), Some(r1.clone()));
+        let pin = h.registry.pin_current(&h.tracker);
+        h.put(k1.clone(), None);
+        h.flush(); // SSTable 1: the tombstone; the pinned version stays buffered
+        let (k2, r2) = row(2, "other");
+        h.put(k2, Some(r2));
+        h.flush();
+        h.registry.unpin(pin);
+        h.table.compact(&h.registry).unwrap(); // drops the tombstone, purges the chain
+        h.table.mem.put(k1.clone(), Some(r1.clone()), pin, 48, 0);
+        h.table.mem.put(k1.clone(), None, pin + 1, 48, 0);
+        h.table.mem.drain_up_to(pin + 1, 0); // [live@pin, shadow pin + 1]
+
+        assert_eq!(h.get(&k1), None, "deleted row resurrected by a point read");
+        assert_eq!(h.scan().len(), 1, "the cursor agrees");
+        assert_eq!(
+            h.table.get(&k1, pin).unwrap(),
+            Some(r1),
+            "below its shadow the retained version still answers"
+        );
+    }
+
+    #[test]
+    fn a_failed_flush_removes_nothing_and_the_next_one_succeeds() {
+        let (vfs, handle) = Vfs::with_faults(Vfs::memory(), 0xF1A5);
+        let h = Harness::new(
+            vfs,
+            TableOptions {
+                memtable_flush_bytes: 64 * 1024,
+                compaction_threshold: 8,
+            },
+        );
+        let rows: Vec<(Vec<u8>, Row)> = (0..20).map(|i| row(i, &format!("v{i}"))).collect();
+        for (k, r) in &rows {
+            h.put(k.clone(), Some(r.clone()));
+        }
+        let check = |when: &str| {
+            for (k, r) in &rows {
+                assert_eq!(h.get(k).as_ref(), Some(r), "{when}: point read");
+            }
+            assert_eq!(h.scan(), rows, "{when}: cursor");
+        };
+
+        // The flush's first mutating operation is the SSTable append.
+        handle.crash_at(handle.ops());
+        let err = h.table.flush(&h.tracker, &h.registry).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::NosqlError::Storage(sc_storage::StorageError::Injected { .. })
+            ),
+            "{err:?}"
+        );
+        check("after the failed flush");
+        assert_eq!(h.table.sstable_count(), 0);
+        assert_eq!(h.table.wal_floor.load(Ordering::Acquire), 0);
+        assert_eq!(h.table.wal_floor(&h.tracker), 0, "rows are still buffered");
+
+        handle.disarm();
+        h.flush();
+        assert_eq!(h.table.sstable_count(), 1);
+        assert_eq!(h.table.wal_floor(&h.tracker), h.tracker.visible());
+        assert_eq!(h.table.mem.key_count(), 0);
+        check("after the retry");
+    }
+
+    #[test]
     fn an_open_cursor_outlives_the_compaction_of_its_sstables() {
         let vfs = Vfs::memory();
         let options = TableOptions {
@@ -1302,12 +1304,6 @@ mod tests {
                     run
                 })
                 .collect();
-            let frozen = (rng.gen_range(2) == 0).then(|| layer(&mut rng, &mut seq, &mut mem));
-            if let Some(run) = &frozen {
-                *h.table.flushing.write().unwrap() = Some(Arc::new(FrozenRun {
-                    entries: run.clone(),
-                }));
-            }
             let newest = layer(&mut rng, &mut seq, &mut mem);
             mem.extend(newest);
             for e in &mem {
@@ -1316,7 +1312,7 @@ mod tests {
                     .apply(e.key.clone(), e.row.clone(), e.timestamp, 64, 0);
             }
 
-            let disk: Vec<&Vec<SstEntry>> = ssts.iter().chain(&frozen).collect();
+            let disk: Vec<&Vec<SstEntry>> = ssts.iter().collect();
             for bound in [0, seq / 3, seq / 2, seq - 1, u64::MAX] {
                 for prefix in [
                     None,

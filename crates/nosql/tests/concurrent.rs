@@ -179,9 +179,10 @@ fn snapshots_stay_stable_while_writers_churn() {
 
 /// An insert-only writer with a tiny memtable keeps a flush (and, behind
 /// it, a background merge) permanently in flight while readers count rows.
-/// A flush carries rows memtable → frozen run → SSTable; a scan that took
-/// those layers in any other order could visit each just after the rows
-/// left it and miss rows whose inserts had long returned.
+/// A flush carries rows memtable → SSTable and drains them only once the
+/// SSTable is attached; a scan that took the two layers in the other order
+/// could visit each while the rows were in the other and miss rows whose
+/// inserts had long returned.
 #[test]
 fn scans_count_every_acked_row_across_flushes() {
     const ROWS: i64 = 1500;
@@ -297,6 +298,12 @@ fn crash_under_contention_recovers_per_key_history() {
             handle.crashed_at().is_some(),
             "seed {seed}: crash never fired"
         );
+        // The crashed process is gone before the disk comes back: dropping
+        // the engine drains and joins its compaction pool while every write
+        // still fails. A merge left queued would otherwise run after
+        // `disarm` and delete its inputs under the recovering engine, which
+        // has already read the manifest that names them.
+        drop(db);
         handle.disarm();
 
         let db = Db::open(

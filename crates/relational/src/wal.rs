@@ -11,7 +11,7 @@
 //! checkpoint advancing the log's low-water mark.
 
 use crate::error::Result;
-use sc_encoding::{Crc32, Decoder, Encoder};
+use sc_encoding::{Decoder, Encoder, Frames};
 use sc_storage::Vfs;
 
 /// One redo record.
@@ -43,16 +43,12 @@ impl RedoLog {
 
     /// Appends one record.
     pub fn append(&self, record: &RedoRecord) -> Result<()> {
-        let mut payload = Encoder::new();
-        payload
-            .put_str(&record.table)
-            .put_bytes(&record.key)
-            .put_bytes(&record.row);
-        let payload = payload.into_bytes();
-        let mut frame = Encoder::with_capacity(payload.len() + 8);
-        frame.put_u32_fixed(payload.len() as u32);
-        frame.put_u32_fixed(Crc32::of(&payload));
-        frame.put_raw(&payload);
+        let mut frame = Encoder::new();
+        frame.put_frame(|p| {
+            p.put_str(&record.table)
+                .put_bytes(&record.key)
+                .put_bytes(&record.row);
+        });
         self.vfs.append(&self.file, frame.bytes())?;
         Ok(())
     }
@@ -77,17 +73,7 @@ impl RedoLog {
             Err(e) => return Err(e.into()),
         };
         let mut out = Vec::new();
-        let mut dec = Decoder::new(&data);
-        while dec.remaining() >= 8 {
-            let len = dec.get_u32_fixed()? as usize;
-            let crc = dec.get_u32_fixed()?;
-            if dec.remaining() < len {
-                break;
-            }
-            let payload = dec.get_raw(len)?;
-            if Crc32::of(payload) != crc {
-                break;
-            }
+        for payload in Frames::new(&data) {
             let mut p = Decoder::new(payload);
             out.push(RedoRecord {
                 table: p.get_str()?.to_string(),

@@ -133,9 +133,23 @@ pub fn confine_statement(stmt: &mut Statement, tenant: &str) {
 
 /// Strips the tenant's physical prefix from an engine error message so
 /// responses talk about the keyspace names the tenant actually used (and
-/// never reveal the prefixing scheme).
+/// never reveal the prefixing scheme). The prefix is stripped only where an
+/// identifier starts: inside one (`app.data__x`, for tenant `a`) the same
+/// characters are the tenant's own text.
 pub fn scrub_message(message: &str, tenant: &str) -> String {
-    message.replace(&format!("{tenant}__"), "")
+    let prefix = physical_keyspace(tenant, "");
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut out = String::with_capacity(message.len());
+    let mut rest = message;
+    while !rest.is_empty() {
+        // One maximal run of identifier characters, or of anything else.
+        let in_ident = rest.starts_with(is_ident);
+        let end = rest.find(|c| is_ident(c) != in_ident).unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(end);
+        out.push_str(run.strip_prefix(&prefix).unwrap_or(run));
+        rest = tail;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -244,6 +258,11 @@ mod tests {
         assert_eq!(
             scrub_message("unknown keyspace \"t1__app\"", "t1"),
             "unknown keyspace \"app\""
+        );
+        // Inside an identifier the same characters belong to the tenant.
+        assert_eq!(
+            scrub_message("unknown table a__app.data__x in a__a__x", "a"),
+            "unknown table app.data__x in a__x"
         );
     }
 }

@@ -223,6 +223,24 @@ fn shutdown_drains_idle_sessions_and_joins_all_threads() {
 }
 
 #[test]
+fn errors_name_the_tables_the_tenant_named() {
+    let server = start_server();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.hello("tok-1").unwrap();
+    c.query("CREATE KEYSPACE app").unwrap();
+    // `t1__` inside a table name is the tenant's own text, not the prefix
+    // the server put in front of the keyspace.
+    match c.query("SELECT * FROM app.cat1__x").unwrap_err() {
+        ClientError::Server { message, .. } => {
+            assert!(message.contains("app.cat1__x"), "{message}");
+            assert!(!message.contains("t1__app"), "{message}");
+        }
+        other => panic!("expected a typed error, got {other}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn slow_query_log_records_over_threshold_statements() {
     let db = sc_nosql::SharedDb::open(sc_nosql::OpenOptions::default()).unwrap();
     let server = Server::start(

@@ -36,6 +36,22 @@ for yield_seed in 7 1311; do
         --test concurrent --test crash_matrix --test background_compaction
 done
 
+echo "==> concurrency tier under CPU contention (three copies at once)"
+# Starved threads reach interleavings the yield injector does not: this is
+# the load that exposes work a crashed engine leaves running into the next
+# engine's recovery (a queued merge deleting its inputs after the manifest
+# that names them was read — about one run in 150 when it can happen).
+concurrent_bin="$(cargo test --release -p sc-nosql --test concurrent --no-run 2>&1 |
+    sed -n 's/^ *Executable .*(\(.*\))$/\1/p')"
+copies=()
+for _ in 1 2 3; do
+    "$concurrent_bin" -q &
+    copies+=($!)
+done
+for copy in "${copies[@]}"; do
+    wait "$copy"
+done
+
 echo "==> crash-matrix smoke (64 points, sequential + concurrent sweeps)"
 cargo run --release -p sc-bench --bin repro -- crashtest --points 64
 
