@@ -18,7 +18,9 @@
 //! * `crashtest` runs the NoSQL engine's crash matrix: a deterministic
 //!   workload is killed at `--points N` (default 64) evenly spaced storage
 //!   operations (`--points 0` = every operation), recovered, and checked
-//!   against the acknowledged writes. `--seed S` varies the workload.
+//!   against the acknowledged writes — statements alone, then multi-row
+//!   inserts between them, then concurrent sessions (at most 32 points).
+//!   `--seed S` varies the workloads.
 //! * `obs` runs a small end-to-end workload (streaming ingest → NoSQL
 //!   flush → cube queries → crash/recovery) and emits the full `sc-obs`
 //!   metric registry as a text report, Prometheus exposition and JSON.
@@ -407,6 +409,25 @@ fn crashtest(seed: u64, points: usize) {
     println!(
         "\nevery recovery reproduced exactly the acknowledged writes \
          (in-flight statement allowed to persist): ✓"
+    );
+
+    // Bulk variant: multi-row inserts committed in chunks, between single
+    // statements; an in-flight insert must come back as a prefix of whole
+    // rows holding every chunk whose commit-log append completed.
+    let start = Instant::now();
+    let report = ct::sweep_bulk(seed, limit).expect("bulk crash matrix must pass");
+    let elapsed = start.elapsed();
+    println!("\nbulk matrix (multi-row inserts of one to several chunks):");
+    println!("workload mutating storage ops {:>8}", report.total_ops);
+    println!("crash points tested           {:>8}", report.points_tested);
+    println!("crashes fired                 {:>8}", report.crashes_fired);
+    println!(
+        "in-flight inserts with rows durable{:>3}",
+        report.in_flight_survived
+    );
+    println!("elapsed                       {:>7}ms", elapsed.as_millis());
+    println!(
+        "\nevery in-flight insert recovered as a whole-row prefix past its committed chunks: ✓"
     );
 
     // Concurrent variant: writer sessions share group-commit batches, so

@@ -101,15 +101,23 @@ pub(crate) trait Engine {
     /// Executes one DDL statement given as text.
     fn define(&mut self, ddl: &str) -> Result<()>;
 
-    /// Streams `rows` into `table` through one prepared INSERT whose value
-    /// buffer is rebound per row — one statement per row, as §4's
-    /// transformation generates them — and returns how many ran.
-    fn insert<R: IntoIterator<Item = Self::Value>>(
+    /// Streams `rows` into `table`, one INSERT per row as §4's
+    /// transformation generates them, and returns how many rows went in —
+    /// the statements the paper counts. The NoSQL adapter hands the whole
+    /// stream to the engine's multi-row apply (`sc_nosql::Db::insert_rows`:
+    /// each row bound once, rows committed per memtable chunk); the
+    /// relational adapter executes one prepared INSERT per row, rebinding
+    /// its value buffer, because chunked multi-row INSERTs barely moved its
+    /// rate (DESIGN.md §3).
+    fn insert<R>(
         &mut self,
         table: Table,
         columns: &[&str],
         rows: impl Iterator<Item = R>,
-    ) -> Result<usize>;
+    ) -> Result<usize>
+    where
+        R: IntoIterator<Item = Self::Value>,
+        R::IntoIter: ExactSizeIterator;
 
     /// Overwrites the row whose primary key — the first column — is
     /// `row[0]`.
@@ -137,27 +145,17 @@ impl Engine for sc_nosql::Db {
         Ok(())
     }
 
-    fn insert<R: IntoIterator<Item = CqlValue>>(
+    fn insert<R>(
         &mut self,
         table: Table,
         columns: &[&str],
         rows: impl Iterator<Item = R>,
-    ) -> Result<usize> {
-        let mut stmt = Statement::Insert {
-            table: table.into(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            values: Vec::with_capacity(columns.len()),
-        };
-        let mut statements = 0;
-        for row in rows {
-            if let Statement::Insert { values, .. } = &mut stmt {
-                values.clear();
-                values.extend(row);
-            }
-            self.execute(&stmt)?;
-            statements += 1;
-        }
-        Ok(statements)
+    ) -> Result<usize>
+    where
+        R: IntoIterator<Item = CqlValue>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        Ok(self.insert_rows(table.space, table.name, columns, rows)?)
     }
 
     fn replace(&mut self, table: Table, columns: &[&str], row: Vec<CqlValue>) -> Result<()> {
@@ -205,12 +203,16 @@ impl Engine for sc_relational::Db {
         Ok(())
     }
 
-    fn insert<R: IntoIterator<Item = SqlValue>>(
+    fn insert<R>(
         &mut self,
         table: Table,
         columns: &[&str],
         rows: impl Iterator<Item = R>,
-    ) -> Result<usize> {
+    ) -> Result<usize>
+    where
+        R: IntoIterator<Item = SqlValue>,
+        R::IntoIter: ExactSizeIterator,
+    {
         let mut stmt = SqlStatement::Insert {
             table: table.into(),
             columns: columns.iter().map(|c| c.to_string()).collect(),

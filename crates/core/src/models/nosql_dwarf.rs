@@ -230,6 +230,69 @@ mod tests {
     }
 
     #[test]
+    fn a_store_crashed_at_any_op_rebuilds_exactly_or_fails_typed() {
+        // ~40 tuples; small memtables and WAL segments, so the store's rows
+        // go in several chunks with flushes, merges and rotations between.
+        let schema = CubeSchema::new(["day", "area", "station"], "bikes");
+        let mut ts = TupleSet::new(&schema);
+        for d in 0..4 {
+            for a in 0..3 {
+                for s in 0..5 {
+                    if (d + a + s) % 3 != 0 {
+                        let tuple = [format!("d{d}"), format!("a{a}"), format!("s{a}.{s}")];
+                        ts.push(tuple, d * 10 + s);
+                    }
+                }
+            }
+        }
+        let cube = Dwarf::build(schema, ts);
+        let mapped = MappedDwarf::new(&cube);
+        let open = |vfs: Vfs| {
+            let options = OpenOptions::default()
+                .vfs(vfs)
+                .memtable_flush_bytes(2048)
+                .wal_segment_bytes(4096)
+                .compaction_threshold(3)
+                .compaction_threads(0);
+            let mut model = NosqlDwarfModel::with_db(Db::open(options).unwrap());
+            model.create_schema().unwrap();
+            model
+        };
+        // The store's mutating ops, counted on an uninjected run.
+        let (vfs, faults) = Vfs::with_faults(Vfs::memory(), 0);
+        let mut model = open(vfs);
+        let first = faults.ops();
+        model.store(&mapped, &cube, true).unwrap();
+        let last = faults.ops();
+        assert!(last - first > 20, "{} ops", last - first);
+
+        let (mut exact, mut refused) = (0, 0);
+        for crash_at in first..last {
+            let (vfs, faults) = Vfs::with_faults(Vfs::memory(), crash_at);
+            let mut model = open(vfs.clone());
+            faults.crash_at(crash_at);
+            assert!(
+                model.store(&mapped, &cube, true).is_err(),
+                "crash at {crash_at}"
+            );
+            drop(model);
+            faults.disarm();
+            let mut model = NosqlDwarfModel::open(vfs).unwrap();
+            match model.rebuild(1) {
+                Ok(back) => {
+                    let context = format!("crash at {crash_at}: a different cube");
+                    assert_eq!(back.extract_tuples(), cube.extract_tuples(), "{context}");
+                    exact += 1;
+                }
+                // Cells short of the meta row's count, or no meta row yet.
+                Err(CoreError::Inconsistent(_)) | Err(CoreError::UnknownSchema(1)) => refused += 1,
+                Err(e) => panic!("crash at {crash_at}: {e}"),
+            }
+        }
+        assert!(exact > 0 && refused > 0, "{exact} exact, {refused} refused");
+    }
+
+    #[test]
     fn node_rows_use_sets() {
         let c = cube();
         let mut model = NosqlDwarfModel::in_memory();

@@ -2,8 +2,8 @@
 //!
 //! Every mutation is framed and appended before it touches the memtable,
 //! exactly as Cassandra does; Table 5's insertion time therefore pays real
-//! serialization and append costs per statement (and batches amortize the
-//! append, like Cassandra's `BEGIN BATCH`).
+//! serialization per row, and one append per commit — a statement, or a
+//! chunk of a multi-row insert (`WalBatch` encodes its frames in place).
 //!
 //! Frame format: `[len: u32][crc: u32][payload]` where `crc` covers the
 //! payload (`sc_encoding`'s `put_frame` / `Frames`). Replay stops cleanly
@@ -18,7 +18,7 @@
 //! `flush_all`, growing without bound under sustained writes.
 
 use crate::error::{NosqlError, Result};
-use sc_encoding::{Decoder, Encoder, Frames};
+use sc_encoding::{varint, Decoder, Encoder, Frames};
 use sc_storage::{StorageError, Vfs};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
@@ -38,6 +38,72 @@ pub struct LogRecord {
     pub body: Vec<u8>,
     /// Write timestamp.
     pub timestamp: u64,
+}
+
+/// Commit-log frames written in place: a group of mutations encoded
+/// straight into the one buffer a single storage write appends — byte for
+/// byte the frames [`CommitLog::append_batch`] writes for the same records,
+/// without a [`LogRecord`] per mutation.
+#[derive(Debug, Default)]
+pub(crate) struct WalBatch {
+    bytes: Encoder,
+    records: usize,
+    max_seq: u64,
+}
+
+impl WalBatch {
+    /// An empty batch with room for `bytes` of frames.
+    pub fn with_capacity(bytes: usize) -> WalBatch {
+        WalBatch {
+            bytes: Encoder::with_capacity(bytes),
+            ..WalBatch::default()
+        }
+    }
+
+    /// Bytes one mutation's frame takes, given its table name and its key
+    /// and body lengths.
+    pub fn frame_len(table: &str, key: usize, body: usize) -> usize {
+        let field = |n: usize| varint::len_u64(n as u64) + n;
+        8 + field(table.len()) + field(key) + field(body) + 8
+    }
+
+    /// Appends one mutation's frame: `[len][crc]` over table, key, the
+    /// `body_len` bytes `body` writes, and `timestamp`.
+    pub fn push(
+        &mut self,
+        table: &str,
+        key: &[u8],
+        body_len: usize,
+        timestamp: u64,
+        body: impl FnOnce(&mut Encoder),
+    ) {
+        self.bytes.put_frame(|p| {
+            p.put_str(table).put_bytes(key).put_u64(body_len as u64);
+            let start = p.len();
+            body(p);
+            debug_assert_eq!(p.len() - start, body_len, "body length mismatch");
+            p.put_u64_fixed(timestamp);
+        });
+        self.records += 1;
+        self.max_seq = self.max_seq.max(timestamp);
+    }
+
+    fn push_record(&mut self, r: &LogRecord) {
+        self.push(&r.table, &r.key, r.body.len(), r.timestamp, |p| {
+            p.put_raw(&r.body);
+        });
+    }
+
+    /// Moves `other`'s frames after this batch's.
+    fn extend(&mut self, other: WalBatch) {
+        if self.records == 0 {
+            *self = other;
+            return;
+        }
+        self.bytes.put_raw(other.bytes.bytes());
+        self.records += other.records;
+        self.max_seq = self.max_seq.max(other.max_seq);
+    }
 }
 
 /// A closed (rotated-out) segment: immutable on disk, checkpointable once
@@ -139,15 +205,6 @@ impl CommitLog {
         self.segs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn frame(record: &LogRecord, out: &mut Encoder) {
-        out.put_frame(|p| {
-            p.put_str(&record.table)
-                .put_bytes(&record.key)
-                .put_bytes(&record.body)
-                .put_u64_fixed(record.timestamp);
-        });
-    }
-
     /// Appends one mutation.
     pub fn append(&self, record: &LogRecord) -> Result<()> {
         self.append_batch(std::slice::from_ref(record))
@@ -158,15 +215,31 @@ impl CommitLog {
     /// bookkeeping — the new segment file is created by this very append —
     /// so a batch is still exactly one storage write.
     pub fn append_batch(&self, records: &[LogRecord]) -> Result<()> {
-        if records.is_empty() {
+        let mut batch = WalBatch::default();
+        for r in records {
+            batch.push_record(r);
+        }
+        self.append_frames(&batch)
+    }
+
+    /// Bytes the active segment takes before it is full, so that the
+    /// append after the one reaching it rotates: a whole segment when the
+    /// next append rotates anyway.
+    pub(crate) fn room(&self) -> u64 {
+        let segs = self.lock_segs();
+        if segs.active_bytes >= self.segment_bytes {
+            self.segment_bytes
+        } else {
+            self.segment_bytes - segs.active_bytes
+        }
+    }
+
+    /// [`CommitLog::append_batch`] for frames already encoded.
+    fn append_frames(&self, batch: &WalBatch) -> Result<()> {
+        if batch.records == 0 {
             return Ok(());
         }
-        let mut enc = Encoder::new();
-        let mut max_seq = 0;
-        for r in records {
-            Self::frame(r, &mut enc);
-            max_seq = max_seq.max(r.timestamp);
-        }
+        let bytes = batch.bytes.bytes();
         let mut segs = self.lock_segs();
         if segs.active_bytes >= self.segment_bytes {
             let closed = Segment {
@@ -179,10 +252,10 @@ impl CommitLog {
             segs.active_bytes = 0;
             segs.active_max_seq = 0;
         }
-        self.record_append(enc.bytes().len());
-        self.vfs.append(&segs.active, enc.bytes())?;
-        segs.active_bytes += enc.bytes().len() as u64;
-        segs.active_max_seq = segs.active_max_seq.max(max_seq);
+        self.record_append(bytes.len());
+        self.vfs.append(&segs.active, bytes)?;
+        segs.active_bytes += bytes.len() as u64;
+        segs.active_max_seq = segs.active_max_seq.max(batch.max_seq);
         Ok(())
     }
 
@@ -429,8 +502,8 @@ struct Outcome {
 
 #[derive(Debug)]
 struct GcState {
-    /// Records accumulated for the batch generation `buf_gen`.
-    buf: Vec<LogRecord>,
+    /// Frames accumulated for the batch generation `buf_gen`.
+    buf: WalBatch,
     /// Sessions with records in `buf`.
     waiters: usize,
     /// Generation currently accepting joiners.
@@ -473,7 +546,7 @@ impl GroupCommitLog {
             // Generation 1 is the first batch; completed_gen starts below
             // it so no waiter can observe its batch as already done.
             state: Mutex::new(GcState {
-                buf: Vec::new(),
+                buf: WalBatch::default(),
                 waiters: 0,
                 buf_gen: 1,
                 completed_gen: 0,
@@ -486,7 +559,8 @@ impl GroupCommitLog {
     }
 
     /// The wrapped log, for replay/repair/size/truncate during recovery
-    /// and flush (single-caller phases).
+    /// and flush (single-caller phases), and the segment room a write chunk
+    /// is sized against (locked internally, safe beside appends).
     pub fn plain(&self) -> &CommitLog {
         &self.log
     }
@@ -499,17 +573,17 @@ impl GroupCommitLog {
         self.log.checkpoint(floor)
     }
 
-    /// Durably appends `records` (one session's mutation, possibly a
-    /// multi-record batch statement), sharing the storage write with every
-    /// concurrent session. Returns only after the carrying batch's append
-    /// has completed; on failure every session of the batch gets the same
-    /// error.
-    pub fn append_group(&self, records: Vec<LogRecord>) -> std::result::Result<(), WalError> {
+    /// Durably appends `frames` (one session's commit: a statement's
+    /// mutations, or a chunk of a multi-row insert), sharing the storage
+    /// write with every concurrent session. Returns only after the carrying
+    /// batch's append has completed; on failure every session of the batch
+    /// gets the same error.
+    pub fn append_group(&self, frames: WalBatch) -> std::result::Result<(), WalError> {
         let enter = Instant::now();
         crate::mvcc::perturb(21);
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let my_gen = st.buf_gen;
-        st.buf.extend(records);
+        st.buf.extend(frames);
         st.waiters += 1;
         loop {
             if st.completed_gen >= my_gen {
@@ -573,14 +647,15 @@ impl GroupCommitLog {
         crate::mvcc::perturb(23);
         let result = self
             .log
-            .append_batch(&batch)
+            .append_frames(&batch)
             .err()
             .map(|e| WalError::of(&e));
         if sc_obs::enabled() {
             let o = crate::obs::nosql();
             o.group_commit_batches.inc();
-            o.group_commit_records.add(batch.len() as u64);
-            o.group_commit_records_per_batch.record(batch.len() as u64);
+            o.group_commit_records.add(batch.records as u64);
+            o.group_commit_records_per_batch
+                .record(batch.records as u64);
             o.group_commit_wait_ns.record_duration(enter.elapsed());
         }
 
@@ -616,6 +691,14 @@ mod tests {
             body: vec![i; i as usize],
             timestamp: i as u64,
         }
+    }
+
+    fn frames(records: &[LogRecord]) -> WalBatch {
+        let mut batch = WalBatch::default();
+        for r in records {
+            batch.push_record(r);
+        }
+        batch
     }
 
     #[test]
@@ -767,8 +850,8 @@ mod tests {
     fn group_commit_single_caller_appends_immediately() {
         let vfs = Vfs::memory();
         let gc = GroupCommitLog::new(CommitLog::open(vfs, "log"), Duration::ZERO);
-        gc.append_group(vec![rec(1)]).unwrap();
-        gc.append_group(vec![rec(2), rec(3)]).unwrap();
+        gc.append_group(frames(&[rec(1)])).unwrap();
+        gc.append_group(frames(&[rec(2), rec(3)])).unwrap();
         assert_eq!(gc.plain().replay().unwrap(), vec![rec(1), rec(2), rec(3)]);
     }
 
@@ -782,7 +865,7 @@ mod tests {
         let threads: Vec<_> = (0..8u8)
             .map(|i| {
                 let gc = std::sync::Arc::clone(&gc);
-                std::thread::spawn(move || gc.append_group(vec![rec(i + 1)]).unwrap())
+                std::thread::spawn(move || gc.append_group(frames(&[rec(i + 1)])).unwrap())
             })
             .collect();
         for t in threads {
@@ -806,7 +889,7 @@ mod tests {
         let threads: Vec<_> = (0..4u8)
             .map(|i| {
                 let gc = std::sync::Arc::clone(&gc);
-                std::thread::spawn(move || gc.append_group(vec![rec(i + 1)]))
+                std::thread::spawn(move || gc.append_group(frames(&[rec(i + 1)])))
             })
             .collect();
         for t in threads {
@@ -816,6 +899,53 @@ mod tests {
                 "expected injected-crash error, got {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn frames_written_in_place_match_record_frames() {
+        use crate::row::Row;
+        use crate::types::CqlValue;
+        let row = Row::new(vec![
+            CqlValue::Int(-7),
+            CqlValue::Text("Fenian St".into()),
+            CqlValue::Null,
+            CqlValue::int_set([3, 300, -2]),
+            CqlValue::Boolean(true),
+        ]);
+        let mut body = Encoder::new();
+        row.encode(&mut body, 99);
+        let records = [
+            LogRecord {
+                table: "ks.t".into(),
+                key: vec![1, 2],
+                body: body.into_bytes(),
+                timestamp: 99,
+            },
+            LogRecord {
+                table: "ks.t".into(),
+                key: vec![3],
+                body: Vec::new(),
+                timestamp: 100,
+            },
+        ];
+        let mut in_place = WalBatch::with_capacity(0);
+        for (r, row) in records.iter().zip([Some(&row), None]) {
+            let body_len = row.map_or(0, Row::encoded_len);
+            assert_eq!(
+                WalBatch::frame_len(&r.table, r.key.len(), body_len),
+                frames(std::slice::from_ref(r)).bytes.len()
+            );
+            in_place.push(&r.table, &r.key, body_len, r.timestamp, |p| {
+                if let Some(row) = row {
+                    row.encode(p, r.timestamp);
+                }
+            });
+        }
+        assert_eq!(in_place.bytes.bytes(), frames(&records).bytes.bytes());
+        let vfs = Vfs::memory();
+        let log = CommitLog::open(vfs, "log");
+        log.append_frames(&in_place).unwrap();
+        assert_eq!(log.replay().unwrap(), records);
     }
 
     #[test]

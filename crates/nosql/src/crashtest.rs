@@ -2,25 +2,37 @@
 //! mutating storage operation.
 //!
 //! A seeded workload drives an engine — puts, deletes, flushes, compactions
-//! — over a fault-injecting VFS ([`Vfs::with_faults`]). For each crash point
-//! the harness arms a crash at that mutating-op index, runs the workload
-//! until the injected failure, then "restarts" (disarm + recover) and checks
+//! and, in the bulk sweep, multi-row inserts — over a fault-injecting VFS
+//! ([`Vfs::with_faults`]). For each crash point the harness arms a crash at
+//! that mutating-op index, runs the workload until the injected failure,
+//! checks that the failed commit left no sequence outstanding (the
+//! watermark never stalls), then "restarts" (disarm + recover) and checks
 //! the recovered state against an oracle of acknowledged writes:
 //!
 //! * every write acknowledged before the crash must be readable,
 //! * nothing else may appear — **except** the single in-flight statement,
 //!   which may or may not have become durable (its ack was lost; a real
-//!   client faces the same ambiguity),
+//!   client faces the same ambiguity); an in-flight multi-row insert
+//!   survives as a prefix of whole rows in row order, which holds at least
+//!   every chunk whose commit-log append completed and at most the chunk
+//!   the crash tore,
+//! * no key comes back twice,
 //! * a post-recovery flush + compaction must not change the state,
-//! * a second recovery must reproduce the state again.
+//! * a second recovery must reproduce the state again, and the recovered
+//!   engine takes new writes.
 //!
-//! [`sweep`] runs the whole matrix; `repro crashtest` exposes it on the
-//! command line.
+//! [`sweep`] runs the statement matrix, [`sweep_bulk`] the one that mixes
+//! multi-row inserts in, [`sweep_concurrent`] the group-commit one; `repro
+//! crashtest` runs all three on the command line.
 
+use crate::commitlog::WalBatch;
 use crate::engine::{Db, OpenOptions, SharedDb};
 use crate::error::{NosqlError, Result};
+use crate::row::Row;
+use crate::types::CqlValue;
 use sc_encoding::Rng;
-use sc_storage::{StorageError, Vfs};
+use sc_storage::fault::FaultKind;
+use sc_storage::{FaultHandle, StorageError, Vfs};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -28,14 +40,28 @@ use std::time::Duration;
 /// mutating storage ops at the tiny flush threshold the harness uses).
 pub const WORKLOAD_STEPS: usize = 140;
 
+/// Steps per bulk-sweep run: fewer than [`WORKLOAD_STEPS`], since about
+/// half of them insert a few chunks' worth of rows.
+pub const BULK_WORKLOAD_STEPS: usize = 60;
+
 /// Ids the workload writes over (small, so overwrites and deletes are
 /// frequent and compaction has real work).
 const KEY_SPACE: u64 = 40;
 
 #[derive(Debug, Clone)]
 enum Step {
-    Put { id: i64, v: String },
-    Delete { id: i64 },
+    Put {
+        id: i64,
+        v: String,
+    },
+    Delete {
+        id: i64,
+    },
+    /// One multi-row insert ([`Db::insert_rows`]): rows in order, an id
+    /// possibly twice.
+    Bulk {
+        rows: Vec<(i64, String)>,
+    },
     Flush,
     Compact,
 }
@@ -56,6 +82,40 @@ fn workload(seed: u64) -> Vec<Step> {
             } else if roll < 88 {
                 Step::Delete { id }
             } else if roll < 95 {
+                Step::Flush
+            } else {
+                Step::Compact
+            }
+        })
+        .collect()
+}
+
+/// The bulk sweep's sequence: single statements as in [`workload`] between
+/// multi-row inserts of 4 to 31 rows — at the harness's flush threshold and
+/// segment size, one to several chunks each.
+fn bulk_workload(seed: u64) -> Vec<Step> {
+    let mut rng = Rng::new(seed ^ 0xb5ad_4ece_da1c_e2a9);
+    (0..BULK_WORKLOAD_STEPS)
+        .map(|i| {
+            let roll = rng.gen_range(100);
+            let id = rng.gen_range(KEY_SPACE) as i64;
+            if roll < 30 {
+                Step::Put {
+                    id,
+                    v: format!("v{i}k{id}"),
+                }
+            } else if roll < 40 {
+                Step::Delete { id }
+            } else if roll < 85 {
+                let n = 4 + rng.gen_range(28);
+                let rows = (0..n)
+                    .map(|j| {
+                        let id = rng.gen_range(KEY_SPACE) as i64;
+                        (id, format!("b{i}.{j}k{id}"))
+                    })
+                    .collect();
+                Step::Bulk { rows }
+            } else if roll < 93 {
                 Step::Flush
             } else {
                 Step::Compact
@@ -85,6 +145,12 @@ enum InFlight {
     /// A put (`Some`) or delete (`None`) whose ack was lost; it may or may
     /// not have reached the commit log intact.
     Write { id: i64, row: Option<String> },
+    /// A multi-row insert whose ack was lost: the rows the crash may have
+    /// left durable, in order, at least `min` of which it did.
+    Bulk {
+        rows: Vec<(i64, String)>,
+        min: usize,
+    },
     /// Flush or compaction — changes no logical state either way.
     Neutral,
     /// Schema DDL; the table may or may not exist after recovery.
@@ -102,9 +168,14 @@ fn is_injected(e: &NosqlError) -> bool {
     matches!(e, NosqlError::Storage(StorageError::Injected { .. }))
 }
 
-/// Runs the workload until completion or the first injected failure,
-/// tracking the acked-write oracle. Any non-injected error is a real bug.
-fn drive(db: &Db, seed: u64) -> Result<RunResult> {
+fn bulk_rows(rows: &[(i64, String)]) -> impl Iterator<Item = [CqlValue; 2]> + '_ {
+    rows.iter()
+        .map(|(id, v)| [CqlValue::Int(*id), CqlValue::Text(v.clone())])
+}
+
+/// Runs `steps` until completion or the first injected failure, tracking
+/// the acked-write oracle. Any non-injected error is a real bug.
+fn drive(db: &Db, steps: &[Step], faults: &FaultHandle) -> Result<RunResult> {
     let mut acked: BTreeMap<i64, Option<String>> = BTreeMap::new();
     for ddl in [
         "CREATE KEYSPACE m",
@@ -120,8 +191,9 @@ fn drive(db: &Db, seed: u64) -> Result<RunResult> {
             return Err(e);
         }
     }
-    for step in workload(seed) {
-        let (outcome, in_flight) = match &step {
+    for step in steps {
+        let from_op = faults.ops();
+        let (outcome, in_flight) = match step {
             Step::Put { id, v } => (
                 db.execute_cql(&format!("INSERT INTO m.t (id, v) VALUES ({id}, '{v}')"))
                     .map(drop),
@@ -135,16 +207,38 @@ fn drive(db: &Db, seed: u64) -> Result<RunResult> {
                     .map(drop),
                 InFlight::Write { id: *id, row: None },
             ),
+            Step::Bulk { rows } => (
+                db.insert_rows("m", "t", &["id", "v"], bulk_rows(rows))
+                    .map(drop),
+                InFlight::Bulk {
+                    rows: rows.clone(),
+                    min: 0,
+                },
+            ),
             Step::Flush => (db.flush_all(), InFlight::Neutral),
             Step::Compact => (db.compact_all(), InFlight::Neutral),
         };
         match outcome {
-            Ok(()) => {
-                if let InFlight::Write { id, row } = in_flight {
+            Ok(()) => match in_flight {
+                InFlight::Write { id, row } => {
                     acked.insert(id, row);
                 }
-            }
+                InFlight::Bulk { rows, .. } => {
+                    acked.extend(rows.into_iter().map(|(id, v)| (id, Some(v))));
+                }
+                InFlight::Neutral | InFlight::Ddl => {}
+            },
             Err(e) if is_injected(&e) => {
+                let in_flight = match in_flight {
+                    InFlight::Bulk { rows, .. } => {
+                        let (min, max) = durable_prefix(&rows, from_op, faults)?;
+                        InFlight::Bulk {
+                            rows: rows[..max].to_vec(),
+                            min,
+                        }
+                    }
+                    other => other,
+                };
                 return Ok(RunResult {
                     acked,
                     in_flight: Some(in_flight),
@@ -190,9 +284,55 @@ fn materialize(acked: &BTreeMap<i64, Option<String>>) -> BTreeMap<i64, String> {
         .collect()
 }
 
+/// How many leading rows of a multi-row insert that started at mutating op
+/// `from_op` the crash that just fired may have left durable: at least the
+/// rows of every commit-log append the insert completed (those chunks
+/// committed), at most those plus the rows of the append the crash tore.
+/// Each append must end on a whole row.
+fn durable_prefix(
+    rows: &[(i64, String)],
+    from_op: u64,
+    faults: &FaultHandle,
+) -> Result<(usize, usize)> {
+    let crashed = faults.crashed_at();
+    let (mut appended, mut torn) = (0usize, 0usize);
+    for op in faults.trace().iter().filter(|op| op.index >= from_op) {
+        let FaultKind::Append { len } = op.kind else {
+            continue;
+        };
+        if !op.file.starts_with(crate::engine::COMMIT_LOG) {
+            continue;
+        }
+        match crashed {
+            Some(at) if op.index == at => torn = len,
+            Some(at) if op.index > at => {}
+            _ => appended += len,
+        }
+    }
+    // Where each row's frame ends in the insert's commit-log bytes.
+    let frame_ends = rows.iter().scan(0usize, |end, (id, v)| {
+        let key = CqlValue::Int(*id).encode_key();
+        let body = Row::new(vec![CqlValue::Int(*id), CqlValue::Text(v.clone())]).encoded_len();
+        *end += WalBatch::frame_len("m.t", key.len(), body);
+        Some(*end)
+    });
+    let ends: Vec<usize> = std::iter::once(0).chain(frame_ends).collect();
+    let lo = ends.iter().rposition(|&end| end <= appended).unwrap_or(0);
+    if ends[lo] != appended {
+        return Err(NosqlError::Corrupt(format!(
+            "a multi-row insert appended {appended} commit-log bytes, not a whole number of rows"
+        )));
+    }
+    let hi = ends
+        .iter()
+        .rposition(|&end| end <= appended + torn)
+        .unwrap_or(0);
+    Ok((lo, hi))
+}
+
 /// Asserts the recovered state is exactly the acked writes, or the acked
-/// writes plus the in-flight one. Returns whether the in-flight write
-/// turned out durable.
+/// writes plus what the in-flight statement may have left. Returns whether
+/// the in-flight statement left anything.
 fn check_state(
     recovered: &Option<BTreeMap<i64, String>>,
     run: &RunResult,
@@ -207,19 +347,32 @@ fn check_state(
             "{context}: table lost despite acknowledged writes"
         )));
     };
-    if *state == materialize(&run.acked) {
-        return Ok(false);
-    }
-    if let Some(InFlight::Write { id, row }) = &run.in_flight {
-        let mut with = run.acked.clone();
-        with.insert(*id, row.clone());
-        if *state == materialize(&with) {
-            return Ok(true);
+    // The states the crash may legally leave, each with whether the
+    // in-flight statement left anything in it.
+    let with = |writes: &[(i64, Option<String>)]| {
+        let mut acked = run.acked.clone();
+        acked.extend(writes.iter().cloned());
+        materialize(&acked)
+    };
+    let candidates: Vec<(bool, BTreeMap<i64, String>)> = match &run.in_flight {
+        Some(InFlight::Write { id, row }) => {
+            vec![(false, with(&[])), (true, with(&[(*id, row.clone())]))]
         }
+        Some(InFlight::Bulk { rows, min }) => {
+            let rows: Vec<(i64, Option<String>)> =
+                rows.iter().map(|(id, v)| (*id, Some(v.clone()))).collect();
+            (*min..=rows.len())
+                .map(|p| (p > 0, with(&rows[..p])))
+                .collect()
+        }
+        _ => vec![(false, with(&[]))],
+    };
+    match candidates.iter().find(|(_, c)| c == state) {
+        Some(&(survived, _)) => Ok(survived),
+        None => Err(NosqlError::Corrupt(format!(
+            "{context}: recovered state diverges from the acknowledged writes"
+        ))),
     }
-    Err(NosqlError::Corrupt(format!(
-        "{context}: recovered state diverges from the acknowledged writes"
-    )))
 }
 
 /// What one crash-matrix cell observed.
@@ -235,13 +388,32 @@ pub struct PointOutcome {
 /// Runs one cell of the matrix: crash at mutating-op index `crash_at`,
 /// recover, verify, flush+compact, verify, recover again, verify.
 pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
+    run_cell(&workload(seed), seed, crash_at)
+}
+
+/// [`run_point`] over the bulk sweep's workload.
+pub fn run_bulk_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
+    run_cell(&bulk_workload(seed), seed, crash_at)
+}
+
+fn run_cell(steps: &[Step], seed: u64, crash_at: u64) -> Result<PointOutcome> {
     let fault_seed = seed ^ crash_at.wrapping_mul(0x6a09_e667_f3bc_c909);
     let (vfs, handle) = Vfs::with_faults(Vfs::memory(), fault_seed);
     // Arm before opening, so the very first mutating op is a valid crash
     // point too.
     handle.crash_at(crash_at);
     let run = match Db::open(tiny_open(vfs.clone())) {
-        Ok(db) => drive(&db, seed)?,
+        Ok(db) => {
+            let run = drive(&db, steps, &handle)?;
+            // A commit that failed anywhere — WAL, flush, merge — must
+            // still have completed its sequences.
+            if !db.sequences_settled() {
+                return Err(NosqlError::Corrupt(
+                    "a failed commit left its sequences outstanding: the watermark stalls".into(),
+                ));
+            }
+            run
+        }
         Err(e) if is_injected(&e) => RunResult {
             acked: BTreeMap::new(),
             in_flight: Some(InFlight::Ddl),
@@ -285,10 +457,20 @@ pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
     }
     drop(db);
 
-    // Restart 2: recovery is idempotent.
+    // Restart 2: recovery is idempotent, and the engine takes new writes.
     let db = Db::open(tiny_open(vfs).recover(true))?;
     if read_state(&db)? != recovered {
         return Err(NosqlError::Corrupt("second recovery diverged".into()));
+    }
+    if recovered.is_some() {
+        let fresh = [(KEY_SPACE as i64 + 5, "after".to_string())];
+        db.insert_rows("m", "t", &["id", "v"], bulk_rows(&fresh))?;
+        let r = db.execute_cql(&format!("SELECT v FROM m.t WHERE id = {}", fresh[0].0))?;
+        if r.len() != 1 {
+            return Err(NosqlError::Corrupt(
+                "a write after recovery is not visible".into(),
+            ));
+        }
     }
     Ok(PointOutcome {
         fired,
@@ -298,9 +480,18 @@ pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
 
 /// Mutating storage ops the full (uninjected) workload performs.
 pub fn total_ops(seed: u64) -> Result<u64> {
+    steps_ops(&workload(seed), seed)
+}
+
+/// Mutating storage ops the full (uninjected) bulk workload performs.
+pub fn bulk_total_ops(seed: u64) -> Result<u64> {
+    steps_ops(&bulk_workload(seed), seed)
+}
+
+fn steps_ops(steps: &[Step], seed: u64) -> Result<u64> {
     let (vfs, handle) = Vfs::with_faults(Vfs::memory(), seed);
     let db = Db::open(tiny_open(vfs))?;
-    drive(&db, seed)?;
+    drive(&db, steps, &handle)?;
     Ok(handle.ops())
 }
 
@@ -316,14 +507,29 @@ pub struct CrashReport {
     /// Points where the armed crash actually fired.
     pub crashes_fired: usize,
     /// Points where the unacknowledged in-flight write turned out durable
-    /// (torn write that happened to complete).
+    /// (torn write that happened to complete) — for a multi-row insert, at
+    /// least one of its rows.
     pub in_flight_survived: usize,
 }
 
 /// Runs the crash matrix: every mutating-op index when `limit` is `None`,
 /// otherwise `limit` indices evenly spaced across the workload.
 pub fn sweep(seed: u64, limit: Option<usize>) -> Result<CrashReport> {
-    let total = total_ops(seed)?;
+    sweep_cells(seed, limit, total_ops(seed)?, run_point)
+}
+
+/// The crash matrix over a workload that mixes multi-row inserts, each one
+/// to several chunks, with single statements ([`sweep`]'s arguments).
+pub fn sweep_bulk(seed: u64, limit: Option<usize>) -> Result<CrashReport> {
+    sweep_cells(seed, limit, bulk_total_ops(seed)?, run_bulk_point)
+}
+
+fn sweep_cells(
+    seed: u64,
+    limit: Option<usize>,
+    total: u64,
+    run: fn(u64, u64) -> Result<PointOutcome>,
+) -> Result<CrashReport> {
     let points: Vec<u64> = match limit {
         Some(n) if (n as u64) < total => (0..n as u64).map(|i| i * total / n as u64).collect(),
         _ => (0..total).collect(),
@@ -336,7 +542,7 @@ pub fn sweep(seed: u64, limit: Option<usize>) -> Result<CrashReport> {
         in_flight_survived: 0,
     };
     for &point in &points {
-        let outcome = run_point(seed, point)
+        let outcome = run(seed, point)
             .map_err(|e| NosqlError::Corrupt(format!("crash point {point}: {e}")))?;
         if outcome.fired {
             report.crashes_fired += 1;
@@ -644,6 +850,43 @@ mod tests {
         let outcome = run_point(3, total + 10).unwrap();
         assert!(!outcome.fired);
         assert!(!outcome.in_flight_survived);
+    }
+
+    #[test]
+    fn bulk_workload_spreads_inserts_over_several_chunks() {
+        let steps = bulk_workload(6);
+        let count = |pick: fn(&Step) -> bool| steps.iter().filter(|s| pick(s)).count();
+        let bulks = count(|s| matches!(s, Step::Bulk { .. }));
+        let statements = count(|s| matches!(s, Step::Put { .. } | Step::Delete { .. }));
+        assert!(
+            bulks > 15 && statements > 10,
+            "{bulks} bulks, {statements} statements"
+        );
+        // Uninjected: more commit-log appends than statements plus bulks,
+        // so inserts span chunks.
+        let (vfs, handle) = Vfs::with_faults(Vfs::memory(), 6);
+        let db = Db::open(tiny_open(vfs)).unwrap();
+        drive(&db, &steps, &handle).unwrap();
+        let appends = handle
+            .trace()
+            .iter()
+            .filter(|op| {
+                op.file.starts_with(crate::engine::COMMIT_LOG)
+                    && matches!(op.kind, FaultKind::Append { .. })
+            })
+            .count();
+        assert!(appends > bulks + statements + 20, "{appends} appends");
+    }
+
+    #[test]
+    fn bulk_cells_pass_early_mid_late() {
+        let total = bulk_total_ops(7).unwrap();
+        assert!(total >= 100, "ops {total}");
+        for point in [0, 1, 2, total / 3, total / 2, total - 1] {
+            let outcome = run_bulk_point(7, point).unwrap();
+            assert!(outcome.fired, "crash at {point} must fire");
+        }
+        assert!(!run_bulk_point(7, total + 10).unwrap().fired);
     }
 
     #[test]

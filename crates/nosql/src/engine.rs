@@ -32,7 +32,7 @@
 //! group → per-table maintenance → memtable shard / SSTable list.
 
 use crate::cache::{BlockCache, CacheStats, DEFAULT_BLOCK_CACHE_BYTES};
-use crate::commitlog::{CommitLog, GroupCommitLog, LogRecord, WalError};
+use crate::commitlog::{CommitLog, GroupCommitLog, WalError};
 use crate::compactor::CompactionPool;
 use crate::cql::ast::{Statement, TableRef, WhereClause};
 use crate::cql::parse_statement;
@@ -172,7 +172,7 @@ impl OpenOptions {
 }
 
 const SCHEMA_LOG: &str = "schema.log";
-const COMMIT_LOG: &str = "commitlog";
+pub(crate) const COMMIT_LOG: &str = "commitlog";
 
 /// Estimated memtable overhead per version beyond key and body bytes.
 const VERSION_COST: usize = 48;
@@ -319,13 +319,9 @@ impl DbCore {
                 columns,
                 values,
             } => {
-                let state = self.read_state();
-                self.insert(
-                    &state,
-                    state.table(table, session_keyspace)?,
-                    columns,
-                    values,
-                )?;
+                let keyspace = resolve_keyspace(table, session_keyspace)?;
+                let row = values.iter().cloned();
+                self.insert_rows(keyspace, &table.table, columns, std::iter::once(row))?;
             }
             Statement::Select { .. } => {
                 let state = self.read_state();
@@ -463,10 +459,47 @@ impl Db {
         self.execute(&stmt)
     }
 
-    /// Executes a pre-parsed statement (the "prepared" fast path the bulk
-    /// loader uses).
+    /// Executes a pre-parsed statement.
     pub fn execute(&self, stmt: &Statement) -> Result<QueryResult> {
         self.core.execute(stmt, None)
+    }
+
+    /// Inserts `rows` into `keyspace.table`, each row's values bound to
+    /// `columns` in order: `INSERT INTO keyspace.table (columns) VALUES
+    /// (...)` once per row, with the same checks, errors and on-disk bytes,
+    /// but each row bound once and the rows committed in chunks — one WAL
+    /// append, one commit and one flush check per chunk, where a chunk
+    /// ends at the row after which one INSERT per row would have flushed a
+    /// memtable or rotated the commit log (DESIGN.md §5g).
+    ///
+    /// A row that fails to bind (wrong arity, unknown column, mistyped or
+    /// null key, a literal of the wrong type) is a typed error once every
+    /// row before it has committed; no row after it is written. Returns
+    /// the number of rows inserted.
+    ///
+    /// ```
+    /// use sc_nosql::{CqlValue, Db, OpenOptions};
+    ///
+    /// let db = Db::open(OpenOptions::default()).unwrap();
+    /// db.execute_cql("CREATE KEYSPACE ks").unwrap();
+    /// db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))").unwrap();
+    /// let rows = (0..3).map(|i| [CqlValue::Int(i), CqlValue::Text(format!("v{i}"))]);
+    /// assert_eq!(db.insert_rows("ks", "t", &["id", "v"], rows).unwrap(), 3);
+    /// assert_eq!(db.execute_cql("SELECT * FROM ks.t").unwrap().len(), 3);
+    /// ```
+    pub fn insert_rows<C, R>(
+        &self,
+        keyspace: &str,
+        table: &str,
+        columns: &[C],
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<usize>
+    where
+        C: AsRef<str>,
+        R: IntoIterator<Item = CqlValue>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        self.core.insert_rows(keyspace, table, columns, rows)
     }
 
     /// Flushes every memtable to disk and truncates the commit log (its
@@ -518,6 +551,13 @@ impl Db {
         Ok(ByteSize::bytes(
             tables.values().map(|h| h.core.disk_size()).sum(),
         ))
+    }
+
+    /// Whether every allocated sequence has completed: nothing is in
+    /// flight, so the visible watermark covers every write. The crash
+    /// harness asserts it after a commit failed part-way.
+    pub(crate) fn sequences_settled(&self) -> bool {
+        self.core.tracker.settled()
     }
 
     /// Commit-log bytes currently on disk.

@@ -1,59 +1,146 @@
-//! DML and SELECT: the commit of pending writes, the one write routine behind
-//! INSERT, UPDATE and DELETE, and the one SELECT entry point.
+//! DML and SELECT: the one write routine behind INSERT, UPDATE and DELETE,
+//! the chunk a multi-row INSERT commits in, the commit, and the one SELECT
+//! entry point.
 
 use super::*;
+use crate::commitlog::WalBatch;
 
-impl DbCore {
-    /// Commits a set of row mutations: one sequence per record, one WAL
-    /// group append (durable before anything becomes visible), then the
-    /// memtable inserts. On a WAL error nothing was applied and every
-    /// allocated sequence completes unused, so the watermark never stalls.
-    pub(super) fn commit_writes(
-        &self,
-        state: &EngineState,
-        writes: Vec<PendingWrite>,
-    ) -> Result<()> {
-        if writes.is_empty() {
-            return Ok(());
+/// Row writes bound for one [`DbCore::commit`], staged a statement (one
+/// row's writes: its postings and the row) at a time.
+///
+/// A chunk is full after the statement at which committing one statement
+/// at a time would have flushed a memtable or rotated the commit-log
+/// segment: the statement whose writes take a touched table's memtable to
+/// its flush threshold ([`TableCore::flush_headroom`]), or the active
+/// segment to its size ([`CommitLog::room`]). A multi-row INSERT
+/// commits there and only there, so every flush, merge, SSTable and WAL
+/// segment lands where one INSERT per row would have put it.
+struct Chunk {
+    writes: Vec<PendingWrite>,
+    /// Where the last staged statement's writes start in `writes`.
+    last: usize,
+    /// Every touched table, first touch first, with the memtable bytes it
+    /// may still take.
+    headroom: Vec<(Arc<TableCore>, usize)>,
+    /// Frame bytes of `writes`.
+    wal_bytes: usize,
+    /// Commit-log bytes the active segment could still take when the chunk
+    /// started ([`CommitLog::room`]).
+    wal_room: usize,
+    full: bool,
+    /// Present when statements read the old row (the caller holds the RMW
+    /// lock): each base key staged so far → its write in `writes`, since a
+    /// key repeated inside the chunk must see its own earlier row, which no
+    /// memtable holds yet.
+    staged: Option<HashMap<Vec<u8>, usize>>,
+}
+
+impl Chunk {
+    fn new(wal_room: u64, reads_old: bool) -> Chunk {
+        Chunk {
+            writes: Vec::new(),
+            last: 0,
+            headroom: Vec::new(),
+            wal_bytes: 0,
+            wal_room: usize::try_from(wal_room).unwrap_or(usize::MAX),
+            full: false,
+            staged: reads_old.then(HashMap::new),
         }
-        let guards: Vec<SeqGuard> = writes
-            .iter()
-            .map(|_| SeqGuard::new(&self.tracker))
-            .collect();
-        let mut records = Vec::with_capacity(writes.len());
-        for (w, g) in writes.iter().zip(&guards) {
-            let body = match &w.row {
-                Some(row) => {
-                    let mut enc = sc_encoding::Encoder::new();
-                    row.encode(&mut enc, g.seq());
-                    enc.into_bytes()
+    }
+
+    /// The row the base table holds for `key` once this chunk commits, if
+    /// a statement in it wrote `key` (`Some(None)`: a tombstone).
+    fn staged_row(&self, key: &[u8]) -> Option<Option<&Row>> {
+        let at = *self.staged.as_ref()?.get(key)?;
+        Some(self.writes[at].row.as_ref())
+    }
+
+    /// Stages the base-table write of a statement whose postings are
+    /// already in `writes` from `start` on: the WAL has always carried a row
+    /// after its postings and a tombstone before them. Then charges the
+    /// statement against the headrooms (a table met for the first time
+    /// brings its own) and marks the chunk full if one ran out.
+    fn stage(&mut self, start: usize, base: PendingWrite) {
+        let at = if base.row.is_some() {
+            self.writes.len()
+        } else {
+            start
+        };
+        // Only this statement's postings sit at or after `start`, and the
+        // map holds base writes only: no recorded position moves.
+        if let Some(staged) = &mut self.staged {
+            staged.insert(base.key.clone(), at);
+        }
+        self.writes.insert(at, base);
+        self.last = start;
+        for w in &self.writes[start..] {
+            let left = match self
+                .headroom
+                .iter()
+                .position(|(t, _)| Arc::ptr_eq(t, &w.table))
+            {
+                Some(i) => &mut self.headroom[i].1,
+                None => {
+                    let room = w.table.flush_headroom();
+                    self.headroom.push((Arc::clone(&w.table), room));
+                    &mut self.headroom.last_mut().expect("just pushed").1
                 }
-                None => Vec::new(),
             };
-            records.push(LogRecord {
-                table: w.table.qualified().to_string(),
-                key: w.key.clone(),
-                body,
-                timestamp: g.seq(),
-            });
+            let cost = w.key.len() + w.body_len + VERSION_COST;
+            self.full |= cost >= *left;
+            *left = left.saturating_sub(cost);
+            self.wal_bytes += WalBatch::frame_len(w.table.qualified(), w.key.len(), w.body_len);
         }
-        let body_lens: Vec<usize> = records.iter().map(|r| r.body.len()).collect();
-        self.wal
-            .append_group(records)
-            .map_err(WalError::into_nosql)?;
-        let gc_floor = self.registry.gc_floor(&self.tracker);
-        let mut touched: Vec<Arc<TableCore>> = Vec::new();
-        for ((w, g), body_len) in writes.into_iter().zip(&guards).zip(body_lens) {
-            let cost = w.key.len() + body_len + VERSION_COST;
-            w.table.apply(w.key, w.row, g.seq(), cost, gc_floor);
-            if !touched.iter().any(|t| Arc::ptr_eq(t, &w.table)) {
-                touched.push(w.table);
+        self.full |= self.wal_bytes >= self.wal_room;
+    }
+
+    /// The order statement-at-a-time commits would have run the flush
+    /// checks in: the last statement's tables in its write order, then the
+    /// rest (whose thresholds the chunk did not reach).
+    fn flush_order(&self) -> Vec<Arc<TableCore>> {
+        let mut order: Vec<Arc<TableCore>> = Vec::new();
+        let last = self.writes[self.last..].iter().map(|w| &w.table);
+        for table in last.chain(self.headroom.iter().map(|(t, _)| t)) {
+            if !order.iter().any(|t| Arc::ptr_eq(t, table)) {
+                order.push(Arc::clone(table));
             }
         }
+        order
+    }
+}
+
+impl DbCore {
+    /// Commits a chunk of row mutations: one block of sequences, one WAL
+    /// group append (durable before anything becomes visible), one GC
+    /// floor, the memtable inserts, then the flush checks and WAL
+    /// checkpoint. On a WAL error nothing was applied and the block
+    /// completes unused, so the watermark never stalls.
+    fn commit(&self, state: &EngineState, chunk: Chunk) -> Result<()> {
+        if chunk.writes.is_empty() {
+            return Ok(());
+        }
+        let flush_order = chunk.flush_order();
+        let seqs = SeqGuard::new(&self.tracker, chunk.writes.len());
+        let mut frames = WalBatch::with_capacity(chunk.wal_bytes);
+        for (w, seq) in chunk.writes.iter().zip(seqs.seqs()) {
+            frames.push(w.table.qualified(), &w.key, w.body_len, seq, |p| {
+                if let Some(row) = &w.row {
+                    row.encode(p, seq);
+                }
+            });
+        }
+        self.wal
+            .append_group(frames)
+            .map_err(WalError::into_nosql)?;
+        let gc_floor = self.registry.gc_floor(&self.tracker);
+        for (w, seq) in chunk.writes.into_iter().zip(seqs.seqs()) {
+            let cost = w.key.len() + w.body_len + VERSION_COST;
+            w.table.apply(w.key, w.row, seq, cost, gc_floor);
+        }
         // Completing the sequences publishes the writes to the watermark.
-        drop(guards);
+        drop(seqs);
         let mut flushed = false;
-        for table in &touched {
+        for table in &flush_order {
             if table.maybe_flush(&self.tracker, &self.registry)? {
                 flushed = true;
                 // The flush may have crossed the compaction threshold.
@@ -81,67 +168,111 @@ impl DbCore {
         Ok(())
     }
 
-    /// The one write routine. Every INSERT, UPDATE and DELETE is: key →
-    /// old row → new row or tombstone (`new_row`, `None` deletes) → posting
-    /// diff → one [`DbCore::commit_writes`].
+    /// Commits `writes` as one chunk, whatever their number (an index
+    /// backfill: the state write lock excludes every other statement).
+    pub(super) fn commit_writes(
+        &self,
+        state: &EngineState,
+        writes: Vec<PendingWrite>,
+    ) -> Result<()> {
+        let mut chunk = Chunk::new(u64::MAX, false);
+        chunk.writes = writes;
+        self.commit(state, chunk)
+    }
+
+    /// Runs `stage` on a fresh chunk of `handle`'s table and commits what
+    /// it staged — also when it fails part-way, so the statements before
+    /// the failure stay done, as one commit per statement leaves them —
+    /// then reports the failure.
     ///
-    /// The old row is read only when something depends on it — the table is
-    /// indexed (the read-before-write that keeps postings consistent, a
+    /// The old row is read only when something depends on it — the table
+    /// is indexed (the read-before-write that keeps postings consistent, a
     /// real cost of Cassandra-style secondary indexes) or the statement is
     /// an UPDATE (`reads_old`) — and then under the table's RMW lock, held
     /// through the commit, so the read observes every previous RMW's write.
     /// Everything else is a blind, lock-free write.
-    fn write(
+    fn in_chunk(
         &self,
         state: &EngineState,
         handle: &TableHandle,
-        key: Vec<u8>,
         reads_old: bool,
+        stage: impl FnOnce(&mut Chunk) -> Result<()>,
+    ) -> Result<()> {
+        let reads_old = reads_old || !handle.indexes.is_empty();
+        let _rmw = reads_old.then(|| handle.core.rmw_lock());
+        let mut chunk = Chunk::new(self.wal.plain().room(), reads_old);
+        let staged = stage(&mut chunk);
+        self.commit(state, chunk)?;
+        staged
+    }
+
+    /// The one write routine. Every INSERT row, UPDATE and DELETE is: key →
+    /// old row → new row or tombstone (`new_row`, `None` deletes) → posting
+    /// diff → staged in `chunk` as one statement.
+    fn write(
+        &self,
+        chunk: &mut Chunk,
+        handle: &TableHandle,
+        key: Vec<u8>,
         new_row: impl FnOnce(Option<&Row>) -> Option<Row>,
     ) -> Result<()> {
         let table = &handle.core;
-        let rmw = (reads_old || !handle.indexes.is_empty()).then(|| table.rmw_lock());
-        let old = match &rmw {
-            Some(_) => table.get(&key, u64::MAX)?,
+        let old = match chunk.staged_row(&key) {
+            Some(row) => row.cloned(),
+            None if chunk.staged.is_some() => table.get(&key, u64::MAX)?,
             None => None,
         };
         let row = new_row(old.as_ref());
-        let mut writes = Vec::with_capacity(1);
+        let start = chunk.writes.len();
         for index in &handle.indexes {
-            index.diff(&key, old.as_ref(), row.as_ref(), &mut writes);
+            index.diff(&key, old.as_ref(), row.as_ref(), &mut chunk.writes);
         }
-        // The WAL has always carried a row after its postings and a
-        // tombstone before them.
-        let at = if row.is_some() { writes.len() } else { 0 };
-        let table = Arc::clone(table);
-        writes.insert(at, PendingWrite { table, key, row });
-        self.commit_writes(state, writes)
+        chunk.stage(start, PendingWrite::new(Arc::clone(table), key, row));
+        Ok(())
     }
 
-    pub(super) fn insert(
+    /// INSERT of `rows` into `keyspace.name`, each row's values bound to
+    /// `columns` in order: the statement and [`Db::insert_rows`] alike (a
+    /// statement is a batch of one). Rows commit in chunks (see [`Chunk`]);
+    /// the engine-state lock and the table handle are taken per chunk, so
+    /// DDL, TRUNCATE and `flush_all` interleave at chunk boundaries. A row
+    /// that fails to bind is a typed error after every row before it has
+    /// committed; no row after it is written. Returns the rows inserted.
+    pub(super) fn insert_rows<C, R>(
         &self,
-        state: &EngineState,
-        handle: &TableHandle,
-        columns: &[String],
-        values: &[CqlValue],
-    ) -> Result<()> {
-        let def = &handle.def;
-        if columns.len() != values.len() {
-            return Err(NosqlError::Parse(format!(
-                "INSERT binds {} columns but {} values",
-                columns.len(),
-                values.len()
-            )));
+        keyspace: &str,
+        name: &str,
+        columns: &[C],
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<usize>
+    where
+        C: AsRef<str>,
+        R: IntoIterator<Item = CqlValue>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let mut rows = rows.into_iter().peekable();
+        // Column positions, resolved once per batch, each on first use so
+        // that a statement's errors come in its own left-to-right order.
+        let mut positions: Vec<Option<usize>> = vec![None; columns.len()];
+        let mut inserted = 0;
+        loop {
+            let state = self.read_state();
+            let handle = state.get(keyspace, name)?;
+            self.in_chunk(&state, handle, false, |chunk| {
+                while !chunk.full {
+                    let Some(values) = rows.next() else {
+                        break;
+                    };
+                    let (key, row) = bind_row(&handle.def, columns, &mut positions, values)?;
+                    self.write(chunk, handle, key, |_| Some(row))?;
+                    inserted += 1;
+                }
+                Ok(())
+            })?;
+            if rows.peek().is_none() {
+                return Ok(inserted);
+            }
         }
-        // Assemble the full row (unbound columns become null).
-        let mut row = vec![CqlValue::Null; def.columns.len()];
-        for (name, value) in columns.iter().zip(values) {
-            let column = def.column(name)?;
-            def.check(column, value)?;
-            row[column] = value.clone();
-        }
-        let key = def.write_key(&row[def.primary_key])?;
-        self.write(state, handle, key, false, |_| Some(Row::new(row)))
     }
 
     /// UPDATE and DELETE address one row, `WHERE <primary key> = <literal>`:
@@ -189,16 +320,18 @@ impl DbCore {
             def.check(column, value)?;
             sets.push((column, value));
         }
-        self.write(state, handle, key, true, |old| {
-            let mut values = match old {
-                Some(row) => row.values.clone(),
-                None => vec![CqlValue::Null; def.columns.len()],
-            };
-            values[def.primary_key] = pk.clone();
-            for (column, value) in sets {
-                values[column] = value.clone();
-            }
-            Some(Row::new(values))
+        self.in_chunk(state, handle, true, |chunk| {
+            self.write(chunk, handle, key, |old| {
+                let mut values = match old {
+                    Some(row) => row.values.clone(),
+                    None => vec![CqlValue::Null; def.columns.len()],
+                };
+                values[def.primary_key] = pk.clone();
+                for (column, value) in sets {
+                    values[column] = value.clone();
+                }
+                Some(Row::new(values))
+            })
         })
     }
 
@@ -209,7 +342,9 @@ impl DbCore {
         where_clause: &WhereClause,
     ) -> Result<()> {
         let (_, key) = Self::key_filter(&handle.def, where_clause, "DELETE")?;
-        self.write(state, handle, key, false, |_| None)
+        self.in_chunk(state, handle, false, |chunk| {
+            self.write(chunk, handle, key, |_| None)
+        })
     }
 
     /// The only SELECT entry point — `execute`, snapshots and `EXPLAIN` all
@@ -265,4 +400,39 @@ impl DbCore {
         let rows = exec::drain(op.as_mut())?;
         Ok(QueryResult::new(plan.columns, rows))
     }
+}
+
+/// Binds one INSERT row: the values checked against their columns in
+/// order, unbound columns null, the primary key encoded. `positions`
+/// caches `columns` resolved through [`TableDef::column`].
+fn bind_row<C, R>(
+    def: &TableDef,
+    columns: &[C],
+    positions: &mut [Option<usize>],
+    values: R,
+) -> Result<(Vec<u8>, Row)>
+where
+    C: AsRef<str>,
+    R: IntoIterator<Item = CqlValue>,
+    R::IntoIter: ExactSizeIterator,
+{
+    let values = values.into_iter();
+    if values.len() != columns.len() {
+        return Err(NosqlError::Parse(format!(
+            "INSERT binds {} columns but {} values",
+            columns.len(),
+            values.len()
+        )));
+    }
+    let mut row = vec![CqlValue::Null; def.columns.len()];
+    for ((name, position), value) in columns.iter().zip(positions.iter_mut()).zip(values) {
+        let column = match *position {
+            Some(column) => column,
+            None => *position.insert(def.column(name.as_ref())?),
+        };
+        def.check(column, &value)?;
+        row[column] = value;
+    }
+    let key = def.write_key(&row[def.primary_key])?;
+    Ok((key, Row::new(row)))
 }

@@ -104,11 +104,7 @@ impl Index {
     fn posting(&self, value: &CqlValue, base_key: &[u8], row: Option<Row>) -> PendingWrite {
         let mut key = Index::prefix(&value.encode_key());
         key.put_raw(base_key);
-        PendingWrite {
-            table: Arc::clone(&self.postings),
-            key: key.into_bytes(),
-            row,
-        }
+        PendingWrite::new(Arc::clone(&self.postings), key.into_bytes(), row)
     }
 
     /// Appends the posting writes that take the base row stored under

@@ -17,6 +17,7 @@
 //! compaction.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
@@ -60,20 +61,23 @@ impl SeqTracker {
         self.visible.store(visible, Ordering::Release);
     }
 
-    /// Allocates a sequence and marks it outstanding (invisible until
-    /// [`SeqTracker::complete`]). The watermark never advances past an
-    /// outstanding sequence, so un-acked writes are never read.
-    pub fn alloc(&self) -> u64 {
+    /// Allocates `n` consecutive sequences and returns the first, which is
+    /// marked outstanding (invisible until [`SeqTracker::complete`]). The
+    /// watermark never advances past an outstanding sequence, so un-acked
+    /// writes are never read — and since no other writer can hold a
+    /// sequence inside the block, its first one holds the whole block back.
+    pub fn alloc(&self, n: u64) -> u64 {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let seq = inner.next;
-        inner.next += 1;
+        inner.next += n;
         inner.outstanding.insert(seq);
         seq
     }
 
-    /// Marks `seq` complete and republishes the watermark. Must be called
-    /// exactly once per [`SeqTracker::alloc`], success or failure — a leaked
-    /// sequence would freeze the watermark forever.
+    /// Marks the block starting at `seq` complete and republishes the
+    /// watermark. Must be called exactly once per [`SeqTracker::alloc`],
+    /// success or failure — a leaked sequence would freeze the watermark
+    /// forever.
     pub fn complete(&self, seq: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.outstanding.remove(&seq);
@@ -87,6 +91,12 @@ impl SeqTracker {
         self.visible.store(visible, Ordering::Release);
     }
 
+    /// Whether no allocated sequence is outstanding.
+    pub fn settled(&self) -> bool {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.outstanding.is_empty()
+    }
+
     /// The current visible watermark (the read bound for new statements and
     /// snapshots).
     pub fn visible(&self) -> u64 {
@@ -94,27 +104,33 @@ impl SeqTracker {
     }
 }
 
-/// Completion guard: completes a sequence on drop, so error paths can never
-/// leak an outstanding sequence (which would freeze the watermark).
+/// Completion guard over one commit's block of sequences: completes the
+/// block on drop, so error paths can never leak an outstanding sequence
+/// (which would freeze the watermark).
 pub(crate) struct SeqGuard<'a> {
     tracker: &'a SeqTracker,
-    seq: u64,
+    seqs: Range<u64>,
 }
 
 impl<'a> SeqGuard<'a> {
-    pub fn new(tracker: &'a SeqTracker) -> SeqGuard<'a> {
-        let seq = tracker.alloc();
-        SeqGuard { tracker, seq }
+    pub fn new(tracker: &'a SeqTracker, n: usize) -> SeqGuard<'a> {
+        debug_assert!(n > 0, "an empty block would share its first sequence");
+        let first = tracker.alloc(n as u64);
+        SeqGuard {
+            tracker,
+            seqs: first..first + n as u64,
+        }
     }
 
-    pub fn seq(&self) -> u64 {
-        self.seq
+    /// The block, in allocation order.
+    pub fn seqs(&self) -> Range<u64> {
+        self.seqs.clone()
     }
 }
 
 impl Drop for SeqGuard<'_> {
     fn drop(&mut self) {
-        self.tracker.complete(self.seq);
+        self.tracker.complete(self.seqs.start);
     }
 }
 
@@ -289,13 +305,16 @@ mod tests {
     fn watermark_waits_for_the_oldest_writer() {
         let t = SeqTracker::new();
         assert_eq!(t.visible(), 0);
-        let a = t.alloc(); // 1
-        let b = t.alloc(); // 2
+        let a = t.alloc(1); // 1
+        let b = t.alloc(3); // 2..=4
         assert_eq!(t.visible(), 0, "both outstanding");
         t.complete(b);
         assert_eq!(t.visible(), 0, "oldest still outstanding");
+        let c = t.alloc(1); // 5
         t.complete(a);
-        assert_eq!(t.visible(), 2, "both complete");
+        assert_eq!(t.visible(), 4, "the block completed whole");
+        t.complete(c);
+        assert_eq!(t.visible(), 5);
     }
 
     #[test]
@@ -303,18 +322,18 @@ mod tests {
         let t = SeqTracker::new();
         t.set_floor(41);
         assert_eq!(t.visible(), 41);
-        assert_eq!(t.alloc(), 42);
+        assert_eq!(t.alloc(1), 42);
     }
 
     #[test]
     fn seq_guard_completes_on_drop() {
         let t = SeqTracker::new();
         {
-            let g = SeqGuard::new(&t);
-            assert_eq!(g.seq(), 1);
+            let g = SeqGuard::new(&t, 3);
+            assert_eq!(g.seqs(), 1..4);
             assert_eq!(t.visible(), 0);
         }
-        assert_eq!(t.visible(), 1);
+        assert_eq!(t.visible(), 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::Result;
 use crate::types::CqlValue;
-use sc_encoding::{Decoder, Encoder};
+use sc_encoding::{varint, Decoder, Encoder};
 
 /// A row: one value per table column, in column order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,12 +46,12 @@ impl Row {
         Ok((Row::new(values), timestamp))
     }
 
-    /// Encoded size in bytes (what the memtable accounts against its flush
-    /// threshold).
-    pub fn encoded_size(&self, scratch: &mut Encoder) -> usize {
-        let before = scratch.len();
-        self.encode(scratch, 0);
-        scratch.len() - before
+    /// Bytes [`Row::encode`] writes, computed without writing them (what
+    /// the memtable accounts against its flush threshold, and the length
+    /// prefix a commit-log frame writes ahead of the body).
+    pub fn encoded_len(&self) -> usize {
+        let cells: usize = self.values.iter().map(|v| 8 + v.encoded_len()).sum();
+        1 + 8 + varint::len_u64(self.values.len() as u64) + cells
     }
 }
 
@@ -69,6 +69,7 @@ mod tests {
         let mut enc = Encoder::new();
         row.encode(&mut enc, 42);
         let bytes = enc.into_bytes();
+        assert_eq!(row.encoded_len(), bytes.len());
         let mut dec = Decoder::new(&bytes);
         let (back, ts) = Row::decode(&mut dec).unwrap();
         assert_eq!(back, row);
@@ -79,10 +80,8 @@ mod tests {
     #[test]
     fn encoded_size_counts_metadata() {
         let small = Row::new(vec![CqlValue::Int(1)]);
-        let mut scratch = Encoder::new();
-        let size = small.encoded_size(&mut scratch);
         // header flags(1) + liveness ts(8) + count(1) + cell ts(8) +
         // tag(1) + zigzag(1) = 20.
-        assert_eq!(size, 20);
+        assert_eq!(small.encoded_len(), 20);
     }
 }

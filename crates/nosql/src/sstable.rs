@@ -148,17 +148,12 @@ pub fn write_sstable(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> 
     };
     let mut start = 0usize;
     let mut pending = 0usize;
-    let mut scratch = Encoder::new();
     for (i, e) in entries.iter().enumerate() {
         filter.insert(&e.key);
         // Never split a record: close once the row-major footprint (key,
         // flag + sequence, `Row::encode` body, two length prefixes) reaches
         // the target (the columnar form is usually smaller).
-        scratch.clear();
-        let body = e
-            .row
-            .as_ref()
-            .map_or(0, |row| row.encoded_size(&mut scratch));
+        let body = e.row.as_ref().map_or(0, Row::encoded_len);
         pending += e.key.len() + 9 + body + 4;
         if pending >= BLOCK_TARGET_BYTES {
             close_block(&mut data, &entries[start..=i])?;

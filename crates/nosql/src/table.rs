@@ -144,6 +144,21 @@ pub(crate) struct PendingWrite {
     pub key: Vec<u8>,
     /// `None` writes a tombstone.
     pub row: Option<Row>,
+    /// [`Row::encoded_len`] of `row`; 0 for a tombstone, whose body is
+    /// empty.
+    pub body_len: usize,
+}
+
+impl PendingWrite {
+    pub fn new(table: Arc<TableCore>, key: Vec<u8>, row: Option<Row>) -> PendingWrite {
+        let body_len = row.as_ref().map_or(0, Row::encoded_len);
+        PendingWrite {
+            table,
+            key,
+            row,
+            body_len,
+        }
+    }
 }
 
 /// Runtime state of one column family. All methods take `&self`; the type
@@ -332,6 +347,15 @@ impl TableCore {
     pub fn flush(&self, tracker: &SeqTracker, registry: &SnapshotRegistry) -> Result<()> {
         let guard = self.maint.lock().unwrap_or_else(|e| e.into_inner());
         self.flush_locked(&guard, tracker, registry)
+    }
+
+    /// Memtable bytes this table takes before [`TableCore::maybe_flush`]
+    /// flushes it: a write whose cost reaches this is the one after which
+    /// the flush runs.
+    pub fn flush_headroom(&self) -> usize {
+        self.options
+            .memtable_flush_bytes
+            .saturating_sub(self.mem.approx_bytes())
     }
 
     /// Threshold-triggered flush: skips silently when another flush or
@@ -766,7 +790,7 @@ mod tests {
         /// apply, complete, the flush threshold check, then the compaction
         /// threshold check the engine runs after a flush.
         fn put(&self, key: Vec<u8>, row: Option<Row>) {
-            let seq = self.tracker.alloc();
+            let seq = self.tracker.alloc(1);
             let cost = key.len() + 40;
             let gc_floor = self.registry.gc_floor(&self.tracker);
             self.table.apply(key, row, seq, cost, gc_floor);

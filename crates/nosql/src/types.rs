@@ -6,7 +6,7 @@
 //! sets a per-element header) so measured sizes reflect Cassandra-style
 //! overheads structurally.
 
-use sc_encoding::{DecodeError, Decoder, Encoder};
+use sc_encoding::{varint, DecodeError, Decoder, Encoder};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -157,6 +157,21 @@ impl CqlValue {
                     // mirrors Cassandra's per-element collection cells.
                     enc.put_u8(0).put_u8(1).put_i64(v);
                 }
+            }
+        }
+    }
+
+    /// Bytes [`CqlValue::encode`] writes, computed without writing them.
+    pub fn encoded_len(&self) -> usize {
+        let int_len = |v: i64| varint::len_u64(varint::zigzag(v));
+        match self {
+            CqlValue::Null => 1,
+            CqlValue::Int(v) => 1 + int_len(*v),
+            CqlValue::Text(v) => 1 + varint::len_u64(v.len() as u64) + v.len(),
+            CqlValue::Boolean(_) => 2,
+            CqlValue::IntSet(set) => {
+                let elements: usize = set.iter().map(|&v| 2 + int_len(v)).sum();
+                1 + varint::len_u64(set.len() as u64) + elements
             }
         }
     }
@@ -415,6 +430,7 @@ mod tests {
             let mut enc = Encoder::new();
             v.encode(&mut enc);
             let bytes = enc.into_bytes();
+            assert_eq!(v.encoded_len(), bytes.len(), "{v:?}");
             let mut dec = Decoder::new(&bytes);
             assert_eq!(CqlValue::decode(&mut dec).unwrap(), v);
             assert!(dec.is_exhausted());

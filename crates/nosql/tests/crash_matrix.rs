@@ -23,6 +23,18 @@ fn full_crash_matrix_covers_every_op() {
     );
 }
 
+/// The bulk variant: multi-row inserts of one to several chunks between
+/// single statements, crashed at every op. An in-flight insert must come
+/// back as a prefix of whole rows holding every chunk whose commit-log
+/// append completed.
+#[test]
+fn bulk_crash_matrix_covers_every_op() {
+    let report = crashtest::sweep_bulk(0xB01C, None).unwrap();
+    assert_eq!(report.points_tested as u64, report.total_ops);
+    assert_eq!(report.crashes_fired, report.points_tested);
+    assert!(report.in_flight_survived > 0, "{report:?}");
+}
+
 /// The concurrent variant: writer sessions share group-commit batches, so
 /// crash points tear multi-session batches. Every cell must recover exactly
 /// the acked writes (plus, at most, the exact lost-ack in-flight inserts).

@@ -6,7 +6,7 @@ use crate::histogram::{Histogram, HistogramCore, HistogramSnapshot};
 use crate::span::SpanHandle;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A monotonic counter handle. Cloning is cheap; all clones (and the parent
 /// chain's same-named counters) share storage.
@@ -93,6 +93,10 @@ impl Entry {
     }
 }
 
+/// Both maps are taken over with `into_inner` when poisoned: every update
+/// under their locks is one map operation that leaves the map valid, so a
+/// thread that panicked holding one (the kind-mismatch `panic!`s below fire
+/// with `metrics` locked) leaves every later registration working.
 #[derive(Debug)]
 struct Inner {
     parent: Option<Registry>,
@@ -160,12 +164,19 @@ impl Registry {
         self.inner
             .helps
             .lock()
-            .expect("registry lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(name.to_string(), help.to_string());
     }
 
+    // The kind-mismatch `panic!`s in the three functions below are reachable
+    // only by programmer error: metric names are string literals in the
+    // instrumented crates, never input.
     fn local_counter_cell(&self, name: &str) -> Arc<AtomicU64> {
-        let mut metrics = self.inner.metrics.lock().expect("registry lock poisoned");
+        let mut metrics = self
+            .inner
+            .metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Entry::Counter(Arc::new(AtomicU64::new(0))))
@@ -179,7 +190,11 @@ impl Registry {
     }
 
     fn local_gauge_cell(&self, name: &str) -> Arc<AtomicI64> {
-        let mut metrics = self.inner.metrics.lock().expect("registry lock poisoned");
+        let mut metrics = self
+            .inner
+            .metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Entry::Gauge(Arc::new(AtomicI64::new(0))))
@@ -193,7 +208,11 @@ impl Registry {
     }
 
     fn local_histogram_core(&self, name: &str) -> Arc<HistogramCore> {
-        let mut metrics = self.inner.metrics.lock().expect("registry lock poisoned");
+        let mut metrics = self
+            .inner
+            .metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Entry::Histogram(Arc::new(HistogramCore::new())))
@@ -259,7 +278,11 @@ impl Registry {
 
     /// A point-in-time copy of all *local* metrics, sorted by name.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let metrics = self.inner.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .inner
+            .metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut snap = RegistrySnapshot::default();
         for (name, entry) in metrics.iter() {
             match entry {
@@ -272,7 +295,11 @@ impl Registry {
                 Entry::Histogram(core) => snap.histograms.push((name.clone(), core.snapshot())),
             }
         }
-        let helps = self.inner.helps.lock().expect("registry lock poisoned");
+        let helps = self
+            .inner
+            .helps
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         snap.helps = helps.iter().map(|(n, h)| (n.clone(), h.clone())).collect();
         snap
     }
@@ -280,7 +307,11 @@ impl Registry {
     /// Zeroes every *local* metric (parents are untouched). Registered
     /// handles stay valid.
     pub fn reset(&self) {
-        let metrics = self.inner.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .inner
+            .metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for entry in metrics.values() {
             match entry {
                 Entry::Counter(cell) => cell.store(0, Ordering::Relaxed),
@@ -362,6 +393,28 @@ mod tests {
         let registry = Registry::new();
         registry.counter("r.kind.clash");
         registry.histogram("r.kind.clash");
+    }
+
+    #[test]
+    fn a_panic_holding_the_lock_leaves_the_registry_working() {
+        let registry = Registry::new();
+        registry.counter("r.poison.n").inc();
+        // The kind mismatch panics with the metrics lock held, poisoning it.
+        let clash = thread::scope(|scope| {
+            scope
+                .spawn(|| registry.histogram("r.poison.n"))
+                .join()
+                .is_err()
+        });
+        assert!(clash, "the kind mismatch must panic");
+        registry.counter("r.poison.n").inc();
+        registry.gauge("r.poison.g").set(3);
+        registry.describe("r.poison.g", "a gauge registered after the panic");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("r.poison.n"), Some(2));
+        assert_eq!(snap.gauge("r.poison.g"), Some(3));
+        registry.reset();
+        assert_eq!(registry.snapshot().counter("r.poison.n"), Some(0));
     }
 
     #[test]

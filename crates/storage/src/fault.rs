@@ -20,7 +20,10 @@
 
 use crate::{Result, StorageError, Vfs};
 use sc_encoding::Rng;
-use std::sync::{Arc, Condvar, Mutex};
+// Poisoned locks are taken over with `into_inner`: each update under them
+// (a counter bump, a trace push, a flag) leaves the state valid, and the
+// VFS must keep serving after a test thread panicked holding one.
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// What a mutating operation was, as recorded in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,14 +83,14 @@ impl StallGate {
     /// Blocks the calling (engine) thread while the gate matches `name`.
     fn wait_if_match(&self, name: &str) {
         let matches = |s: &StallState| s.substr.as_deref().is_some_and(|sub| name.contains(sub));
-        let mut s = self.state.lock().expect("stall lock poisoned");
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if !matches(&s) {
             return;
         }
         s.parked += 1;
         self.cv.notify_all();
         while matches(&s) {
-            s = self.cv.wait(s).expect("stall lock poisoned");
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         s.parked -= 1;
         self.cv.notify_all();
@@ -146,7 +149,7 @@ impl FaultState {
     /// caller then applies its partial effect and reports `Injected`), or
     /// `Err` if the process already crashed.
     fn admit(&self, file: &str, kind: FaultKind) -> Result<bool> {
-        let mut s = self.shared.lock().expect("fault lock poisoned");
+        let mut s = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(op) = s.crashed_at {
             return Err(StorageError::Injected {
                 op,
@@ -171,7 +174,7 @@ impl FaultState {
     }
 
     fn injected(&self, file: &str) -> StorageError {
-        let s = self.shared.lock().expect("fault lock poisoned");
+        let s = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         StorageError::Injected {
             op: s.crashed_at.expect("crash point recorded"),
             file: file.to_string(),
@@ -186,7 +189,7 @@ impl FaultState {
         // Crash point: persist a deterministic prefix (maybe empty), as if
         // power died mid-write.
         let torn = {
-            let mut s = self.shared.lock().expect("fault lock poisoned");
+            let mut s = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
             s.rng.gen_range(data.len() as u64 + 1) as usize
         };
         if torn > 0 {
@@ -217,32 +220,41 @@ impl FaultState {
 impl FaultHandle {
     /// Arms a crash at mutating-operation index `op` (zero-based).
     pub fn crash_at(&self, op: u64) {
-        self.shared.lock().expect("fault lock poisoned").crash_at = Some(op);
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .crash_at = Some(op);
     }
 
     /// Clears both the armed crash point and the crashed flag — the process
     /// "restarted" over the same disk. The op counter and trace continue.
     pub fn disarm(&self) {
-        let mut s = self.shared.lock().expect("fault lock poisoned");
+        let mut s = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         s.crash_at = None;
         s.crashed_at = None;
     }
 
     /// Mutating operations seen so far (crash point included).
     pub fn ops(&self) -> u64 {
-        self.shared.lock().expect("fault lock poisoned").next_op
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next_op
     }
 
     /// The index the crash fired at, if it fired.
     pub fn crashed_at(&self) -> Option<u64> {
-        self.shared.lock().expect("fault lock poisoned").crashed_at
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .crashed_at
     }
 
     /// Snapshot of the op trace.
     pub fn trace(&self) -> Vec<FaultOp> {
         self.shared
             .lock()
-            .expect("fault lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .trace
             .clone()
     }
@@ -257,13 +269,21 @@ impl FaultHandle {
     /// parks until [`release_deletes`](FaultHandle::release_deletes). Models
     /// an arbitrarily slow disk under a maintenance job without sleeps.
     pub fn stall_deletes(&self, substr: &str) {
-        let mut s = self.stall.state.lock().expect("stall lock poisoned");
+        let mut s = self
+            .stall
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         s.substr = Some(substr.to_string());
     }
 
     /// Opens the gate and wakes every parked delete.
     pub fn release_deletes(&self) {
-        let mut s = self.stall.state.lock().expect("stall lock poisoned");
+        let mut s = self
+            .stall
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         s.substr = None;
         self.stall.cv.notify_all();
     }
@@ -271,15 +291,27 @@ impl FaultHandle {
     /// Blocks until at least one delete is parked on the gate — the moment a
     /// test knows the stalled job is truly mid-flight.
     pub fn wait_for_stalled_delete(&self) {
-        let mut s = self.stall.state.lock().expect("stall lock poisoned");
+        let mut s = self
+            .stall
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         while s.parked == 0 {
-            s = self.stall.cv.wait(s).expect("stall lock poisoned");
+            s = self
+                .stall
+                .cv
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// How many deletes are parked on the gate right now.
     pub fn stalled_deletes(&self) -> usize {
-        self.stall.state.lock().expect("stall lock poisoned").parked
+        self.stall
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .parked
     }
 }
 
@@ -367,6 +399,31 @@ mod tests {
         handle.crash_at(2);
         assert!(vfs.truncate("keep", 1).is_err());
         assert_eq!(vfs.read_all("keep").unwrap(), b"data");
+    }
+
+    #[test]
+    fn a_panic_holding_the_fault_locks_leaves_the_vfs_working() {
+        let (vfs, handle) = Vfs::with_faults(Vfs::memory(), 5);
+        vfs.append("f", b"one").unwrap();
+        let panicked = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _trace = handle.shared.lock().unwrap();
+                let _stall = handle.stall.state.lock().unwrap();
+                panic!("a thread dies holding the fault and stall locks");
+            });
+            holder.join().is_err()
+        });
+        assert!(panicked && handle.shared.is_poisoned());
+        vfs.append("f", b"two").unwrap();
+        vfs.delete("f").unwrap();
+        assert_eq!(handle.ops(), 3);
+        assert_eq!(handle.trace().len(), 3);
+        assert_eq!(handle.stalled_deletes(), 0);
+        handle.crash_at(3);
+        assert!(vfs.append("g", b"x").is_err());
+        assert_eq!(handle.crashed_at(), Some(3));
+        handle.disarm();
+        vfs.append("g", b"y").unwrap();
     }
 
     #[test]

@@ -30,7 +30,10 @@ use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::sync::Mutex;
+// A poisoned file-map lock is taken over with `into_inner`: every update
+// under it is one map operation that leaves the map valid, so a thread that
+// panicked holding it must not turn every later VFS call into a panic.
+use std::sync::{Mutex, PoisonError};
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -145,7 +148,7 @@ impl Vfs {
         match &*self.backend {
             Backend::Memory(files) => {
                 self.record_append(data.len());
-                let mut files = files.lock().expect("vfs lock poisoned");
+                let mut files = files.lock().unwrap_or_else(PoisonError::into_inner);
                 let file = files.entry(name.to_string()).or_default();
                 let offset = file.len() as u64;
                 file.extend_from_slice(data);
@@ -192,7 +195,7 @@ impl Vfs {
         match &*self.backend {
             Backend::Memory(files) => {
                 self.record_read(len);
-                let files = files.lock().expect("vfs lock poisoned");
+                let files = files.lock().unwrap_or_else(PoisonError::into_inner);
                 let file = files
                     .get(name)
                     .ok_or_else(|| StorageError::NotFound(name.to_string()))?;
@@ -237,7 +240,7 @@ impl Vfs {
         match &*self.backend {
             Backend::Memory(files) => files
                 .lock()
-                .expect("vfs lock poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .get(name)
                 .map(|f| f.len() as u64)
                 .ok_or_else(|| StorageError::NotFound(name.to_string())),
@@ -263,7 +266,10 @@ impl Vfs {
                 if sc_obs::enabled() {
                     obs::vfs().delete_ops.inc();
                 }
-                files.lock().expect("vfs lock poisoned").remove(name);
+                files
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(name);
                 Ok(())
             }
             Backend::Disk(root) => {
@@ -289,7 +295,7 @@ impl Vfs {
                 if sc_obs::enabled() {
                     obs::vfs().truncate_ops.inc();
                 }
-                let mut files = files.lock().expect("vfs lock poisoned");
+                let mut files = files.lock().unwrap_or_else(PoisonError::into_inner);
                 let file = files
                     .get_mut(name)
                     .ok_or_else(|| StorageError::NotFound(name.to_string()))?;
@@ -321,7 +327,7 @@ impl Vfs {
         match &*self.backend {
             Backend::Memory(files) => Ok(files
                 .lock()
-                .expect("vfs lock poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .keys()
                 .filter(|k| k.starts_with(prefix))
                 .cloned()
@@ -424,6 +430,30 @@ mod tests {
         }
         assert_eq!(mem.len("f").unwrap(), disk.len("f").unwrap());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panic_holding_the_file_map_lock_leaves_the_vfs_working() {
+        let vfs = Vfs::memory();
+        vfs.append("f", b"before").unwrap();
+        let Backend::Memory(files) = &*vfs.backend else {
+            unreachable!("a memory VFS")
+        };
+        let panicked = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = files.lock().unwrap();
+                panic!("a thread dies holding the file map");
+            });
+            holder.join().is_err()
+        });
+        assert!(panicked && files.is_poisoned());
+        vfs.append("f", b" after").unwrap();
+        assert_eq!(vfs.read_all("f").unwrap(), b"before after");
+        assert_eq!(vfs.list("").unwrap(), ["f"]);
+        vfs.truncate("f", 6).unwrap();
+        assert_eq!(vfs.len("f").unwrap(), 6);
+        vfs.delete("f").unwrap();
+        assert!(!vfs.exists("f"));
     }
 
     #[test]

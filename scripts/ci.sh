@@ -52,7 +52,7 @@ for copy in "${copies[@]}"; do
     wait "$copy"
 done
 
-echo "==> crash-matrix smoke (64 points, sequential + concurrent sweeps)"
+echo "==> crash-matrix smoke (64 points, sequential + bulk + concurrent sweeps)"
 cargo run --release -p sc-bench --bin repro -- crashtest --points 64
 
 echo "==> observability smoke (repro obs emits a JSON exposition)"
