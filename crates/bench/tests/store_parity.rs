@@ -10,7 +10,7 @@
 use sc_core::mapping::MappedDwarf;
 use sc_core::models::{NosqlDwarfModel, SchemaModel};
 use sc_core::StoreBackedCube;
-use sc_dwarf::{CubeSchema, Dwarf, RangeSel, Selection, TupleSet};
+use sc_dwarf::{AggFn, CubeSchema, Dwarf, RangeSel, Selection, TupleSet};
 use sc_encoding::Rng;
 
 /// Small per-dimension vocabularies so random tuples collide and coalesce.
@@ -26,7 +26,8 @@ struct Case {
 fn random_case(rng: &mut Rng) -> Case {
     let dims = 1 + rng.gen_range(3) as usize;
     let names: Vec<String> = (0..dims).map(|i| format!("d{i}")).collect();
-    let schema = CubeSchema::new(names, "m");
+    let agg = *rng.choice(&[AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max]);
+    let schema = CubeSchema::new(names, "m").with_agg(agg);
     let mut ts = TupleSet::new(&schema);
     let tuples = 1 + rng.gen_range(40);
     let vocab_size = 2 + rng.gen_range(VOCAB.len() as u64 - 2) as usize;
@@ -81,8 +82,10 @@ fn random_mask_dims(rng: &mut Rng, dims: usize) -> Vec<String> {
 #[test]
 fn store_backed_queries_match_in_memory_cold_and_warm() {
     let mut rng = Rng::new(0x5eed_cafe);
+    let mut aggs = Vec::new();
     for case_no in 0..12 {
         let case = random_case(&mut rng);
+        aggs.push(case.cube.schema().agg());
         let mut model = NosqlDwarfModel::in_memory();
         model.create_schema().unwrap();
         let report = model
@@ -150,5 +153,8 @@ fn store_backed_queries_match_in_memory_cold_and_warm() {
                 assert_eq!(stats.node_cache_misses, 0);
             }
         }
+    }
+    for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+        assert!(aggs.contains(&agg), "no case drew {agg:?}");
     }
 }

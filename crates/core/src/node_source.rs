@@ -19,7 +19,7 @@ use crate::mapping::{StoredCell, ALL_KEY};
 use crate::models::protocol::NodeRows;
 use crate::models::{NosqlDwarfModel, NosqlMinModel};
 use sc_dwarf::source::{CowNode, NodeSource, OwnedCell, OwnedNode, SourceNodeId};
-use sc_dwarf::{AggFn, CubeSchema};
+use sc_dwarf::CubeSchema;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -52,17 +52,6 @@ impl ReadStats {
             0.0
         } else {
             self.node_cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Counter deltas since an earlier snapshot.
-    pub fn since(&self, earlier: &ReadStats) -> ReadStats {
-        ReadStats {
-            node_cache_hits: self.node_cache_hits - earlier.node_cache_hits,
-            node_cache_misses: self.node_cache_misses - earlier.node_cache_misses,
-            store_selects: self.store_selects - earlier.store_selects,
-            batched_selects: self.batched_selects - earlier.batched_selects,
-            rows_fetched: self.rows_fetched - earlier.rows_fetched,
         }
     }
 }
@@ -221,10 +210,6 @@ impl<M: NodeRows> NodeSource<'static> for StoreNodeSource<'_, M> {
         self.schema.num_dims()
     }
 
-    fn agg(&self) -> AggFn {
-        self.schema.agg()
-    }
-
     fn root(&self) -> Option<SourceNodeId> {
         Some(self.entry_node_id)
     }
@@ -308,12 +293,6 @@ impl NodeSource<'static> for StoredCellSource {
         self.num_dims
     }
 
-    /// Only slices run over fetched rows, and a slice copies leaf measures
-    /// without combining them.
-    fn agg(&self) -> AggFn {
-        AggFn::Sum
-    }
-
     fn root(&self) -> Option<SourceNodeId> {
         Some(self.entry_node_id)
     }
@@ -365,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn read_stats_deltas_and_ratio() {
+    fn read_stats_ratio() {
         let a = ReadStats {
             node_cache_hits: 3,
             node_cache_misses: 1,
@@ -375,11 +354,5 @@ mod tests {
         };
         assert!((a.hit_ratio() - 0.75).abs() < 1e-9);
         assert_eq!(ReadStats::default().hit_ratio(), 0.0);
-        let later = ReadStats {
-            node_cache_hits: 5,
-            ..a
-        };
-        assert_eq!(later.since(&a).node_cache_hits, 2);
-        assert_eq!(later.since(&a).rows_fetched, 0);
     }
 }

@@ -4,10 +4,9 @@
 //! implements the designed access path without rebuilding the whole DWARF
 //! in memory. A [`StoreBackedCube`] is the store cursor itself
 //! ([`StoreNodeSource`], over either NoSQL layout), given here the *same*
-//! generic traversal algorithms (`point_over`, `range_over`, `slice_over`,
-//! `group_by_over`) the in-memory [`sc_dwarf::Dwarf`] uses, so the store
-//! path answers point, range, slice and group-by queries with identical
-//! semantics.
+//! walk the in-memory [`sc_dwarf::Dwarf`] uses (`sc_dwarf::source`), so the
+//! store path answers point, range, slice and group-by queries with
+//! identical semantics and reads only the nodes that walk visits.
 
 use crate::error::{CoreError, Result};
 use crate::models::protocol::NodeRows;
@@ -47,7 +46,8 @@ impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
     /// Range aggregate straight off the store (same semantics as
     /// [`sc_dwarf::Dwarf::range`]).
     pub fn range(&mut self, sel: &[RangeSel]) -> Result<Option<i64>> {
-        range_over(self, sel).map_err(CoreError::from)
+        let agg = self.schema().agg();
+        range_over(self, sel, agg).map_err(CoreError::from)
     }
 
     /// Slice straight off the store (same semantics as
@@ -61,13 +61,10 @@ impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
     /// [`sc_dwarf::Dwarf::group_by`], except an unknown dimension name is
     /// reported as [`CoreError::UnknownDimension`]).
     pub fn group_by<S: AsRef<str>>(&mut self, dims: &[S]) -> Result<Vec<(Vec<String>, i64)>> {
-        let mut mask = vec![false; self.schema().num_dims()];
-        for d in dims {
-            let Some(i) = self.schema().dimension_index(d.as_ref()) else {
-                return Err(CoreError::UnknownDimension(d.as_ref().to_string()));
-            };
-            mask[i] = true;
-        }
+        let mask = self
+            .schema()
+            .group_mask(dims)
+            .map_err(|name| CoreError::UnknownDimension(name.to_string()))?;
         group_by_over(self, &mask).map_err(CoreError::from)
     }
 }
@@ -250,6 +247,26 @@ mod tests {
         let second = sbc.stats();
         assert_eq!(second.rows_fetched, first.rows_fetched);
         assert_eq!(second.node_cache_hits, 0);
+    }
+
+    #[test]
+    fn walks_stop_where_every_later_step_is_all() {
+        let c = cube();
+        let mut model = NosqlDwarfModel::in_memory();
+        let schema_id = stored(&mut model);
+        let mut sbc = StoreBackedCube::open_with_cache(&mut model, schema_id, 0).unwrap();
+        // The root's cells carry the answer: no node below it is read.
+        let point = [Selection::value("Ireland"), Selection::All, Selection::All];
+        assert_eq!(sbc.point(&point).unwrap(), Some(10));
+        assert_eq!(sbc.stats().node_cache_misses, 1);
+        sbc.reset_stats();
+        let range = [RangeSel::between("A", "J"), RangeSel::All, RangeSel::All];
+        assert_eq!(sbc.range(&range).unwrap(), Some(17));
+        assert_eq!(sbc.stats().node_cache_misses, 1);
+        // A slice keys every level, so it still reaches the leaves.
+        let slice = [RangeSel::value("Ireland"), RangeSel::All, RangeSel::All];
+        assert_eq!(sbc.slice(&slice).unwrap(), c.slice(&slice));
+        assert_eq!(sbc.slice(&range).unwrap(), c.extract_tuples());
     }
 
     #[test]

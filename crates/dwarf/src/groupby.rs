@@ -17,11 +17,7 @@ impl Dwarf {
     /// level order. Unknown names return `None`. An empty list yields the
     /// grand total as a single row with an empty key.
     pub fn group_by<S: AsRef<str>>(&self, dims: &[S]) -> Option<Vec<(Vec<String>, i64)>> {
-        let mut mask = vec![false; self.num_dims()];
-        for d in dims {
-            let idx = self.schema().dimension_index(d.as_ref())?;
-            mask[idx] = true;
-        }
+        let mask = self.schema().group_mask(dims).ok()?;
         Some(source::unwrap_infallible(source::group_by_over(
             &mut ArenaSource::new(self),
             &mask,

@@ -12,8 +12,9 @@
 //! no recomputation, exactly the property \[11\] is after.
 
 use crate::cube::Dwarf;
-use crate::query::{RangeSel, Selection};
+use crate::query::Selection;
 use crate::schema::{AggFn, CubeSchema};
+use crate::source::{unwrap_infallible, walk, ArenaSource, Step};
 use crate::tuple::TupleSet;
 
 /// A logical dimension with ordered hierarchy levels, coarsest first.
@@ -193,28 +194,24 @@ impl HierarchicalCube {
         if fixed_depth >= h.levels.len() {
             return Vec::new(); // Already at the finest level.
         }
-        // Region: everything matching `coords`, sliced per child value of
-        // the next level of `dimension`.
-        let mut region: Vec<RangeSel> = vec![RangeSel::All; self.cube.num_dims()];
+        // One walk: the coordinates' values fixed, the next level of
+        // `dimension` keyed, everything else aggregated out.
+        let mut steps = vec![Step::All; self.cube.num_dims()];
         for c in coords {
             let Some((off, _)) = self.hierarchy(&c.dimension) else {
                 return Vec::new();
             };
             for (i, v) in c.values.iter().enumerate() {
-                region[off + i] = RangeSel::value(v.clone());
+                steps[off + i] = Step::value(v);
             }
         }
-        let child_dim = offset + fixed_depth;
-        let interner = self.cube.interner(child_dim);
+        steps[offset + fixed_depth] = Step::EVERY;
         let mut out = Vec::new();
-        for (_, value) in interner.iter() {
-            let mut r = region.clone();
-            r[child_dim] = RangeSel::value(value);
-            if let Some(total) = self.cube.range(&r) {
-                out.push((value.to_string(), total));
-            }
-        }
-        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        unwrap_infallible(walk(
+            &mut ArenaSource::new(&self.cube),
+            &steps,
+            &mut |keys, total| out.push((keys[0].clone(), total)),
+        ));
         out
     }
 }
@@ -302,6 +299,21 @@ mod tests {
         assert_eq!(
             c.drilldown(&[coord("time", &["2015", "11"])], "geo"),
             vec![("Dublin".to_string(), 11)]
+        );
+    }
+
+    #[test]
+    fn drilldown_with_another_hierarchy_fixed_below() {
+        let c = bike_cube();
+        // geo is fixed on levels below the drilled time levels.
+        assert_eq!(
+            c.drilldown(&[coord("geo", &["Dublin"])], "time"),
+            vec![("2015".to_string(), 11), ("2016".to_string(), 2)]
+        );
+        // A month with no Cork facts drops out.
+        assert_eq!(
+            c.drilldown(&[coord("time", &["2015"]), coord("geo", &["Cork"])], "time"),
+            vec![("12".to_string(), 9)]
         );
     }
 

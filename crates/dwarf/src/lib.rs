@@ -46,10 +46,12 @@
 //! * `tuple` — tuple collection, sorting, duplicate pre-aggregation
 //! * [`builder`] — the one-pass construction algorithm + `SuffixCoalesce`
 //! * [`cube`] — the built structure, stats, validation, tuple re-extraction
-//! * [`query`] — point, range and slice queries
-//! * [`source`] — the `NodeSource` trait and the generic traversal core
-//!   shared by the in-memory and store-backed read paths
-//! * [`merge`] — cube merging and the delta buffer for incremental updates
+//! * [`query`] — the point, range and slice front door of a built cube
+//! * [`groupby`] — `GROUP BY` over any subset of dimensions
+//! * [`source`] — the `NodeSource` trait and the one walk behind every
+//!   query, shared by the in-memory and store-backed read paths
+//! * [`merge`] — cube merging and the delta buffer for incremental updates,
+//!   all rebuilt through `Dwarf::from_aggregated_rows`
 //! * [`hierarchy`] — the Hierarchical-DWARF extension (rollup / drilldown)
 //! * [`dot`] — Graphviz rendering (the paper's Figure 2)
 

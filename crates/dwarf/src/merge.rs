@@ -25,20 +25,11 @@ impl Dwarf {
             self.schema, other.schema,
             "cannot merge cubes with different schemas"
         );
-        // Re-extracted measures are already aggregates; for Count they must
-        // be *summed*, not re-counted, so build under Sum semantics and
-        // restore the Count schema label afterwards.
-        let build_schema = rebuild_schema(&self.schema);
-        let mut ts = TupleSet::new(&build_schema);
-        for (key, measure) in self.extract_tuples() {
-            ts.push(key.iter().map(String::as_str), measure);
-        }
-        for (key, measure) in other.extract_tuples() {
-            ts.push(key.iter().map(String::as_str), measure);
-        }
-        let mut merged = Dwarf::build(build_schema, ts);
-        merged.schema = self.schema.clone();
-        merged
+        let rows = self
+            .extract_tuples()
+            .into_iter()
+            .chain(other.extract_tuples());
+        Dwarf::from_aggregated_rows(self.schema.clone(), rows)
     }
 
     /// Applies a delta buffer, returning the updated cube.
@@ -47,26 +38,17 @@ impl Dwarf {
             &self.schema, &delta.schema,
             "delta buffer built for a different schema"
         );
-        let build_schema = rebuild_schema(&self.schema);
-        let mut ts = TupleSet::new(&build_schema);
-        for (key, measure) in self.extract_tuples() {
-            ts.push(key.iter().map(String::as_str), measure);
-        }
-        for (key, measure) in &delta.rows {
-            // Delta rows are raw facts: apply the original tuple transform
-            // (Count -> 1) before summing into the rebuild.
-            ts.push(
-                key.iter().map(String::as_str),
-                self.schema.agg().of_tuple(*measure),
-            );
-        }
-        let mut merged = Dwarf::build(build_schema, ts);
-        merged.schema = self.schema.clone();
-        merged
+        // Delta rows are raw facts: apply the original tuple transform
+        // (Count -> 1) so they join the cube's rows as aggregates.
+        let agg = self.schema.agg();
+        let delta_rows = delta
+            .rows
+            .iter()
+            .map(|(key, measure)| (key.clone(), agg.of_tuple(*measure)));
+        let rows = self.extract_tuples().into_iter().chain(delta_rows);
+        Dwarf::from_aggregated_rows(self.schema.clone(), rows)
     }
-}
 
-impl Dwarf {
     /// Rebuilds a cube from already-aggregated fact rows (as produced by
     /// [`Dwarf::extract_tuples`] or read back from a store).
     ///
@@ -77,7 +59,10 @@ impl Dwarf {
         schema: CubeSchema,
         rows: impl IntoIterator<Item = (Vec<String>, i64)>,
     ) -> Dwarf {
-        let build_schema = rebuild_schema(&schema);
+        let build_schema = match schema.agg() {
+            AggFn::Count => schema.clone().with_agg(AggFn::Sum),
+            _ => schema.clone(),
+        };
         let mut ts = TupleSet::new(&build_schema);
         for (key, measure) in rows {
             ts.push(key.iter().map(String::as_str), measure);
@@ -163,13 +148,6 @@ impl Dwarf {
             acc.absorb(cube);
         }
         acc.finish()
-    }
-}
-
-fn rebuild_schema(schema: &CubeSchema) -> CubeSchema {
-    match schema.agg() {
-        AggFn::Count => schema.clone().with_agg(AggFn::Sum),
-        _ => schema.clone(),
     }
 }
 

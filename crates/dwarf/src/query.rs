@@ -94,7 +94,8 @@ impl Dwarf {
     }
 
     fn range_inner(&self, sel: &[RangeSel]) -> Option<i64> {
-        source::unwrap_infallible(source::range_over(&mut ArenaSource::new(self), sel))
+        let agg = self.schema().agg();
+        source::unwrap_infallible(source::range_over(&mut ArenaSource::new(self), sel, agg))
     }
 
     /// Slice: the base fact rows (string keys + aggregated measures) that

@@ -134,6 +134,17 @@ impl CubeSchema {
         self.dimensions.iter().position(|d| d == name)
     }
 
+    /// The GROUP BY mask of `dims` (names in any order): `mask[level]` says
+    /// whether that level is grouped. The error is the first unknown name.
+    pub fn group_mask<'d, S: AsRef<str>>(&self, dims: &'d [S]) -> Result<Vec<bool>, &'d str> {
+        let mut mask = vec![false; self.num_dims()];
+        for d in dims {
+            let d = d.as_ref();
+            mask[self.dimension_index(d).ok_or(d)?] = true;
+        }
+        Ok(mask)
+    }
+
     /// Measure name.
     pub fn measure(&self) -> &str {
         &self.measure
@@ -170,6 +181,9 @@ mod tests {
         assert_eq!(s.dimension_index("z"), None);
         assert_eq!(s.measure(), "m");
         assert_eq!(s.agg(), AggFn::Max);
+        assert_eq!(s.group_mask(&["b"]), Ok(vec![false, true]));
+        assert_eq!(s.group_mask::<&str>(&[]), Ok(vec![false, false]));
+        assert_eq!(s.group_mask(&["b", "z", "y"]), Err("z"));
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! The unified read path: one traversal core over any node storage.
+//! The unified read path: one walk over any node storage.
 //!
-//! Every cube query — point, range, slice, group-by — is the same walk over
-//! a levelled DAG of nodes. Historically the workspace had three divergent
-//! copies of that walk (the arena walk here in `sc-dwarf`, a point-only
-//! re-implementation over NoSQL rows in `sc-core`, and a per-model rebuild
-//! walk). This module extracts the walk into generic algorithms over a
-//! [`NodeSource`] trait so there is exactly one traversal core:
+//! DWARF answers every query with one rule: follow value cells on the
+//! constrained dimensions and the ALL cell on the aggregated ones. This
+//! module writes that rule once, as a depth-first walk over a
+//! [`NodeSource`] driven by one step per level; point, range, slice and
+//! group-by are adapters that translate their selection into steps and
+//! collect what the walk emits. Sources:
 //!
 //! * [`ArenaSource`] — the trivial, zero-copy implementation over a built
-//!   [`Dwarf`]; the existing `Dwarf::point/range/slice/group_by` API
-//!   delegates here.
+//!   [`Dwarf`]; `Dwarf::point/range/slice/group_by` delegate here.
 //! * `StoreNodeSource` (in `sc-core`) — answers from NoSQL rows with a
 //!   batched `WHERE id IN (...)` fetch per node and a bounded LRU cache.
+//! * `StoredCellSource` (in `sc-core`) — rows already fetched by a model's
+//!   `rebuild()`.
 //!
 //! Keys are compared as strings. This is sound for the arena because value
 //! ids are ranked lexicographically (id order == string order), and it is
-//! what lets a store that kept only the strings share the algorithms.
+//! what lets a store that kept only the strings share the walk.
 
 use std::convert::Infallible;
 use std::rc::Rc;
@@ -146,14 +147,16 @@ impl CowNode<'_> {
         }
     }
 
-    /// Binary-searches for a cell index by key.
+    /// Binary-searches for a cell index by key. The arena looks the key up
+    /// in its level's dictionary once and searches value ids.
     pub fn find(&self, key: &str) -> Option<usize> {
         match self {
             CowNode::Arena {
                 cells, interner, ..
-            } => cells
-                .binary_search_by(|c| interner.resolve(c.key).cmp(key))
-                .ok(),
+            } => {
+                let id = interner.get(key)?;
+                cells.binary_search_by_key(&id, |c| c.key).ok()
+            }
             CowNode::Owned(n) => n.cells.binary_search_by(|c| c.key.as_str().cmp(key)).ok(),
         }
     }
@@ -204,9 +207,6 @@ pub trait NodeSource<'s> {
     /// Number of dimensions of the cube being traversed.
     fn num_dims(&self) -> usize;
 
-    /// The cube's aggregate function (used to combine range partials).
-    fn agg(&self) -> AggFn;
-
     /// The root node, or `None` for an empty cube.
     fn root(&self) -> Option<SourceNodeId>;
 
@@ -232,10 +232,6 @@ impl<'c> NodeSource<'c> for ArenaSource<'c> {
 
     fn num_dims(&self) -> usize {
         self.cube.num_dims()
-    }
-
-    fn agg(&self) -> AggFn {
-        self.cube.schema().agg()
     }
 
     fn root(&self) -> Option<SourceNodeId> {
@@ -266,18 +262,171 @@ pub(crate) fn unwrap_infallible<T>(r: Result<T, TraverseError<Infallible>>) -> T
     }
 }
 
-fn source_err<E>(e: E) -> TraverseError<E> {
-    TraverseError::Source(e)
+/// What the walk does at one level.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step<'a> {
+    /// Follow the ALL cell.
+    All,
+    /// Descend the value cells whose keys fall in `[lo, hi]` (`None`:
+    /// unbounded); `keyed` adds each cell's key to the emitted row.
+    Cells {
+        lo: Option<&'a str>,
+        hi: Option<&'a str>,
+        keyed: bool,
+    },
 }
 
-fn missing_all<E>(level: usize) -> TraverseError<E> {
-    TraverseError::Inconsistent(format!("non-leaf node at level {level} has no ALL pointer"))
+impl<'a> Step<'a> {
+    /// Every value cell, keyed: a grouped level, or an unconstrained one of
+    /// a slice.
+    pub(crate) const EVERY: Step<'static> = Step::Cells {
+        lo: None,
+        hi: None,
+        keyed: true,
+    };
+
+    /// Exactly the cell keyed `v`, not keyed in the output.
+    pub(crate) fn value(v: &'a str) -> Step<'a> {
+        Step::Cells {
+            lo: Some(v),
+            hi: Some(v),
+            keyed: false,
+        }
+    }
+
+    /// One range coordinate. A slice (`keyed`) lists the rows under an
+    /// unconstrained level instead of aggregating it out.
+    fn of(sel: &'a RangeSel, keyed: bool) -> Step<'a> {
+        let (lo, hi) = match sel {
+            RangeSel::All if keyed => return Step::EVERY,
+            RangeSel::All => return Step::All,
+            RangeSel::Value(v) => (v, v),
+            RangeSel::Between(lo, hi) => (lo, hi),
+        };
+        Step::Cells {
+            lo: Some(lo),
+            hi: Some(hi),
+            keyed,
+        }
+    }
 }
 
-fn missing_child<E>(level: usize) -> TraverseError<E> {
-    TraverseError::Inconsistent(format!(
-        "non-leaf cell at level {level} lacks a pointer node"
-    ))
+/// The one traversal: a depth-first walk from the root that applies
+/// `steps[level]` at each level and calls `emit(keys, measure)` per row it
+/// reaches, in key order; `keys` are the keys of the `keyed` levels on the
+/// row's path. An inverted interval (`lo > hi`) matches no cell.
+///
+/// **Stop rule.** Once every later step is [`Step::All`], the walk emits a
+/// cell's measure, or on an ALL step the node's total, instead of
+/// descending: the DWARF invariant ([`Dwarf::validate`]) makes a cell's
+/// measure equal to its child's total. At every level it visits, the walk
+/// fails with [`TraverseError::Inconsistent`] on a non-leaf node without an
+/// ALL pointer, a non-leaf cell without a pointer and a leaf cell with one.
+///
+/// Panics if `steps.len()` differs from the source's dimension count.
+pub(crate) fn walk<'s, S: NodeSource<'s>>(
+    src: &mut S,
+    steps: &[Step<'_>],
+    emit: &mut impl FnMut(&[String], i64),
+) -> Result<(), TraverseError<S::Err>> {
+    assert_eq!(
+        steps.len(),
+        src.num_dims(),
+        "selection arity must match dimensions"
+    );
+    let Some(root) = src.root() else {
+        return Ok(());
+    };
+    // The first level from which every step is ALL.
+    let stop = steps
+        .iter()
+        .rposition(|s| !matches!(s, Step::All))
+        .map_or(0, |at| at + 1);
+    walk_from(src, root, 0, steps, stop, &mut Vec::new(), emit)
+}
+
+/// [`walk`] from node `id` at `level`.
+fn walk_from<'s, S: NodeSource<'s>>(
+    src: &mut S,
+    id: SourceNodeId,
+    level: usize,
+    steps: &[Step<'_>],
+    stop: usize,
+    keys: &mut Vec<String>,
+    emit: &mut impl FnMut(&[String], i64),
+) -> Result<(), TraverseError<S::Err>> {
+    let node = src.node(id).map_err(TraverseError::Source)?;
+    if node.is_empty() {
+        return Ok(());
+    }
+    let leaf = level + 1 == steps.len();
+    let all = node.all_child();
+    if all.is_none() && !leaf {
+        return Err(inconsistent("non-leaf node has no ALL pointer", level));
+    }
+    let (lo, hi, keyed) = match steps[level] {
+        Step::All => {
+            return match all {
+                Some(all) if level < stop => {
+                    walk_from(src, all, level + 1, steps, stop, keys, emit)
+                }
+                _ => {
+                    emit(keys, node.total());
+                    Ok(())
+                }
+            }
+        }
+        Step::Cells { lo, hi, keyed } => (lo, hi, keyed),
+    };
+    // An exact match is one search, with no bound left to check. A value
+    // step's bounds are one string, so the pointer test settles it.
+    let (cells, hi) = match (lo, hi) {
+        (Some(lo), Some(hi)) if std::ptr::eq(lo, hi) || lo == hi => {
+            (node.find(lo).map_or(0..0, |i| i..i + 1), None)
+        }
+        _ => (lo.map_or(0, |lo| node.lower_bound(lo))..node.len(), hi),
+    };
+    for i in cells {
+        if hi.is_some_and(|hi| node.key(i) > hi) {
+            break;
+        }
+        let child = cell_child(&node, i, leaf, level)?;
+        if keyed {
+            keys.push(node.key(i).to_string());
+        }
+        match child {
+            Some(child) if level + 1 < stop => {
+                walk_from(src, child, level + 1, steps, stop, keys, emit)?
+            }
+            _ => emit(keys, node.measure(i)),
+        }
+        if keyed {
+            keys.pop();
+        }
+    }
+    Ok(())
+}
+
+/// The child of cell `i`, which a non-leaf cell must have and a leaf cell
+/// must not.
+#[inline]
+fn cell_child<E>(
+    node: &CowNode<'_>,
+    i: usize,
+    leaf: bool,
+    level: usize,
+) -> Result<Option<SourceNodeId>, TraverseError<E>> {
+    match (node.child(i), leaf) {
+        (None, false) => Err(inconsistent("non-leaf cell lacks a pointer node", level)),
+        (Some(_), true) => Err(inconsistent("leaf cell has a pointer node", level)),
+        (child, _) => Ok(child),
+    }
+}
+
+/// A structural defect found at `level`.
+#[cold]
+fn inconsistent<E>(what: &str, level: usize) -> TraverseError<E> {
+    TraverseError::Inconsistent(format!("{what} at level {level}"))
 }
 
 /// Point / group-by query over any source: one [`Selection`] per dimension.
@@ -287,120 +436,33 @@ pub fn point_over<'s, S: NodeSource<'s>>(
     src: &mut S,
     sel: &[Selection],
 ) -> Result<Option<i64>, TraverseError<S::Err>> {
-    let d = src.num_dims();
-    assert_eq!(sel.len(), d, "selection arity must match dimensions");
-    let Some(mut id) = src.root() else {
-        return Ok(None);
-    };
-    for (level, s) in sel.iter().enumerate() {
-        let node = src.node(id).map_err(source_err)?;
-        if node.is_empty() {
-            return Ok(None);
-        }
-        let leaf = level == d - 1;
-        match s {
-            Selection::All => {
-                if leaf {
-                    return Ok(Some(node.total()));
-                }
-                id = node.all_child().ok_or_else(|| missing_all(level))?;
-            }
-            Selection::Value(v) => {
-                let Some(i) = node.find(v) else {
-                    return Ok(None);
-                };
-                if leaf {
-                    return Ok(Some(node.measure(i)));
-                }
-                id = node.child(i).ok_or_else(|| missing_child(level))?;
-            }
-        }
-    }
-    unreachable!("loop returns at the leaf level")
+    let steps: Vec<Step> = sel
+        .iter()
+        .map(|s| match s {
+            Selection::All => Step::All,
+            Selection::Value(v) => Step::value(v),
+        })
+        .collect();
+    let mut out = None;
+    walk(src, &steps, &mut |_, m| out = Some(m))?;
+    Ok(out)
 }
 
-/// Range aggregate over any source: one [`RangeSel`] per dimension.
+/// Range aggregate over any source: one [`RangeSel`] per dimension, the
+/// matching measures combined with `agg` (the cube schema's).
 ///
 /// Panics if `sel.len()` differs from the source's dimension count.
 pub fn range_over<'s, S: NodeSource<'s>>(
     src: &mut S,
     sel: &[RangeSel],
-) -> Result<Option<i64>, TraverseError<S::Err>> {
-    let d = src.num_dims();
-    assert_eq!(sel.len(), d, "selection arity must match dimensions");
-    if has_empty_interval(sel) {
-        return Ok(None);
-    }
-    let Some(root) = src.root() else {
-        return Ok(None);
-    };
-    let agg = src.agg();
-    range_rec(src, root, 0, sel, agg, d)
-}
-
-fn range_rec<'s, S: NodeSource<'s>>(
-    src: &mut S,
-    id: SourceNodeId,
-    level: usize,
-    sel: &[RangeSel],
     agg: AggFn,
-    d: usize,
 ) -> Result<Option<i64>, TraverseError<S::Err>> {
-    let node = src.node(id).map_err(source_err)?;
-    if node.is_empty() {
-        return Ok(None);
-    }
-    let leaf = level == d - 1;
-    match &sel[level] {
-        RangeSel::All => {
-            if leaf {
-                Ok(Some(node.total()))
-            } else {
-                let all = node.all_child().ok_or_else(|| missing_all(level))?;
-                if trailing_all(sel, level + 1) {
-                    // Everything below is unconstrained: the ALL pointer
-                    // already materializes this aggregate.
-                    let all_node = src.node(all).map_err(source_err)?;
-                    Ok(Some(all_node.total()))
-                } else {
-                    range_rec(src, all, level + 1, sel, agg, d)
-                }
-            }
-        }
-        RangeSel::Value(v) => {
-            let Some(i) = node.find(v) else {
-                return Ok(None);
-            };
-            if leaf {
-                Ok(Some(node.measure(i)))
-            } else {
-                let child = node.child(i).ok_or_else(|| missing_child(level))?;
-                range_rec(src, child, level + 1, sel, agg, d)
-            }
-        }
-        RangeSel::Between(lo, hi) => {
-            let start = node.lower_bound(lo);
-            let mut acc: Option<i64> = None;
-            for i in start..node.len() {
-                if node.key(i) > hi.as_str() {
-                    break;
-                }
-                let part = if leaf {
-                    Some(node.measure(i))
-                } else {
-                    let child = node.child(i).ok_or_else(|| missing_child(level))?;
-                    range_rec(src, child, level + 1, sel, agg, d)?
-                };
-                if let Some(p) = part {
-                    acc = Some(match acc {
-                        Some(a) => agg.combine(a, p),
-                        None => p,
-                    });
-                }
-            }
-            Ok(acc)
-        }
-    }
+    let steps: Vec<Step> = sel.iter().map(|s| Step::of(s, false)).collect();
+    let mut acc = None;
+    walk(src, &steps, &mut |_, m| {
+        acc = Some(acc.map_or(m, |a| agg.combine(a, m)))
+    })?;
+    Ok(acc)
 }
 
 /// Slice over any source: the base fact rows (string keys + aggregated
@@ -411,56 +473,10 @@ pub fn slice_over<'s, S: NodeSource<'s>>(
     src: &mut S,
     sel: &[RangeSel],
 ) -> Result<Vec<(Vec<String>, i64)>, TraverseError<S::Err>> {
-    let d = src.num_dims();
-    assert_eq!(sel.len(), d, "selection arity must match dimensions");
+    let steps: Vec<Step> = sel.iter().map(|s| Step::of(s, true)).collect();
     let mut out = Vec::new();
-    if has_empty_interval(sel) {
-        return Ok(out);
-    }
-    let Some(root) = src.root() else {
-        return Ok(out);
-    };
-    let mut path = Vec::with_capacity(d);
-    slice_rec(src, root, 0, sel, d, &mut path, &mut out)?;
+    walk(src, &steps, &mut |keys, m| out.push((keys.to_vec(), m)))?;
     Ok(out)
-}
-
-fn slice_rec<'s, S: NodeSource<'s>>(
-    src: &mut S,
-    id: SourceNodeId,
-    level: usize,
-    sel: &[RangeSel],
-    d: usize,
-    path: &mut Vec<String>,
-    out: &mut Vec<(Vec<String>, i64)>,
-) -> Result<(), TraverseError<S::Err>> {
-    let node = src.node(id).map_err(source_err)?;
-    let leaf = level == d - 1;
-    let (lo, hi) = match &sel[level] {
-        RangeSel::All => (None, None),
-        RangeSel::Value(v) => (Some(v.as_str()), Some(v.as_str())),
-        RangeSel::Between(l, h) => (Some(l.as_str()), Some(h.as_str())),
-    };
-    let start = lo.map_or(0, |l| node.lower_bound(l));
-    for i in start..node.len() {
-        if hi.is_some_and(|h| node.key(i) > h) {
-            break;
-        }
-        path.push(node.key(i).to_string());
-        if leaf {
-            if node.child(i).is_some() {
-                return Err(TraverseError::Inconsistent(
-                    "leaf cell has a pointer node".into(),
-                ));
-            }
-            out.push((path.clone(), node.measure(i)));
-        } else {
-            let child = node.child(i).ok_or_else(|| missing_child(level))?;
-            slice_rec(src, child, level + 1, sel, d, path, out)?;
-        }
-        path.pop();
-    }
-    Ok(())
 }
 
 /// GROUP BY over any source. `mask[level]` says whether that dimension is
@@ -472,62 +488,13 @@ pub fn group_by_over<'s, S: NodeSource<'s>>(
     src: &mut S,
     mask: &[bool],
 ) -> Result<Vec<(Vec<String>, i64)>, TraverseError<S::Err>> {
-    let d = src.num_dims();
-    assert_eq!(mask.len(), d, "mask arity must match dimensions");
+    let steps: Vec<Step> = mask
+        .iter()
+        .map(|&grouped| if grouped { Step::EVERY } else { Step::All })
+        .collect();
     let mut out = Vec::new();
-    let Some(root) = src.root() else {
-        return Ok(out);
-    };
-    let mut key = Vec::new();
-    group_rec(src, root, 0, mask, d, &mut key, &mut out)?;
+    walk(src, &steps, &mut |keys, m| out.push((keys.to_vec(), m)))?;
     Ok(out)
-}
-
-fn group_rec<'s, S: NodeSource<'s>>(
-    src: &mut S,
-    id: SourceNodeId,
-    level: usize,
-    mask: &[bool],
-    d: usize,
-    key: &mut Vec<String>,
-    out: &mut Vec<(Vec<String>, i64)>,
-) -> Result<(), TraverseError<S::Err>> {
-    let node = src.node(id).map_err(source_err)?;
-    if node.is_empty() {
-        return Ok(());
-    }
-    let leaf = level == d - 1;
-    if mask[level] {
-        for i in 0..node.len() {
-            key.push(node.key(i).to_string());
-            if leaf || mask[level + 1..].iter().all(|g| !g) {
-                // Every remaining level is aggregated out: the cell's
-                // measure IS the group's aggregate (child totals are
-                // cached on cells).
-                out.push((key.clone(), node.measure(i)));
-            } else {
-                let child = node.child(i).ok_or_else(|| missing_child(level))?;
-                group_rec(src, child, level + 1, mask, d, key, out)?;
-            }
-            key.pop();
-        }
-    } else if leaf {
-        // Fully aggregated leaf: node total closes the group.
-        out.push((key.clone(), node.total()));
-    } else {
-        let all = node.all_child().ok_or_else(|| missing_all(level))?;
-        group_rec(src, all, level + 1, mask, d, key, out)?;
-    }
-    Ok(())
-}
-
-fn has_empty_interval(sel: &[RangeSel]) -> bool {
-    sel.iter()
-        .any(|s| matches!(s, RangeSel::Between(lo, hi) if lo > hi))
-}
-
-fn trailing_all(sel: &[RangeSel], from: usize) -> bool {
-    sel[from..].iter().all(|r| matches!(r, RangeSel::All))
 }
 
 #[cfg(test)]
@@ -551,7 +518,6 @@ mod tests {
         nodes: std::collections::HashMap<SourceNodeId, Rc<OwnedNode>>,
         root: Option<SourceNodeId>,
         num_dims: usize,
-        agg: AggFn,
     }
 
     impl OwnedMirror {
@@ -580,7 +546,6 @@ mod tests {
                 nodes,
                 root: (!cube.is_empty()).then(|| cube.root() as SourceNodeId),
                 num_dims: cube.num_dims(),
-                agg: cube.schema().agg(),
             }
         }
     }
@@ -590,10 +555,6 @@ mod tests {
 
         fn num_dims(&self) -> usize {
             self.num_dims
-        }
-
-        fn agg(&self) -> AggFn {
-            self.agg
         }
 
         fn root(&self) -> Option<SourceNodeId> {
@@ -631,7 +592,10 @@ mod tests {
             vec![RangeSel::value("tue"), RangeSel::value("b")],
         ];
         for sel in &ranges {
-            assert_eq!(range_over(&mut mirror, sel).unwrap(), c.range(sel));
+            assert_eq!(
+                range_over(&mut mirror, sel, AggFn::Sum).unwrap(),
+                c.range(sel)
+            );
             assert_eq!(slice_over(&mut mirror, sel).unwrap(), c.slice(sel));
         }
         for mask in [[false, false], [true, false], [false, true], [true, true]] {
@@ -679,6 +643,37 @@ mod tests {
     }
 
     #[test]
+    fn missing_all_pointers_and_leaf_pointers_are_detected_on_every_walk() {
+        let c = cube();
+        let root = c.root() as SourceNodeId;
+        fn inconsistent<T>(r: Result<T, TraverseError<String>>) -> bool {
+            matches!(r, Err(TraverseError::Inconsistent(_)))
+        }
+        // A root without its ALL pointer fails even a walk that never
+        // follows it.
+        let mut mirror = OwnedMirror::of(&c);
+        let n = mirror.nodes[&root].as_ref().clone();
+        let no_all = OwnedNode::from_cells(n.cells.clone(), None, n.total);
+        mirror.nodes.insert(root, Rc::new(no_all));
+        let slice = [RangeSel::value("mon"), RangeSel::All];
+        assert!(inconsistent(slice_over(&mut mirror, &slice)));
+        assert!(inconsistent(group_by_over(&mut mirror, &[true, false])));
+        // A leaf cell with a pointer fails a walk that reaches it.
+        let mut mirror = OwnedMirror::of(&c);
+        let leaf = n.cells[0].child.unwrap();
+        let l = mirror.nodes[&leaf].as_ref().clone();
+        let mut cells = l.cells.clone();
+        cells[0].child = Some(root);
+        mirror
+            .nodes
+            .insert(leaf, Rc::new(OwnedNode::from_cells(cells, None, l.total)));
+        let point = [Selection::value("mon"), Selection::value("a")];
+        assert!(inconsistent(point_over(&mut mirror, &point)));
+        let range = [RangeSel::between("a", "z"), RangeSel::value("a")];
+        assert!(inconsistent(range_over(&mut mirror, &range, AggFn::Sum)));
+    }
+
+    #[test]
     fn empty_cube_is_none_everywhere() {
         let schema = CubeSchema::new(["a", "b"], "m");
         let c = Dwarf::build(schema.clone(), TupleSet::new(&schema));
@@ -688,7 +683,7 @@ mod tests {
             None
         );
         assert_eq!(
-            range_over(&mut src, &[RangeSel::All, RangeSel::All]).unwrap(),
+            range_over(&mut src, &[RangeSel::All, RangeSel::All], AggFn::Sum).unwrap(),
             None
         );
         assert!(slice_over(&mut src, &[RangeSel::All, RangeSel::All])

@@ -125,24 +125,27 @@ fn range_queries_match_oracle() {
     let mut rng = Rng::new(0xD03);
     for _ in 0..64 {
         let rows = random_rows(&mut rng, 3, 40);
-        let schema = CubeSchema::new(["x", "y", "z"], "m");
-        let cube = build(&schema, &rows);
         let ranges = [
             RangeSel::All,
             RangeSel::value("b"),
             RangeSel::between("a", "c"),
             RangeSel::between("b", "zz"),
-            RangeSel::between("z", "a"), // empty
+            RangeSel::between("z", "a"),  // inverted: empty
+            RangeSel::between("dd", "b"), // inverted between present values
         ];
-        for r0 in &ranges {
-            for r1 in &ranges {
-                for r2 in &ranges {
-                    let sel = vec![r0.clone(), r1.clone(), r2.clone()];
-                    assert_eq!(
-                        cube.range(&sel),
-                        oracle_range(AggFn::Sum, &rows, &sel),
-                        "selection {sel:?} rows {rows:?}"
-                    );
+        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+            let schema = CubeSchema::new(["x", "y", "z"], "m").with_agg(agg);
+            let cube = build(&schema, &rows);
+            for r0 in &ranges {
+                for r1 in &ranges {
+                    for r2 in &ranges {
+                        let sel = vec![r0.clone(), r1.clone(), r2.clone()];
+                        assert_eq!(
+                            cube.range(&sel),
+                            oracle_range(agg, &rows, &sel),
+                            "agg {agg:?} selection {sel:?} rows {rows:?}"
+                        );
+                    }
                 }
             }
         }

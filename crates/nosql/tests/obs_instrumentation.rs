@@ -47,7 +47,11 @@ fn disk_backed_flush_and_compaction_spans_record_time_and_bytes() {
     let before = Registry::global().snapshot();
     let (db, dir) = disk_db("spans");
     workload(&db, 400);
+    // Merges run on the background pool: let them finish before reading
+    // the registry, and stop the engine before removing its directory.
+    db.drain_compactions();
     let after = Registry::global().snapshot();
+    drop(db);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 
     let delta =
@@ -117,7 +121,9 @@ fn block_cache_counters_track_cold_and_warm_reads() {
         }
     }
     let stats = db.block_cache_stats();
+    db.drain_compactions();
     let after = Registry::global().snapshot();
+    drop(db);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
@@ -153,6 +159,7 @@ fn recovery_span_and_replay_counter_record_a_reopen() {
     let reopened = Db::open(OpenOptions::default().vfs(vfs).recover(true)).expect("recovery");
     drop(reopened);
     let after = Registry::global().snapshot();
+    drop(db);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 
     let replayed = after

@@ -41,15 +41,20 @@ echo "==> concurrency tier under CPU contention (three copies at once)"
 # the load that exposes work a crashed engine leaves running into the next
 # engine's recovery (a queued merge deleting its inputs after the manifest
 # that names them was read — about one run in 150 when it can happen).
-concurrent_bin="$(cargo test --release -p sc-nosql --test concurrent --no-run 2>&1 |
-    sed -n 's/^ *Executable .*(\(.*\))$/\1/p')"
-copies=()
-for _ in 1 2 3; do
-    "$concurrent_bin" -q &
-    copies+=($!)
-done
-for copy in "${copies[@]}"; do
-    wait "$copy"
+# obs_instrumentation runs the same way: its disk-backed engines merge in
+# the background, and a test that reads the registry or removes the
+# directory before those merges finish fails only when it is starved.
+for test_name in concurrent obs_instrumentation; do
+    test_bin="$(cargo test --release -p sc-nosql --test "$test_name" --no-run 2>&1 |
+        sed -n 's/^ *Executable .*(\(.*\))$/\1/p')"
+    copies=()
+    for _ in 1 2 3; do
+        "$test_bin" -q &
+        copies+=($!)
+    done
+    for copy in "${copies[@]}"; do
+        wait "$copy"
+    done
 done
 
 echo "==> crash-matrix smoke (64 points, sequential + bulk + concurrent sweeps)"

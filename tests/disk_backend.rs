@@ -56,6 +56,8 @@ fn disk_and_memory_backends_agree_on_stored_bytes() {
         }
     }
     assert!(found_sst, "expected SSTable files under {dir:?}");
+    disk_model.db_mut().drain_compactions();
+    drop(disk_model);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
