@@ -75,7 +75,7 @@ pub use merge::{DeltaBuffer, MergeAccumulator};
 pub use query::{RangeSel, Selection};
 pub use schema::{AggFn, CubeSchema};
 pub use source::{
-    group_by_over, point_over, range_over, slice_over, ArenaSource, CowNode, NodeSource, OwnedCell,
-    OwnedNode, SourceNodeId, TraverseError,
+    group_by_over, point_over, range_over, slice_over, ArenaSource, CowNode, KeyedRows, NodeSource,
+    OwnedCell, OwnedNode, SourceNodeId, TraverseError,
 };
 pub use tuple::TupleSet;

@@ -30,6 +30,10 @@ use crate::schema::AggFn;
 /// ids (`u32`) and store row ids (schema-offset `i64`).
 pub type SourceNodeId = i64;
 
+/// Rows a slice or group-by returns: `(string keys, aggregated measure)`,
+/// sorted by key.
+pub type KeyedRows = Vec<(Vec<String>, i64)>;
+
 /// An owned cell of an [`OwnedNode`] (store-backed sources materialize
 /// these from fetched rows).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,7 +247,8 @@ impl<'c> NodeSource<'c> for ArenaSource<'c> {
         Ok(CowNode::Arena {
             cells: nr.cells,
             interner: self.cube.interner(nr.node.level as usize),
-            all_child: (nr.node.all_child != NONE_NODE).then(|| nr.node.all_child as SourceNodeId),
+            all_child: (nr.node.all_child != NONE_NODE)
+                .then_some(nr.node.all_child as SourceNodeId),
             total: nr.node.total,
         })
     }
@@ -472,7 +477,7 @@ pub fn range_over<'s, S: NodeSource<'s>>(
 pub fn slice_over<'s, S: NodeSource<'s>>(
     src: &mut S,
     sel: &[RangeSel],
-) -> Result<Vec<(Vec<String>, i64)>, TraverseError<S::Err>> {
+) -> Result<KeyedRows, TraverseError<S::Err>> {
     let steps: Vec<Step> = sel.iter().map(|s| Step::of(s, true)).collect();
     let mut out = Vec::new();
     walk(src, &steps, &mut |keys, m| out.push((keys.to_vec(), m)))?;
@@ -487,7 +492,7 @@ pub fn slice_over<'s, S: NodeSource<'s>>(
 pub fn group_by_over<'s, S: NodeSource<'s>>(
     src: &mut S,
     mask: &[bool],
-) -> Result<Vec<(Vec<String>, i64)>, TraverseError<S::Err>> {
+) -> Result<KeyedRows, TraverseError<S::Err>> {
     let steps: Vec<Step> = mask
         .iter()
         .map(|&grouped| if grouped { Step::EVERY } else { Step::All })
@@ -532,11 +537,11 @@ mod tests {
                     .map(|c| OwnedCell {
                         key: cube.interner(level).resolve(c.key).to_string(),
                         measure: c.measure,
-                        child: (c.child != NONE_NODE).then(|| c.child as SourceNodeId),
+                        child: (c.child != NONE_NODE).then_some(c.child as SourceNodeId),
                     })
                     .collect();
                 let all_child =
-                    (nr.node.all_child != NONE_NODE).then(|| nr.node.all_child as SourceNodeId);
+                    (nr.node.all_child != NONE_NODE).then_some(nr.node.all_child as SourceNodeId);
                 nodes.insert(
                     id as SourceNodeId,
                     Rc::new(OwnedNode::from_cells(cells, all_child, nr.node.total)),

@@ -210,6 +210,10 @@ impl<'a> Iterator for Frames<'a> {
 }
 
 /// Cursor-style decoder over a byte slice.
+///
+/// The per-value reads are `#[inline]`: block decoders in other crates call
+/// them once per cell, and a call per varint is a measurable share of a
+/// block decode.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -223,11 +227,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether the whole buffer has been consumed.
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
@@ -237,6 +243,7 @@ impl<'a> Decoder<'a> {
         self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize, wanted: &'static str) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEof { wanted });
@@ -247,6 +254,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads one raw byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1, "u8")?[0])
     }
@@ -278,6 +286,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads an unsigned varint.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
         let (v, n) = varint::read_u64(&self.buf[self.pos..]).ok_or(DecodeError::BadVarint)?;
         self.pos += n;
@@ -291,6 +300,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a signed zig-zag varint.
+    #[inline]
     pub fn get_i64(&mut self) -> Result<i64, DecodeError> {
         let (v, n) = varint::read_i64(&self.buf[self.pos..]).ok_or(DecodeError::BadVarint)?;
         self.pos += n;
@@ -306,18 +316,21 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a length-prefixed byte slice.
+    #[inline]
     pub fn get_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.get_u64()? as usize;
         self.take(len, "bytes body")
     }
 
     /// Reads a length-prefixed UTF-8 string.
+    #[inline]
     pub fn get_str(&mut self) -> Result<&'a str, DecodeError> {
         let raw = self.get_bytes()?;
         std::str::from_utf8(raw).map_err(|_| DecodeError::BadUtf8)
     }
 
     /// Reads `n` raw bytes with no length prefix.
+    #[inline]
     pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n, "raw bytes")
     }

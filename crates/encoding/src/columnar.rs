@@ -12,6 +12,10 @@
 //! All decoders are hardened against corrupt input: lengths are validated
 //! against the remaining buffer before any allocation, so a flipped size
 //! byte surfaces as a [`DecodeError`], never as an unbounded allocation.
+//! Each run also reads in place — [`BitmapRef`], [`for_each_i64_delta`],
+//! [`for_each_dict_value`] / [`for_each_dict_code`] — with the same checks
+//! and no allocation, so a reader that wants one cell of a run still
+//! validates the whole run without building it.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 
@@ -66,14 +70,46 @@ impl Bitmap {
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_raw(&self.bits);
     }
+}
 
-    /// Reads the packed bytes for a bitmap over `len` positions.
-    pub fn decode(dec: &mut Decoder<'_>, len: usize) -> Result<Bitmap, DecodeError> {
-        let bytes = dec.get_raw(len.div_ceil(8))?;
-        Ok(Bitmap {
-            bits: bytes.to_vec(),
-            len,
-        })
+/// A packed bitmap read in place: the decode side of [`Bitmap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BitmapRef<'a> {
+    bits: &'a [u8],
+    len: usize,
+}
+
+impl<'a> BitmapRef<'a> {
+    /// Borrows the packed bytes of a bitmap over `len` positions.
+    pub fn decode(dec: &mut Decoder<'a>, len: usize) -> Result<BitmapRef<'a>, DecodeError> {
+        let bits = dec.get_raw(len.div_ceil(8))?;
+        Ok(BitmapRef { bits, len })
+    }
+
+    /// Reads bit `i` (panics past the end — caller bug, not data).
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bitmap index {i} out of {}", self.len);
+        self.bits[i / 8] & (1 << (i % 8)) != 0
+    }
+
+    /// Count of set bits in the packed bytes — the padding bits of the last
+    /// byte included, so a run sized by this count agrees with the bytes.
+    pub fn count_ones(&self) -> usize {
+        self.bits.iter().map(|b| b.count_ones() as usize).sum()
+    }
+
+    /// Count of set bits at positions below `i` (`i <= len`).
+    pub fn rank(&self, i: usize) -> usize {
+        assert!(i <= self.len, "bitmap rank {i} out of {}", self.len);
+        let whole: usize = self.bits[..i / 8]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum();
+        let part = match i % 8 {
+            0 => 0,
+            r => (self.bits[i / 8] & ((1u8 << r) - 1)).count_ones() as usize,
+        };
+        whole + part
     }
 }
 
@@ -89,21 +125,33 @@ pub fn encode_i64_deltas(enc: &mut Encoder, values: &[i64]) {
     }
 }
 
-/// Decodes `count` zig-zag delta values (inverse of [`encode_i64_deltas`]).
-pub fn decode_i64_deltas(dec: &mut Decoder<'_>, count: usize) -> Result<Vec<i64>, DecodeError> {
+/// Walks a run of `count` zig-zag delta values in place, handing
+/// `(index, value)` to `each` in order — [`decode_i64_deltas`] without the
+/// allocation.
+pub fn for_each_i64_delta(
+    dec: &mut Decoder<'_>,
+    count: usize,
+    mut each: impl FnMut(usize, i64),
+) -> Result<(), DecodeError> {
     // A delta is at least one byte, so `count` beyond the remaining buffer
-    // is corrupt — reject before allocating.
+    // is corrupt — reject before walking (and before a caller allocates).
     if count > dec.remaining() {
         return Err(DecodeError::UnexpectedEof {
             wanted: "delta run",
         });
     }
-    let mut out = Vec::with_capacity(count);
     let mut prev = 0i64;
-    for _ in 0..count {
+    for i in 0..count {
         prev = prev.wrapping_add(dec.get_i64()?);
-        out.push(prev);
+        each(i, prev);
     }
+    Ok(())
+}
+
+/// Decodes `count` zig-zag delta values (inverse of [`encode_i64_deltas`]).
+pub fn decode_i64_deltas(dec: &mut Decoder<'_>, count: usize) -> Result<Vec<i64>, DecodeError> {
+    let mut out = Vec::with_capacity(count.min(dec.remaining()));
+    for_each_i64_delta(dec, count, |_, v| out.push(v))?;
     Ok(out)
 }
 
@@ -163,33 +211,64 @@ impl DictBuilder {
     }
 }
 
-/// Decodes a dictionary run of `rows` cells back into per-row byte strings.
-pub fn decode_dict(dec: &mut Decoder<'_>, rows: usize) -> Result<Vec<Vec<u8>>, DecodeError> {
+/// Reads a dictionary run's distinct values in place, handing each to
+/// `each` in code order. Leaves `dec` at the first code and returns the
+/// distinct count for [`for_each_dict_code`].
+pub fn for_each_dict_value<'a, E: From<DecodeError>>(
+    dec: &mut Decoder<'a>,
+    mut each: impl FnMut(&'a [u8]) -> Result<(), E>,
+) -> Result<usize, E> {
     let distinct = dec.get_u64()? as usize;
     // Each distinct value costs at least its one-byte length prefix.
     if distinct > dec.remaining() {
         return Err(DecodeError::UnexpectedEof {
             wanted: "dictionary values",
-        });
+        }
+        .into());
     }
-    let mut values = Vec::with_capacity(distinct);
     for _ in 0..distinct {
-        values.push(dec.get_bytes()?.to_vec());
+        each(dec.get_bytes()?)?;
     }
+    Ok(distinct)
+}
+
+/// Reads the `rows` codes that follow a dictionary's values, each checked
+/// below `distinct`, handing `(row, code)` to `each` in order.
+pub fn for_each_dict_code(
+    dec: &mut Decoder<'_>,
+    rows: usize,
+    distinct: usize,
+    mut each: impl FnMut(usize, usize),
+) -> Result<(), DecodeError> {
     if rows > dec.remaining() {
         return Err(DecodeError::UnexpectedEof {
             wanted: "dictionary codes",
         });
     }
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let code = dec.get_u64()? as usize;
-        let v = values.get(code).ok_or(DecodeError::BadTag {
-            tag: code.min(u8::MAX as usize) as u8,
-            context: "dictionary code out of range",
-        })?;
-        out.push(v.clone());
+    for row in 0..rows {
+        let code = dec.get_u64()?;
+        if code >= distinct as u64 {
+            return Err(DecodeError::BadTag {
+                tag: code.min(u64::from(u8::MAX)) as u8,
+                context: "dictionary code out of range",
+            });
+        }
+        each(row, code as usize);
     }
+    Ok(())
+}
+
+/// Decodes a dictionary run of `rows` cells back into per-row byte strings.
+pub fn decode_dict(dec: &mut Decoder<'_>, rows: usize) -> Result<Vec<Vec<u8>>, DecodeError> {
+    let mut values = Vec::new();
+    let distinct = for_each_dict_value(dec, |v| {
+        values.push(v);
+        Ok::<_, DecodeError>(())
+    })?;
+    let mut out = Vec::with_capacity(rows.min(dec.remaining()));
+    for_each_dict_code(dec, rows, distinct, |_, code| {
+        out.push(values[code].to_vec())
+    })?;
     Ok(out)
 }
 
@@ -208,15 +287,23 @@ mod tests {
         b.encode(&mut enc);
         assert_eq!(enc.len(), 2, "13 bits pack into 2 bytes");
         let mut dec = Decoder::new(enc.bytes());
-        let back = Bitmap::decode(&mut dec, 13).unwrap();
-        assert_eq!(back, b);
+        let back = BitmapRef::decode(&mut dec, 13).unwrap();
+        assert!(dec.is_exhausted());
+        assert_eq!(back.count_ones(), 4);
+        assert!((0..13).all(|i| back.get(i) == b.get(i)));
         assert!(back.get(12) && !back.get(11));
+        // Rank counts the set bits strictly below the position.
+        let ranks: Vec<usize> = [0, 1, 3, 4, 8, 9, 12, 13]
+            .iter()
+            .map(|&i| back.rank(i))
+            .collect();
+        assert_eq!(ranks, [0, 1, 1, 2, 2, 3, 3, 4]);
     }
 
     #[test]
     fn bitmap_decode_rejects_truncation() {
         let mut dec = Decoder::new(&[0xFF]);
-        assert!(Bitmap::decode(&mut dec, 64).is_err());
+        assert!(BitmapRef::decode(&mut dec, 64).is_err());
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
 ///
 /// Returns `(value, bytes_consumed)` or `None` if `buf` is truncated or the
 /// encoding overflows 64 bits.
+#[inline]
 pub fn read_u64(buf: &[u8]) -> Option<(u64, usize)> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
@@ -67,6 +68,7 @@ pub fn write_i64(out: &mut Vec<u8>, value: i64) -> usize {
 }
 
 /// Reads a signed zig-zag varint from the front of `buf`.
+#[inline]
 pub fn read_i64(buf: &[u8]) -> Option<(i64, usize)> {
     read_u64(buf).map(|(v, n)| (unzigzag(v), n))
 }

@@ -15,9 +15,16 @@
 //! calls [`BlockCache::evict_file`] as it deletes its file, to hand the
 //! space back at once.
 //!
+//! Every operation is O(1) in the number of resident blocks
+//! ([`BlockCache::evict_file`]: in the file's blocks): an index maps
+//! `(file, offset)` to a slot of a slab, and the slots form a doubly linked
+//! recency list through slab indices — a hit moves its slot to the front,
+//! an eviction pops the back.
+//!
 //! Obs metrics (gated on [`sc_obs::enabled`]): `nosql.block_cache.hit`,
 //! `nosql.block_cache.miss`, `nosql.block_cache.evict`.
 
+use sc_encoding::FnvHashMap;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -25,25 +32,46 @@ use std::sync::{Arc, Mutex};
 /// thousand 4 KiB blocks).
 pub const DEFAULT_BLOCK_CACHE_BYTES: usize = 4 * 1024 * 1024;
 
+/// No slot: the end of the recency list.
+const NIL: usize = usize::MAX;
+
 /// Cheaply cloneable handle to one shared cache.
 #[derive(Debug, Clone)]
 pub struct BlockCache {
     inner: Arc<Mutex<Inner>>,
 }
 
+/// One resident block.
 #[derive(Debug)]
 struct Slot {
+    file: Arc<str>,
+    offset: u64,
     bytes: Arc<Vec<u8>>,
-    last_used: u64,
+}
+
+/// A slab index's neighbours in recency order.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Toward the most recently used end.
+    newer: usize,
+    /// Toward the least recently used end.
+    older: usize,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     capacity_bytes: usize,
     resident_bytes: usize,
-    tick: u64,
-    /// file → block offset → slot.
-    files: HashMap<String, HashMap<u64, Slot>>,
+    /// file → block offset → slab index (FNV for the integer offsets).
+    index: HashMap<Arc<str>, FnvHashMap<u64, usize>>,
+    /// Resident blocks by slab index; `None` marks a vacant index, listed
+    /// in `vacant` for reuse.
+    slots: Vec<Option<Slot>>,
+    links: Vec<Link>,
+    vacant: Vec<usize>,
+    /// Most and least recently used slab indices (`NIL` when empty).
+    newest: usize,
+    oldest: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -70,6 +98,8 @@ impl BlockCache {
         BlockCache {
             inner: Arc::new(Mutex::new(Inner {
                 capacity_bytes,
+                newest: NIL,
+                oldest: NIL,
                 ..Inner::default()
             })),
         }
@@ -81,24 +111,21 @@ impl BlockCache {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // Every update leaves the maps and byte totals consistent, so a
-        // panic elsewhere under the lock poisons nothing worth refusing.
+        // No update panics part-way through (they index only slab slots
+        // the index and list hand them), so a panic elsewhere under the
+        // lock poisons nothing worth refusing.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up the block at `(file, offset)`, refreshing its recency.
     pub fn get(&self, file: &str, offset: u64) -> Option<Arc<Vec<u8>>> {
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let slot = inner
-            .files
-            .get_mut(file)
-            .and_then(|blocks| blocks.get_mut(&offset));
-        match slot {
-            Some(slot) => {
-                slot.last_used = tick;
-                let bytes = Arc::clone(&slot.bytes);
+        let hit = inner.slot_of(file, offset).and_then(|i| {
+            inner.touch(i);
+            inner.slots[i].as_ref().map(|s| Arc::clone(&s.bytes))
+        });
+        match hit {
+            Some(bytes) => {
                 inner.hits += 1;
                 if sc_obs::enabled() {
                     crate::obs::nosql().block_cache_hit.inc();
@@ -125,35 +152,19 @@ impl BlockCache {
         if len > inner.capacity_bytes {
             return;
         }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let slot = Slot {
-            bytes,
-            last_used: tick,
-        };
-        let previous = inner
-            .files
-            .entry(file.to_string())
-            .or_default()
-            .insert(offset, slot);
         inner.resident_bytes += len;
-        if let Some(old) = previous {
-            inner.resident_bytes -= old.bytes.len();
+        match inner.slot_of(file, offset) {
+            Some(i) => {
+                let inner = &mut *inner;
+                if let Some(slot) = &mut inner.slots[i] {
+                    inner.resident_bytes -= slot.bytes.len();
+                    slot.bytes = bytes;
+                }
+                inner.touch(i);
+            }
+            None => inner.push_new(file, offset, bytes),
         }
-        while inner.resident_bytes > inner.capacity_bytes {
-            // LRU scan: the cache holds at most a few thousand blocks, so a
-            // linear sweep per eviction stays cheap and avoids a second
-            // index structure.
-            let Some((file, off)) = inner
-                .files
-                .iter()
-                .flat_map(|(f, blocks)| blocks.iter().map(move |(o, s)| (s.last_used, f, *o)))
-                .min_by_key(|(used, _, _)| *used)
-                .map(|(_, f, o)| (f.clone(), o))
-            else {
-                break;
-            };
-            inner.remove(&file, off);
+        while inner.resident_bytes > inner.capacity_bytes && inner.evict_oldest() {
             inner.evictions += 1;
             if sc_obs::enabled() {
                 crate::obs::nosql().block_cache_evict.inc();
@@ -164,9 +175,10 @@ impl BlockCache {
     /// Drops every cached block of `file` (the file is being deleted).
     pub fn evict_file(&self, file: &str) {
         let mut inner = self.lock();
-        if let Some(blocks) = inner.files.remove(file) {
-            let freed: usize = blocks.values().map(|s| s.bytes.len()).sum();
-            inner.resident_bytes -= freed;
+        if let Some(blocks) = inner.index.remove(file) {
+            for &i in blocks.values() {
+                inner.vacate(i);
+            }
         }
     }
 
@@ -178,21 +190,99 @@ impl BlockCache {
             misses: inner.misses,
             evictions: inner.evictions,
             resident_bytes: inner.resident_bytes,
-            blocks: inner.files.values().map(HashMap::len).sum(),
+            blocks: inner.slots.len() - inner.vacant.len(),
         }
     }
 }
 
 impl Inner {
-    fn remove(&mut self, file: &str, offset: u64) {
-        if let Some(blocks) = self.files.get_mut(file) {
-            if let Some(slot) = blocks.remove(&offset) {
-                self.resident_bytes -= slot.bytes.len();
-            }
+    fn slot_of(&self, file: &str, offset: u64) -> Option<usize> {
+        self.index.get(file)?.get(&offset).copied()
+    }
+
+    /// Takes slab index `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Link { newer, older } = self.links[i];
+        match newer {
+            NIL => self.newest = older,
+            n => self.links[n].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.links[o].newer = newer,
+        }
+    }
+
+    /// Puts slab index `i` at the most recently used end.
+    fn link_newest(&mut self, i: usize) {
+        self.links[i] = Link {
+            newer: NIL,
+            older: self.newest,
+        };
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.links[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    fn touch(&mut self, i: usize) {
+        if self.newest != i {
+            self.unlink(i);
+            self.link_newest(i);
+        }
+    }
+
+    /// Stores a block not yet resident, as the most recently used.
+    fn push_new(&mut self, file: &str, offset: u64, bytes: Arc<Vec<u8>>) {
+        let file = match self.index.get_key_value(file) {
+            Some((name, _)) => Arc::clone(name),
+            None => Arc::from(file),
+        };
+        let i = self.vacant.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.links.push(Link {
+                newer: NIL,
+                older: NIL,
+            });
+            self.slots.len() - 1
+        });
+        self.index
+            .entry(Arc::clone(&file))
+            .or_default()
+            .insert(offset, i);
+        self.slots[i] = Some(Slot {
+            file,
+            offset,
+            bytes,
+        });
+        self.link_newest(i);
+    }
+
+    /// Frees slab index `i` without touching the index; returns its block.
+    fn vacate(&mut self, i: usize) -> Option<Slot> {
+        let slot = self.slots[i].take()?;
+        self.unlink(i);
+        self.vacant.push(i);
+        self.resident_bytes -= slot.bytes.len();
+        Some(slot)
+    }
+
+    /// Frees the least recently used block; `false` when none is resident.
+    fn evict_oldest(&mut self) -> bool {
+        if self.oldest == NIL {
+            return false;
+        }
+        let Some(slot) = self.vacate(self.oldest) else {
+            return false;
+        };
+        if let Some(blocks) = self.index.get_mut(&*slot.file) {
+            blocks.remove(&slot.offset);
             if blocks.is_empty() {
-                self.files.remove(file);
+                self.index.remove(&*slot.file);
             }
         }
+        true
     }
 }
 
@@ -270,5 +360,132 @@ mod tests {
         assert_eq!(stats.resident_bytes, 20);
         assert_eq!(stats.blocks, 1);
         assert_eq!(cache.get("f", 0).unwrap().len(), 20);
+    }
+
+    /// The obviously correct LRU: resident blocks in a `Vec`, least
+    /// recently used first, every operation a linear search.
+    struct ModelLru {
+        capacity_bytes: usize,
+        blocks: Vec<(String, u64, Arc<Vec<u8>>)>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl ModelLru {
+        fn get(&mut self, file: &str, offset: u64) -> Option<Arc<Vec<u8>>> {
+            match self
+                .blocks
+                .iter()
+                .position(|b| b.0 == file && b.1 == offset)
+            {
+                Some(p) => {
+                    let b = self.blocks.remove(p);
+                    let bytes = Arc::clone(&b.2);
+                    self.blocks.push(b);
+                    self.hits += 1;
+                    Some(bytes)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn resident_bytes(&self) -> usize {
+            self.blocks.iter().map(|b| b.2.len()).sum()
+        }
+
+        fn insert(&mut self, file: &str, offset: u64, bytes: Arc<Vec<u8>>) {
+            if bytes.len() > self.capacity_bytes {
+                return;
+            }
+            self.blocks.retain(|b| !(b.0 == file && b.1 == offset));
+            self.blocks.push((file.to_string(), offset, bytes));
+            while self.resident_bytes() > self.capacity_bytes {
+                self.blocks.remove(0);
+                self.evictions += 1;
+            }
+        }
+
+        fn evict_file(&mut self, file: &str) {
+            self.blocks.retain(|b| b.0 != file);
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                hits: self.hits,
+                misses: self.misses,
+                evictions: self.evictions,
+                resident_bytes: self.resident_bytes(),
+                blocks: self.blocks.len(),
+            }
+        }
+    }
+
+    #[test]
+    fn matches_a_naive_lru_model() {
+        const FILES: [&str; 4] = ["ks/t/sst-1", "ks/t/sst-2", "ks/u/sst-1", "ks/u/sst-9"];
+        let mut rng = sc_encoding::Rng::new(0xB10C);
+        for capacity_bytes in [0, 1, 64, 300, 900] {
+            let cache = BlockCache::new(capacity_bytes);
+            let mut model = ModelLru {
+                capacity_bytes,
+                blocks: Vec::new(),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            };
+            let mut fill = 0u8;
+            for step in 0..4_000 {
+                let file = *rng.choice(&FILES);
+                let offset = rng.gen_range(12);
+                fill = fill.wrapping_add(1);
+                let op = rng.gen_range(100);
+                match op {
+                    0..=44 => {
+                        let (got, want) = (cache.get(file, offset), model.get(file, offset));
+                        assert_eq!(got, want, "step {step}: get({file}, {offset})");
+                    }
+                    45..=79 => {
+                        let bytes = block(1 + rng.gen_range(60) as usize, fill);
+                        cache.insert(file, offset, Arc::clone(&bytes));
+                        model.insert(file, offset, bytes);
+                    }
+                    80..=89 => {
+                        // Re-insert a resident block at a new size.
+                        if !model.blocks.is_empty() {
+                            let pick = rng.gen_range(model.blocks.len() as u64) as usize;
+                            let (f, o, _) = model.blocks[pick].clone();
+                            let bytes = block(1 + rng.gen_range(60) as usize, fill);
+                            cache.insert(&f, o, Arc::clone(&bytes));
+                            model.insert(&f, o, bytes);
+                        }
+                    }
+                    90..=94 => {
+                        let bytes = block(capacity_bytes + 1 + rng.gen_range(8) as usize, fill);
+                        cache.insert(file, offset, Arc::clone(&bytes));
+                        model.insert(file, offset, bytes);
+                    }
+                    _ => {
+                        cache.evict_file(file);
+                        model.evict_file(file);
+                    }
+                }
+                assert_eq!(
+                    cache.stats(),
+                    model.stats(),
+                    "capacity {capacity_bytes}, step {step}, op {op}"
+                );
+            }
+            let stats = cache.stats();
+            if capacity_bytes >= 300 {
+                assert!(
+                    stats.hits > 0 && stats.evictions > 0 && stats.blocks > 0,
+                    "the sequence exercised hits, evictions and residency: {stats:?}"
+                );
+            }
+        }
     }
 }

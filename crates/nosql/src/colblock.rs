@@ -21,13 +21,20 @@
 //! Column chunks are length-prefixed so a projected read skips a pruned
 //! column in O(1) without parsing it; [`DecodedBlock`] reports how many
 //! chunks were decoded vs skipped for the `nosql.read.cols_*` counters.
+//!
+//! Two decoders read a block: [`decode_block_rows`] for scans and
+//! [`find_row`] for point reads, which builds one row and no other. Both
+//! parse chunk headers with `Chunk::open` and walk runs with `walk_run`, so
+//! they check a block alike; only a point read whose key is absent stops
+//! early, after the key run.
 
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
 use crate::sstable::SstEntry;
 use crate::types::CqlValue;
 use sc_encoding::columnar::{
-    decode_dict, decode_i64_deltas, encode_i64_deltas, Bitmap, DictBuilder,
+    encode_i64_deltas, for_each_dict_code, for_each_dict_value, for_each_i64_delta, Bitmap,
+    BitmapRef, DictBuilder,
 };
 use sc_encoding::{Decoder, Encoder};
 
@@ -169,6 +176,228 @@ fn choose_encoding(present: &[&CqlValue]) -> u8 {
     ENC_RAW
 }
 
+fn corrupt(file: &str, what: &str) -> NosqlError {
+    NosqlError::Corrupt(format!("{file}: {what}"))
+}
+
+/// Reads a block's record count and layout tag, leaving `d` at the key run.
+fn open_block<'a>(file: &str, bytes: &'a [u8]) -> Result<(Decoder<'a>, usize)> {
+    let mut d = Decoder::new(bytes);
+    let count = d.get_u64()? as usize;
+    // Each record costs at least one key length byte; a corrupt count must
+    // not drive an unbounded allocation.
+    if count > bytes.len() {
+        return Err(corrupt(file, "implausible block record count"));
+    }
+    if d.get_u8()? != LAYOUT_COLUMNAR {
+        return Err(corrupt(file, "bad block layout tag"));
+    }
+    Ok((d, count))
+}
+
+/// What sits between the sequence run and the column chunks.
+struct Liveness<'a> {
+    /// Bit set = live row, clear = tombstone.
+    live: BitmapRef<'a>,
+    /// Cells per column chunk, null or not.
+    live_count: usize,
+    ncols: usize,
+}
+
+/// Reads the live bitmap and column count that follow the sequence run.
+fn open_liveness<'a>(file: &str, d: &mut Decoder<'a>, count: usize) -> Result<Liveness<'a>> {
+    let live = BitmapRef::decode(d, count)?;
+    let ncols = d.get_u64()? as usize;
+    if ncols > d.remaining() {
+        return Err(corrupt(file, "implausible block column count"));
+    }
+    Ok(Liveness {
+        live,
+        live_count: live.count_ones(),
+        ncols,
+    })
+}
+
+/// One column chunk after its encoding tag and null bitmap.
+struct Chunk<'a> {
+    tag: u8,
+    /// Over the block's live rows; bit set = non-null.
+    nulls: BitmapRef<'a>,
+    /// Non-null cells in the run.
+    present: usize,
+    /// Positioned at the run.
+    run: Decoder<'a>,
+}
+
+impl<'a> Chunk<'a> {
+    fn open(file: &str, chunk: &'a [u8], live_count: usize) -> Result<Chunk<'a>> {
+        let mut run = Decoder::new(chunk);
+        let tag = run.get_u8()?;
+        let nulls = BitmapRef::decode(&mut run, live_count)?;
+        if !matches!(
+            tag,
+            ENC_RAW | ENC_INT_DELTA | ENC_TEXT_DICT | ENC_BOOL_BITMAP
+        ) {
+            return Err(corrupt(file, "bad column encoding tag"));
+        }
+        Ok(Chunk {
+            tag,
+            nulls,
+            present: nulls.count_ones(),
+            run,
+        })
+    }
+}
+
+/// Which of a run's non-null cells a walk builds; the rest it validates in
+/// place.
+#[derive(Debug, Clone, Copy)]
+enum Take {
+    All,
+    Only(usize),
+    Nothing,
+}
+
+impl Take {
+    fn wants(self, i: usize) -> bool {
+        match self {
+            Take::All => true,
+            Take::Only(j) => i == j,
+            Take::Nothing => false,
+        }
+    }
+}
+
+/// The one walk over a column run, behind both the block and the row
+/// decoder: hands `emit` the non-null cells `take` asks for, in run order,
+/// and checks every cell of the run — varint framing, dictionary codes in
+/// range, UTF-8, raw value tags — exactly `present` cells and nothing
+/// after them.
+fn walk_run(
+    file: &str,
+    chunk: Chunk<'_>,
+    take: Take,
+    mut emit: impl FnMut(CqlValue),
+) -> Result<()> {
+    let Chunk {
+        tag,
+        present,
+        mut run,
+        ..
+    } = chunk;
+    match tag {
+        ENC_INT_DELTA => for_each_i64_delta(&mut run, present, |i, v| {
+            if take.wants(i) {
+                emit(CqlValue::Int(v));
+            }
+        })?,
+        ENC_TEXT_DICT => {
+            let text =
+                |v| std::str::from_utf8(v).map_err(|_| corrupt(file, "non-UTF-8 dictionary text"));
+            // Every distinct value is checked once. A full decode keeps
+            // them to hand out per row; a one-cell walk finds its value
+            // again by code once the codes are checked.
+            let mut values = run.clone();
+            let mut table: Vec<&str> = Vec::new();
+            let distinct = for_each_dict_value(&mut run, |v| {
+                let s = text(v)?;
+                if matches!(take, Take::All) {
+                    table.push(s);
+                }
+                Ok::<_, NosqlError>(())
+            })?;
+            let mut picked = None;
+            for_each_dict_code(&mut run, present, distinct, |i, code| match take {
+                Take::All => emit(CqlValue::Text(table[code].to_owned())),
+                _ if take.wants(i) => picked = Some(code),
+                _ => {}
+            })?;
+            if let Some(code) = picked {
+                let mut i = 0;
+                for_each_dict_value(&mut values, |v| {
+                    if i == code {
+                        emit(CqlValue::Text(text(v)?.to_owned()));
+                    }
+                    i += 1;
+                    Ok::<_, NosqlError>(())
+                })?;
+            }
+        }
+        ENC_BOOL_BITMAP => {
+            let bits = BitmapRef::decode(&mut run, present)?;
+            for i in (0..present).filter(|&i| take.wants(i)) {
+                emit(CqlValue::Boolean(bits.get(i)));
+            }
+        }
+        // ENC_RAW: `Chunk::open` admits no other tag.
+        _ => {
+            for i in 0..present {
+                if take.wants(i) {
+                    emit(CqlValue::decode(&mut run)?);
+                } else {
+                    CqlValue::skip(&mut run)?;
+                }
+            }
+        }
+    }
+    if !run.is_exhausted() {
+        return Err(corrupt(file, "trailing bytes after column chunk"));
+    }
+    Ok(())
+}
+
+/// Finds `key`'s record in a block without building any other: the key
+/// run is compared in place and each column chunk yields only this row's
+/// cell, while every run is still checked as [`decode_block_rows`] checks
+/// it. `None` once the key run shows the key absent.
+pub(crate) fn find_row(file: &str, bytes: &[u8], key: &[u8]) -> Result<Option<SstEntry>> {
+    let (mut d, count) = open_block(file, bytes)?;
+    let mut found = None;
+    for i in 0..count {
+        let k = d.get_bytes()?;
+        if found.is_none() && k == key {
+            found = Some(i);
+        }
+    }
+    let Some(row) = found else {
+        return Ok(None);
+    };
+    let mut timestamp = 0;
+    for_each_i64_delta(&mut d, count, |i, seq| {
+        if i == row {
+            timestamp = seq as u64;
+        }
+    })?;
+    let Liveness {
+        live,
+        live_count,
+        ncols,
+    } = open_liveness(file, &mut d, count)?;
+    // The row's position among the live rows, unless it is a tombstone.
+    let live_at = live.get(row).then(|| live.rank(row));
+    let mut values = Vec::with_capacity(if live_at.is_some() { ncols } else { 0 });
+    for _ in 0..ncols {
+        let chunk = Chunk::open(file, d.get_bytes()?, live_count)?;
+        let take = match live_at {
+            Some(li) if chunk.nulls.get(li) => Take::Only(chunk.nulls.rank(li)),
+            _ => Take::Nothing,
+        };
+        let mut cell = CqlValue::Null;
+        walk_run(file, chunk, take, |v| cell = v)?;
+        if live_at.is_some() {
+            values.push(cell);
+        }
+    }
+    if !d.is_exhausted() {
+        return Err(corrupt(file, "trailing bytes after columnar block"));
+    }
+    Ok(Some(SstEntry {
+        key: key.to_vec(),
+        row: live_at.map(|_| Row::new(values)),
+        timestamp,
+    }))
+}
+
 /// Decodes a block, parsing only the column chunks `proj` asks for
 /// (`None` = all). Pruned columns come back as [`CqlValue::Null`].
 pub(crate) fn decode_block_rows(
@@ -176,28 +405,18 @@ pub(crate) fn decode_block_rows(
     bytes: &[u8],
     proj: Option<&[usize]>,
 ) -> Result<DecodedBlock> {
-    let corrupt = |what: &str| NosqlError::Corrupt(format!("{file}: {what}"));
-    let mut d = Decoder::new(bytes);
-    let count = d.get_u64().map_err(NosqlError::from)? as usize;
-    // Each record costs at least one key length byte; a corrupt count must
-    // not drive an unbounded allocation.
-    if count > bytes.len() {
-        return Err(corrupt("implausible block record count"));
-    }
-    if d.get_u8().map_err(NosqlError::from)? != LAYOUT_COLUMNAR {
-        return Err(corrupt("bad block layout tag"));
-    }
+    let (mut d, count) = open_block(file, bytes)?;
     let mut keys = Vec::with_capacity(count);
     for _ in 0..count {
-        keys.push(d.get_bytes().map_err(NosqlError::from)?.to_vec());
+        keys.push(d.get_bytes()?.to_vec());
     }
-    let seqs = decode_i64_deltas(&mut d, count).map_err(NosqlError::from)?;
-    let live = Bitmap::decode(&mut d, count).map_err(NosqlError::from)?;
-    let live_count = live.count_ones();
-    let ncols = d.get_u64().map_err(NosqlError::from)? as usize;
-    if ncols > bytes.len() {
-        return Err(corrupt("implausible block column count"));
-    }
+    let mut seqs = Vec::with_capacity(count);
+    for_each_i64_delta(&mut d, count, |_, seq| seqs.push(seq))?;
+    let Liveness {
+        live,
+        live_count,
+        ncols,
+    } = open_liveness(file, &mut d, count)?;
     let mut out = DecodedBlock {
         entries: Vec::with_capacity(count),
         cols_read: 0,
@@ -205,7 +424,7 @@ pub(crate) fn decode_block_rows(
     };
     let mut cols: Vec<Option<Vec<CqlValue>>> = Vec::with_capacity(ncols);
     for c in 0..ncols {
-        let chunk = d.get_bytes().map_err(NosqlError::from)?;
+        let chunk = d.get_bytes()?;
         if proj.is_none_or(|p| p.contains(&c)) {
             cols.push(Some(decode_column(file, chunk, live_count)?));
             out.cols_read += 1;
@@ -215,13 +434,13 @@ pub(crate) fn decode_block_rows(
         }
     }
     if !d.is_exhausted() {
-        return Err(corrupt("trailing bytes after columnar block"));
+        return Err(corrupt(file, "trailing bytes after columnar block"));
     }
     let mut li = 0usize;
     for i in 0..count {
         let row = if live.get(i) {
             if li >= live_count {
-                return Err(corrupt("live bitmap disagrees with itself"));
+                return Err(corrupt(file, "live bitmap disagrees with itself"));
             }
             let mut values = vec![CqlValue::Null; ncols];
             for (c, run) in cols.iter_mut().enumerate() {
@@ -245,58 +464,24 @@ pub(crate) fn decode_block_rows(
 
 /// Decodes one column chunk into `live_count` cells (nulls included).
 fn decode_column(file: &str, chunk: &[u8], live_count: usize) -> Result<Vec<CqlValue>> {
-    let corrupt = |what: &str| NosqlError::Corrupt(format!("{file}: {what}"));
-    let mut d = Decoder::new(chunk);
-    let tag = d.get_u8().map_err(NosqlError::from)?;
-    let nulls = Bitmap::decode(&mut d, live_count).map_err(NosqlError::from)?;
-    let present = nulls.count_ones();
-    let mut cells: Vec<CqlValue> = match tag {
-        ENC_RAW => {
-            let mut out = Vec::with_capacity(present.min(chunk.len()));
-            for _ in 0..present {
-                out.push(CqlValue::decode(&mut d).map_err(NosqlError::from)?);
-            }
-            out
-        }
-        ENC_INT_DELTA => decode_i64_deltas(&mut d, present)
-            .map_err(NosqlError::from)?
-            .into_iter()
-            .map(CqlValue::Int)
-            .collect(),
-        ENC_TEXT_DICT => {
-            let mut out = Vec::with_capacity(present.min(chunk.len()));
-            for raw in decode_dict(&mut d, present).map_err(NosqlError::from)? {
-                let s = String::from_utf8(raw).map_err(|_| corrupt("non-UTF-8 dictionary text"))?;
-                out.push(CqlValue::Text(s));
-            }
-            out
-        }
-        ENC_BOOL_BITMAP => {
-            let bits = Bitmap::decode(&mut d, present).map_err(NosqlError::from)?;
-            (0..present)
-                .map(|i| CqlValue::Boolean(bits.get(i)))
-                .collect()
-        }
-        _ => return Err(corrupt("bad column encoding tag")),
-    };
-    if !d.is_exhausted() {
-        return Err(corrupt("trailing bytes after column chunk"));
-    }
-    if cells.len() != present {
-        return Err(corrupt("column run length disagrees with null bitmap"));
+    let chunk = Chunk::open(file, chunk, live_count)?;
+    let nulls = chunk.nulls;
+    let mut cells = Vec::with_capacity(chunk.present.min(chunk.run.remaining()));
+    walk_run(file, chunk, Take::All, |v| cells.push(v))?;
+    if nulls.rank(live_count) == live_count {
+        // No nulls: the run is the column. Set padding bits of the bitmap's
+        // last byte only add cells past the live rows.
+        cells.truncate(live_count);
+        return Ok(cells);
     }
     // Weave nulls back into live-row positions.
-    let mut out = Vec::with_capacity(live_count);
-    let mut pi = 0usize;
-    for i in 0..live_count {
-        if nulls.get(i) {
-            out.push(std::mem::replace(&mut cells[pi], CqlValue::Null));
-            pi += 1;
-        } else {
-            out.push(CqlValue::Null);
-        }
-    }
-    Ok(out)
+    let mut cells = cells.into_iter();
+    Ok((0..live_count)
+        .map(|i| match nulls.get(i) {
+            true => cells.next().unwrap_or(CqlValue::Null),
+            false => CqlValue::Null,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -365,8 +550,17 @@ mod tests {
 
     #[test]
     fn mutations_never_panic_and_are_detected_or_exact() {
-        let es = typed_entries();
-        let original = encode_block("t", &es).unwrap();
+        // The seeded block adds raw text (multi-byte UTF-8) and mixed runs.
+        let seeded = seeded_entries(&mut sc_encoding::Rng::new(0x5EED), 28);
+        let tags = chunk_tags(&encode_block("t", &seeded).unwrap());
+        assert_eq!((tags[3], tags[5]), (ENC_RAW, ENC_RAW));
+        for es in [typed_entries(), seeded] {
+            mutate_every_byte(&es);
+        }
+    }
+
+    fn mutate_every_byte(es: &[SstEntry]) {
+        let original = encode_block("t", es).unwrap();
         for pos in 0..original.len() {
             for mutant in [
                 {
@@ -385,8 +579,26 @@ mod tests {
                 // decode of the *full* block that changed the data would be
                 // caught by the table-level tests (here we only require no
                 // panic and bounded work).
-                let _ = decode(&mutant, None);
+                let full = decode(&mutant, None);
                 let _ = decode(&mutant, Some(&[1]));
+                // The point decode runs the same checks: it agrees with the
+                // full decode on every key that decode accepts, and never
+                // answers a row out of a block that decode rejects.
+                let absent: &[u8] = b"k\xff";
+                for key in es.iter().map(|e| e.key.as_slice()).chain([absent]) {
+                    let found = find_row("t", &mutant, key);
+                    match &full {
+                        Ok(block) => assert_eq!(
+                            found.unwrap(),
+                            block.entries.iter().find(|e| e.key == key).cloned(),
+                            "byte {pos}, key {key:?}"
+                        ),
+                        Err(_) => assert!(
+                            !matches!(found, Ok(Some(_))),
+                            "byte {pos}, key {key:?}: a row out of a rejected block"
+                        ),
+                    }
+                }
             }
         }
     }
@@ -402,5 +614,89 @@ mod tests {
             .collect();
         let bytes = encode_block("t", &tombs).unwrap();
         assert_eq!(decode(&bytes, Some(&[0])).unwrap().entries, tombs);
+    }
+
+    /// `rows` seeded records under the odd keys `k00001, k00003, …`: about
+    /// one in seven a tombstone, about one cell in five null, one column
+    /// per run encoding — ints (delta), four station names (dictionary),
+    /// booleans (bitmap), unique readings (raw text, far more than 16
+    /// distinct values), `set<int>` and an int/text mix (both raw).
+    fn seeded_entries(rng: &mut sc_encoding::Rng, rows: usize) -> Vec<SstEntry> {
+        (0..rows)
+            .map(|i| {
+                let row = (!rng.gen_bool(0.15)).then(|| {
+                    let mut cell = |v: CqlValue| match rng.gen_bool(0.2) {
+                        true => CqlValue::Null,
+                        false => v,
+                    };
+                    let values = vec![
+                        cell(CqlValue::Int(1_000 + i as i64 * 7)),
+                        cell(CqlValue::Text(format!("station-{}", i % 4))),
+                        cell(CqlValue::Boolean(i % 3 == 0)),
+                        cell(CqlValue::Text(format!("reading-{i}-é"))),
+                        cell(CqlValue::int_set([i as i64, -(i as i64)])),
+                        cell(match i % 2 {
+                            0 => CqlValue::Int(-(i as i64)),
+                            _ => CqlValue::Text(format!("mixed-{i}")),
+                        }),
+                    ];
+                    Row::new(values)
+                });
+                SstEntry {
+                    key: format!("k{:05}", 2 * i + 1).into_bytes(),
+                    row,
+                    timestamp: rng.gen_range(1 << 40),
+                }
+            })
+            .collect()
+    }
+
+    /// The encoding tag of each column chunk of a block.
+    fn chunk_tags(bytes: &[u8]) -> Vec<u8> {
+        let (mut d, count) = open_block("t", bytes).unwrap();
+        for _ in 0..count {
+            d.get_bytes().unwrap();
+        }
+        for_each_i64_delta(&mut d, count, |_, _| {}).unwrap();
+        let liveness = open_liveness("t", &mut d, count).unwrap();
+        (0..liveness.ncols)
+            .map(|_| {
+                let chunk = d.get_bytes().unwrap();
+                Chunk::open("t", chunk, liveness.live_count).unwrap().tag
+            })
+            .collect()
+    }
+
+    #[test]
+    fn find_row_agrees_with_the_block_decode() {
+        let mut rng = sc_encoding::Rng::new(0xF1ED);
+        let mut tags_seen = Vec::new();
+        for rows in [1, 1, 2, 3, 9, 17, 40, 64, 120, 120] {
+            let es = seeded_entries(&mut rng, rows);
+            let bytes = encode_block("t", &es).unwrap();
+            let block = decode(&bytes, None).unwrap().entries;
+            assert_eq!(block, es);
+            tags_seen.extend(chunk_tags(&bytes));
+            for e in &block {
+                assert_eq!(
+                    find_row("t", &bytes, &e.key).unwrap().as_ref(),
+                    Some(e),
+                    "{rows}-row block, key {:?}",
+                    String::from_utf8_lossy(&e.key)
+                );
+            }
+            // Before, between and after the block's keys.
+            let between = (0..=rows).map(|i| format!("k{:05}", 2 * i).into_bytes());
+            let outside = [&b""[..], b"a", b"k", b"k00001\0", b"z"].map(<[u8]>::to_vec);
+            for key in between.chain(outside) {
+                assert_eq!(find_row("t", &bytes, &key).unwrap(), None, "key {key:?}");
+            }
+        }
+        for tag in [ENC_RAW, ENC_INT_DELTA, ENC_TEXT_DICT, ENC_BOOL_BITMAP] {
+            assert!(tags_seen.contains(&tag), "no block used encoding {tag}");
+        }
+        // The unique readings outgrow the dictionary cap in the large blocks.
+        let large = encode_block("t", &seeded_entries(&mut rng, 120)).unwrap();
+        assert_eq!(chunk_tags(&large)[3], ENC_RAW);
     }
 }

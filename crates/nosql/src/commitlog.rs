@@ -485,10 +485,9 @@ impl WalError {
             WalError::Injected { op, file } => {
                 NosqlError::Storage(StorageError::Injected { op, file })
             }
-            WalError::Other(msg) => NosqlError::Storage(StorageError::Io(std::io::Error::new(
-                std::io::ErrorKind::Other,
-                msg,
-            ))),
+            WalError::Other(msg) => {
+                NosqlError::Storage(StorageError::Io(std::io::Error::other(msg)))
+            }
         }
     }
 }

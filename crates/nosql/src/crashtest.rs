@@ -582,6 +582,10 @@ struct ConcurrentRun {
     ddl_acked: bool,
 }
 
+/// One writer session's outcome: its acknowledged inserts, plus the insert
+/// whose ack the crash swallowed, if any.
+type WriterOutcome = (Vec<(i64, String)>, Option<(i64, String)>);
+
 /// Runs the concurrent workload: DDL, then [`CONCURRENT_WRITERS`] writer
 /// sessions inserting disjoint id ranges until completion or the first
 /// injected failure. The fault VFS fails every mutating op after the crash
@@ -603,38 +607,37 @@ fn drive_concurrent(db: &SharedDb, seed: u64) -> Result<ConcurrentRun> {
         }
     }
     run.ddl_acked = true;
-    let results: Vec<Result<(Vec<(i64, String)>, Option<(i64, String)>)>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CONCURRENT_WRITERS)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut session = db.session();
-                        session.execute_cql("USE m")?;
-                        let mut acked = Vec::new();
-                        for i in 0..WRITES_PER_WRITER {
-                            let id = (w * WRITES_PER_WRITER + i) as i64;
-                            let v = format!("s{seed}w{w}i{i}");
-                            match session
-                                .execute_cql(&format!("INSERT INTO t (id, v) VALUES ({id}, '{v}')"))
-                            {
-                                Ok(_) => acked.push((id, v)),
-                                Err(e) if is_injected(&e) => {
-                                    // Lost ack: the frame may sit in the
-                                    // torn batch's durable prefix.
-                                    return Ok((acked, Some((id, v))));
-                                }
-                                Err(e) => return Err(e),
+    let results: Vec<Result<WriterOutcome>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..CONCURRENT_WRITERS)
+            .map(|w| {
+                s.spawn(move || {
+                    let mut session = db.session();
+                    session.execute_cql("USE m")?;
+                    let mut acked = Vec::new();
+                    for i in 0..WRITES_PER_WRITER {
+                        let id = (w * WRITES_PER_WRITER + i) as i64;
+                        let v = format!("s{seed}w{w}i{i}");
+                        match session
+                            .execute_cql(&format!("INSERT INTO t (id, v) VALUES ({id}, '{v}')"))
+                        {
+                            Ok(_) => acked.push((id, v)),
+                            Err(e) if is_injected(&e) => {
+                                // Lost ack: the frame may sit in the
+                                // torn batch's durable prefix.
+                                return Ok((acked, Some((id, v))));
                             }
+                            Err(e) => return Err(e),
                         }
-                        Ok((acked, None))
-                    })
+                    }
+                    Ok((acked, None))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("writer session panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("writer session panicked"))
+            .collect()
+    });
     for result in results {
         let (acked, in_flight) = result?;
         run.acked.extend(acked);

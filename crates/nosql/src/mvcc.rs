@@ -292,7 +292,7 @@ pub(crate) fn perturb(point: u32) {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    if h % 5 == 0 {
+    if h.is_multiple_of(5) {
         std::thread::yield_now();
     }
 }

@@ -6,10 +6,10 @@
 //! Costs are abstract units anchored to "stream one row out of a
 //! memtable/SSTable merge = 1". The inputs are the statistics the engine
 //! already collects: the table's estimated row count (memtable key count
-//! + SSTable `entry_count` metadata), its SSTable count, and the shared
-//! block cache's hit rate. The constants are deliberately
-//! crude — they only need to rank point probes below posting scans below
-//! full scans, which they do by construction:
+//! plus SSTable `entry_count` metadata), its SSTable count, and the shared
+//! block cache's hit rate. The constants are deliberately crude — they
+//! only need to rank point probes below posting scans below full scans,
+//! which they do by construction:
 //!
 //! * a **point probe** costs [`PROBE`] plus one data-block read weighted
 //!   by the cache miss rate (bloom filters keep a probe to at most one

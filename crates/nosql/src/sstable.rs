@@ -13,11 +13,14 @@
 //!
 //! Only the meta region is resident after open — a sparse index entry per
 //! *block* plus ~10 filter bits per key. Point misses are answered by the
-//! key fences and the bloom filter without touching a data block; hits
-//! read exactly one CRC-verified block, optionally through the engine's
-//! shared [`BlockCache`]. Everything else reads through [`SsTable::iter`],
-//! which holds one decoded block at a time, seeks through the block index
-//! for a key prefix and decodes only the column chunks its caller needs.
+//! key fences and the bloom filter without touching a data block. A probe
+//! that passes them reads exactly one CRC-verified block, optionally
+//! through the engine's shared [`BlockCache`], and decodes one row of it
+//! ([`colblock::find_row`]): the key run is searched in place and only the
+//! found row's cells are built, while every run is still validated.
+//! Everything else reads through [`SsTable::iter`], which holds one decoded
+//! block at a time, seeks through the block index for a key prefix and
+//! decodes only the column chunks its caller needs.
 //!
 //! Every decoded geometry field is validated at open (checked arithmetic,
 //! monotone offsets, bounded allocations), so a corrupt or truncated file
@@ -441,11 +444,8 @@ impl SsTable {
         let Some(i) = pos.checked_sub(1) else {
             return Ok(Probe::absent(true, false));
         };
-        let mut entries = self.decode_block(&meta.blocks[i], None)?.entries;
-        let entry = entries
-            .binary_search_by(|e| e.key.as_slice().cmp(key))
-            .ok()
-            .map(|i| entries.swap_remove(i));
+        let bytes = self.read_block(&meta.blocks[i])?;
+        let entry = colblock::find_row(&self.file, &bytes, key)?;
         if stats {
             if entry.is_some() {
                 crate::obs::nosql().bloom_hit.inc();

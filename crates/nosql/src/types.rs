@@ -200,6 +200,36 @@ impl CqlValue {
         }
     }
 
+    /// Steps over a value written by [`CqlValue::encode`] without building
+    /// it, failing exactly where [`CqlValue::decode`] would.
+    pub(crate) fn skip(dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
+        match dec.get_u8()? {
+            0 => {}
+            1 => {
+                dec.get_i64()?;
+            }
+            2 => {
+                dec.get_str()?;
+            }
+            3 => {
+                dec.get_bool()?;
+            }
+            4 => {
+                for _ in 0..dec.get_u64()? {
+                    dec.get_raw(2)?;
+                    dec.get_i64()?;
+                }
+            }
+            tag => {
+                return Err(DecodeError::BadTag {
+                    tag,
+                    context: "CqlValue",
+                })
+            }
+        }
+        Ok(())
+    }
+
     /// Order-preserving key encoding (used for partition keys so the
     /// memtable/SSTable sort order equals value order).
     pub fn encode_key(&self) -> Vec<u8> {
@@ -434,6 +464,17 @@ mod tests {
             let mut dec = Decoder::new(&bytes);
             assert_eq!(CqlValue::decode(&mut dec).unwrap(), v);
             assert!(dec.is_exhausted());
+            // Skipping accepts exactly what decoding does: the whole value,
+            // and no strict prefix of it.
+            let mut dec = Decoder::new(&bytes);
+            CqlValue::skip(&mut dec).unwrap();
+            assert!(dec.is_exhausted());
+            for cut in 0..bytes.len() {
+                let prefix = &bytes[..cut];
+                let decoded = CqlValue::decode(&mut Decoder::new(prefix)).is_ok();
+                let skipped = CqlValue::skip(&mut Decoder::new(prefix)).is_ok();
+                assert_eq!(skipped, decoded, "{v:?} cut at {cut}");
+            }
         }
     }
 

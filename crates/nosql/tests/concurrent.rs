@@ -275,7 +275,7 @@ fn crash_under_contention_recovers_per_key_history() {
             for r in 0..READERS {
                 let db = &db;
                 s.spawn(move || {
-                    let mut last = vec![0i64; WRITERS];
+                    let mut last = [0i64; WRITERS];
                     let mut step = r;
                     while !done.load(Ordering::Acquire) {
                         let id = step % WRITERS;

@@ -142,11 +142,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Mean observation, or 0 when empty.
     pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Estimated quantile `q` in `[0, 1]`: the upper bound of the first

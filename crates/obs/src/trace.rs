@@ -670,7 +670,9 @@ impl TailSampler {
                 retained = true;
             }
             if retained {
-                bucket.slowest.sort_by(|a, b| b.total_ns.cmp(&a.total_ns));
+                bucket
+                    .slowest
+                    .sort_by_key(|t| std::cmp::Reverse(t.total_ns));
                 bucket.slowest.truncate(k);
             }
         }
@@ -701,7 +703,7 @@ impl TailSampler {
                 }
             }
         }
-        out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns));
+        out.sort_by_key(|t| std::cmp::Reverse(t.total_ns));
         out
     }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, offline release build, full test suite.
+# Tier-1 verification: formatting, offline release build, clippy with
+# warnings denied, full test suite.
 # Runs with zero network access — the workspace has no external
 # dependencies. Performance is measured elsewhere: `bash benchmark/run.sh`.
 # `scripts/loc.sh [--since <rev>] [path...]` reports non-test Rust lines per
@@ -13,6 +14,9 @@ cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo clippy (every target, warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
