@@ -458,10 +458,10 @@ fn crashtest(seed: u64, points: usize) {
 /// Streaming ingestion: the sharded worker pool vs the sequential pipeline.
 fn stream(scale: f64, threads: usize) {
     use sc_core::models::ModelKind;
-    use sc_core::StreamWarehouse;
+    use sc_core::CubeWarehouse;
     use sc_datagen::{BikesGenerator, DatasetSpec};
     use sc_ingest::StreamPipeline;
-    use sc_stream::StreamConfig;
+    use sc_stream::{StreamConfig, StreamIngestor};
     use std::time::Instant;
 
     header(&format!(
@@ -481,17 +481,16 @@ fn stream(scale: f64, threads: usize) {
     let seq_elapsed = start.elapsed();
 
     let start = Instant::now();
-    let mut warehouse = StreamWarehouse::new(
-        def,
-        StreamConfig::with_shards(threads),
-        ModelKind::NosqlDwarf.build().expect("schema creation"),
-    );
+    let ingestor = StreamIngestor::new(def, StreamConfig::with_shards(threads));
     for doc in &docs {
-        warehouse.ingest(doc.clone());
+        ingestor.ingest(doc.clone());
     }
-    let (cube, report, metrics) = warehouse.close_window(true).expect("flush");
+    let result = ingestor.finish();
+    let mut warehouse = CubeWarehouse::new(ModelKind::NosqlDwarf.build().expect("schema creation"));
+    let report = warehouse.store_window(&result.cube, true).expect("store");
     let par_elapsed = start.elapsed();
 
+    let metrics = result.metrics;
     println!("per-stage counters ({threads} shards):");
     println!("  events in            {:>10}", metrics.events_in);
     println!("  events parsed        {:>10}", metrics.events_parsed);
@@ -499,18 +498,18 @@ fn stream(scale: f64, threads: usize) {
     println!("  tuples extracted     {:>10}", metrics.tuples_extracted);
     println!("  micro-cubes sealed   {:>10}", metrics.seals);
     println!("  micro-cubes merged   {:>10}", metrics.merges);
-    println!("  cubes flushed        {:>10}", metrics.flushes);
+    println!("  windows stored       {:>10}", warehouse.stored().len());
     println!("  backpressure stalls  {:>10}", metrics.backpressure_stalls);
     println!(
-        "flushed to NoSQL-DWARF: schema id {}, {} node rows, {} cell rows, {}",
+        "stored in NoSQL-DWARF: schema id {}, {} node rows, {} cell rows, {}",
         report.schema_id, report.node_rows, report.cell_rows, report.size
     );
     println!(
-        "sequential {} ms, sharded-plus-flush {} ms",
+        "sequential {} ms, sharded-plus-store {} ms",
         seq_elapsed.as_millis(),
         par_elapsed.as_millis()
     );
-    let equivalent = cube.extract_tuples() == seq_cube.extract_tuples();
+    let equivalent = result.cube.extract_tuples() == seq_cube.extract_tuples();
     println!(
         "equivalence vs sequential pipeline: {}",
         if equivalent {
@@ -527,10 +526,10 @@ fn stream(scale: f64, threads: usize) {
 /// emit the global registry in all three exposition formats.
 fn obs(threads: usize, seed: u64) {
     use sc_core::models::ModelKind;
-    use sc_core::StreamWarehouse;
+    use sc_core::CubeWarehouse;
     use sc_datagen::{BikesGenerator, DatasetSpec};
     use sc_dwarf::{RangeSel, Selection};
-    use sc_stream::StreamConfig;
+    use sc_stream::{StreamConfig, StreamIngestor};
 
     header(&format!(
         "repro obs: end-to-end ingest with {threads} shard(s), then registry exposition"
@@ -542,15 +541,13 @@ fn obs(threads: usize, seed: u64) {
     let spec = DatasetSpec::for_window(Window::Day).scaled_spec(0.05);
     let docs: Vec<String> = BikesGenerator::new(spec).map(|s| s.xml).collect();
     let def = BikesGenerator::cube_def();
-    let mut warehouse = StreamWarehouse::new(
-        def,
-        StreamConfig::with_shards(threads),
-        ModelKind::NosqlDwarf.build().expect("schema creation"),
-    );
+    let ingestor = StreamIngestor::new(def, StreamConfig::with_shards(threads));
     for doc in &docs {
-        warehouse.ingest(doc.clone());
+        ingestor.ingest(doc.clone());
     }
-    let (cube, report, _metrics) = warehouse.close_window(true).expect("flush");
+    let cube = ingestor.finish().cube;
+    let mut warehouse = CubeWarehouse::new(ModelKind::NosqlDwarf.build().expect("schema creation"));
+    let report = warehouse.store_window(&cube, true).expect("store");
     eprintln!(
         "ingested {} documents -> cube with {} facts -> {} node rows, {} cell rows",
         docs.len(),

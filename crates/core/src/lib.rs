@@ -28,6 +28,10 @@
 //! into one `WHERE id IN (...)` round-trip behind a bounded LRU node cache.
 //! Every store-side source folds a node's cell rows through one rule, so an
 //! empty cube and a lost row mean the same thing on every path.
+//! [`CubeWarehouse`] is where a window's cube — from the sequential
+//! `sc_ingest::StreamPipeline` or the sharded `sc_stream::StreamIngestor` —
+//! is stored: `store_window(&cube, is_cube)` maps and stores it in one
+//! schema model and keeps the list of stored reports.
 //!
 //! ```
 //! use sc_core::models::{NosqlDwarfModel, SchemaModel};
@@ -51,10 +55,9 @@ pub mod mapping;
 pub mod models;
 pub mod node_source;
 mod obs;
-pub mod pipeline;
 pub mod store_query;
-pub mod stream_warehouse;
 pub mod transform;
+pub mod warehouse;
 
 pub use error::CoreError;
 pub use mapping::{MappedDwarf, ALL_KEY};
@@ -65,6 +68,5 @@ pub use models::{
 pub use node_source::{
     MinStoreNodeSource, ReadStats, StoreNodeSource, StoredCellSource, DEFAULT_NODE_CACHE_CAPACITY,
 };
-pub use pipeline::CubeWarehouse;
 pub use store_query::{CubeSelect, StoreBackedCube};
-pub use stream_warehouse::StreamWarehouse;
+pub use warehouse::CubeWarehouse;

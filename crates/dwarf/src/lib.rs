@@ -50,8 +50,9 @@
 //! * [`groupby`] — `GROUP BY` over any subset of dimensions
 //! * [`source`] — the `NodeSource` trait and the one walk behind every
 //!   query, shared by the in-memory and store-backed read paths
-//! * [`merge`] — cube merging and the delta buffer for incremental updates,
-//!   all rebuilt through `Dwarf::from_aggregated_rows`
+//! * [`merge`] — `Dwarf::merge_many`, the one cube merge (`Dwarf::merge` is
+//!   its two-cube call), rebuilt through `Dwarf::from_aggregated_rows`; an
+//!   incremental update is a `TupleSet` delta built and then merged
 //! * [`hierarchy`] — the Hierarchical-DWARF extension (rollup / drilldown)
 //! * [`dot`] — Graphviz rendering (the paper's Figure 2)
 
@@ -71,7 +72,6 @@ pub mod tuple;
 pub use cube::{CellRef, CubeStats, Dwarf, NodeId, NodeRef, NONE_NODE};
 pub use hierarchy::{HierarchicalCube, Hierarchy};
 pub use intern::{Interner, ValueId};
-pub use merge::{DeltaBuffer, MergeAccumulator};
 pub use query::{RangeSel, Selection};
 pub use schema::{AggFn, CubeSchema};
 pub use source::{

@@ -1,52 +1,49 @@
-//! Cube updates: merging cubes and buffering deltas.
+//! Cube updates: merging cubes.
 //!
 //! The paper's conclusion names "cube updates through efficient query
 //! primitives" as the next step. A DWARF's aggressive sharing makes in-place
 //! mutation unattractive (one new tuple can invalidate aggregates along
 //! every ALL path that covers it), so the standard maintenance strategy —
-//! which we implement — is **batch merge**: accumulate incoming facts in a
-//! [`DeltaBuffer`], then produce a fresh cube from the union of the existing
-//! cube's facts and the buffered delta. Re-extraction is linear in the fact
-//! count and construction is a single sorted pass, so the rebuild costs the
-//! same as the original load.
+//! which we implement — is **batch merge**: produce a fresh cube from the
+//! union of the input cubes' facts. A delta of raw incoming facts is a
+//! [`TupleSet`] built into a cube with [`Dwarf::build`] (which applies the
+//! tuple transform, Count → 1) and then merged like any other cube.
+//! Re-extraction is linear in the fact count and construction is a single
+//! sorted pass, so the rebuild costs the same as the original load.
 
 use crate::cube::Dwarf;
 use crate::schema::{AggFn, CubeSchema};
 use crate::tuple::TupleSet;
+use std::borrow::Borrow;
 
 impl Dwarf {
-    /// Merges two cubes over the same schema into a new cube whose facts are
-    /// the aggregate-union of both.
+    /// Merges any number of same-schema cubes, owned or borrowed, into one
+    /// cube whose facts are the aggregate-union of theirs, with a single
+    /// rebuild: each cube's rows are extracted as the iterator yields it, so
+    /// the inputs may trickle in (the streaming merger feeds its queue
+    /// straight in). Returns an empty cube for an empty iterator.
     ///
-    /// Panics if the schemas differ (dimension names, order, measure or
-    /// aggregate function) — merging unlike cubes is a programming error.
-    pub fn merge(&self, other: &Dwarf) -> Dwarf {
-        assert_eq!(
-            self.schema, other.schema,
-            "cannot merge cubes with different schemas"
-        );
-        let rows = self
-            .extract_tuples()
-            .into_iter()
-            .chain(other.extract_tuples());
-        Dwarf::from_aggregated_rows(self.schema.clone(), rows)
+    /// Panics if a cube's schema differs from `schema` (dimension names,
+    /// order, measure or aggregate function) — merging unlike cubes is a
+    /// programming error.
+    pub fn merge_many<D: Borrow<Dwarf>>(
+        schema: CubeSchema,
+        cubes: impl IntoIterator<Item = D>,
+    ) -> Dwarf {
+        let rows = cubes.into_iter().flat_map(|cube| {
+            let cube = cube.borrow();
+            assert_eq!(
+                &schema, &cube.schema,
+                "cannot merge cubes with different schemas"
+            );
+            cube.extract_tuples()
+        });
+        Dwarf::from_aggregated_rows(schema.clone(), rows)
     }
 
-    /// Applies a delta buffer, returning the updated cube.
-    pub fn apply_delta(&self, delta: &DeltaBuffer) -> Dwarf {
-        assert_eq!(
-            &self.schema, &delta.schema,
-            "delta buffer built for a different schema"
-        );
-        // Delta rows are raw facts: apply the original tuple transform
-        // (Count -> 1) so they join the cube's rows as aggregates.
-        let agg = self.schema.agg();
-        let delta_rows = delta
-            .rows
-            .iter()
-            .map(|(key, measure)| (key.clone(), agg.of_tuple(*measure)));
-        let rows = self.extract_tuples().into_iter().chain(delta_rows);
-        Dwarf::from_aggregated_rows(self.schema.clone(), rows)
+    /// Merges two cubes: [`Dwarf::merge_many`] over `self` and `other`.
+    pub fn merge(&self, other: &Dwarf) -> Dwarf {
+        Dwarf::merge_many(self.schema.clone(), [self, other])
     }
 
     /// Rebuilds a cube from already-aggregated fact rows (as produced by
@@ -70,135 +67,6 @@ impl Dwarf {
         let mut cube = Dwarf::build(build_schema, ts);
         cube.schema = schema;
         cube
-    }
-}
-
-/// Accumulates already-aggregated fact rows from many cubes and builds the
-/// union cube **once**.
-///
-/// [`Dwarf::merge`] is pairwise: merging `k` sealed micro-cubes by folding
-/// costs `k-1` full rebuilds, each re-extracting everything merged so far.
-/// The accumulator instead extracts each cube's rows as it arrives and sorts
-/// and builds a single time in [`MergeAccumulator::finish`] — the shape the
-/// streaming runtime needs, where sealed micro-cubes trickle in from worker
-/// shards.
-#[derive(Debug)]
-pub struct MergeAccumulator {
-    schema: CubeSchema,
-    rows: Vec<(Vec<String>, i64)>,
-    cubes_absorbed: usize,
-}
-
-impl MergeAccumulator {
-    /// Creates an empty accumulator for `schema`.
-    pub fn new(schema: CubeSchema) -> Self {
-        Self {
-            schema,
-            rows: Vec::new(),
-            cubes_absorbed: 0,
-        }
-    }
-
-    /// Absorbs one cube's facts.
-    ///
-    /// Panics if the cube's schema differs from the accumulator's — merging
-    /// unlike cubes is a programming error, as in [`Dwarf::merge`].
-    pub fn absorb(&mut self, cube: &Dwarf) {
-        assert_eq!(
-            &self.schema,
-            cube.schema(),
-            "cannot merge cubes with different schemas"
-        );
-        self.rows.extend(cube.extract_tuples());
-        self.cubes_absorbed += 1;
-    }
-
-    /// Number of cubes absorbed so far.
-    pub fn cubes_absorbed(&self) -> usize {
-        self.cubes_absorbed
-    }
-
-    /// Number of fact rows buffered (duplicates not yet folded).
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no facts have been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Builds the union cube from everything absorbed.
-    ///
-    /// Rows are already aggregates, so Count cubes rebuild under Sum
-    /// semantics (see [`Dwarf::from_aggregated_rows`]).
-    pub fn finish(self) -> Dwarf {
-        Dwarf::from_aggregated_rows(self.schema, self.rows)
-    }
-}
-
-impl Dwarf {
-    /// Merges any number of same-schema cubes with a single rebuild.
-    ///
-    /// Equivalent to folding [`Dwarf::merge`] but linear in total fact count
-    /// instead of quadratic. Returns an empty cube for an empty iterator.
-    pub fn merge_many<'a>(schema: CubeSchema, cubes: impl IntoIterator<Item = &'a Dwarf>) -> Dwarf {
-        let mut acc = MergeAccumulator::new(schema);
-        for cube in cubes {
-            acc.absorb(cube);
-        }
-        acc.finish()
-    }
-}
-
-/// Accumulates raw incoming facts until the owner decides to rebuild.
-///
-/// The smart-city pipeline appends stream records here as they arrive and
-/// calls [`Dwarf::apply_delta`] on a cadence (the paper's datasets are
-/// day/week/month windows of exactly this kind).
-#[derive(Debug, Clone)]
-pub struct DeltaBuffer {
-    schema: CubeSchema,
-    rows: Vec<(Vec<String>, i64)>,
-}
-
-impl DeltaBuffer {
-    /// Creates an empty buffer for `schema`.
-    pub fn new(schema: CubeSchema) -> Self {
-        Self {
-            schema,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one raw fact.
-    pub fn push<I, S>(&mut self, dims: I, measure: i64)
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let key: Vec<String> = dims.into_iter().map(|s| s.as_ref().to_string()).collect();
-        assert_eq!(
-            key.len(),
-            self.schema.num_dims(),
-            "wrong number of dimension values"
-        );
-        self.rows.push((key, measure));
-    }
-
-    /// Number of buffered facts.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Discards the buffered facts.
-    pub fn clear(&mut self) {
-        self.rows.clear();
     }
 }
 
@@ -260,17 +128,18 @@ mod tests {
     #[test]
     fn delta_buffer_flow() {
         let base = cube_of(&[("mon", "a", 1)]);
-        let mut delta = DeltaBuffer::new(schema());
+        let mut delta = TupleSet::new(&schema());
         assert!(delta.is_empty());
         delta.push(["mon", "a"], 2);
         delta.push(["tue", "b"], 3);
         assert_eq!(delta.len(), 2);
-        let updated = base.apply_delta(&delta);
+        // Applying takes the buffered facts and leaves an empty buffer.
+        let applied = std::mem::replace(&mut delta, TupleSet::new(&schema()));
+        let updated = base.merge(&Dwarf::build(schema(), applied));
         updated.validate();
         let v = Selection::value;
         assert_eq!(updated.point(&[v("mon"), v("a")]), Some(3));
         assert_eq!(updated.point(&[v("tue"), v("b")]), Some(3));
-        delta.clear();
         assert!(delta.is_empty());
     }
 
@@ -295,10 +164,10 @@ mod tests {
         let mut ts = TupleSet::new(&schema);
         ts.push(["a"], 1);
         let base = Dwarf::build(schema.clone(), ts);
-        let mut delta = DeltaBuffer::new(schema);
+        let mut delta = TupleSet::new(&schema);
         delta.push(["a"], 123);
         delta.push(["b"], 456);
-        let updated = base.apply_delta(&delta);
+        let updated = base.merge(&Dwarf::build(schema, delta));
         assert_eq!(updated.point(&[Selection::value("a")]), Some(2));
         assert_eq!(updated.point(&[Selection::value("b")]), Some(1));
     }

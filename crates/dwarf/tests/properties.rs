@@ -174,17 +174,38 @@ fn extraction_equals_groupby_of_input() {
 fn merge_equals_build_of_concatenation() {
     let mut rng = Rng::new(0xD05);
     for _ in 0..64 {
-        let rows_a = random_rows(&mut rng, 2, 25);
-        let rows_b = random_rows(&mut rng, 2, 25);
-        let schema = CubeSchema::new(["x", "y"], "m");
-        let a = build(&schema, &rows_a);
-        let b = build(&schema, &rows_b);
-        let merged = a.merge(&b);
-        let mut both = rows_a.clone();
-        both.extend(rows_b.clone());
-        let direct = build(&schema, &both);
-        assert_eq!(merged.extract_tuples(), direct.extract_tuples());
-        merged.validate();
+        // 0-4 cubes, about one in four of them empty.
+        let parts: Vec<Vec<Row>> = (0..rng.gen_range(5))
+            .map(|_| match rng.gen_range(4) {
+                0 => Vec::new(),
+                _ => random_rows(&mut rng, 2, 25),
+            })
+            .collect();
+        // Raw facts arriving after the merge: the incremental-update path.
+        let delta = random_rows(&mut rng, 2, 10);
+        let all = parts.concat();
+        for agg in [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max] {
+            let schema = CubeSchema::new(["x", "y"], "m").with_agg(agg);
+            let cubes: Vec<Dwarf> = parts.iter().map(|rows| build(&schema, rows)).collect();
+            let merged = Dwarf::merge_many(schema.clone(), &cubes);
+            let context = format!("agg {agg:?} parts {parts:?}");
+            assert_eq!(
+                merged.extract_tuples(),
+                build(&schema, &all).extract_tuples(),
+                "{context}"
+            );
+            assert_eq!(merged.schema(), &schema, "{context}");
+            merged.validate();
+            // One operand built from a raw TupleSet delta: under Count its
+            // facts are ones, while the merged cube's are counts.
+            let updated = merged.merge(&build(&schema, &delta));
+            assert_eq!(
+                updated.extract_tuples(),
+                build(&schema, &[all.clone(), delta.clone()].concat()).extract_tuples(),
+                "{context} delta {delta:?}"
+            );
+            updated.validate();
+        }
     }
 }
 

@@ -57,6 +57,12 @@ impl StreamPipeline {
         self.tuples.len()
     }
 
+    /// Rough heap footprint of the accumulated tuples (see
+    /// `TupleSet::approximate_bytes`).
+    pub fn approximate_bytes(&self) -> usize {
+        self.tuples.approximate_bytes()
+    }
+
     /// Cumulative extraction counters.
     pub fn stats(&self) -> ExtractStats {
         self.stats

@@ -3,19 +3,19 @@
 //! Sharded parallel streaming ingestion for smart-city cube construction.
 //!
 //! The sequential path (`sc_ingest::StreamPipeline`) parses every feed
-//! document on one thread. This crate scales that out while keeping results
-//! bit-identical:
+//! document on one thread. This crate runs several of those pipelines at
+//! once while keeping results bit-identical:
 //!
 //! 1. raw XML/JSON payloads are hash-sharded by partition key across a
 //!    fixed pool of worker threads (one bounded `std::sync::mpsc` queue per
 //!    shard provides blocking backpressure),
-//! 2. each worker parses and extracts into a private tuple set, sealing it
-//!    into a DWARF **micro-cube** whenever a tuple- or byte-watermark is
+//! 2. each worker owns a `StreamPipeline` and seals it into a DWARF
+//!    **micro-cube** (`build_cube`) whenever a tuple- or byte-watermark is
 //!    crossed,
-//! 3. a dedicated merger thread folds sealed micro-cubes into one
-//!    `MergeAccumulator` and builds the global cube once at the end,
-//! 4. the caller flushes the merged cube into a storage backend (see
-//!    `sc_core::stream_warehouse` for the NoSQL column-family path).
+//! 3. a dedicated merger thread runs one `Dwarf::merge_many` over the
+//!    sealed micro-cubes as they arrive, building the global cube once,
+//! 4. the caller stores the merged cube like any other window's (see
+//!    `sc_core::CubeWarehouse::store_window`).
 //!
 //! Everything is `std`-only: threads are `std::thread`, queues are
 //! `std::sync::mpsc::sync_channel`, counters are `AtomicU64` ([`metrics`]).

@@ -28,8 +28,6 @@ pub struct Metrics {
     pub seals: Counter,
     /// Sealed micro-cubes absorbed by the merger.
     pub merges: Counter,
-    /// Merged cubes flushed to a storage backend.
-    pub flushes: Counter,
     /// Sends that blocked on a full shard queue.
     pub backpressure_stalls: Counter,
 }
@@ -51,15 +49,8 @@ impl Metrics {
             tuples_extracted: r.counter("stream.worker.tuples_extracted"),
             seals: r.counter("stream.worker.seals"),
             merges: r.counter("stream.merger.merges"),
-            flushes: r.counter("stream.warehouse.flushes"),
             backpressure_stalls: r.counter("stream.ingest.backpressure_stalls"),
         }
-    }
-
-    /// Adds `n` to a counter (counters are public so downstream flush
-    /// stages — e.g. `sc-core`'s streaming warehouse — can record too).
-    pub fn add(counter: &Counter, n: u64) {
-        counter.add(n);
     }
 
     /// Copies every counter's per-pipeline value into a plain snapshot.
@@ -71,7 +62,6 @@ impl Metrics {
             tuples_extracted: self.tuples_extracted.get(),
             seals: self.seals.get(),
             merges: self.merges.get(),
-            flushes: self.flushes.get(),
             backpressure_stalls: self.backpressure_stalls.get(),
         }
     }
@@ -92,8 +82,6 @@ pub struct MetricsSnapshot {
     pub seals: u64,
     /// Micro-cubes merged into the global cube.
     pub merges: u64,
-    /// Merged cubes flushed to storage.
-    pub flushes: u64,
     /// Sends that blocked on a full shard queue.
     pub backpressure_stalls: u64,
 }
@@ -105,9 +93,9 @@ mod tests {
     #[test]
     fn snapshot_reflects_counters() {
         let m = Metrics::new();
-        Metrics::add(&m.events_in, 3);
-        Metrics::add(&m.tuples_extracted, 40);
-        Metrics::add(&m.backpressure_stalls, 1);
+        m.events_in.add(3);
+        m.tuples_extracted.add(40);
+        m.backpressure_stalls.add(1);
         let snap = m.snapshot();
         assert_eq!(snap.events_in, 3);
         assert_eq!(snap.tuples_extracted, 40);
@@ -120,7 +108,7 @@ mod tests {
     fn pipelines_do_not_see_each_other() {
         let a = Metrics::new();
         let b = Metrics::new();
-        Metrics::add(&a.events_in, 5);
+        a.events_in.add(5);
         assert_eq!(a.snapshot().events_in, 5);
         assert_eq!(b.snapshot().events_in, 0);
     }
@@ -133,8 +121,8 @@ mod tests {
             .unwrap_or(0);
         let a = Metrics::new();
         let b = Metrics::new();
-        Metrics::add(&a.seals, 2);
-        Metrics::add(&b.seals, 3);
+        a.seals.add(2);
+        b.seals.add(3);
         let after = sc_obs::Registry::global()
             .snapshot()
             .counter("stream.worker.seals")

@@ -7,33 +7,31 @@
 //!          ▼               ▼               ▼
 //!    [shard queue 0] [shard queue 1] [shard queue N-1]   bounded, blocking
 //!          │               │               │
-//!     worker thread   worker thread   worker thread      parse + extract
-//!          │ seal on watermark         │
+//!     worker thread   worker thread   worker thread      StreamPipeline::ingest
+//!          │ build_cube on watermark   │
 //!          └───────────────┼───────────────┘
 //!                          ▼
 //!                    [merge queue]                       sealed micro-cubes
 //!                          │
-//!                    merger thread                       MergeAccumulator
-//!                          │ finish()
+//!                    merger thread                       Dwarf::merge_many
 //!                          ▼
 //!                     global Dwarf
 //! ```
 //!
-//! Each worker owns a private `TupleSet` and seals it into a DWARF
-//! micro-cube whenever it crosses the configured tuple- or byte-watermark;
-//! sealed cubes flow to a dedicated merger thread that folds them into one
-//! [`MergeAccumulator`]. Because every cube aggregate (Sum/Count/Min/Max) is
-//! commutative and associative, the merged result is identical to feeding
-//! all documents through one sequential [`StreamPipeline`]
-//! (sc-stream's equivalence test asserts exactly that), no matter how
-//! payloads were sharded or interleaved.
+//! Each worker owns a sequential [`StreamPipeline`] and seals it into a
+//! DWARF micro-cube with [`StreamPipeline::build_cube`] whenever it crosses
+//! the configured tuple- or byte-watermark; sealed cubes flow to a dedicated
+//! merger thread that runs one [`Dwarf::merge_many`] over its queue. Because
+//! every cube aggregate (Sum/Count/Min/Max) is commutative and associative,
+//! the merged result is identical to feeding all documents through one
+//! sequential [`StreamPipeline`] (sc-stream's equivalence test asserts
+//! exactly that), no matter how payloads were sharded or interleaved.
 
 use crate::config::StreamConfig;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use sc_dwarf::{Dwarf, MergeAccumulator, TupleSet};
+use sc_dwarf::Dwarf;
 use sc_encoding::fnv1a_64;
-use sc_ingest::extract::extract_text;
-use sc_ingest::{CubeDef, MissingPolicy};
+use sc_ingest::{CubeDef, StreamPipeline};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -98,7 +96,7 @@ impl StreamIngestor {
             let merge_tx = merge_tx.clone();
             let worker = std::thread::Builder::new()
                 .name(format!("sc-stream-worker-{shard}"))
-                .spawn(move || run_worker(&def, &config, rx, merge_tx, &metrics))
+                .spawn(move || run_worker(def, &config, rx, merge_tx, &metrics))
                 .expect("spawn worker thread");
             shards.push(tx);
             workers.push(worker);
@@ -129,10 +127,10 @@ impl StreamIngestor {
     }
 
     fn dispatch(&self, shard: usize, payload: String) {
-        Metrics::add(&self.metrics.events_in, 1);
+        self.metrics.events_in.add(1);
         match send_counting_stall(&self.shards[shard], payload) {
             Ok(false) => {}
-            Ok(true) => Metrics::add(&self.metrics.backpressure_stalls, 1),
+            Ok(true) => self.metrics.backpressure_stalls.add(1),
             // A dead worker means a panic in parse/extract code; surface it
             // at the ingest site rather than deadlocking the producer.
             Err(_) => panic!("stream worker for shard {shard} terminated"),
@@ -172,57 +170,49 @@ impl StreamIngestor {
     }
 }
 
-/// Worker loop: parse, extract, accumulate, seal on watermark.
+/// Worker loop: ingest into the shard's pipeline, seal on watermark.
 fn run_worker(
-    def: &CubeDef,
+    def: CubeDef,
     config: &StreamConfig,
     rx: Receiver<String>,
     merge_tx: SyncSender<Dwarf>,
     metrics: &Metrics,
 ) {
-    let schema = def.schema();
-    let mut tuples = TupleSet::new(&schema);
+    let mut pipeline = StreamPipeline::new(def);
     // `recv` errs once every sender is gone and the queue is drained.
     while let Ok(payload) = rx.recv() {
-        match extract_text(def, &payload, &mut tuples, MissingPolicy::Skip) {
+        match pipeline.ingest(&payload) {
             Ok(stats) => {
-                Metrics::add(&metrics.events_parsed, 1);
-                Metrics::add(&metrics.tuples_extracted, stats.extracted as u64);
+                metrics.events_parsed.add(1);
+                metrics.tuples_extracted.add(stats.extracted as u64);
             }
-            Err(_) => {
-                Metrics::add(&metrics.events_failed, 1);
-            }
+            Err(_) => metrics.events_failed.add(1),
         }
-        if tuples.len() >= config.seal_tuple_watermark
-            || tuples.approximate_bytes() >= config.seal_byte_watermark
+        if pipeline.tuple_count() >= config.seal_tuple_watermark
+            || pipeline.approximate_bytes() >= config.seal_byte_watermark
         {
-            let sealed = std::mem::replace(&mut tuples, TupleSet::new(&schema));
-            seal(def, sealed, &merge_tx, metrics);
+            seal(&mut pipeline, &merge_tx, metrics);
         }
     }
     // End of stream: seal the partial remainder so nothing is lost.
-    if !tuples.is_empty() {
-        seal(def, tuples, &merge_tx, metrics);
+    if pipeline.tuple_count() > 0 {
+        seal(&mut pipeline, &merge_tx, metrics);
     }
 }
 
-fn seal(def: &CubeDef, tuples: TupleSet, merge_tx: &SyncSender<Dwarf>, metrics: &Metrics) {
-    let micro = Dwarf::build(def.schema(), tuples);
-    Metrics::add(&metrics.seals, 1);
+fn seal(pipeline: &mut StreamPipeline, merge_tx: &SyncSender<Dwarf>, metrics: &Metrics) {
+    let micro = pipeline.build_cube();
+    metrics.seals.add(1);
     if merge_tx.send(micro).is_err() {
         // The merger died (panicked); the worker's own exit will surface it
         // when the runtime joins the merger thread.
     }
 }
 
-/// Merger loop: fold sealed micro-cubes, build the global cube once.
+/// Merger loop: one merge over every sealed micro-cube, as it arrives.
 fn run_merger(schema: sc_dwarf::CubeSchema, rx: Receiver<Dwarf>, metrics: &Metrics) -> Dwarf {
-    let mut acc = MergeAccumulator::new(schema);
-    while let Ok(micro) = rx.recv() {
-        acc.absorb(&micro);
-        Metrics::add(&metrics.merges, 1);
-    }
-    acc.finish()
+    let micro_cubes = rx.iter().inspect(|_| metrics.merges.add(1));
+    Dwarf::merge_many(schema, micro_cubes)
 }
 
 #[cfg(test)]

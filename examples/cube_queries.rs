@@ -3,15 +3,13 @@
 //! Hierarchical-DWARF extension from the related work (§6, [11]).
 //!
 //! Shows: point/group-by queries, range queries, slices, sub-cubes (the
-//! `is_cube` flag), delta-buffer updates, and ROLLUP/DRILLDOWN over
-//! dimension hierarchies.
+//! `is_cube` flag), delta updates (a built delta merged in), and
+//! ROLLUP/DRILLDOWN over dimension hierarchies.
 //!
 //! Run with: `cargo run --example cube_queries`
 
 use smartcube::dwarf::hierarchy::{HierarchicalBuilder, LevelCoord};
-use smartcube::dwarf::{
-    AggFn, CubeSchema, DeltaBuffer, Dwarf, Hierarchy, RangeSel, Selection, TupleSet,
-};
+use smartcube::dwarf::{AggFn, CubeSchema, Dwarf, Hierarchy, RangeSel, Selection, TupleSet};
 
 fn coord(dim: &str, values: &[&str]) -> LevelCoord {
     LevelCoord {
@@ -80,11 +78,11 @@ fn main() {
         d2.point(&[all.clone(), all.clone(), all.clone()])
     );
 
-    println!("\n== Incremental update via the delta buffer ==");
-    let mut delta = DeltaBuffer::new(schema);
+    println!("\n== Incremental update: a delta built and merged in ==");
+    let mut delta = TupleSet::new(&schema);
     delta.push(["thu", "D2", "Fenian St"], 27);
     delta.push(["mon", "D2", "Fenian St"], 2); // late-arriving correction
-    let updated = cube.apply_delta(&delta);
+    let updated = cube.merge(&Dwarf::build(schema, delta));
     println!(
         "mon/D2/Fenian St before={:?} after={:?}",
         cube.point(&[v("mon"), v("D2"), v("Fenian St")]),

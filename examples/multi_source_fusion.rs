@@ -9,19 +9,31 @@
 //! Run with: `cargo run --example multi_source_fusion`
 
 use smartcube::core::models::ModelKind;
-use smartcube::core::CubeWarehouse;
+use smartcube::core::{CubeWarehouse, StoreReport};
 use smartcube::datagen::{airquality, auction, carpark, sales, BikesGenerator, BikesSpec};
-use smartcube::dwarf::{RangeSel, Selection};
-use smartcube::ingest::DateTime;
+use smartcube::dwarf::{Dwarf, RangeSel, Selection};
+use smartcube::ingest::{CubeDef, DateTime, StreamPipeline};
+
+/// Builds one source's cube from its documents and stores it.
+fn load(
+    warehouse: &mut CubeWarehouse,
+    def: CubeDef,
+    docs: impl IntoIterator<Item = String>,
+) -> (Dwarf, StoreReport) {
+    let mut pipeline = StreamPipeline::new(def);
+    for doc in docs {
+        pipeline.ingest(&doc).expect("well-formed feed");
+    }
+    let cube = pipeline.build_cube();
+    let report = warehouse.store_window(&cube, false).expect("store");
+    (cube, report)
+}
 
 fn main() {
     let morning = DateTime::parse("2015-11-02T06:00:00").expect("valid");
+    let mut warehouse = CubeWarehouse::new(ModelKind::NosqlDwarf.build().expect("schema"));
 
     // ---- Bikes (XML).
-    let mut bikes = CubeWarehouse::new(
-        BikesGenerator::cube_def(),
-        ModelKind::NosqlDwarf.build().expect("schema"),
-    );
     let spec = BikesSpec {
         seed: 7,
         stations: 30,
@@ -29,49 +41,20 @@ fn main() {
         duration_minutes: 6 * 60,
         target_tuples: 900,
     };
-    for snap in BikesGenerator::new(spec) {
-        bikes.ingest(&snap.xml).expect("bikes feed");
-    }
-    let (bikes_cube, bikes_report) = bikes.close_window(false).expect("store bikes");
+    let bikes = BikesGenerator::new(spec).map(|snap| snap.xml);
+    let (bikes_cube, bikes_report) = load(&mut warehouse, BikesGenerator::cube_def(), bikes);
 
-    // ---- Car parks (XML).
-    let mut parks = CubeWarehouse::new(
-        carpark::cube_def(),
-        ModelKind::NosqlDwarf.build().expect("schema"),
-    );
-    for doc in carpark::generate(11, morning, 12, 30) {
-        parks.ingest(&doc).expect("carpark feed");
-    }
-    let (parks_cube, _) = parks.close_window(false).expect("store carparks");
-
-    // ---- Air quality (JSON).
-    let mut air = CubeWarehouse::new(
-        airquality::cube_def(),
-        ModelKind::NosqlDwarf.build().expect("schema"),
-    );
-    for doc in airquality::generate(13, morning, 6, 60, 6) {
-        air.ingest(&doc).expect("air feed");
-    }
-    let (air_cube, _) = air.close_window(false).expect("store air");
+    // ---- Car parks (XML) and air quality (JSON).
+    let parks = carpark::generate(11, morning, 12, 30);
+    let (parks_cube, _) = load(&mut warehouse, carpark::cube_def(), parks);
+    let air = airquality::generate(13, morning, 6, 60, 6);
+    let (air_cube, _) = load(&mut warehouse, airquality::cube_def(), air);
 
     // ---- Auctions (JSON) and sales (XML), daily documents.
-    let mut auctions = CubeWarehouse::new(
-        auction::cube_def(),
-        ModelKind::NosqlDwarf.build().expect("schema"),
-    );
-    auctions
-        .ingest(&auction::generate_day(17, morning, 120))
-        .expect("auction feed");
-    let (auction_cube, _) = auctions.close_window(false).expect("store auctions");
-
-    let mut retail = CubeWarehouse::new(
-        sales::cube_def(),
-        ModelKind::NosqlDwarf.build().expect("schema"),
-    );
-    retail
-        .ingest(&sales::generate_day(19, morning, 6))
-        .expect("sales feed");
-    let (sales_cube, _) = retail.close_window(false).expect("store sales");
+    let auctions = [auction::generate_day(17, morning, 120)];
+    let (auction_cube, _) = load(&mut warehouse, auction::cube_def(), auctions);
+    let retail = [sales::generate_day(19, morning, 6)];
+    let (sales_cube, _) = load(&mut warehouse, sales::cube_def(), retail);
 
     // ---- Cross-source morning report.
     println!("== Smart-city morning report, 2015-11-02 ==\n");
@@ -127,5 +110,8 @@ fn main() {
             air_cube.point(&a)
         );
     }
-    println!("\nFive sources (3 XML + 2 JSON) fused through one canonical pipeline: ✓");
+    println!(
+        "\nFive sources (3 XML + 2 JSON) fused through one canonical pipeline, {} cubes in one store: ✓",
+        warehouse.stored().len()
+    );
 }

@@ -71,6 +71,14 @@ echo "$obs_out" | grep -q '"histograms"' || {
     exit 1
 }
 
+echo "==> streaming smoke (sharded ingest + warehouse store == sequential pipeline)"
+# repro stream panics if the sharded cube's facts differ from the
+# sequential pipeline's.
+cargo run --release -p sc-bench --bin repro -- stream --scale 0.01 --threads 2
+
+echo "==> multi-source example (five feeds, one warehouse)"
+cargo run --release --example multi_source_fusion
+
 echo "==> sqllogictest tier (golden .slt scripts, memtable + flushed + compacted)"
 cargo test -q --release -p sc-nosql --test sqllogic
 

@@ -4,7 +4,7 @@
 use smartcube::core::models::{ModelKind, SchemaModel};
 use smartcube::core::{MappedDwarf, StoreBackedCube};
 use smartcube::datagen::{BikesGenerator, BikesSpec};
-use smartcube::dwarf::{Dwarf, RangeSel, Selection};
+use smartcube::dwarf::{Dwarf, RangeSel, Selection, TupleSet};
 use smartcube::ingest::StreamPipeline;
 
 fn day_cube() -> Dwarf {
@@ -102,7 +102,7 @@ fn subcube_survives_a_store_roundtrip_with_is_cube_flag() {
 #[test]
 fn incremental_update_then_store() {
     let cube = day_cube();
-    let mut delta = smartcube::dwarf::DeltaBuffer::new(cube.schema().clone());
+    let mut delta = TupleSet::new(cube.schema());
     delta.push(
         [
             "2015",
@@ -116,7 +116,7 @@ fn incremental_update_then_store() {
         ],
         7,
     );
-    let updated = cube.apply_delta(&delta);
+    let updated = cube.merge(&Dwarf::build(cube.schema().clone(), delta));
     assert_eq!(updated.tuple_count(), cube.tuple_count() + 1);
     let mapped = MappedDwarf::new(&updated);
     let mut model = ModelKind::NosqlDwarf.build().expect("schema");

@@ -7,7 +7,7 @@ use smartcube::core::models::ModelKind;
 use smartcube::core::CubeWarehouse;
 use smartcube::datagen::{BikesGenerator, BikesSpec};
 use smartcube::dwarf::Selection;
-use smartcube::ingest::{DateTime, Window};
+use smartcube::ingest::{DateTime, StreamPipeline, Window};
 
 #[test]
 fn stream_splits_into_daily_cubes() {
@@ -19,22 +19,22 @@ fn stream_splits_into_daily_cubes() {
         duration_minutes: 2 * 24 * 60,
         target_tuples: 400,
     };
-    let mut warehouse = CubeWarehouse::new(
-        BikesGenerator::cube_def(),
-        ModelKind::NosqlDwarf.build().expect("schema"),
-    );
+    let mut pipeline = StreamPipeline::new(BikesGenerator::cube_def());
+    let mut warehouse = CubeWarehouse::new(ModelKind::NosqlDwarf.build().expect("schema"));
     let window = Window::Day;
     let mut window_start = spec.start;
     let mut cubes = Vec::new();
     for snap in BikesGenerator::new(spec) {
         if !window.contains(window_start, snap.time) {
-            let (cube, _) = warehouse.close_window(false).expect("close window");
+            let cube = pipeline.build_cube();
+            warehouse.store_window(&cube, false).expect("close window");
             cubes.push(cube);
             window_start = window.end(window_start);
         }
-        warehouse.ingest(&snap.xml).expect("feed");
+        pipeline.ingest(&snap.xml).expect("feed");
     }
-    let (last, _) = warehouse.close_window(false).expect("close last");
+    let last = pipeline.build_cube();
+    warehouse.store_window(&last, false).expect("close last");
     cubes.push(last);
 
     assert_eq!(cubes.len(), 2, "two day windows");
@@ -71,7 +71,7 @@ fn merged_daily_cubes_equal_one_big_cube() {
         target_tuples: 300,
     };
     // One cube over the whole stream...
-    let mut all_pipeline = smartcube::ingest::StreamPipeline::new(BikesGenerator::cube_def());
+    let mut all_pipeline = StreamPipeline::new(BikesGenerator::cube_def());
     for snap in BikesGenerator::new(make_spec()) {
         all_pipeline.ingest(&snap.xml).unwrap();
     }
@@ -79,8 +79,8 @@ fn merged_daily_cubes_equal_one_big_cube() {
     // ...versus per-day cubes merged afterwards (the maintenance pattern).
     let window = Window::Day;
     let start = make_spec().start;
-    let mut day1 = smartcube::ingest::StreamPipeline::new(BikesGenerator::cube_def());
-    let mut day2 = smartcube::ingest::StreamPipeline::new(BikesGenerator::cube_def());
+    let mut day1 = StreamPipeline::new(BikesGenerator::cube_def());
+    let mut day2 = StreamPipeline::new(BikesGenerator::cube_def());
     for snap in BikesGenerator::new(make_spec()) {
         if window.contains(start, snap.time) {
             day1.ingest(&snap.xml).unwrap();
