@@ -268,7 +268,9 @@ impl Iterator for BikesGenerator {
 mod tests {
     use super::*;
     use sc_dwarf::{Dwarf, Selection, TupleSet};
-    use sc_ingest::{extract_into, MissingPolicy};
+    use sc_ingest::{extract_into, ExtractError, ExtractStats, MissingPolicy};
+    use sc_json::JsonValue;
+    use sc_xml::dom::Node;
 
     #[test]
     fn exact_tuple_counts() {
@@ -330,6 +332,110 @@ mod tests {
         let cube_xml = Dwarf::build(def.schema(), via_xml);
         let cube_direct = Dwarf::build(def.schema(), direct);
         assert_eq!(cube_xml.extract_tuples(), cube_direct.extract_tuples());
+    }
+
+    /// The JSON twin of a parsed snapshot: `updated` plus every station
+    /// field, integers as JSON numbers and the rest as strings.
+    fn json_twin(doc: &sc_xml::Document) -> String {
+        let stations = doc
+            .root
+            .children_named("station")
+            .map(|station| {
+                let fields = station.child_elements().map(|f| {
+                    let text = f.text();
+                    let value = match text.parse::<i64>() {
+                        Ok(n) => JsonValue::number(n as f64),
+                        Err(_) => JsonValue::string(text),
+                    };
+                    (f.name.clone(), value)
+                });
+                JsonValue::Object(fields.collect())
+            })
+            .collect();
+        let updated = doc.root.attr("updated").expect("stamped snapshot");
+        JsonValue::object(vec![
+            ("updated", JsonValue::string(updated)),
+            ("stations", JsonValue::Array(stations)),
+        ])
+        .to_json()
+    }
+
+    /// Stats, pre-deduplication tuple count and facts of `docs` under `def`.
+    type Extracted = (ExtractStats, usize, Vec<(Vec<String>, i64)>);
+
+    fn extract_all(
+        def: &CubeDef,
+        docs: &[String],
+        policy: MissingPolicy,
+    ) -> Result<Extracted, ExtractError> {
+        let mut tuples = TupleSet::new(&def.schema());
+        let mut stats = ExtractStats::default();
+        for doc in docs {
+            stats.merge(sc_ingest::extract::extract_text(
+                def,
+                doc,
+                &mut tuples,
+                policy,
+            )?);
+        }
+        let len = tuples.len();
+        Ok((
+            stats,
+            len,
+            Dwarf::build(def.schema(), tuples).extract_tuples(),
+        ))
+    }
+
+    #[test]
+    fn json_twins_extract_the_same_tuples() {
+        let xml_def = BikesGenerator::cube_def();
+        let json_def = CubeDef::json("/stations/*")
+            .timestamp("/updated")
+            .time_dimension("year", TimeField::Year)
+            .time_dimension("month", TimeField::Month)
+            .time_dimension("day", TimeField::Day)
+            .time_dimension("hour", TimeField::Hour)
+            .dimension("area", "/area")
+            .dimension("station", "/name")
+            .dimension("status", "/status")
+            .dimension("docks", "/docks")
+            .measure("bikes", "/bikes")
+            .build()
+            .unwrap();
+        let mut docs: Vec<sc_xml::Document> = BikesGenerator::new(BikesSpec::small())
+            .map(|s| sc_xml::Document::parse(&s.xml).unwrap())
+            .collect();
+        let twins = |docs: &[sc_xml::Document]| -> (Vec<String>, Vec<String>) {
+            docs.iter().map(|d| (d.to_xml(), json_twin(d))).unzip()
+        };
+        let clean = twins(&docs);
+        // One station of one snapshot loses its status.
+        let Some(Node::Element(station)) = docs[2]
+            .root
+            .children
+            .iter_mut()
+            .find(|n| matches!(n, Node::Element(e) if e.name == "station"))
+        else {
+            panic!("snapshot without stations");
+        };
+        station
+            .children
+            .retain(|n| !matches!(n, Node::Element(e) if e.name == "status"));
+        let gapped = twins(&docs);
+        for (xml, json) in [&clean, &gapped] {
+            for policy in [MissingPolicy::Skip, MissingPolicy::Fail] {
+                assert_eq!(
+                    extract_all(&xml_def, xml, policy),
+                    extract_all(&json_def, json, policy),
+                    "{policy:?}"
+                );
+            }
+        }
+        let (stats, _, _) = extract_all(&xml_def, &clean.0, MissingPolicy::Fail).unwrap();
+        assert_eq!((stats.extracted, stats.skipped), (480, 0));
+        let (stats, _, _) = extract_all(&xml_def, &gapped.0, MissingPolicy::Skip).unwrap();
+        assert_eq!((stats.extracted, stats.skipped), (479, 1));
+        assert!(extract_all(&xml_def, &gapped.0, MissingPolicy::Fail).is_err());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::datetime::DateTime;
 use sc_dwarf::TupleSet;
 use sc_json::JsonValue;
 use sc_xml::Document;
+use std::borrow::Cow;
 use std::fmt;
 
 /// What to do when a record lacks a dimension or measure value.
@@ -78,17 +79,65 @@ impl ParsedDoc {
     }
 }
 
-fn first_value_xml(path: &ValuePath, el: &sc_xml::Element) -> Option<String> {
-    match path {
-        ValuePath::Xml(p) => p.select_first(el),
-        ValuePath::Json(_) => None,
+/// A record, or a document root, of one source format, as extraction reads
+/// it. Values are borrowed from the parsed document where it holds them
+/// verbatim.
+trait Record<'a>: Copy {
+    /// The [`MissingPolicy::Fail`] message for a record without a measure.
+    const MISSING_MEASURE: &'static str;
+
+    /// The first value at `path`.
+    fn value(self, path: &ValuePath) -> Option<Cow<'a, str>>;
+
+    /// The dimension value at `path`.
+    fn dimension(self, path: &ValuePath) -> Option<Cow<'a, str>> {
+        self.value(path)
+    }
+
+    /// The measure at `path`.
+    fn measure(self, path: &ValuePath) -> Option<i64>;
+}
+
+impl<'a> Record<'a> for &'a sc_xml::Element {
+    const MISSING_MEASURE: &'static str = "record missing or non-integer measure";
+
+    fn value(self, path: &ValuePath) -> Option<Cow<'a, str>> {
+        match path {
+            ValuePath::Xml(p) => p.first(self),
+            ValuePath::Json(_) => None,
+        }
+    }
+
+    fn measure(self, path: &ValuePath) -> Option<i64> {
+        self.value(path).and_then(|raw| raw.trim().parse().ok())
     }
 }
 
-fn first_value_json(path: &ValuePath, v: &JsonValue) -> Option<String> {
-    match path {
-        ValuePath::Json(p) => p.select(v).first().map(|f| f.to_display_string()),
-        ValuePath::Xml(_) => None,
+impl<'a> Record<'a> for &'a JsonValue {
+    const MISSING_MEASURE: &'static str = "record missing numeric measure";
+
+    fn value(self, path: &ValuePath) -> Option<Cow<'a, str>> {
+        let ValuePath::Json(p) = path else {
+            return None;
+        };
+        p.select(self).first().map(|v| match v {
+            JsonValue::String(s) => Cow::Borrowed(s.as_str()),
+            other => Cow::Owned(other.to_json()),
+        })
+    }
+
+    fn dimension(self, path: &ValuePath) -> Option<Cow<'a, str>> {
+        self.value(path).filter(|v| v != "null")
+    }
+
+    fn measure(self, path: &ValuePath) -> Option<i64> {
+        let ValuePath::Json(p) = path else {
+            return None;
+        };
+        p.select(self)
+            .first()
+            .and_then(|v| v.as_f64())
+            .map(|f| f.round() as i64)
     }
 }
 
@@ -120,17 +169,83 @@ pub fn extract_text(
     extract_into(def, &doc, tuples, policy)
 }
 
-fn doc_timestamp_xml(def: &CubeDef, document: &Document) -> Result<Option<DateTime>, ExtractError> {
-    match &def.timestamp_path {
-        None => Ok(None),
+/// The document's calendar fields, rendered once per document: entry `i`
+/// is dimension `i`'s value when that is a [`DimensionSpec::TimeField`] and
+/// the definition has a timestamp path, and `None` otherwise.
+fn time_fields<'a>(
+    def: &CubeDef,
+    root: impl Record<'a>,
+) -> Result<Vec<Option<String>>, ExtractError> {
+    let ts = match &def.timestamp_path {
+        None => None,
         Some(p) => {
-            let raw = first_value_xml(p, &document.root)
+            let raw = root
+                .value(p)
                 .ok_or_else(|| err("document timestamp not found"))?;
-            DateTime::parse(&raw)
-                .map(Some)
-                .ok_or_else(|| err(format!("unparseable timestamp {raw:?}")))
+            Some(
+                DateTime::parse(&raw)
+                    .ok_or_else(|| err(format!("unparseable timestamp {raw:?}")))?,
+            )
+        }
+    };
+    Ok(def
+        .dimensions
+        .iter()
+        .map(|spec| match spec {
+            DimensionSpec::TimeField { field, .. } => ts.as_ref().map(|dt| field.render(dt)),
+            DimensionSpec::Path { .. } => None,
+        })
+        .collect())
+}
+
+/// Extracts `records` of the document rooted at `root`; both formats run
+/// this loop.
+fn extract_records<'a, R: Record<'a>>(
+    def: &CubeDef,
+    root: R,
+    records: Vec<R>,
+    tuples: &mut TupleSet,
+    policy: MissingPolicy,
+) -> Result<ExtractStats, ExtractError> {
+    let times = time_fields(def, root)?;
+    let mut stats = ExtractStats::default();
+    let mut dims: Vec<Cow<'_, str>> = Vec::with_capacity(def.dimensions.len());
+    'records: for record in records {
+        dims.clear();
+        for (spec, time) in def.dimensions.iter().zip(&times) {
+            let value = match spec {
+                DimensionSpec::Path { path, .. } => record.dimension(path),
+                DimensionSpec::TimeField { .. } => time.as_deref().map(Cow::Borrowed),
+            };
+            match value {
+                Some(v) => dims.push(v),
+                None => match policy {
+                    MissingPolicy::Skip => {
+                        stats.skipped += 1;
+                        continue 'records;
+                    }
+                    MissingPolicy::Fail => {
+                        return Err(err(format!("record missing dimension {:?}", spec.name())))
+                    }
+                },
+            }
+        }
+        let measure = match &def.measure {
+            MeasureSpec::One => Some(1),
+            MeasureSpec::Path(p) => record.measure(p),
+        };
+        match measure {
+            Some(m) => {
+                tuples.push(&dims, m);
+                stats.extracted += 1;
+            }
+            None => match policy {
+                MissingPolicy::Skip => stats.skipped += 1,
+                MissingPolicy::Fail => return Err(err(R::MISSING_MEASURE)),
+            },
         }
     }
+    Ok(stats)
 }
 
 fn extract_xml(
@@ -142,47 +257,8 @@ fn extract_xml(
     let ValuePath::Xml(record_path) = &def.record_path else {
         return Err(err("record path is not an XML path"));
     };
-    let ts = doc_timestamp_xml(def, document)?;
-    let mut stats = ExtractStats::default();
-    let mut dims: Vec<String> = Vec::with_capacity(def.dimensions.len());
-    'records: for record in record_path.select(&document.root) {
-        dims.clear();
-        for spec in &def.dimensions {
-            let value = match spec {
-                DimensionSpec::Path { path, .. } => first_value_xml(path, record),
-                DimensionSpec::TimeField { field, .. } => ts.as_ref().map(|dt| field.render(dt)),
-            };
-            match value {
-                Some(v) => dims.push(v),
-                None => match policy {
-                    MissingPolicy::Skip => {
-                        stats.skipped += 1;
-                        continue 'records;
-                    }
-                    MissingPolicy::Fail => {
-                        return Err(err(format!("record missing dimension {:?}", spec.name())))
-                    }
-                },
-            }
-        }
-        let measure = match &def.measure {
-            MeasureSpec::One => Some(1),
-            MeasureSpec::Path(p) => {
-                first_value_xml(p, record).and_then(|raw| raw.trim().parse::<i64>().ok())
-            }
-        };
-        match measure {
-            Some(m) => {
-                tuples.push(dims.iter().map(String::as_str), m);
-                stats.extracted += 1;
-            }
-            None => match policy {
-                MissingPolicy::Skip => stats.skipped += 1,
-                MissingPolicy::Fail => return Err(err("record missing or non-integer measure")),
-            },
-        }
-    }
-    Ok(stats)
+    let root = &document.root;
+    extract_records(def, root, record_path.select(root), tuples, policy)
 }
 
 fn extract_json(
@@ -194,64 +270,7 @@ fn extract_json(
     let ValuePath::Json(record_path) = &def.record_path else {
         return Err(err("record path is not a JSON path"));
     };
-    let ts = match &def.timestamp_path {
-        None => None,
-        Some(p) => {
-            let raw =
-                first_value_json(p, root).ok_or_else(|| err("document timestamp not found"))?;
-            Some(
-                DateTime::parse(&raw)
-                    .ok_or_else(|| err(format!("unparseable timestamp {raw:?}")))?,
-            )
-        }
-    };
-    let mut stats = ExtractStats::default();
-    let mut dims: Vec<String> = Vec::with_capacity(def.dimensions.len());
-    'records: for record in record_path.select(root) {
-        dims.clear();
-        for spec in &def.dimensions {
-            let value = match spec {
-                DimensionSpec::Path { path, .. } => {
-                    first_value_json(path, record).filter(|v| v != "null")
-                }
-                DimensionSpec::TimeField { field, .. } => ts.as_ref().map(|dt| field.render(dt)),
-            };
-            match value {
-                Some(v) => dims.push(v),
-                None => match policy {
-                    MissingPolicy::Skip => {
-                        stats.skipped += 1;
-                        continue 'records;
-                    }
-                    MissingPolicy::Fail => {
-                        return Err(err(format!("record missing dimension {:?}", spec.name())))
-                    }
-                },
-            }
-        }
-        let measure = match &def.measure {
-            MeasureSpec::One => Some(1),
-            MeasureSpec::Path(p) => match p {
-                ValuePath::Json(jp) => jp
-                    .select(record)
-                    .first()
-                    .and_then(|v| v.as_f64())
-                    .map(|f| f.round() as i64),
-                ValuePath::Xml(_) => None,
-            },
-        };
-        match measure {
-            Some(m) => {
-                tuples.push(dims.iter().map(String::as_str), m);
-                stats.extracted += 1;
-            }
-            None => match policy {
-                MissingPolicy::Skip => stats.skipped += 1,
-                MissingPolicy::Fail => return Err(err("record missing numeric measure")),
-            },
-        }
-    }
-    Ok(stats)
+    extract_records(def, root, record_path.select(root), tuples, policy)
 }
 
 #[cfg(test)]

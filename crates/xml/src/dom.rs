@@ -1,9 +1,10 @@
 //! A small owned DOM built on top of the pull parser.
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::event::{Attribute, XmlEvent};
+use crate::event::{Attribute, AttributeRef, XmlEvent};
 use crate::reader::XmlReader;
 use crate::writer::XmlWriter;
+use std::borrow::Cow;
 
 /// A node inside an element.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,11 +138,23 @@ pub struct Document {
 
 impl Document {
     /// Parses a complete document.
+    ///
+    /// Children of every open element wait on one shared node stack; when
+    /// the element closes they move into a `Vec` of exactly their number.
     pub fn parse(input: &str) -> Result<Document, XmlError> {
+        /// An element whose close tag has not been read yet.
+        struct Open<'a> {
+            name: &'a str,
+            attributes: Vec<Attribute>,
+            /// Where this element's children start on the node stack.
+            first_child: usize,
+        }
+
         let mut reader = XmlReader::new(input);
-        let mut version = "1.0".to_string();
+        let mut version = "1.0";
         let mut encoding = None;
-        let mut stack: Vec<Element> = Vec::new();
+        let mut open: Vec<Open<'_>> = Vec::new();
+        let mut nodes: Vec<Node> = Vec::new();
         let mut root: Option<Element> = None;
         loop {
             match reader.next_event()? {
@@ -154,34 +167,41 @@ impl Document {
                 }
                 XmlEvent::StartElement {
                     name, attributes, ..
-                } => {
-                    stack.push(Element {
-                        name,
-                        attributes,
-                        children: Vec::new(),
-                    });
-                }
+                } => open.push(Open {
+                    name,
+                    attributes: attributes
+                        .into_iter()
+                        .map(AttributeRef::into_owned)
+                        .collect(),
+                    first_child: nodes.len(),
+                }),
                 XmlEvent::EndElement { .. } => {
-                    // The reader guarantees balance, so unwraps are safe.
-                    let done = stack.pop().expect("reader guarantees balanced tags");
-                    if let Some(parent) = stack.last_mut() {
-                        parent.children.push(Node::Element(done));
+                    // The reader guarantees balance.
+                    let done = open.pop().expect("reader guarantees balanced tags");
+                    let element = Element {
+                        name: done.name.to_string(),
+                        attributes: done.attributes,
+                        children: nodes.drain(done.first_child..).collect(),
+                    };
+                    if open.is_empty() {
+                        root = Some(element);
                     } else {
-                        root = Some(done);
+                        nodes.push(Node::Element(element));
                     }
                 }
-                XmlEvent::Text(t) | XmlEvent::CData(t) => {
-                    if let Some(parent) = stack.last_mut() {
-                        // Merge adjacent text nodes for a tidier tree.
-                        if let Some(Node::Text(prev)) = parent.children.last_mut() {
-                            prev.push_str(&t);
-                        } else {
-                            parent.children.push(Node::Text(t));
-                        }
-                    }
-                }
+                XmlEvent::Text(t) => push_text(&open, &mut nodes, t),
+                XmlEvent::CData(t) => push_text(&open, &mut nodes, Cow::Borrowed(t)),
                 XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction { .. } => {}
                 XmlEvent::Eof => break,
+            }
+        }
+        /// Appends character data to the innermost open element, merging it
+        /// into that element's last child when that is text too.
+        fn push_text(open: &[Open<'_>], nodes: &mut Vec<Node>, text: Cow<'_, str>) {
+            let Some(parent) = open.last() else { return };
+            match nodes[parent.first_child..].last_mut() {
+                Some(Node::Text(prev)) => prev.push_str(&text),
+                _ => nodes.push(Node::Text(text.into_owned())),
             }
         }
         let root = root.ok_or(XmlError::new(
@@ -190,8 +210,8 @@ impl Document {
             1,
         ))?;
         Ok(Document {
-            version,
-            encoding,
+            version: version.to_string(),
+            encoding: encoding.map(str::to_string),
             root,
         })
     }

@@ -14,26 +14,28 @@ pub fn resolve_reference(s: &mut Scanner<'_>, out: &mut String) -> Result<(), Xm
         } else {
             (10, s.take_while(|c| c.is_ascii_digit()))
         };
-        let raw = digits.to_string();
+        let bad = || XmlErrorKind::BadCharRef(digits.to_string());
         s.expect(";")
-            .map_err(|e| XmlError::new(XmlErrorKind::BadCharRef(raw.clone()), e.line, e.column))?;
-        let code = u32::from_str_radix(&raw, radix)
-            .map_err(|_| s.error(XmlErrorKind::BadCharRef(raw.clone())))?;
-        let c = char::from_u32(code).ok_or_else(|| s.error(XmlErrorKind::BadCharRef(raw)))?;
+            .map_err(|e| XmlError::new(bad(), e.line, e.column))?;
+        let c = u32::from_str_radix(digits, radix)
+            .ok()
+            .and_then(char::from_u32)
+            .ok_or_else(|| s.error(bad()))?;
         out.push(c);
         return Ok(());
     }
-    let name = s.take_while(|c| c.is_ascii_alphanumeric()).to_string();
+    let name = s.take_while(|c| c.is_ascii_alphanumeric());
+    let unknown = || XmlErrorKind::UnknownEntity(name.to_string());
     s.expect(";")
-        .map_err(|e| XmlError::new(XmlErrorKind::UnknownEntity(name.clone()), e.line, e.column))?;
-    match name.as_str() {
-        "lt" => out.push('<'),
-        "gt" => out.push('>'),
-        "amp" => out.push('&'),
-        "apos" => out.push('\''),
-        "quot" => out.push('"'),
-        _ => return Err(s.error(XmlErrorKind::UnknownEntity(name))),
-    }
+        .map_err(|e| XmlError::new(unknown(), e.line, e.column))?;
+    out.push(match name {
+        "lt" => '<',
+        "gt" => '>',
+        "amp" => '&',
+        "apos" => '\'',
+        "quot" => '"',
+        _ => return Err(s.error(unknown())),
+    });
     Ok(())
 }
 

@@ -7,10 +7,16 @@
 //! provides everything the ingest pipeline needs and nothing more:
 //!
 //! * [`reader::XmlReader`] — a streaming pull parser producing
-//!   [`event::XmlEvent`]s, suitable for very large feeds,
-//! * [`dom`] — a small owned document tree for tests and examples,
+//!   [`event::XmlEvent`]s that borrow from the input: names, CDATA and
+//!   comments are slices of the text, and text and attribute values are too
+//!   unless they hold an entity or character reference,
+//! * [`scanner::Scanner`] — the byte-offset cursor under the reader; it
+//!   moves over whole runs of text and computes an error's line and column
+//!   from the offset only when the error is raised,
+//! * [`dom`] — a small owned document tree, the form cube extraction reads,
 //! * [`path`] — an XPath-lite selector language (`/a/b`, `//station`,
-//!   `@attr`) used by cube definitions to locate dimensions and measures,
+//!   `@attr`) used by cube definitions to locate dimensions and measures;
+//!   [`path::Path::first`] stops at the first match and borrows its value,
 //! * [`writer::XmlWriter`] — an escaping writer used by the data generator.
 //!
 //! ## Supported XML subset

@@ -14,7 +14,8 @@
 //! Examples: `/stations/station`, `//station[@id='42']/name/text()`,
 //! `@updated`, `readings/reading[2]/value/text()`.
 
-use crate::dom::Element;
+use crate::dom::{Element, Node};
+use std::borrow::Cow;
 use std::fmt;
 
 /// How a step walks the tree.
@@ -178,24 +179,17 @@ impl Path {
             // (like `/stations/station` where context *is* `<stations>`).
             let mut next: Vec<&Element> = Vec::new();
             if i == 0 && self.absolute {
-                if step.name == "*" || context.name == step.name {
-                    next.push(context);
-                }
+                next.extend(Some(context).filter(|c| step.admits(c)));
             } else {
                 for el in &current {
                     match step.axis {
-                        Axis::Child => {
-                            next.extend(
-                                el.child_elements()
-                                    .filter(|c| step.name == "*" || c.name == step.name),
-                            );
-                        }
-                        Axis::Descendant => collect_descendants(el, &step.name, &mut next),
+                        Axis::Child => next.extend(el.child_elements().filter(|c| step.admits(c))),
+                        Axis::Descendant => collect_descendants(el, step, &mut next),
                     }
                 }
             }
-            if let Some(pred) = &step.predicate {
-                next = apply_predicate(next, pred);
+            if let Some(Predicate::Index(n)) = step.predicate {
+                next = next.into_iter().nth(n - 1).into_iter().collect();
             }
             if next.is_empty() {
                 return Vec::new();
@@ -209,8 +203,7 @@ impl Path {
     pub fn select_values(&self, context: &Element) -> Vec<String> {
         let elements = self.select(context);
         match &self.leaf {
-            Leaf::Elements => elements.iter().map(|e| e.text()).collect(),
-            Leaf::Text => elements.iter().map(|e| e.text()).collect(),
+            Leaf::Elements | Leaf::Text => elements.iter().map(|e| e.text()).collect(),
             Leaf::Attr(name) => elements
                 .iter()
                 .filter_map(|e| e.attr(name).map(str::to_string))
@@ -220,7 +213,94 @@ impl Path {
 
     /// First leaf value, if any.
     pub fn select_first(&self, context: &Element) -> Option<String> {
-        self.select_values(context).into_iter().next()
+        self.first(context).map(Cow::into_owned)
+    }
+
+    /// First leaf value, if any: the first of [`Path::select_values`],
+    /// found by a depth-first walk that stops at the first match. An
+    /// attribute, or the text of an element with at most one text child, is
+    /// borrowed from the tree.
+    pub fn first<'a>(&self, context: &'a Element) -> Option<Cow<'a, str>> {
+        let positional = self
+            .steps
+            .iter()
+            .any(|s| matches!(s.predicate, Some(Predicate::Index(_))));
+        if positional {
+            // `[n]` ranks all of a step's matches, so only the whole
+            // selection can answer it.
+            return self
+                .select_values(context)
+                .into_iter()
+                .next()
+                .map(Cow::Owned);
+        }
+        match self.steps.first() {
+            Some(root) if self.absolute => root
+                .admits(context)
+                .then(|| self.first_from(context, 1))
+                .flatten(),
+            _ => self.first_from(context, 0),
+        }
+    }
+
+    /// The first value reachable from `el` by `steps[step..]` and the leaf.
+    fn first_from<'a>(&self, el: &'a Element, step: usize) -> Option<Cow<'a, str>> {
+        let Some(s) = self.steps.get(step) else {
+            return self.leaf_value(el);
+        };
+        match s.axis {
+            Axis::Child => el
+                .child_elements()
+                .filter(|c| s.admits(c))
+                .find_map(|c| self.first_from(c, step + 1)),
+            Axis::Descendant => self.first_below(el, step),
+        }
+    }
+
+    /// [`Path::first_from`] for a descendant step: descendants in document
+    /// order, each before its own subtree.
+    fn first_below<'a>(&self, el: &'a Element, step: usize) -> Option<Cow<'a, str>> {
+        el.child_elements().find_map(|c| {
+            self.steps[step]
+                .admits(c)
+                .then(|| self.first_from(c, step + 1))
+                .flatten()
+                .or_else(|| self.first_below(c, step))
+        })
+    }
+
+    /// The leaf's value on one matched element; `None` only for a missing
+    /// attribute.
+    fn leaf_value<'a>(&self, el: &'a Element) -> Option<Cow<'a, str>> {
+        match &self.leaf {
+            Leaf::Attr(name) => el.attr(name).map(Cow::Borrowed),
+            Leaf::Elements | Leaf::Text => {
+                let mut texts = el.children.iter().filter_map(|n| match n {
+                    Node::Text(t) => Some(t.as_str()),
+                    Node::Element(_) => None,
+                });
+                Some(match (texts.next(), texts.next()) {
+                    (None, _) => Cow::Borrowed(""),
+                    (Some(t), None) => Cow::Borrowed(t),
+                    _ => Cow::Owned(el.text()),
+                })
+            }
+        }
+    }
+}
+
+impl Step {
+    /// Whether `el` has this step's name and passes its attribute predicate.
+    /// A positional predicate is not checked here: it ranks a whole step's
+    /// matches.
+    fn admits(&self, el: &Element) -> bool {
+        (self.name == "*" || el.name == self.name)
+            && match &self.predicate {
+                Some(Predicate::AttrEquals { name, value }) => {
+                    el.attr(name) == Some(value.as_str())
+                }
+                Some(Predicate::Index(_)) | None => true,
+            }
     }
 }
 
@@ -254,22 +334,12 @@ fn parse_predicate(body: &str) -> Result<Predicate, PathError> {
     Ok(Predicate::Index(n))
 }
 
-fn apply_predicate<'a>(matches: Vec<&'a Element>, pred: &Predicate) -> Vec<&'a Element> {
-    match pred {
-        Predicate::Index(n) => matches.into_iter().skip(n - 1).take(1).collect(),
-        Predicate::AttrEquals { name, value } => matches
-            .into_iter()
-            .filter(|e| e.attr(name) == Some(value.as_str()))
-            .collect(),
-    }
-}
-
-fn collect_descendants<'a>(el: &'a Element, name: &str, out: &mut Vec<&'a Element>) {
+fn collect_descendants<'a>(el: &'a Element, step: &Step, out: &mut Vec<&'a Element>) {
     for child in el.child_elements() {
-        if name == "*" || child.name == name {
+        if step.admits(child) {
             out.push(child);
         }
-        collect_descendants(child, name, out);
+        collect_descendants(child, step, out);
     }
 }
 
@@ -388,5 +458,96 @@ mod tests {
             })
         );
         assert_eq!(p.leaf, Leaf::Text);
+    }
+
+    /// A random element under `name`: attributes from `x`/`y`, and children
+    /// mixing elements, text runs and CDATA, so an element can hold zero,
+    /// one or several text nodes.
+    fn random_element(rng: &mut sc_encoding::Rng, name: &str, depth: usize, out: &mut String) {
+        out.push('<');
+        out.push_str(name);
+        for attr in ["x", "y"] {
+            if rng.gen_bool(0.4) {
+                out.push_str(&format!(" {attr}='{}'", rng.gen_range(2) + 1));
+            }
+        }
+        out.push('>');
+        for _ in 0..rng.gen_range(5) {
+            match rng.gen_range(4) {
+                0 | 1 if depth < 4 => {
+                    let child = *rng.choice(&["a", "b", "c"]);
+                    random_element(rng, child, depth + 1, out);
+                }
+                2 => out.push_str(&format!("<![CDATA[c{}]]>", rng.gen_range(10))),
+                _ => out.push_str(&format!("t{}", rng.gen_range(10))),
+            }
+        }
+        out.push_str(&format!("</{name}>"));
+    }
+
+    /// A random path expression using every form the grammar has.
+    fn random_path(rng: &mut sc_encoding::Rng) -> String {
+        let mut p = String::from(*rng.choice(&["", "/", "//"]));
+        let steps = rng.gen_range(4) as usize;
+        for i in 0..steps {
+            if i > 0 {
+                let sep = *rng.choice(&["/", "//"]);
+                p.push_str(sep);
+            }
+            let name = *rng.choice(&["r", "a", "b", "c", "*"]);
+            p.push_str(name);
+            match rng.gen_range(5) {
+                0 => p.push_str(&format!("[@x='{}']", rng.gen_range(2) + 1)),
+                1 => p.push_str(&format!("[{}]", rng.gen_range(3) + 1)),
+                _ => {}
+            }
+        }
+        let leaf = *rng.choice(&["", "@x", "@y", "text()"]);
+        if !leaf.is_empty() {
+            if steps > 0 {
+                p.push('/');
+            }
+            p.push_str(leaf);
+        }
+        p
+    }
+
+    #[test]
+    fn first_agrees_with_select_values() {
+        let mut rng = sc_encoding::Rng::new(25);
+        let (mut checked, mut found, mut owned) = (0, 0, 0);
+        for _ in 0..300 {
+            let mut xml = String::new();
+            random_element(&mut rng, "r", 0, &mut xml);
+            let doc = Document::parse(&xml).unwrap();
+            for _ in 0..40 {
+                let expr = random_path(&mut rng);
+                let Ok(path) = Path::parse(&expr) else {
+                    continue;
+                };
+                let first = path.first(&doc.root);
+                let positional = path
+                    .steps
+                    .iter()
+                    .any(|s| matches!(s.predicate, Some(Predicate::Index(_))));
+                owned += usize::from(!positional && matches!(first, Some(Cow::Owned(_))));
+                found += usize::from(first.is_some());
+                assert_eq!(
+                    first.map(Cow::into_owned),
+                    path.select_values(&doc.root).into_iter().next(),
+                    "{expr} over {xml}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 5_000, "only {checked} paths parsed");
+        assert!(
+            found > checked / 10,
+            "only {found} of {checked} paths matched"
+        );
+        assert!(
+            owned > 100,
+            "several text runs were joined only {owned} times"
+        );
     }
 }

@@ -2,8 +2,9 @@
 
 use crate::entities::resolve_reference;
 use crate::error::{XmlError, XmlErrorKind};
-use crate::event::{Attribute, XmlEvent};
+use crate::event::{AttributeRef, XmlEvent};
 use crate::scanner::Scanner;
+use std::borrow::Cow;
 
 fn is_name_start(c: char) -> bool {
     c.is_alphabetic() || c == '_' || c == ':'
@@ -15,9 +16,14 @@ fn is_name_char(c: char) -> bool {
 
 /// A pull parser over an in-memory XML document.
 ///
-/// Call [`XmlReader::next_event`] until it returns [`XmlEvent::Eof`]. The
-/// reader enforces well-formedness: tags must balance, attributes must be
-/// unique per element, and exactly one root element must exist.
+/// Call [`XmlReader::next_event`] until it returns [`XmlEvent::Eof`]. Events
+/// borrow from the input: names, CDATA and comments are slices of it, and
+/// text and attribute values are too unless they held an entity or
+/// character reference. Text is taken as whole runs up to the next `<` or
+/// `&`, and error positions (line and column) are computed from the byte
+/// offset only when an error is raised. The reader enforces
+/// well-formedness: tags must balance, attributes must be unique per
+/// element, and exactly one root element must exist.
 ///
 /// ```
 /// use sc_xml::{XmlReader, XmlEvent};
@@ -37,9 +43,9 @@ fn is_name_char(c: char) -> bool {
 pub struct XmlReader<'a> {
     scanner: Scanner<'a>,
     /// Open-element stack, for tag balancing.
-    stack: Vec<String>,
+    stack: Vec<&'a str>,
     /// Pending synthetic EndElement after a self-closing tag.
-    pending_end: Option<String>,
+    pending_end: Option<&'a str>,
     /// Whether the root element has been seen (and closed).
     seen_root: bool,
     finished: bool,
@@ -65,19 +71,19 @@ impl<'a> XmlReader<'a> {
     }
 
     /// Produces the next event.
-    pub fn next_event(&mut self) -> Result<XmlEvent, XmlError> {
+    pub fn next_event(&mut self) -> Result<XmlEvent<'a>, XmlError> {
         if let Some(name) = self.pending_end.take() {
             return Ok(XmlEvent::EndElement { name });
         }
         if self.finished {
             return Ok(XmlEvent::Eof);
         }
-        {
-            // Outside any element we skip whitespace; inside, it is text.
-            if self.stack.is_empty() {
-                self.scanner.skip_whitespace();
-            }
-            if self.scanner.is_eof() {
+        // Outside any element we skip whitespace; inside, it is text.
+        if self.stack.is_empty() {
+            self.scanner.skip_whitespace();
+        }
+        match self.scanner.peek_byte() {
+            None => {
                 if let Some(open) = self.stack.last() {
                     return Err(self
                         .scanner
@@ -91,78 +97,79 @@ impl<'a> XmlReader<'a> {
                     )));
                 }
                 self.finished = true;
-                return Ok(XmlEvent::Eof);
+                Ok(XmlEvent::Eof)
             }
-            if self.scanner.starts_with("<") {
-                return self.parse_markup();
+            Some(b'<') => self.parse_markup(),
+            Some(_) => {
+                let text = self.parse_text()?;
+                if self.stack.is_empty() {
+                    // Non-whitespace text outside the root is not
+                    // well-formed; whitespace was skipped above, so anything
+                    // here is an error.
+                    return Err(self.scanner.error(XmlErrorKind::BadDocumentStructure(
+                        "character data outside the root element".into(),
+                    )));
+                }
+                Ok(XmlEvent::Text(text))
             }
-            // Text content outside markup.
-            let text = self.parse_text()?;
-            if self.stack.is_empty() {
-                // Non-whitespace text outside the root is not well-formed;
-                // whitespace was skipped above, so anything here is an error.
-                return Err(self.scanner.error(XmlErrorKind::BadDocumentStructure(
-                    "character data outside the root element".into(),
-                )));
-            }
-            Ok(XmlEvent::Text(text))
         }
     }
 
-    fn parse_text(&mut self) -> Result<String, XmlError> {
-        let mut out = String::new();
-        loop {
-            match self.scanner.peek() {
-                None | Some('<') => break,
-                Some('&') => {
-                    self.scanner.bump();
-                    resolve_reference(&mut self.scanner, &mut out)?;
-                }
-                Some(c) => {
-                    self.scanner.bump();
-                    out.push(c);
-                }
-            }
+    /// Character data up to the next `<`, copied only when a reference has
+    /// to be decoded.
+    fn parse_text(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        let mut text = Cow::Borrowed(self.scanner.take_until_any(b"<&"));
+        while self.scanner.eat("&") {
+            let out = text.to_mut();
+            resolve_reference(&mut self.scanner, out)?;
+            out.push_str(self.scanner.take_until_any(b"<&"));
         }
-        Ok(out)
+        Ok(text)
     }
 
-    fn parse_markup(&mut self) -> Result<XmlEvent, XmlError> {
-        if self.scanner.eat("<!--") {
-            let body = self
-                .scanner
-                .take_until("-->")
-                .ok_or_else(|| self.scanner.error(XmlErrorKind::UnexpectedEof))?
-                .to_string();
-            self.scanner.expect("-->")?;
-            return Ok(XmlEvent::Comment(body));
-        }
-        if self.scanner.eat("<![CDATA[") {
-            if self.stack.is_empty() {
-                return Err(self.scanner.error(XmlErrorKind::BadDocumentStructure(
-                    "CDATA outside the root element".into(),
-                )));
+    fn parse_markup(&mut self) -> Result<XmlEvent<'a>, XmlError> {
+        match self.scanner.rest().as_bytes().get(1) {
+            Some(b'/') => {
+                self.scanner.expect("</")?;
+                return self.parse_end_tag();
             }
-            let body = self
-                .scanner
-                .take_until("]]>")
-                .ok_or_else(|| self.scanner.error(XmlErrorKind::UnexpectedEof))?
-                .to_string();
-            self.scanner.expect("]]>")?;
-            return Ok(XmlEvent::CData(body));
-        }
-        if self.scanner.starts_with("<!DOCTYPE") || self.scanner.starts_with("<!doctype") {
-            self.skip_doctype()?;
-            return self.next_event();
-        }
-        if self.scanner.eat("<?") {
-            return self.parse_pi();
-        }
-        if self.scanner.eat("</") {
-            return self.parse_end_tag();
+            Some(b'?') => {
+                self.scanner.expect("<?")?;
+                return self.parse_pi();
+            }
+            Some(b'!') => {
+                if self.scanner.eat("<!--") {
+                    let body = self.take_through("-->")?;
+                    return Ok(XmlEvent::Comment(body));
+                }
+                if self.scanner.eat("<![CDATA[") {
+                    if self.stack.is_empty() {
+                        return Err(self.scanner.error(XmlErrorKind::BadDocumentStructure(
+                            "CDATA outside the root element".into(),
+                        )));
+                    }
+                    let body = self.take_through("]]>")?;
+                    return Ok(XmlEvent::CData(body));
+                }
+                if self.scanner.starts_with("<!DOCTYPE") || self.scanner.starts_with("<!doctype") {
+                    self.skip_doctype()?;
+                    return self.next_event();
+                }
+            }
+            _ => {}
         }
         self.scanner.expect("<")?;
         self.parse_start_tag()
+    }
+
+    /// The input up to `terminator`, consuming the terminator too.
+    fn take_through(&mut self, terminator: &str) -> Result<&'a str, XmlError> {
+        let body = self
+            .scanner
+            .take_until(terminator)
+            .ok_or_else(|| self.scanner.error(XmlErrorKind::UnexpectedEof))?;
+        self.scanner.expect(terminator)?;
+        Ok(body)
     }
 
     fn skip_doctype(&mut self) -> Result<(), XmlError> {
@@ -170,69 +177,64 @@ impl<'a> XmlReader<'a> {
         self.scanner.expect("<!")?;
         let mut depth = 1usize;
         while depth > 0 {
+            self.scanner.take_until_any(b"<>[");
             match self.scanner.bump() {
                 Some('<') => depth += 1,
                 Some('>') => depth -= 1,
-                Some('[') => {
-                    // Internal subset: skip to the matching ']'.
-                    while let Some(c) = self.scanner.bump() {
-                        if c == ']' {
-                            break;
-                        }
-                    }
+                Some(_) => {
+                    // Internal subset: skip past the matching ']'.
+                    self.scanner.take_until_any(b"]");
+                    self.scanner.bump();
                 }
-                Some(_) => {}
                 None => return Err(self.scanner.error(XmlErrorKind::UnexpectedEof)),
             }
         }
         Ok(())
     }
 
-    fn parse_name(&mut self) -> Result<String, XmlError> {
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         match self.scanner.peek() {
             Some(c) if is_name_start(c) => {}
             _ => return Err(self.scanner.error(XmlErrorKind::BadName)),
         }
-        Ok(self.scanner.take_while(is_name_char).to_string())
+        // Feed names are ASCII: take those bytes without decoding, and
+        // decode only a name that goes on past them.
+        let rest = self.scanner.rest();
+        let ascii = rest
+            .bytes()
+            .take_while(|&b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'-' | b'.'))
+            .count();
+        if rest.as_bytes().get(ascii).is_some_and(|b| !b.is_ascii()) {
+            return Ok(self.scanner.take_while(is_name_char));
+        }
+        Ok(self.scanner.take(ascii))
     }
 
-    fn parse_pi(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_pi(&mut self) -> Result<XmlEvent<'a>, XmlError> {
         let target = self.parse_name()?;
-        let data = self
-            .scanner
-            .take_until("?>")
-            .ok_or_else(|| self.scanner.error(XmlErrorKind::UnexpectedEof))?
-            .trim()
-            .to_string();
-        self.scanner.expect("?>")?;
+        let data = self.take_through("?>")?.trim();
         if target.eq_ignore_ascii_case("xml") {
-            let attrs = parse_pseudo_attrs(&data);
-            let version = attrs
-                .iter()
-                .find(|(k, _)| k == "version")
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| "1.0".to_string());
-            let encoding = attrs
-                .iter()
-                .find(|(k, _)| k == "encoding")
-                .map(|(_, v)| v.clone());
-            return Ok(XmlEvent::Declaration { version, encoding });
+            let attr = |key: &str| pseudo_attrs(data).find(|(k, _)| *k == key).map(|(_, v)| v);
+            return Ok(XmlEvent::Declaration {
+                version: attr("version").unwrap_or("1.0"),
+                encoding: attr("encoding"),
+            });
         }
         Ok(XmlEvent::ProcessingInstruction { target, data })
     }
 
-    fn parse_start_tag(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_start_tag(&mut self) -> Result<XmlEvent<'a>, XmlError> {
         if self.seen_root && self.stack.is_empty() {
             return Err(self.scanner.error(XmlErrorKind::BadDocumentStructure(
                 "multiple root elements".into(),
             )));
         }
         let name = self.parse_name()?;
-        let mut attributes: Vec<Attribute> = Vec::new();
+        let mut attributes: Vec<AttributeRef<'a>> = Vec::new();
         loop {
             self.scanner.skip_whitespace();
             if self.scanner.eat("/>") {
-                self.pending_end = Some(name.clone());
+                self.pending_end = Some(name);
                 if self.stack.is_empty() {
                     self.seen_root = true;
                 }
@@ -243,7 +245,7 @@ impl<'a> XmlReader<'a> {
                 });
             }
             if self.scanner.eat(">") {
-                self.stack.push(name.clone());
+                self.stack.push(name);
                 return Ok(XmlEvent::StartElement {
                     name,
                     attributes,
@@ -254,42 +256,48 @@ impl<'a> XmlReader<'a> {
             if attributes.iter().any(|a| a.name == attr_name) {
                 return Err(self
                     .scanner
-                    .error(XmlErrorKind::DuplicateAttribute(attr_name)));
+                    .error(XmlErrorKind::DuplicateAttribute(attr_name.to_string())));
             }
             self.scanner.skip_whitespace();
             self.scanner.expect("=")?;
             self.scanner.skip_whitespace();
             let quote = match self.scanner.bump() {
-                Some(q @ ('"' | '\'')) => q,
+                Some('"') => b'"',
+                Some('\'') => b'\'',
                 _ => return Err(self.scanner.error_here()),
             };
-            let mut value = String::new();
-            loop {
-                match self.scanner.peek() {
-                    None => return Err(self.scanner.error(XmlErrorKind::UnexpectedEof)),
-                    Some(c) if c == quote => {
-                        self.scanner.bump();
-                        break;
-                    }
-                    Some('&') => {
-                        self.scanner.bump();
-                        resolve_reference(&mut self.scanner, &mut value)?;
-                    }
-                    Some('<') => return Err(self.scanner.error_here()),
-                    Some(c) => {
-                        self.scanner.bump();
-                        value.push(c);
-                    }
-                }
-            }
-            attributes.push(Attribute {
+            let value = self.parse_attr_value(quote)?;
+            attributes.push(AttributeRef {
                 name: attr_name,
                 value,
             });
         }
     }
 
-    fn parse_end_tag(&mut self) -> Result<XmlEvent, XmlError> {
+    /// An attribute value after its opening `quote`, consuming the closing
+    /// one; copied only when a reference has to be decoded.
+    fn parse_attr_value(&mut self, quote: u8) -> Result<Cow<'a, str>, XmlError> {
+        let stops: &[u8] = if quote == b'"' { b"\"<&" } else { b"'<&" };
+        let mut value = Cow::Borrowed(self.scanner.take_until_any(stops));
+        loop {
+            match self.scanner.peek_byte() {
+                None => return Err(self.scanner.error(XmlErrorKind::UnexpectedEof)),
+                Some(b'<') => return Err(self.scanner.error_here()),
+                Some(b'&') => {
+                    self.scanner.bump();
+                    let out = value.to_mut();
+                    resolve_reference(&mut self.scanner, out)?;
+                    out.push_str(self.scanner.take_until_any(stops));
+                }
+                Some(_) => {
+                    self.scanner.bump();
+                    return Ok(value);
+                }
+            }
+        }
+    }
+
+    fn parse_end_tag(&mut self) -> Result<XmlEvent<'a>, XmlError> {
         let name = self.parse_name()?;
         self.scanner.skip_whitespace();
         self.scanner.expect(">")?;
@@ -301,38 +309,36 @@ impl<'a> XmlReader<'a> {
                 Ok(XmlEvent::EndElement { name })
             }
             Some(open) => Err(self.scanner.error(XmlErrorKind::MismatchedTag {
-                expected: open,
-                found: name,
+                expected: open.to_string(),
+                found: name.to_string(),
             })),
-            None => Err(self.scanner.error(XmlErrorKind::UnbalancedClose(name))),
+            None => Err(self
+                .scanner
+                .error(XmlErrorKind::UnbalancedClose(name.to_string()))),
         }
     }
 }
 
-/// Parses `key="value"` pseudo-attributes in an XML declaration body.
-fn parse_pseudo_attrs(data: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
+/// The `key="value"` pseudo-attributes of an XML declaration body, up to the
+/// first malformed one.
+fn pseudo_attrs(data: &str) -> impl Iterator<Item = (&str, &str)> {
     let mut rest = data.trim();
-    while let Some(eq) = rest.find('=') {
-        let key = rest[..eq].trim().to_string();
+    std::iter::from_fn(move || {
+        let eq = rest.find('=')?;
+        let key = rest[..eq].trim();
         let after = rest[eq + 1..].trim_start();
-        let Some(quote) = after.chars().next().filter(|c| *c == '"' || *c == '\'') else {
-            break;
-        };
-        let Some(close) = after[1..].find(quote) else {
-            break;
-        };
-        out.push((key, after[1..1 + close].to_string()));
+        let quote = after.chars().next().filter(|c| *c == '"' || *c == '\'')?;
+        let close = after[1..].find(quote)?;
         rest = &after[close + 2..];
-    }
-    out
+        Some((key, &after[1..1 + close]))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn events(input: &str) -> Result<Vec<XmlEvent>, XmlError> {
+    fn events(input: &str) -> Result<Vec<XmlEvent<'_>>, XmlError> {
         let mut r = XmlReader::new(input);
         let mut out = Vec::new();
         loop {
@@ -352,14 +358,14 @@ mod tests {
             evs,
             vec![
                 XmlEvent::StartElement {
-                    name: "a".into(),
+                    name: "a",
                     attributes: vec![
-                        Attribute {
-                            name: "x".into(),
+                        AttributeRef {
+                            name: "x",
                             value: "1".into()
                         },
-                        Attribute {
-                            name: "y".into(),
+                        AttributeRef {
+                            name: "y",
                             value: "2".into()
                         },
                     ],
@@ -367,12 +373,12 @@ mod tests {
                 },
                 XmlEvent::Text("hi".into()),
                 XmlEvent::StartElement {
-                    name: "b".into(),
+                    name: "b",
                     attributes: vec![],
                     self_closing: true,
                 },
-                XmlEvent::EndElement { name: "b".into() },
-                XmlEvent::EndElement { name: "a".into() },
+                XmlEvent::EndElement { name: "b" },
+                XmlEvent::EndElement { name: "a" },
                 XmlEvent::Eof,
             ]
         );
@@ -385,16 +391,16 @@ mod tests {
         assert_eq!(
             evs[0],
             XmlEvent::Declaration {
-                version: "1.0".into(),
-                encoding: Some("UTF-8".into())
+                version: "1.0",
+                encoding: Some("UTF-8")
             }
         );
-        assert_eq!(evs[1], XmlEvent::Comment(" c ".into()));
+        assert_eq!(evs[1], XmlEvent::Comment(" c "));
         assert_eq!(
             evs[2],
             XmlEvent::ProcessingInstruction {
-                target: "go".into(),
-                data: "now".into()
+                target: "go",
+                data: "now"
             }
         );
     }
@@ -414,7 +420,7 @@ mod tests {
     #[test]
     fn cdata_is_verbatim() {
         let evs = events("<a><![CDATA[<not & parsed>]]></a>").unwrap();
-        assert_eq!(evs[1], XmlEvent::CData("<not & parsed>".into()));
+        assert_eq!(evs[1], XmlEvent::CData("<not & parsed>"));
     }
 
     #[test]
@@ -499,5 +505,61 @@ mod tests {
             doc.push_str(&format!("</n{i}>"));
         }
         assert!(events(&doc).is_ok());
+    }
+
+    #[test]
+    fn error_positions_after_multibyte_characters() {
+        let at = |input: &str| {
+            let e = events(input).unwrap_err();
+            (e.kind, e.line, e.column)
+        };
+        assert_eq!(
+            at("<a>\n  <é x=1/>\n</a>"),
+            (XmlErrorKind::UnexpectedChar('/'), 2, 9)
+        );
+        assert_eq!(
+            at("<r>\n🚲🚲 &bogus; </r>"),
+            (XmlErrorKind::UnknownEntity("bogus".into()), 2, 11)
+        );
+        assert_eq!(
+            at("<r>\n<a>\nçà</b></r>"),
+            (
+                XmlErrorKind::MismatchedTag {
+                    expected: "a".into(),
+                    found: "b".into()
+                },
+                3,
+                7
+            )
+        );
+        assert_eq!(
+            at("<r>\n<é a='ü<'/></r>"),
+            (XmlErrorKind::UnexpectedChar('<'), 2, 8)
+        );
+        assert_eq!(at("<r>\n<!-- 🚲 "), (XmlErrorKind::UnexpectedEof, 2, 5));
+        assert_eq!(
+            at("<r>\r\n\t<ü>&#xD800;</ü></r>"),
+            (XmlErrorKind::BadCharRef("D800".into()), 2, 13)
+        );
+        assert_eq!(
+            at("\u{FEFF}<r>\n🚲</r>\n<x/>"),
+            (
+                XmlErrorKind::BadDocumentStructure("multiple root elements".into()),
+                3,
+                2
+            )
+        );
+    }
+
+    #[test]
+    fn text_and_attribute_values_borrow_unless_decoded() {
+        let evs = events("<a p=\"plain\" q='&amp;x'>run<![CDATA[c]]>a&lt;b</a>").unwrap();
+        let XmlEvent::StartElement { attributes, .. } = &evs[0] else {
+            panic!("unexpected {:?}", evs[0]);
+        };
+        assert!(matches!(attributes[0].value, Cow::Borrowed("plain")));
+        assert!(matches!(&attributes[1].value, Cow::Owned(v) if v == "&x"));
+        assert!(matches!(evs[1], XmlEvent::Text(Cow::Borrowed("run"))));
+        assert!(matches!(&evs[3], XmlEvent::Text(Cow::Owned(t)) if t == "a<b"));
     }
 }

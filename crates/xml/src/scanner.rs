@@ -1,26 +1,22 @@
-//! Low-level character scanner with line/column tracking.
+//! Low-level byte-offset cursor that produces positioned errors.
 
 use crate::error::{XmlError, XmlErrorKind};
 
-/// A cursor over the input text that tracks the current line and column and
-/// produces positioned errors.
+/// A cursor over the input text.
+///
+/// The cursor is a byte offset and advances by byte lengths; line and column
+/// are derived from the offset only when asked for (in practice, when an
+/// [`XmlError`] is built), so scanning pays nothing per character for them.
 #[derive(Debug, Clone)]
 pub struct Scanner<'a> {
     input: &'a str,
     pos: usize,
-    line: u32,
-    column: u32,
 }
 
 impl<'a> Scanner<'a> {
     /// Creates a scanner at the start of `input`.
     pub fn new(input: &'a str) -> Self {
-        Self {
-            input,
-            pos: 0,
-            line: 1,
-            column: 1,
-        }
+        Self { input, pos: 0 }
     }
 
     /// Byte offset of the cursor.
@@ -28,14 +24,28 @@ impl<'a> Scanner<'a> {
         self.pos
     }
 
-    /// 1-based line of the cursor.
+    /// 1-based line of the cursor: one plus the newlines before it.
     pub fn line(&self) -> u32 {
-        self.line
+        self.position().0
     }
 
-    /// 1-based column of the cursor.
+    /// 1-based column of the cursor: one plus the characters since the last
+    /// newline.
     pub fn column(&self) -> u32 {
-        self.column
+        self.position().1
+    }
+
+    fn position(&self) -> (u32, u32) {
+        let before = &self.input[..self.pos];
+        let line_start = before.rfind('\n').map_or(0, |nl| nl + 1);
+        let line = 1 + before.bytes().filter(|&b| b == b'\n').count();
+        let column = 1 + before[line_start..].chars().count();
+        (line as u32, column as u32)
+    }
+
+    /// The unconsumed input.
+    pub fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
     }
 
     /// Whether all input has been consumed.
@@ -45,44 +55,33 @@ impl<'a> Scanner<'a> {
 
     /// The next character without consuming it.
     pub fn peek(&self) -> Option<char> {
-        self.input[self.pos..].chars().next()
+        self.rest().chars().next()
     }
 
-    /// The character after the next one, without consuming anything.
-    pub fn peek2(&self) -> Option<char> {
-        let mut it = self.input[self.pos..].chars();
-        it.next();
-        it.next()
+    /// The next byte without consuming it.
+    pub fn peek_byte(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     /// Consumes and returns one character.
     pub fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
         self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
         Some(c)
     }
 
     /// Whether the remaining input starts with `s`.
     pub fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s)
+        self.rest().starts_with(s)
     }
 
     /// Consumes `s` if the input starts with it; returns whether it did.
     pub fn eat(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            for _ in s.chars() {
-                self.bump();
-            }
-            true
-        } else {
-            false
+        let hit = self.starts_with(s);
+        if hit {
+            self.pos += s.len();
         }
+        hit
     }
 
     /// Consumes `s` or errors with `UnexpectedChar`/`UnexpectedEof`.
@@ -96,47 +95,70 @@ impl<'a> Scanner<'a> {
 
     /// Skips XML whitespace (space, tab, CR, LF).
     pub fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\r' | '\n')) {
-            self.bump();
-        }
+        let skipped = self
+            .rest()
+            .bytes()
+            .take_while(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+            .count();
+        self.pos += skipped;
     }
 
     /// Consumes characters while `pred` holds, returning the consumed slice.
     pub fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if !pred(c) {
-                break;
-            }
-            self.bump();
-        }
-        &self.input[start..self.pos]
+        let rest = self.rest();
+        let len = rest
+            .char_indices()
+            .find(|&(_, c)| !pred(c))
+            .map_or(rest.len(), |(i, _)| i);
+        self.pos += len;
+        &rest[..len]
+    }
+
+    /// Consumes the next `len` bytes, which must end on a char boundary.
+    pub fn take(&mut self, len: usize) -> &'a str {
+        let run = &self.rest()[..len];
+        self.pos += len;
+        run
+    }
+
+    /// Consumes input up to (not including) the first of the ASCII bytes in
+    /// `stops`, or to the end, returning the consumed run.
+    pub fn take_until_any(&mut self, stops: &[u8]) -> &'a str {
+        debug_assert!(
+            stops.is_ascii(),
+            "stops must be ASCII to land on a char boundary"
+        );
+        let rest = self.rest();
+        let len = rest
+            .bytes()
+            .position(|b| stops.contains(&b))
+            .unwrap_or(rest.len());
+        self.pos += len;
+        &rest[..len]
     }
 
     /// Consumes input up to (not including) the first occurrence of `needle`,
     /// returning the consumed slice, or `None` (consuming nothing extra) if
     /// the needle never appears.
     pub fn take_until(&mut self, needle: &str) -> Option<&'a str> {
-        let rest = &self.input[self.pos..];
+        let rest = self.rest();
         let idx = rest.find(needle)?;
-        let out = &rest[..idx];
-        for _ in out.chars() {
-            self.bump();
-        }
-        Some(out)
+        self.pos += idx;
+        Some(&rest[..idx])
     }
 
     /// Error for an unexpected character (or EOF) at the cursor.
     pub fn error_here(&self) -> XmlError {
         match self.peek() {
-            Some(c) => XmlError::new(XmlErrorKind::UnexpectedChar(c), self.line, self.column),
-            None => XmlError::new(XmlErrorKind::UnexpectedEof, self.line, self.column),
+            Some(c) => self.error(XmlErrorKind::UnexpectedChar(c)),
+            None => self.error(XmlErrorKind::UnexpectedEof),
         }
     }
 
     /// Error of an explicit kind at the cursor.
     pub fn error(&self, kind: XmlErrorKind) -> XmlError {
-        XmlError::new(kind, self.line, self.column)
+        let (line, column) = self.position();
+        XmlError::new(kind, line, column)
     }
 }
 
@@ -155,6 +177,17 @@ mod tests {
         assert_eq!((s.line(), s.column()), (2, 1));
         s.bump();
         assert_eq!((s.line(), s.column()), (2, 2));
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let mut s = Scanner::new("é\n🚲é<");
+        s.bump();
+        assert_eq!((s.line(), s.column()), (1, 2));
+        s.bump();
+        assert_eq!(s.take_while(|c| c != '<'), "🚲é");
+        assert_eq!((s.line(), s.column()), (2, 3));
+        assert_eq!(s.pos(), "é\n🚲é".len());
     }
 
     #[test]
@@ -182,6 +215,16 @@ mod tests {
         let mut s = Scanner::new("no terminator");
         assert_eq!(s.take_until("-->"), None);
         assert_eq!(s.pos(), 0);
+    }
+
+    #[test]
+    fn take_until_any_stops_at_the_first_delimiter() {
+        let mut s = Scanner::new("αβ&γ<");
+        assert_eq!(s.take_until_any(b"<&"), "αβ");
+        assert_eq!(s.peek(), Some('&'));
+        s.bump();
+        assert_eq!(s.take_until_any(b"\""), "γ<");
+        assert!(s.is_eof());
     }
 
     #[test]

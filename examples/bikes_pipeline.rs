@@ -2,14 +2,15 @@
 //! generate a day of bike-share XML snapshots, ingest them through the
 //! stream pipeline, build the 8-dimensional DWARF, store it in all four
 //! schema models, and compare sizes and insert times (a miniature of
-//! Tables 4 and 5).
+//! Tables 4 and 5). It panics if the cube built from the XML feed differs
+//! from the one built from the generator's tuples directly.
 //!
 //! Run with: `cargo run --release --example bikes_pipeline`
 
 use smartcube::core::models::ModelKind;
 use smartcube::core::MappedDwarf;
 use smartcube::datagen::{BikesGenerator, BikesSpec};
-use smartcube::dwarf::{RangeSel, Selection};
+use smartcube::dwarf::{Dwarf, RangeSel, Selection};
 use smartcube::ingest::StreamPipeline;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     let mut pipeline = StreamPipeline::new(BikesGenerator::cube_def());
     let mut documents = 0usize;
     let mut bytes = 0usize;
-    for snapshot in BikesGenerator::new(spec) {
+    for snapshot in BikesGenerator::new(spec.clone()) {
         bytes += snapshot.xml.len();
         pipeline.ingest(&snapshot.xml).expect("well-formed feed");
         documents += 1;
@@ -37,6 +38,15 @@ fn main() {
     );
 
     let cube = pipeline.build_cube();
+    // The XML path (render, parse, extract) must give exactly the cube of
+    // the generator's XML-free tuples.
+    let direct = Dwarf::build(cube.schema().clone(), BikesGenerator::tuples(spec));
+    assert_eq!(
+        cube.extract_tuples(),
+        direct.extract_tuples(),
+        "the cube built from the XML feed differs from the generator's tuples"
+    );
+    println!("the XML feed's cube has exactly the generator's facts: ✓");
     let stats = cube.stats();
     println!(
         "\nDWARF: {} facts -> {} nodes, {} cells ({} in-memory)",

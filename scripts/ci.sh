@@ -79,6 +79,11 @@ cargo run --release -p sc-bench --bin repro -- stream --scale 0.01 --threads 2
 echo "==> multi-source example (five feeds, one warehouse)"
 cargo run --release --example multi_source_fusion
 
+echo "==> bikes pipeline example (XML feed cube == the generator's tuples)"
+# bikes_pipeline panics if the cube its StreamPipeline builds from the
+# rendered XML differs from Dwarf::build over the XML-free tuples.
+cargo run --release --example bikes_pipeline
+
 echo "==> sqllogictest tier (golden .slt scripts, memtable + flushed + compacted)"
 cargo test -q --release -p sc-nosql --test sqllogic
 
