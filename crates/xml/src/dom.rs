@@ -176,7 +176,6 @@ impl Document {
                     first_child: nodes.len(),
                 }),
                 XmlEvent::EndElement { .. } => {
-                    // The reader guarantees balance.
                     let done = open.pop().expect("reader guarantees balanced tags");
                     let element = Element {
                         name: done.name.to_string(),
