@@ -12,6 +12,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One-shot FNV-1a of a byte slice.
+#[inline]
 pub fn fnv1a_64(data: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in data {

@@ -20,6 +20,8 @@
 //!   SSTable footers,
 //! * [`hash`] — FNV-1a hashing and a [`BuildHasher`](std::hash::BuildHasher)
 //!   for fast integer-keyed maps,
+//! * [`lex`] — the one statement tokenizer and token cursor the CQL and SQL
+//!   parsers share,
 //! * [`bytesize`] — human-readable byte quantities (the paper reports sizes
 //!   in MB),
 //! * [`overhead`] — the documented per-record overhead constants that model
@@ -33,6 +35,7 @@ pub mod checksum;
 pub mod codec;
 pub mod columnar;
 pub mod hash;
+pub mod lex;
 pub mod overhead;
 pub mod rng;
 pub mod varint;

@@ -1,4 +1,5 @@
-//! CQL subset: lexer, AST and parser.
+//! CQL subset: AST and parser. Tokens and the token cursor come from
+//! [`sc_encoding::lex`], which the SQL front-end of `sc-relational` shares.
 //!
 //! The paper's transformation step (§4, Figure 3) turns DWARF cells into CQL
 //! `INSERT` statements; this module makes that path executable end to end.
@@ -20,7 +21,6 @@
 //! set literals.
 
 pub mod ast;
-pub mod lexer;
 pub mod parser;
 
 pub use parser::parse_statement;

@@ -1,492 +1,414 @@
-//! Recursive-descent CQL parser.
+//! Recursive-descent CQL parser over the shared [`sc_encoding::lex`] cursor.
 
 use super::ast::{
     AggFunc, CmpOp, OrderBy, SelectColumns, SelectItem, Statement, TableRef, WhereClause,
 };
-use super::lexer::{tokenize, Token};
 use crate::error::{NosqlError, Result};
 use crate::types::{CqlType, CqlValue};
+use sc_encoding::lex::{Cursor, Token};
 use std::collections::BTreeSet;
 
 /// Parses one CQL statement (a trailing `;` is tolerated).
 pub fn parse_statement(input: &str) -> Result<Statement> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat_symbol(';');
-    if !p.is_done() {
-        return Err(NosqlError::Parse(format!(
-            "trailing tokens after statement: {:?}",
-            p.peek()
-        )));
-    }
+    let mut p = Cursor::new(input)?;
+    let stmt = statement(&mut p)?;
+    p.finish()?;
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+fn table_ref(p: &mut Cursor) -> Result<TableRef> {
+    let first = p.ident()?;
+    if p.eat_symbol('.') {
+        let table = p.ident()?;
+        Ok(TableRef {
+            keyspace: first,
+            table,
+        })
+    } else {
+        // Unqualified: a session resolves the keyspace via USE.
+        Ok(TableRef {
+            keyspace: String::new(),
+            table: first,
+        })
+    }
 }
 
-impl Parser {
-    fn is_done(&self) -> bool {
-        self.pos >= self.tokens.len()
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        match self.bump() {
-            Some(t) if t.is_keyword(kw) => Ok(()),
-            other => Err(NosqlError::Parse(format!("expected {kw}, found {other:?}"))),
-        }
-    }
-
-    fn peek_keyword(&self, kw: &str) -> bool {
-        self.peek().is_some_and(|t| t.is_keyword(kw))
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.peek_keyword(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_symbol(&mut self, sym: char) -> Result<()> {
-        match self.bump() {
-            Some(Token::Symbol(c)) if c == sym => Ok(()),
-            other => Err(NosqlError::Parse(format!(
-                "expected {sym:?}, found {other:?}"
-            ))),
-        }
-    }
-
-    fn eat_symbol(&mut self, sym: char) -> bool {
-        if matches!(self.peek(), Some(Token::Symbol(c)) if *c == sym) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.bump() {
-            Some(Token::Ident(s)) => Ok(s),
-            other => Err(NosqlError::Parse(format!(
-                "expected identifier, found {other:?}"
-            ))),
-        }
-    }
-
-    fn table_ref(&mut self) -> Result<TableRef> {
-        let first = self.ident()?;
-        if self.eat_symbol('.') {
-            let table = self.ident()?;
-            Ok(TableRef {
-                keyspace: first,
-                table,
-            })
-        } else {
-            // Unqualified: a session resolves the keyspace via USE.
-            Ok(TableRef {
-                keyspace: String::new(),
-                table: first,
-            })
-        }
-    }
-
-    fn literal(&mut self) -> Result<CqlValue> {
-        match self.bump() {
-            Some(Token::Number(n)) => Ok(CqlValue::Int(n)),
-            Some(Token::Str(s)) => Ok(CqlValue::Text(s)),
-            Some(t) if t.is_keyword("true") => Ok(CqlValue::Boolean(true)),
-            Some(t) if t.is_keyword("false") => Ok(CqlValue::Boolean(false)),
-            Some(t) if t.is_keyword("null") => Ok(CqlValue::Null),
-            Some(Token::Symbol('{')) => {
-                let mut set = BTreeSet::new();
-                if !self.eat_symbol('}') {
-                    loop {
-                        match self.bump() {
-                            Some(Token::Number(n)) => {
-                                set.insert(n);
-                            }
-                            other => {
-                                return Err(NosqlError::Parse(format!(
-                                    "set literals hold integers, found {other:?}"
-                                )))
-                            }
-                        }
-                        if self.eat_symbol('}') {
-                            break;
-                        }
-                        self.expect_symbol(',')?;
-                    }
-                }
-                Ok(CqlValue::IntSet(set))
-            }
-            other => Err(NosqlError::Parse(format!(
-                "expected literal, found {other:?}"
-            ))),
-        }
-    }
-
-    fn type_name(&mut self) -> Result<CqlType> {
-        let base = self.ident()?;
-        if base.eq_ignore_ascii_case("set") {
-            self.expect_symbol('<')?;
-            let inner = self.ident()?;
-            self.expect_symbol('>')?;
-            if !inner.eq_ignore_ascii_case("int") {
-                return Err(NosqlError::Parse(format!(
-                    "only set<int> is supported, found set<{inner}>"
-                )));
-            }
-            return Ok(CqlType::IntSet);
-        }
-        CqlType::parse(&base).ok_or_else(|| NosqlError::Parse(format!("unknown type {base:?}")))
-    }
-
-    /// One WHERE predicate: `col = v`, `col IN (...)`, or `col <op> v`.
-    fn where_predicate(&mut self) -> Result<WhereClause> {
-        let column = self.ident()?;
-        if self.eat_keyword("in") {
-            self.expect_symbol('(')?;
-            let mut values = Vec::new();
-            // `IN ()` is legal CQL and matches no rows.
-            if !self.eat_symbol(')') {
+fn literal(p: &mut Cursor) -> Result<CqlValue> {
+    match p.bump() {
+        Some(Token::Number(n)) => Ok(CqlValue::Int(n)),
+        Some(Token::Str(s)) => Ok(CqlValue::Text(s)),
+        Some(t) if t.is_keyword("true") => Ok(CqlValue::Boolean(true)),
+        Some(t) if t.is_keyword("false") => Ok(CqlValue::Boolean(false)),
+        Some(t) if t.is_keyword("null") => Ok(CqlValue::Null),
+        Some(Token::Symbol('{')) => {
+            let mut set = BTreeSet::new();
+            if !p.eat_symbol('}') {
                 loop {
-                    values.push(self.literal()?);
-                    if self.eat_symbol(')') {
+                    match p.bump() {
+                        Some(Token::Number(n)) => {
+                            set.insert(n);
+                        }
+                        other => {
+                            return Err(NosqlError::Parse(format!(
+                                "set literals hold integers, found {other:?}"
+                            )))
+                        }
+                    }
+                    if p.eat_symbol('}') {
                         break;
                     }
-                    self.expect_symbol(',')?;
+                    p.expect_symbol(',')?;
                 }
             }
-            return Ok(WhereClause::In { column, values });
+            Ok(CqlValue::IntSet(set))
         }
-        if self.eat_symbol('<') {
-            let op = if self.eat_symbol('=') {
-                CmpOp::Le
-            } else {
-                CmpOp::Lt
-            };
-            let value = self.literal()?;
-            return Ok(WhereClause::Cmp { column, op, value });
-        }
-        if self.eat_symbol('>') {
-            let op = if self.eat_symbol('=') {
-                CmpOp::Ge
-            } else {
-                CmpOp::Gt
-            };
-            let value = self.literal()?;
-            return Ok(WhereClause::Cmp { column, op, value });
-        }
-        self.expect_symbol('=')?;
-        let value = self.literal()?;
-        Ok(WhereClause::Eq { column, value })
+        other => Err(NosqlError::Parse(format!(
+            "expected literal, found {other:?}"
+        ))),
     }
+}
 
-    /// An AND-joined conjunction of predicates (SELECT only; UPDATE and
-    /// DELETE keep their single primary-key equality).
-    fn where_conjunction(&mut self) -> Result<Vec<WhereClause>> {
-        let mut preds = vec![self.where_predicate()?];
-        while self.eat_keyword("and") {
-            preds.push(self.where_predicate()?);
-        }
-        Ok(preds)
-    }
-
-    fn statement(&mut self) -> Result<Statement> {
-        if self.eat_keyword("explain") {
-            let inner = self.statement()?;
-            return Ok(Statement::Explain {
-                statement: Box::new(inner),
-            });
-        }
-        if self.eat_keyword("create") {
-            if self.eat_keyword("keyspace") {
-                let name = self.ident()?;
-                return Ok(Statement::CreateKeyspace { name });
-            }
-            if self.eat_keyword("table") {
-                return self.create_table();
-            }
-            if self.eat_keyword("index") {
-                // Optional index name before ON.
-                if !self.peek_keyword("on") {
-                    let _name = self.ident()?;
-                }
-                self.expect_keyword("on")?;
-                let table = self.table_ref()?;
-                self.expect_symbol('(')?;
-                let column = self.ident()?;
-                self.expect_symbol(')')?;
-                return Ok(Statement::CreateIndex { table, column });
-            }
-            return Err(NosqlError::Parse(
-                "expected KEYSPACE, TABLE or INDEX after CREATE".into(),
-            ));
-        }
-        if self.eat_keyword("insert") {
-            self.expect_keyword("into")?;
-            return self.insert_body();
-        }
-        if self.eat_keyword("select") {
-            return self.select_body();
-        }
-        if self.eat_keyword("update") {
-            let table = self.table_ref()?;
-            self.expect_keyword("set")?;
-            let mut assignments = Vec::new();
-            loop {
-                let column = self.ident()?;
-                self.expect_symbol('=')?;
-                let value = self.literal()?;
-                assignments.push((column, value));
-                if !self.eat_symbol(',') {
-                    break;
-                }
-            }
-            self.expect_keyword("where")?;
-            let where_clause = self.where_predicate()?;
-            return Ok(Statement::Update {
-                table,
-                assignments,
-                where_clause,
-            });
-        }
-        if self.eat_keyword("delete") {
-            self.expect_keyword("from")?;
-            let table = self.table_ref()?;
-            self.expect_keyword("where")?;
-            let where_clause = self.where_predicate()?;
-            return Ok(Statement::Delete {
-                table,
-                where_clause,
-            });
-        }
-        if self.eat_keyword("truncate") {
-            let table = self.table_ref()?;
-            return Ok(Statement::Truncate { table });
-        }
-        if self.eat_keyword("use") {
-            let keyspace = self.ident()?;
-            return Ok(Statement::Use { keyspace });
-        }
-        if self.eat_keyword("begin") {
-            self.expect_keyword("batch")?;
-            let mut statements = Vec::new();
-            loop {
-                if self.eat_keyword("apply") {
-                    self.expect_keyword("batch")?;
-                    break;
-                }
-                let st = if self.eat_keyword("insert") {
-                    self.expect_keyword("into")?;
-                    self.insert_body()?
-                } else if self.eat_keyword("delete") {
-                    self.expect_keyword("from")?;
-                    let table = self.table_ref()?;
-                    self.expect_keyword("where")?;
-                    let where_clause = self.where_predicate()?;
-                    Statement::Delete {
-                        table,
-                        where_clause,
-                    }
-                } else {
-                    return Err(NosqlError::Parse(
-                        "batches may contain only INSERT and DELETE".into(),
-                    ));
-                };
-                statements.push(st);
-                self.eat_symbol(';');
-            }
-            return Ok(Statement::Batch { statements });
-        }
-        Err(NosqlError::Parse(format!(
-            "unrecognized statement start: {:?}",
-            self.peek()
-        )))
-    }
-
-    fn create_table(&mut self) -> Result<Statement> {
-        let table = self.table_ref()?;
-        self.expect_symbol('(')?;
-        let mut columns = Vec::new();
-        let mut primary_key: Option<String> = None;
-        loop {
-            if self.eat_keyword("primary") {
-                self.expect_keyword("key")?;
-                self.expect_symbol('(')?;
-                let pk = self.ident()?;
-                self.expect_symbol(')')?;
-                if primary_key.replace(pk).is_some() {
-                    return Err(NosqlError::Parse("duplicate PRIMARY KEY clause".into()));
-                }
-            } else {
-                let name = self.ident()?;
-                let ty = self.type_name()?;
-                columns.push((name, ty));
-            }
-            if self.eat_symbol(')') {
-                break;
-            }
-            self.expect_symbol(',')?;
-        }
-        let primary_key = primary_key
-            .ok_or_else(|| NosqlError::Parse("CREATE TABLE needs a PRIMARY KEY".into()))?;
-        Ok(Statement::CreateTable {
-            table,
-            columns,
-            primary_key,
-        })
-    }
-
-    fn insert_body(&mut self) -> Result<Statement> {
-        let table = self.table_ref()?;
-        self.expect_symbol('(')?;
-        let mut columns = Vec::new();
-        loop {
-            columns.push(self.ident()?);
-            if self.eat_symbol(')') {
-                break;
-            }
-            self.expect_symbol(',')?;
-        }
-        self.expect_keyword("values")?;
-        self.expect_symbol('(')?;
-        let mut values = Vec::new();
-        loop {
-            values.push(self.literal()?);
-            if self.eat_symbol(')') {
-                break;
-            }
-            self.expect_symbol(',')?;
-        }
-        if columns.len() != values.len() {
+fn type_name(p: &mut Cursor) -> Result<CqlType> {
+    let base = p.ident()?;
+    if base.eq_ignore_ascii_case("set") {
+        p.expect_symbol('<')?;
+        let inner = p.ident()?;
+        p.expect_symbol('>')?;
+        if !inner.eq_ignore_ascii_case("int") {
             return Err(NosqlError::Parse(format!(
-                "INSERT binds {} columns but {} values",
-                columns.len(),
-                values.len()
+                "only set<int> is supported, found set<{inner}>"
             )));
         }
-        Ok(Statement::Insert {
-            table,
-            columns,
-            values,
-        })
+        return Ok(CqlType::IntSet);
     }
+    CqlType::parse(&base).ok_or_else(|| NosqlError::Parse(format!("unknown type {base:?}")))
+}
 
-    /// One SELECT-list item: a plain column or an aggregate call. An
-    /// aggregate keyword only counts as one when `(` follows, so a column
-    /// named `count` still selects.
-    fn select_item(&mut self) -> Result<SelectItem> {
-        const AGGS: [(&str, AggFunc); 5] = [
-            ("count", AggFunc::Count),
-            ("sum", AggFunc::Sum),
-            ("min", AggFunc::Min),
-            ("max", AggFunc::Max),
-            ("avg", AggFunc::Avg),
-        ];
-        for (kw, func) in AGGS {
-            if self.peek_keyword(kw)
-                && matches!(self.tokens.get(self.pos + 1), Some(Token::Symbol('(')))
-            {
-                self.pos += 2;
-                let column = if self.eat_symbol('*') {
-                    None
-                } else {
-                    Some(self.ident()?)
-                };
-                self.expect_symbol(')')?;
-                if column.is_none() && func != AggFunc::Count {
-                    return Err(NosqlError::Parse(format!(
-                        "{}(*) is not valid; only COUNT accepts *",
-                        func.name().to_uppercase()
-                    )));
+/// One WHERE predicate: `col = v`, `col IN (...)`, or `col <op> v`.
+fn where_predicate(p: &mut Cursor) -> Result<WhereClause> {
+    let column = p.ident()?;
+    if p.eat_keyword("in") {
+        p.expect_symbol('(')?;
+        let mut values = Vec::new();
+        // `IN ()` is legal CQL and matches no rows.
+        if !p.eat_symbol(')') {
+            loop {
+                values.push(literal(p)?);
+                if p.eat_symbol(')') {
+                    break;
                 }
-                return Ok(SelectItem::Aggregate { func, column });
+                p.expect_symbol(',')?;
             }
         }
-        Ok(SelectItem::Column(self.ident()?))
+        return Ok(WhereClause::In { column, values });
     }
+    if p.eat_symbol('<') {
+        let op = if p.eat_symbol('=') {
+            CmpOp::Le
+        } else {
+            CmpOp::Lt
+        };
+        let value = literal(p)?;
+        return Ok(WhereClause::Cmp { column, op, value });
+    }
+    if p.eat_symbol('>') {
+        let op = if p.eat_symbol('=') {
+            CmpOp::Ge
+        } else {
+            CmpOp::Gt
+        };
+        let value = literal(p)?;
+        return Ok(WhereClause::Cmp { column, op, value });
+    }
+    p.expect_symbol('=')?;
+    let value = literal(p)?;
+    Ok(WhereClause::Eq { column, value })
+}
 
-    fn select_body(&mut self) -> Result<Statement> {
-        let columns = if self.eat_symbol('*') {
-            SelectColumns::All
-        } else {
-            let mut items = vec![self.select_item()?];
-            while self.eat_symbol(',') {
-                items.push(self.select_item()?);
-            }
-            SelectColumns::Items(items)
-        };
-        self.expect_keyword("from")?;
-        let table = self.table_ref()?;
-        let where_clause = if self.eat_keyword("where") {
-            self.where_conjunction()?
-        } else {
-            Vec::new()
-        };
-        let group_by = if self.eat_keyword("group") {
-            self.expect_keyword("by")?;
-            let mut cols = vec![self.ident()?];
-            while self.eat_symbol(',') {
-                cols.push(self.ident()?);
-            }
-            cols
-        } else {
-            Vec::new()
-        };
-        let order_by = if self.eat_keyword("order") {
-            self.expect_keyword("by")?;
-            let column = self.ident()?;
-            let desc = if self.eat_keyword("desc") {
-                true
-            } else {
-                self.eat_keyword("asc");
-                false
-            };
-            Some(OrderBy { column, desc })
-        } else {
-            None
-        };
-        let limit = if self.eat_keyword("limit") {
-            match self.bump() {
-                Some(Token::Number(n)) if n >= 0 => Some(n as usize),
-                other => {
-                    return Err(NosqlError::Parse(format!(
-                        "LIMIT needs a non-negative integer, found {other:?}"
-                    )))
-                }
-            }
-        } else {
-            None
-        };
-        Ok(Statement::Select {
-            table,
-            columns,
-            where_clause,
-            group_by,
-            order_by,
-            limit,
-        })
+/// An AND-joined conjunction of predicates (SELECT only; UPDATE and
+/// DELETE keep their single primary-key equality).
+fn where_conjunction(p: &mut Cursor) -> Result<Vec<WhereClause>> {
+    let mut preds = vec![where_predicate(p)?];
+    while p.eat_keyword("and") {
+        preds.push(where_predicate(p)?);
     }
+    Ok(preds)
+}
+
+fn statement(p: &mut Cursor) -> Result<Statement> {
+    if p.eat_keyword("explain") {
+        let inner = statement(p)?;
+        return Ok(Statement::Explain {
+            statement: Box::new(inner),
+        });
+    }
+    if p.eat_keyword("create") {
+        if p.eat_keyword("keyspace") {
+            let name = p.ident()?;
+            return Ok(Statement::CreateKeyspace { name });
+        }
+        if p.eat_keyword("table") {
+            return create_table(p);
+        }
+        if p.eat_keyword("index") {
+            // Optional index name before ON.
+            if !p.peek_keyword("on") {
+                let _name = p.ident()?;
+            }
+            p.expect_keyword("on")?;
+            let table = table_ref(p)?;
+            p.expect_symbol('(')?;
+            let column = p.ident()?;
+            p.expect_symbol(')')?;
+            return Ok(Statement::CreateIndex { table, column });
+        }
+        return Err(NosqlError::Parse(
+            "expected KEYSPACE, TABLE or INDEX after CREATE".into(),
+        ));
+    }
+    if p.eat_keyword("insert") {
+        p.expect_keyword("into")?;
+        return insert_body(p);
+    }
+    if p.eat_keyword("select") {
+        return select_body(p);
+    }
+    if p.eat_keyword("update") {
+        let table = table_ref(p)?;
+        p.expect_keyword("set")?;
+        let mut assignments = Vec::new();
+        loop {
+            let column = p.ident()?;
+            p.expect_symbol('=')?;
+            let value = literal(p)?;
+            assignments.push((column, value));
+            if !p.eat_symbol(',') {
+                break;
+            }
+        }
+        p.expect_keyword("where")?;
+        let where_clause = where_predicate(p)?;
+        return Ok(Statement::Update {
+            table,
+            assignments,
+            where_clause,
+        });
+    }
+    if p.eat_keyword("delete") {
+        p.expect_keyword("from")?;
+        let table = table_ref(p)?;
+        p.expect_keyword("where")?;
+        let where_clause = where_predicate(p)?;
+        return Ok(Statement::Delete {
+            table,
+            where_clause,
+        });
+    }
+    if p.eat_keyword("truncate") {
+        let table = table_ref(p)?;
+        return Ok(Statement::Truncate { table });
+    }
+    if p.eat_keyword("use") {
+        let keyspace = p.ident()?;
+        return Ok(Statement::Use { keyspace });
+    }
+    if p.eat_keyword("begin") {
+        p.expect_keyword("batch")?;
+        let mut statements = Vec::new();
+        loop {
+            if p.eat_keyword("apply") {
+                p.expect_keyword("batch")?;
+                break;
+            }
+            let st = if p.eat_keyword("insert") {
+                p.expect_keyword("into")?;
+                insert_body(p)?
+            } else if p.eat_keyword("delete") {
+                p.expect_keyword("from")?;
+                let table = table_ref(p)?;
+                p.expect_keyword("where")?;
+                let where_clause = where_predicate(p)?;
+                Statement::Delete {
+                    table,
+                    where_clause,
+                }
+            } else {
+                return Err(NosqlError::Parse(
+                    "batches may contain only INSERT and DELETE".into(),
+                ));
+            };
+            statements.push(st);
+            p.eat_symbol(';');
+        }
+        return Ok(Statement::Batch { statements });
+    }
+    Err(NosqlError::Parse(format!(
+        "unrecognized statement start: {:?}",
+        p.peek()
+    )))
+}
+
+fn create_table(p: &mut Cursor) -> Result<Statement> {
+    let table = table_ref(p)?;
+    p.expect_symbol('(')?;
+    let mut columns = Vec::new();
+    let mut primary_key: Option<String> = None;
+    loop {
+        if p.eat_keyword("primary") {
+            p.expect_keyword("key")?;
+            p.expect_symbol('(')?;
+            let pk = p.ident()?;
+            p.expect_symbol(')')?;
+            if primary_key.replace(pk).is_some() {
+                return Err(NosqlError::Parse("duplicate PRIMARY KEY clause".into()));
+            }
+        } else {
+            let name = p.ident()?;
+            let ty = type_name(p)?;
+            columns.push((name, ty));
+        }
+        if p.eat_symbol(')') {
+            break;
+        }
+        p.expect_symbol(',')?;
+    }
+    let primary_key =
+        primary_key.ok_or_else(|| NosqlError::Parse("CREATE TABLE needs a PRIMARY KEY".into()))?;
+    Ok(Statement::CreateTable {
+        table,
+        columns,
+        primary_key,
+    })
+}
+
+fn insert_body(p: &mut Cursor) -> Result<Statement> {
+    let table = table_ref(p)?;
+    p.expect_symbol('(')?;
+    let mut columns = Vec::new();
+    loop {
+        columns.push(p.ident()?);
+        if p.eat_symbol(')') {
+            break;
+        }
+        p.expect_symbol(',')?;
+    }
+    p.expect_keyword("values")?;
+    p.expect_symbol('(')?;
+    let mut values = Vec::new();
+    loop {
+        values.push(literal(p)?);
+        if p.eat_symbol(')') {
+            break;
+        }
+        p.expect_symbol(',')?;
+    }
+    if columns.len() != values.len() {
+        return Err(NosqlError::Parse(format!(
+            "INSERT binds {} columns but {} values",
+            columns.len(),
+            values.len()
+        )));
+    }
+    Ok(Statement::Insert {
+        table,
+        columns,
+        values,
+    })
+}
+
+/// One SELECT-list item: a plain column or an aggregate call. An
+/// aggregate keyword only counts as one when `(` follows, so a column
+/// named `count` still selects.
+fn select_item(p: &mut Cursor) -> Result<SelectItem> {
+    const AGGS: [(&str, AggFunc); 5] = [
+        ("count", AggFunc::Count),
+        ("sum", AggFunc::Sum),
+        ("min", AggFunc::Min),
+        ("max", AggFunc::Max),
+        ("avg", AggFunc::Avg),
+    ];
+    for (kw, func) in AGGS {
+        if p.peek_keyword(kw) && p.peek_at(1) == Some(&Token::Symbol('(')) {
+            p.bump();
+            p.bump();
+            let column = if p.eat_symbol('*') {
+                None
+            } else {
+                Some(p.ident()?)
+            };
+            p.expect_symbol(')')?;
+            if column.is_none() && func != AggFunc::Count {
+                return Err(NosqlError::Parse(format!(
+                    "{}(*) is not valid; only COUNT accepts *",
+                    func.name().to_uppercase()
+                )));
+            }
+            return Ok(SelectItem::Aggregate { func, column });
+        }
+    }
+    Ok(SelectItem::Column(p.ident()?))
+}
+
+fn select_body(p: &mut Cursor) -> Result<Statement> {
+    let columns = if p.eat_symbol('*') {
+        SelectColumns::All
+    } else {
+        let mut items = vec![select_item(p)?];
+        while p.eat_symbol(',') {
+            items.push(select_item(p)?);
+        }
+        SelectColumns::Items(items)
+    };
+    p.expect_keyword("from")?;
+    let table = table_ref(p)?;
+    let where_clause = if p.eat_keyword("where") {
+        where_conjunction(p)?
+    } else {
+        Vec::new()
+    };
+    let group_by = if p.eat_keyword("group") {
+        p.expect_keyword("by")?;
+        let mut cols = vec![p.ident()?];
+        while p.eat_symbol(',') {
+            cols.push(p.ident()?);
+        }
+        cols
+    } else {
+        Vec::new()
+    };
+    let order_by = if p.eat_keyword("order") {
+        p.expect_keyword("by")?;
+        let column = p.ident()?;
+        let desc = if p.eat_keyword("desc") {
+            true
+        } else {
+            p.eat_keyword("asc");
+            false
+        };
+        Some(OrderBy { column, desc })
+    } else {
+        None
+    };
+    let limit = if p.eat_keyword("limit") {
+        match p.bump() {
+            Some(Token::Number(n)) if n >= 0 => Some(n as usize),
+            other => {
+                return Err(NosqlError::Parse(format!(
+                    "LIMIT needs a non-negative integer, found {other:?}"
+                )))
+            }
+        }
+    } else {
+        None
+    };
+    Ok(Statement::Select {
+        table,
+        columns,
+        where_clause,
+        group_by,
+        order_by,
+        limit,
+    })
 }
 
 #[cfg(test)]

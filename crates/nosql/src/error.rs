@@ -1,5 +1,6 @@
 //! Engine errors.
 
+use sc_encoding::lex::ParseError;
 use sc_encoding::DecodeError;
 use sc_storage::StorageError;
 use std::fmt;
@@ -85,6 +86,12 @@ impl std::error::Error for NosqlError {}
 impl From<StorageError> for NosqlError {
     fn from(e: StorageError) -> Self {
         NosqlError::Storage(e)
+    }
+}
+
+impl From<ParseError> for NosqlError {
+    fn from(e: ParseError) -> Self {
+        NosqlError::Parse(e.0)
     }
 }
 

@@ -32,6 +32,7 @@
 
 use crate::row::Row;
 use crate::sstable::SstEntry;
+use sc_encoding::fnv1a_64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -78,15 +79,6 @@ pub(crate) struct ShardedMemtable {
     bytes: AtomicUsize,
 }
 
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 impl ShardedMemtable {
     pub fn new() -> ShardedMemtable {
         let shards = (0..SHARD_COUNT)
@@ -100,7 +92,7 @@ impl ShardedMemtable {
     }
 
     fn shard_for(&self, key: &[u8]) -> &Mutex<Shard> {
-        &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
+        &self.shards[(fnv1a_64(key) % self.shards.len() as u64) as usize]
     }
 
     /// Inserts a version and garbage-collects the key's chain.

@@ -1,5 +1,6 @@
 //! Relational engine errors.
 
+use sc_encoding::lex::ParseError;
 use sc_encoding::DecodeError;
 use sc_storage::StorageError;
 use std::fmt;
@@ -83,6 +84,12 @@ impl std::error::Error for SqlError {}
 impl From<StorageError> for SqlError {
     fn from(e: StorageError) -> Self {
         SqlError::Storage(e)
+    }
+}
+
+impl From<ParseError> for SqlError {
+    fn from(e: ParseError) -> Self {
+        SqlError::Parse(e.0)
     }
 }
 

@@ -1,4 +1,5 @@
-//! SQL subset: lexer, AST and parser.
+//! SQL subset: AST and parser. Tokens and the token cursor come from
+//! [`sc_encoding::lex`], which the CQL front-end of `sc-nosql` shares.
 //!
 //! Supported statements (enough to express the paper's Figure 4 schema, the
 //! MySQL-Min schema, bulk loading and the rebuild queries):
@@ -21,7 +22,6 @@
 //! ```
 
 pub mod ast;
-pub mod lexer;
 pub mod parser;
 
 pub use parser::parse_sql;

@@ -1,425 +1,345 @@
-//! Recursive-descent SQL parser.
+//! Recursive-descent SQL parser over the shared [`sc_encoding::lex`] cursor.
 
 use super::ast::{
     ColumnRef, ColumnSpec, ForeignKeySpec, JoinSpec, Predicate, Projection, SqlStatement,
     TableFactor, TableName,
 };
-use super::lexer::{tokenize, Token};
 use crate::error::{Result, SqlError};
 use crate::value::{SqlType, SqlValue};
+use sc_encoding::lex::{Cursor, Token};
 
 /// Parses one SQL statement (a trailing `;` is tolerated).
 pub fn parse_sql(input: &str) -> Result<SqlStatement> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat_symbol(';');
-    if !p.is_done() {
-        return Err(SqlError::Parse(format!(
-            "trailing tokens after statement: {:?}",
-            p.peek()
-        )));
-    }
+    let mut p = Cursor::new(input)?;
+    let stmt = statement(&mut p)?;
+    p.finish()?;
     Ok(stmt)
-}
-
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
 }
 
 const RESERVED_AFTER_TABLE: &[&str] = &["join", "on", "where", "limit", "as"];
 
-impl Parser {
-    fn is_done(&self) -> bool {
-        self.pos >= self.tokens.len()
-    }
+fn table_name(p: &mut Cursor) -> Result<TableName> {
+    let database = p.ident()?;
+    p.expect_symbol('.').map_err(|_| {
+        SqlError::Parse(format!(
+            "table references must be qualified as database.table (got {database:?})"
+        ))
+    })?;
+    let table = p.ident()?;
+    Ok(TableName { database, table })
+}
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
+fn table_factor(p: &mut Cursor) -> Result<TableFactor> {
+    let name = table_name(p)?;
+    let explicit_as = p.eat_keyword("as");
+    let alias = if explicit_as
+        || matches!(p.peek(), Some(Token::Ident(s))
+            if !RESERVED_AFTER_TABLE.iter().any(|k| s.eq_ignore_ascii_case(k)))
+    {
+        Some(p.ident()?)
+    } else {
+        None
+    };
+    Ok(TableFactor { name, alias })
+}
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        match self.bump() {
-            Some(t) if t.is_keyword(kw) => Ok(()),
-            other => Err(SqlError::Parse(format!("expected {kw}, found {other:?}"))),
-        }
-    }
-
-    fn peek_keyword(&self, kw: &str) -> bool {
-        self.peek().is_some_and(|t| t.is_keyword(kw))
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.peek_keyword(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_symbol(&mut self, sym: char) -> Result<()> {
-        match self.bump() {
-            Some(Token::Symbol(c)) if c == sym => Ok(()),
-            other => Err(SqlError::Parse(format!(
-                "expected {sym:?}, found {other:?}"
-            ))),
-        }
-    }
-
-    fn eat_symbol(&mut self, sym: char) -> bool {
-        if matches!(self.peek(), Some(Token::Symbol(c)) if *c == sym) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.bump() {
-            Some(Token::Ident(s)) => Ok(s),
-            other => Err(SqlError::Parse(format!(
-                "expected identifier, found {other:?}"
-            ))),
-        }
-    }
-
-    fn table_name(&mut self) -> Result<TableName> {
-        let database = self.ident()?;
-        self.expect_symbol('.').map_err(|_| {
-            SqlError::Parse(format!(
-                "table references must be qualified as database.table (got {database:?})"
-            ))
-        })?;
-        let table = self.ident()?;
-        Ok(TableName { database, table })
-    }
-
-    fn table_factor(&mut self) -> Result<TableFactor> {
-        let name = self.table_name()?;
-        let explicit_as = self.eat_keyword("as");
-        let alias = if explicit_as
-            || matches!(self.peek(), Some(Token::Ident(s))
-                if !RESERVED_AFTER_TABLE.iter().any(|k| s.eq_ignore_ascii_case(k)))
-        {
-            Some(self.ident()?)
-        } else {
-            None
-        };
-        Ok(TableFactor { name, alias })
-    }
-
-    fn column_ref(&mut self) -> Result<ColumnRef> {
-        let first = self.ident()?;
-        if self.eat_symbol('.') {
-            let column = self.ident()?;
-            Ok(ColumnRef {
-                qualifier: Some(first),
-                column,
-            })
-        } else {
-            Ok(ColumnRef {
-                qualifier: None,
-                column: first,
-            })
-        }
-    }
-
-    fn literal(&mut self) -> Result<SqlValue> {
-        match self.bump() {
-            Some(Token::Number(n)) => Ok(SqlValue::Int(n)),
-            Some(Token::Str(s)) => Ok(SqlValue::Text(s)),
-            Some(t) if t.is_keyword("true") => Ok(SqlValue::Bool(true)),
-            Some(t) if t.is_keyword("false") => Ok(SqlValue::Bool(false)),
-            Some(t) if t.is_keyword("null") => Ok(SqlValue::Null),
-            other => Err(SqlError::Parse(format!(
-                "expected literal, found {other:?}"
-            ))),
-        }
-    }
-
-    fn type_name(&mut self) -> Result<SqlType> {
-        let base = self.ident()?;
-        let ty = SqlType::parse(&base)
-            .ok_or_else(|| SqlError::Parse(format!("unknown type {base:?}")))?;
-        // Optional length argument, e.g. VARCHAR(255).
-        if self.eat_symbol('(') {
-            match self.bump() {
-                Some(Token::Number(_)) => {}
-                other => {
-                    return Err(SqlError::Parse(format!(
-                        "expected length in type, found {other:?}"
-                    )))
-                }
-            }
-            self.expect_symbol(')')?;
-        }
-        Ok(ty)
-    }
-
-    fn statement(&mut self) -> Result<SqlStatement> {
-        if self.eat_keyword("create") {
-            if self.eat_keyword("database") {
-                return Ok(SqlStatement::CreateDatabase {
-                    name: self.ident()?,
-                });
-            }
-            if self.eat_keyword("table") {
-                return self.create_table();
-            }
-            if self.eat_keyword("index") {
-                if !self.peek_keyword("on") {
-                    let _name = self.ident()?;
-                }
-                self.expect_keyword("on")?;
-                let table = self.table_name()?;
-                self.expect_symbol('(')?;
-                let column = self.ident()?;
-                self.expect_symbol(')')?;
-                return Ok(SqlStatement::CreateIndex { table, column });
-            }
-            return Err(SqlError::Parse(
-                "expected DATABASE, TABLE or INDEX after CREATE".into(),
-            ));
-        }
-        if self.eat_keyword("insert") {
-            self.expect_keyword("into")?;
-            return self.insert();
-        }
-        if self.eat_keyword("select") {
-            return self.select();
-        }
-        if self.eat_keyword("update") {
-            let table = self.table_name()?;
-            self.expect_keyword("set")?;
-            let mut assignments = Vec::new();
-            loop {
-                let column = self.ident()?;
-                self.expect_symbol('=')?;
-                let value = self.literal()?;
-                assignments.push((column, value));
-                if !self.eat_symbol(',') {
-                    break;
-                }
-            }
-            self.expect_keyword("where")?;
-            let column = self.column_ref()?;
-            self.expect_symbol('=')?;
-            let value = self.literal()?;
-            return Ok(SqlStatement::Update {
-                table,
-                assignments,
-                predicate: Predicate { column, value },
-            });
-        }
-        if self.eat_keyword("delete") {
-            self.expect_keyword("from")?;
-            let table = self.table_name()?;
-            self.expect_keyword("where")?;
-            let column = self.column_ref()?;
-            self.expect_symbol('=')?;
-            let value = self.literal()?;
-            return Ok(SqlStatement::Delete {
-                table,
-                predicate: Predicate { column, value },
-            });
-        }
-        if self.eat_keyword("truncate") {
-            self.eat_keyword("table");
-            let table = self.table_name()?;
-            return Ok(SqlStatement::Truncate { table });
-        }
-        Err(SqlError::Parse(format!(
-            "unrecognized statement start: {:?}",
-            self.peek()
-        )))
-    }
-
-    fn create_table(&mut self) -> Result<SqlStatement> {
-        let name = self.table_name()?;
-        self.expect_symbol('(')?;
-        let mut columns = Vec::new();
-        let mut primary_key = None;
-        let mut indexes = Vec::new();
-        let mut foreign_keys = Vec::new();
-        loop {
-            if self.eat_keyword("primary") {
-                self.expect_keyword("key")?;
-                self.expect_symbol('(')?;
-                let pk = self.ident()?;
-                self.expect_symbol(')')?;
-                if primary_key.replace(pk).is_some() {
-                    return Err(SqlError::Parse("duplicate PRIMARY KEY clause".into()));
-                }
-            } else if self.eat_keyword("index") || self.eat_keyword("key") {
-                self.expect_symbol('(')?;
-                indexes.push(self.ident()?);
-                self.expect_symbol(')')?;
-            } else if self.eat_keyword("foreign") {
-                self.expect_keyword("key")?;
-                self.expect_symbol('(')?;
-                let column = self.ident()?;
-                self.expect_symbol(')')?;
-                self.expect_keyword("references")?;
-                let ref_table = self.ident()?;
-                self.expect_symbol('(')?;
-                let ref_column = self.ident()?;
-                self.expect_symbol(')')?;
-                foreign_keys.push(ForeignKeySpec {
-                    column,
-                    ref_table,
-                    ref_column,
-                });
-            } else {
-                let col_name = self.ident()?;
-                let ty = self.type_name()?;
-                let not_null = if self.eat_keyword("not") {
-                    self.expect_keyword("null")?;
-                    true
-                } else {
-                    false
-                };
-                columns.push(ColumnSpec {
-                    name: col_name,
-                    ty,
-                    not_null,
-                });
-            }
-            if self.eat_symbol(')') {
-                break;
-            }
-            self.expect_symbol(',')?;
-        }
-        let primary_key = primary_key
-            .ok_or_else(|| SqlError::Parse("CREATE TABLE needs a PRIMARY KEY".into()))?;
-        Ok(SqlStatement::CreateTable {
-            name,
-            columns,
-            primary_key,
-            indexes,
-            foreign_keys,
+fn column_ref(p: &mut Cursor) -> Result<ColumnRef> {
+    let first = p.ident()?;
+    if p.eat_symbol('.') {
+        let column = p.ident()?;
+        Ok(ColumnRef {
+            qualifier: Some(first),
+            column,
+        })
+    } else {
+        Ok(ColumnRef {
+            qualifier: None,
+            column: first,
         })
     }
+}
 
-    fn insert(&mut self) -> Result<SqlStatement> {
-        let table = self.table_name()?;
-        self.expect_symbol('(')?;
-        let mut columns = Vec::new();
-        loop {
-            columns.push(self.ident()?);
-            if self.eat_symbol(')') {
-                break;
-            }
-            self.expect_symbol(',')?;
-        }
-        self.expect_keyword("values")?;
-        let mut rows = Vec::new();
-        loop {
-            self.expect_symbol('(')?;
-            let mut row = Vec::new();
-            loop {
-                row.push(self.literal()?);
-                if self.eat_symbol(')') {
-                    break;
-                }
-                self.expect_symbol(',')?;
-            }
-            if row.len() != columns.len() {
+fn literal(p: &mut Cursor) -> Result<SqlValue> {
+    match p.bump() {
+        Some(Token::Number(n)) => Ok(SqlValue::Int(n)),
+        Some(Token::Str(s)) => Ok(SqlValue::Text(s)),
+        Some(t) if t.is_keyword("true") => Ok(SqlValue::Bool(true)),
+        Some(t) if t.is_keyword("false") => Ok(SqlValue::Bool(false)),
+        Some(t) if t.is_keyword("null") => Ok(SqlValue::Null),
+        other => Err(SqlError::Parse(format!(
+            "expected literal, found {other:?}"
+        ))),
+    }
+}
+
+fn type_name(p: &mut Cursor) -> Result<SqlType> {
+    let base = p.ident()?;
+    let ty =
+        SqlType::parse(&base).ok_or_else(|| SqlError::Parse(format!("unknown type {base:?}")))?;
+    // Optional length argument, e.g. VARCHAR(255).
+    if p.eat_symbol('(') {
+        match p.bump() {
+            Some(Token::Number(_)) => {}
+            other => {
                 return Err(SqlError::Parse(format!(
-                    "row binds {} values for {} columns",
-                    row.len(),
-                    columns.len()
-                )));
+                    "expected length in type, found {other:?}"
+                )))
             }
-            rows.push(row);
-            if !self.eat_symbol(',') {
+        }
+        p.expect_symbol(')')?;
+    }
+    Ok(ty)
+}
+
+fn statement(p: &mut Cursor) -> Result<SqlStatement> {
+    if p.eat_keyword("create") {
+        if p.eat_keyword("database") {
+            return Ok(SqlStatement::CreateDatabase { name: p.ident()? });
+        }
+        if p.eat_keyword("table") {
+            return create_table(p);
+        }
+        if p.eat_keyword("index") {
+            if !p.peek_keyword("on") {
+                let _name = p.ident()?;
+            }
+            p.expect_keyword("on")?;
+            let table = table_name(p)?;
+            p.expect_symbol('(')?;
+            let column = p.ident()?;
+            p.expect_symbol(')')?;
+            return Ok(SqlStatement::CreateIndex { table, column });
+        }
+        return Err(SqlError::Parse(
+            "expected DATABASE, TABLE or INDEX after CREATE".into(),
+        ));
+    }
+    if p.eat_keyword("insert") {
+        p.expect_keyword("into")?;
+        return insert(p);
+    }
+    if p.eat_keyword("select") {
+        return select(p);
+    }
+    if p.eat_keyword("update") {
+        let table = table_name(p)?;
+        p.expect_keyword("set")?;
+        let mut assignments = Vec::new();
+        loop {
+            let column = p.ident()?;
+            p.expect_symbol('=')?;
+            let value = literal(p)?;
+            assignments.push((column, value));
+            if !p.eat_symbol(',') {
                 break;
             }
         }
-        Ok(SqlStatement::Insert {
+        p.expect_keyword("where")?;
+        let column = column_ref(p)?;
+        p.expect_symbol('=')?;
+        let value = literal(p)?;
+        return Ok(SqlStatement::Update {
             table,
-            columns,
-            rows,
-        })
+            assignments,
+            predicate: Predicate { column, value },
+        });
     }
+    if p.eat_keyword("delete") {
+        p.expect_keyword("from")?;
+        let table = table_name(p)?;
+        p.expect_keyword("where")?;
+        let column = column_ref(p)?;
+        p.expect_symbol('=')?;
+        let value = literal(p)?;
+        return Ok(SqlStatement::Delete {
+            table,
+            predicate: Predicate { column, value },
+        });
+    }
+    if p.eat_keyword("truncate") {
+        p.eat_keyword("table");
+        let table = table_name(p)?;
+        return Ok(SqlStatement::Truncate { table });
+    }
+    Err(SqlError::Parse(format!(
+        "unrecognized statement start: {:?}",
+        p.peek()
+    )))
+}
 
-    fn select(&mut self) -> Result<SqlStatement> {
-        let projection = if self.eat_symbol('*') {
-            Projection::All
-        } else if self.peek_keyword("count") {
-            self.pos += 1;
-            self.expect_symbol('(')?;
-            self.expect_symbol('*')?;
-            self.expect_symbol(')')?;
-            Projection::Count
-        } else {
-            let mut cols = Vec::new();
-            loop {
-                cols.push(self.column_ref()?);
-                if !self.eat_symbol(',') {
-                    break;
-                }
+fn create_table(p: &mut Cursor) -> Result<SqlStatement> {
+    let name = table_name(p)?;
+    p.expect_symbol('(')?;
+    let mut columns = Vec::new();
+    let mut primary_key = None;
+    let mut indexes = Vec::new();
+    let mut foreign_keys = Vec::new();
+    loop {
+        if p.eat_keyword("primary") {
+            p.expect_keyword("key")?;
+            p.expect_symbol('(')?;
+            let pk = p.ident()?;
+            p.expect_symbol(')')?;
+            if primary_key.replace(pk).is_some() {
+                return Err(SqlError::Parse("duplicate PRIMARY KEY clause".into()));
             }
-            Projection::Columns(cols)
-        };
-        self.expect_keyword("from")?;
-        let from = self.table_factor()?;
-        let join = if self.eat_keyword("join") {
-            let factor = self.table_factor()?;
-            self.expect_keyword("on")?;
-            let on_left = self.column_ref()?;
-            self.expect_symbol('=')?;
-            let on_right = self.column_ref()?;
-            Some(JoinSpec {
-                factor,
-                on_left,
-                on_right,
-            })
+        } else if p.eat_keyword("index") || p.eat_keyword("key") {
+            p.expect_symbol('(')?;
+            indexes.push(p.ident()?);
+            p.expect_symbol(')')?;
+        } else if p.eat_keyword("foreign") {
+            p.expect_keyword("key")?;
+            p.expect_symbol('(')?;
+            let column = p.ident()?;
+            p.expect_symbol(')')?;
+            p.expect_keyword("references")?;
+            let ref_table = p.ident()?;
+            p.expect_symbol('(')?;
+            let ref_column = p.ident()?;
+            p.expect_symbol(')')?;
+            foreign_keys.push(ForeignKeySpec {
+                column,
+                ref_table,
+                ref_column,
+            });
         } else {
-            None
-        };
-        let mut predicates = Vec::new();
-        if self.eat_keyword("where") {
-            loop {
-                let column = self.column_ref()?;
-                self.expect_symbol('=')?;
-                let value = self.literal()?;
-                predicates.push(Predicate { column, value });
-                if !self.eat_keyword("and") {
-                    break;
-                }
+            let col_name = p.ident()?;
+            let ty = type_name(p)?;
+            let not_null = if p.eat_keyword("not") {
+                p.expect_keyword("null")?;
+                true
+            } else {
+                false
+            };
+            columns.push(ColumnSpec {
+                name: col_name,
+                ty,
+                not_null,
+            });
+        }
+        if p.eat_symbol(')') {
+            break;
+        }
+        p.expect_symbol(',')?;
+    }
+    let primary_key =
+        primary_key.ok_or_else(|| SqlError::Parse("CREATE TABLE needs a PRIMARY KEY".into()))?;
+    Ok(SqlStatement::CreateTable {
+        name,
+        columns,
+        primary_key,
+        indexes,
+        foreign_keys,
+    })
+}
+
+fn insert(p: &mut Cursor) -> Result<SqlStatement> {
+    let table = table_name(p)?;
+    p.expect_symbol('(')?;
+    let mut columns = Vec::new();
+    loop {
+        columns.push(p.ident()?);
+        if p.eat_symbol(')') {
+            break;
+        }
+        p.expect_symbol(',')?;
+    }
+    p.expect_keyword("values")?;
+    let mut rows = Vec::new();
+    loop {
+        p.expect_symbol('(')?;
+        let mut row = Vec::new();
+        loop {
+            row.push(literal(p)?);
+            if p.eat_symbol(')') {
+                break;
+            }
+            p.expect_symbol(',')?;
+        }
+        if row.len() != columns.len() {
+            return Err(SqlError::Parse(format!(
+                "row binds {} values for {} columns",
+                row.len(),
+                columns.len()
+            )));
+        }
+        rows.push(row);
+        if !p.eat_symbol(',') {
+            break;
+        }
+    }
+    Ok(SqlStatement::Insert {
+        table,
+        columns,
+        rows,
+    })
+}
+
+fn select(p: &mut Cursor) -> Result<SqlStatement> {
+    let projection = if p.eat_symbol('*') {
+        Projection::All
+    } else if p.eat_keyword("count") {
+        p.expect_symbol('(')?;
+        p.expect_symbol('*')?;
+        p.expect_symbol(')')?;
+        Projection::Count
+    } else {
+        let mut cols = Vec::new();
+        loop {
+            cols.push(column_ref(p)?);
+            if !p.eat_symbol(',') {
+                break;
             }
         }
-        let limit = if self.eat_keyword("limit") {
-            match self.bump() {
-                Some(Token::Number(n)) if n >= 0 => Some(n as usize),
-                other => {
-                    return Err(SqlError::Parse(format!(
-                        "LIMIT needs a non-negative integer, found {other:?}"
-                    )))
-                }
-            }
-        } else {
-            None
-        };
-        Ok(SqlStatement::Select {
-            projection,
-            from,
-            join,
-            predicates,
-            limit,
+        Projection::Columns(cols)
+    };
+    p.expect_keyword("from")?;
+    let from = table_factor(p)?;
+    let join = if p.eat_keyword("join") {
+        let factor = table_factor(p)?;
+        p.expect_keyword("on")?;
+        let on_left = column_ref(p)?;
+        p.expect_symbol('=')?;
+        let on_right = column_ref(p)?;
+        Some(JoinSpec {
+            factor,
+            on_left,
+            on_right,
         })
+    } else {
+        None
+    };
+    let mut predicates = Vec::new();
+    if p.eat_keyword("where") {
+        loop {
+            let column = column_ref(p)?;
+            p.expect_symbol('=')?;
+            let value = literal(p)?;
+            predicates.push(Predicate { column, value });
+            if !p.eat_keyword("and") {
+                break;
+            }
+        }
     }
+    let limit = if p.eat_keyword("limit") {
+        match p.bump() {
+            Some(Token::Number(n)) if n >= 0 => Some(n as usize),
+            other => {
+                return Err(SqlError::Parse(format!(
+                    "LIMIT needs a non-negative integer, found {other:?}"
+                )))
+            }
+        }
+    } else {
+        None
+    };
+    Ok(SqlStatement::Select {
+        projection,
+        from,
+        join,
+        predicates,
+        limit,
+    })
 }
 
 #[cfg(test)]

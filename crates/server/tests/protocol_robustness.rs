@@ -196,6 +196,27 @@ fn set_literal_key_is_a_typed_error_and_the_connection_survives() {
 }
 
 #[test]
+fn non_ascii_cql_is_a_parse_error_and_the_connection_survives() {
+    // A multi-byte character outside a string literal once sent the
+    // tokenizer into a loop that allocated until the process died.
+    let server = start_server();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.hello("tok-1").unwrap();
+    c.query("CREATE KEYSPACE app").unwrap();
+    c.query("CREATE TABLE app.t (id int, PRIMARY KEY (id))")
+        .unwrap();
+    match c.query("SELECT € FROM app.t").unwrap_err() {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::Parse);
+            assert!(message.contains('€'), "{message}");
+        }
+        other => panic!("expected a parse error frame, got {other}"),
+    }
+    assert!(c.query("SELECT * FROM app.t").unwrap().is_empty());
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_drains_idle_sessions_and_joins_all_threads() {
     let server = start_server();
     let addr = server.addr();
