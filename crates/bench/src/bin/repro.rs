@@ -15,12 +15,13 @@
 //!   `--threads N` (default 4) workers parse the feed in parallel, and the
 //!   run reports per-stage counters plus equivalence against the
 //!   sequential pipeline.
-//! * `crashtest` runs the NoSQL engine's crash matrix: a deterministic
-//!   workload is killed at `--points N` (default 64) evenly spaced storage
-//!   operations (`--points 0` = every operation), recovered, and checked
-//!   against the acknowledged writes — statements alone, then multi-row
-//!   inserts between them, then concurrent sessions (at most 32 points).
-//!   `--seed S` varies the workloads.
+//! * `crashtest` runs the NoSQL engine's crash matrix, one sweep each for
+//!   single statements, multi-row inserts between them and concurrent
+//!   sessions: a seeded workload is killed at `--points N` (default 64;
+//!   at most 32 for the concurrent sweep) evenly spaced storage operations
+//!   (`--points 0` = every operation), recovered, and checked with the
+//!   same cell checks against the acknowledged writes. `--seed S` varies
+//!   the workloads.
 //! * `obs` runs a small end-to-end workload (streaming ingest → NoSQL
 //!   flush → cube queries → crash/recovery) and emits the full `sc-obs`
 //!   metric registry as a text report, Prometheus exposition and JSON.
@@ -388,71 +389,43 @@ fn fig4() {
 /// Crash matrix: kill the engine at injected storage faults, recover, and
 /// verify that exactly the acknowledged writes survive.
 fn crashtest(seed: u64, points: usize) {
-    use sc_nosql::crashtest as ct;
+    use sc_nosql::crashtest::{self as ct, Sweep};
     use std::time::Instant;
 
     header(&format!(
         "Crash matrix: NoSQL engine power-loss injection (seed {seed})"
     ));
-    let limit = if points == 0 { None } else { Some(points) };
-    let start = Instant::now();
-    let report = ct::sweep(seed, limit).expect("crash matrix must pass");
-    let elapsed = start.elapsed();
-    println!("workload mutating storage ops {:>8}", report.total_ops);
-    println!("crash points tested           {:>8}", report.points_tested);
-    println!("crashes fired                 {:>8}", report.crashes_fired);
+    for kind in Sweep::ALL {
+        let title = match kind {
+            Sweep::Statements => "statement matrix (puts, deletes, flushes, compactions):".into(),
+            Sweep::Bulk => "bulk matrix (multi-row inserts of one to several chunks):".into(),
+            Sweep::Concurrent => format!(
+                "concurrent matrix ({} writer sessions, group commit):",
+                ct::CONCURRENT_WRITERS
+            ),
+        };
+        let limit = match (kind, points) {
+            (_, 0) => None,
+            (Sweep::Concurrent, n) => Some(n.min(32)),
+            (_, n) => Some(n),
+        };
+        let start = Instant::now();
+        let report = ct::sweep(kind, seed, limit).expect("crash matrix must pass");
+        let elapsed = start.elapsed();
+        println!("\n{title}");
+        println!("workload mutating storage ops {:>8}", report.total_ops);
+        println!("crash points tested           {:>8}", report.points_tested);
+        println!("crashes fired                 {:>8}", report.crashes_fired);
+        println!(
+            "in-flight statements durable  {:>8}",
+            report.in_flight_survived
+        );
+        println!("elapsed                       {:>7}ms", elapsed.as_millis());
+    }
     println!(
-        "in-flight writes found durable{:>8}",
-        report.in_flight_survived
+        "\nevery recovery reproduced exactly the acknowledged writes, each in-flight \
+         statement allowed to persist a whole-row prefix: ✓"
     );
-    println!("elapsed                       {:>7}ms", elapsed.as_millis());
-    println!(
-        "\nevery recovery reproduced exactly the acknowledged writes \
-         (in-flight statement allowed to persist): ✓"
-    );
-
-    // Bulk variant: multi-row inserts committed in chunks, between single
-    // statements; an in-flight insert must come back as a prefix of whole
-    // rows holding every chunk whose commit-log append completed.
-    let start = Instant::now();
-    let report = ct::sweep_bulk(seed, limit).expect("bulk crash matrix must pass");
-    let elapsed = start.elapsed();
-    println!("\nbulk matrix (multi-row inserts of one to several chunks):");
-    println!("workload mutating storage ops {:>8}", report.total_ops);
-    println!("crash points tested           {:>8}", report.points_tested);
-    println!("crashes fired                 {:>8}", report.crashes_fired);
-    println!(
-        "in-flight inserts with rows durable{:>3}",
-        report.in_flight_survived
-    );
-    println!("elapsed                       {:>7}ms", elapsed.as_millis());
-    println!(
-        "\nevery in-flight insert recovered as a whole-row prefix past its committed chunks: ✓"
-    );
-
-    // Concurrent variant: writer sessions share group-commit batches, so
-    // the crash tears multi-session batches mid-write.
-    let conc_points = if points == 0 {
-        None
-    } else {
-        Some(points.min(32))
-    };
-    let start = Instant::now();
-    let report =
-        ct::sweep_concurrent(seed, conc_points).expect("concurrent crash matrix must pass");
-    let elapsed = start.elapsed();
-    println!(
-        "\nconcurrent matrix ({} writer sessions, group commit):",
-        ct::CONCURRENT_WRITERS
-    );
-    println!("crash points tested           {:>8}", report.points_tested);
-    println!("crashes fired                 {:>8}", report.crashes_fired);
-    println!(
-        "lost-ack inserts found durable{:>8}",
-        report.in_flight_survived
-    );
-    println!("elapsed                       {:>7}ms", elapsed.as_millis());
-    println!("\nevery concurrent recovery satisfied acked ⊆ recovered ⊆ acked ∪ in-flight: ✓");
 }
 
 /// Streaming ingestion: the sharded worker pool vs the sequential pipeline.
@@ -562,7 +535,8 @@ fn obs(threads: usize, seed: u64) {
     cube.range(&vec![RangeSel::All; d]);
 
     // A 4-point crash matrix: trips the fault injector and times recovery.
-    sc_nosql::crashtest::sweep(seed, Some(4)).expect("crash matrix must pass");
+    sc_nosql::crashtest::sweep(sc_nosql::crashtest::Sweep::Statements, seed, Some(4))
+        .expect("crash matrix must pass");
 
     let snap = sc_obs::Registry::global().snapshot();
     println!("\n---- text report ----");

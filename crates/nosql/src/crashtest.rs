@@ -1,32 +1,41 @@
 //! Deterministic crash-matrix harness: simulated power loss at every
 //! mutating storage operation.
 //!
-//! A seeded workload drives an engine — puts, deletes, flushes, compactions
-//! and, in the bulk sweep, multi-row inserts — over a fault-injecting VFS
-//! ([`Vfs::with_faults`]). For each crash point the harness arms a crash at
-//! that mutating-op index, runs the workload until the injected failure,
-//! checks that the failed commit left no sequence outstanding (the
-//! watermark never stalls), then "restarts" (disarm + recover) and checks
-//! the recovered state against an oracle of acknowledged writes:
+//! A [`Sweep`] picks the writers and the engine options. Each writer runs
+//! its own seeded step list — puts, deletes, multi-row inserts, flushes,
+//! compactions — on its own thread, over a fault-injecting VFS
+//! ([`Vfs::with_faults`]), and the driver records per writer the
+//! acknowledged writes and the one statement whose ack the crash swallowed.
 //!
-//! * every write acknowledged before the crash must be readable,
-//! * nothing else may appear — **except** the single in-flight statement,
-//!   which may or may not have become durable (its ack was lost; a real
-//!   client faces the same ambiguity); an in-flight multi-row insert
-//!   survives as a prefix of whole rows in row order, which holds at least
-//!   every chunk whose commit-log append completed and at most the chunk
-//!   the crash tore,
-//! * no key comes back twice,
-//! * a post-recovery flush + compaction must not change the state,
-//! * a second recovery must reproduce the state again, and the recovered
-//!   engine takes new writes.
+//! * [`Sweep::Statements`]: one writer of single statements.
+//! * [`Sweep::Bulk`]: one writer mixing multi-row inserts, each one to
+//!   several chunks, between single statements.
+//! * [`Sweep::Concurrent`]: [`CONCURRENT_WRITERS`] writers inserting
+//!   disjoint ids through a lingering group commit, so crashes tear
+//!   multi-writer batches.
 //!
-//! [`sweep`] runs the statement matrix, [`sweep_bulk`] the one that mixes
-//! multi-row inserts in, [`sweep_concurrent`] the group-commit one; `repro
-//! crashtest` runs all three on the command line.
+//! For each crash point the harness arms a crash at that mutating-op
+//! index, drives the writers until the injected failure and then, in every
+//! cell of every sweep, checks that
+//!
+//! * the failed commit left no sequence outstanding (the watermark never
+//!   stalls),
+//! * after a "restart" (disarm + recover) the state is exactly the
+//!   acknowledged writes plus, for each in-flight statement, one of what it
+//!   may have left (its ack was lost; a real client faces the same
+//!   ambiguity): nothing or all of a put or delete, and a prefix of whole
+//!   rows of a multi-row insert, holding at least every chunk whose
+//!   commit-log append completed and at most the chunk the crash tore,
+//! * no key comes back twice and absent-key probes find nothing,
+//! * a post-recovery flush + compaction does not change the state,
+//! * a second recovery reproduces the state, and the recovered engine
+//!   takes a new write.
+//!
+//! [`sweep`] runs the matrix, [`run_point`] one cell of it; `repro
+//! crashtest` runs all three sweeps on the command line.
 
 use crate::commitlog::WalBatch;
-use crate::engine::{Db, OpenOptions, SharedDb};
+use crate::engine::{Db, OpenOptions};
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
 use crate::types::CqlValue;
@@ -36,17 +45,83 @@ use sc_storage::{FaultHandle, StorageError, Vfs};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Statements per workload run (tuned so a run performs well over 100
-/// mutating storage ops at the tiny flush threshold the harness uses).
-pub const WORKLOAD_STEPS: usize = 140;
-
-/// Steps per bulk-sweep run: fewer than [`WORKLOAD_STEPS`], since about
-/// half of them insert a few chunks' worth of rows.
-pub const BULK_WORKLOAD_STEPS: usize = 60;
-
-/// Ids the workload writes over (small, so overwrites and deletes are
-/// frequent and compaction has real work).
+/// Ids the single-writer workloads write over (small, so overwrites and
+/// deletes are frequent and compaction has real work).
 const KEY_SPACE: u64 = 40;
+
+/// Writers racing in one concurrent crash cell.
+pub const CONCURRENT_WRITERS: usize = 4;
+
+/// Puts each concurrent writer attempts, over its own ids.
+const WRITES_PER_WRITER: usize = 24;
+
+/// One past the largest id any sweep writes: absent-key probes and the
+/// post-recovery write use ids outside `0..ID_END`.
+const ID_END: i64 = (CONCURRENT_WRITERS * WRITES_PER_WRITER) as i64;
+const _: () = assert!(KEY_SPACE as i64 <= ID_END);
+
+/// Which crash matrix to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// One writer of 140 puts, deletes, flushes and compactions.
+    Statements,
+    /// One writer of 60 steps, about half of them multi-row inserts of 4
+    /// to 31 rows — at the harness's flush threshold and segment size, one
+    /// to several chunks each.
+    Bulk,
+    /// [`CONCURRENT_WRITERS`] writers of 24 puts each behind a 150 µs
+    /// group-commit linger. Scheduling decides which writers share the
+    /// batch a crash tears, and shifts the op count a little between runs.
+    Concurrent,
+}
+
+impl Sweep {
+    /// Every sweep, in the order `repro crashtest` runs them.
+    pub const ALL: [Sweep; 3] = [Sweep::Statements, Sweep::Bulk, Sweep::Concurrent];
+
+    /// Each writer's step list. Identical for every crash point of a sweep
+    /// — only the crash index varies — so op indices line up across runs.
+    fn writers(self, seed: u64) -> Vec<Vec<Step>> {
+        let (salt, steps, thresholds) = match self {
+            Sweep::Statements => (0x9e37_79b9_7f4a_7c15, 140, [76, 88, 88, 95]),
+            Sweep::Bulk => (0xb5ad_4ece_da1c_e2a9, 60, [30, 40, 85, 93]),
+            Sweep::Concurrent => {
+                return (0..CONCURRENT_WRITERS)
+                    .map(|w| {
+                        (0..WRITES_PER_WRITER)
+                            .map(|i| Step::Put {
+                                id: (w * WRITES_PER_WRITER + i) as i64,
+                                v: format!("s{seed}w{w}i{i}"),
+                            })
+                            .collect()
+                    })
+                    .collect()
+            }
+        };
+        vec![workload(seed ^ salt, steps, thresholds)]
+    }
+
+    fn open(self, vfs: Vfs) -> OpenOptions {
+        let options = OpenOptions::default()
+            .vfs(vfs)
+            .memtable_flush_bytes(512)
+            .compaction_threshold(3)
+            // Small segments so the matrix crosses WAL rotation and
+            // post-flush checkpoint deletion, not just single-file append.
+            .wal_segment_bytes(1024)
+            // Inline compaction: a background merge would also outlive the
+            // crashed engine and mutate the VFS during the *recovering*
+            // engine's open, and would make single-writer op counts
+            // nondeterministic.
+            .compaction_threads(0);
+        match self {
+            // A non-zero linger makes leaders wait for followers, so crash
+            // points reliably land inside multi-writer batches.
+            Sweep::Concurrent => options.group_commit_delay(Duration::from_micros(150)),
+            Sweep::Statements | Sweep::Bulk => options,
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Step {
@@ -66,47 +141,36 @@ enum Step {
     Compact,
 }
 
-/// The seeded statement sequence. Identical for every crash point of a
-/// sweep — only the crash index varies — so op indices line up across runs.
-fn workload(seed: u64) -> Vec<Step> {
-    let mut rng = Rng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-    (0..WORKLOAD_STEPS)
-        .map(|i| {
-            let roll = rng.gen_range(100);
-            let id = rng.gen_range(KEY_SPACE) as i64;
-            if roll < 76 {
-                Step::Put {
-                    id,
-                    v: format!("v{i}k{id}"),
-                }
-            } else if roll < 88 {
-                Step::Delete { id }
-            } else if roll < 95 {
-                Step::Flush
-            } else {
-                Step::Compact
-            }
-        })
-        .collect()
+impl Step {
+    /// The writes the step makes, in order (`None` = a delete).
+    fn writes(&self) -> Vec<(i64, Option<String>)> {
+        match self {
+            Step::Put { id, v } => vec![(*id, Some(v.clone()))],
+            Step::Delete { id } => vec![(*id, None)],
+            Step::Bulk { rows } => rows.iter().map(|(id, v)| (*id, Some(v.clone()))).collect(),
+            Step::Flush | Step::Compact => Vec::new(),
+        }
+    }
 }
 
-/// The bulk sweep's sequence: single statements as in [`workload`] between
-/// multi-row inserts of 4 to 31 rows — at the harness's flush threshold and
-/// segment size, one to several chunks each.
-fn bulk_workload(seed: u64) -> Vec<Step> {
-    let mut rng = Rng::new(seed ^ 0xb5ad_4ece_da1c_e2a9);
-    (0..BULK_WORKLOAD_STEPS)
+/// A seeded single-writer sequence over [`KEY_SPACE`]. Each step rolls out
+/// of 100 against cumulative thresholds: below the first a put, then a
+/// delete, a multi-row insert and a flush; at or above the last a
+/// compaction.
+fn workload(salted_seed: u64, steps: usize, [put, delete, bulk, flush]: [u64; 4]) -> Vec<Step> {
+    let mut rng = Rng::new(salted_seed);
+    (0..steps)
         .map(|i| {
             let roll = rng.gen_range(100);
             let id = rng.gen_range(KEY_SPACE) as i64;
-            if roll < 30 {
+            if roll < put {
                 Step::Put {
                     id,
                     v: format!("v{i}k{id}"),
                 }
-            } else if roll < 40 {
+            } else if roll < delete {
                 Step::Delete { id }
-            } else if roll < 85 {
+            } else if roll < bulk {
                 let n = 4 + rng.gen_range(28);
                 let rows = (0..n)
                     .map(|j| {
@@ -115,7 +179,7 @@ fn bulk_workload(seed: u64) -> Vec<Step> {
                     })
                     .collect();
                 Step::Bulk { rows }
-            } else if roll < 93 {
+            } else if roll < flush {
                 Step::Flush
             } else {
                 Step::Compact
@@ -124,44 +188,26 @@ fn bulk_workload(seed: u64) -> Vec<Step> {
         .collect()
 }
 
-fn tiny_open(vfs: Vfs) -> OpenOptions {
-    OpenOptions::default()
-        .vfs(vfs)
-        .memtable_flush_bytes(512)
-        .compaction_threshold(3)
-        // Small segments so the matrix crosses WAL rotation and post-flush
-        // checkpoint deletion, not just single-file append.
-        .wal_segment_bytes(1024)
-        // Inline compaction: the sweep counts every mutating storage op and
-        // crashes at each one deterministically, so nothing may run off the
-        // driving thread (a background merge would also outlive the crashed
-        // engine and mutate the VFS during the *recovering* engine's open).
-        .compaction_threads(0)
-}
-
-/// The statement that was executing when the crash fired.
+/// A statement whose ack the crash swallowed: any prefix of its writes
+/// from `min` writes up may have become durable.
 #[derive(Debug, Clone, PartialEq)]
-enum InFlight {
-    /// A put (`Some`) or delete (`None`) whose ack was lost; it may or may
-    /// not have reached the commit log intact.
-    Write { id: i64, row: Option<String> },
-    /// A multi-row insert whose ack was lost: the rows the crash may have
-    /// left durable, in order, at least `min` of which it did.
-    Bulk {
-        rows: Vec<(i64, String)>,
-        min: usize,
-    },
-    /// Flush or compaction — changes no logical state either way.
-    Neutral,
-    /// Schema DDL; the table may or may not exist after recovery.
-    Ddl,
+struct InFlight {
+    writes: Vec<(i64, Option<String>)>,
+    min: usize,
 }
 
-struct RunResult {
+/// What the writers saw before the crash (or completion).
+#[derive(Debug, Default)]
+struct Run {
+    /// Whether both DDL statements were acknowledged.
+    ddl_acked: bool,
+    /// Write statements acknowledged.
+    acks: usize,
     /// Last acknowledged write per id (`None` = acknowledged delete).
+    /// Writers touch disjoint ids, so their maps merge without conflict.
     acked: BTreeMap<i64, Option<String>>,
-    /// `Some` iff the crash fired mid-run.
-    in_flight: Option<InFlight>,
+    /// At most one per writer.
+    in_flight: Vec<InFlight>,
 }
 
 fn is_injected(e: &NosqlError) -> bool {
@@ -173,84 +219,83 @@ fn bulk_rows(rows: &[(i64, String)]) -> impl Iterator<Item = [CqlValue; 2]> + '_
         .map(|(id, v)| [CqlValue::Int(*id), CqlValue::Text(v.clone())])
 }
 
-/// Runs `steps` until completion or the first injected failure, tracking
-/// the acked-write oracle. Any non-injected error is a real bug.
-fn drive(db: &Db, steps: &[Step], faults: &FaultHandle) -> Result<RunResult> {
-    let mut acked: BTreeMap<i64, Option<String>> = BTreeMap::new();
+/// Creates the table, then runs each writer's steps on its own scoped
+/// thread until completion or the writer's first injected failure (the
+/// fault VFS fails every mutating op after the crash point). Any
+/// non-injected error is a real bug.
+fn drive(db: &Db, writers: &[Vec<Step>], faults: &FaultHandle) -> Result<Run> {
+    let mut run = Run::default();
     for ddl in [
         "CREATE KEYSPACE m",
         "CREATE TABLE m.t (id int, v text, PRIMARY KEY (id))",
     ] {
-        if let Err(e) = db.execute_cql(ddl) {
-            if is_injected(&e) {
-                return Ok(RunResult {
-                    acked,
-                    in_flight: Some(InFlight::Ddl),
-                });
-            }
-            return Err(e);
+        match db.execute_cql(ddl) {
+            Ok(_) => {}
+            Err(e) if is_injected(&e) => return Ok(run),
+            Err(e) => return Err(e),
         }
     }
+    run.ddl_acked = true;
+    let writer_runs: Vec<Result<Run>> = std::thread::scope(|s| {
+        let handles: Vec<_> = writers
+            .iter()
+            .map(|steps| s.spawn(move || drive_writer(db, steps, faults)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("crash-matrix writer panicked"))
+            .collect()
+    });
+    for writer in writer_runs {
+        let writer = writer?;
+        run.acks += writer.acks;
+        run.acked.extend(writer.acked);
+        run.in_flight.extend(writer.in_flight);
+    }
+    Ok(run)
+}
+
+fn drive_writer(db: &Db, steps: &[Step], faults: &FaultHandle) -> Result<Run> {
+    let mut run = Run::default();
     for step in steps {
         let from_op = faults.ops();
-        let (outcome, in_flight) = match step {
-            Step::Put { id, v } => (
-                db.execute_cql(&format!("INSERT INTO m.t (id, v) VALUES ({id}, '{v}')"))
-                    .map(drop),
-                InFlight::Write {
-                    id: *id,
-                    row: Some(v.clone()),
-                },
-            ),
-            Step::Delete { id } => (
-                db.execute_cql(&format!("DELETE FROM m.t WHERE id = {id}"))
-                    .map(drop),
-                InFlight::Write { id: *id, row: None },
-            ),
-            Step::Bulk { rows } => (
-                db.insert_rows("m", "t", &["id", "v"], bulk_rows(rows))
-                    .map(drop),
-                InFlight::Bulk {
-                    rows: rows.clone(),
-                    min: 0,
-                },
-            ),
-            Step::Flush => (db.flush_all(), InFlight::Neutral),
-            Step::Compact => (db.compact_all(), InFlight::Neutral),
+        let outcome = match step {
+            Step::Put { id, v } => db
+                .execute_cql(&format!("INSERT INTO m.t (id, v) VALUES ({id}, '{v}')"))
+                .map(drop),
+            Step::Delete { id } => db
+                .execute_cql(&format!("DELETE FROM m.t WHERE id = {id}"))
+                .map(drop),
+            Step::Bulk { rows } => db
+                .insert_rows("m", "t", &["id", "v"], bulk_rows(rows))
+                .map(drop),
+            Step::Flush => db.flush_all(),
+            Step::Compact => db.compact_all(),
         };
+        let mut writes = step.writes();
         match outcome {
-            Ok(()) => match in_flight {
-                InFlight::Write { id, row } => {
-                    acked.insert(id, row);
-                }
-                InFlight::Bulk { rows, .. } => {
-                    acked.extend(rows.into_iter().map(|(id, v)| (id, Some(v))));
-                }
-                InFlight::Neutral | InFlight::Ddl => {}
-            },
+            Ok(()) => {
+                run.acks += usize::from(!writes.is_empty());
+                run.acked.extend(writes);
+            }
             Err(e) if is_injected(&e) => {
-                let in_flight = match in_flight {
-                    InFlight::Bulk { rows, .. } => {
-                        let (min, max) = durable_prefix(&rows, from_op, faults)?;
-                        InFlight::Bulk {
-                            rows: rows[..max].to_vec(),
-                            min,
-                        }
+                // Multi-row inserts run only in single-writer sweeps, so
+                // every commit-log append since `from_op` is this one's.
+                let min = match step {
+                    Step::Bulk { rows } => {
+                        let (min, max) = durable_prefix(rows, from_op, faults)?;
+                        writes.truncate(max);
+                        min
                     }
-                    other => other,
+                    _ => 0,
                 };
-                return Ok(RunResult {
-                    acked,
-                    in_flight: Some(in_flight),
-                });
+                run.in_flight.push(InFlight { writes, min });
+                return Ok(run);
             }
             Err(e) => return Err(e),
         }
     }
-    Ok(RunResult {
-        acked,
-        in_flight: None,
-    })
+    Ok(run)
 }
 
 /// Full table read; `None` when the table itself never became durable.
@@ -330,81 +375,75 @@ fn durable_prefix(
     Ok((lo, hi))
 }
 
-/// Asserts the recovered state is exactly the acked writes, or the acked
-/// writes plus what the in-flight statement may have left. Returns whether
-/// the in-flight statement left anything.
-fn check_state(
-    recovered: &Option<BTreeMap<i64, String>>,
-    run: &RunResult,
-    context: &str,
-) -> Result<bool> {
+/// The oracle: the recovered state must be `acked ⊕ c`, where `c` picks for
+/// each in-flight statement one prefix of its writes from `min` writes up.
+/// Writers touch disjoint ids, so their choices combine independently.
+/// Returns how many in-flight statements left something — the fewest over
+/// every choice that matches.
+fn check(recovered: &Option<BTreeMap<i64, String>>, run: &Run) -> Result<usize> {
     let Some(state) = recovered else {
-        // No table at all is legal only if not even the DDL was acked.
-        if run.acked.is_empty() && run.in_flight == Some(InFlight::Ddl) {
-            return Ok(false);
+        // No table at all is legal only if the DDL was never acked.
+        if !run.ddl_acked {
+            return Ok(0);
         }
-        return Err(NosqlError::Corrupt(format!(
-            "{context}: table lost despite acknowledged writes"
-        )));
+        return Err(NosqlError::Corrupt(
+            "table lost despite acknowledged DDL".into(),
+        ));
     };
-    // The states the crash may legally leave, each with whether the
-    // in-flight statement left anything in it.
-    let with = |writes: &[(i64, Option<String>)]| {
-        let mut acked = run.acked.clone();
-        acked.extend(writes.iter().cloned());
-        materialize(&acked)
-    };
-    let candidates: Vec<(bool, BTreeMap<i64, String>)> = match &run.in_flight {
-        Some(InFlight::Write { id, row }) => {
-            vec![(false, with(&[])), (true, with(&[(*id, row.clone())]))]
-        }
-        Some(InFlight::Bulk { rows, min }) => {
-            let rows: Vec<(i64, Option<String>)> =
-                rows.iter().map(|(id, v)| (*id, Some(v.clone()))).collect();
-            (*min..=rows.len())
-                .map(|p| (p > 0, with(&rows[..p])))
-                .collect()
-        }
-        _ => vec![(false, with(&[]))],
-    };
-    match candidates.iter().find(|(_, c)| c == state) {
-        Some(&(survived, _)) => Ok(survived),
-        None => Err(NosqlError::Corrupt(format!(
-            "{context}: recovered state diverges from the acknowledged writes"
-        ))),
+    // Every state the crash may legally leave, with its survivor count.
+    let mut candidates = vec![(0, run.acked.clone())];
+    for statement in &run.in_flight {
+        candidates = candidates
+            .into_iter()
+            .flat_map(|(survivors, acked)| {
+                (statement.min..=statement.writes.len()).map(move |p| {
+                    let mut acked = acked.clone();
+                    acked.extend(statement.writes[..p].iter().cloned());
+                    (survivors + usize::from(p > 0), acked)
+                })
+            })
+            .collect();
     }
+    candidates
+        .iter()
+        .filter(|(_, candidate)| materialize(candidate) == *state)
+        .map(|&(survivors, _)| survivors)
+        .min()
+        .ok_or_else(|| {
+            NosqlError::Corrupt("recovered state diverges from the acknowledged writes".into())
+        })
 }
 
 /// What one crash-matrix cell observed.
 #[derive(Debug, Clone, Copy)]
 pub struct PointOutcome {
     /// Whether the armed crash actually fired (it always does for indices
-    /// below the workload's total op count).
+    /// below a single-writer workload's total op count).
     pub fired: bool,
-    /// Whether the unacknowledged in-flight write turned out durable.
-    pub in_flight_survived: bool,
+    /// Write statements (puts, deletes, multi-row inserts) acknowledged.
+    pub acked: usize,
+    /// Statements whose ack the crash swallowed (at most one per writer).
+    pub in_flight: usize,
+    /// In-flight statements that turned out to have left something
+    /// durable — for a multi-row insert, at least one of its rows.
+    pub in_flight_survived: usize,
 }
 
 /// Runs one cell of the matrix: crash at mutating-op index `crash_at`,
 /// recover, verify, flush+compact, verify, recover again, verify.
-pub fn run_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
-    run_cell(&workload(seed), seed, crash_at)
+pub fn run_point(kind: Sweep, seed: u64, crash_at: u64) -> Result<PointOutcome> {
+    run_cell(kind, &kind.writers(seed), seed, crash_at)
 }
 
-/// [`run_point`] over the bulk sweep's workload.
-pub fn run_bulk_point(seed: u64, crash_at: u64) -> Result<PointOutcome> {
-    run_cell(&bulk_workload(seed), seed, crash_at)
-}
-
-fn run_cell(steps: &[Step], seed: u64, crash_at: u64) -> Result<PointOutcome> {
+fn run_cell(kind: Sweep, writers: &[Vec<Step>], seed: u64, crash_at: u64) -> Result<PointOutcome> {
     let fault_seed = seed ^ crash_at.wrapping_mul(0x6a09_e667_f3bc_c909);
     let (vfs, handle) = Vfs::with_faults(Vfs::memory(), fault_seed);
     // Arm before opening, so the very first mutating op is a valid crash
     // point too.
     handle.crash_at(crash_at);
-    let run = match Db::open(tiny_open(vfs.clone())) {
+    let run = match Db::open(kind.open(vfs.clone())) {
         Ok(db) => {
-            let run = drive(&db, steps, &handle)?;
+            let run = drive(&db, writers, &handle)?;
             // A commit that failed anywhere — WAL, flush, merge — must
             // still have completed its sequences.
             if !db.sequences_settled() {
@@ -414,26 +453,23 @@ fn run_cell(steps: &[Step], seed: u64, crash_at: u64) -> Result<PointOutcome> {
             }
             run
         }
-        Err(e) if is_injected(&e) => RunResult {
-            acked: BTreeMap::new(),
-            in_flight: Some(InFlight::Ddl),
-        },
+        Err(e) if is_injected(&e) => Run::default(),
         Err(e) => return Err(e),
     };
     let fired = handle.crashed_at().is_some();
     handle.disarm();
 
     // Restart 1: recover over the surviving bytes.
-    let db = Db::open(tiny_open(vfs.clone()).recover(true))?;
+    let db = Db::open(kind.open(vfs.clone()).recover(true))?;
     let recovered = read_state(&db)?;
-    let in_flight_survived = check_state(&recovered, &run, "after recovery")?;
+    let in_flight_survived = check(&recovered, &run)?;
 
-    // Absent-key point reads over the recovered tables must come back
-    // empty — this drives the fence/bloom miss path (and any torn
-    // SSTable the recovery sweep should have removed would surface here
-    // as a phantom row or a Corrupt error).
     if recovered.is_some() {
-        for id in [KEY_SPACE as i64 + 1, KEY_SPACE as i64 + 17, -3] {
+        // Absent-key point reads over the recovered tables must come back
+        // empty — this drives the fence/bloom miss path (and any torn
+        // SSTable the recovery sweep should have removed would surface
+        // here as a phantom row or a Corrupt error).
+        for id in [ID_END + 1, ID_END + 17, -3] {
             let r = db.execute_cql(&format!("SELECT v FROM m.t WHERE id = {id}"))?;
             if !r.is_empty() {
                 return Err(NosqlError::Corrupt(format!(
@@ -441,15 +477,11 @@ fn run_cell(steps: &[Step], seed: u64, crash_at: u64) -> Result<PointOutcome> {
                 )));
             }
         }
-    }
-
-    // The recovered engine must keep working: a flush + full compaction
-    // round-trip may not change what is readable.
-    if recovered.is_some() {
+        // The recovered engine must keep working: a flush + full
+        // compaction round-trip may not change what is readable.
         db.flush_all()?;
         db.compact_all()?;
-        let after = read_state(&db)?;
-        if after != recovered {
+        if read_state(&db)? != recovered {
             return Err(NosqlError::Corrupt(
                 "flush+compact changed the recovered state".into(),
             ));
@@ -458,12 +490,12 @@ fn run_cell(steps: &[Step], seed: u64, crash_at: u64) -> Result<PointOutcome> {
     drop(db);
 
     // Restart 2: recovery is idempotent, and the engine takes new writes.
-    let db = Db::open(tiny_open(vfs).recover(true))?;
+    let db = Db::open(kind.open(vfs).recover(true))?;
     if read_state(&db)? != recovered {
         return Err(NosqlError::Corrupt("second recovery diverged".into()));
     }
     if recovered.is_some() {
-        let fresh = [(KEY_SPACE as i64 + 5, "after".to_string())];
+        let fresh = [(ID_END + 5, "after".to_string())];
         db.insert_rows("m", "t", &["id", "v"], bulk_rows(&fresh))?;
         let r = db.execute_cql(&format!("SELECT v FROM m.t WHERE id = {}", fresh[0].0))?;
         if r.len() != 1 {
@@ -474,24 +506,19 @@ fn run_cell(steps: &[Step], seed: u64, crash_at: u64) -> Result<PointOutcome> {
     }
     Ok(PointOutcome {
         fired,
+        acked: run.acks,
+        in_flight: run.in_flight.len(),
         in_flight_survived,
     })
 }
 
-/// Mutating storage ops the full (uninjected) workload performs.
-pub fn total_ops(seed: u64) -> Result<u64> {
-    steps_ops(&workload(seed), seed)
-}
-
-/// Mutating storage ops the full (uninjected) bulk workload performs.
-pub fn bulk_total_ops(seed: u64) -> Result<u64> {
-    steps_ops(&bulk_workload(seed), seed)
-}
-
-fn steps_ops(steps: &[Step], seed: u64) -> Result<u64> {
+/// Mutating storage ops a full uninjected run of the sweep performs. For
+/// [`Sweep::Concurrent`] the count shifts a little with scheduling, so
+/// crash points near it may not fire in a given run.
+pub fn total_ops(kind: Sweep, seed: u64) -> Result<u64> {
     let (vfs, handle) = Vfs::with_faults(Vfs::memory(), seed);
-    let db = Db::open(tiny_open(vfs))?;
-    drive(&db, steps, &handle)?;
+    let db = Db::open(kind.open(vfs))?;
+    drive(&db, &kind.writers(seed), &handle)?;
     Ok(handle.ops())
 }
 
@@ -500,36 +527,22 @@ fn steps_ops(steps: &[Step], seed: u64) -> Result<u64> {
 pub struct CrashReport {
     /// Workload seed.
     pub seed: u64,
-    /// Mutating ops the full workload performs.
+    /// Mutating ops the full (uninjected) workload performs.
     pub total_ops: u64,
     /// Distinct crash points exercised.
     pub points_tested: usize,
     /// Points where the armed crash actually fired.
     pub crashes_fired: usize,
-    /// Points where the unacknowledged in-flight write turned out durable
-    /// (torn write that happened to complete) — for a multi-row insert, at
-    /// least one of its rows.
+    /// In-flight statements that turned out to have left something
+    /// durable, summed over all cells.
     pub in_flight_survived: usize,
 }
 
 /// Runs the crash matrix: every mutating-op index when `limit` is `None`,
 /// otherwise `limit` indices evenly spaced across the workload.
-pub fn sweep(seed: u64, limit: Option<usize>) -> Result<CrashReport> {
-    sweep_cells(seed, limit, total_ops(seed)?, run_point)
-}
-
-/// The crash matrix over a workload that mixes multi-row inserts, each one
-/// to several chunks, with single statements ([`sweep`]'s arguments).
-pub fn sweep_bulk(seed: u64, limit: Option<usize>) -> Result<CrashReport> {
-    sweep_cells(seed, limit, bulk_total_ops(seed)?, run_bulk_point)
-}
-
-fn sweep_cells(
-    seed: u64,
-    limit: Option<usize>,
-    total: u64,
-    run: fn(u64, u64) -> Result<PointOutcome>,
-) -> Result<CrashReport> {
+pub fn sweep(kind: Sweep, seed: u64, limit: Option<usize>) -> Result<CrashReport> {
+    let total = total_ops(kind, seed)?;
+    let writers = kind.writers(seed);
     let points: Vec<u64> = match limit {
         Some(n) if (n as u64) < total => (0..n as u64).map(|i| i * total / n as u64).collect(),
         _ => (0..total).collect(),
@@ -542,266 +555,9 @@ fn sweep_cells(
         in_flight_survived: 0,
     };
     for &point in &points {
-        let outcome = run(seed, point)
-            .map_err(|e| NosqlError::Corrupt(format!("crash point {point}: {e}")))?;
-        if outcome.fired {
-            report.crashes_fired += 1;
-        }
-        if outcome.in_flight_survived {
-            report.in_flight_survived += 1;
-        }
-    }
-    Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent variant: writer sessions crashing mid-group-commit
-// ---------------------------------------------------------------------------
-
-/// Writer sessions racing in one concurrent crash cell.
-pub const CONCURRENT_WRITERS: usize = 4;
-
-/// Inserts each writer session attempts.
-const WRITES_PER_WRITER: usize = 24;
-
-/// A non-zero linger makes leaders wait for followers, so crash points
-/// reliably land inside multi-session group-commit batches.
-fn concurrent_open(vfs: Vfs) -> OpenOptions {
-    tiny_open(vfs).group_commit_delay(Duration::from_micros(150))
-}
-
-struct ConcurrentRun {
-    /// Acknowledged inserts, across all writer sessions (disjoint id
-    /// ranges, so the union is well-defined).
-    acked: BTreeMap<i64, String>,
-    /// Inserts whose ack the crash swallowed. A torn multi-frame batch may
-    /// leave *several* of these durable: the torn prefix can contain any
-    /// number of complete frames from the batch the crash interrupted.
-    in_flight: BTreeMap<i64, String>,
-    /// Whether both DDL statements were acknowledged.
-    ddl_acked: bool,
-}
-
-/// One writer session's outcome: its acknowledged inserts, plus the insert
-/// whose ack the crash swallowed, if any.
-type WriterOutcome = (Vec<(i64, String)>, Option<(i64, String)>);
-
-/// Runs the concurrent workload: DDL, then [`CONCURRENT_WRITERS`] writer
-/// sessions inserting disjoint id ranges until completion or the first
-/// injected failure. The fault VFS fails every mutating op after the crash
-/// point, so each writer stops deterministically at its first error.
-fn drive_concurrent(db: &SharedDb, seed: u64) -> Result<ConcurrentRun> {
-    let mut run = ConcurrentRun {
-        acked: BTreeMap::new(),
-        in_flight: BTreeMap::new(),
-        ddl_acked: false,
-    };
-    for ddl in [
-        "CREATE KEYSPACE m",
-        "CREATE TABLE m.t (id int, v text, PRIMARY KEY (id))",
-    ] {
-        match db.execute_cql(ddl) {
-            Ok(_) => {}
-            Err(e) if is_injected(&e) => return Ok(run),
-            Err(e) => return Err(e),
-        }
-    }
-    run.ddl_acked = true;
-    let results: Vec<Result<WriterOutcome>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CONCURRENT_WRITERS)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut session = db.session();
-                    session.execute_cql("USE m")?;
-                    let mut acked = Vec::new();
-                    for i in 0..WRITES_PER_WRITER {
-                        let id = (w * WRITES_PER_WRITER + i) as i64;
-                        let v = format!("s{seed}w{w}i{i}");
-                        match session
-                            .execute_cql(&format!("INSERT INTO t (id, v) VALUES ({id}, '{v}')"))
-                        {
-                            Ok(_) => acked.push((id, v)),
-                            Err(e) if is_injected(&e) => {
-                                // Lost ack: the frame may sit in the
-                                // torn batch's durable prefix.
-                                return Ok((acked, Some((id, v))));
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Ok((acked, None))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("writer session panicked"))
-            .collect()
-    });
-    for result in results {
-        let (acked, in_flight) = result?;
-        run.acked.extend(acked);
-        run.in_flight.extend(in_flight);
-    }
-    Ok(run)
-}
-
-/// Asserts `acked ⊆ recovered ⊆ acked ∪ in-flight`, values included.
-/// Returns how many lost-ack inserts turned out durable.
-fn check_concurrent(
-    recovered: &Option<BTreeMap<i64, String>>,
-    run: &ConcurrentRun,
-    context: &str,
-) -> Result<usize> {
-    let Some(state) = recovered else {
-        if run.acked.is_empty() && !run.ddl_acked {
-            return Ok(0);
-        }
-        return Err(NosqlError::Corrupt(format!(
-            "{context}: table lost despite acknowledged statements"
-        )));
-    };
-    for (id, v) in &run.acked {
-        match state.get(id) {
-            Some(got) if got == v => {}
-            Some(got) => {
-                return Err(NosqlError::Corrupt(format!(
-                    "{context}: acked insert id {id} recovered wrong value {got:?} (want {v:?})"
-                )))
-            }
-            None => {
-                return Err(NosqlError::Corrupt(format!(
-                    "{context}: acked insert id {id} lost"
-                )))
-            }
-        }
-    }
-    let mut survived = 0;
-    for (id, got) in state {
-        if run.acked.contains_key(id) {
-            continue;
-        }
-        match run.in_flight.get(id) {
-            Some(v) if v == got => survived += 1,
-            _ => {
-                return Err(NosqlError::Corrupt(format!(
-                    "{context}: phantom row id {id} = {got:?} was never acked nor in flight"
-                )))
-            }
-        }
-    }
-    Ok(survived)
-}
-
-/// What one concurrent crash cell observed.
-#[derive(Debug, Clone, Copy)]
-pub struct ConcurrentOutcome {
-    /// Whether the armed crash actually fired.
-    pub fired: bool,
-    /// Acknowledged inserts across all writer sessions.
-    pub acked: usize,
-    /// Lost-ack inserts that turned out durable.
-    pub in_flight_survived: usize,
-}
-
-/// One cell of the concurrent matrix: [`CONCURRENT_WRITERS`] writer
-/// sessions race over a fault VFS armed to crash at mutating-op index
-/// `crash_at` — with group commit coalescing their appends, the crash
-/// typically tears a multi-session batch. After recovery the state must
-/// satisfy `acked ⊆ recovered ⊆ acked ∪ in-flight` exactly, a post-recovery
-/// flush + compaction must not change it, and a second recovery must
-/// reproduce it.
-pub fn run_concurrent_point(seed: u64, crash_at: u64) -> Result<ConcurrentOutcome> {
-    let fault_seed = seed ^ crash_at.wrapping_mul(0x6a09_e667_f3bc_c909);
-    let (vfs, handle) = Vfs::with_faults(Vfs::memory(), fault_seed);
-    handle.crash_at(crash_at);
-    let run = match SharedDb::open(concurrent_open(vfs.clone())) {
-        Ok(db) => drive_concurrent(&db, seed)?,
-        Err(e) if is_injected(&e) => ConcurrentRun {
-            acked: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
-            ddl_acked: false,
-        },
-        Err(e) => return Err(e),
-    };
-    let fired = handle.crashed_at().is_some();
-    handle.disarm();
-
-    let db = Db::open(tiny_open(vfs.clone()).recover(true))?;
-    let recovered = read_state(&db)?;
-    let in_flight_survived = check_concurrent(&recovered, &run, "after recovery")?;
-    if recovered.is_some() {
-        db.flush_all()?;
-        db.compact_all()?;
-        if read_state(&db)? != recovered {
-            return Err(NosqlError::Corrupt(
-                "flush+compact changed the recovered state".into(),
-            ));
-        }
-    }
-    drop(db);
-
-    let db = Db::open(tiny_open(vfs).recover(true))?;
-    if read_state(&db)? != recovered {
-        return Err(NosqlError::Corrupt("second recovery diverged".into()));
-    }
-    Ok(ConcurrentOutcome {
-        fired,
-        acked: run.acked.len(),
-        in_flight_survived,
-    })
-}
-
-/// Mutating storage ops a full uninjected concurrent run performs. Thread
-/// scheduling makes the count approximate across runs (batch boundaries and
-/// flush timing shift with the interleaving) — crash points past a given
-/// run's actual count simply never fire.
-pub fn concurrent_total_ops(seed: u64) -> Result<u64> {
-    let (vfs, handle) = Vfs::with_faults(Vfs::memory(), seed);
-    let db = SharedDb::open(concurrent_open(vfs))?;
-    drive_concurrent(&db, seed)?;
-    Ok(handle.ops())
-}
-
-/// Concurrent sweep summary.
-#[derive(Debug, Clone)]
-pub struct ConcurrentReport {
-    /// Workload seed.
-    pub seed: u64,
-    /// Mutating ops the uninjected calibration run performed.
-    pub total_ops: u64,
-    /// Distinct crash points exercised.
-    pub points_tested: usize,
-    /// Points where the armed crash actually fired.
-    pub crashes_fired: usize,
-    /// Lost-ack inserts that turned out durable, summed over all cells.
-    pub in_flight_survived: usize,
-}
-
-/// Runs the concurrent crash matrix: `limit` crash indices evenly spaced
-/// across the calibration run's op count (every index when `None`). Unlike
-/// the single-threaded matrix, an op index does not map to a fixed
-/// statement — scheduling decides which sessions share the batch that
-/// tears — but every interleaving must satisfy the acked-write oracle.
-pub fn sweep_concurrent(seed: u64, limit: Option<usize>) -> Result<ConcurrentReport> {
-    let total = concurrent_total_ops(seed)?;
-    let points: Vec<u64> = match limit {
-        Some(n) if (n as u64) < total => (0..n as u64).map(|i| i * total / n as u64).collect(),
-        _ => (0..total).collect(),
-    };
-    let mut report = ConcurrentReport {
-        seed,
-        total_ops: total,
-        points_tested: points.len(),
-        crashes_fired: 0,
-        in_flight_survived: 0,
-    };
-    for &point in &points {
-        let outcome = run_concurrent_point(seed, point)
-            .map_err(|e| NosqlError::Corrupt(format!("concurrent crash point {point}: {e}")))?;
-        if outcome.fired {
-            report.crashes_fired += 1;
-        }
+        let outcome = run_cell(kind, &writers, seed, point)
+            .map_err(|e| NosqlError::Corrupt(format!("{kind:?} crash point {point}: {e}")))?;
+        report.crashes_fired += usize::from(outcome.fired);
         report.in_flight_survived += outcome.in_flight_survived;
     }
     Ok(report)
@@ -813,51 +569,31 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic_and_mixed() {
-        let a = workload(5);
-        let b = workload(5);
-        assert_eq!(a.len(), b.len());
+        let a = Sweep::Statements.writers(5);
+        let b = Sweep::Statements.writers(5);
+        assert_eq!(a.len(), 1);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let a = &a[0];
         let puts = a.iter().filter(|s| matches!(s, Step::Put { .. })).count();
         let deletes = a
             .iter()
             .filter(|s| matches!(s, Step::Delete { .. }))
             .count();
         let flushes = a.iter().filter(|s| matches!(s, Step::Flush)).count();
-        assert!(puts > 50 && deletes > 5 && flushes > 2);
+        let bulks = a.iter().filter(|s| matches!(s, Step::Bulk { .. })).count();
+        assert!(puts > 50 && deletes > 5 && flushes > 2 && bulks == 0);
     }
 
     #[test]
     fn workload_generates_enough_crash_points() {
-        assert!(
-            total_ops(1).unwrap() >= 100,
-            "ops {}",
-            total_ops(1).unwrap()
-        );
-    }
-
-    #[test]
-    fn early_and_late_points_pass() {
-        // The full matrix runs in tests/crash_matrix.rs; smoke a few cells
-        // here, including DDL-time crashes.
-        let total = total_ops(2).unwrap();
-        for point in [0, 1, 2, total / 2, total - 1] {
-            let outcome = run_point(2, point).unwrap();
-            assert!(outcome.fired, "crash at {point} must fire");
-        }
-    }
-
-    #[test]
-    fn uninjected_run_recovers_exactly() {
-        // Crash point beyond the op count: nothing fires, recovery must
-        // reproduce the full acked state.
-        let total = total_ops(3).unwrap();
-        let outcome = run_point(3, total + 10).unwrap();
-        assert!(!outcome.fired);
-        assert!(!outcome.in_flight_survived);
+        let ops = total_ops(Sweep::Statements, 1).unwrap();
+        assert!(ops >= 100, "ops {ops}");
     }
 
     #[test]
     fn bulk_workload_spreads_inserts_over_several_chunks() {
-        let steps = bulk_workload(6);
+        let writers = Sweep::Bulk.writers(6);
+        let steps = &writers[0];
         let count = |pick: fn(&Step) -> bool| steps.iter().filter(|s| pick(s)).count();
         let bulks = count(|s| matches!(s, Step::Bulk { .. }));
         let statements = count(|s| matches!(s, Step::Put { .. } | Step::Delete { .. }));
@@ -868,8 +604,8 @@ mod tests {
         // Uninjected: more commit-log appends than statements plus bulks,
         // so inserts span chunks.
         let (vfs, handle) = Vfs::with_faults(Vfs::memory(), 6);
-        let db = Db::open(tiny_open(vfs)).unwrap();
-        drive(&db, &steps, &handle).unwrap();
+        let db = Db::open(Sweep::Bulk.open(vfs)).unwrap();
+        drive(&db, &writers, &handle).unwrap();
         let appends = handle
             .trace()
             .iter()
@@ -882,34 +618,142 @@ mod tests {
     }
 
     #[test]
-    fn bulk_cells_pass_early_mid_late() {
-        let total = bulk_total_ops(7).unwrap();
-        assert!(total >= 100, "ops {total}");
-        for point in [0, 1, 2, total / 3, total / 2, total - 1] {
-            let outcome = run_bulk_point(7, point).unwrap();
-            assert!(outcome.fired, "crash at {point} must fire");
+    fn every_sweep_passes_early_mid_late_and_uninjected_cells() {
+        // The full matrices run in tests/crash_matrix.rs; smoke a few
+        // cells of each here, including DDL-time crashes.
+        for kind in Sweep::ALL {
+            let total = total_ops(kind, 7).unwrap();
+            assert!(total >= 20, "{kind:?}: {total} ops");
+            // Concurrent op counts shift with scheduling, so its late
+            // point stays clear of the calibrated total.
+            let late = match kind {
+                Sweep::Concurrent => total * 3 / 4,
+                Sweep::Statements | Sweep::Bulk => total - 1,
+            };
+            for point in [0, 1, 2, total / 3, total / 2, late] {
+                let outcome = run_point(kind, 7, point).unwrap();
+                assert!(outcome.fired, "{kind:?}: crash at {point} must fire");
+            }
+            // Far past the op count: nothing fires, every write is acked
+            // and recovery reproduces the full acked state.
+            let writes = kind
+                .writers(7)
+                .iter()
+                .flatten()
+                .filter(|s| !s.writes().is_empty())
+                .count();
+            let outcome = run_point(kind, 7, 2 * total).unwrap();
+            assert!(!outcome.fired, "{kind:?}");
+            assert_eq!(outcome.acked, writes, "{kind:?}");
+            assert_eq!(outcome.in_flight, 0, "{kind:?}");
+            assert_eq!(outcome.in_flight_survived, 0, "{kind:?}");
         }
-        assert!(!run_bulk_point(7, total + 10).unwrap().fired);
+    }
+
+    fn put(id: i64, v: &str) -> (i64, Option<String>) {
+        (id, Some(v.to_string()))
+    }
+
+    fn acked_run(in_flight: Vec<InFlight>) -> Run {
+        Run {
+            ddl_acked: true,
+            acks: 3,
+            acked: BTreeMap::from([put(1, "a"), put(2, "b"), (3, None)]),
+            in_flight,
+        }
+    }
+
+    fn state(writes: &[(i64, Option<String>)]) -> Option<BTreeMap<i64, String>> {
+        Some(materialize(&writes.iter().cloned().collect()))
+    }
+
+    fn lost_put(id: i64, v: &str) -> InFlight {
+        InFlight {
+            writes: vec![put(id, v)],
+            min: 0,
+        }
+    }
+
+    fn bulk(min: usize) -> InFlight {
+        InFlight {
+            writes: vec![put(10, "r1"), put(11, "r2"), put(1, "r3"), put(12, "r4")],
+            min,
+        }
     }
 
     #[test]
-    fn concurrent_cells_pass_early_mid_late() {
-        // The fuller concurrent sweep runs in tests/crash_matrix.rs; smoke
-        // a few cells here, including a DDL-time crash (point 0) and an
-        // uninjected run (point far past the op count).
-        let total = concurrent_total_ops(4).unwrap();
-        assert!(total >= 20, "concurrent workload too small: {total} ops");
-        for point in [0, 2, total / 2, total - 2, total + 100] {
-            run_concurrent_point(4, point).unwrap();
+    fn oracle_rejects_states_no_crash_can_leave() {
+        let rejected = |run: &Run, recovered: &[(i64, Option<String>)]| {
+            assert!(
+                matches!(check(&state(recovered), run), Err(NosqlError::Corrupt(_))),
+                "accepted {recovered:?}"
+            );
+        };
+        let run = acked_run(Vec::new());
+        // A lost acked write.
+        rejected(&run, &[put(1, "a")]);
+        // A wrong value on an acked key.
+        rejected(&run, &[put(1, "a"), put(2, "x")]);
+        // A never-written key.
+        rejected(&run, &[put(1, "a"), put(2, "b"), put(7, "z")]);
+        // An acked table that vanished.
+        assert!(check(&None, &run).is_err());
+
+        // Row 2 of a multi-row insert without row 1.
+        rejected(
+            &acked_run(vec![bulk(0)]),
+            &[put(1, "a"), put(2, "b"), put(11, "r2")],
+        );
+        // Fewer rows than the completed chunks hold.
+        rejected(
+            &acked_run(vec![bulk(2)]),
+            &[put(1, "a"), put(2, "b"), put(10, "r1")],
+        );
+
+        // Two writers' lost-ack puts, one back with another value.
+        let run = acked_run(vec![lost_put(20, "x"), lost_put(30, "y")]);
+        rejected(
+            &run,
+            &[put(1, "a"), put(2, "b"), put(20, "x"), put(30, "z")],
+        );
+    }
+
+    #[test]
+    fn oracle_accepts_every_combination_of_lost_acks() {
+        let lost = [(20, "w"), (30, "x"), (40, "y"), (50, "z")];
+        let run = acked_run(lost.iter().map(|&(id, v)| lost_put(id, v)).collect());
+        for mask in 0u32..16 {
+            let mut recovered = vec![put(1, "a"), put(2, "b")];
+            recovered.extend(
+                (0..4)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| put(lost[i].0, lost[i].1)),
+            );
+            assert_eq!(
+                check(&state(&recovered), &run).unwrap(),
+                mask.count_ones() as usize,
+                "mask {mask:#06b}"
+            );
         }
     }
 
     #[test]
-    fn concurrent_uninjected_run_acks_every_insert() {
-        let total = concurrent_total_ops(5).unwrap();
-        let outcome = run_concurrent_point(5, total + 50).unwrap();
-        assert!(!outcome.fired);
-        assert_eq!(outcome.acked, CONCURRENT_WRITERS * WRITES_PER_WRITER);
-        assert_eq!(outcome.in_flight_survived, 0);
+    fn oracle_accepts_every_durable_prefix() {
+        for min in 0..=4 {
+            let run = acked_run(vec![bulk(min)]);
+            for p in min..=4 {
+                let mut recovered = vec![put(1, "a"), put(2, "b")];
+                recovered.extend(bulk(min).writes[..p].iter().cloned());
+                assert_eq!(
+                    check(&state(&recovered), &run).unwrap(),
+                    usize::from(p > 0),
+                    "min {min}, prefix {p}"
+                );
+            }
+        }
+        // A lost put equal to the acked value: the state with no survivor
+        // wins.
+        let run = acked_run(vec![lost_put(1, "a")]);
+        assert_eq!(check(&state(&[put(1, "a"), put(2, "b")]), &run).unwrap(), 0);
     }
 }

@@ -9,17 +9,17 @@
 //!
 //! # Concurrency model (see DESIGN.md §5g)
 //!
-//! The engine core ([`DbCore`]) is `Send + Sync` and shared by every
+//! The engine core (`DbCore`) is `Send + Sync` and shared by every
 //! session through an `Arc` — there is no global statement mutex.
 //!
 //! - **Reads** never block writers. A `SELECT` pins the MVCC watermark
-//!   ([`crate::mvcc::ReadPin`]) and resolves each key to the newest
+//!   (`mvcc::ReadPin`) and resolves each key to the newest
 //!   version at or below that bound, across memtable shards and immutable
 //!   SSTables (a merged-away SSTable's file lives until its last reader
 //!   lets go). Concurrent writers can never tear a read: versions above
 //!   the pin are invisible.
 //! - **Writes** append to the group-commit WAL
-//!   ([`crate::commitlog::GroupCommitLog`]) — concurrent sessions share
+//!   (`commitlog::GroupCommitLog`) — concurrent sessions share
 //!   one fsync via a leader/follower protocol — then insert into the
 //!   FNV-sharded memtable under per-shard mutexes.
 //! - **Read-modify-write statements** (UPDATE, and any write to a table
@@ -864,10 +864,13 @@ mod tests {
         db.execute_cql("CREATE INDEX ON ks.cells (parent)").unwrap();
         db.execute_cql("INSERT INTO ks.cells (id, key) VALUES (1, 'x')")
             .unwrap();
-        // Index table stays empty.
-        let idx_size = db.table_size("ks", "cells__idx_parent").unwrap();
         db.flush_all().unwrap();
-        let _ = idx_size;
+        // The row reached disk; the posting table stayed empty.
+        assert_eq!(
+            db.table_size("ks", "cells__idx_parent").unwrap().as_bytes(),
+            0
+        );
+        assert!(db.table_size("ks", "cells").unwrap().as_bytes() > 0);
         assert!(db
             .execute_cql("SELECT id FROM ks.cells WHERE parent = 0")
             .unwrap()

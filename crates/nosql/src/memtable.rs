@@ -1,9 +1,9 @@
 //! FNV-sharded, multi-versioned in-memory write buffer.
 //!
-//! The memtable is split into [`SHARD_COUNT`] shards, each guarded by its
+//! The memtable is split into `SHARD_COUNT` shards, each guarded by its
 //! own mutex; a key's shard is chosen by FNV-1a hash, so concurrent writers
 //! to different keys almost never contend. Within a shard each key maps to
-//! a **version chain**: a vector of [`Version`]s sorted newest-first by
+//! a **version chain**: a vector of `Version`s sorted newest-first by
 //! MVCC sequence number.
 //!
 //! Every version records the sequence of the version that *shadowed* it
@@ -14,7 +14,7 @@
 //!   shadow is at or below the engine's GC floor — the minimum of the
 //!   visible watermark and the oldest pinned read bound — because every
 //!   current and future reader will then see the newer version instead.
-//! - **Which version a bound sees.** One rule, [`visible_at`], serves point
+//! - **Which version a bound sees.** One rule, `visible_at`, serves point
 //!   reads, cursor snapshots and both halves of a flush: the newest version
 //!   at or below the bound, unless its shadow is at or below the bound too —
 //!   then a newer visible version exists outside the shard (it was flushed)
@@ -23,10 +23,10 @@
 //!   the shard, the newest unshadowed) additionally knows no SSTable can
 //!   hold anything newer, and skips the disk entirely.
 //!
-//! A flush copies before it removes: [`ShardedMemtable::peek_up_to`] clones,
+//! A flush copies before it removes: `ShardedMemtable::peek_up_to` clones,
 //! per key, the globally newest version at or below the flush boundary
 //! (always a fully committed sequence) for the caller to write out, and
-//! [`ShardedMemtable::drain_up_to`] removes the same versions once their
+//! `ShardedMemtable::drain_up_to` removes the same versions once their
 //! SSTable is attached. Older versions that a pinned snapshot might still
 //! need stay behind in the shard.
 

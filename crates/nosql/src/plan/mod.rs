@@ -16,7 +16,7 @@
 //! 3. Annotate every node with row/cost estimates bottom-up; [`explain`]
 //!    renders the tree.
 //!
-//! Execution is elsewhere ([`crate::exec`]): the plan is pure data and
+//! Execution is elsewhere (`exec`): the plan is pure data and
 //! holds no table runtimes, so it can be built, costed, and printed
 //! without touching storage.
 

@@ -11,15 +11,15 @@
 //! only need to rank point probes below posting scans below full scans,
 //! which they do by construction:
 //!
-//! * a **point probe** costs [`PROBE`] plus one data-block read weighted
+//! * a **point probe** costs `PROBE` plus one data-block read weighted
 //!   by the cache miss rate (bloom filters keep a probe to at most one
 //!   block, so the SSTable count does not multiply it),
-//! * a **full scan** costs one [`SEQ_ROW`] per row plus the miss-weighted
-//!   block reads at an assumed [`ROWS_PER_BLOCK`] density,
+//! * a **full scan** costs one `SEQ_ROW` per row plus the miss-weighted
+//!   block reads at an assumed `ROWS_PER_BLOCK` density,
 //! * an **index scan** pays a posting row plus a base-table probe per
 //!   estimated match,
-//! * selectivities are fixed guesses: [`EQ_SELECTIVITY`] per equality,
-//!   [`CMP_SELECTIVITY`] per range test, `k × eq` for an `IN` of `k`
+//! * selectivities are fixed guesses: `EQ_SELECTIVITY` per equality,
+//!   `CMP_SELECTIVITY` per range test, `k × eq` for an `IN` of `k`
 //!   values,
 //! * grouped aggregation estimates `√n` output groups.
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// A pinned, point-in-time, read-only view of the database.
 ///
 /// A snapshot captures the MVCC watermark at creation and pins it in the
-/// engine's [`crate::mvcc::SnapshotRegistry`]: every `SELECT` through the
+/// engine's `mvcc::SnapshotRegistry`: every `SELECT` through the
 /// snapshot resolves keys as of that instant, no matter how many writes,
 /// flushes or compactions happen afterwards. The pin holds version GC and
 /// tombstone-dropping compaction back only as far as this bound, and is

@@ -16,7 +16,7 @@
 //! key fences and the bloom filter without touching a data block. A probe
 //! that passes them reads exactly one CRC-verified block, optionally
 //! through the engine's shared [`BlockCache`], and decodes one row of it
-//! ([`colblock::find_row`]): the key run is searched in place and only the
+//! (`colblock::find_row`): the key run is searched in place and only the
 //! found row's cells are built, while every run is still validated.
 //! Everything else reads through [`SsTable::iter`], which holds one decoded
 //! block at a time, seeks through the block index for a key prefix and

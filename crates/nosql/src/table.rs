@@ -5,7 +5,7 @@
 //! Writers insert into the FNV-sharded memtable (per-shard mutexes);
 //! readers run lock-free against the memtable shards and take only a
 //! read guard on the SSTable list. Point reads hold it across their
-//! probes; a [`Cursor`] clones the `Arc`s out of it and reads on, and a
+//! probes; a `Cursor` clones the `Arc`s out of it and reads on, and a
 //! merged-away SSTable deletes its file when the last clone drops.
 //! Flush and compaction serialize on a per-table maintenance mutex and
 //! never block reads except for the instant they swap the SSTable list.

@@ -334,7 +334,7 @@ fn crash_under_contention_recovers_per_key_history() {
 /// run (the full density runs via `repro crashtest`).
 #[test]
 fn concurrent_crash_matrix_smoke() {
-    let report = crashtest::sweep_concurrent(0xAB1E, Some(12)).unwrap();
+    let report = crashtest::sweep(crashtest::Sweep::Concurrent, 0xAB1E, Some(12)).unwrap();
     assert_eq!(report.points_tested, 12);
     assert!(report.crashes_fired >= 6, "{report:?}");
 }

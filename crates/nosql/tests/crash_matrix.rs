@@ -2,7 +2,8 @@
 //! crashes in one history, and the torn-commit-log regression.
 
 use sc_encoding::Rng;
-use sc_nosql::{crashtest, Db, NosqlError, OpenOptions};
+use sc_nosql::crashtest::{self, Sweep};
+use sc_nosql::{Db, NosqlError, OpenOptions};
 use sc_storage::{StorageError, Vfs};
 use std::collections::BTreeMap;
 
@@ -10,7 +11,7 @@ use std::collections::BTreeMap;
 /// (well over 100 points) and require exact acked-write recovery each time.
 #[test]
 fn full_crash_matrix_covers_every_op() {
-    let report = crashtest::sweep(0xC0FFEE, None).unwrap();
+    let report = crashtest::sweep(Sweep::Statements, 0xC0FFEE, None).unwrap();
     assert!(
         report.total_ops >= 100,
         "workload too small for the acceptance bar: {} ops",
@@ -29,7 +30,7 @@ fn full_crash_matrix_covers_every_op() {
 /// append completed.
 #[test]
 fn bulk_crash_matrix_covers_every_op() {
-    let report = crashtest::sweep_bulk(0xB01C, None).unwrap();
+    let report = crashtest::sweep(Sweep::Bulk, 0xB01C, None).unwrap();
     assert_eq!(report.points_tested as u64, report.total_ops);
     assert_eq!(report.crashes_fired, report.points_tested);
     assert!(report.in_flight_survived > 0, "{report:?}");
@@ -40,7 +41,7 @@ fn bulk_crash_matrix_covers_every_op() {
 /// the acked writes (plus, at most, the exact lost-ack in-flight inserts).
 #[test]
 fn concurrent_crash_matrix_subset() {
-    let report = crashtest::sweep_concurrent(0xD1CE, Some(32)).unwrap();
+    let report = crashtest::sweep(Sweep::Concurrent, 0xD1CE, Some(32)).unwrap();
     assert_eq!(report.points_tested, 32);
     // Op counts shift a little with thread scheduling, so late points may
     // land past a given run's actual op count — but the bulk must fire.

@@ -2,8 +2,8 @@
 //!
 //! A **trace** is the span tree of one request: the server calls
 //! [`begin`] with a 64-bit trace ID when a statement arrives, code on the
-//! request path opens named [`stage`]s (and every [`SpanHandle`]
-//! (crate::SpanHandle) entered while the trace is active joins the tree
+//! request path opens named [`stage`]s (and every
+//! [`SpanHandle`](crate::SpanHandle) entered while the trace is active joins the tree
 //! automatically), engine hot paths attach cheap attribution counters via
 //! [`add`] ([`Attr`]: WAL commit-wait, memtable vs SSTable hits, blocks
 //! read, bloom probes, block-cache hits/misses, VFS bytes), and

@@ -121,7 +121,7 @@ impl From<TenantError> for ServerError {
 }
 
 /// A running server. Dropping the handle without calling
-/// [`ServerHandle::shutdown`] detaches the threads (they keep serving
+/// [`Server::shutdown`] detaches the threads (they keep serving
 /// until the process exits); tests and the CLI call `shutdown` for a
 /// drained stop.
 #[derive(Debug)]

@@ -18,6 +18,9 @@ cargo build --release
 echo "==> cargo clippy (every target, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings, such as broken links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
