@@ -57,8 +57,8 @@ schema_model!(
 );
 
 impl NosqlDwarfModel {
-    /// Opens a model over `vfs`, replaying whatever an earlier engine
-    /// persisted there (schema journal, commit log, manifest, SSTables).
+    /// Opens a model over `vfs`, recovering whatever an earlier engine
+    /// persisted there (manifest, commit log, SSTables).
     pub fn open(vfs: Vfs) -> Result<NosqlDwarfModel> {
         let db = Db::open(OpenOptions::default().vfs(vfs).recover(true))?;
         Ok(NosqlDwarfModel { db })

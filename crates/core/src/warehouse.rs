@@ -4,7 +4,8 @@
 //! `sc_ingest::StreamPipeline` (`build_cube`) or the sharded
 //! `sc_stream::StreamIngestor` (`finish`), which give the same facts — and
 //! the warehouse stores it in one schema model through the paper's cube →
-//! store mapping. Stored cubes can be listed, rebuilt, queried and updated.
+//! store mapping. Stored cubes can be listed and rebuilt, and the store
+//! measured.
 //! The caller keeps the cube, so a window whose store fails is not lost: it
 //! can be stored again, for instance once the model has been reopened.
 
@@ -61,12 +62,6 @@ impl CubeWarehouse {
     /// Current total store size.
     pub fn store_size(&mut self) -> Result<sc_encoding::ByteSize> {
         self.model.size()
-    }
-
-    /// The underlying model (e.g. to open a
-    /// [`crate::store_query::StoreBackedCube`]).
-    pub fn model_mut(&mut self) -> &mut dyn SchemaModel {
-        self.model.as_mut()
     }
 }
 

@@ -123,11 +123,6 @@ impl BikesGenerator {
         }
     }
 
-    /// Number of snapshots the generator will produce.
-    pub fn snapshot_count(&self) -> usize {
-        self.snapshots_total
-    }
-
     /// The cube definition for this feed (the paper's 8 dimensions).
     pub fn cube_def() -> CubeDef {
         CubeDef::xml("/stations/station")

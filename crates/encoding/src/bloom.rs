@@ -50,11 +50,6 @@ impl Bloom {
         self.bits.len() as u64 * 8
     }
 
-    /// Encoded size in bytes (bit array only, excluding framing).
-    pub fn byte_len(&self) -> usize {
-        self.bits.len()
-    }
-
     /// Number of probe positions tested per key.
     pub fn probes(&self) -> u32 {
         self.probes

@@ -4,10 +4,10 @@
 //! layers its own row/cell format on top. All multi-byte fixed-width values
 //! are little-endian; variable-width values use [`crate::varint`].
 //!
-//! Journals (both engines' write-ahead logs, the SSTable manifest) append
-//! their records as CRC frames — `[len: u32][crc: u32][payload]`, the CRC
-//! over the payload — written by [`Encoder::put_frame`] and read back by
-//! [`Frames`], which stops at the first torn or corrupt frame.
+//! Logs (both engines' write-ahead logs, the NoSQL manifest) append their
+//! records as CRC frames — `[len: u32][crc: u32][payload]`, the CRC over the
+//! payload — written by [`Encoder::put_frame`] and read back by [`Frames`],
+//! which tells a torn frame from a corrupt one.
 
 use crate::{varint, Crc32};
 use std::fmt;
@@ -173,39 +173,70 @@ impl Encoder {
     }
 }
 
-/// The payloads of the intact CRC frames ([`Encoder::put_frame`]) at the
-/// start of a byte slice. Iteration ends at the first frame that is torn
-/// (shorter than its header says) or corrupt (CRC mismatch) — the tail a
-/// crash mid-append leaves — and [`Frames::good_len`] then says where.
+/// Why a run of CRC frames ends before its bytes do, and where the frame
+/// that ends it starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// The bytes stop inside the frame's header or short of the payload its
+    /// header declares: the tail a crash mid-append leaves.
+    Torn {
+        /// Byte offset of the torn frame.
+        at: usize,
+    },
+    /// The frame is complete but its payload fails its CRC.
+    Corrupt {
+        /// Byte offset of the corrupt frame.
+        at: usize,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Torn { at } => write!(f, "torn frame at byte {at}"),
+            FrameError::Corrupt { at } => write!(f, "frame at byte {at} fails its CRC"),
+        }
+    }
+}
+
+/// The CRC frames ([`Encoder::put_frame`]) of a byte slice, in order: each
+/// intact payload, then — when the frames end before the bytes do — one
+/// [`FrameError`] saying why, after which iteration stops.
 #[derive(Debug, Clone)]
 pub struct Frames<'a> {
     data: &'a [u8],
-    good_len: usize,
+    pos: usize,
 }
 
 impl<'a> Frames<'a> {
     /// Starts at the first byte of `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        Self { data, good_len: 0 }
-    }
-
-    /// Bytes covered by the frames yielded so far: once iteration has
-    /// ended, the length of the valid prefix.
-    pub fn good_len(&self) -> usize {
-        self.good_len
+        Self { data, pos: 0 }
     }
 }
 
 impl<'a> Iterator for Frames<'a> {
-    type Item = &'a [u8];
+    type Item = Result<&'a [u8], FrameError>;
 
-    fn next(&mut self) -> Option<&'a [u8]> {
-        let mut dec = Decoder::new(&self.data[self.good_len..]);
-        let len = dec.get_u32_fixed().ok()? as usize;
-        let crc = dec.get_u32_fixed().ok()?;
-        let payload = dec.get_raw(len).ok().filter(|p| Crc32::of(p) == crc)?;
-        self.good_len += dec.position();
-        Some(payload)
+    fn next(&mut self) -> Option<Self::Item> {
+        let at = self.pos;
+        if at == self.data.len() {
+            return None;
+        }
+        // Whatever ends the run, nothing past it is read.
+        self.pos = self.data.len();
+        let mut dec = Decoder::new(&self.data[at..]);
+        let (Ok(len), Ok(crc)) = (dec.get_u32_fixed(), dec.get_u32_fixed()) else {
+            return Some(Err(FrameError::Torn { at }));
+        };
+        let Ok(payload) = dec.get_raw(len as usize) else {
+            return Some(Err(FrameError::Torn { at }));
+        };
+        if Crc32::of(payload) != crc {
+            return Some(Err(FrameError::Corrupt { at }));
+        }
+        self.pos = at + dec.position();
+        Some(Ok(payload))
     }
 }
 
@@ -374,28 +405,27 @@ mod tests {
             p.put_raw(&[9; 5]);
         });
         let bytes = enc.into_bytes();
-        // The layout the journals have always written.
+        // The layout the logs have always written.
         assert_eq!(&bytes[..4], &4u32.to_le_bytes());
         assert_eq!(&bytes[4..8], &Crc32::of(b"\x03one").to_le_bytes());
         assert_eq!(&bytes[8..12], b"\x03one");
 
-        let mut frames = Frames::new(&bytes);
-        let payloads: Vec<&[u8]> = frames.by_ref().collect();
-        assert_eq!(payloads, [&b"\x03one"[..], &[], &[9; 5]]);
-        assert_eq!(frames.good_len(), bytes.len());
+        let frames: Vec<_> = Frames::new(&bytes).collect();
+        assert_eq!(frames, [Ok(&b"\x03one"[..]), Ok(&[]), Ok(&[9; 5])]);
 
-        // Torn anywhere inside the last frame: the first two survive.
+        // Torn anywhere inside the last frame: the first two survive, and
+        // the tear is reported where the last frame starts.
         for cut in 21..bytes.len() {
-            let mut frames = Frames::new(&bytes[..cut]);
-            assert_eq!(frames.by_ref().count(), 2, "cut at {cut}");
-            assert_eq!(frames.good_len(), 20);
+            let frames: Vec<_> = Frames::new(&bytes[..cut]).collect();
+            assert_eq!(frames.len(), 3, "cut at {cut}");
+            assert_eq!(frames[2], Err(FrameError::Torn { at: 20 }), "cut at {cut}");
         }
-        // One flipped payload bit: that frame and everything after it go.
+        // One flipped payload bit: the frame is whole, so it is corrupt,
+        // not torn, and nothing after it is read.
         let mut flipped = bytes.clone();
         flipped[9] ^= 1;
-        let mut frames = Frames::new(&flipped);
-        assert_eq!(frames.by_ref().count(), 0);
-        assert_eq!(frames.good_len(), 0);
+        let frames: Vec<_> = Frames::new(&flipped).collect();
+        assert_eq!(frames, [Err(FrameError::Corrupt { at: 0 })]);
     }
 
     #[test]

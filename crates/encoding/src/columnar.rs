@@ -192,12 +192,6 @@ impl DictBuilder {
         self.codes.len()
     }
 
-    /// Encoded size estimate: dictionary bytes plus one-byte-ish codes.
-    pub fn encoded_size(&self) -> usize {
-        let dict: usize = self.values.iter().map(|v| v.len() + 2).sum();
-        dict + self.codes.len() + 2
-    }
-
     /// Writes the run: distinct count, the distinct values (length
     /// prefixed), then one varint code per row.
     pub fn encode(&self, enc: &mut Encoder) {

@@ -24,8 +24,6 @@
 //!   parsers share,
 //! * [`bytesize`] — human-readable byte quantities (the paper reports sizes
 //!   in MB),
-//! * [`overhead`] — the documented per-record overhead constants that model
-//!   InnoDB and Cassandra storage formats,
 //! * [`rng`] — the workspace's deterministic xorshift64* PRNG (no `rand`
 //!   dependency; datasets and randomized tests are bit-identical per seed).
 
@@ -36,14 +34,13 @@ pub mod codec;
 pub mod columnar;
 pub mod hash;
 pub mod lex;
-pub mod overhead;
 pub mod rng;
 pub mod varint;
 
 pub use bloom::Bloom;
 pub use bytesize::ByteSize;
 pub use checksum::Crc32;
-pub use codec::{DecodeError, Decoder, Encoder, Frames};
+pub use codec::{DecodeError, Decoder, Encoder, FrameError, Frames};
 pub use columnar::{decode_dict, decode_i64_deltas, encode_i64_deltas, Bitmap, DictBuilder};
 pub use hash::{fnv1a_64, FnvBuildHasher, FnvHashMap, FnvHashSet};
 pub use rng::Rng;

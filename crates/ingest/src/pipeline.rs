@@ -16,7 +16,6 @@ pub struct StreamPipeline {
     def: CubeDef,
     tuples: TupleSet,
     stats: ExtractStats,
-    policy: MissingPolicy,
     documents: usize,
 }
 
@@ -28,20 +27,14 @@ impl StreamPipeline {
             def,
             tuples,
             stats: ExtractStats::default(),
-            policy: MissingPolicy::Skip,
             documents: 0,
         }
     }
 
-    /// Sets the missing-value policy (default: skip).
-    pub fn with_policy(mut self, policy: MissingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Ingests one feed document.
+    /// Ingests one feed document; a record missing a value is skipped and
+    /// counted.
     pub fn ingest(&mut self, text: &str) -> Result<ExtractStats, ExtractError> {
-        let stats = extract_text(&self.def, text, &mut self.tuples, self.policy)?;
+        let stats = extract_text(&self.def, text, &mut self.tuples, MissingPolicy::Skip)?;
         self.stats.merge(stats);
         self.documents += 1;
         Ok(stats)

@@ -6,8 +6,9 @@
 //! chunk of a multi-row insert (`WalBatch` encodes its frames in place).
 //!
 //! Frame format: `[len: u32][crc: u32][payload]` where `crc` covers the
-//! payload (`sc_encoding`'s `put_frame` / `Frames`). Replay stops cleanly
-//! at a torn tail.
+//! payload (`sc_encoding`'s `put_frame` / `Frames`). `repair_frames` is
+//! the one routine that reads a log file back — this log's segments and
+//! the manifest — and holds the one rule for a frame that is not intact.
 //!
 //! The log is **segmented**: appends go to an active segment file which is
 //! rotated out once it reaches [`DEFAULT_SEGMENT_BYTES`]
@@ -18,7 +19,7 @@
 //! `flush_all`, growing without bound under sustained writes.
 
 use crate::error::{NosqlError, Result};
-use sc_encoding::{varint, Decoder, Encoder, Frames};
+use sc_encoding::{varint, Decoder, Encoder, FrameError, Frames};
 use sc_storage::{StorageError, Vfs};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
@@ -111,9 +112,7 @@ impl WalBatch {
 #[derive(Debug)]
 struct Segment {
     name: String,
-    /// Highest record sequence in the segment; `u64::MAX` when unknown
-    /// (pre-existing file opened without repair — conservatively never
-    /// checkpointed).
+    /// Highest record sequence in the segment.
     max_seq: u64,
 }
 
@@ -132,6 +131,19 @@ struct SegState {
     next_index: u64,
 }
 
+impl SegState {
+    /// A log with no segments: the next append creates `base`.
+    fn empty(base: &str) -> SegState {
+        SegState {
+            closed: Vec::new(),
+            active: base.to_string(),
+            active_bytes: 0,
+            active_max_seq: 0,
+            next_index: 2,
+        }
+    }
+}
+
 /// Append handle for one engine's commit log.
 #[derive(Debug)]
 pub struct CommitLog {
@@ -142,43 +154,16 @@ pub struct CommitLog {
 }
 
 impl CommitLog {
-    /// Opens (or creates) the log at `base`. Pre-existing segments
-    /// (`base`, `base.000002`, ...) are adopted in index order; the
-    /// highest becomes the active segment.
+    /// A handle on the log at `base` (segments `base`, `base.000002`, ...).
+    /// It reads nothing: appends start a fresh log at `base` until
+    /// [`CommitLog::repair`] adopts the segments on disk.
     pub fn open(vfs: Vfs, base: impl Into<String>) -> CommitLog {
         let base = base.into();
-        let mut names: Vec<(u64, String)> = vfs
-            .list(&base)
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|n| Self::segment_index(&base, &n).map(|i| (i, n)))
-            .collect();
-        names.sort_unstable();
-        let (active, next_index) = match names.last() {
-            Some((i, n)) => (n.clone(), i + 1),
-            None => (base.clone(), 2),
-        };
-        let active_bytes = vfs.len(&active).unwrap_or(0);
-        let segs = SegState {
-            closed: names[..names.len().saturating_sub(1)]
-                .iter()
-                .map(|(_, n)| Segment {
-                    name: n.clone(),
-                    max_seq: u64::MAX,
-                })
-                .collect(),
-            active,
-            active_bytes,
-            // Unknown contents must never be checkpointed away; `repair`
-            // (run before any engine append) computes the real values.
-            active_max_seq: if active_bytes > 0 { u64::MAX } else { 0 },
-            next_index: next_index.max(2),
-        };
         CommitLog {
+            segs: Mutex::new(SegState::empty(&base)),
             vfs,
             base,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            segs: Mutex::new(segs),
         }
     }
 
@@ -290,13 +275,7 @@ impl CommitLog {
             self.vfs.delete(&seg.name)?;
         }
         self.vfs.delete(&segs.active)?;
-        *segs = SegState {
-            closed: Vec::new(),
-            active: self.base.clone(),
-            active_bytes: 0,
-            active_max_seq: 0,
-            next_index: 2,
-        };
+        *segs = SegState::empty(&self.base);
         Ok(())
     }
 
@@ -336,119 +315,91 @@ impl CommitLog {
         }
     }
 
-    /// Decodes one segment: intact records, the byte length of the valid
-    /// prefix, and the highest sequence seen.
-    fn replay_segment(&self, name: &str) -> Result<(Vec<LogRecord>, u64, u64)> {
-        let data = match self.vfs.read_all(name) {
-            Ok(d) => d,
-            Err(sc_storage::StorageError::NotFound(_)) => return Ok((Vec::new(), 0, 0)),
-            Err(e) => return Err(e.into()),
-        };
-        let mut out = Vec::new();
-        let mut frames = Frames::new(&data);
-        let mut max_seq = 0u64;
-        for payload in frames.by_ref() {
-            let mut p = Decoder::new(payload);
-            let table = p.get_str().map_err(NosqlError::from)?.to_string();
-            let key = p.get_bytes()?.to_vec();
-            let body = p.get_bytes()?.to_vec();
-            let timestamp = p.get_u64_fixed()?;
-            max_seq = max_seq.max(timestamp);
-            out.push(LogRecord {
-                table,
-                key,
-                body,
-                timestamp,
-            });
-        }
-        Ok((out, frames.good_len() as u64, max_seq))
-    }
-
-    /// Segment names in age order (closed oldest-first, then active).
-    fn segment_names(&self) -> Vec<String> {
-        let segs = self.lock_segs();
-        let mut names: Vec<String> = segs.closed.iter().map(|s| s.name.clone()).collect();
-        names.push(segs.active.clone());
-        names
-    }
-
-    /// Replays all intact records across every segment, in age order. A
-    /// torn or corrupt frame ends the replay without error (standard
-    /// commit-log semantics); anything after it — including later
-    /// segments — is ignored.
-    pub fn replay(&self) -> Result<Vec<LogRecord>> {
-        let mut out = Vec::new();
-        for name in self.segment_names() {
-            let (records, good_len, _) = self.replay_segment(&name)?;
-            out.extend(records);
-            if good_len < self.vfs.len(&name).unwrap_or(0) {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Replays the log and physically removes any torn tail: the damaged
-    /// segment is truncated to its valid prefix and every later segment is
-    /// deleted, then the segment bookkeeping (per-segment max sequences,
-    /// active segment) is rebuilt from what survived.
+    /// Reads every segment on disk back, in index order, and returns their
+    /// records; a torn tail of the last segment is truncated away. Then the
+    /// segment bookkeeping (per-segment max sequences, the active segment)
+    /// is rebuilt from what is on disk. A corrupt frame in any segment, or
+    /// a tear in any but the last, is `Corrupt` and changes nothing.
     ///
-    /// Replay alone is not enough: if the tear stayed on disk, the next
+    /// The truncation matters: if the tear stayed on disk, the next
     /// appended record would land *after* it and be unreachable on the next
-    /// replay — an acknowledged write silently lost one crash later.
+    /// repair — an acknowledged write silently lost one crash later.
     pub fn repair(&self) -> Result<Vec<LogRecord>> {
-        let names = self.segment_names();
-        let mut out = Vec::new();
-        let mut survivors: Vec<Segment> = Vec::new();
-        let mut torn_at = None;
-        for (i, name) in names.iter().enumerate() {
-            let (records, good_len, max_seq) = self.replay_segment(name)?;
-            let file_len = self.vfs.len(name).unwrap_or(0);
-            out.extend(records);
-            survivors.push(Segment {
-                name: name.clone(),
-                max_seq,
-            });
-            if good_len < file_len {
-                self.vfs.truncate(name, good_len)?;
-                torn_at = Some(i);
-                break;
-            }
-        }
-        if let Some(i) = torn_at {
-            // A tear can only be the end of the log; later segments (a
-            // corruption case, never a clean crash) are unreachable by
-            // replay and must not outlive it.
-            for name in &names[i + 1..] {
-                self.vfs.delete(name)?;
-            }
-        }
-        let mut segs = self.lock_segs();
-        let active = survivors.pop();
-        match active {
-            Some(active) => {
-                *segs = SegState {
-                    next_index: Self::segment_index(&self.base, &active.name)
-                        .map_or(2, |i| i + 1)
-                        .max(2),
-                    active_bytes: self.vfs.len(&active.name).unwrap_or(0),
-                    active_max_seq: active.max_seq,
-                    active: active.name,
-                    closed: survivors,
+        let mut segments: Vec<(u64, String)> = self
+            .vfs
+            .list(&self.base)?
+            .into_iter()
+            .filter_map(|n| Self::segment_index(&self.base, &n).map(|i| (i, n)))
+            .collect();
+        segments.sort_unstable();
+        let mut records = Vec::new();
+        let mut state = SegState::empty(&self.base);
+        for (i, (index, name)) in segments.iter().enumerate() {
+            let mut max_seq = 0;
+            let last = i + 1 == segments.len();
+            let len = repair_frames(&self.vfs, name, last, |payload| {
+                let mut p = Decoder::new(payload);
+                let record = LogRecord {
+                    table: p.get_str()?.to_string(),
+                    key: p.get_bytes()?.to_vec(),
+                    body: p.get_bytes()?.to_vec(),
+                    timestamp: p.get_u64_fixed()?,
                 };
+                max_seq = max_seq.max(record.timestamp);
+                records.push(record);
+                Ok(())
+            })?;
+            if i > 0 {
+                state.closed.push(Segment {
+                    name: std::mem::take(&mut state.active),
+                    max_seq: state.active_max_seq,
+                });
             }
-            None => {
-                *segs = SegState {
-                    closed: Vec::new(),
-                    active: self.base.clone(),
-                    active_bytes: 0,
-                    active_max_seq: 0,
-                    next_index: 2,
-                };
-            }
+            state.active = name.clone();
+            state.active_bytes = len;
+            state.active_max_seq = max_seq;
+            state.next_index = index + 1;
         }
-        Ok(out)
+        *self.lock_segs() = state;
+        Ok(records)
     }
+}
+
+/// Reads the CRC frames of one log file back — an absent file is an empty
+/// one — handing each intact payload to `record`, and returns where the
+/// intact prefix ends. `Manifest::repair` and [`CommitLog::repair`] read
+/// the engine's logs through it, so it holds their one rule:
+///
+/// * a frame whose bytes stop short of what its header declares is a tear,
+///   what a crash mid-append leaves. In the log's `last` file it is
+///   truncated away, so that later appends never land beyond it; in any
+///   other file it is corruption;
+/// * a complete frame whose CRC fails is corruption.
+///
+/// Corruption is [`NosqlError::Corrupt`], naming the file and the offset,
+/// and leaves the file as it is.
+pub(crate) fn repair_frames(
+    vfs: &Vfs,
+    file: &str,
+    last: bool,
+    mut record: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<u64> {
+    let data = match vfs.read_all(file) {
+        Ok(data) => data,
+        Err(StorageError::NotFound(_)) => return Ok(0),
+        Err(e) => return Err(e.into()),
+    };
+    for frame in Frames::new(&data) {
+        match frame {
+            Ok(payload) => record(payload)?,
+            Err(FrameError::Torn { at }) if last => {
+                vfs.truncate(file, at as u64)?;
+                return Ok(at as u64);
+            }
+            Err(e) => return Err(NosqlError::Corrupt(format!("{file}: {e}"))),
+        }
+    }
+    Ok(data.len() as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -557,7 +508,7 @@ impl GroupCommitLog {
         }
     }
 
-    /// The wrapped log, for replay/repair/size/truncate during recovery
+    /// The wrapped log, for repair/size/truncate during recovery
     /// and flush (single-caller phases), and the segment room a write chunk
     /// is sized against (locked internally, safe beside appends).
     pub fn plain(&self) -> &CommitLog {
@@ -706,27 +657,14 @@ mod tests {
         let log = CommitLog::open(vfs, "ks/commitlog");
         log.append(&rec(1)).unwrap();
         log.append_batch(&[rec(2), rec(3)]).unwrap();
-        assert_eq!(log.replay().unwrap(), vec![rec(1), rec(2), rec(3)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(1), rec(2), rec(3)]);
         assert!(log.size() > 0);
     }
 
     #[test]
-    fn replay_of_missing_log_is_empty() {
+    fn repair_of_missing_log_is_empty() {
         let log = CommitLog::open(Vfs::memory(), "nope");
-        assert!(log.replay().unwrap().is_empty());
-    }
-
-    #[test]
-    fn torn_tail_is_dropped() {
-        let vfs = Vfs::memory();
-        let log = CommitLog::open(vfs.clone(), "log");
-        log.append(&rec(1)).unwrap();
-        log.append(&rec(2)).unwrap();
-        // Simulate a torn write: truncate the file mid-frame.
-        let data = vfs.read_all("log").unwrap();
-        vfs.delete("log").unwrap();
-        vfs.append("log", &data[..data.len() - 3]).unwrap();
-        assert_eq!(log.replay().unwrap(), vec![rec(1)]);
+        assert!(log.repair().unwrap().is_empty());
     }
 
     #[test]
@@ -734,12 +672,38 @@ mod tests {
         let vfs = Vfs::memory();
         let log = CommitLog::open(vfs.clone(), "log");
         log.append(&rec(1)).unwrap();
+        let second = vfs.len("log").unwrap();
+        log.append(&rec(2)).unwrap();
         let mut data = vfs.read_all("log").unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0xff;
+        *data.last_mut().unwrap() ^= 0xff;
         vfs.delete("log").unwrap();
         vfs.append("log", &data).unwrap();
-        assert!(log.replay().unwrap().is_empty());
+        // A whole frame failing its CRC is corruption, not a tear: an error
+        // naming the file and the frame's offset, and every byte is kept.
+        let err = log.repair().unwrap_err();
+        let want = format!("log: frame at byte {second} fails its CRC");
+        assert!(
+            matches!(&err, NosqlError::Corrupt(m) if *m == want),
+            "{err}"
+        );
+        assert_eq!(vfs.read_all("log").unwrap(), data);
+    }
+
+    #[test]
+    fn a_tear_before_the_last_segment_is_corruption() {
+        let vfs = Vfs::memory();
+        let log = CommitLog::open(vfs.clone(), "log").with_segment_bytes(1);
+        for i in 1..=3 {
+            log.append(&rec(i)).unwrap();
+        }
+        let torn = vfs.len("log.000002").unwrap() - 2;
+        vfs.truncate("log.000002", torn).unwrap();
+        let err = log.repair().unwrap_err();
+        let want = "log.000002: torn frame at byte 0";
+        assert!(matches!(&err, NosqlError::Corrupt(m) if m == want), "{err}");
+        // Nothing truncated, nothing deleted.
+        assert_eq!(vfs.list("log").unwrap().len(), 3);
+        assert_eq!(vfs.len("log.000002").unwrap(), torn);
     }
 
     #[test]
@@ -753,9 +717,9 @@ mod tests {
         assert_eq!(log.repair().unwrap(), vec![rec(1)]);
         assert_eq!(log.size(), good, "torn bytes removed from disk");
         // Regression: without the physical truncation, this append would
-        // land beyond the tear and be unreachable on the next replay.
+        // land beyond the tear and be unreachable on the next repair.
         log.append(&rec(3)).unwrap();
-        assert_eq!(log.replay().unwrap(), vec![rec(1), rec(3)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(1), rec(3)]);
     }
 
     #[test]
@@ -765,7 +729,7 @@ mod tests {
         log.append(&rec(1)).unwrap();
         log.truncate().unwrap();
         assert_eq!(log.size(), 0);
-        assert!(log.replay().unwrap().is_empty());
+        assert!(log.repair().unwrap().is_empty());
     }
 
     #[test]
@@ -776,16 +740,17 @@ mod tests {
             log.append(&rec(i)).unwrap();
         }
         assert!(log.segment_count() > 1, "64-byte segments must rotate");
-        assert_eq!(log.replay().unwrap(), (1..=12).map(rec).collect::<Vec<_>>());
+        assert_eq!(log.repair().unwrap(), (1..=12).map(rec).collect::<Vec<_>>());
         let files = vfs.list("log").unwrap();
         assert_eq!(files.len(), log.segment_count());
         assert!(files.contains(&"log".to_string()), "base is segment one");
-        // A reopened handle adopts the same segments.
+        // A new handle adopts the same segments on repair.
         let reopened = CommitLog::open(vfs, "log");
         assert_eq!(
-            reopened.replay().unwrap(),
+            reopened.repair().unwrap(),
             (1..=12).map(rec).collect::<Vec<_>>()
         );
+        assert_eq!(reopened.segment_count(), log.segment_count());
     }
 
     #[test]
@@ -798,14 +763,14 @@ mod tests {
         }
         assert_eq!(log.segment_count(), 5);
         assert_eq!(log.checkpoint(3).unwrap(), 3);
-        assert_eq!(log.replay().unwrap(), vec![rec(4), rec(5)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(4), rec(5)]);
         // The active segment survives even a floor above everything.
         assert_eq!(log.checkpoint(u64::MAX).unwrap(), 1);
-        assert_eq!(log.replay().unwrap(), vec![rec(5)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(5)]);
         assert!(log.size() > 0);
         // And appends continue on it.
         log.append(&rec(6)).unwrap();
-        assert_eq!(log.replay().unwrap(), vec![rec(5), rec(6)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(5), rec(6)]);
     }
 
     #[test]
@@ -825,9 +790,9 @@ mod tests {
         // Post-repair appends stay reachable, and checkpoints work off the
         // per-segment sequences repair computed.
         log.append(&rec(4)).unwrap();
-        assert_eq!(log.replay().unwrap(), vec![rec(1), rec(2), rec(4)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(1), rec(2), rec(4)]);
         assert_eq!(log.checkpoint(2).unwrap(), 2);
-        assert_eq!(log.replay().unwrap(), vec![rec(4)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(4)]);
     }
 
     #[test]
@@ -839,10 +804,10 @@ mod tests {
         }
         log.truncate().unwrap();
         assert_eq!(log.size(), 0);
-        assert!(log.replay().unwrap().is_empty());
+        assert!(log.repair().unwrap().is_empty());
         assert!(vfs.list("log").unwrap().is_empty(), "all segments deleted");
         log.append(&rec(9)).unwrap();
-        assert_eq!(log.replay().unwrap(), vec![rec(9)]);
+        assert_eq!(log.repair().unwrap(), vec![rec(9)]);
     }
 
     #[test]
@@ -851,7 +816,7 @@ mod tests {
         let gc = GroupCommitLog::new(CommitLog::open(vfs, "log"), Duration::ZERO);
         gc.append_group(frames(&[rec(1)])).unwrap();
         gc.append_group(frames(&[rec(2), rec(3)])).unwrap();
-        assert_eq!(gc.plain().replay().unwrap(), vec![rec(1), rec(2), rec(3)]);
+        assert_eq!(gc.plain().repair().unwrap(), vec![rec(1), rec(2), rec(3)]);
     }
 
     #[test]
@@ -870,7 +835,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let mut replayed = gc.plain().replay().unwrap();
+        let mut replayed = gc.plain().repair().unwrap();
         replayed.sort_by_key(|r| r.timestamp);
         assert_eq!(replayed, (1..=8).map(rec).collect::<Vec<_>>());
     }
@@ -944,7 +909,7 @@ mod tests {
         let vfs = Vfs::memory();
         let log = CommitLog::open(vfs, "log");
         log.append_frames(&in_place).unwrap();
-        assert_eq!(log.replay().unwrap(), records);
+        assert_eq!(log.repair().unwrap(), records);
     }
 
     #[test]

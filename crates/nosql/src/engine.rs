@@ -99,9 +99,13 @@ impl OpenOptions {
         self
     }
 
-    /// Runs crash recovery on open: schema-journal replay (with torn-tail
-    /// repair), manifest-ordered SSTable attach, orphan-file sweep, and
-    /// commit-log replay (with torn-tail repair).
+    /// Runs crash recovery on open. It reads back the manifest (the DDL
+    /// and each table's live SSTables) and the commit log, truncating a
+    /// torn tail off either and failing with `Corrupt` — every file left as
+    /// it was — on a damaged frame. Then it registers every table and
+    /// index, attaches their SSTables in age order, sweeps orphan SSTable
+    /// files and replays the commit log into the memtables. Without it the
+    /// VFS must be empty.
     pub fn recover(mut self, recover: bool) -> OpenOptions {
         self.recover = recover;
         self
@@ -116,12 +120,6 @@ impl OpenOptions {
     /// SSTable count that triggers compaction.
     pub fn compaction_threshold(mut self, count: usize) -> OpenOptions {
         self.table.compaction_threshold = count;
-        self
-    }
-
-    /// Sets the whole per-table tuning block at once.
-    pub fn table_options(mut self, table: TableOptions) -> OpenOptions {
-        self.table = table;
         self
     }
 
@@ -171,7 +169,6 @@ impl OpenOptions {
     }
 }
 
-const SCHEMA_LOG: &str = "schema.log";
 pub(crate) const COMMIT_LOG: &str = "commitlog";
 
 /// Estimated memtable overhead per version beyond key and body bytes.
@@ -987,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_from_schema_journal_and_commitlog() {
+    fn recovery_from_manifest_ddl_and_commitlog() {
         let vfs = Vfs::memory();
         {
             let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
@@ -1269,17 +1266,45 @@ mod tests {
             s.execute_cql("INSERT INTO t (id, v) VALUES (1, 7)")
                 .unwrap();
         }
-        let journal = String::from_utf8(vfs.read_all(SCHEMA_LOG).unwrap()).unwrap();
         assert_eq!(
-            journal,
-            "CREATE KEYSPACE ks\n\
-             CREATE TABLE ks.t (id int, v int, PRIMARY KEY (id))\n\
-             CREATE INDEX ON ks.t (v)\n"
+            Manifest::open(vfs.clone()).repair().unwrap().ddl,
+            [
+                "CREATE KEYSPACE ks",
+                "CREATE TABLE ks.t (id int, v int, PRIMARY KEY (id))",
+                "CREATE INDEX ON ks.t (v)",
+            ]
         );
-        // Replay has no session: the journal alone rebuilds table and index.
+        // Recovery has no session: the records alone rebuild table and index.
         let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
         let r = db.execute_cql("SELECT id FROM ks.t WHERE v = 7").unwrap();
         assert_eq!(r.rows(), vec![vec![CqlValue::Int(1)]]);
+    }
+
+    #[test]
+    fn the_manifest_and_the_commit_log_are_the_only_logs() {
+        let vfs = Vfs::memory();
+        let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+        db.execute_cql("CREATE KEYSPACE ks").unwrap();
+        db.execute_cql("CREATE TABLE ks.t (id int, v int, PRIMARY KEY (id))")
+            .unwrap();
+        db.execute_cql("CREATE INDEX ON ks.t (v)").unwrap();
+        db.execute_cql("INSERT INTO ks.t (id, v) VALUES (1, 7)")
+            .unwrap();
+        db.flush_all().unwrap();
+        db.execute_cql("INSERT INTO ks.t (id, v) VALUES (2, 8)")
+            .unwrap();
+        let files = vfs.list("").unwrap();
+        assert!(files.iter().any(|f| f == crate::manifest::MANIFEST_FILE));
+        assert!(files.iter().any(|f| f.starts_with(COMMIT_LOG)));
+        assert!(files.iter().any(|f| f.starts_with("ks/t/sst-")));
+        for file in &files {
+            assert!(
+                file == crate::manifest::MANIFEST_FILE
+                    || file.starts_with(COMMIT_LOG)
+                    || file.contains("/sst-"),
+                "{file}"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! DDL and TRUNCATE: everything that changes the table registry, under the
-//! state write lock.
+//! state write lock. DDL is recorded in the manifest, beside the SSTable
+//! edits; recovery registers every table and index from those records.
 
 use super::*;
 
 impl DbCore {
     /// Applies one DDL statement to the registry and, when `journal` is
-    /// set, appends it to the schema journal — fully qualified, since
-    /// replay has no session: an unqualified target is resolved into a copy
-    /// of the statement first.
+    /// set, records it in the manifest — fully qualified, since recovery
+    /// has no session: an unqualified target is resolved into a copy of the
+    /// statement first.
     pub(super) fn apply_ddl(
         &self,
         state: &mut EngineState,
@@ -49,9 +50,7 @@ impl DbCore {
             _ => return Err(NosqlError::Corrupt("not a DDL statement".into())),
         }
         if journal {
-            let mut line = resolved.to_cql();
-            line.push('\n');
-            self.vfs.append(SCHEMA_LOG, line.as_bytes())?;
+            self.manifest.commit_ddl(&resolved.to_cql())?;
         }
         Ok(())
     }

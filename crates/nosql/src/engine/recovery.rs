@@ -1,5 +1,6 @@
-//! Opening an engine and crash recovery: schema-journal replay, SSTable
-//! attach, orphan sweep and commit-log replay.
+//! Opening an engine and crash recovery: the manifest and the commit log
+//! read back, then every table and index registered, SSTables attached,
+//! orphans swept and the commit log replayed.
 
 use super::*;
 
@@ -35,22 +36,28 @@ impl DbCore {
         Ok(core)
     }
 
-    /// Crash recovery: rebuild registry and runtimes from the journals,
+    /// Crash recovery: rebuild registry and runtimes from the two logs,
     /// repairing every torn tail and sweeping unpublished files, so that the
     /// reopened engine contains exactly the acknowledged writes (plus,
     /// possibly, the one in-flight write the crash interrupted after its
     /// WAL frame became durable).
+    ///
+    /// Both logs are read back before anything is attached or deleted, so a
+    /// corrupt frame in either fails the open with every file left as it
+    /// was. Every table and index is registered before any SSTable is
+    /// attached, so a `CREATE INDEX` backfill runs over empty tables.
     fn recover_state(&self) -> Result<()> {
         let _span = crate::obs::nosql().recovery.start();
         let mut state = self.write_state();
-        self.replay_schema_journal(&mut state)?;
+        let catalog = self.manifest.repair()?;
+        let records = self.wal.plain().repair()?;
+        for cql in &catalog.ddl {
+            self.apply_ddl(&mut state, &parse_statement(cql)?, None, false)?;
+        }
         // The manifest and the WAL name tables by their qualified name.
         let tables: HashMap<&str, &Arc<TableCore>> =
             state.cores().map(|t| (t.qualified(), t)).collect();
-        // A missing manifest is an empty one: every `sst-*` file it does
-        // not list is an orphan.
-        let live = self.manifest.repair()?;
-        for (qualified, files) in &live {
+        for (qualified, files) in &catalog.tables {
             if let Some(table) = tables.get(qualified.as_str()) {
                 // Manifest order is age order — not name order, because a
                 // tiered merge's output sits mid-sequence in age.
@@ -59,10 +66,7 @@ impl DbCore {
                 }
             }
         }
-        self.sweep_orphans(&state, &live)?;
-        // Replay surviving commit-log records; `repair` truncates a torn
-        // final record so later appends stay reachable.
-        let records = self.wal.plain().repair()?;
+        self.sweep_orphans(&state, &catalog.tables)?;
         if sc_obs::enabled() {
             crate::obs::nosql()
                 .replayed_records
@@ -104,29 +108,6 @@ impl DbCore {
             max_seq = max_seq.max(table.max_disk_seq()?);
         }
         self.tracker.set_floor(max_seq);
-        Ok(())
-    }
-
-    /// Replays DDL from the schema journal. The journal is line-framed; a
-    /// crash mid-append leaves a trailing segment without a terminating
-    /// newline, which is truncated away. A *complete* line that fails to
-    /// parse, or is not DDL, is genuine corruption and still errors.
-    fn replay_schema_journal(&self, state: &mut EngineState) -> Result<()> {
-        let data = match self.vfs.read_all(SCHEMA_LOG) {
-            Ok(d) => d,
-            Err(sc_storage::StorageError::NotFound(_)) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        let good_len = data.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-        if good_len < data.len() {
-            self.vfs.truncate(SCHEMA_LOG, good_len as u64)?;
-        }
-        let text = std::str::from_utf8(&data[..good_len])
-            .map_err(|_| NosqlError::Corrupt("schema journal is not UTF-8".into()))?;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let stmt = parse_statement(line)?;
-            self.apply_ddl(state, &stmt, None, false)?;
-        }
         Ok(())
     }
 

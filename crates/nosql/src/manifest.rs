@@ -1,16 +1,20 @@
-//! The SSTable manifest: atomic publication of flush and compaction results.
+//! The manifest: the engine's one catalog log, the atomic publication of
+//! DDL, flush and compaction results.
 //!
-//! An SSTable file only *exists*, as far as the engine is concerned, once a
-//! manifest record names it. Flush writes the SSTable bytes first and
-//! appends the add record second, so a crash mid-flush leaves an orphan
+//! Every `CREATE KEYSPACE/TABLE/INDEX` is a record, fully qualified since
+//! recovery has no session, and so is every change to the live SSTable
+//! set. An SSTable file only *exists*, as far as the engine is concerned,
+//! once a manifest record names it. Flush writes the SSTable bytes first
+//! and appends the add record second, so a crash mid-flush leaves an orphan
 //! file that recovery deletes — never a half-table that recovery opens.
 //! Compaction commits its swap (one add + the replaced files' removes) as a
 //! single append before deleting anything, so the transition is atomic:
 //! recovery sees either the old run or the merged table, never both.
 //!
-//! Records use the commit log's framing — `[len: u32][crc: u32][payload]`,
-//! `sc_encoding::Frames` — and the same torn-tail rule: replay stops at the
-//! first bad frame, and [`Manifest::repair`] physically truncates it away.
+//! Records use the commit log's framing — `[len: u32][crc: u32][payload]`
+//! — and [`Manifest::repair`] reads them back through the commit log's one
+//! frame reader, under its one rule: a torn tail is truncated away, a
+//! corrupt frame is an error.
 //!
 //! The per-table file lists preserve **age order**, which is not id order:
 //! a tiered merge splices its output into the middle of the age sequence
@@ -18,13 +22,18 @@
 //! therefore inserts its adds at the position of the first file it removes,
 //! reproducing the in-memory splice exactly across restarts.
 
+use crate::commitlog::repair_frames;
 use crate::error::Result;
-use sc_encoding::{Decoder, Encoder, Frames};
+use sc_encoding::{DecodeError, Decoder, Encoder};
 use sc_storage::Vfs;
 use std::collections::BTreeMap;
 
 /// The manifest's file name in the VFS namespace.
 pub const MANIFEST_FILE: &str = "MANIFEST";
+
+/// Record tags, the first byte of a record's payload.
+const EDIT: u8 = 0;
+const DDL: u8 = 1;
 
 /// One atomic change to the live SSTable set. Entries are
 /// `(qualified table name, file name)` pairs.
@@ -51,7 +60,16 @@ impl ManifestEdit {
     }
 }
 
-/// Append/replay handle for one engine's manifest. Cheap to clone.
+/// What the manifest holds, read back.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Catalog {
+    /// Every DDL statement, fully qualified CQL, in commit order.
+    pub ddl: Vec<String>,
+    /// The live SSTable files of each qualified table, in age order.
+    pub tables: BTreeMap<String, Vec<String>>,
+}
+
+/// Append/repair handle for one engine's manifest. Cheap to clone.
 #[derive(Debug, Clone)]
 pub struct Manifest {
     vfs: Vfs,
@@ -68,48 +86,54 @@ impl Manifest {
         if edit.is_empty() {
             return Ok(());
         }
-        let mut frame = Encoder::new();
-        frame.put_frame(|p| {
+        self.append(EDIT, |p| {
             for list in [&edit.adds, &edit.removes] {
                 p.put_u64(list.len() as u64);
                 for (table, file) in list {
                     p.put_str(table).put_str(file);
                 }
             }
+        })
+    }
+
+    /// Appends one DDL statement, fully qualified CQL, as a record.
+    pub fn commit_ddl(&self, cql: &str) -> Result<()> {
+        self.append(DDL, |p| {
+            p.put_str(cql);
+        })
+    }
+
+    fn append(&self, tag: u8, body: impl FnOnce(&mut Encoder)) -> Result<()> {
+        let mut frame = Encoder::new();
+        frame.put_frame(|p| {
+            body(p.put_u8(tag));
         });
         self.vfs.append(MANIFEST_FILE, frame.bytes())?;
         Ok(())
     }
 
-    /// Replays every intact record into the live per-table file lists (in
-    /// age order). Returns the lists plus the byte length of the valid
-    /// prefix; a torn or corrupt tail ends the replay without error.
-    pub fn load(&self) -> Result<(BTreeMap<String, Vec<String>>, u64)> {
-        let data = match self.vfs.read_all(MANIFEST_FILE) {
-            Ok(d) => d,
-            Err(sc_storage::StorageError::NotFound(_)) => return Ok((BTreeMap::new(), 0)),
-            Err(e) => return Err(e.into()),
-        };
-        let mut tables: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        let mut frames = Frames::new(&data);
-        for payload in frames.by_ref() {
-            Self::apply(&mut tables, &Self::decode_edit(payload)?);
-        }
-        Ok((tables, frames.good_len() as u64))
+    /// Reads every record back into the [`Catalog`] — a missing manifest is
+    /// an empty one — and truncates a torn tail off the file, so
+    /// post-recovery commits never land beyond a tear. A corrupt record is
+    /// `NosqlError::Corrupt`, and the file is left as it is.
+    pub fn repair(&self) -> Result<Catalog> {
+        let mut catalog = Catalog::default();
+        repair_frames(&self.vfs, MANIFEST_FILE, true, |payload| {
+            let mut p = Decoder::new(payload);
+            match p.get_u8()? {
+                EDIT => Self::apply(&mut catalog.tables, &Self::decode_edit(&mut p)?),
+                DDL => catalog.ddl.push(p.get_str()?.to_string()),
+                tag => {
+                    let context = "manifest record";
+                    return Err(DecodeError::BadTag { tag, context }.into());
+                }
+            }
+            Ok(())
+        })?;
+        Ok(catalog)
     }
 
-    /// [`Manifest::load`], then truncates the torn tail (if any) off the
-    /// file so post-recovery commits never land beyond a tear.
-    pub fn repair(&self) -> Result<BTreeMap<String, Vec<String>>> {
-        let (tables, good_len) = self.load()?;
-        if self.vfs.exists(MANIFEST_FILE) && self.vfs.len(MANIFEST_FILE)? > good_len {
-            self.vfs.truncate(MANIFEST_FILE, good_len)?;
-        }
-        Ok(tables)
-    }
-
-    fn decode_edit(payload: &[u8]) -> Result<ManifestEdit> {
-        let mut p = Decoder::new(payload);
+    fn decode_edit(p: &mut Decoder<'_>) -> Result<ManifestEdit> {
         let mut edit = ManifestEdit::default();
         for list in [&mut edit.adds, &mut edit.removes] {
             for _ in 0..p.get_u64()? {
@@ -158,9 +182,10 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::NosqlError;
 
     fn live(m: &Manifest) -> BTreeMap<String, Vec<String>> {
-        m.load().unwrap().0
+        m.repair().unwrap().tables
     }
 
     #[test]
@@ -214,6 +239,21 @@ mod tests {
     }
 
     #[test]
+    fn ddl_and_edits_read_back_in_commit_order() {
+        let m = Manifest::open(Vfs::memory());
+        m.commit_ddl("CREATE KEYSPACE ks").unwrap();
+        m.commit(&ManifestEdit::add("ks.t", "ks/t/sst-000000"))
+            .unwrap();
+        m.commit_ddl("CREATE INDEX ON ks.t (v)").unwrap();
+        let catalog = m.repair().unwrap();
+        assert_eq!(
+            catalog.ddl,
+            ["CREATE KEYSPACE ks", "CREATE INDEX ON ks.t (v)"]
+        );
+        assert_eq!(catalog.tables["ks.t"], ["ks/t/sst-000000"]);
+    }
+
+    #[test]
     fn torn_tail_is_dropped_and_repaired_away() {
         let vfs = Vfs::memory();
         let m = Manifest::open(vfs.clone());
@@ -224,20 +264,41 @@ mod tests {
             .unwrap();
         vfs.truncate(MANIFEST_FILE, vfs.len(MANIFEST_FILE).unwrap() - 2)
             .unwrap();
-        let tables = m.repair().unwrap();
+        let tables = live(&m);
         assert_eq!(tables["ks.t"], vec!["ks/t/sst-000000"]);
         assert_eq!(vfs.len(MANIFEST_FILE).unwrap(), good, "tail truncated");
-        // A post-repair commit replays cleanly.
+        // A post-repair commit reads back cleanly.
         m.commit(&ManifestEdit::add("ks.t", "ks/t/sst-000002"))
             .unwrap();
         assert_eq!(live(&m)["ks.t"], vec!["ks/t/sst-000000", "ks/t/sst-000002"]);
     }
 
     #[test]
+    fn a_corrupt_record_is_an_error_and_the_file_is_kept() {
+        let vfs = Vfs::memory();
+        let m = Manifest::open(vfs.clone());
+        m.commit(&ManifestEdit::add("ks.t", "ks/t/sst-000000"))
+            .unwrap();
+        let second = vfs.len(MANIFEST_FILE).unwrap();
+        m.commit(&ManifestEdit::add("ks.t", "ks/t/sst-000001"))
+            .unwrap();
+        let mut data = vfs.read_all(MANIFEST_FILE).unwrap();
+        *data.last_mut().unwrap() ^= 1;
+        vfs.delete(MANIFEST_FILE).unwrap();
+        vfs.append(MANIFEST_FILE, &data).unwrap();
+        let err = m.repair().unwrap_err();
+        let want = format!("MANIFEST: frame at byte {second} fails its CRC");
+        assert!(
+            matches!(&err, NosqlError::Corrupt(m) if *m == want),
+            "{err}"
+        );
+        assert_eq!(vfs.read_all(MANIFEST_FILE).unwrap(), data);
+    }
+
+    #[test]
     fn missing_manifest_is_empty() {
         let m = Manifest::open(Vfs::memory());
-        assert!(live(&m).is_empty());
-        assert!(m.repair().unwrap().is_empty());
+        assert_eq!(m.repair().unwrap(), Catalog::default());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Flush/compaction tuning.
 #[derive(Debug, Clone, Copy)]
-pub struct TableOptions {
+pub(crate) struct TableOptions {
     /// Memtable bytes that trigger a flush.
     pub memtable_flush_bytes: usize,
     /// SSTable count that triggers a full compaction.

@@ -3,8 +3,8 @@
 //!
 //! The bulk apply commits rows in chunks that end where one INSERT per row
 //! would have flushed a memtable or rotated the commit log, so both engines
-//! must leave the same bytes in every file — SSTables, manifest (every flush
-//! and merge is an edit there), commit-log segments, schema journal — and
+//! must leave the same bytes in every file — SSTables, manifest (every DDL
+//! statement, flush and merge is a record there), commit-log segments — and
 //! answer every SELECT alike, postings included.
 
 use sc_encoding::Rng;

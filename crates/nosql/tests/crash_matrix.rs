@@ -1,5 +1,6 @@
 //! Crash-recovery integration tests: the full crash matrix, repeated random
-//! crashes in one history, and the torn-commit-log regression.
+//! crashes in one history, the torn-commit-log regression, and corrupt log
+//! frames refused rather than read as tears.
 
 use sc_encoding::Rng;
 use sc_nosql::crashtest::{self, Sweep};
@@ -178,6 +179,94 @@ fn torn_final_commit_log_record_is_truncated_not_fatal() {
         BTreeMap::from([(1, 10), (3, 30)]),
         "post-recovery write must not land beyond the old tear"
     );
+}
+
+/// Rewrites `file` with `rot` applied to its bytes, as bit rot would.
+fn rot(vfs: &Vfs, file: &str, rot: impl FnOnce(&mut Vec<u8>)) {
+    let mut data = vfs.read_all(file).unwrap();
+    rot(&mut data);
+    vfs.delete(file).unwrap();
+    vfs.append(file, &data).unwrap();
+}
+
+/// Every file on `vfs`, with its bytes.
+fn disk(vfs: &Vfs) -> BTreeMap<String, Vec<u8>> {
+    let files = vfs.list("").unwrap().into_iter();
+    files
+        .map(|f| (f.clone(), vfs.read_all(&f).unwrap()))
+        .collect()
+}
+
+/// Recovery over a corrupt `file` fails with `Corrupt` naming it, and
+/// truncates, deletes and sweeps nothing.
+fn assert_refused(vfs: &Vfs, file: &str) {
+    let before = disk(vfs);
+    match Db::open(tiny(vfs.clone()).recover(true)) {
+        Err(NosqlError::Corrupt(m)) => assert!(m.starts_with(&format!("{file}: ")), "{m}"),
+        Err(e) => panic!("expected Corrupt naming {file}, got {e}"),
+        Ok(_) => panic!("a store with a corrupt {file} opened"),
+    }
+    assert_eq!(disk(vfs), before, "recovery changed the files");
+}
+
+/// A flipped byte in the manifest record naming the first SSTable is
+/// corruption, not a torn tail: recovery must not drop the records after it
+/// and sweep the SSTables they name.
+#[test]
+fn a_corrupt_manifest_record_is_refused_and_every_file_kept() {
+    let vfs = Vfs::memory();
+    let db = Db::open(tiny(vfs.clone())).unwrap();
+    db.execute_cql("CREATE KEYSPACE p").unwrap();
+    db.execute_cql("CREATE TABLE p.t (id int, v int, PRIMARY KEY (id))")
+        .unwrap();
+    let first_add = vfs.len("MANIFEST").unwrap_or(0) as usize;
+    for id in 0..2 {
+        db.execute_cql(&format!("INSERT INTO p.t (id, v) VALUES ({id}, 1)"))
+            .unwrap();
+        db.flush_all().unwrap();
+    }
+    drop(db);
+    assert_eq!(vfs.list("p/t/sst-").unwrap().len(), 2);
+    rot(&vfs, "MANIFEST", |data| data[first_add + 9] ^= 1);
+    assert_refused(&vfs, "MANIFEST");
+}
+
+/// DDL lives in the manifest under its CRC: a flipped column name is
+/// refused, not recovered as a table with another column.
+#[test]
+fn a_corrupt_ddl_record_is_refused() {
+    let vfs = Vfs::memory();
+    let db = Db::open(tiny(vfs.clone())).unwrap();
+    db.execute_cql("CREATE KEYSPACE p").unwrap();
+    db.execute_cql("CREATE TABLE p.t (id int, v int, PRIMARY KEY (id))")
+        .unwrap();
+    db.execute_cql("INSERT INTO p.t (id, v) VALUES (1, 10)")
+        .unwrap();
+    drop(db);
+    rot(&vfs, "MANIFEST", |data| {
+        let column = b"(id int, v int";
+        let at = data.windows(column.len()).position(|w| w == column);
+        data[at.expect("the CREATE TABLE record") + 9] = b'w';
+    });
+    assert_refused(&vfs, "MANIFEST");
+}
+
+/// A flipped byte in the first commit-log frame is corruption: recovery
+/// must not come back with none of the acknowledged rows.
+#[test]
+fn a_corrupt_commit_log_frame_is_refused_and_every_file_kept() {
+    let vfs = Vfs::memory();
+    let db = Db::open(tiny(vfs.clone())).unwrap();
+    db.execute_cql("CREATE KEYSPACE p").unwrap();
+    db.execute_cql("CREATE TABLE p.t (id int, v int, PRIMARY KEY (id))")
+        .unwrap();
+    for id in 0..3 {
+        db.execute_cql(&format!("INSERT INTO p.t (id, v) VALUES ({id}, 1)"))
+            .unwrap();
+    }
+    drop(db);
+    rot(&vfs, "commitlog", |data| data[9] ^= 1);
+    assert_refused(&vfs, "commitlog");
 }
 
 /// Regression for SSTable-id reuse after a crash: a merge that dies between

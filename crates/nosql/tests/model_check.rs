@@ -6,7 +6,6 @@
 //! against both the engine and a `HashMap` oracle.
 
 use sc_encoding::Rng;
-use sc_nosql::table::TableOptions;
 use sc_nosql::{CqlValue, Db, OpenOptions};
 use sc_storage::Vfs;
 use std::collections::HashMap;
@@ -42,20 +41,15 @@ fn random_op(rng: &mut Rng) -> Op {
     }
 }
 
-fn tiny_options() -> TableOptions {
-    TableOptions {
-        memtable_flush_bytes: 512, // force frequent flushes
-        compaction_threshold: 3,
-    }
+fn tiny(vfs: &Vfs) -> OpenOptions {
+    OpenOptions::default()
+        .vfs(vfs.clone())
+        .memtable_flush_bytes(512) // force frequent flushes
+        .compaction_threshold(3)
 }
 
 fn fresh(vfs: &Vfs) -> Db {
-    let db = Db::open(
-        OpenOptions::default()
-            .vfs(vfs.clone())
-            .table_options(tiny_options()),
-    )
-    .unwrap();
+    let db = Db::open(tiny(vfs)).unwrap();
     db.execute_cql("CREATE KEYSPACE m").unwrap();
     db.execute_cql("CREATE TABLE m.t (id int, v int, PRIMARY KEY (id))")
         .unwrap();
@@ -89,13 +83,7 @@ fn engine_agrees_with_oracle() {
                 Op::Recover => {
                     // Drop the engine and rebuild it from disk state.
                     drop(db);
-                    db = Db::open(
-                        OpenOptions::default()
-                            .vfs(vfs.clone())
-                            .table_options(tiny_options())
-                            .recover(true),
-                    )
-                    .unwrap();
+                    db = Db::open(tiny(&vfs).recover(true)).unwrap();
                 }
             }
             // Spot-check a couple of keys each step.
@@ -129,13 +117,7 @@ fn indexed_queries_agree_with_oracle() {
             .map(|_| (rng.gen_range(30) as i64, rng.gen_range(5) as i64))
             .collect();
         let flush_every = 1 + rng.gen_range(9) as usize;
-        let vfs = Vfs::memory();
-        let db = Db::open(
-            OpenOptions::default()
-                .vfs(vfs)
-                .table_options(tiny_options()),
-        )
-        .unwrap();
+        let db = Db::open(tiny(&Vfs::memory())).unwrap();
         db.execute_cql("CREATE KEYSPACE m").unwrap();
         db.execute_cql("CREATE TABLE m.t (id int, tag int, PRIMARY KEY (id))")
             .unwrap();

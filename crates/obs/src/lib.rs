@@ -11,9 +11,9 @@
 //! * **Gauges** — signed instantaneous values (`nosql.memtable.bytes`).
 //! * **Histograms** — log-bucketed (powers of two) latency/size
 //!   distributions with count/sum/min/max and quantile estimates.
-//! * **Spans** — RAII guards ([`SpanHandle::start`], or the [`span!`]
-//!   macro) that time a region and feed a `<name>.duration_ns` histogram
-//!   (plus `<name>.bytes` when bytes are attached).
+//! * **Spans** — RAII guards ([`SpanHandle::start`]) that time a region
+//!   and feed a `<name>.duration_ns` histogram (plus `<name>.bytes` when
+//!   bytes are attached).
 //!
 //! * **Traces** — per-request span *trees* with engine attribution
 //!   counters, tail-sampled into a bounded store (see [`trace`]). Off by

@@ -7,8 +7,8 @@
 //! trace is being built on the thread, the span also becomes a node of
 //! that trace's tree (see [`crate::trace`]).
 //!
-//! The [`span!`](crate::span!) macro caches the handle lookup in a
-//! per-call-site static, making the steady-state cost of an instrumented
+//! Instrumented code registers a handle once and keeps it (a struct field
+//! or a `OnceLock` static), making the steady-state cost of an instrumented
 //! region one atomic load (disabled) or one `Instant::now` pair plus a few
 //! relaxed RMWs (enabled).
 
@@ -16,8 +16,8 @@ use crate::enabled;
 use crate::histogram::Histogram;
 use std::time::Instant;
 
-/// A named, reusable span. Obtain one from [`Registry::span`](crate::Registry::span) (or the
-/// [`span!`](crate::span!) macro, which caches the lookup per call site).
+/// A named, reusable span. Obtain one from
+/// [`Registry::span`](crate::Registry::span).
 #[derive(Debug, Clone)]
 pub struct SpanHandle {
     name: &'static str,
@@ -95,27 +95,6 @@ impl Drop for SpanGuard<'_> {
             active.handle.bytes.record(active.bytes);
         }
     }
-}
-
-/// Enters a named span on the global registry, caching the handle in a
-/// per-call-site static. Returns a [`SpanGuard`].
-///
-/// ```
-/// let mut guard = sc_obs::span!("doc.demo.work");
-/// guard.add_bytes(128);
-/// drop(guard);
-/// let snap = sc_obs::Registry::global().snapshot();
-/// assert_eq!(snap.histogram("doc.demo.work.bytes").unwrap().count, 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:literal) => {{
-        static __SC_OBS_SPAN: ::std::sync::OnceLock<$crate::SpanHandle> =
-            ::std::sync::OnceLock::new();
-        __SC_OBS_SPAN
-            .get_or_init(|| $crate::Registry::global().span($name))
-            .start()
-    }};
 }
 
 #[cfg(test)]

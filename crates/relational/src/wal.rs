@@ -8,10 +8,12 @@
 //!
 //! The log is truncated at checkpoints — once pages and indexes are
 //! persisted the redo entries are redundant, exactly like InnoDB's
-//! checkpoint advancing the log's low-water mark.
+//! checkpoint advancing the log's low-water mark. Nothing reads it back:
+//! the relational engine does not recover from a crash, and the log is here
+//! for its write cost.
 
 use crate::error::Result;
-use sc_encoding::{Decoder, Encoder, Frames};
+use sc_encoding::Encoder;
 use sc_storage::Vfs;
 
 /// One redo record.
@@ -63,26 +65,6 @@ impl RedoLog {
         self.vfs.delete(&self.file)?;
         Ok(())
     }
-
-    /// Replays intact records (diagnostics / tests); a torn tail ends the
-    /// replay silently.
-    pub fn replay(&self) -> Result<Vec<RedoRecord>> {
-        let data = match self.vfs.read_all(&self.file) {
-            Ok(d) => d,
-            Err(sc_storage::StorageError::NotFound(_)) => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        };
-        let mut out = Vec::new();
-        for payload in Frames::new(&data) {
-            let mut p = Decoder::new(payload);
-            out.push(RedoRecord {
-                table: p.get_str()?.to_string(),
-                key: p.get_bytes()?.to_vec(),
-                row: p.get_bytes()?.to_vec(),
-            });
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -98,26 +80,20 @@ mod tests {
     }
 
     #[test]
-    fn append_replay_truncate() {
-        let log = RedoLog::open(Vfs::memory(), "redo");
-        log.append(&rec(1)).unwrap();
-        log.append(&rec(2)).unwrap();
-        assert!(log.size() > 0);
-        assert_eq!(log.replay().unwrap(), vec![rec(1), rec(2)]);
-        log.truncate().unwrap();
-        assert_eq!(log.size(), 0);
-        assert!(log.replay().unwrap().is_empty());
-    }
-
-    #[test]
-    fn torn_tail_is_ignored() {
+    fn each_append_is_one_frame_and_truncate_empties_the_log() {
         let vfs = Vfs::memory();
         let log = RedoLog::open(vfs.clone(), "redo");
         log.append(&rec(1)).unwrap();
+        let one = log.size() as usize;
         log.append(&rec(2)).unwrap();
+        assert_eq!(log.size() as usize, 2 * one);
+        // `[len][crc][payload]`, the payload being table, key and row image.
+        let mut payload = Encoder::new();
+        payload.put_str("d.t").put_bytes(&[1]).put_bytes(&[1; 4]);
         let data = vfs.read_all("redo").unwrap();
-        vfs.delete("redo").unwrap();
-        vfs.append("redo", &data[..data.len() - 2]).unwrap();
-        assert_eq!(log.replay().unwrap(), vec![rec(1)]);
+        assert_eq!(data[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(&data[8..one], payload.bytes());
+        log.truncate().unwrap();
+        assert_eq!(log.size(), 0);
     }
 }

@@ -79,13 +79,16 @@ echo "==> streaming smoke (sharded ingest + warehouse store == sequential pipeli
 # sequential pipeline's.
 cargo run --release -p sc-bench --bin repro -- stream --scale 0.01 --threads 2
 
-echo "==> multi-source example (five feeds, one warehouse)"
-cargo run --release --example multi_source_fusion
-
-echo "==> bikes pipeline example (XML feed cube == the generator's tuples)"
+echo "==> examples (each asserts its own results)"
 # bikes_pipeline panics if the cube its StreamPipeline builds from the
-# rendered XML differs from Dwarf::build over the XML-free tuples.
-cargo run --release --example bikes_pipeline
+# rendered XML differs from Dwarf::build over the XML-free tuples;
+# quickstart asserts store -> query -> rebuild, cube_queries the query
+# primitives, multi_source_fusion five feeds through one warehouse.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "--> $name"
+    cargo run --release --example "$name"
+done
 
 echo "==> sqllogictest tier (golden .slt scripts, memtable + flushed + compacted)"
 cargo test -q --release -p sc-nosql --test sqllogic
