@@ -836,7 +836,7 @@ fn trace_cmd(rows: usize, out: Option<&str>) {
         ServerConfig::default()
             .tenant("demo", "demo-token")
             .slow_query_threshold(Duration::ZERO)
-            .trace_policy(8, 32),
+            .trace_policy(32),
         db,
     )
     .expect("start server");

@@ -62,17 +62,6 @@ pub fn run_model(kind: ModelKind, cube: &Dwarf) -> StoreReport {
     model.store(&mapped, cube, false).expect("store")
 }
 
-/// The windows a scaled run covers: everything whose scaled tuple count
-/// stays under `max_tuples`.
-pub fn windows_within(scale: f64, max_tuples: usize) -> Vec<Window> {
-    Window::ALL
-        .into_iter()
-        .filter(|w| {
-            (DatasetSpec::for_window(*w).paper_tuples as f64 * scale) as usize <= max_tuples
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,13 +80,5 @@ mod tests {
         let d = prepare_dataset(Window::Day, 0.01, false);
         let report = run_model(ModelKind::NosqlDwarf, &d.cube);
         assert!(report.size.as_bytes() > 0);
-    }
-
-    #[test]
-    fn window_filter() {
-        let all = windows_within(1.0, usize::MAX);
-        assert_eq!(all.len(), 5);
-        let small = windows_within(1.0, 100_000);
-        assert_eq!(small, vec![Window::Day, Window::Week]);
     }
 }

@@ -175,11 +175,7 @@ impl NodeRows for NosqlDwarfModel {
             )));
         }
         stats.rows_fetched += r.len() as u64;
-        if sc_obs::enabled() {
-            let obs = crate::obs::store_query();
-            obs.rows_fetched.add(r.len() as u64 + 1);
-            obs.batch_size.record(r.len() as u64);
-        }
+        crate::obs::store_query().batch_size.record(r.len() as u64);
         let cells = r.rows().iter().map(|row| {
             Ok(OwnedCell {
                 key: row.get_text("key")?.to_string(),

@@ -215,27 +215,21 @@ impl<M: NodeRows> NodeSource<'static> for StoreNodeSource<'_, M> {
     }
 
     fn node(&mut self, id: SourceNodeId) -> std::result::Result<CowNode<'static>, CoreError> {
-        let enabled = sc_obs::enabled();
+        let obs = crate::obs::store_query();
         if let Some(node) = self.cache.get(id) {
             self.stats.node_cache_hits += 1;
-            if enabled {
-                crate::obs::store_query().node_cache_hits.add(1);
-            }
+            obs.node_cache_hits.inc();
             return Ok(CowNode::Owned(node));
         }
         self.stats.node_cache_misses += 1;
-        if enabled {
-            crate::obs::store_query().node_cache_misses.add(1);
-        }
-        let started = enabled.then(std::time::Instant::now);
+        obs.node_cache_misses.inc();
+        let _fetch = obs.fetch.start();
+        let fetched_before = self.stats.rows_fetched;
         let cells = self.model.node_cells(id, &mut self.stats)?;
+        obs.rows_fetched
+            .add(self.stats.rows_fetched - fetched_before);
         let empty_entry = id == self.entry_node_id && self.cell_count == 0;
         let node = Rc::new(fold_node(id, empty_entry, cells)?);
-        if let Some(started) = started {
-            crate::obs::store_query()
-                .fetch_ns
-                .record_duration(started.elapsed());
-        }
         self.cache.put(id, node.clone());
         Ok(CowNode::Owned(node))
     }

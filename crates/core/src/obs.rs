@@ -1,9 +1,9 @@
 //! Store read-path instrumentation handles (`core.store_query.*`).
 //!
-//! Registered once on the global registry; call sites gate on
-//! [`sc_obs::enabled`] so the disabled cost is a single relaxed load.
+//! Registered once on the global registry; every handle checks
+//! [`sc_obs::enabled`] itself, so the disabled cost is a single relaxed load.
 
-use sc_obs::{Counter, Histogram, Registry};
+use sc_obs::{Counter, Histogram, Registry, SpanHandle};
 use std::sync::OnceLock;
 
 pub(crate) struct StoreQueryObs {
@@ -15,8 +15,9 @@ pub(crate) struct StoreQueryObs {
     pub rows_fetched: Counter,
     /// Cells per batched `WHERE id IN (...)` fetch.
     pub batch_size: Histogram,
-    /// Latency of one node materialization from the store.
-    pub fetch_ns: Histogram,
+    /// One node materialization from the store
+    /// (`core.store_query.fetch.duration_ns`).
+    pub fetch: SpanHandle,
 }
 
 pub(crate) fn store_query() -> &'static StoreQueryObs {
@@ -28,7 +29,7 @@ pub(crate) fn store_query() -> &'static StoreQueryObs {
             node_cache_misses: r.counter("core.store_query.node_cache_misses"),
             rows_fetched: r.counter("core.store_query.rows_fetched"),
             batch_size: r.histogram("core.store_query.batch_size"),
-            fetch_ns: r.histogram("core.store_query.fetch_ns"),
+            fetch: r.span("core.store_query.fetch"),
         }
     })
 }

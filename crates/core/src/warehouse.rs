@@ -58,11 +58,6 @@ impl CubeWarehouse {
     pub fn rebuild(&mut self, schema_id: i64) -> Result<Dwarf> {
         self.model.rebuild(schema_id)
     }
-
-    /// Current total store size.
-    pub fn store_size(&mut self) -> Result<sc_encoding::ByteSize> {
-        self.model.size()
-    }
 }
 
 #[cfg(test)]
@@ -137,8 +132,6 @@ mod tests {
         let r2 = wh.store_window(&pipeline.build_cube(), false).unwrap();
         assert_ne!(r1.schema_id, r2.schema_id);
         assert_eq!(wh.stored().len(), 2);
-        // Store grew.
-        assert!(wh.store_size().unwrap() >= r2.size);
     }
 
     #[test]

@@ -18,31 +18,8 @@ use crate::schema::{AggFn, CubeSchema};
 use crate::tuple::TupleSet;
 use sc_encoding::FnvHashMap;
 
-/// Construction options; the default is the real DWARF algorithm.
-#[derive(Debug, Clone, Copy)]
-pub struct BuildOptions {
-    /// When `false`, single-source coalesces deep-copy instead of sharing,
-    /// yielding a fully materialized (non-shared) cube. Exists for the
-    /// ablation benchmark that measures what suffix coalescing saves; never
-    /// use it on large inputs.
-    pub suffix_coalescing: bool,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        Self {
-            suffix_coalescing: true,
-        }
-    }
-}
-
-/// Builds a cube with default options.
+/// Builds a cube over `tuples`.
 pub(crate) fn build(schema: CubeSchema, tuples: TupleSet) -> Dwarf {
-    build_with_options(schema, tuples, BuildOptions::default())
-}
-
-/// Builds a cube with explicit [`BuildOptions`].
-pub fn build_with_options(schema: CubeSchema, tuples: TupleSet, options: BuildOptions) -> Dwarf {
     let _span = crate::obs::dwarf().build.start();
     let mut sorted = tuples.into_sorted();
     sorted.check_invariants();
@@ -55,7 +32,6 @@ pub fn build_with_options(schema: CubeSchema, tuples: TupleSet, options: BuildOp
         nodes: Vec::new(),
         cache: FnvHashMap::default(),
         cache_hits: 0,
-        options,
     };
 
     let n = sorted.len();
@@ -134,7 +110,6 @@ struct Builder {
     /// Memo: canonical (sorted, deduped) coalesce inputs -> result node.
     cache: FnvHashMap<Box<[NodeId]>, NodeId>,
     cache_hits: u64,
-    options: BuildOptions,
 }
 
 impl Builder {
@@ -210,18 +185,12 @@ impl Builder {
         canon.sort_unstable();
         canon.dedup();
         if canon.len() == 1 {
-            return if self.options.suffix_coalescing {
-                // Share the existing sub-dwarf: this is suffix coalescing.
-                canon[0]
-            } else {
-                self.deep_copy(canon[0])
-            };
+            // Share the existing sub-dwarf: this is suffix coalescing.
+            return canon[0];
         }
-        if self.options.suffix_coalescing {
-            if let Some(&hit) = self.cache.get(canon.as_slice()) {
-                self.cache_hits += 1;
-                return hit;
-            }
+        if let Some(&hit) = self.cache.get(canon.as_slice()) {
+            self.cache_hits += 1;
+            return hit;
         }
         let level = self.nodes[canon[0] as usize].level;
         debug_assert!(
@@ -298,31 +267,8 @@ impl Builder {
             (all, self.total_of(all))
         };
         let result = self.push_node(merged, all_child, total, level);
-        if self.options.suffix_coalescing {
-            self.cache.insert(canon.into_boxed_slice(), result);
-        }
+        self.cache.insert(canon.into_boxed_slice(), result);
         result
-    }
-
-    /// Recursively duplicates a sub-dwarf (ablation mode only).
-    fn deep_copy(&mut self, id: NodeId) -> NodeId {
-        let node = self.nodes[id as usize];
-        let cells: Vec<Cell> = self.node_cells(id).to_vec();
-        let mut copied = Vec::with_capacity(cells.len());
-        for c in cells {
-            let child = if c.child == NONE_NODE {
-                NONE_NODE
-            } else {
-                self.deep_copy(c.child)
-            };
-            copied.push(Cell { child, ..c });
-        }
-        let all_child = if node.all_child == NONE_NODE {
-            NONE_NODE
-        } else {
-            self.deep_copy(node.all_child)
-        };
-        self.push_node(copied, all_child, node.total, node.level)
     }
 }
 
@@ -421,34 +367,6 @@ mod tests {
             Some(3)
         );
         assert_eq!(cube.point(&[v("Ireland"), v("Paris"), all]), None);
-    }
-
-    #[test]
-    fn ablation_mode_builds_equivalent_but_larger_cube() {
-        let shared = Dwarf::build(schema(), paper_like_tuples());
-        let copied = build_with_options(
-            schema(),
-            paper_like_tuples(),
-            BuildOptions {
-                suffix_coalescing: false,
-            },
-        );
-        copied.validate();
-        assert!(
-            copied.node_count() > shared.node_count(),
-            "disabling suffix coalescing must inflate the structure ({} vs {})",
-            copied.node_count(),
-            shared.node_count()
-        );
-        // Same answers either way.
-        let all = Selection::All;
-        for sel in [
-            vec![all.clone(), all.clone(), all.clone()],
-            vec![Selection::value("Ireland"), all.clone(), all.clone()],
-            vec![all.clone(), Selection::value("Dublin"), all.clone()],
-        ] {
-            assert_eq!(shared.point(&sel), copied.point(&sel));
-        }
     }
 
     #[test]

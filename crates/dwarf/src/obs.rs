@@ -1,9 +1,9 @@
 //! Cube instrumentation handles (`dwarf.*`).
 //!
-//! Registered once on the global registry; call sites gate on
-//! [`sc_obs::enabled`] so the disabled cost is a single relaxed load.
+//! Registered once on the global registry; every handle checks
+//! [`sc_obs::enabled`] itself, so the disabled cost is a single relaxed load.
 
-use sc_obs::{Counter, Histogram, Registry, SpanHandle};
+use sc_obs::{Counter, Registry, SpanHandle};
 use std::sync::OnceLock;
 
 pub(crate) struct DwarfObs {
@@ -12,8 +12,8 @@ pub(crate) struct DwarfObs {
     pub cells: Counter,
     pub tuples: Counter,
     pub coalesce_cache_hits: Counter,
-    pub point_ns: Histogram,
-    pub range_ns: Histogram,
+    pub point: SpanHandle,
+    pub range: SpanHandle,
 }
 
 pub(crate) fn dwarf() -> &'static DwarfObs {
@@ -26,8 +26,8 @@ pub(crate) fn dwarf() -> &'static DwarfObs {
             cells: r.counter("dwarf.build.cells"),
             tuples: r.counter("dwarf.build.tuples"),
             coalesce_cache_hits: r.counter("dwarf.build.coalesce_cache_hits"),
-            point_ns: r.histogram("dwarf.query.point_ns"),
-            range_ns: r.histogram("dwarf.query.range_ns"),
+            point: r.span("dwarf.query.point"),
+            range: r.span("dwarf.query.range"),
         }
     })
 }

@@ -60,19 +60,7 @@ impl Dwarf {
     ///
     /// Panics if `sel.len()` differs from the number of dimensions.
     pub fn point(&self, sel: &[Selection]) -> Option<i64> {
-        if !sc_obs::enabled() {
-            return self.point_inner(sel);
-        }
-        let _trace = sc_obs::trace::stage("dwarf.query.point");
-        let started = std::time::Instant::now();
-        let out = self.point_inner(sel);
-        crate::obs::dwarf()
-            .point_ns
-            .record_duration(started.elapsed());
-        out
-    }
-
-    fn point_inner(&self, sel: &[Selection]) -> Option<i64> {
+        let _span = crate::obs::dwarf().point.start();
         source::unwrap_infallible(source::point_over(&mut ArenaSource::new(self), sel))
     }
 
@@ -81,19 +69,7 @@ impl Dwarf {
     ///
     /// Panics if `sel.len()` differs from the number of dimensions.
     pub fn range(&self, sel: &[RangeSel]) -> Option<i64> {
-        if !sc_obs::enabled() {
-            return self.range_inner(sel);
-        }
-        let _trace = sc_obs::trace::stage("dwarf.query.range");
-        let started = std::time::Instant::now();
-        let out = self.range_inner(sel);
-        crate::obs::dwarf()
-            .range_ns
-            .record_duration(started.elapsed());
-        out
-    }
-
-    fn range_inner(&self, sel: &[RangeSel]) -> Option<i64> {
+        let _span = crate::obs::dwarf().range.start();
         let agg = self.schema().agg();
         source::unwrap_infallible(source::range_over(&mut ArenaSource::new(self), sel, agg))
     }

@@ -135,12 +135,6 @@ impl Encoder {
         self
     }
 
-    /// Writes an `f64` as its IEEE-754 little-endian bits.
-    pub fn put_f64(&mut self, v: f64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
     /// Writes a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
         self.put_u64(v.len() as u64);
@@ -338,14 +332,6 @@ impl<'a> Decoder<'a> {
         Ok(v)
     }
 
-    /// Reads an `f64` written by [`Encoder::put_f64`].
-    pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        let b = self.take(8, "f64")?;
-        Ok(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
     /// Reads a length-prefixed byte slice.
     #[inline]
     pub fn get_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
@@ -378,7 +364,6 @@ mod tests {
             .put_u32_fixed(0xdead_beef)
             .put_u64(300)
             .put_i64(-42)
-            .put_f64(3.5)
             .put_str("Fenian St")
             .put_bytes(&[1, 2, 3]);
         let bytes = enc.into_bytes();
@@ -388,7 +373,6 @@ mod tests {
         assert_eq!(dec.get_u32_fixed().unwrap(), 0xdead_beef);
         assert_eq!(dec.get_u64().unwrap(), 300);
         assert_eq!(dec.get_i64().unwrap(), -42);
-        assert_eq!(dec.get_f64().unwrap(), 3.5);
         assert_eq!(dec.get_str().unwrap(), "Fenian St");
         assert_eq!(dec.get_bytes().unwrap(), &[1, 2, 3]);
         assert!(dec.is_exhausted());

@@ -230,14 +230,6 @@ impl SelectColumns {
         )
     }
 
-    /// `SELECT COUNT(*)`.
-    pub fn count_star() -> SelectColumns {
-        SelectColumns::Items(vec![SelectItem::Aggregate {
-            func: AggFunc::Count,
-            column: None,
-        }])
-    }
-
     /// Whether any item is an aggregate call.
     pub fn has_aggregates(&self) -> bool {
         match self {

@@ -87,12 +87,6 @@ pub struct OpenOptions {
 }
 
 impl OpenOptions {
-    /// Starts from the defaults: fresh in-memory VFS, no recovery, default
-    /// flush/compaction tuning, zero group-commit delay.
-    pub fn new() -> OpenOptions {
-        OpenOptions::default()
-    }
-
     /// Opens over an explicit VFS (defaults to a fresh in-memory one).
     pub fn vfs(mut self, vfs: Vfs) -> OpenOptions {
         self.vfs = Some(vfs);
@@ -161,11 +155,6 @@ impl OpenOptions {
     pub fn wal_segment_bytes(mut self, bytes: u64) -> OpenOptions {
         self.wal_segment_bytes = Some(bytes);
         self
-    }
-
-    /// Builds the engine; sugar for [`Db::open`].
-    pub fn open(self) -> Result<Db> {
-        Db::open(self)
     }
 }
 

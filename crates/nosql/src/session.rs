@@ -27,7 +27,6 @@ use std::time::Duration;
 pub struct Session {
     core: Arc<DbCore>,
     keyspace: Option<String>,
-    tag: Option<String>,
     last_commit_wait: Duration,
 }
 
@@ -36,20 +35,8 @@ impl Session {
         Session {
             core,
             keyspace: None,
-            tag: None,
             last_commit_wait: Duration::ZERO,
         }
-    }
-
-    /// Labels this session for diagnostics (slow-query attribution). The
-    /// tag is free-form — servers use the authenticated tenant/connection.
-    pub fn set_tag(&mut self, tag: impl Into<String>) {
-        self.tag = Some(tag.into());
-    }
-
-    /// The diagnostic label, if one was set.
-    pub fn tag(&self) -> Option<&str> {
-        self.tag.as_deref()
     }
 
     /// The session's current `USE` keyspace, if any.

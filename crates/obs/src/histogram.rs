@@ -30,7 +30,7 @@ pub fn bucket_bound(index: usize) -> u64 {
     }
 }
 
-/// Shared storage for one histogram (one cell per registry in a chain).
+/// Shared storage for one histogram.
 #[derive(Debug)]
 pub(crate) struct HistogramCore {
     buckets: [AtomicU64; BUCKETS],
@@ -92,11 +92,11 @@ impl HistogramCore {
     }
 }
 
-/// A handle onto a registered histogram. Cloning is cheap; all clones (and
-/// same-named handles from parent registries in a chain) share storage.
+/// A handle onto a registered histogram. Cloning is cheap; all clones share
+/// one core.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    pub(crate) cores: Arc<[Arc<HistogramCore>]>,
+    pub(crate) core: Arc<HistogramCore>,
 }
 
 impl Histogram {
@@ -104,11 +104,8 @@ impl Histogram {
     /// observability is disabled.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !enabled() {
-            return;
-        }
-        for core in self.cores.iter() {
-            core.record(value);
+        if enabled() {
+            self.core.record(value);
         }
     }
 
@@ -118,9 +115,9 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// A point-in-time copy of the first (local) core's state.
+    /// A point-in-time copy of the histogram's state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.cores[0].snapshot()
+        self.core.snapshot()
     }
 }
 

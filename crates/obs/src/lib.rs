@@ -13,32 +13,27 @@
 //!   distributions with count/sum/min/max and quantile estimates.
 //! * **Spans** — RAII guards ([`SpanHandle::start`]) that time a region
 //!   and feed a `<name>.duration_ns` histogram (plus `<name>.bytes` when
-//!   bytes are attached).
+//!   bytes are attached). A latency histogram over one thread's region is
+//!   always a span; there is no other timer.
 //!
 //! * **Traces** — per-request span *trees* with engine attribution
 //!   counters, tail-sampled into a bounded store (see [`trace`]). Off by
-//!   default; servers opt in with [`set_trace_enabled`].
+//!   default; servers opt in with [`set_trace_enabled`]. A region that
+//!   should appear in the tree but feed no histogram is a [`trace::stage`].
 //!
 //! Metric names follow the convention **`crate.component.metric`**
 //! (e.g. `storage.vfs.append_bytes`, `dwarf.build.nodes`).
 //!
 //! ## Hot-path cost
 //!
-//! Recording is lock-free: every metric cell is a relaxed `AtomicU64`.
-//! A process-wide toggle ([`set_enabled`]) turns all recording off; the
+//! Recording is lock-free: every handle holds one shared cell — an atomic,
+//! or a histogram's atomic buckets — updated with relaxed RMWs. A
+//! process-wide toggle ([`set_enabled`]) turns all recording off; the
 //! disabled path of [`Counter::add`], [`Histogram::record`] and
 //! [`SpanHandle::start`] is a **single relaxed atomic load** and never
 //! allocates (proven by `tests/no_alloc.rs`). The registry lock is touched
 //! only at handle registration time — instrumented code caches handles in
 //! `OnceLock` statics or struct fields, never looks them up per operation.
-//!
-//! ## Scoped views
-//!
-//! [`Registry::child`] creates a registry whose metrics *chain* to their
-//! same-named parents: one `add` increments both the local cell and the
-//! global one. `sc_stream::Metrics` uses this to keep per-pipeline
-//! snapshots (windows are independent) while the global registry still
-//! accumulates process totals.
 //!
 //! ```
 //! use sc_obs::Registry;

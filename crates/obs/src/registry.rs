@@ -1,5 +1,5 @@
 //! Named-metric registry: get-or-register counters, gauges and histograms,
-//! snapshot/reset, and parent-chained child registries for scoped views.
+//! snapshot and reset.
 
 use crate::enabled;
 use crate::histogram::{Histogram, HistogramCore, HistogramSnapshot};
@@ -8,11 +8,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// A monotonic counter handle. Cloning is cheap; all clones (and the parent
-/// chain's same-named counters) share storage.
+/// A monotonic counter handle. Cloning is cheap; all clones share one cell.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cells: Arc<[Arc<AtomicU64>]>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
@@ -20,11 +19,8 @@ impl Counter {
     /// disabled.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        for cell in self.cells.iter() {
-            cell.fetch_add(n, Ordering::Relaxed);
+        if enabled() {
+            self.cell.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -34,16 +30,17 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value of the local (first) cell.
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.cells[0].load(Ordering::Relaxed)
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
-/// A signed instantaneous-value handle.
+/// A signed instantaneous-value handle. Cloning is cheap; all clones share
+/// one cell.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    cells: Arc<[Arc<AtomicI64>]>,
+    cell: Arc<AtomicI64>,
 }
 
 impl Gauge {
@@ -51,28 +48,22 @@ impl Gauge {
     /// disabled.
     #[inline]
     pub fn add(&self, delta: i64) {
-        if !enabled() {
-            return;
-        }
-        for cell in self.cells.iter() {
-            cell.fetch_add(delta, Ordering::Relaxed);
+        if enabled() {
+            self.cell.fetch_add(delta, Ordering::Relaxed);
         }
     }
 
-    /// Sets every cell in the chain to `value`. No-op while disabled.
+    /// Sets the value. No-op while disabled.
     #[inline]
     pub fn set(&self, value: i64) {
-        if !enabled() {
-            return;
-        }
-        for cell in self.cells.iter() {
-            cell.store(value, Ordering::Relaxed);
+        if enabled() {
+            self.cell.store(value, Ordering::Relaxed);
         }
     }
 
-    /// Current value of the local (first) cell.
+    /// Current value.
     pub fn get(&self) -> i64 {
-        self.cells[0].load(Ordering::Relaxed)
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -95,11 +86,10 @@ impl Entry {
 
 /// Both maps are taken over with `into_inner` when poisoned: every update
 /// under their locks is one map operation that leaves the map valid, so a
-/// thread that panicked holding one (the kind-mismatch `panic!`s below fire
+/// thread that panicked holding one (the kind-mismatch `panic!` below fires
 /// with `metrics` locked) leaves every later registration working.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
-    parent: Option<Registry>,
     metrics: Mutex<BTreeMap<String, Entry>>,
     helps: Mutex<BTreeMap<String, String>>,
 }
@@ -107,53 +97,26 @@ struct Inner {
 /// A registry of named metrics.
 ///
 /// [`Registry::global`] is the process-wide instance every instrumented
-/// crate records into. [`Registry::child`] builds a scoped view whose
-/// metrics also feed their same-named parents, so per-pipeline snapshots
-/// and process totals coexist (see `sc_stream::Metrics`).
+/// crate records into.
 ///
 /// Registration takes a lock and may allocate; recording through the
 /// returned handles is lock-free. Callers therefore register once (e.g. in
 /// a `OnceLock` static or a struct field) and record through the handle.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<Inner>,
 }
 
-impl Default for Registry {
-    fn default() -> Registry {
-        Registry::new()
-    }
-}
-
 impl Registry {
-    /// A fresh, empty registry with no parent.
+    /// A fresh, empty registry.
     pub fn new() -> Registry {
-        Registry {
-            inner: Arc::new(Inner {
-                parent: None,
-                metrics: Mutex::new(BTreeMap::new()),
-                helps: Mutex::new(BTreeMap::new()),
-            }),
-        }
+        Registry::default()
     }
 
     /// The process-global registry.
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::new)
-    }
-
-    /// A child registry: metrics registered on it keep their own local
-    /// cells *and* chain every update into the same-named metric of this
-    /// registry (and its ancestors).
-    pub fn child(&self) -> Registry {
-        Registry {
-            inner: Arc::new(Inner {
-                parent: Some(self.clone()),
-                metrics: Mutex::new(BTreeMap::new()),
-                helps: Mutex::new(BTreeMap::new()),
-            }),
-        }
     }
 
     /// Attaches a human-readable description to metric `name`, rendered as
@@ -168,71 +131,32 @@ impl Registry {
             .insert(name.to_string(), help.to_string());
     }
 
-    // The kind-mismatch `panic!`s in the three functions below are reachable
-    // only by programmer error: metric names are string literals in the
-    // instrumented crates, never input.
-    fn local_counter_cell(&self, name: &str) -> Arc<AtomicU64> {
+    /// The cell registered under `name`: `make` creates the entry when the
+    /// name is new, `pick` takes the cell out of it.
+    ///
+    /// The kind-mismatch `panic!` is reachable only by programmer error:
+    /// metric names are string literals in the instrumented crates, never
+    /// input.
+    fn register<T>(
+        &self,
+        name: &str,
+        kind: &str,
+        make: fn() -> Entry,
+        pick: fn(&Entry) -> Option<T>,
+    ) -> T {
         let mut metrics = self
             .inner
             .metrics
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Counter(Arc::new(AtomicU64::new(0))))
-        {
-            Entry::Counter(cell) => Arc::clone(cell),
-            other => panic!(
-                "metric {name:?} already registered as a {}, not a counter",
-                other.kind()
+        let entry = metrics.entry(name.to_string()).or_insert_with(make);
+        match pick(entry) {
+            Some(cell) => cell,
+            None => panic!(
+                "metric {name:?} already registered as a {}, not a {kind}",
+                entry.kind()
             ),
         }
-    }
-
-    fn local_gauge_cell(&self, name: &str) -> Arc<AtomicI64> {
-        let mut metrics = self
-            .inner
-            .metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Gauge(Arc::new(AtomicI64::new(0))))
-        {
-            Entry::Gauge(cell) => Arc::clone(cell),
-            other => panic!(
-                "metric {name:?} already registered as a {}, not a gauge",
-                other.kind()
-            ),
-        }
-    }
-
-    fn local_histogram_core(&self, name: &str) -> Arc<HistogramCore> {
-        let mut metrics = self
-            .inner
-            .metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Histogram(Arc::new(HistogramCore::new())))
-        {
-            Entry::Histogram(core) => Arc::clone(core),
-            other => panic!(
-                "metric {name:?} already registered as a {}, not a histogram",
-                other.kind()
-            ),
-        }
-    }
-
-    fn chain<T>(&self, mut local: impl FnMut(&Registry) -> T) -> Vec<T> {
-        let mut cells = Vec::new();
-        let mut registry = Some(self);
-        while let Some(r) = registry {
-            cells.push(local(r));
-            registry = r.inner.parent.as_ref();
-        }
-        cells
     }
 
     /// Gets or registers the counter `name`.
@@ -240,9 +164,16 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter {
-            cells: self.chain(|r| r.local_counter_cell(name)).into(),
-        }
+        let cell = self.register(
+            name,
+            "counter",
+            || Entry::Counter(Arc::default()),
+            |entry| match entry {
+                Entry::Counter(cell) => Some(Arc::clone(cell)),
+                _ => None,
+            },
+        );
+        Counter { cell }
     }
 
     /// Gets or registers the gauge `name`.
@@ -250,9 +181,16 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge {
-            cells: self.chain(|r| r.local_gauge_cell(name)).into(),
-        }
+        let cell = self.register(
+            name,
+            "gauge",
+            || Entry::Gauge(Arc::default()),
+            |entry| match entry {
+                Entry::Gauge(cell) => Some(Arc::clone(cell)),
+                _ => None,
+            },
+        );
+        Gauge { cell }
     }
 
     /// Gets or registers the histogram `name`.
@@ -260,9 +198,16 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram {
-            cores: self.chain(|r| r.local_histogram_core(name)).into(),
-        }
+        let core = self.register(
+            name,
+            "histogram",
+            || Entry::Histogram(Arc::new(HistogramCore::new())),
+            |entry| match entry {
+                Entry::Histogram(core) => Some(Arc::clone(core)),
+                _ => None,
+            },
+        );
+        Histogram { core }
     }
 
     /// Gets or registers the pair of histograms backing span `name`
@@ -276,7 +221,7 @@ impl Registry {
         )
     }
 
-    /// A point-in-time copy of all *local* metrics, sorted by name.
+    /// A point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let metrics = self
             .inner
@@ -304,8 +249,7 @@ impl Registry {
         snap
     }
 
-    /// Zeroes every *local* metric (parents are untouched). Registered
-    /// handles stay valid.
+    /// Zeroes every metric. Registered handles stay valid.
     pub fn reset(&self) {
         let metrics = self
             .inner
@@ -418,22 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn child_chains_to_parent() {
-        let parent = Registry::new();
-        let child = parent.child();
-        let c = child.counter("r.chain.n");
-        c.add(5);
-        assert_eq!(child.snapshot().counter("r.chain.n"), Some(5));
-        assert_eq!(parent.snapshot().counter("r.chain.n"), Some(5));
-        // A second child keeps its own local view; the parent accumulates.
-        let c2 = parent.child().counter("r.chain.n");
-        c2.add(7);
-        assert_eq!(c2.get(), 7);
-        assert_eq!(parent.snapshot().counter("r.chain.n"), Some(12));
-        assert_eq!(child.snapshot().counter("r.chain.n"), Some(5));
-    }
-
-    #[test]
     fn gauge_set_and_add() {
         let registry = Registry::new();
         let g = registry.gauge("r.g.level");
@@ -444,17 +372,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_local_only() {
-        let parent = Registry::new();
-        let child = parent.child();
-        let c = child.counter("r.reset.n");
-        let h = child.histogram("r.reset.h");
+    fn reset_zeroes_and_keeps_handles_valid() {
+        let registry = Registry::new();
+        let c = registry.counter("r.reset.n");
+        let h = registry.histogram("r.reset.h");
         c.add(4);
         h.record(9);
-        child.reset();
-        assert_eq!(child.snapshot().counter("r.reset.n"), Some(0));
-        assert_eq!(child.snapshot().histogram("r.reset.h").unwrap().count, 0);
-        assert_eq!(parent.snapshot().counter("r.reset.n"), Some(4));
+        registry.reset();
+        assert_eq!(registry.snapshot().counter("r.reset.n"), Some(0));
+        assert_eq!(registry.snapshot().histogram("r.reset.h").unwrap().count, 0);
         assert_eq!(c.get(), 0, "handle stays valid after reset");
         c.inc();
         assert_eq!(c.get(), 1);

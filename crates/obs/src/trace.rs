@@ -28,7 +28,7 @@
 //! keeps the slowest-K plus one in every N offered (the first of each
 //! kind is always kept), each in a bounded ring. The request path never
 //! blocks on the sampler — `offer` uses `try_lock` and discards the trace
-//! if a scraper holds the lock (counted in [`TailSampler::contended_drops`]).
+//! if a scraper holds the lock.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -209,21 +209,7 @@ impl Trace {
                 span.start_ns,
                 span.duration_ns
             ));
-            let nonzero: Vec<(Attr, u64)> = Attr::ALL
-                .iter()
-                .map(|&a| (a, span.attrs[a as usize]))
-                .filter(|&(_, v)| v > 0)
-                .collect();
-            if !nonzero.is_empty() {
-                out.push_str(", \"attrs\": {");
-                for (j, (a, v)) in nonzero.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{}\": {v}", a.name()));
-                }
-                out.push('}');
-            }
+            push_nonzero_attrs(&mut out, "attrs", &span.attrs);
             out.push('}');
         }
         out.push_str("]}");
@@ -259,25 +245,24 @@ impl Trace {
                 us(span.start_ns),
                 us(span.duration_ns)
             ));
-            let nonzero: Vec<(Attr, u64)> = Attr::ALL
-                .iter()
-                .map(|&a| (a, span.attrs[a as usize]))
-                .filter(|&(_, v)| v > 0)
-                .collect();
-            if !nonzero.is_empty() {
-                out.push_str(", \"args\": {");
-                for (j, (a, v)) in nonzero.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{}\": {v}", a.name()));
-                }
-                out.push('}');
-            }
+            push_nonzero_attrs(&mut out, "args", &span.attrs);
             out.push('}');
         }
         out.push_str("\n]\n");
         out
+    }
+}
+
+/// Appends `, "<key>": {"<attr>": n, ...}` over the non-zero counters of
+/// `attrs`, and nothing when every counter is zero.
+fn push_nonzero_attrs(out: &mut String, key: &str, attrs: &[u64; Attr::COUNT]) {
+    let nonzero: Vec<String> = Attr::ALL
+        .iter()
+        .filter(|&&attr| attrs[attr as usize] > 0)
+        .map(|&attr| format!("\"{}\": {}", attr.name(), attrs[attr as usize]))
+        .collect();
+    if !nonzero.is_empty() {
+        out.push_str(&format!(", \"{key}\": {{{}}}", nonzero.join(", ")));
     }
 }
 
@@ -601,7 +586,6 @@ pub struct TailSampler {
     sample_one_in: AtomicU64,
     sample_cap: AtomicUsize,
     offered: AtomicU64,
-    contended: AtomicU64,
     inner: Mutex<BTreeMap<&'static str, KindBucket>>,
 }
 
@@ -620,7 +604,6 @@ impl TailSampler {
             sample_one_in: AtomicU64::new(64),
             sample_cap: AtomicUsize::new(32),
             offered: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
             inner: Mutex::new(BTreeMap::new()),
         }
     }
@@ -643,11 +626,10 @@ impl TailSampler {
     }
 
     /// Offers a completed trace. Returns whether it was retained. Never
-    /// blocks: under lock contention the trace is dropped and counted.
+    /// blocks: under lock contention the trace is dropped.
     pub fn offer(&self, trace: Trace) -> bool {
         self.offered.fetch_add(1, Ordering::Relaxed);
         let Ok(mut map) = self.inner.try_lock() else {
-            self.contended.fetch_add(1, Ordering::Relaxed);
             return false;
         };
         let bucket = map.entry(trace.kind).or_default();
@@ -728,11 +710,6 @@ impl TailSampler {
     /// Traces ever offered.
     pub fn offered(&self) -> u64 {
         self.offered.load(Ordering::Relaxed)
-    }
-
-    /// Traces dropped because `offer` found the sampler lock held.
-    pub fn contended_drops(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
     }
 }
 

@@ -21,6 +21,7 @@
 //! for scrapers.
 
 use crate::obs::server as obs;
+use crate::server::IDLE_POLL;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,7 +31,7 @@ use std::time::Duration;
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Accept loop for the metrics port. Runs until `shutdown` is set.
-pub(crate) fn run_http_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, poll: Duration) {
+pub(crate) fn run_http_loop(listener: TcpListener, shutdown: Arc<AtomicBool>) {
     listener
         .set_nonblocking(true)
         .expect("nonblocking metrics listener");
@@ -45,9 +46,9 @@ pub(crate) fn run_http_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, po
                 // thread count fixed.
                 let _ = serve_one(stream, &shutdown);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(poll),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(IDLE_POLL),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(poll),
+            Err(_) => std::thread::sleep(IDLE_POLL),
         }
     }
 }

@@ -13,7 +13,7 @@
 //! | `server.slow_queries`        | counter   | statements over the slow-query threshold  |
 //! | `server.bytes_in`            | counter   | frame bytes received (prefix included)    |
 //! | `server.bytes_out`           | counter   | frame bytes sent (prefix included)        |
-//! | `server.request.duration_ns` | histogram | end-to-end request handling latency       |
+//! | `server.request.duration_ns` | span      | end-to-end request handling latency       |
 //! | `server.statement.exec_ns`   | histogram | statement execution time, group-commit queueing excluded |
 //! | `server.statement.commit_wait_ns` | histogram | time queued in the group-commit WAL  |
 //! | `server.metrics_scrapes`     | counter   | HTTP `GET /metrics` requests served       |
@@ -23,7 +23,7 @@
 //! ([`Registry::describe`]) so the Prometheus exposition is
 //! self-documenting.
 
-use sc_obs::{Counter, Gauge, Histogram, Registry};
+use sc_obs::{Counter, Gauge, Histogram, Registry, SpanHandle};
 use std::sync::OnceLock;
 
 pub(crate) struct ServerObs {
@@ -36,7 +36,7 @@ pub(crate) struct ServerObs {
     pub slow_queries: Counter,
     pub bytes_in: Counter,
     pub bytes_out: Counter,
-    pub request_duration_ns: Histogram,
+    pub request: SpanHandle,
     pub statement_exec_ns: Histogram,
     pub commit_wait_ns: Histogram,
     pub metrics_scrapes: Counter,
@@ -78,7 +78,7 @@ pub(crate) fn server() -> &'static ServerObs {
             slow_queries: r.counter("server.slow_queries"),
             bytes_in: r.counter("server.bytes_in"),
             bytes_out: r.counter("server.bytes_out"),
-            request_duration_ns: r.histogram("server.request.duration_ns"),
+            request: r.span("server.request"),
             statement_exec_ns: r.histogram("server.statement.exec_ns"),
             commit_wait_ns: r.histogram("server.statement.commit_wait_ns"),
             metrics_scrapes: r.counter("server.metrics_scrapes"),

@@ -12,6 +12,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Slow-query ring capacity.
+const SLOW_QUERY_CAPACITY: usize = 128;
+
+/// Socket read timeout and accept-loop poll interval; bounds how long
+/// shutdown waits for an idle session to notice the drain flag.
+pub(crate) const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// Tail-sampler retention: keep the slowest this many traces per statement
+/// kind.
+const TRACE_SLOWEST: usize = 8;
+
 /// Server construction options.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -23,23 +34,13 @@ pub struct ServerConfig {
     pub tenants: Vec<(String, String)>,
     /// Statements slower than this land in the slow-query log.
     pub slow_query_threshold: Duration,
-    /// Slow-query ring capacity.
-    pub slow_query_capacity: usize,
-    /// Ceiling on a request frame's declared payload length.
-    pub max_frame_bytes: usize,
-    /// Socket read timeout; bounds how long shutdown waits for an idle
-    /// session to notice the drain flag.
-    pub idle_poll: Duration,
     /// Whether request tracing is on (`sc_obs::set_trace_enabled`):
     /// every statement builds a span tree and is offered to the global
     /// tail sampler, readable at `GET /debug/traces`.
     pub tracing: bool,
-    /// Tail-sampler retention: keep the slowest `trace_slowest` traces
-    /// per statement kind.
-    pub trace_slowest: usize,
-    /// Tail-sampler retention: additionally keep 1 in
-    /// `trace_sample_one_in` traces per statement kind (0 disables the
-    /// systematic sample; 1 keeps everything up to the ring bound).
+    /// Tail-sampler retention: besides the slowest 8 traces per statement
+    /// kind, keep 1 in `trace_sample_one_in` (0 disables the systematic
+    /// sample; 1 keeps everything up to the ring bound).
     pub trace_sample_one_in: u64,
 }
 
@@ -50,11 +51,7 @@ impl Default for ServerConfig {
             metrics_addr: "127.0.0.1:0".into(),
             tenants: Vec::new(),
             slow_query_threshold: Duration::from_millis(100),
-            slow_query_capacity: 128,
-            max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
-            idle_poll: Duration::from_millis(25),
             tracing: true,
-            trace_slowest: 8,
             trace_sample_one_in: 64,
         }
     }
@@ -80,9 +77,8 @@ impl ServerConfig {
     }
 
     /// Sets the tail-sampler retention policy (builder style): keep the
-    /// slowest `k` plus 1-in-`one_in` traces per statement kind.
-    pub fn trace_policy(mut self, k: usize, one_in: u64) -> ServerConfig {
-        self.trace_slowest = k;
+    /// slowest 8 plus 1-in-`one_in` traces per statement kind.
+    pub fn trace_policy(mut self, one_in: u64) -> ServerConfig {
         self.trace_sample_one_in = one_in;
         self
     }
@@ -146,7 +142,7 @@ impl Server {
         let tenants = Arc::new(tenants);
         let slowlog = Arc::new(SlowQueryLog::new(
             config.slow_query_threshold,
-            config.slow_query_capacity,
+            SLOW_QUERY_CAPACITY,
         ));
         let shutdown = Arc::new(AtomicBool::new(false));
         let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -156,9 +152,9 @@ impl Server {
         // slowest-K so the systematic sample has room of its own.
         sc_obs::set_trace_enabled(config.tracing);
         sc_obs::TailSampler::global().set_policy(
-            config.trace_slowest,
+            TRACE_SLOWEST,
             config.trace_sample_one_in,
-            config.trace_slowest.saturating_mul(4).max(32),
+            TRACE_SLOWEST * 4,
         );
 
         let listener = TcpListener::bind(&config.addr)?;
@@ -170,34 +166,26 @@ impl Server {
             let shutdown = Arc::clone(&shutdown);
             let sessions = Arc::clone(&sessions);
             let db = db.clone();
-            let idle_poll = config.idle_poll;
-            let max_frame_bytes = config.max_frame_bytes;
             let tenants = Arc::clone(&tenants);
             let slowlog = Arc::clone(&slowlog);
             std::thread::Builder::new()
                 .name("sc-server-accept".into())
                 .spawn(move || {
-                    run_accept_loop(
-                        listener,
-                        shutdown,
-                        sessions,
-                        move |shutdown| SessionContext {
+                    run_accept_loop(listener, shutdown, sessions, move |shutdown| {
+                        SessionContext {
                             db: db.clone(),
                             tenants: Arc::clone(&tenants),
                             slowlog: Arc::clone(&slowlog),
                             shutdown,
-                            max_frame_bytes,
-                        },
-                        idle_poll,
-                    )
+                        }
+                    })
                 })?
         };
         let http_handle = {
             let shutdown = Arc::clone(&shutdown);
-            let idle_poll = config.idle_poll;
             std::thread::Builder::new()
                 .name("sc-server-http".into())
-                .spawn(move || run_http_loop(metrics_listener, shutdown, idle_poll))?
+                .spawn(move || run_http_loop(metrics_listener, shutdown))?
         };
 
         Ok(Server {
@@ -271,7 +259,6 @@ fn run_accept_loop(
     shutdown: Arc<AtomicBool>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     make_context: impl Fn(Arc<AtomicBool>) -> SessionContext + Send + 'static,
-    idle_poll: Duration,
 ) {
     listener
         .set_nonblocking(true)
@@ -282,9 +269,7 @@ fn run_accept_loop(
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if let Err(e) =
-                    spawn_session(stream, &make_context, &shutdown, &sessions, idle_poll)
-                {
+                if let Err(e) = spawn_session(stream, &make_context, &shutdown, &sessions) {
                     // Out of threads or sockets: drop the connection, keep
                     // serving the ones we have.
                     let _ = e;
@@ -292,10 +277,10 @@ fn run_accept_loop(
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 reap_finished(&sessions);
-                std::thread::sleep(idle_poll);
+                std::thread::sleep(IDLE_POLL);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(idle_poll),
+            Err(_) => std::thread::sleep(IDLE_POLL),
         }
     }
 }
@@ -305,9 +290,8 @@ fn spawn_session(
     make_context: &impl Fn(Arc<AtomicBool>) -> SessionContext,
     shutdown: &Arc<AtomicBool>,
     sessions: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    idle_poll: Duration,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(idle_poll))?;
+    stream.set_read_timeout(Some(IDLE_POLL))?;
     stream.set_nodelay(true)?;
     let ctx = make_context(Arc::clone(shutdown));
     let handle = std::thread::Builder::new()

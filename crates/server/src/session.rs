@@ -12,7 +12,7 @@
 //! shutdown flag is observed promptly: on drain, an in-flight request is
 //! finished and answered, then the connection closes.
 
-use crate::frame::{write_frame, FrameError, FrameEvent, FrameReader};
+use crate::frame::{write_frame, FrameError, FrameEvent, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 use crate::obs::server as obs;
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::slowlog::{SlowQueryLog, SlowQueryMeta};
@@ -30,7 +30,6 @@ pub(crate) struct SessionContext {
     pub tenants: Arc<TenantMap>,
     pub slowlog: Arc<SlowQueryLog>,
     pub shutdown: Arc<AtomicBool>,
-    pub max_frame_bytes: usize,
 }
 
 /// Maps an engine error to a wire error code.
@@ -74,7 +73,7 @@ pub(crate) fn run_session(mut stream: TcpStream, ctx: &SessionContext) {
         Ok(s) => s,
         Err(_) => return,
     };
-    let mut reader = FrameReader::new(reader_stream, ctx.max_frame_bytes);
+    let mut reader = FrameReader::new(reader_stream, DEFAULT_MAX_FRAME_BYTES);
     let mut tenant: Option<String> = None;
     // One engine session per connection: carries the connection's USE
     // keyspace and commit-wait accounting. Statements from different
@@ -117,7 +116,7 @@ pub(crate) fn run_session(mut stream: TcpStream, ctx: &SessionContext) {
             Err(FrameError::Io(_)) => return,
         };
         obs().bytes_in.add(payload.len() as u64 + 4);
-        let started = Instant::now();
+        let request_span = obs().request.start();
         obs().requests.inc();
 
         let request = match Request::decode(&payload) {
@@ -140,7 +139,6 @@ pub(crate) fn run_session(mut stream: TcpStream, ctx: &SessionContext) {
             Request::Hello { token } => match ctx.tenants.authenticate(&token) {
                 Some(name) => {
                     tenant = Some(name.to_string());
-                    engine.set_tag(name);
                     Response::HelloOk {
                         tenant: name.to_string(),
                     }
@@ -190,9 +188,7 @@ pub(crate) fn run_session(mut stream: TcpStream, ctx: &SessionContext) {
                 }
             },
         };
-        obs()
-            .request_duration_ns
-            .record(started.elapsed().as_nanos() as u64);
+        drop(request_span);
         if send(&mut stream, &response).is_err() {
             return;
         }

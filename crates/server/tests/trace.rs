@@ -35,7 +35,7 @@ fn traced_query_decomposes_slow_log_latency_and_exports() {
             // Log everything; retain every offered trace (slowest-8 plus
             // a 1-in-1 systematic sample).
             .slow_query_threshold(Duration::ZERO)
-            .trace_policy(8, 1),
+            .trace_policy(1),
         db,
     )
     .unwrap();

@@ -364,15 +364,6 @@ impl Vfs {
             Backend::Fault(state) => state.inner().list(prefix),
         }
     }
-
-    /// Total bytes across all files whose names start with `prefix`.
-    pub fn total_size(&self, prefix: &str) -> Result<u64> {
-        let mut total = 0;
-        for f in self.list(prefix)? {
-            total += self.len(&f)?;
-        }
-        Ok(total)
-    }
 }
 
 #[cfg(test)]
@@ -397,8 +388,6 @@ mod tests {
         vfs.append("a/other", b"x").unwrap();
         vfs.append("b/log", b"yy").unwrap();
         assert_eq!(vfs.list("a/").unwrap(), vec!["a/log", "a/other"]);
-        assert_eq!(vfs.total_size("a/").unwrap(), 12);
-        assert_eq!(vfs.total_size("").unwrap(), 14);
         vfs.delete("a/other").unwrap();
         assert!(!vfs.exists("a/other"));
         vfs.delete("a/other").unwrap(); // idempotent

@@ -1,68 +1,53 @@
-//! Runtime counters for the streaming pipeline, backed by `sc-obs`.
+//! Runtime counters for the streaming pipeline.
 //!
 //! Workers, the merger and the ingest front-end all share one [`Metrics`]
-//! view through an `Arc`. Each `Metrics` is a *child* of the global
-//! [`sc_obs::Registry`]: the handles below keep per-pipeline local cells
-//! (so concurrent pipelines — and tests — see only their own traffic)
-//! while every increment also feeds the process-wide `stream.*` totals
-//! that `repro obs` / `--stats` report.
+//! through an `Arc` and count the run in plain relaxed atomics, so a run's
+//! counts are its own (concurrent pipelines, and tests, never see each
+//! other's traffic) and do not depend on [`sc_obs::set_enabled`].
+//! [`StreamIngestor::finish`](crate::StreamIngestor::finish) adds the run's
+//! totals to the process-wide `stream.*` counters of the global
+//! [`sc_obs::Registry`] once, which `repro obs` / `--stats` report and which
+//! do respect that switch.
 //!
 //! Counters are independent relaxed atomics — no ordering is implied
 //! between them, and a snapshot is only ever taken after the threads it
 //! observes have quiesced or for advisory progress reporting.
 
 use sc_obs::{Counter, Registry};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Shared counters, incremented live by pipeline threads.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     /// Raw payloads accepted by [`StreamIngestor::ingest`](crate::StreamIngestor::ingest).
-    pub events_in: Counter,
+    pub events_in: AtomicU64,
     /// Payloads successfully parsed and extracted by a worker.
-    pub events_parsed: Counter,
+    pub events_parsed: AtomicU64,
     /// Payloads rejected (malformed document or failed extraction).
-    pub events_failed: Counter,
+    pub events_failed: AtomicU64,
     /// Fact tuples extracted across all shards.
-    pub tuples_extracted: Counter,
+    pub tuples_extracted: AtomicU64,
     /// Micro-cubes sealed by watermark or final drain.
-    pub seals: Counter,
+    pub seals: AtomicU64,
     /// Sealed micro-cubes absorbed by the merger.
-    pub merges: Counter,
+    pub merges: AtomicU64,
     /// Sends that blocked on a full shard queue.
-    pub backpressure_stalls: Counter,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
+    pub backpressure_stalls: AtomicU64,
 }
 
 impl Metrics {
-    /// Creates a zeroed per-pipeline view chained to the global registry.
-    pub fn new() -> Self {
-        let r = Registry::global().child();
-        Metrics {
-            events_in: r.counter("stream.ingest.events_in"),
-            events_parsed: r.counter("stream.worker.events_parsed"),
-            events_failed: r.counter("stream.worker.events_failed"),
-            tuples_extracted: r.counter("stream.worker.tuples_extracted"),
-            seals: r.counter("stream.worker.seals"),
-            merges: r.counter("stream.merger.merges"),
-            backpressure_stalls: r.counter("stream.ingest.backpressure_stalls"),
-        }
-    }
-
-    /// Copies every counter's per-pipeline value into a plain snapshot.
+    /// Copies every counter into a plain snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         MetricsSnapshot {
-            events_in: self.events_in.get(),
-            events_parsed: self.events_parsed.get(),
-            events_failed: self.events_failed.get(),
-            tuples_extracted: self.tuples_extracted.get(),
-            seals: self.seals.get(),
-            merges: self.merges.get(),
-            backpressure_stalls: self.backpressure_stalls.get(),
+            events_in: get(&self.events_in),
+            events_parsed: get(&self.events_parsed),
+            events_failed: get(&self.events_failed),
+            tuples_extracted: get(&self.tuples_extracted),
+            seals: get(&self.seals),
+            merges: get(&self.merges),
+            backpressure_stalls: get(&self.backpressure_stalls),
         }
     }
 }
@@ -86,48 +71,53 @@ pub struct MetricsSnapshot {
     pub backpressure_stalls: u64,
 }
 
+impl MetricsSnapshot {
+    /// Every count beside the name of its process-wide counter.
+    fn named(&self) -> [(&'static str, u64); 7] {
+        [
+            ("stream.ingest.events_in", self.events_in),
+            ("stream.worker.events_parsed", self.events_parsed),
+            ("stream.worker.events_failed", self.events_failed),
+            ("stream.worker.tuples_extracted", self.tuples_extracted),
+            ("stream.worker.seals", self.seals),
+            ("stream.merger.merges", self.merges),
+            (
+                "stream.ingest.backpressure_stalls",
+                self.backpressure_stalls,
+            ),
+        ]
+    }
+
+    /// Adds this run's counts to the global `stream.*` counters (no-op while
+    /// [`sc_obs::enabled`] is off). The handles are registered once.
+    pub(crate) fn publish(&self) {
+        static TOTALS: OnceLock<Vec<Counter>> = OnceLock::new();
+        let totals = TOTALS.get_or_init(|| {
+            let registry = Registry::global();
+            let names = MetricsSnapshot::default().named().map(|(name, _)| name);
+            names.iter().map(|name| registry.counter(name)).collect()
+        });
+        for (total, (_, n)) in totals.iter().zip(self.named()) {
+            total.add(n);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshot_reflects_counters() {
-        let m = Metrics::new();
-        m.events_in.add(3);
-        m.tuples_extracted.add(40);
-        m.backpressure_stalls.add(1);
+        let m = Metrics::default();
+        m.events_in.fetch_add(3, Ordering::Relaxed);
+        m.tuples_extracted.fetch_add(40, Ordering::Relaxed);
+        m.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
         let snap = m.snapshot();
         assert_eq!(snap.events_in, 3);
         assert_eq!(snap.tuples_extracted, 40);
         assert_eq!(snap.backpressure_stalls, 1);
         assert_eq!(snap.events_failed, 0);
         assert_eq!(snap, m.snapshot());
-    }
-
-    #[test]
-    fn pipelines_do_not_see_each_other() {
-        let a = Metrics::new();
-        let b = Metrics::new();
-        a.events_in.add(5);
-        assert_eq!(a.snapshot().events_in, 5);
-        assert_eq!(b.snapshot().events_in, 0);
-    }
-
-    #[test]
-    fn global_registry_accumulates_across_pipelines() {
-        let before = sc_obs::Registry::global()
-            .snapshot()
-            .counter("stream.worker.seals")
-            .unwrap_or(0);
-        let a = Metrics::new();
-        let b = Metrics::new();
-        a.seals.add(2);
-        b.seals.add(3);
-        let after = sc_obs::Registry::global()
-            .snapshot()
-            .counter("stream.worker.seals")
-            .unwrap_or(0);
-        // Other tests may run concurrently and seal too, so >= not ==.
-        assert!(after >= before + 5, "global total {after} < {before} + 5");
     }
 }

@@ -32,6 +32,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use sc_dwarf::Dwarf;
 use sc_encoding::fnv1a_64;
 use sc_ingest::{CubeDef, StreamPipeline};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -73,7 +74,7 @@ impl StreamIngestor {
     /// Spawns the worker pool and merger for `def`.
     pub fn new(def: CubeDef, config: StreamConfig) -> StreamIngestor {
         config.validate();
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::default());
         // The merge queue is sized to the shard count: at any moment each
         // worker contributes at most one in-flight sealed cube plus one
         // being built, so this never becomes the bottleneck.
@@ -127,10 +128,12 @@ impl StreamIngestor {
     }
 
     fn dispatch(&self, shard: usize, payload: String) {
-        self.metrics.events_in.add(1);
+        self.metrics.events_in.fetch_add(1, Relaxed);
         match send_counting_stall(&self.shards[shard], payload) {
             Ok(false) => {}
-            Ok(true) => self.metrics.backpressure_stalls.add(1),
+            Ok(true) => {
+                self.metrics.backpressure_stalls.fetch_add(1, Relaxed);
+            }
             // A dead worker means a panic in parse/extract code; surface it
             // at the ingest site rather than deadlocking the producer.
             Err(_) => panic!("stream worker for shard {shard} terminated"),
@@ -143,7 +146,8 @@ impl StreamIngestor {
     }
 
     /// Drains every queue, seals what remains, joins all threads and
-    /// returns the merged cube plus final metrics.
+    /// returns the merged cube plus final metrics, which it also adds to
+    /// the global `stream.*` counters.
     pub fn finish(self) -> StreamResult {
         let StreamIngestor {
             shards,
@@ -163,10 +167,9 @@ impl StreamIngestor {
             Ok(cube) => cube,
             Err(panic) => std::panic::resume_unwind(panic),
         };
-        StreamResult {
-            cube,
-            metrics: metrics.snapshot(),
-        }
+        let metrics = metrics.snapshot();
+        metrics.publish();
+        StreamResult { cube, metrics }
     }
 }
 
@@ -183,10 +186,14 @@ fn run_worker(
     while let Ok(payload) = rx.recv() {
         match pipeline.ingest(&payload) {
             Ok(stats) => {
-                metrics.events_parsed.add(1);
-                metrics.tuples_extracted.add(stats.extracted as u64);
+                metrics.events_parsed.fetch_add(1, Relaxed);
+                metrics
+                    .tuples_extracted
+                    .fetch_add(stats.extracted as u64, Relaxed);
             }
-            Err(_) => metrics.events_failed.add(1),
+            Err(_) => {
+                metrics.events_failed.fetch_add(1, Relaxed);
+            }
         }
         if pipeline.tuple_count() >= config.seal_tuple_watermark
             || pipeline.approximate_bytes() >= config.seal_byte_watermark
@@ -202,7 +209,7 @@ fn run_worker(
 
 fn seal(pipeline: &mut StreamPipeline, merge_tx: &SyncSender<Dwarf>, metrics: &Metrics) {
     let micro = pipeline.build_cube();
-    metrics.seals.add(1);
+    metrics.seals.fetch_add(1, Relaxed);
     if merge_tx.send(micro).is_err() {
         // The merger died (panicked); the worker's own exit will surface it
         // when the runtime joins the merger thread.
@@ -211,7 +218,9 @@ fn seal(pipeline: &mut StreamPipeline, merge_tx: &SyncSender<Dwarf>, metrics: &M
 
 /// Merger loop: one merge over every sealed micro-cube, as it arrives.
 fn run_merger(schema: sc_dwarf::CubeSchema, rx: Receiver<Dwarf>, metrics: &Metrics) -> Dwarf {
-    let micro_cubes = rx.iter().inspect(|_| metrics.merges.add(1));
+    let micro_cubes = rx.iter().inspect(|_| {
+        metrics.merges.fetch_add(1, Relaxed);
+    });
     Dwarf::merge_many(schema, micro_cubes)
 }
 

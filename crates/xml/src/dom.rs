@@ -36,27 +36,6 @@ impl Element {
         }
     }
 
-    /// Builder-style: adds an attribute.
-    pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attributes.push(Attribute {
-            name: name.into(),
-            value: value.into(),
-        });
-        self
-    }
-
-    /// Builder-style: adds a child element.
-    pub fn with_child(mut self, child: Element) -> Self {
-        self.children.push(Node::Element(child));
-        self
-    }
-
-    /// Builder-style: adds a text child.
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Text(text.into()));
-        self
-    }
-
     /// Looks up an attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attributes
@@ -92,29 +71,6 @@ impl Element {
             }
         }
         out
-    }
-
-    /// Concatenated text content of this element and all descendants.
-    pub fn deep_text(&self) -> String {
-        let mut out = String::new();
-        fn walk(e: &Element, out: &mut String) {
-            for n in &e.children {
-                match n {
-                    Node::Text(t) => out.push_str(t),
-                    Node::Element(c) => walk(c, out),
-                }
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
-
-    /// Number of descendant elements, including self.
-    pub fn element_count(&self) -> usize {
-        1 + self
-            .child_elements()
-            .map(Element::element_count)
-            .sum::<usize>()
     }
 
     /// Serializes this element (and subtree) to XML text.
@@ -262,20 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_text_spans_children() {
-        let doc = Document::parse("<a>x<b>y<c>z</c></b></a>").unwrap();
-        assert_eq!(doc.root.deep_text(), "xyz");
-        assert_eq!(doc.root.text(), "x");
-    }
-
-    #[test]
-    fn element_count() {
-        let doc = Document::parse(FEED).unwrap();
-        // stations + 2*(station + name + bikes + docks) = 9
-        assert_eq!(doc.root.element_count(), 9);
-    }
-
-    #[test]
     fn serialization_roundtrip() {
         let doc = Document::parse(FEED).unwrap();
         let text = doc.to_xml();
@@ -286,22 +228,13 @@ mod tests {
 
     #[test]
     fn roundtrip_with_special_characters() {
-        let e = Element::new("q")
-            .with_attr("expr", "a < b & \"c\"")
-            .with_text("5 > 4 & 3 < 4");
-        let text = e.to_xml();
-        let doc = Document::parse(&text).unwrap();
+        let doc =
+            Document::parse("<q expr=\"a &lt; b &amp; &quot;c&quot;\">5 &gt; 4 &amp; 3 &lt; 4</q>")
+                .unwrap();
         assert_eq!(doc.root.attr("expr"), Some("a < b & \"c\""));
         assert_eq!(doc.root.text(), "5 > 4 & 3 < 4");
-    }
-
-    #[test]
-    fn builder_api() {
-        let e = Element::new("station")
-            .with_attr("id", "7")
-            .with_child(Element::new("name").with_text("Dame St"));
-        assert_eq!(e.attr("id"), Some("7"));
-        assert_eq!(e.first_child("name").unwrap().text(), "Dame St");
-        assert!(e.first_child("missing").is_none());
+        let back = Document::parse(&doc.root.to_xml()).unwrap();
+        assert_eq!(back.root, doc.root);
+        assert!(doc.root.first_child("missing").is_none());
     }
 }

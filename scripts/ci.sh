@@ -73,6 +73,11 @@ echo "$obs_out" | grep -q '"histograms"' || {
     echo "ci.sh: repro obs produced no JSON exposition" >&2
     exit 1
 }
+# A finished stream run adds its totals to the global registry.
+echo "$obs_out" | grep -Eq '^stream_worker_tuples_extracted [1-9]' || {
+    echo "ci.sh: repro obs reported no stream.worker.tuples_extracted total" >&2
+    exit 1
+}
 
 echo "==> streaming smoke (sharded ingest + warehouse store == sequential pipeline)"
 # repro stream panics if the sharded cube's facts differ from the
