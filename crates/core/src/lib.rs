@@ -68,5 +68,5 @@ pub use models::{
 pub use node_source::{
     MinStoreNodeSource, ReadStats, StoreNodeSource, StoredCellSource, DEFAULT_NODE_CACHE_CAPACITY,
 };
-pub use store_query::{CubeSelect, StoreBackedCube};
+pub use store_query::StoreBackedCube;
 pub use warehouse::CubeWarehouse;

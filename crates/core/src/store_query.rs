@@ -20,23 +20,6 @@ use sc_dwarf::{RangeSel, Selection};
 pub type StoreBackedCube<'a, M = NosqlDwarfModel> = StoreNodeSource<'a, M>;
 
 impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
-    /// Starts a fluent selection over the stored cube. Dimensions left
-    /// unmentioned default to ALL, so a point query only names what it
-    /// constrains:
-    ///
-    /// ```ignore
-    /// let total = cube.select().dim("station", "Fenian St").run()?;
-    /// let by_city = cube.select().dim("city", "Dublin").all("station").run()?;
-    /// ```
-    pub fn select(&mut self) -> CubeSelect<'_, 'a, M> {
-        let sel = vec![Selection::All; self.schema().num_dims()];
-        CubeSelect {
-            cube: self,
-            sel,
-            err: None,
-        }
-    }
-
     /// Point / group-by query straight off the store (same semantics as
     /// [`sc_dwarf::Dwarf::point`]).
     pub fn point(&mut self, sel: &[Selection]) -> Result<Option<i64>> {
@@ -66,58 +49,6 @@ impl<'a, M: NodeRows> StoreNodeSource<'a, M> {
             .group_mask(dims)
             .map_err(|name| CoreError::UnknownDimension(name.to_string()))?;
         group_by_over(self, &mask).map_err(CoreError::from)
-    }
-}
-
-/// A fluent selection being built against a [`StoreBackedCube`].
-///
-/// Every dimension starts at [`Selection::All`]; [`CubeSelect::dim`] pins
-/// one to a value and [`CubeSelect::all`] re-opens it. Naming a dimension
-/// the schema doesn't have is remembered and reported by
-/// [`CubeSelect::run`], so call chains stay unconditional.
-#[derive(Debug)]
-pub struct CubeSelect<'c, 'a, M = NosqlDwarfModel> {
-    cube: &'c mut StoreNodeSource<'a, M>,
-    sel: Vec<Selection>,
-    err: Option<CoreError>,
-}
-
-impl<M: NodeRows> CubeSelect<'_, '_, M> {
-    fn slot(&mut self, name: &str) -> Option<usize> {
-        match self.cube.schema().dimension_index(name) {
-            Some(i) => Some(i),
-            None => {
-                if self.err.is_none() {
-                    self.err = Some(CoreError::UnknownDimension(name.to_string()));
-                }
-                None
-            }
-        }
-    }
-
-    /// Constrains dimension `name` to exactly `value`.
-    pub fn dim(mut self, name: &str, value: impl Into<String>) -> Self {
-        if let Some(i) = self.slot(name) {
-            self.sel[i] = Selection::Value(value.into());
-        }
-        self
-    }
-
-    /// Resets dimension `name` to ALL (the default), aggregating over it.
-    pub fn all(mut self, name: &str) -> Self {
-        if let Some(i) = self.slot(name) {
-            self.sel[i] = Selection::All;
-        }
-        self
-    }
-
-    /// Executes the traversal; `Ok(None)` means no tuple matched.
-    pub fn run(self) -> Result<Option<i64>> {
-        if let Some(err) = self.err {
-            return Err(err);
-        }
-        let sel = self.sel;
-        self.cube.point(&sel)
     }
 }
 
@@ -324,38 +255,8 @@ mod tests {
         }
         let mut sbc = StoreBackedCube::open(&mut model, report.schema_id).unwrap();
         assert!(matches!(
-            sbc.select().run(),
+            sbc.point(&vec![Selection::All; 3]),
             Err(CoreError::Inconsistent(_))
-        ));
-    }
-
-    #[test]
-    fn fluent_select_matches_point_queries() {
-        let mut model = NosqlDwarfModel::in_memory();
-        let schema_id = stored(&mut model);
-        let mut sbc = StoreBackedCube::open(&mut model, schema_id).unwrap();
-
-        // Unmentioned dimensions default to ALL.
-        assert_eq!(sbc.select().run().unwrap(), Some(17));
-        assert_eq!(
-            sbc.select()
-                .dim("country", "Ireland")
-                .dim("city", "Dublin")
-                .dim("station", "Fenian St")
-                .run()
-                .unwrap(),
-            Some(3)
-        );
-        assert_eq!(sbc.select().dim("city", "Dublin").run().unwrap(), Some(8));
-        // `all` re-opens a previously pinned dimension.
-        assert_eq!(
-            sbc.select().dim("city", "Cork").all("city").run().unwrap(),
-            Some(17)
-        );
-        assert_eq!(sbc.select().dim("station", "Nowhere").run().unwrap(), None);
-        assert!(matches!(
-            sbc.select().dim("planet", "Earth").run(),
-            Err(CoreError::UnknownDimension(name)) if name == "planet"
         ));
     }
 

@@ -194,7 +194,10 @@ mod tests {
         );
         // Store-backed queries work against the recovered engine too.
         let mut sbc = StoreBackedCube::open(&mut model, second_id).unwrap();
-        assert_eq!(sbc.select().dim("station", "B").run().unwrap(), Some(6));
+        assert_eq!(
+            sbc.point(&[Selection::All, Selection::value("B")]).unwrap(),
+            Some(6)
+        );
     }
 
     #[test]

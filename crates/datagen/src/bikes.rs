@@ -12,7 +12,7 @@
 //! coalescing opportunities real bike data has.
 
 use crate::names;
-use crate::rng::Rng;
+use sc_encoding::Rng;
 use sc_ingest::cube_def::TimeField;
 use sc_ingest::{CubeDef, DateTime};
 use sc_xml::XmlWriter;

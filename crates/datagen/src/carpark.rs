@@ -1,7 +1,7 @@
 //! Car-park occupancy feed (XML), one of the intro's fused sources.
 
 use crate::names;
-use crate::rng::Rng;
+use sc_encoding::Rng;
 use sc_ingest::cube_def::TimeField;
 use sc_ingest::{CubeDef, DateTime};
 use sc_xml::XmlWriter;

@@ -23,9 +23,7 @@ pub mod bikes;
 pub mod carpark;
 pub mod catalog;
 pub mod names;
-pub mod rng;
 pub mod sales;
 
 pub use bikes::{BikesGenerator, BikesSpec, Snapshot};
 pub use catalog::DatasetSpec;
-pub use rng::Rng;

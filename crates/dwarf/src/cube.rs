@@ -305,20 +305,7 @@ impl Dwarf {
     /// This is the "cube constructed from querying a DWARF schema" that the
     /// paper's `is_cube` flag marks in the store.
     pub fn subcube(&self, region: &[crate::query::RangeSel]) -> Dwarf {
-        let rows = self.slice(region);
-        let mut ts = TupleSet::new(&self.schema);
-        for (key, measure) in rows {
-            // Measures were already aggregated by the parent cube; Sum/Min/
-            // Max re-aggregate idempotently over distinct keys. For Count the
-            // extracted measure *is* the count, so feed it through Sum
-            // semantics by pushing the row measure directly.
-            ts.push(key.iter().map(String::as_str), measure);
-        }
-        let schema = match self.schema.agg() {
-            crate::schema::AggFn::Count => self.schema.clone().with_agg(crate::schema::AggFn::Sum),
-            _ => self.schema.clone(),
-        };
-        Dwarf::build(schema, ts)
+        Dwarf::from_aggregated_rows(self.schema.clone(), self.slice(region))
     }
 }
 
@@ -392,6 +379,31 @@ mod tests {
             sub.point(&[Selection::value("France"), Selection::All, Selection::All]),
             None
         );
+    }
+
+    #[test]
+    fn subcube_of_a_count_cube_keeps_its_schema_and_merges_back() {
+        let schema =
+            CubeSchema::new(["country", "station"], "hires").with_agg(crate::schema::AggFn::Count);
+        let mut ts = TupleSet::new(&schema);
+        for (country, station) in [
+            ("Ireland", "Fenian St"),
+            ("Ireland", "Fenian St"),
+            ("Ireland", "Smithfield"),
+            ("France", "Bastille"),
+        ] {
+            ts.push([country, station], 1);
+        }
+        let cube = Dwarf::build(schema, ts);
+        let sub = cube.subcube(&[crate::query::RangeSel::All, crate::query::RangeSel::All]);
+        assert_eq!(sub.schema(), cube.schema());
+        let doubled = cube.merge(&sub);
+        let want: Vec<_> = cube
+            .extract_tuples()
+            .into_iter()
+            .map(|(key, count)| (key, 2 * count))
+            .collect();
+        assert_eq!(doubled.extract_tuples(), want);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The workspace uses this instead of `rand` so that generated datasets and
 //! randomized tests are bit-identical across runs and platforms — benchmark
 //! inputs must not drift between invocations, and a failing randomized test
-//! must reproduce from its seed alone. `sc-datagen` re-exports it as
-//! `sc_datagen::Rng`; test suites use it directly as a small deterministic
+//! must reproduce from its seed alone. `sc-datagen`'s feed generators draw
+//! from it, and test suites use it directly as a small deterministic
 //! replacement for property-testing generators.
 
 /// A small, fast, seedable PRNG (xorshift64* with the standard multiplier).

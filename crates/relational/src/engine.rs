@@ -238,6 +238,15 @@ impl Db {
                     })?,
             );
         }
+        // The parser checks this for SQL text; a statement built in code
+        // reaches here unchecked. Reject it before any row is written.
+        if let Some(row) = rows.iter().find(|row| row.len() != columns.len()) {
+            return Err(SqlError::Parse(format!(
+                "row binds {} values for {} columns",
+                row.len(),
+                columns.len()
+            )));
+        }
         for row in rows {
             let mut values = vec![SqlValue::Null; meta.columns.len()];
             for (&pos, v) in positions.iter().zip(row) {
@@ -651,6 +660,34 @@ mod tests {
             .execute_sql("SELECT root FROM d.node WHERE id = 2")
             .unwrap();
         assert_eq!(r.rows, vec![vec![SqlValue::Bool(false)]]);
+    }
+
+    #[test]
+    fn insert_rejects_a_row_whose_length_differs_from_its_columns() {
+        let mut db = setup();
+        let insert = |rows: Vec<Vec<SqlValue>>| SqlStatement::Insert {
+            table: name("node"),
+            columns: vec!["id".into(), "root".into()],
+            rows,
+        };
+        let short = insert(vec![
+            vec![SqlValue::Int(1), SqlValue::Bool(true)],
+            vec![SqlValue::Int(2)],
+        ]);
+        assert!(matches!(db.execute(&short), Err(SqlError::Parse(_))));
+        let long = insert(vec![vec![
+            SqlValue::Int(3),
+            SqlValue::Bool(true),
+            SqlValue::Int(4),
+        ]]);
+        assert!(matches!(db.execute(&long), Err(SqlError::Parse(_))));
+        let r = db.execute_sql("SELECT id FROM d.node").unwrap();
+        assert!(
+            r.rows.is_empty(),
+            "no row of a rejected statement is stored"
+        );
+        db.execute(&insert(vec![vec![SqlValue::Int(1), SqlValue::Bool(true)]]))
+            .unwrap();
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   per-row headers (5-byte header, 6-byte transaction id, 7-byte roll
 //!   pointer, null bitmap, variable-length map) — Table 4's MySQL sizes are
 //!   real bytes in these pages,
-//! * a from-scratch **B+tree** for the primary key and every secondary
-//!   index, with index contents serialized to disk at checkpoints so index
-//!   storage is measured too,
+//! * a **primary-key index** and per-column **secondary indexes**, each an
+//!   ordered map (`std::collections::BTreeMap`) from key bytes to row
+//!   locator; checkpoints write every index's entries to disk in key order
+//!   with InnoDB-like per-entry metadata, so index storage is measured too,
 //! * **foreign keys** validated on insert (the Figure 4 schema is
 //!   relationship-heavy; validation cost is part of the relational story),
 //! * a **SQL subset**: `CREATE DATABASE/TABLE/INDEX`, multi-row `INSERT`,
@@ -31,7 +32,6 @@
 //! assert_eq!(r.rows[0][0], SqlValue::Text("Smithfield".into()));
 //! ```
 
-pub mod btree;
 pub mod engine;
 pub mod error;
 pub mod page;

@@ -1,6 +1,5 @@
-//! Per-table runtime: heap + primary/secondary B+tree indexes.
+//! Per-table runtime: heap + primary/secondary indexes.
 
-use crate::btree::BPlusTree;
 use crate::error::{Result, SqlError};
 use crate::page::{Heap, RowLoc};
 use crate::rowfmt::{decode_row, encode_row, RecordHeader};
@@ -8,6 +7,7 @@ use crate::sql::ast::{ColumnSpec, ForeignKeySpec};
 use crate::value::{SqlType, SqlValue};
 use sc_encoding::{Decoder, Encoder};
 use sc_storage::Vfs;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Static description of a table.
@@ -45,7 +45,8 @@ impl TableMeta {
 }
 
 /// Composite secondary-index key: `varint(len(value_key)) value_key pk_key`.
-/// The embedded varint makes per-value prefix scans unambiguous.
+/// The embedded varint makes per-value prefix scans unambiguous: no other
+/// value's keys start with this value's prefix.
 fn composite_key(value: &SqlValue, pk_key: &[u8]) -> Vec<u8> {
     let vk = value.encode_key();
     let mut enc = Encoder::new();
@@ -69,9 +70,8 @@ pub struct TableData {
     types: Vec<SqlType>,
     vfs: Vfs,
     heap: Heap,
-    pk: BPlusTree<RowLoc>,
-    secondary: Vec<(String, BPlusTree<RowLoc>)>,
-    live_rows: u64,
+    pk: BTreeMap<Vec<u8>, RowLoc>,
+    secondary: Vec<(String, BTreeMap<Vec<u8>, RowLoc>)>,
 }
 
 impl TableData {
@@ -81,7 +81,7 @@ impl TableData {
         let secondary = meta
             .indexes
             .iter()
-            .map(|c| (c.clone(), BPlusTree::new()))
+            .map(|c| (c.clone(), BTreeMap::new()))
             .collect();
         let types = meta.types();
         TableData {
@@ -89,9 +89,8 @@ impl TableData {
             types,
             vfs,
             heap,
-            pk: BPlusTree::new(),
+            pk: BTreeMap::new(),
             secondary,
-            live_rows: 0,
         }
     }
 
@@ -102,7 +101,7 @@ impl TableData {
 
     /// Number of live rows.
     pub fn row_count(&self) -> u64 {
-        self.live_rows
+        self.pk.len() as u64
     }
 
     /// Adds (and backfills) a secondary index.
@@ -120,8 +119,8 @@ impl TableData {
         Arc::make_mut(&mut self.meta)
             .indexes
             .push(column.to_string());
-        let mut tree = BPlusTree::new();
-        for (pk_key, loc) in self.pk.iter() {
+        let mut tree = BTreeMap::new();
+        for (pk_key, loc) in &self.pk {
             let row = self.read_row(*loc)?;
             if !row[col_idx].is_null() {
                 tree.insert(composite_key(&row[col_idx], pk_key), *loc);
@@ -152,7 +151,7 @@ impl TableData {
             }
         }
         let pk_key = pk_value.encode_key();
-        if self.pk.get(&pk_key).is_some() {
+        if self.pk.contains_key(&pk_key) {
             return Err(SqlError::DuplicateKey(pk_value.to_sql_literal()));
         }
         let header = RecordHeader {
@@ -175,7 +174,6 @@ impl TableData {
                 tree.insert(composite_key(&values[idx], &pk_key), loc);
             }
         }
-        self.live_rows += 1;
         Ok(())
     }
 
@@ -203,14 +201,13 @@ impl TableData {
                 tree.remove(&composite_key(&row[idx], &pk_key));
             }
         }
-        self.live_rows -= 1;
         Ok(true)
     }
 
     /// Full scan in primary-key order.
     pub fn scan(&self) -> Result<Vec<Vec<SqlValue>>> {
         let mut out = Vec::with_capacity(self.pk.len());
-        for (_, loc) in self.pk.iter() {
+        for loc in self.pk.values() {
             out.push(self.read_row(*loc)?);
         }
         Ok(out)
@@ -228,7 +225,10 @@ impl TableData {
         };
         let prefix = composite_prefix(value);
         let mut out = Vec::new();
-        for (_, loc) in tree.iter_prefix(&prefix) {
+        for (_, loc) in tree
+            .range(prefix.clone()..)
+            .take_while(|(key, _)| key.starts_with(&prefix))
+        {
             out.push(self.read_row(*loc)?);
         }
         Ok(Some(out))
@@ -236,7 +236,7 @@ impl TableData {
 
     /// Whether the primary key exists (foreign-key validation).
     pub fn pk_exists(&self, value: &SqlValue) -> bool {
-        self.pk.get(&value.encode_key()).is_some()
+        self.pk.contains_key(&value.encode_key())
     }
 
     fn index_file(&self, name: &str) -> String {
@@ -252,11 +252,11 @@ impl TableData {
         self.heap.checkpoint()?;
         let write_index = |vfs: &Vfs,
                            file: &str,
-                           entries: &mut dyn Iterator<Item = (&[u8], &RowLoc)>|
+                           index: &BTreeMap<Vec<u8>, RowLoc>|
          -> Result<()> {
             vfs.delete(file)?;
             let mut enc = Encoder::new();
-            for (i, (key, loc)) in entries.enumerate() {
+            for (i, (key, loc)) in index.iter().enumerate() {
                 // Per-entry metadata: record header (5B: flags + heap_no +
                 // next) + child/page pointer (4B) + owned slot (2B) + key
                 // + row locator.
@@ -274,9 +274,9 @@ impl TableData {
             }
             Ok(())
         };
-        write_index(&self.vfs, &self.index_file("pk"), &mut self.pk.iter())?;
+        write_index(&self.vfs, &self.index_file("pk"), &self.pk)?;
         for (column, tree) in &self.secondary {
-            write_index(&self.vfs, &self.index_file(column), &mut tree.iter())?;
+            write_index(&self.vfs, &self.index_file(column), tree)?;
         }
         Ok(())
     }
@@ -294,16 +294,15 @@ impl TableData {
     /// TRUNCATE: drop all rows and files.
     pub fn truncate(&mut self) -> Result<()> {
         self.heap.reset()?;
-        self.pk = BPlusTree::new();
+        self.pk.clear();
         for (_, tree) in &mut self.secondary {
-            *tree = BPlusTree::new();
+            tree.clear();
         }
         self.vfs.delete(&self.index_file("pk"))?;
         let columns: Vec<String> = self.secondary.iter().map(|(c, _)| c.clone()).collect();
         for c in columns {
             self.vfs.delete(&self.index_file(&c))?;
         }
-        self.live_rows = 0;
         Ok(())
     }
 }
@@ -446,6 +445,64 @@ mod tests {
         // appended).
         t.checkpoint().unwrap();
         assert_eq!(t.disk_size(), size);
+    }
+
+    /// Decodes a checkpointed index file into its keys, checking each
+    /// entry's ordinal and that its locator names a heap page.
+    fn index_keys(vfs: &Vfs, file: &str) -> Vec<Vec<u8>> {
+        let bytes = vfs.read_all(file).unwrap();
+        let mut dec = Decoder::new(&bytes);
+        let mut keys = Vec::new();
+        while !dec.is_exhausted() {
+            assert_eq!(dec.get_u8().unwrap(), 0, "record flags");
+            let ordinal = dec.get_raw(2).unwrap();
+            assert_eq!(ordinal, (keys.len() as u16).to_le_bytes(), "entry ordinal");
+            dec.get_raw(2).unwrap();
+            let page = u32::from_le_bytes(dec.get_raw(4).unwrap().try_into().unwrap());
+            dec.get_raw(2).unwrap();
+            keys.push(dec.get_bytes().unwrap().to_vec());
+            let offset = dec.get_u64().unwrap();
+            dec.get_u32().unwrap();
+            assert_eq!(u64::from(page), offset / crate::page::PAGE_SIZE as u64);
+        }
+        keys
+    }
+
+    #[test]
+    fn checkpointed_indexes_hold_one_entry_per_live_row_in_key_order() {
+        let mut t = TableData::new(meta(), Vfs::memory());
+        // 37 is coprime with 100: every id once, far from pk order.
+        for i in 0..100 {
+            let id = (i * 37) % 100;
+            t.insert(row(id, "station", id % 5), 1).unwrap();
+        }
+        let deleted = [3, 50, 99, 0];
+        for id in deleted {
+            assert!(t.delete(&SqlValue::Int(id)).unwrap());
+        }
+        t.checkpoint().unwrap();
+        let live: Vec<i64> = (0..100).filter(|id| !deleted.contains(id)).collect();
+
+        let pk_keys = index_keys(&t.vfs, "d/cell.pk.idx");
+        assert!(pk_keys.windows(2).all(|w| w[0] < w[1]), "pk keys ascend");
+        let mut want: Vec<Vec<u8>> = live
+            .iter()
+            .map(|&id| SqlValue::Int(id).encode_key())
+            .collect();
+        want.sort();
+        assert_eq!(pk_keys, want);
+
+        let parent_keys = index_keys(&t.vfs, "d/cell.parent.idx");
+        assert!(
+            parent_keys.windows(2).all(|w| w[0] < w[1]),
+            "index keys ascend"
+        );
+        let mut want: Vec<Vec<u8>> = live
+            .iter()
+            .map(|&id| composite_key(&SqlValue::Int(id % 5), &SqlValue::Int(id).encode_key()))
+            .collect();
+        want.sort();
+        assert_eq!(parent_keys, want);
     }
 
     #[test]

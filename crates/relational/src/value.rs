@@ -106,7 +106,7 @@ impl SqlValue {
         matches!(self, SqlValue::Null)
     }
 
-    /// Order-preserving key encoding (B+tree keys).
+    /// Order-preserving key encoding (index keys).
     pub fn encode_key(&self) -> Vec<u8> {
         match self {
             SqlValue::Null => vec![0x00],

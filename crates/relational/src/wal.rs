@@ -4,7 +4,7 @@
 //! a data page; the paper's MySQL insert times include that cost, so ours
 //! must too. Each mutation is framed as `[len u32][crc u32][payload]`
 //! (payload = table name, primary-key bytes, row image) and appended before
-//! the heap/B+tree are touched.
+//! the heap and indexes are touched.
 //!
 //! The log is truncated at checkpoints — once pages and indexes are
 //! persisted the redo entries are redundant, exactly like InnoDB's

@@ -84,6 +84,22 @@ echo "==> streaming smoke (sharded ingest + warehouse store == sequential pipeli
 # sequential pipeline's.
 cargo run --release -p sc-bench --bin repro -- stream --scale 0.01 --threads 2
 
+echo "==> paper printers (Table 4 at scale 0.01, Figures 2-4)"
+# table4 stores every Table 2 window in all four schema models, the
+# relational engine included; a model missing from the measured block means
+# its store step stopped printing.
+table4_out="$(cargo run --release -p sc-bench --bin repro -- table4 --scale 0.01)"
+table4_measured="$(echo "$table4_out" | sed -n '/^Table 4:/,/^Paper.s full-scale reference:/p')"
+for model in MySQL-DWARF MySQL-Min NoSQL-DWARF NoSQL-Min; do
+    echo "$table4_measured" | grep -Eq "^$model +[^ ]" || {
+        echo "ci.sh: repro table4 printed no measured $model row" >&2
+        exit 1
+    }
+done
+for figure in fig2 fig3 fig4; do
+    cargo run --release -p sc-bench --bin repro -- "$figure" >/dev/null
+done
+
 echo "==> examples (each asserts its own results)"
 # bikes_pipeline panics if the cube its StreamPipeline builds from the
 # rendered XML differs from Dwarf::build over the XML-free tuples;
