@@ -19,24 +19,28 @@
 //! anything else.
 //!
 //! Column chunks are length-prefixed so a projected read skips a pruned
-//! column in O(1) without parsing it; [`DecodedBlock`] reports how many
-//! chunks were decoded vs skipped for the `nosql.read.cols_*` counters.
+//! column in O(1) without parsing it.
 //!
-//! Two decoders read a block: [`decode_block_rows`] for scans and
-//! [`find_row`] for point reads, which builds one row and no other. Both
-//! parse chunk headers with `Chunk::open` and walk runs with `walk_run`, so
-//! they check a block alike; only a point read whose key is absent stops
-//! early, after the key run.
+//! Two decoders read a block. [`ScanBlock::decode`] serves every scan: it
+//! keeps the key run as ranges of the block bytes, the sequences and
+//! liveness, and each projected column as a typed run — `i64`s, a
+//! dictionary decoded once plus one code per cell, bits, or raw values —
+//! so operators read cells without building rows. [`find_row`] serves
+//! point reads and builds one row and no other. Both read every column
+//! run through one walk, `walk_run`, which makes every check and hands
+//! each decoder the cells it asks for; only a point read whose key is
+//! absent stops early, after the key run.
 
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
 use crate::sstable::SstEntry;
-use crate::types::CqlValue;
+use crate::types::{Cell, CqlValue, InPlace};
 use sc_encoding::columnar::{
     encode_i64_deltas, for_each_dict_code, for_each_dict_value, for_each_i64_delta, Bitmap,
     BitmapRef, DictBuilder,
 };
 use sc_encoding::{Decoder, Encoder};
+use std::sync::{Arc, LazyLock};
 
 const LAYOUT_COLUMNAR: u8 = 0;
 
@@ -44,17 +48,6 @@ const ENC_RAW: u8 = 0;
 const ENC_INT_DELTA: u8 = 1;
 const ENC_TEXT_DICT: u8 = 2;
 const ENC_BOOL_BITMAP: u8 = 3;
-
-/// One block's records plus its column-pruning accounting.
-#[derive(Debug)]
-pub(crate) struct DecodedBlock {
-    /// The records, in key order.
-    pub entries: Vec<SstEntry>,
-    /// Column chunks decoded.
-    pub cols_read: u64,
-    /// Column chunks skipped thanks to projection pruning.
-    pub cols_skipped: u64,
-}
 
 /// Serializes one sorted run of entries as a block. Live rows that
 /// disagree on column count are [`NosqlError::Corrupt`].
@@ -249,8 +242,8 @@ impl<'a> Chunk<'a> {
     }
 }
 
-/// Which of a run's non-null cells a walk builds; the rest it validates in
-/// place.
+/// Which of a run's non-null cells a walk hands out; the rest it checks
+/// in place.
 #[derive(Debug, Clone, Copy)]
 enum Take {
     All,
@@ -268,16 +261,52 @@ impl Take {
     }
 }
 
-/// The one walk over a column run, behind both the block and the row
-/// decoder: hands `emit` the non-null cells `take` asks for, in run order,
-/// and checks every cell of the run — varint framing, dictionary codes in
-/// range, UTF-8, raw value tags — exactly `present` cells and nothing
-/// after them.
-fn walk_run(
+/// Where [`walk_run`] hands the non-null cells it reads, each borrowed
+/// from the block where it can be. A raw text cell's bytes are UTF-8 once
+/// the walk returns `Ok`.
+trait RunCells<'a> {
+    fn int(&mut self, v: i64);
+    /// A dictionary code and the run's dictionary, which it indexes.
+    fn code(&mut self, code: usize, dict: &[&'a str]);
+    fn bit(&mut self, bit: bool);
+    fn raw(&mut self, cell: InPlace<'a>);
+}
+
+/// The one cell a point read takes from a run.
+struct Picked(CqlValue);
+
+impl<'a> RunCells<'a> for Picked {
+    fn int(&mut self, v: i64) {
+        self.0 = CqlValue::Int(v);
+    }
+
+    fn code(&mut self, code: usize, dict: &[&'a str]) {
+        self.0 = CqlValue::Text(dict[code].to_owned());
+    }
+
+    fn bit(&mut self, bit: bool) {
+        self.0 = CqlValue::Boolean(bit);
+    }
+
+    fn raw(&mut self, cell: InPlace<'a>) {
+        self.0 = match cell {
+            // Checked in the walk, so nothing is lost.
+            InPlace::Text(bytes) => CqlValue::Text(String::from_utf8_lossy(bytes).into_owned()),
+            InPlace::Value(value) => value,
+        };
+    }
+}
+
+/// The one walk over a column run, behind both the scan and the point
+/// decoder: hands `cells` the non-null cells `take` asks for, in run
+/// order, and checks every cell of the run — varint framing, dictionary
+/// codes in range, UTF-8, raw value tags — exactly `present` cells and
+/// nothing after them.
+fn walk_run<'a>(
     file: &str,
-    chunk: Chunk<'_>,
+    chunk: Chunk<'a>,
     take: Take,
-    mut emit: impl FnMut(CqlValue),
+    cells: &mut impl RunCells<'a>,
 ) -> Result<()> {
     let Chunk {
         tag,
@@ -288,54 +317,49 @@ fn walk_run(
     match tag {
         ENC_INT_DELTA => for_each_i64_delta(&mut run, present, |i, v| {
             if take.wants(i) {
-                emit(CqlValue::Int(v));
+                cells.int(v);
             }
         })?,
         ENC_TEXT_DICT => {
-            let text =
-                |v| std::str::from_utf8(v).map_err(|_| corrupt(file, "non-UTF-8 dictionary text"));
-            // Every distinct value is checked once. A full decode keeps
-            // them to hand out per row; a one-cell walk finds its value
-            // again by code once the codes are checked.
-            let mut values = run.clone();
-            let mut table: Vec<&str> = Vec::new();
-            let distinct = for_each_dict_value(&mut run, |v| {
-                let s = text(v)?;
-                if matches!(take, Take::All) {
-                    table.push(s);
-                }
+            let distinct = run.clone().get_u64()? as usize;
+            let mut dict = Vec::with_capacity(distinct.min(run.remaining()));
+            for_each_dict_value(&mut run, |v| {
+                let text = std::str::from_utf8(v)
+                    .map_err(|_| corrupt(file, "non-UTF-8 dictionary text"))?;
+                dict.push(text);
                 Ok::<_, NosqlError>(())
             })?;
-            let mut picked = None;
-            for_each_dict_code(&mut run, present, distinct, |i, code| match take {
-                Take::All => emit(CqlValue::Text(table[code].to_owned())),
-                _ if take.wants(i) => picked = Some(code),
-                _ => {}
+            for_each_dict_code(&mut run, present, dict.len(), |i, code| {
+                if take.wants(i) {
+                    cells.code(code, &dict);
+                }
             })?;
-            if let Some(code) = picked {
-                let mut i = 0;
-                for_each_dict_value(&mut values, |v| {
-                    if i == code {
-                        emit(CqlValue::Text(text(v)?.to_owned()));
-                    }
-                    i += 1;
-                    Ok::<_, NosqlError>(())
-                })?;
-            }
         }
         ENC_BOOL_BITMAP => {
             let bits = BitmapRef::decode(&mut run, present)?;
             for i in (0..present).filter(|&i| take.wants(i)) {
-                emit(CqlValue::Boolean(bits.get(i)));
+                cells.bit(bits.get(i));
             }
         }
         // ENC_RAW: `Chunk::open` admits no other tag.
         _ => {
             for i in 0..present {
-                if take.wants(i) {
-                    emit(CqlValue::decode(&mut run)?);
-                } else {
+                if !take.wants(i) {
                     CqlValue::skip(&mut run)?;
+                    continue;
+                }
+                let cell = CqlValue::decode_in_place(&mut run)?;
+                let text = match &cell {
+                    InPlace::Text(text) => Some(*text),
+                    InPlace::Value(_) => None,
+                };
+                // Checked after the hand-off, which an error voids (checking
+                // first measured twice as slow on raw text runs); ASCII, the
+                // common case, checks faster than UTF-8 validation of a
+                // short string.
+                cells.raw(cell);
+                if text.is_some_and(|t| !t.is_ascii() && std::str::from_utf8(t).is_err()) {
+                    return Err(corrupt(file, "non-UTF-8 raw text"));
                 }
             }
         }
@@ -348,7 +372,7 @@ fn walk_run(
 
 /// Finds `key`'s record in a block without building any other: the key
 /// run is compared in place and each column chunk yields only this row's
-/// cell, while every run is still checked as [`decode_block_rows`] checks
+/// cell, while every run is still checked as [`ScanBlock::decode`] checks
 /// it. `None` once the key run shows the key absent.
 pub(crate) fn find_row(file: &str, bytes: &[u8], key: &[u8]) -> Result<Option<SstEntry>> {
     let (mut d, count) = open_block(file, bytes)?;
@@ -382,10 +406,10 @@ pub(crate) fn find_row(file: &str, bytes: &[u8], key: &[u8]) -> Result<Option<Ss
             Some(li) if chunk.nulls.get(li) => Take::Only(chunk.nulls.rank(li)),
             _ => Take::Nothing,
         };
-        let mut cell = CqlValue::Null;
-        walk_run(file, chunk, take, |v| cell = v)?;
+        let mut cell = Picked(CqlValue::Null);
+        walk_run(file, chunk, take, &mut cell)?;
         if live_at.is_some() {
-            values.push(cell);
+            values.push(cell.0);
         }
     }
     if !d.is_exhausted() {
@@ -398,90 +422,419 @@ pub(crate) fn find_row(file: &str, bytes: &[u8], key: &[u8]) -> Result<Option<Ss
     }))
 }
 
-/// Decodes a block, parsing only the column chunks `proj` asks for
-/// (`None` = all). Pruned columns come back as [`CqlValue::Null`].
-pub(crate) fn decode_block_rows(
-    file: &str,
-    bytes: &[u8],
-    proj: Option<&[usize]>,
-) -> Result<DecodedBlock> {
-    let (mut d, count) = open_block(file, bytes)?;
-    let mut keys = Vec::with_capacity(count);
-    for _ in 0..count {
-        keys.push(d.get_bytes()?.to_vec());
-    }
-    let mut seqs = Vec::with_capacity(count);
-    for_each_i64_delta(&mut d, count, |_, seq| seqs.push(seq))?;
-    let Liveness {
-        live,
-        live_count,
-        ncols,
-    } = open_liveness(file, &mut d, count)?;
-    let mut out = DecodedBlock {
-        entries: Vec::with_capacity(count),
-        cols_read: 0,
-        cols_skipped: 0,
-    };
-    let mut cols: Vec<Option<Vec<CqlValue>>> = Vec::with_capacity(ncols);
-    for c in 0..ncols {
-        let chunk = d.get_bytes()?;
-        if proj.is_none_or(|p| p.contains(&c)) {
-            cols.push(Some(decode_column(file, chunk, live_count)?));
-            out.cols_read += 1;
-        } else {
-            cols.push(None);
-            out.cols_skipped += 1;
-        }
-    }
-    if !d.is_exhausted() {
-        return Err(corrupt(file, "trailing bytes after columnar block"));
-    }
-    let mut li = 0usize;
-    for i in 0..count {
-        let row = if live.get(i) {
-            if li >= live_count {
-                return Err(corrupt(file, "live bitmap disagrees with itself"));
-            }
-            let mut values = vec![CqlValue::Null; ncols];
-            for (c, run) in cols.iter_mut().enumerate() {
-                if let Some(run) = run {
-                    values[c] = std::mem::replace(&mut run[li], CqlValue::Null);
-                }
-            }
-            li += 1;
-            Some(Row::new(values))
-        } else {
-            None
-        };
-        out.entries.push(SstEntry {
-            key: std::mem::take(&mut keys[i]),
-            row,
-            timestamp: seqs[i] as u64,
-        });
-    }
-    Ok(out)
+/// One record of a [`ScanBlock`]: where its key sits in the block bytes,
+/// the key's first eight bytes as a word, its sequence and whether it is
+/// live (clear = tombstone).
+#[derive(Debug, Clone, Copy)]
+struct RowMeta {
+    key: (usize, usize),
+    word: u64,
+    seq: u64,
+    live: bool,
 }
 
-/// Decodes one column chunk into `live_count` cells (nulls included).
-fn decode_column(file: &str, chunk: &[u8], live_count: usize) -> Result<Vec<CqlValue>> {
+impl RowMeta {
+    fn new(bytes: &[u8], key: (usize, usize), seq: u64, live: bool) -> RowMeta {
+        let head = &bytes[key.0..key.1.min(key.0 + 8)];
+        let word = match <[u8; 8]>::try_from(head) {
+            Ok(word) => u64::from_be_bytes(word),
+            Err(_) => {
+                (head.iter().enumerate()).fold(0, |w, (i, &b)| w | u64::from(b) << (56 - 8 * i))
+            }
+        };
+        RowMeta {
+            key,
+            word,
+            seq,
+            live,
+        }
+    }
+}
+
+/// A record's key as a merge compares it: the first eight bytes as a
+/// big-endian word (zero-padded) order most pairs without reading the
+/// keys; equal words fall back to the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct KeyRef<'a> {
+    word: u64,
+    key: &'a [u8],
+}
+
+/// A [`Column`]'s `at` entry for a row without a cell (null or tombstone).
+const NO_CELL: u32 = u32::MAX;
+
+/// One column of a [`ScanBlock`]: its run's cells, in the fields its
+/// encoding fills.
+#[derive(Debug, Default)]
+struct Column {
+    /// Row `r`'s cell is cell `at[r]` of the run ([`NO_CELL`]: null);
+    /// `None` when row `r` is cell `r` (every row live and non-null).
+    at: Option<Vec<u32>>,
+    /// The run's encoding.
+    tag: u8,
+    /// Int-delta cells.
+    ints: Vec<i64>,
+    /// Bool-bitmap cells.
+    bits: Vec<bool>,
+    /// Text-dict cells: codes into the distinct values, which lie end to
+    /// end in `text`, value `c` ending at `ends[c]`.
+    codes: Vec<u32>,
+    ends: Vec<usize>,
+    /// Raw cells; a text one is a range of `text`, so a raw text run costs
+    /// one string, not one per cell.
+    raw: Vec<RawCell>,
+    text: String,
+}
+
+impl Column {
+    fn cell(&self, row: usize) -> Cell<'_> {
+        let i = match &self.at {
+            None => row,
+            Some(at) => match at[row] {
+                NO_CELL => return Cell::Null,
+                i => i as usize,
+            },
+        };
+        match self.tag {
+            ENC_INT_DELTA => Cell::Int(self.ints[i]),
+            ENC_TEXT_DICT => {
+                let code = self.codes[i] as usize;
+                let start = code.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+                Cell::Text(&self.text[start..self.ends[code]])
+            }
+            ENC_BOOL_BITMAP => Cell::Boolean(self.bits[i]),
+            _ => match &self.raw[i] {
+                RawCell::Text(start, end) => Cell::Text(&self.text[*start..*end]),
+                RawCell::Value(value) => Cell::from(value),
+            },
+        }
+    }
+}
+
+/// A [`Column`] as [`walk_run`] fills it. Dictionary values and raw text
+/// collect as bytes in `text`, each piece checked in the walk, and become
+/// the column's one string at the end.
+struct Fill {
+    column: Column,
+    text: Vec<u8>,
+}
+
+impl<'a> RunCells<'a> for Fill {
+    fn int(&mut self, v: i64) {
+        self.column.ints.push(v);
+    }
+
+    fn code(&mut self, code: usize, dict: &[&'a str]) {
+        if self.column.ends.is_empty() {
+            self.text
+                .reserve(dict.iter().map(|value| value.len()).sum());
+            self.column.ends.reserve(dict.len());
+            for value in dict {
+                self.text.extend_from_slice(value.as_bytes());
+                self.column.ends.push(self.text.len());
+            }
+        }
+        self.column.codes.push(code as u32);
+    }
+
+    fn bit(&mut self, bit: bool) {
+        self.column.bits.push(bit);
+    }
+
+    fn raw(&mut self, cell: InPlace<'a>) {
+        self.column.raw.push(match cell {
+            InPlace::Text(bytes) => {
+                self.text.extend_from_slice(bytes);
+                RawCell::Text(self.text.len() - bytes.len(), self.text.len())
+            }
+            InPlace::Value(value) => RawCell::Value(value),
+        });
+    }
+}
+
+/// One raw cell of a [`Column`].
+#[derive(Debug)]
+enum RawCell {
+    Text(usize, usize),
+    Value(CqlValue),
+}
+
+/// One block of records as scans read it: keys, sequences, liveness and
+/// cells, with no row built. A stored block keeps typed column runs; a
+/// memtable snapshot or a batch of probed rows keeps the rows it was
+/// built from.
+#[derive(Debug)]
+pub(crate) struct ScanBlock {
+    /// What the key ranges index: the block as read, or the keys of a
+    /// built block end to end.
+    bytes: Arc<Vec<u8>>,
+    rows: Vec<RowMeta>,
+    cells: Cells,
+}
+
+#[derive(Debug)]
+enum Cells {
+    /// Per stored column; `None` where the projection pruned it.
+    Columns(Vec<Option<Column>>),
+    /// `width` values per record, record after record.
+    Rows { width: usize, values: Vec<CqlValue> },
+}
+
+impl ScanBlock {
+    /// Decodes a block for a scan, parsing only the column chunks `proj`
+    /// asks for (`None` = all). Pruned columns read as null.
+    pub fn decode(file: &str, bytes: Arc<Vec<u8>>, proj: Option<&[usize]>) -> Result<ScanBlock> {
+        let (mut d, count) = open_block(file, &bytes)?;
+        let mut rows = Vec::with_capacity(count);
+        for _ in 0..count {
+            let len = d.get_bytes()?.len();
+            let end = d.position();
+            rows.push(RowMeta::new(&bytes, (end - len, end), 0, false));
+        }
+        for_each_i64_delta(&mut d, count, |i, seq| rows[i].seq = seq as u64)?;
+        let Liveness {
+            live,
+            live_count,
+            ncols,
+        } = open_liveness(file, &mut d, count)?;
+        for (i, row) in rows.iter_mut().enumerate() {
+            row.live = live.get(i);
+        }
+        let mut cols = Vec::with_capacity(ncols);
+        for c in 0..ncols {
+            let chunk = d.get_bytes()?;
+            cols.push(match proj.is_none_or(|p| p.contains(&c)) {
+                true => Some(decode_column(file, chunk, &rows, live_count)?),
+                false => None,
+            });
+        }
+        if !d.is_exhausted() {
+            return Err(corrupt(file, "trailing bytes after columnar block"));
+        }
+        Ok(ScanBlock {
+            bytes,
+            rows,
+            cells: Cells::Columns(cols),
+        })
+    }
+
+    /// Builds a block from sorted entries (a memtable snapshot).
+    /// Tombstones and short rows read as null.
+    pub fn from_entries(entries: Vec<SstEntry>) -> ScanBlock {
+        let width = entries
+            .iter()
+            .filter_map(|e| e.row.as_ref())
+            .map(|row| row.values.len())
+            .max()
+            .unwrap_or(0);
+        let mut bytes = Vec::with_capacity(entries.iter().map(|e| e.key.len()).sum());
+        let mut rows = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len() * width);
+        for e in entries {
+            let start = bytes.len();
+            bytes.extend_from_slice(&e.key);
+            let key = (start, bytes.len());
+            rows.push(RowMeta::new(&bytes, key, e.timestamp, e.row.is_some()));
+            push_row(&mut values, e.row.map(|row| row.values), width);
+        }
+        ScanBlock {
+            bytes: Arc::new(bytes),
+            rows,
+            cells: Cells::Rows { width, values },
+        }
+    }
+
+    /// A block of rows an operator built (probed or aggregated rows),
+    /// read only through its cells: it has no keys, sequences or
+    /// liveness, and [`ScanBlock::len`] is 0.
+    pub fn from_rows(rows: Vec<Vec<CqlValue>>) -> ScanBlock {
+        static NO_KEYS: LazyLock<Arc<Vec<u8>>> = LazyLock::new(Arc::default);
+        let width = rows.iter().map(Vec::len).max().unwrap_or(0);
+        // The first row's vector holds them all: a probe's one row moves
+        // in whole.
+        let mut rows = rows.into_iter();
+        let mut values = rows.next().unwrap_or_default();
+        values.resize(width, CqlValue::Null);
+        values.reserve(rows.len() * width);
+        for row in rows {
+            push_row(&mut values, Some(row), width);
+        }
+        ScanBlock {
+            bytes: Arc::clone(&NO_KEYS),
+            rows: Vec::new(),
+            cells: Cells::Rows { width, values },
+        }
+    }
+
+    /// Records in the block (keys, sequences and liveness).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Columns stored (pruned ones included).
+    pub fn width(&self) -> usize {
+        match &self.cells {
+            Cells::Columns(cols) => cols.len(),
+            Cells::Rows { width, .. } => *width,
+        }
+    }
+
+    /// Columns decoded.
+    pub fn decoded_cols(&self) -> usize {
+        match &self.cells {
+            Cells::Columns(cols) => cols.iter().filter(|c| c.is_some()).count(),
+            Cells::Rows { width, .. } => *width,
+        }
+    }
+
+    /// Record `row`'s key.
+    pub fn key(&self, row: usize) -> &[u8] {
+        let (start, end) = self.rows[row].key;
+        &self.bytes[start..end]
+    }
+
+    /// Record `row`'s key, for merging.
+    pub fn key_ref(&self, row: usize) -> KeyRef<'_> {
+        KeyRef {
+            word: self.rows[row].word,
+            key: self.key(row),
+        }
+    }
+
+    /// Record `row`'s sequence.
+    pub fn seq(&self, row: usize) -> u64 {
+        self.rows[row].seq
+    }
+
+    /// Whether record `row` is live (not a tombstone).
+    pub fn is_live(&self, row: usize) -> bool {
+        self.rows[row].live
+    }
+
+    /// Record `row`'s cell in column `col`: null for a tombstone, a null
+    /// cell, a pruned column or one past the block's width.
+    pub fn cell(&self, col: usize, row: usize) -> Cell<'_> {
+        match &self.cells {
+            Cells::Rows { width, values } if col < *width => Cell::from(&values[row * width + col]),
+            Cells::Columns(cols) => match cols.get(col) {
+                Some(Some(column)) => column.cell(row),
+                _ => Cell::Null,
+            },
+            Cells::Rows { .. } => Cell::Null,
+        }
+    }
+
+    /// Moves the cells of `rows` out of a block built from rows onto
+    /// `out`, each row in `layout`'s column order (`None` = all) — what a
+    /// result takes from a batch of probed or aggregated rows without
+    /// copying them. `false`, with nothing moved, for a stored block or
+    /// when `rows` is not strictly increasing (a cell can leave only
+    /// once).
+    pub fn take_rows<R>(
+        &mut self,
+        rows: R,
+        layout: Option<&[usize]>,
+        out: &mut Vec<Vec<CqlValue>>,
+    ) -> bool
+    where
+        R: ExactSizeIterator<Item = usize> + Clone,
+    {
+        let Cells::Rows { width, values } = &mut self.cells else {
+            return false;
+        };
+        if rows.clone().zip(rows.clone().skip(1)).any(|(a, b)| a >= b) {
+            return false;
+        }
+        let width = *width;
+        let whole = rows.len() == 1 && rows.clone().next() == Some(0) && values.len() == width;
+        if layout.is_none() && whole {
+            out.push(std::mem::take(values));
+            return true;
+        }
+        let take = |cell: &mut CqlValue| std::mem::replace(cell, CqlValue::Null);
+        out.extend(rows.map(|r| {
+            let row = &mut values[r * width..][..width];
+            match layout {
+                None => row.iter_mut().map(take).collect(),
+                // A column the layout names again later is copied here and
+                // moved there.
+                Some(layout) => (layout.iter().enumerate())
+                    .map(|(i, &c)| match layout[i + 1..].contains(&c) {
+                        true => row[c].clone(),
+                        false => take(&mut row[c]),
+                    })
+                    .collect(),
+            }
+        }));
+        true
+    }
+
+    /// Record `row` as an entry, pruned columns null.
+    pub fn entry(&self, row: usize) -> SstEntry {
+        let values = || (0..self.width()).map(|c| self.cell(c, row).to_value());
+        SstEntry {
+            key: self.key(row).to_vec(),
+            row: self.is_live(row).then(|| Row::new(values().collect())),
+            timestamp: self.seq(row),
+        }
+    }
+}
+
+/// Appends a built block's record: `row` padded with nulls to `width`, or
+/// `width` nulls for a tombstone.
+fn push_row(values: &mut Vec<CqlValue>, row: Option<Vec<CqlValue>>, width: usize) {
+    let row = row.unwrap_or_default();
+    let short = width - row.len();
+    values.extend(row);
+    values.extend(std::iter::repeat_n(CqlValue::Null, short));
+}
+
+/// Decodes one column chunk of a block whose records are `rows`.
+fn decode_column(file: &str, chunk: &[u8], rows: &[RowMeta], live_count: usize) -> Result<Column> {
     let chunk = Chunk::open(file, chunk, live_count)?;
     let nulls = chunk.nulls;
-    let mut cells = Vec::with_capacity(chunk.present.min(chunk.run.remaining()));
-    walk_run(file, chunk, Take::All, |v| cells.push(v))?;
-    if nulls.rank(live_count) == live_count {
-        // No nulls: the run is the column. Set padding bits of the bitmap's
-        // last byte only add cells past the live rows.
-        cells.truncate(live_count);
-        return Ok(cells);
+    let at = if rows.iter().all(|r| r.live) && nulls.rank(rows.len()) == rows.len() {
+        None
+    } else {
+        // Live rows take the null bitmap's positions in order, and the
+        // non-null ones the run's cells in order.
+        let (mut li, mut cell) = (0, 0);
+        let at = rows.iter().map(|r| {
+            if !r.live {
+                return NO_CELL;
+            }
+            li += 1;
+            if !nulls.get(li - 1) {
+                return NO_CELL;
+            }
+            cell += 1;
+            cell - 1
+        });
+        Some(at.collect())
+    };
+    let cap = chunk.present.min(chunk.run.remaining());
+    let mut fill = Fill {
+        column: Column {
+            at,
+            tag: chunk.tag,
+            ..Column::default()
+        },
+        text: Vec::new(),
+    };
+    match chunk.tag {
+        ENC_INT_DELTA => fill.column.ints.reserve(cap),
+        ENC_TEXT_DICT => fill.column.codes.reserve(cap),
+        ENC_BOOL_BITMAP => fill.column.bits.reserve(cap),
+        _ => {
+            fill.column.raw.reserve(cap);
+            fill.text.reserve(chunk.run.remaining());
+        }
     }
-    // Weave nulls back into live-row positions.
-    let mut cells = cells.into_iter();
-    Ok((0..live_count)
-        .map(|i| match nulls.get(i) {
-            true => cells.next().unwrap_or(CqlValue::Null),
-            false => CqlValue::Null,
-        })
-        .collect())
+    walk_run(file, chunk, Take::All, &mut fill)?;
+    let Fill { mut column, text } = fill;
+    // The walk checked every piece, so this only retypes the bytes.
+    column.text = String::from_utf8(text).map_err(|_| corrupt(file, "non-UTF-8 text"))?;
+    Ok(column)
 }
 
 #[cfg(test)]
@@ -509,30 +862,40 @@ mod tests {
             .collect()
     }
 
-    fn decode(bytes: &[u8], proj: Option<&[usize]>) -> Result<DecodedBlock> {
-        decode_block_rows("t", bytes, proj)
+    fn scan(bytes: &[u8], proj: Option<&[usize]>) -> Result<ScanBlock> {
+        ScanBlock::decode("t", Arc::new(bytes.to_vec()), proj)
+    }
+
+    /// Every record of the scan decode, as entries.
+    fn decode(bytes: &[u8], proj: Option<&[usize]>) -> Result<Vec<SstEntry>> {
+        let block = scan(bytes, proj)?;
+        Ok((0..block.len()).map(|r| block.entry(r)).collect())
     }
 
     #[test]
     fn round_trip_is_exact() {
         let es = typed_entries();
         let bytes = encode_block("t", &es).unwrap();
-        assert_eq!(decode(&bytes, None).unwrap().entries, es);
+        assert_eq!(decode(&bytes, None).unwrap(), es);
+        let built = ScanBlock::from_entries(es.clone());
+        assert_eq!(
+            (0..built.len()).map(|r| built.entry(r)).collect::<Vec<_>>(),
+            es
+        );
     }
 
     #[test]
     fn projection_skips_chunks_and_nulls_pruned_columns() {
         let es = typed_entries();
         let bytes = encode_block("t", &es).unwrap();
-        let all = decode(&bytes, None).unwrap();
-        assert_eq!(all.cols_read, 4);
-        assert_eq!(all.cols_skipped, 0);
+        let all = scan(&bytes, None).unwrap();
+        assert_eq!((all.width(), all.decoded_cols()), (4, 4));
 
+        let block = scan(&bytes, Some(&[0, 2])).unwrap();
+        assert_eq!((block.width(), block.decoded_cols()), (4, 2));
         let pruned = decode(&bytes, Some(&[0, 2])).unwrap();
-        assert_eq!(pruned.cols_read, 2);
-        assert_eq!(pruned.cols_skipped, 2);
-        assert_eq!(pruned.entries.len(), es.len());
-        for (p, e) in pruned.entries.iter().zip(&es) {
+        assert_eq!(pruned.len(), es.len());
+        for (p, e) in pruned.iter().zip(&es) {
             assert_eq!(p.key, e.key);
             assert_eq!(p.timestamp, e.timestamp);
             match (&e.row, &p.row) {
@@ -590,7 +953,7 @@ mod tests {
                     match &full {
                         Ok(block) => assert_eq!(
                             found.unwrap(),
-                            block.entries.iter().find(|e| e.key == key).cloned(),
+                            block.iter().find(|e| e.key == key).cloned(),
                             "byte {pos}, key {key:?}"
                         ),
                         Err(_) => assert!(
@@ -613,7 +976,7 @@ mod tests {
             })
             .collect();
         let bytes = encode_block("t", &tombs).unwrap();
-        assert_eq!(decode(&bytes, Some(&[0])).unwrap().entries, tombs);
+        assert_eq!(decode(&bytes, Some(&[0])).unwrap(), tombs);
     }
 
     /// `rows` seeded records under the odd keys `k00001, k00003, …`: about
@@ -674,7 +1037,7 @@ mod tests {
         for rows in [1, 1, 2, 3, 9, 17, 40, 64, 120, 120] {
             let es = seeded_entries(&mut rng, rows);
             let bytes = encode_block("t", &es).unwrap();
-            let block = decode(&bytes, None).unwrap().entries;
+            let block = decode(&bytes, None).unwrap();
             assert_eq!(block, es);
             tags_seen.extend(chunk_tags(&bytes));
             for e in &block {
@@ -698,5 +1061,45 @@ mod tests {
         // The unique readings outgrow the dictionary cap in the large blocks.
         let large = encode_block("t", &seeded_entries(&mut rng, 120)).unwrap();
         assert_eq!(chunk_tags(&large)[3], ENC_RAW);
+    }
+
+    #[test]
+    fn scans_read_typed_cells() {
+        let es = typed_entries();
+        let bytes = encode_block("t", &es).unwrap();
+        let tags = [ENC_INT_DELTA, ENC_TEXT_DICT, ENC_BOOL_BITMAP, ENC_RAW];
+        assert_eq!(chunk_tags(&bytes), tags);
+        let block = scan(&bytes, None).unwrap();
+        for (r, e) in es.iter().enumerate() {
+            assert_eq!(block.key(r), e.key.as_slice());
+            assert_eq!(block.seq(r), e.timestamp);
+            assert_eq!(block.is_live(r), e.row.is_some());
+            let Some(row) = &e.row else {
+                assert_eq!(block.cell(0, r), Cell::Null, "a tombstone's cells are null");
+                continue;
+            };
+            for (c, value) in row.values.iter().enumerate() {
+                assert_eq!(block.cell(c, r), Cell::from(value), "row {r} column {c}");
+            }
+        }
+        assert_eq!(block.cell(9, 1), Cell::Null, "past the width");
+    }
+
+    #[test]
+    fn built_rows_move_out_once_each() {
+        let row = |i: i64| vec![CqlValue::Int(i), CqlValue::Text(format!("t{i}"))];
+        let built = || ScanBlock::from_rows((0..4).map(row).collect());
+        let take = |mut block: ScanBlock, rows: &[usize], layout: Option<&[usize]>| {
+            let mut out = Vec::new();
+            let moved = block.take_rows(rows.iter().copied(), layout, &mut out);
+            moved.then_some(out)
+        };
+        let taken = take(built(), &[0, 2], Some(&[1, 0, 1])).unwrap();
+        let want = |i: i64| vec![row(i)[1].clone(), row(i)[0].clone(), row(i)[1].clone()];
+        assert_eq!(taken, vec![want(0), want(2)], "a repeated column is copied");
+        assert_eq!(take(built(), &[0], None), Some(vec![row(0)]));
+        assert_eq!(take(built(), &[2, 1], None), None, "not increasing");
+        let stored = encode_block("t", &typed_entries()).unwrap();
+        assert_eq!(take(scan(&stored, None).unwrap(), &[0], None), None);
     }
 }

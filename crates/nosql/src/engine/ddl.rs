@@ -107,7 +107,8 @@ impl DbCore {
         // present. The state write lock excludes every concurrent
         // statement, so reading at the top bound is exact.
         let mut writes = Vec::new();
-        for entry in state.table(table, None)?.core.cursor(u64::MAX, None, None) {
+        let rows = state.table(table, None)?.core.cursor(u64::MAX, None, None);
+        for entry in rows.entries() {
             let entry = entry?;
             index.diff(&entry.key, None, entry.row.as_ref(), &mut writes);
         }

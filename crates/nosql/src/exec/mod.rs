@@ -3,12 +3,16 @@
 //!
 //! # The batch contract
 //!
-//! An [`Operator`] is a pull-based iterator over [`RowBatch`]es of up to
+//! An [`Operator`] is a pull-based iterator over [`Batch`]es of up to
 //! [`BATCH_ROWS`] rows. `next_batch` returns `Ok(Some(batch))` with at
 //! least one row, `Ok(None)` once exhausted (and on every call after
-//! that), or an error. Rows are `Vec<CqlValue>` in the operator's output
-//! layout: scans emit the base table's full layout; `Project` and
-//! `Aggregate` change it.
+//! that), or an error. A batch is column-major: decoded blocks plus a
+//! selection vector naming its rows, in order, and the operator's output
+//! layout over the blocks' columns. Scans emit the base table's layout;
+//! `Project` remaps it and `Aggregate` and `Sort` emit blocks of their
+//! own. Operators read cells in place; rows are built only by the
+//! operators that hold them past a batch (`Aggregate`'s groups, `Sort`'s
+//! input) and when [`drain`] hands the result over.
 //!
 //! Operators own `Arc` clones of the table runtimes they read, taken from
 //! the engine's table handle at build time, and read at one fixed MVCC bound — a
@@ -24,30 +28,122 @@ pub mod scan;
 pub mod traced;
 pub mod transform;
 
+use crate::colblock::ScanBlock;
 use crate::error::Result;
 use crate::index::Index;
 use crate::plan::{PlanNode, ScanKind};
 use crate::table::TableCore;
-use crate::types::CqlValue;
+use crate::types::{Cell, CqlValue};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Target rows per batch. Large enough to amortize per-batch dispatch,
 /// small enough to keep a pipeline's working set in cache.
 pub const BATCH_ROWS: usize = 1024;
 
-/// One batch of rows flowing between operators.
-#[derive(Debug, Default)]
-pub struct RowBatch {
-    /// The rows, each in the producing operator's output layout.
-    pub rows: Vec<Vec<CqlValue>>,
+/// One row of a [`Batch`]: which of its blocks, and which row there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowRef {
+    pub block: u32,
+    pub row: u32,
 }
 
-impl RowBatch {
-    /// A batch with capacity for one full batch.
-    pub fn with_capacity(n: usize) -> RowBatch {
-        RowBatch {
-            rows: Vec::with_capacity(n),
+/// One batch flowing between operators, column-major: the rows `sel`
+/// picks out of decoded blocks, in order, read through the producing
+/// operator's layout over the blocks' columns.
+#[derive(Debug, Default, Clone)]
+pub struct Batch {
+    pub(crate) blocks: Vec<Rc<ScanBlock>>,
+    /// Output column `i` is block column `layout[i]`; `None` is the
+    /// blocks' own layout.
+    pub(crate) layout: Option<Vec<usize>>,
+    pub(crate) sel: Vec<RowRef>,
+}
+
+impl Batch {
+    /// A batch of `rows`, held as one block.
+    pub(crate) fn of_rows(rows: Vec<Vec<CqlValue>>) -> Batch {
+        let n = rows.len() as u32;
+        Batch {
+            blocks: vec![Rc::new(ScanBlock::from_rows(rows))],
+            layout: None,
+            sel: (0..n).map(|row| RowRef { block: 0, row }).collect(),
         }
+    }
+
+    /// Rows in the batch.
+    pub fn len(&self) -> usize {
+        self.sel.len()
+    }
+
+    /// Whether the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.sel.is_empty()
+    }
+
+    /// The block column behind output column `col`.
+    pub(crate) fn column(&self, col: usize) -> usize {
+        self.layout.as_ref().map_or(col, |layout| layout[col])
+    }
+
+    /// The block `at` lives in.
+    pub(crate) fn block(&self, at: RowRef) -> &ScanBlock {
+        &self.blocks[at.block as usize]
+    }
+
+    /// `at`'s cell in output column `col`.
+    pub(crate) fn cell(&self, at: RowRef, col: usize) -> Cell<'_> {
+        self.block(at).cell(self.column(col), at.row as usize)
+    }
+
+    /// Appends the batch's rows to `out`, built in the output layout. The
+    /// rows of a batch that alone holds its one block of built rows (a
+    /// probe's) move out; everything else is copied out of the blocks.
+    fn drain_into(mut self, out: &mut Vec<Vec<CqlValue>>) {
+        if let [block] = &mut self.blocks[..] {
+            if let Some(block) = Rc::get_mut(block) {
+                let rows = self.sel.iter().map(|at| at.row as usize);
+                if block.take_rows(rows, self.layout.as_deref(), out) {
+                    return;
+                }
+            }
+        }
+        let width = |at| match &self.layout {
+            Some(layout) => layout.len(),
+            None => self.block(at).width(),
+        };
+        let row = |&at| {
+            (0..width(at))
+                .map(|c| self.cell(at, c).to_value())
+                .collect()
+        };
+        out.extend(self.sel.iter().map(row));
+    }
+}
+
+/// A pipeline breaker's result, handed out [`BATCH_ROWS`] rows at a time.
+pub(crate) struct Buffered {
+    all: Batch,
+    next: usize,
+}
+
+impl Buffered {
+    pub fn new(all: Batch) -> Buffered {
+        Buffered { all, next: 0 }
+    }
+
+    pub fn next_batch(&mut self) -> Option<Batch> {
+        let rows = self.all.sel.get(self.next..)?;
+        let rows = &rows[..rows.len().min(BATCH_ROWS)];
+        if rows.is_empty() {
+            return None;
+        }
+        self.next += rows.len();
+        Some(Batch {
+            blocks: self.all.blocks.clone(),
+            layout: self.all.layout.clone(),
+            sel: rows.to_vec(),
+        })
     }
 }
 
@@ -58,7 +154,7 @@ pub trait Operator {
     fn name(&self) -> &'static str;
 
     /// Pulls the next non-empty batch, or `None` when exhausted.
-    fn next_batch(&mut self) -> Result<Option<RowBatch>>;
+    fn next_batch(&mut self) -> Result<Option<Batch>>;
 }
 
 /// Builds the operator pipeline for a plan subtree over the table the plan
@@ -131,11 +227,11 @@ pub(crate) fn build(
     Box::new(traced::Traced::new(op))
 }
 
-/// Drains an operator into a row vector.
+/// Drains an operator into rows, built here and nowhere earlier.
 pub fn drain(op: &mut dyn Operator) -> Result<Vec<Vec<CqlValue>>> {
     let mut rows = Vec::new();
     while let Some(batch) = op.next_batch()? {
-        rows.extend(batch.rows);
+        batch.drain_into(&mut rows);
     }
     Ok(rows)
 }

@@ -1,12 +1,13 @@
 //! Leaf operators: key probes, index scans and full scans.
 
-use super::{Operator, RowBatch, BATCH_ROWS};
+use super::{Batch, Operator, RowRef, BATCH_ROWS};
 use crate::error::Result;
 use crate::index::Index;
 use crate::plan::Predicate;
-use crate::table::{live_row, Cursor, TableCore};
-use crate::types::CqlValue;
+use crate::table::{Cursor, TableCore};
+use crate::types::{Cell, CqlValue};
 use std::collections::HashSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Probes of the primary key: one for `=` (EXPLAIN and traces call that a
@@ -47,27 +48,27 @@ impl Operator for MultiPointScan {
         self.name
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         probe(&self.core, &self.keys, &mut self.pos, self.bound, |_| true)
     }
 }
 
-/// The next batch of rows stored under `keys[*pos..]` that `keep` accepts;
-/// missing keys are skipped.
+/// The next batch of rows stored under `keys[*pos..]` that `keep` accepts,
+/// as one block; missing keys are skipped.
 fn probe(
     core: &TableCore,
     keys: &[Vec<u8>],
     pos: &mut usize,
     bound: u64,
     keep: impl Fn(&[CqlValue]) -> bool,
-) -> Result<Option<RowBatch>> {
-    let mut batch = RowBatch::with_capacity(BATCH_ROWS.min(keys.len() - *pos));
-    while *pos < keys.len() && batch.rows.len() < BATCH_ROWS {
+) -> Result<Option<Batch>> {
+    let mut rows = Vec::with_capacity(BATCH_ROWS.min(keys.len() - *pos));
+    while *pos < keys.len() && rows.len() < BATCH_ROWS {
         let row = core.get(&keys[*pos], bound)?;
         *pos += 1;
-        batch.rows.extend(row.map(|r| r.values).filter(|v| keep(v)));
+        rows.extend(row.map(|r| r.values).filter(|v| keep(v)));
     }
-    Ok((!batch.rows.is_empty()).then_some(batch))
+    Ok((!rows.is_empty()).then(|| Batch::of_rows(rows)))
 }
 
 /// Posting scan of a secondary index, then one base-table probe per
@@ -111,7 +112,7 @@ impl Operator for IndexScan {
         "IndexScan"
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         let keys = match &mut self.keys {
             Some(keys) => keys,
             None => self
@@ -120,22 +121,26 @@ impl Operator for IndexScan {
         };
         let pred = &self.pred;
         probe(&self.core, keys, &mut self.pos, self.bound, |row| {
-            pred.matches(row)
+            pred.matches(row.get(pred.index).map_or(Cell::Null, Cell::from))
         })
     }
 }
 
 /// Key-ordered scan of the whole table, with pushed-down residual
 /// predicates and an optional pushed `LIMIT` (counted after filtering).
-/// Batches are pulled straight off the table's merging cursor, so the scan
-/// holds one decoded block per SSTable and a met `LIMIT` stops reading.
+/// Batches are runs pulled straight off the table's merging cursor, the
+/// residuals tested on the decoded columns, so the scan holds the blocks
+/// of one batch — at most [`BATCH_ROWS`] rows' worth — and a met `LIMIT`
+/// stops reading.
 pub struct FullScan {
     /// Opened over the plan's projection: SSTables decode only those
-    /// column runs, leaving the rest `Null`. The planner guarantees every
+    /// column runs, leaving the rest null. The planner guarantees every
     /// column read above the scan is in the set.
-    cursor: Cursor,
+    cursor: Cursor<'static>,
     residual: Vec<Predicate>,
     remaining: Option<usize>,
+    /// The cursor's current run.
+    run: Vec<u32>,
 }
 
 impl FullScan {
@@ -150,6 +155,7 @@ impl FullScan {
             cursor: core.cursor(bound, None, projection),
             residual,
             remaining: pushed_limit,
+            run: Vec::new(),
         }
     }
 }
@@ -159,27 +165,46 @@ impl Operator for FullScan {
         "FullScan"
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.remaining == Some(0) {
-            return Ok(None);
-        }
-        let mut batch = RowBatch::with_capacity(BATCH_ROWS);
-        for row in self.cursor.by_ref().map(live_row) {
-            let row = row?;
-            if !self.residual.iter().all(|p| p.matches(&row.values)) {
-                continue;
-            }
-            batch.rows.push(row.values);
-            if let Some(remaining) = &mut self.remaining {
-                *remaining -= 1;
-                if *remaining == 0 {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        let mut batch = Batch::default();
+        // Rows read since the batch's first block: a batch ends once they
+        // reach `BATCH_ROWS`, so it holds a few blocks however few of
+        // their rows the residual keeps.
+        let mut read = 0;
+        while self.remaining != Some(0) {
+            if read == BATCH_ROWS {
+                if !batch.is_empty() {
                     break;
                 }
+                read = 0;
             }
-            if batch.rows.len() >= BATCH_ROWS {
+            let Some(block) = self.cursor.next_run(&mut self.run, BATCH_ROWS - read)? else {
                 break;
+            };
+            read += self.run.len();
+            let residual = &self.residual;
+            let kept = self.run.iter().filter(|&&row| {
+                let row = row as usize;
+                residual.iter().all(|p| p.matches(block.cell(p.index, row)))
+            });
+            // Consecutive runs of one block share its entry.
+            let blocks = &batch.blocks;
+            let known = blocks.last().is_some_and(|last| Rc::ptr_eq(last, &block));
+            let at = (blocks.len() - usize::from(known)) as u32;
+            let before = batch.len();
+            for &row in kept {
+                batch.sel.push(RowRef { block: at, row });
+                if let Some(remaining) = &mut self.remaining {
+                    *remaining -= 1;
+                    if *remaining == 0 {
+                        break;
+                    }
+                }
+            }
+            if !known && batch.len() > before {
+                batch.blocks.push(block);
             }
         }
-        Ok((!batch.rows.is_empty()).then_some(batch))
+        Ok((!batch.is_empty()).then_some(batch))
     }
 }

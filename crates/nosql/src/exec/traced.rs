@@ -1,6 +1,6 @@
 //! Per-operator trace attribution.
 
-use super::{Operator, RowBatch};
+use super::{Batch, Operator};
 use crate::error::Result;
 use sc_obs::trace::{self, Attr};
 
@@ -33,18 +33,15 @@ impl Operator for Traced {
         self.inner.name()
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         let batch = {
             let _stage = trace::stage(self.inner.name());
             let batch = self.inner.next_batch()?;
-            let rows = batch.as_ref().map_or(0, |b| b.rows.len() as u64);
+            let rows = batch.as_ref().map_or(0, |b| b.len() as u64);
             trace::add(Attr::OpRowsOut, rows);
             batch
         };
-        trace::add(
-            Attr::OpRowsIn,
-            batch.as_ref().map_or(0, |b| b.rows.len()) as u64,
-        );
+        trace::add(Attr::OpRowsIn, batch.as_ref().map_or(0, Batch::len) as u64);
         Ok(batch)
     }
 }

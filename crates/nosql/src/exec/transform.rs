@@ -1,9 +1,10 @@
-//! Row-shape and row-set operators: Filter, Project, Sort, Limit.
+//! Row-shape and row-set operators: Filter, Project, Sort, Limit. Filter,
+//! Project and Limit work on a batch's selection vector or layout; Sort
+//! builds the rows it holds.
 
-use super::{Operator, RowBatch, BATCH_ROWS};
+use super::{drain, Batch, Buffered, Operator, RowRef};
 use crate::error::Result;
 use crate::plan::Predicate;
-use crate::types::CqlValue;
 
 /// Drops rows failing an AND-joined predicate list.
 pub struct Filter {
@@ -22,12 +23,15 @@ impl Operator for Filter {
         "Filter"
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         while let Some(mut batch) = self.input.next_batch()? {
-            batch
-                .rows
-                .retain(|row| self.predicates.iter().all(|p| p.matches(row)));
-            if !batch.rows.is_empty() {
+            let sel = std::mem::take(&mut batch.sel);
+            let keep = |at: &RowRef| {
+                let mut tests = self.predicates.iter();
+                tests.all(|p| p.matches(batch.cell(*at, p.index)))
+            };
+            batch.sel = sel.into_iter().filter(keep).collect();
+            if !batch.is_empty() {
                 return Ok(Some(batch));
             }
         }
@@ -52,27 +56,25 @@ impl Operator for Project {
         "Project"
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        let Some(batch) = self.input.next_batch()? else {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        let Some(mut batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        let rows = batch
-            .rows
-            .into_iter()
-            .map(|row| self.indices.iter().map(|&i| row[i].clone()).collect())
-            .collect();
-        Ok(Some(RowBatch { rows }))
+        let layout = self.indices.iter().map(|&i| batch.column(i)).collect();
+        batch.layout = Some(layout);
+        Ok(Some(batch))
     }
 }
 
-/// Total sort on one column. Drains its input on the first pull (sorting
-/// is a pipeline breaker), then re-emits in batches. The sort is stable,
-/// so ties keep the input's key order.
+/// Total sort on one column. Drains its input into rows on the first pull
+/// (sorting is a pipeline breaker), so it holds the rows that reached it
+/// and none of the blocks they came from, sorts them, then re-emits them
+/// in batches. The sort is stable, so ties keep the input's key order.
 pub struct Sort {
     input: Box<dyn Operator>,
     key: usize,
     desc: bool,
-    sorted: Option<std::vec::IntoIter<Vec<CqlValue>>>,
+    sorted: Option<Buffered>,
 }
 
 impl Sort {
@@ -91,20 +93,18 @@ impl Operator for Sort {
         "Sort"
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.sorted.is_none() {
-            let mut rows = super::drain(self.input.as_mut())?;
+            let mut rows = drain(self.input.as_mut())?;
             let key = self.key;
             if self.desc {
                 rows.sort_by(|a, b| b[key].cmp_sort(&a[key]));
             } else {
                 rows.sort_by(|a, b| a[key].cmp_sort(&b[key]));
             }
-            self.sorted = Some(rows.into_iter());
+            self.sorted = Some(Buffered::new(Batch::of_rows(rows)));
         }
-        let iter = self.sorted.as_mut().expect("sorted above");
-        let rows: Vec<Vec<CqlValue>> = iter.take(BATCH_ROWS).collect();
-        Ok((!rows.is_empty()).then_some(RowBatch { rows }))
+        Ok(self.sorted.as_mut().and_then(Buffered::next_batch))
     }
 }
 
@@ -129,15 +129,15 @@ impl Operator for Limit {
         "Limit"
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.remaining == 0 {
             return Ok(None);
         }
         let Some(mut batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        batch.rows.truncate(self.remaining);
-        self.remaining -= batch.rows.len();
+        batch.sel.truncate(self.remaining);
+        self.remaining -= batch.len();
         Ok(Some(batch))
     }
 }

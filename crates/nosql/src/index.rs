@@ -139,7 +139,7 @@ impl Index {
         for value_key in value_keys {
             let prefix = Index::prefix(value_key).into_bytes();
             let postings = self.postings.cursor(bound, Some(&prefix), None);
-            for posting in postings.map(live_row) {
+            for posting in postings.entries().map(live_row) {
                 if let Some(id) = posting?.values[1].as_int() {
                     if seen.insert(id) {
                         keys.push(CqlValue::Int(id).encode_key());

@@ -1,7 +1,7 @@
 //! The logical plan tree: pure data, no table runtimes.
 
 use crate::cql::ast::{AggFunc, CmpOp};
-use crate::types::CqlValue;
+use crate::types::{Cell, CqlValue};
 
 /// Cardinality and cost estimates attached to every plan node. `cost` is
 /// cumulative (the node plus everything below it), in the planner's
@@ -45,16 +45,16 @@ impl Predicate {
         }
     }
 
-    /// Whether `row` (base-table layout) satisfies the predicate.
-    /// Comparisons follow SQL's null semantics: a null cell never
-    /// matches a range test (equality against an explicit null does).
-    pub fn matches(&self, row: &[CqlValue]) -> bool {
-        let cell = &row[self.index];
+    /// Whether `cell`, the row's value in column `index`, satisfies the
+    /// predicate. Comparisons follow SQL's null semantics: a null cell
+    /// never matches a range test (equality against an explicit null
+    /// does).
+    pub(crate) fn matches(&self, cell: Cell<'_>) -> bool {
         match &self.test {
-            PredTest::Eq(value) => cell == value,
-            PredTest::In(values) => values.contains(cell),
+            PredTest::Eq(value) => cell == Cell::from(value),
+            PredTest::In(values) => values.iter().any(|v| cell == Cell::from(v)),
             PredTest::Cmp(op, value) => {
-                !cell.is_null() && !value.is_null() && op.accepts(cell.cmp_sort(value))
+                !cell.is_null() && !value.is_null() && op.accepts(cell.cmp_sort(value.into()))
             }
         }
     }

@@ -18,21 +18,24 @@
 //! through the engine's shared [`BlockCache`], and decodes one row of it
 //! (`colblock::find_row`): the key run is searched in place and only the
 //! found row's cells are built, while every run is still validated.
-//! Everything else reads through [`SsTable::iter`], which holds one decoded
-//! block at a time, seeks through the block index for a key prefix and
-//! decodes only the column chunks its caller needs.
+//! Everything else reads through `SstIter`, which hands a table's cursor
+//! one decoded column block at a time, seeks through the block index for
+//! a key prefix and decodes only the column chunks its caller needs;
+//! [`SsTable::iter`] builds entries from that same cursor.
 //!
 //! Every decoded geometry field is validated at open (checked arithmetic,
 //! monotone offsets, bounded allocations), so a corrupt or truncated file
 //! surfaces as [`NosqlError::Corrupt`], never a panic.
 
 use crate::cache::BlockCache;
-use crate::colblock::{self, DecodedBlock};
+use crate::colblock::{self, ScanBlock};
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
+use crate::table::Cursor;
 use sc_encoding::{Bloom, Crc32, Decoder, Encoder, BLOCK_TARGET_BYTES};
 use sc_storage::Vfs;
 use std::ops::{Deref, Range};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -407,11 +410,11 @@ impl SsTable {
         Ok(raw)
     }
 
-    /// Reads and decodes one block, parsing only the column chunks in
-    /// `proj` (`None` = all).
-    fn decode_block(&self, block: &BlockMeta, proj: Option<&[usize]>) -> Result<DecodedBlock> {
+    /// Reads and decodes one block for a scan, parsing only the column
+    /// chunks in `proj` (`None` = all).
+    fn scan_block(&self, block: &BlockMeta, proj: Option<&[usize]>) -> Result<ScanBlock> {
         let bytes = self.read_block(block)?;
-        colblock::decode_block_rows(&self.file, &bytes, proj)
+        ScanBlock::decode(&self.file, bytes, proj)
     }
 
     /// Declares the table merged away: its file is deleted and its cached
@@ -470,8 +473,13 @@ impl SsTable {
     /// key order, tombstones included, one decoded block at a time. Only
     /// the column runs in `proj` are parsed (`None` = all); pruned columns
     /// come back as [`crate::types::CqlValue::Null`].
-    pub fn iter(&self, prefix: Option<&[u8]>, proj: Option<&[usize]>) -> SstIter<&SsTable> {
-        SstIter::new(self, prefix, proj)
+    pub fn iter<'a>(
+        &'a self,
+        prefix: Option<&[u8]>,
+        proj: Option<&[usize]>,
+    ) -> impl Iterator<Item = Result<SstEntry>> + 'a {
+        let layer = Box::new(SstIter::new(self, prefix, proj));
+        Cursor::new(vec![layer], u64::MAX, prefix, true).entries()
     }
 
     /// Every entry in key order (tombstones included).
@@ -480,21 +488,21 @@ impl SsTable {
     }
 }
 
-/// The one block loop behind scans, prefix scans and merges; see
-/// [`SsTable::iter`]. `T` is how the table is held: a borrow, or an `Arc`
-/// for a cursor that must outlive the table list's guard.
+/// The one block loop behind scans, prefix scans and merges: a table's
+/// blocks for a cursor, decoded one at a time. `T` is how the table is
+/// held: a borrow, or an `Arc` for a cursor that must outlive the table
+/// list's guard.
 #[derive(Debug)]
-pub struct SstIter<T> {
+pub(crate) struct SstIter<T> {
     sst: T,
     /// Blocks still to read, chosen through the block index.
     blocks: Range<usize>,
-    prefix: Option<Vec<u8>>,
     proj: Option<Vec<usize>>,
-    /// What is left of the one decoded block.
-    block: std::vec::IntoIter<SstEntry>,
 }
 
 impl<T: Deref<Target = SsTable>> SstIter<T> {
+    /// The blocks that can hold keys starting with `prefix` (`None` =
+    /// all); the cursor skips the rest of their rows.
     pub(crate) fn new(sst: T, prefix: Option<&[u8]>, proj: Option<&[usize]>) -> SstIter<T> {
         let index = &sst.meta.blocks;
         let blocks = match prefix {
@@ -514,41 +522,31 @@ impl<T: Deref<Target = SsTable>> SstIter<T> {
         SstIter {
             sst,
             blocks,
-            prefix: prefix.map(<[u8]>::to_vec),
             proj: proj.map(<[usize]>::to_vec),
-            block: Vec::new().into_iter(),
         }
     }
 }
 
 impl<T: Deref<Target = SsTable>> Iterator for SstIter<T> {
-    type Item = Result<SstEntry>;
+    type Item = Result<Rc<ScanBlock>>;
 
-    fn next(&mut self) -> Option<Result<SstEntry>> {
-        loop {
-            let prefix = self.prefix.as_deref();
-            if let Some(e) = self
-                .block
-                .find(|e| prefix.is_none_or(|p| e.key.starts_with(p)))
-            {
-                return Some(Ok(e));
+    fn next(&mut self) -> Option<Result<Rc<ScanBlock>>> {
+        let sst: &SsTable = &self.sst;
+        let block = &sst.meta.blocks[self.blocks.next()?];
+        match sst.scan_block(block, self.proj.as_deref()) {
+            Ok(decoded) => {
+                // `nosql.read.cols_*` describe projected reads only.
+                if self.proj.is_some() && sc_obs::enabled() {
+                    let obs = crate::obs::nosql();
+                    let read = decoded.decoded_cols();
+                    obs.cols_read.add(read as u64);
+                    obs.cols_skipped.add((decoded.width() - read) as u64);
+                }
+                Some(Ok(Rc::new(decoded)))
             }
-            let sst: &SsTable = &self.sst;
-            let block = &sst.meta.blocks[self.blocks.next()?];
-            match sst.decode_block(block, self.proj.as_deref()) {
-                Ok(decoded) => {
-                    // `nosql.read.cols_*` describe projected reads only.
-                    if self.proj.is_some() && sc_obs::enabled() {
-                        let obs = crate::obs::nosql();
-                        obs.cols_read.add(decoded.cols_read);
-                        obs.cols_skipped.add(decoded.cols_skipped);
-                    }
-                    self.block = decoded.entries.into_iter();
-                }
-                Err(e) => {
-                    self.blocks = 0..0;
-                    return Some(Err(e));
-                }
+            Err(e) => {
+                self.blocks = 0..0;
+                Some(Err(e))
             }
         }
     }

@@ -23,6 +23,7 @@
 //! harmless because reads resolve by max sequence.
 
 use crate::cache::BlockCache;
+use crate::colblock::{KeyRef, ScanBlock};
 use crate::error::Result;
 use crate::manifest::{Manifest, ManifestEdit};
 use crate::memtable::ShardedMemtable;
@@ -31,6 +32,7 @@ use crate::row::Row;
 use crate::schema::TableDef;
 use crate::sstable::{write_sstable, SsTable, SstEntry, SstIter};
 use sc_storage::Vfs;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -62,74 +64,220 @@ struct DiskProbe {
     blocks: u64,
 }
 
-/// One sorted input of a [`Cursor`].
-type Layer = Box<dyn Iterator<Item = Result<SstEntry>>>;
+/// One sorted input of a [`Cursor`]: its decoded blocks, in key order.
+pub(crate) type Layer<'a> = Box<dyn Iterator<Item = Result<Rc<ScanBlock>>> + 'a>;
+
+/// A layer being merged: the block being read and its next row.
+struct Head<'a> {
+    blocks: Layer<'a>,
+    /// `None` before the first block and once the layer is exhausted.
+    block: Option<Rc<ScanBlock>>,
+    row: usize,
+}
+
+impl Head<'_> {
+    /// Moves to the layer's next row that is visible at `bound` and under
+    /// `prefix`, pulling blocks as needed. `false` once the layer is
+    /// exhausted.
+    fn settle(&mut self, bound: u64, prefix: Option<&[u8]>) -> Result<bool> {
+        loop {
+            if let Some(block) = &self.block {
+                while self.row < block.len() {
+                    if visible(block, self.row, bound, prefix) {
+                        return Ok(true);
+                    }
+                    self.row += 1;
+                }
+            }
+            self.block = None;
+            self.row = 0;
+            match self.blocks.next() {
+                Some(block) => self.block = Some(block?),
+                None => return Ok(false),
+            }
+        }
+    }
+
+    fn block(&self) -> &ScanBlock {
+        self.block.as_ref().expect("a settled head has a block")
+    }
+
+    /// The settled row's key.
+    fn key(&self) -> KeyRef<'_> {
+        self.block().key_ref(self.row)
+    }
+
+    /// The settled row's key, then its sequence newest first: the merge
+    /// order of versions.
+    fn rank(&self) -> (KeyRef<'_>, std::cmp::Reverse<u64>) {
+        (self.key(), std::cmp::Reverse(self.block().seq(self.row)))
+    }
+}
+
+fn visible(block: &ScanBlock, row: usize, bound: u64, prefix: Option<&[u8]>) -> bool {
+    block.seq(row) <= bound && prefix.is_none_or(|p| block.key(row).starts_with(p))
+}
 
 /// The one merge loop: a k-way merge over sorted layers under a single
-/// rule — per key, the highest sequence at or below `bound` wins. Yields
-/// the winners in key order; every read that is not a point probe and
-/// every compaction consumes it.
-pub(crate) struct Cursor {
-    layers: Vec<Layer>,
-    /// `heads[i]` is layer `i`'s next entry at or below `bound`; `None`
-    /// until pulled, so nothing is read ahead of the caller's demand.
-    heads: Vec<Option<SstEntry>>,
+/// rule — per key, the highest sequence at or below `bound` wins. It hands
+/// out the winners in key order as runs of rows of one block
+/// ([`Cursor::next_run`]); every read that is not a point probe and every
+/// compaction consumes it, the ones that want records through
+/// [`Cursor::entries`].
+pub(crate) struct Cursor<'a> {
+    /// Settled heads in merge order: smallest key first, a key's newest
+    /// version first. After a run the first is `stale`.
+    heads: Vec<Head<'a>>,
+    /// Layers not yet read: no block is read before the first run.
+    unread: Vec<Layer<'a>>,
+    /// The first head's rows up to its row were handed out; it settles
+    /// and takes its place again on the next call.
+    stale: bool,
     bound: u64,
+    prefix: Option<Vec<u8>>,
     keep_tombstones: bool,
 }
 
-impl Cursor {
-    fn new(layers: Vec<Layer>, bound: u64, keep_tombstones: bool) -> Cursor {
+impl<'a> Cursor<'a> {
+    /// Merges `layers` at `bound`, keeping only keys under `prefix`
+    /// (`None` = all), and tombstones only when `keep_tombstones` is set.
+    pub fn new(
+        layers: Vec<Layer<'a>>,
+        bound: u64,
+        prefix: Option<&[u8]>,
+        keep_tombstones: bool,
+    ) -> Cursor<'a> {
         Cursor {
-            heads: layers.iter().map(|_| None).collect(),
-            layers,
+            heads: Vec::with_capacity(layers.len()),
+            unread: layers,
+            stale: false,
             bound,
+            prefix: prefix.map(<[u8]>::to_vec),
             keep_tombstones,
         }
     }
 
-    fn advance(&mut self) -> Result<Option<SstEntry>> {
+    /// Settles head `i`, whose rank only grew, and moves it back to its
+    /// place; an exhausted layer is dropped.
+    fn resettle(&mut self, mut i: usize) -> Result<()> {
+        if !self.heads[i].settle(self.bound, self.prefix.as_deref())? {
+            drop(self.heads.remove(i));
+            return Ok(());
+        }
+        while i + 1 < self.heads.len() && self.heads[i + 1].rank() <= self.heads[i].rank() {
+            self.heads.swap(i, i + 1);
+            i += 1;
+        }
+        Ok(())
+    }
+
+    /// Replaces `rows` with the next run of winners — at most `max`
+    /// (>= 1), all rows of the returned block; `None` once the merge is
+    /// done. Blocks are read no further ahead than one row per layer. An
+    /// error ends the merge.
+    pub fn next_run(&mut self, rows: &mut Vec<u32>, max: usize) -> Result<Option<Rc<ScanBlock>>> {
+        let run = self.run(rows, max);
+        if run.is_err() {
+            self.heads.clear();
+            self.unread.clear();
+        }
+        run
+    }
+
+    fn run(&mut self, rows: &mut Vec<u32>, max: usize) -> Result<Option<Rc<ScanBlock>>> {
+        rows.clear();
+        if !self.unread.is_empty() {
+            for blocks in std::mem::take(&mut self.unread) {
+                let mut head = Head {
+                    blocks,
+                    block: None,
+                    row: 0,
+                };
+                if head.settle(self.bound, self.prefix.as_deref())? {
+                    self.heads.push(head);
+                }
+            }
+            self.heads.sort_by(|a, b| a.rank().cmp(&b.rank()));
+        }
         loop {
-            for i in (0..self.layers.len()).rev() {
-                if self.heads[i].is_some() {
-                    continue;
-                }
-                let bound = self.bound;
-                match self.layers[i].find(|e| !matches!(e, Ok(e) if e.timestamp > bound)) {
-                    Some(e) => self.heads[i] = Some(e?),
-                    None => {
-                        drop(self.layers.swap_remove(i));
-                        self.heads.swap_remove(i);
-                    }
-                }
+            if std::mem::take(&mut self.stale) {
+                self.resettle(0)?;
             }
-            // Smallest key first; among a key's versions, the newest.
-            fn rank(head: &Option<SstEntry>) -> (&[u8], std::cmp::Reverse<u64>) {
-                let e = head.as_ref().expect("every head was just filled");
-                (&e.key, std::cmp::Reverse(e.timestamp))
-            }
-            let Some(winner) = self.heads.iter_mut().min_by(|a, b| rank(a).cmp(&rank(b))) else {
+            if self.heads.is_empty() {
                 return Ok(None);
-            };
-            let winner = winner.take().expect("every head was just filled");
-            // The other layers' versions of this key are shadowed.
-            for head in &mut self.heads {
-                if head.as_ref().is_some_and(|e| e.key == winner.key) {
-                    *head = None;
+            }
+            // The other layers' versions of the winner's key are shadowed.
+            while self
+                .heads
+                .get(1)
+                .is_some_and(|h| h.key() == self.heads[0].key())
+            {
+                self.heads[1].row += 1;
+                self.resettle(1)?;
+            }
+            // The winner's rows run until the next layer's key.
+            let (bound, prefix) = (self.bound, self.prefix.as_deref());
+            let limit = self.heads.get(1).map(Head::key);
+            let winner = &self.heads[0];
+            let block = Rc::clone(winner.block.as_ref().expect("heads are settled"));
+            let mut row = winner.row;
+            loop {
+                if self.keep_tombstones || block.is_live(row) {
+                    rows.push(row as u32);
+                }
+                row += 1;
+                while row < block.len() && !visible(&block, row, bound, prefix) {
+                    row += 1;
+                }
+                let at_limit = || limit.is_some_and(|limit| block.key_ref(row) >= limit);
+                if row == block.len() || rows.len() >= max || at_limit() {
+                    break;
                 }
             }
-            if winner.row.is_some() || self.keep_tombstones {
-                return Ok(Some(winner));
+            self.heads[0].row = row;
+            self.stale = true;
+            if !rows.is_empty() {
+                return Ok(Some(block));
             }
+        }
+    }
+
+    /// The winners as records, tombstones included if the cursor keeps
+    /// them.
+    pub fn entries(self) -> Entries<'a> {
+        Entries {
+            cursor: self,
+            block: None,
+            rows: Vec::new(),
+            next: 0,
         }
     }
 }
 
-impl Iterator for Cursor {
+/// [`Cursor::entries`]: each winner built into an [`SstEntry`], pruned
+/// columns null.
+pub(crate) struct Entries<'a> {
+    cursor: Cursor<'a>,
+    block: Option<Rc<ScanBlock>>,
+    rows: Vec<u32>,
+    next: usize,
+}
+
+impl Iterator for Entries<'_> {
     type Item = Result<SstEntry>;
 
     fn next(&mut self) -> Option<Result<SstEntry>> {
-        self.advance().transpose()
+        loop {
+            if let (Some(block), Some(&row)) = (&self.block, self.rows.get(self.next)) {
+                self.next += 1;
+                return Some(Ok(block.entry(row as usize)));
+            }
+            self.next = 0;
+            match self.cursor.next_run(&mut self.rows, usize::MAX) {
+                Ok(block) => self.block = Some(block?),
+                Err(e) => return Some(Err(e)),
+            }
+        }
     }
 }
 
@@ -322,24 +470,31 @@ impl TableCore {
     /// Opens the table's merging cursor at `bound`: the newest visible
     /// version of every key starting with `prefix` (`None` = all), in key
     /// order, tombstones elided. SSTables decode only the columns in
-    /// `proj` (`None` = all) and leave the rest `Null`; rows served from
-    /// the memtable are always complete, so callers must only look at
-    /// projected positions.
+    /// `proj` (`None` = all) and leave the rest null; the memtable's block
+    /// is always complete, so callers must only look at projected
+    /// positions.
     ///
     /// The layers are taken in [`TableCore::get`]'s order — see the module
     /// docs — and the cursor owns what it took, so it stays valid while
     /// flushes and compactions move on.
-    pub fn cursor(&self, bound: u64, prefix: Option<&[u8]>, proj: Option<&[usize]>) -> Cursor {
+    pub fn cursor(
+        &self,
+        bound: u64,
+        prefix: Option<&[u8]>,
+        proj: Option<&[usize]>,
+    ) -> Cursor<'static> {
         let mut layers: Vec<Layer> = Vec::new();
-        layers.push(Box::new(
-            self.mem.snapshot(bound, prefix).into_iter().map(Ok),
-        ));
+        let buffered = self.mem.snapshot(bound, prefix);
+        if !buffered.is_empty() {
+            let block = Rc::new(ScanBlock::from_entries(buffered));
+            layers.push(Box::new(std::iter::once(Ok(block))));
+        }
         crate::mvcc::perturb(37);
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
         for sst in ssts.iter() {
             layers.push(Box::new(SstIter::new(Arc::clone(sst), prefix, proj)));
         }
-        Cursor::new(layers, bound, false)
+        Cursor::new(layers, bound, prefix, false)
     }
 
     /// Flushes committed memtable versions to a new SSTable. Blocks on the
@@ -566,11 +721,12 @@ impl TableCore {
             .iter()
             .map(|sst| Box::new(SstIter::new(Arc::clone(sst), None, None)) as Layer)
             .collect();
+        let merged = Cursor::new(layers, u64::MAX, None, true);
         // Sized once for the most the run can yield, so the output never
         // regrows (and recopies) while blocks are decoded around it.
         let mut entries: Vec<SstEntry> = Vec::with_capacity(run.iter().map(|s| s.len()).sum());
         let mut max_ts = 0u64;
-        for e in Cursor::new(layers, u64::MAX, true) {
+        for e in merged.entries() {
             let e = e?;
             // Each key's winner carries its highest sequence, so this is
             // the run's newest sequence too.
@@ -816,6 +972,7 @@ mod tests {
         fn scan(&self) -> Vec<(Vec<u8>, Row)> {
             self.table
                 .cursor(u64::MAX, None, None)
+                .entries()
                 .map(|e| e.map(|e| (e.key, e.row.expect("tombstones are elided"))))
                 .collect::<Result<_>>()
                 .unwrap()
@@ -1210,7 +1367,7 @@ mod tests {
         let expected = h.scan();
         assert_eq!(expected.len(), 200);
 
-        let mut cursor = h.table.cursor(u64::MAX, None, None);
+        let mut cursor = h.table.cursor(u64::MAX, None, None).entries();
         let mut got = vec![cursor.next().unwrap().unwrap()];
         h.table.compact(&h.registry).unwrap();
         assert_eq!(h.table.sstable_count(), 1);
@@ -1348,6 +1505,7 @@ mod tests {
                     let got: Vec<SstEntry> = h
                         .table
                         .cursor(bound, prefix, None)
+                        .entries()
                         .collect::<Result<_>>()
                         .unwrap();
                     assert_eq!(

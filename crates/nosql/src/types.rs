@@ -178,11 +178,25 @@ impl CqlValue {
 
     /// Decodes a value written by [`CqlValue::encode`].
     pub fn decode(dec: &mut Decoder<'_>) -> Result<CqlValue, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(CqlValue::Null),
-            1 => Ok(CqlValue::Int(dec.get_i64()?)),
-            2 => Ok(CqlValue::Text(dec.get_str()?.to_string())),
-            3 => Ok(CqlValue::Boolean(dec.get_bool()?)),
+        Ok(match CqlValue::decode_in_place(dec)? {
+            InPlace::Text(bytes) => {
+                let text = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?;
+                CqlValue::Text(text.to_string())
+            }
+            InPlace::Value(v) => v,
+        })
+    }
+
+    /// [`CqlValue::decode`] with a text value's bytes left in the input and
+    /// not yet checked as UTF-8, so a scan copies a run's text where it
+    /// wants and checks it once instead of allocating and checking a
+    /// string per cell.
+    pub(crate) fn decode_in_place<'a>(dec: &mut Decoder<'a>) -> Result<InPlace<'a>, DecodeError> {
+        let value = match dec.get_u8()? {
+            0 => CqlValue::Null,
+            1 => CqlValue::Int(dec.get_i64()?),
+            2 => return Ok(InPlace::Text(dec.get_bytes()?)),
+            3 => CqlValue::Boolean(dec.get_bool()?),
             4 => {
                 let n = dec.get_u64()? as usize;
                 let mut set = BTreeSet::new();
@@ -191,13 +205,16 @@ impl CqlValue {
                     let _live = dec.get_u8()?;
                     set.insert(dec.get_i64()?);
                 }
-                Ok(CqlValue::IntSet(set))
+                CqlValue::IntSet(set)
             }
-            tag => Err(DecodeError::BadTag {
-                tag,
-                context: "CqlValue",
-            }),
-        }
+            tag => {
+                return Err(DecodeError::BadTag {
+                    tag,
+                    context: "CqlValue",
+                })
+            }
+        };
+        Ok(InPlace::Value(value))
     }
 
     /// Steps over a value written by [`CqlValue::encode`] without building
@@ -257,22 +274,7 @@ impl CqlValue {
     /// fixed type rank (int < text < boolean < set). Same-typed columns —
     /// the only thing the schema layer admits — never hit the rank case.
     pub fn cmp_sort(&self, other: &CqlValue) -> std::cmp::Ordering {
-        fn rank(v: &CqlValue) -> u8 {
-            match v {
-                CqlValue::Null => 0,
-                CqlValue::Int(_) => 1,
-                CqlValue::Text(_) => 2,
-                CqlValue::Boolean(_) => 3,
-                CqlValue::IntSet(_) => 4,
-            }
-        }
-        match (self, other) {
-            (CqlValue::Int(a), CqlValue::Int(b)) => a.cmp(b),
-            (CqlValue::Text(a), CqlValue::Text(b)) => a.cmp(b),
-            (CqlValue::Boolean(a), CqlValue::Boolean(b)) => a.cmp(b),
-            (CqlValue::IntSet(a), CqlValue::IntSet(b)) => a.cmp(b),
-            _ => rank(self).cmp(&rank(other)),
-        }
+        Cell::from(self).cmp_sort(Cell::from(other))
     }
 
     /// CQL literal form (used when rendering statements, e.g. Figure 3).
@@ -286,6 +288,75 @@ impl CqlValue {
                 let items: Vec<String> = set.iter().map(i64::to_string).collect();
                 format!("{{{}}}", items.join(", "))
             }
+        }
+    }
+}
+
+/// A value [`CqlValue::decode_in_place`] read: a text value's bytes,
+/// borrowed from the input and unchecked, or any other value built.
+pub(crate) enum InPlace<'a> {
+    Text(&'a [u8]),
+    Value(CqlValue),
+}
+
+/// A borrowed view of one value: what a column batch hands out per row
+/// without building a [`CqlValue`]. Equality, hashing and
+/// [`Cell::cmp_sort`] agree with the owned value's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Cell<'a> {
+    Null,
+    Int(i64),
+    Text(&'a str),
+    Boolean(bool),
+    IntSet(&'a BTreeSet<i64>),
+}
+
+impl<'a> From<&'a CqlValue> for Cell<'a> {
+    fn from(v: &'a CqlValue) -> Cell<'a> {
+        match v {
+            CqlValue::Null => Cell::Null,
+            CqlValue::Int(i) => Cell::Int(*i),
+            CqlValue::Text(s) => Cell::Text(s),
+            CqlValue::Boolean(b) => Cell::Boolean(*b),
+            CqlValue::IntSet(set) => Cell::IntSet(set),
+        }
+    }
+}
+
+impl Cell<'_> {
+    /// Whether this is [`Cell::Null`].
+    pub fn is_null(self) -> bool {
+        matches!(self, Cell::Null)
+    }
+
+    /// The owned value.
+    pub fn to_value(self) -> CqlValue {
+        match self {
+            Cell::Null => CqlValue::Null,
+            Cell::Int(i) => CqlValue::Int(i),
+            Cell::Text(s) => CqlValue::Text(s.to_owned()),
+            Cell::Boolean(b) => CqlValue::Boolean(b),
+            Cell::IntSet(set) => CqlValue::IntSet(set.clone()),
+        }
+    }
+
+    /// [`CqlValue::cmp_sort`]'s order.
+    pub fn cmp_sort(self, other: Cell<'_>) -> std::cmp::Ordering {
+        fn rank(v: Cell<'_>) -> u8 {
+            match v {
+                Cell::Null => 0,
+                Cell::Int(_) => 1,
+                Cell::Text(_) => 2,
+                Cell::Boolean(_) => 3,
+                Cell::IntSet(_) => 4,
+            }
+        }
+        match (self, other) {
+            (Cell::Int(a), Cell::Int(b)) => a.cmp(&b),
+            (Cell::Text(a), Cell::Text(b)) => a.cmp(b),
+            (Cell::Boolean(a), Cell::Boolean(b)) => a.cmp(&b),
+            (Cell::IntSet(a), Cell::IntSet(b)) => a.cmp(b),
+            _ => rank(self).cmp(&rank(other)),
         }
     }
 }

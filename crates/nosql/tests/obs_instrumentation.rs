@@ -183,3 +183,50 @@ fn recovery_span_and_replay_counter_record_a_reopen() {
     assert!(rec_ns.count > rec_before.count, "recovery span recorded");
     assert!(rec_ns.sum > rec_before.sum, "recovery duration is non-zero");
 }
+
+#[test]
+fn operators_are_charged_the_rows_they_emit() {
+    let db = Db::open(OpenOptions::default().vfs(Vfs::memory())).expect("engine opens");
+    db.execute_cql("CREATE KEYSPACE ops").expect("ddl");
+    db.execute_cql("CREATE TABLE ops.bikes (id int, station text, bikes int, PRIMARY KEY (id))")
+        .expect("ddl");
+    // Rows on disk and in the memtable, so the scan's batches span
+    // blocks of both.
+    let mut passing = 0;
+    let mut stations = std::collections::BTreeSet::new();
+    for id in 0..3000i64 {
+        let (station, bikes) = (id * 7 % 23, id * 13 % 50);
+        db.execute_cql(&format!(
+            "INSERT INTO ops.bikes (id, station, bikes) VALUES ({id}, 'st-{station}', {bikes})"
+        ))
+        .expect("insert");
+        if bikes > 20 {
+            passing += 1;
+            stations.insert(station);
+        }
+        if id == 2000 {
+            db.flush_all().expect("flush");
+        }
+    }
+
+    sc_obs::set_trace_enabled(true);
+    let guard = sc_obs::trace::begin(sc_obs::trace::next_trace_id(), "select");
+    let result = db
+        .execute_cql("SELECT station, COUNT(*) FROM ops.bikes WHERE bikes > 20 GROUP BY station")
+        .expect("select");
+    let trace = guard.finish().expect("the trace was collected");
+    assert_eq!(result.len(), stations.len());
+
+    let rows_out = |operator: &str| -> u64 {
+        let spans = trace.spans.iter().filter(|s| s.name == operator);
+        spans
+            .map(|s| s.attrs[sc_obs::trace::Attr::OpRowsOut as usize])
+            .sum()
+    };
+    assert_eq!(rows_out("FullScan"), passing, "rows that pass the residual");
+    assert_eq!(
+        rows_out("Aggregate"),
+        stations.len() as u64,
+        "one per group"
+    );
+}

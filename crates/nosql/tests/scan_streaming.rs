@@ -1,6 +1,8 @@
 //! Full scans stream: an aggregate over a flushed table holds one decoded
-//! block per SSTable plus one batch, whatever the row count, and a pushed
-//! `LIMIT` stops reading blocks once it is met.
+//! block per SSTable plus one batch, whatever the row count, a scan
+//! allocates per block rather than per row, a selective filter or a sort
+//! holds the rows it keeps rather than their blocks, and a pushed `LIMIT`
+//! stops reading blocks once it is met.
 //!
 //! Its own integration-test binary with a single test, in the style of
 //! `obs/tests/no_alloc.rs`: the counting allocator is process-global, so
@@ -15,14 +17,17 @@ struct PeakAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Allocation calls, reallocations included.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(by: usize) {
     let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// counters only observe the sizes.
+// counters only observe the calls and their sizes.
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         grew(layout.size());
@@ -97,6 +102,51 @@ fn aggregates_run_in_bounded_memory_and_limits_stop_reading() {
     assert!(
         peak < 2 * MIB && peak < small_peak + MIB,
         "COUNT(*) peaked at {peak} B over 200k rows, {small_peak} B over 50k"
+    );
+
+    // Rows are never built on the way to an aggregate: a scan's
+    // allocations are its blocks' (the block read, the decoded runs),
+    // not its rows'. The warm-up leaves one-off growth out of the count.
+    for cql in [
+        "SELECT city, COUNT(*), SUM(n) FROM m.t GROUP BY city",
+        "SELECT COUNT(*) FROM m.t",
+    ] {
+        db.execute_cql(cql).unwrap();
+        let start = ALLOCS.load(Ordering::Relaxed);
+        let groups = db.execute_cql(cql).unwrap().len();
+        let allocs = ALLOCS.load(Ordering::Relaxed) - start;
+        assert!(groups == 7 || groups == 1, "{cql}: {groups} rows");
+        let per_row = allocs as f64 / 200_000.0;
+        assert!(
+            per_row < 0.5,
+            "{cql}: {allocs} allocations over 200k scanned rows ({per_row:.2} per row)"
+        );
+    }
+
+    // A selective residual's batches hold a few blocks, as an unfiltered
+    // scan's do, not every block their rows were read from.
+    let filtered = "SELECT COUNT(*) FROM m.t WHERE city = 'city-3'";
+    let (filtered_peak, count) = peak_heap_of(&db, filtered);
+    assert_eq!(count, 28_571);
+    assert!(
+        filtered_peak < 2 * peak,
+        "{filtered} peaked at {filtered_peak} B, COUNT(*) at {peak} B"
+    );
+    // A sort holds the rows that reach it, not their blocks: at its peak
+    // each row exists twice, the sort's and the result's, about 240 B;
+    // keeping every block the rows came from costs three times that.
+    let sorted = "SELECT id, n FROM m.t WHERE city = 'city-3' ORDER BY n DESC";
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    let result = db.execute_cql(sorted).unwrap();
+    let sorted_peak = PEAK.load(Ordering::Relaxed) - start;
+    let rows = result.rows();
+    assert_eq!(rows.len(), 28_571);
+    assert_eq!(rows[0][1].as_int(), Some(3 * 199_993));
+    assert!(
+        sorted_peak < 400 * rows.len(),
+        "{sorted} peaked at {sorted_peak} B for {} rows",
+        rows.len()
     );
 
     let before = db.block_cache_stats();

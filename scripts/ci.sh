@@ -30,6 +30,12 @@ echo "==> benchmark package still compiles against the crates' public API"
 CARGO_TARGET_DIR=.bench_build \
     cargo check --offline --quiet --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark package's own tests"
+# Its workloads' oracles and harness pieces, against the crates as they
+# are now (same target dir as the check above).
+CARGO_TARGET_DIR=.bench_build \
+    cargo test --offline --locked -q --manifest-path benchmark/Cargo.toml
+
 echo "==> concurrency tier (release, seeded yield injector)"
 # Release mode frees the real interleavings; SC_NOSQL_YIELD arms the
 # deterministic schedule perturber at engine synchronization points so the
