@@ -12,16 +12,18 @@
 //! The engine core (`DbCore`) is `Send + Sync` and shared by every
 //! session through an `Arc` — there is no global statement mutex.
 //!
-//! - **Reads** never block writers. A `SELECT` pins the MVCC watermark
-//!   (`mvcc::ReadPin`) and resolves each key to the newest
-//!   version at or below that bound, across memtable shards and immutable
+//! - **Reads** never wait for a statement. A `SELECT` pins the MVCC
+//!   watermark (`mvcc::ReadPin`) and resolves each key to the newest
+//!   version at or below that bound, across the memtable and immutable
 //!   SSTables (a merged-away SSTable's file lives until its last reader
 //!   lets go). Concurrent writers can never tear a read: versions above
-//!   the pin are invisible.
+//!   the pin are invisible. A point read or a scan's copy of the memtable
+//!   holds its read lock, and so writers to that table, only while it
+//!   reads the map.
 //! - **Writes** append to the group-commit WAL
 //!   (`commitlog::GroupCommitLog`) — concurrent sessions share
 //!   one fsync via a leader/follower protocol — then insert into the
-//!   FNV-sharded memtable under per-shard mutexes.
+//!   table's ordered memtable under its write lock.
 //! - **Read-modify-write statements** (UPDATE, and any write to a table
 //!   with secondary indexes) serialize on a per-table RMW mutex so the
 //!   read half always observes the previous RMW's write.
@@ -29,7 +31,7 @@
 //!   guarantees `flush_all` sees no in-flight statements.
 //!
 //! Lock order (outermost first): engine state → per-table RMW → WAL
-//! group → per-table maintenance → memtable shard / SSTable list.
+//! group → per-table maintenance → memtable / SSTable list.
 
 use crate::cache::{BlockCache, CacheStats, DEFAULT_BLOCK_CACHE_BYTES};
 use crate::commitlog::{CommitLog, GroupCommitLog, WalError};
@@ -171,9 +173,27 @@ struct TableHandle {
     def: TableDef,
     core: Arc<TableCore>,
     indexes: Vec<Index>,
+    /// An index's hidden posting table: only its base table's index
+    /// writes it, so every user write is refused ([`TableHandle::writable`]).
+    posting: bool,
 }
 
 impl TableHandle {
+    /// Refuses a user write (`verb`) to a posting table. Its runtime is
+    /// also held by the base table's `Index`: a user write would leave the
+    /// postings disagreeing with the base rows, and a TRUNCATE would strand
+    /// every later posting in a runtime no flush, checkpoint or recovery
+    /// reaches.
+    fn writable(&self, verb: &str) -> Result<()> {
+        if self.posting {
+            return Err(NosqlError::Unsupported(format!(
+                "{verb} of {}, an index's posting table; write to the indexed table",
+                self.def.qualified_name()
+            )));
+        }
+        Ok(())
+    }
+
     fn attach(&mut self, index: Index) {
         let column = self.def.columns[index.column()].name.clone();
         self.def.indexed_columns.push(column);
@@ -906,31 +926,60 @@ mod tests {
 
     #[test]
     fn truncate_refuses_a_hidden_posting_table() {
-        // The base table's index writes into the posting table's runtime:
-        // replacing that runtime alone would strand every later posting in
-        // one no flush, checkpoint or recovery reaches.
+        // Only the base table's index writes the posting table: a user
+        // write would make the index disagree with the base rows, and a
+        // TRUNCATE would strand every later posting in a runtime no flush,
+        // checkpoint or recovery reaches. Every writing verb is refused.
         let vfs = Vfs::memory();
+        let index_answer = |db: &Db| {
+            let r = db.execute_cql("SELECT id FROM ks.t WHERE g = 'a'").unwrap();
+            let mut ids: Vec<i64> = r.iter().map(|row| row.get_int("id").unwrap()).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let both = vec![i64::MIN + 5, 7];
         {
             let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
             db.execute_cql("CREATE KEYSPACE ks").unwrap();
-            db.execute_cql("CREATE TABLE ks.t (id int, v int, PRIMARY KEY (id))")
+            db.execute_cql("CREATE TABLE ks.t (id int, g text, PRIMARY KEY (id))")
                 .unwrap();
-            db.execute_cql("CREATE INDEX ON ks.t (v)").unwrap();
-            assert!(matches!(
-                db.execute_cql("TRUNCATE ks.t__idx_v"),
-                Err(NosqlError::Unsupported(_))
-            ));
-            db.execute_cql("INSERT INTO ks.t (id, v) VALUES (1, 7)")
-                .unwrap();
+            db.execute_cql("CREATE INDEX ON ks.t (g)").unwrap();
+            for id in [i64::MIN + 5, 7] {
+                db.execute_cql(&format!("INSERT INTO ks.t (id, g) VALUES ({id}, 'a')"))
+                    .unwrap();
+            }
+            for write in [
+                "TRUNCATE ks.t__idx_g",
+                "INSERT INTO ks.t__idx_g (k, id) VALUES ('x', 1)",
+                "UPDATE ks.t__idx_g SET id = 1 WHERE k = 'x'",
+                // The exact key of the first row's posting.
+                "DELETE FROM ks.t__idx_g WHERE k = '\u{1}a\0\0\0\0\0\0\0\u{5}'",
+            ] {
+                assert!(
+                    matches!(db.execute_cql(write), Err(NosqlError::Unsupported(_))),
+                    "{write}"
+                );
+            }
+            assert_eq!(index_answer(&db), both);
+            // Reading a posting table stays allowed.
+            assert_eq!(
+                db.execute_cql("SELECT * FROM ks.t__idx_g").unwrap().len(),
+                2
+            );
             db.flush_all().unwrap();
         }
         let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
-        let r = db.execute_cql("SELECT id FROM ks.t WHERE v = 7").unwrap();
-        assert_eq!(r.rows(), vec![vec![CqlValue::Int(1)]]);
+        assert_eq!(index_answer(&db), both);
+        assert!(matches!(
+            db.execute_cql("INSERT INTO ks.t__idx_g (k, id) VALUES ('x', 1)"),
+            Err(NosqlError::Unsupported(_))
+        ));
         // A table that merely has such a name is an ordinary table.
-        db.execute_cql("CREATE TABLE ks.u__idx_v (k text, PRIMARY KEY (k))")
+        db.execute_cql("CREATE TABLE ks.u__idx_g (k text, PRIMARY KEY (k))")
             .unwrap();
-        db.execute_cql("TRUNCATE ks.u__idx_v").unwrap();
+        db.execute_cql("INSERT INTO ks.u__idx_g (k) VALUES ('x')")
+            .unwrap();
+        db.execute_cql("TRUNCATE ks.u__idx_g").unwrap();
     }
 
     #[test]

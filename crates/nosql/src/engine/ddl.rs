@@ -42,7 +42,7 @@ impl DbCore {
                     })
                     .collect();
                 let def = TableDef::new(&table.keyspace, &table.table, defs, primary_key)?;
-                self.add_table(state, def)?;
+                self.add_table(state, def, false)?;
             }
             Statement::CreateIndex { table, column } => {
                 self.create_index(state, table, column)?;
@@ -55,8 +55,14 @@ impl DbCore {
         Ok(())
     }
 
-    /// Registers `def` with a fresh runtime, which it returns.
-    fn add_table(&self, state: &mut EngineState, def: TableDef) -> Result<Arc<TableCore>> {
+    /// Registers `def` with a fresh runtime, which it returns; `posting`
+    /// marks an index's hidden posting table.
+    fn add_table(
+        &self,
+        state: &mut EngineState,
+        def: TableDef,
+        posting: bool,
+    ) -> Result<Arc<TableCore>> {
         let tables = state.keyspace_mut(&def.keyspace)?;
         if tables.contains_key(&def.name) {
             return Err(NosqlError::AlreadyExists(format!(
@@ -75,6 +81,7 @@ impl DbCore {
             core: Arc::clone(&core),
             indexes: Vec::new(),
             def,
+            posting,
         };
         tables.insert(handle.def.name.clone(), handle);
         Ok(core)
@@ -92,7 +99,7 @@ impl DbCore {
         let base = &state.get(keyspace, table)?.def;
         let (position, hidden) = index::hidden_def(base, column)?;
         let pk = base.primary_key;
-        let index = Index::new(position, pk, self.add_table(state, hidden)?);
+        let index = Index::new(position, pk, self.add_table(state, hidden, true)?);
         state
             .keyspace_mut(keyspace)?
             .get_mut(table)
@@ -121,20 +128,9 @@ impl DbCore {
         table: &TableRef,
         session_keyspace: Option<&str>,
     ) -> Result<()> {
-        let mut def = state.table(table, session_keyspace)?.def.clone();
-        // A posting table's runtime is also held by its base table's
-        // `Index`: replacing it here alone would strand every later posting
-        // in a runtime no flush, checkpoint or recovery reaches.
-        let posts_here = |base: &TableHandle| {
-            let mut indexed = base.def.indexed_columns.iter();
-            indexed.any(|c| index::hidden_name(&base.def.name, c) == def.name)
-        };
-        if state.keyspace(&def.keyspace)?.values().any(posts_here) {
-            return Err(NosqlError::Unsupported(format!(
-                "TRUNCATE of {}, an index's posting table; truncate the indexed table",
-                def.qualified_name()
-            )));
-        }
+        let handle = state.table(table, session_keyspace)?;
+        handle.writable("TRUNCATE")?;
+        let mut def = handle.def.clone();
         let indexed = std::mem::take(&mut def.indexed_columns);
         let names: Vec<String> = std::iter::once(def.name.clone())
             .chain(indexed.iter().map(|c| index::hidden_name(&def.name, c)))
@@ -178,7 +174,7 @@ impl DbCore {
             tables.remove(name);
         }
         let (keyspace, table) = (def.keyspace.clone(), def.name.clone());
-        self.add_table(state, def)?;
+        self.add_table(state, def, false)?;
         for column in &indexed {
             self.add_index(state, &keyspace, &table, column)?;
         }

@@ -190,14 +190,17 @@ impl DbCore {
     /// real cost of Cassandra-style secondary indexes) or the statement is
     /// an UPDATE (`reads_old`) — and then under the table's RMW lock, held
     /// through the commit, so the read observes every previous RMW's write.
-    /// Everything else is a blind, lock-free write.
+    /// Everything else is a blind, lock-free write. A posting table refuses
+    /// every statement (`verb`) before anything is staged.
     fn in_chunk(
         &self,
         state: &EngineState,
         handle: &TableHandle,
+        verb: &str,
         reads_old: bool,
         stage: impl FnOnce(&mut Chunk) -> Result<()>,
     ) -> Result<()> {
+        handle.writable(verb)?;
         let reads_old = reads_old || !handle.indexes.is_empty();
         let _rmw = reads_old.then(|| handle.core.rmw_lock());
         let mut chunk = Chunk::new(self.wal.plain().room(), reads_old);
@@ -258,7 +261,7 @@ impl DbCore {
         loop {
             let state = self.read_state();
             let handle = state.get(keyspace, name)?;
-            self.in_chunk(&state, handle, false, |chunk| {
+            self.in_chunk(&state, handle, "INSERT", false, |chunk| {
                 while !chunk.full {
                     let Some(values) = rows.next() else {
                         break;
@@ -320,7 +323,7 @@ impl DbCore {
             def.check(column, value)?;
             sets.push((column, value));
         }
-        self.in_chunk(state, handle, true, |chunk| {
+        self.in_chunk(state, handle, "UPDATE", true, |chunk| {
             self.write(chunk, handle, key, |old| {
                 let mut values = match old {
                     Some(row) => row.values.clone(),
@@ -342,7 +345,7 @@ impl DbCore {
         where_clause: &WhereClause,
     ) -> Result<()> {
         let (_, key) = Self::key_filter(&handle.def, where_clause, "DELETE")?;
-        self.in_chunk(state, handle, false, |chunk| {
+        self.in_chunk(state, handle, "DELETE", false, |chunk| {
             self.write(chunk, handle, key, |_| None)
         })
     }

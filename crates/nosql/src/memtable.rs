@@ -1,9 +1,10 @@
-//! FNV-sharded, multi-versioned in-memory write buffer.
+//! Ordered, multi-versioned in-memory write buffer.
 //!
-//! The memtable is split into `SHARD_COUNT` shards, each guarded by its
-//! own mutex; a key's shard is chosen by FNV-1a hash, so concurrent writers
-//! to different keys almost never contend. Within a shard each key maps to
-//! a **version chain**: a vector of `Version`s sorted newest-first by
+//! The memtable is one `BTreeMap` from key to **version chain** behind one
+//! read-write lock: writers and drains take it exclusively, point reads,
+//! cursor snapshots and flush peeks share it. Ordered readers therefore
+//! walk the map in key order and never sort; a key-prefix snapshot is a
+//! range seek. A chain is a vector of `Version`s sorted newest-first by
 //! MVCC sequence number.
 //!
 //! Every version records the sequence of the version that *shadowed* it
@@ -17,30 +18,25 @@
 //! - **Which version a bound sees.** One rule, `visible_at`, serves point
 //!   reads, cursor snapshots and both halves of a flush: the newest version
 //!   at or below the bound, unless its shadow is at or below the bound too —
-//!   then a newer visible version exists outside the shard (it was flushed)
-//!   and the memtable has no answer for that key. A point read that lands on
-//!   a version whose chain is intact above it (every newer link present in
-//!   the shard, the newest unshadowed) additionally knows no SSTable can
-//!   hold anything newer, and skips the disk entirely.
+//!   then a newer visible version exists outside the memtable (it was
+//!   flushed) and the memtable has no answer for that key. A point read that
+//!   lands on a version whose chain is intact above it (every newer link
+//!   present in the memtable, the newest unshadowed) additionally knows no
+//!   SSTable can hold anything newer, and skips the disk entirely.
 //!
-//! A flush copies before it removes: `ShardedMemtable::peek_up_to` clones,
-//! per key, the globally newest version at or below the flush boundary
-//! (always a fully committed sequence) for the caller to write out, and
-//! `ShardedMemtable::drain_up_to` removes the same versions once their
-//! SSTable is attached. Older versions that a pinned snapshot might still
-//! need stay behind in the shard.
+//! A flush copies before it removes: `Memtable::peek_up_to` clones, per
+//! key, the globally newest version at or below the flush boundary (always
+//! a fully committed sequence) for the caller to write out, and
+//! `Memtable::drain_up_to` removes the same versions once their SSTable is
+//! attached. Older versions that a pinned snapshot might still need stay
+//! behind in the memtable.
 
 use crate::row::Row;
 use crate::sstable::SstEntry;
-use sc_encoding::fnv1a_64;
 use std::collections::BTreeMap;
+use std::ops::Bound::{Included, Unbounded};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Number of memtable shards. A small power of two: enough to make
-/// same-shard collisions rare for the session counts the server sees,
-/// small enough that draining every shard for a flush stays cheap.
-pub(crate) const SHARD_COUNT: usize = 16;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One MVCC version of a row. `row == None` is a tombstone.
 #[derive(Debug, Clone)]
@@ -61,38 +57,32 @@ pub(crate) struct Version {
 pub(crate) struct MemHit {
     pub row: Option<Row>,
     pub seq: u64,
-    /// True when the chain above the hit is complete in the shard: no
+    /// True when the chain above the hit is complete in the memtable: no
     /// SSTable can hold a newer version, so the caller may skip them.
     pub definitive: bool,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    entries: BTreeMap<Vec<u8>, Vec<Version>>,
-}
+type Chains = BTreeMap<Vec<u8>, Vec<Version>>;
 
-/// The sharded memtable. All methods take `&self`; synchronization is one
-/// mutex per shard plus a relaxed byte counter.
-#[derive(Debug)]
-pub(crate) struct ShardedMemtable {
-    shards: Box<[Mutex<Shard>]>,
+/// The memtable. All methods take `&self`; synchronization is one
+/// read-write lock over the ordered map plus a relaxed byte counter.
+#[derive(Debug, Default)]
+pub(crate) struct Memtable {
+    entries: RwLock<Chains>,
     bytes: AtomicUsize,
 }
 
-impl ShardedMemtable {
-    pub fn new() -> ShardedMemtable {
-        let shards = (0..SHARD_COUNT)
-            .map(|_| Mutex::new(Shard::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        ShardedMemtable {
-            shards,
-            bytes: AtomicUsize::new(0),
-        }
+impl Memtable {
+    pub fn new() -> Memtable {
+        Memtable::default()
     }
 
-    fn shard_for(&self, key: &[u8]) -> &Mutex<Shard> {
-        &self.shards[(fnv1a_64(key) % self.shards.len() as u64) as usize]
+    fn read(&self) -> RwLockReadGuard<'_, Chains> {
+        self.entries.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Chains> {
+        self.entries.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Inserts a version and garbage-collects the key's chain.
@@ -101,11 +91,8 @@ impl ShardedMemtable {
     /// call time; versions whose shadow is at or below it are unreachable
     /// by every current and future reader and are dropped.
     pub fn put(&self, key: Vec<u8>, row: Option<Row>, seq: u64, cost: usize, gc_floor: u64) {
-        let mut shard = self
-            .shard_for(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let versions = shard.entries.entry(key).or_default();
+        let mut entries = self.write();
+        let versions = entries.entry(key).or_default();
         insert_version(
             versions,
             Version {
@@ -123,13 +110,10 @@ impl ShardedMemtable {
     }
 
     /// The version of `key` a reader at `bound` sees ([`visible_at`]), if
-    /// the shard holds it.
+    /// the memtable holds it.
     pub fn get(&self, key: &[u8], bound: u64) -> Option<MemHit> {
-        let shard = self
-            .shard_for(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let versions = shard.entries.get(key)?;
+        let entries = self.read();
+        let versions = entries.get(key)?;
         let pos = visible_at(versions, bound)?;
         // Intact above the hit: the head is the key's newest anywhere and
         // every link down to the hit points at the version before it.
@@ -145,52 +129,34 @@ impl ShardedMemtable {
 
     /// The memtable's layer of a merging cursor: per key starting with
     /// `prefix` (`None` = all), the version a reader at `bound` sees
-    /// ([`visible_at`]), tombstones included, sorted by key.
+    /// ([`visible_at`]), tombstones included, in key order. A prefix seeks
+    /// to its first key and stops at the first key outside it.
     pub fn snapshot(&self, bound: u64, prefix: Option<&[u8]>) -> Vec<SstEntry> {
-        self.collect(|key, versions| {
-            if prefix.is_some_and(|p| !key.starts_with(p)) {
-                return None;
-            }
-            visible_at(versions, bound)
-        })
+        let entries = self.read();
+        let prefix = prefix.unwrap_or_default();
+        let chains = entries
+            .range::<[u8], _>((Included(prefix), Unbounded))
+            .take_while(|(key, _)| key.starts_with(prefix));
+        collect(chains, |versions| visible_at(versions, bound))
     }
 
-    /// Flush, first half: the entries [`ShardedMemtable::drain_up_to`] will
-    /// remove at `boundary`, cloned without removing anything and sorted by
-    /// key — what the flush hands to the SSTable writer. Every acked version
-    /// stays readable in its shard until its SSTable is attached.
+    /// Flush, first half: the entries [`Memtable::drain_up_to`] will remove
+    /// at `boundary`, cloned without removing anything, in key order — what
+    /// the flush hands to the SSTable writer. Every acked version stays
+    /// readable in the memtable until its SSTable is attached.
     ///
     /// A version committed between the peek and the drain has a sequence
     /// above `boundary` (the visible watermark at flush start), so it can
     /// shadow a peeked version but never changes the peeked set itself;
-    /// the drain then leaves the newly-shadowed version in its shard,
+    /// the drain then leaves the newly-shadowed version in the memtable,
     /// which is merely a duplicate of what the SSTable already serves.
     pub fn peek_up_to(&self, boundary: u64) -> Vec<SstEntry> {
-        self.collect(|_, versions| flushable_at(versions, boundary))
+        collect(self.read().iter(), |versions| {
+            flushable_at(versions, boundary)
+        })
     }
 
-    /// Per key, the version `pick` chooses from the key's chain (by index),
-    /// cloned out of the shards and sorted by key.
-    fn collect(&self, pick: impl Fn(&[u8], &[Version]) -> Option<usize>) -> Vec<SstEntry> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, versions) in &shard.entries {
-                if let Some(pos) = pick(key, versions) {
-                    let v = &versions[pos];
-                    out.push(SstEntry {
-                        key: key.clone(),
-                        row: v.row.clone(),
-                        timestamp: v.seq,
-                    });
-                }
-            }
-        }
-        out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        out
-    }
-
-    /// Approximate bytes buffered across all shards.
+    /// Approximate bytes buffered.
     pub fn approx_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -198,10 +164,7 @@ impl ShardedMemtable {
     /// Number of keys with at least one buffered version (planner row
     /// estimates, test observability).
     pub fn key_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).entries.len())
-            .sum()
+        self.read().len()
     }
 
     /// Flush, second half: removes, per key, the version visible at
@@ -219,22 +182,19 @@ impl ShardedMemtable {
     /// `gc_floor` on the way through; empty chains are dropped.
     pub fn drain_up_to(&self, boundary: u64, gc_floor: u64) {
         let mut freed = 0usize;
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            shard.entries.retain(|_, versions| {
-                if let Some(pos) = flushable_at(versions, boundary) {
-                    freed += versions.remove(pos).cost;
-                }
-                freed += gc_chain(versions, gc_floor);
-                !versions.is_empty()
-            });
-        }
+        self.write().retain(|_, versions| {
+            if let Some(pos) = flushable_at(versions, boundary) {
+                freed += versions.remove(pos).cost;
+            }
+            freed += gc_chain(versions, gc_floor);
+            !versions.is_empty()
+        });
         if freed > 0 {
             self.bytes.fetch_sub(freed, Ordering::Relaxed);
         }
     }
 
-    /// Garbage-collects every shard against `floor`: versions shadowed at
+    /// Garbage-collects every chain against `floor`: versions shadowed at
     /// or below it are unreachable by every current and future reader and
     /// are dropped; emptied chains disappear.
     ///
@@ -245,17 +205,32 @@ impl ShardedMemtable {
     /// would otherwise resurface once the tombstone leaves the SSTables.
     pub fn gc(&self, floor: u64) {
         let mut freed = 0usize;
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            shard.entries.retain(|_, versions| {
-                freed += gc_chain(versions, floor);
-                !versions.is_empty()
-            });
-        }
+        self.write().retain(|_, versions| {
+            freed += gc_chain(versions, floor);
+            !versions.is_empty()
+        });
         if freed > 0 {
             self.bytes.fetch_sub(freed, Ordering::Relaxed);
         }
     }
+}
+
+/// Per chain, in the order given, the version `pick` chooses (by index),
+/// cloned out as an entry.
+fn collect<'a>(
+    chains: impl Iterator<Item = (&'a Vec<u8>, &'a Vec<Version>)>,
+    pick: impl Fn(&[Version]) -> Option<usize>,
+) -> Vec<SstEntry> {
+    chains
+        .filter_map(|(key, versions)| {
+            let v = &versions[pick(versions)?];
+            Some(SstEntry {
+                key: key.clone(),
+                row: v.row.clone(),
+                timestamp: v.seq,
+            })
+        })
+        .collect()
 }
 
 /// The one version rule. Index, in a newest-first chain, of the version a
@@ -331,13 +306,13 @@ mod tests {
         Row::new(vec![CqlValue::Int(v)])
     }
 
-    fn put(m: &ShardedMemtable, key: &[u8], v: i64, seq: u64, gc_floor: u64) {
+    fn put(m: &Memtable, key: &[u8], v: i64, seq: u64, gc_floor: u64) {
         m.put(key.to_vec(), Some(row(v)), seq, 8, gc_floor);
     }
 
     #[test]
     fn reads_respect_the_bound() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         put(&m, b"k", 1, 5, 0);
         put(&m, b"k", 2, 9, 0);
         assert!(m.get(b"k", 4).is_none(), "nothing visible below seq 5");
@@ -351,8 +326,8 @@ mod tests {
 
     #[test]
     fn out_of_order_insert_fixes_shadow_links() {
-        let m = ShardedMemtable::new();
-        // Two writers race: the higher sequence reaches the shard first.
+        let m = Memtable::new();
+        // Two writers race: the higher sequence reaches the memtable first.
         put(&m, b"k", 2, 9, 0);
         put(&m, b"k", 1, 5, 0);
         let hit = m.get(b"k", 5).unwrap();
@@ -365,7 +340,7 @@ mod tests {
 
     #[test]
     fn gc_drops_versions_below_the_floor() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         put(&m, b"k", 1, 5, 0);
         // Floor 9 ≥ shadow (9) of the old version: it is unreachable.
         put(&m, b"k", 2, 9, 9);
@@ -375,7 +350,7 @@ mod tests {
 
     #[test]
     fn gc_keeps_versions_a_pinned_reader_needs() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         put(&m, b"k", 1, 5, 0);
         // A reader is pinned at bound 7 (< shadow 9): keep the old version.
         put(&m, b"k", 2, 9, 7);
@@ -386,7 +361,7 @@ mod tests {
 
     #[test]
     fn drain_takes_committed_versions_and_leaves_the_rest() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         put(&m, b"a", 1, 3, 0);
         put(&m, b"a", 2, 8, 0);
         put(&m, b"b", 3, 4, 0);
@@ -420,7 +395,7 @@ mod tests {
 
     #[test]
     fn a_version_superseded_at_the_bound_is_a_miss() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         put(&m, b"k", 1, 3, 0);
         m.put(b"k".to_vec(), None, 8, 8, 0);
         // The delete (8) flushes; version 3 stays for a reader pinned below
@@ -448,7 +423,7 @@ mod tests {
 
     #[test]
     fn gc_pass_purges_stale_shadowed_versions() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         put(&m, b"k", 1, 5, 0);
         put(&m, b"k", 2, 9, 0);
         // Drain the newest at a floor that keeps the pinned-era version.
@@ -463,7 +438,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_tracks_live_versions() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         assert_eq!(m.approx_bytes(), 0);
         put(&m, b"k", 1, 1, 0);
         put(&m, b"j", 2, 2, 0);
@@ -475,7 +450,7 @@ mod tests {
 
     #[test]
     fn snapshot_picks_newest_at_or_below_bound_in_key_order() {
-        let m = ShardedMemtable::new();
+        let m = Memtable::new();
         put(&m, b"a", 1, 2, 0);
         put(&m, b"a", 2, 6, 0);
         put(&m, b"b", 3, 4, 0);
@@ -494,5 +469,46 @@ mod tests {
         m.drain_up_to(6, 0);
         assert_eq!(m.snapshot(5, Some(b"a")).len(), 1);
         assert!(m.snapshot(6, Some(b"a")).is_empty());
+    }
+
+    #[test]
+    fn prefix_snapshots_equal_filtered_full_snapshots_in_key_order() {
+        // Keys over an alphabet with both extreme bytes, some of them
+        // prefixes of others; drains leave shadowed versions and holes.
+        let alphabet = [0x00, 0x01, 0x7F, 0xFF];
+        let mut rng = sc_encoding::Rng::new(0x5EED);
+        let ascending = |entries: &[SstEntry]| entries.windows(2).all(|w| w[0].key < w[1].key);
+        for _ in 0..32 {
+            let m = Memtable::new();
+            let mut keys = Vec::new();
+            let mut seq = 0u64;
+            for _ in 0..24 {
+                let len = 1 + rng.gen_range(3) as usize;
+                let key: Vec<u8> = (0..len).map(|_| *rng.choice(&alphabet)).collect();
+                seq += 1;
+                let value = rng.gen_bool(0.8).then(|| row(seq as i64));
+                m.put(key.clone(), value, seq, 8, 0);
+                keys.push(key);
+                if rng.gen_bool(0.15) {
+                    m.drain_up_to(1 + rng.gen_range(seq), 0);
+                }
+            }
+            let mut prefixes = vec![Vec::new(), vec![0xFF], vec![0xFF, 0xFF]];
+            prefixes.extend(keys.iter().cloned());
+            prefixes.extend(keys.iter().map(|k| k[..1].to_vec()));
+            for bound in (0..=seq).chain([u64::MAX]) {
+                let full = m.snapshot(bound, None);
+                assert!(ascending(&full), "bound {bound}");
+                assert!(ascending(&m.peek_up_to(bound)), "bound {bound}");
+                for p in &prefixes {
+                    let expected: Vec<SstEntry> = full
+                        .iter()
+                        .filter(|e| e.key.starts_with(p))
+                        .cloned()
+                        .collect();
+                    assert_eq!(m.snapshot(bound, Some(p)), expected, "{p:?} @ {bound}");
+                }
+            }
+        }
     }
 }

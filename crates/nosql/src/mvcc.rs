@@ -11,7 +11,7 @@
 //!
 //! [`SnapshotRegistry`] pins bounds for long-lived [`crate::Snapshot`]
 //! handles. The registry's cached minimum gates two kinds of garbage
-//! collection: version-chain pruning in the sharded memtable (an old
+//! collection: version-chain pruning in the memtable (an old
 //! version is droppable only when no live snapshot sits below the sequence
 //! that shadowed it) and tombstone-dropping/merging decisions in
 //! compaction.

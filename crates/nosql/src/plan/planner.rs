@@ -34,7 +34,7 @@ use crate::types::CqlType;
 
 /// Streaming one row out of the memtable/SSTable merge: the unit cost.
 const SEQ_ROW: f64 = 1.0;
-/// Fixed cost of one key probe (shard lookup + bloom/fence checks).
+/// Fixed cost of one key probe (memtable lookup + bloom/fence checks).
 const PROBE: f64 = 2.0;
 /// One block-cache miss: a VFS read plus block decode.
 const BLOCK_READ: f64 = 8.0;

@@ -1,10 +1,10 @@
-//! Per-column-family runtime: sharded memtable + SSTables, flush and
+//! Per-column-family runtime: one ordered memtable + SSTables, flush and
 //! compaction, all behind `&self`.
 //!
 //! `TableCore` is the concurrent successor of the old `TableRuntime`.
-//! Writers insert into the FNV-sharded memtable (per-shard mutexes);
-//! readers run lock-free against the memtable shards and take only a
-//! read guard on the SSTable list. Point reads hold it across their
+//! Writers insert into the memtable under its write lock; readers share
+//! its read lock, walk it in key order, and take only a read guard on the
+//! SSTable list. Point reads hold it across their
 //! probes; a `Cursor` clones the `Arc`s out of it and reads on, and a
 //! merged-away SSTable deletes its file when the last clone drops.
 //! Flush and compaction serialize on a per-table maintenance mutex and
@@ -17,7 +17,7 @@
 //!
 //! A flush copies before it removes: it peeks the committed versions out of
 //! the memtable, writes and publishes their SSTable, attaches it, and only
-//! then drains the same versions from their shards. Readers therefore see
+//! then drains the same versions from the memtable. Readers therefore see
 //! every committed write at all times, and a flush that fails has removed
 //! nothing; the overlap where a version is both buffered and on disk is
 //! harmless because reads resolve by max sequence.
@@ -26,7 +26,7 @@ use crate::cache::BlockCache;
 use crate::colblock::{KeyRef, ScanBlock};
 use crate::error::Result;
 use crate::manifest::{Manifest, ManifestEdit};
-use crate::memtable::ShardedMemtable;
+use crate::memtable::Memtable;
 use crate::mvcc::{SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
@@ -319,7 +319,7 @@ pub(crate) struct TableCore {
     sst_prefix: String,
     vfs: Vfs,
     manifest: Manifest,
-    mem: ShardedMemtable,
+    mem: Memtable,
     /// Open SSTables, oldest first.
     ssts: RwLock<Vec<Arc<SsTable>>>,
     next_sst_id: AtomicU64,
@@ -362,7 +362,7 @@ impl TableCore {
             sst_prefix: format!("{}/{}/sst-", def.keyspace, def.name),
             vfs,
             manifest,
-            mem: ShardedMemtable::new(),
+            mem: Memtable::new(),
             ssts: RwLock::new(Vec::new()),
             next_sst_id: AtomicU64::new(0),
             maint: Mutex::new(()),
@@ -576,8 +576,8 @@ impl TableCore {
             return Ok(());
         }
         let mut span = crate::obs::nosql().flush.start();
-        // Until the drain below, every peeked version is still in its
-        // shard: a failure on the way returns with nothing to restore.
+        // Until the drain below, every peeked version is still in the
+        // memtable: a failure on the way returns with nothing to restore.
         let file = format!(
             "{}{:06}",
             self.sst_prefix.clone(),

@@ -18,9 +18,13 @@
 //!   registry as Prometheus text (`server.*` series included),
 //!   `GET /healthz` answers `ok`/`draining`.
 //!
-//! Sessions share one engine behind [`sc_nosql::SharedDb`] — a coarse
-//! mutex for now; MVCC snapshots are the engine roadmap's next step and
-//! will slot in under this same server. Statements slower than a
+//! Every connection gets its own [`sc_nosql::Session`] (its `USE`
+//! keyspace and commit-wait accounting) over one shared
+//! [`sc_nosql::SharedDb`], a cloneable handle to the concurrent engine:
+//! sessions on different threads execute at once, their writes coalesce
+//! in the group-commit log, and each `SELECT` reads an MVCC snapshot pinned
+//! at its start, so it sees no write that commits after it. Only DDL and
+//! `TRUNCATE` hold the table registry exclusively. Statements slower than a
 //! configurable threshold land in a ring-buffered slow-query log
 //! ([`slowlog`]). Shutdown drains: in-flight requests finish, then every
 //! session and listener thread is joined.

@@ -28,7 +28,7 @@ echo "==> benchmark package still compiles against the crates' public API"
 # benchmark/ is a standalone package the benchmark driver builds from its
 # own checkout; checking it here turns an API break into a tier-1 failure.
 CARGO_TARGET_DIR=.bench_build \
-    cargo check --offline --quiet --manifest-path benchmark/Cargo.toml
+    cargo check --offline --locked --quiet --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark package's own tests"
 # Its workloads' oracles and harness pieces, against the crates as they
