@@ -28,7 +28,9 @@
 //! * `query` stores a cube in the NoSQL-DWARF model and answers point and
 //!   range queries straight from the stored rows through the cached,
 //!   batched store cursor, reporting per-query read counters (rows
-//!   fetched, batched SELECTs, cache hit ratio) cold and warm.
+//!   fetched, batched SELECTs, cache hit ratio) cold and warm, and the
+//!   data blocks the cold point query read; then times the same point
+//!   on NoSQL-Min, which reads through its secondary index.
 //! * `serve` starts the sc-server network front door: `--port`/
 //!   `--metrics-port` (default 0 = ephemeral), `--token TENANT=TOKEN`
 //!   (repeatable; default `demo=demo-token`), `--slow-ms N` slow-query
@@ -46,7 +48,7 @@
 //! EXPERIMENTS.md for a recorded comparison.
 
 use sc_bench::{prepare_dataset, run_model, PreparedDataset};
-use sc_core::models::{ModelKind, MysqlDwarfModel, NosqlDwarfModel, SchemaModel};
+use sc_core::models::{ModelKind, MysqlDwarfModel, NosqlDwarfModel, NosqlMinModel, SchemaModel};
 use sc_core::transform::cell_to_cql;
 use sc_core::MappedDwarf;
 use sc_dwarf::{CubeSchema, Dwarf, TupleSet};
@@ -547,6 +549,15 @@ fn obs(threads: usize, seed: u64) {
     print!("{}", snap.to_json());
 }
 
+/// Data blocks the NoSQL engine's point reads have read so far: the sum of
+/// `nosql.read.blocks_per_get`, where a block read for several keys of one
+/// batch counts once.
+fn blocks_read() -> u64 {
+    let snap = sc_obs::Registry::global().snapshot();
+    let blocks = snap.histogram("nosql.read.blocks_per_get");
+    blocks.map_or(0, |h| h.sum)
+}
+
 /// Store-backed querying: point and range answered straight from stored
 /// NoSQL rows through the cached, batched node cursor.
 fn query(scale: f64, explain: bool) {
@@ -594,13 +605,15 @@ fn query(scale: f64, explain: bool) {
     let tuples = cube.extract_tuples();
     let (path, _) = tuples.first().expect("dataset is non-empty");
     let sel: Vec<Selection> = path.iter().map(|v| Selection::value(v.as_str())).collect();
+    let before = blocks_read();
     let got = sbc.point(&sel).expect("store-backed point");
+    let cold_blocks = blocks_read() - before;
     assert_eq!(got, cube.point(&sel), "store disagrees with in-memory cube");
     println!("\npoint {path:?} = {got:?} (matches in-memory: ✓)");
     let cold = sbc.stats();
     println!(
-        "cold point query: store rows fetched {}, SELECTs {} ({} batched), \
-         cache hit ratio {:.2}",
+        "cold point query: store rows fetched {}, data blocks read {cold_blocks}, \
+         SELECTs {} ({} batched), cache hit ratio {:.2}",
         cold.rows_fetched,
         cold.store_selects,
         cold.batched_selects,
@@ -639,6 +652,34 @@ fn query(scale: f64, explain: bool) {
         "batching regressed: more cell SELECTs than node misses"
     );
 
+    // NoSQL-Min answers the same point with no node cache: each node's
+    // cells are a posting scan of the parent index, then one batch of
+    // base-table probes.
+    let mut min = NosqlMinModel::in_memory();
+    min.create_schema().expect("schema creation");
+    let min_report = min
+        .store(&MappedDwarf::new(cube), cube, false)
+        .expect("store");
+    let mut min_sbc =
+        StoreBackedCube::open(&mut min, min_report.schema_id).expect("open stored schema");
+    let mut us: Vec<f64> = (0..21)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let min_got = min_sbc.point(&sel).expect("NoSQL-Min point");
+            assert_eq!(min_got, got, "NoSQL-Min disagrees with NoSQL-DWARF");
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    let min_stats = min_sbc.stats();
+    println!(
+        "\nNoSQL-Min point query: store rows fetched {}, median {:.0} µs over {} runs",
+        min_stats.rows_fetched / us.len() as u64,
+        us[us.len() / 2],
+        us.len()
+    );
+    drop(min_sbc);
+
     // The same point query again: the node cache answers it entirely.
     sbc.reset_stats();
     let warm_got = sbc.point(&sel).expect("warm point");
@@ -662,7 +703,7 @@ fn query(scale: f64, explain: bool) {
     // deterministic smoke uses fence-rejected keys only.)
     let db = model.db_mut();
     db.flush_all().expect("flush before fence probes");
-    let before = sc_obs::Registry::global().snapshot();
+    let before = blocks_read();
     for id in [i64::MAX - 7, i64::MAX / 2, -1, -12345] {
         let r = db
             .execute_cql(&format!(
@@ -671,14 +712,7 @@ fn query(scale: f64, explain: bool) {
             .expect("fence-probe select");
         assert!(r.is_empty(), "id {id} must not exist");
     }
-    let after = sc_obs::Registry::global().snapshot();
-    let hist_sum = |snap: &sc_obs::RegistrySnapshot| {
-        snap.histogram("nosql.read.blocks_per_get")
-            .cloned()
-            .unwrap_or_default()
-            .sum
-    };
-    let blocks = hist_sum(&after) - hist_sum(&before);
+    let blocks = blocks_read() - before;
     println!("\nabsent point lookups beyond the key fences: data blocks read {blocks}");
     assert_eq!(blocks, 0, "fence-rejected lookups read data blocks");
 }

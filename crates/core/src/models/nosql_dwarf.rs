@@ -12,7 +12,6 @@ use crate::error::{CoreError, Result};
 use crate::mapping::{CellRecord, MappedDwarf, StoredCell};
 use crate::node_source::{ReadStats, DEFAULT_NODE_CACHE_CAPACITY};
 use sc_dwarf::source::OwnedCell;
-use sc_nosql::cql::ast::{SelectColumns, Statement, WhereClause};
 use sc_nosql::{CqlValue, Db, OpenOptions};
 use sc_storage::Vfs;
 
@@ -137,37 +136,31 @@ impl NodeRows for NosqlDwarfModel {
     }
 
     /// The node row's `childrenIds` set, then every cell of the node in
-    /// **one** batched `SELECT ... WHERE id IN (...)` round-trip.
+    /// **one** batched key read ([`Db::get_rows`]: `SELECT ... WHERE id IN
+    /// (...)` without the statement), whose keys share their blocks' reads.
     fn node_cells(&mut self, id: i64, stats: &mut ReadStats) -> Result<Vec<OwnedCell>> {
         let db = &self.db;
         stats.store_selects += 1;
-        let r = db.execute(&Statement::select(
-            NODES.into(),
-            SelectColumns::named(["childrenIds"]),
-            Some(WhereClause::eq("id", CqlValue::Int(id))),
-            None,
-        ))?;
+        let r = db.get_rows(
+            NODES.space,
+            NODES.name,
+            &["childrenIds"],
+            [CqlValue::Int(id)],
+        )?;
         let row = r
             .first()
             .ok_or_else(|| CoreError::Inconsistent(format!("node {id} missing from store")))?;
         stats.rows_fetched += 1;
-        let children: Vec<CqlValue> = row
-            .get_int_set("childrenIds")?
-            .iter()
-            .map(|&c| CqlValue::Int(c))
-            .collect();
+        let children = row.get_int_set("childrenIds")?;
         let expected = children.len();
         if expected == 0 {
             return Ok(Vec::new());
         }
         stats.store_selects += 1;
         stats.batched_selects += 1;
-        let r = db.execute(&Statement::select(
-            CELLS.into(),
-            SelectColumns::named(["key", "measure", "pointerNode"]),
-            Some(WhereClause::any_of("id", children)),
-            None,
-        ))?;
+        let columns = ["key", "measure", "pointerNode"];
+        let children = children.iter().map(|&c| CqlValue::Int(c));
+        let r = db.get_rows(CELLS.space, CELLS.name, &columns, children)?;
         if r.len() != expected {
             return Err(CoreError::Inconsistent(format!(
                 "node {id}: fetched {} of {expected} cells",

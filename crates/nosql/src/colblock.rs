@@ -25,11 +25,12 @@
 //! keeps the key run as ranges of the block bytes, the sequences and
 //! liveness, and each projected column as a typed run — `i64`s, a
 //! dictionary decoded once plus one code per cell, bits, or raw values —
-//! so operators read cells without building rows. [`find_row`] serves
-//! point reads and builds one row and no other. Both read every column
-//! run through one walk, `walk_run`, which makes every check and hands
-//! each decoder the cells it asks for; only a point read whose key is
-//! absent stops early, after the key run.
+//! so operators read cells without building rows. [`find_rows`] serves
+//! key probes: one walk of the block finds a sorted batch of keys — a
+//! point read is the batch of one — and builds their rows and no other.
+//! Both read every column run through one walk, `walk_run`, which makes
+//! every check and hands each decoder the cells it asks for; only a probe
+//! whose keys are all absent stops early, after the key run.
 
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
@@ -40,6 +41,7 @@ use sc_encoding::columnar::{
     BitmapRef, DictBuilder,
 };
 use sc_encoding::{Decoder, Encoder};
+use std::cmp::Ordering;
 use std::sync::{Arc, LazyLock};
 
 const LAYOUT_COLUMNAR: u8 = 0;
@@ -242,29 +244,13 @@ impl<'a> Chunk<'a> {
     }
 }
 
-/// Which of a run's non-null cells a walk hands out; the rest it checks
-/// in place.
-#[derive(Debug, Clone, Copy)]
-enum Take {
-    All,
-    Only(usize),
-    Nothing,
-}
-
-impl Take {
-    fn wants(self, i: usize) -> bool {
-        match self {
-            Take::All => true,
-            Take::Only(j) => i == j,
-            Take::Nothing => false,
-        }
-    }
-}
-
 /// Where [`walk_run`] hands the non-null cells it reads, each borrowed
 /// from the block where it can be. A raw text cell's bytes are UTF-8 once
 /// the walk returns `Ok`.
 trait RunCells<'a> {
+    /// Whether the walk hands out the run's `i`th non-null cell; it asks
+    /// in run order, and checks the cells it does not hand out in place.
+    fn wants(&self, i: usize) -> bool;
     fn int(&mut self, v: i64);
     /// A dictionary code and the run's dictionary, which it indexes.
     fn code(&mut self, code: usize, dict: &[&'a str]);
@@ -272,42 +258,12 @@ trait RunCells<'a> {
     fn raw(&mut self, cell: InPlace<'a>);
 }
 
-/// The one cell a point read takes from a run.
-struct Picked(CqlValue);
-
-impl<'a> RunCells<'a> for Picked {
-    fn int(&mut self, v: i64) {
-        self.0 = CqlValue::Int(v);
-    }
-
-    fn code(&mut self, code: usize, dict: &[&'a str]) {
-        self.0 = CqlValue::Text(dict[code].to_owned());
-    }
-
-    fn bit(&mut self, bit: bool) {
-        self.0 = CqlValue::Boolean(bit);
-    }
-
-    fn raw(&mut self, cell: InPlace<'a>) {
-        self.0 = match cell {
-            // Checked in the walk, so nothing is lost.
-            InPlace::Text(bytes) => CqlValue::Text(String::from_utf8_lossy(bytes).into_owned()),
-            InPlace::Value(value) => value,
-        };
-    }
-}
-
-/// The one walk over a column run, behind both the scan and the point
-/// decoder: hands `cells` the non-null cells `take` asks for, in run
-/// order, and checks every cell of the run — varint framing, dictionary
-/// codes in range, UTF-8, raw value tags — exactly `present` cells and
-/// nothing after them.
-fn walk_run<'a>(
-    file: &str,
-    chunk: Chunk<'a>,
-    take: Take,
-    cells: &mut impl RunCells<'a>,
-) -> Result<()> {
+/// The one walk over a column run, behind both the scan and the key
+/// decoder: hands `cells` the non-null cells it wants, in run order, and
+/// checks every cell of the run — varint framing, dictionary codes in
+/// range, UTF-8, raw value tags — exactly `present` cells and nothing
+/// after them.
+fn walk_run<'a>(file: &str, chunk: Chunk<'a>, cells: &mut impl RunCells<'a>) -> Result<()> {
     let Chunk {
         tag,
         present,
@@ -316,7 +272,7 @@ fn walk_run<'a>(
     } = chunk;
     match tag {
         ENC_INT_DELTA => for_each_i64_delta(&mut run, present, |i, v| {
-            if take.wants(i) {
+            if cells.wants(i) {
                 cells.int(v);
             }
         })?,
@@ -330,21 +286,23 @@ fn walk_run<'a>(
                 Ok::<_, NosqlError>(())
             })?;
             for_each_dict_code(&mut run, present, dict.len(), |i, code| {
-                if take.wants(i) {
+                if cells.wants(i) {
                     cells.code(code, &dict);
                 }
             })?;
         }
         ENC_BOOL_BITMAP => {
             let bits = BitmapRef::decode(&mut run, present)?;
-            for i in (0..present).filter(|&i| take.wants(i)) {
-                cells.bit(bits.get(i));
+            for i in 0..present {
+                if cells.wants(i) {
+                    cells.bit(bits.get(i));
+                }
             }
         }
         // ENC_RAW: `Chunk::open` admits no other tag.
         _ => {
             for i in 0..present {
-                if !take.wants(i) {
+                if !cells.wants(i) {
                     CqlValue::skip(&mut run)?;
                     continue;
                 }
@@ -370,26 +328,67 @@ fn walk_run<'a>(
     Ok(())
 }
 
-/// Finds `key`'s record in a block without building any other: the key
-/// run is compared in place and each column chunk yields only this row's
-/// cell, while every run is still checked as [`ScanBlock::decode`] checks
-/// it. `None` once the key run shows the key absent.
-pub(crate) fn find_row(file: &str, bytes: &[u8], key: &[u8]) -> Result<Option<SstEntry>> {
+/// Finds the records of `keys` — `(caller's index, key)` pairs in strictly
+/// ascending key order — in one walk of a block, and hands `found` each
+/// one present, tombstones included, in key order. No other record is
+/// built: the key run is merged with `keys` in place and each column run
+/// yields only the hits' cells, while every run is still checked as
+/// [`ScanBlock::decode`] checks it. The merge takes the key run to ascend,
+/// and checks it does from the first key it finds absent: a run out of
+/// order there is [`NosqlError::Corrupt`], never a missed key. Once the key
+/// run shows every key absent, the walk stops there.
+pub(crate) fn find_rows(
+    file: &str,
+    bytes: &[u8],
+    keys: &mut dyn Iterator<Item = (usize, &[u8])>,
+    found: &mut dyn FnMut(usize, SstEntry),
+) -> Result<()> {
     let (mut d, count) = open_block(file, bytes)?;
-    let mut found = None;
-    for i in 0..count {
-        let k = d.get_bytes()?;
-        if found.is_none() && k == key {
-            found = Some(i);
+    let mut keys = keys.map(|(at, key)| (at, KeyRef::new(key)));
+    let mut next = keys.next();
+    let mut hits = Hits::default();
+    // Once the merge has passed over a key it took to be absent, a key run
+    // out of order could still hold it further on: from there the run
+    // must ascend.
+    let mut passed_over = false;
+    let mut prev = KeyRef::new(&[]);
+    for row in 0..count {
+        let k = KeyRef::new(d.get_bytes()?);
+        if passed_over && k <= prev {
+            return Err(corrupt(file, "block keys not strictly ascending"));
+        }
+        prev = k;
+        while let Some((at, want)) = next {
+            match want.cmp(&k) {
+                Ordering::Less => {
+                    passed_over = true;
+                    next = keys.next();
+                }
+                Ordering::Equal => {
+                    hits.push(Hit {
+                        at,
+                        row,
+                        key: k.key,
+                        ..Hit::default()
+                    });
+                    next = keys.next();
+                    break;
+                }
+                Ordering::Greater => break,
+            }
         }
     }
-    let Some(row) = found else {
-        return Ok(None);
-    };
-    let mut timestamp = 0;
+    let hits = hits.as_mut_slice();
+    if hits.is_empty() {
+        return Ok(());
+    }
+    // The next hit's row, and which hit that is.
+    let (mut h, mut at_row) = (0, hits[0].row);
     for_each_i64_delta(&mut d, count, |i, seq| {
-        if i == row {
-            timestamp = seq as u64;
+        if i == at_row {
+            hits[h].seq = seq as u64;
+            h += 1;
+            at_row = hits.get(h).map_or(usize::MAX, |hit| hit.row);
         }
     })?;
     let Liveness {
@@ -397,29 +396,145 @@ pub(crate) fn find_row(file: &str, bytes: &[u8], key: &[u8]) -> Result<Option<Ss
         live_count,
         ncols,
     } = open_liveness(file, &mut d, count)?;
-    // The row's position among the live rows, unless it is a tombstone.
-    let live_at = live.get(row).then(|| live.rank(row));
-    let mut values = Vec::with_capacity(if live_at.is_some() { ncols } else { 0 });
+    for hit in hits.iter_mut() {
+        // The row's position among the live rows, unless it is a tombstone.
+        hit.live_at = live.get(hit.row).then(|| live.rank(hit.row));
+        if hit.live_at.is_some() {
+            hit.values = Vec::with_capacity(ncols);
+        }
+    }
     for _ in 0..ncols {
         let chunk = Chunk::open(file, d.get_bytes()?, live_count)?;
-        let take = match live_at {
-            Some(li) if chunk.nulls.get(li) => Take::Only(chunk.nulls.rank(li)),
-            _ => Take::Nothing,
-        };
-        let mut cell = Picked(CqlValue::Null);
-        walk_run(file, chunk, take, &mut cell)?;
-        if live_at.is_some() {
-            values.push(cell.0);
-        }
+        let mut picks = Picks::new(hits, chunk.nulls);
+        walk_run(file, chunk, &mut picks)?;
     }
     if !d.is_exhausted() {
         return Err(corrupt(file, "trailing bytes after columnar block"));
     }
-    Ok(Some(SstEntry {
-        key: key.to_vec(),
-        row: live_at.map(|_| Row::new(values)),
-        timestamp,
-    }))
+    for hit in hits {
+        let values = std::mem::take(&mut hit.values);
+        found(
+            hit.at,
+            SstEntry {
+                key: hit.key.to_vec(),
+                row: hit.live_at.map(|_| Row::new(values)),
+                timestamp: hit.seq,
+            },
+        );
+    }
+    Ok(())
+}
+
+/// One record [`find_rows`] found: the caller's index for its key, its row
+/// in the block, and what the walk has read of it so far.
+#[derive(Default)]
+struct Hit<'a> {
+    at: usize,
+    row: usize,
+    key: &'a [u8],
+    seq: u64,
+    /// The row's position among the block's live rows; `None` for a
+    /// tombstone.
+    live_at: Option<usize>,
+    values: Vec<CqlValue>,
+}
+
+/// A walk's hits in row order. The first sits inline, so a one-key probe
+/// allocates nothing for the list.
+#[derive(Default)]
+struct Hits<'a> {
+    first: Option<Hit<'a>>,
+    rest: Vec<Hit<'a>>,
+}
+
+impl<'a> Hits<'a> {
+    fn push(&mut self, hit: Hit<'a>) {
+        if self.first.is_none() && self.rest.is_empty() {
+            self.first = Some(hit);
+            return;
+        }
+        self.rest.extend(self.first.take());
+        self.rest.push(hit);
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Hit<'a>] {
+        match &mut self.first {
+            Some(hit) => std::slice::from_mut(hit),
+            None => &mut self.rest,
+        }
+    }
+}
+
+/// The cells a key walk takes from one column run: each live hit's, in
+/// row order, pushed onto its values (a null where the run has no cell
+/// for it). `want` is the run position of hit `next`'s cell.
+struct Picks<'h, 'a> {
+    hits: &'h mut [Hit<'a>],
+    /// Over the block's live rows; bit set = non-null.
+    nulls: BitmapRef<'a>,
+    next: usize,
+    want: usize,
+}
+
+impl<'h, 'a> Picks<'h, 'a> {
+    fn new(hits: &'h mut [Hit<'a>], nulls: BitmapRef<'a>) -> Picks<'h, 'a> {
+        let mut picks = Picks {
+            hits,
+            nulls,
+            next: 0,
+            want: usize::MAX,
+        };
+        picks.seek();
+        picks
+    }
+
+    /// Moves to the first hit from `next` on that has a cell in the run,
+    /// giving the live hits it steps over (null in this column) a null.
+    fn seek(&mut self) {
+        while let Some(hit) = self.hits.get_mut(self.next) {
+            if let Some(li) = hit.live_at {
+                if self.nulls.get(li) {
+                    self.want = self.nulls.rank(li);
+                    return;
+                }
+                hit.values.push(CqlValue::Null);
+            }
+            self.next += 1;
+        }
+        self.want = usize::MAX;
+    }
+
+    fn put(&mut self, value: CqlValue) {
+        self.hits[self.next].values.push(value);
+        self.next += 1;
+        self.seek();
+    }
+}
+
+impl<'a> RunCells<'a> for Picks<'_, 'a> {
+    fn wants(&self, i: usize) -> bool {
+        i == self.want
+    }
+
+    fn int(&mut self, v: i64) {
+        self.put(CqlValue::Int(v));
+    }
+
+    fn code(&mut self, code: usize, dict: &[&'a str]) {
+        self.put(CqlValue::Text(dict[code].to_owned()));
+    }
+
+    fn bit(&mut self, bit: bool) {
+        self.put(CqlValue::Boolean(bit));
+    }
+
+    fn raw(&mut self, cell: InPlace<'a>) {
+        self.put(match cell {
+            // Checked in the walk, so nothing is lost.
+            InPlace::Text(bytes) => CqlValue::Text(String::from_utf8_lossy(bytes).into_owned()),
+            InPlace::Value(value) => value,
+        });
+    }
 }
 
 /// One record of a [`ScanBlock`]: where its key sits in the block bytes,
@@ -435,16 +550,9 @@ struct RowMeta {
 
 impl RowMeta {
     fn new(bytes: &[u8], key: (usize, usize), seq: u64, live: bool) -> RowMeta {
-        let head = &bytes[key.0..key.1.min(key.0 + 8)];
-        let word = match <[u8; 8]>::try_from(head) {
-            Ok(word) => u64::from_be_bytes(word),
-            Err(_) => {
-                (head.iter().enumerate()).fold(0, |w, (i, &b)| w | u64::from(b) << (56 - 8 * i))
-            }
-        };
         RowMeta {
             key,
-            word,
+            word: KeyRef::new(&bytes[key.0..key.1]).word,
             seq,
             live,
         }
@@ -458,6 +566,19 @@ impl RowMeta {
 pub(crate) struct KeyRef<'a> {
     word: u64,
     key: &'a [u8],
+}
+
+impl<'a> KeyRef<'a> {
+    fn new(key: &'a [u8]) -> KeyRef<'a> {
+        let head = &key[..key.len().min(8)];
+        let word = match <[u8; 8]>::try_from(head) {
+            Ok(word) => u64::from_be_bytes(word),
+            Err(_) => {
+                (head.iter().enumerate()).fold(0, |w, (i, &b)| w | u64::from(b) << (56 - 8 * i))
+            }
+        };
+        KeyRef { word, key }
+    }
 }
 
 /// A [`Column`]'s `at` entry for a row without a cell (null or tombstone).
@@ -520,6 +641,10 @@ struct Fill {
 }
 
 impl<'a> RunCells<'a> for Fill {
+    fn wants(&self, _: usize) -> bool {
+        true
+    }
+
     fn int(&mut self, v: i64) {
         self.column.ints.push(v);
     }
@@ -830,7 +955,7 @@ fn decode_column(file: &str, chunk: &[u8], rows: &[RowMeta], live_count: usize) 
             fill.text.reserve(chunk.run.remaining());
         }
     }
-    walk_run(file, chunk, Take::All, &mut fill)?;
+    walk_run(file, chunk, &mut fill)?;
     let Fill { mut column, text } = fill;
     // The walk checked every piece, so this only retypes the bytes.
     column.text = String::from_utf8(text).map_err(|_| corrupt(file, "non-UTF-8 text"))?;
@@ -944,21 +1069,37 @@ mod tests {
                 // panic and bounded work).
                 let full = decode(&mutant, None);
                 let _ = decode(&mutant, Some(&[1]));
-                // The point decode runs the same checks: it agrees with the
-                // full decode on every key that decode accepts, and never
-                // answers a row out of a block that decode rejects.
+                // The key decode runs the same checks: one key or several,
+                // it agrees with the full decode wherever that decode
+                // accepts the block, and never answers a row out of a block
+                // that decode rejects. It also refuses a key run out of
+                // order, which the scan decode does not check, so there it
+                // may be `Corrupt` instead.
                 let absent: &[u8] = b"k\xff";
-                for key in es.iter().map(|e| e.key.as_slice()).chain([absent]) {
-                    let found = find_row("t", &mutant, key);
+                let keys: Vec<&[u8]> = es.iter().map(|e| e.key.as_slice()).collect();
+                let every_other: Vec<&[u8]> = keys.iter().copied().step_by(2).collect();
+                let singles = keys.iter().chain([&absent]).map(std::slice::from_ref);
+                let batches = [&keys[..], &every_other, &[keys[0], absent]];
+                for batch in singles.chain(batches) {
+                    let found = find(&mutant, batch);
                     match &full {
-                        Ok(block) => assert_eq!(
-                            found.unwrap(),
-                            block.iter().find(|e| e.key == key).cloned(),
-                            "byte {pos}, key {key:?}"
-                        ),
+                        Ok(block) => {
+                            let want = batch
+                                .iter()
+                                .filter_map(|k| block.iter().find(|e| e.key == *k));
+                            let ascending = block.windows(2).all(|w| w[0].key < w[1].key);
+                            match found {
+                                Err(NosqlError::Corrupt(_)) if !ascending => {}
+                                found => assert_eq!(
+                                    found.unwrap(),
+                                    want.cloned().collect::<Vec<_>>(),
+                                    "byte {pos}, keys {batch:?}"
+                                ),
+                            }
+                        }
                         Err(_) => assert!(
-                            !matches!(found, Ok(Some(_))),
-                            "byte {pos}, key {key:?}: a row out of a rejected block"
+                            found.is_err() || found.is_ok_and(|rows| rows.is_empty()),
+                            "byte {pos}, keys {batch:?}: a row out of a rejected block"
                         ),
                     }
                 }
@@ -1030,8 +1171,33 @@ mod tests {
             .collect()
     }
 
+    /// The records of `keys` (ascending) that one key walk finds, in key
+    /// order.
+    fn find(bytes: &[u8], keys: &[&[u8]]) -> Result<Vec<SstEntry>> {
+        let mut found = Vec::new();
+        let mut at = Vec::new();
+        find_rows(
+            "t",
+            bytes,
+            &mut keys.iter().copied().enumerate(),
+            &mut |i, e| {
+                at.push(i);
+                found.push(e);
+            },
+        )?;
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "hits out of key order");
+        for (i, e) in at.iter().zip(&found) {
+            assert_eq!(
+                keys[*i],
+                e.key.as_slice(),
+                "a hit under another key's index"
+            );
+        }
+        Ok(found)
+    }
+
     #[test]
-    fn find_row_agrees_with_the_block_decode() {
+    fn find_rows_agrees_with_the_block_decode() {
         let mut rng = sc_encoding::Rng::new(0xF1ED);
         let mut tags_seen = Vec::new();
         for rows in [1, 1, 2, 3, 9, 17, 40, 64, 120, 120] {
@@ -1042,8 +1208,8 @@ mod tests {
             tags_seen.extend(chunk_tags(&bytes));
             for e in &block {
                 assert_eq!(
-                    find_row("t", &bytes, &e.key).unwrap().as_ref(),
-                    Some(e),
+                    find(&bytes, &[&e.key]).unwrap(),
+                    std::slice::from_ref(e),
                     "{rows}-row block, key {:?}",
                     String::from_utf8_lossy(&e.key)
                 );
@@ -1051,8 +1217,23 @@ mod tests {
             // Before, between and after the block's keys.
             let between = (0..=rows).map(|i| format!("k{:05}", 2 * i).into_bytes());
             let outside = [&b""[..], b"a", b"k", b"k00001\0", b"z"].map(<[u8]>::to_vec);
-            for key in between.chain(outside) {
-                assert_eq!(find_row("t", &bytes, &key).unwrap(), None, "key {key:?}");
+            let absent: Vec<Vec<u8>> = between.chain(outside).collect();
+            for key in &absent {
+                assert_eq!(find(&bytes, &[key]).unwrap(), [], "key {key:?}");
+            }
+            // Seeded batches: present and absent keys mixed, every hit
+            // exactly the decode's record.
+            for _ in 0..20 {
+                let mut batch: Vec<&[u8]> = (es.iter().map(|e| e.key.as_slice()))
+                    .chain(absent.iter().map(Vec::as_slice))
+                    .filter(|_| rng.gen_bool(0.3))
+                    .collect();
+                batch.sort_unstable();
+                let want: Vec<SstEntry> = (es.iter())
+                    .filter(|e| batch.contains(&e.key.as_slice()))
+                    .cloned()
+                    .collect();
+                assert_eq!(find(&bytes, &batch).unwrap(), want, "{rows}-row block");
             }
         }
         for tag in [ENC_RAW, ENC_INT_DELTA, ENC_TEXT_DICT, ENC_BOOL_BITMAP] {

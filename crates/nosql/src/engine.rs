@@ -21,9 +21,10 @@
 //!   holds its read lock, and so writers to that table, only while it
 //!   reads the map.
 //! - **Writes** append to the group-commit WAL
-//!   (`commitlog::GroupCommitLog`) — concurrent sessions share
-//!   one fsync via a leader/follower protocol — then insert into the
-//!   table's ordered memtable under its write lock.
+//!   (`commitlog::GroupCommitLog`) — concurrent sessions share one
+//!   commit-log append via a leader/follower protocol; the VFS has no sync
+//!   operation, so no write is fsynced — then insert into the table's
+//!   ordered memtable under its write lock.
 //! - **Read-modify-write statements** (UPDATE, and any write to a table
 //!   with secondary indexes) serialize on a per-table RMW mutex so the
 //!   read half always observes the previous RMW's write.
@@ -36,7 +37,7 @@
 use crate::cache::{BlockCache, CacheStats, DEFAULT_BLOCK_CACHE_BYTES};
 use crate::commitlog::{CommitLog, GroupCommitLog, WalError};
 use crate::compactor::CompactionPool;
-use crate::cql::ast::{Statement, TableRef, WhereClause};
+use crate::cql::ast::{SelectColumns, Statement, TableRef, WhereClause};
 use crate::cql::parse_statement;
 use crate::error::{NosqlError, Result};
 use crate::exec;
@@ -413,9 +414,10 @@ impl DbCore {
 ///
 /// The engine core is internally synchronized, so clones execute
 /// statements **concurrently** — snapshot-isolated reads never block
-/// behind writers, and concurrent writers share WAL fsyncs through the
-/// group commit. Per-connection state (the `USE` keyspace, slow-query
-/// attribution) lives on [`Session`]; point-in-time reads on [`Snapshot`].
+/// behind writers, and concurrent writers share commit-log appends through
+/// the group commit (an append is not fsynced). Per-connection state (the
+/// `USE` keyspace, slow-query attribution) lives on [`Session`];
+/// point-in-time reads on [`Snapshot`].
 ///
 /// ```
 /// use sc_nosql::{Db, OpenOptions};
@@ -506,6 +508,36 @@ impl Db {
         R::IntoIter: ExactSizeIterator,
     {
         self.core.insert_rows(keyspace, table, columns, rows)
+    }
+
+    /// Reads the rows of `keyspace.table` under the primary keys `keys`,
+    /// each row's `columns` in order: `SELECT columns FROM keyspace.table
+    /// WHERE <primary key> IN (keys)` (`=` for one key), with the same
+    /// checks, errors and rows — in `keys` order, a repeated key once, an
+    /// absent key skipped — but planned from the values, with no parser
+    /// and no [`Statement`]. The mirror of [`Db::insert_rows`].
+    ///
+    /// ```
+    /// use sc_nosql::{CqlValue, Db, OpenOptions};
+    ///
+    /// let db = Db::open(OpenOptions::default()).unwrap();
+    /// db.execute_cql("CREATE KEYSPACE ks").unwrap();
+    /// db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))").unwrap();
+    /// let rows = (0..3).map(|i| [CqlValue::Int(i), CqlValue::Text(format!("v{i}"))]);
+    /// db.insert_rows("ks", "t", &["id", "v"], rows).unwrap();
+    /// let keys = [2, 9, 0].map(CqlValue::Int);
+    /// let r = db.get_rows("ks", "t", &["v"], keys).unwrap();
+    /// assert_eq!(r.rows(), [["v2"], ["v0"]].map(|[v]| vec![CqlValue::Text(v.into())]));
+    /// ```
+    pub fn get_rows<C: AsRef<str>>(
+        &self,
+        keyspace: &str,
+        table: &str,
+        columns: &[C],
+        keys: impl IntoIterator<Item = CqlValue>,
+    ) -> Result<QueryResult> {
+        let keys = keys.into_iter().collect();
+        self.core.get_rows(keyspace, table, columns, keys)
     }
 
     /// Flushes every memtable to disk and truncates the commit log (its

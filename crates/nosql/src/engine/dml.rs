@@ -222,7 +222,11 @@ impl DbCore {
         let table = &handle.core;
         let old = match chunk.staged_row(&key) {
             Some(row) => row.cloned(),
-            None if chunk.staged.is_some() => table.get(&key, u64::MAX)?,
+            None if chunk.staged.is_some() => {
+                let mut old = None;
+                table.get(&[&key], u64::MAX, &mut |_, row| old = Some(row))?;
+                old
+            }
             None => None,
         };
         let row = new_row(old.as_ref());
@@ -350,12 +354,13 @@ impl DbCore {
         })
     }
 
-    /// The only SELECT entry point — `execute`, snapshots and `EXPLAIN` all
-    /// come through here, so semantics and plans can never diverge. Plans
-    /// `stmt` against the table it names, then runs the operator pipeline
-    /// at MVCC bound `bound` (build, drain); with no bound it is `EXPLAIN`,
-    /// and the plan tree comes back as one `plan` text column, cost
-    /// estimates included.
+    /// The SELECT statement entry point — `execute`, snapshots and
+    /// `EXPLAIN` all come through here, and [`Db::get_rows`] hands the
+    /// same `plan_select` and `run` the clauses its keys make, so semantics
+    /// and plans can never diverge. Plans `stmt` against the table it
+    /// names, then runs the operator pipeline at MVCC bound `bound` (build,
+    /// drain); with no bound it is `EXPLAIN`, and the plan tree comes back
+    /// as one `plan` text column, cost estimates included.
     pub(super) fn select(
         &self,
         state: &EngineState,
@@ -377,15 +382,6 @@ impl DbCore {
             ));
         };
         let handle = state.table(table, session_keyspace)?;
-        // The cost model's statistics come from structures the engine
-        // already maintains: no extra bookkeeping on any hot path.
-        let cache = self.cache.stats();
-        let lookups = (cache.hits + cache.misses).max(1);
-        let stats = plan::TableStats {
-            rows: handle.core.estimate_rows(),
-            sstables: handle.core.sstable_count(),
-            cache_hit_rate: cache.hits as f64 / lookups as f64,
-        };
         let plan = plan::plan_select(
             &handle.def,
             columns,
@@ -393,16 +389,57 @@ impl DbCore {
             group_by,
             order_by.as_ref(),
             *limit,
-            &stats,
+            &self.table_stats(handle),
         )?;
         let Some(bound) = bound else {
             let lines = plan::explain::result_rows(&plan);
             return Ok(QueryResult::new(vec!["plan".to_string()], lines));
         };
-        let mut op = exec::build(plan.root, &handle.core, &handle.indexes, bound);
-        let rows = exec::drain(op.as_mut())?;
-        Ok(QueryResult::new(plan.columns, rows))
+        run(handle, plan, bound)
     }
+
+    /// [`Db::get_rows`]: `SELECT columns WHERE <primary key> IN (keys)`
+    /// (`=` for one key), its clauses built from the values and planned
+    /// and run as [`DbCore::select`] plans and runs a statement's.
+    pub(super) fn get_rows<C: AsRef<str>>(
+        &self,
+        keyspace: &str,
+        name: &str,
+        columns: &[C],
+        keys: Vec<CqlValue>,
+    ) -> Result<QueryResult> {
+        let state = self.read_state();
+        let handle = state.get(keyspace, name)?;
+        let pk = &handle.def.pk_column().name;
+        let filter = match <[CqlValue; 1]>::try_from(keys) {
+            Ok([key]) => WhereClause::eq(pk, key),
+            Err(keys) => WhereClause::any_of(pk, keys),
+        };
+        let columns = SelectColumns::named(columns.iter().map(AsRef::as_ref));
+        let stats = self.table_stats(handle);
+        let pin = ReadPin::new(&self.registry, &self.tracker);
+        let plan = plan::plan_select(&handle.def, &columns, &[filter], &[], None, None, &stats)?;
+        run(handle, plan, pin.seq())
+    }
+
+    /// The cost model's statistics, from structures the engine already
+    /// maintains: no extra bookkeeping on any hot path.
+    fn table_stats(&self, handle: &TableHandle) -> plan::TableStats {
+        let cache = self.cache.stats();
+        let lookups = (cache.hits + cache.misses).max(1);
+        plan::TableStats {
+            rows: handle.core.estimate_rows(),
+            sstables: handle.core.sstable_count(),
+            cache_hit_rate: cache.hits as f64 / lookups as f64,
+        }
+    }
+}
+
+/// Executes `plan` over `handle`'s table at MVCC bound `bound`.
+fn run(handle: &TableHandle, plan: plan::SelectPlan, bound: u64) -> Result<QueryResult> {
+    let mut op = exec::build(plan.root, &handle.core, &handle.indexes, bound);
+    let rows = exec::drain(op.as_mut())?;
+    Ok(QueryResult::new(plan.columns, rows))
 }
 
 /// Binds one INSERT row: the values checked against their columns in

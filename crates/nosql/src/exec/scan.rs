@@ -4,16 +4,16 @@ use super::{Batch, Operator, RowRef, BATCH_ROWS};
 use crate::error::Result;
 use crate::index::Index;
 use crate::plan::Predicate;
+use crate::row::Row;
 use crate::table::{Cursor, TableCore};
 use crate::types::{Cell, CqlValue};
-use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// Probes of the primary key: one for `=` (EXPLAIN and traces call that a
 /// `PointScan`), one per distinct `IN` key in statement order, missing
 /// keys skipped (the pinned multi-point semantics). The keys arrive
-/// encoded by the planner's bind step.
+/// encoded by the planner's bind step, and go to the table in batches.
 pub struct MultiPointScan {
     core: Arc<TableCore>,
     name: &'static str,
@@ -26,17 +26,13 @@ impl MultiPointScan {
     pub(crate) fn new(
         core: Arc<TableCore>,
         name: &'static str,
-        mut keys: Vec<Vec<u8>>,
+        keys: Vec<Vec<u8>>,
         bound: u64,
     ) -> MultiPointScan {
-        if keys.len() > 1 {
-            let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(keys.len());
-            keys.retain(|k| seen.insert(k.clone()));
-        }
         MultiPointScan {
             core,
             name,
-            keys,
+            keys: distinct(keys),
             pos: 0,
             bound,
         }
@@ -53,8 +49,26 @@ impl Operator for MultiPointScan {
     }
 }
 
-/// The next batch of rows stored under `keys[*pos..]` that `keep` accepts,
-/// as one block; missing keys are skipped.
+/// `keys` without repeats, each at its first place.
+fn distinct(mut keys: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    if keys.windows(2).all(|w| w[0] < w[1]) {
+        return keys;
+    }
+    // Sorted by key, stably: a repeat sorts right after its first place.
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+    order.dedup_by(|later, first| keys[*later] == keys[*first]);
+    order.sort_unstable();
+    order
+        .into_iter()
+        .map(|i| std::mem::take(&mut keys[i]))
+        .collect()
+}
+
+/// The next batch of rows stored under `keys[*pos..]` (distinct) that
+/// `keep` accepts, as one block, in `keys` order; missing keys are
+/// skipped. Each chunk of keys goes to the table as one batch in key
+/// order ([`TableCore::get`]), so keys that share a block share its read.
 fn probe(
     core: &TableCore,
     keys: &[Vec<u8>],
@@ -64,9 +78,25 @@ fn probe(
 ) -> Result<Option<Batch>> {
     let mut rows = Vec::with_capacity(BATCH_ROWS.min(keys.len() - *pos));
     while *pos < keys.len() && rows.len() < BATCH_ROWS {
-        let row = core.get(&keys[*pos], bound)?;
-        *pos += 1;
-        rows.extend(row.map(|r| r.values).filter(|v| keep(v)));
+        let chunk = &keys[*pos..][..(BATCH_ROWS - rows.len()).min(keys.len() - *pos)];
+        *pos += chunk.len();
+        let mut push = |row: Row| {
+            if keep(&row.values) {
+                rows.push(row.values);
+            }
+        };
+        if chunk.is_sorted() {
+            core.get(chunk, bound, &mut |_, row| push(row))?;
+            continue;
+        }
+        // Out of key order: `order[j]` is where the `j`th key in key order
+        // sits in the chunk, and the rows wait there.
+        let mut order: Vec<usize> = (0..chunk.len()).collect();
+        order.sort_unstable_by_key(|&i| &chunk[i]);
+        let sorted: Vec<&[u8]> = order.iter().map(|&i| chunk[i].as_slice()).collect();
+        let mut found = vec![None; chunk.len()];
+        core.get(&sorted, bound, &mut |j, row| found[order[j]] = Some(row))?;
+        found.into_iter().flatten().for_each(push);
     }
     Ok((!rows.is_empty()).then(|| Batch::of_rows(rows)))
 }
@@ -115,9 +145,9 @@ impl Operator for IndexScan {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         let keys = match &mut self.keys {
             Some(keys) => keys,
-            None => self
-                .keys
-                .insert(self.index.base_keys(&self.value_keys, self.bound)?),
+            None => self.keys.insert(distinct(
+                self.index.base_keys(&self.value_keys, self.bound)?,
+            )),
         };
         let pred = &self.pred;
         probe(&self.core, keys, &mut self.pos, self.bound, |row| {

@@ -19,7 +19,6 @@ use crate::row::Row;
 use crate::schema::{ColumnDef, TableDef};
 use crate::table::{live_row, PendingWrite, TableCore};
 use crate::types::{CqlType, CqlValue};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Name of the hidden posting table for `column` of table `base` (`base`
@@ -130,20 +129,18 @@ impl Index {
 
     /// Base-table keys posted under any of `value_keys` (encoded literals
     /// of the indexed column) at MVCC bound `bound`: statement order of
-    /// values, key order within a value, duplicates collapsed. Postings may
-    /// trail an overwrite racing the index update, so the caller re-checks
-    /// each base row against the values.
+    /// values, key order within a value. A key posted under two of the
+    /// values (a stale posting) comes twice; the scan keeps the first.
+    /// Postings may trail an overwrite racing the index update, so the
+    /// caller re-checks each base row against the values.
     pub fn base_keys(&self, value_keys: &[Vec<u8>], bound: u64) -> Result<Vec<Vec<u8>>> {
         let mut keys = Vec::new();
-        let mut seen: HashSet<i64> = HashSet::new();
         for value_key in value_keys {
             let prefix = Index::prefix(value_key).into_bytes();
             let postings = self.postings.cursor(bound, Some(&prefix), None);
             for posting in postings.entries().map(live_row) {
                 if let Some(id) = posting?.values[1].as_int() {
-                    if seen.insert(id) {
-                        keys.push(CqlValue::Int(id).encode_key());
-                    }
+                    keys.push(CqlValue::Int(id).encode_key());
                 }
             }
         }

@@ -18,9 +18,9 @@
 //! | `nosql.compaction.bytes_in`    | counter   | bytes read by merges (input amplification) |
 //! | `nosql.compaction.bytes_out`   | counter   | bytes written by merges                  |
 //! | `nosql.compaction.errors`      | counter   | background merges that failed            |
-//! | `nosql.read.point_queries`     | counter   | `get` calls                              |
-//! | `nosql.read.sstables_per_get`  | histogram | SSTables probed per `get`                |
-//! | `nosql.read.blocks_per_get`    | histogram | data blocks read per `get`               |
+//! | `nosql.read.point_queries`     | counter   | keys point-read (a batch counts each key) |
+//! | `nosql.read.sstables_per_get`  | histogram | SSTables consulted per key read          |
+//! | `nosql.read.blocks_per_get`    | histogram | data blocks read per key read; a block a batch shares counts on one key, so sum / count is blocks per key |
 //! | `nosql.bloom.hit`              | counter   | filter said maybe and the key was there  |
 //! | `nosql.bloom.miss`             | counter   | filter ruled the key out (no block read) |
 //! | `nosql.bloom.false_positive`   | counter   | filter said maybe but the key was absent |

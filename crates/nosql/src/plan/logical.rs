@@ -79,7 +79,8 @@ impl Predicate {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScanKind {
     /// Bloom/fence-checked probes of the primary key: one for `=` (a point
-    /// scan), one per distinct `IN` value in statement order.
+    /// scan), one per distinct `IN` value in statement order, sent to the
+    /// table in sorted batches.
     Key(Predicate),
     /// Posting scan of a secondary index for the predicate's values, then a
     /// probe per posted key, each base row re-checked against the

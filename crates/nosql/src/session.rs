@@ -22,7 +22,7 @@ use std::time::Duration;
 /// [`Session::last_commit_wait`] reports how long the previous statement
 /// spent queueing in the group-commit WAL rather than executing; servers
 /// subtract it from wall-clock latency so slow-query logs and latency
-/// metrics attribute time to the statement, not to its neighbors' fsyncs.
+/// metrics attribute time to the statement, not to its neighbors' appends.
 #[derive(Debug)]
 pub struct Session {
     core: Arc<DbCore>,
@@ -71,7 +71,7 @@ impl Session {
 
     /// How long the most recent statement spent waiting on the
     /// group-commit queue (leader's linger + follower's wait for the
-    /// leader's fsync). Subtract from wall-clock time to get execution
+    /// leader's append). Subtract from wall-clock time to get execution
     /// time.
     pub fn last_commit_wait(&self) -> Duration {
         self.last_commit_wait

@@ -13,11 +13,14 @@
 //!
 //! Only the meta region is resident after open — a sparse index entry per
 //! *block* plus ~10 filter bits per key. Point misses are answered by the
-//! key fences and the bloom filter without touching a data block. A probe
-//! that passes them reads exactly one CRC-verified block, optionally
-//! through the engine's shared [`BlockCache`], and decodes one row of it
-//! (`colblock::find_row`): the key run is searched in place and only the
-//! found row's cells are built, while every run is still validated.
+//! key fences and the bloom filter without touching a data block. Probes
+//! come as a sorted batch of keys ([`SsTable::probe_keys`]; a point read
+//! is the batch of one): the keys that pass the fences and the filter are
+//! grouped by the block the index gives them, and each block is read
+//! once, CRC-verified, optionally through the engine's shared
+//! [`BlockCache`], and walked once for its keys (`colblock::find_rows`):
+//! the key run is merged with them in place and only the hits' cells are
+//! built, while every run is still validated.
 //! Everything else reads through `SstIter`, which hands a table's cursor
 //! one decoded column block at a time, seeks through the block index for
 //! a key prefix and decodes only the column chunks its caller needs;
@@ -60,7 +63,8 @@ pub struct SstEntry {
 pub struct Probe {
     /// The entry, if the key is present (tombstones included).
     pub entry: Option<SstEntry>,
-    /// Data blocks read to answer.
+    /// Data blocks read to answer. A block read for several keys of one
+    /// batch counts on one of them.
     pub blocks_read: u64,
     /// The min/max key fences ruled the key out.
     pub fence_rejected: bool,
@@ -423,45 +427,106 @@ impl SsTable {
         self.obsolete.store(true, Ordering::Release);
     }
 
-    /// Point lookup with read-path telemetry; [`SsTable::get`] is the
-    /// entry-only shorthand.
+    /// Point lookup with read-path telemetry: [`SsTable::probe_keys`]
+    /// for one key. [`SsTable::get`] is the entry-only shorthand.
     pub fn probe(&self, key: &[u8]) -> Result<Probe> {
-        let meta = &self.meta;
+        let mut probe = Probe::absent(false, false);
+        self.probe_keys(&[(0, key)], &mut |_, p| probe = p)?;
+        Ok(probe)
+    }
+
+    /// Point lookups of `keys` — `(caller's index, key)` pairs in strictly
+    /// ascending key order — with read-path telemetry: `found(index,
+    /// probe)` gets each key's [`Probe`] once. The fences and the bloom
+    /// filter screen every key; the keys that pass and fall in one data
+    /// block, up to 64 at a time, share one read and one walk of it
+    /// (`colblock::find_rows`). The read counts on the first of them only,
+    /// so blocks read summed over the keys is the blocks this call read.
+    pub fn probe_keys(
+        &self,
+        keys: &[(usize, &[u8])],
+        found: &mut dyn FnMut(usize, Probe),
+    ) -> Result<()> {
+        debug_assert!(keys.windows(2).all(|w| w[0].1 < w[1].1));
+        let blocks = &self.meta.blocks;
         let stats = sc_obs::enabled();
+        let mut i = 0;
+        while i < keys.len() {
+            if let Some(absent) = self.screen(keys[i].1, stats) {
+                found(keys[i].0, absent);
+                i += 1;
+                continue;
+            }
+            // keys[i] passed the fences, so it is at or above the first
+            // block's first key: its block is the last whose first key is
+            // <= it, and the keys below the next block's first key share
+            // that block.
+            let pos = blocks.partition_point(|b| b.first_key.as_slice() <= keys[i].1);
+            let end = match blocks.get(pos) {
+                Some(next) => {
+                    i + keys[i..].partition_point(|&(_, k)| k < next.first_key.as_slice())
+                }
+                None => keys.len(),
+            };
+            // At most 64 keys to a group, a bit each: set once the key
+            // passed the screen.
+            let group = &keys[i..end.min(i + u64::BITS as usize)];
+            let mut passed = 1u64;
+            for (j, &(at, key)) in group.iter().enumerate().skip(1) {
+                match self.screen(key, stats) {
+                    Some(absent) => found(at, absent),
+                    None => passed |= 1 << j,
+                }
+            }
+            let bytes = self.read_block(&blocks[pos - 1])?;
+            let mut blocks_read = 1;
+            let mut report = |j: usize, entry: Option<SstEntry>| {
+                if stats && entry.is_some() {
+                    crate::obs::nosql().bloom_hit.inc();
+                } else if stats {
+                    crate::obs::nosql().bloom_false_positive.inc();
+                }
+                let probe = Probe {
+                    entry,
+                    blocks_read: std::mem::take(&mut blocks_read),
+                    fence_rejected: false,
+                    filter_rejected: false,
+                };
+                found(group[j].0, probe);
+            };
+            let wanted = passed;
+            let mut walk = (group.iter().enumerate())
+                .filter(|&(j, _)| (wanted >> j) & 1 == 1)
+                .map(|(j, &(_, key))| (j, key));
+            colblock::find_rows(&self.file, &bytes, &mut walk, &mut |j, entry| {
+                passed &= !(1 << j);
+                report(j, Some(entry));
+            })?;
+            // Passed the filter, absent from the block: false positives.
+            for j in (0..group.len()).filter(|j| (passed >> j) & 1 == 1) {
+                report(j, None);
+            }
+            i += group.len();
+        }
+        Ok(())
+    }
+
+    /// The fences' and the bloom filter's verdict on `key`: its absent
+    /// probe when either rules it out.
+    fn screen(&self, key: &[u8], stats: bool) -> Option<Probe> {
+        let meta = &self.meta;
         if meta.blocks.is_empty() || key < meta.min_key.as_slice() || key > meta.max_key.as_slice()
         {
-            return Ok(Probe::absent(true, false));
+            return Some(Probe::absent(true, false));
         }
         sc_obs::trace::add(sc_obs::trace::Attr::BloomProbes, 1);
         if !meta.filter.may_contain(key) {
             if stats {
                 crate::obs::nosql().bloom_miss.inc();
             }
-            return Ok(Probe::absent(false, true));
+            return Some(Probe::absent(false, true));
         }
-        // Last block whose first key is <= key; the fence check
-        // guarantees at least one candidate.
-        let pos = meta
-            .blocks
-            .partition_point(|b| b.first_key.as_slice() <= key);
-        let Some(i) = pos.checked_sub(1) else {
-            return Ok(Probe::absent(true, false));
-        };
-        let bytes = self.read_block(&meta.blocks[i])?;
-        let entry = colblock::find_row(&self.file, &bytes, key)?;
-        if stats {
-            if entry.is_some() {
-                crate::obs::nosql().bloom_hit.inc();
-            } else {
-                crate::obs::nosql().bloom_false_positive.inc();
-            }
-        }
-        Ok(Probe {
-            entry,
-            blocks_read: 1,
-            fence_rejected: false,
-            filter_rejected: false,
-        })
+        None
     }
 
     /// Point lookup.

@@ -4,9 +4,9 @@
 //! `TableCore` is the concurrent successor of the old `TableRuntime`.
 //! Writers insert into the memtable under its write lock; readers share
 //! its read lock, walk it in key order, and take only a read guard on the
-//! SSTable list. Point reads hold it across their
-//! probes; a `Cursor` clones the `Arc`s out of it and reads on, and a
-//! merged-away SSTable deletes its file when the last clone drops.
+//! SSTable list. Point reads hold it across their batch's probes; a
+//! `Cursor` clones the `Arc`s out of it and reads on, and a merged-away
+//! SSTable deletes its file when the last clone drops.
 //! Flush and compaction serialize on a per-table maintenance mutex and
 //! never block reads except for the instant they swap the SSTable list.
 //!
@@ -30,7 +30,7 @@ use crate::memtable::Memtable;
 use crate::mvcc::{SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
-use crate::sstable::{write_sstable, SsTable, SstEntry, SstIter};
+use crate::sstable::{write_sstable, Probe, SsTable, SstEntry, SstIter};
 use sc_storage::Vfs;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,14 +54,32 @@ impl Default for TableOptions {
     }
 }
 
-/// What [`TableCore::probe_newest`] found, and what finding it cost.
+/// One key's read in [`TableCore::get`]: the winning version so far and
+/// what finding it cost.
 #[derive(Default)]
-struct DiskProbe {
-    entry: Option<SstEntry>,
+struct KeyRead {
+    /// The row (`None` = tombstone) and its sequence.
+    best: Option<(Option<Row>, u64)>,
+    /// No older layer can hold a newer visible version.
+    settled: bool,
     /// SSTables probed.
     sstables: u64,
     /// Data blocks read across those probes.
     blocks: u64,
+}
+
+impl KeyRead {
+    /// Takes one SSTable's answer, newest table first.
+    fn disk(&mut self, probe: Probe, bound: u64) {
+        self.sstables += 1;
+        self.blocks += probe.blocks_read;
+        if let Some(e) = probe.entry.filter(|e| e.timestamp <= bound) {
+            if self.best.as_ref().is_none_or(|(_, seq)| e.timestamp > *seq) {
+                self.best = Some((e.row, e.timestamp));
+            }
+            self.settled = true;
+        }
+    }
 }
 
 /// One sorted input of a [`Cursor`]: its decoded blocks, in key order.
@@ -399,72 +417,120 @@ impl TableCore {
         self.mem.put(key, row, seq, cost, gc_floor);
     }
 
-    /// Point read at MVCC bound `bound`: the newest version with
-    /// `seq <= bound` wins, wherever it lives.
-    pub fn get(&self, key: &[u8], bound: u64) -> Result<Option<Row>> {
+    /// Point reads of `keys`, strictly ascending, at MVCC bound `bound`:
+    /// per key, the newest version with `seq <= bound` wins, wherever it
+    /// lives. `found(i, row)` gets each key's live row in key order, `i`
+    /// its index in `keys`; an absent or deleted key gets no call.
+    ///
+    /// A definitive memtable hit settles its key. The other keys go to the
+    /// SSTables newest first, each table probed once for the keys still
+    /// open ([`SsTable::probe_keys`]). Per-key sequences are monotone across
+    /// the age order, so a key's first visible hit is its newest on disk
+    /// and settles it, beating a memtable hit only with a higher sequence;
+    /// a hit above `bound` is not yet visible, and an older table may still
+    /// hold the visible version.
+    pub fn get<K: AsRef<[u8]>>(
+        &self,
+        keys: &[K],
+        bound: u64,
+        found: &mut dyn FnMut(usize, Row),
+    ) -> Result<()> {
         let stats = sc_obs::enabled();
         if stats {
-            crate::obs::nosql().point_queries.inc();
+            crate::obs::nosql().point_queries.add(keys.len() as u64);
         }
         crate::mvcc::perturb(32);
-        let mut best: Option<(Option<Row>, u64)> = None;
-        if let Some(hit) = self.mem.get(key, bound) {
-            if hit.definitive {
-                // Chain complete above the hit: nothing newer can exist in
-                // an SSTable. Warm reads stay disk-free.
-                if stats {
-                    crate::obs::nosql().sstables_per_get.record(0);
-                    crate::obs::nosql().blocks_per_get.record(0);
-                }
-                sc_obs::trace::add(sc_obs::trace::Attr::MemtableHits, 1);
-                return Ok(hit.row);
+        // A point read keeps its one key's state on the stack.
+        let mut one = [KeyRead::default()];
+        let mut many = Vec::new();
+        let reads: &mut [KeyRead] = match keys.len() {
+            1 => &mut one,
+            n => {
+                many.resize_with(n, KeyRead::default);
+                &mut many
             }
-            best = Some((hit.row, hit.seq));
-        }
-        let disk = self.probe_newest(key, bound)?;
-        if let Some(e) = disk.entry {
-            if best.as_ref().is_none_or(|(_, b)| e.timestamp > *b) {
-                best = Some((e.row, e.timestamp));
+        };
+        let mut settled = 0;
+        for (key, read) in keys.iter().zip(reads.iter_mut()) {
+            if let Some(hit) = self.mem.get(key.as_ref(), bound) {
+                // Definitive: the chain is complete above the hit, so
+                // nothing newer can exist in an SSTable. Warm reads stay
+                // disk-free.
+                read.settled = hit.definitive;
+                settled += usize::from(hit.definitive);
+                read.best = Some((hit.row, hit.seq));
             }
         }
-        if stats {
-            crate::obs::nosql().sstables_per_get.record(disk.sstables);
-            crate::obs::nosql().blocks_per_get.record(disk.blocks);
+        if settled > 0 {
+            sc_obs::trace::add(sc_obs::trace::Attr::MemtableHits, settled as u64);
         }
-        if disk.sstables > 0 {
-            sc_obs::trace::add(sc_obs::trace::Attr::SstableProbes, disk.sstables);
-            sc_obs::trace::add(sc_obs::trace::Attr::BlocksRead, disk.blocks);
+        if settled < keys.len() {
+            self.probe_sstables(keys, reads, bound)?;
         }
-        Ok(best.and_then(|(row, _)| row))
+        let (mut sstables, mut blocks) = (0, 0);
+        for (i, read) in reads.iter_mut().enumerate() {
+            if stats {
+                crate::obs::nosql().sstables_per_get.record(read.sstables);
+                crate::obs::nosql().blocks_per_get.record(read.blocks);
+            }
+            sstables += read.sstables;
+            blocks += read.blocks;
+            if let Some((Some(row), _)) = read.best.take() {
+                found(i, row);
+            }
+        }
+        if sstables > 0 {
+            sc_obs::trace::add(sc_obs::trace::Attr::SstableProbes, sstables);
+            sc_obs::trace::add(sc_obs::trace::Attr::BlocksRead, blocks);
+        }
+        Ok(())
     }
 
-    /// The one newest-first SSTable probe: `key`'s newest on-disk version at
-    /// or below `bound`. Per-key sequences are monotone across the age
-    /// order, so the first visible hit is the newest on disk; a hit above
-    /// `bound` is not yet visible and an older SSTable may still hold the
-    /// visible version.
-    fn probe_newest(&self, key: &[u8], bound: u64) -> Result<DiskProbe> {
+    /// [`TableCore::get`]'s disk half: the SSTables newest first, each
+    /// probed once for the keys `reads` still has open.
+    fn probe_sstables<K: AsRef<[u8]>>(
+        &self,
+        keys: &[K],
+        reads: &mut [KeyRead],
+        bound: u64,
+    ) -> Result<()> {
         // Hold the read guard across every probe so compaction cannot
         // delete a file mid-lookup.
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
-        let mut found = DiskProbe::default();
         // One stage for the whole disk-probe loop: its duration is the
         // statement's block-read time in the request trace.
-        let _read_stage = if ssts.is_empty() {
-            None
-        } else {
-            Some(sc_obs::trace::stage("nosql.block_read"))
+        let _read_stage = (!ssts.is_empty()).then(|| sc_obs::trace::stage("nosql.block_read"));
+        // The open keys, `(index, key)` in key order, are the first `len`;
+        // a point read's one key stays on the stack.
+        let mut one = [(0, &[][..])];
+        let mut many = Vec::new();
+        let open: &mut [(usize, &[u8])] = match keys {
+            [key] => {
+                one[0].1 = key.as_ref();
+                &mut one
+            }
+            _ => {
+                let keys = keys.iter().map(AsRef::as_ref).enumerate();
+                many.extend(keys.filter(|&(i, _)| !reads[i].settled));
+                &mut many
+            }
         };
+        let mut len = open.len();
         for sst in ssts.iter().rev() {
-            found.sstables += 1;
-            let probe = sst.probe(key)?;
-            found.blocks += probe.blocks_read;
-            if let Some(e) = probe.entry.filter(|e| e.timestamp <= bound) {
-                found.entry = Some(e);
+            if len == 0 {
                 break;
             }
+            sst.probe_keys(&open[..len], &mut |i, probe| reads[i].disk(probe, bound))?;
+            let mut kept = 0;
+            for j in 0..len {
+                if !reads[open[j].0].settled {
+                    open[kept] = open[j];
+                    kept += 1;
+                }
+            }
+            len = kept;
         }
-        Ok(found)
+        Ok(())
     }
 
     /// Opens the table's merging cursor at `bound`: the newest visible
@@ -849,8 +915,13 @@ impl TableCore {
     /// Newest on-disk sequence for `key`, if any SSTable holds it. Recovery
     /// uses this to skip WAL records that a flushed version already covers.
     pub fn newest_disk_seq(&self, key: &[u8]) -> Result<Option<u64>> {
-        let found = self.probe_newest(key, u64::MAX)?;
-        Ok(found.entry.map(|e| e.timestamp))
+        let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
+        for sst in ssts.iter().rev() {
+            if let Some(e) = sst.probe(key)?.entry {
+                return Ok(Some(e.timestamp));
+            }
+        }
+        Ok(None)
     }
 
     /// On-disk bytes of this table's SSTables (flush first for an accurate
@@ -885,6 +956,7 @@ impl TableCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::scan::MultiPointScan;
     use crate::schema::ColumnDef;
     use crate::types::{CqlType, CqlValue};
     use sc_encoding::Rng;
@@ -921,8 +993,17 @@ mod tests {
         }
     }
 
+    /// One key's point read: the batch of one.
+    fn get_at(table: &TableCore, key: &[u8], bound: u64) -> Option<Row> {
+        let mut found = None;
+        table
+            .get(&[key], bound, &mut |_, row| found = Some(row))
+            .unwrap();
+        found
+    }
+
     struct Harness {
-        table: TableCore,
+        table: Arc<TableCore>,
         tracker: SeqTracker,
         registry: SnapshotRegistry,
     }
@@ -930,13 +1011,13 @@ mod tests {
     impl Harness {
         fn new(vfs: Vfs, options: TableOptions) -> Harness {
             Harness {
-                table: TableCore::new(
+                table: Arc::new(TableCore::new(
                     &def(),
                     vfs.clone(),
                     Manifest::open(vfs),
                     options,
                     BlockCache::new(crate::cache::DEFAULT_BLOCK_CACHE_BYTES),
-                ),
+                )),
                 tracker: SeqTracker::new(),
                 registry: SnapshotRegistry::new(),
             }
@@ -961,7 +1042,7 @@ mod tests {
         }
 
         fn get(&self, key: &[u8]) -> Option<Row> {
-            self.table.get(key, u64::MAX).unwrap()
+            get_at(&self.table, key, u64::MAX)
         }
 
         fn flush(&self) {
@@ -1198,7 +1279,7 @@ mod tests {
         h.flush();
         assert_eq!(h.get(&k), Some(r2), "unpinned reads see the new version");
         assert_eq!(
-            h.table.get(&k, pin).unwrap(),
+            get_at(&h.table, &k, pin),
             Some(r1),
             "the pinned bound still reads the old version after the flush"
         );
@@ -1226,7 +1307,7 @@ mod tests {
         // The merge would keep only "new"; the pin still needs "old".
         h.table.compact(&h.registry).unwrap();
         assert_eq!(h.table.sstable_count(), 2, "merge deferred for the pin");
-        assert_eq!(h.table.get(&k, pin).unwrap(), Some(r1));
+        assert_eq!(get_at(&h.table, &k, pin), Some(r1));
         h.registry.unpin(pin);
         h.table.compact(&h.registry).unwrap();
         assert_eq!(h.table.sstable_count(), 1, "merge proceeds once released");
@@ -1295,7 +1376,7 @@ mod tests {
         assert_eq!(h.get(&k1), None, "deleted row resurrected by a point read");
         assert_eq!(h.scan().len(), 1, "the cursor agrees");
         assert_eq!(
-            h.table.get(&k1, pin).unwrap(),
+            get_at(&h.table, &k1, pin),
             Some(r1),
             "below its shadow the retained version still answers"
         );
@@ -1462,6 +1543,142 @@ mod tests {
             .into_values()
             .filter(|e| !drop_tombstones || e.row.is_some())
             .collect()
+    }
+
+    /// Differential oracle for key batches. Four rounds of writes through
+    /// the engine's write path — overwrites and tombstones in the later
+    /// ones, three flushed to SSTables of several blocks, the last left in
+    /// the memtable, snapshots pinned between them — then, at each pinned
+    /// bound and the latest: one-key reads return the newest write at the
+    /// bound, and batches of keys (repeats, absent keys inside and outside
+    /// the fences, keys of several blocks) read what one-key reads do, in
+    /// statement order, through the table and through the probing
+    /// operator.
+    #[test]
+    fn key_batches_agree_with_one_key_reads() {
+        for seed in 1..=12u64 {
+            let mut rng = Rng::new(seed);
+            let vfs = Vfs::memory();
+            let options = TableOptions {
+                memtable_flush_bytes: 1 << 30,
+                compaction_threshold: 64,
+            };
+            let h = Harness::new(vfs.clone(), options);
+            // Every write: key, row (`None` = tombstone), sequence.
+            let mut log: Vec<(Vec<u8>, Option<Row>, u64)> = Vec::new();
+            let mut bounds = Vec::new();
+            for round in 0..4 {
+                for id in 0..120 {
+                    if rng.gen_bool(0.5) {
+                        continue;
+                    }
+                    let text = format!("r{round}-{id}-{}", "x".repeat(200));
+                    let (key, live) = row(id, &text);
+                    let live = (round == 0 || !rng.gen_bool(0.3)).then_some(live);
+                    h.put(key.clone(), live.clone());
+                    log.push((key, live, h.tracker.visible()));
+                }
+                bounds.push(h.registry.pin_current(&h.tracker));
+                if round < 3 {
+                    h.flush();
+                }
+            }
+            bounds.push(u64::MAX);
+            assert_eq!(h.table.sstable_count(), 3);
+            let sizes = vfs.list("ks/t/sst-").unwrap();
+            let largest = sizes.iter().map(|f| vfs.len(f).unwrap()).max();
+            assert!(largest > Some(2 * sc_encoding::BLOCK_TARGET_BYTES as u64));
+
+            let mut candidates: Vec<Vec<u8>> = (0..120).map(|id| row(id, "").0).collect();
+            // Absent keys outside the fences.
+            candidates.extend([vec![], vec![0x00], CqlValue::Int(1 << 40).encode_key()]);
+            let core = &h.table;
+            for &bound in &bounds {
+                for key in &candidates {
+                    let newest = log
+                        .iter()
+                        .rev()
+                        .find(|(k, _, seq)| k == key && *seq <= bound);
+                    let want = newest.and_then(|(_, row, _)| row.clone());
+                    assert_eq!(get_at(core, key, bound), want, "seed {seed} key {key:?}");
+                }
+                for _ in 0..12 {
+                    let n = 1 + rng.gen_range(40) as usize;
+                    let mut pick = || {
+                        let at = rng.gen_range(candidates.len() as u64) as usize;
+                        candidates[at].clone()
+                    };
+                    let batch: Vec<Vec<u8>> = (0..n).map(|_| pick()).collect();
+
+                    let mut sorted = batch.clone();
+                    sorted.sort();
+                    sorted.dedup();
+                    let mut got = Vec::new();
+                    core.get(&sorted, bound, &mut |i, row| got.push((i, row)))
+                        .unwrap();
+                    let want: Vec<(usize, Row)> = (sorted.iter().enumerate())
+                        .filter_map(|(i, key)| Some((i, get_at(core, key, bound)?)))
+                        .collect();
+                    assert_eq!(got, want, "seed {seed} bound {bound}: table batch");
+
+                    let name = "MultiPointScan";
+                    let mut op = MultiPointScan::new(Arc::clone(core), name, batch.clone(), bound);
+                    let got = crate::exec::drain(&mut op).unwrap();
+                    let mut want = Vec::new();
+                    for (i, key) in batch.iter().enumerate() {
+                        if !batch[..i].contains(key) {
+                            want.extend(get_at(core, key, bound).map(|row| row.values));
+                        }
+                    }
+                    assert_eq!(got, want, "seed {seed} bound {bound}: operator batch");
+                }
+            }
+        }
+    }
+
+    /// Keys a newer layer settles may sit between keys still open in one
+    /// block: each SSTable still reads that block once, for all of its
+    /// open keys together.
+    #[test]
+    fn settled_keys_between_open_ones_share_one_block_read() {
+        let options = TableOptions {
+            memtable_flush_bytes: 1 << 30,
+            compaction_threshold: 64,
+        };
+        let h = Harness::new(Vfs::memory(), options);
+        let layer = |id: i64| match id % 4 {
+            0 => "memtable",
+            1 => "newer",
+            _ => "older",
+        };
+        for id in 0..16 {
+            let (key, row) = row(id, "older");
+            h.put(key, Some(row));
+        }
+        h.flush();
+        for round in ["newer", "memtable"] {
+            for id in (0..16).filter(|&id| layer(id) == round) {
+                let (key, row) = row(id, round);
+                h.put(key, Some(row));
+            }
+            if round == "newer" {
+                h.flush();
+            }
+        }
+        assert_eq!(h.table.sstable_count(), 2);
+        let keys: Vec<Vec<u8>> = (0..16).map(|id| row(id, "").0).collect();
+        let reads = |h: &Harness| {
+            let stats = h.table.cache.stats();
+            stats.hits + stats.misses
+        };
+        let before = reads(&h);
+        let mut got = Vec::new();
+        h.table
+            .get(&keys, u64::MAX, &mut |_, row| got.push(row))
+            .unwrap();
+        let want: Vec<Row> = (0..16).map(|id| row(id, layer(id)).1).collect();
+        assert_eq!(got, want);
+        assert_eq!(reads(&h) - before, 2, "one block read per SSTable");
     }
 
     #[test]

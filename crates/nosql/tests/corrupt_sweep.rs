@@ -3,11 +3,12 @@
 //! For every byte position of a freshly written table, three mutations are
 //! tried — flip one bit, overwrite with 0xFF, truncate the file at that
 //! position — and for each mutant the full read surface (`open`, `get` on
-//! present and absent keys, `scan`, a prefix `iter` and a projected `iter`)
-//! is driven. The invariant under test is the hardening goal: a corrupt or
-//! truncated file must surface as `Err(NosqlError::Corrupt)` or behave
-//! correctly — it may never panic, never allocate unboundedly, and (every
-//! region being CRC- or geometry-checked) never silently return wrong rows.
+//! present and absent keys, one `probe_keys` batch over all of them,
+//! `scan`, a prefix `iter` and a projected `iter`) is driven. The invariant
+//! under test is the hardening goal: a corrupt or truncated file must
+//! surface as `Err(NosqlError::Corrupt)` or behave correctly — it may never
+//! panic, never allocate unboundedly, and (every region being CRC- or
+//! geometry-checked) never silently return wrong rows.
 //!
 //! The fixture meets the varint-delta, dictionary and null-bitmap codecs
 //! and a tombstone, so those decoders face the mutants too.
@@ -90,6 +91,19 @@ fn exercise(vfs: &Vfs, file: &str, es: &[SstEntry]) -> Result<Vec<SstEntry>, Nos
         None,
         "{file}: an absent key was found"
     );
+    // `IN` over every key and an absent one: one sorted batch, each block
+    // walked once for all of its keys.
+    let mut keys: Vec<&[u8]> = es.iter().map(|e| e.key.as_slice()).collect();
+    keys.push(b"absent-key");
+    keys.sort_unstable();
+    let mut batch = vec![None; keys.len()];
+    let pairs: Vec<(usize, &[u8])> = keys.iter().copied().enumerate().collect();
+    sst.probe_keys(&pairs, &mut |i, probe| batch[i] = Some(probe.entry))?;
+    for (key, got) in keys.iter().zip(batch) {
+        let want = es.iter().find(|e| e.key == *key);
+        let got = got.expect("every key of a batch is answered");
+        assert_eq!(got.as_ref(), want, "{file}: wrong batch answer");
+    }
     sst.iter(Some(b"k"), None).collect::<Result<Vec<_>, _>>()?;
     sst.iter(None, Some(&[1])).collect::<Result<Vec<_>, _>>()?;
     sst.scan()

@@ -249,7 +249,7 @@ fn execute_query(
         engine.execute(&stmt)
     };
     // Attribute time honestly: wall clock includes waiting in the
-    // group-commit queue behind *other* sessions' fsyncs; the slow-query
+    // group-commit queue behind *other* sessions' appends; the slow-query
     // log and latency metrics should charge a statement only for its own
     // execution.
     let commit_wait = engine.last_commit_wait();

@@ -43,7 +43,7 @@ pub struct SlowQuery {
     /// truncated to [`MAX_LOGGED_CQL`] bytes on a char boundary).
     pub cql: String,
     /// Engine execution time — excludes network and group-commit queueing,
-    /// so the entry blames the statement, not its neighbors' fsyncs.
+    /// so the entry blames the statement, not its neighbors' appends.
     pub duration: Duration,
     /// Time spent queued in the group-commit WAL (informational; not part
     /// of the threshold comparison).

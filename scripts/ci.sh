@@ -120,7 +120,7 @@ done
 echo "==> sqllogictest tier (golden .slt scripts, memtable + flushed + compacted)"
 cargo test -q --release -p sc-nosql --test sqllogic
 
-echo "==> store-backed query smoke (warm identical query fetches zero rows)"
+echo "==> store-backed query smoke (warm identical query fetches zero rows, cold one shares blocks)"
 query_out="$(cargo run --release -p sc-bench --bin repro -- query --scale 0.02 --explain)"
 # EXPLAIN smoke: a single-pk point query must plan to the bloom-checked
 # point-scan operator, never a full scan.
@@ -137,6 +137,15 @@ echo "$query_out" | grep -q 'warm point query: store rows fetched 0' || {
     echo "ci.sh: repro query did not report a zero-fetch warm query" >&2
     exit 1
 }
+# A key batch reads each data block once: the cold point query's cell
+# reads share blocks, so it reads fewer blocks than it fetches rows.
+cold_line="$(echo "$query_out" | grep '^cold point query: ' || true)"
+cold_rows="$(echo "$cold_line" | sed -n 's/.*store rows fetched \([0-9]*\),.*/\1/p')"
+cold_blocks="$(echo "$cold_line" | sed -n 's/.*data blocks read \([0-9]*\),.*/\1/p')"
+if [ -z "$cold_rows" ] || [ -z "$cold_blocks" ] || [ "$cold_blocks" -ge "$cold_rows" ]; then
+    echo "ci.sh: cold point query read ${cold_blocks:-?} data blocks for ${cold_rows:-?} rows (a block per key)" >&2
+    exit 1
+fi
 echo "$query_out" | grep -q 'absent point lookups beyond the key fences: data blocks read 0' || {
     echo "ci.sh: absent-key point lookups read data blocks (fence/filter regression)" >&2
     exit 1
