@@ -41,6 +41,9 @@
 //!   trace: a span tree with engine attribution on stdout, and the Chrome
 //!   trace-event JSON (load in `chrome://tracing`) to `--out PATH`.
 //! * `--stats` appends the registry text report after any subcommand.
+//!   After `table4`/`table5` it first prints NoSQL-DWARF's store path per
+//!   window: its node and cell tables' rows, memtable puts, commit-log
+//!   bytes and flushes.
 //!
 //! Absolute numbers differ from the paper (different hardware, embedded
 //! engines instead of server processes); the *shape* — who wins, by what
@@ -48,11 +51,14 @@
 //! EXPERIMENTS.md for a recorded comparison.
 
 use sc_bench::{prepare_dataset, run_model, PreparedDataset};
-use sc_core::models::{ModelKind, MysqlDwarfModel, NosqlDwarfModel, NosqlMinModel, SchemaModel};
+use sc_core::models::{
+    ModelKind, MysqlDwarfModel, NosqlDwarfModel, NosqlMinModel, SchemaModel, StoreReport,
+};
 use sc_core::transform::cell_to_cql;
 use sc_core::MappedDwarf;
 use sc_dwarf::{CubeSchema, Dwarf, TupleSet};
 use sc_ingest::Window;
+use sc_nosql::TableWrites;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -165,7 +171,7 @@ fn main() {
 
     match command.as_str() {
         "table2" => table2(scale),
-        "table4" | "table5" => tables45(scale, command == "table4", command == "table5"),
+        "table4" | "table5" => tables45(scale, command == "table4", command == "table5", stats),
         "fig2" => fig2(),
         "fig3" => fig3(),
         "fig4" => fig4(),
@@ -180,7 +186,7 @@ fn main() {
             fig3();
             fig4();
             table2(scale);
-            tables45(scale, true, true);
+            tables45(scale, true, true, stats);
             stream(scale, threads);
             query(scale, explain);
         }
@@ -243,8 +249,9 @@ fn print_row(label: &str, cells: &[String]) {
     println!();
 }
 
-/// Tables 4 and 5: storage size and insertion time for the four models.
-fn tables45(scale: f64, show4: bool, show5: bool) {
+/// Tables 4 and 5: storage size and insertion time for the four models;
+/// with `stats`, what NoSQL-DWARF's node and cell rows cost the engine.
+fn tables45(scale: f64, show4: bool, show5: bool, stats: bool) {
     let datasets: Vec<PreparedDataset> = Window::ALL
         .into_iter()
         .map(|w| {
@@ -254,6 +261,8 @@ fn tables45(scale: f64, show4: bool, show5: bool) {
         .collect();
     let mut sizes: Vec<Vec<String>> = vec![Vec::new(); ModelKind::ALL.len()];
     let mut times: Vec<Vec<String>> = vec![Vec::new(); ModelKind::ALL.len()];
+    let store_rows = ["rows", "memtable puts", "commit-log bytes", "flushes"];
+    let mut store_path: Vec<Vec<String>> = vec![Vec::new(); store_rows.len()];
     for d in &datasets {
         eprintln!(
             "storing {} ({} facts, {} nodes, {} cells)...",
@@ -263,7 +272,23 @@ fn tables45(scale: f64, show4: bool, show5: bool) {
             d.cube.cell_count()
         );
         for (k, kind) in ModelKind::ALL.into_iter().enumerate() {
-            let report = run_model(kind, &d.cube);
+            let report = match kind {
+                ModelKind::NosqlDwarf => {
+                    let (report, tables) = store_nosql_dwarf(&d.cube);
+                    let sum = |f: fn(&TableWrites) -> u64| tables.iter().map(f).sum::<u64>();
+                    let cells = [
+                        (report.node_rows + report.cell_rows) as u64,
+                        sum(|w| w.memtable_puts),
+                        sum(|w| w.commitlog_bytes),
+                        sum(|w| w.flushes),
+                    ];
+                    for (row, cell) in store_path.iter_mut().zip(cells) {
+                        row.push(cell.to_string());
+                    }
+                    report
+                }
+                _ => run_model(kind, &d.cube),
+            };
             sizes[k].push(report.size.paper_mb());
             times[k].push(format!("{}", report.elapsed.as_millis()));
         }
@@ -317,6 +342,32 @@ fn tables45(scale: f64, show4: bool, show5: bool) {
             &strs(&["5699", "57153", "222044", "484498", "1219887"]),
         );
     }
+    if stats {
+        header("NoSQL-DWARF store path (--stats): its node and cell tables' writes");
+        println!(
+            "{:<22} {:>8} {:>8} {:>8} {:>8} {:>8}",
+            "", "Day", "Week", "Month", "TMonth", "SMonth"
+        );
+        for (label, row) in store_rows.iter().zip(&store_path) {
+            print_row(label, row);
+        }
+    }
+}
+
+/// Stores `cube` in a fresh NoSQL-DWARF model, as [`run_model`] does, and
+/// reads back what the writes of its node and cell tables cost the engine.
+fn store_nosql_dwarf(cube: &Dwarf) -> (StoreReport, [TableWrites; 2]) {
+    let mut model = NosqlDwarfModel::in_memory();
+    model.create_schema().expect("schema creation");
+    let report = model
+        .store(&MappedDwarf::new(cube), cube, false)
+        .expect("store");
+    let db = model.db_mut();
+    let tables = ["dwarf_node", "dwarf_cell"];
+    (
+        report,
+        tables.map(|t| db.table_writes("smartcity", t).expect("table")),
+    )
 }
 
 fn strs(cells: &[&str]) -> Vec<String> {

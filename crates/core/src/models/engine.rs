@@ -101,14 +101,14 @@ pub(crate) trait Engine {
     /// Executes one DDL statement given as text.
     fn define(&mut self, ddl: &str) -> Result<()>;
 
-    /// Streams `rows` into `table`, one INSERT per row as §4's
-    /// transformation generates them, and returns how many rows went in —
-    /// the statements the paper counts. The NoSQL adapter hands the whole
-    /// stream to the engine's multi-row apply (`sc_nosql::Db::insert_rows`:
-    /// each row bound once, rows committed per memtable chunk); the
-    /// relational adapter executes one prepared INSERT per row, rebinding
-    /// its value buffer, because chunked multi-row INSERTs barely moved its
-    /// rate (DESIGN.md §3).
+    /// Writes `rows` into `table` and returns how many went in: rows, each
+    /// one write, as §4's transformation generates one INSERT per record.
+    /// The NoSQL adapter hands the whole stream to the engine's multi-row
+    /// apply (`sc_nosql::Db::insert_rows`: each row bound once, rows
+    /// committed per memtable chunk); the relational adapter executes one
+    /// prepared INSERT per row, rebinding its value buffer, because chunked
+    /// multi-row INSERTs barely moved its rate (DESIGN.md §3). NoSQL-DWARF's
+    /// node and cell rows bypass this for `sc_nosql::Db::ingest_sorted`.
     fn insert<R>(
         &mut self,
         table: Table,

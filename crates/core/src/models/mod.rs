@@ -112,7 +112,8 @@ pub struct StoreReport {
     pub node_rows: usize,
     /// Cell rows written.
     pub cell_rows: usize,
-    /// Statements executed during the bulk insert.
+    /// Rows written, each one write: the statements the paper counts, one
+    /// INSERT per record, however the engine commits them.
     pub statements: usize,
     /// Wall-clock time of the insert phase (Table 5's measurement).
     pub elapsed: Duration,

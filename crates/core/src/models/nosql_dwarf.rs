@@ -5,7 +5,7 @@
 //! relationships live in `set<int>` columns, so each node costs one insert
 //! regardless of fan-out; that is what wins Tables 4 and 5.
 
-use super::engine::{Engine, Table};
+use super::engine::Table;
 use super::protocol::{flat_cells, read_meta, Layout, NodeRows, StoredMeta};
 use super::{offset_id, ModelKind};
 use crate::error::{CoreError, Result};
@@ -99,27 +99,28 @@ impl Layout for NosqlDwarfModel {
         ]
     }
 
+    /// The node rows go in as one sorted run ([`Db::ingest_sorted`]): a
+    /// new cube's ids are fresh, and the mapping holds them in id order.
     fn insert_nodes(db: &mut Db, id: i64, mapped: &MappedDwarf) -> Result<usize> {
         let offset_set = |ids: &[i64]| CqlValue::int_set(ids.iter().map(|&i| offset_id(id, i)));
-        db.insert(
-            NODES,
-            &["id", "parentIds", "childrenIds", "root", "schema_id"],
-            mapped.nodes.iter().map(|node| {
-                [
-                    CqlValue::Int(offset_id(id, node.id)),
-                    offset_set(&node.parent_cell_ids),
-                    offset_set(&node.child_cell_ids),
-                    CqlValue::Boolean(node.root),
-                    CqlValue::Int(id),
-                ]
-            }),
-        )
+        let rows = mapped.nodes.iter().map(|node| {
+            [
+                CqlValue::Int(offset_id(id, node.id)),
+                offset_set(&node.parent_cell_ids),
+                offset_set(&node.child_cell_ids),
+                CqlValue::Boolean(node.root),
+                CqlValue::Int(id),
+            ]
+        });
+        let columns = ["id", "parentIds", "childrenIds", "root", "schema_id"];
+        Ok(db.ingest_sorted(NODES.space, NODES.name, &columns, rows)?)
     }
 
+    /// One sorted run too, as the node rows.
     fn insert_cells(db: &mut Db, id: i64, mapped: &MappedDwarf) -> Result<usize> {
         let base = offset_id(id, 0);
         let rows = mapped.cells.iter().map(|cell| cell_row(cell, id, base));
-        db.insert(CELLS, &CELL_COLUMNS, rows)
+        Ok(db.ingest_sorted(CELLS.space, CELLS.name, &CELL_COLUMNS, rows)?)
     }
 
     fn stored_cells(db: &mut Db, id: i64) -> Result<Vec<StoredCell>> {
@@ -220,8 +221,9 @@ mod tests {
 
     #[test]
     fn a_store_crashed_at_any_op_rebuilds_exactly_or_fails_typed() {
-        // ~40 tuples; small memtables and WAL segments, so the store's rows
-        // go in several chunks with flushes, merges and rotations between.
+        // ~40 tuples; small memtables and WAL segments, so the meta row's
+        // writes go through flushes and rotations; the node and cell rows
+        // are one ingest each.
         let schema = CubeSchema::new(["day", "area", "station"], "bikes");
         let mut ts = TupleSet::new(&schema);
         for d in 0..4 {
@@ -253,7 +255,20 @@ mod tests {
         let first = faults.ops();
         model.store(&mapped, &cube, true).unwrap();
         let last = faults.ops();
-        assert!(last - first > 20, "{} ops", last - first);
+        // Each ingest is one SSTable append and then one manifest record,
+        // and the sweep below crashes at both.
+        let trace = faults.trace();
+        for table in [NODES, CELLS] {
+            let prefix = format!("{}/{}/sst-", table.space, table.name);
+            let writes: Vec<u64> = (trace.iter())
+                .filter(|op| op.file.starts_with(&prefix))
+                .map(|op| op.index)
+                .collect();
+            assert_eq!(writes.len(), 1, "{prefix}: {writes:?}");
+            let record = &trace[writes[0] as usize + 1];
+            assert_eq!(record.file, "MANIFEST", "{prefix}");
+            assert!((first..last).contains(&writes[0]) && (first..last).contains(&record.index));
+        }
 
         let (mut exact, mut refused) = (0, 0);
         for crash_at in first..last {

@@ -236,8 +236,8 @@ mod tests {
         }
         let cube = pipeline.build_cube();
         let cells = MappedDwarf::new(&cube).cell_count();
-        // Small memtables and WAL segments: the cell rows go in several
-        // committed chunks, so a crash can land between two of them.
+        // Small memtables and WAL segments: the meta row's writes cross
+        // flushes and rotations. The cell rows are one ingest.
         let open = |vfs: Vfs| {
             let options = OpenOptions::default()
                 .vfs(vfs)
@@ -256,7 +256,7 @@ mod tests {
         wh.store_window(&cube, true).unwrap();
         let last = faults.ops();
 
-        let mut inside_cells = 0;
+        let (mut no_cells, mut all_cells) = (0, 0);
         for crash_at in first..last {
             let (vfs, faults) = Vfs::with_faults(Vfs::memory(), crash_at);
             let mut wh = CubeWarehouse::new(open(vfs.clone()));
@@ -267,8 +267,11 @@ mod tests {
             faults.disarm();
             let mut model = NosqlDwarfModel::open(vfs).unwrap();
             let survived = NosqlDwarfModel::stored_cells(model.db_mut(), 1).unwrap();
-            if !survived.is_empty() && survived.len() < cells {
-                inside_cells += 1;
+            // No crash leaves part of the cell set.
+            match survived.len() {
+                0 => no_cells += 1,
+                n if n == cells => all_cells += 1,
+                n => panic!("crash at {crash_at}: {n} of {cells} cells survived"),
             }
             // The window is still in hand: store it over the reopened engine.
             let mut wh = CubeWarehouse::new(Box::new(model));
@@ -279,6 +282,9 @@ mod tests {
                 "crash at {crash_at}"
             );
         }
-        assert!(inside_cells > 0, "no crash fell inside the cell inserts");
+        assert!(
+            no_cells > 0 && all_cells > 0,
+            "{no_cells} without cells, {all_cells} with"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`Sweep::Statements`]: one writer of single statements.
 //! * [`Sweep::Bulk`]: one writer mixing multi-row inserts, each one to
-//!   several chunks, between single statements.
+//!   several chunks, and sorted-run ingests between single statements.
 //! * [`Sweep::Concurrent`]: [`CONCURRENT_WRITERS`] writers inserting
 //!   disjoint ids through a lingering group commit, so crashes tear
 //!   multi-writer batches.
@@ -23,13 +23,15 @@
 //! * after a "restart" (disarm + recover) the state is exactly the
 //!   acknowledged writes plus, for each in-flight statement, one of what it
 //!   may have left (its ack was lost; a real client faces the same
-//!   ambiguity): nothing or all of a put or delete, and a prefix of whole
-//!   rows of a multi-row insert, holding at least every chunk whose
-//!   commit-log append completed and at most the chunk the crash tore,
+//!   ambiguity): nothing or all of a put, a delete or an ingest, and a
+//!   prefix of whole rows of a multi-row insert, holding at least every
+//!   chunk whose commit-log append completed and at most the chunk the
+//!   crash tore,
 //! * no key comes back twice and absent-key probes find nothing,
 //! * a post-recovery flush + compaction does not change the state,
 //! * a second recovery reproduces the state, and the recovered engine
-//!   takes a new write.
+//!   takes a new write — over an ingested key too, which must win over
+//!   the ingested row through a flush and a merge.
 //!
 //! [`sweep`] runs the matrix, [`run_point`] one cell of it; `repro
 //! crashtest` runs all three sweeps on the command line.
@@ -55,10 +57,18 @@ pub const CONCURRENT_WRITERS: usize = 4;
 /// Puts each concurrent writer attempts, over its own ids.
 const WRITES_PER_WRITER: usize = 24;
 
-/// One past the largest id any sweep writes: absent-key probes and the
-/// post-recovery write use ids outside `0..ID_END`.
+/// One past the largest id a statement writes: absent-key probes and the
+/// post-recovery write use ids outside `0..ID_END`, and below
+/// [`INGEST_IDS`].
 const ID_END: i64 = (CONCURRENT_WRITERS * WRITES_PER_WRITER) as i64;
 const _: () = assert!(KEY_SPACE as i64 <= ID_END);
+
+/// Where the bulk sweep's ingests start: each takes a fresh range of ids
+/// from here up, above every id a statement or a probe uses.
+const INGEST_IDS: i64 = 1000;
+
+/// Bulk-sweep steps after which an ingest runs.
+const INGEST_AFTER: [usize; 3] = [12, 30, 48];
 
 /// Which crash matrix to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +77,8 @@ pub enum Sweep {
     Statements,
     /// One writer of 60 steps, about half of them multi-row inserts of 4
     /// to 31 rows — at the harness's flush threshold and segment size, one
-    /// to several chunks each.
+    /// to several chunks each — plus three ingests ([`Db::ingest_sorted`])
+    /// of fresh ids, one of them in descending order.
     Bulk,
     /// [`CONCURRENT_WRITERS`] writers of 24 puts each behind a 150 µs
     /// group-commit linger. Scheduling decides which writers share the
@@ -82,23 +93,30 @@ impl Sweep {
     /// Each writer's step list. Identical for every crash point of a sweep
     /// — only the crash index varies — so op indices line up across runs.
     fn writers(self, seed: u64) -> Vec<Vec<Step>> {
-        let (salt, steps, thresholds) = match self {
-            Sweep::Statements => (0x9e37_79b9_7f4a_7c15, 140, [76, 88, 88, 95]),
-            Sweep::Bulk => (0xb5ad_4ece_da1c_e2a9, 60, [30, 40, 85, 93]),
-            Sweep::Concurrent => {
-                return (0..CONCURRENT_WRITERS)
-                    .map(|w| {
-                        (0..WRITES_PER_WRITER)
-                            .map(|i| Step::Put {
-                                id: (w * WRITES_PER_WRITER + i) as i64,
-                                v: format!("s{seed}w{w}i{i}"),
-                            })
-                            .collect()
-                    })
-                    .collect()
+        match self {
+            Sweep::Statements => vec![workload(
+                seed ^ 0x9e37_79b9_7f4a_7c15,
+                140,
+                [76, 88, 88, 95],
+            )],
+            Sweep::Bulk => {
+                let mut steps = workload(seed ^ 0xb5ad_4ece_da1c_e2a9, 60, [30, 40, 85, 93]);
+                for (k, &at) in INGEST_AFTER.iter().enumerate().rev() {
+                    steps.insert(at, ingest(seed, k));
+                }
+                vec![steps]
             }
-        };
-        vec![workload(seed ^ salt, steps, thresholds)]
+            Sweep::Concurrent => (0..CONCURRENT_WRITERS)
+                .map(|w| {
+                    (0..WRITES_PER_WRITER)
+                        .map(|i| Step::Put {
+                            id: (w * WRITES_PER_WRITER + i) as i64,
+                            v: format!("s{seed}w{w}i{i}"),
+                        })
+                        .collect()
+                })
+                .collect(),
+        }
     }
 
     fn open(self, vfs: Vfs) -> OpenOptions {
@@ -137,6 +155,10 @@ enum Step {
     Bulk {
         rows: Vec<(i64, String)>,
     },
+    /// One ingest ([`Db::ingest_sorted`]) of ids no other step writes.
+    Ingest {
+        rows: Vec<(i64, String)>,
+    },
     Flush,
     Compact,
 }
@@ -147,7 +169,9 @@ impl Step {
         match self {
             Step::Put { id, v } => vec![(*id, Some(v.clone()))],
             Step::Delete { id } => vec![(*id, None)],
-            Step::Bulk { rows } => rows.iter().map(|(id, v)| (*id, Some(v.clone()))).collect(),
+            Step::Bulk { rows } | Step::Ingest { rows } => {
+                rows.iter().map(|(id, v)| (*id, Some(v.clone()))).collect()
+            }
             Step::Flush | Step::Compact => Vec::new(),
         }
     }
@@ -188,12 +212,28 @@ fn workload(salted_seed: u64, steps: usize, [put, delete, bulk, flush]: [u64; 4]
         .collect()
 }
 
+/// The `k`th ingest of the bulk sweep: 6 to 20 rows over its own id
+/// range, the second in descending order.
+fn ingest(seed: u64, k: usize) -> Step {
+    let mut rng = Rng::new(seed ^ 0x1f83_d9ab_fb41_bd6b ^ k as u64);
+    let base = INGEST_IDS + 100 * k as i64;
+    let mut rows: Vec<(i64, String)> = (0..6 + rng.gen_range(15) as i64)
+        .map(|j| (base + j, format!("g{k}.{j}")))
+        .collect();
+    if k == 1 {
+        rows.reverse();
+    }
+    Step::Ingest { rows }
+}
+
 /// A statement whose ack the crash swallowed: any prefix of its writes
-/// from `min` writes up may have become durable.
+/// from `min` writes up may have become durable — or, for an ingest
+/// (`whole`), all of them or none.
 #[derive(Debug, Clone, PartialEq)]
 struct InFlight {
     writes: Vec<(i64, Option<String>)>,
     min: usize,
+    whole: bool,
 }
 
 /// What the writers saw before the crash (or completion).
@@ -269,6 +309,9 @@ fn drive_writer(db: &Db, steps: &[Step], faults: &FaultHandle) -> Result<Run> {
             Step::Bulk { rows } => db
                 .insert_rows("m", "t", &["id", "v"], bulk_rows(rows))
                 .map(drop),
+            Step::Ingest { rows } => db
+                .ingest_sorted("m", "t", &["id", "v"], bulk_rows(rows))
+                .map(drop),
             Step::Flush => db.flush_all(),
             Step::Compact => db.compact_all(),
         };
@@ -289,7 +332,8 @@ fn drive_writer(db: &Db, steps: &[Step], faults: &FaultHandle) -> Result<Run> {
                     }
                     _ => 0,
                 };
-                run.in_flight.push(InFlight { writes, min });
+                let whole = matches!(step, Step::Ingest { .. });
+                run.in_flight.push(InFlight { writes, min, whole });
                 return Ok(run);
             }
             Err(e) => return Err(e),
@@ -376,7 +420,8 @@ fn durable_prefix(
 }
 
 /// The oracle: the recovered state must be `acked ⊕ c`, where `c` picks for
-/// each in-flight statement one prefix of its writes from `min` writes up.
+/// each in-flight statement one prefix of its writes from `min` writes up
+/// (for an ingest, none or all).
 /// Writers touch disjoint ids, so their choices combine independently.
 /// Returns how many in-flight statements left something — the fewest over
 /// every choice that matches.
@@ -396,7 +441,10 @@ fn check(recovered: &Option<BTreeMap<i64, String>>, run: &Run) -> Result<usize> 
         candidates = candidates
             .into_iter()
             .flat_map(|(survivors, acked)| {
-                (statement.min..=statement.writes.len()).map(move |p| {
+                let all = statement.writes.len();
+                let prefixes = statement.min..=all;
+                let prefixes = prefixes.filter(move |&p| !statement.whole || p == 0 || p == all);
+                prefixes.map(move |p| {
                     let mut acked = acked.clone();
                     acked.extend(statement.writes[..p].iter().cloned());
                     (survivors + usize::from(p > 0), acked)
@@ -525,7 +573,7 @@ fn run_cell(kind: Sweep, writers: &[Vec<Step>], seed: u64, crash_at: u64) -> Res
     if read_state(&db)? != recovered {
         return Err(NosqlError::Corrupt("second recovery diverged".into()));
     }
-    if recovered.is_some() {
+    if let Some(state) = &recovered {
         let fresh = [(ID_END + 5, "after".to_string())];
         db.insert_rows("m", "t", &["id", "v"], bulk_rows(&fresh))?;
         let r = db.execute_cql(&format!("SELECT v FROM m.t WHERE id = {}", fresh[0].0))?;
@@ -533,6 +581,21 @@ fn run_cell(kind: Sweep, writers: &[Vec<Step>], seed: u64, crash_at: u64) -> Res
             return Err(NosqlError::Corrupt(
                 "a write after recovery is not visible".into(),
             ));
+        }
+        // Sequences restart above the newest ingested row: an overwrite of
+        // it wins through a flush and a merge, which keep the higher
+        // sequence.
+        if let Some((&id, _)) = state.range(INGEST_IDS..).next_back() {
+            let cql = format!("INSERT INTO m.t (id, v) VALUES ({id}, 'after')");
+            db.execute_cql(&cql)?;
+            db.flush_all()?;
+            db.compact_all()?;
+            let r = db.execute_cql(&format!("SELECT v FROM m.t WHERE id = {id}"))?;
+            if r.first().map(|row| row.get_text("v")).transpose()? != Some("after") {
+                return Err(NosqlError::Corrupt(format!(
+                    "an overwrite of ingested id {id} after recovery lost to the ingested row"
+                )));
+            }
         }
     }
     Ok(PointOutcome {
@@ -711,6 +774,7 @@ mod tests {
         InFlight {
             writes: vec![put(id, v)],
             min: 0,
+            whole: false,
         }
     }
 
@@ -718,6 +782,7 @@ mod tests {
         InFlight {
             writes: vec![put(10, "r1"), put(11, "r2"), put(1, "r3"), put(12, "r4")],
             min,
+            whole: false,
         }
     }
 
@@ -787,6 +852,56 @@ mod tests {
                 "mask {mask:#06b}"
             );
         }
+    }
+
+    #[test]
+    fn an_in_flight_ingest_is_all_or_nothing() {
+        let ingest = InFlight {
+            writes: vec![put(1000, "g0"), put(1001, "g1"), put(1002, "g2")],
+            min: 0,
+            whole: true,
+        };
+        let run = acked_run(vec![ingest.clone()]);
+        let acked = [put(1, "a"), put(2, "b")];
+        assert_eq!(check(&state(&acked), &run).unwrap(), 0);
+        let all = [&acked[..], &ingest.writes].concat();
+        assert_eq!(check(&state(&all), &run).unwrap(), 1);
+        for p in 1..3 {
+            let part = [&acked[..], &ingest.writes[..p]].concat();
+            assert!(check(&state(&part), &run).is_err(), "prefix {p}");
+        }
+    }
+
+    #[test]
+    fn the_bulk_sweep_ingests_fresh_ids_without_the_commit_log() {
+        let steps = &Sweep::Bulk.writers(6)[0];
+        let ingests: Vec<&Vec<(i64, String)>> = steps
+            .iter()
+            .filter_map(|s| match s {
+                Step::Ingest { rows } => Some(rows),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ingests.len(), INGEST_AFTER.len());
+        assert!(ingests[1].windows(2).all(|w| w[0].0 > w[1].0));
+        let statement_ids = steps
+            .iter()
+            .filter(|s| !matches!(s, Step::Ingest { .. }))
+            .flat_map(Step::writes);
+        assert!(statement_ids.into_iter().all(|(id, _)| id < ID_END));
+        // Uninjected: after the two DDL records, an ingest is one SSTable
+        // append and one manifest record, and no commit-log append.
+        let (vfs, handle) = Vfs::with_faults(Vfs::memory(), 6);
+        let db = Db::open(Sweep::Bulk.open(vfs)).unwrap();
+        let rows = ingests[0].clone();
+        drive(&db, &[vec![Step::Ingest { rows }]], &handle).unwrap();
+        let trace = handle.trace();
+        let files: Vec<&str> = trace.iter().map(|op| op.file.as_str()).collect();
+        assert_eq!(files.len(), 4, "{files:?}");
+        assert!(
+            files[2].starts_with("m/t/sst-") && files[3] == "MANIFEST",
+            "{files:?}"
+        );
     }
 
     #[test]

@@ -30,6 +30,9 @@
 //!   read half always observes the previous RMW's write.
 //! - **DDL and TRUNCATE** take the engine state's write lock, which also
 //!   guarantees `flush_all` sees no in-flight statements.
+//! - **A sorted-run ingest** ([`Db::ingest_sorted`]) holds the same write
+//!   lock from its bind to its attach, so its check that no batch key is
+//!   already held sees every write sequenced before its block.
 //!
 //! Lock order (outermost first): engine state → per-table RMW → WAL
 //! group → per-table maintenance → memtable / SSTable list.
@@ -50,7 +53,7 @@ use crate::row::Row;
 use crate::schema::{ColumnDef, TableDef};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
-use crate::table::{PendingWrite, TableCore, TableOptions};
+use crate::table::{PendingWrite, TableCore, TableOptions, TableWrites};
 use crate::types::CqlValue;
 use sc_encoding::ByteSize;
 use sc_storage::Vfs;
@@ -510,6 +513,54 @@ impl Db {
         self.core.insert_rows(keyspace, table, columns, rows)
     }
 
+    /// Writes `rows` into `keyspace.table` as one new SSTable, each row's
+    /// values bound to `columns` in order, exactly as
+    /// [`Db::insert_rows`] binds them — the same checks and errors — but
+    /// with no commit-log frame and no memtable version: the rows are
+    /// sorted by key (unless they already ascend), take one block of
+    /// sequences, and are written, named in the manifest and attached as a
+    /// flush attaches its file. They become visible together once
+    /// attached, so a read pinned earlier sees none of them, and a crash
+    /// leaves all of them or none (DESIGN.md §5d). Returns the number of
+    /// rows.
+    ///
+    /// It refuses, as a typed error with nothing written and no sequence
+    /// taken: a row that fails to bind, a key twice among `rows`
+    /// (`AlreadyExists`), a key the table already holds (a live row, or
+    /// any version in the memtable; `AlreadyExists`), a table with
+    /// secondary indexes and an index's posting table (`Unsupported`).
+    /// The engine-state write lock is held throughout, so statements wait
+    /// for an ingest as they wait for DDL (DESIGN.md §5g).
+    ///
+    /// ```
+    /// use sc_nosql::{CqlValue, Db, NosqlError, OpenOptions};
+    ///
+    /// let db = Db::open(OpenOptions::default()).unwrap();
+    /// db.execute_cql("CREATE KEYSPACE ks").unwrap();
+    /// db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))").unwrap();
+    /// let rows = (0..3).map(|i| [CqlValue::Int(i), CqlValue::Text(format!("v{i}"))]);
+    /// assert_eq!(db.ingest_sorted("ks", "t", &["id", "v"], rows).unwrap(), 3);
+    /// assert_eq!(db.execute_cql("SELECT * FROM ks.t").unwrap().len(), 3);
+    /// assert_eq!(db.commitlog_size().as_bytes(), 0);
+    /// let again = [[CqlValue::Int(2), CqlValue::Null]];
+    /// let refused = db.ingest_sorted("ks", "t", &["id", "v"], again);
+    /// assert!(matches!(refused, Err(NosqlError::AlreadyExists(_))));
+    /// ```
+    pub fn ingest_sorted<C, R>(
+        &self,
+        keyspace: &str,
+        table: &str,
+        columns: &[C],
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<usize>
+    where
+        C: AsRef<str>,
+        R: IntoIterator<Item = CqlValue>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        self.core.ingest_sorted(keyspace, table, columns, rows)
+    }
+
     /// Reads the rows of `keyspace.table` under the primary keys `keys`,
     /// each row's `columns` in order: `SELECT columns FROM keyspace.table
     /// WHERE <primary key> IN (keys)` (`=` for one key), with the same
@@ -574,6 +625,13 @@ impl Db {
         Ok(ByteSize::bytes(
             state.get(keyspace, table)?.core.disk_size(),
         ))
+    }
+
+    /// What `keyspace.table`'s writes have cost so far: memtable puts,
+    /// commit-log bytes and flushes ([`TableWrites`]).
+    pub fn table_writes(&self, keyspace: &str, table: &str) -> Result<TableWrites> {
+        let state = self.core.read_state();
+        Ok(state.get(keyspace, table)?.core.writes())
     }
 
     /// Total on-disk size of a keyspace: all tables including hidden index

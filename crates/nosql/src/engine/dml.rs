@@ -1,9 +1,10 @@
 //! DML and SELECT: the one write routine behind INSERT, UPDATE and DELETE,
-//! the chunk a multi-row INSERT commits in, the commit, and the one SELECT
-//! entry point.
+//! the chunk a multi-row INSERT commits in, the commit, the sorted-run
+//! ingest that bypasses all three, and the one SELECT entry point.
 
 use super::*;
 use crate::commitlog::WalBatch;
+use crate::sstable::SstEntry;
 
 /// Row writes bound for one [`DbCore::commit`], staged a statement (one
 /// row's writes: its postings and the row) at a time.
@@ -133,7 +134,12 @@ impl DbCore {
             .append_group(frames)
             .map_err(WalError::into_nosql)?;
         let gc_floor = self.registry.gc_floor(&self.tracker);
+        let stats = sc_obs::enabled();
         for (w, seq) in chunk.writes.into_iter().zip(seqs.seqs()) {
+            if stats {
+                let frame = WalBatch::frame_len(w.table.qualified(), w.key.len(), w.body_len);
+                w.table.count_commitlog(frame);
+            }
             let cost = w.key.len() + w.body_len + VERSION_COST;
             w.table.apply(w.key, w.row, seq, cost, gc_floor);
         }
@@ -280,6 +286,72 @@ impl DbCore {
                 return Ok(inserted);
             }
         }
+    }
+
+    /// [`Db::ingest_sorted`]. The engine-state write lock is held from the
+    /// bind to the attach, as DDL and `flush_all` hold it: no statement is
+    /// in flight, so every write the live-key check could miss would
+    /// commit after the ingest, above its block.
+    pub(super) fn ingest_sorted<C, R>(
+        &self,
+        keyspace: &str,
+        name: &str,
+        columns: &[C],
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<usize>
+    where
+        C: AsRef<str>,
+        R: IntoIterator<Item = CqlValue>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let state = self.write_state();
+        let handle = state.get(keyspace, name)?;
+        let def = &handle.def;
+        handle.writable("ingest")?;
+        if !handle.indexes.is_empty() {
+            return Err(NosqlError::Unsupported(format!(
+                "ingest into {}, a table with secondary indexes; insert its rows",
+                def.qualified_name()
+            )));
+        }
+        let mut positions: Vec<Option<usize>> = vec![None; columns.len()];
+        let mut entries = rows
+            .into_iter()
+            .map(|values| {
+                let (key, row) = bind_row(def, columns, &mut positions, values)?;
+                Ok(SstEntry {
+                    key,
+                    row: Some(row),
+                    timestamp: 0,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let held = |entry: &SstEntry, what: &str| {
+            let pk = &entry.row.as_ref().expect("ingested rows are live").values[def.primary_key];
+            NosqlError::AlreadyExists(format!(
+                "row {} = {pk} of {}{what}",
+                def.pk_column().name,
+                def.qualified_name()
+            ))
+        };
+        if !entries.windows(2).all(|w| w[0].key < w[1].key) {
+            entries.sort_by(|a, b| a.key.cmp(&b.key));
+            if let Some(w) = entries.windows(2).find(|w| w[0].key == w[1].key) {
+                return Err(held(&w[1], ", earlier in the ingested rows,"));
+            }
+        }
+        let keys: Vec<&[u8]> = entries.iter().map(|e| e.key.as_slice()).collect();
+        if let Some(i) = handle.core.first_held(&keys)? {
+            return Err(held(&entries[i], ""));
+        }
+        if entries.is_empty() {
+            return Ok(0);
+        }
+        handle.core.ingest(&mut entries, &self.tracker)?;
+        if handle.core.needs_compaction() {
+            self.schedule_compaction(&handle.core)?;
+        }
+        Ok(entries.len())
     }
 
     /// UPDATE and DELETE address one row, `WHERE <primary key> = <literal>`:

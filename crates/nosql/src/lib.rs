@@ -9,7 +9,9 @@
 //!   NoSQL-DWARF wins Table 4/5,
 //! * the **write path** — commit log append, memtable insert, SSTable flush,
 //!   size-tiered compaction — so insert timing (Table 5) exercises real
-//!   mechanisms,
+//!   mechanisms — and beside it the **sorted-run ingest**
+//!   ([`Db::ingest_sorted`]) that writes a batch of new keys straight into
+//!   one SSTable, as a bulk loader does,
 //! * **secondary indexes** maintained as hidden index column families with
 //!   one posting row per (value, key) — Cassandra's one-cell-per-posting
 //!   layout — plus a read-before-write of the old base row; the extra
@@ -85,4 +87,5 @@ pub use result::{QueryResult, QueryRow};
 pub use schema::{ColumnDef, TableDef};
 pub use session::Session;
 pub use snapshot::Snapshot;
+pub use table::TableWrites;
 pub use types::{CqlType, CqlTypeError, CqlValue};

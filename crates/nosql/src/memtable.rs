@@ -127,6 +127,13 @@ impl Memtable {
         })
     }
 
+    /// The index of the first of `keys` the memtable holds any version of,
+    /// a tombstone included.
+    pub fn first_held(&self, keys: &[&[u8]]) -> Option<usize> {
+        let entries = self.read();
+        keys.iter().position(|key| entries.contains_key(*key))
+    }
+
     /// The memtable's layer of a merging cursor: per key starting with
     /// `prefix` (`None` = all), the version a reader at `bound` sees
     /// ([`visible_at`]), tombstones included, in key order. A prefix seeks

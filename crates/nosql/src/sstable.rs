@@ -385,6 +385,12 @@ impl SsTable {
         self.meta.entry_count as usize
     }
 
+    /// The smallest and largest key stored; `None` for an empty table.
+    pub fn fences(&self) -> Option<(&[u8], &[u8])> {
+        let meta = &self.meta;
+        (!meta.blocks.is_empty()).then_some((meta.min_key.as_slice(), meta.max_key.as_slice()))
+    }
+
     /// Whether the table holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

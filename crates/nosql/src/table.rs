@@ -21,13 +21,18 @@
 //! every committed write at all times, and a flush that fails has removed
 //! nothing; the overlap where a version is both buffered and on disk is
 //! harmless because reads resolve by max sequence.
+//!
+//! An ingest is a flush without the memtable: once the engine has checked
+//! that the table holds none of their keys, its sorted rows take one block
+//! of sequences and go through the same `publish` (write, manifest,
+//! attach) as one new SSTable.
 
 use crate::cache::BlockCache;
 use crate::colblock::{KeyRef, ScanBlock};
 use crate::error::Result;
 use crate::manifest::{Manifest, ManifestEdit};
 use crate::memtable::Memtable;
-use crate::mvcc::{SeqTracker, SnapshotRegistry};
+use crate::mvcc::{SeqGuard, SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
 use crate::sstable::{write_sstable, Probe, SsTable, SstEntry, SstIter};
@@ -327,6 +332,27 @@ impl PendingWrite {
     }
 }
 
+/// What one table's writes have cost since the engine opened it (or a
+/// TRUNCATE replaced it): [`crate::Db::table_writes`]. Counted while
+/// `sc-obs` recording is on, as it is by default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableWrites {
+    /// Versions applied to the memtable, commit-log replay included.
+    pub memtable_puts: u64,
+    /// Commit-log frame bytes those writes appended.
+    pub commitlog_bytes: u64,
+    /// Memtable flushes that wrote an SSTable.
+    pub flushes: u64,
+}
+
+/// [`TableWrites`]' live counters.
+#[derive(Debug, Default)]
+struct WriteCounters {
+    memtable_puts: AtomicU64,
+    commitlog_bytes: AtomicU64,
+    flushes: AtomicU64,
+}
+
 /// Runtime state of one column family. All methods take `&self`; the type
 /// is `Send + Sync` and shared via `Arc` between sessions.
 #[derive(Debug)]
@@ -362,6 +388,7 @@ pub(crate) struct TableCore {
     options: TableOptions,
     /// The engine-wide shared block cache every SSTable reads through.
     cache: BlockCache,
+    writes: WriteCounters,
 }
 
 impl TableCore {
@@ -390,6 +417,7 @@ impl TableCore {
             retired: AtomicBool::new(false),
             options,
             cache,
+            writes: WriteCounters::default(),
         }
     }
 
@@ -412,6 +440,7 @@ impl TableCore {
     pub fn apply(&self, key: Vec<u8>, row: Option<Row>, seq: u64, cost: usize, gc_floor: u64) {
         if sc_obs::enabled() {
             crate::obs::nosql().memtable_puts.inc();
+            self.writes.memtable_puts.fetch_add(1, Ordering::Relaxed);
         }
         crate::mvcc::perturb(31);
         self.mem.put(key, row, seq, cost, gc_floor);
@@ -623,7 +652,7 @@ impl TableCore {
 
     fn flush_locked(
         &self,
-        _maint: &std::sync::MutexGuard<'_, ()>,
+        maint: &std::sync::MutexGuard<'_, ()>,
         tracker: &SeqTracker,
         registry: &SnapshotRegistry,
     ) -> Result<()> {
@@ -644,15 +673,38 @@ impl TableCore {
         let mut span = crate::obs::nosql().flush.start();
         // Until the drain below, every peeked version is still in the
         // memtable: a failure on the way returns with nothing to restore.
+        span.add_bytes(self.publish(maint, &entries)?);
+        if sc_obs::enabled() {
+            self.writes.flushes.fetch_add(1, Ordering::Relaxed);
+        }
+        crate::mvcc::perturb(34);
+        // Attached before drained: readers take the memtable first and the
+        // SSTable list second, so they meet every version at least once.
+        self.mem.drain_up_to(boundary, gc_floor);
+        // Only now — SSTable durable and attached — are the WAL records at
+        // or below the boundary redundant.
+        self.wal_floor.fetch_max(boundary, Ordering::AcqRel);
+        // Deliberately NO compaction here: running a multi-SSTable merge on
+        // the committing session's thread stalled every put behind it. The
+        // engine checks [`TableCore::needs_compaction`] after the flush and
+        // either hands the table to the background pool or (with
+        // `compaction_threads = 0`) compacts inline.
+        Ok(())
+    }
+
+    /// Writes `entries` as this table's next SSTable, names it in the
+    /// manifest and attaches it as the newest, returning its size: the
+    /// one way a flush or an ingest adds a file. Data first, manifest
+    /// second: a crash in between leaves an orphan file that recovery
+    /// deletes, never a published name without its bytes. The caller
+    /// holds the maintenance lock.
+    fn publish(&self, _maint: &std::sync::MutexGuard<'_, ()>, entries: &[SstEntry]) -> Result<u64> {
         let file = format!(
             "{}{:06}",
-            self.sst_prefix.clone(),
+            self.sst_prefix,
             self.next_sst_id.fetch_add(1, Ordering::Relaxed)
         );
-        write_sstable(&self.vfs, &file, &entries)?;
-        // Publish order matters for crash safety: data first, manifest
-        // second. A crash in between leaves an orphan file that recovery
-        // deletes, never a published name without its bytes.
+        write_sstable(&self.vfs, &file, entries)?;
         if let Err(e) = self
             .manifest
             .commit(&ManifestEdit::add(&self.qualified, &file))
@@ -667,24 +719,75 @@ impl TableCore {
             &file,
             self.cache.clone(),
         )?);
-        span.add_bytes(sst.size());
+        let size = sst.size();
         self.ssts
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .push(sst);
-        crate::mvcc::perturb(34);
-        // Attached before drained: readers take the memtable first and the
-        // SSTable list second, so they meet every version at least once.
-        self.mem.drain_up_to(boundary, gc_floor);
-        // Only now — SSTable durable and attached — are the WAL records at
-        // or below the boundary redundant.
-        self.wal_floor.fetch_max(boundary, Ordering::AcqRel);
-        // Deliberately NO compaction here: running a multi-SSTable merge on
-        // the committing session's thread stalled every put behind it. The
-        // engine checks [`TableCore::needs_compaction`] after the flush and
-        // either hands the table to the background pool or (with
-        // `compaction_threads = 0`) compacts inline.
-        Ok(())
+        Ok(size)
+    }
+
+    /// Publishes `entries` — key-sorted, no key the table holds
+    /// ([`TableCore::first_held`]) — as one SSTable, under the maintenance
+    /// lock: one block of sequences from `tracker`, then a flush's order,
+    /// data, manifest, attach. No row passes through the commit log or the
+    /// memtable. The block completes only once the SSTable is attached, so
+    /// a read pinned earlier sees none of the rows.
+    pub fn ingest(&self, entries: &mut [SstEntry], tracker: &SeqTracker) -> Result<()> {
+        let maint = self.maint.lock().unwrap_or_else(|e| e.into_inner());
+        let seqs = SeqGuard::new(tracker, entries.len());
+        for (entry, seq) in entries.iter_mut().zip(seqs.seqs()) {
+            entry.timestamp = seq;
+        }
+        self.publish(&maint, entries).map(drop)
+    }
+
+    /// The first of `keys` (strictly ascending) this table holds: any
+    /// version in the memtable — a tombstone too, since a memtable hit can
+    /// end a point read before the SSTables are asked — or a live row in
+    /// an SSTable. Only the keys inside the span of the SSTables' fences
+    /// are read from disk, in one batched [`TableCore::get`]; a key inside
+    /// the fences but absent is not held.
+    pub fn first_held(&self, keys: &[&[u8]]) -> Result<Option<usize>> {
+        let in_memtable = self.mem.first_held(keys);
+        let (start, end) = {
+            let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
+            let fences = || ssts.iter().filter_map(|sst| sst.fences());
+            match (
+                fences().map(|(lo, _)| lo).min(),
+                fences().map(|(_, hi)| hi).max(),
+            ) {
+                (Some(lo), Some(hi)) => (
+                    keys.partition_point(|k| *k < lo),
+                    keys.partition_point(|k| *k <= hi),
+                ),
+                _ => (0, 0),
+            }
+        };
+        let mut on_disk = None;
+        if start < end {
+            self.get(&keys[start..end], u64::MAX, &mut |i, _| {
+                on_disk.get_or_insert(start + i);
+            })?;
+        }
+        Ok(in_memtable.into_iter().chain(on_disk).min())
+    }
+
+    /// Counts `bytes` of commit-log frames against this table.
+    pub fn count_commitlog(&self, bytes: usize) {
+        self.writes
+            .commitlog_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// [`TableWrites`] so far.
+    pub fn writes(&self) -> TableWrites {
+        let w = &self.writes;
+        TableWrites {
+            memtable_puts: w.memtable_puts.load(Ordering::Relaxed),
+            commitlog_bytes: w.commitlog_bytes.load(Ordering::Relaxed),
+            flushes: w.flushes.load(Ordering::Relaxed),
+        }
     }
 
     /// Whether the SSTable count has reached the compaction threshold.

@@ -106,6 +106,23 @@ for figure in fig2 fig3 fig4; do
     cargo run --release -p sc-bench --bin repro -- "$figure" >/dev/null
 done
 
+echo "==> store-path gate (NoSQL-DWARF's node and cell rows never reach the commit log)"
+# They are ingested as sorted runs (Db::ingest_sorted): in every window,
+# none of them is a memtable put or a commit-log byte.
+store_path="$(cargo run --release -p sc-bench --bin repro -- table5 --scale 0.01 --stats |
+    sed -n '/^NoSQL-DWARF store path/,/^$/p')"
+echo "$store_path" | grep -Eq '^rows( +[1-9][0-9]*){5}$' || {
+    echo "ci.sh: repro table5 --stats printed no NoSQL-DWARF store path" >&2
+    exit 1
+}
+for row in "memtable puts" "commit-log bytes"; do
+    echo "$store_path" | grep -Eq "^$row( +0){5}$" || {
+        echo "ci.sh: NoSQL-DWARF's node and cell rows reached the engine's $row:" >&2
+        echo "$store_path" >&2
+        exit 1
+    }
+done
+
 echo "==> examples (each asserts its own results)"
 # bikes_pipeline panics if the cube its StreamPipeline builds from the
 # rendered XML differs from Dwarf::build over the XML-free tuples;
