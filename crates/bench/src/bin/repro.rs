@@ -1,45 +1,28 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [table2|table4|table5|fig2|fig3|fig4|stream|crashtest|obs|query|serve|trace|all]
-//!       [--scale F] [--full] [--threads N] [--points N] [--seed S] [--stats]
-//!       [--port N] [--metrics-port N] [--token TENANT=TOKEN] [--slow-ms N] [--smoke]
-//!       [--rows N] [--out PATH]
+//! repro [table2|table4|table5|fig2|fig3|fig4|query|serve|all]
+//!       [--scale F] [--full] [--stats] [--explain]
+//!       [--port N] [--metrics-port N] [--token TENANT=TOKEN] [--slow-ms N]
 //! ```
 //!
 //! * `--scale F` runs each dataset at fraction `F` of the paper's tuple
 //!   count (default 0.1).
 //! * `--full` is shorthand for `--scale 1.0` (SMonth = 1 181 344 tuples;
 //!   expect minutes).
-//! * `stream` demonstrates the sharded streaming-ingestion runtime:
-//!   `--threads N` (default 4) workers parse the feed in parallel, and the
-//!   run reports per-stage counters plus equivalence against the
-//!   sequential pipeline.
-//! * `crashtest` runs the NoSQL engine's crash matrix, one sweep each for
-//!   single statements, multi-row inserts between them and concurrent
-//!   sessions: a seeded workload is killed at `--points N` (default 64;
-//!   at most 32 for the concurrent sweep) evenly spaced storage operations
-//!   (`--points 0` = every operation), recovered, and checked with the
-//!   same cell checks against the acknowledged writes. `--seed S` varies
-//!   the workloads.
-//! * `obs` runs a small end-to-end workload (streaming ingest → NoSQL
-//!   flush → cube queries → crash/recovery) and emits the full `sc-obs`
-//!   metric registry as a text report, Prometheus exposition and JSON.
 //! * `query` stores a cube in the NoSQL-DWARF model and answers point and
 //!   range queries straight from the stored rows through the cached,
 //!   batched store cursor, reporting per-query read counters (rows
 //!   fetched, batched SELECTs, cache hit ratio) cold and warm, and the
 //!   data blocks the cold point query read; then times the same point
-//!   on NoSQL-Min, which reads through its secondary index.
-//! * `serve` starts the sc-server network front door: `--port`/
-//!   `--metrics-port` (default 0 = ephemeral), `--token TENANT=TOKEN`
-//!   (repeatable; default `demo=demo-token`), `--slow-ms N` slow-query
-//!   threshold. `--smoke` runs a self-contained round trip (connect,
-//!   INSERT/SELECT, scrape `/metrics`, drained shutdown) and exits.
-//! * `trace` runs a traced loopback workload (`--rows N` inserts, point
-//!   SELECTs off SSTables, one full scan) and dumps the worst retained
-//!   trace: a span tree with engine attribution on stdout, and the Chrome
-//!   trace-event JSON (load in `chrome://tracing`) to `--out PATH`.
+//!   on NoSQL-Min, which reads through its secondary index (§5.1's
+//!   contrast). `--explain` first prints the planner trees of the store's
+//!   query shapes.
+//! * `serve` starts the sc-server network front door and serves until
+//!   interrupted: `--port`/`--metrics-port` (default 0 = ephemeral),
+//!   `--token TENANT=TOKEN` (repeatable; default `demo=demo-token`),
+//!   `--slow-ms N` slow-query threshold.
+//! * `all` prints Figures 2–4, Table 2, Tables 4 and 5, then runs `query`.
 //! * `--stats` appends the registry text report after any subcommand.
 //!   After `table4`/`table5` it first prints NoSQL-DWARF's store path per
 //!   window: its node and cell tables' rows, memtable puts, commit-log
@@ -64,17 +47,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = "all".to_string();
     let mut scale = 0.1f64;
-    let mut threads = 4usize;
-    let mut points = 64usize;
-    let mut seed = 0xC0FFEEu64;
     let mut stats = false;
     let mut port = 0u16;
     let mut metrics_port = 0u16;
     let mut tokens: Vec<(String, String)> = Vec::new();
     let mut slow_ms = 100u64;
-    let mut smoke = false;
-    let mut rows = 4000usize;
-    let mut out: Option<String> = None;
     let mut explain = false;
     let mut i = 0;
     while i < args.len() {
@@ -108,37 +85,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--slow-ms needs a non-negative integer"));
             }
-            "--smoke" => smoke = true,
-            "--rows" => {
-                i += 1;
-                rows = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--rows needs a positive integer"));
-            }
-            "--out" => {
-                i += 1;
-                out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--out needs a path")),
-                );
-            }
-            "--points" => {
-                i += 1;
-                points = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--points needs a non-negative integer"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs an unsigned integer"));
-            }
             "--scale" => {
                 i += 1;
                 scale = args
@@ -149,16 +95,8 @@ fn main() {
             "--full" => scale = 1.0,
             "--stats" => stats = true,
             "--explain" => explain = true,
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--threads needs a positive integer"));
-            }
-            c @ ("table2" | "table4" | "table5" | "fig2" | "fig3" | "fig4" | "stream"
-            | "crashtest" | "obs" | "query" | "serve" | "trace" | "all") => {
+            c @ ("table2" | "table4" | "table5" | "fig2" | "fig3" | "fig4" | "query" | "serve"
+            | "all") => {
                 command = c.to_string();
             }
             other => usage(&format!("unknown argument {other:?}")),
@@ -175,19 +113,14 @@ fn main() {
         "fig2" => fig2(),
         "fig3" => fig3(),
         "fig4" => fig4(),
-        "stream" => stream(scale, threads),
-        "crashtest" => crashtest(seed, points),
-        "obs" => obs(threads, seed),
         "query" => query(scale, explain),
-        "serve" => serve(port, metrics_port, tokens, slow_ms, smoke),
-        "trace" => trace_cmd(rows, out.as_deref()),
+        "serve" => serve(port, metrics_port, tokens, slow_ms),
         "all" => {
             fig2();
             fig3();
             fig4();
             table2(scale);
             tables45(scale, true, true, stats);
-            stream(scale, threads);
             query(scale, explain);
         }
         _ => unreachable!(),
@@ -201,10 +134,9 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [table2|table4|table5|fig2|fig3|fig4|stream|crashtest|obs|query|serve|trace|all] \
-         [--scale F] [--full] [--threads N] [--points N] [--seed S] [--stats] [--explain] \
-         [--port N] [--metrics-port N] [--token TENANT=TOKEN] [--slow-ms N] [--smoke] \
-         [--rows N] [--out PATH]"
+        "usage: repro [table2|table4|table5|fig2|fig3|fig4|query|serve|all] \
+         [--scale F] [--full] [--stats] [--explain] \
+         [--port N] [--metrics-port N] [--token TENANT=TOKEN] [--slow-ms N]"
     );
     std::process::exit(2);
 }
@@ -439,167 +371,6 @@ fn fig4() {
     }
 }
 
-/// Crash matrix: kill the engine at injected storage faults, recover, and
-/// verify that exactly the acknowledged writes survive.
-fn crashtest(seed: u64, points: usize) {
-    use sc_nosql::crashtest::{self as ct, Sweep};
-    use std::time::Instant;
-
-    header(&format!(
-        "Crash matrix: NoSQL engine power-loss injection (seed {seed})"
-    ));
-    for kind in Sweep::ALL {
-        let title = match kind {
-            Sweep::Statements => "statement matrix (puts, deletes, flushes, compactions):".into(),
-            Sweep::Bulk => "bulk matrix (multi-row inserts of one to several chunks):".into(),
-            Sweep::Concurrent => format!(
-                "concurrent matrix ({} writer sessions, group commit):",
-                ct::CONCURRENT_WRITERS
-            ),
-        };
-        let limit = match (kind, points) {
-            (_, 0) => None,
-            (Sweep::Concurrent, n) => Some(n.min(32)),
-            (_, n) => Some(n),
-        };
-        let start = Instant::now();
-        let report = ct::sweep(kind, seed, limit).expect("crash matrix must pass");
-        let elapsed = start.elapsed();
-        println!("\n{title}");
-        println!("workload mutating storage ops {:>8}", report.total_ops);
-        println!("crash points tested           {:>8}", report.points_tested);
-        println!("crashes fired                 {:>8}", report.crashes_fired);
-        println!(
-            "in-flight statements durable  {:>8}",
-            report.in_flight_survived
-        );
-        println!("elapsed                       {:>7}ms", elapsed.as_millis());
-    }
-    println!(
-        "\nevery recovery reproduced exactly the acknowledged writes, each in-flight \
-         statement allowed to persist a whole-row prefix: ✓"
-    );
-}
-
-/// Streaming ingestion: the sharded worker pool vs the sequential pipeline.
-fn stream(scale: f64, threads: usize) {
-    use sc_core::models::ModelKind;
-    use sc_core::CubeWarehouse;
-    use sc_datagen::{BikesGenerator, DatasetSpec};
-    use sc_ingest::StreamPipeline;
-    use sc_stream::{StreamConfig, StreamIngestor};
-    use std::time::Instant;
-
-    header(&format!(
-        "Streaming ingestion: {threads} worker shard(s), Week feed at scale {scale}"
-    ));
-    let spec = DatasetSpec::for_window(Window::Week).scaled_spec(scale);
-    let docs: Vec<String> = BikesGenerator::new(spec).map(|s| s.xml).collect();
-    let def = BikesGenerator::cube_def();
-    eprintln!("generated {} feed documents...", docs.len());
-
-    let start = Instant::now();
-    let mut sequential = StreamPipeline::new(def.clone());
-    for doc in &docs {
-        sequential.ingest(doc).expect("well-formed generated feed");
-    }
-    let seq_cube = sequential.build_cube();
-    let seq_elapsed = start.elapsed();
-
-    let start = Instant::now();
-    let ingestor = StreamIngestor::new(def, StreamConfig::with_shards(threads));
-    for doc in &docs {
-        ingestor.ingest(doc.clone());
-    }
-    let result = ingestor.finish();
-    let mut warehouse = CubeWarehouse::new(ModelKind::NosqlDwarf.build().expect("schema creation"));
-    let report = warehouse.store_window(&result.cube, true).expect("store");
-    let par_elapsed = start.elapsed();
-
-    let metrics = result.metrics;
-    println!("per-stage counters ({threads} shards):");
-    println!("  events in            {:>10}", metrics.events_in);
-    println!("  events parsed        {:>10}", metrics.events_parsed);
-    println!("  events failed        {:>10}", metrics.events_failed);
-    println!("  tuples extracted     {:>10}", metrics.tuples_extracted);
-    println!("  micro-cubes sealed   {:>10}", metrics.seals);
-    println!("  micro-cubes merged   {:>10}", metrics.merges);
-    println!("  windows stored       {:>10}", warehouse.stored().len());
-    println!("  backpressure stalls  {:>10}", metrics.backpressure_stalls);
-    println!(
-        "stored in NoSQL-DWARF: schema id {}, {} node rows, {} cell rows, {}",
-        report.schema_id, report.node_rows, report.cell_rows, report.size
-    );
-    println!(
-        "sequential {} ms, sharded-plus-store {} ms",
-        seq_elapsed.as_millis(),
-        par_elapsed.as_millis()
-    );
-    let equivalent = result.cube.extract_tuples() == seq_cube.extract_tuples();
-    println!(
-        "equivalence vs sequential pipeline: {}",
-        if equivalent {
-            "identical facts ✓"
-        } else {
-            "MISMATCH ✗"
-        }
-    );
-    assert!(equivalent, "sharded ingestion diverged from sequential");
-}
-
-/// Observability demo: run a workload that exercises every instrumented
-/// crate (stream → dwarf → nosql → storage, plus the fault injector), then
-/// emit the global registry in all three exposition formats.
-fn obs(threads: usize, seed: u64) {
-    use sc_core::models::ModelKind;
-    use sc_core::CubeWarehouse;
-    use sc_datagen::{BikesGenerator, DatasetSpec};
-    use sc_dwarf::{RangeSel, Selection};
-    use sc_stream::{StreamConfig, StreamIngestor};
-
-    header(&format!(
-        "repro obs: end-to-end ingest with {threads} shard(s), then registry exposition"
-    ));
-
-    // Streaming ingest of a small feed into the NoSQL-DWARF model: covers
-    // stream.* (sharded pipeline), dwarf.build (micro-cubes + window cube),
-    // nosql.* (CQL inserts, commit log, flush) and storage.vfs.*.
-    let spec = DatasetSpec::for_window(Window::Day).scaled_spec(0.05);
-    let docs: Vec<String> = BikesGenerator::new(spec).map(|s| s.xml).collect();
-    let def = BikesGenerator::cube_def();
-    let ingestor = StreamIngestor::new(def, StreamConfig::with_shards(threads));
-    for doc in &docs {
-        ingestor.ingest(doc.clone());
-    }
-    let cube = ingestor.finish().cube;
-    let mut warehouse = CubeWarehouse::new(ModelKind::NosqlDwarf.build().expect("schema creation"));
-    let report = warehouse.store_window(&cube, true).expect("store");
-    eprintln!(
-        "ingested {} documents -> cube with {} facts -> {} node rows, {} cell rows",
-        docs.len(),
-        cube.tuple_count(),
-        report.node_rows,
-        report.cell_rows
-    );
-
-    // A few cube queries so the dwarf.query.* histograms have samples.
-    let d = cube.num_dims();
-    cube.point(&vec![Selection::All; d]);
-    cube.range(&vec![RangeSel::All; d]);
-
-    // A 4-point crash matrix: trips the fault injector and times recovery.
-    sc_nosql::crashtest::sweep(sc_nosql::crashtest::Sweep::Statements, seed, Some(4))
-        .expect("crash matrix must pass");
-
-    let snap = sc_obs::Registry::global().snapshot();
-    println!("\n---- text report ----");
-    print!("{}", snap.to_text_report());
-    println!("\n---- prometheus text exposition ----");
-    print!("{}", snap.to_prometheus_text());
-    println!("\n---- json exposition ----");
-    print!("{}", snap.to_json());
-}
-
 /// Data blocks the NoSQL engine's point reads have read so far: the sum of
 /// `nosql.read.blocks_per_get`, where a block read for several keys of one
 /// batch counts once.
@@ -729,7 +500,6 @@ fn query(scale: f64, explain: bool) {
         us[us.len() / 2],
         us.len()
     );
-    drop(min_sbc);
 
     // The same point query again: the node cache answers it entirely.
     sbc.reset_stats();
@@ -745,44 +515,10 @@ fn query(scale: f64, explain: bool) {
         warm.rows_fetched, 0,
         "warm identical query touched the store"
     );
-    drop(sbc);
-
-    // Absent-key point lookups with ids beyond every SSTable's min/max key
-    // fences: the read path must answer them without consulting a bloom
-    // filter or reading a single data block. (In-range absent keys are
-    // probabilistic — a bloom false positive may read one block — so the
-    // deterministic smoke uses fence-rejected keys only.)
-    let db = model.db_mut();
-    db.flush_all().expect("flush before fence probes");
-    let before = blocks_read();
-    for id in [i64::MAX - 7, i64::MAX / 2, -1, -12345] {
-        let r = db
-            .execute_cql(&format!(
-                "SELECT id FROM smartcity.dwarf_node WHERE id = {id}"
-            ))
-            .expect("fence-probe select");
-        assert!(r.is_empty(), "id {id} must not exist");
-    }
-    let blocks = blocks_read() - before;
-    println!("\nabsent point lookups beyond the key fences: data blocks read {blocks}");
-    assert_eq!(blocks, 0, "fence-rejected lookups read data blocks");
 }
 
-/// Raw HTTP GET against the metrics port (the bench carries no HTTP
-/// client; 60 lines of socket code is the whole dependency).
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect metrics port");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").expect("send request");
-    let mut out = String::new();
-    stream.read_to_string(&mut out).expect("read response");
-    out
-}
-
-/// The sc-server network front door: serve until interrupted, or run the
-/// `--smoke` self-check used by CI.
-fn serve(port: u16, metrics_port: u16, tokens: Vec<(String, String)>, slow_ms: u64, smoke: bool) {
-    use sc_server::client::Client;
+/// The sc-server network front door: serve until interrupted.
+fn serve(port: u16, metrics_port: u16, tokens: Vec<(String, String)>, slow_ms: u64) -> ! {
     use sc_server::{Server, ServerConfig};
     use std::time::Duration;
 
@@ -808,216 +544,8 @@ fn serve(port: u16, metrics_port: u16, tokens: Vec<(String, String)>, slow_ms: u
     for (tenant, _) in &tokens {
         println!("tenant registered: {tenant}");
     }
-
-    if !smoke {
-        println!("serving; interrupt (Ctrl-C) to stop");
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
-    }
-
-    // Smoke: one full client round trip over loopback.
-    let (_, token) = &tokens[0];
-    let mut client = Client::connect(server.addr()).expect("client connect");
-    let tenant = client.hello(token).expect("hello");
-    client
-        .query("CREATE KEYSPACE smoke")
-        .expect("create keyspace");
-    client
-        .query("CREATE TABLE smoke.t (id int, v text, PRIMARY KEY (id))")
-        .expect("create table");
-    client
-        .query("INSERT INTO smoke.t (id, v) VALUES (1, 'round-trip')")
-        .expect("insert");
-    let rows = client
-        .query("SELECT v FROM smoke.t WHERE id = 1")
-        .expect("select");
-    assert_eq!(
-        rows.first().expect("one row").get_text("v").expect("text"),
-        "round-trip"
-    );
-    println!("server smoke: round-trip ok (tenant {tenant}, INSERT + SELECT verified)");
-
-    // Smoke: the metrics port serves Prometheus text with server.* series.
-    let scrape = http_get(server.metrics_addr(), "/metrics");
-    assert!(
-        scrape.starts_with("HTTP/1.1 200"),
-        "metrics scrape failed:\n{scrape}"
-    );
-    assert!(
-        scrape.contains("server_requests"),
-        "server_requests series missing from scrape:\n{scrape}"
-    );
-    let health = http_get(server.metrics_addr(), "/healthz");
-    assert!(health.contains("ok"), "healthz failed:\n{health}");
-    println!("server smoke: metrics ok (server_requests present, healthz ok)");
-
-    // Smoke: the debug port retained at least one trace for the statements
-    // above, and a single trace round-trips as Chrome trace-event JSON.
-    let listing = http_get(server.metrics_addr(), "/debug/traces");
-    assert!(
-        listing.starts_with("HTTP/1.1 200"),
-        "trace listing failed:\n{listing}"
-    );
-    let worst_id = listing
-        .split("\"trace_id\": \"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .expect("no retained trace in /debug/traces");
-    let chrome = http_get(server.metrics_addr(), &format!("/debug/traces/{worst_id}"));
-    assert!(
-        chrome.starts_with("HTTP/1.1 200"),
-        "single-trace fetch failed:\n{chrome}"
-    );
-    let body = chrome
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.trim())
-        .expect("chrome export body");
-    assert!(
-        body.starts_with('[') && body.ends_with(']') && body.contains("\"ph\": \"X\""),
-        "not Chrome trace-event JSON:\n{body}"
-    );
-    assert_eq!(
-        body.matches('{').count(),
-        body.matches('}').count(),
-        "unbalanced Chrome trace JSON"
-    );
-    // Some span beyond the root request event must have measurable time.
-    let child_has_duration = body
-        .lines()
-        .skip(2)
-        .filter_map(|l| l.split("\"dur\": ").nth(1))
-        .filter_map(|rest| rest.split(',').next())
-        .filter_map(|v| v.parse::<f64>().ok())
-        .any(|d| d > 0.0);
-    assert!(
-        child_has_duration,
-        "trace {worst_id} has no nonzero-duration child span:\n{body}"
-    );
-    println!(
-        "server smoke: traces ok (trace {worst_id} retained, Chrome export round-trips, \
-         child span has nonzero duration)"
-    );
-
-    // Smoke: drained shutdown joins every thread.
-    server.shutdown();
-    println!("server smoke: shutdown ok (drained)");
-}
-
-/// Request tracing demo: drive a traced loopback workload, then dump the
-/// worst retained trace as an attributed span tree plus Chrome trace-event
-/// JSON (`--out PATH`, else printed).
-fn trace_cmd(rows: usize, out: Option<&str>) {
-    use sc_obs::trace::{Attr, TailSampler};
-    use sc_server::client::Client;
-    use sc_server::{Server, ServerConfig};
-    use std::time::Duration;
-
-    header(&format!(
-        "repro trace: {rows}-row traced workload, worst retained trace"
-    ));
-    let db = sc_nosql::SharedDb::open(sc_nosql::OpenOptions::default()).expect("open engine");
-    let server = Server::start(
-        ServerConfig::default()
-            .tenant("demo", "demo-token")
-            .slow_query_threshold(Duration::ZERO)
-            .trace_policy(32),
-        db,
-    )
-    .expect("start server");
-
-    let mut client = Client::connect(server.addr()).expect("connect");
-    client.hello("demo-token").expect("hello");
-    client.query("CREATE KEYSPACE traced").expect("keyspace");
-    client
-        .query("CREATE TABLE traced.readings (id int, station text, bikes int, PRIMARY KEY (id))")
-        .expect("table");
-    for id in 0..rows {
-        client
-            .query(&format!(
-                "INSERT INTO traced.readings (id, station, bikes) VALUES ({id}, 'station {id}', {})",
-                id % 40
-            ))
-            .expect("insert");
-    }
-    // Flush so the point reads below pay the SSTable path (bloom probes,
-    // block reads, cache misses) and the trace has something to attribute.
-    server.db().flush_all().expect("flush");
-    for id in (0..rows).step_by((rows / 64).max(1)) {
-        client
-            .query(&format!(
-                "SELECT station, bikes FROM traced.readings WHERE id = {id}"
-            ))
-            .expect("point select");
-    }
-    let (scan, scan_id) = client
-        .query_traced("SELECT * FROM traced.readings")
-        .expect("full scan");
-    assert_eq!(scan.len(), rows, "full scan missed rows");
-    server.shutdown();
-
-    let sampler = TailSampler::global();
-    let traces = sampler.traces();
-    println!(
-        "sampler: {} requests offered, {} traces retained (client-chosen scan ID {scan_id:016x})",
-        sampler.offered(),
-        traces.len()
-    );
-    let worst = traces.first().expect("no retained traces");
-    println!(
-        "\nworst trace: {} [{}] tenant {} — {:.3} ms — {}",
-        worst.id_hex(),
-        worst.kind,
-        worst.tenant,
-        worst.total_ns as f64 / 1e6,
-        worst.detail
-    );
-    // Render the span tree: spans are stored flat with parent indices.
-    let depth_of = |mut idx: usize| {
-        let mut depth = 1usize;
-        while let Some(p) = worst.spans[idx].parent {
-            depth += 1;
-            idx = p as usize;
-        }
-        depth
-    };
-    for (idx, span) in worst.spans.iter().enumerate() {
-        let attrs: Vec<String> = Attr::ALL
-            .iter()
-            .filter(|&&a| span.attrs[a as usize] != 0)
-            .map(|&a| format!("{}={}", a.name(), span.attrs[a as usize]))
-            .collect();
-        println!(
-            "  {:indent$}{} — {:.3} ms{}",
-            "",
-            span.name,
-            span.duration_ns as f64 / 1e6,
-            if attrs.is_empty() {
-                String::new()
-            } else {
-                format!("  [{}]", attrs.join(", "))
-            },
-            indent = depth_of(idx) * 2
-        );
-    }
-    let totals: Vec<String> = Attr::ALL
-        .iter()
-        .filter(|&&a| worst.attr_total(a) != 0)
-        .map(|&a| format!("{}={}", a.name(), worst.attr_total(a)))
-        .collect();
-    if !totals.is_empty() {
-        println!("  attribution totals: {}", totals.join(", "));
-    }
-
-    let chrome = worst.to_chrome_trace();
-    match out {
-        Some(path) => {
-            std::fs::write(path, &chrome).expect("write --out file");
-            println!("\nwrote Chrome trace-event JSON to {path} (open in chrome://tracing)");
-        }
-        None => {
-            println!("\nChrome trace-event JSON (open in chrome://tracing):");
-            println!("{chrome}");
-        }
+    println!("serving; interrupt (Ctrl-C) to stop");
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
     }
 }

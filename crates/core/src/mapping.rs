@@ -268,37 +268,31 @@ pub fn encode_schema_meta(schema: &CubeSchema) -> String {
     .to_json()
 }
 
-/// Inverse of [`encode_schema_meta`].
+/// Inverse of [`encode_schema_meta`]. A damaged row — a field missing or
+/// not text, no dimensions, an unknown aggregate — is `Inconsistent`.
 pub fn decode_schema_meta(text: &str) -> Result<CubeSchema> {
-    let v =
-        sc_json::parse(text).map_err(|e| CoreError::Inconsistent(format!("schema meta: {e}")))?;
-    let dims: Vec<String> = v
+    fn text_of<'a>(v: Option<&'a JsonValue>, what: &str) -> Result<&'a str> {
+        let v = v.and_then(JsonValue::as_str);
+        v.ok_or_else(|| CoreError::Inconsistent(format!("schema meta: {what} missing or not text")))
+    }
+    let bad = |what: String| CoreError::Inconsistent(format!("schema meta: {what}"));
+    let v = sc_json::parse(text).map_err(|e| bad(e.to_string()))?;
+    let dims = v
         .get("dimensions")
         .and_then(JsonValue::as_array)
-        .ok_or_else(|| CoreError::Inconsistent("schema meta missing dimensions".into()))?
+        .ok_or_else(|| bad("missing dimensions".into()))?
         .iter()
-        .filter_map(|d| d.as_str().map(str::to_string))
-        .collect();
+        .map(|d| text_of(Some(d), "dimension").map(str::to_string))
+        .collect::<Result<Vec<_>>>()?;
     if dims.is_empty() {
-        return Err(CoreError::Inconsistent(
-            "schema meta has no dimensions".into(),
-        ));
+        return Err(bad("no dimensions".into()));
     }
-    let measure = v
-        .get("measure")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| CoreError::Inconsistent("schema meta missing measure".into()))?;
-    let agg = match v.get("agg").and_then(JsonValue::as_str) {
-        Some("SUM") | None => AggFn::Sum,
-        Some("COUNT") => AggFn::Count,
-        Some("MIN") => AggFn::Min,
-        Some("MAX") => AggFn::Max,
-        Some(other) => {
-            return Err(CoreError::Inconsistent(format!(
-                "unknown aggregate {other:?}"
-            )))
-        }
-    };
+    let measure = text_of(v.get("measure"), "measure")?;
+    let agg = text_of(v.get("agg"), "agg")?;
+    let agg = [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max]
+        .into_iter()
+        .find(|a| a.name() == agg)
+        .ok_or_else(|| bad(format!("unknown aggregate {agg:?}")))?;
     Ok(CubeSchema::new(dims, measure).with_agg(agg))
 }
 
@@ -472,8 +466,20 @@ mod tests {
         let text = encode_schema_meta(&schema);
         let back = decode_schema_meta(&text).unwrap();
         assert_eq!(back, schema);
-        assert!(decode_schema_meta("{}").is_err());
-        assert!(decode_schema_meta("not json").is_err());
+        for damaged in [
+            "{}",
+            "not json",
+            // A non-string dimension would leave fewer dimensions than the
+            // stored cube has.
+            r#"{"dimensions": ["a", 7], "measure": "m", "agg": "SUM"}"#,
+            // encode_schema_meta always writes agg; only a damaged row lacks it.
+            r#"{"dimensions": ["a", "b"], "measure": "m"}"#,
+        ] {
+            assert!(
+                matches!(decode_schema_meta(damaged), Err(CoreError::Inconsistent(_))),
+                "{damaged}"
+            );
+        }
     }
 
     #[test]

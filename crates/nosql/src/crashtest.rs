@@ -87,7 +87,7 @@ pub enum Sweep {
 }
 
 impl Sweep {
-    /// Every sweep, in the order `repro crashtest` runs them.
+    /// Every sweep, in the order `tests/crash_matrix.rs` runs them.
     pub const ALL: [Sweep; 3] = [Sweep::Statements, Sweep::Bulk, Sweep::Concurrent];
 
     /// Each writer's step list. Identical for every crash point of a sweep

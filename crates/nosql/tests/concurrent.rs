@@ -331,7 +331,7 @@ fn crash_under_contention_recovers_per_key_history() {
 }
 
 /// The crash-matrix concurrent sweep, at a density suitable for every CI
-/// run (the full density runs via `repro crashtest`).
+/// run (the full density runs in `tests/crash_matrix.rs`).
 #[test]
 fn concurrent_crash_matrix_smoke() {
     let report = crashtest::sweep(crashtest::Sweep::Concurrent, 0xAB1E, Some(12)).unwrap();

@@ -1,9 +1,8 @@
 //! Exposition: render a [`RegistrySnapshot`] as Prometheus-style text or
-//! JSON. Both are hand-rolled over the snapshot (no serializer dependency;
-//! metric names are dotted identifiers, so escaping reduces to numbers and
-//! fixed name characters).
+//! a human-oriented report. Both are hand-rolled over the snapshot (no
+//! serializer dependency; metric names are dotted identifiers, so escaping
+//! reduces to numbers and fixed name characters).
 
-use crate::histogram::HistogramSnapshot;
 use crate::registry::RegistrySnapshot;
 use std::fmt::Write;
 
@@ -62,26 +61,6 @@ impl RegistrySnapshot {
         out
     }
 
-    /// JSON object `{"counters": {...}, "gauges": {...}, "histograms":
-    /// {...}}`; each histogram carries count/sum/min/max/mean/p50/p99 and
-    /// its non-empty buckets as `[{"le": bound, "n": count}, ...]`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        push_entries(&mut out, &self.counters, |out, v| {
-            let _ = write!(out, "{v}");
-        });
-        out.push_str("},\n  \"gauges\": {");
-        push_entries(&mut out, &self.gauges, |out, v| {
-            let _ = write!(out, "{v}");
-        });
-        out.push_str("},\n  \"histograms\": {");
-        push_entries(&mut out, &self.histograms, |out, h| {
-            push_histogram_json(out, h);
-        });
-        out.push_str("}\n}\n");
-        out
-    }
-
     /// Human-oriented report: aligned name/value lines for counters and
     /// gauges, one summary line per histogram. This is what `repro --stats`
     /// prints.
@@ -130,46 +109,6 @@ impl RegistrySnapshot {
     }
 }
 
-fn push_entries<T>(
-    out: &mut String,
-    entries: &[(String, T)],
-    mut value: impl FnMut(&mut String, &T),
-) {
-    for (i, (name, v)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        out.push_str(name);
-        out.push_str("\": ");
-        value(out, v);
-    }
-    if !entries.is_empty() {
-        out.push_str("\n  ");
-    }
-}
-
-fn push_histogram_json(out: &mut String, h: &HistogramSnapshot) {
-    let _ = write!(
-        out,
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}, \"buckets\": [",
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.99),
-    );
-    for (i, &(bound, n)) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{{\"le\": {bound}, \"n\": {n}}}");
-    }
-    out.push_str("]}");
-}
-
 #[cfg(test)]
 mod tests {
     use crate::Registry;
@@ -215,20 +154,6 @@ mod tests {
         let text = registry.snapshot().to_prometheus_text();
         // Registered text wins over the fallback, newlines flattened.
         assert!(text.contains("# HELP x_described_total total described things"));
-    }
-
-    #[test]
-    fn json_shape() {
-        let json = sample().to_json();
-        assert!(json.contains("\"x.ops.total\": 3"));
-        assert!(json.contains("\"x.queue.depth\": -2"));
-        assert!(json.contains("\"count\": 3"));
-        assert!(json.contains("{\"le\": 1, \"n\": 1}"));
-        // Crude structural sanity: balanced braces/brackets.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

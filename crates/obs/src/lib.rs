@@ -3,7 +3,8 @@
 //! Workspace-wide observability: a zero-dependency metric registry plus a
 //! lightweight structured-tracing facility. Every crate in the data path
 //! (`sc-storage`, `sc-nosql`, `sc-dwarf`, `sc-stream`) records into one
-//! process-global [`Registry`]; `repro obs` / `repro ... --stats` render it.
+//! process-global [`Registry`]; `repro ... --stats` prints it as a text
+//! report, and `sc-server`'s `/metrics` serves it as Prometheus text.
 //!
 //! ## Model
 //!
@@ -45,7 +46,7 @@
 //! latency.record(850);
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("demo.engine.puts"), Some(1));
-//! assert!(snap.to_json().contains("demo.engine.puts"));
+//! assert!(snap.to_prometheus_text().contains("demo_engine_puts 1"));
 //! ```
 
 pub mod export;

@@ -13,7 +13,7 @@
 //!
 //! One connection is one session: a single in-flight request at a time,
 //! strictly request → response. The client is what the integration tests
-//! and `repro serve --smoke` / `repro trace` drive.
+//! and the benchmark's server layer (`server.ping_rtt_us`) drive.
 
 use crate::frame::{write_frame, FrameError, FrameEvent, FrameReader, DEFAULT_MAX_FRAME_BYTES};
 use crate::protocol::{ErrorCode, Request, Response};

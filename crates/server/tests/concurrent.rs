@@ -168,6 +168,10 @@ fn eight_clients_two_tenants_match_embedded_oracle() {
         scrape.contains("server_request_duration_ns_bucket"),
         "{scrape}"
     );
+    // The health probe answers `ok` while the server is serving.
+    let health = http_get(server.metrics_addr(), "/healthz");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert_eq!(health.split_once("\r\n\r\n").map(|(_, b)| b), Some("ok\n"));
 
     server.shutdown();
 }

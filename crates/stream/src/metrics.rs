@@ -6,8 +6,8 @@
 //! other's traffic) and do not depend on [`sc_obs::set_enabled`].
 //! [`StreamIngestor::finish`](crate::StreamIngestor::finish) adds the run's
 //! totals to the process-wide `stream.*` counters of the global
-//! [`sc_obs::Registry`] once, which `repro obs` / `--stats` report and which
-//! do respect that switch.
+//! [`sc_obs::Registry`] once, which `repro --stats` and the server's
+//! `/metrics` report and which do respect that switch.
 //!
 //! Counters are independent relaxed atomics — no ordering is implied
 //! between them, and a snapshot is only ever taken after the threads it
