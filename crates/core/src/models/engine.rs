@@ -108,7 +108,7 @@ pub(crate) trait Engine {
     /// committed per memtable chunk); the relational adapter executes one
     /// prepared INSERT per row, rebinding its value buffer, because chunked
     /// multi-row INSERTs barely moved its rate (DESIGN.md §3). NoSQL-DWARF's
-    /// node and cell rows bypass this for `sc_nosql::Db::ingest_sorted`.
+    /// node and cell rows bypass this for `sc_nosql::Db::ingest_columns`.
     fn insert<R>(
         &mut self,
         table: Table,

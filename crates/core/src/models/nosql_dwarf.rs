@@ -9,10 +9,10 @@ use super::engine::Table;
 use super::protocol::{flat_cells, read_meta, Layout, NodeRows, StoredMeta};
 use super::{offset_id, ModelKind};
 use crate::error::{CoreError, Result};
-use crate::mapping::{CellRecord, MappedDwarf, StoredCell};
+use crate::mapping::{CellRecord, MappedDwarf, NodeRecord, StoredCell};
 use crate::node_source::{ReadStats, DEFAULT_NODE_CACHE_CAPACITY};
 use sc_dwarf::source::OwnedCell;
-use sc_nosql::{CqlValue, Db, OpenOptions};
+use sc_nosql::{CqlValue, Db, OpenOptions, ValueRef};
 use sc_storage::Vfs;
 
 const KEYSPACE: &str = "smartcity";
@@ -34,18 +34,31 @@ pub(crate) const CELL_COLUMNS: [&str; 8] = [
 /// One mapped cell as a [`CELL_COLUMNS`] row: what `store` writes and what
 /// Figure 3 renders. `base` is the origin of the schema's id space (0 gives
 /// the figure's bare ids).
-pub(crate) fn cell_row(cell: &CellRecord, schema_id: i64, base: i64) -> [CqlValue; 8] {
+pub(crate) fn cell_row(cell: &CellRecord, schema_id: i64, base: i64) -> [ValueRef<'_>; 8] {
     [
-        CqlValue::Int(base + cell.id),
-        CqlValue::Text(cell.key.clone()),
-        CqlValue::Int(cell.measure),
-        CqlValue::Int(base + cell.parent_node),
+        ValueRef::Int(base + cell.id),
+        ValueRef::Text(&cell.key),
+        ValueRef::Int(cell.measure),
+        ValueRef::Int(base + cell.parent_node),
         cell.pointer_node
-            .map_or(CqlValue::Null, |p| CqlValue::Int(base + p)),
-        CqlValue::Boolean(cell.leaf),
-        CqlValue::Int(schema_id),
-        CqlValue::Text(cell.dimension.clone()),
+            .map_or(ValueRef::Null, |p| ValueRef::Int(base + p)),
+        ValueRef::Boolean(cell.leaf),
+        ValueRef::Int(schema_id),
+        ValueRef::Text(&cell.dimension),
     ]
+}
+
+/// `rows` column by column: `N` columns of one cell per row.
+fn columns<'a, const N: usize>(
+    rows: impl ExactSizeIterator<Item = [ValueRef<'a>; N]>,
+) -> Vec<Vec<ValueRef<'a>>> {
+    let mut columns: Vec<Vec<_>> = (0..N).map(|_| Vec::with_capacity(rows.len())).collect();
+    for row in rows {
+        for (column, cell) in columns.iter_mut().zip(row) {
+            column.push(cell);
+        }
+    }
+    columns
 }
 
 schema_model!(
@@ -99,28 +112,40 @@ impl Layout for NosqlDwarfModel {
         ]
     }
 
-    /// The node rows go in as one sorted run ([`Db::ingest_sorted`]): a
-    /// new cube's ids are fresh, and the mapping holds them in id order.
+    /// The node rows go in as one sorted run of columns
+    /// ([`Db::ingest_columns`]): a new cube's ids are fresh, and the
+    /// mapping holds them in id order. Every id set is a run of one
+    /// buffer, the mapping's ascending cell ids moved into the schema's id
+    /// space.
     fn insert_nodes(db: &mut Db, id: i64, mapped: &MappedDwarf) -> Result<usize> {
-        let offset_set = |ids: &[i64]| CqlValue::int_set(ids.iter().map(|&i| offset_id(id, i)));
+        let ids: Vec<i64> = (mapped.nodes.iter())
+            .flat_map(|node: &NodeRecord| [&node.parent_cell_ids, &node.child_cell_ids])
+            .flat_map(|run| run.iter().map(|&cell| offset_id(id, cell)))
+            .collect();
+        let mut next = 0;
+        let mut run = |len: usize| {
+            next += len;
+            ValueRef::IntSet(&ids[next - len..next])
+        };
         let rows = mapped.nodes.iter().map(|node| {
             [
-                CqlValue::Int(offset_id(id, node.id)),
-                offset_set(&node.parent_cell_ids),
-                offset_set(&node.child_cell_ids),
-                CqlValue::Boolean(node.root),
-                CqlValue::Int(id),
+                ValueRef::Int(offset_id(id, node.id)),
+                run(node.parent_cell_ids.len()),
+                run(node.child_cell_ids.len()),
+                ValueRef::Boolean(node.root),
+                ValueRef::Int(id),
             ]
         });
-        let columns = ["id", "parentIds", "childrenIds", "root", "schema_id"];
-        Ok(db.ingest_sorted(NODES.space, NODES.name, &columns, rows)?)
+        let names = ["id", "parentIds", "childrenIds", "root", "schema_id"];
+        Ok(db.ingest_columns(NODES.space, NODES.name, &names, columns(rows))?)
     }
 
-    /// One sorted run too, as the node rows.
+    /// One sorted run of columns too, as the node rows; `key` and
+    /// `dimension_table_name` are borrowed from the mapping.
     fn insert_cells(db: &mut Db, id: i64, mapped: &MappedDwarf) -> Result<usize> {
         let base = offset_id(id, 0);
         let rows = mapped.cells.iter().map(|cell| cell_row(cell, id, base));
-        Ok(db.ingest_sorted(CELLS.space, CELLS.name, &CELL_COLUMNS, rows)?)
+        Ok(db.ingest_columns(CELLS.space, CELLS.name, &CELL_COLUMNS, columns(rows))?)
     }
 
     fn stored_cells(db: &mut Db, id: i64) -> Result<Vec<StoredCell>> {

@@ -4,6 +4,7 @@
 use crate::mapping::CellRecord;
 use crate::models::nosql_dwarf::{cell_row, CELLS, CELL_COLUMNS};
 use sc_nosql::cql::ast::{Statement, TableRef};
+use sc_nosql::ValueRef;
 
 /// Builds the Figure 3 INSERT statement for one mapped cell: the row
 /// NoSQL-DWARF's `store` writes, with the figure's bare ids.
@@ -24,7 +25,9 @@ pub fn cell_to_insert(cell: &CellRecord, keyspace: &str, schema_id: i64) -> Stat
             table: CELLS.name.to_string(),
         },
         columns: CELL_COLUMNS.map(String::from).to_vec(),
-        values: cell_row(cell, schema_id, 0).to_vec(),
+        values: cell_row(cell, schema_id, 0)
+            .map(ValueRef::to_value)
+            .to_vec(),
     }
 }
 

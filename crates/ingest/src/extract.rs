@@ -4,7 +4,7 @@ use crate::cube_def::{CubeDef, DimensionSpec, MeasureSpec, SourceFormat, ValuePa
 use crate::datetime::DateTime;
 use sc_dwarf::TupleSet;
 use sc_json::JsonValue;
-use sc_xml::Document;
+use sc_xml::{FlatDocument, FlatElement};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -56,20 +56,22 @@ fn err(message: impl Into<String>) -> ExtractError {
     }
 }
 
-/// A parsed document of either format.
+/// A parsed document of either format. An XML document is in the flat form,
+/// which borrows from `text`: element records, attributes and text runs in
+/// three lists, with no owned tree built.
 #[derive(Debug)]
-pub enum ParsedDoc {
+pub enum ParsedDoc<'a> {
     /// Parsed XML.
-    Xml(Document),
+    Xml(FlatDocument<'a>),
     /// Parsed JSON.
     Json(JsonValue),
 }
 
-impl ParsedDoc {
+impl<'a> ParsedDoc<'a> {
     /// Parses `text` according to `format`.
-    pub fn parse(format: SourceFormat, text: &str) -> Result<ParsedDoc, ExtractError> {
+    pub fn parse(format: SourceFormat, text: &'a str) -> Result<ParsedDoc<'a>, ExtractError> {
         match format {
-            SourceFormat::Xml => Document::parse(text)
+            SourceFormat::Xml => FlatDocument::parse(text)
                 .map(ParsedDoc::Xml)
                 .map_err(|e| err(e.to_string())),
             SourceFormat::Json => sc_json::parse(text)
@@ -98,7 +100,7 @@ trait Record<'a>: Copy {
     fn measure(self, path: &ValuePath) -> Option<i64>;
 }
 
-impl<'a> Record<'a> for &'a sc_xml::Element {
+impl<'a> Record<'a> for FlatElement<'a, '_> {
     const MISSING_MEASURE: &'static str = "record missing or non-integer measure";
 
     fn value(self, path: &ValuePath) -> Option<Cow<'a, str>> {
@@ -250,14 +252,14 @@ fn extract_records<'a, R: Record<'a>>(
 
 fn extract_xml(
     def: &CubeDef,
-    document: &Document,
+    document: &FlatDocument<'_>,
     tuples: &mut TupleSet,
     policy: MissingPolicy,
 ) -> Result<ExtractStats, ExtractError> {
     let ValuePath::Xml(record_path) = &def.record_path else {
         return Err(err("record path is not an XML path"));
     };
-    let root = &document.root;
+    let root = document.root();
     extract_records(def, root, record_path.select(root), tuples, policy)
 }
 

@@ -10,8 +10,10 @@
 //! * [`CubeDef`] — a declarative mapping from a feed document to
 //!   `(dimension_1 ... dimension_n, measure)` tuples: a record path plus one
 //!   value path per dimension and for the measure,
-//! * [`extract`] — evaluation of a [`CubeDef`] over parsed XML or JSON with
-//!   a skip-or-fail policy for malformed records,
+//! * [`extract`] — evaluation of a [`CubeDef`] over parsed XML (the flat
+//!   form, `sc_xml::FlatDocument`: no owned tree is built, and values are
+//!   borrowed from the input) or JSON, with a skip-or-fail policy for
+//!   malformed records,
 //! * [`datetime`] — a from-scratch civil date/time (ISO-8601 subset) used to
 //!   derive calendar dimensions and windows,
 //! * [`window`] — the paper's evaluation windows (Day / Week / Month /

@@ -15,8 +15,10 @@
 //!              payload (per enc)
 //! ```
 //!
-//! Every live row of a block has the same column count; the writer rejects
-//! anything else.
+//! The writer takes the records column-major (`ColumnBatch`: keys,
+//! sequences, liveness, a borrowed cell per live record per column), so
+//! every live row of a block has the same column count. `BlockWriter`
+//! encodes one block of a batch at a time, reusing its buffers.
 //!
 //! Column chunks are length-prefixed so a projected read skips a pruned
 //! column in O(1) without parsing it.
@@ -35,13 +37,13 @@
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
 use crate::sstable::SstEntry;
-use crate::types::{Cell, CqlValue, InPlace};
+use crate::types::{CqlType, CqlValue, InPlace, ValueRef};
 use sc_encoding::columnar::{
-    encode_i64_deltas, for_each_dict_code, for_each_dict_value, for_each_i64_delta, Bitmap,
-    BitmapRef, DictBuilder,
+    encode_i64_deltas, for_each_dict_code, for_each_dict_value, for_each_i64_delta, BitmapRef,
 };
-use sc_encoding::{Decoder, Encoder};
+use sc_encoding::{varint, Decoder, Encoder};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::{Arc, LazyLock};
 
 const LAYOUT_COLUMNAR: u8 = 0;
@@ -51,124 +53,190 @@ const ENC_INT_DELTA: u8 = 1;
 const ENC_TEXT_DICT: u8 = 2;
 const ENC_BOOL_BITMAP: u8 = 3;
 
-/// Serializes one sorted run of entries as a block. Live rows that
-/// disagree on column count are [`NosqlError::Corrupt`].
-pub(crate) fn encode_block(file: &str, entries: &[SstEntry]) -> Result<Vec<u8>> {
-    let live_rows: Vec<&Row> = entries.iter().filter_map(|e| e.row.as_ref()).collect();
-    let ncols = live_rows.first().map_or(0, |row| row.values.len());
-    if let Some(odd) = live_rows.iter().find(|row| row.values.len() != ncols) {
-        return Err(NosqlError::Corrupt(format!(
-            "refusing to write {file}: a row of {} columns in a block of {ncols}-column rows",
-            odd.values.len()
-        )));
-    }
-
-    let mut enc = Encoder::new();
-    enc.put_u64(entries.len() as u64);
-    enc.put_u8(LAYOUT_COLUMNAR);
-    for e in entries {
-        enc.put_bytes(&e.key);
-    }
-    let seqs: Vec<i64> = entries.iter().map(|e| e.timestamp as i64).collect();
-    encode_i64_deltas(&mut enc, &seqs);
-    let mut live = Bitmap::new(entries.len());
-    for (i, e) in entries.iter().enumerate() {
-        if e.row.is_some() {
-            live.set(i);
-        }
-    }
-    live.encode(&mut enc);
-    enc.put_u64(ncols as u64);
-    for c in 0..ncols {
-        let chunk = encode_column(&live_rows, c);
-        enc.put_bytes(&chunk);
-    }
-    Ok(enc.into_bytes())
+/// A sorted run of records, column-major: what an SSTable is written from
+/// (`sstable::write_columns`). Record `i` has key `keys[i]`, sequence
+/// `seqs[i]`, and a row when `live[i]` (a tombstone otherwise); each of
+/// `columns` holds one cell per live record, in record order.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnBatch<'a> {
+    pub keys: Vec<&'a [u8]>,
+    pub seqs: Vec<u64>,
+    pub live: Vec<bool>,
+    pub columns: Vec<Vec<ValueRef<'a>>>,
 }
 
-/// One column's contiguous run: encoding tag, null bitmap over the live
-/// rows, then the non-null cells under the chosen encoding.
-fn encode_column(live_rows: &[&Row], c: usize) -> Vec<u8> {
-    let mut nulls = Bitmap::new(live_rows.len());
-    let mut present: Vec<&CqlValue> = Vec::with_capacity(live_rows.len());
-    for (i, row) in live_rows.iter().enumerate() {
-        let v = &row.values[c];
-        if !matches!(v, CqlValue::Null) {
-            nulls.set(i);
-            present.push(v);
+impl<'a> ColumnBatch<'a> {
+    /// Makes this batch `entries`, column by column and borrowed, keeping
+    /// its buffers. Live rows of differing length are
+    /// [`NosqlError::Corrupt`].
+    pub fn fill(&mut self, file: &str, entries: &'a [SstEntry]) -> Result<()> {
+        let mut rows = entries.iter().filter_map(|e| e.row.as_ref()).peekable();
+        let width = rows.peek().map_or(0, |row| row.values.len());
+        self.columns.resize_with(width, Vec::new);
+        self.columns.iter_mut().for_each(Vec::clear);
+        for row in rows {
+            if row.values.len() != width {
+                return Err(NosqlError::Corrupt(format!(
+                    "refusing to write {file}: a row of {} columns in a block of {width}-column rows",
+                    row.values.len()
+                )));
+            }
+            for (column, value) in self.columns.iter_mut().zip(&row.values) {
+                column.push(ValueRef::from(value));
+            }
         }
+        self.keys.clear();
+        self.keys.extend(entries.iter().map(|e| e.key.as_slice()));
+        self.seqs.clear();
+        self.seqs.extend(entries.iter().map(|e| e.timestamp));
+        self.live.clear();
+        self.live.extend(entries.iter().map(|e| e.row.is_some()));
+        Ok(())
     }
-    let mut enc = Encoder::new();
-    let tag = choose_encoding(&present);
-    enc.put_u8(tag);
-    nulls.encode(&mut enc);
-    match tag {
-        ENC_INT_DELTA => {
-            let ints: Vec<i64> = present
-                .iter()
-                .map(|v| match v {
-                    CqlValue::Int(i) => *i,
-                    _ => unreachable!("tag chosen only for all-Int runs"),
-                })
-                .collect();
-            encode_i64_deltas(&mut enc, &ints);
-        }
-        ENC_TEXT_DICT => {
-            let mut dict = DictBuilder::new();
-            for v in &present {
-                match v {
-                    CqlValue::Text(s) => dict.push(s.as_bytes()),
-                    _ => unreachable!("tag chosen only for all-Text runs"),
-                }
-            }
-            dict.encode(&mut enc);
-        }
-        ENC_BOOL_BITMAP => {
-            let mut bits = Bitmap::new(present.len());
-            for (i, v) in present.iter().enumerate() {
-                if matches!(v, CqlValue::Boolean(true)) {
-                    bits.set(i);
-                }
-            }
-            bits.encode(&mut enc);
-        }
-        _ => {
-            for v in &present {
-                v.encode(&mut enc);
-            }
-        }
+
+    /// The row-major footprint of live record `at`'s row (`Row::encoded_len`),
+    /// which decides where blocks are cut.
+    pub fn row_len(&self, at: usize) -> usize {
+        let cells: usize = self.columns.iter().map(|c| 8 + c[at].encoded_len()).sum();
+        1 + 8 + varint::len_u64(self.columns.len() as u64) + cells
     }
-    enc.into_bytes()
 }
 
-/// Picks the run encoding: delta varints for all-integer runs, a
-/// dictionary for low-cardinality text, a bitmap for booleans, raw tagged
-/// cells otherwise (mixed runs, sets, high-cardinality text).
-fn choose_encoding(present: &[&CqlValue]) -> u8 {
-    if present.is_empty() {
-        return ENC_RAW;
+/// Buffers one writer reuses from block to block and column to column.
+#[derive(Default)]
+pub(crate) struct BlockWriter<'a> {
+    chunk: Encoder,
+    present: Vec<ValueRef<'a>>,
+    /// A run of integers to delta-code: sequences, or an int column's cells.
+    ints: Vec<i64>,
+    /// A text run's dictionary: the values in first-seen order, and a
+    /// code per cell.
+    dict: Vec<&'a str>,
+    codes: Vec<u64>,
+}
+
+impl<'a> BlockWriter<'a> {
+    /// Appends records `rows` of `batch` as one block to `out`; `cells` is
+    /// where their live records' cells lie in the columns.
+    pub fn encode(
+        &mut self,
+        out: &mut Encoder,
+        batch: &ColumnBatch<'a>,
+        rows: Range<usize>,
+        cells: Range<usize>,
+    ) {
+        out.put_u64(rows.len() as u64);
+        out.put_u8(LAYOUT_COLUMNAR);
+        for key in &batch.keys[rows.clone()] {
+            out.put_bytes(key);
+        }
+        self.ints.clear();
+        self.ints
+            .extend(batch.seqs[rows.clone()].iter().map(|&seq| seq as i64));
+        encode_i64_deltas(out, &self.ints);
+        put_bits(out, &batch.live[rows], |live| *live);
+        let ncols = if cells.is_empty() {
+            0
+        } else {
+            batch.columns.len()
+        };
+        out.put_u64(ncols as u64);
+        for column in &batch.columns[..ncols] {
+            self.encode_column(&column[cells.clone()]);
+            out.put_bytes(self.chunk.bytes());
+        }
     }
-    if present.iter().all(|v| matches!(v, CqlValue::Int(_))) {
-        return ENC_INT_DELTA;
-    }
-    if present.iter().all(|v| matches!(v, CqlValue::Boolean(_))) {
-        return ENC_BOOL_BITMAP;
-    }
-    if present.iter().all(|v| matches!(v, CqlValue::Text(_))) {
-        let mut dict = DictBuilder::new();
-        for v in present {
-            if let CqlValue::Text(s) = v {
-                dict.push(s.as_bytes());
+
+    /// One column's run into `chunk`: encoding tag, null bitmap over the
+    /// block's live rows, then the non-null cells under the encoding
+    /// [`BlockWriter::choose`] picks.
+    fn encode_column(&mut self, cells: &[ValueRef<'a>]) {
+        let present = &mut self.present;
+        present.clear();
+        present.extend(cells.iter().filter(|v| **v != ValueRef::Null));
+        let tag = self.choose();
+        let enc = &mut self.chunk;
+        enc.clear();
+        enc.put_u8(tag);
+        put_bits(enc, cells, |v| *v != ValueRef::Null);
+        match tag {
+            ENC_INT_DELTA => {
+                let ints = self.present.iter().map(|v| match v {
+                    ValueRef::Int(v) => *v,
+                    _ => unreachable!("tag chosen only for all-int runs"),
+                });
+                self.ints.clear();
+                self.ints.extend(ints);
+                encode_i64_deltas(enc, &self.ints);
             }
-        }
-        // The dictionary pays off once values repeat; cap the distinct
-        // count so a unique-text column does not build a dictionary the
-        // size of the raw run plus codes.
-        if dict.distinct() <= 16 || dict.distinct() * 2 <= present.len() {
-            return ENC_TEXT_DICT;
+            ENC_TEXT_DICT => {
+                enc.put_u64(self.dict.len() as u64);
+                for value in &self.dict {
+                    enc.put_str(value);
+                }
+                for &code in &self.codes {
+                    enc.put_u64(code);
+                }
+            }
+            ENC_BOOL_BITMAP => put_bits(enc, &self.present, |v| *v == ValueRef::Boolean(true)),
+            _ => self.present.iter().for_each(|v| v.encode(enc)),
         }
     }
-    ENC_RAW
+
+    /// Picks the run encoding of `present`: delta varints for all-integer
+    /// runs, a dictionary (built here, once) for low-cardinality text, a
+    /// bitmap for booleans, raw tagged cells otherwise (mixed runs, sets,
+    /// high-cardinality text).
+    fn choose(&mut self) -> u8 {
+        let all = |ty: CqlType| self.present.iter().all(|v| v.ty() == Some(ty));
+        if self.present.is_empty() {
+            ENC_RAW
+        } else if all(CqlType::Int) {
+            ENC_INT_DELTA
+        } else if all(CqlType::Boolean) {
+            ENC_BOOL_BITMAP
+        } else if all(CqlType::Text) && self.build_dict() {
+            ENC_TEXT_DICT
+        } else {
+            ENC_RAW
+        }
+    }
+
+    /// Dictionary-codes the all-text `present`, and says whether that pays
+    /// off: once values repeat, with the distinct count capped so a
+    /// unique-text column does not build a dictionary the size of the raw
+    /// run plus codes. Stops as soon as the cap is passed, so a block's
+    /// few hundred cells at most are each looked up among at most as many
+    /// values.
+    fn build_dict(&mut self) -> bool {
+        let cap = (self.present.len() / 2).max(16);
+        self.dict.clear();
+        self.codes.clear();
+        for v in &self.present {
+            let ValueRef::Text(text) = *v else {
+                unreachable!("called only for all-text runs")
+            };
+            let code = match self.dict.iter().position(|known| *known == text) {
+                Some(code) => code,
+                None if self.dict.len() == cap => return false,
+                None => {
+                    self.dict.push(text);
+                    self.dict.len() - 1
+                }
+            };
+            self.codes.push(code as u64);
+        }
+        true
+    }
+}
+
+/// Appends a packed bitmap over `items`, bit `i` set when `bit(items[i])`.
+fn put_bits<T>(enc: &mut Encoder, items: &[T], bit: impl Fn(&T) -> bool) {
+    for byte in items.chunks(8) {
+        let packed =
+            (byte.iter().enumerate()).fold(0u8, |b, (i, item)| b | u8::from(bit(item)) << i);
+        enc.put_u8(packed);
+    }
 }
 
 fn corrupt(file: &str, what: &str) -> NosqlError {
@@ -608,25 +676,25 @@ struct Column {
 }
 
 impl Column {
-    fn cell(&self, row: usize) -> Cell<'_> {
+    fn cell(&self, row: usize) -> ValueRef<'_> {
         let i = match &self.at {
             None => row,
             Some(at) => match at[row] {
-                NO_CELL => return Cell::Null,
+                NO_CELL => return ValueRef::Null,
                 i => i as usize,
             },
         };
         match self.tag {
-            ENC_INT_DELTA => Cell::Int(self.ints[i]),
+            ENC_INT_DELTA => ValueRef::Int(self.ints[i]),
             ENC_TEXT_DICT => {
                 let code = self.codes[i] as usize;
                 let start = code.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-                Cell::Text(&self.text[start..self.ends[code]])
+                ValueRef::Text(&self.text[start..self.ends[code]])
             }
-            ENC_BOOL_BITMAP => Cell::Boolean(self.bits[i]),
+            ENC_BOOL_BITMAP => ValueRef::Boolean(self.bits[i]),
             _ => match &self.raw[i] {
-                RawCell::Text(start, end) => Cell::Text(&self.text[*start..*end]),
-                RawCell::Value(value) => Cell::from(value),
+                RawCell::Text(start, end) => ValueRef::Text(&self.text[*start..*end]),
+                RawCell::Value(value) => ValueRef::from(value),
             },
         }
     }
@@ -838,14 +906,16 @@ impl ScanBlock {
 
     /// Record `row`'s cell in column `col`: null for a tombstone, a null
     /// cell, a pruned column or one past the block's width.
-    pub fn cell(&self, col: usize, row: usize) -> Cell<'_> {
+    pub fn cell(&self, col: usize, row: usize) -> ValueRef<'_> {
         match &self.cells {
-            Cells::Rows { width, values } if col < *width => Cell::from(&values[row * width + col]),
+            Cells::Rows { width, values } if col < *width => {
+                ValueRef::from(&values[row * width + col])
+            }
             Cells::Columns(cols) => match cols.get(col) {
                 Some(Some(column)) => column.cell(row),
-                _ => Cell::Null,
+                _ => ValueRef::Null,
             },
-            Cells::Rows { .. } => Cell::Null,
+            Cells::Rows { .. } => ValueRef::Null,
         }
     }
 
@@ -965,6 +1035,16 @@ fn decode_column(file: &str, chunk: &[u8], rows: &[RowMeta], live_count: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `entries` as one block, through the writer's batch.
+    fn encode_block(file: &str, entries: &[SstEntry]) -> Result<Vec<u8>> {
+        let mut batch = ColumnBatch::default();
+        batch.fill(file, entries)?;
+        let mut out = Encoder::new();
+        let live = batch.live.iter().filter(|live| **live).count();
+        BlockWriter::default().encode(&mut out, &batch, 0..entries.len(), 0..live);
+        Ok(out.into_bytes())
+    }
 
     fn typed_entries() -> Vec<SstEntry> {
         (0..40u8)
@@ -1256,14 +1336,22 @@ mod tests {
             assert_eq!(block.seq(r), e.timestamp);
             assert_eq!(block.is_live(r), e.row.is_some());
             let Some(row) = &e.row else {
-                assert_eq!(block.cell(0, r), Cell::Null, "a tombstone's cells are null");
+                assert_eq!(
+                    block.cell(0, r),
+                    ValueRef::Null,
+                    "a tombstone's cells are null"
+                );
                 continue;
             };
             for (c, value) in row.values.iter().enumerate() {
-                assert_eq!(block.cell(c, r), Cell::from(value), "row {r} column {c}");
+                assert_eq!(
+                    block.cell(c, r),
+                    ValueRef::from(value),
+                    "row {r} column {c}"
+                );
             }
         }
-        assert_eq!(block.cell(9, 1), Cell::Null, "past the width");
+        assert_eq!(block.cell(9, 1), ValueRef::Null, "past the width");
     }
 
     #[test]

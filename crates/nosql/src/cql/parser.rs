@@ -6,7 +6,6 @@ use super::ast::{
 use crate::error::{NosqlError, Result};
 use crate::types::{CqlType, CqlValue};
 use sc_encoding::lex::{Cursor, Token};
-use std::collections::BTreeSet;
 
 /// Parses one CQL statement (a trailing `;` is tolerated).
 pub fn parse_statement(input: &str) -> Result<Statement> {
@@ -41,13 +40,11 @@ fn literal(p: &mut Cursor) -> Result<CqlValue> {
         Some(t) if t.is_keyword("false") => Ok(CqlValue::Boolean(false)),
         Some(t) if t.is_keyword("null") => Ok(CqlValue::Null),
         Some(Token::Symbol('{')) => {
-            let mut set = BTreeSet::new();
+            let mut set = Vec::new();
             if !p.eat_symbol('}') {
                 loop {
                     match p.bump() {
-                        Some(Token::Number(n)) => {
-                            set.insert(n);
-                        }
+                        Some(Token::Number(n)) => set.push(n),
                         other => {
                             return Err(NosqlError::Parse(format!(
                                 "set literals hold integers, found {other:?}"
@@ -60,7 +57,7 @@ fn literal(p: &mut Cursor) -> Result<CqlValue> {
                     p.expect_symbol(',')?;
                 }
             }
-            Ok(CqlValue::IntSet(set))
+            Ok(CqlValue::int_set(set))
         }
         other => Err(NosqlError::Parse(format!(
             "expected literal, found {other:?}"

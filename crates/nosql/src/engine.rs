@@ -30,9 +30,10 @@
 //!   read half always observes the previous RMW's write.
 //! - **DDL and TRUNCATE** take the engine state's write lock, which also
 //!   guarantees `flush_all` sees no in-flight statements.
-//! - **A sorted-run ingest** ([`Db::ingest_sorted`]) holds the same write
-//!   lock from its bind to its attach, so its check that no batch key is
-//!   already held sees every write sequenced before its block.
+//! - **A sorted-run ingest** ([`Db::ingest_columns`], [`Db::ingest_sorted`])
+//!   holds the same write lock from its checks to its attach, so its check
+//!   that no batch key is already held sees every write sequenced before
+//!   its block.
 //!
 //! Lock order (outermost first): engine state → per-table RMW → WAL
 //! group → per-table maintenance → memtable / SSTable list.
@@ -54,7 +55,7 @@ use crate::schema::{ColumnDef, TableDef};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
 use crate::table::{PendingWrite, TableCore, TableOptions, TableWrites};
-use crate::types::CqlValue;
+use crate::types::{CqlValue, ValueRef};
 use sc_encoding::ByteSize;
 use sc_storage::Vfs;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -513,39 +514,10 @@ impl Db {
         self.core.insert_rows(keyspace, table, columns, rows)
     }
 
-    /// Writes `rows` into `keyspace.table` as one new SSTable, each row's
-    /// values bound to `columns` in order, exactly as
-    /// [`Db::insert_rows`] binds them — the same checks and errors — but
-    /// with no commit-log frame and no memtable version: the rows are
-    /// sorted by key (unless they already ascend), take one block of
-    /// sequences, and are written, named in the manifest and attached as a
-    /// flush attaches its file. They become visible together once
-    /// attached, so a read pinned earlier sees none of them, and a crash
-    /// leaves all of them or none (DESIGN.md §5d). Returns the number of
-    /// rows.
-    ///
-    /// It refuses, as a typed error with nothing written and no sequence
-    /// taken: a row that fails to bind, a key twice among `rows`
-    /// (`AlreadyExists`), a key the table already holds (a live row, or
-    /// any version in the memtable; `AlreadyExists`), a table with
-    /// secondary indexes and an index's posting table (`Unsupported`).
-    /// The engine-state write lock is held throughout, so statements wait
-    /// for an ingest as they wait for DDL (DESIGN.md §5g).
-    ///
-    /// ```
-    /// use sc_nosql::{CqlValue, Db, NosqlError, OpenOptions};
-    ///
-    /// let db = Db::open(OpenOptions::default()).unwrap();
-    /// db.execute_cql("CREATE KEYSPACE ks").unwrap();
-    /// db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))").unwrap();
-    /// let rows = (0..3).map(|i| [CqlValue::Int(i), CqlValue::Text(format!("v{i}"))]);
-    /// assert_eq!(db.ingest_sorted("ks", "t", &["id", "v"], rows).unwrap(), 3);
-    /// assert_eq!(db.execute_cql("SELECT * FROM ks.t").unwrap().len(), 3);
-    /// assert_eq!(db.commitlog_size().as_bytes(), 0);
-    /// let again = [[CqlValue::Int(2), CqlValue::Null]];
-    /// let refused = db.ingest_sorted("ks", "t", &["id", "v"], again);
-    /// assert!(matches!(refused, Err(NosqlError::AlreadyExists(_))));
-    /// ```
+    /// Writes `rows` into `keyspace.table` as one new SSTable: each row's
+    /// values, one per name in `columns`, go in as [`Db::ingest_columns`]
+    /// takes them, with the same refusals, bytes and crash outcomes; a row
+    /// of another length is a `Parse` error, as an INSERT's is.
     pub fn ingest_sorted<C, R>(
         &self,
         keyspace: &str,
@@ -556,9 +528,64 @@ impl Db {
     where
         C: AsRef<str>,
         R: IntoIterator<Item = CqlValue>,
-        R::IntoIter: ExactSizeIterator,
     {
-        self.core.ingest_sorted(keyspace, table, columns, rows)
+        let rows: Vec<Vec<CqlValue>> = rows.into_iter().map(|r| r.into_iter().collect()).collect();
+        if let Some(row) = rows.iter().find(|row| row.len() != columns.len()) {
+            return Err(NosqlError::Parse(format!(
+                "INSERT binds {} columns but {} values",
+                columns.len(),
+                row.len()
+            )));
+        }
+        let cells = (0..columns.len())
+            .map(|c| rows.iter().map(|row| ValueRef::from(&row[c])).collect())
+            .collect();
+        let names: Vec<&str> = columns.iter().map(AsRef::as_ref).collect();
+        self.ingest_columns(keyspace, table, &names, cells)
+    }
+
+    /// Writes rows given column by column into `keyspace.table` as one new
+    /// SSTable: `cells[c][r]` is row `r`'s value of `columns[c]`, a column
+    /// not named is null, and a set is its elements in ascending order.
+    /// The rows go in with no commit-log frame and no memtable version:
+    /// they are sorted by key (unless they already ascend), take one block
+    /// of sequences, and are written, named in the manifest and attached
+    /// as a flush attaches its file. They become visible together once
+    /// attached, so a read pinned earlier sees none of them, and a crash
+    /// leaves all of them or none (DESIGN.md §5d). Returns the number of
+    /// rows.
+    ///
+    /// It refuses, as a typed error with nothing written and no sequence
+    /// taken: an unknown column, columns of unequal length (`Parse`), a
+    /// cell of the wrong type or a set out of order (`TypeMismatch`), a
+    /// null key, a key twice among the rows (`AlreadyExists`), a key the
+    /// table already holds (a live row, or any version in the memtable;
+    /// `AlreadyExists`), a table with secondary indexes and an index's
+    /// posting table (`Unsupported`). The engine-state write lock is held
+    /// throughout, so statements wait for an ingest as they wait for DDL
+    /// (DESIGN.md §5g).
+    ///
+    /// ```
+    /// use sc_nosql::{Db, OpenOptions, ValueRef};
+    ///
+    /// let db = Db::open(OpenOptions::default()).unwrap();
+    /// db.execute_cql("CREATE KEYSPACE ks").unwrap();
+    /// db.execute_cql("CREATE TABLE ks.t (id int, s set<int>, PRIMARY KEY (id))").unwrap();
+    /// let ids = vec![ValueRef::Int(2), ValueRef::Int(1)];
+    /// let sets = vec![ValueRef::IntSet(&[4, 7]), ValueRef::Null];
+    /// assert_eq!(db.ingest_columns("ks", "t", &["id", "s"], vec![ids, sets]).unwrap(), 2);
+    /// let r = db.execute_cql("SELECT s FROM ks.t WHERE id = 2").unwrap();
+    /// assert_eq!(r.rows()[0].get_int_set("s").unwrap(), [4, 7]);
+    /// assert_eq!(db.commitlog_size().as_bytes(), 0);
+    /// ```
+    pub fn ingest_columns(
+        &self,
+        keyspace: &str,
+        table: &str,
+        columns: &[&str],
+        cells: Vec<Vec<ValueRef<'_>>>,
+    ) -> Result<usize> {
+        self.core.ingest_columns(keyspace, table, columns, cells)
     }
 
     /// Reads the rows of `keyspace.table` under the primary keys `keys`,
@@ -1174,7 +1201,7 @@ mod tests {
         // case); after the snapshot drops, a full compaction drops the
         // tombstone from disk and must purge that stale buffered version
         // too, or the deleted row comes back.
-        let shared = SharedDb::open(OpenOptions::default()).unwrap();
+        let shared = Db::open(OpenOptions::default()).unwrap();
         let mut s = shared.session();
         s.execute_cql("CREATE KEYSPACE ks").unwrap();
         s.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))")
@@ -1272,11 +1299,10 @@ mod tests {
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
         assert_send::<Db>();
-        assert_send::<SharedDb>();
-        assert_sync::<SharedDb>();
+        assert_sync::<Db>();
         assert_send::<Session>();
 
-        let shared = SharedDb::open(OpenOptions::default()).unwrap();
+        let shared = Db::open(OpenOptions::default()).unwrap();
         let mut admin = shared.session();
         admin.execute_cql("CREATE KEYSPACE ks").unwrap();
         admin
@@ -1305,7 +1331,7 @@ mod tests {
 
     #[test]
     fn session_use_resolves_unqualified_tables() {
-        let shared = SharedDb::open(OpenOptions::default()).unwrap();
+        let shared = Db::open(OpenOptions::default()).unwrap();
         let mut s = shared.session();
         s.execute_cql("CREATE KEYSPACE ks").unwrap();
         s.execute_cql("CREATE TABLE ks.t (id int, PRIMARY KEY (id))")
@@ -1523,7 +1549,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_stable_and_read_only() {
-        let shared = SharedDb::open(OpenOptions::default()).unwrap();
+        let shared = Db::open(OpenOptions::default()).unwrap();
         let mut s = shared.session();
         s.execute_cql("CREATE KEYSPACE ks").unwrap();
         s.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))")
@@ -1557,7 +1583,7 @@ mod tests {
     fn concurrent_updates_do_not_lose_columns() {
         // UPDATE is a read-modify-write; the per-table RMW lock must keep
         // two concurrent single-column UPDATEs from erasing each other.
-        let shared = SharedDb::open(OpenOptions::default()).unwrap();
+        let shared = Db::open(OpenOptions::default()).unwrap();
         let mut s = shared.session();
         s.execute_cql("CREATE KEYSPACE ks").unwrap();
         s.execute_cql("CREATE TABLE ks.t (id int, a int, b int, PRIMARY KEY (id))")
@@ -1588,7 +1614,7 @@ mod tests {
     #[test]
     fn group_commit_delay_coalesces_writers() {
         let shared =
-            SharedDb::open(OpenOptions::default().group_commit_delay(Duration::from_micros(200)))
+            Db::open(OpenOptions::default().group_commit_delay(Duration::from_micros(200)))
                 .unwrap();
         let mut s = shared.session();
         s.execute_cql("CREATE KEYSPACE ks").unwrap();

@@ -1,10 +1,12 @@
 //! DML and SELECT: the one write routine behind INSERT, UPDATE and DELETE,
 //! the chunk a multi-row INSERT commits in, the commit, the sorted-run
-//! ingest that bypasses all three, and the one SELECT entry point.
+//! ingest that bypasses all three (rows or columns in, one SSTable out),
+//! and the one SELECT entry point.
 
 use super::*;
+use crate::colblock::ColumnBatch;
 use crate::commitlog::WalBatch;
-use crate::sstable::SstEntry;
+use crate::types::ValueRef;
 
 /// Row writes bound for one [`DbCore::commit`], staged a statement (one
 /// row's writes: its postings and the row) at a time.
@@ -288,22 +290,17 @@ impl DbCore {
         }
     }
 
-    /// [`Db::ingest_sorted`]. The engine-state write lock is held from the
-    /// bind to the attach, as DDL and `flush_all` hold it: no statement is
-    /// in flight, so every write the live-key check could miss would
+    /// [`Db::ingest_columns`]. The engine-state write lock is held from the
+    /// checks to the attach, as DDL and `flush_all` hold it: no statement
+    /// is in flight, so every write the live-key check could miss would
     /// commit after the ingest, above its block.
-    pub(super) fn ingest_sorted<C, R>(
+    pub(super) fn ingest_columns(
         &self,
         keyspace: &str,
         name: &str,
-        columns: &[C],
-        rows: impl IntoIterator<Item = R>,
-    ) -> Result<usize>
-    where
-        C: AsRef<str>,
-        R: IntoIterator<Item = CqlValue>,
-        R::IntoIter: ExactSizeIterator,
-    {
+        columns: &[&str],
+        cells: Vec<Vec<ValueRef<'_>>>,
+    ) -> Result<usize> {
         let state = self.write_state();
         let handle = state.get(keyspace, name)?;
         let def = &handle.def;
@@ -314,44 +311,78 @@ impl DbCore {
                 def.qualified_name()
             )));
         }
-        let mut positions: Vec<Option<usize>> = vec![None; columns.len()];
-        let mut entries = rows
-            .into_iter()
-            .map(|values| {
-                let (key, row) = bind_row(def, columns, &mut positions, values)?;
-                Ok(SstEntry {
-                    key,
-                    row: Some(row),
-                    timestamp: 0,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let held = |entry: &SstEntry, what: &str| {
-            let pk = &entry.row.as_ref().expect("ingested rows are live").values[def.primary_key];
+        let rows = cells.first().map_or(0, Vec::len);
+        if cells.len() != columns.len() || cells.iter().any(|c| c.len() != rows) {
+            return Err(NosqlError::Parse(format!(
+                "ingest of {} columns needs as many columns of {rows} cells",
+                columns.len()
+            )));
+        }
+        let positions = (columns.iter().map(|c| def.column(c))).collect::<Result<Vec<_>>>()?;
+        let mut table = vec![Vec::new(); def.columns.len()];
+        for (&column, cells) in positions.iter().zip(cells) {
+            table[column] = cells;
+        }
+        table
+            .iter_mut()
+            .for_each(|c| c.resize(rows, ValueRef::Null));
+        // Column by column; of several refusals, the first in an INSERT's
+        // order (row by row) is the one reported.
+        let refused = |&c: &usize| table[c].iter().any(|&cell| def.check(c, cell).is_err());
+        if positions.iter().any(refused) {
+            let check_row = |row| {
+                positions
+                    .iter()
+                    .try_for_each(|&c| def.check(c, table[c][row]))
+            };
+            (0..rows).try_for_each(check_row)?;
+        }
+        let (mut key_bytes, mut ends) = (Vec::with_capacity(rows * 8), Vec::with_capacity(rows));
+        for &pk in &table[def.primary_key] {
+            if pk.is_null() {
+                return Err(NosqlError::MissingPrimaryKey(def.pk_column().name.clone()));
+            }
+            pk.put_key(&mut key_bytes);
+            ends.push(key_bytes.len());
+        }
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let mut keys: Vec<&[u8]> = starts.zip(&ends).map(|(s, &e)| &key_bytes[s..e]).collect();
+        let held = |table: &[Vec<ValueRef<'_>>], row: usize, what: &str| {
             NosqlError::AlreadyExists(format!(
-                "row {} = {pk} of {}{what}",
+                "row {} = {} of {}{what}",
                 def.pk_column().name,
+                table[def.primary_key][row].to_value(),
                 def.qualified_name()
             ))
         };
-        if !entries.windows(2).all(|w| w[0].key < w[1].key) {
-            entries.sort_by(|a, b| a.key.cmp(&b.key));
-            if let Some(w) = entries.windows(2).find(|w| w[0].key == w[1].key) {
-                return Err(held(&w[1], ", earlier in the ingested rows,"));
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
+            let mut order: Vec<usize> = (0..rows).collect();
+            order.sort_by_key(|&row| keys[row]);
+            if let Some(w) = order.windows(2).find(|w| keys[w[0]] == keys[w[1]]) {
+                return Err(held(&table, w[1], ", earlier in the ingested rows,"));
+            }
+            keys = order.iter().map(|&row| keys[row]).collect();
+            for column in &mut table {
+                *column = order.iter().map(|&row| column[row]).collect();
             }
         }
-        let keys: Vec<&[u8]> = entries.iter().map(|e| e.key.as_slice()).collect();
-        if let Some(i) = handle.core.first_held(&keys)? {
-            return Err(held(&entries[i], ""));
+        if let Some(row) = handle.core.first_held(&keys)? {
+            return Err(held(&table, row, ""));
         }
-        if entries.is_empty() {
+        if rows == 0 {
             return Ok(0);
         }
-        handle.core.ingest(&mut entries, &self.tracker)?;
+        let mut batch = ColumnBatch {
+            keys,
+            seqs: Vec::new(),
+            live: vec![true; rows],
+            columns: table,
+        };
+        handle.core.ingest(&mut batch, &self.tracker)?;
         if handle.core.needs_compaction() {
             self.schedule_compaction(&handle.core)?;
         }
-        Ok(entries.len())
+        Ok(rows)
     }
 
     /// UPDATE and DELETE address one row, `WHERE <primary key> = <literal>`:

@@ -4,7 +4,7 @@ use super::{Batch, Buffered, Operator};
 use crate::cql::ast::AggFunc;
 use crate::error::{NosqlError, Result};
 use crate::plan::{AggOutput, AggSpec};
-use crate::types::{Cell, CqlValue};
+use crate::types::{CqlValue, ValueRef};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -25,7 +25,7 @@ struct AggState {
 
 impl AggState {
     /// Adds one row: `value` is its argument cell, `None` for `COUNT(*)`.
-    fn accumulate(&mut self, spec: &AggSpec, value: Option<Cell<'_>>) -> Result<()> {
+    fn accumulate(&mut self, spec: &AggSpec, value: Option<ValueRef<'_>>) -> Result<()> {
         let Some(value) = value else {
             // COUNT(*): every row counts.
             self.count += 1;
@@ -47,7 +47,7 @@ impl AggState {
                 // returns an arbitrary number (and the old `wrapping_add`
                 // hid a debug-build panic behind large SUMs).
                 let add = match value {
-                    Cell::Int(v) => v,
+                    ValueRef::Int(v) => v,
                     _ => 0,
                 };
                 let overflow = || NosqlError::AggregateOverflow {
@@ -155,12 +155,12 @@ impl Groups {
     }
 
     /// The slot of the group `key` names, made on first sight.
-    fn slot(&mut self, key: &[Cell<'_>]) -> u32 {
+    fn slot(&mut self, key: &[ValueRef<'_>]) -> u32 {
         let hash = KeyHash::default().hash_one(key);
         let mut at = self.by_hash.get(&hash).copied();
         while let Some(slot) = at {
             let known = &self.keys[slot as usize];
-            if known.iter().map(Cell::from).eq(key.iter().copied()) {
+            if known.iter().map(ValueRef::from).eq(key.iter().copied()) {
                 return slot;
             }
             at = self.older[slot as usize];

@@ -33,7 +33,7 @@ use crate::error::Result;
 use crate::index::Index;
 use crate::plan::{PlanNode, ScanKind};
 use crate::table::TableCore;
-use crate::types::{Cell, CqlValue};
+use crate::types::{CqlValue, ValueRef};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -92,7 +92,7 @@ impl Batch {
     }
 
     /// `at`'s cell in output column `col`.
-    pub(crate) fn cell(&self, at: RowRef, col: usize) -> Cell<'_> {
+    pub(crate) fn cell(&self, at: RowRef, col: usize) -> ValueRef<'_> {
         self.block(at).cell(self.column(col), at.row as usize)
     }
 

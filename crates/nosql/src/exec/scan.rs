@@ -6,7 +6,7 @@ use crate::index::Index;
 use crate::plan::Predicate;
 use crate::row::Row;
 use crate::table::{Cursor, TableCore};
-use crate::types::{Cell, CqlValue};
+use crate::types::{CqlValue, ValueRef};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -151,7 +151,7 @@ impl Operator for IndexScan {
         };
         let pred = &self.pred;
         probe(&self.core, keys, &mut self.pos, self.bound, |row| {
-            pred.matches(row.get(pred.index).map_or(Cell::Null, Cell::from))
+            pred.matches(row.get(pred.index).map_or(ValueRef::Null, ValueRef::from))
         })
     }
 }

@@ -10,8 +10,9 @@
 //! * the **write path** — commit log append, memtable insert, SSTable flush,
 //!   size-tiered compaction — so insert timing (Table 5) exercises real
 //!   mechanisms — and beside it the **sorted-run ingest**
-//!   ([`Db::ingest_sorted`]) that writes a batch of new keys straight into
-//!   one SSTable, as a bulk loader does,
+//!   ([`Db::ingest_columns`]) that writes a batch of new keys, given column
+//!   by column, straight into one SSTable, as a bulk loader does; every
+//!   SSTable is written from such a column batch by one writer,
 //! * **secondary indexes** maintained as hidden index column families with
 //!   one posting row per (value, key) — Cassandra's one-cell-per-posting
 //!   layout — plus a read-before-write of the old base row; the extra
@@ -88,4 +89,4 @@ pub use schema::{ColumnDef, TableDef};
 pub use session::Session;
 pub use snapshot::Snapshot;
 pub use table::TableWrites;
-pub use types::{CqlType, CqlTypeError, CqlValue};
+pub use types::{CqlType, CqlTypeError, CqlValue, ValueRef};

@@ -1,7 +1,7 @@
 //! The logical plan tree: pure data, no table runtimes.
 
 use crate::cql::ast::{AggFunc, CmpOp};
-use crate::types::{Cell, CqlValue};
+use crate::types::{CqlValue, ValueRef};
 
 /// Cardinality and cost estimates attached to every plan node. `cost` is
 /// cumulative (the node plus everything below it), in the planner's
@@ -49,10 +49,10 @@ impl Predicate {
     /// predicate. Comparisons follow SQL's null semantics: a null cell
     /// never matches a range test (equality against an explicit null
     /// does).
-    pub(crate) fn matches(&self, cell: Cell<'_>) -> bool {
+    pub(crate) fn matches(&self, cell: ValueRef<'_>) -> bool {
         match &self.test {
-            PredTest::Eq(value) => cell == Cell::from(value),
-            PredTest::In(values) => values.iter().any(|v| cell == Cell::from(v)),
+            PredTest::Eq(value) => cell == ValueRef::from(value),
+            PredTest::In(values) => values.iter().any(|v| cell == ValueRef::from(v)),
             PredTest::Cmp(op, value) => {
                 !cell.is_null() && !value.is_null() && op.accepts(cell.cmp_sort(value.into()))
             }

@@ -11,7 +11,7 @@
 
 use crate::error::{NosqlError, Result};
 use crate::types::{CqlTypeError, CqlValue};
-use std::collections::BTreeSet;
+
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -158,7 +158,7 @@ impl QueryRow {
     }
 
     /// The named column as `set<int>`.
-    pub fn get_int_set(&self, column: &str) -> Result<&BTreeSet<i64>> {
+    pub fn get_int_set(&self, column: &str) -> Result<&[i64]> {
         self.try_get(column)
     }
 

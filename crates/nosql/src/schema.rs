@@ -6,7 +6,7 @@
 //! result (DESIGN.md §5g, §5h).
 
 use crate::error::{NosqlError, Result};
-use crate::types::{CqlType, CqlValue};
+use crate::types::{CqlType, CqlValue, ValueRef};
 
 /// One column of a column family.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,17 +99,22 @@ impl TableDef {
         self.indexed_columns.iter().any(|c| c == column)
     }
 
-    /// Checks a literal against the declared type of column `column`
-    /// (`null` is legal everywhere).
-    pub fn check(&self, column: usize, value: &CqlValue) -> Result<()> {
+    /// Checks a value against the declared type of column `column`
+    /// (`null` is legal everywhere); a set's elements must ascend, each
+    /// once.
+    pub fn check<'v>(&self, column: usize, value: impl Into<ValueRef<'v>>) -> Result<()> {
         let def = &self.columns[column];
-        if value.matches(def.ty) {
-            return Ok(());
-        }
+        let found = match value.into() {
+            ValueRef::IntSet(ids) if !ids.windows(2).all(|w| w[0] < w[1]) => "unordered set<int>",
+            value => match value.ty() {
+                Some(ty) if ty != def.ty => ty.name(),
+                _ => return Ok(()),
+            },
+        };
         Err(NosqlError::TypeMismatch {
             column: def.name.clone(),
             expected: def.ty.name().to_string(),
-            found: value.type_name().to_string(),
+            found: found.to_string(),
         })
     }
 

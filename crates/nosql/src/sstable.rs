@@ -1,7 +1,9 @@
 //! SSTables: immutable sorted string tables flushed from memtables.
 //!
-//! One on-disk format (magic `STB3`, DESIGN.md §5f) and one record type,
-//! [`SstEntry`]: key, typed row or tombstone, sequence.
+//! One on-disk format (magic `STB3`, DESIGN.md §5f) and one writer, which
+//! takes a sorted column batch: an ingest fills one from its columns, and
+//! [`write_sstable`] transposes a flush's or a merge's [`SstEntry`]s (key,
+//! typed row or tombstone, sequence) into one. Readers hand back entries.
 //!
 //! ```text
 //! [ data blocks... ][ meta ][ footer ]
@@ -31,7 +33,7 @@
 //! surfaces as [`NosqlError::Corrupt`], never a panic.
 
 use crate::cache::BlockCache;
-use crate::colblock::{self, ScanBlock};
+use crate::colblock::{self, BlockWriter, ColumnBatch, ScanBlock};
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
 use crate::table::Cursor;
@@ -83,100 +85,162 @@ impl Probe {
     }
 }
 
-/// The reader's binary-searched index silently returns wrong rows over an
-/// unsorted or duplicated run, so malformed input is rejected up front with
-/// [`NosqlError::Corrupt`] — in release builds too, not just as a debug
-/// assertion (the flush path always hands over a sorted memtable drain, but
-/// recovery and compaction code evolve).
-fn ensure_sorted(file: &str, entries: &[SstEntry]) -> Result<()> {
-    if let Some(w) = entries.windows(2).find(|w| w[0].key >= w[1].key) {
-        let what = if w[0].key == w[1].key {
-            "duplicate"
-        } else {
-            "out-of-order"
-        };
-        return Err(NosqlError::Corrupt(format!(
-            "refusing to write {file}: {what} key {:02x?}",
-            w[1].key
-        )));
-    }
-    Ok(())
-}
-
-/// Appends the meta region and footer to the data blocks in `out`.
-fn write_meta_and_footer(
-    mut out: Encoder,
-    entries: &[SstEntry],
-    filter: &Bloom,
-    blocks: &[BlockMeta],
-) -> Vec<u8> {
-    let mut meta = Encoder::new();
-    meta.put_u64(entries.len() as u64);
-    if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-        meta.put_bytes(&first.key);
-        meta.put_bytes(&last.key);
-    }
-    filter.encode(&mut meta);
-    meta.put_u64(blocks.len() as u64);
-    for b in blocks {
-        meta.put_bytes(&b.first_key);
-        meta.put_u64(b.offset);
-        meta.put_u64(b.len);
-        meta.put_u32_fixed(b.crc);
-        meta.put_u64(b.count);
-    }
-    let meta_bytes = meta.into_bytes();
-    let meta_offset = out.len() as u64;
-    let meta_crc = Crc32::of(&meta_bytes);
-    out.put_raw(&meta_bytes);
-    out.put_u64_fixed(meta_offset);
-    out.put_u64_fixed(meta_bytes.len() as u64);
-    out.put_u32_fixed(meta_crc);
-    out.put_u32_fixed(MAGIC);
-    out.into_bytes()
-}
-
-/// Writes a sorted run of entries as one SSTable file — what the engine
-/// flushes and compacts to. Unsorted input, or rows of differing column
+/// Writes a sorted run of entries as one SSTable file, each block's
+/// entries put column by column into one reused batch (`colblock`'s) for
+/// the one block writer. Unsorted input, or live rows of differing column
 /// count inside one block, is [`NosqlError::Corrupt`] and writes nothing.
 pub fn write_sstable(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> {
-    ensure_sorted(file, entries)?;
-    let mut data = Encoder::new();
-    let mut blocks: Vec<BlockMeta> = Vec::new();
-    let mut filter = Bloom::with_capacity(entries.len(), sc_encoding::bloom::DEFAULT_BITS_PER_KEY);
-    let mut close_block = |data: &mut Encoder, run: &[SstEntry]| -> Result<()> {
-        let bytes = colblock::encode_block(file, run)?;
-        blocks.push(BlockMeta {
-            first_key: run[0].key.clone(),
-            offset: data.len() as u64,
-            len: bytes.len() as u64,
-            crc: Crc32::of(&bytes),
-            count: run.len() as u64,
-        });
-        data.put_raw(&bytes);
-        Ok(())
-    };
-    let mut start = 0usize;
-    let mut pending = 0usize;
-    for (i, e) in entries.iter().enumerate() {
-        filter.insert(&e.key);
-        // Never split a record: close once the row-major footprint (key,
-        // flag + sequence, `Row::encode` body, two length prefixes) reaches
-        // the target (the columnar form is usually smaller).
-        let body = e.row.as_ref().map_or(0, Row::encoded_len);
-        pending += e.key.len() + 9 + body + 4;
-        if pending >= BLOCK_TARGET_BYTES {
-            close_block(&mut data, &entries[start..=i])?;
-            start = i + 1;
-            pending = 0;
+    ensure_sorted(file, entries.iter().map(|e| e.key.as_slice()))?;
+    let body = |e: &SstEntry| e.row.as_ref().map_or(0, Row::encoded_len);
+    let mut table = TableWriter::new(entries.len());
+    let mut batch = ColumnBatch::default();
+    for rows in cuts(entries.iter().map(|e| e.key.len() + body(e))) {
+        batch.fill(file, &entries[rows])?;
+        let live = batch.columns.first().map_or(0, Vec::len);
+        table.block(&batch, 0..batch.keys.len(), 0..live);
+    }
+    table.finish(vfs, file)
+}
+
+/// Writes `batch` as one SSTable file, cut into blocks as
+/// [`write_sstable`] cuts the same rows, so the bytes are the same. Keys
+/// that do not ascend strictly are [`NosqlError::Corrupt`] and nothing is
+/// written.
+pub(crate) fn write_columns(vfs: &Vfs, file: &str, batch: &ColumnBatch<'_>) -> Result<()> {
+    ensure_sorted(file, batch.keys.iter().copied())?;
+    // A record's body is its row's, and its row is the next live cell.
+    let mut cell = 0;
+    let sizes = (batch.keys.iter().zip(&batch.live)).map(|(key, &live)| {
+        cell += usize::from(live);
+        key.len() + if live { batch.row_len(cell - 1) } else { 0 }
+    });
+    let mut table = TableWriter::new(batch.keys.len());
+    let mut first_cell = 0;
+    for rows in cuts(sizes) {
+        let live = batch.live[rows.clone()]
+            .iter()
+            .filter(|live| **live)
+            .count();
+        table.block(batch, rows, first_cell..first_cell + live);
+        first_cell += live;
+    }
+    table.finish(vfs, file)
+}
+
+/// The reader's binary-searched index silently returns wrong rows over an
+/// unsorted or duplicated run, so such keys are [`NosqlError::Corrupt`].
+fn ensure_sorted<'k>(file: &str, keys: impl Iterator<Item = &'k [u8]>) -> Result<()> {
+    let mut prev: Option<&[u8]> = None;
+    for key in keys {
+        if let Some(prev) = prev.filter(|prev| *prev >= key) {
+            let what = if prev == key {
+                "duplicate"
+            } else {
+                "out-of-order"
+            };
+            return Err(NosqlError::Corrupt(format!(
+                "refusing to write {file}: {what} key {key:02x?}"
+            )));
+        }
+        prev = Some(key);
+    }
+    Ok(())
+}
+
+/// The blocks of a run of records, as index ranges: a block closes, never
+/// splitting a record, once its records' row-major footprint — each
+/// record's key plus row body (`Row::encode`'s length, 0 for a tombstone)
+/// as `sizes` gives it, plus a flag and sequence (9) and two length
+/// prefixes (4) — reaches `BLOCK_TARGET_BYTES`; the columnar bytes are
+/// usually fewer.
+fn cuts(sizes: impl Iterator<Item = usize>) -> impl Iterator<Item = Range<usize>> {
+    let mut sizes = sizes.enumerate().peekable();
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let mut pending = 0;
+        while let Some((i, size)) = sizes.next() {
+            pending += size + 9 + 4;
+            if pending >= BLOCK_TARGET_BYTES || sizes.peek().is_none() {
+                let block = start..i + 1;
+                start = i + 1;
+                return Some(block);
+            }
+        }
+        None
+    })
+}
+
+/// One SSTable being written: its data blocks, the block index and the
+/// bloom filter over every key, then the meta region and the footer.
+struct TableWriter<'a> {
+    data: Encoder,
+    blocks: Vec<BlockMeta>,
+    filter: Bloom,
+    count: u64,
+    /// The last key written: the max fence.
+    last: &'a [u8],
+    block: BlockWriter<'a>,
+}
+
+impl<'a> TableWriter<'a> {
+    fn new(records: usize) -> TableWriter<'a> {
+        TableWriter {
+            data: Encoder::new(),
+            blocks: Vec::new(),
+            filter: Bloom::with_capacity(records, sc_encoding::bloom::DEFAULT_BITS_PER_KEY),
+            count: 0,
+            last: &[],
+            block: BlockWriter::default(),
         }
     }
-    if start < entries.len() {
-        close_block(&mut data, &entries[start..])?;
+
+    /// Appends records `rows` of `batch`, whose live records' cells lie at
+    /// `cells` in its columns, as the next block.
+    fn block(&mut self, batch: &ColumnBatch<'a>, rows: Range<usize>, cells: Range<usize>) {
+        let keys = &batch.keys[rows.clone()];
+        keys.iter().for_each(|key| self.filter.insert(key));
+        self.last = keys[keys.len() - 1];
+        let offset = self.data.len();
+        self.block.encode(&mut self.data, batch, rows, cells);
+        let bytes = &self.data.bytes()[offset..];
+        self.blocks.push(BlockMeta {
+            first_key: keys[0].to_vec(),
+            offset: offset as u64,
+            len: bytes.len() as u64,
+            crc: Crc32::of(bytes),
+            count: keys.len() as u64,
+        });
+        self.count += keys.len() as u64;
     }
-    let out = write_meta_and_footer(data, entries, &filter, &blocks);
-    vfs.append(file, &out)?;
-    Ok(())
+
+    /// Appends the meta region and footer, and the file to `vfs`.
+    fn finish(self, vfs: &Vfs, file: &str) -> Result<()> {
+        let mut meta = Encoder::new();
+        meta.put_u64(self.count);
+        if let Some(first) = self.blocks.first() {
+            meta.put_bytes(&first.first_key);
+            meta.put_bytes(self.last);
+        }
+        self.filter.encode(&mut meta);
+        meta.put_u64(self.blocks.len() as u64);
+        for b in &self.blocks {
+            meta.put_bytes(&b.first_key);
+            meta.put_u64(b.offset);
+            meta.put_u64(b.len);
+            meta.put_u32_fixed(b.crc);
+            meta.put_u64(b.count);
+        }
+        let meta = meta.into_bytes();
+        let mut out = self.data;
+        let meta_offset = out.len() as u64;
+        out.put_raw(&meta);
+        out.put_u64_fixed(meta_offset);
+        out.put_u64_fixed(meta.len() as u64);
+        out.put_u32_fixed(Crc32::of(&meta));
+        out.put_u32_fixed(MAGIC);
+        vfs.append(file, out.bytes())?;
+        Ok(())
+    }
 }
 
 /// Sparse-index entry for one data block.

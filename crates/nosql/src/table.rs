@@ -23,19 +23,19 @@
 //! harmless because reads resolve by max sequence.
 //!
 //! An ingest is a flush without the memtable: once the engine has checked
-//! that the table holds none of their keys, its sorted rows take one block
-//! of sequences and go through the same `publish` (write, manifest,
-//! attach) as one new SSTable.
+//! that the table holds none of their keys, its sorted column batch takes
+//! one block of sequences and goes through the same `publish` (write,
+//! manifest, attach) as one new SSTable.
 
 use crate::cache::BlockCache;
-use crate::colblock::{KeyRef, ScanBlock};
+use crate::colblock::{ColumnBatch, KeyRef, ScanBlock};
 use crate::error::Result;
 use crate::manifest::{Manifest, ManifestEdit};
 use crate::memtable::Memtable;
 use crate::mvcc::{SeqGuard, SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
-use crate::sstable::{write_sstable, Probe, SsTable, SstEntry, SstIter};
+use crate::sstable::{write_columns, write_sstable, Probe, SsTable, SstEntry, SstIter};
 use sc_storage::Vfs;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -673,7 +673,8 @@ impl TableCore {
         let mut span = crate::obs::nosql().flush.start();
         // Until the drain below, every peeked version is still in the
         // memtable: a failure on the way returns with nothing to restore.
-        span.add_bytes(self.publish(maint, &entries)?);
+        let write = |vfs: &Vfs, file: &str| write_sstable(vfs, file, &entries);
+        span.add_bytes(self.publish(maint, write)?);
         if sc_obs::enabled() {
             self.writes.flushes.fetch_add(1, Ordering::Relaxed);
         }
@@ -692,19 +693,23 @@ impl TableCore {
         Ok(())
     }
 
-    /// Writes `entries` as this table's next SSTable, names it in the
+    /// Has `write` write this table's next SSTable, names it in the
     /// manifest and attaches it as the newest, returning its size: the
     /// one way a flush or an ingest adds a file. Data first, manifest
     /// second: a crash in between leaves an orphan file that recovery
     /// deletes, never a published name without its bytes. The caller
     /// holds the maintenance lock.
-    fn publish(&self, _maint: &std::sync::MutexGuard<'_, ()>, entries: &[SstEntry]) -> Result<u64> {
+    fn publish(
+        &self,
+        _maint: &std::sync::MutexGuard<'_, ()>,
+        write: impl FnOnce(&Vfs, &str) -> Result<()>,
+    ) -> Result<u64> {
         let file = format!(
             "{}{:06}",
             self.sst_prefix,
             self.next_sst_id.fetch_add(1, Ordering::Relaxed)
         );
-        write_sstable(&self.vfs, &file, entries)?;
+        write(&self.vfs, &file)?;
         if let Err(e) = self
             .manifest
             .commit(&ManifestEdit::add(&self.qualified, &file))
@@ -727,19 +732,18 @@ impl TableCore {
         Ok(size)
     }
 
-    /// Publishes `entries` — key-sorted, no key the table holds
+    /// Publishes `batch` — live rows, key-sorted, no key the table holds
     /// ([`TableCore::first_held`]) — as one SSTable, under the maintenance
     /// lock: one block of sequences from `tracker`, then a flush's order,
     /// data, manifest, attach. No row passes through the commit log or the
     /// memtable. The block completes only once the SSTable is attached, so
     /// a read pinned earlier sees none of the rows.
-    pub fn ingest(&self, entries: &mut [SstEntry], tracker: &SeqTracker) -> Result<()> {
+    pub fn ingest(&self, batch: &mut ColumnBatch<'_>, tracker: &SeqTracker) -> Result<()> {
         let maint = self.maint.lock().unwrap_or_else(|e| e.into_inner());
-        let seqs = SeqGuard::new(tracker, entries.len());
-        for (entry, seq) in entries.iter_mut().zip(seqs.seqs()) {
-            entry.timestamp = seq;
-        }
-        self.publish(&maint, entries).map(drop)
+        let seqs = SeqGuard::new(tracker, batch.keys.len());
+        batch.seqs = seqs.seqs().collect();
+        self.publish(&maint, |vfs, file| write_columns(vfs, file, batch))
+            .map(drop)
     }
 
     /// The first of `keys` (strictly ascending) this table holds: any

@@ -7,7 +7,6 @@
 //! overheads structurally.
 
 use sc_encoding::{varint, DecodeError, Decoder, Encoder};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A column's declared type.
@@ -65,37 +64,28 @@ pub enum CqlValue {
     Text(String),
     /// Boolean.
     Boolean(bool),
-    /// Integer set (ordered for deterministic encoding).
-    IntSet(BTreeSet<i64>),
+    /// Integer set: its elements in ascending order, each once, as
+    /// [`CqlValue::int_set`] builds it and the encoding writes it.
+    IntSet(Vec<i64>),
 }
 
 impl CqlValue {
-    /// Convenience constructor for a set from any iterator.
+    /// The set of `ids`, in any order and with repeats.
     pub fn int_set(ids: impl IntoIterator<Item = i64>) -> CqlValue {
-        CqlValue::IntSet(ids.into_iter().collect())
+        let mut set: Vec<i64> = ids.into_iter().collect();
+        set.sort_unstable();
+        set.dedup();
+        CqlValue::IntSet(set)
     }
 
     /// Whether the value's runtime type matches `ty` (`Null` matches all).
     pub fn matches(&self, ty: CqlType) -> bool {
-        matches!(
-            (self, ty),
-            (CqlValue::Null, _)
-                | (CqlValue::Int(_), CqlType::Int)
-                | (CqlValue::Text(_), CqlType::Text)
-                | (CqlValue::Boolean(_), CqlType::Boolean)
-                | (CqlValue::IntSet(_), CqlType::IntSet)
-        )
+        ValueRef::from(self).ty().is_none_or(|t| t == ty)
     }
 
     /// Name of the value's runtime type, for error messages.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            CqlValue::Null => "null",
-            CqlValue::Int(_) => "int",
-            CqlValue::Text(_) => "text",
-            CqlValue::Boolean(_) => "boolean",
-            CqlValue::IntSet(_) => "set<int>",
-        }
+        ValueRef::from(self).ty().map_or("null", CqlType::name)
     }
 
     /// The integer, if this is an [`CqlValue::Int`].
@@ -123,7 +113,7 @@ impl CqlValue {
     }
 
     /// The set, if this is an [`CqlValue::IntSet`].
-    pub fn as_int_set(&self) -> Option<&BTreeSet<i64>> {
+    pub fn as_int_set(&self) -> Option<&[i64]> {
         match self {
             CqlValue::IntSet(v) => Some(v),
             _ => None,
@@ -137,43 +127,12 @@ impl CqlValue {
 
     /// Encodes the value (tagged).
     pub fn encode(&self, enc: &mut Encoder) {
-        match self {
-            CqlValue::Null => {
-                enc.put_u8(0);
-            }
-            CqlValue::Int(v) => {
-                enc.put_u8(1).put_i64(*v);
-            }
-            CqlValue::Text(v) => {
-                enc.put_u8(2).put_str(v);
-            }
-            CqlValue::Boolean(v) => {
-                enc.put_u8(3).put_bool(*v);
-            }
-            CqlValue::IntSet(set) => {
-                enc.put_u8(4).put_u64(set.len() as u64);
-                for &v in set {
-                    // Per-element header (2 bytes: flags + liveness marker)
-                    // mirrors Cassandra's per-element collection cells.
-                    enc.put_u8(0).put_u8(1).put_i64(v);
-                }
-            }
-        }
+        ValueRef::from(self).encode(enc);
     }
 
     /// Bytes [`CqlValue::encode`] writes, computed without writing them.
     pub fn encoded_len(&self) -> usize {
-        let int_len = |v: i64| varint::len_u64(varint::zigzag(v));
-        match self {
-            CqlValue::Null => 1,
-            CqlValue::Int(v) => 1 + int_len(*v),
-            CqlValue::Text(v) => 1 + varint::len_u64(v.len() as u64) + v.len(),
-            CqlValue::Boolean(_) => 2,
-            CqlValue::IntSet(set) => {
-                let elements: usize = set.iter().map(|&v| 2 + int_len(v)).sum();
-                1 + varint::len_u64(set.len() as u64) + elements
-            }
-        }
+        ValueRef::from(self).encoded_len()
     }
 
     /// Decodes a value written by [`CqlValue::encode`].
@@ -199,13 +158,15 @@ impl CqlValue {
             3 => CqlValue::Boolean(dec.get_bool()?),
             4 => {
                 let n = dec.get_u64()? as usize;
-                let mut set = BTreeSet::new();
+                // Three bytes at least per element: a corrupt count must
+                // not drive the reservation.
+                let mut set = Vec::with_capacity(n.min(dec.remaining() / 3));
                 for _ in 0..n {
                     let _flags = dec.get_u8()?;
                     let _live = dec.get_u8()?;
-                    set.insert(dec.get_i64()?);
+                    set.push(dec.get_i64()?);
                 }
-                CqlValue::IntSet(set)
+                CqlValue::int_set(set)
             }
             tag => {
                 return Err(DecodeError::BadTag {
@@ -250,22 +211,9 @@ impl CqlValue {
     /// Order-preserving key encoding (used for partition keys so the
     /// memtable/SSTable sort order equals value order).
     pub fn encode_key(&self) -> Vec<u8> {
-        match self {
-            CqlValue::Int(v) => {
-                // Flip the sign bit so byte order == numeric order.
-                let biased = (*v as u64) ^ (1u64 << 63);
-                biased.to_be_bytes().to_vec()
-            }
-            CqlValue::Text(s) => s.as_bytes().to_vec(),
-            CqlValue::Boolean(b) => vec![*b as u8],
-            CqlValue::Null => vec![],
-            CqlValue::IntSet(_) => {
-                // Sets cannot be keys: a statement's bind step
-                // (`TableDef::encode_key`) answers a typed error before a
-                // literal ever gets here.
-                unreachable!("set<int> cannot be a partition key")
-            }
-        }
+        let mut key = Vec::new();
+        ValueRef::from(self).put_key(&mut key);
+        key
     }
 
     /// Total order across all values, used by `ORDER BY` and for
@@ -274,7 +222,7 @@ impl CqlValue {
     /// fixed type rank (int < text < boolean < set). Same-typed columns —
     /// the only thing the schema layer admits — never hit the rank case.
     pub fn cmp_sort(&self, other: &CqlValue) -> std::cmp::Ordering {
-        Cell::from(self).cmp_sort(Cell::from(other))
+        ValueRef::from(self).cmp_sort(ValueRef::from(other))
     }
 
     /// CQL literal form (used when rendering statements, e.g. Figure 3).
@@ -292,73 +240,139 @@ impl CqlValue {
     }
 }
 
-/// A value [`CqlValue::decode_in_place`] read: a text value's bytes,
-/// borrowed from the input and unchecked, or any other value built.
-pub(crate) enum InPlace<'a> {
-    Text(&'a [u8]),
-    Value(CqlValue),
-}
-
-/// A borrowed view of one value: what a column batch hands out per row
-/// without building a [`CqlValue`]. Equality, hashing and
-/// [`Cell::cmp_sort`] agree with the owned value's.
+/// A borrowed view of one value: what a column batch holds per row
+/// ([`crate::Db::ingest_columns`]) and what a scan hands out per cell,
+/// with no [`CqlValue`] built. Equality, hashing and
+/// [`ValueRef::cmp_sort`] agree with the owned value's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Cell<'a> {
+pub enum ValueRef<'a> {
+    /// Absent value.
     Null,
+    /// Integer.
     Int(i64),
+    /// String.
     Text(&'a str),
+    /// Boolean.
     Boolean(bool),
-    IntSet(&'a BTreeSet<i64>),
+    /// Integer set: its elements, strictly ascending.
+    IntSet(&'a [i64]),
 }
 
-impl<'a> From<&'a CqlValue> for Cell<'a> {
-    fn from(v: &'a CqlValue) -> Cell<'a> {
+impl<'a> From<&'a CqlValue> for ValueRef<'a> {
+    fn from(v: &'a CqlValue) -> ValueRef<'a> {
         match v {
-            CqlValue::Null => Cell::Null,
-            CqlValue::Int(i) => Cell::Int(*i),
-            CqlValue::Text(s) => Cell::Text(s),
-            CqlValue::Boolean(b) => Cell::Boolean(*b),
-            CqlValue::IntSet(set) => Cell::IntSet(set),
+            CqlValue::Null => ValueRef::Null,
+            CqlValue::Int(i) => ValueRef::Int(*i),
+            CqlValue::Text(s) => ValueRef::Text(s),
+            CqlValue::Boolean(b) => ValueRef::Boolean(*b),
+            CqlValue::IntSet(set) => ValueRef::IntSet(set),
         }
     }
 }
 
-impl Cell<'_> {
-    /// Whether this is [`Cell::Null`].
+impl ValueRef<'_> {
+    /// Whether this is [`ValueRef::Null`].
     pub fn is_null(self) -> bool {
-        matches!(self, Cell::Null)
+        matches!(self, ValueRef::Null)
+    }
+
+    /// The value's type; `None` for [`ValueRef::Null`].
+    pub fn ty(self) -> Option<CqlType> {
+        match self {
+            ValueRef::Null => None,
+            ValueRef::Int(_) => Some(CqlType::Int),
+            ValueRef::Text(_) => Some(CqlType::Text),
+            ValueRef::Boolean(_) => Some(CqlType::Boolean),
+            ValueRef::IntSet(_) => Some(CqlType::IntSet),
+        }
     }
 
     /// The owned value.
     pub fn to_value(self) -> CqlValue {
         match self {
-            Cell::Null => CqlValue::Null,
-            Cell::Int(i) => CqlValue::Int(i),
-            Cell::Text(s) => CqlValue::Text(s.to_owned()),
-            Cell::Boolean(b) => CqlValue::Boolean(b),
-            Cell::IntSet(set) => CqlValue::IntSet(set.clone()),
+            ValueRef::Null => CqlValue::Null,
+            ValueRef::Int(v) => CqlValue::Int(v),
+            ValueRef::Text(v) => CqlValue::Text(v.to_owned()),
+            ValueRef::Boolean(v) => CqlValue::Boolean(v),
+            ValueRef::IntSet(v) => CqlValue::IntSet(v.to_vec()),
         }
     }
 
     /// [`CqlValue::cmp_sort`]'s order.
-    pub fn cmp_sort(self, other: Cell<'_>) -> std::cmp::Ordering {
-        fn rank(v: Cell<'_>) -> u8 {
+    pub fn cmp_sort(self, other: ValueRef<'_>) -> std::cmp::Ordering {
+        fn rank(v: ValueRef<'_>) -> u8 {
             match v {
-                Cell::Null => 0,
-                Cell::Int(_) => 1,
-                Cell::Text(_) => 2,
-                Cell::Boolean(_) => 3,
-                Cell::IntSet(_) => 4,
+                ValueRef::Null => 0,
+                ValueRef::Int(_) => 1,
+                ValueRef::Text(_) => 2,
+                ValueRef::Boolean(_) => 3,
+                ValueRef::IntSet(_) => 4,
             }
         }
         match (self, other) {
-            (Cell::Int(a), Cell::Int(b)) => a.cmp(&b),
-            (Cell::Text(a), Cell::Text(b)) => a.cmp(b),
-            (Cell::Boolean(a), Cell::Boolean(b)) => a.cmp(&b),
-            (Cell::IntSet(a), Cell::IntSet(b)) => a.cmp(b),
+            (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(&b),
+            (ValueRef::Text(a), ValueRef::Text(b)) => a.cmp(b),
+            (ValueRef::Boolean(a), ValueRef::Boolean(b)) => a.cmp(&b),
+            (ValueRef::IntSet(a), ValueRef::IntSet(b)) => a.cmp(b),
             _ => rank(self).cmp(&rank(other)),
         }
     }
+
+    /// The tagged encoding ([`CqlValue::encode`]).
+    pub(crate) fn encode(self, enc: &mut Encoder) {
+        match self {
+            ValueRef::Null => enc.put_u8(0),
+            ValueRef::Int(v) => enc.put_u8(1).put_i64(v),
+            ValueRef::Text(v) => enc.put_u8(2).put_str(v),
+            ValueRef::Boolean(v) => enc.put_u8(3).put_bool(v),
+            ValueRef::IntSet(set) => {
+                enc.put_u8(4).put_u64(set.len() as u64);
+                for &v in set {
+                    // Per-element header (2 bytes: flags + liveness marker)
+                    // mirrors Cassandra's per-element collection cells.
+                    enc.put_u8(0).put_u8(1).put_i64(v);
+                }
+                enc
+            }
+        };
+    }
+
+    /// Bytes [`ValueRef::encode`] writes, computed without writing them.
+    pub(crate) fn encoded_len(self) -> usize {
+        let int_len = |v: i64| varint::len_u64(varint::zigzag(v));
+        match self {
+            ValueRef::Null => 1,
+            ValueRef::Int(v) => 1 + int_len(v),
+            ValueRef::Text(v) => 1 + varint::len_u64(v.len() as u64) + v.len(),
+            ValueRef::Boolean(_) => 2,
+            ValueRef::IntSet(set) => {
+                let elements: usize = set.iter().map(|&v| 2 + int_len(v)).sum();
+                1 + varint::len_u64(set.len() as u64) + elements
+            }
+        }
+    }
+
+    /// Appends the order-preserving key encoding ([`CqlValue::encode_key`]).
+    pub(crate) fn put_key(self, out: &mut Vec<u8>) {
+        match self {
+            // Flip the sign bit so byte order == numeric order.
+            ValueRef::Int(v) => out.extend_from_slice(&((v as u64) ^ (1u64 << 63)).to_be_bytes()),
+            ValueRef::Text(s) => out.extend_from_slice(s.as_bytes()),
+            ValueRef::Boolean(b) => out.push(u8::from(b)),
+            ValueRef::Null => {}
+            // Sets cannot be keys: a statement's bind step
+            // (`TableDef::encode_key`) answers a typed error before a
+            // literal ever gets here.
+            ValueRef::IntSet(_) => unreachable!("set<int> cannot be a partition key"),
+        }
+    }
+}
+
+/// A value [`CqlValue::decode_in_place`] read: a text value's bytes,
+/// borrowed from the input and unchecked, or any other value built.
+pub(crate) enum InPlace<'a> {
+    Text(&'a [u8]),
+    Value(CqlValue),
 }
 
 impl fmt::Display for CqlValue {
@@ -440,20 +454,20 @@ impl TryFrom<&CqlValue> for bool {
     }
 }
 
-impl<'a> TryFrom<&'a CqlValue> for &'a BTreeSet<i64> {
+impl<'a> TryFrom<&'a CqlValue> for &'a [i64] {
     type Error = CqlTypeError;
 
-    fn try_from(v: &'a CqlValue) -> Result<&'a BTreeSet<i64>, CqlTypeError> {
+    fn try_from(v: &'a CqlValue) -> Result<&'a [i64], CqlTypeError> {
         v.as_int_set()
             .ok_or_else(|| CqlTypeError::new("set<int>", v))
     }
 }
 
-impl TryFrom<&CqlValue> for BTreeSet<i64> {
+impl TryFrom<&CqlValue> for Vec<i64> {
     type Error = CqlTypeError;
 
-    fn try_from(v: &CqlValue) -> Result<BTreeSet<i64>, CqlTypeError> {
-        <&BTreeSet<i64>>::try_from(v).cloned()
+    fn try_from(v: &CqlValue) -> Result<Vec<i64>, CqlTypeError> {
+        <&[i64]>::try_from(v).map(<[i64]>::to_vec)
     }
 }
 
@@ -519,7 +533,7 @@ mod tests {
             1 => CqlValue::Int(rng.gen_i64()),
             2 => CqlValue::Text(rng.gen_ascii(24)),
             3 => CqlValue::Boolean(rng.gen_range(2) == 1),
-            _ => CqlValue::IntSet((0..rng.gen_range(16)).map(|_| rng.gen_i64()).collect()),
+            _ => CqlValue::int_set((0..rng.gen_range(16)).map(|_| rng.gen_i64())),
         }
     }
 

@@ -28,6 +28,9 @@ pub enum XmlErrorKind {
     BadDocumentStructure(String),
     /// Name token was empty or started with an invalid character.
     BadName,
+    /// An element opened inside this many open elements: the reader's
+    /// nesting limit (`reader::MAX_DEPTH`).
+    TooDeep(usize),
 }
 
 /// An XML parse error at a specific position.
@@ -70,6 +73,9 @@ impl fmt::Display for XmlError {
             XmlErrorKind::BadCharRef(raw) => write!(f, "invalid character reference &#{raw};"),
             XmlErrorKind::BadDocumentStructure(msg) => write!(f, "bad document: {msg}"),
             XmlErrorKind::BadName => write!(f, "invalid name token"),
+            XmlErrorKind::TooDeep(limit) => {
+                write!(f, "elements nested deeper than {limit}")
+            }
         }
     }
 }

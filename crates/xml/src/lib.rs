@@ -13,10 +13,16 @@
 //! * [`scanner::Scanner`] — the byte-offset cursor under the reader; it
 //!   moves over whole runs of text and computes an error's line and column
 //!   from the offset only when the error is raised,
-//! * [`dom`] — a small owned document tree, the form cube extraction reads,
+//! * [`flat`] — the form cube extraction reads: one pass of the reader
+//!   fills a list of element records, one of attributes and one of text
+//!   runs, all slices of the input unless a reference was decoded, with
+//!   each element's subtree an index range,
+//! * [`dom`] — a small owned document tree, built by the same reader, for
+//!   callers that edit or keep a document,
 //! * [`path`] — an XPath-lite selector language (`/a/b`, `//station`,
 //!   `@attr`) used by cube definitions to locate dimensions and measures;
-//!   [`path::Path::first`] stops at the first match and borrows its value,
+//!   it evaluates on the flat form, and [`path::Path::first`] stops at the
+//!   first match and borrows its value,
 //! * [`writer::XmlWriter`] — an escaping writer used by the data generator.
 //!
 //! ## Supported XML subset
@@ -25,7 +31,8 @@
 //! sections, comments, processing instructions, the XML declaration, the five
 //! predefined entities and decimal/hex character references. DTDs are
 //! recognised and skipped; external entities are (deliberately) not
-//! supported.
+//! supported. Elements nested deeper than [`reader::MAX_DEPTH`] are refused
+//! with [`XmlErrorKind::TooDeep`].
 //!
 //! ```
 //! use sc_xml::dom::Document;
@@ -40,6 +47,7 @@ pub mod dom;
 pub mod entities;
 pub mod error;
 pub mod event;
+pub mod flat;
 pub mod path;
 pub mod reader;
 pub mod scanner;
@@ -48,5 +56,6 @@ pub mod writer;
 pub use dom::{Document, Element};
 pub use error::{XmlError, XmlErrorKind};
 pub use event::XmlEvent;
+pub use flat::{FlatDocument, FlatElement};
 pub use reader::XmlReader;
 pub use writer::XmlWriter;

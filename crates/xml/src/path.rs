@@ -13,8 +13,11 @@
 //!
 //! Examples: `/stations/station`, `//station[@id='42']/name/text()`,
 //! `@updated`, `readings/reading[2]/value/text()`.
+//!
+//! Paths evaluate on the flat form ([`FlatElement`]), whose descendant
+//! walk is a range: no evaluation recurses deeper than the path's steps.
 
-use crate::dom::{Element, Node};
+use crate::flat::FlatElement;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -172,19 +175,20 @@ impl Path {
     ///
     /// For a leaf of `@attr` or `text()` the returned elements are the ones
     /// the leaf extracts from; use [`Path::select_values`] to get strings.
-    pub fn select<'a>(&self, context: &'a Element) -> Vec<&'a Element> {
-        let mut current: Vec<&Element> = vec![context];
+    pub fn select<'d, 'a>(&self, context: FlatElement<'d, 'a>) -> Vec<FlatElement<'d, 'a>> {
+        let mut current = vec![context];
         for (i, step) in self.steps.iter().enumerate() {
             // For absolute paths the first step names the root element itself
             // (like `/stations/station` where context *is* `<stations>`).
-            let mut next: Vec<&Element> = Vec::new();
+            let mut next = Vec::new();
             if i == 0 && self.absolute {
-                next.extend(Some(context).filter(|c| step.admits(c)));
+                next.extend(Some(context).filter(|c| step.admits(*c)));
             } else {
                 for el in &current {
+                    let admitted = |c: &FlatElement<'d, 'a>| step.admits(*c);
                     match step.axis {
-                        Axis::Child => next.extend(el.child_elements().filter(|c| step.admits(c))),
-                        Axis::Descendant => collect_descendants(el, step, &mut next),
+                        Axis::Child => next.extend(el.child_elements().filter(admitted)),
+                        Axis::Descendant => next.extend(el.descendants().filter(admitted)),
                     }
                 }
             }
@@ -200,10 +204,10 @@ impl Path {
     }
 
     /// Evaluates the path and extracts the leaf values.
-    pub fn select_values(&self, context: &Element) -> Vec<String> {
+    pub fn select_values(&self, context: FlatElement<'_, '_>) -> Vec<String> {
         let elements = self.select(context);
         match &self.leaf {
-            Leaf::Elements | Leaf::Text => elements.iter().map(|e| e.text()).collect(),
+            Leaf::Elements | Leaf::Text => elements.iter().map(|e| e.text().into_owned()).collect(),
             Leaf::Attr(name) => elements
                 .iter()
                 .filter_map(|e| e.attr(name).map(str::to_string))
@@ -212,15 +216,15 @@ impl Path {
     }
 
     /// First leaf value, if any.
-    pub fn select_first(&self, context: &Element) -> Option<String> {
+    pub fn select_first(&self, context: FlatElement<'_, '_>) -> Option<String> {
         self.first(context).map(Cow::into_owned)
     }
 
     /// First leaf value, if any: the first of [`Path::select_values`],
-    /// found by a depth-first walk that stops at the first match. An
-    /// attribute, or the text of an element with at most one text child, is
-    /// borrowed from the tree.
-    pub fn first<'a>(&self, context: &'a Element) -> Option<Cow<'a, str>> {
+    /// found by a walk in document order that stops at the first match. An
+    /// attribute, or the text of an element with at most one run of
+    /// character data, is borrowed from the document.
+    pub fn first<'d>(&self, context: FlatElement<'d, '_>) -> Option<Cow<'d, str>> {
         let positional = self
             .steps
             .iter()
@@ -243,48 +247,27 @@ impl Path {
         }
     }
 
-    /// The first value reachable from `el` by `steps[step..]` and the leaf.
-    fn first_from<'a>(&self, el: &'a Element, step: usize) -> Option<Cow<'a, str>> {
+    /// The first value reachable from `el` by `steps[step..]` and the leaf;
+    /// a descendant step walks the descendants in document order, each
+    /// before its own subtree.
+    fn first_from<'d>(&self, el: FlatElement<'d, '_>, step: usize) -> Option<Cow<'d, str>> {
         let Some(s) = self.steps.get(step) else {
             return self.leaf_value(el);
         };
+        let next =
+            |c: FlatElement<'d, '_>| s.admits(c).then(|| self.first_from(c, step + 1)).flatten();
         match s.axis {
-            Axis::Child => el
-                .child_elements()
-                .filter(|c| s.admits(c))
-                .find_map(|c| self.first_from(c, step + 1)),
-            Axis::Descendant => self.first_below(el, step),
+            Axis::Child => el.child_elements().find_map(next),
+            Axis::Descendant => el.descendants().find_map(next),
         }
-    }
-
-    /// [`Path::first_from`] for a descendant step: descendants in document
-    /// order, each before its own subtree.
-    fn first_below<'a>(&self, el: &'a Element, step: usize) -> Option<Cow<'a, str>> {
-        el.child_elements().find_map(|c| {
-            self.steps[step]
-                .admits(c)
-                .then(|| self.first_from(c, step + 1))
-                .flatten()
-                .or_else(|| self.first_below(c, step))
-        })
     }
 
     /// The leaf's value on one matched element; `None` only for a missing
     /// attribute.
-    fn leaf_value<'a>(&self, el: &'a Element) -> Option<Cow<'a, str>> {
+    fn leaf_value<'d>(&self, el: FlatElement<'d, '_>) -> Option<Cow<'d, str>> {
         match &self.leaf {
             Leaf::Attr(name) => el.attr(name).map(Cow::Borrowed),
-            Leaf::Elements | Leaf::Text => {
-                let mut texts = el.children.iter().filter_map(|n| match n {
-                    Node::Text(t) => Some(t.as_str()),
-                    Node::Element(_) => None,
-                });
-                Some(match (texts.next(), texts.next()) {
-                    (None, _) => Cow::Borrowed(""),
-                    (Some(t), None) => Cow::Borrowed(t),
-                    _ => Cow::Owned(el.text()),
-                })
-            }
+            Leaf::Elements | Leaf::Text => Some(el.text()),
         }
     }
 }
@@ -293,8 +276,8 @@ impl Step {
     /// Whether `el` has this step's name and passes its attribute predicate.
     /// A positional predicate is not checked here: it ranks a whole step's
     /// matches.
-    fn admits(&self, el: &Element) -> bool {
-        (self.name == "*" || el.name == self.name)
+    fn admits(&self, el: FlatElement<'_, '_>) -> bool {
+        (self.name == "*" || el.name() == self.name)
             && match &self.predicate {
                 Some(Predicate::AttrEquals { name, value }) => {
                     el.attr(name) == Some(value.as_str())
@@ -334,19 +317,10 @@ fn parse_predicate(body: &str) -> Result<Predicate, PathError> {
     Ok(Predicate::Index(n))
 }
 
-fn collect_descendants<'a>(el: &'a Element, step: &Step, out: &mut Vec<&'a Element>) {
-    for child in el.child_elements() {
-        if step.admits(child) {
-            out.push(child);
-        }
-        collect_descendants(child, step, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dom::Document;
+    use crate::flat::FlatDocument;
 
     const FEED: &str = r#"<stations updated="10:00">
       <station id="17"><name>Fenian St</name><bikes>3</bikes></station>
@@ -354,28 +328,28 @@ mod tests {
       <meta><source kind="bikes"><name>dublinbikes</name></source></meta>
     </stations>"#;
 
-    fn feed() -> Document {
-        Document::parse(FEED).unwrap()
+    fn feed() -> FlatDocument<'static> {
+        FlatDocument::parse(FEED).unwrap()
     }
 
     #[test]
     fn absolute_child_path() {
         let doc = feed();
         let p = Path::parse("/stations/station").unwrap();
-        assert_eq!(p.select(&doc.root).len(), 2);
+        assert_eq!(p.select(doc.root()).len(), 2);
     }
 
     #[test]
     fn absolute_path_requires_root_name_match() {
         let doc = feed();
         let p = Path::parse("/wrong/station").unwrap();
-        assert!(p.select(&doc.root).is_empty());
+        assert!(p.select(doc.root()).is_empty());
     }
 
     #[test]
     fn relative_path_and_text_leaf() {
         let doc = feed();
-        let station = doc.root.first_child("station").unwrap();
+        let station = doc.root().child_elements().next().unwrap();
         let p = Path::parse("name/text()").unwrap();
         assert_eq!(p.select_values(station), vec!["Fenian St"]);
     }
@@ -383,7 +357,7 @@ mod tests {
     #[test]
     fn attribute_leaf() {
         let doc = feed();
-        let station = doc.root.children_named("station").nth(1).unwrap();
+        let station = doc.root().child_elements().nth(1).unwrap();
         let p = Path::parse("@id").unwrap();
         assert_eq!(p.select_first(station), Some("42".to_string()));
     }
@@ -393,7 +367,7 @@ mod tests {
         let doc = feed();
         let p = Path::parse("//name/text()").unwrap();
         assert_eq!(
-            p.select_values(&doc.root),
+            p.select_values(doc.root()),
             vec!["Fenian St", "Smithfield", "dublinbikes"]
         );
     }
@@ -402,37 +376,37 @@ mod tests {
     fn attr_predicate() {
         let doc = feed();
         let p = Path::parse("//station[@id='42']/bikes/text()").unwrap();
-        assert_eq!(p.select_values(&doc.root), vec!["11"]);
+        assert_eq!(p.select_values(doc.root()), vec!["11"]);
     }
 
     #[test]
     fn index_predicate_is_one_based() {
         let doc = feed();
         let p = Path::parse("station[2]/name/text()").unwrap();
-        assert_eq!(p.select_values(&doc.root), vec!["Smithfield"]);
+        assert_eq!(p.select_values(doc.root()), vec!["Smithfield"]);
         let p = Path::parse("station[3]").unwrap();
-        assert!(p.select(&doc.root).is_empty());
+        assert!(p.select(doc.root()).is_empty());
     }
 
     #[test]
     fn wildcard_step() {
         let doc = feed();
         let p = Path::parse("station/*").unwrap();
-        assert_eq!(p.select(&doc.root).len(), 4);
+        assert_eq!(p.select(doc.root()).len(), 4);
     }
 
     #[test]
     fn bare_attribute_path() {
         let doc = feed();
         let p = Path::parse("@updated").unwrap();
-        assert_eq!(p.select_first(&doc.root), Some("10:00".to_string()));
+        assert_eq!(p.select_first(doc.root()), Some("10:00".to_string()));
     }
 
     #[test]
     fn missing_attribute_yields_nothing() {
         let doc = feed();
         let p = Path::parse("station/@nope").unwrap();
-        assert!(p.select_values(&doc.root).is_empty());
+        assert!(p.select_values(doc.root()).is_empty());
     }
 
     #[test]
@@ -519,13 +493,13 @@ mod tests {
         for _ in 0..300 {
             let mut xml = String::new();
             random_element(&mut rng, "r", 0, &mut xml);
-            let doc = Document::parse(&xml).unwrap();
+            let doc = FlatDocument::parse(&xml).unwrap();
             for _ in 0..40 {
                 let expr = random_path(&mut rng);
                 let Ok(path) = Path::parse(&expr) else {
                     continue;
                 };
-                let first = path.first(&doc.root);
+                let first = path.first(doc.root());
                 let positional = path
                     .steps
                     .iter()
@@ -534,7 +508,7 @@ mod tests {
                 found += usize::from(first.is_some());
                 assert_eq!(
                     first.map(Cow::into_owned),
-                    path.select_values(&doc.root).into_iter().next(),
+                    path.select_values(doc.root()).into_iter().next(),
                     "{expr} over {xml}"
                 );
                 checked += 1;

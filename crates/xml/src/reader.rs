@@ -6,12 +6,26 @@ use crate::event::{AttributeRef, XmlEvent};
 use crate::scanner::Scanner;
 use std::borrow::Cow;
 
+/// Elements open at once, the root counted, past which a document is
+/// refused with [`XmlErrorKind::TooDeep`]: every tree built from the reader
+/// stays shallow enough to drop, walk and write by recursion on a worker
+/// thread's stack. `sc-json` draws the same line.
+pub const MAX_DEPTH: usize = 512;
+
 fn is_name_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_' || c == ':'
+    if c.is_ascii() {
+        c.is_ascii_alphabetic() || c == '_' || c == ':'
+    } else {
+        c.is_alphabetic()
+    }
 }
 
 fn is_name_char(c: char) -> bool {
-    is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.'
+    if c.is_ascii() {
+        c.is_ascii_alphanumeric() || matches!(c, '_' | ':' | '-' | '.')
+    } else {
+        c.is_alphabetic()
+    }
 }
 
 /// A pull parser over an in-memory XML document.
@@ -23,7 +37,8 @@ fn is_name_char(c: char) -> bool {
 /// `&`, and error positions (line and column) are computed from the byte
 /// offset only when an error is raised. The reader enforces
 /// well-formedness: tags must balance, attributes must be unique per
-/// element, and exactly one root element must exist.
+/// element, and exactly one root element must exist; and it refuses
+/// elements nested deeper than [`MAX_DEPTH`].
 ///
 /// ```
 /// use sc_xml::{XmlReader, XmlEvent};
@@ -72,6 +87,25 @@ impl<'a> XmlReader<'a> {
 
     /// Produces the next event.
     pub fn next_event(&mut self) -> Result<XmlEvent<'a>, XmlError> {
+        let mut attributes = Vec::new();
+        let mut event = self.next_event_with(&mut attributes)?;
+        if let XmlEvent::StartElement {
+            attributes: own, ..
+        } = &mut event
+        {
+            *own = attributes;
+        }
+        Ok(event)
+    }
+
+    /// [`XmlReader::next_event`], except that a start tag's attributes are
+    /// appended to `attributes` and the event's own list is left empty: a
+    /// caller that keeps every element's attributes in one list allocates
+    /// nothing per tag.
+    pub fn next_event_with(
+        &mut self,
+        attributes: &mut Vec<AttributeRef<'a>>,
+    ) -> Result<XmlEvent<'a>, XmlError> {
         if let Some(name) = self.pending_end.take() {
             return Ok(XmlEvent::EndElement { name });
         }
@@ -99,7 +133,7 @@ impl<'a> XmlReader<'a> {
                 self.finished = true;
                 Ok(XmlEvent::Eof)
             }
-            Some(b'<') => self.parse_markup(),
+            Some(b'<') => self.parse_markup(attributes),
             Some(_) => {
                 let text = self.parse_text()?;
                 if self.stack.is_empty() {
@@ -127,7 +161,10 @@ impl<'a> XmlReader<'a> {
         Ok(text)
     }
 
-    fn parse_markup(&mut self) -> Result<XmlEvent<'a>, XmlError> {
+    fn parse_markup(
+        &mut self,
+        attributes: &mut Vec<AttributeRef<'a>>,
+    ) -> Result<XmlEvent<'a>, XmlError> {
         match self.scanner.rest().as_bytes().get(1) {
             Some(b'/') => {
                 self.scanner.expect("</")?;
@@ -153,13 +190,13 @@ impl<'a> XmlReader<'a> {
                 }
                 if self.scanner.starts_with("<!DOCTYPE") || self.scanner.starts_with("<!doctype") {
                     self.skip_doctype()?;
-                    return self.next_event();
+                    return self.next_event_with(attributes);
                 }
             }
             _ => {}
         }
         self.scanner.expect("<")?;
-        self.parse_start_tag()
+        self.parse_start_tag(attributes)
     }
 
     /// The input up to `terminator`, consuming the terminator too.
@@ -223,14 +260,21 @@ impl<'a> XmlReader<'a> {
         Ok(XmlEvent::ProcessingInstruction { target, data })
     }
 
-    fn parse_start_tag(&mut self) -> Result<XmlEvent<'a>, XmlError> {
+    /// A start tag after its `<`; its attributes go onto `attributes`.
+    fn parse_start_tag(
+        &mut self,
+        attributes: &mut Vec<AttributeRef<'a>>,
+    ) -> Result<XmlEvent<'a>, XmlError> {
         if self.seen_root && self.stack.is_empty() {
             return Err(self.scanner.error(XmlErrorKind::BadDocumentStructure(
                 "multiple root elements".into(),
             )));
         }
+        if self.stack.len() == MAX_DEPTH {
+            return Err(self.scanner.error(XmlErrorKind::TooDeep(MAX_DEPTH)));
+        }
         let name = self.parse_name()?;
-        let mut attributes: Vec<AttributeRef<'a>> = Vec::new();
+        let first = attributes.len();
         loop {
             self.scanner.skip_whitespace();
             if self.scanner.eat("/>") {
@@ -240,7 +284,7 @@ impl<'a> XmlReader<'a> {
                 }
                 return Ok(XmlEvent::StartElement {
                     name,
-                    attributes,
+                    attributes: Vec::new(),
                     self_closing: true,
                 });
             }
@@ -248,12 +292,12 @@ impl<'a> XmlReader<'a> {
                 self.stack.push(name);
                 return Ok(XmlEvent::StartElement {
                     name,
-                    attributes,
+                    attributes: Vec::new(),
                     self_closing: false,
                 });
             }
             let attr_name = self.parse_name()?;
-            if attributes.iter().any(|a| a.name == attr_name) {
+            if attributes[first..].iter().any(|a| a.name == attr_name) {
                 return Err(self
                     .scanner
                     .error(XmlErrorKind::DuplicateAttribute(attr_name.to_string())));

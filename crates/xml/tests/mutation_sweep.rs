@@ -2,10 +2,12 @@
 //! feed document must parse or fail cleanly. The scanner moves by byte
 //! offsets, so a slice that lands inside a multi-byte character would panic;
 //! this sweep puts a mutation at every character boundary of documents full
-//! of multi-byte names, text and references.
+//! of multi-byte names, text and references. Both trees the reader builds
+//! meet every mutant: the flat form holds what the owned tree holds, or
+//! both fail with the same error.
 
 use sc_datagen::{BikesGenerator, BikesSpec};
-use sc_xml::{Document, XmlError};
+use sc_xml::{Document, Element, FlatDocument, FlatElement, XmlError};
 
 /// Entities, decimal and hex character references, CDATA, a comment, a PI,
 /// a DOCTYPE with an internal subset, a BOM and multi-byte names and text.
@@ -53,10 +55,28 @@ fn check_error(input: &str, e: &XmlError) {
     assert!(e.line <= lines, "{e} past the last line of {input:?}");
 }
 
+/// Whether `flat` holds what `owned` holds, element for element: names,
+/// attributes, text and children.
+fn same(flat: FlatElement<'_, '_>, owned: &Element) -> bool {
+    let attributes = owned
+        .attributes
+        .iter()
+        .map(|a| (a.name.as_str(), a.value.as_str()));
+    flat.name() == owned.name
+        && flat.attributes().eq(attributes)
+        && flat.text() == owned.text()
+        && flat.child_elements().count() == owned.child_elements().count()
+        && (flat.child_elements().zip(owned.child_elements())).all(|(f, o)| same(f, o))
+}
+
 fn sweep(doc: &str) -> (usize, usize) {
     Document::parse(doc).expect("the unmutated document parses");
     let (mut parsed, mut rejected) = (0, 0);
     for mutant in mutants(doc) {
+        match (FlatDocument::parse(&mutant), Document::parse(&mutant)) {
+            (Ok(flat), Ok(owned)) => assert!(same(flat.root(), &owned.root), "{mutant:?}"),
+            (flat, owned) => assert_eq!(flat.err(), owned.err(), "{mutant:?}"),
+        }
         match Document::parse(&mutant) {
             Ok(parsed_doc) => {
                 let text = parsed_doc.to_xml();

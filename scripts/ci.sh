@@ -102,7 +102,7 @@ done
 cargo run --release -p sc-bench --bin repro -- query --scale 0.02 --explain >/dev/null
 
 echo "==> store-path gate (NoSQL-DWARF's node and cell rows never reach the commit log)"
-# They are ingested as sorted runs (Db::ingest_sorted): in every window,
+# They are ingested as sorted runs (Db::ingest_columns): in every window,
 # none of them is a memtable put or a commit-log byte.
 store_path="$(cargo run --release -p sc-bench --bin repro -- table5 --scale 0.01 --stats |
     sed -n '/^NoSQL-DWARF store path/,/^$/p')"

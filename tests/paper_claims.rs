@@ -136,10 +136,12 @@ fn node_construct_absence_shrinks_min_layouts() {
 fn dwarf_storage_stays_structure_bounded() {
     // §5.1's storage headline rests on the DWARF materializing all 2^8
     // group-bys while staying linear in the fact count. Absolute B/tuple
-    // differs from the paper (we deliberately do not model Cassandra's
-    // SSTable compression — DESIGN.md deviation #5), so the assertions pin
-    // the structural relationships instead: cells per tuple stay bounded
-    // by coalescing, and bytes per tuple stay within a small constant.
+    // differs from the paper (the SSTables' column encodings stand in for
+    // Cassandra's LZ4 — DESIGN.md deviation #5 — and store 102.3 B per
+    // tuple at full-scale Day against the paper's ≈162 B), so the
+    // assertions pin the structural relationships instead: cells per tuple
+    // stay bounded by coalescing, and bytes per tuple stay within a small
+    // constant.
     let spec = DatasetSpec::for_window(Window::Day).scaled_spec(0.5);
     let cube = Dwarf::build(
         BikesGenerator::cube_def().schema(),
