@@ -19,60 +19,11 @@
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 
-/// A packed little-endian bitmap over `len` positions.
+/// A packed little-endian bitmap over `len` positions, read in place.
 ///
 /// Bit `i` lives in byte `i / 8` at bit `i % 8`. The encoded form is the
 /// raw packed bytes; the caller supplies `len` on decode (it is implied by
 /// the surrounding run).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bitmap {
-    bits: Vec<u8>,
-    len: usize,
-}
-
-impl Bitmap {
-    /// An all-zero bitmap over `len` positions.
-    pub fn new(len: usize) -> Bitmap {
-        Bitmap {
-            bits: vec![0u8; len.div_ceil(8)],
-            len,
-        }
-    }
-
-    /// Number of positions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the bitmap covers zero positions.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets bit `i` (panics past the end — caller bug, not data).
-    pub fn set(&mut self, i: usize) {
-        assert!(i < self.len, "bitmap index {i} out of {}", self.len);
-        self.bits[i / 8] |= 1 << (i % 8);
-    }
-
-    /// Reads bit `i`.
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bitmap index {i} out of {}", self.len);
-        self.bits[i / 8] & (1 << (i % 8)) != 0
-    }
-
-    /// Count of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// Appends the packed bytes (no length prefix — `len` is contextual).
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_raw(&self.bits);
-    }
-}
-
-/// A packed bitmap read in place: the decode side of [`Bitmap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitmapRef<'a> {
     bits: &'a [u8],
@@ -271,25 +222,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bitmap_round_trip() {
-        let mut b = Bitmap::new(13);
-        for i in [0usize, 3, 8, 12] {
-            b.set(i);
-        }
-        assert_eq!(b.count_ones(), 4);
-        let mut enc = Encoder::new();
-        b.encode(&mut enc);
-        assert_eq!(enc.len(), 2, "13 bits pack into 2 bytes");
-        let mut dec = Decoder::new(enc.bytes());
-        let back = BitmapRef::decode(&mut dec, 13).unwrap();
-        assert!(dec.is_exhausted());
-        assert_eq!(back.count_ones(), 4);
-        assert!((0..13).all(|i| back.get(i) == b.get(i)));
-        assert!(back.get(12) && !back.get(11));
+    fn bitmap_reads_packed_bytes() {
+        // Bits 0, 3, 8 and 12 of 13: byte 0 = 0b0000_1001, byte 1 =
+        // 0b0001_0001.
+        let mut dec = Decoder::new(&[0x09, 0x11, 0xAA]);
+        let bits = BitmapRef::decode(&mut dec, 13).unwrap();
+        assert_eq!(dec.remaining(), 1, "13 bits take 2 bytes");
+        assert_eq!(bits.count_ones(), 4);
+        let set: Vec<usize> = (0..13).filter(|&i| bits.get(i)).collect();
+        assert_eq!(set, [0, 3, 8, 12]);
         // Rank counts the set bits strictly below the position.
         let ranks: Vec<usize> = [0, 1, 3, 4, 8, 9, 12, 13]
             .iter()
-            .map(|&i| back.rank(i))
+            .map(|&i| bits.rank(i))
             .collect();
         assert_eq!(ranks, [0, 1, 1, 2, 2, 3, 3, 4]);
     }

@@ -41,7 +41,7 @@ pub use bloom::Bloom;
 pub use bytesize::ByteSize;
 pub use checksum::Crc32;
 pub use codec::{DecodeError, Decoder, Encoder, FrameError, Frames};
-pub use columnar::{decode_dict, decode_i64_deltas, encode_i64_deltas, Bitmap, DictBuilder};
+pub use columnar::{decode_dict, decode_i64_deltas, encode_i64_deltas, DictBuilder};
 pub use hash::{fnv1a_64, FnvBuildHasher, FnvHashMap, FnvHashSet};
 pub use rng::Rng;
 

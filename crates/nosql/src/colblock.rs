@@ -1251,6 +1251,41 @@ mod tests {
             .collect()
     }
 
+    /// A text column is dictionary-coded while its distinct values number
+    /// at most half its cells, or 16 when that is more: both sides of the
+    /// cap, on both terms of its `max`.
+    #[test]
+    fn dictionary_cap_boundary() {
+        let text_tag = |cells: usize, distinct: usize| {
+            let entries: Vec<SstEntry> = (0..cells)
+                .map(|i| SstEntry {
+                    key: (i as u32).to_be_bytes().to_vec(),
+                    row: Some(Row::new(vec![CqlValue::Text(format!(
+                        "station-{}",
+                        i % distinct
+                    ))])),
+                    timestamp: 1 + i as u64,
+                })
+                .collect();
+            chunk_tags(&encode_block("t", &entries).unwrap())[0]
+        };
+        for (cells, distinct, tag) in [
+            (32, 16, ENC_TEXT_DICT),
+            (32, 17, ENC_RAW),
+            (40, 20, ENC_TEXT_DICT),
+            (40, 21, ENC_RAW),
+            // Under 32 cells the floor is the cap.
+            (20, 16, ENC_TEXT_DICT),
+            (20, 17, ENC_RAW),
+        ] {
+            assert_eq!(
+                text_tag(cells, distinct),
+                tag,
+                "{distinct} distinct texts among {cells} cells"
+            );
+        }
+    }
+
     /// The records of `keys` (ascending) that one key walk finds, in key
     /// order.
     fn find(bytes: &[u8], keys: &[&[u8]]) -> Result<Vec<SstEntry>> {

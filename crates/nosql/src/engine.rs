@@ -956,8 +956,8 @@ mod tests {
         }
         let state = db.core.read_state();
         let handle = state.get("ks", "cells").unwrap();
-        // `plan_select` is public: it plans for whatever definition it is
-        // handed, here one claiming an index the table does not have.
+        // The planner plans for whatever definition it is handed, here
+        // one claiming an index the table does not have.
         let mut def = handle.def.clone();
         def.indexed_columns.push("parent".into());
         let Statement::Select {
@@ -968,13 +968,7 @@ mod tests {
         else {
             panic!("a SELECT")
         };
-        let stats = plan::TableStats {
-            rows: 6,
-            sstables: 0,
-            cache_hit_rate: 0.0,
-        };
-        let plan =
-            plan::plan_select(&def, &columns, &where_clause, &[], None, None, &stats).unwrap();
+        let plan = plan::plan(&def, &columns, &where_clause, &[], None, None).unwrap();
         assert_eq!(plan.root.scan().kind.operator(), "IndexScan");
         let mut op = exec::build(plan.root, &handle.core, &handle.indexes, u64::MAX);
         let ids = exec::drain(op.as_mut()).unwrap();

@@ -459,11 +459,12 @@ impl DbCore {
 
     /// The SELECT statement entry point — `execute`, snapshots and
     /// `EXPLAIN` all come through here, and [`Db::get_rows`] hands the
-    /// same `plan_select` and `run` the clauses its keys make, so semantics
-    /// and plans can never diverge. Plans `stmt` against the table it
-    /// names, then runs the operator pipeline at MVCC bound `bound` (build,
+    /// same planner and `run` the clauses its keys make, so semantics and
+    /// plans can never diverge. Plans `stmt` against the table it names,
+    /// then runs the operator pipeline at MVCC bound `bound` (build,
     /// drain); with no bound it is `EXPLAIN`, and the plan tree comes back
-    /// as one `plan` text column, cost estimates included.
+    /// as one `plan` text column with cost estimates, from statistics
+    /// gathered for that statement alone.
     pub(super) fn select(
         &self,
         state: &EngineState,
@@ -485,17 +486,22 @@ impl DbCore {
             ));
         };
         let handle = state.table(table, session_keyspace)?;
-        let plan = plan::plan_select(
+        let plan = plan::plan(
             &handle.def,
             columns,
             where_clause,
             group_by,
             order_by.as_ref(),
             *limit,
-            &self.table_stats(handle),
         )?;
         let Some(bound) = bound else {
-            let lines = plan::explain::result_rows(&plan);
+            let cache = self.cache.stats();
+            let stats = plan::TableStats {
+                rows: handle.core.estimate_rows(),
+                sstables: handle.core.sstable_count(),
+                cache_hit_rate: cache.hits as f64 / (cache.hits + cache.misses).max(1) as f64,
+            };
+            let lines = plan::explain::result_rows(&plan, &stats);
             return Ok(QueryResult::new(vec!["plan".to_string()], lines));
         };
         run(handle, plan, bound)
@@ -519,22 +525,9 @@ impl DbCore {
             Err(keys) => WhereClause::any_of(pk, keys),
         };
         let columns = SelectColumns::named(columns.iter().map(AsRef::as_ref));
-        let stats = self.table_stats(handle);
         let pin = ReadPin::new(&self.registry, &self.tracker);
-        let plan = plan::plan_select(&handle.def, &columns, &[filter], &[], None, None, &stats)?;
+        let plan = plan::plan(&handle.def, &columns, &[filter], &[], None, None)?;
         run(handle, plan, pin.seq())
-    }
-
-    /// The cost model's statistics, from structures the engine already
-    /// maintains: no extra bookkeeping on any hot path.
-    fn table_stats(&self, handle: &TableHandle) -> plan::TableStats {
-        let cache = self.cache.stats();
-        let lookups = (cache.hits + cache.misses).max(1);
-        plan::TableStats {
-            rows: handle.core.estimate_rows(),
-            sstables: handle.core.sstable_count(),
-            cache_hit_rate: cache.hits as f64 / lookups as f64,
-        }
     }
 }
 

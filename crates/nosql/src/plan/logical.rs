@@ -3,17 +3,6 @@
 use crate::cql::ast::{AggFunc, CmpOp};
 use crate::types::{CqlValue, ValueRef};
 
-/// Cardinality and cost estimates attached to every plan node. `cost` is
-/// cumulative (the node plus everything below it), in the planner's
-/// abstract units (see [`crate::plan::planner`] for the constants).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Estimate {
-    /// Estimated rows the node emits.
-    pub rows: f64,
-    /// Estimated cumulative cost of producing them.
-    pub cost: f64,
-}
-
 /// A resolved single-column predicate test.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredTest {
@@ -124,8 +113,6 @@ pub struct ScanNode {
     /// Column pruning applied by the scan (full scans only). `None` means
     /// every column is materialized.
     pub projection: Option<ScanProjection>,
-    /// Estimates.
-    pub est: Estimate,
 }
 
 /// The columns a full scan materializes: the select list plus every
@@ -174,8 +161,6 @@ pub enum PlanNode {
         input: Box<PlanNode>,
         /// AND-joined predicates.
         predicates: Vec<Predicate>,
-        /// Estimates.
-        est: Estimate,
     },
     /// Narrows rows to the selected columns.
     Project {
@@ -185,8 +170,6 @@ pub enum PlanNode {
         indices: Vec<usize>,
         /// Output column names (for display).
         names: Vec<String>,
-        /// Estimates.
-        est: Estimate,
     },
     /// Total sort on one column ([`CqlValue::cmp_sort`] order; stable, so
     /// ties keep the input's key order).
@@ -199,8 +182,6 @@ pub enum PlanNode {
         column: String,
         /// `true` for `DESC`.
         desc: bool,
-        /// Estimates.
-        est: Estimate,
     },
     /// Caps the row count.
     Limit {
@@ -208,8 +189,6 @@ pub enum PlanNode {
         input: Box<PlanNode>,
         /// Maximum rows emitted.
         limit: usize,
-        /// Estimates.
-        est: Estimate,
     },
     /// Grouped (or global) aggregation. Output rows follow the group
     /// keys' [`CqlValue::cmp_sort`] order for determinism.
@@ -224,24 +203,10 @@ pub enum PlanNode {
         output: Vec<AggOutput>,
         /// Output column names, aligned with `output`.
         names: Vec<String>,
-        /// Estimates.
-        est: Estimate,
     },
 }
 
 impl PlanNode {
-    /// The node's estimates.
-    pub fn estimate(&self) -> Estimate {
-        match self {
-            PlanNode::Scan(s) => s.est,
-            PlanNode::Filter { est, .. }
-            | PlanNode::Project { est, .. }
-            | PlanNode::Sort { est, .. }
-            | PlanNode::Limit { est, .. }
-            | PlanNode::Aggregate { est, .. } => *est,
-        }
-    }
-
     /// The scan at the bottom of the tree.
     pub fn scan(&self) -> &ScanNode {
         match self {

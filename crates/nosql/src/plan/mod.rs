@@ -1,20 +1,23 @@
 //! Query planning: lowering parsed `SELECT`s into a logical plan tree,
-//! choosing an access path from collected statistics, and rendering
-//! `EXPLAIN` output (see DESIGN.md §5h).
+//! choosing an access path by a fixed ranking, and rendering `EXPLAIN`
+//! output with its cost estimates (see DESIGN.md §5h).
 //!
-//! [`plan_select`] does it in three steps:
+//! The planner (`plan`; [`plan_select`] outside the crate) does it in two
+//! steps, from the schema and the statement alone:
 //!
 //! 1. Resolve: every column reference and every literal is bound against
 //!    the [`crate::TableDef`] up front — the *only* place name resolution
 //!    and literal checking happen, so an unknown column or a mistyped
 //!    literal fails identically whether it appears in the projection,
 //!    `WHERE`, `GROUP BY`, or `ORDER BY`, and on every access path.
-//! 2. Choose the access path from table statistics: `=` or `IN` on the
-//!    primary key becomes bloom-checked key probes, on an indexed column a
-//!    posting scan, with the literals encoded to keys here; remaining
-//!    predicates and the `LIMIT` are pushed into full scans.
-//! 3. Annotate every node with row/cost estimates bottom-up; [`explain`]
-//!    renders the tree.
+//! 2. Choose the access path by rank, never by statistics: `=` or `IN` on
+//!    the primary key becomes bloom-checked key probes, on an indexed
+//!    column a posting scan, with the literals encoded to keys here;
+//!    remaining predicates and the `LIMIT` are pushed into full scans.
+//!
+//! [`explain`] renders the tree and owns the cost model: it estimates the
+//! finished tree bottom-up from [`TableStats`], which the engine gathers
+//! for an `EXPLAIN` only.
 //!
 //! Execution is elsewhere (`exec`): the plan is pure data and
 //! holds no table runtimes, so it can be built, costed, and printed
@@ -24,7 +27,9 @@ pub mod explain;
 pub mod logical;
 pub mod planner;
 
+pub use explain::TableStats;
 pub use logical::{
-    AggOutput, AggSpec, Estimate, PlanNode, PredTest, Predicate, ScanKind, ScanNode, SelectPlan,
+    AggOutput, AggSpec, PlanNode, PredTest, Predicate, ScanKind, ScanNode, SelectPlan,
 };
-pub use planner::{plan_select, TableStats};
+pub(crate) use planner::plan;
+pub use planner::plan_select;

@@ -1,91 +1,20 @@
 //! Lowering and planning: AST → validated logical plan → access path and
-//! pushdowns → cost annotations.
+//! pushdowns.
 //!
-//! # Cost model
-//!
-//! Costs are abstract units anchored to "stream one row out of a
-//! memtable/SSTable merge = 1". The inputs are the statistics the engine
-//! already collects: the table's estimated row count (memtable key count
-//! plus SSTable `entry_count` metadata), its SSTable count, and the shared
-//! block cache's hit rate. The constants are deliberately crude — they
-//! only need to rank point probes below posting scans below full scans,
-//! which they do by construction:
-//!
-//! * a **point probe** costs `PROBE` plus one data-block read weighted
-//!   by the cache miss rate (bloom filters keep a probe to at most one
-//!   block, so the SSTable count does not multiply it),
-//! * a **full scan** costs one `SEQ_ROW` per row plus the miss-weighted
-//!   block reads at an assumed `ROWS_PER_BLOCK` density,
-//! * an **index scan** pays a posting row plus a base-table probe per
-//!   estimated match,
-//! * selectivities are fixed guesses: `EQ_SELECTIVITY` per equality,
-//!   `CMP_SELECTIVITY` per range test, `k × eq` for an `IN` of `k`
-//!   values,
-//! * grouped aggregation estimates `√n` output groups.
+//! The planner reads the schema and the statement, never statistics: the
+//! access path is ranked by construction (`access_score`), so a table's
+//! size or cache state could not change the choice. The cost model that
+//! `EXPLAIN` prints lives in [`super::explain`].
 
+use super::explain::TableStats;
 use super::logical::{
-    AggOutput, AggSpec, Estimate, PlanNode, PredTest, Predicate, ScanKind, ScanNode,
-    ScanProjection, SelectPlan,
+    AggOutput, AggSpec, PlanNode, PredTest, Predicate, ScanKind, ScanNode, ScanProjection,
+    SelectPlan,
 };
 use crate::cql::ast::{AggFunc, OrderBy, SelectColumns, SelectItem, WhereClause};
 use crate::error::{NosqlError, Result};
 use crate::schema::TableDef;
 use crate::types::CqlType;
-
-/// Streaming one row out of the memtable/SSTable merge: the unit cost.
-const SEQ_ROW: f64 = 1.0;
-/// Fixed cost of one key probe (memtable lookup + bloom/fence checks).
-const PROBE: f64 = 2.0;
-/// One block-cache miss: a VFS read plus block decode.
-const BLOCK_READ: f64 = 8.0;
-/// Assumed rows per data block when costing scan misses.
-const ROWS_PER_BLOCK: f64 = 64.0;
-/// Per-row cost of evaluating a predicate conjunction.
-const FILTER_ROW: f64 = 0.1;
-/// Per-row-per-`log₂(n)` cost of sorting.
-const SORT_ROW: f64 = 0.2;
-/// Per-row cost of aggregate accumulation.
-const AGG_ROW: f64 = 0.2;
-/// Per-row cost of projection.
-const PROJECT_ROW: f64 = 0.05;
-/// Assumed fraction of rows matching an equality on a non-key column.
-const EQ_SELECTIVITY: f64 = 0.1;
-/// Assumed fraction of rows matching a range comparison.
-const CMP_SELECTIVITY: f64 = 1.0 / 3.0;
-
-/// Statistics the planner consumes, gathered by the engine from the
-/// structures it already maintains.
-#[derive(Debug, Clone, Copy)]
-pub struct TableStats {
-    /// Estimated live rows (memtable keys + SSTable metas; overcounts
-    /// overwritten keys, which is fine for ranking).
-    pub rows: u64,
-    /// Live SSTables backing the table.
-    pub sstables: usize,
-    /// Shared block cache hit rate in `[0, 1]`; `0` (cold) when the
-    /// cache has served nothing yet.
-    pub cache_hit_rate: f64,
-}
-
-impl TableStats {
-    fn miss_rate(&self) -> f64 {
-        (1.0 - self.cache_hit_rate).clamp(0.0, 1.0)
-    }
-
-    /// Cost of one point probe.
-    fn probe_cost(&self) -> f64 {
-        if self.sstables == 0 {
-            PROBE
-        } else {
-            PROBE + self.miss_rate() * BLOCK_READ
-        }
-    }
-
-    /// Cost of streaming `n` rows off a full scan.
-    fn scan_cost(&self, n: f64) -> f64 {
-        n * SEQ_ROW + (n / ROWS_PER_BLOCK) * self.miss_rate() * BLOCK_READ
-    }
-}
 
 /// Phase 1 of lowering: resolve the `WHERE` conjunction's columns and
 /// check every literal against its column's declared type.
@@ -119,18 +48,6 @@ fn resolve_predicates(def: &TableDef, where_clause: &[WhereClause]) -> Result<Ve
     Ok(preds)
 }
 
-fn selectivity(pred: &Predicate) -> f64 {
-    match &pred.test {
-        PredTest::Eq(_) => EQ_SELECTIVITY,
-        PredTest::In(values) => (values.len() as f64 * EQ_SELECTIVITY).min(1.0),
-        PredTest::Cmp(..) => CMP_SELECTIVITY,
-    }
-}
-
-fn combined_selectivity(preds: &[Predicate]) -> f64 {
-    preds.iter().map(selectivity).product()
-}
-
 /// How attractive a predicate is as the access path. Primary-key probes
 /// beat posting scans beat nothing; equality beats `IN` (fewer probes).
 fn access_score(def: &TableDef, pred: &Predicate) -> u8 {
@@ -145,21 +62,16 @@ fn access_score(def: &TableDef, pred: &Predicate) -> u8 {
 }
 
 /// Phase 2: pick the access path and push what the scan can absorb.
-/// Returns the scan node (costed) and the predicates that must be
-/// filtered above it.
-fn choose_access(
-    def: &TableDef,
-    mut preds: Vec<Predicate>,
-    stats: &TableStats,
-) -> Result<(ScanNode, Vec<Predicate>)> {
-    let scan = |kind, keys, residual, est| ScanNode {
+/// Returns the scan node and the predicates that must be filtered above
+/// it.
+fn choose_access(def: &TableDef, mut preds: Vec<Predicate>) -> Result<(ScanNode, Vec<Predicate>)> {
+    let scan = |kind, keys, residual| ScanNode {
         table: def.qualified_name().to_string(),
         kind,
         keys,
         residual,
         pushed_limit: None,
         projection: None,
-        est,
     };
     let best = preds
         .iter()
@@ -170,19 +82,7 @@ fn choose_access(
     let Some(best) = best else {
         // Full scan: every predicate is evaluated inside the scan, which
         // lets a pushed LIMIT stop the stream early.
-        let n = stats.rows as f64;
-        let filtered = n * combined_selectivity(&preds);
-        let cost = stats.scan_cost(n)
-            + if preds.is_empty() {
-                0.0
-            } else {
-                n * FILTER_ROW
-            };
-        let est = Estimate {
-            rows: filtered,
-            cost,
-        };
-        return Ok((scan(ScanKind::Full, Vec::new(), preds, est), Vec::new()));
+        return Ok((scan(ScanKind::Full, Vec::new(), preds), Vec::new()));
     };
     // Only `=` and `IN` score as access paths; a point is a one-value `IN`.
     let chosen = preds.remove(best);
@@ -190,22 +90,12 @@ fn choose_access(
     for value in chosen.values() {
         keys.extend(def.encode_key(chosen.index, value)?);
     }
-    let k = chosen.values().len() as f64;
-    let (kind, est) = if chosen.index == def.primary_key {
-        let est = Estimate {
-            rows: k,
-            cost: k * stats.probe_cost(),
-        };
-        (ScanKind::Key(chosen), est)
+    let kind = if chosen.index == def.primary_key {
+        ScanKind::Key(chosen)
     } else {
-        let matches = (stats.rows as f64 * EQ_SELECTIVITY).max(1.0) * k;
-        let est = Estimate {
-            rows: matches,
-            cost: matches * (SEQ_ROW + stats.probe_cost()),
-        };
-        (ScanKind::Index(chosen), est)
+        ScanKind::Index(chosen)
     };
-    Ok((scan(kind, keys, Vec::new(), est), preds))
+    Ok((scan(kind, keys, Vec::new()), preds))
 }
 
 /// Columns a full scan must materialize for this query: the select list
@@ -379,30 +269,18 @@ fn resolve_projection(
 }
 
 fn sort_node(input: PlanNode, key: usize, column: String, desc: bool) -> PlanNode {
-    let Estimate { rows, cost } = input.estimate();
-    let est = Estimate {
-        rows,
-        cost: cost + rows * rows.max(2.0).log2() * SORT_ROW,
-    };
     PlanNode::Sort {
         input: Box::new(input),
         key,
         column,
         desc,
-        est,
     }
 }
 
 fn limit_node(input: PlanNode, limit: usize) -> PlanNode {
-    let Estimate { rows, cost } = input.estimate();
-    let est = Estimate {
-        rows: rows.min(limit as f64),
-        cost,
-    };
     PlanNode::Limit {
         input: Box::new(input),
         limit,
-        est,
     }
 }
 
@@ -415,16 +293,18 @@ fn apply_limit(node: PlanNode, limit: Option<usize>) -> PlanNode {
         // filtering); probe-based scans keep an explicit Limit above.
         PlanNode::Scan(mut scan) if scan.kind == ScanKind::Full => {
             scan.pushed_limit = Some(limit);
-            scan.est.rows = scan.est.rows.min(limit as f64);
             PlanNode::Scan(scan)
         }
         other => limit_node(other, limit),
     }
 }
 
-/// Plans one `SELECT`: validation, access-path choice, pushdowns, and
-/// cost annotation in one call. Pure — consults only the schema and
-/// `stats`, never storage.
+/// Plans one `SELECT` for callers outside the crate: the tree the
+/// engine's planner (`plan`) builds. `stats` is not read — the access path
+/// is ranked, not costed, and `EXPLAIN` costs the finished tree itself
+/// ([`super::explain::result_rows`]). The argument stays because callers
+/// outside this workspace (the benchmark package's planner probe) pass
+/// it.
 pub fn plan_select(
     def: &TableDef,
     columns: &SelectColumns,
@@ -432,25 +312,33 @@ pub fn plan_select(
     group_by: &[String],
     order_by: Option<&OrderBy>,
     limit: Option<usize>,
-    stats: &TableStats,
+    _stats: &TableStats,
+) -> Result<SelectPlan> {
+    plan(def, columns, where_clause, group_by, order_by, limit)
+}
+
+/// Plans one `SELECT`: validation, access-path choice and pushdowns in
+/// one call. Pure — consults only the schema, never storage or
+/// statistics.
+pub(crate) fn plan(
+    def: &TableDef,
+    columns: &SelectColumns,
+    where_clause: &[WhereClause],
+    group_by: &[String],
+    order_by: Option<&OrderBy>,
+    limit: Option<usize>,
 ) -> Result<SelectPlan> {
     let preds = resolve_predicates(def, where_clause)?;
     let projection = resolve_projection(def, columns, group_by)?;
-    let (mut scan, remaining) = choose_access(def, preds, stats)?;
+    let (mut scan, remaining) = choose_access(def, preds)?;
     if scan.kind == ScanKind::Full {
         scan.projection = scan_projection(def, &projection, &scan.residual, &remaining, order_by)?;
     }
     let mut node = PlanNode::Scan(scan);
     if !remaining.is_empty() {
-        let Estimate { rows, cost } = node.estimate();
-        let est = Estimate {
-            rows: rows * combined_selectivity(&remaining),
-            cost: cost + rows * FILTER_ROW,
-        };
         node = PlanNode::Filter {
             input: Box::new(node),
             predicates: remaining,
-            est,
         };
     }
     match projection {
@@ -473,16 +361,10 @@ pub fn plan_select(
                 node = sort_node(node, key, o.column.clone(), o.desc);
             }
             node = apply_limit(node, limit);
-            let Estimate { rows, cost } = node.estimate();
-            let est = Estimate {
-                rows,
-                cost: cost + rows * PROJECT_ROW,
-            };
             node = PlanNode::Project {
                 input: Box::new(node),
                 indices,
                 names: names.clone(),
-                est,
             };
             Ok(SelectPlan {
                 root: node,
@@ -502,23 +384,12 @@ pub fn plan_select(
                 // counts at most 3), so it sits below the Aggregate.
                 node = apply_limit(node, limit);
             }
-            let Estimate { rows, cost } = node.estimate();
-            let groups = if grouped {
-                rows.sqrt().max(1.0).min(rows.max(1.0))
-            } else {
-                1.0
-            };
-            let est = Estimate {
-                rows: groups,
-                cost: cost + rows * AGG_ROW,
-            };
             node = PlanNode::Aggregate {
                 input: Box::new(node),
                 group_by: group_idx,
                 aggs,
                 output,
                 names: names.clone(),
-                est,
             };
             if let Some(o) = order_by {
                 // ORDER BY resolves against the aggregate's output names

@@ -25,7 +25,8 @@
 //! An ingest is a flush without the memtable: once the engine has checked
 //! that the table holds none of their keys, its sorted column batch takes
 //! one block of sequences and goes through the same `publish` (write,
-//! manifest, attach) as one new SSTable.
+//! open, manifest, attach) as one new SSTable. A merge publishes through
+//! it too, its output in place of the run it replaces.
 
 use crate::cache::BlockCache;
 use crate::colblock::{ColumnBatch, KeyRef, ScanBlock};
@@ -674,7 +675,7 @@ impl TableCore {
         // Until the drain below, every peeked version is still in the
         // memtable: a failure on the way returns with nothing to restore.
         let write = |vfs: &Vfs, file: &str| write_sstable(vfs, file, &entries);
-        span.add_bytes(self.publish(maint, write)?);
+        span.add_bytes(self.publish(maint, self.sstable_count(), &[], write)?);
         if sc_obs::enabled() {
             self.writes.flushes.fetch_add(1, Ordering::Relaxed);
         }
@@ -693,15 +694,22 @@ impl TableCore {
         Ok(())
     }
 
-    /// Has `write` write this table's next SSTable, names it in the
-    /// manifest and attaches it as the newest, returning its size: the
-    /// one way a flush or an ingest adds a file. Data first, manifest
-    /// second: a crash in between leaves an orphan file that recovery
-    /// deletes, never a published name without its bytes. The caller
-    /// holds the maintenance lock.
+    /// Has `write` write this table's next SSTable and publishes it in
+    /// place of `run`, the age-contiguous SSTables at `at..at + run.len()`,
+    /// returning its size: the one way a flush, an ingest or a merge adds
+    /// a file. A flush or an ingest replaces the empty run after the
+    /// newest SSTable. One order for every file: write, open, manifest,
+    /// attach. The manifest edit names the new file and retires the run's
+    /// in one append, and the attach splices it where the run sat in age
+    /// order. A crash before the commit leaves an orphan file that
+    /// recovery deletes, never a published name without readable bytes;
+    /// a failed open or commit deletes the file that was never published.
+    /// The caller holds the maintenance lock.
     fn publish(
         &self,
         _maint: &std::sync::MutexGuard<'_, ()>,
+        at: usize,
+        run: &[Arc<SsTable>],
         write: impl FnOnce(&Vfs, &str) -> Result<()>,
     ) -> Result<u64> {
         let file = format!(
@@ -710,39 +718,45 @@ impl TableCore {
             self.next_sst_id.fetch_add(1, Ordering::Relaxed)
         );
         write(&self.vfs, &file)?;
-        if let Err(e) = self
-            .manifest
-            .commit(&ManifestEdit::add(&self.qualified, &file))
-        {
-            let _ = self.vfs.delete(&file);
-            return Err(e);
-        }
-        // Published but unreadable surfaces as the error; recovery would
-        // face the same file.
-        let sst = Arc::new(SsTable::open_with_cache(
-            self.vfs.clone(),
-            &file,
-            self.cache.clone(),
-        )?);
+        let published = SsTable::open_with_cache(self.vfs.clone(), &file, self.cache.clone())
+            .and_then(|sst| {
+                let removes = run
+                    .iter()
+                    .map(|old| (self.qualified.clone(), old.file().to_string()))
+                    .collect();
+                self.manifest.commit(&ManifestEdit {
+                    removes,
+                    ..ManifestEdit::add(&self.qualified, &file)
+                })?;
+                Ok(sst)
+            });
+        let sst = match published {
+            Ok(sst) => Arc::new(sst),
+            Err(e) => {
+                let _ = self.vfs.delete(&file);
+                return Err(e);
+            }
+        };
         let size = sst.size();
         self.ssts
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .push(sst);
+            .splice(at..at + run.len(), std::iter::once(sst));
         Ok(size)
     }
 
     /// Publishes `batch` — live rows, key-sorted, no key the table holds
     /// ([`TableCore::first_held`]) — as one SSTable, under the maintenance
     /// lock: one block of sequences from `tracker`, then a flush's order,
-    /// data, manifest, attach. No row passes through the commit log or the
+    /// write, open, manifest, attach. No row passes through the commit log or the
     /// memtable. The block completes only once the SSTable is attached, so
     /// a read pinned earlier sees none of the rows.
     pub fn ingest(&self, batch: &mut ColumnBatch<'_>, tracker: &SeqTracker) -> Result<()> {
         let maint = self.maint.lock().unwrap_or_else(|e| e.into_inner());
         let seqs = SeqGuard::new(tracker, batch.keys.len());
         batch.seqs = seqs.seqs().collect();
-        self.publish(&maint, |vfs, file| write_columns(vfs, file, batch))
+        let write = |vfs: &Vfs, file: &str| write_columns(vfs, file, batch);
+        self.publish(&maint, self.sstable_count(), &[], write)
             .map(drop)
     }
 
@@ -816,11 +830,11 @@ impl TableCore {
     /// pool's entry point, also used inline when the pool is disabled. A
     /// no-op on a retired table.
     pub fn compact_tiered(&self, registry: &SnapshotRegistry) -> Result<()> {
-        let _maint = self.maint.lock().unwrap_or_else(|e| e.into_inner());
+        let maint = self.maint.lock().unwrap_or_else(|e| e.into_inner());
         if self.retired.load(Ordering::Acquire) {
             return Ok(());
         }
-        self.compact_tiered_locked(registry)
+        self.compact_tiered_locked(&maint, registry)
     }
 
     /// Marks the table dead (TRUNCATE, close) and waits out any in-flight
@@ -835,7 +849,11 @@ impl TableCore {
     /// age-contiguous run of at least `compaction_threshold` SSTables whose
     /// sizes are within 4x of each other. Bounds write amplification to
     /// O(log n) rewrites per byte. Caller holds the maintenance lock.
-    fn compact_tiered_locked(&self, registry: &SnapshotRegistry) -> Result<()> {
+    fn compact_tiered_locked(
+        &self,
+        maint: &std::sync::MutexGuard<'_, ()>,
+        registry: &SnapshotRegistry,
+    ) -> Result<()> {
         loop {
             let pick = {
                 let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
@@ -863,7 +881,7 @@ impl TableCore {
             let Some((start, end)) = pick else {
                 return Ok(());
             };
-            if !self.merge_run(start, end, registry)? {
+            if !self.merge_run(maint, start, end, registry)? {
                 // Deferred for a pinned snapshot; retry on a later flush.
                 return Ok(());
             }
@@ -877,7 +895,13 @@ impl TableCore {
     /// key, which would destroy the older versions that snapshot needs.
     /// Pins taken *after* this check are safe — a new pin's bound is the
     /// current visible watermark, which no flushed sequence exceeds.
-    fn merge_run(&self, start: usize, end: usize, registry: &SnapshotRegistry) -> Result<bool> {
+    fn merge_run(
+        &self,
+        maint: &std::sync::MutexGuard<'_, ()>,
+        start: usize,
+        end: usize,
+        registry: &SnapshotRegistry,
+    ) -> Result<bool> {
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
         let run: Vec<Arc<SsTable>> = ssts[start..=end].iter().map(Arc::clone).collect();
         drop(ssts);
@@ -922,36 +946,15 @@ impl TableCore {
             // visible watermark covers every flushed sequence.
             self.mem.gc(max_ts);
         }
-        let file = format!(
-            "{}{:06}",
-            self.sst_prefix.clone(),
-            self.next_sst_id.fetch_add(1, Ordering::Relaxed)
-        );
-        write_sstable(&self.vfs, &file, &entries)?;
-        let new = Arc::new(SsTable::open_with_cache(
-            self.vfs.clone(),
-            &file,
-            self.cache.clone(),
-        )?);
-        span.add_bytes(new.size());
+        // One manifest append swaps the whole run atomically; only after
+        // it is durable may the old files go — a crash in between leaves
+        // them as orphans for recovery to sweep.
+        let write = |vfs: &Vfs, file: &str| write_sstable(vfs, file, &entries);
+        let size = self.publish(maint, start, &run, write)?;
+        span.add_bytes(size);
         if sc_obs::enabled() {
-            crate::obs::nosql().compaction_bytes_out.add(new.size());
+            crate::obs::nosql().compaction_bytes_out.add(size);
         }
-        // One append swaps the whole run atomically; the edit's splice
-        // position records where the merged table sits in age order. Only
-        // after the swap is durable may the old files go — a crash in
-        // between leaves them as orphans for recovery to sweep.
-        self.manifest.commit(&ManifestEdit {
-            adds: vec![(self.qualified.clone(), file.clone())],
-            removes: run
-                .iter()
-                .map(|sst| (self.qualified.clone(), sst.file().to_string()))
-                .collect(),
-        })?;
-        self.ssts
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .splice(start..=end, std::iter::once(new));
         // A cursor opened before the swap may still be reading these: each
         // file goes when its last handle drops — here, in run order, unless
         // such a cursor outlives this call.
@@ -964,15 +967,12 @@ impl TableCore {
     /// Full compaction: merge every SSTable into one, newest version wins,
     /// tombstones dropped (full compaction may do so safely).
     pub fn compact(&self, registry: &SnapshotRegistry) -> Result<()> {
-        let _maint = self.maint.lock().unwrap_or_else(|e| e.into_inner());
-        let n = {
-            let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
-            ssts.len()
-        };
+        let maint = self.maint.lock().unwrap_or_else(|e| e.into_inner());
+        let n = self.sstable_count();
         if n <= 1 {
             return Ok(());
         }
-        self.merge_run(0, n - 1, registry)?;
+        self.merge_run(&maint, 0, n - 1, registry)?;
         Ok(())
     }
 
@@ -1045,8 +1045,8 @@ impl TableCore {
 
     /// Estimated live row count: buffered memtable keys plus every
     /// SSTable's stored entry count. Overwrites and tombstones are counted
-    /// once per layer they appear in, so this is an upper bound — exactly
-    /// what the query planner wants for costing scans.
+    /// once per layer they appear in, so this is an upper bound — enough
+    /// for `EXPLAIN`'s cost estimates, the one reader.
     pub fn estimate_rows(&self) -> u64 {
         let buffered = self.mem.key_count() as u64;
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
@@ -1841,10 +1841,12 @@ mod tests {
             }
 
             let start = rng.gen_range(ssts.len() as u64) as usize;
+            let maint = h.table.maint.lock().unwrap();
             assert!(h
                 .table
-                .merge_run(start, ssts.len() - 1, &h.registry)
+                .merge_run(&maint, start, ssts.len() - 1, &h.registry)
                 .unwrap());
+            drop(maint);
             let merged = Arc::clone(&h.table.ssts.read().unwrap()[start]);
             assert_eq!(h.table.sstable_count(), start + 1);
             assert_eq!(

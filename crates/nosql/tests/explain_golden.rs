@@ -67,8 +67,8 @@ fn explain(db: &Db, statement: &str) -> Vec<String> {
         .collect()
 }
 
-/// Each statement's `EXPLAIN` lines, captured before the cost model moved
-/// out of the planner: one block per statement, blank-line separated.
+/// Each statement's `EXPLAIN` lines, cost suffix included: one block per
+/// statement, blank-line separated.
 const GOLDEN: &str = "\
 EXPLAIN SELECT * FROM ks.obs WHERE id = 17
 PointScan ks.obs key=17 (bloom+fence checked)  (cost: rows≈1, total≈5.1)
