@@ -1174,6 +1174,26 @@ mod tests {
         }
     }
 
+    /// A new SSTable is opened before the manifest names it: one that does
+    /// not open is never published, and its file is deleted.
+    #[test]
+    fn an_unreadable_sstable_is_never_published() {
+        let vfs = Vfs::memory();
+        let h = Harness::new(vfs.clone(), small_options());
+        let (key, r) = row(1, "a");
+        h.put(key, Some(r));
+        h.flush();
+        let files = h.table.sstable_files();
+        let maint = h.table.maint.lock().unwrap();
+        let junk = |vfs: &Vfs, file: &str| Ok(vfs.append(file, b"not an sstable").map(drop)?);
+        assert!(h.table.publish(&maint, 1, &[], junk).is_err());
+        drop(maint);
+        assert_eq!(h.table.sstable_files(), files);
+        let catalog = Manifest::open(vfs.clone()).repair().unwrap();
+        assert_eq!(catalog.tables["ks.t"], files);
+        assert_eq!(vfs.list(&h.table.sst_prefix).unwrap(), files);
+    }
+
     #[test]
     fn put_get_across_flushes() {
         let h = Harness::new(Vfs::memory(), small_options());
