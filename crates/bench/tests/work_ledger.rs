@@ -1,6 +1,7 @@
-//! The work ledger: exact allocation counts of the paper's write path,
-//! pinned against a committed golden (`tests/ledger.txt`), so that a change
-//! in the work an operation does shows as a diff however noisy the host.
+//! The work ledger: exact allocation counts of the paper's write path and
+//! of its store-backed reads, pinned against a committed golden
+//! (`tests/ledger.txt`), so that a change in the work an operation does
+//! shows as a diff however noisy the host.
 //!
 //! Each line is one operation: its name, the heap allocations it made (a
 //! `realloc` counts as one), the bytes those asked for, and the rows it
@@ -12,9 +13,10 @@
 //! `WORK_LEDGER_UPDATE=1 cargo test -p sc-bench --test work_ledger`
 //! rewrites the golden; quote its diff with the change that moved it.
 
-use sc_core::{MappedDwarf, NosqlDwarfModel, SchemaModel};
+use sc_core::{MappedDwarf, NosqlDwarfModel, SchemaModel, StoreBackedCube};
 use sc_datagen::{BikesGenerator, DatasetSpec};
-use sc_dwarf::{Dwarf, TupleSet};
+use sc_dwarf::{Dwarf, Selection, TupleSet};
+use sc_encoding::Rng;
 use sc_ingest::extract::ParsedDoc;
 use sc_ingest::{extract_into, MissingPolicy, Window};
 use sc_nosql::row::Row;
@@ -128,6 +130,69 @@ fn the_write_path_does_the_work_the_ledger_says() {
     let (allocations, bytes, _) =
         counted(|| write_sstable(&Vfs::memory(), "ledger/sst", &entries).expect("writes"));
     line("write_sstable.rows", (allocations, bytes), entries.len());
+
+    // The read side: the cube's store read back, as `cube_window` reads it
+    // (a 1 MiB block cache, a 64-node cache, 600 seeded point selections
+    // over real facts with about one dimension in three aggregated out).
+    let mut model =
+        NosqlDwarfModel::with_db(Db::open(options().block_cache_bytes(1 << 20)).expect("opens"));
+    model.create_schema().expect("schema");
+    let schema_id = model.store(&mapped, &cube, true).expect("stores").schema_id;
+    let mut rng = Rng::new(1);
+    let facts = cube.extract_tuples();
+    let selections: Vec<Vec<Selection>> = (0..600)
+        .map(|_| {
+            let (path, _) = &facts[rng.gen_range(facts.len() as u64) as usize];
+            let pick = |v: &String| match rng.gen_range(3) {
+                0 => Selection::All,
+                _ => Selection::value(v.as_str()),
+            };
+            path.iter().map(pick).collect()
+        })
+        .collect();
+    let mut stored = StoreBackedCube::open_with_cache(&mut model, schema_id, 64).expect("opens");
+    let (allocations, bytes, _) = counted(|| {
+        (selections.iter())
+            .map(|sel| stored.point(sel).expect("point").unwrap_or(0))
+            .sum::<i64>()
+    });
+    line(
+        "store_backed.point.day",
+        (allocations, bytes),
+        selections.len(),
+    );
+    // `Db::get_rows` alone, as a node fetch asks: the node row's cell ids
+    // by one key, present and absent, then the cells of the node with the
+    // most of them in one batch.
+    let db = model.db_mut();
+    let nodes = db
+        .execute_cql("SELECT id, childrenIds FROM smartcity.dwarf_node")
+        .expect("nodes");
+    let node = (nodes.iter())
+        .max_by_key(|row| row.get_int_set("childrenIds").expect("cell ids").len())
+        .expect("nodes stored");
+    let id = node.get_int("id").expect("node id");
+    let cells = node.get_int_set("childrenIds").expect("cell ids").to_vec();
+    let node_row = |id: i64| {
+        db.get_rows(
+            "smartcity",
+            "dwarf_node",
+            &["childrenIds"],
+            [CqlValue::Int(id)],
+        )
+        .expect("reads")
+    };
+    let (allocations, bytes, _) = counted(|| node_row(id));
+    line("get_rows.present.1key", (allocations, bytes), 1);
+    let (allocations, bytes, _) = counted(|| node_row(-1));
+    line("get_rows.absent.1key", (allocations, bytes), 1);
+    let columns = ["key", "measure", "pointerNode"];
+    let (allocations, bytes, _) = counted(|| {
+        let keys = cells.iter().map(|&id| CqlValue::Int(id));
+        db.get_rows("smartcity", "dwarf_cell", &columns, keys)
+            .expect("reads")
+    });
+    line("get_rows.cells.in", (allocations, bytes), cells.len());
 
     if std::env::var_os("WORK_LEDGER_UPDATE").is_some() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/ledger.txt");
