@@ -195,9 +195,9 @@ impl NodeRows for NosqlDwarfModel {
         }
         stats.rows_fetched += r.len() as u64;
         crate::obs::store_query().batch_size.record(r.len() as u64);
-        let cells = r.rows().iter().map(|row| {
+        let cells = r.into_iter().map(|mut row| {
             Ok(OwnedCell {
-                key: row.get_text("key")?.to_string(),
+                key: row.take_text("key")?,
                 measure: row.get_int("measure")?,
                 child: row.get_opt_int("pointerNode")?,
             })

@@ -43,6 +43,7 @@ use sc_encoding::columnar::{
 };
 use sc_encoding::{varint, Decoder, Encoder};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, LazyLock};
 
@@ -109,9 +110,10 @@ pub(crate) struct BlockWriter<'a> {
     present: Vec<ValueRef<'a>>,
     /// A run of integers to delta-code: sequences, or an int column's cells.
     ints: Vec<i64>,
-    /// A text run's dictionary: the values in first-seen order, and a
-    /// code per cell.
+    /// A text run's dictionary: the values in first-seen order, each
+    /// value's code, and a code per cell.
     dict: Vec<&'a str>,
+    seen: HashMap<&'a str, usize>,
     codes: Vec<u64>,
 }
 
@@ -184,9 +186,9 @@ impl<'a> BlockWriter<'a> {
     }
 
     /// Picks the run encoding of `present`: delta varints for all-integer
-    /// runs, a dictionary (built here, once) for low-cardinality text, a
+    /// runs, a dictionary (built here, once) for text it makes smaller, a
     /// bitmap for booleans, raw tagged cells otherwise (mixed runs, sets,
-    /// high-cardinality text).
+    /// text whose values barely repeat).
     fn choose(&mut self) -> u8 {
         let all = |ty: CqlType| self.present.iter().all(|v| v.ty() == Some(ty));
         if self.present.is_empty() {
@@ -203,30 +205,29 @@ impl<'a> BlockWriter<'a> {
     }
 
     /// Dictionary-codes the all-text `present`, and says whether that pays
-    /// off: once values repeat, with the distinct count capped so a
-    /// unique-text column does not build a dictionary the size of the raw
-    /// run plus codes. Stops as soon as the cap is passed, so a block's
-    /// few hundred cells at most are each looked up among at most as many
-    /// values.
+    /// off: whether the run's dictionary and codes take fewer bytes than
+    /// its raw cells. Each cell is one hash lookup, so a run of unique
+    /// text costs linear time too.
     fn build_dict(&mut self) -> bool {
-        let cap = (self.present.len() / 2).max(16);
         self.dict.clear();
+        self.seen.clear();
         self.codes.clear();
+        let (mut raw, mut coded) = (0, 0);
         for v in &self.present {
             let ValueRef::Text(text) = *v else {
                 unreachable!("called only for all-text runs")
             };
-            let code = match self.dict.iter().position(|known| *known == text) {
-                Some(code) => code,
-                None if self.dict.len() == cap => return false,
-                None => {
-                    self.dict.push(text);
-                    self.dict.len() - 1
-                }
-            };
+            raw += v.encoded_len();
+            let code = *self.seen.entry(text).or_insert_with(|| {
+                self.dict.push(text);
+                coded += varint::len_u64(text.len() as u64) + text.len();
+                self.dict.len() - 1
+            });
+            coded += varint::len_u64(code as u64);
             self.codes.push(code as u64);
         }
-        true
+        coded += varint::len_u64(self.dict.len() as u64);
+        coded < raw
     }
 }
 
@@ -398,18 +399,23 @@ fn walk_run<'a>(file: &str, chunk: Chunk<'a>, cells: &mut impl RunCells<'a>) -> 
 
 /// Finds the records of `keys` — `(caller's index, key)` pairs in strictly
 /// ascending key order — in one walk of a block, and hands `found` each
-/// one present, tombstones included, in key order. No other record is
-/// built: the key run is merged with `keys` in place and each column run
-/// yields only the hits' cells, while every run is still checked as
-/// [`ScanBlock::decode`] checks it. The merge takes the key run to ascend,
-/// and checks it does from the first key it finds absent: a run out of
-/// order there is [`NosqlError::Corrupt`], never a missed key. Once the key
-/// run shows every key absent, the walk stops there.
+/// one present, tombstones included, in key order: the caller's index,
+/// the record's sequence and its row (`None` for a tombstone). No other
+/// record is built: the key run is merged with `keys` in place and each
+/// column run yields only the hits' cells, while every run is still
+/// checked as [`ScanBlock::decode`] checks it. Only the column chunks
+/// `proj` asks for (`None` = all) are walked; the rest are stepped over by
+/// their length prefix, as the scan decode steps over them, and read as
+/// null. The merge takes the key run to ascend, and checks it does from
+/// the first key it finds absent: a run out of order there is
+/// [`NosqlError::Corrupt`], never a missed key. Once the key run shows
+/// every key absent, the walk stops there.
 pub(crate) fn find_rows(
     file: &str,
     bytes: &[u8],
     keys: &mut dyn Iterator<Item = (usize, &[u8])>,
-    found: &mut dyn FnMut(usize, SstEntry),
+    proj: Option<&[usize]>,
+    found: &mut dyn FnMut(usize, u64, Option<Row>),
 ) -> Result<()> {
     let (mut d, count) = open_block(file, bytes)?;
     let mut keys = keys.map(|(at, key)| (at, KeyRef::new(key)));
@@ -433,12 +439,15 @@ pub(crate) fn find_rows(
                     next = keys.next();
                 }
                 Ordering::Equal => {
-                    hits.push(Hit {
-                        at,
-                        row,
-                        key: k.key,
-                        ..Hit::default()
-                    });
+                    let more = keys.size_hint().1.unwrap_or(0);
+                    hits.push(
+                        Hit {
+                            at,
+                            row,
+                            ..Hit::default()
+                        },
+                        more,
+                    );
                     next = keys.next();
                     break;
                 }
@@ -471,8 +480,15 @@ pub(crate) fn find_rows(
             hit.values = Vec::with_capacity(ncols);
         }
     }
-    for _ in 0..ncols {
-        let chunk = Chunk::open(file, d.get_bytes()?, live_count)?;
+    for c in 0..ncols {
+        let chunk = d.get_bytes()?;
+        if proj.is_some_and(|p| !p.contains(&c)) {
+            for hit in hits.iter_mut().filter(|hit| hit.live_at.is_some()) {
+                hit.values.push(CqlValue::Null);
+            }
+            continue;
+        }
+        let chunk = Chunk::open(file, chunk, live_count)?;
         let mut picks = Picks::new(hits, chunk.nulls);
         walk_run(file, chunk, &mut picks)?;
     }
@@ -481,14 +497,7 @@ pub(crate) fn find_rows(
     }
     for hit in hits {
         let values = std::mem::take(&mut hit.values);
-        found(
-            hit.at,
-            SstEntry {
-                key: hit.key.to_vec(),
-                row: hit.live_at.map(|_| Row::new(values)),
-                timestamp: hit.seq,
-            },
-        );
+        found(hit.at, hit.seq, hit.live_at.map(|_| Row::new(values)));
     }
     Ok(())
 }
@@ -496,10 +505,9 @@ pub(crate) fn find_rows(
 /// One record [`find_rows`] found: the caller's index for its key, its row
 /// in the block, and what the walk has read of it so far.
 #[derive(Default)]
-struct Hit<'a> {
+struct Hit {
     at: usize,
     row: usize,
-    key: &'a [u8],
     seq: u64,
     /// The row's position among the block's live rows; `None` for a
     /// tombstone.
@@ -510,22 +518,26 @@ struct Hit<'a> {
 /// A walk's hits in row order. The first sits inline, so a one-key probe
 /// allocates nothing for the list.
 #[derive(Default)]
-struct Hits<'a> {
-    first: Option<Hit<'a>>,
-    rest: Vec<Hit<'a>>,
+struct Hits {
+    first: Option<Hit>,
+    rest: Vec<Hit>,
 }
 
-impl<'a> Hits<'a> {
-    fn push(&mut self, hit: Hit<'a>) {
+impl Hits {
+    /// Adds `hit`, with at most `more` to follow.
+    fn push(&mut self, hit: Hit, more: usize) {
         if self.first.is_none() && self.rest.is_empty() {
             self.first = Some(hit);
             return;
+        }
+        if self.rest.is_empty() {
+            self.rest.reserve_exact(2 + more);
         }
         self.rest.extend(self.first.take());
         self.rest.push(hit);
     }
 
-    fn as_mut_slice(&mut self) -> &mut [Hit<'a>] {
+    fn as_mut_slice(&mut self) -> &mut [Hit] {
         match &mut self.first {
             Some(hit) => std::slice::from_mut(hit),
             None => &mut self.rest,
@@ -537,7 +549,7 @@ impl<'a> Hits<'a> {
 /// row order, pushed onto its values (a null where the run has no cell
 /// for it). `want` is the run position of hit `next`'s cell.
 struct Picks<'h, 'a> {
-    hits: &'h mut [Hit<'a>],
+    hits: &'h mut [Hit],
     /// Over the block's live rows; bit set = non-null.
     nulls: BitmapRef<'a>,
     next: usize,
@@ -545,7 +557,7 @@ struct Picks<'h, 'a> {
 }
 
 impl<'h, 'a> Picks<'h, 'a> {
-    fn new(hits: &'h mut [Hit<'a>], nulls: BitmapRef<'a>) -> Picks<'h, 'a> {
+    fn new(hits: &'h mut [Hit], nulls: BitmapRef<'a>) -> Picks<'h, 'a> {
         let mut picks = Picks {
             hits,
             nulls,
@@ -754,8 +766,8 @@ enum RawCell {
 
 /// One block of records as scans read it: keys, sequences, liveness and
 /// cells, with no row built. A stored block keeps typed column runs; a
-/// memtable snapshot or a batch of probed rows keeps the rows it was
-/// built from.
+/// memtable snapshot keeps its rows' cells end to end, and a batch of
+/// probed or operator-built rows keeps the rows themselves.
 #[derive(Debug)]
 pub(crate) struct ScanBlock {
     /// What the key ranges index: the block as read, or the keys of a
@@ -771,6 +783,11 @@ enum Cells {
     Columns(Vec<Option<Column>>),
     /// `width` values per record, record after record.
     Rows { width: usize, values: Vec<CqlValue> },
+    /// Rows as an operator built them, `width` the longest.
+    Built {
+        width: usize,
+        rows: Vec<Vec<CqlValue>>,
+    },
 }
 
 impl ScanBlock {
@@ -839,23 +856,17 @@ impl ScanBlock {
 
     /// A block of rows an operator built (probed or aggregated rows),
     /// read only through its cells: it has no keys, sequences or
-    /// liveness, and [`ScanBlock::len`] is 0.
+    /// liveness, and [`ScanBlock::len`] is 0. The rows are kept as they
+    /// are, so each can leave whole ([`ScanBlock::take_rows`]).
     pub fn from_rows(rows: Vec<Vec<CqlValue>>) -> ScanBlock {
         static NO_KEYS: LazyLock<Arc<Vec<u8>>> = LazyLock::new(Arc::default);
-        let width = rows.iter().map(Vec::len).max().unwrap_or(0);
-        // The first row's vector holds them all: a probe's one row moves
-        // in whole.
-        let mut rows = rows.into_iter();
-        let mut values = rows.next().unwrap_or_default();
-        values.resize(width, CqlValue::Null);
-        values.reserve(rows.len() * width);
-        for row in rows {
-            push_row(&mut values, Some(row), width);
-        }
         ScanBlock {
             bytes: Arc::clone(&NO_KEYS),
             rows: Vec::new(),
-            cells: Cells::Rows { width, values },
+            cells: Cells::Built {
+                width: rows.iter().map(Vec::len).max().unwrap_or(0),
+                rows,
+            },
         }
     }
 
@@ -868,7 +879,7 @@ impl ScanBlock {
     pub fn width(&self) -> usize {
         match &self.cells {
             Cells::Columns(cols) => cols.len(),
-            Cells::Rows { width, .. } => *width,
+            Cells::Rows { width, .. } | Cells::Built { width, .. } => *width,
         }
     }
 
@@ -876,7 +887,7 @@ impl ScanBlock {
     pub fn decoded_cols(&self) -> usize {
         match &self.cells {
             Cells::Columns(cols) => cols.iter().filter(|c| c.is_some()).count(),
-            Cells::Rows { width, .. } => *width,
+            Cells::Rows { width, .. } | Cells::Built { width, .. } => *width,
         }
     }
 
@@ -915,16 +926,18 @@ impl ScanBlock {
                 Some(Some(column)) => column.cell(row),
                 _ => ValueRef::Null,
             },
+            Cells::Built { rows, .. } => rows[row].get(col).map_or(ValueRef::Null, ValueRef::from),
             Cells::Rows { .. } => ValueRef::Null,
         }
     }
 
-    /// Moves the cells of `rows` out of a block built from rows onto
-    /// `out`, each row in `layout`'s column order (`None` = all) — what a
-    /// result takes from a batch of probed or aggregated rows without
-    /// copying them. `false`, with nothing moved, for a stored block or
-    /// when `rows` is not strictly increasing (a cell can leave only
-    /// once).
+    /// Moves `rows` out of a block built from rows onto `out`, each row in
+    /// `layout`'s column order (`None` = all, padded with nulls to the
+    /// block's width) — what a result takes from a batch of probed or
+    /// aggregated rows without copying them. A row leaves in its own
+    /// vector, reordered in place, unless `layout` repeats or reorders
+    /// columns. `false`, with nothing moved, for any other block or when
+    /// `rows` is not strictly increasing (a row can leave only once).
     pub fn take_rows<R>(
         &mut self,
         rows: R,
@@ -934,32 +947,42 @@ impl ScanBlock {
     where
         R: ExactSizeIterator<Item = usize> + Clone,
     {
-        let Cells::Rows { width, values } = &mut self.cells else {
+        let Cells::Built { width, rows: built } = &mut self.cells else {
             return false;
         };
-        if rows.clone().zip(rows.clone().skip(1)).any(|(a, b)| a >= b) {
+        if !rows.clone().is_sorted_by(|a, b| a < b) {
             return false;
         }
         let width = *width;
-        let whole = rows.len() == 1 && rows.clone().next() == Some(0) && values.len() == width;
-        if layout.is_none() && whole {
-            out.push(std::mem::take(values));
-            return true;
-        }
-        let take = |cell: &mut CqlValue| std::mem::replace(cell, CqlValue::Null);
+        let ascending = layout.is_some_and(|layout| layout.is_sorted_by(|a, b| a < b));
         out.extend(rows.map(|r| {
-            let row = &mut values[r * width..][..width];
+            let mut row = std::mem::take(&mut built[r]);
+            if row.len() < width {
+                row.resize(width, CqlValue::Null);
+            }
             match layout {
-                None => row.iter_mut().map(take).collect(),
+                None => {}
+                // Cell `c` of an ascending layout lies at or past its
+                // output place `i`, and no later output needs a cell this
+                // moves.
+                Some(layout) if ascending => {
+                    for (i, &c) in layout.iter().enumerate() {
+                        row.swap(i, c);
+                    }
+                    row.truncate(layout.len());
+                }
                 // A column the layout names again later is copied here and
                 // moved there.
-                Some(layout) => (layout.iter().enumerate())
-                    .map(|(i, &c)| match layout[i + 1..].contains(&c) {
-                        true => row[c].clone(),
-                        false => take(&mut row[c]),
-                    })
-                    .collect(),
+                Some(layout) => {
+                    row = (layout.iter().enumerate())
+                        .map(|(i, &c)| match layout[i + 1..].contains(&c) {
+                            true => row[c].clone(),
+                            false => std::mem::replace(&mut row[c], CqlValue::Null),
+                        })
+                        .collect();
+                }
             }
+            row
         }));
         true
     }
@@ -975,7 +998,7 @@ impl ScanBlock {
     }
 }
 
-/// Appends a built block's record: `row` padded with nulls to `width`, or
+/// Appends a memtable block's record: `row` padded with nulls to `width`, or
 /// `width` nulls for a tombstone.
 fn push_row(values: &mut Vec<CqlValue>, row: Option<Vec<CqlValue>>, width: usize) {
     let row = row.unwrap_or_default();
@@ -1143,46 +1166,57 @@ mod tests {
                 },
                 original[..pos].to_vec(),
             ] {
-                // Either a typed error or a successful decode; a successful
-                // decode of the *full* block that changed the data would be
-                // caught by the table-level tests (here we only require no
-                // panic and bounded work).
-                let full = decode(&mutant, None);
-                let _ = decode(&mutant, Some(&[1]));
-                // The key decode runs the same checks: one key or several,
-                // it agrees with the full decode wherever that decode
-                // accepts the block, and never answers a row out of a block
-                // that decode rejects. It also refuses a key run out of
-                // order, which the scan decode does not check, so there it
-                // may be `Corrupt` instead.
-                let absent: &[u8] = b"k\xff";
-                let keys: Vec<&[u8]> = es.iter().map(|e| e.key.as_slice()).collect();
-                let every_other: Vec<&[u8]> = keys.iter().copied().step_by(2).collect();
-                let singles = keys.iter().chain([&absent]).map(std::slice::from_ref);
-                let batches = [&keys[..], &every_other, &[keys[0], absent]];
-                for batch in singles.chain(batches) {
-                    let found = find(&mutant, batch);
-                    match &full {
-                        Ok(block) => {
-                            let want = batch
-                                .iter()
-                                .filter_map(|k| block.iter().find(|e| e.key == *k));
-                            let ascending = block.windows(2).all(|w| w[0].key < w[1].key);
-                            match found {
-                                Err(NosqlError::Corrupt(_)) if !ascending => {}
-                                found => assert_eq!(
-                                    found.unwrap(),
-                                    want.cloned().collect::<Vec<_>>(),
-                                    "byte {pos}, keys {batch:?}"
-                                ),
-                            }
-                        }
-                        Err(_) => assert!(
-                            found.is_err() || found.is_ok_and(|rows| rows.is_empty()),
-                            "byte {pos}, keys {batch:?}: a row out of a rejected block"
+                // Either a typed error or a successful decode, whole or
+                // projected; a successful decode of the *full* block that
+                // changed the data would be caught by the table-level tests
+                // (here we only require no panic and bounded work).
+                for proj in [None, Some(&[1][..]), Some(&[0, 3][..])] {
+                    let scanned = decode(&mutant, proj);
+                    agrees_with_scan(&mutant, es, proj, &scanned, pos);
+                }
+            }
+        }
+    }
+
+    /// The key decode runs the scan decode's checks on the same chunks:
+    /// one key or several, it agrees with `scanned` (the scan decode of
+    /// `bytes` under `proj`) wherever that decode accepts the block, and
+    /// never answers a row out of a block that decode rejects. It also
+    /// refuses a key run out of order, which the scan decode does not
+    /// check, so there it may be `Corrupt` instead.
+    fn agrees_with_scan(
+        bytes: &[u8],
+        es: &[SstEntry],
+        proj: Option<&[usize]>,
+        scanned: &Result<Vec<SstEntry>>,
+        pos: usize,
+    ) {
+        let absent: &[u8] = b"k\xff";
+        let keys: Vec<&[u8]> = es.iter().map(|e| e.key.as_slice()).collect();
+        let every_other: Vec<&[u8]> = keys.iter().copied().step_by(2).collect();
+        let singles = keys.iter().chain([&absent]).map(std::slice::from_ref);
+        let batches = [&keys[..], &every_other, &[keys[0], absent]];
+        for batch in singles.chain(batches) {
+            let found = find(bytes, batch, proj);
+            match scanned {
+                Ok(block) => {
+                    let want = batch
+                        .iter()
+                        .filter_map(|k| block.iter().find(|e| e.key == *k));
+                    let ascending = block.windows(2).all(|w| w[0].key < w[1].key);
+                    match found {
+                        Err(NosqlError::Corrupt(_)) if !ascending => {}
+                        found => assert_eq!(
+                            found.unwrap(),
+                            want.cloned().collect::<Vec<_>>(),
+                            "byte {pos}, keys {batch:?}, projection {proj:?}"
                         ),
                     }
                 }
+                Err(_) => assert!(
+                    found.is_err() || found.is_ok_and(|rows| rows.is_empty()),
+                    "byte {pos}, keys {batch:?}, projection {proj:?}: a row out of a rejected block"
+                ),
             }
         }
     }
@@ -1235,79 +1269,97 @@ mod tests {
             .collect()
     }
 
-    /// The encoding tag of each column chunk of a block.
-    fn chunk_tags(bytes: &[u8]) -> Vec<u8> {
+    /// Where each column chunk of a block lies, its length prefix not
+    /// included, and how many live records the block holds.
+    fn chunks(bytes: &[u8]) -> (Vec<Range<usize>>, usize) {
         let (mut d, count) = open_block("t", bytes).unwrap();
         for _ in 0..count {
             d.get_bytes().unwrap();
         }
         for_each_i64_delta(&mut d, count, |_, _| {}).unwrap();
         let liveness = open_liveness("t", &mut d, count).unwrap();
-        (0..liveness.ncols)
-            .map(|_| {
-                let chunk = d.get_bytes().unwrap();
-                Chunk::open("t", chunk, liveness.live_count).unwrap().tag
-            })
+        let ranges = (0..liveness.ncols).map(|_| {
+            let len = d.get_bytes().unwrap().len();
+            d.position() - len..d.position()
+        });
+        (ranges.collect(), liveness.live_count)
+    }
+
+    /// The encoding tag of each column chunk of a block.
+    fn chunk_tags(bytes: &[u8]) -> Vec<u8> {
+        let (ranges, live_count) = chunks(bytes);
+        (ranges.into_iter())
+            .map(|r| Chunk::open("t", &bytes[r], live_count).unwrap().tag)
             .collect()
     }
 
-    /// A text column is dictionary-coded while its distinct values number
-    /// at most half its cells, or 16 when that is more: both sides of the
-    /// cap, on both terms of its `max`.
+    /// A text column is dictionary-coded exactly when its dictionary and
+    /// codes take fewer bytes than its raw cells: one side of the
+    /// boundary, the other, and the tie, which stays raw.
     #[test]
     fn dictionary_cap_boundary() {
-        let text_tag = |cells: usize, distinct: usize| {
-            let entries: Vec<SstEntry> = (0..cells)
-                .map(|i| SstEntry {
+        let text_tag = |texts: &[String]| {
+            let entries: Vec<SstEntry> = (texts.iter().enumerate())
+                .map(|(i, text)| SstEntry {
                     key: (i as u32).to_be_bytes().to_vec(),
-                    row: Some(Row::new(vec![CqlValue::Text(format!(
-                        "station-{}",
-                        i % distinct
-                    ))])),
+                    row: Some(Row::new(vec![CqlValue::Text(text.clone())])),
                     timestamp: 1 + i as u64,
                 })
                 .collect();
             chunk_tags(&encode_block("t", &entries).unwrap())[0]
         };
-        for (cells, distinct, tag) in [
-            (32, 16, ENC_TEXT_DICT),
-            (32, 17, ENC_RAW),
-            (40, 20, ENC_TEXT_DICT),
-            (40, 21, ENC_RAW),
-            // Under 32 cells the floor is the cap.
-            (20, 16, ENC_TEXT_DICT),
-            (20, 17, ENC_RAW),
+        let names = |n: usize| (0..n).map(|i| format!("station-{i:02}"));
+        // Every value once: codes on top of the values cost one byte more
+        // than the raw cells' tags.
+        let unique: Vec<String> = names(20).collect();
+        // One value twice: its second cell is a one-byte code where a raw
+        // cell takes a tag, a length byte and the value, so the
+        // dictionary comes out smaller by exactly the value's length.
+        let repeat = |value: &str| {
+            let mut texts = unique.clone();
+            texts.insert(7, value.to_string());
+            texts.insert(3, value.to_string());
+            texts
+        };
+        for (texts, tag, what) in [
+            (unique.clone(), ENC_RAW, "every value once"),
+            (repeat("x"), ENC_TEXT_DICT, "one repeat, a byte smaller"),
+            (repeat(""), ENC_RAW, "one repeat of \"\", a tie"),
+            (
+                names(21).cycle().take(40).collect(),
+                ENC_TEXT_DICT,
+                "21 values in 40 cells",
+            ),
+            (
+                names(17).cycle().take(20).collect(),
+                ENC_TEXT_DICT,
+                "17 values in 20 cells",
+            ),
         ] {
-            assert_eq!(
-                text_tag(cells, distinct),
-                tag,
-                "{distinct} distinct texts among {cells} cells"
-            );
+            assert_eq!(text_tag(&texts), tag, "{what}");
         }
     }
 
     /// The records of `keys` (ascending) that one key walk finds, in key
-    /// order.
-    fn find(bytes: &[u8], keys: &[&[u8]]) -> Result<Vec<SstEntry>> {
+    /// order, with the columns of `proj` (`None` = all).
+    fn find(bytes: &[u8], keys: &[&[u8]], proj: Option<&[usize]>) -> Result<Vec<SstEntry>> {
         let mut found = Vec::new();
         let mut at = Vec::new();
         find_rows(
             "t",
             bytes,
             &mut keys.iter().copied().enumerate(),
-            &mut |i, e| {
+            proj,
+            &mut |i, seq, row| {
                 at.push(i);
-                found.push(e);
+                found.push(SstEntry {
+                    key: keys[i].to_vec(),
+                    row,
+                    timestamp: seq,
+                });
             },
         )?;
         assert!(at.windows(2).all(|w| w[0] < w[1]), "hits out of key order");
-        for (i, e) in at.iter().zip(&found) {
-            assert_eq!(
-                keys[*i],
-                e.key.as_slice(),
-                "a hit under another key's index"
-            );
-        }
         Ok(found)
     }
 
@@ -1323,7 +1375,7 @@ mod tests {
             tags_seen.extend(chunk_tags(&bytes));
             for e in &block {
                 assert_eq!(
-                    find(&bytes, &[&e.key]).unwrap(),
+                    find(&bytes, &[&e.key], None).unwrap(),
                     std::slice::from_ref(e),
                     "{rows}-row block, key {:?}",
                     String::from_utf8_lossy(&e.key)
@@ -1334,7 +1386,7 @@ mod tests {
             let outside = [&b""[..], b"a", b"k", b"k00001\0", b"z"].map(<[u8]>::to_vec);
             let absent: Vec<Vec<u8>> = between.chain(outside).collect();
             for key in &absent {
-                assert_eq!(find(&bytes, &[key]).unwrap(), [], "key {key:?}");
+                assert_eq!(find(&bytes, &[key], None).unwrap(), [], "key {key:?}");
             }
             // Seeded batches: present and absent keys mixed, every hit
             // exactly the decode's record.
@@ -1348,7 +1400,11 @@ mod tests {
                     .filter(|e| batch.contains(&e.key.as_slice()))
                     .cloned()
                     .collect();
-                assert_eq!(find(&bytes, &batch).unwrap(), want, "{rows}-row block");
+                assert_eq!(
+                    find(&bytes, &batch, None).unwrap(),
+                    want,
+                    "{rows}-row block"
+                );
             }
         }
         for tag in [ENC_RAW, ENC_INT_DELTA, ENC_TEXT_DICT, ENC_BOOL_BITMAP] {
@@ -1357,6 +1413,76 @@ mod tests {
         // The unique readings outgrow the dictionary cap in the large blocks.
         let large = encode_block("t", &seeded_entries(&mut rng, 120)).unwrap();
         assert_eq!(chunk_tags(&large)[3], ENC_RAW);
+    }
+
+    /// Seeded blocks, key batches and projections: a key walk under a
+    /// projection returns, row for row, what the scan decode under that
+    /// projection holds for the keys — pruned cells null, projected cells
+    /// exact — across nulls, tombstones, every run encoding and raw text.
+    #[test]
+    fn projected_probes_agree_with_projected_scans() {
+        let mut rng = sc_encoding::Rng::new(0x9B0E);
+        let mut tags_seen = Vec::new();
+        for rows in [1, 2, 9, 17, 40, 64, 120] {
+            let es = seeded_entries(&mut rng, rows);
+            let bytes = encode_block("t", &es).unwrap();
+            tags_seen.extend(chunk_tags(&bytes));
+            let absent: Vec<Vec<u8>> = (0..=rows)
+                .map(|i| format!("k{:05}", 2 * i).into_bytes())
+                .collect();
+            for _ in 0..20 {
+                let proj: Vec<usize> = (0..6).filter(|_| rng.gen_bool(0.5)).collect();
+                let scanned = decode(&bytes, Some(&proj)).unwrap();
+                for (got, e) in scanned.iter().zip(&es) {
+                    let cells = got
+                        .row
+                        .iter()
+                        .zip(&e.row)
+                        .flat_map(|(g, e)| g.values.iter().zip(&e.values).enumerate());
+                    for (c, (got, want)) in cells {
+                        match proj.contains(&c) {
+                            true => assert_eq!(got, want, "projected column {c}"),
+                            false => assert_eq!(*got, CqlValue::Null, "pruned column {c}"),
+                        }
+                    }
+                }
+                let mut batch: Vec<&[u8]> = (es.iter().map(|e| e.key.as_slice()))
+                    .chain(absent.iter().map(Vec::as_slice))
+                    .filter(|_| rng.gen_bool(0.3))
+                    .collect();
+                batch.sort_unstable();
+                let want: Vec<SstEntry> = (scanned.iter())
+                    .filter(|e| batch.contains(&e.key.as_slice()))
+                    .cloned()
+                    .collect();
+                let got = find(&bytes, &batch, Some(&proj)).unwrap();
+                assert_eq!(got, want, "{rows}-row block, projection {proj:?}");
+            }
+        }
+        for tag in [ENC_RAW, ENC_INT_DELTA, ENC_TEXT_DICT, ENC_BOOL_BITMAP] {
+            assert!(tags_seen.contains(&tag), "no block used encoding {tag}");
+        }
+    }
+
+    /// A pruned chunk is stepped over by its length, never parsed: a
+    /// chunk spoiled inside its length still answers every key exactly
+    /// when the projection leaves it out, and is refused when it asks
+    /// for it.
+    #[test]
+    fn key_walks_never_parse_a_pruned_chunk() {
+        let es = typed_entries();
+        let mut bytes = encode_block("t", &es).unwrap();
+        let want = decode(&bytes, Some(&[0, 1, 2])).unwrap();
+        let (ranges, live_count) = chunks(&bytes);
+        // Column 3's run of raw sets, after its tag and null bitmap: bad
+        // value tags.
+        let run = ranges[3].start + 1 + live_count.div_ceil(8);
+        bytes[run..ranges[3].end].fill(0xFF);
+        let keys: Vec<&[u8]> = es.iter().map(|e| e.key.as_slice()).collect();
+        let proj: &[usize] = &[0, 1, 2];
+        assert_eq!(find(&bytes, &keys, Some(proj)).unwrap(), want);
+        assert!(find(&bytes, &keys, None).is_err());
+        assert!(find(&bytes, &keys, Some(&[3])).is_err());
     }
 
     #[test]

@@ -614,7 +614,6 @@ impl Db {
         columns: &[C],
         keys: impl IntoIterator<Item = CqlValue>,
     ) -> Result<QueryResult> {
-        let keys = keys.into_iter().collect();
         self.core.get_rows(keyspace, table, columns, keys)
     }
 

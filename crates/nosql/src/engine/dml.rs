@@ -232,7 +232,7 @@ impl DbCore {
             Some(row) => row.cloned(),
             None if chunk.staged.is_some() => {
                 let mut old = None;
-                table.get(&[&key], u64::MAX, &mut |_, row| old = Some(row))?;
+                table.get([&key[..]], u64::MAX, None, &mut |_, row| old = Some(row))?;
                 old
             }
             None => None,
@@ -501,7 +501,7 @@ impl DbCore {
                 sstables: handle.core.sstable_count(),
                 cache_hit_rate: cache.hits as f64 / (cache.hits + cache.misses).max(1) as f64,
             };
-            let lines = plan::explain::result_rows(&plan, &stats);
+            let lines = plan::explain::result_rows(&plan, &handle.def, &stats);
             return Ok(QueryResult::new(vec!["plan".to_string()], lines));
         };
         run(handle, plan, bound)
@@ -515,14 +515,17 @@ impl DbCore {
         keyspace: &str,
         name: &str,
         columns: &[C],
-        keys: Vec<CqlValue>,
+        keys: impl IntoIterator<Item = CqlValue>,
     ) -> Result<QueryResult> {
         let state = self.read_state();
         let handle = state.get(keyspace, name)?;
         let pk = &handle.def.pk_column().name;
-        let filter = match <[CqlValue; 1]>::try_from(keys) {
-            Ok([key]) => WhereClause::eq(pk, key),
-            Err(keys) => WhereClause::any_of(pk, keys),
+        let mut keys = keys.into_iter();
+        let filter = match (keys.next(), keys.next()) {
+            (Some(key), None) => WhereClause::eq(pk, key),
+            (first, second) => {
+                WhereClause::any_of(pk, first.into_iter().chain(second).chain(keys).collect())
+            }
         };
         let columns = SelectColumns::named(columns.iter().map(AsRef::as_ref));
         let pin = ReadPin::new(&self.registry, &self.tracker);

@@ -56,7 +56,7 @@ pub struct Batch {
     pub(crate) blocks: Vec<Rc<ScanBlock>>,
     /// Output column `i` is block column `layout[i]`; `None` is the
     /// blocks' own layout.
-    pub(crate) layout: Option<Vec<usize>>,
+    pub(crate) layout: Option<Arc<[usize]>>,
     pub(crate) sel: Vec<RowRef>,
 }
 
@@ -167,63 +167,74 @@ pub(crate) fn build(
     bound: u64,
 ) -> Box<dyn Operator> {
     let child = |node: Box<PlanNode>| build(*node, core, indexes, bound);
-    let op: Box<dyn Operator> = match plan {
+    match plan {
         PlanNode::Scan(node) => {
             let name = node.kind.operator();
+            let projection = node.projection.map(|p| p.indices);
             match node.kind {
-                ScanKind::Key(_) => Box::new(scan::MultiPointScan::new(
+                ScanKind::Key(_) => traced(scan::MultiPointScan::new(
                     Arc::clone(core),
                     name,
                     node.keys,
                     bound,
+                    projection,
                 )),
                 // `indexes` is all the execution side knows of the table's
                 // indexes: a posting scan where one covers the predicate's
                 // column, the same rows by a filtered scan where none does.
                 ScanKind::Index(pred) => match indexes.iter().find(|i| i.column() == pred.index) {
-                    Some(index) => Box::new(scan::IndexScan::new(
+                    Some(index) => traced(scan::IndexScan::new(
                         Arc::clone(core),
                         index.clone(),
                         pred,
                         node.keys,
                         bound,
+                        projection,
                     )),
-                    None => Box::new(scan::FullScan::new(core, vec![pred], None, None, bound)),
+                    None => traced(scan::FullScan::new(
+                        core,
+                        vec![pred],
+                        None,
+                        projection.as_deref(),
+                        bound,
+                    )),
                 },
-                ScanKind::Full => Box::new(scan::FullScan::new(
+                ScanKind::Full => traced(scan::FullScan::new(
                     core,
                     node.residual,
                     node.pushed_limit,
-                    node.projection.as_ref().map(|p| p.indices.as_slice()),
+                    projection.as_deref(),
                     bound,
                 )),
             }
         }
         PlanNode::Filter {
             input, predicates, ..
-        } => Box::new(transform::Filter::new(child(input), predicates)),
+        } => traced(transform::Filter::new(child(input), predicates)),
         PlanNode::Project { input, indices, .. } => {
-            Box::new(transform::Project::new(child(input), indices))
+            traced(transform::Project::new(child(input), indices))
         }
         PlanNode::Sort {
             input, key, desc, ..
-        } => Box::new(transform::Sort::new(child(input), key, desc)),
-        PlanNode::Limit { input, limit, .. } => {
-            Box::new(transform::Limit::new(child(input), limit))
-        }
+        } => traced(transform::Sort::new(child(input), key, desc)),
+        PlanNode::Limit { input, limit, .. } => traced(transform::Limit::new(child(input), limit)),
         PlanNode::Aggregate {
             input,
             group_by,
             aggs,
             output,
             ..
-        } => Box::new(aggregate::Aggregate::new(
+        } => traced(aggregate::Aggregate::new(
             child(input),
             group_by,
             aggs,
             output,
         )),
-    };
+    }
+}
+
+/// `op` in its trace wrapper, boxed once.
+fn traced(op: impl Operator + 'static) -> Box<dyn Operator> {
     Box::new(traced::Traced::new(op))
 }
 

@@ -3,7 +3,7 @@
 use super::{Batch, Operator, RowRef, BATCH_ROWS};
 use crate::error::Result;
 use crate::index::Index;
-use crate::plan::Predicate;
+use crate::plan::{KeyList, Predicate};
 use crate::row::Row;
 use crate::table::{Cursor, TableCore};
 use crate::types::{CqlValue, ValueRef};
@@ -13,21 +13,24 @@ use std::sync::Arc;
 /// Probes of the primary key: one for `=` (EXPLAIN and traces call that a
 /// `PointScan`), one per distinct `IN` key in statement order, missing
 /// keys skipped (the pinned multi-point semantics). The keys arrive
-/// encoded by the planner's bind step, and go to the table in batches.
+/// encoded by the planner's bind step, and go to the table in batches
+/// that read only the plan's projection.
 pub struct MultiPointScan {
     core: Arc<TableCore>,
     name: &'static str,
-    keys: Vec<Vec<u8>>,
+    keys: KeyList,
     pos: usize,
     bound: u64,
+    projection: Option<Arc<[usize]>>,
 }
 
 impl MultiPointScan {
     pub(crate) fn new(
         core: Arc<TableCore>,
         name: &'static str,
-        keys: Vec<Vec<u8>>,
+        keys: KeyList,
         bound: u64,
+        projection: Option<Arc<[usize]>>,
     ) -> MultiPointScan {
         MultiPointScan {
             core,
@@ -35,6 +38,7 @@ impl MultiPointScan {
             keys: distinct(keys),
             pos: 0,
             bound,
+            projection,
         }
     }
 }
@@ -45,57 +49,73 @@ impl Operator for MultiPointScan {
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        probe(&self.core, &self.keys, &mut self.pos, self.bound, |_| true)
+        let proj = self.projection.as_deref();
+        probe(
+            &self.core,
+            &self.keys,
+            &mut self.pos,
+            self.bound,
+            proj,
+            |_| true,
+        )
     }
 }
 
 /// `keys` without repeats, each at its first place.
-fn distinct(mut keys: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-    if keys.windows(2).all(|w| w[0] < w[1]) {
+fn distinct(keys: KeyList) -> KeyList {
+    if keys.iter().is_sorted_by(|a, b| a < b) {
         return keys;
     }
+    let all: Vec<&[u8]> = keys.iter().collect();
     // Sorted by key, stably: a repeat sorts right after its first place.
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-    order.dedup_by(|later, first| keys[*later] == keys[*first]);
+    let mut order: Vec<usize> = (0..all.len()).collect();
+    order.sort_by_key(|&i| all[i]);
+    order.dedup_by_key(|i| all[*i]);
     order.sort_unstable();
-    order
-        .into_iter()
-        .map(|i| std::mem::take(&mut keys[i]))
-        .collect()
+    order.into_iter().map(|i| all[i]).collect()
 }
 
 /// The next batch of rows stored under `keys[*pos..]` (distinct) that
 /// `keep` accepts, as one block, in `keys` order; missing keys are
 /// skipped. Each chunk of keys goes to the table as one batch in key
-/// order ([`TableCore::get`]), so keys that share a block share its read.
+/// order ([`TableCore::get`]), so keys that share a block share its read;
+/// stored rows hold the columns in `proj` and nulls elsewhere.
 fn probe(
     core: &TableCore,
-    keys: &[Vec<u8>],
+    keys: &KeyList,
     pos: &mut usize,
     bound: u64,
+    proj: Option<&[usize]>,
     keep: impl Fn(&[CqlValue]) -> bool,
 ) -> Result<Option<Batch>> {
-    let mut rows = Vec::with_capacity(BATCH_ROWS.min(keys.len() - *pos));
+    let mut rows = Vec::new();
     while *pos < keys.len() && rows.len() < BATCH_ROWS {
-        let chunk = &keys[*pos..][..(BATCH_ROWS - rows.len()).min(keys.len() - *pos)];
-        *pos += chunk.len();
+        let n = (BATCH_ROWS - rows.len()).min(keys.len() - *pos);
+        let chunk = keys.iter().skip(*pos).take(n);
+        *pos += n;
         let mut push = |row: Row| {
             if keep(&row.values) {
+                // The first chunk is as long as the batch can grow.
+                if rows.is_empty() {
+                    rows.reserve_exact(n);
+                }
                 rows.push(row.values);
             }
         };
-        if chunk.is_sorted() {
-            core.get(chunk, bound, &mut |_, row| push(row))?;
+        if chunk.clone().is_sorted() {
+            core.get(chunk, bound, proj, &mut |_, row| push(row))?;
             continue;
         }
         // Out of key order: `order[j]` is where the `j`th key in key order
         // sits in the chunk, and the rows wait there.
-        let mut order: Vec<usize> = (0..chunk.len()).collect();
-        order.sort_unstable_by_key(|&i| &chunk[i]);
-        let sorted: Vec<&[u8]> = order.iter().map(|&i| chunk[i].as_slice()).collect();
-        let mut found = vec![None; chunk.len()];
-        core.get(&sorted, bound, &mut |j, row| found[order[j]] = Some(row))?;
+        let chunk: Vec<&[u8]> = chunk.collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| chunk[i]);
+        let sorted = order.iter().map(|&i| chunk[i]);
+        let mut found = vec![None; n];
+        core.get(sorted, bound, proj, &mut |j, row| {
+            found[order[j]] = Some(row)
+        })?;
         found.into_iter().flatten().for_each(push);
     }
     Ok((!rows.is_empty()).then(|| Batch::of_rows(rows)))
@@ -110,11 +130,13 @@ pub struct IndexScan {
     /// The `=` or `IN` test on the indexed column.
     pred: Predicate,
     /// The predicate's literals as the planner's bind step encoded them.
-    value_keys: Vec<Vec<u8>>,
+    value_keys: KeyList,
     /// Base-table keys, gathered on the first pull.
-    keys: Option<Vec<Vec<u8>>>,
+    keys: Option<KeyList>,
     pos: usize,
     bound: u64,
+    /// The plan's projection, the indexed column included.
+    projection: Option<Arc<[usize]>>,
 }
 
 impl IndexScan {
@@ -122,8 +144,9 @@ impl IndexScan {
         core: Arc<TableCore>,
         index: Index,
         pred: Predicate,
-        value_keys: Vec<Vec<u8>>,
+        value_keys: KeyList,
         bound: u64,
+        projection: Option<Arc<[usize]>>,
     ) -> IndexScan {
         IndexScan {
             core,
@@ -133,6 +156,7 @@ impl IndexScan {
             keys: None,
             pos: 0,
             bound,
+            projection,
         }
     }
 }
@@ -150,7 +174,8 @@ impl Operator for IndexScan {
             )),
         };
         let pred = &self.pred;
-        probe(&self.core, keys, &mut self.pos, self.bound, |row| {
+        let proj = self.projection.as_deref();
+        probe(&self.core, keys, &mut self.pos, self.bound, proj, |row| {
             pred.matches(row.get(pred.index).map_or(ValueRef::Null, ValueRef::from))
         })
     }

@@ -18,17 +18,17 @@ use sc_obs::trace::{self, Attr};
 /// automatically, which is what makes per-operator cost visible in
 /// `GET /debug/traces`. When no trace is active on the thread the whole
 /// wrapper is two relaxed thread-local reads per pull.
-pub struct Traced {
-    inner: Box<dyn Operator>,
+pub struct Traced<O> {
+    inner: O,
 }
 
-impl Traced {
-    pub(crate) fn new(inner: Box<dyn Operator>) -> Traced {
+impl<O: Operator> Traced<O> {
+    pub(crate) fn new(inner: O) -> Traced<O> {
         Traced { inner }
     }
 }
 
-impl Operator for Traced {
+impl<O: Operator> Operator for Traced<O> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }

@@ -5,6 +5,7 @@
 use super::{drain, Batch, Buffered, Operator, RowRef};
 use crate::error::Result;
 use crate::plan::Predicate;
+use std::sync::Arc;
 
 /// Drops rows failing an AND-joined predicate list.
 pub struct Filter {
@@ -42,11 +43,13 @@ impl Operator for Filter {
 /// Narrows each row to the selected column indices.
 pub struct Project {
     input: Box<dyn Operator>,
-    indices: Vec<usize>,
+    /// Shared as the layout of every batch whose own layout is the
+    /// blocks'.
+    indices: Arc<[usize]>,
 }
 
 impl Project {
-    pub(crate) fn new(input: Box<dyn Operator>, indices: Vec<usize>) -> Project {
+    pub(crate) fn new(input: Box<dyn Operator>, indices: Arc<[usize]>) -> Project {
         Project { input, indices }
     }
 }
@@ -60,7 +63,10 @@ impl Operator for Project {
         let Some(mut batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        let layout = self.indices.iter().map(|&i| batch.column(i)).collect();
+        let layout = match &batch.layout {
+            None => Arc::clone(&self.indices),
+            Some(_) => self.indices.iter().map(|&i| batch.column(i)).collect(),
+        };
         batch.layout = Some(layout);
         Ok(Some(batch))
     }

@@ -15,10 +15,11 @@
 //! module spells a posting key or the hidden table's name and shape.
 
 use crate::error::{NosqlError, Result};
+use crate::plan::KeyList;
 use crate::row::Row;
 use crate::schema::{ColumnDef, TableDef};
 use crate::table::{live_row, PendingWrite, TableCore};
-use crate::types::{CqlType, CqlValue};
+use crate::types::{CqlType, CqlValue, ValueRef};
 use std::sync::Arc;
 
 /// Name of the hidden posting table for `column` of table `base` (`base`
@@ -133,14 +134,17 @@ impl Index {
     /// values (a stale posting) comes twice; the scan keeps the first.
     /// Postings may trail an overwrite racing the index update, so the
     /// caller re-checks each base row against the values.
-    pub fn base_keys(&self, value_keys: &[Vec<u8>], bound: u64) -> Result<Vec<Vec<u8>>> {
-        let mut keys = Vec::new();
-        for value_key in value_keys {
+    pub fn base_keys(&self, value_keys: &KeyList, bound: u64) -> Result<KeyList> {
+        let mut keys = KeyList::default();
+        for value_key in value_keys.iter() {
             let prefix = Index::prefix(value_key).into_bytes();
             let postings = self.postings.cursor(bound, Some(&prefix), None);
             for posting in postings.entries().map(live_row) {
                 if let Some(id) = posting?.values[1].as_int() {
-                    keys.push(CqlValue::Int(id).encode_key());
+                    keys.push_with(|out| {
+                        ValueRef::Int(id).put_key(out);
+                        Ok(true)
+                    })?;
                 }
             }
         }

@@ -29,6 +29,7 @@
 //! * grouped aggregation estimates `√n` output groups.
 
 use super::logical::{PlanNode, PredTest, Predicate, ScanKind, ScanNode, SelectPlan};
+use crate::schema::TableDef;
 use crate::types::CqlValue;
 
 /// Streaming one row out of the memtable/SSTable merge: the unit cost.
@@ -164,15 +165,15 @@ fn estimate(node: &PlanNode, stats: &TableStats) -> (f64, f64) {
     }
 }
 
-fn preds(list: &[Predicate]) -> String {
-    let parts: Vec<String> = list.iter().map(Predicate::render).collect();
+fn preds(list: &[Predicate], def: &TableDef) -> String {
+    let parts: Vec<String> = list.iter().map(|p| p.render(def)).collect();
     parts.join(" AND ")
 }
 
-fn describe(node: &PlanNode) -> String {
+fn describe(node: &PlanNode, def: &TableDef) -> String {
     match node {
         PlanNode::Scan(scan) => {
-            let (table, operator) = (&scan.table, scan.kind.operator());
+            let (table, operator) = (def.qualified_name(), scan.kind.operator());
             let mut s = match &scan.kind {
                 ScanKind::Key(pred) => match &pred.test {
                     PredTest::Eq(key) => format!(
@@ -181,30 +182,35 @@ fn describe(node: &PlanNode) -> String {
                     ),
                     _ => format!("{operator} {table} keys={}", pred.values().len()),
                 },
-                ScanKind::Index(pred) => format!(
-                    "{operator} {table} via {} on {} values={}",
-                    crate::index::hidden_name(table, &pred.column),
-                    pred.column,
-                    pred.values().len()
-                ),
+                ScanKind::Index(pred) => {
+                    let column = &def.columns[pred.index].name;
+                    format!(
+                        "{operator} {table} via {} on {column} values={}",
+                        crate::index::hidden_name(table, column),
+                        pred.values().len()
+                    )
+                }
                 ScanKind::Full => format!("{operator} {table}"),
             };
             if !scan.residual.is_empty() {
-                s.push_str(&format!(" where {}", preds(&scan.residual)));
+                s.push_str(&format!(" where {}", preds(&scan.residual, def)));
             }
             if let Some(n) = scan.pushed_limit {
                 s.push_str(&format!(" limit={n}"));
             }
             if let Some(p) = &scan.projection {
+                let names: Vec<&str> = (p.indices.iter())
+                    .map(|&c| def.columns[c].name.as_str())
+                    .collect();
                 s.push_str(&format!(
                     " cols=[{}] (+{} pruned)",
-                    p.names.join(", "),
+                    names.join(", "),
                     p.pruned
                 ));
             }
             s
         }
-        PlanNode::Filter { predicates, .. } => format!("Filter {}", preds(predicates)),
+        PlanNode::Filter { predicates, .. } => format!("Filter {}", preds(predicates, def)),
         PlanNode::Project { names, .. } => format!("Project [{}]", names.join(", ")),
         PlanNode::Sort { column, desc, .. } => {
             format!("Sort by {column} {}", if *desc { "desc" } else { "asc" })
@@ -216,12 +222,18 @@ fn describe(node: &PlanNode) -> String {
     }
 }
 
-fn render_node(node: &PlanNode, depth: usize, stats: &TableStats, out: &mut Vec<Vec<CqlValue>>) {
+fn render_node(
+    node: &PlanNode,
+    def: &TableDef,
+    depth: usize,
+    stats: &TableStats,
+    out: &mut Vec<Vec<CqlValue>>,
+) {
     let (rows, cost) = estimate(node, stats);
     out.push(vec![CqlValue::Text(format!(
         "{}{}  (cost: rows≈{rows:.0}, total≈{cost:.1})",
         "  ".repeat(depth),
-        describe(node),
+        describe(node, def),
     ))]);
     match node {
         PlanNode::Scan(_) => {}
@@ -229,14 +241,15 @@ fn render_node(node: &PlanNode, depth: usize, stats: &TableStats, out: &mut Vec<
         | PlanNode::Project { input, .. }
         | PlanNode::Sort { input, .. }
         | PlanNode::Limit { input, .. }
-        | PlanNode::Aggregate { input, .. } => render_node(input, depth + 1, stats, out),
+        | PlanNode::Aggregate { input, .. } => render_node(input, def, depth + 1, stats, out),
     }
 }
 
-/// The plan as the rows of an `EXPLAIN` result (one `plan` text column):
-/// one indented line per node, root first, costed with `stats`.
-pub fn result_rows(plan: &SelectPlan, stats: &TableStats) -> Vec<Vec<CqlValue>> {
+/// The plan of a statement over `def`'s table as the rows of an `EXPLAIN`
+/// result (one `plan` text column): one indented line per node, root
+/// first, costed with `stats`.
+pub fn result_rows(plan: &SelectPlan, def: &TableDef, stats: &TableStats) -> Vec<Vec<CqlValue>> {
     let mut rows = Vec::new();
-    render_node(&plan.root, 0, stats, &mut rows);
+    render_node(&plan.root, def, 0, stats, &mut rows);
     rows
 }

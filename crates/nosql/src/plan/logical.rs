@@ -1,7 +1,10 @@
 //! The logical plan tree: pure data, no table runtimes.
 
 use crate::cql::ast::{AggFunc, CmpOp};
+use crate::error::Result;
+use crate::schema::TableDef;
 use crate::types::{CqlValue, ValueRef};
+use std::sync::Arc;
 
 /// A resolved single-column predicate test.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +20,6 @@ pub enum PredTest {
 /// A predicate with its column resolved to a row index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
-    /// Column name (for display).
-    pub column: String,
     /// Index into the base table's row layout.
     pub index: usize,
     /// The test applied to that cell.
@@ -48,17 +49,17 @@ impl Predicate {
         }
     }
 
-    /// Renders the predicate as CQL-ish text for `EXPLAIN`.
-    pub fn render(&self) -> String {
+    /// Renders the predicate over `def`'s table as CQL-ish text for
+    /// `EXPLAIN`.
+    pub fn render(&self, def: &TableDef) -> String {
+        let column = &def.columns[self.index].name;
         match &self.test {
-            PredTest::Eq(v) => format!("{} = {}", self.column, v.to_cql_literal()),
+            PredTest::Eq(v) => format!("{column} = {}", v.to_cql_literal()),
             PredTest::In(vs) => {
                 let lits: Vec<String> = vs.iter().map(CqlValue::to_cql_literal).collect();
-                format!("{} IN ({})", self.column, lits.join(", "))
+                format!("{column} IN ({})", lits.join(", "))
             }
-            PredTest::Cmp(op, v) => {
-                format!("{} {} {}", self.column, op.symbol(), v.to_cql_literal())
-            }
+            PredTest::Cmp(op, v) => format!("{column} {} {}", op.symbol(), v.to_cql_literal()),
         }
     }
 }
@@ -95,36 +96,130 @@ impl ScanKind {
     }
 }
 
-/// The leaf of every plan: a scan of one table.
+/// The leaf of every plan: a scan of the planned table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanNode {
-    /// Qualified base-table name (`ks.table`).
-    pub table: String,
     /// Access path.
     pub kind: ScanKind,
     /// The access path's non-null literals as encoded keys, statement
     /// order: checked and encoded by the planner
     /// ([`crate::TableDef::encode_key`]), trusted by the operators.
-    pub keys: Vec<Vec<u8>>,
+    pub keys: KeyList,
     /// Predicates evaluated inside the scan (full scans only; pushdown).
     pub residual: Vec<Predicate>,
     /// Row cap applied inside the scan, counted after `residual`.
     pub pushed_limit: Option<usize>,
-    /// Column pruning applied by the scan (full scans only). `None` means
-    /// every column is materialized.
+    /// Column pruning applied by the scan, on every access path. `None`
+    /// means every column is materialized.
     pub projection: Option<ScanProjection>,
 }
 
-/// The columns a full scan materializes: the select list plus every
-/// predicate and sort-key column. SSTables skip decoding the column
-/// runs outside `indices`; pruned cells surface as `Null` and are never
-/// read above the scan.
+/// Encoded keys end to end in one buffer, in order, each after its
+/// length as four little-endian bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeyList {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl KeyList {
+    /// An empty list with room for `keys` keys of up to eight bytes (an
+    /// `int` key's length) before it grows.
+    pub(crate) fn with_capacity(keys: usize) -> KeyList {
+        KeyList {
+            bytes: Vec::with_capacity(keys * (4 + 8)),
+            len: 0,
+        }
+    }
+
+    /// Appends the key `encode` writes, if it writes one (`Ok(true)`).
+    pub(crate) fn push_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<bool>,
+    ) -> Result<()> {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; 4]);
+        if !encode(&mut self.bytes)? {
+            self.bytes.truncate(at);
+            return Ok(());
+        }
+        let len = u32::try_from(self.bytes.len() - at - 4).expect("a key under 4 GiB");
+        self.bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Appends a whole key.
+    pub fn push(&mut self, key: &[u8]) {
+        let pushed = self.push_with(|bytes| {
+            bytes.extend_from_slice(key);
+            Ok(true)
+        });
+        pushed.expect("a whole key always pushes");
+    }
+
+    /// Keys held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no key is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The keys, in order.
+    pub fn iter(&self) -> KeyIter<'_> {
+        KeyIter {
+            rest: &self.bytes,
+            left: self.len,
+        }
+    }
+}
+
+impl<'a> FromIterator<&'a [u8]> for KeyList {
+    fn from_iter<I: IntoIterator<Item = &'a [u8]>>(keys: I) -> KeyList {
+        let mut list = KeyList::default();
+        keys.into_iter().for_each(|key| list.push(key));
+        list
+    }
+}
+
+/// The keys of a [`KeyList`], in order.
+#[derive(Debug, Clone)]
+pub struct KeyIter<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for KeyIter<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (len, rest) = self.rest.split_first_chunk::<4>()?;
+        let (key, rest) = rest.split_at(u32::from_le_bytes(*len) as usize);
+        self.rest = rest;
+        self.left -= 1;
+        Some(key)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for KeyIter<'_> {}
+
+/// The columns a scan materializes: the select list plus every predicate
+/// and sort-key column, and for an index scan the indexed column its
+/// staleness re-check reads. SSTables skip decoding the column runs
+/// outside `indices`; pruned cells surface as `Null` and are never read
+/// above the scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanProjection {
-    /// Base-layout indices to materialize, sorted ascending.
-    pub indices: Vec<usize>,
-    /// The same columns by name (for `EXPLAIN`).
-    pub names: Vec<String>,
+    /// Base-layout indices to materialize, sorted ascending; shared with
+    /// a `Project` above that selects exactly these.
+    pub indices: Arc<[usize]>,
     /// Base-layout columns pruned (schema width minus `indices`).
     pub pruned: usize,
 }
@@ -167,9 +262,9 @@ pub enum PlanNode {
         /// Input node.
         input: Box<PlanNode>,
         /// Input-layout indices, in output order.
-        indices: Vec<usize>,
-        /// Output column names (for display).
-        names: Vec<String>,
+        indices: Arc<[usize]>,
+        /// Output column names (for display), shared with the plan's.
+        names: Arc<[String]>,
     },
     /// Total sort on one column ([`CqlValue::cmp_sort`] order; stable, so
     /// ties keep the input's key order).
@@ -201,8 +296,9 @@ pub enum PlanNode {
         aggs: Vec<AggSpec>,
         /// Output layout, in select-list order.
         output: Vec<AggOutput>,
-        /// Output column names, aligned with `output`.
-        names: Vec<String>,
+        /// Output column names, aligned with `output`, shared with the
+        /// plan's.
+        names: Arc<[String]>,
     },
 }
 
@@ -226,5 +322,5 @@ pub struct SelectPlan {
     /// Root of the plan tree.
     pub root: PlanNode,
     /// Output column names, in select-list order.
-    pub columns: Vec<String>,
+    pub columns: Arc<[String]>,
 }

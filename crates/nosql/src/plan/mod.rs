@@ -29,7 +29,7 @@ pub mod planner;
 
 pub use explain::TableStats;
 pub use logical::{
-    AggOutput, AggSpec, PlanNode, PredTest, Predicate, ScanKind, ScanNode, SelectPlan,
+    AggOutput, AggSpec, KeyList, PlanNode, PredTest, Predicate, ScanKind, ScanNode, SelectPlan,
 };
 pub(crate) use planner::plan;
 pub use planner::plan_select;

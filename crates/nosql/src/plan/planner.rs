@@ -8,138 +8,173 @@
 
 use super::explain::TableStats;
 use super::logical::{
-    AggOutput, AggSpec, PlanNode, PredTest, Predicate, ScanKind, ScanNode, ScanProjection,
+    AggOutput, AggSpec, KeyList, PlanNode, PredTest, Predicate, ScanKind, ScanNode, ScanProjection,
     SelectPlan,
 };
 use crate::cql::ast::{AggFunc, OrderBy, SelectColumns, SelectItem, WhereClause};
 use crate::error::{NosqlError, Result};
 use crate::schema::TableDef;
 use crate::types::CqlType;
+use std::sync::Arc;
 
-/// Phase 1 of lowering: resolve the `WHERE` conjunction's columns and
-/// check every literal against its column's declared type.
-fn resolve_predicates(def: &TableDef, where_clause: &[WhereClause]) -> Result<Vec<Predicate>> {
-    let mut preds = Vec::with_capacity(where_clause.len());
-    for clause in where_clause {
-        let column = clause.column().to_string();
-        let index = def.column(&column)?;
-        let test = match clause {
-            WhereClause::Eq { value, .. } => PredTest::Eq(value.clone()),
-            WhereClause::In { values, .. } => PredTest::In(values.clone()),
-            WhereClause::Cmp { op, value, .. } => {
-                if def.columns[index].ty == CqlType::IntSet {
-                    return Err(NosqlError::Unsupported(format!(
-                        "range comparisons on set<int> column {column:?}"
-                    )));
-                }
-                PredTest::Cmp(*op, value.clone())
+/// Phase 1 of lowering: resolve a `WHERE` clause's column and check every
+/// literal against its column's declared type. Returns the column's
+/// index.
+fn check_clause(def: &TableDef, clause: &WhereClause) -> Result<usize> {
+    let column = clause.column();
+    let index = def.column(column)?;
+    let values = match clause {
+        WhereClause::Eq { value, .. } => std::slice::from_ref(value),
+        WhereClause::In { values, .. } => values.as_slice(),
+        WhereClause::Cmp { value, .. } => {
+            if def.columns[index].ty == CqlType::IntSet {
+                return Err(NosqlError::Unsupported(format!(
+                    "range comparisons on set<int> column {column:?}"
+                )));
             }
-        };
-        let pred = Predicate {
-            column,
-            index,
-            test,
-        };
-        for value in pred.values() {
-            def.check(index, value)?;
+            std::slice::from_ref(value)
         }
-        preds.push(pred);
+    };
+    for value in values {
+        def.check(index, value)?;
     }
-    Ok(preds)
+    Ok(index)
 }
 
-/// How attractive a predicate is as the access path. Primary-key probes
-/// beat posting scans beat nothing; equality beats `IN` (fewer probes).
-fn access_score(def: &TableDef, pred: &Predicate) -> u8 {
-    let on_pk = pred.index == def.primary_key;
-    match (&pred.test, on_pk, def.is_indexed(&pred.column)) {
-        (PredTest::Eq(_), true, _) => 4,
-        (PredTest::In(_), true, _) => 3,
-        (PredTest::Eq(_), false, true) => 2,
-        (PredTest::In(_), false, true) => 1,
+/// A checked clause as a predicate.
+fn predicate(def: &TableDef, clause: &WhereClause) -> Result<Predicate> {
+    let index = check_clause(def, clause)?;
+    let test = match clause {
+        WhereClause::Eq { value, .. } => PredTest::Eq(value.clone()),
+        WhereClause::In { values, .. } => PredTest::In(values.clone()),
+        WhereClause::Cmp { op, value, .. } => PredTest::Cmp(*op, value.clone()),
+    };
+    Ok(Predicate { index, test })
+}
+
+/// How attractive a clause on column `index` is as the access path.
+/// Primary-key probes beat posting scans beat nothing; equality beats
+/// `IN` (fewer probes).
+fn access_score(def: &TableDef, clause: &WhereClause, index: usize) -> u8 {
+    let on_pk = index == def.primary_key;
+    match (clause, on_pk, def.is_indexed(clause.column())) {
+        (WhereClause::Eq { .. }, true, _) => 4,
+        (WhereClause::In { .. }, true, _) => 3,
+        (WhereClause::Eq { .. }, false, true) => 2,
+        (WhereClause::In { .. }, false, true) => 1,
         _ => 0,
     }
 }
 
-/// Phase 2: pick the access path and push what the scan can absorb.
-/// Returns the scan node and the predicates that must be filtered above
-/// it.
-fn choose_access(def: &TableDef, mut preds: Vec<Predicate>) -> Result<(ScanNode, Vec<Predicate>)> {
+/// Checks the `WHERE` conjunction, picks the access path and pushes what
+/// the scan can absorb. Returns the scan node and the predicates that
+/// must be filtered above it.
+fn choose_access(
+    def: &TableDef,
+    where_clause: &[WhereClause],
+) -> Result<(ScanNode, Vec<Predicate>)> {
     let scan = |kind, keys, residual| ScanNode {
-        table: def.qualified_name().to_string(),
         kind,
         keys,
         residual,
         pushed_limit: None,
         projection: None,
     };
-    let best = preds
-        .iter()
-        .enumerate()
-        .max_by_key(|(i, p)| (access_score(def, p), usize::MAX - i))
-        .filter(|(_, p)| access_score(def, p) > 0)
-        .map(|(i, _)| i);
-    let Some(best) = best else {
+    // The best path, the first clause of the highest score.
+    let mut best: Option<(u8, usize)> = None;
+    for (i, clause) in where_clause.iter().enumerate() {
+        let score = access_score(def, clause, check_clause(def, clause)?);
+        if score > best.map_or(0, |(top, _)| top) {
+            best = Some((score, i));
+        }
+    }
+    let preds = |skip: Option<usize>| {
+        let rest = where_clause
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| Some(*i) != skip);
+        rest.map(|(_, clause)| predicate(def, clause))
+            .collect::<Result<Vec<_>>>()
+    };
+    let Some((_, best)) = best else {
         // Full scan: every predicate is evaluated inside the scan, which
         // lets a pushed LIMIT stop the stream early.
-        return Ok((scan(ScanKind::Full, Vec::new(), preds), Vec::new()));
+        return Ok((
+            scan(ScanKind::Full, KeyList::default(), preds(None)?),
+            Vec::new(),
+        ));
     };
     // Only `=` and `IN` score as access paths; a point is a one-value `IN`.
-    let chosen = preds.remove(best);
-    let mut keys = Vec::with_capacity(chosen.values().len());
+    let chosen = predicate(def, &where_clause[best])?;
+    let mut keys = KeyList::with_capacity(chosen.values().len());
     for value in chosen.values() {
-        keys.extend(def.encode_key(chosen.index, value)?);
+        keys.push_with(|out| def.put_key(chosen.index, value, out))?;
     }
     let kind = if chosen.index == def.primary_key {
         ScanKind::Key(chosen)
     } else {
         ScanKind::Index(chosen)
     };
-    Ok((scan(kind, keys, Vec::new()), preds))
+    Ok((scan(kind, keys, Vec::new()), preds(Some(best))?))
 }
 
-/// Columns a full scan must materialize for this query: the select list
-/// (or grouping columns and aggregate inputs), every predicate column, and
-/// a base-layout `ORDER BY` key. `None` when the query touches every
+/// Columns a scan must materialize for this query: the select list (or
+/// grouping columns and aggregate inputs), every predicate column, a
+/// base-layout `ORDER BY` key, and an index scan's indexed column, which
+/// its staleness re-check reads. `None` when the query touches every
 /// column (`SELECT *`, or the union covers the schema) — SSTables skip
-/// decoding everything outside the returned set.
+/// decoding everything outside the returned set, on every access path.
 fn scan_projection(
     def: &TableDef,
     projection: &Projection,
-    residual: &[Predicate],
+    scan: &ScanNode,
     remaining: &[Predicate],
     order_by: Option<&OrderBy>,
 ) -> Result<Option<ScanProjection>> {
-    let mut needed: std::collections::BTreeSet<usize> = match projection {
+    let mut extra: Vec<usize> = Vec::new();
+    let base: &[usize] = match projection {
         Projection::All => return Ok(None),
-        Projection::Columns { indices, .. } => indices.iter().copied().collect(),
-        Projection::Aggregate { group_by, aggs, .. } => group_by
-            .iter()
-            .copied()
-            .chain(aggs.iter().filter_map(|a| a.input))
-            .collect(),
+        Projection::Columns { indices, .. } => indices,
+        Projection::Aggregate { group_by, aggs, .. } => {
+            extra.extend(
+                group_by
+                    .iter()
+                    .copied()
+                    .chain(aggs.iter().filter_map(|a| a.input)),
+            );
+            &[]
+        }
     };
-    for p in residual.iter().chain(remaining) {
-        needed.insert(p.index);
+    extra.extend(scan.residual.iter().chain(remaining).map(|p| p.index));
+    if let ScanKind::Index(pred) = &scan.kind {
+        extra.push(pred.index);
     }
     // An aggregate's ORDER BY resolves against its output (already
     // covered); otherwise the sort key reads the base layout.
     if let Some(o) = order_by {
         if !matches!(projection, Projection::Aggregate { .. }) {
-            needed.insert(def.column(&o.column)?);
+            extra.push(def.column(&o.column)?);
         }
     }
-    if needed.len() >= def.columns.len() {
+    let indices: Arc<[usize]> = match projection {
+        // The select list already is the set: it is shared, not copied.
+        Projection::Columns { indices, .. }
+            if indices.is_sorted_by(|a, b| a < b) && extra.iter().all(|c| indices.contains(c)) =>
+        {
+            Arc::clone(indices)
+        }
+        _ => {
+            extra.extend_from_slice(base);
+            extra.sort_unstable();
+            extra.dedup();
+            extra.into()
+        }
+    };
+    if indices.len() >= def.columns.len() {
         return Ok(None);
     }
-    let indices: Vec<usize> = needed.into_iter().collect();
-    let names = indices
-        .iter()
-        .map(|&i| def.columns[i].name.clone())
-        .collect();
     Ok(Some(ScanProjection {
         pruned: def.columns.len() - indices.len(),
-        names,
         indices,
     }))
 }
@@ -150,15 +185,15 @@ enum Projection {
     All,
     /// Plain columns, resolved to base-layout indices.
     Columns {
-        indices: Vec<usize>,
-        names: Vec<String>,
+        indices: Arc<[usize]>,
+        names: Arc<[String]>,
     },
     /// Aggregates (with or without `GROUP BY`).
     Aggregate {
         group_by: Vec<usize>,
         aggs: Vec<AggSpec>,
         output: Vec<AggOutput>,
-        names: Vec<String>,
+        names: Arc<[String]>,
     },
 }
 
@@ -204,9 +239,7 @@ fn resolve_projection(
         };
         let mut aggs = Vec::new();
         let mut output = Vec::with_capacity(items.len());
-        let mut names = Vec::with_capacity(items.len());
         for item in items {
-            names.push(item.output_name());
             match item {
                 SelectItem::Column(name) => {
                     if !group_by.contains(name) {
@@ -226,7 +259,7 @@ fn resolve_projection(
             group_by: group_idx,
             aggs,
             output,
-            names,
+            names: output_names(items),
         });
     }
     match columns {
@@ -234,7 +267,6 @@ fn resolve_projection(
         SelectColumns::Items(items) if columns.has_aggregates() => {
             let mut aggs = Vec::new();
             let mut output = Vec::with_capacity(items.len());
-            let mut names = Vec::with_capacity(items.len());
             for item in items {
                 let SelectItem::Aggregate { func, column } = item else {
                     return Err(NosqlError::Unsupported(format!(
@@ -242,7 +274,6 @@ fn resolve_projection(
                         item.output_name()
                     )));
                 };
-                names.push(item.output_name());
                 aggs.push(resolve_aggregate(def, *func, column.as_ref())?);
                 output.push(AggOutput::Agg(aggs.len() - 1));
             }
@@ -250,22 +281,34 @@ fn resolve_projection(
                 group_by: Vec::new(),
                 aggs,
                 output,
-                names,
+                names: output_names(items),
             })
         }
         SelectColumns::Items(items) => {
-            let mut indices = Vec::with_capacity(items.len());
-            let mut names = Vec::with_capacity(items.len());
+            let column = |item: &SelectItem| match item {
+                SelectItem::Column(name) => def.column(name),
+                SelectItem::Aggregate { .. } => unreachable!("has_aggregates was false"),
+            };
+            // Resolved once to report the first unknown name, then again
+            // into the shared list, whose length is known.
             for item in items {
-                let SelectItem::Column(name) = item else {
-                    unreachable!("has_aggregates was false");
-                };
-                indices.push(def.column(name)?);
-                names.push(name.clone());
+                column(item)?;
             }
-            Ok(Projection::Columns { indices, names })
+            let indices = items
+                .iter()
+                .map(|item| column(item).expect("resolved above"));
+            Ok(Projection::Columns {
+                indices: indices.collect(),
+                names: output_names(items),
+            })
         }
     }
+}
+
+/// The select list's output names, built once and shared by the plan's
+/// nodes and its result.
+fn output_names(items: &[SelectItem]) -> Arc<[String]> {
+    items.iter().map(SelectItem::output_name).collect()
 }
 
 fn sort_node(input: PlanNode, key: usize, column: String, desc: bool) -> PlanNode {
@@ -328,12 +371,9 @@ pub(crate) fn plan(
     order_by: Option<&OrderBy>,
     limit: Option<usize>,
 ) -> Result<SelectPlan> {
-    let preds = resolve_predicates(def, where_clause)?;
+    let (mut scan, remaining) = choose_access(def, where_clause)?;
     let projection = resolve_projection(def, columns, group_by)?;
-    let (mut scan, remaining) = choose_access(def, preds)?;
-    if scan.kind == ScanKind::Full {
-        scan.projection = scan_projection(def, &projection, &scan.residual, &remaining, order_by)?;
-    }
+    scan.projection = scan_projection(def, &projection, &scan, &remaining, order_by)?;
     let mut node = PlanNode::Scan(scan);
     if !remaining.is_empty() {
         node = PlanNode::Filter {
@@ -364,7 +404,7 @@ pub(crate) fn plan(
             node = PlanNode::Project {
                 input: Box::new(node),
                 indices,
-                names: names.clone(),
+                names: Arc::clone(&names),
             };
             Ok(SelectPlan {
                 root: node,
@@ -389,7 +429,7 @@ pub(crate) fn plan(
                 group_by: group_idx,
                 aggs,
                 output,
-                names: names.clone(),
+                names: Arc::clone(&names),
             };
             if let Some(o) = order_by {
                 // ORDER BY resolves against the aggregate's output names

@@ -34,7 +34,7 @@ pub struct QueryRow {
 impl QueryResult {
     /// Builds a result from column names and positional rows (the engine's
     /// internal representation).
-    pub fn new(columns: Vec<String>, rows: Vec<Vec<CqlValue>>) -> QueryResult {
+    pub fn new(columns: impl Into<Arc<[String]>>, rows: Vec<Vec<CqlValue>>) -> QueryResult {
         let columns: Arc<[String]> = columns.into();
         let rows = rows
             .into_iter()
@@ -112,15 +112,14 @@ impl QueryRow {
     /// The value in the named column; `UnknownColumn` if the name is not in
     /// the result.
     pub fn get(&self, column: &str) -> Result<&CqlValue> {
-        let idx = self
-            .columns
-            .iter()
-            .position(|c| c == column)
-            .ok_or_else(|| NosqlError::UnknownColumn {
-                table: "<result>".into(),
-                column: column.into(),
-            })?;
-        Ok(&self.values[idx])
+        Ok(&self.values[self.position(column)?])
+    }
+
+    fn position(&self, column: &str) -> Result<usize> {
+        (self.columns.iter().position(|c| c == column)).ok_or_else(|| NosqlError::UnknownColumn {
+            table: "<result>".into(),
+            column: column.into(),
+        })
     }
 
     /// Typed extraction via the [`TryFrom<&CqlValue>`] impls; a mismatch
@@ -150,6 +149,17 @@ impl QueryRow {
     /// The named column as `text`.
     pub fn get_text(&self, column: &str) -> Result<&str> {
         self.try_get(column)
+    }
+
+    /// The named column as `text`, moved out of the row, which keeps an
+    /// empty string in its place.
+    pub fn take_text(&mut self, column: &str) -> Result<String> {
+        let at = self.position(column)?;
+        if let CqlValue::Text(text) = &mut self.values[at] {
+            return Ok(std::mem::take(text));
+        }
+        // Not text: the typed error `get_text` names.
+        self.get_text(column).map(str::to_owned)
     }
 
     /// The named column as `boolean`.

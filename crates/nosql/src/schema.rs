@@ -124,14 +124,29 @@ impl TableDef {
     /// key. Everything below a statement's bind step handles key bytes
     /// from here, never an unchecked [`CqlValue::encode_key`].
     pub fn encode_key(&self, column: usize, value: &CqlValue) -> Result<Option<Vec<u8>>> {
+        let mut key = Vec::new();
+        Ok(self.put_key(column, value, &mut key)?.then_some(key))
+    }
+
+    /// [`TableDef::encode_key`] appended to `out`: `false`, with nothing
+    /// appended, for `null`.
+    pub(crate) fn put_key(
+        &self,
+        column: usize,
+        value: &CqlValue,
+        out: &mut Vec<u8>,
+    ) -> Result<bool> {
         self.check(column, value)?;
         match value {
-            CqlValue::Null => Ok(None),
+            CqlValue::Null => Ok(false),
             CqlValue::IntSet(_) => Err(NosqlError::Unsupported(format!(
                 "set<int> column {:?} cannot be a key",
                 self.columns[column].name
             ))),
-            scalar => Ok(Some(scalar.encode_key())),
+            scalar => {
+                ValueRef::from(scalar).put_key(out);
+                Ok(true)
+            }
         }
     }
 

@@ -60,11 +60,13 @@ pub struct SstEntry {
 
 /// What one point lookup did: the entry (if any) plus which read-path tier
 /// answered it. Feeds the `nosql.bloom.*` metrics, the blocks-per-get
-/// histogram and the filter-effectiveness tests.
+/// histogram and the filter-effectiveness tests. `E` is what a hit
+/// carries: the entry, or, for a reader that holds the key already, the
+/// stored version alone (`Found`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Probe {
+pub struct Probe<E = SstEntry> {
     /// The entry, if the key is present (tombstones included).
-    pub entry: Option<SstEntry>,
+    pub entry: Option<E>,
     /// Data blocks read to answer. A block read for several keys of one
     /// batch counts on one of them.
     pub blocks_read: u64,
@@ -74,8 +76,8 @@ pub struct Probe {
     pub filter_rejected: bool,
 }
 
-impl Probe {
-    fn absent(fence: bool, filter: bool) -> Probe {
+impl<E> Probe<E> {
+    fn absent(fence: bool, filter: bool) -> Probe<E> {
         Probe {
             entry: None,
             blocks_read: 0,
@@ -83,6 +85,14 @@ impl Probe {
             filter_rejected: filter,
         }
     }
+}
+
+/// A stored version of a key its reader holds already: the sequence and
+/// the row (`None` = tombstone).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Found {
+    pub seq: u64,
+    pub row: Option<Row>,
 }
 
 /// Writes a sorted run of entries as one SSTable file, each block's
@@ -501,21 +511,50 @@ impl SsTable {
     /// for one key. [`SsTable::get`] is the entry-only shorthand.
     pub fn probe(&self, key: &[u8]) -> Result<Probe> {
         let mut probe = Probe::absent(false, false);
-        self.probe_keys(&[(0, key)], &mut |_, p| probe = p)?;
+        self.probe_keys(&[(0, key)], None, &mut |_, p| probe = p)?;
         Ok(probe)
     }
 
     /// Point lookups of `keys` — `(caller's index, key)` pairs in strictly
     /// ascending key order — with read-path telemetry: `found(index,
-    /// probe)` gets each key's [`Probe`] once. The fences and the bloom
-    /// filter screen every key; the keys that pass and fall in one data
-    /// block, up to 64 at a time, share one read and one walk of it
-    /// (`colblock::find_rows`). The read counts on the first of them only,
-    /// so blocks read summed over the keys is the blocks this call read.
+    /// probe)` gets each key's [`Probe`] once. Only the columns in `proj`
+    /// are read (`None` = all); the rest come back null. The fences and
+    /// the bloom filter screen every key; the keys that pass and fall in
+    /// one data block, up to 64 at a time, share one read and one walk of
+    /// it (`colblock::find_rows`). The read counts on the first of them
+    /// only, so blocks read summed over the keys is the blocks this call
+    /// read.
     pub fn probe_keys(
         &self,
         keys: &[(usize, &[u8])],
+        proj: Option<&[usize]>,
         found: &mut dyn FnMut(usize, Probe),
+    ) -> Result<()> {
+        self.lookup(keys, proj, &mut |pos, probe| {
+            let (at, key) = keys[pos];
+            let entry = probe.entry.map(|Found { seq, row }| SstEntry {
+                key: key.to_vec(),
+                row,
+                timestamp: seq,
+            });
+            let probe = Probe {
+                entry,
+                blocks_read: probe.blocks_read,
+                fence_rejected: probe.fence_rejected,
+                filter_rejected: probe.filter_rejected,
+            };
+            found(at, probe);
+        })
+    }
+
+    /// [`SsTable::probe_keys`] for a reader that holds the keys: `found`
+    /// gets each key's position in `keys` with its probe, whose hit is the
+    /// stored version alone, so no key is copied.
+    pub(crate) fn lookup(
+        &self,
+        keys: &[(usize, &[u8])],
+        proj: Option<&[usize]>,
+        found: &mut dyn FnMut(usize, Probe<Found>),
     ) -> Result<()> {
         debug_assert!(keys.windows(2).all(|w| w[0].1 < w[1].1));
         let blocks = &self.meta.blocks;
@@ -523,7 +562,7 @@ impl SsTable {
         let mut i = 0;
         while i < keys.len() {
             if let Some(absent) = self.screen(keys[i].1, stats) {
-                found(keys[i].0, absent);
+                found(i, absent);
                 i += 1;
                 continue;
             }
@@ -542,15 +581,15 @@ impl SsTable {
             // passed the screen.
             let group = &keys[i..end.min(i + u64::BITS as usize)];
             let mut passed = 1u64;
-            for (j, &(at, key)) in group.iter().enumerate().skip(1) {
+            for (j, &(_, key)) in group.iter().enumerate().skip(1) {
                 match self.screen(key, stats) {
-                    Some(absent) => found(at, absent),
+                    Some(absent) => found(i + j, absent),
                     None => passed |= 1 << j,
                 }
             }
             let bytes = self.read_block(&blocks[pos - 1])?;
             let mut blocks_read = 1;
-            let mut report = |j: usize, entry: Option<SstEntry>| {
+            let mut report = |j: usize, entry: Option<Found>| {
                 if stats && entry.is_some() {
                     crate::obs::nosql().bloom_hit.inc();
                 } else if stats {
@@ -562,15 +601,15 @@ impl SsTable {
                     fence_rejected: false,
                     filter_rejected: false,
                 };
-                found(group[j].0, probe);
+                found(i + j, probe);
             };
             let wanted = passed;
             let mut walk = (group.iter().enumerate())
                 .filter(|&(j, _)| (wanted >> j) & 1 == 1)
                 .map(|(j, &(_, key))| (j, key));
-            colblock::find_rows(&self.file, &bytes, &mut walk, &mut |j, entry| {
+            colblock::find_rows(&self.file, &bytes, &mut walk, proj, &mut |j, seq, row| {
                 passed &= !(1 << j);
-                report(j, Some(entry));
+                report(j, Some(Found { seq, row }));
             })?;
             // Passed the filter, absent from the block: false positives.
             for j in (0..group.len()).filter(|j| (passed >> j) & 1 == 1) {
@@ -583,7 +622,7 @@ impl SsTable {
 
     /// The fences' and the bloom filter's verdict on `key`: its absent
     /// probe when either rules it out.
-    fn screen(&self, key: &[u8], stats: bool) -> Option<Probe> {
+    fn screen(&self, key: &[u8], stats: bool) -> Option<Probe<Found>> {
         let meta = &self.meta;
         if meta.blocks.is_empty() || key < meta.min_key.as_slice() || key > meta.max_key.as_slice()
         {

@@ -36,7 +36,7 @@ use crate::memtable::Memtable;
 use crate::mvcc::{SeqGuard, SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
-use crate::sstable::{write_columns, write_sstable, Probe, SsTable, SstEntry, SstIter};
+use crate::sstable::{write_columns, write_sstable, Found, Probe, SsTable, SstEntry, SstIter};
 use sc_storage::Vfs;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,12 +76,12 @@ struct KeyRead {
 
 impl KeyRead {
     /// Takes one SSTable's answer, newest table first.
-    fn disk(&mut self, probe: Probe, bound: u64) {
+    fn disk(&mut self, probe: Probe<Found>, bound: u64) {
         self.sstables += 1;
         self.blocks += probe.blocks_read;
-        if let Some(e) = probe.entry.filter(|e| e.timestamp <= bound) {
-            if self.best.as_ref().is_none_or(|(_, seq)| e.timestamp > *seq) {
-                self.best = Some((e.row, e.timestamp));
+        if let Some(found) = probe.entry.filter(|found| found.seq <= bound) {
+            if self.best.as_ref().is_none_or(|(_, seq)| found.seq > *seq) {
+                self.best = Some((found.row, found.seq));
             }
             self.settled = true;
         }
@@ -450,7 +450,10 @@ impl TableCore {
     /// Point reads of `keys`, strictly ascending, at MVCC bound `bound`:
     /// per key, the newest version with `seq <= bound` wins, wherever it
     /// lives. `found(i, row)` gets each key's live row in key order, `i`
-    /// its index in `keys`; an absent or deleted key gets no call.
+    /// its index in `keys`; an absent or deleted key gets no call. A row
+    /// from an SSTable holds only the columns in `proj` (`None` = all),
+    /// the rest null; a memtable row is whole, so callers read only
+    /// projected positions.
     ///
     /// A definitive memtable hit settles its key. The other keys go to the
     /// SSTables newest first, each table probed once for the keys still
@@ -459,12 +462,18 @@ impl TableCore {
     /// and settles it, beating a memtable hit only with a higher sequence;
     /// a hit above `bound` is not yet visible, and an older table may still
     /// hold the visible version.
-    pub fn get<K: AsRef<[u8]>>(
+    pub fn get<'k, I>(
         &self,
-        keys: &[K],
+        keys: I,
         bound: u64,
+        proj: Option<&[usize]>,
         found: &mut dyn FnMut(usize, Row),
-    ) -> Result<()> {
+    ) -> Result<()>
+    where
+        I: IntoIterator<Item = &'k [u8]>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let keys = keys.into_iter();
         let stats = sc_obs::enabled();
         if stats {
             crate::obs::nosql().point_queries.add(keys.len() as u64);
@@ -481,8 +490,8 @@ impl TableCore {
             }
         };
         let mut settled = 0;
-        for (key, read) in keys.iter().zip(reads.iter_mut()) {
-            if let Some(hit) = self.mem.get(key.as_ref(), bound) {
+        for (key, read) in keys.clone().zip(reads.iter_mut()) {
+            if let Some(hit) = self.mem.get(key, bound) {
                 // Definitive: the chain is complete above the hit, so
                 // nothing newer can exist in an SSTable. Warm reads stay
                 // disk-free.
@@ -495,7 +504,7 @@ impl TableCore {
             sc_obs::trace::add(sc_obs::trace::Attr::MemtableHits, settled as u64);
         }
         if settled < keys.len() {
-            self.probe_sstables(keys, reads, bound)?;
+            self.probe_sstables(keys, reads, bound, proj)?;
         }
         let (mut sstables, mut blocks) = (0, 0);
         for (i, read) in reads.iter_mut().enumerate() {
@@ -518,11 +527,12 @@ impl TableCore {
 
     /// [`TableCore::get`]'s disk half: the SSTables newest first, each
     /// probed once for the keys `reads` still has open.
-    fn probe_sstables<K: AsRef<[u8]>>(
+    fn probe_sstables<'k>(
         &self,
-        keys: &[K],
+        mut keys: impl ExactSizeIterator<Item = &'k [u8]>,
         reads: &mut [KeyRead],
         bound: u64,
+        proj: Option<&[usize]>,
     ) -> Result<()> {
         // Hold the read guard across every probe so compaction cannot
         // delete a file mid-lookup.
@@ -534,14 +544,13 @@ impl TableCore {
         // a point read's one key stays on the stack.
         let mut one = [(0, &[][..])];
         let mut many = Vec::new();
-        let open: &mut [(usize, &[u8])] = match keys {
-            [key] => {
-                one[0].1 = key.as_ref();
+        let open: &mut [(usize, &[u8])] = match keys.len() {
+            1 => {
+                one[0].1 = keys.next().expect("one key");
                 &mut one
             }
             _ => {
-                let keys = keys.iter().map(AsRef::as_ref).enumerate();
-                many.extend(keys.filter(|&(i, _)| !reads[i].settled));
+                many.extend(keys.enumerate().filter(|&(i, _)| !reads[i].settled));
                 &mut many
             }
         };
@@ -550,7 +559,9 @@ impl TableCore {
             if len == 0 {
                 break;
             }
-            sst.probe_keys(&open[..len], &mut |i, probe| reads[i].disk(probe, bound))?;
+            sst.lookup(&open[..len], proj, &mut |j, probe| {
+                reads[open[j].0].disk(probe, bound)
+            })?;
             let mut kept = 0;
             for j in 0..len {
                 if !reads[open[j].0].settled {
@@ -784,7 +795,8 @@ impl TableCore {
         };
         let mut on_disk = None;
         if start < end {
-            self.get(&keys[start..end], u64::MAX, &mut |i, _| {
+            let keys = keys[start..end].iter().copied();
+            self.get(keys, u64::MAX, Some(&[]), &mut |i, _| {
                 on_disk.get_or_insert(start + i);
             })?;
         }
@@ -1104,7 +1116,7 @@ mod tests {
     fn get_at(table: &TableCore, key: &[u8], bound: u64) -> Option<Row> {
         let mut found = None;
         table
-            .get(&[key], bound, &mut |_, row| found = Some(row))
+            .get([key], bound, None, &mut |_, row| found = Some(row))
             .unwrap();
         found
     }
@@ -1741,7 +1753,8 @@ mod tests {
                     sorted.sort();
                     sorted.dedup();
                     let mut got = Vec::new();
-                    core.get(&sorted, bound, &mut |i, row| got.push((i, row)))
+                    let keys = sorted.iter().map(Vec::as_slice);
+                    core.get(keys, bound, None, &mut |i, row| got.push((i, row)))
                         .unwrap();
                     let want: Vec<(usize, Row)> = (sorted.iter().enumerate())
                         .filter_map(|(i, key)| Some((i, get_at(core, key, bound)?)))
@@ -1749,7 +1762,8 @@ mod tests {
                     assert_eq!(got, want, "seed {seed} bound {bound}: table batch");
 
                     let name = "MultiPointScan";
-                    let mut op = MultiPointScan::new(Arc::clone(core), name, batch.clone(), bound);
+                    let keys = batch.iter().map(Vec::as_slice).collect();
+                    let mut op = MultiPointScan::new(Arc::clone(core), name, keys, bound, None);
                     let got = crate::exec::drain(&mut op).unwrap();
                     let mut want = Vec::new();
                     for (i, key) in batch.iter().enumerate() {
@@ -1801,7 +1815,12 @@ mod tests {
         let before = reads(&h);
         let mut got = Vec::new();
         h.table
-            .get(&keys, u64::MAX, &mut |_, row| got.push(row))
+            .get(
+                keys.iter().map(Vec::as_slice),
+                u64::MAX,
+                None,
+                &mut |_, row| got.push(row),
+            )
             .unwrap();
         let want: Vec<Row> = (0..16).map(|id| row(id, layer(id)).1).collect();
         assert_eq!(got, want);

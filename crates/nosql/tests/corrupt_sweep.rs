@@ -98,7 +98,7 @@ fn exercise(vfs: &Vfs, file: &str, es: &[SstEntry]) -> Result<Vec<SstEntry>, Nos
     keys.sort_unstable();
     let mut batch = vec![None; keys.len()];
     let pairs: Vec<(usize, &[u8])> = keys.iter().copied().enumerate().collect();
-    sst.probe_keys(&pairs, &mut |i, probe| batch[i] = Some(probe.entry))?;
+    sst.probe_keys(&pairs, None, &mut |i, probe| batch[i] = Some(probe.entry))?;
     for (key, got) in keys.iter().zip(batch) {
         let want = es.iter().find(|e| e.key == *key);
         let got = got.expect("every key of a batch is answered");

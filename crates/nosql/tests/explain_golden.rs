@@ -75,14 +75,14 @@ PointScan ks.obs key=17 (bloom+fence checked)  (cost: rows≈1, total≈5.1)
 
 EXPLAIN SELECT bikes FROM ks.obs WHERE id IN (3, 350, 510)
 Project [bikes]  (cost: rows≈3, total≈15.4)
-  MultiPointScan ks.obs keys=3  (cost: rows≈3, total≈15.2)
+  MultiPointScan ks.obs keys=3 cols=[bikes] (+3 pruned)  (cost: rows≈3, total≈15.2)
 
 EXPLAIN SELECT * FROM ks.obs WHERE station = 's3'
 IndexScan ks.obs via ks.obs__idx_station on station values=1  (cost: rows≈52, total≈316.0)
 
 EXPLAIN SELECT id, bikes FROM ks.obs WHERE station IN ('s1', 's2')
 Project [id, bikes]  (cost: rows≈104, total≈637.2)
-  IndexScan ks.obs via ks.obs__idx_station on station values=2  (cost: rows≈104, total≈632.0)
+  IndexScan ks.obs via ks.obs__idx_station on station values=2 cols=[id, station, bikes] (+1 pruned)  (cost: rows≈104, total≈632.0)
 
 EXPLAIN SELECT * FROM ks.obs WHERE bikes > 4 AND docks = 2 LIMIT 10
 FullScan ks.obs where bikes > 4 AND docks = 2 limit=10  (cost: rows≈10, total≈597.0)
@@ -112,7 +112,7 @@ Limit 2  (cost: rows≈2, total≈15.2)
 
 EXPLAIN SELECT v FROM ks.fresh WHERE k = 1
 Project [v]  (cost: rows≈1, total≈2.0)
-  PointScan ks.fresh key=1 (bloom+fence checked)  (cost: rows≈1, total≈2.0)
+  PointScan ks.fresh key=1 (bloom+fence checked) cols=[v] (+1 pruned)  (cost: rows≈1, total≈2.0)
 ";
 
 #[test]

@@ -15,6 +15,9 @@
 #   - per workload and end-to-end metric: both medians, the median delta,
 #     how many seeds B won, and each seed's delta of B against A;
 #   - the failed operations of each side;
+#   - the host's speed before each run: the seconds a fixed CPU-bound
+#     calibration took (sha256sum of 256 MiB of zeros), per run, with the
+#     pairs whose two calibrations differ by more than 10 % flagged;
 #   - the diff of the work-ledger golden (`crates/bench/tests/ledger.txt`)
 #     that each tree rewrites for itself.
 #
@@ -70,8 +73,18 @@ for side in a b; do
 done
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$work/b/BENCHMARK.json")"
 
+# Seconds a fixed CPU-bound job takes on this host now.
+calibrate() {
+    local start end
+    start="$(date +%s.%N)"
+    head -c 268435456 /dev/zero | sha256sum >/dev/null
+    end="$(date +%s.%N)"
+    awk -v s="$start" -v e="$end" 'BEGIN { printf "%.3f\n", e - s }'
+}
+
 one() { # side seed workload
     local out="$work/out/$1/$3.$2.out"
+    calibrate >"$work/out/$1/$3.$2.cal"
     "$work/$1/benchmark/run.sh" --workload "$3" --seed "$2" --seconds "$seconds" \
         --trace 0 >"$out" || echo "pairs.sh: $1 $3 seed $2 exited non-zero" >&2
 }
@@ -142,6 +155,21 @@ for side in a b; do
         awk '{ s += $1 } END { print s + 0 }')"
     echo "failed operations, $side: $failed"
 done
+
+echo
+echo "## Host speed (seconds to sha256sum 256 MiB before each run; a report, not a gate)"
+echo
+echo "| workload | seed | A s | B s | B/A | flag |"
+echo "|---|---|---|---|---|---|"
+for workload in ${workloads//,/ }; do
+    for seed in $(seq "$first" "$last"); do
+        echo "$workload $seed $(cat "$work/out/a/$workload.$seed.cal") $(cat "$work/out/b/$workload.$seed.cal")"
+    done
+done | awk '{
+    ratio = $4 / $3
+    flag = (ratio > 1.1 || ratio < 1 / 1.1) ? "host speed differs > 10 %" : ""
+    printf "| %s | %s | %s | %s | %.3f | %s |\n", $1, $2, $3, $4, ratio, flag
+}'
 
 echo
 echo "## Work ledger (each tree's golden, rewritten by its own test; diff A → B)"
