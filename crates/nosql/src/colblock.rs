@@ -23,16 +23,20 @@
 //! Column chunks are length-prefixed so a projected read skips a pruned
 //! column in O(1) without parsing it.
 //!
-//! Two decoders read a block. [`ScanBlock::decode`] serves every scan: it
-//! keeps the key run as ranges of the block bytes, the sequences and
-//! liveness, and each projected column as a typed run — `i64`s, a
+//! Two decoders read a block, and both honour one projection rule: the
+//! column chunks the caller's projection names (`None` = all) are walked
+//! and checked, the others are stepped over by their length prefix,
+//! never parsed, and read as null. [`ScanBlock::decode`] serves every
+//! scan: it keeps the key run as ranges of the block bytes, the sequences
+//! and liveness, and each projected column as a typed run — `i64`s, a
 //! dictionary decoded once plus one code per cell, bits, or raw values —
 //! so operators read cells without building rows. [`find_rows`] serves
 //! key probes: one walk of the block finds a sorted batch of keys — a
 //! point read is the batch of one — and builds their rows and no other.
-//! Both read every column run through one walk, `walk_run`, which makes
-//! every check and hands each decoder the cells it asks for; only a probe
-//! whose keys are all absent stops early, after the key run.
+//! Both read every projected column run through one walk, `walk_run`,
+//! which makes every check and hands each decoder the cells it asks for;
+//! only a probe whose keys are all absent stops early, after the key
+//! run.
 
 use crate::error::{NosqlError, Result};
 use crate::row::Row;

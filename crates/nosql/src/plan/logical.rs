@@ -151,11 +151,10 @@ impl KeyList {
 
     /// Appends a whole key.
     pub fn push(&mut self, key: &[u8]) {
-        let pushed = self.push_with(|bytes| {
-            bytes.extend_from_slice(key);
-            Ok(true)
-        });
-        pushed.expect("a whole key always pushes");
+        let len = u32::try_from(key.len()).expect("a key under 4 GiB");
+        self.bytes.extend_from_slice(&len.to_le_bytes());
+        self.bytes.extend_from_slice(key);
+        self.len += 1;
     }
 
     /// Keys held.

@@ -65,7 +65,7 @@ work="$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")"
 echo "pairs.sh: trees, builds and raw outputs in $work" >&2
 for side in a b; do
     if [ "$side" = a ]; then rev="$rev_a"; else rev="$rev_b"; fi
-    mkdir -p "$work/$side" "$work/out/$side"
+    mkdir -p "$work/$side" "$work/out/$side" "$work/cal/$side"
     git -C "$repo" archive "$rev" | tar -x -C "$work/$side"
     echo "pairs.sh: building $side = $rev ($(git -C "$repo" rev-parse --short "$rev"))" >&2
     cargo build --release --offline --quiet \
@@ -84,7 +84,7 @@ calibrate() {
 
 one() { # side seed workload
     local out="$work/out/$1/$3.$2.out"
-    calibrate >"$work/out/$1/$3.$2.cal"
+    calibrate >"$work/cal/$1/$3.$2"
     "$work/$1/benchmark/run.sh" --workload "$3" --seed "$2" --seconds "$seconds" \
         --trace 0 >"$out" || echo "pairs.sh: $1 $3 seed $2 exited non-zero" >&2
 }
@@ -163,7 +163,7 @@ echo "| workload | seed | A s | B s | B/A | flag |"
 echo "|---|---|---|---|---|---|"
 for workload in ${workloads//,/ }; do
     for seed in $(seq "$first" "$last"); do
-        echo "$workload $seed $(cat "$work/out/a/$workload.$seed.cal") $(cat "$work/out/b/$workload.$seed.cal")"
+        echo "$workload $seed $(cat "$work/cal/a/$workload.$seed") $(cat "$work/cal/b/$workload.$seed")"
     done
 done | awk '{
     ratio = $4 / $3
