@@ -135,16 +135,15 @@ impl Index {
     /// Postings may trail an overwrite racing the index update, so the
     /// caller re-checks each base row against the values.
     pub fn base_keys(&self, value_keys: &KeyList, bound: u64) -> Result<KeyList> {
-        let mut keys = KeyList::default();
+        let (mut keys, mut key) = (KeyList::default(), Vec::new());
         for value_key in value_keys.iter() {
             let prefix = Index::prefix(value_key).into_bytes();
             let postings = self.postings.cursor(bound, Some(&prefix), None);
             for posting in postings.entries().map(live_row) {
                 if let Some(id) = posting?.values[1].as_int() {
-                    keys.push_with(|out| {
-                        ValueRef::Int(id).put_key(out);
-                        Ok(true)
-                    })?;
+                    key.clear();
+                    ValueRef::Int(id).put_key(&mut key);
+                    keys.push(&key);
                 }
             }
         }
