@@ -1414,7 +1414,7 @@ mod tests {
         for tag in [ENC_RAW, ENC_INT_DELTA, ENC_TEXT_DICT, ENC_BOOL_BITMAP] {
             assert!(tags_seen.contains(&tag), "no block used encoding {tag}");
         }
-        // The unique readings outgrow the dictionary cap in the large blocks.
+        // The unique readings stay raw: a dictionary of them is no smaller.
         let large = encode_block("t", &seeded_entries(&mut rng, 120)).unwrap();
         assert_eq!(chunk_tags(&large)[3], ENC_RAW);
     }
