@@ -20,6 +20,7 @@ use crate::models::protocol::NodeRows;
 use crate::models::{NosqlDwarfModel, NosqlMinModel};
 use sc_dwarf::source::{CowNode, NodeSource, OwnedCell, OwnedNode, SourceNodeId};
 use sc_dwarf::CubeSchema;
+use sc_encoding::FnvHashMap;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -58,12 +59,13 @@ impl ReadStats {
 
 /// Bounded LRU map of materialized nodes. Eviction scans for the least
 /// recently used entry, which is fine at the intended capacities (a few
-/// thousand nodes).
+/// thousand nodes). Hashed with a fixed hasher, so the map's resizes, and
+/// with them a query's allocations, repeat exactly from run to run.
 #[derive(Debug)]
 struct NodeCache {
     cap: usize,
     tick: u64,
-    map: HashMap<SourceNodeId, (Rc<OwnedNode>, u64)>,
+    map: FnvHashMap<SourceNodeId, (Rc<OwnedNode>, u64)>,
 }
 
 impl NodeCache {
@@ -71,7 +73,7 @@ impl NodeCache {
         NodeCache {
             cap,
             tick: 0,
-            map: HashMap::with_capacity(cap.min(1024)),
+            map: FnvHashMap::with_capacity_and_hasher(cap.min(1024), Default::default()),
         }
     }
 

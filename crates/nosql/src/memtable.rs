@@ -111,20 +111,28 @@ impl Memtable {
 
     /// The version of `key` a reader at `bound` sees ([`visible_at`]), if
     /// the memtable holds it.
+    #[cfg(test)]
     pub fn get(&self, key: &[u8], bound: u64) -> Option<MemHit> {
+        hit(&self.read(), key, bound)
+    }
+
+    /// [`Memtable::get`] for each of `keys` under one read lock: `found(i,
+    /// hit)` for the `i`th key when the memtable holds a version of it.
+    pub fn get_each<'k>(
+        &self,
+        keys: impl Iterator<Item = &'k [u8]>,
+        bound: u64,
+        mut found: impl FnMut(usize, MemHit),
+    ) {
         let entries = self.read();
-        let versions = entries.get(key)?;
-        let pos = visible_at(versions, bound)?;
-        // Intact above the hit: the head is the key's newest anywhere and
-        // every link down to the hit points at the version before it.
-        let definitive = versions[0].shadow == u64::MAX
-            && versions[..=pos].windows(2).all(|w| w[1].shadow == w[0].seq);
-        let v = &versions[pos];
-        Some(MemHit {
-            row: v.row.clone(),
-            seq: v.seq,
-            definitive,
-        })
+        if entries.is_empty() {
+            return;
+        }
+        for (i, key) in keys.enumerate() {
+            if let Some(hit) = hit(&entries, key, bound) {
+                found(i, hit);
+            }
+        }
     }
 
     /// The index of the first of `keys` the memtable holds any version of,
@@ -238,6 +246,22 @@ fn collect<'a>(
             })
         })
         .collect()
+}
+
+/// The version of `key` a reader at `bound` sees in `entries`.
+fn hit(entries: &Chains, key: &[u8], bound: u64) -> Option<MemHit> {
+    let versions = entries.get(key)?;
+    let pos = visible_at(versions, bound)?;
+    // Intact above the hit: the head is the key's newest anywhere and
+    // every link down to the hit points at the version before it.
+    let definitive = versions[0].shadow == u64::MAX
+        && versions[..=pos].windows(2).all(|w| w[1].shadow == w[0].seq);
+    let v = &versions[pos];
+    Some(MemHit {
+        row: v.row.clone(),
+        seq: v.seq,
+        definitive,
+    })
 }
 
 /// The one version rule. Index, in a newest-first chain, of the version a

@@ -490,16 +490,13 @@ impl TableCore {
             }
         };
         let mut settled = 0;
-        for (key, read) in keys.clone().zip(reads.iter_mut()) {
-            if let Some(hit) = self.mem.get(key, bound) {
-                // Definitive: the chain is complete above the hit, so
-                // nothing newer can exist in an SSTable. Warm reads stay
-                // disk-free.
-                read.settled = hit.definitive;
-                settled += usize::from(hit.definitive);
-                read.best = Some((hit.row, hit.seq));
-            }
-        }
+        self.mem.get_each(keys.clone(), bound, |i, hit| {
+            // Definitive: the chain is complete above the hit, so nothing
+            // newer can exist in an SSTable. Warm reads stay disk-free.
+            reads[i].settled = hit.definitive;
+            settled += usize::from(hit.definitive);
+            reads[i].best = Some((hit.row, hit.seq));
+        });
         if settled > 0 {
             sc_obs::trace::add(sc_obs::trace::Attr::MemtableHits, settled as u64);
         }
