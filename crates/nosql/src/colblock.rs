@@ -776,8 +776,8 @@ enum RawCell {
 
 /// One block of records as scans read it: keys, sequences, liveness and
 /// cells, with no row built. A stored block keeps typed column runs; a
-/// memtable snapshot keeps its rows' cells end to end, and a batch of
-/// probed or operator-built rows keeps the rows themselves.
+/// memtable snapshot and a batch of probed or operator-built rows keep
+/// the rows themselves.
 #[derive(Debug)]
 pub(crate) struct ScanBlock {
     /// What the key ranges index: the block as read, or the keys of a
@@ -791,10 +791,8 @@ pub(crate) struct ScanBlock {
 enum Cells {
     /// Per stored column; `None` where the projection pruned it.
     Columns(Vec<Option<Column>>),
-    /// `width` values per record, record after record.
-    Rows { width: usize, values: Vec<CqlValue> },
-    /// Rows as an operator built them, `width` the longest.
-    Built {
+    /// One row per record, `width` the longest; a tombstone's is empty.
+    Rows {
         width: usize,
         rows: Vec<Vec<CqlValue>>,
     },
@@ -849,18 +847,18 @@ impl ScanBlock {
             .unwrap_or(0);
         let mut bytes = Vec::with_capacity(entries.iter().map(|e| e.key.len()).sum());
         let mut rows = Vec::with_capacity(entries.len());
-        let mut values = Vec::with_capacity(entries.len() * width);
+        let mut cells = Vec::with_capacity(entries.len());
         for e in entries {
             let start = bytes.len();
             bytes.extend_from_slice(&e.key);
             let key = (start, bytes.len());
             rows.push(RowMeta::new(&bytes, key, e.timestamp, e.row.is_some()));
-            push_row(&mut values, e.row.map(|row| row.values), width);
+            cells.push(e.row.map_or_else(Vec::new, |row| row.values));
         }
         ScanBlock {
             bytes: Arc::new(bytes),
             rows,
-            cells: Cells::Rows { width, values },
+            cells: Cells::Rows { width, rows: cells },
         }
     }
 
@@ -873,7 +871,7 @@ impl ScanBlock {
         ScanBlock {
             bytes: Arc::clone(&NO_KEYS),
             rows: Vec::new(),
-            cells: Cells::Built {
+            cells: Cells::Rows {
                 width: rows.iter().map(Vec::len).max().unwrap_or(0),
                 rows,
             },
@@ -889,7 +887,7 @@ impl ScanBlock {
     pub fn width(&self) -> usize {
         match &self.cells {
             Cells::Columns(cols) => cols.len(),
-            Cells::Rows { width, .. } | Cells::Built { width, .. } => *width,
+            Cells::Rows { width, .. } => *width,
         }
     }
 
@@ -897,7 +895,7 @@ impl ScanBlock {
     pub fn decoded_cols(&self) -> usize {
         match &self.cells {
             Cells::Columns(cols) => cols.iter().filter(|c| c.is_some()).count(),
-            Cells::Rows { width, .. } | Cells::Built { width, .. } => *width,
+            Cells::Rows { width, .. } => *width,
         }
     }
 
@@ -929,25 +927,22 @@ impl ScanBlock {
     /// cell, a pruned column or one past the block's width.
     pub fn cell(&self, col: usize, row: usize) -> ValueRef<'_> {
         match &self.cells {
-            Cells::Rows { width, values } if col < *width => {
-                ValueRef::from(&values[row * width + col])
-            }
             Cells::Columns(cols) => match cols.get(col) {
                 Some(Some(column)) => column.cell(row),
                 _ => ValueRef::Null,
             },
-            Cells::Built { rows, .. } => rows[row].get(col).map_or(ValueRef::Null, ValueRef::from),
-            Cells::Rows { .. } => ValueRef::Null,
+            Cells::Rows { rows, .. } => rows[row].get(col).map_or(ValueRef::Null, ValueRef::from),
         }
     }
 
-    /// Moves `rows` out of a block built from rows onto `out`, each row in
-    /// `layout`'s column order (`None` = all, padded with nulls to the
-    /// block's width) — what a result takes from a batch of probed or
-    /// aggregated rows without copying them. A row leaves in its own
-    /// vector, reordered in place, unless `layout` repeats or reorders
-    /// columns. `false`, with nothing moved, for any other block or when
-    /// `rows` is not strictly increasing (a row can leave only once).
+    /// Moves `rows` out of a block that keeps rows (a memtable snapshot,
+    /// or probed or aggregated rows) onto `out`, each row in `layout`'s
+    /// column order (`None` = all, padded with nulls to the block's
+    /// width) — what a result takes from such a batch without copying it.
+    /// A row leaves in its own vector, reordered in place, unless `layout`
+    /// repeats or reorders columns. `false`, with nothing moved, for a
+    /// stored block or when `rows` is not strictly increasing (a row can
+    /// leave only once).
     pub fn take_rows<R>(
         &mut self,
         rows: R,
@@ -957,7 +952,7 @@ impl ScanBlock {
     where
         R: ExactSizeIterator<Item = usize> + Clone,
     {
-        let Cells::Built { width, rows: built } = &mut self.cells else {
+        let Cells::Rows { width, rows: built } = &mut self.cells else {
             return false;
         };
         if !rows.clone().is_sorted_by(|a, b| a < b) {
@@ -1006,15 +1001,6 @@ impl ScanBlock {
             timestamp: self.seq(row),
         }
     }
-}
-
-/// Appends a memtable block's record: `row` padded with nulls to `width`, or
-/// `width` nulls for a tombstone.
-fn push_row(values: &mut Vec<CqlValue>, row: Option<Vec<CqlValue>>, width: usize) {
-    let row = row.unwrap_or_default();
-    let short = width - row.len();
-    values.extend(row);
-    values.extend(std::iter::repeat_n(CqlValue::Null, short));
 }
 
 /// Decodes one column chunk of a block whose records are `rows`.

@@ -18,57 +18,49 @@ use crate::types::CqlType;
 use std::sync::Arc;
 
 /// Phase 1 of lowering: resolve a `WHERE` clause's column and check every
-/// literal against its column's declared type. Returns the column's
-/// index.
-fn check_clause(def: &TableDef, clause: &WhereClause) -> Result<usize> {
+/// literal against its column's declared type.
+fn resolve_predicate(def: &TableDef, clause: &WhereClause) -> Result<Predicate> {
     let column = clause.column();
     let index = def.column(column)?;
-    let values = match clause {
-        WhereClause::Eq { value, .. } => std::slice::from_ref(value),
-        WhereClause::In { values, .. } => values.as_slice(),
-        WhereClause::Cmp { value, .. } => {
+    let test = match clause {
+        WhereClause::Eq { value, .. } => PredTest::Eq(value.clone()),
+        WhereClause::In { values, .. } => PredTest::In(values.clone()),
+        WhereClause::Cmp { op, value, .. } => {
             if def.columns[index].ty == CqlType::IntSet {
                 return Err(NosqlError::Unsupported(format!(
                     "range comparisons on set<int> column {column:?}"
                 )));
             }
-            std::slice::from_ref(value)
+            PredTest::Cmp(*op, value.clone())
         }
     };
-    for value in values {
+    let pred = Predicate { index, test };
+    for value in pred.values() {
         def.check(index, value)?;
     }
-    Ok(index)
+    Ok(pred)
 }
 
-/// A checked clause as a predicate.
-fn predicate(def: &TableDef, clause: &WhereClause) -> Result<Predicate> {
-    let index = check_clause(def, clause)?;
-    let test = match clause {
-        WhereClause::Eq { value, .. } => PredTest::Eq(value.clone()),
-        WhereClause::In { values, .. } => PredTest::In(values.clone()),
-        WhereClause::Cmp { op, value, .. } => PredTest::Cmp(*op, value.clone()),
-    };
-    Ok(Predicate { index, test })
-}
-
-/// How attractive a clause on column `index` is as the access path.
-/// Primary-key probes beat posting scans beat nothing; equality beats
-/// `IN` (fewer probes).
-fn access_score(def: &TableDef, clause: &WhereClause, index: usize) -> u8 {
-    let on_pk = index == def.primary_key;
-    match (clause, on_pk, def.is_indexed(clause.column())) {
-        (WhereClause::Eq { .. }, true, _) => 4,
-        (WhereClause::In { .. }, true, _) => 3,
-        (WhereClause::Eq { .. }, false, true) => 2,
-        (WhereClause::In { .. }, false, true) => 1,
+/// How attractive a predicate is as the access path. Primary-key probes
+/// beat posting scans beat nothing; equality beats `IN` (fewer probes).
+fn access_score(def: &TableDef, pred: &Predicate) -> u8 {
+    let on_pk = pred.index == def.primary_key;
+    match (
+        &pred.test,
+        on_pk,
+        def.is_indexed(&def.columns[pred.index].name),
+    ) {
+        (PredTest::Eq(_), true, _) => 4,
+        (PredTest::In(_), true, _) => 3,
+        (PredTest::Eq(_), false, true) => 2,
+        (PredTest::In(_), false, true) => 1,
         _ => 0,
     }
 }
 
-/// Checks the `WHERE` conjunction, picks the access path and pushes what
-/// the scan can absorb. Returns the scan node and the predicates that
-/// must be filtered above it.
+/// Phase 2: resolve the `WHERE` conjunction, pick the access path and push
+/// what the scan can absorb. Returns the scan node and the predicates that
+/// must be filtered above it, in statement order.
 fn choose_access(
     def: &TableDef,
     where_clause: &[WhereClause],
@@ -80,32 +72,28 @@ fn choose_access(
         pushed_limit: None,
         projection: None,
     };
-    // The best path, the first clause of the highest score.
-    let mut best: Option<(u8, usize)> = None;
-    for (i, clause) in where_clause.iter().enumerate() {
-        let score = access_score(def, clause, check_clause(def, clause)?);
-        if score > best.map_or(0, |(top, _)| top) {
-            best = Some((score, i));
+    // The first predicate of the highest score, with the place it takes
+    // among the others; a lone clause chosen leaves `rest` unallocated.
+    let mut best: Option<(u8, usize, Predicate)> = None;
+    let mut rest = Vec::new();
+    for clause in where_clause {
+        let pred = resolve_predicate(def, clause)?;
+        let score = access_score(def, &pred);
+        if score <= best.as_ref().map_or(0, |(top, ..)| *top) {
+            rest.push(pred);
+            continue;
         }
+        if let Some((_, at, beaten)) = best.take() {
+            rest.insert(at, beaten);
+        }
+        best = Some((score, rest.len(), pred));
     }
-    let preds = |skip: Option<usize>| {
-        let rest = where_clause
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| Some(*i) != skip);
-        rest.map(|(_, clause)| predicate(def, clause))
-            .collect::<Result<Vec<_>>>()
-    };
-    let Some((_, best)) = best else {
+    let Some((_, _, chosen)) = best else {
         // Full scan: every predicate is evaluated inside the scan, which
         // lets a pushed LIMIT stop the stream early.
-        return Ok((
-            scan(ScanKind::Full, KeyList::default(), preds(None)?),
-            Vec::new(),
-        ));
+        return Ok((scan(ScanKind::Full, KeyList::default(), rest), Vec::new()));
     };
     // Only `=` and `IN` score as access paths; a point is a one-value `IN`.
-    let chosen = predicate(def, &where_clause[best])?;
     let mut keys = KeyList::with_capacity(chosen.values().len());
     for value in chosen.values() {
         keys.push_with(|out| def.put_key(chosen.index, value, out))?;
@@ -115,7 +103,7 @@ fn choose_access(
     } else {
         ScanKind::Index(chosen)
     };
-    Ok((scan(kind, keys, Vec::new()), preds(Some(best))?))
+    Ok((scan(kind, keys, Vec::new()), rest))
 }
 
 /// Columns a scan must materialize for this query: the select list (or
