@@ -1525,6 +1525,21 @@ mod tests {
         assert_eq!(taken, vec![want(0), want(2)], "a repeated column is copied");
         assert_eq!(take(built(), &[0], None), Some(vec![row(0)]));
         assert_eq!(take(built(), &[2, 1], None), None, "not increasing");
+        // A memtable snapshot keeps rows too: a short one leaves padded.
+        let mut short = typed_entries();
+        short[1].row.as_mut().unwrap().values.truncate(1);
+        let snapshot = ScanBlock::from_entries(short.clone());
+        let mut padded = short[1].row.clone().unwrap().values;
+        padded.resize(4, CqlValue::Null);
+        let taken = take(snapshot, &[1, 2], Some(&[0, 3])).unwrap();
+        let second = &short[2].row.as_ref().unwrap().values;
+        assert_eq!(
+            taken,
+            vec![
+                vec![padded[0].clone(), CqlValue::Null],
+                vec![second[0].clone(), second[3].clone()]
+            ]
+        );
         let stored = encode_block("t", &typed_entries()).unwrap();
         assert_eq!(take(scan(&stored, None).unwrap(), &[0], None), None);
     }
