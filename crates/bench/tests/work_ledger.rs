@@ -65,6 +65,55 @@ fn counted<T>(mut op: impl FnMut() -> T) -> (u64, u64, T) {
 
 const GOLDEN: &str = include_str!("ledger.txt");
 
+/// Rows in the GROUP BY's table, and its block cache's budget.
+const SCAN_ROWS: i64 = 12_000;
+const SCAN_CACHE_BYTES: usize = 170 * 1024;
+
+/// A table of [`SCAN_ROWS`] `scan_mixed` rows (40 stations), stored as one
+/// SSTable, a flushed layer of 1,000 overwrites and 1,000 more in the
+/// memtable, behind a block cache half the table's size.
+fn scan_table() -> Db {
+    let options = OpenOptions::default()
+        .compaction_threads(0)
+        .block_cache_bytes(SCAN_CACHE_BYTES);
+    let db = Db::open(options).expect("opens");
+    db.execute_cql("CREATE KEYSPACE bench").expect("keyspace");
+    db.execute_cql(
+        "CREATE TABLE bench.obs (id int, station text, ts bigint, bikes int, docks int, \
+         PRIMARY KEY (id))",
+    )
+    .expect("table");
+    let columns = ["id", "station", "ts", "bikes", "docks"];
+    let mut rng = Rng::new(7);
+    let row = |rng: &mut Rng, id: i64| {
+        let h = rng.next_u64();
+        [
+            CqlValue::Int(id),
+            CqlValue::Text(format!("station-{:02}", h % 40)),
+            CqlValue::Int(1_446_336_000_000 + id * 60_000),
+            CqlValue::Int(((h >> 8) % 41) as i64),
+            CqlValue::Int(15 + ((h >> 16) % 6) as i64 * 5),
+        ]
+    };
+    let rows: Vec<_> = (0..SCAN_ROWS).map(|id| row(&mut rng, id)).collect();
+    db.ingest_sorted("bench", "obs", &columns, rows)
+        .expect("ingests");
+    for flush in [true, false] {
+        let rows: Vec<_> = (0..1000)
+            .map(|_| {
+                let id = rng.gen_range(SCAN_ROWS as u64) as i64;
+                row(&mut rng, id)
+            })
+            .collect();
+        db.insert_rows("bench", "obs", &columns, rows)
+            .expect("overwrites");
+        if flush {
+            db.flush_all().expect("flushes");
+        }
+    }
+    db
+}
+
 #[test]
 fn the_write_path_does_the_work_the_ledger_says() {
     let spec = DatasetSpec::for_window(Window::Day).bikes_spec();
@@ -193,6 +242,17 @@ fn the_write_path_does_the_work_the_ledger_says() {
             .expect("reads")
     });
     line("get_rows.cells.in", (allocations, bytes), cells.len());
+
+    // The scan side: `scan_mixed`'s GROUP BY over 12,000 rows in one
+    // SSTable, a flushed layer and a memtable of overwrites, counted on
+    // the second scan, after the first has filled the cache.
+    let db = scan_table();
+    let (allocations, bytes, _) = counted(|| {
+        let cql = "SELECT station, COUNT(*), SUM(bikes) FROM bench.obs GROUP BY station";
+        let result = db.execute_cql(cql).expect("groups");
+        assert_eq!(result.len(), 40, "one row per station");
+    });
+    line("scan.group_by", (allocations, bytes), SCAN_ROWS as usize);
 
     if std::env::var_os("WORK_LEDGER_UPDATE").is_some() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/ledger.txt");
