@@ -8,7 +8,14 @@
 //! can race a reader safely.
 //!
 //! Eviction is strict LRU over a byte budget: inserting past the budget
-//! evicts least-recently-used blocks until the new block fits. A capacity
+//! evicts least-recently-used blocks until the new block fits. A block a
+//! key probe read goes in as the most recently used
+//! ([`BlockCache::insert`]); one a scan or a merge read goes in at the
+//! least recently used end ([`BlockCache::insert_cold`]), so a sequential
+//! pass over more than the budget cycles through one slot at the cold end
+//! instead of flushing the cache: the blocks it found room for stay for
+//! the next pass, and the blocks probes made hot stay for the probes. A
+//! hit refreshes a block however it came in. A capacity
 //! of zero disables caching entirely (every lookup misses, nothing is
 //! retained). SSTable file names are never reused within an engine
 //! instance, so deleted files simply age out; a merged-away SSTable still
@@ -144,32 +151,37 @@ impl BlockCache {
         }
     }
 
-    /// Inserts a verified block, evicting LRU blocks to fit. Blocks larger
-    /// than the whole budget are not retained.
+    /// Inserts a verified block as the most recently used, evicting LRU
+    /// blocks to fit. Blocks larger than the whole budget are not retained.
     pub fn insert(&self, file: &str, offset: u64, bytes: Arc<Vec<u8>>) {
+        self.put(file, offset, bytes, false);
+    }
+
+    /// [`BlockCache::insert`] at the least recently used end: the block
+    /// is the next to go unless a hit refreshes it first.
+    pub fn insert_cold(&self, file: &str, offset: u64, bytes: Arc<Vec<u8>>) {
+        self.put(file, offset, bytes, true);
+    }
+
+    /// Replaces any resident copy of the block, evicts LRU blocks until it
+    /// fits, then links it at the cold or the hot end.
+    fn put(&self, file: &str, offset: u64, bytes: Arc<Vec<u8>>, cold: bool) {
         let len = bytes.len();
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         if len > inner.capacity_bytes {
             return;
         }
-        inner.resident_bytes += len;
-        match inner.slot_of(file, offset) {
-            Some(i) => {
-                let inner = &mut *inner;
-                if let Some(slot) = &mut inner.slots[i] {
-                    inner.resident_bytes -= slot.bytes.len();
-                    slot.bytes = bytes;
-                }
-                inner.touch(i);
-            }
-            None => inner.push_new(file, offset, bytes),
+        if let Some(i) = inner.slot_of(file, offset) {
+            inner.remove(i);
         }
-        while inner.resident_bytes > inner.capacity_bytes && inner.evict_oldest() {
+        while inner.resident_bytes + len > inner.capacity_bytes && inner.remove(inner.oldest) {
             inner.evictions += 1;
             if sc_obs::enabled() {
                 crate::obs::nosql().block_cache_evict.inc();
             }
         }
+        inner.push_new(file, offset, bytes, cold);
     }
 
     /// Drops every cached block of `file` (the file is being deleted).
@@ -213,6 +225,19 @@ impl Inner {
         }
     }
 
+    /// Puts slab index `i` at the least recently used end.
+    fn link_oldest(&mut self, i: usize) {
+        self.links[i] = Link {
+            newer: self.oldest,
+            older: NIL,
+        };
+        match self.oldest {
+            NIL => self.newest = i,
+            o => self.links[o].older = i,
+        }
+        self.oldest = i;
+    }
+
     /// Puts slab index `i` at the most recently used end.
     fn link_newest(&mut self, i: usize) {
         self.links[i] = Link {
@@ -233,8 +258,9 @@ impl Inner {
         }
     }
 
-    /// Stores a block not yet resident, as the most recently used.
-    fn push_new(&mut self, file: &str, offset: u64, bytes: Arc<Vec<u8>>) {
+    /// Stores a block not yet resident, as the least recently used when
+    /// `cold`, else as the most.
+    fn push_new(&mut self, file: &str, offset: u64, bytes: Arc<Vec<u8>>, cold: bool) {
         let file = match self.index.get_key_value(file) {
             Some((name, _)) => Arc::clone(name),
             None => Arc::from(file),
@@ -251,12 +277,16 @@ impl Inner {
             .entry(Arc::clone(&file))
             .or_default()
             .insert(offset, i);
+        self.resident_bytes += bytes.len();
         self.slots[i] = Some(Slot {
             file,
             offset,
             bytes,
         });
-        self.link_newest(i);
+        match cold {
+            true => self.link_oldest(i),
+            false => self.link_newest(i),
+        }
     }
 
     /// Frees slab index `i` without touching the index; returns its block.
@@ -268,12 +298,13 @@ impl Inner {
         Some(slot)
     }
 
-    /// Frees the least recently used block; `false` when none is resident.
-    fn evict_oldest(&mut self) -> bool {
-        if self.oldest == NIL {
+    /// Frees slab index `i` and forgets its key; `false` when `i` is
+    /// [`NIL`] or vacant.
+    fn remove(&mut self, i: usize) -> bool {
+        if i == NIL {
             return false;
         }
-        let Some(slot) = self.vacate(self.oldest) else {
+        let Some(slot) = self.vacate(i) else {
             return false;
         };
         if let Some(blocks) = self.index.get_mut(&*slot.file) {
@@ -397,16 +428,19 @@ mod tests {
             self.blocks.iter().map(|b| b.2.len()).sum()
         }
 
-        fn insert(&mut self, file: &str, offset: u64, bytes: Arc<Vec<u8>>) {
+        /// Evicts to make room first, then places the block at the cold
+        /// or the hot end.
+        fn insert(&mut self, file: &str, offset: u64, bytes: Arc<Vec<u8>>, cold: bool) {
             if bytes.len() > self.capacity_bytes {
                 return;
             }
             self.blocks.retain(|b| !(b.0 == file && b.1 == offset));
-            self.blocks.push((file.to_string(), offset, bytes));
-            while self.resident_bytes() > self.capacity_bytes {
+            while self.resident_bytes() + bytes.len() > self.capacity_bytes {
                 self.blocks.remove(0);
                 self.evictions += 1;
             }
+            let at = if cold { 0 } else { self.blocks.len() };
+            self.blocks.insert(at, (file.to_string(), offset, bytes));
         }
 
         fn evict_file(&mut self, file: &str) {
@@ -422,6 +456,25 @@ mod tests {
                 blocks: self.blocks.len(),
             }
         }
+    }
+
+    #[test]
+    fn cold_inserts_go_first_and_hits_refresh_them() {
+        let cache = BlockCache::new(30);
+        cache.insert("f", 0, block(10, 0));
+        cache.insert_cold("f", 1, block(10, 1));
+        cache.insert_cold("f", 2, block(10, 2));
+        // Full: a cold block evicts the coldest (2) and takes its place.
+        cache.insert_cold("f", 3, block(10, 3));
+        assert!(cache.get("f", 2).is_none(), "the previous cold block went");
+        // A hit refreshes 3, so 1 is now the coldest.
+        assert!(cache.get("f", 3).is_some());
+        cache.insert_cold("f", 4, block(10, 4));
+        assert!(cache.get("f", 1).is_none(), "the coldest went");
+        for offset in [0, 3, 4] {
+            assert!(cache.get("f", offset).is_some(), "block {offset} stays");
+        }
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
@@ -443,6 +496,11 @@ mod tests {
                 let offset = rng.gen_range(12);
                 fill = fill.wrapping_add(1);
                 let op = rng.gen_range(100);
+                let cold = rng.gen_bool(0.5);
+                let insert = |file: &str, offset: u64, bytes: &Arc<Vec<u8>>| match cold {
+                    true => cache.insert_cold(file, offset, Arc::clone(bytes)),
+                    false => cache.insert(file, offset, Arc::clone(bytes)),
+                };
                 match op {
                     0..=44 => {
                         let (got, want) = (cache.get(file, offset), model.get(file, offset));
@@ -450,8 +508,8 @@ mod tests {
                     }
                     45..=79 => {
                         let bytes = block(1 + rng.gen_range(60) as usize, fill);
-                        cache.insert(file, offset, Arc::clone(&bytes));
-                        model.insert(file, offset, bytes);
+                        insert(file, offset, &bytes);
+                        model.insert(file, offset, bytes, cold);
                     }
                     80..=89 => {
                         // Re-insert a resident block at a new size.
@@ -459,14 +517,14 @@ mod tests {
                             let pick = rng.gen_range(model.blocks.len() as u64) as usize;
                             let (f, o, _) = model.blocks[pick].clone();
                             let bytes = block(1 + rng.gen_range(60) as usize, fill);
-                            cache.insert(&f, o, Arc::clone(&bytes));
-                            model.insert(&f, o, bytes);
+                            insert(&f, o, &bytes);
+                            model.insert(&f, o, bytes, cold);
                         }
                     }
                     90..=94 => {
                         let bytes = block(capacity_bytes + 1 + rng.gen_range(8) as usize, fill);
-                        cache.insert(file, offset, Arc::clone(&bytes));
-                        model.insert(file, offset, bytes);
+                        insert(file, offset, &bytes);
+                        model.insert(file, offset, bytes, cold);
                     }
                     _ => {
                         cache.evict_file(file);

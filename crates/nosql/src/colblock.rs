@@ -699,20 +699,12 @@ struct Column {
 
 impl Column {
     fn cell(&self, row: usize) -> ValueRef<'_> {
-        let i = match &self.at {
-            None => row,
-            Some(at) => match at[row] {
-                NO_CELL => return ValueRef::Null,
-                i => i as usize,
-            },
+        let Some(i) = cell_index(self.at.as_deref(), row) else {
+            return ValueRef::Null;
         };
         match self.tag {
             ENC_INT_DELTA => ValueRef::Int(self.ints[i]),
-            ENC_TEXT_DICT => {
-                let code = self.codes[i] as usize;
-                let start = code.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-                ValueRef::Text(&self.text[start..self.ends[code]])
-            }
+            ENC_TEXT_DICT => ValueRef::Text(self.dict().get(self.codes[i])),
             ENC_BOOL_BITMAP => ValueRef::Boolean(self.bits[i]),
             _ => match &self.raw[i] {
                 RawCell::Text(start, end) => ValueRef::Text(&self.text[*start..*end]),
@@ -720,11 +712,72 @@ impl Column {
             },
         }
     }
+
+    fn dict(&self) -> Dict<'_> {
+        Dict {
+            text: &self.text,
+            ends: &self.ends,
+        }
+    }
+
+    fn typed<'a, T>(&'a self, tag: u8, cells: &'a [T]) -> Option<Typed<'a, T>> {
+        (self.tag == tag).then_some(Typed {
+            at: self.at.as_deref(),
+            cells,
+        })
+    }
 }
 
-/// A [`Column`] as [`walk_run`] fills it. Dictionary values and raw text
-/// collect as bytes in `text`, each piece checked in the walk, and become
-/// the column's one string at the end.
+/// Where row `row`'s cell sits in its run, by a [`Column`]'s `at`; `None`
+/// for a null or a tombstone.
+fn cell_index(at: Option<&[u32]>, row: usize) -> Option<usize> {
+    match at {
+        None => Some(row),
+        Some(at) => (at[row] != NO_CELL).then_some(at[row] as usize),
+    }
+}
+
+/// A decoded column's cells of one type, read by row: the run an
+/// aggregate kernel loops over once the encoding is known.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Typed<'a, T> {
+    at: Option<&'a [u32]>,
+    cells: &'a [T],
+}
+
+impl<T: Copy> Typed<'_, T> {
+    /// Row `row`'s cell; `None` for a null or a tombstone.
+    pub fn get(&self, row: usize) -> Option<T> {
+        cell_index(self.at, row).map(|i| self.cells[i])
+    }
+}
+
+/// A dictionary-coded run's distinct values, by code.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dict<'a> {
+    /// The values end to end, value `c` ending at `ends[c]`.
+    text: &'a str,
+    ends: &'a [usize],
+}
+
+impl<'a> Dict<'a> {
+    /// Distinct values (codes run from 0 to this, exclusive).
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The value of `code`.
+    pub fn get(&self, code: u32) -> &'a str {
+        let code = code as usize;
+        let start = code.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[code]]
+    }
+}
+
+/// A [`Column`] as [`walk_run`] fills it. Dictionary values, which the
+/// walk hands over as `&str`, go straight into the column's string; raw
+/// text collects as bytes in `text`, checked in the walk after each
+/// hand-off, and becomes the column's string at the end.
 struct Fill {
     column: Column,
     text: Vec<u8>,
@@ -740,13 +793,15 @@ impl<'a> RunCells<'a> for Fill {
     }
 
     fn code(&mut self, code: usize, dict: &[&'a str]) {
-        if self.column.ends.is_empty() {
-            self.text
+        let column = &mut self.column;
+        if column.ends.is_empty() {
+            column
+                .text
                 .reserve(dict.iter().map(|value| value.len()).sum());
-            self.column.ends.reserve(dict.len());
+            column.ends.reserve(dict.len());
             for value in dict {
-                self.text.extend_from_slice(value.as_bytes());
-                self.column.ends.push(self.text.len());
+                column.text.push_str(value);
+                column.ends.push(column.text.len());
             }
         }
         self.column.codes.push(code as u32);
@@ -935,6 +990,28 @@ impl ScanBlock {
         }
     }
 
+    /// Column `col`'s decoded run, when the block stores columns and it was
+    /// not pruned.
+    fn column(&self, col: usize) -> Option<&Column> {
+        match &self.cells {
+            Cells::Columns(cols) => cols.get(col)?.as_ref(),
+            Cells::Rows { .. } => None,
+        }
+    }
+
+    /// Column `col`'s cells when its run is int-delta coded.
+    pub fn ints(&self, col: usize) -> Option<Typed<'_, i64>> {
+        let column = self.column(col)?;
+        column.typed(ENC_INT_DELTA, &column.ints)
+    }
+
+    /// Column `col`'s codes and their dictionary when its run is
+    /// dictionary-coded.
+    pub fn codes(&self, col: usize) -> Option<(Typed<'_, u32>, Dict<'_>)> {
+        let column = self.column(col)?;
+        Some((column.typed(ENC_TEXT_DICT, &column.codes)?, column.dict()))
+    }
+
     /// Moves `rows` out of a block that keeps rows (a memtable snapshot,
     /// or probed or aggregated rows) onto `out`, each row in `layout`'s
     /// column order (`None` = all, padded with nulls to the block's
@@ -1044,10 +1121,12 @@ fn decode_column(file: &str, chunk: &[u8], rows: &[RowMeta], live_count: usize) 
             fill.text.reserve(chunk.run.remaining());
         }
     }
+    let chunk_tag = chunk.tag;
     walk_run(file, chunk, &mut fill)?;
     let Fill { mut column, text } = fill;
-    // The walk checked every piece, so this only retypes the bytes.
-    column.text = String::from_utf8(text).map_err(|_| corrupt(file, "non-UTF-8 text"))?;
+    if chunk_tag == ENC_RAW {
+        column.text = String::from_utf8(text).map_err(|_| corrupt(file, "non-UTF-8 raw text"))?;
+    }
     Ok(column)
 }
 

@@ -15,8 +15,11 @@ struct AggState {
     /// Rows seen (`COUNT(*)`) or non-null arguments seen (everything
     /// else).
     count: i64,
-    /// Running integer sum (`SUM`/`AVG`).
-    sum: i64,
+    /// Exact integer sum of the arguments seen (`SUM`/`AVG`): an `i128`
+    /// cannot overflow on fewer than 2^64 rows, so whether a total fits
+    /// is decided once, at [`AggState::finish`], and not by the order the
+    /// rows came in.
+    sum: i128,
     /// Running minimum in [`CqlValue::cmp_sort`] order, nulls skipped.
     min: Option<CqlValue>,
     /// Running maximum, nulls skipped.
@@ -24,65 +27,55 @@ struct AggState {
 }
 
 impl AggState {
-    /// Adds one row: `value` is its argument cell, `None` for `COUNT(*)`.
-    fn accumulate(&mut self, spec: &AggSpec, value: Option<ValueRef<'_>>) -> Result<()> {
-        let Some(value) = value else {
-            // COUNT(*): every row counts.
-            self.count += 1;
-            return Ok(());
-        };
-        if value.is_null() {
-            // SQL aggregate semantics: nulls do not participate.
-            return Ok(());
-        }
-        self.count += 1;
-        let better = |kept: &Option<CqlValue>, want: Ordering| {
-            kept.as_ref()
-                .is_none_or(|kept| value.cmp_sort(kept.into()) == want)
-        };
-        match spec.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => {
-                // Checked, not wrapping: a wrapped running total silently
-                // returns an arbitrary number (and the old `wrapping_add`
-                // hid a debug-build panic behind large SUMs).
-                let add = match value {
-                    ValueRef::Int(v) => v,
-                    _ => 0,
-                };
-                let overflow = || NosqlError::AggregateOverflow {
-                    func: match spec.func {
-                        AggFunc::Sum => "SUM",
-                        _ => "AVG",
-                    },
-                };
-                self.sum = self.sum.checked_add(add).ok_or_else(overflow)?;
-            }
-            AggFunc::Min => {
-                if better(&self.min, Ordering::Less) {
-                    self.min = Some(value.to_value());
-                }
-            }
-            AggFunc::Max => {
-                if better(&self.max, Ordering::Greater) {
-                    self.max = Some(value.to_value());
-                }
+    /// Adds one argument cell; SQL aggregate semantics: nulls do not
+    /// participate.
+    fn accumulate(&mut self, func: AggFunc, value: ValueRef<'_>) {
+        match value {
+            ValueRef::Null => {}
+            ValueRef::Int(v) => self.add_int(func, v),
+            value => {
+                self.count += 1;
+                self.keep(func, value);
             }
         }
-        Ok(())
     }
 
-    fn finish(&self, spec: &AggSpec) -> CqlValue {
-        match spec.func {
+    /// Adds one non-null integer argument.
+    fn add_int(&mut self, func: AggFunc, v: i64) {
+        self.count += 1;
+        self.sum += i128::from(v);
+        self.keep(func, ValueRef::Int(v));
+    }
+
+    /// Keeps `value` as the minimum or maximum if it is one.
+    fn keep(&mut self, func: AggFunc, value: ValueRef<'_>) {
+        let (kept, want) = match func {
+            AggFunc::Min => (&mut self.min, Ordering::Less),
+            AggFunc::Max => (&mut self.max, Ordering::Greater),
+            _ => return,
+        };
+        if kept
+            .as_ref()
+            .is_none_or(|kept| value.cmp_sort(kept.into()) == want)
+        {
+            *kept = Some(value.to_value());
+        }
+    }
+
+    /// The aggregate's value; a `SUM` or `AVG` whose total leaves `i64` is
+    /// a typed error, not a wrapped number.
+    fn finish(&self, spec: &AggSpec) -> Result<CqlValue> {
+        let total =
+            |func| i64::try_from(self.sum).map_err(|_| NosqlError::AggregateOverflow { func });
+        Ok(match spec.func {
             AggFunc::Count => CqlValue::Int(self.count),
-            AggFunc::Sum if self.count == 0 => CqlValue::Null,
-            AggFunc::Sum => CqlValue::Int(self.sum),
+            AggFunc::Sum | AggFunc::Avg if self.count == 0 => CqlValue::Null,
+            AggFunc::Sum => CqlValue::Int(total("SUM")?),
             // Integer division, as in Cassandra's int avg.
-            AggFunc::Avg if self.count == 0 => CqlValue::Null,
-            AggFunc::Avg => CqlValue::Int(self.sum / self.count),
+            AggFunc::Avg => CqlValue::Int(total("AVG")? / self.count),
             AggFunc::Min => self.min.clone().unwrap_or(CqlValue::Null),
             AggFunc::Max => self.max.clone().unwrap_or(CqlValue::Null),
-        }
+        })
     }
 }
 
@@ -173,8 +166,51 @@ impl Groups {
         slot
     }
 
-    fn states(&mut self, slot: u32) -> &mut [AggState] {
-        &mut self.states[slot as usize * self.aggs..][..self.aggs]
+    /// Aggregate `agg`'s state in group `slot`.
+    fn state(&mut self, slot: u32, agg: usize) -> &mut AggState {
+        &mut self.states[slot as usize * self.aggs + agg]
+    }
+}
+
+/// No group slot yet for a dictionary code.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A batch's rows grouped by block, each block's in batch order: block
+/// `b`'s rows are `rows[ends[b - 1]..ends[b]]` (from 0 for the first).
+#[derive(Default)]
+struct ByBlock {
+    ends: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl ByBlock {
+    /// Groups `batch`'s selection by a counting sort on the block index.
+    fn group(&mut self, batch: &Batch) {
+        self.ends.clear();
+        self.ends.resize(batch.blocks.len(), 0);
+        for at in &batch.sel {
+            self.ends[at.block as usize] += 1;
+        }
+        // Each block's start, which the scatter then moves to its end.
+        let mut start = 0;
+        for end in &mut self.ends {
+            (*end, start) = (start, start + *end);
+        }
+        self.rows.clear();
+        self.rows.resize(batch.sel.len(), 0);
+        for at in &batch.sel {
+            let next = &mut self.ends[at.block as usize];
+            self.rows[*next] = at.row;
+            *next += 1;
+        }
+    }
+
+    /// Each block index that has rows, with its rows.
+    fn blocks(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        (starts.zip(&self.ends).enumerate())
+            .filter(|(_, (start, &end))| *start < end)
+            .map(|(b, (start, &end))| (b, &self.rows[start..end]))
     }
 }
 
@@ -206,37 +242,88 @@ impl Aggregate {
         }
     }
 
+    /// Folds every input row into its group. The rows of a batch are
+    /// taken block by block (an aggregate does not depend on row order),
+    /// and each block's runs are dispatched on once: a dictionary-coded
+    /// grouping column maps each code to its slot on first sight, so a row
+    /// then costs an index, and an int-delta argument is read straight off
+    /// its `i64`s. Other grouping keys (raw text, ints, several columns,
+    /// row-backed blocks) find their slot by hash, and other arguments go
+    /// cell by cell.
     fn run(&mut self) -> Result<Vec<Vec<CqlValue>>> {
-        let mut groups = Groups::new(self.aggs.len());
+        let aggs = self.aggs.len();
+        let mut groups = Groups::new(aggs);
         if self.group_by.is_empty() {
             // A global aggregate emits a row even over nothing.
             groups.slot(&[]);
         }
-        // Each row's slot, per run of rows from one block.
-        let mut slots = Vec::new();
+        let mut by_block = ByBlock::default();
+        // Each of a block's rows' slot, and per dictionary code its slot.
+        let (mut slots, mut code_slots) = (Vec::new(), Vec::new());
         while let Some(batch) = self.input.next_batch()? {
             let mut key = Vec::with_capacity(self.group_by.len());
             let group_cols: Vec<usize> = self.group_by.iter().map(|&g| batch.column(g)).collect();
             let arg_cols: Vec<Option<usize>> = (self.aggs.iter())
                 .map(|spec| spec.input.map(|c| batch.column(c)))
                 .collect();
-            for run in batch.sel.chunk_by(|a, b| a.block == b.block) {
-                let block = batch.block(run[0]);
+            by_block.group(&batch);
+            for (b, rows) in by_block.blocks() {
+                let block = &*batch.blocks[b];
                 slots.clear();
+                let dict = match group_cols[..] {
+                    [col] => block.codes(col),
+                    _ => None,
+                };
                 if group_cols.is_empty() {
                     // The one global group.
-                    slots.resize(run.len(), 0);
+                    slots.resize(rows.len(), 0);
+                } else if let Some((codes, dict)) = dict {
+                    code_slots.clear();
+                    code_slots.resize(dict.len(), NO_SLOT);
+                    let mut null_slot = None;
+                    for &row in rows {
+                        slots.push(match codes.get(row as usize) {
+                            Some(code) => {
+                                let slot = &mut code_slots[code as usize];
+                                if *slot == NO_SLOT {
+                                    *slot = groups.slot(&[ValueRef::Text(dict.get(code))]);
+                                }
+                                *slot
+                            }
+                            None => {
+                                *null_slot.get_or_insert_with(|| groups.slot(&[ValueRef::Null]))
+                            }
+                        });
+                    }
                 } else {
-                    for at in run {
+                    for &row in rows {
                         key.clear();
-                        key.extend(group_cols.iter().map(|&c| block.cell(c, at.row as usize)));
+                        key.extend(group_cols.iter().map(|&c| block.cell(c, row as usize)));
                         slots.push(groups.slot(&key));
                     }
                 }
-                for (i, (spec, arg)) in self.aggs.iter().zip(&arg_cols).enumerate() {
-                    for (at, &slot) in run.iter().zip(&slots) {
-                        let value = arg.map(|c| block.cell(c, at.row as usize));
-                        groups.states(slot)[i].accumulate(spec, value)?;
+                let rows = rows.iter().map(|&row| row as usize).zip(&slots);
+                for (i, (spec, &arg)) in self.aggs.iter().zip(&arg_cols).enumerate() {
+                    let func = spec.func;
+                    match (arg, arg.and_then(|c| block.ints(c))) {
+                        // COUNT(*): every row counts.
+                        (None, _) => {
+                            for (_, &s) in rows.clone() {
+                                groups.state(s, i).count += 1;
+                            }
+                        }
+                        (_, Some(ints)) => {
+                            for (row, &s) in rows.clone() {
+                                if let Some(v) = ints.get(row) {
+                                    groups.state(s, i).add_int(func, v);
+                                }
+                            }
+                        }
+                        (Some(c), None) => {
+                            for (row, &s) in rows.clone() {
+                                groups.state(s, i).accumulate(func, block.cell(c, row));
+                            }
+                        }
                     }
                 }
             }
@@ -253,22 +340,18 @@ impl Aggregate {
         for slot in order {
             let key = &groups.keys[slot];
             let states = &groups.states[slot * self.aggs.len()..];
-            let row: Vec<CqlValue> = self
-                .output
-                .iter()
-                .map(|out| match out {
-                    AggOutput::Group(col) => {
-                        let pos = self
-                            .group_by
-                            .iter()
-                            .position(|g| g == col)
-                            .expect("projected grouping columns are in GROUP BY");
-                        key[pos].clone()
-                    }
-                    AggOutput::Agg(i) => states[*i].finish(&self.aggs[*i]),
-                })
-                .collect();
-            rows.push(row);
+            let row = self.output.iter().map(|out| match out {
+                AggOutput::Group(col) => {
+                    let pos = self
+                        .group_by
+                        .iter()
+                        .position(|g| g == col)
+                        .expect("projected grouping columns are in GROUP BY");
+                    Ok(key[pos].clone())
+                }
+                AggOutput::Agg(i) => states[*i].finish(&self.aggs[*i]),
+            });
+            rows.push(row.collect::<Result<Vec<CqlValue>>>()?);
         }
         Ok(rows)
     }
@@ -353,6 +436,59 @@ mod tests {
     fn in_range_sums_still_work() {
         let rows = sum_of(vec![i64::MAX - 1, 1, -2, 2], AggFunc::Sum).unwrap();
         assert_eq!(rows, vec![vec![CqlValue::Int(i64::MAX)]]);
+    }
+
+    /// Every order of `values`.
+    fn permutations(values: &[i64]) -> Vec<Vec<i64>> {
+        if values.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for i in 0..values.len() {
+            let mut rest = values.to_vec();
+            let first = rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first);
+                all.push(tail);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn sums_do_not_depend_on_row_order() {
+        // Running sums that leave i64 in some orders and not in others;
+        // the answer is the exact total's, a value when it fits and the
+        // typed error when it does not, in every order.
+        let sets = [
+            vec![i64::MAX, 1, -1],
+            vec![i64::MIN, -1, 1, 0],
+            vec![i64::MAX, 2, -1, -1],
+            vec![i64::MAX, i64::MAX, i64::MIN, i64::MIN, 1],
+            vec![i64::MIN, i64::MAX, -1, -1],
+            vec![i64::MAX, 1, 1, -1],
+        ];
+        for values in sets {
+            let total: i128 = values.iter().map(|&v| i128::from(v)).sum();
+            for (func, name) in [(AggFunc::Sum, "SUM"), (AggFunc::Avg, "AVG")] {
+                let want = match (i64::try_from(total), func) {
+                    (Ok(total), AggFunc::Sum) => Ok(total),
+                    (Ok(total), _) => Ok(total / values.len() as i64),
+                    (Err(_), _) => Err(name),
+                };
+                for order in permutations(&values) {
+                    let got = match sum_of(order.clone(), func) {
+                        Ok(rows) => match rows.concat()[..] {
+                            [CqlValue::Int(v)] => Ok(v),
+                            _ => panic!("one int: {rows:?}"),
+                        },
+                        Err(NosqlError::AggregateOverflow { func }) => Err(func),
+                        Err(e) => panic!("{e:?}"),
+                    };
+                    assert_eq!(got, want, "{name} over {order:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -186,7 +186,8 @@ impl Operator for IndexScan {
 /// Batches are runs pulled straight off the table's merging cursor, the
 /// residuals tested on the decoded columns, so the scan holds the blocks
 /// of one batch — at most [`BATCH_ROWS`] rows' worth — and a met `LIMIT`
-/// stops reading.
+/// stops reading. A block is one entry of its batch however many other
+/// layers' runs come between its own.
 pub struct FullScan {
     /// Opened over the plan's projection: SSTables decode only those
     /// column runs, leaving the rest null. The planner guarantees every
@@ -196,6 +197,9 @@ pub struct FullScan {
     remaining: Option<usize>,
     /// The cursor's current run.
     run: Vec<u32>,
+    /// Per cursor layer, the batch entry of the block it last gave rows
+    /// to (a stale index once a later batch began).
+    entries: Vec<u32>,
 }
 
 impl FullScan {
@@ -211,6 +215,7 @@ impl FullScan {
             residual,
             remaining: pushed_limit,
             run: Vec::new(),
+            entries: Vec::new(),
         }
     }
 }
@@ -233,7 +238,8 @@ impl Operator for FullScan {
                 }
                 read = 0;
             }
-            let Some(block) = self.cursor.next_run(&mut self.run, BATCH_ROWS - read)? else {
+            let Some((layer, block)) = self.cursor.next_run(&mut self.run, BATCH_ROWS - read)?
+            else {
                 break;
             };
             read += self.run.len();
@@ -242,10 +248,17 @@ impl Operator for FullScan {
                 let row = row as usize;
                 residual.iter().all(|p| p.matches(block.cell(p.index, row)))
             });
-            // Consecutive runs of one block share its entry.
-            let blocks = &batch.blocks;
-            let known = blocks.last().is_some_and(|last| Rc::ptr_eq(last, &block));
-            let at = (blocks.len() - usize::from(known)) as u32;
+            // A layer's latest block is the only one of its blocks that can
+            // come again.
+            if self.entries.len() <= layer {
+                self.entries.resize(layer + 1, 0);
+            }
+            let entry = self.entries[layer];
+            let known = (batch.blocks.get(entry as usize)).is_some_and(|b| Rc::ptr_eq(b, &block));
+            let at = match known {
+                true => entry,
+                false => batch.blocks.len() as u32,
+            };
             let before = batch.len();
             for &row in kept {
                 batch.sel.push(RowRef { block: at, row });
@@ -258,6 +271,7 @@ impl Operator for FullScan {
             }
             if !known && batch.len() > before {
                 batch.blocks.push(block);
+                self.entries[layer] = at;
             }
         }
         Ok((!batch.is_empty()).then_some(batch))

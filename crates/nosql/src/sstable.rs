@@ -471,8 +471,9 @@ impl SsTable {
     }
 
     /// Fetches one data block: shared cache first, then a CRC-verified
-    /// VFS read.
-    fn read_block(&self, block: &BlockMeta) -> Result<Arc<Vec<u8>>> {
+    /// VFS read, cached at the cold end when `cold` (a scan's or a merge's
+    /// read, see [`BlockCache::insert_cold`]) and as most recent otherwise.
+    fn read_block(&self, block: &BlockMeta, cold: bool) -> Result<Arc<Vec<u8>>> {
         if let Some(cache) = &self.cache {
             if let Some(bytes) = cache.get(&self.file, block.offset) {
                 return Ok(bytes);
@@ -488,16 +489,18 @@ impl SsTable {
             )));
         }
         let raw = Arc::new(raw);
-        if let Some(cache) = &self.cache {
-            cache.insert(&self.file, block.offset, Arc::clone(&raw));
+        match &self.cache {
+            Some(cache) if cold => cache.insert_cold(&self.file, block.offset, Arc::clone(&raw)),
+            Some(cache) => cache.insert(&self.file, block.offset, Arc::clone(&raw)),
+            None => {}
         }
         Ok(raw)
     }
 
-    /// Reads and decodes one block for a scan, parsing only the column
-    /// chunks in `proj` (`None` = all).
+    /// Reads and decodes one block for a scan or a merge, parsing only the
+    /// column chunks in `proj` (`None` = all); a miss is cached cold.
     fn scan_block(&self, block: &BlockMeta, proj: Option<&[usize]>) -> Result<ScanBlock> {
-        let bytes = self.read_block(block)?;
+        let bytes = self.read_block(block, true)?;
         ScanBlock::decode(&self.file, bytes, proj)
     }
 
@@ -587,7 +590,7 @@ impl SsTable {
                     None => passed |= 1 << j,
                 }
             }
-            let bytes = self.read_block(&blocks[pos - 1])?;
+            let bytes = self.read_block(&blocks[pos - 1], false)?;
             let mut blocks_read = 1;
             let mut report = |j: usize, entry: Option<Found>| {
                 if stats && entry.is_some() {

@@ -93,6 +93,8 @@ pub(crate) type Layer<'a> = Box<dyn Iterator<Item = Result<Rc<ScanBlock>>> + 'a>
 
 /// A layer being merged: the block being read and its next row.
 struct Head<'a> {
+    /// The layer's place in the list the cursor was made from.
+    layer: usize,
     blocks: Layer<'a>,
     /// `None` before the first block and once the layer is exhausted.
     block: Option<Rc<ScanBlock>>,
@@ -196,10 +198,17 @@ impl<'a> Cursor<'a> {
     }
 
     /// Replaces `rows` with the next run of winners — at most `max`
-    /// (>= 1), all rows of the returned block; `None` once the merge is
-    /// done. Blocks are read no further ahead than one row per layer. An
-    /// error ends the merge.
-    pub fn next_run(&mut self, rows: &mut Vec<u32>, max: usize) -> Result<Option<Rc<ScanBlock>>> {
+    /// (>= 1), all rows of the returned block, which comes with its
+    /// layer's place in the list the cursor was made from; `None` once the
+    /// merge is done. A layer's blocks come in order, so a block
+    /// interleaved with other layers' runs is its layer's latest. Blocks
+    /// are read no further ahead than one row per layer. An error ends the
+    /// merge.
+    pub fn next_run(
+        &mut self,
+        rows: &mut Vec<u32>,
+        max: usize,
+    ) -> Result<Option<(usize, Rc<ScanBlock>)>> {
         let run = self.run(rows, max);
         if run.is_err() {
             self.heads.clear();
@@ -208,11 +217,12 @@ impl<'a> Cursor<'a> {
         run
     }
 
-    fn run(&mut self, rows: &mut Vec<u32>, max: usize) -> Result<Option<Rc<ScanBlock>>> {
+    fn run(&mut self, rows: &mut Vec<u32>, max: usize) -> Result<Option<(usize, Rc<ScanBlock>)>> {
         rows.clear();
         if !self.unread.is_empty() {
-            for blocks in std::mem::take(&mut self.unread) {
+            for (layer, blocks) in std::mem::take(&mut self.unread).into_iter().enumerate() {
                 let mut head = Head {
+                    layer,
                     blocks,
                     block: None,
                     row: 0,
@@ -261,7 +271,7 @@ impl<'a> Cursor<'a> {
             self.heads[0].row = row;
             self.stale = true;
             if !rows.is_empty() {
-                return Ok(Some(block));
+                return Ok(Some((self.heads[0].layer, block)));
             }
         }
     }
@@ -298,7 +308,7 @@ impl Iterator for Entries<'_> {
             }
             self.next = 0;
             match self.cursor.next_run(&mut self.rows, usize::MAX) {
-                Ok(block) => self.block = Some(block?),
+                Ok(run) => self.block = Some(run?.1),
                 Err(e) => return Some(Err(e)),
             }
         }

@@ -12,6 +12,8 @@
 # * store-path gate — NoSQL-DWARF's node and cell rows bypass the memtable
 #   and the commit log (`repro table5 --stats`);
 # * examples — each asserts its own results;
+# * aggregate oracles in release — model check and scan bounds without
+#   debug overflow checks;
 # * sqllogictest tier — the golden .slt scripts, memtable/flushed/compacted.
 # Runs with zero network access — the workspace has no external
 # dependencies. Performance is measured elsewhere: `bash benchmark/run.sh`.
@@ -128,6 +130,12 @@ for example in examples/*.rs; do
     echo "--> $name"
     cargo run --release --example "$name"
 done
+
+echo "==> aggregate oracles in release (no overflow checks, as the benchmark builds)"
+# The workspace tests above run with debug overflow checks; the aggregate
+# kernels' counters and exact sums must agree with the naive evaluator
+# and the streaming bounds in the profile the benchmark measures too.
+cargo test -q --release -p sc-nosql --test model_check --test scan_streaming
 
 echo "==> sqllogictest tier (golden .slt scripts, memtable + flushed + compacted)"
 cargo test -q --release -p sc-nosql --test sqllogic
