@@ -6,8 +6,6 @@ use crate::error::{NosqlError, Result};
 use crate::plan::{AggOutput, AggSpec};
 use crate::types::{CqlValue, ValueRef};
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Running state of one aggregate within one group.
 #[derive(Debug, Default)]
@@ -85,84 +83,106 @@ impl AggState {
 #[derive(Default)]
 struct KeyHasher(u64);
 
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
+impl KeyHasher {
+    fn word(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    /// `bytes` word by word, the last one padded and tagged with its
+    /// length.
+    fn bytes(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {
-            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+            self.word(u64::from_le_bytes(word.try_into().expect("eight bytes")));
         }
         let tail = words.remainder();
-        self.write_u64(
+        self.word(
             tail.iter()
                 .rev()
                 .fold(tail.len() as u64, |w, &b| w << 8 | u64::from(b)),
         );
     }
 
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v.into());
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_isize(&mut self, v: isize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+    /// A group key's hash. Cells of different types may collide (`Int(0)`
+    /// and null); the slot's key comparison tells them apart.
+    fn key(key: &[ValueRef<'_>]) -> u64 {
+        let mut h = KeyHasher::default();
+        for cell in key {
+            match *cell {
+                ValueRef::Null => h.word(0),
+                ValueRef::Int(v) => h.word(v as u64),
+                ValueRef::Text(text) => h.bytes(text.as_bytes()),
+                ValueRef::Boolean(b) => h.word(u64::from(b)),
+                ValueRef::IntSet(set) => {
+                    set.iter().for_each(|&v| h.word(v as u64));
+                    h.word(set.len() as u64);
+                }
+            }
+        }
+        h.0
     }
 }
-
-type KeyHash = BuildHasherDefault<KeyHasher>;
 
 /// The groups seen so far, each a slot: its key and one [`AggState`] per
 /// aggregate. A row finds its slot by its key cells' hash; a key is built
 /// only when its group is new.
 struct Groups {
     keys: Vec<Vec<CqlValue>>,
+    hashes: Vec<u64>,
     /// Slot-major: slot `s`'s states are `states[s * aggs..][..aggs]`.
     states: Vec<AggState>,
     aggs: usize,
-    /// The newest slot with each key hash; older slots with the same hash
-    /// chain through `older`.
-    by_hash: HashMap<u64, u32, KeyHash>,
-    older: Vec<Option<u32>>,
+    /// Open addressing over the hashes' high bits (the multiply leaves the
+    /// low ones poorly mixed), probing linearly: slot + 1, 0 for empty.
+    /// A power of two in length, at most half full.
+    table: Vec<u32>,
 }
 
 impl Groups {
     fn new(aggs: usize) -> Groups {
         Groups {
             keys: Vec::new(),
+            hashes: Vec::new(),
             states: Vec::new(),
             aggs,
-            by_hash: HashMap::default(),
-            older: Vec::new(),
+            table: vec![0; 16],
         }
+    }
+
+    /// Where `hash` starts probing in a table of `len` entries.
+    fn home(hash: u64, len: usize) -> usize {
+        (hash >> 32) as usize & (len - 1)
     }
 
     /// The slot of the group `key` names, made on first sight.
     fn slot(&mut self, key: &[ValueRef<'_>]) -> u32 {
-        let hash = KeyHash::default().hash_one(key);
-        let mut at = self.by_hash.get(&hash).copied();
-        while let Some(slot) = at {
+        let hash = KeyHasher::key(key);
+        let mut at = Groups::home(hash, self.table.len());
+        while let Some(slot) = self.table[at].checked_sub(1) {
             let known = &self.keys[slot as usize];
-            if known.iter().map(ValueRef::from).eq(key.iter().copied()) {
+            if self.hashes[slot as usize] == hash
+                && known.iter().zip(key).all(|(k, c)| ValueRef::from(k) == *c)
+            {
                 return slot;
             }
-            at = self.older[slot as usize];
+            at = (at + 1) & (self.table.len() - 1);
         }
         let slot = self.keys.len() as u32;
-        self.older.push(self.by_hash.insert(hash, slot));
+        self.table[at] = slot + 1;
         self.keys.push(key.iter().map(|c| c.to_value()).collect());
+        self.hashes.push(hash);
         self.states
             .extend((0..self.aggs).map(|_| AggState::default()));
+        if self.keys.len() * 2 > self.table.len() {
+            self.table = vec![0; self.table.len() * 2];
+            for (slot, &hash) in self.hashes.iter().enumerate() {
+                let mut at = Groups::home(hash, self.table.len());
+                while self.table[at] != 0 {
+                    at = (at + 1) & (self.table.len() - 1);
+                }
+                self.table[at] = slot as u32 + 1;
+            }
+        }
         slot
     }
 
@@ -172,7 +192,7 @@ impl Groups {
     }
 }
 
-/// No group slot yet for a dictionary code.
+/// A dictionary code no row of the block uses.
 const NO_SLOT: u32 = u32::MAX;
 
 /// A batch's rows grouped by block, each block's in batch order: block
@@ -245,8 +265,8 @@ impl Aggregate {
     /// Folds every input row into its group. The rows of a batch are
     /// taken block by block (an aggregate does not depend on row order),
     /// and each block's runs are dispatched on once: a dictionary-coded
-    /// grouping column maps each code to its slot on first sight, so a row
-    /// then costs an index, and an int-delta argument is read straight off
+    /// grouping column maps each code its rows use to a slot first, so a
+    /// row then costs an index, and an int-delta argument is read straight off
     /// its `i64`s. Other grouping keys (raw text, ints, several columns,
     /// row-backed blocks) find their slot by hash, and other arguments go
     /// cell by cell.
@@ -278,18 +298,25 @@ impl Aggregate {
                     // The one global group.
                     slots.resize(rows.len(), 0);
                 } else if let Some((codes, dict)) = dict {
+                    // The codes the rows use are marked first, so that only
+                    // they get a slot: the dictionary also holds the values
+                    // of rows the merge shadowed.
                     code_slots.clear();
                     code_slots.resize(dict.len(), NO_SLOT);
+                    for &row in rows {
+                        if let Some(code) = codes.get(row as usize) {
+                            code_slots[code as usize] = 0;
+                        }
+                    }
+                    for (code, slot) in (0..).zip(&mut code_slots) {
+                        if *slot == 0 {
+                            *slot = groups.slot(&[ValueRef::Text(dict.get(code))]);
+                        }
+                    }
                     let mut null_slot = None;
                     for &row in rows {
                         slots.push(match codes.get(row as usize) {
-                            Some(code) => {
-                                let slot = &mut code_slots[code as usize];
-                                if *slot == NO_SLOT {
-                                    *slot = groups.slot(&[ValueRef::Text(dict.get(code))]);
-                                }
-                                *slot
-                            }
+                            Some(code) => code_slots[code as usize],
                             None => {
                                 *null_slot.get_or_insert_with(|| groups.slot(&[ValueRef::Null]))
                             }
@@ -489,6 +516,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_group_whose_rows_were_all_overwritten_is_gone() {
+        // Station `b` is left only in the flushed block's dictionary: its
+        // one row was overwritten in the memtable.
+        let db = crate::Db::open(crate::OpenOptions::default()).unwrap();
+        db.execute_cql("CREATE KEYSPACE ks").unwrap();
+        db.execute_cql("CREATE TABLE ks.t (id int, s text, n int, PRIMARY KEY (id))")
+            .unwrap();
+        for (id, s) in [(1, "a"), (2, "b"), (3, "a")] {
+            let cql = format!("INSERT INTO ks.t (id, s, n) VALUES ({id}, '{s}', {id})");
+            db.execute_cql(&cql).unwrap();
+        }
+        db.flush_all().unwrap();
+        db.execute_cql("INSERT INTO ks.t (id, s, n) VALUES (2, 'c', 5)")
+            .unwrap();
+        let got = db
+            .execute_cql("SELECT s, COUNT(*), SUM(n) FROM ks.t GROUP BY s")
+            .unwrap();
+        let text = |s: &str| CqlValue::Text(s.to_string());
+        let want = [(text("a"), 2, 4), (text("c"), 1, 5)]
+            .map(|(s, count, sum)| vec![s, CqlValue::Int(count), CqlValue::Int(sum)]);
+        assert_eq!(got.rows(), want);
     }
 
     #[test]
