@@ -69,13 +69,20 @@ const GOLDEN: &str = include_str!("ledger.txt");
 const SCAN_ROWS: i64 = 12_000;
 const SCAN_CACHE_BYTES: usize = 170 * 1024;
 
-/// A table of [`SCAN_ROWS`] `scan_mixed` rows (40 stations), stored as one
-/// SSTable, a flushed layer of 1,000 overwrites and 1,000 more in the
-/// memtable, behind a block cache half the table's size.
-fn scan_table() -> Db {
-    let options = OpenOptions::default()
+/// The options every engine over a [`scan_table`] opens with: `vfs`, no
+/// compaction threads, a block cache half the table's size.
+fn scan_options(vfs: &Vfs) -> OpenOptions {
+    OpenOptions::default()
+        .vfs(vfs.clone())
         .compaction_threads(0)
-        .block_cache_bytes(SCAN_CACHE_BYTES);
+        .block_cache_bytes(SCAN_CACHE_BYTES)
+}
+
+/// A table of [`SCAN_ROWS`] `scan_mixed` rows (40 stations) on `vfs`,
+/// stored as one SSTable, a flushed layer of 1,000 overwrites and 1,000
+/// more in the memtable and the commit log.
+fn scan_table(vfs: &Vfs) -> Db {
+    let options = scan_options(vfs);
     let db = Db::open(options).expect("opens");
     db.execute_cql("CREATE KEYSPACE bench").expect("keyspace");
     db.execute_cql(
@@ -246,13 +253,37 @@ fn the_write_path_does_the_work_the_ledger_says() {
     // The scan side: `scan_mixed`'s GROUP BY over 12,000 rows in one
     // SSTable, a flushed layer and a memtable of overwrites, counted on
     // the second scan, after the first has filled the cache.
-    let db = scan_table();
+    let vfs = Vfs::memory();
+    let db = scan_table(&vfs);
     let (allocations, bytes, _) = counted(|| {
         let cql = "SELECT station, COUNT(*), SUM(bikes) FROM bench.obs GROUP BY station";
         let result = db.execute_cql(cql).expect("groups");
         assert_eq!(result.len(), 40, "one row per station");
     });
     line("scan.group_by", (allocations, bytes), SCAN_ROWS as usize);
+
+    // The merge of that table's two SSTables, one fresh table per run.
+    let mut layered: Vec<Db> = (0..2).map(|_| scan_table(&Vfs::memory())).collect();
+    let (allocations, bytes, _) = counted(|| {
+        let db = layered.pop().expect("one table per run");
+        db.compact_all().expect("merges");
+    });
+    line(
+        "compact.merge",
+        (allocations, bytes),
+        SCAN_ROWS as usize + 1000,
+    );
+
+    // Reopening the same table: its two SSTables attached, the commit
+    // log's 1,000 overwrites checked against them and replayed.
+    drop(db);
+    let (allocations, bytes, _) =
+        counted(|| Db::open(scan_options(&vfs).recover(true)).expect("reopens"));
+    line(
+        "recover.reopen",
+        (allocations, bytes),
+        SCAN_ROWS as usize + 2000,
+    );
 
     if std::env::var_os("WORK_LEDGER_UPDATE").is_some() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/ledger.txt");
