@@ -17,8 +17,10 @@
 //!
 //! The writer takes the records column-major (`ColumnBatch`: keys,
 //! sequences, liveness, a borrowed cell per live record per column), so
-//! every live row of a block has the same column count. `BlockWriter`
-//! encodes one block of a batch at a time, reusing its buffers.
+//! every live row of a batch has the same column count: an ingest's
+//! columns, or `ColumnBatch::from_records` over a flush's entries or a
+//! merge's decoded rows. `BlockWriter` encodes one block of a batch at a
+//! time, reusing its buffers.
 //!
 //! Column chunks are length-prefixed so a projected read skips a pruned
 //! column in O(1) without parsing it.
@@ -58,6 +60,10 @@ const ENC_INT_DELTA: u8 = 1;
 const ENC_TEXT_DICT: u8 = 2;
 const ENC_BOOL_BITMAP: u8 = 3;
 
+/// One record as [`ColumnBatch::from_records`] takes it: its key, its
+/// sequence and its row's cells (`None` = a tombstone).
+pub(crate) type Record<'a, C> = (&'a [u8], u64, Option<C>);
+
 /// A sorted run of records, column-major: what an SSTable is written from
 /// (`sstable::write_columns`). Record `i` has key `keys[i]`, sequence
 /// `seqs[i]`, and a row when `live[i]` (a tombstone otherwise); each of
@@ -71,32 +77,43 @@ pub(crate) struct ColumnBatch<'a> {
 }
 
 impl<'a> ColumnBatch<'a> {
-    /// Makes this batch `entries`, column by column and borrowed, keeping
-    /// its buffers. Live rows of differing length are
+    /// `records` column by column, borrowed, each vector sized once from
+    /// their count. Live rows of differing length are
     /// [`NosqlError::Corrupt`].
-    pub fn fill(&mut self, file: &str, entries: &'a [SstEntry]) -> Result<()> {
-        let mut rows = entries.iter().filter_map(|e| e.row.as_ref()).peekable();
-        let width = rows.peek().map_or(0, |row| row.values.len());
-        self.columns.resize_with(width, Vec::new);
-        self.columns.iter_mut().for_each(Vec::clear);
-        for row in rows {
-            if row.values.len() != width {
+    pub fn from_records<C>(
+        file: &str,
+        records: impl ExactSizeIterator<Item = Record<'a, C>> + Clone,
+    ) -> Result<ColumnBatch<'a>>
+    where
+        C: ExactSizeIterator<Item = ValueRef<'a>>,
+    {
+        let len = records.len();
+        let width = records
+            .clone()
+            .find_map(|(_, _, cells)| cells)
+            .map_or(0, |c| c.len());
+        let mut batch = ColumnBatch {
+            keys: Vec::with_capacity(len),
+            seqs: Vec::with_capacity(len),
+            live: Vec::with_capacity(len),
+            columns: (0..width).map(|_| Vec::with_capacity(len)).collect(),
+        };
+        for (key, seq, cells) in records {
+            batch.keys.push(key);
+            batch.seqs.push(seq);
+            batch.live.push(cells.is_some());
+            let Some(cells) = cells else { continue };
+            if cells.len() != width {
                 return Err(NosqlError::Corrupt(format!(
-                    "refusing to write {file}: a row of {} columns in a block of {width}-column rows",
-                    row.values.len()
+                    "refusing to write {file}: a row of {} columns among {width}-column rows",
+                    cells.len()
                 )));
             }
-            for (column, value) in self.columns.iter_mut().zip(&row.values) {
-                column.push(ValueRef::from(value));
+            for (column, cell) in batch.columns.iter_mut().zip(cells) {
+                column.push(cell);
             }
         }
-        self.keys.clear();
-        self.keys.extend(entries.iter().map(|e| e.key.as_slice()));
-        self.seqs.clear();
-        self.seqs.extend(entries.iter().map(|e| e.timestamp));
-        self.live.clear();
-        self.live.extend(entries.iter().map(|e| e.row.is_some()));
-        Ok(())
+        Ok(batch)
     }
 
     /// The row-major footprint of live record `at`'s row (`Row::encoded_len`),
@@ -1069,6 +1086,13 @@ impl ScanBlock {
         true
     }
 
+    /// Record `row` as the writer takes it, pruned columns null.
+    pub fn record(&self, row: usize) -> Record<'_, impl ExactSizeIterator<Item = ValueRef<'_>>> {
+        let cells = (0..self.width()).map(move |col| self.cell(col, row));
+        let live = self.is_live(row);
+        (self.key(row), self.seq(row), live.then_some(cells))
+    }
+
     /// Record `row` as an entry, pruned columns null.
     pub fn entry(&self, row: usize) -> SstEntry {
         let values = || (0..self.width()).map(|c| self.cell(c, row).to_value());
@@ -1136,8 +1160,7 @@ mod tests {
 
     /// `entries` as one block, through the writer's batch.
     fn encode_block(file: &str, entries: &[SstEntry]) -> Result<Vec<u8>> {
-        let mut batch = ColumnBatch::default();
-        batch.fill(file, entries)?;
+        let batch = ColumnBatch::from_records(file, entries.iter().map(SstEntry::record))?;
         let mut out = Encoder::new();
         let live = batch.live.iter().filter(|live| **live).count();
         BlockWriter::default().encode(&mut out, &batch, 0..entries.len(), 0..live);

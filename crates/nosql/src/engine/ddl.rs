@@ -113,11 +113,14 @@ impl DbCore {
         // Backfill: the posting diff from "no row" for every row already
         // present. The state write lock excludes every concurrent
         // statement, so reading at the top bound is exact.
-        let mut writes = Vec::new();
-        let rows = state.table(table, None)?.core.cursor(u64::MAX, None, None);
-        for entry in rows.entries() {
-            let entry = entry?;
-            index.diff(&entry.key, None, entry.row.as_ref(), &mut writes);
+        let mut rows = state.table(table, None)?.core.cursor(u64::MAX, None, None);
+        let (mut writes, mut run) = (Vec::new(), Vec::new());
+        while let Some((_, block)) = rows.next_run(&mut run, usize::MAX)? {
+            for &at in &run {
+                let (key, _, cells) = block.record(at as usize);
+                let row = cells.map(|cells| Row::new(cells.map(ValueRef::to_value).collect()));
+                index.diff(key, None, row.as_ref(), &mut writes);
+            }
         }
         self.commit_writes(state, writes)
     }

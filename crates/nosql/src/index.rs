@@ -18,7 +18,7 @@ use crate::error::{NosqlError, Result};
 use crate::plan::KeyList;
 use crate::row::Row;
 use crate::schema::{ColumnDef, TableDef};
-use crate::table::{live_row, PendingWrite, TableCore};
+use crate::table::{PendingWrite, TableCore};
 use crate::types::{CqlType, CqlValue, ValueRef};
 use std::sync::Arc;
 
@@ -135,15 +135,17 @@ impl Index {
     /// Postings may trail an overwrite racing the index update, so the
     /// caller re-checks each base row against the values.
     pub fn base_keys(&self, value_keys: &KeyList, bound: u64) -> Result<KeyList> {
-        let (mut keys, mut key) = (KeyList::default(), Vec::new());
+        let (mut keys, mut key, mut run) = (KeyList::default(), Vec::new(), Vec::new());
         for value_key in value_keys.iter() {
             let prefix = Index::prefix(value_key).into_bytes();
-            let postings = self.postings.cursor(bound, Some(&prefix), None);
-            for posting in postings.entries().map(live_row) {
-                if let Some(id) = posting?.values[1].as_int() {
-                    key.clear();
-                    ValueRef::Int(id).put_key(&mut key);
-                    keys.push(&key);
+            let mut postings = self.postings.cursor(bound, Some(&prefix), Some(&[1]));
+            while let Some((_, block)) = postings.next_run(&mut run, usize::MAX)? {
+                for &row in &run {
+                    if let id @ ValueRef::Int(_) = block.cell(1, row as usize) {
+                        key.clear();
+                        id.put_key(&mut key);
+                        keys.push(&key);
+                    }
                 }
             }
         }

@@ -1,9 +1,10 @@
 //! SSTables: immutable sorted string tables flushed from memtables.
 //!
 //! One on-disk format (magic `STB3`, DESIGN.md §5f) and one writer, which
-//! takes a sorted column batch: an ingest fills one from its columns, and
-//! [`write_sstable`] transposes a flush's or a merge's [`SstEntry`]s (key,
-//! typed row or tombstone, sequence) into one. Readers hand back entries.
+//! takes a sorted column batch and cuts it into blocks: an ingest fills
+//! the batch from its columns, a merge from the blocks its cursor read,
+//! and [`write_sstable`] from a flush's [`SstEntry`]s (key, typed row or
+//! tombstone, sequence).
 //!
 //! ```text
 //! [ data blocks... ][ meta ][ footer ]
@@ -26,17 +27,18 @@
 //! Everything else reads through `SstIter`, which hands a table's cursor
 //! one decoded column block at a time, seeks through the block index for
 //! a key prefix and decodes only the column chunks its caller needs;
-//! [`SsTable::iter`] builds entries from that same cursor.
+//! [`SsTable::iter`] builds entries from the rows of those blocks under
+//! the prefix.
 //!
 //! Every decoded geometry field is validated at open (checked arithmetic,
 //! monotone offsets, bounded allocations), so a corrupt or truncated file
 //! surfaces as [`NosqlError::Corrupt`], never a panic.
 
 use crate::cache::BlockCache;
-use crate::colblock::{self, BlockWriter, ColumnBatch, ScanBlock};
+use crate::colblock::{self, BlockWriter, ColumnBatch, Record, ScanBlock};
 use crate::error::{NosqlError, Result};
 use crate::row::Row;
-use crate::table::Cursor;
+use crate::types::ValueRef;
 use sc_encoding::{Bloom, Crc32, Decoder, Encoder, BLOCK_TARGET_BYTES};
 use sc_storage::Vfs;
 use std::ops::{Deref, Range};
@@ -95,44 +97,53 @@ pub(crate) struct Found {
     pub row: Option<Row>,
 }
 
-/// Writes a sorted run of entries as one SSTable file, each block's
-/// entries put column by column into one reused batch (`colblock`'s) for
-/// the one block writer. Unsorted input, or live rows of differing column
-/// count inside one block, is [`NosqlError::Corrupt`] and writes nothing.
-pub fn write_sstable(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> {
-    ensure_sorted(file, entries.iter().map(|e| e.key.as_slice()))?;
-    let body = |e: &SstEntry| e.row.as_ref().map_or(0, Row::encoded_len);
-    let mut table = TableWriter::new(entries.len());
-    let mut batch = ColumnBatch::default();
-    for rows in cuts(entries.iter().map(|e| e.key.len() + body(e))) {
-        batch.fill(file, &entries[rows])?;
-        let live = batch.columns.first().map_or(0, Vec::len);
-        table.block(&batch, 0..batch.keys.len(), 0..live);
+impl SstEntry {
+    /// This entry as the writer takes it (`ColumnBatch::from_records`).
+    pub(crate) fn record(&self) -> Record<'_, impl ExactSizeIterator<Item = ValueRef<'_>>> {
+        let row = self.row.as_ref();
+        (
+            &self.key,
+            self.timestamp,
+            row.map(|row| row.values.iter().map(ValueRef::from)),
+        )
     }
-    table.finish(vfs, file)
 }
 
-/// Writes `batch` as one SSTable file, cut into blocks as
-/// [`write_sstable`] cuts the same rows, so the bytes are the same. Keys
+/// Writes a sorted run of entries as one SSTable file: one column batch
+/// borrowed from them, through `write_columns`' cut loop. Unsorted
+/// input, or live rows of differing column count, is
+/// [`NosqlError::Corrupt`] and writes nothing.
+pub fn write_sstable(vfs: &Vfs, file: &str, entries: &[SstEntry]) -> Result<()> {
+    let batch = ColumnBatch::from_records(file, entries.iter().map(SstEntry::record))?;
+    write_columns(vfs, file, &batch)
+}
+
+/// Writes `batch` as one SSTable file: the one writer every flush, merge
+/// and ingest goes through, so the same records make the same bytes. Keys
 /// that do not ascend strictly are [`NosqlError::Corrupt`] and nothing is
 /// written.
+///
+/// A block closes, never splitting a record, once its records' row-major
+/// footprint reaches `BLOCK_TARGET_BYTES`: each record's key, its row
+/// body (`Row::encode`'s length, [`ColumnBatch::row_len`]; 0 for a
+/// tombstone), a flag and sequence (9) and two length prefixes (4). The
+/// columnar bytes are usually fewer.
 pub(crate) fn write_columns(vfs: &Vfs, file: &str, batch: &ColumnBatch<'_>) -> Result<()> {
     ensure_sorted(file, batch.keys.iter().copied())?;
-    // A record's body is its row's, and its row is the next live cell.
-    let mut cell = 0;
-    let sizes = (batch.keys.iter().zip(&batch.live)).map(|(key, &live)| {
-        cell += usize::from(live);
-        key.len() + if live { batch.row_len(cell - 1) } else { 0 }
-    });
     let mut table = TableWriter::new(batch.keys.len());
-    let mut first_cell = 0;
-    for rows in cuts(sizes) {
-        let live = batch.live[rows.clone()]
-            .iter()
-            .filter(|live| **live)
-            .count();
-        table.block(batch, rows, first_cell..first_cell + live);
-        first_cell += live;
+    // The open block's first record and first cell, the next cell, and
+    // the block's footprint so far.
+    let (mut start, mut first_cell, mut cell, mut pending) = (0, 0, 0, 0);
+    for (i, (key, &live)) in batch.keys.iter().zip(&batch.live).enumerate() {
+        pending += key.len() + 9 + 4;
+        if live {
+            pending += batch.row_len(cell);
+            cell += 1;
+        }
+        if pending >= BLOCK_TARGET_BYTES || i + 1 == batch.keys.len() {
+            table.block(batch, start..i + 1, first_cell..cell);
+            (start, first_cell, pending) = (i + 1, cell, 0);
+        }
     }
     table.finish(vfs, file)
 }
@@ -155,29 +166,6 @@ fn ensure_sorted<'k>(file: &str, keys: impl Iterator<Item = &'k [u8]>) -> Result
         prev = Some(key);
     }
     Ok(())
-}
-
-/// The blocks of a run of records, as index ranges: a block closes, never
-/// splitting a record, once its records' row-major footprint — each
-/// record's key plus row body (`Row::encode`'s length, 0 for a tombstone)
-/// as `sizes` gives it, plus a flag and sequence (9) and two length
-/// prefixes (4) — reaches `BLOCK_TARGET_BYTES`; the columnar bytes are
-/// usually fewer.
-fn cuts(sizes: impl Iterator<Item = usize>) -> impl Iterator<Item = Range<usize>> {
-    let mut sizes = sizes.enumerate().peekable();
-    let mut start = 0;
-    std::iter::from_fn(move || {
-        let mut pending = 0;
-        while let Some((i, size)) = sizes.next() {
-            pending += size + 9 + 4;
-            if pending >= BLOCK_TARGET_BYTES || sizes.peek().is_none() {
-                let block = start..i + 1;
-                start = i + 1;
-                return Some(block);
-            }
-        }
-        None
-    })
 }
 
 /// One SSTable being written: its data blocks, the block index and the
@@ -655,8 +643,15 @@ impl SsTable {
         prefix: Option<&[u8]>,
         proj: Option<&[usize]>,
     ) -> impl Iterator<Item = Result<SstEntry>> + 'a {
-        let layer = Box::new(SstIter::new(self, prefix, proj));
-        Cursor::new(vec![layer], u64::MAX, prefix, true).entries()
+        let blocks = SstIter::new(self, prefix, proj);
+        let prefix = prefix.unwrap_or_default().to_vec();
+        blocks.flat_map(move |block| match block {
+            Ok(block) => (0..block.len())
+                .filter(|&row| block.key(row).starts_with(&prefix))
+                .map(|row| Ok(block.entry(row)))
+                .collect(),
+            Err(e) => vec![Err(e)],
+        })
     }
 
     /// Every entry in key order (tombstones included).

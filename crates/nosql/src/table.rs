@@ -36,7 +36,7 @@ use crate::memtable::Memtable;
 use crate::mvcc::{SeqGuard, SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
-use crate::sstable::{write_columns, write_sstable, Found, Probe, SsTable, SstEntry, SstIter};
+use crate::sstable::{write_columns, write_sstable, Found, Probe, SsTable, SstIter};
 use sc_storage::Vfs;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,9 +147,8 @@ fn visible(block: &ScanBlock, row: usize, bound: u64, prefix: Option<&[u8]>) -> 
 /// The one merge loop: a k-way merge over sorted layers under a single
 /// rule — per key, the highest sequence at or below `bound` wins. It hands
 /// out the winners in key order as runs of rows of one block
-/// ([`Cursor::next_run`]); every read that is not a point probe and every
-/// compaction consumes it, the ones that want records through
-/// [`Cursor::entries`].
+/// ([`Cursor::next_run`]); every read that is not a point probe, the
+/// `CREATE INDEX` backfill and every compaction consume them.
 pub(crate) struct Cursor<'a> {
     /// Settled heads in merge order: smallest key first, a key's newest
     /// version first. After a run the first is `stale`.
@@ -275,49 +274,6 @@ impl<'a> Cursor<'a> {
             }
         }
     }
-
-    /// The winners as records, tombstones included if the cursor keeps
-    /// them.
-    pub fn entries(self) -> Entries<'a> {
-        Entries {
-            cursor: self,
-            block: None,
-            rows: Vec::new(),
-            next: 0,
-        }
-    }
-}
-
-/// [`Cursor::entries`]: each winner built into an [`SstEntry`], pruned
-/// columns null.
-pub(crate) struct Entries<'a> {
-    cursor: Cursor<'a>,
-    block: Option<Rc<ScanBlock>>,
-    rows: Vec<u32>,
-    next: usize,
-}
-
-impl Iterator for Entries<'_> {
-    type Item = Result<SstEntry>;
-
-    fn next(&mut self) -> Option<Result<SstEntry>> {
-        loop {
-            if let (Some(block), Some(&row)) = (&self.block, self.rows.get(self.next)) {
-                self.next += 1;
-                return Some(Ok(block.entry(row as usize)));
-            }
-            self.next = 0;
-            match self.cursor.next_run(&mut self.rows, usize::MAX) {
-                Ok(run) => self.block = Some(run?.1),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
-/// The row of an entry a query's cursor ([`TableCore::cursor`]) yielded.
-pub(crate) fn live_row(entry: Result<SstEntry>) -> Result<Row> {
-    Ok(entry?.row.expect("a query's cursor elides tombstones"))
 }
 
 /// One pending row mutation, bound for the WAL and its table's memtable.
@@ -937,19 +893,22 @@ impl TableCore {
             .iter()
             .map(|sst| Box::new(SstIter::new(Arc::clone(sst), None, None)) as Layer)
             .collect();
-        let merged = Cursor::new(layers, u64::MAX, None, true);
-        // Sized once for the most the run can yield, so the output never
-        // regrows (and recopies) while blocks are decoded around it.
-        let mut entries: Vec<SstEntry> = Vec::with_capacity(run.iter().map(|s| s.len()).sum());
+        let mut merged = Cursor::new(layers, u64::MAX, None, true);
+        // The winners in key order, each as its block's place in `blocks`
+        // and its row there: the output's keys and cells borrow from
+        // these blocks.
+        let (mut blocks, mut rows, mut next) = (Vec::new(), Vec::new(), Vec::new());
         let mut max_ts = 0u64;
-        for e in merged.entries() {
-            let e = e?;
-            // Each key's winner carries its highest sequence, so this is
-            // the run's newest sequence too.
-            max_ts = max_ts.max(e.timestamp);
-            if e.row.is_some() || !drop_tombstones {
-                entries.push(e);
+        while let Some((_, block)) = merged.next_run(&mut next, usize::MAX)? {
+            for &row in &next {
+                // Each key's winner carries its highest sequence, so this
+                // is the run's newest sequence too.
+                max_ts = max_ts.max(block.seq(row as usize));
+                if !drop_tombstones || block.is_live(row as usize) {
+                    rows.push((blocks.len() as u32, row));
+                }
             }
+            blocks.push(block);
         }
         if registry.min_pinned() < max_ts {
             return Ok(false);
@@ -968,7 +927,10 @@ impl TableCore {
         // One manifest append swaps the whole run atomically; only after
         // it is durable may the old files go — a crash in between leaves
         // them as orphans for recovery to sweep.
-        let write = |vfs: &Vfs, file: &str| write_sstable(vfs, file, &entries);
+        let write = |vfs: &Vfs, file: &str| {
+            let records = (rows.iter()).map(|&(at, row)| blocks[at as usize].record(row as usize));
+            write_columns(vfs, file, &ColumnBatch::from_records(file, records)?)
+        };
         let size = self.publish(maint, start, &run, write)?;
         span.add_bytes(size);
         if sc_obs::enabled() {
@@ -1030,9 +992,10 @@ impl TableCore {
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
         let mut max = 0u64;
         for sst in ssts.iter() {
-            // Keys and sequences only: no value column is decoded.
-            for e in sst.iter(None, Some(&[])) {
-                max = max.max(e?.timestamp);
+            // Keys and sequences only: no column is decoded.
+            for block in SstIter::new(&**sst, None, Some(&[])) {
+                let block = block?;
+                max = (0..block.len()).fold(max, |max, row| max.max(block.seq(row)));
             }
         }
         Ok(max)
@@ -1043,8 +1006,13 @@ impl TableCore {
     pub fn newest_disk_seq(&self, key: &[u8]) -> Result<Option<u64>> {
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
         for sst in ssts.iter().rev() {
-            if let Some(e) = sst.probe(key)?.entry {
-                return Ok(Some(e.timestamp));
+            // The sequence only: no column is decoded, no key copied.
+            let mut seq = None;
+            sst.lookup(&[(0, key)], Some(&[]), &mut |_, p| {
+                seq = p.entry.map(|f| f.seq)
+            })?;
+            if seq.is_some() {
+                return Ok(seq);
             }
         }
         Ok(None)
@@ -1084,6 +1052,7 @@ mod tests {
     use super::*;
     use crate::exec::scan::MultiPointScan;
     use crate::schema::ColumnDef;
+    use crate::sstable::SstEntry;
     use crate::types::{CqlType, CqlValue};
     use sc_encoding::Rng;
     use std::collections::BTreeMap;
@@ -1117,6 +1086,15 @@ mod tests {
             memtable_flush_bytes: 256,
             compaction_threshold: 3,
         }
+    }
+
+    /// The winners `cursor` hands out, one at a time, as entries.
+    fn entries<'a>(mut cursor: Cursor<'a>) -> impl Iterator<Item = Result<SstEntry>> + 'a {
+        let mut rows = Vec::new();
+        std::iter::from_fn(move || match cursor.next_run(&mut rows, 1) {
+            Ok(run) => run.map(|(_, block)| Ok(block.entry(rows[0] as usize))),
+            Err(e) => Some(Err(e)),
+        })
     }
 
     /// One key's point read: the batch of one.
@@ -1177,9 +1155,7 @@ mod tests {
         }
 
         fn scan(&self) -> Vec<(Vec<u8>, Row)> {
-            self.table
-                .cursor(u64::MAX, None, None)
-                .entries()
+            entries(self.table.cursor(u64::MAX, None, None))
                 .map(|e| e.map(|e| (e.key, e.row.expect("tombstones are elided"))))
                 .collect::<Result<_>>()
                 .unwrap()
@@ -1594,7 +1570,7 @@ mod tests {
         let expected = h.scan();
         assert_eq!(expected.len(), 200);
 
-        let mut cursor = h.table.cursor(u64::MAX, None, None).entries();
+        let mut cursor = entries(h.table.cursor(u64::MAX, None, None));
         let mut got = vec![cursor.next().unwrap().unwrap()];
         h.table.compact(&h.registry).unwrap();
         assert_eq!(h.table.sstable_count(), 1);
@@ -1872,10 +1848,7 @@ mod tests {
                     Some(b"c\x08"),
                     Some(b"z"),
                 ] {
-                    let got: Vec<SstEntry> = h
-                        .table
-                        .cursor(bound, prefix, None)
-                        .entries()
+                    let got: Vec<SstEntry> = entries(h.table.cursor(bound, prefix, None))
                         .collect::<Result<_>>()
                         .unwrap();
                     assert_eq!(
@@ -1899,6 +1872,14 @@ mod tests {
                 merged.scan().unwrap(),
                 merge_reference(&ssts[start..], start == 0),
                 "seed {seed} merge from {start}"
+            );
+            let reference = Vfs::memory();
+            let want = merge_reference(&ssts[start..], start == 0);
+            write_sstable(&reference, "merged", &want).unwrap();
+            assert_eq!(
+                vfs.read_all(merged.file()).unwrap(),
+                reference.read_all("merged").unwrap(),
+                "seed {seed} merge from {start}: the bytes"
             );
         }
     }
