@@ -1088,12 +1088,25 @@ mod tests {
         }
     }
 
-    /// The winners `cursor` hands out, one at a time, as entries.
-    fn entries<'a>(mut cursor: Cursor<'a>) -> impl Iterator<Item = Result<SstEntry>> + 'a {
+    /// The winners `cursor` hands out in runs of at most `max` rows, as
+    /// entries, one at a time: a run is read only once the last is used up.
+    fn entries<'a>(
+        mut cursor: Cursor<'a>,
+        max: usize,
+    ) -> impl Iterator<Item = Result<SstEntry>> + 'a {
+        let mut block: Option<Rc<ScanBlock>> = None;
         let mut rows = Vec::new();
-        std::iter::from_fn(move || match cursor.next_run(&mut rows, 1) {
-            Ok(run) => run.map(|(_, block)| Ok(block.entry(rows[0] as usize))),
-            Err(e) => Some(Err(e)),
+        let mut next = 0;
+        std::iter::from_fn(move || loop {
+            if let (Some(block), Some(&row)) = (&block, rows.get(next)) {
+                next += 1;
+                return Some(Ok(block.entry(row as usize)));
+            }
+            next = 0;
+            match cursor.next_run(&mut rows, max) {
+                Ok(run) => block = Some(run?.1),
+                Err(e) => return Some(Err(e)),
+            }
         })
     }
 
@@ -1155,7 +1168,7 @@ mod tests {
         }
 
         fn scan(&self) -> Vec<(Vec<u8>, Row)> {
-            entries(self.table.cursor(u64::MAX, None, None))
+            entries(self.table.cursor(u64::MAX, None, None), usize::MAX)
                 .map(|e| e.map(|e| (e.key, e.row.expect("tombstones are elided"))))
                 .collect::<Result<_>>()
                 .unwrap()
@@ -1570,7 +1583,7 @@ mod tests {
         let expected = h.scan();
         assert_eq!(expected.len(), 200);
 
-        let mut cursor = entries(h.table.cursor(u64::MAX, None, None));
+        let mut cursor = entries(h.table.cursor(u64::MAX, None, None), usize::MAX);
         let mut got = vec![cursor.next().unwrap().unwrap()];
         h.table.compact(&h.registry).unwrap();
         assert_eq!(h.table.sstable_count(), 1);
@@ -1848,14 +1861,17 @@ mod tests {
                     Some(b"c\x08"),
                     Some(b"z"),
                 ] {
-                    let got: Vec<SstEntry> = entries(h.table.cursor(bound, prefix, None))
-                        .collect::<Result<_>>()
-                        .unwrap();
-                    assert_eq!(
-                        got,
-                        scan_reference(&disk, &mem, bound, prefix),
-                        "seed {seed} bound {bound} prefix {prefix:?}"
-                    );
+                    let want = scan_reference(&disk, &mem, bound, prefix);
+                    // Whole runs, as every caller takes them, and runs of one.
+                    for max in [usize::MAX, 1] {
+                        let got: Vec<SstEntry> = entries(h.table.cursor(bound, prefix, None), max)
+                            .collect::<Result<_>>()
+                            .unwrap();
+                        assert_eq!(
+                            got, want,
+                            "seed {seed} bound {bound} prefix {prefix:?} max {max}"
+                        );
+                    }
                 }
             }
 
@@ -1868,13 +1884,13 @@ mod tests {
             drop(maint);
             let merged = Arc::clone(&h.table.ssts.read().unwrap()[start]);
             assert_eq!(h.table.sstable_count(), start + 1);
+            let want = merge_reference(&ssts[start..], start == 0);
             assert_eq!(
                 merged.scan().unwrap(),
-                merge_reference(&ssts[start..], start == 0),
+                want,
                 "seed {seed} merge from {start}"
             );
             let reference = Vfs::memory();
-            let want = merge_reference(&ssts[start..], start == 0);
             write_sstable(&reference, "merged", &want).unwrap();
             assert_eq!(
                 vfs.read_all(merged.file()).unwrap(),
