@@ -186,6 +186,30 @@ fn the_write_path_does_the_work_the_ledger_says() {
     let (allocations, bytes, _) =
         counted(|| write_sstable(&Vfs::memory(), "ledger/sst", &entries).expect("writes"));
     line("write_sstable.rows", (allocations, bytes), entries.len());
+    // The same rows flushed from an engine's memtable, one fresh engine
+    // per run, built before the count: the threshold keeps every row
+    // buffered until `flush_all`.
+    let columns = ["id", "station", "ts", "bikes", "docks"];
+    let buffer = |_| {
+        let db = Db::open(options().memtable_flush_bytes(1 << 30)).expect("opens");
+        db.execute_cql("CREATE KEYSPACE bench").expect("keyspace");
+        db.execute_cql(
+            "CREATE TABLE bench.obs (id int, station text, ts bigint, bikes int, docks int, \
+             PRIMARY KEY (id))",
+        )
+        .expect("table");
+        let rows = entries.iter().map(|e| e.row.clone().expect("live").values);
+        db.insert_rows("bench", "obs", &columns, rows)
+            .expect("inserts");
+        db
+    };
+    let mut buffered: Vec<Db> = (0..2).map(buffer).collect();
+    let (allocations, bytes, _) = counted(|| {
+        let db = buffered.pop().expect("one engine per run");
+        db.flush_all().expect("flushes");
+        db
+    });
+    line("flush.rows", (allocations, bytes), entries.len());
 
     // The read side: the cube's store read back, as `cube_window` reads it
     // (a 1 MiB block cache, a 64-node cache, 600 seeded point selections
