@@ -534,7 +534,7 @@ fn serve(port: u16, metrics_port: u16, tokens: Vec<(String, String)>, slow_ms: u
         config = config.tenant(tenant, token);
     }
 
-    let db = sc_nosql::SharedDb::open(sc_nosql::OpenOptions::default()).expect("open engine");
+    let db = sc_nosql::Db::open(sc_nosql::OpenOptions::default()).expect("open engine");
     let server = Server::start(config, db).expect("start server");
     header(&format!(
         "repro serve: CQL protocol on {}, metrics on {}",

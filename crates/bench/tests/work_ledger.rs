@@ -301,8 +301,7 @@ fn the_write_path_does_the_work_the_ledger_says() {
     // Reopening the same table: its two SSTables attached, the commit
     // log's 1,000 overwrites checked against them and replayed.
     drop(db);
-    let (allocations, bytes, _) =
-        counted(|| Db::open(scan_options(&vfs).recover(true)).expect("reopens"));
+    let (allocations, bytes, _) = counted(|| Db::open(scan_options(&vfs)).expect("reopens"));
     line(
         "recover.reopen",
         (allocations, bytes),

@@ -72,7 +72,7 @@ impl NosqlDwarfModel {
     /// Opens a model over `vfs`, recovering whatever an earlier engine
     /// persisted there (manifest, commit log, SSTables).
     pub fn open(vfs: Vfs) -> Result<NosqlDwarfModel> {
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true))?;
+        let db = Db::open(OpenOptions::default().vfs(vfs))?;
         Ok(NosqlDwarfModel { db })
     }
 

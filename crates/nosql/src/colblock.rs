@@ -908,30 +908,32 @@ impl ScanBlock {
         })
     }
 
-    /// Builds a block from sorted entries (a memtable snapshot).
-    /// Tombstones and short rows read as null.
-    pub fn from_entries(entries: Vec<SstEntry>) -> ScanBlock {
-        let width = entries
-            .iter()
-            .filter_map(|e| e.row.as_ref())
-            .map(|row| row.values.len())
-            .max()
-            .unwrap_or(0);
-        let mut bytes = Vec::with_capacity(entries.iter().map(|e| e.key.len()).sum());
-        let mut rows = Vec::with_capacity(entries.len());
-        let mut cells = Vec::with_capacity(entries.len());
-        for e in entries {
+    /// Builds a block from sorted records whose rows it copies (a
+    /// memtable's versions): the keys end to end in one buffer, each row
+    /// cloned once, a tombstone's row empty. `rows` sizes the per-record
+    /// vectors. `None`, with nothing allocated, when there are no records.
+    pub fn from_records<'r>(
+        records: impl Iterator<Item = Record<'r, &'r [CqlValue]>>,
+        rows: usize,
+    ) -> Option<ScanBlock> {
+        let mut records = records.peekable();
+        records.peek()?;
+        let (mut bytes, mut width) = (Vec::new(), 0);
+        let (mut metas, mut cells) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        for (key, seq, row) in records {
             let start = bytes.len();
-            bytes.extend_from_slice(&e.key);
+            bytes.extend_from_slice(key);
             let key = (start, bytes.len());
-            rows.push(RowMeta::new(&bytes, key, e.timestamp, e.row.is_some()));
-            cells.push(e.row.map_or_else(Vec::new, |row| row.values));
+            metas.push(RowMeta::new(&bytes, key, seq, row.is_some()));
+            let row = row.map_or_else(Vec::new, <[CqlValue]>::to_vec);
+            width = width.max(row.len());
+            cells.push(row);
         }
-        ScanBlock {
+        Some(ScanBlock {
             bytes: Arc::new(bytes),
-            rows,
+            rows: metas,
             cells: Cells::Rows { width, rows: cells },
-        }
+        })
     }
 
     /// A block of rows an operator built (probed or aggregated rows),
@@ -1192,6 +1194,19 @@ mod tests {
         ScanBlock::decode("t", Arc::new(bytes.to_vec()), proj)
     }
 
+    /// `entries` in a block that keeps their rows, as a memtable builds
+    /// one.
+    fn row_block(entries: &[SstEntry]) -> ScanBlock {
+        let records = (entries.iter()).map(|e| {
+            (
+                &e.key[..],
+                e.timestamp,
+                e.row.as_ref().map(|r| &r.values[..]),
+            )
+        });
+        ScanBlock::from_records(records, entries.len()).expect("records")
+    }
+
     /// Every record of the scan decode, as entries.
     fn decode(bytes: &[u8], proj: Option<&[usize]>) -> Result<Vec<SstEntry>> {
         let block = scan(bytes, proj)?;
@@ -1203,7 +1218,7 @@ mod tests {
         let es = typed_entries();
         let bytes = encode_block("t", &es).unwrap();
         assert_eq!(decode(&bytes, None).unwrap(), es);
-        let built = ScanBlock::from_entries(es.clone());
+        let built = row_block(&es);
         assert_eq!(
             (0..built.len()).map(|r| built.entry(r)).collect::<Vec<_>>(),
             es
@@ -1630,7 +1645,7 @@ mod tests {
         // A memtable snapshot keeps rows too: a short one leaves padded.
         let mut short = typed_entries();
         short[1].row.as_mut().unwrap().values.truncate(1);
-        let snapshot = ScanBlock::from_entries(short.clone());
+        let snapshot = row_block(&short);
         let mut padded = short[1].row.clone().unwrap().values;
         padded.resize(4, CqlValue::Null);
         let taken = take(snapshot, &[1, 2], Some(&[0, 3])).unwrap();

@@ -539,7 +539,7 @@ fn run_cell(kind: Sweep, writers: &[Vec<Step>], seed: u64, crash_at: u64) -> Res
     handle.disarm();
 
     // Restart 1: recover over the surviving bytes.
-    let db = Db::open(kind.open(vfs.clone()).recover(true))?;
+    let db = Db::open(kind.open(vfs.clone()))?;
     let recovered = read_state(&db)?;
     let in_flight_survived = check(&recovered, &run)?;
 
@@ -569,7 +569,7 @@ fn run_cell(kind: Sweep, writers: &[Vec<Step>], seed: u64, crash_at: u64) -> Res
     drop(db);
 
     // Restart 2: recovery is idempotent, and the engine takes new writes.
-    let db = Db::open(kind.open(vfs).recover(true))?;
+    let db = Db::open(kind.open(vfs))?;
     if read_state(&db)? != recovered {
         return Err(NosqlError::Corrupt("second recovery diverged".into()));
     }

@@ -75,17 +75,16 @@ mod recovery;
 /// # drop(db);
 /// ```
 ///
-/// Reopening an existing disk runs full crash recovery:
+/// Reopening a disk recovers what earlier engines left there:
 ///
-/// ```no_run
+/// ```
 /// # use sc_nosql::{Db, OpenOptions};
 /// # let vfs = sc_storage::Vfs::memory();
-/// let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+/// let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OpenOptions {
     vfs: Option<Vfs>,
-    recover: bool,
     table: TableOptions,
     block_cache_bytes: Option<usize>,
     group_commit_delay: Duration,
@@ -100,15 +99,9 @@ impl OpenOptions {
         self
     }
 
-    /// Runs crash recovery on open. It reads back the manifest (the DDL
-    /// and each table's live SSTables) and the commit log, truncating a
-    /// torn tail off either and failing with `Corrupt` — every file left as
-    /// it was — on a damaged frame. Then it registers every table and
-    /// index, attaches their SSTables in age order, sweeps orphan SSTable
-    /// files and replays the commit log into the memtables. Without it the
-    /// VFS must be empty.
-    pub fn recover(mut self, recover: bool) -> OpenOptions {
-        self.recover = recover;
+    /// Does nothing: every open recovers ([`Db::open`]). Kept for callers
+    /// written when recovery was a choice.
+    pub fn recover(self, _recover: bool) -> OpenOptions {
         self
     }
 
@@ -442,12 +435,18 @@ pub struct Db {
     core: Arc<DbCore>,
 }
 
-/// The name concurrent callers spell; the same handle as [`Db`].
+/// An older name for [`Db`], kept for callers that still spell it.
 pub type SharedDb = Db;
 
 impl Db {
-    /// Opens an engine per `options`. Without `.recover(true)` the VFS is
-    /// assumed empty; with it, the on-disk state is replayed and repaired.
+    /// Opens an engine per `options`, recovering whatever earlier engines
+    /// left on its VFS. Recovery reads back the manifest (the DDL and each
+    /// table's live SSTables) and the commit log, truncating a torn tail
+    /// off either and failing with `Corrupt` — every file left as it was —
+    /// on a damaged frame. Then it registers every table and index,
+    /// attaches their SSTables in age order, sweeps orphan SSTable files
+    /// and replays the commit log into the memtables. An empty VFS holds
+    /// nothing to recover.
     pub fn open(options: OpenOptions) -> Result<Db> {
         Ok(Db {
             core: Arc::new(DbCore::open(options)?),
@@ -1078,7 +1077,7 @@ mod tests {
             );
             db.flush_all().unwrap();
         }
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         assert_eq!(index_answer(&db), both);
         assert!(matches!(
             db.execute_cql("INSERT INTO ks.t__idx_g (k, id) VALUES ('x', 1)"),
@@ -1143,7 +1142,7 @@ mod tests {
                 .unwrap();
             // No flush: the row lives only in the commit log.
         }
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         let r = db.execute_cql("SELECT v FROM ks.t WHERE id = 1").unwrap();
         assert_eq!(r.rows(), vec![vec![CqlValue::Text("logged".into())]]);
     }
@@ -1160,9 +1159,35 @@ mod tests {
                 .unwrap();
             db.flush_all().unwrap();
         }
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         let r = db.execute_cql("SELECT v FROM ks.t WHERE id = 1").unwrap();
         assert_eq!(r.rows(), vec![vec![CqlValue::Text("flushed".into())]]);
+    }
+
+    #[test]
+    fn every_open_sees_what_earlier_engines_flushed() {
+        let vfs = Vfs::memory();
+        let write = |id: i64, v: &str| {
+            let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+            if id == 1 {
+                db.execute_cql("CREATE KEYSPACE ks").unwrap();
+                db.execute_cql("CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))")
+                    .unwrap();
+            }
+            db.execute_cql(&format!("INSERT INTO ks.t (id, v) VALUES ({id}, '{v}')"))
+                .unwrap();
+            db.flush_all().unwrap();
+            db.execute_cql("SELECT id, v FROM ks.t")
+                .unwrap()
+                .into_rows()
+        };
+        let one = vec![CqlValue::Int(1), CqlValue::Text("first".into())];
+        let two = vec![CqlValue::Int(2), CqlValue::Text("second".into())];
+        assert_eq!(write(1, "first"), vec![one.clone()]);
+        assert_eq!(write(2, "second"), vec![one.clone(), two.clone()]);
+        let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+        let r = db.execute_cql("SELECT id, v FROM ks.t").unwrap();
+        assert_eq!(r.rows(), vec![one, two]);
     }
 
     #[test]
@@ -1180,7 +1205,7 @@ mod tests {
                 .unwrap();
             db.flush_all().unwrap();
         }
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         db.execute_cql("INSERT INTO ks.t (id, v) VALUES (1, 'new')")
             .unwrap();
         let r = db.execute_cql("SELECT v FROM ks.t WHERE id = 1").unwrap();
@@ -1243,7 +1268,7 @@ mod tests {
                 .unwrap();
             // Crash: drop without flushing.
         }
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         let r = db.execute_cql("SELECT id FROM ks.a").unwrap();
         let ids: Vec<i64> = r.iter().map(|row| row.get_int("id").unwrap()).collect();
         assert_eq!(ids, vec![3], "pre-truncate rows resurrected by replay");
@@ -1282,7 +1307,7 @@ mod tests {
             );
             // Crash without flush_all.
         }
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         let r = db.execute_cql("SELECT * FROM ks.t").unwrap();
         assert_eq!(r.len(), 400, "checkpointing lost acknowledged writes");
     }
@@ -1422,7 +1447,7 @@ mod tests {
             ]
         );
         // Recovery has no session: the records alone rebuild table and index.
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         let r = db.execute_cql("SELECT id FROM ks.t WHERE v = 7").unwrap();
         assert_eq!(r.rows(), vec![vec![CqlValue::Int(1)]]);
     }
@@ -1487,7 +1512,7 @@ mod tests {
                 .unwrap();
             // Crash: drop without flushing.
         }
-        let db = Db::open(OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         let expected: [(i64, i64, &str); 5] = [
             (0, 9, "r0"),
             (1, 9, "back"),

@@ -30,9 +30,7 @@ impl DbCore {
                 (threads > 0).then(|| CompactionPool::new(threads))
             },
         };
-        if options.recover {
-            core.recover_state()?;
-        }
+        core.recover_state()?;
         Ok(core)
     }
 

@@ -31,8 +31,8 @@
 //! attached. Older versions that a pinned snapshot might still need stay
 //! behind in the memtable.
 
+use crate::colblock::ScanBlock;
 use crate::row::Row;
-use crate::sstable::SstEntry;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Included, Unbounded};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -144,31 +144,33 @@ impl Memtable {
 
     /// The memtable's layer of a merging cursor: per key starting with
     /// `prefix` (`None` = all), the version a reader at `bound` sees
-    /// ([`visible_at`]), tombstones included, in key order. A prefix seeks
-    /// to its first key and stops at the first key outside it.
-    pub fn snapshot(&self, bound: u64, prefix: Option<&[u8]>) -> Vec<SstEntry> {
+    /// ([`visible_at`]), tombstones included, in key order, as one block
+    /// (`None` when there is none). A prefix seeks to its first key and
+    /// stops at the first key outside it.
+    pub fn snapshot(&self, bound: u64, prefix: Option<&[u8]>) -> Option<ScanBlock> {
         let entries = self.read();
         let prefix = prefix.unwrap_or_default();
         let chains = entries
             .range::<[u8], _>((Included(prefix), Unbounded))
             .take_while(|(key, _)| key.starts_with(prefix));
-        collect(chains, |versions| visible_at(versions, bound))
+        collect(chains, |versions| visible_at(versions, bound), 0)
     }
 
-    /// Flush, first half: the entries [`Memtable::drain_up_to`] will remove
-    /// at `boundary`, cloned without removing anything, in key order — what
-    /// the flush hands to the SSTable writer. Every acked version stays
-    /// readable in the memtable until its SSTable is attached.
+    /// Flush, first half: the versions [`Memtable::drain_up_to`] will
+    /// remove at `boundary`, copied without removing anything into one
+    /// block in key order (`None` when there is none) — what the flush
+    /// writes out. Every acked version stays readable in the memtable
+    /// until its SSTable is attached.
     ///
     /// A version committed between the peek and the drain has a sequence
     /// above `boundary` (the visible watermark at flush start), so it can
     /// shadow a peeked version but never changes the peeked set itself;
     /// the drain then leaves the newly-shadowed version in the memtable,
     /// which is merely a duplicate of what the SSTable already serves.
-    pub fn peek_up_to(&self, boundary: u64) -> Vec<SstEntry> {
-        collect(self.read().iter(), |versions| {
-            flushable_at(versions, boundary)
-        })
+    pub fn peek_up_to(&self, boundary: u64) -> Option<ScanBlock> {
+        let entries = self.read();
+        let pick = |versions: &[Version]| flushable_at(versions, boundary);
+        collect(entries.iter(), pick, entries.len())
     }
 
     /// Approximate bytes buffered.
@@ -231,21 +233,18 @@ impl Memtable {
 }
 
 /// Per chain, in the order given, the version `pick` chooses (by index),
-/// cloned out as an entry.
+/// copied into one block whose row vectors start at `rows`; `None` when
+/// `pick` chooses none.
 fn collect<'a>(
     chains: impl Iterator<Item = (&'a Vec<u8>, &'a Vec<Version>)>,
     pick: impl Fn(&[Version]) -> Option<usize>,
-) -> Vec<SstEntry> {
-    chains
-        .filter_map(|(key, versions)| {
-            let v = &versions[pick(versions)?];
-            Some(SstEntry {
-                key: key.clone(),
-                row: v.row.clone(),
-                timestamp: v.seq,
-            })
-        })
-        .collect()
+    rows: usize,
+) -> Option<ScanBlock> {
+    let records = chains.filter_map(|(key, versions)| {
+        let v = &versions[pick(versions)?];
+        Some((&key[..], v.seq, v.row.as_ref().map(|row| &row.values[..])))
+    });
+    ScanBlock::from_records(records, rows)
 }
 
 /// The version of `key` a reader at `bound` sees in `entries`.
@@ -331,7 +330,13 @@ fn gc_chain(versions: &mut Vec<Version>, gc_floor: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sstable::SstEntry;
     use crate::types::CqlValue;
+
+    /// A block's records as entries; none without a block.
+    fn entries(block: Option<ScanBlock>) -> Vec<SstEntry> {
+        block.map_or_else(Vec::new, |b| (0..b.len()).map(|r| b.entry(r)).collect())
+    }
 
     fn row(v: i64) -> Row {
         Row::new(vec![CqlValue::Int(v)])
@@ -399,7 +404,7 @@ mod tests {
         // Boundary 5: b@4 flushes. a@3 is at or below the boundary too,
         // but it is shadowed by the in-memory a@8 — flushing it would put
         // an older sequence in a younger SSTable, so it must stay.
-        let peeked = m.peek_up_to(5);
+        let peeked = entries(m.peek_up_to(5));
         assert_eq!(peeked.len(), 1);
         assert_eq!(
             (peeked[0].key.as_slice(), peeked[0].timestamp),
@@ -418,7 +423,7 @@ mod tests {
         let hit = m.get(b"a", 3).unwrap();
         assert_eq!(hit.seq, 3, "the shadowed version still serves its bound");
         // A later flush with an advanced boundary takes a@8 and GC's a@3.
-        assert_eq!(m.peek_up_to(8)[0].timestamp, 8);
+        assert_eq!(entries(m.peek_up_to(8))[0].timestamp, 8);
         m.drain_up_to(8, 8);
         assert!(m.get(b"a", u64::MAX).is_none());
         assert_eq!(m.key_count(), 0);
@@ -486,7 +491,7 @@ mod tests {
         put(&m, b"a", 2, 6, 0);
         put(&m, b"b", 3, 4, 0);
         m.put(b"c".to_vec(), None, 5, 8, 0); // tombstone
-        let vis = m.snapshot(5, None);
+        let vis = entries(m.snapshot(5, None));
         assert_eq!(vis.len(), 3);
         assert_eq!(vis[0].timestamp, 2, "a@6 is above the bound");
         assert_eq!(vis[1].timestamp, 4);
@@ -494,12 +499,12 @@ mod tests {
             vis[2].row.is_none(),
             "tombstones are reported to the merger"
         );
-        assert_eq!(m.snapshot(u64::MAX, Some(b"b")).len(), 1);
+        assert_eq!(entries(m.snapshot(u64::MAX, Some(b"b"))).len(), 1);
         // a@6 flushes away; a@2 stays for a reader below 6 but is no
         // longer anyone else's newest.
         m.drain_up_to(6, 0);
-        assert_eq!(m.snapshot(5, Some(b"a")).len(), 1);
-        assert!(m.snapshot(6, Some(b"a")).is_empty());
+        assert_eq!(entries(m.snapshot(5, Some(b"a"))).len(), 1);
+        assert!(entries(m.snapshot(6, Some(b"a"))).is_empty());
     }
 
     #[test]
@@ -528,16 +533,20 @@ mod tests {
             prefixes.extend(keys.iter().cloned());
             prefixes.extend(keys.iter().map(|k| k[..1].to_vec()));
             for bound in (0..=seq).chain([u64::MAX]) {
-                let full = m.snapshot(bound, None);
+                let full = entries(m.snapshot(bound, None));
                 assert!(ascending(&full), "bound {bound}");
-                assert!(ascending(&m.peek_up_to(bound)), "bound {bound}");
+                assert!(ascending(&entries(m.peek_up_to(bound))), "bound {bound}");
                 for p in &prefixes {
                     let expected: Vec<SstEntry> = full
                         .iter()
                         .filter(|e| e.key.starts_with(p))
                         .cloned()
                         .collect();
-                    assert_eq!(m.snapshot(bound, Some(p)), expected, "{p:?} @ {bound}");
+                    assert_eq!(
+                        entries(m.snapshot(bound, Some(p))),
+                        expected,
+                        "{p:?} @ {bound}"
+                    );
                 }
             }
         }

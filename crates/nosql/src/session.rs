@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A statement-execution session: the unit of per-connection state over a
-/// [`crate::SharedDb`].
+/// [`crate::Db`].
 ///
 /// Sessions are cheap (an `Arc` clone plus a few fields) and independent:
 /// each carries its own `USE` keyspace and its own commit-wait accounting,
@@ -78,7 +78,7 @@ impl Session {
     }
 
     /// Pins a point-in-time, read-only view of the database (same as
-    /// [`crate::SharedDb::snapshot`]).
+    /// [`crate::Db::snapshot`]).
     pub fn snapshot(&self) -> Snapshot {
         Snapshot::new(Arc::clone(&self.core))
     }

@@ -36,7 +36,7 @@ use crate::memtable::Memtable;
 use crate::mvcc::{SeqGuard, SeqTracker, SnapshotRegistry};
 use crate::row::Row;
 use crate::schema::TableDef;
-use crate::sstable::{write_columns, write_sstable, Found, Probe, SsTable, SstIter};
+use crate::sstable::{write_columns, Found, Probe, SsTable, SstIter};
 use sc_storage::Vfs;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -554,10 +554,8 @@ impl TableCore {
         proj: Option<&[usize]>,
     ) -> Cursor<'static> {
         let mut layers: Vec<Layer> = Vec::new();
-        let buffered = self.mem.snapshot(bound, prefix);
-        if !buffered.is_empty() {
-            let block = Rc::new(ScanBlock::from_entries(buffered));
-            layers.push(Box::new(std::iter::once(Ok(block))));
+        if let Some(block) = self.mem.snapshot(bound, prefix) {
+            layers.push(Box::new(std::iter::once(Ok(Rc::new(block)))));
         }
         crate::mvcc::perturb(37);
         let ssts = self.ssts.read().unwrap_or_else(|e| e.into_inner());
@@ -634,8 +632,7 @@ impl TableCore {
         let boundary = tracker.visible();
         let gc_floor = registry.gc_floor(tracker);
         crate::mvcc::perturb(33);
-        let entries = self.mem.peek_up_to(boundary);
-        if entries.is_empty() {
+        let Some(block) = self.mem.peek_up_to(boundary) else {
             // Nothing at or below the boundary needs disk: every such
             // record is already flushed or shadowed, so the WAL prefix is
             // redundant and the floor may advance. Still sweep shadowed
@@ -644,11 +641,14 @@ impl TableCore {
             self.mem.gc(gc_floor);
             self.wal_floor.fetch_max(boundary, Ordering::AcqRel);
             return Ok(());
-        }
+        };
         let mut span = crate::obs::nosql().flush.start();
         // Until the drain below, every peeked version is still in the
         // memtable: a failure on the way returns with nothing to restore.
-        let write = |vfs: &Vfs, file: &str| write_sstable(vfs, file, &entries);
+        let write = |vfs: &Vfs, file: &str| {
+            let records = (0..block.len()).map(|row| block.record(row));
+            write_columns(vfs, file, &ColumnBatch::from_records(file, records)?)
+        };
         span.add_bytes(self.publish(maint, self.sstable_count(), &[], write)?);
         if sc_obs::enabled() {
             self.writes.flushes.fetch_add(1, Ordering::Relaxed);
@@ -1052,7 +1052,7 @@ mod tests {
     use super::*;
     use crate::exec::scan::MultiPointScan;
     use crate::schema::ColumnDef;
-    use crate::sstable::SstEntry;
+    use crate::sstable::{write_sstable, SstEntry};
     use crate::types::{CqlType, CqlValue};
     use sc_encoding::Rng;
     use std::collections::BTreeMap;
@@ -1896,6 +1896,20 @@ mod tests {
                 vfs.read_all(merged.file()).unwrap(),
                 reference.read_all("merged").unwrap(),
                 "seed {seed} merge from {start}: the bytes"
+            );
+
+            // The flush writes the versions it took as `write_sstable`
+            // writes them.
+            h.tracker.set_floor(seq);
+            let block = h.table.mem.peek_up_to(seq).expect("versions to flush");
+            let took: Vec<SstEntry> = (0..block.len()).map(|r| block.entry(r)).collect();
+            h.table.flush(&h.tracker, &h.registry).unwrap();
+            let flushed = Arc::clone(h.table.ssts.read().unwrap().last().unwrap());
+            write_sstable(&reference, "flushed", &took).unwrap();
+            assert_eq!(
+                vfs.read_all(flushed.file()).unwrap(),
+                reference.read_all("flushed").unwrap(),
+                "seed {seed}: the flush's bytes"
             );
         }
     }

@@ -14,8 +14,10 @@ fn absent_key_queries_skip_data_blocks_with_low_fp_rate() {
         OpenOptions::default()
             // Small flushes, high compaction threshold: the keys spread
             // over several live SSTables so every get probes a stack.
+            // Inline merges: the same layout on every run.
             .memtable_flush_bytes(2048)
-            .compaction_threshold(64),
+            .compaction_threshold(64)
+            .compaction_threads(0),
     )
     .unwrap();
     db.execute_cql("CREATE KEYSPACE fp").unwrap();

@@ -295,7 +295,7 @@ fn a_bad_row_commits_the_rows_before_it_and_none_after() {
             disk.append(&file, &twin.bulk_vfs.read_all(&file).unwrap())
                 .unwrap();
         }
-        let reopened = Db::open(small(4)(disk).recover(true)).unwrap();
+        let reopened = Db::open(small(4)(disk)).unwrap();
         assert_eq!(
             reopened.execute_cql("SELECT * FROM ks.t").unwrap(),
             twin.bulk.execute_cql("SELECT * FROM ks.t").unwrap(),

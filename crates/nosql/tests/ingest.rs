@@ -293,7 +293,7 @@ fn ingested_and_inserted_tables_answer_alike_in_every_state() {
         }
         compare(&ingested, &inserted, "compacted");
         drop((ingested, inserted));
-        let reopen = |vfs: &Vfs| Db::open(options(vfs).recover(true)).unwrap();
+        let reopen = |vfs: &Vfs| Db::open(options(vfs)).unwrap();
         compare(&reopen(&ingested_vfs), &reopen(&inserted_vfs), "recovered");
     }
 }

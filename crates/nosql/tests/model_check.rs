@@ -83,7 +83,7 @@ fn engine_agrees_with_oracle() {
                 Op::Recover => {
                     // Drop the engine and rebuild it from disk state.
                     drop(db);
-                    db = Db::open(tiny(&vfs).recover(true)).unwrap();
+                    db = Db::open(tiny(&vfs)).unwrap();
                 }
             }
             // Spot-check a couple of keys each step.
@@ -303,7 +303,7 @@ fn aggregates_agree_with_a_naive_evaluator() {
             write(&db, &mut rng, &mut rows);
         }
         drop(db);
-        db = Db::open(options().recover(true)).unwrap();
+        db = Db::open(options()).unwrap();
         check(&db, &rows, "recovered");
     }
 }

@@ -156,7 +156,7 @@ fn recovery_span_and_replay_counter_record_a_reopen() {
             .expect("insert");
     }
     let vfs = Vfs::disk(&dir).expect("reopen vfs");
-    let reopened = Db::open(OpenOptions::default().vfs(vfs).recover(true)).expect("recovery");
+    let reopened = Db::open(OpenOptions::default().vfs(vfs)).expect("recovery");
     drop(reopened);
     let after = Registry::global().snapshot();
     drop(db);

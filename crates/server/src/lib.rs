@@ -20,7 +20,7 @@
 //!
 //! Every connection gets its own [`sc_nosql::Session`] (its `USE`
 //! keyspace and commit-wait accounting) over one shared
-//! [`sc_nosql::SharedDb`], a cloneable handle to the concurrent engine:
+//! [`sc_nosql::Db`], a cloneable handle to the concurrent engine:
 //! sessions on different threads execute at once, their writes coalesce
 //! in the group-commit log, and each `SELECT` reads an MVCC snapshot pinned
 //! at its start, so it sees no write that commits after it. Only DDL and
@@ -30,11 +30,11 @@
 //! session and listener thread is joined.
 //!
 //! ```no_run
-//! use sc_nosql::{OpenOptions, SharedDb};
+//! use sc_nosql::{Db, OpenOptions};
 //! use sc_server::{Server, ServerConfig};
 //! use sc_server::client::Client;
 //!
-//! let db = SharedDb::open(OpenOptions::default()).unwrap();
+//! let db = Db::open(OpenOptions::default()).unwrap();
 //! let config = ServerConfig::default().tenant("city1", "tok-city1");
 //! let server = Server::start(config, db).unwrap();
 //!

@@ -4,7 +4,7 @@ use crate::http::run_http_loop;
 use crate::session::{run_session, SessionContext};
 use crate::slowlog::{SlowQuery, SlowQueryLog};
 use crate::tenant::{TenantError, TenantMap};
-use sc_nosql::SharedDb;
+use sc_nosql::Db;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -129,12 +129,12 @@ pub struct Server {
     http_handle: Option<JoinHandle<()>>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     slowlog: Arc<SlowQueryLog>,
-    db: SharedDb,
+    db: Db,
 }
 
 impl Server {
     /// Binds both listeners and spawns the accept loops over `db`.
-    pub fn start(config: ServerConfig, db: SharedDb) -> Result<Server, ServerError> {
+    pub fn start(config: ServerConfig, db: Db) -> Result<Server, ServerError> {
         let mut tenants = TenantMap::new();
         for (tenant, token) in &config.tenants {
             tenants.register(tenant, token)?;
@@ -211,7 +211,7 @@ impl Server {
     }
 
     /// The shared engine handle the sessions execute against.
-    pub fn db(&self) -> &SharedDb {
+    pub fn db(&self) -> &Db {
         &self.db
     }
 

@@ -17,7 +17,7 @@ use crate::obs::server as obs;
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::slowlog::{SlowQueryLog, SlowQueryMeta};
 use crate::tenant::{confine_statement, scrub_message, TenantMap};
-use sc_nosql::{parse_statement, NosqlError, Session, SharedDb, Statement};
+use sc_nosql::{parse_statement, Db, NosqlError, Session, Statement};
 use sc_obs::trace::{self, Attr, TailSampler};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,7 +26,7 @@ use std::time::Instant;
 
 /// Everything a session needs, shared by reference from the server.
 pub(crate) struct SessionContext {
-    pub db: SharedDb,
+    pub db: Db,
     pub tenants: Arc<TenantMap>,
     pub slowlog: Arc<SlowQueryLog>,
     pub shutdown: Arc<AtomicBool>,

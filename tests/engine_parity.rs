@@ -104,7 +104,7 @@ fn nosql_durability_roundtrip() {
         db.execute_cql("INSERT INTO k.t (id, v) VALUES (1, 'survives')")
             .unwrap();
     }
-    let db = nosql::Db::open(nosql::OpenOptions::default().vfs(vfs).recover(true)).unwrap();
+    let db = nosql::Db::open(nosql::OpenOptions::default().vfs(vfs)).unwrap();
     let r = db.execute_cql("SELECT v FROM k.t WHERE id = 1").unwrap();
     assert_eq!(r.first().unwrap().get_text("v").unwrap(), "survives");
 }
