@@ -18,9 +18,9 @@
 //! The writer takes the records column-major (`ColumnBatch`: keys,
 //! sequences, liveness, a borrowed cell per live record per column), so
 //! every live row of a batch has the same column count: an ingest's
-//! columns, or `ColumnBatch::from_records` over a flush's entries or a
-//! merge's decoded rows. `BlockWriter` encodes one block of a batch at a
-//! time, reusing its buffers.
+//! columns, or `ColumnBatch::from_records` over a flush's memtable block
+//! or a merge's decoded blocks. `BlockWriter` encodes one block of a batch
+//! at a time, reusing its buffers.
 //!
 //! Column chunks are length-prefixed so a projected read skips a pruned
 //! column in O(1) without parsing it.
@@ -60,8 +60,8 @@ const ENC_INT_DELTA: u8 = 1;
 const ENC_TEXT_DICT: u8 = 2;
 const ENC_BOOL_BITMAP: u8 = 3;
 
-/// One record as [`ColumnBatch::from_records`] takes it: its key, its
-/// sequence and its row's cells (`None` = a tombstone).
+/// One record as the `from_records` of [`ColumnBatch`] and [`ScanBlock`]
+/// take it: its key, its sequence and its row's cells (`None` = a tombstone).
 pub(crate) type Record<'a, C> = (&'a [u8], u64, Option<C>);
 
 /// A sorted run of records, column-major: what an SSTable is written from

@@ -1185,7 +1185,7 @@ mod tests {
         let two = vec![CqlValue::Int(2), CqlValue::Text("second".into())];
         assert_eq!(write(1, "first"), vec![one.clone()]);
         assert_eq!(write(2, "second"), vec![one.clone(), two.clone()]);
-        let db = Db::open(OpenOptions::default().vfs(vfs.clone())).unwrap();
+        let db = Db::open(OpenOptions::default().vfs(vfs)).unwrap();
         let r = db.execute_cql("SELECT id, v FROM ks.t").unwrap();
         assert_eq!(r.rows(), vec![one, two]);
     }

@@ -24,12 +24,12 @@
 //!   present in the memtable, the newest unshadowed) additionally knows no
 //!   SSTable can hold anything newer, and skips the disk entirely.
 //!
-//! A flush copies before it removes: `Memtable::peek_up_to` clones, per
+//! A flush copies before it removes: `Memtable::peek_up_to` copies, per
 //! key, the globally newest version at or below the flush boundary (always
-//! a fully committed sequence) for the caller to write out, and
-//! `Memtable::drain_up_to` removes the same versions once their SSTable is
-//! attached. Older versions that a pinned snapshot might still need stay
-//! behind in the memtable.
+//! committed) into one row-backed block, as `Memtable::snapshot` does a
+//! cursor's versions, and `Memtable::drain_up_to` removes the same versions
+//! once their SSTable is attached. Older versions that a pinned snapshot
+//! might still need stay behind in the memtable.
 
 use crate::colblock::ScanBlock;
 use crate::row::Row;

@@ -2,9 +2,9 @@
 //!
 //! One on-disk format (magic `STB3`, DESIGN.md §5f) and one writer, which
 //! takes a sorted column batch and cuts it into blocks: an ingest fills
-//! the batch from its columns, a merge from the blocks its cursor read,
-//! and [`write_sstable`] from a flush's [`SstEntry`]s (key, typed row or
-//! tombstone, sequence).
+//! the batch from its columns, a merge and a flush from the blocks they
+//! read or copied, and [`write_sstable`], outside the engine, from
+//! [`SstEntry`]s (key, typed row or tombstone, sequence).
 //!
 //! ```text
 //! [ data blocks... ][ meta ][ footer ]

@@ -16,11 +16,11 @@
 //! least once.
 //!
 //! A flush copies before it removes: it peeks the committed versions out of
-//! the memtable, writes and publishes their SSTable, attaches it, and only
-//! then drains the same versions from the memtable. Readers therefore see
-//! every committed write at all times, and a flush that fails has removed
-//! nothing; the overlap where a version is both buffered and on disk is
-//! harmless because reads resolve by max sequence.
+//! the memtable as one block, writes its records as a merge writes its
+//! winners', attaches the SSTable, and only then drains the same versions
+//! from the memtable. Readers therefore see every committed write at all
+//! times, and a flush that fails has removed nothing; a version both
+//! buffered and on disk is harmless because reads resolve by max sequence.
 //!
 //! An ingest is a flush without the memtable: once the engine has checked
 //! that the table holds none of their keys, its sorted column batch takes
